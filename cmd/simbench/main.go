@@ -89,6 +89,7 @@ const baselineCommit = "pre-PR2 seed (a31ba16)"
 type result struct {
 	NsPerOp          float64 `json:"ns_per_op"`
 	AllocsPerOp      float64 `json:"allocs_per_op"`
+	BytesPerOp       float64 `json:"bytes_per_op,omitempty"` // scenario rows: heap bytes allocated
 	BaselineNsPerOp  float64 `json:"baseline_ns_per_op,omitempty"`
 	BaselineAllocsOp float64 `json:"baseline_allocs_per_op,omitempty"`
 	Speedup          float64 `json:"speedup_vs_baseline,omitempty"`
@@ -116,29 +117,41 @@ func micro(name string, reps map[string]result, fn func(b *testing.B)) {
 	reps[name] = finish(name, "micro", float64(r.NsPerOp()), float64(r.AllocsPerOp()))
 }
 
+// cost is what one timed run spent: wall clock, heap allocations and the
+// bytes they took (runtime.MemStats Mallocs and TotalAlloc deltas).
+type cost struct {
+	d             time.Duration
+	allocs, bytes float64
+}
+
+// timed runs fn once, after a collection, and reports its cost.
+func timed(fn func()) cost {
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	t0 := time.Now()
+	fn()
+	d := time.Since(t0)
+	runtime.ReadMemStats(&ms1)
+	return cost{d, float64(ms1.Mallocs - ms0.Mallocs), float64(ms1.TotalAlloc - ms0.TotalAlloc)}
+}
+
 // scenario times one full simulation per op: one warm-up run, then
-// best-of-reps wall clock, with allocations read from runtime.MemStats.
+// best-of-reps wall clock, with that run's allocation count and bytes.
 func scenario(name string, reps map[string]result, runs int, fn func()) {
 	if skip(name) {
 		return
 	}
 	fn() // warm-up: route caches, goroutine pool, page faults
-	best := time.Duration(1<<63 - 1)
-	var allocs float64
-	var ms0, ms1 runtime.MemStats
+	best := cost{d: 1<<63 - 1}
 	for i := 0; i < runs; i++ {
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		t0 := time.Now()
-		fn()
-		d := time.Since(t0)
-		runtime.ReadMemStats(&ms1)
-		if d < best {
-			best = d
-			allocs = float64(ms1.Mallocs - ms0.Mallocs)
+		if c := timed(fn); c.d < best.d {
+			best = c
 		}
 	}
-	reps[name] = finish(name, "scenario", float64(best.Nanoseconds()), allocs)
+	r := finish(name, "scenario", float64(best.d.Nanoseconds()), best.allocs)
+	r.BytesPerOp = best.bytes
+	reps[name] = r
 }
 
 // sweepScenario times a whole benchmark sweep twice — serial
@@ -151,21 +164,15 @@ func sweepScenario(name string, reps map[string]result, runs int, render func() 
 	if skip(name) {
 		return
 	}
-	measure := func(workers int) (float64, float64, []byte) {
+	measure := func(workers int) (cost, []byte) {
 		bench.SetParallel(workers)
 		var buf bytes.Buffer
 		render().RenderCSV(&buf) // warm-up + reference bytes
 		ref := append([]byte(nil), buf.Bytes()...)
-		best := time.Duration(1<<63 - 1)
-		var allocs float64
-		var ms0, ms1 runtime.MemStats
+		best := cost{d: 1<<63 - 1}
 		for i := 0; i < runs; i++ {
-			runtime.GC()
-			runtime.ReadMemStats(&ms0)
-			t0 := time.Now()
-			g := render()
-			d := time.Since(t0)
-			runtime.ReadMemStats(&ms1)
+			var g *bench.Grid
+			c := timed(func() { g = render() })
 			buf.Reset()
 			g.RenderCSV(&buf)
 			if !bytes.Equal(buf.Bytes(), ref) {
@@ -174,22 +181,22 @@ func sweepScenario(name string, reps map[string]result, runs int, render func() 
 					name, workers)
 				os.Exit(1)
 			}
-			if d < best {
-				best = d
-				allocs = float64(ms1.Mallocs - ms0.Mallocs)
+			if c.d < best.d {
+				best = c
 			}
 		}
-		return float64(best.Nanoseconds()), allocs, ref
+		return best, ref
 	}
-	serNs, _, serCSV := measure(1)
-	parNs, parAllocs, parCSV := measure(0)
+	ser, serCSV := measure(1)
+	par, parCSV := measure(0)
 	if !bytes.Equal(serCSV, parCSV) {
 		fmt.Fprintf(os.Stderr,
 			"DETERMINISM VIOLATION: %s CSV differs between -parallel 1 and -parallel GOMAXPROCS\n",
 			name)
 		os.Exit(1)
 	}
-	reps[name] = result{NsPerOp: parNs, AllocsPerOp: parAllocs,
+	serNs, parNs := float64(ser.d.Nanoseconds()), float64(par.d.Nanoseconds())
+	reps[name] = result{NsPerOp: parNs, AllocsPerOp: par.allocs, BytesPerOp: par.bytes,
 		BaselineNsPerOp: serNs, Speedup: serNs / parNs, Kind: "scenario"}
 }
 
@@ -225,34 +232,28 @@ func shardScaling(name string, reps map[string]result, runs, procs, opsEach int,
 			os.Exit(1)
 		}
 	}
-	best := make([]time.Duration, len(configs))
-	allocs := make([]float64, len(configs))
-	var ms0, ms1 runtime.MemStats
+	best := make([]cost, len(configs))
 	for round := 0; round < runs; round++ {
 		for i, s := range configs {
-			runtime.GC()
-			runtime.ReadMemStats(&ms0)
-			t0 := time.Now()
-			v := run(s)
-			d := time.Since(t0)
-			runtime.ReadMemStats(&ms1)
+			var v float64
+			c := timed(func() { v = run(s) })
 			if v != ref {
 				fmt.Fprintf(os.Stderr,
 					"DETERMINISM VIOLATION: %s latency changed between runs at %d shards\n",
 					name, s)
 				os.Exit(1)
 			}
-			if round == 0 || d < best[i] {
-				best[i] = d
-				allocs[i] = float64(ms1.Mallocs - ms0.Mallocs)
+			if round == 0 || c.d < best[i].d {
+				best[i] = c
 			}
 		}
 	}
-	serNs := float64(best[0].Nanoseconds())
-	reps[name+"_serial"] = result{NsPerOp: serNs, AllocsPerOp: allocs[0], Kind: "scenario"}
+	serNs := float64(best[0].d.Nanoseconds())
+	reps[name+"_serial"] = result{NsPerOp: serNs, AllocsPerOp: best[0].allocs, BytesPerOp: best[0].bytes, Kind: "scenario"}
 	for i, s := range shardCounts {
-		ns := float64(best[i+1].Nanoseconds())
-		reps[fmt.Sprintf("%s_shards%d", name, s)] = result{NsPerOp: ns, AllocsPerOp: allocs[i+1],
+		c := best[i+1]
+		ns := float64(c.d.Nanoseconds())
+		reps[fmt.Sprintf("%s_shards%d", name, s)] = result{NsPerOp: ns, AllocsPerOp: c.allocs, BytesPerOp: c.bytes,
 			BaselineNsPerOp: serNs, Speedup: serNs / ns, Kind: "scenario"}
 	}
 }
@@ -471,7 +472,7 @@ func main() {
 		Schema:         1,
 		BaselineCommit: baselineCommit,
 		Note: fmt.Sprintf("wall-clock cost of simulating (engine hot paths), written by `make bench` "+
-			"with GOMAXPROCS=%d; ns figures are machine-dependent, allocs/op are not; sweep_* "+
+			"with GOMAXPROCS=%d; ns figures are machine-dependent, allocs/op and bytes/op (scenario rows) are not; sweep_* "+
 			"benches measure the parallel sweep engine against its own serial run on this "+
 			"machine; fig9_p16384_shards* rows measure intra-run lane workers against the "+
 			"serial lane engine on this machine — shardsN speedups are only meaningful when "+
@@ -485,14 +486,18 @@ func main() {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fmt.Printf("%-28s %14s %12s %10s\n", "bench", "ns/op", "allocs/op", "speedup")
+	fmt.Printf("%-28s %14s %12s %10s %10s\n", "bench", "ns/op", "allocs/op", "MB/op", "speedup")
 	for _, n := range names {
 		r := reps[n]
 		sp := "-"
 		if r.Speedup > 0 {
 			sp = fmt.Sprintf("%.2fx", r.Speedup)
 		}
-		fmt.Printf("%-28s %14.1f %12.1f %10s\n", n, r.NsPerOp, r.AllocsPerOp, sp)
+		mb := "-"
+		if r.BytesPerOp > 0 {
+			mb = fmt.Sprintf("%.1f", r.BytesPerOp/(1<<20))
+		}
+		fmt.Printf("%-28s %14.1f %12.1f %10s %10s\n", n, r.NsPerOp, r.AllocsPerOp, mb, sp)
 	}
 
 	if *gateShards {

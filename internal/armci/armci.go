@@ -18,6 +18,7 @@ package armci
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/mem"
@@ -117,7 +118,7 @@ type Config struct {
 	// costs one pointer check per instrumentation point.
 	Obs *obs.Registry
 	// Pool, when non-nil, recycles host-side backing arrays (the kernel's
-	// event heap/ring, the region caches' bucket storage) across runs.
+	// event heap/ring) across runs.
 	// Simulated behavior is identical with or without it; only the
 	// process's allocation profile changes. A Pool must not be shared by
 	// concurrent runs — sweep workers each own one.
@@ -242,9 +243,14 @@ type World struct {
 	// rank indexes with barriers separating writes from remote reads.
 	barCount int
 	barMax   sim.Time
-	xchAddr  []mem.Addr
-	xchReg   []bool
 	xchF64   []float64
+
+	// The current Malloc generation's Allocation. Rank threads run on
+	// different lane workers, so the first one to enter a generation
+	// builds it under xchMu; everyone keeps their own reference after.
+	xchMu  sync.Mutex
+	xch    *Allocation
+	xchGen int
 }
 
 // NewWorld builds the machine and empty runtime slots, returning an error
@@ -282,8 +288,6 @@ func NewWorld(k *sim.Kernel, cfg Config) (*World, error) {
 		M:        m,
 		Cfg:      cfg,
 		Runtimes: make([]*Runtime, cfg.Procs),
-		xchAddr:  make([]mem.Addr, cfg.Procs),
-		xchReg:   make([]bool, cfg.Procs),
 		xchF64:   make([]float64, cfg.Procs),
 	}
 	if cfg.AsyncThread {
@@ -308,16 +312,9 @@ func (w *World) Start(body func(th *sim.Thread, rt *Runtime)) {
 	tor := w.M.Net.Torus()
 	for rank := 0; rank < w.Cfg.Procs; rank++ {
 		rank := rank
-		// Region-cache buckets come off the pool's free list here, on
-		// the spawning goroutine: rank threads start concurrently on
-		// lane workers, and the pool is not safe to pop from inside
-		// them. Acquiring in rank order also keeps the recycled-array
-		// assignment deterministic (capacity-only, never simulated
-		// state, but determinism is cheap here).
-		buckets := w.Cfg.Pool.regionBuckets(w.Cfg.Procs)
 		ln := w.M.LaneFor(tor.NodeOf(rank))
 		t := w.K.SpawnOn(ln, fmt.Sprintf("rank-%04d", rank), func(th *sim.Thread) {
-			rt := newRuntime(w, th, rank, buckets)
+			rt := newRuntime(w, th, rank)
 			w.Runtimes[rank] = rt
 			rt.Barrier(th) // all clients exist before any traffic
 			body(th, rt)
@@ -344,7 +341,9 @@ func Run(cfg Config, body func(th *sim.Thread, rt *Runtime)) (*World, error) {
 	if err != nil {
 		return w, err
 	}
-	w.recycle(w.Cfg.Pool)
+	// The world's results stay readable — aggregate stats, fault counters,
+	// the kernel's clock and event count — after its queue arrays go back.
+	w.Cfg.Pool.putKernel(k)
 	return w, nil
 }
 
@@ -399,6 +398,24 @@ type rankState struct {
 	unackedAMs    int // AM writes (fallback put, acc) awaiting ack
 }
 
+// noteWrites records outstanding writes to rank in the fence table: puts
+// more unflushed RDMA puts, ams more unacked AM writes (negative when an
+// ack arrives). A target whose counts both return to zero leaves the
+// table, so the table is the ζ-bounded set AllFence has to visit.
+func (rt *Runtime) noteWrites(rank, puts, ams int) {
+	s := rt.dirty[rank]
+	s.unflushedPuts += puts
+	s.unackedAMs += ams
+	if s.unackedAMs < 0 {
+		panic("armci: ack underflow")
+	}
+	if s == (rankState{}) {
+		delete(rt.dirty, rank)
+	} else {
+		rt.dirty[rank] = s
+	}
+}
+
 // Runtime is one rank's ARMCI runtime: the public API surface of this
 // package. All methods must be called from that rank's own threads.
 type Runtime struct {
@@ -411,10 +428,11 @@ type Runtime struct {
 
 	eps     map[int]pami.Endpoint // data endpoints (context 0)
 	svcEps  map[int]pami.Endpoint // service endpoints (svc context)
-	regions *regionCache
-	cons    *consistency
-	ranks   []rankState
+	regions regionCache
+	cons    consistency
+	dirty   map[int]rankState // targets with outstanding writes, nothing else
 	allocs  []*Allocation
+	mallocs int // collective Mallocs entered: the exchange generation
 
 	pendSeq  int64
 	pend     map[int64]*pendReq
@@ -440,10 +458,10 @@ type Runtime struct {
 	trackID string // this rank's trace track id ("rank-NNNN")
 
 	// Recovery state, armed only on chaos runs (Config.Fault non-nil).
-	retry        *RetryPolicy   // resolved policy (never nil when faulty)
-	suspectUntil []sim.Time     // per-target rank: RDMA path suspect until this time
-	applied      map[amKey]bool // target-side write-AM dedup, lazily allocated
-	ftObs        *ftObs         // retry/timeout/recovery instrumentation
+	retry        *RetryPolicy     // resolved policy (never nil when faulty)
+	suspectUntil map[int]sim.Time // per-target rank: RDMA path suspect until this time
+	applied      map[amKey]bool   // target-side write-AM dedup, lazily allocated
+	ftObs        *ftObs           // retry/timeout/recovery instrumentation
 }
 
 // amKey identifies one write AM target-side for deduplication: the
@@ -454,7 +472,7 @@ type amKey struct {
 	id  int64
 }
 
-func newRuntime(w *World, th *sim.Thread, rank int, buckets [][]remoteRegion) *Runtime {
+func newRuntime(w *World, th *sim.Thread, rank int) *Runtime {
 	c := w.M.NewClient(th, rank)
 	c.MaxRegions = w.Cfg.MaxRegions
 	c.CreateContexts(th, w.Cfg.Contexts)
@@ -467,8 +485,8 @@ func newRuntime(w *World, th *sim.Thread, rank int, buckets [][]remoteRegion) *R
 		svcCtx:  c.Contexts[w.svcIdx],
 		eps:     make(map[int]pami.Endpoint),
 		svcEps:  make(map[int]pami.Endpoint),
-		regions: &regionCache{cap: w.Cfg.RegionCacheCap, byRank: buckets},
-		ranks:   make([]rankState, w.Cfg.Procs),
+		regions: *newRegionCache(w.Cfg.RegionCacheCap, rank),
+		dirty:   make(map[int]rankState),
 		pend:    make(map[int64]*pendReq),
 		mutexes: make(map[int]*muState),
 		Stats:   sim.NewCounters(),
@@ -476,13 +494,13 @@ func newRuntime(w *World, th *sim.Thread, rank int, buckets [][]remoteRegion) *R
 		obsOps:  newOpObs(c.Obs),
 		trackID: fmt.Sprintf("rank-%04d", rank),
 	}
-	rt.cons = newConsistency(rt, w.Cfg.Consistency)
+	rt.cons = consistency{rt: rt, mode: w.Cfg.Consistency}
 	if w.faulty() {
 		rt.retry = w.Cfg.Retry
 		if rt.retry == nil {
 			rt.retry = DefaultRetryPolicy()
 		}
-		rt.suspectUntil = make([]sim.Time, w.Cfg.Procs)
+		rt.suspectUntil = make(map[int]sim.Time)
 		rt.ftObs = newFtObs(c.Obs)
 	}
 	rt.installHandlers()

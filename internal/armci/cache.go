@@ -1,18 +1,29 @@
 package armci
 
 import (
+	"sort"
+
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
-// remoteRegion is a cached remote memory-region descriptor (the paper's
-// γ = 8-byte metadata). It is pointer-free on purpose: caches hold up to
-// ζ·σ of these per rank, and the collector must not have to scan them.
-type remoteRegion struct {
-	rank int
+// cachedRegion is a remote memory-region descriptor (the paper's γ = 8-byte
+// metadata) held explicitly for a touched rank. Pointer-free on purpose:
+// the collector must not have to scan cached descriptors.
+type cachedRegion struct {
 	base mem.Addr
 	size int
 	freq uint64
+}
+
+// seedBlock stands for the entries one collective Malloc seeded and nobody
+// has touched since: {a.addrs[r], a.Bytes, freq 1} for every registered
+// rank r >= next other than the cache's own, except ranks that have an
+// explicit bucket. live counts them.
+type seedBlock struct {
+	a    *Allocation
+	next int // eviction cursor: entries of ranks below it are gone
+	live int
 }
 
 // regionCache holds remote memory-region metadata for the communication
@@ -21,31 +32,97 @@ type remoteRegion struct {
 // least-frequently-used replacement, per §III.B. Misses are served by an
 // active message to the owner.
 //
-// Entries live in dense per-rank value buckets (ranks are 0..procs-1, so
-// a slice beats a map) rather than individually heap-allocated nodes:
-// collective Malloc seeds one entry per peer on every rank, an O(p²)
-// population across the world that dominated the Fig 9 p=4096 wall clock
-// when each entry cost a pointer allocation plus a map assign.
+// Collective Malloc seeds one entry per peer on every rank, an O(p²)
+// population across the world, while a rank only ever uses the entries of
+// its clique. So a seeded entry is not stored: it is implied by its
+// allocation's seedBlock until its rank is first touched (hit, inserted into
+// after an AM miss, or purged), at which point that rank's entries are
+// written out, in insertion order, as an explicit bucket and stay explicit.
+// Host bytes per rank are O(σ + σ·touched) — Eq. 5's σ·ζ·γ — instead of
+// O(σ·p).
+//
+// The contents, hit/miss/evict counts and victim order are exactly those
+// of a cache that stores every entry (cache_oracle_test.go keeps that one
+// as the reference). Implied entries all have freq 1, the least possible,
+// and the victim order is (freq, rank, base): so a block loses its entries
+// in ascending rank, which a cursor records.
+//
+// Bases must be distinct among one rank's live allocations, which the
+// allocator guarantees; purgeExchange relies on it.
 type regionCache struct {
-	cap     int
-	byRank  [][]remoteRegion // indexed by owner rank
-	total   int
-	Hits    uint64
-	Misses  uint64
-	Evicted uint64
+	cap, self int
+	blocks    []seedBlock            // in insertion order
+	touched   map[int][]cachedRegion // explicit buckets, by owner rank
+	slab      []cachedRegion         // where new buckets are cut from
+	total     int
+	Hits      uint64
+	Misses    uint64
+	Evicted   uint64
 }
 
-func newRegionCache(capacity, procs int) *regionCache {
-	return &regionCache{cap: capacity, byRank: make([][]remoteRegion, procs)}
+func newRegionCache(capacity, self int) *regionCache {
+	return &regionCache{cap: capacity, self: self, touched: make(map[int][]cachedRegion)}
+}
+
+// seeds reports whether b once seeded an entry for rank that no eviction
+// has taken; the caller checks that rank has no explicit bucket.
+func (rc *regionCache) seeds(b *seedBlock, rank int) bool {
+	return rank >= b.next && rank != rc.self && b.a.reg[rank]
+}
+
+// implies reports whether b stands for an entry of rank.
+func (rc *regionCache) implies(b *seedBlock, rank int) bool {
+	if !rc.seeds(b, rank) {
+		return false
+	}
+	_, explicit := rc.touched[rank]
+	return !explicit
+}
+
+// touch returns rank's explicit bucket, first writing out the entries the
+// blocks imply for it. New buckets are cut from a shared slab, eight
+// ranks' worth at a time, with their capacity clipped so that a bucket
+// that later grows moves out instead of running into its neighbour:
+// widening the clique costs an allocation per eight peers, not per peer.
+func (rc *regionCache) touch(rank int) []cachedRegion {
+	bkt, ok := rc.touched[rank]
+	if ok {
+		return bkt
+	}
+	if n := len(rc.blocks); n > cap(rc.slab)-len(rc.slab) {
+		rc.slab = make([]cachedRegion, 0, 8*n)
+	}
+	start := len(rc.slab)
+	for i := range rc.blocks {
+		if b := &rc.blocks[i]; rc.seeds(b, rank) {
+			rc.slab = append(rc.slab, cachedRegion{base: b.a.addrs[rank], size: b.a.Bytes, freq: 1})
+			b.live--
+		}
+	}
+	bkt = rc.slab[start:len(rc.slab):len(rc.slab)]
+	rc.touched[rank] = bkt
+	return bkt
+}
+
+func covers(base mem.Addr, size int, addr mem.Addr, n int) bool {
+	return addr >= base && uint64(addr)+uint64(n) <= uint64(base)+uint64(size)
 }
 
 // lookup reports whether a cached region covers [addr, addr+n) at rank,
-// bumping its use count for the LFU policy.
+// bumping its use count for the LFU policy. Among overlapping regions the
+// earliest inserted one is bumped.
 func (rc *regionCache) lookup(rank int, addr mem.Addr, n int) bool {
-	b := rc.byRank[rank]
-	for i := range b {
-		r := &b[i]
-		if addr >= r.base && uint64(addr)+uint64(n) <= uint64(r.base)+uint64(r.size) {
+	bkt, ok := rc.touched[rank]
+	if !ok {
+		for i := range rc.blocks {
+			if b := &rc.blocks[i]; rc.seeds(b, rank) && covers(b.a.addrs[rank], b.a.Bytes, addr, n) {
+				bkt = rc.touch(rank)
+				break
+			}
+		}
+	}
+	for i := range bkt {
+		if r := &bkt[i]; covers(r.base, r.size, addr, n) {
 			r.freq++
 			rc.Hits++
 			return true
@@ -61,208 +138,200 @@ func (rc *regionCache) insert(rank int, base mem.Addr, size int) {
 	if rc.total >= rc.cap {
 		rc.evictLFU()
 	}
-	rc.byRank[rank] = append(rc.byRank[rank], remoteRegion{rank: rank, base: base, size: size, freq: 1})
+	rc.touched[rank] = append(rc.touch(rank), cachedRegion{base: base, size: size, freq: 1})
 	rc.total++
 }
 
-// insertExchange seeds one entry per registered peer from a collective
-// Malloc exchange: exactly insert(r, addrs[r], size) for every r with
-// registered[r] && r != self, in rank order. The batch exists for its
-// allocation profile — when the whole exchange fits under cap, all p−1
-// entries land in one arena array and empty buckets are capped sub-slices
-// of it (a later append copies out instead of clobbering a neighbour),
-// so pre-population costs O(1) allocations per rank instead of O(p).
-func (rc *regionCache) insertExchange(self int, addrs []mem.Addr, registered []bool, size int) {
-	n := 0
-	for r := range addrs {
-		if registered[r] && r != self {
-			n++
-		}
-	}
-	if rc.total+n > rc.cap {
-		// Evictions interleave with inserts; replay insert()'s
-		// evict-then-append loop through a heap instead of per-insert
-		// O(entries) victim scans. The naive loop is O(n·(p+cap)) —
-		// the setup cliff that made p=8192 worlds ~250x slower than
-		// p=4096 ones (where the whole exchange fits under cap).
-		rc.insertExchangeEvicting(self, addrs, registered, size)
-		return
-	}
-	arena := make([]remoteRegion, n)
-	i := 0
-	for r := range addrs {
-		if !registered[r] || r == self {
+// minSeed returns the block implying the least (rank, base) entry and that
+// rank, or nil when no block implies any. Earlier blocks win ties, as
+// earlier bucket slots do.
+func (rc *regionCache) minSeed() (least *seedBlock, rank int) {
+	for i := range rc.blocks {
+		b := &rc.blocks[i]
+		if b.live == 0 {
 			continue
 		}
-		arena[i] = remoteRegion{rank: r, base: addrs[r], size: size, freq: 1}
-		if len(rc.byRank[r]) == 0 {
-			rc.byRank[r] = arena[i : i+1 : i+1]
-		} else {
-			rc.byRank[r] = append(rc.byRank[r], arena[i])
+		for !rc.implies(b, b.next) { // live > 0: there is one to stop at
+			b.next++
 		}
-		i++
-	}
-	rc.total += n
-}
-
-// exchItem is one cache entry's standing in the batch-eviction replay:
-// an original entry (inRank = -1) at byRank[rank][slot], or the pending
-// incoming entry for rank (inRank = rank, ordered after that bucket's
-// originals, where append would have placed it).
-type exchItem struct {
-	freq   uint64
-	rank   int
-	base   mem.Addr
-	slot   int
-	inRank int
-}
-
-// exchLess is evictLFU's victim priority: least frequent first, ties on
-// (rank, base), then bucket position (first encountered by the scan).
-func exchLess(a, b *exchItem) bool {
-	if a.freq != b.freq {
-		return a.freq < b.freq
-	}
-	if a.rank != b.rank {
-		return a.rank < b.rank
-	}
-	if a.base != b.base {
-		return a.base < b.base
-	}
-	return a.slot < b.slot
-}
-
-func exchSiftUp(h []exchItem, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !exchLess(&h[i], &h[p]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func exchSiftDown(h []exchItem, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && exchLess(&h[r], &h[l]) {
-			m = r
-		}
-		if !exchLess(&h[m], &h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// insertExchangeEvicting is the over-capacity exchange path: exactly the
-// victims and survivors of calling insert(r, addrs[r], size) for every
-// registered peer in rank order, computed in O(entries + n·log cap + p)
-// instead of a per-insert scan of every bucket. All entries — originals
-// and already-inserted incoming ones — sit in one min-heap keyed by the
-// eviction priority; each over-capacity insert pops the victim the naive
-// scan would have picked (freqs never change during the replay, so the
-// heap is never stale). Evicted originals are marked in place with a
-// size of -1 and compacted afterwards, preserving bucket order; a
-// surviving incoming entry appends after its bucket's surviving
-// originals, exactly where the naive append would have left it.
-func (rc *regionCache) insertExchangeEvicting(self int, addrs []mem.Addr, registered []bool, size int) {
-	h := make([]exchItem, 0, rc.total+1)
-	for rank := range rc.byRank {
-		b := rc.byRank[rank]
-		for i := range b {
-			h = append(h, exchItem{freq: b[i].freq, rank: b[i].rank, base: b[i].base, slot: i, inRank: -1})
+		if r := b.next; least == nil || r < rank || r == rank && b.a.addrs[r] < least.a.addrs[r] {
+			least, rank = b, r
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		exchSiftDown(h, i)
-	}
-
-	incomingDead := make([]bool, len(addrs))
-	cur := rc.total
-	pops := 0
-	for r := range addrs {
-		if !registered[r] || r == self {
-			continue
-		}
-		if cur >= rc.cap && len(h) > 0 {
-			v := h[0]
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-			exchSiftDown(h, 0)
-			if v.inRank >= 0 {
-				incomingDead[v.inRank] = true
-			} else {
-				rc.byRank[v.rank][v.slot].size = -1 // compacted below
-			}
-			pops++
-			cur--
-		}
-		h = append(h, exchItem{freq: 1, rank: r, base: addrs[r], slot: 1 << 30, inRank: r})
-		exchSiftUp(h, len(h)-1)
-		cur++
-	}
-
-	for rank := range rc.byRank {
-		b := rc.byRank[rank]
-		keep := b[:0]
-		for i := range b {
-			if b[i].size >= 0 {
-				keep = append(keep, b[i])
-			}
-		}
-		if registered[rank] && rank != self && !incomingDead[rank] {
-			keep = append(keep, remoteRegion{rank: rank, base: addrs[rank], size: size, freq: 1})
-		}
-		rc.byRank[rank] = keep
-	}
-	rc.total = cur
-	rc.Evicted += uint64(pops)
+	return least, rank
 }
 
 // evictLFU removes the least frequently used entry, breaking ties on
-// (rank, base) so the victim is deterministic. The scan is O(entries)
-// but runs only when the cache is at capacity.
+// (rank, base), then bucket position, so the victim is deterministic. It
+// scans the explicit buckets and one head per block; it runs only when the
+// cache is at capacity.
 func (rc *regionCache) evictLFU() {
 	vRank, vIdx := -1, -1
-	var victim *remoteRegion
-	for rank := range rc.byRank {
-		b := rc.byRank[rank]
-		for i := range b {
-			r := &b[i]
-			if victim == nil || r.freq < victim.freq ||
-				(r.freq == victim.freq && (r.rank < victim.rank ||
-					(r.rank == victim.rank && r.base < victim.base))) {
-				victim, vRank, vIdx = r, rank, i
+	var v cachedRegion
+	for rank, bkt := range rc.touched {
+		for i := range bkt {
+			if r := &bkt[i]; vRank < 0 || r.freq < v.freq ||
+				r.freq == v.freq && (rank < vRank || rank == vRank && r.base < v.base) {
+				v, vRank, vIdx = *r, rank, i
 			}
 		}
 	}
-	if victim == nil {
-		return
+	// An implied entry has freq 1, and its rank has no explicit entries.
+	// One of the two exists: total >= cap >= 1.
+	if b, rank := rc.minSeed(); b != nil && (vRank < 0 || v.freq > 1 || rank < vRank) {
+		b.next = rank + 1
+		b.live--
+	} else {
+		bkt := rc.touched[vRank]
+		rc.touched[vRank] = append(bkt[:vIdx], bkt[vIdx+1:]...)
 	}
-	b := rc.byRank[vRank]
-	copy(b[vIdx:], b[vIdx+1:])
-	rc.byRank[vRank] = b[:len(b)-1]
 	rc.total--
 	rc.Evicted++
 }
 
-// purge drops the entry for (rank, base); used when an allocation is
-// collectively freed.
-func (rc *regionCache) purge(rank int, base mem.Addr) {
-	b := rc.byRank[rank]
-	for i := range b {
-		if b[i].base == base {
-			copy(b[i:], b[i+1:])
-			rc.byRank[rank] = b[:len(b)-1]
+// insertExchange seeds one entry per registered peer from a collective
+// Malloc's exchange: exactly insert(r, a.addrs[r], a.Bytes) for every r
+// with a.reg[r] && r != self, in rank order, at a cost of one block plus
+// one explicit entry per touched rank.
+func (rc *regionCache) insertExchange(a *Allocation) {
+	n := int(a.nreg.Load())
+	if a.reg[rc.self] {
+		n--
+	}
+	nb := seedBlock{a: a, live: n}
+	if rc.total+n > rc.cap {
+		rc.replayEvicting(&nb)
+	} else {
+		rc.total += n
+	}
+	for rank, bkt := range rc.touched {
+		if rc.seeds(&nb, rank) {
+			rc.touched[rank] = append(bkt, cachedRegion{base: a.addrs[rank], size: a.Bytes, freq: 1})
+			nb.live--
+		}
+	}
+	rc.blocks = append(rc.blocks, nb)
+}
+
+// replayEvicting is the over-capacity exchange: it leaves exactly the
+// victims and survivors of calling insert per registered peer in rank
+// order, without a scan of the explicit buckets per insert (with one, an
+// exchange costs O(p·cap) per rank and world set-up grows as p³). Freqs do
+// not change during the replay and every incoming entry has freq 1, so
+// from the second insert on every victim is a freq-1 entry, and those
+// leave in ascending (rank, base) from three kinds of sorted source: the
+// explicit freq-1 entries (sorted once, here), each older block's cursor,
+// and the new block's own cursor over the ranks inserted so far. Evicted
+// explicit entries are marked with size -1 and compacted afterwards. On
+// return nb.next and nb.live describe the new block's survivors, touched
+// ranks included.
+func (rc *regionCache) replayEvicting(nb *seedBlock) {
+	type ref struct {
+		rank, slot int
+		base       mem.Addr
+	}
+	const ( // where a victim comes from
+		none = iota
+		explicit
+		older
+		incoming
+	)
+	var once []ref
+	for rank, bkt := range rc.touched {
+		for i := range bkt {
+			if bkt[i].freq == 1 {
+				once = append(once, ref{rank, i, bkt[i].base})
+			}
+		}
+	}
+	sort.Slice(once, func(i, j int) bool {
+		p, q := once[i], once[j]
+		if p.rank != q.rank {
+			return p.rank < q.rank
+		}
+		if p.base != q.base {
+			return p.base < q.base
+		}
+		return p.slot < q.slot
+	})
+	marked := false
+	a := nb.a
+	for r := range a.addrs {
+		if r == rc.self || !a.reg[r] {
+			continue
+		}
+		if rc.total >= rc.cap {
+			// The victim is the least (rank, base) head among the sources;
+			// on a full tie the explicit entry, then the older block, sits
+			// in the lower slot. Rank len(a.addrs) stands for "none yet".
+			src, v := none, ref{rank: len(a.addrs)}
+			if len(once) > 0 {
+				src, v = explicit, once[0]
+			}
+			old, oRank := rc.minSeed()
+			if old != nil && (oRank < v.rank || oRank == v.rank && old.a.addrs[oRank] < v.base) {
+				src, v = older, ref{rank: oRank, base: old.a.addrs[oRank]}
+			}
+			for nb.next < r && (nb.next == rc.self || !a.reg[nb.next]) {
+				nb.next++
+			}
+			if nb.next < r && (nb.next < v.rank || nb.next == v.rank && a.addrs[nb.next] < v.base) {
+				src = incoming
+			}
+			switch src {
+			case explicit:
+				rc.touched[v.rank][v.slot].size = -1
+				once = once[1:]
+				marked = true
+			case older:
+				old.next = oRank + 1
+				old.live--
+			case incoming:
+				nb.next++
+				nb.live--
+			case none:
+				// Only before the first insert, so nothing is marked yet:
+				// every cached entry has freq > 1.
+				rc.evictLFU()
+				rc.total++
+				continue
+			}
 			rc.total--
-			return
+			rc.Evicted++
+		}
+		rc.total++
+	}
+	if !marked {
+		return
+	}
+	for rank, bkt := range rc.touched {
+		keep := bkt[:0]
+		for _, e := range bkt {
+			if e.size >= 0 {
+				keep = append(keep, e)
+			}
+		}
+		rc.touched[rank] = keep
+	}
+}
+
+// purgeExchange drops, for every rank r, the first entry based at
+// a.addrs[r]; used when an allocation is collectively freed.
+func (rc *regionCache) purgeExchange(a *Allocation) {
+	for i := range rc.blocks {
+		if rc.blocks[i].a == a {
+			rc.total -= rc.blocks[i].live
+			rc.blocks = append(rc.blocks[:i], rc.blocks[i+1:]...)
+			break
+		}
+	}
+	for rank, bkt := range rc.touched {
+		for i := range bkt {
+			if bkt[i].base == a.addrs[rank] {
+				rc.touched[rank] = append(bkt[:i], bkt[i+1:]...)
+				rc.total--
+				break
+			}
 		}
 	}
 }
@@ -270,8 +339,8 @@ func (rc *regionCache) purge(rank int, base mem.Addr) {
 // purgeRank drops every entry owned by rank; used when the rank's RDMA
 // path turns suspect and all its cached descriptors must be re-resolved.
 func (rc *regionCache) purgeRank(rank int) {
-	rc.total -= len(rc.byRank[rank])
-	rc.byRank[rank] = nil
+	rc.total -= len(rc.touch(rank))
+	rc.touched[rank] = nil
 }
 
 // Len returns the number of cached entries.

@@ -66,8 +66,8 @@ func TestFreePurgesRegionCache(t *testing.T) {
 
 // TestInsertExchangePartialRegistration: ranks whose registration failed
 // must not be seeded into the cache (their traffic needs the fallback
-// protocols), while registered peers still land — in both the arena and
-// the generic (evicting) paths.
+// protocols), while registered peers still land — under capacity and
+// through the evicting replay.
 func TestInsertExchangePartialRegistration(t *testing.T) {
 	const procs = 6
 	addrs := make([]mem.Addr, procs)
@@ -77,8 +77,9 @@ func TestInsertExchangePartialRegistration(t *testing.T) {
 		registered[r] = r%2 == 0 // odd ranks failed to register
 	}
 
-	rc := newRegionCache(64, procs)
-	rc.insertExchange(1, addrs, registered, 0x80)
+	x := newExchange(addrs, registered, 0x80)
+	rc := newRegionCache(64, 1)
+	rc.insertExchange(x)
 	// Self (rank 1, unregistered anyway) and odd ranks must be absent.
 	if got, want := rc.Len(), 3; got != want { // ranks 0, 2, 4
 		t.Fatalf("cached entries = %d, want %d", got, want)
@@ -91,9 +92,9 @@ func TestInsertExchangePartialRegistration(t *testing.T) {
 		}
 	}
 
-	// Generic path: capacity forces insertExchange through insert+evict.
-	small := newRegionCache(2, procs)
-	small.insertExchange(1, addrs, registered, 0x80)
+	// Capacity forces insertExchange through the evicting replay.
+	small := newRegionCache(2, 1)
+	small.insertExchange(x)
 	if small.Len() != 2 {
 		t.Fatalf("capped cache entries = %d, want 2", small.Len())
 	}
@@ -101,72 +102,15 @@ func TestInsertExchangePartialRegistration(t *testing.T) {
 		t.Error("capped exchange evicted nothing")
 	}
 
-	// A pre-populated bucket must survive an arena exchange (the capped
-	// sub-slice append must copy out, not clobber a neighbour's entry).
-	pre := newRegionCache(64, procs)
+	// A pre-populated (explicit) bucket must survive an exchange and take
+	// its seeded entry explicitly.
+	pre := newRegionCache(64, 1)
 	pre.insert(2, 0x9000, 0x40)
-	pre.insertExchange(1, addrs, registered, 0x80)
+	pre.insertExchange(x)
 	if !pre.lookup(2, 0x9000, 0x40) {
 		t.Error("pre-existing entry lost in exchange")
 	}
 	if !pre.lookup(2, addrs[2], 0x80) {
 		t.Error("exchanged entry missing from pre-populated bucket")
-	}
-}
-
-// TestInsertExchangeEvictingEquivalence pins the batch-eviction replay
-// against the loop it replaces: an over-capacity exchange through
-// insertExchange must leave the cache in exactly the state that calling
-// insert() per registered peer in rank order would have — same entries,
-// same bucket order, same freqs, same eviction count — including from a
-// pre-populated cache with mixed frequencies.
-func TestInsertExchangeEvictingEquivalence(t *testing.T) {
-	const procs = 97
-	const cap = 24
-	addrs := make([]mem.Addr, procs)
-	registered := make([]bool, procs)
-	for r := range addrs {
-		addrs[r] = mem.Addr(0x10000 + r*0x200)
-		registered[r] = r%5 != 3 // a few unregistered peers
-	}
-
-	// Two caches with identical non-trivial initial states: partial
-	// prior contents whose freqs vary (some will out-rank the incoming
-	// freq-1 entries and survive, some won't).
-	seed := func() *regionCache {
-		rc := newRegionCache(cap, procs)
-		for i := 0; i < 10; i++ {
-			rank := (i*7 + 2) % procs
-			rc.insert(rank, mem.Addr(0x9000+i*0x40), 0x20)
-			for b := 0; b < i%4; b++ {
-				rc.lookup(rank, mem.Addr(0x9000+i*0x40), 0x20) // freq bump
-			}
-		}
-		return rc
-	}
-
-	fast, naive := seed(), seed()
-	fast.insertExchange(2, addrs, registered, 0x80)
-	for r := range addrs {
-		if registered[r] && r != 2 {
-			naive.insert(r, addrs[r], 0x80)
-		}
-	}
-
-	if fast.total != naive.total || fast.Evicted != naive.Evicted {
-		t.Fatalf("totals diverged: fast (total %d, evicted %d), naive (total %d, evicted %d)",
-			fast.total, fast.Evicted, naive.total, naive.Evicted)
-	}
-	for rank := range naive.byRank {
-		fb, nb := fast.byRank[rank], naive.byRank[rank]
-		if len(fb) != len(nb) {
-			t.Errorf("rank %d bucket length: fast %d, naive %d", rank, len(fb), len(nb))
-			continue
-		}
-		for i := range nb {
-			if fb[i] != nb[i] {
-				t.Errorf("rank %d slot %d: fast %+v, naive %+v", rank, i, fb[i], nb[i])
-			}
-		}
 	}
 }

@@ -2,6 +2,7 @@ package armci
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -25,15 +26,23 @@ func (g GlobalPtr) String() string {
 
 // Allocation is the result of a collective Malloc: one block of the same
 // size in every rank's space. It is one of the paper's σ "active global
-// address structures".
+// address structures". The world builds one per Malloc and every rank
+// returns that same value — one translation table per allocation, not one
+// copy per rank: each rank fills in its own slot of the exchange before
+// the barrier and only reads afterwards.
 type Allocation struct {
 	ID    int
 	Bytes int
-	Ptrs  []GlobalPtr
+
+	addrs []mem.Addr   // every rank's block
+	reg   []bool       // whether that rank's registration succeeded
+	nreg  atomic.Int64 // how many did
 }
 
 // At returns the block on the given rank.
-func (a *Allocation) At(rank int) GlobalPtr { return a.Ptrs[rank] }
+func (a *Allocation) At(rank int) GlobalPtr {
+	return GlobalPtr{Rank: rank, Addr: a.addrs[rank]}
+}
 
 // Barrier synchronizes all ranks over the hardware combining network:
 // every rank is released at max over ranks of (arrival + BarrierLatency).
@@ -108,19 +117,37 @@ func (rt *Runtime) MallocErr(th *sim.Thread, bytes int) (*Allocation, error) {
 	}
 	addr := rt.C.Space.Alloc(bytes)
 	reg := rt.C.RegisterMemory(th, addr, bytes)
-	w := rt.W
-	w.xchAddr[rt.Rank] = addr
-	w.xchReg[rt.Rank] = reg != nil
-	rt.Barrier(th)
-	a := &Allocation{ID: len(rt.allocs), Bytes: bytes, Ptrs: make([]GlobalPtr, w.Cfg.Procs)}
-	for r := 0; r < w.Cfg.Procs; r++ {
-		a.Ptrs[r] = GlobalPtr{Rank: r, Addr: w.xchAddr[r]}
+	a := rt.W.allocationFor(rt.mallocs, len(rt.allocs), bytes)
+	rt.mallocs++
+	a.addrs[rt.Rank] = addr
+	if reg != nil {
+		a.reg[rt.Rank] = true
+		a.nreg.Add(1)
 	}
-	rt.regions.insertExchange(rt.Rank, w.xchAddr, w.xchReg, bytes)
+	rt.Barrier(th)
+	rt.regions.insertExchange(a)
 	rt.allocs = append(rt.allocs, a)
-	rt.Barrier(th) // protect the exchange buffer before reuse
+	// The exchange is never reused, so nothing needs protecting; the second
+	// traversal stays as part of the collective's modelled cost.
+	rt.Barrier(th)
 	rt.Stats.Inc("malloc", 1)
 	return a, nil
+}
+
+// allocationFor returns the Allocation of Malloc generation gen, building
+// it for the first rank to ask (all ranks call Malloc in the same order
+// with the same size, so they agree on id and bytes). A generation's ranks
+// have all passed its barriers before any enters the next, so one slot is
+// enough.
+func (w *World) allocationFor(gen, id, bytes int) *Allocation {
+	w.xchMu.Lock()
+	defer w.xchMu.Unlock()
+	if w.xch == nil || w.xchGen != gen {
+		w.xch = &Allocation{ID: id, Bytes: bytes,
+			addrs: make([]mem.Addr, w.Cfg.Procs), reg: make([]bool, w.Cfg.Procs)}
+		w.xchGen = gen
+	}
+	return w.xch
 }
 
 // Free collectively releases an allocation. Every rank purges its remote
@@ -149,13 +176,12 @@ func (rt *Runtime) FreeErr(th *sim.Thread, a *Allocation) error {
 		return fmt.Errorf("armci: Free of unknown or already-freed allocation %d", a.ID)
 	}
 	rt.Barrier(th) // no rank may still be using the block
-	for r, p := range a.Ptrs {
-		rt.regions.purge(r, p.Addr)
-	}
-	if reg := rt.C.FindRegion(a.Ptrs[rt.Rank].Addr, a.Bytes); reg != nil {
+	rt.regions.purgeExchange(a)
+	own := a.addrs[rt.Rank]
+	if reg := rt.C.FindRegion(own, a.Bytes); reg != nil {
 		rt.C.DeregisterMemory(reg)
 	}
-	rt.C.Space.Free(a.Ptrs[rt.Rank].Addr)
+	rt.C.Space.Free(own)
 	for i, al := range rt.allocs {
 		if al == a {
 			rt.allocs = append(rt.allocs[:i], rt.allocs[i+1:]...)
@@ -188,8 +214,8 @@ func (rt *Runtime) AllReduceSum(th *sim.Thread, v float64) float64 {
 // §III.E: conflicts are tracked per structure, not per process.
 func (rt *Runtime) allocKey(g GlobalPtr) int {
 	for _, a := range rt.allocs {
-		p := a.Ptrs[g.Rank]
-		if g.Addr >= p.Addr && uint64(g.Addr) < uint64(p.Addr)+uint64(a.Bytes) {
+		base := a.addrs[g.Rank]
+		if g.Addr >= base && uint64(g.Addr) < uint64(base)+uint64(a.Bytes) {
 			return a.ID
 		}
 	}

@@ -2,6 +2,7 @@ package armci
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/sim"
 )
@@ -27,16 +28,17 @@ const (
 type consistency struct {
 	rt   *Runtime
 	mode ConsistencyMode
-	tgt  []uint8   // per-rank status
+	tgt  []uint8   // per-rank status (nil until first use)
 	mr   [][]uint8 // allocation id -> per-rank status (nil until first use)
 }
 
-func newConsistency(rt *Runtime, mode ConsistencyMode) *consistency {
-	return &consistency{
-		rt:   rt,
-		mode: mode,
-		tgt:  make([]uint8, rt.W.Cfg.Procs),
+// targetStatus returns the per-rank status vector, allocated on the first
+// write or read that has no structure to key on (or any, in naive mode).
+func (c *consistency) targetStatus() []uint8 {
+	if c.tgt == nil {
+		c.tgt = make([]uint8, c.rt.W.Cfg.Procs)
 	}
+	return c.tgt
 }
 
 // regionStatus returns the per-rank status vector for an allocation key.
@@ -58,7 +60,7 @@ func (c *consistency) regionStatus(key int) []uint8 {
 // structure key).
 func (c *consistency) noteWrite(rank, key int) {
 	if c.mode == ConsistencyNaive || key < 0 {
-		c.tgt[rank] |= csWrite
+		c.targetStatus()[rank] |= csWrite
 		return
 	}
 	c.regionStatus(key)[rank] |= csWrite
@@ -67,7 +69,7 @@ func (c *consistency) noteWrite(rank, key int) {
 // noteRead records an outstanding read.
 func (c *consistency) noteRead(rank, key int) {
 	if c.mode == ConsistencyNaive || key < 0 {
-		c.tgt[rank] |= csRead
+		c.targetStatus()[rank] |= csRead
 		return
 	}
 	c.regionStatus(key)[rank] |= csRead
@@ -78,7 +80,7 @@ func (c *consistency) noteRead(rank, key int) {
 // naive scheme would have fenced but the per-region scheme did not — the
 // quantity the §III.E ablation reports.
 func (c *consistency) checkRead(th *sim.Thread, rank, key int) {
-	conflict := c.tgt[rank]&csWrite != 0
+	conflict := c.tgt != nil && c.tgt[rank]&csWrite != 0
 	naiveWould := conflict
 	if c.mode == ConsistencyPerRegion {
 		if !conflict && key >= 0 && key < len(c.mr) && c.mr[key] != nil {
@@ -106,11 +108,21 @@ func (c *consistency) checkRead(th *sim.Thread, rank, key int) {
 
 // clearRank resets all status for a fenced target.
 func (c *consistency) clearRank(rank int) {
-	c.tgt[rank] = 0
+	if c.tgt != nil {
+		c.tgt[rank] = 0
+	}
 	for _, s := range c.mr {
 		if s != nil {
 			s[rank] = 0
 		}
+	}
+}
+
+// clearAll resets the status of every target.
+func (c *consistency) clearAll() {
+	clear(c.tgt)
+	for _, s := range c.mr {
+		clear(s)
 	}
 }
 
@@ -123,16 +135,15 @@ func (rt *Runtime) Fence(th *sim.Thread, rank int) {
 		rt.fenceFT(th, rank)
 		return
 	}
-	pr := &rt.ranks[rank]
-	if pr.unflushedPuts > 0 {
+	if n := rt.dirty[rank].unflushedPuts; n > 0 {
 		comp := sim.NewCompletion(rt.W.K)
 		rt.mainCtx.FlushRemote(th, rt.epData(th, rank), comp)
 		rt.mainCtx.WaitLocal(th, comp)
-		pr.unflushedPuts = 0
+		rt.noteWrites(rank, -n, 0)
 		rt.Stats.Inc("fence.flush", 1)
 	}
-	if pr.unackedAMs > 0 {
-		rt.mainCtx.WaitCond(th, func() bool { return pr.unackedAMs == 0 })
+	if rt.dirty[rank].unackedAMs > 0 {
+		rt.mainCtx.WaitCond(th, func() bool { return rt.dirty[rank].unackedAMs == 0 })
 		rt.Stats.Inc("fence.ack", 1)
 	}
 	rt.cons.clearRank(rank)
@@ -148,8 +159,7 @@ func (rt *Runtime) Fence(th *sim.Thread, rank int) {
 // that mix legacy Nb* writes with fault injection, which is best-effort:
 // a lost Nb write's ack never arrives and the fence panics.
 func (rt *Runtime) fenceFT(th *sim.Thread, rank int) {
-	pr := &rt.ranks[rank]
-	if pr.unflushedPuts > 0 {
+	if n := rt.dirty[rank].unflushedPuts; n > 0 {
 		comp := sim.NewCompletion(rt.W.K)
 		err := rt.retryLoop(th, "fence.flush", rank, 0, comp, func(int) {
 			rt.mainCtx.FlushRemote(th, rt.epData(th, rank), comp)
@@ -157,15 +167,15 @@ func (rt *Runtime) fenceFT(th *sim.Thread, rank int) {
 		if err != nil {
 			panic(fmt.Sprintf("armci: fence flush to rank %d exhausted retries: %v", rank, err))
 		}
-		pr.unflushedPuts = 0
+		rt.noteWrites(rank, -n, 0)
 		rt.Stats.Inc("fence.flush", 1)
 	}
-	if pr.unackedAMs > 0 {
+	if rt.dirty[rank].unackedAMs > 0 {
 		deadline := th.Now() + rt.retry.Timeout*sim.Time(rt.retry.MaxAttempts)
-		if !rt.mainCtx.WaitCondUntil(th, func() bool { return pr.unackedAMs == 0 }, deadline) {
+		if !rt.mainCtx.WaitCondUntil(th, func() bool { return rt.dirty[rank].unackedAMs == 0 }, deadline) {
 			panic(fmt.Sprintf("armci: fence to rank %d timed out awaiting %d AM acks; "+
 				"non-blocking writes are not fault-hardened — use the blocking *Err forms on chaos runs",
-				rank, pr.unackedAMs))
+				rank, rt.dirty[rank].unackedAMs))
 		}
 		rt.Stats.Inc("fence.ack", 1)
 	}
@@ -174,15 +184,23 @@ func (rt *Runtime) fenceFT(th *sim.Thread, rank int) {
 	rt.tr("fence", "fence", int64(rank))
 }
 
-// AllFence fences every target with outstanding writes (ARMCI_AllFence).
+// AllFence fences every target with outstanding writes (ARMCI_AllFence),
+// in ascending rank order, and clears the conflict status of all targets.
+// Only this thread starts writes, so while it waits in a fence the fence
+// table can only lose targets (their last ack arrives): one taken from it
+// up front is fenced only if it is still there when its turn comes.
 func (rt *Runtime) AllFence(th *sim.Thread) {
-	for rank := range rt.ranks {
-		pr := &rt.ranks[rank]
-		if pr.unflushedPuts > 0 || pr.unackedAMs > 0 {
+	var few [8]int // the usual clique fits, and stays off the heap
+	targets := few[:0]
+	for rank := range rt.dirty {
+		targets = append(targets, rank)
+	}
+	sort.Ints(targets)
+	for _, rank := range targets {
+		if _, outstanding := rt.dirty[rank]; outstanding {
 			rt.Fence(th, rank)
-		} else {
-			rt.cons.clearRank(rank)
 		}
 	}
+	rt.cons.clearAll()
 	rt.Stats.Inc("allfence", 1)
 }

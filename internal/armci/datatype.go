@@ -70,7 +70,7 @@ func (rt *Runtime) NbPut(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) *
 	if rt.localRegionFor(th, local, n) && rt.remoteRegionFor(th, dst.Rank, dst.Addr, n) {
 		comp := sim.NewCompletion(rt.W.K)
 		rt.mainCtx.RdmaPut(th, rt.epData(th, dst.Rank), local, dst.Addr, n, comp)
-		rt.ranks[dst.Rank].unflushedPuts++
+		rt.noteWrites(dst.Rank, 1, 0)
 		rt.Stats.Inc("put.rdma", 1)
 		rt.tr("rdma", "put.rdma", int64(n))
 		return &Handle{rt: rt, comps: []*sim.Completion{comp}}
@@ -80,7 +80,7 @@ func (rt *Runtime) NbPut(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) *
 	rt.C.Space.CopyOut(local, data)
 	id, p := rt.newPend()
 	p.counted = true
-	rt.ranks[dst.Rank].unackedAMs++
+	rt.noteWrites(dst.Rank, 0, 1)
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutReq,
 		[]int64{id, int64(dst.Addr)}, data)
 	rt.Stats.Inc("put.am", 1)
@@ -177,7 +177,7 @@ func (rt *Runtime) NbAcc(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, s
 	comp := sim.NewCompletion(rt.W.K)
 	p.comp = comp
 	p.counted = true
-	rt.ranks[dst.Rank].unackedAMs++
+	rt.noteWrites(dst.Rank, 0, 1)
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dAccReq,
 		[]int64{id, int64(dst.Addr), int64(math.Float64bits(scale))}, data)
 	rt.Stats.Inc("acc", 1)

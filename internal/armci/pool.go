@@ -3,17 +3,16 @@ package armci
 import "repro/internal/sim"
 
 // Pool recycles host-side backing storage across simulation runs: the
-// kernel's event heap/ring arrays and the per-runtime region-cache
-// buckets. Repeated sweep points stop re-allocating the world — the next
-// run adopts the previous run's warmed capacity.
+// kernel's event heap/ring arrays. Repeated sweep points stop
+// re-allocating them — the next run adopts the previous run's warmed
+// capacity.
 //
 // A Pool is purely a host-memory optimization; a run with a Pool is
 // simulated identically, event for event, to a run without one. It is
 // not safe for concurrent use: give each sweep worker its own Pool (the
 // sweep engine does exactly that). The nil *Pool is a valid no-op.
 type Pool struct {
-	sim     sim.Spares
-	buckets [][][]remoteRegion // recycled per-runtime byRank arrays
+	sim sim.Spares
 }
 
 // NewPool returns an empty pool.
@@ -32,55 +31,4 @@ func (p *Pool) putKernel(k *sim.Kernel) {
 	if p != nil {
 		k.Recycle(&p.sim)
 	}
-}
-
-// regionBuckets returns a byRank bucket array of length procs with every
-// bucket logically empty, reusing a recycled array when one is big
-// enough. Recycled buckets keep their capacity, so region-cache inserts
-// in the new run append into warmed storage.
-func (p *Pool) regionBuckets(procs int) [][]remoteRegion {
-	if p != nil {
-		for len(p.buckets) > 0 {
-			b := p.buckets[len(p.buckets)-1]
-			p.buckets = p.buckets[:len(p.buckets)-1]
-			if cap(b) < procs {
-				continue // too small for this world; let the GC have it
-			}
-			for i := procs; i < len(b); i++ {
-				b[i] = nil // release tail buckets a smaller world won't see
-			}
-			b = b[:procs]
-			for i := range b {
-				b[i] = b[i][:0]
-			}
-			return b
-		}
-	}
-	return make([][]remoteRegion, procs)
-}
-
-// putRegionBuckets stores a runtime's bucket array for reuse.
-func (p *Pool) putRegionBuckets(b [][]remoteRegion) {
-	if p == nil || b == nil {
-		return
-	}
-	p.buckets = append(p.buckets, b)
-}
-
-// recycle harvests everything reusable from a cleanly finished world.
-// The world's results stay readable — aggregate stats, fault counters,
-// the kernel's clock and event count — but its region caches and queue
-// arrays are surrendered to the pool.
-func (w *World) recycle(p *Pool) {
-	if p == nil {
-		return
-	}
-	for _, rt := range w.Runtimes {
-		if rt == nil || rt.regions == nil {
-			continue
-		}
-		p.putRegionBuckets(rt.regions.byRank)
-		rt.regions.byRank = nil
-	}
-	p.putKernel(w.K)
 }

@@ -163,10 +163,7 @@ func (rt *Runtime) handleAck(_ *sim.Thread, _ *pami.Context, msg *pami.AMessage)
 	}
 	delete(rt.pend, id)
 	if p.counted {
-		rt.ranks[msg.Src.Rank].unackedAMs--
-		if rt.ranks[msg.Src.Rank].unackedAMs < 0 {
-			panic("armci: ack underflow")
-		}
+		rt.noteWrites(msg.Src.Rank, 0, -1)
 	}
 }
 

@@ -163,7 +163,7 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 				dst.Addr+mem.Addr(rOff), counts[0], set)
 		})
 		set.Arm()
-		rt.ranks[dst.Rank].unflushedPuts++
+		rt.noteWrites(dst.Rank, 1, 0)
 		rt.Stats.Inc("strided.chunks", int64(numChunks(counts)))
 		return &Handle{rt: rt, comps: []*sim.Completion{comp}}
 	}
@@ -174,7 +174,7 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 	data := packPatch(rt.C.Space, local, localStrides, counts)
 	id, p := rt.newPend()
 	p.counted = true
-	rt.ranks[dst.Rank].unackedAMs++
+	rt.noteWrites(dst.Rank, 0, 1)
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutSReq,
 		stridedHdr(id, dst.Addr, 0, dstStrides, counts), data)
 	rt.Stats.Inc("strided.typed", 1)
@@ -256,7 +256,7 @@ func (rt *Runtime) NbAccS(th *sim.Thread, local mem.Addr, localStrides []int,
 	comp := sim.NewCompletion(rt.W.K)
 	p.comp = comp
 	p.counted = true
-	rt.ranks[dst.Rank].unackedAMs++
+	rt.noteWrites(dst.Rank, 0, 1)
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dAccSReq,
 		stridedHdr(id, dst.Addr, int64(math.Float64bits(scale)), dstStrides, counts), data)
 	rt.Stats.Inc("acc.strided", 1)

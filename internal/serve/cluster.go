@@ -110,7 +110,7 @@ func (s *Server) proxyJob(w http.ResponseWriter, r *http.Request, j job, owner s
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 	s.count("serve/proxied_jobs", 1)
-	access(r).cache = "proxied"
+	access(r).setCache("proxied")
 	return true
 }
 

@@ -123,7 +123,7 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	key := cfg.Hash()
 	j := job{scenario: composeLabel, format: cfg.Format, key: key,
 		body: cfg.Canonical(), exec: cfg.exec()}
-	access(r).scenario = composeLabel
+	access(r).setScenario(composeLabel)
 
 	if isAsync(r) {
 		s.count("serve/submits{scenario="+composeLabel+"}", 1)

@@ -24,17 +24,30 @@ type accessRecord struct {
 
 type accessKey struct{}
 
-// discardRecord soaks up annotations when no middleware installed a
-// record (access logging off), keeping handler code branch-free.
-var discardRecord = &accessRecord{}
-
-// access returns the request's annotation record (a shared discard
-// record when logging is disabled).
+// access returns the request's annotation record, or nil when logging is
+// disabled; the setters below accept nil, which keeps handler code
+// branch-free without request goroutines writing to anything shared.
 func access(r *http.Request) *accessRecord {
-	if rec, ok := r.Context().Value(accessKey{}).(*accessRecord); ok {
-		return rec
+	rec, _ := r.Context().Value(accessKey{}).(*accessRecord)
+	return rec
+}
+
+func (a *accessRecord) setScenario(name string) {
+	if a != nil {
+		a.scenario = name
 	}
-	return discardRecord
+}
+
+func (a *accessRecord) setCache(src string) {
+	if a != nil {
+		a.cache = src
+	}
+}
+
+func (a *accessRecord) setQueueWait(d time.Duration) {
+	if a != nil {
+		a.queueWait = d
+	}
 }
 
 // statusWriter captures the response status for the log line. It

@@ -396,7 +396,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	j := job{scenario: sc.Name, format: cfg.Format, key: cfg.Hash(),
 		body: cfg.Canonical(), exec: legacyExec(sc, cfg)}
 	s.count("serve/requests{scenario="+sc.Name+"}", 1)
-	access(r).scenario = sc.Name
+	access(r).setScenario(sc.Name)
 	s.serveJob(w, r, j)
 }
 
@@ -407,7 +407,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // and (behind a last peer cache-fill probe) cold execution.
 func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, j job) {
 	if body, src, ok := s.lookupLocal(j); ok {
-		access(r).cache = src
+		access(r).setCache(src)
 		s.writeArtifact(w, j, src, body)
 		return
 	}
@@ -439,9 +439,9 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, j job) {
 	if res.src != "" {
 		src = res.src // satisfied by a peer fill, not an execution
 	}
-	access(r).cache = src
+	access(r).setCache(src)
 	if run := s.runs.get(runID(j.key)); run != nil {
-		access(r).queueWait = run.QueueWait()
+		access(r).setQueueWait(run.QueueWait())
 	}
 	if res.status != http.StatusOK {
 		jobError(w, res)
@@ -459,12 +459,12 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, j job) {
 // still probes peers before going cold.
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, j job) {
 	if body, src, ok := s.lookupLocal(j); ok {
-		access(r).cache = src
+		access(r).setCache(src)
 		run := s.runs.cached(j.key, j.scenario, j.format, body)
 		writeJSON(w, http.StatusOK, run.Info())
 		return
 	}
-	access(r).cache = "miss"
+	access(r).setCache("miss")
 
 	// Create the record before launching so a GET /runs/{id} issued right
 	// after the 202 can never race a not-yet-registered run.

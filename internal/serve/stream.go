@@ -50,7 +50,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := job{scenario: sc.Name, format: cfg.Format, key: cfg.Hash(),
 		body: cfg.Canonical(), exec: legacyExec(sc, cfg)}
 	s.count("serve/submits{scenario="+sc.Name+"}", 1)
-	access(r).scenario = sc.Name
+	access(r).setScenario(sc.Name)
 	s.submitJob(w, r, j)
 }
 
@@ -121,7 +121,7 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 
 	run.addWatcher()
 	defer run.removeWatcher()
-	access(r).scenario = run.scenario
+	access(r).setScenario(run.scenario)
 
 	next := 0
 	for {

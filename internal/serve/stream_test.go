@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -504,6 +505,33 @@ func TestAccessLog(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNoAccessLogConcurrentRequests: with no sink, handlers annotate a nil
+// record; concurrent requests must share no memory through it (run under
+// -race — they used to write one package-level discard record).
+func TestNoAccessLogConcurrentRequests(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(fastJob))
+				if err != nil {
+					t.Errorf("POST /v1/run: %v", err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("POST /v1/run: status %d", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // syncWriter makes a bytes.Buffer safe to read while the server writes.

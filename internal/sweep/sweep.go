@@ -22,8 +22,8 @@
 //     callers assemble tables keyed by configuration index, never by
 //     completion order.
 //   - allocation reuse: each worker owns an armci.Pool that persists
-//     across Map calls, recycling event-queue and region-cache backing
-//     arrays between the sweep points that worker executes.
+//     across Map calls, recycling event-queue backing arrays between
+//     the sweep points that worker executes.
 //   - GC policy: the process-global GOGC knob is set exactly once, here,
 //     instead of per run in each driver.
 package sweep
