@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet check bench bench-smoke bench-shards chaos-smoke race-sweep race-shards serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
+.PHONY: all test vet check bench bench-smoke bench-shards race-sweep race-shards serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
 
 all: vet test
 
@@ -33,39 +33,11 @@ bench:
 
 # CI gate for the engine: micro benches only; exits non-zero when a
 # zero-allocation invariant (kernel At/Run, network Send) regresses.
-# The second block checks a figure sweep renders byte-identically whether
-# it runs serial or across 4 sweep workers; the third does the same for
-# intra-run lane workers (1 shard vs 4 shards). The legacy single-queue
-# engine (-shards -1) is deliberately NOT cmp'd here: it breaks
-# same-timestamp ties by global insertion order instead of the lane
-# engine's canonical order, which can shift a mean by ~0.01 us at some
-# scales — outcome-level equivalence is pinned by
-# TestLegacyEngineEquivalence instead.
+# (That a figure or chaos sweep prints the same bytes at any -parallel /
+# -shards value is TestExecutionPlanNeverChangesBytes in cmd/armci-bench,
+# which `make check` runs.)
 bench-smoke:
 	$(GO) run ./cmd/simbench -smoke -out ''
-	$(GO) run ./cmd/armci-bench -fig 9 -quick -csv -parallel 1 > /tmp/fig9-p1.csv
-	$(GO) run ./cmd/armci-bench -fig 9 -quick -csv -parallel 4 > /tmp/fig9-p4.csv
-	cmp /tmp/fig9-p1.csv /tmp/fig9-p4.csv
-	@echo "parallel sweep determinism OK"
-	$(GO) run ./cmd/armci-bench -fig 9 -quick -csv -shards 1 > /tmp/fig9-s1.csv
-	$(GO) run ./cmd/armci-bench -fig 9 -quick -csv -shards 4 > /tmp/fig9-s4.csv
-	cmp /tmp/fig9-p1.csv /tmp/fig9-s1.csv
-	cmp /tmp/fig9-s1.csv /tmp/fig9-s4.csv
-	@echo "intra-run shard determinism OK"
-
-# Chaos determinism gate: the scripted-fault profile run twice with the
-# same seed must emit byte-identical tables (same event count, same final
-# virtual time, same recovery counters) — at the default worker count,
-# fully serial, and across 4 sweep workers.
-chaos-smoke:
-	$(GO) run ./cmd/armci-bench -chaos -quick > /tmp/chaos1.txt
-	$(GO) run ./cmd/armci-bench -chaos -quick > /tmp/chaos2.txt
-	cmp /tmp/chaos1.txt /tmp/chaos2.txt
-	$(GO) run ./cmd/armci-bench -chaos -quick -parallel 1 > /tmp/chaos-p1.txt
-	cmp /tmp/chaos1.txt /tmp/chaos-p1.txt
-	$(GO) run ./cmd/armci-bench -chaos -quick -parallel 4 > /tmp/chaos-p4.txt
-	cmp /tmp/chaos1.txt /tmp/chaos-p4.txt
-	@echo "chaos determinism OK"
 
 # Parallel-sweep race gate: concurrent whole-simulation isolation and
 # worker-count invariance under the race detector.
@@ -74,12 +46,13 @@ race-sweep:
 
 # Intra-run shard race gate: the lane pool, parallel boundary (staged
 # deposit apply), and cross-lane deposit path under the race detector —
-# the shard x lane-group invariance matrix, the serial-boundary oracle
-# equivalence, legacy-engine equivalence, and two sharded worlds running
-# concurrently — plus the sim package's own lane engine and horizon-tree
-# tests.
+# the shard invariance tests (golden scenario, fig9, chaos, composed),
+# the shard x lane-group matrix and the serial-boundary oracle
+# equivalence on test-owned kernels, the frozen legacy-engine
+# equivalence, and two sharded worlds running concurrently — plus the
+# sim package's own lane engine and horizon-tree tests.
 race-shards:
-	$(GO) test -race -run 'TestShard|TestLegacyEngine|TestFig9LaneGroup|TestChaosLaneGroup|TestComposedLaneGroup|TestBoundaryOracle' .
+	$(GO) test -race -run 'TestShard|TestLegacyEngine|TestChaosLaneGroup|TestBoundaryOracle' .
 	$(GO) test -race -run 'TestLane|TestHorizon|TestPopUpTo|TestMarkDirty' ./internal/sim/
 
 # Shard scaling gate: times the fig9 p=16384 scenario serial vs sharded
@@ -107,7 +80,7 @@ live-smoke:
 # Composition gate: a two-phase composed spec (halo + faulted fetchadd)
 # posted to fresh simd servers at every workers x shards combination in
 # {1,4} x {1,4} — cold vs cached bytes identical per server, artifacts
-# identical across all servers, and the offline `armci-bench -compose`
+# identical across all servers, and the offline `armci-bench compose`
 # render identical to what the servers cached.
 compose-smoke:
 	sh scripts/compose-smoke.sh
@@ -124,19 +97,19 @@ cluster-smoke:
 # Regenerate every figure/table at full scale into results/.
 figures:
 	mkdir -p results
-	$(GO) run ./cmd/tables | tee results/tables.txt
-	$(GO) run ./cmd/armci-bench | tee results/microbench.txt
+	$(GO) run ./cmd/armci-bench tables | tee results/tables.txt
+	$(GO) run ./cmd/armci-bench fig | tee results/microbench.txt
 
 # Fig 11 at paper scale (slow: ~10 min/point on one core).
 scf:
 	mkdir -p results
-	$(GO) run ./cmd/scf -procs 1024,2048,4096 -iters 1 | tee results/fig11.txt
+	$(GO) run ./cmd/armci-bench scf -procs 1024,2048,4096 -iters 1 | tee results/fig11.txt
 
 # One-minute reduced-scale audit of the whole reproduction, plus the
 # aggregated metrics dump (render with `go run ./cmd/obs-report`).
 report:
 	mkdir -p results
-	$(GO) run ./cmd/report -metrics results/metrics.txt | tee results/report.md
+	$(GO) run ./cmd/armci-bench report -metrics results/metrics.txt | tee results/report.md
 
 clean:
 	rm -rf results

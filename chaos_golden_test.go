@@ -25,7 +25,7 @@ type chaosGolden struct {
 }
 
 func chaosFixture() (chaosGolden, bench.ChaosResult) {
-	r := bench.ChaosRun(8, 4, 10, 42)
+	r := bench.ChaosRun(bg, plan(0, 0), 8, 4, 10, 42)
 	return chaosGolden{
 		EventsFired: r.EventsFired,
 		FinalNS:     int64(r.FinalVirtual),
@@ -85,8 +85,8 @@ func TestChaosRepeatable(t *testing.T) {
 		t.Fatalf("same-seed chaos runs diverge:\n  %+v\n  %+v", g1, g2)
 	}
 	var a, b strings.Builder
-	bench.Chaos([]int{8}, 5, 9).Render(&a)
-	bench.Chaos([]int{8}, 5, 9).Render(&b)
+	bench.Chaos(bg, plan(0, 0), []int{8}, 5, 9).Render(&a)
+	bench.Chaos(bg, plan(0, 0), []int{8}, 5, 9).Render(&b)
 	if a.String() != b.String() {
 		t.Fatalf("chaos grid bytes diverge:\n%s\nvs\n%s", a.String(), b.String())
 	}

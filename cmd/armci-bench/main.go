@@ -1,23 +1,23 @@
-// Command armci-bench regenerates the paper's communication figures
-// (Figs 3-9) plus the Eq 7/8 model validation and the §III.D/§III.E
-// ablations, as text tables or CSV.
+// Command armci-bench is the offline driver for every experiment in the
+// reproduction: the paper's figures and tables, the chaos profile, the
+// scenario-composition DSL, and the reduced-scale audit.
 //
 // Usage:
 //
-//	armci-bench                  # every figure at default scale
-//	armci-bench -fig 3           # one figure
-//	armci-bench -fig 9 -quick    # reduced process counts
-//	armci-bench -csv             # CSV instead of aligned text
-//	armci-bench -fig 5 -trace out.json -metrics out.txt
-//	                             # also capture a Perfetto-loadable
-//	                             # timeline and a metrics dump
-//	armci-bench -chaos           # Fig 9 workload under scripted faults
-//	armci-bench -chaos -chaos-seed 7
-//	armci-bench -parallel 1      # force a fully serial sweep (output is
-//	                             # byte-identical at any -parallel value)
-//	armci-bench -compose spec.json
-//	                             # run a scenario-composition spec ("-"
-//	                             # reads stdin) instead of a figure
+//	armci-bench fig                  # Figs 3-9 + Eq 7/8 + ablations, default scale
+//	armci-bench fig 9 -quick -csv    # one figure, reduced process counts, CSV
+//	armci-bench chaos [-seed 7]      # Fig 9 workload under scripted faults
+//	armci-bench compose spec.json    # run a scenario-composition spec ("-" reads stdin)
+//	armci-bench report               # reduced-scale audit: every claim, PASS/FAIL
+//	armci-bench scf -quick           # Fig 11 (NWChem SCF proxy)
+//	armci-bench tables               # Table II + partition factorizations
+//	armci-bench torus -procs 2048    # topology explorer
+//
+// Every subcommand that simulates takes the same four flags, parsed in
+// one place (edge): -parallel N (sweep workers) and -shards N (lane
+// workers inside each simulation) pick the execution plan — output is
+// byte-identical at any value of either — and -trace/-metrics capture a
+// Perfetto-loadable timeline and a metrics dump of the run.
 package main
 
 import (
@@ -30,166 +30,293 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 )
 
-func main() {
-	fig := flag.String("fig", "all",
-		"figure to regenerate: 3,4,5,6,7,8,9,eq,ctx,cons,strided,route,hw or all")
-	csv := flag.Bool("csv", false, "emit CSV instead of text tables")
-	quick := flag.Bool("quick", false, "reduced sizes/process counts")
-	tracePath := flag.String("trace", "", "write Chrome trace_event JSON (Perfetto) to this file")
-	metricsPath := flag.String("metrics", "", "write the metrics dump to this file")
-	chaos := flag.Bool("chaos", false,
-		"run the Fig 9 workload under the scripted fault plan (exercises retry/recovery)")
-	chaosSeed := flag.Uint64("chaos-seed", 42, "seed for the -chaos fault plan and jitter")
-	composePath := flag.String("compose", "",
-		"run a scenario-composition spec (JSON file, - for stdin) instead of a figure")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"sweep worker count (1 = serial); output is byte-identical at any value")
-	shards := flag.Int("shards", 0,
-		"lane workers inside each simulation (0 = serial engine, -1 = legacy "+
-			"single-queue engine); output is byte-identical at any value")
-	laneGroup := flag.Int("lane-group", 0,
-		"lanes per worker dispatch chunk (0 = auto from nodes/shards); "+
-			"output is byte-identical at any value")
-	serialBoundary := flag.Bool("serial-boundary", false,
-		"apply window-boundary deposits serially (the equivalence oracle); "+
-			"output is byte-identical either way")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	bench.SetParallel(*parallel)
-	bench.SetShards(*shards)
-	bench.SetLaneGroup(*laneGroup)
-	bench.SetSerialBoundary(*serialBoundary)
+var commands = map[string]func(args []string, stdout, stderr io.Writer) int{
+	"fig":     cmdFig,
+	"chaos":   cmdChaos,
+	"compose": cmdCompose,
+	"report":  cmdReport,
+	"scf":     cmdSCF,
+	"tables":  cmdTables,
+	"torus":   cmdTorus,
+}
 
-	// Ctrl-C stops scheduling new sweep points; partial grids are never
-	// rendered (the guard in render), and the process exits 130.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	bench.SetContext(ctx)
-
-	var reg *obs.Registry
-	if *tracePath != "" || *metricsPath != "" {
-		reg = obs.New()
-		bench.SetObs(reg)
+// run is the whole program behind main: dispatch args[0] to its
+// subcommand and return the process exit status (0 ok, 1 failed, 2 bad
+// usage, 130 interrupted).
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		if cmd, ok := commands[args[0]]; ok {
+			return cmd(args[1:], stdout, stderr)
+		}
+		fmt.Fprintf(stderr, "armci-bench: unknown subcommand %q\n", args[0])
 	}
+	fmt.Fprintln(stderr, "usage: armci-bench fig|chaos|compose|report|scf|tables|torus [args] [flags]")
+	return 2
+}
+
+// newFlagSet returns a subcommand's flag set, reporting to stderr and
+// leaving the exit to the caller.
+func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("armci-bench "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// parseArgs parses args against fs, accepting positional arguments
+// before the flags as well as after them (`fig 9 -quick`), and returns
+// the positionals. ok is false when the command line was bad (already
+// reported by the flag package) or asked for -h.
+func parseArgs(fs *flag.FlagSet, args []string) (pos []string, ok bool) {
+	for len(args) > 0 && (args[0] == "-" || !strings.HasPrefix(args[0], "-")) {
+		pos = append(pos, args[0])
+		args = args[1:]
+	}
+	if err := fs.Parse(args); err != nil {
+		return nil, false
+	}
+	return append(pos, fs.Args()...), true
+}
+
+// edge is where armci-bench turns its command line into what a
+// simulating subcommand runs with: the execution plan — one sweep.Engine
+// built from -parallel and -shards — the SIGINT context, and the obs
+// registry behind -trace/-metrics. It is resolved here once; nothing
+// below it takes an execution setting.
+type edge struct {
+	fs     *flag.FlagSet
+	stderr io.Writer
+
+	parallel, shards       *int
+	tracePath, metricsPath *string
+
+	ctx  context.Context
+	stop context.CancelFunc
+	eng  *sweep.Engine
+	reg  *obs.Registry
+}
+
+func newEdge(name string, stderr io.Writer) *edge {
+	fs := newFlagSet(name, stderr)
+	return &edge{
+		fs: fs, stderr: stderr,
+		parallel: fs.Int("parallel", runtime.GOMAXPROCS(0),
+			"sweep worker count (1 = serial); output is byte-identical at any value"),
+		shards: fs.Int("shards", 0,
+			"lane workers inside each simulation (0 = one); output is byte-identical at any value"),
+		tracePath:   fs.String("trace", "", "write Chrome trace_event JSON (Perfetto) to this file"),
+		metricsPath: fs.String("metrics", "", "write the metrics dump to this file"),
+	}
+}
+
+// start parses the command line (the subcommand has registered its own
+// flags on e.fs by now), validates the execution plan, and builds the
+// context, registry and engine. Callers return 2 when ok is false, and
+// otherwise defer e.stop().
+func (e *edge) start(args []string) (pos []string, ok bool) {
+	pos, ok = parseArgs(e.fs, args)
+	if !ok {
+		return nil, false
+	}
+	if *e.shards < 0 || *e.parallel < 0 {
+		fmt.Fprintf(e.stderr, "%s: -parallel and -shards must be non-negative (got %d, %d)\n",
+			e.fs.Name(), *e.parallel, *e.shards)
+		return nil, false
+	}
+	// Ctrl-C stops scheduling new sweep points; in-flight simulations
+	// finish, partial grids are never rendered, and the process exits 130.
+	e.ctx, e.stop = signal.NotifyContext(context.Background(), os.Interrupt)
+	if *e.tracePath != "" || *e.metricsPath != "" {
+		e.reg = obs.New()
+	}
+	e.eng = sweep.NewSharded(*e.parallel, *e.shards, e.reg)
+	return pos, true
+}
+
+// interrupted reports (and says so on stderr) whether the run was cut
+// short; whatever a cancelled sweep returned is partial and must be
+// dropped. Callers return 130.
+func (e *edge) interrupted() bool {
+	if e.ctx.Err() == nil {
+		return false
+	}
+	fmt.Fprintf(e.stderr, "%s: interrupted\n", e.fs.Name())
+	return true
+}
+
+// render writes one grid as an aligned table or as CSV, blank-line
+// terminated when sep is set (commands that may print several grids).
+func render(w io.Writer, g *bench.Grid, csv, sep bool) {
+	if !csv {
+		g.Render(w)
+		return
+	}
+	g.RenderCSV(w)
+	if sep {
+		fmt.Fprintln(w)
+	}
+}
+
+// finish dumps the registry to the -trace/-metrics files and returns the
+// subcommand's exit status.
+func (e *edge) finish() int {
+	dump := func(path string, write func(io.Writer) error) bool {
+		if path == "" {
+			return true
+		}
+		f, err := os.Create(path)
+		if err == nil {
+			err = write(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(e.stderr, "%s: %v\n", e.fs.Name(), err)
+		}
+		return err == nil
+	}
+	if e.reg != nil && !(dump(*e.tracePath, e.reg.WriteChromeTrace) && dump(*e.metricsPath, e.reg.WriteMetrics)) {
+		return 1
+	}
+	return 0
+}
+
+// cmdFig regenerates the communication figures (Figs 3-9), the Eq 7/8
+// model validation and the §III.D/§III.E ablations.
+func cmdFig(args []string, stdout, stderr io.Writer) int {
+	e := newEdge("fig", stderr)
+	csv := e.fs.Bool("csv", false, "emit CSV instead of text tables")
+	quick := e.fs.Bool("quick", false, "reduced sizes/process counts")
+	pos, ok := e.start(args)
+	if !ok {
+		return 2
+	}
+	defer e.stop()
 
 	sizes := bench.PowersOfTwo(4, 20) // 16 B .. 1 MB, the paper's range
 	iters := 20
 	fig7Procs, fig7PerNode, fig7Stride := 2048, 16, 1
 	fig9Procs := []int{2, 16, 64, 256, 1024, 4096}
+	hwProcs := []int{2, 8, 32, 128, 512}
 	if *quick {
 		sizes = bench.PowersOfTwo(4, 17)
 		iters = 5
 		fig7Procs, fig7PerNode, fig7Stride = 256, 16, 4
 		fig9Procs = []int{2, 16, 64, 256}
+		hwProcs = []int{2, 8, 32, 128}
+	}
+	ctx, eng := e.ctx, e.eng
+	figs := []struct {
+		name string
+		run  func() *bench.Grid
+	}{
+		{"3", func() *bench.Grid { return bench.Fig3(ctx, eng, sizes, iters) }},
+		{"4", func() *bench.Grid { return bench.Fig4(ctx, eng, sizes, 16) }},
+		{"5", func() *bench.Grid { return bench.Fig5(ctx, eng, sizes, iters) }},
+		{"6", func() *bench.Grid { return bench.Fig6(ctx, eng, sizes, 16) }},
+		{"7", func() *bench.Grid { return bench.Fig7(ctx, eng, fig7Procs, fig7PerNode, 4, fig7Stride) }},
+		{"8", func() *bench.Grid { return bench.Fig8(ctx, eng, bench.PowersOfTwo(8, 20), 1<<20) }},
+		{"9", func() *bench.Grid { return bench.Fig9(ctx, eng, fig9Procs, 10) }},
+		{"eq", func() *bench.Grid {
+			return bench.EqValidation(ctx, eng, []int{16, 256, 4096, 65536, 1 << 20}, iters)
+		}},
+		{"ctx", func() *bench.Grid { return bench.AblationContexts(ctx, eng, 100) }},
+		{"cons", func() *bench.Grid { return bench.AblationConsistency(ctx, eng, 100) }},
+		{"strided", func() *bench.Grid {
+			return bench.AblationStridedProtocol(ctx, eng, bench.PowersOfTwo(5, 17), 1<<20)
+		}},
+		{"route", func() *bench.Grid { return bench.AblationRouting(ctx, eng, 32, 64) }},
+		{"hw", func() *bench.Grid { return bench.AblationHardwareAMO(ctx, eng, hwProcs, 10) }},
 	}
 
-	render := func(g *bench.Grid) {
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "armci-bench: interrupted")
-			os.Exit(130)
+	if len(pos) == 1 && pos[0] != "all" {
+		all := figs
+		figs = nil
+		for _, f := range all {
+			if f.name == pos[0] {
+				figs = append(figs, f)
+			}
 		}
-		if *csv {
-			g.RenderCSV(os.Stdout)
-			fmt.Println()
-		} else {
-			g.Render(os.Stdout)
+	}
+	if len(figs) == 0 || len(pos) > 1 {
+		fmt.Fprintf(stderr, "armci-bench fig: want one of 3,4,5,6,7,8,9,eq,ctx,cons,strided,route,hw or all, got %q\n", pos)
+		return 2
+	}
+	for _, f := range figs {
+		g := f.run()
+		if e.interrupted() {
+			return 130
 		}
+		render(stdout, g, *csv, true)
 	}
-
-	if *composePath != "" {
-		runCompose(ctx, *composePath, *csv)
-		writeObs(reg, *tracePath, *metricsPath)
-		return
-	}
-
-	if *chaos {
-		procs := []int{8, 16, 32}
-		if *quick {
-			procs = []int{8, 16}
-		}
-		render(bench.Chaos(procs, 10, *chaosSeed))
-		writeObs(reg, *tracePath, *metricsPath)
-		return
-	}
-
-	want := func(name string) bool { return *fig == "all" || *fig == name }
-
-	if want("3") {
-		render(bench.Fig3(sizes, iters))
-	}
-	if want("4") {
-		render(bench.Fig4(sizes, 16))
-	}
-	if want("5") {
-		render(bench.Fig5(sizes, iters))
-	}
-	if want("6") {
-		render(bench.Fig6(sizes, 16))
-	}
-	if want("7") {
-		render(bench.Fig7(fig7Procs, fig7PerNode, 4, fig7Stride))
-	}
-	if want("8") {
-		render(bench.Fig8(bench.PowersOfTwo(8, 20), 1<<20))
-	}
-	if want("9") {
-		render(bench.Fig9(fig9Procs, 10))
-	}
-	if want("eq") {
-		render(bench.EqValidation([]int{16, 256, 4096, 65536, 1 << 20}, iters))
-	}
-	if want("ctx") {
-		render(bench.AblationContexts(100))
-	}
-	if want("cons") {
-		render(bench.AblationConsistency(100))
-	}
-	if want("strided") {
-		render(bench.AblationStridedProtocol(bench.PowersOfTwo(5, 17), 1<<20))
-	}
-	if want("route") {
-		render(bench.AblationRouting(32, 64))
-	}
-	if want("hw") {
-		counts := []int{2, 8, 32, 128}
-		if !*quick {
-			counts = append(counts, 512)
-		}
-		render(bench.AblationHardwareAMO(counts, 10))
-	}
-
-	writeObs(reg, *tracePath, *metricsPath)
+	return e.finish()
 }
 
-// runCompose parses a composition spec, runs it on the harness engine
-// (so -parallel/-shards/-trace apply), and renders the artifact. Both
+// cmdChaos runs the Fig 9 workload under the scripted fault plan
+// (exercises retry/recovery).
+func cmdChaos(args []string, stdout, stderr io.Writer) int {
+	e := newEdge("chaos", stderr)
+	csv := e.fs.Bool("csv", false, "emit CSV instead of a text table")
+	quick := e.fs.Bool("quick", false, "reduced process counts")
+	seed := e.fs.Uint64("seed", 42, "seed for the fault plan and jitter")
+	if _, ok := e.start(args); !ok {
+		return 2
+	}
+	defer e.stop()
+
+	procs := []int{8, 16, 32}
+	if *quick {
+		procs = []int{8, 16}
+	}
+	g := bench.Chaos(e.ctx, e.eng, procs, 10, *seed)
+	if e.interrupted() {
+		return 130
+	}
+	render(stdout, g, *csv, true)
+	return e.finish()
+}
+
+// cmdCompose parses a composition spec and renders the artifact. Both
 // the bare spec and the POST /v1/compose request envelope
 // ({"compose": <spec>, ...}) are accepted, so a server request body
 // replays offline unchanged; the output is byte-identical to what a
 // simd server caches for the same spec.
-func runCompose(ctx context.Context, path string, csv bool) {
-	fatal := func(err error) {
-		fmt.Fprintf(os.Stderr, "armci-bench: compose: %v\n", err)
-		os.Exit(1)
+func cmdCompose(args []string, stdout, stderr io.Writer) int {
+	e := newEdge("compose", stderr)
+	csv := e.fs.Bool("csv", false, "emit CSV instead of text tables")
+	pos, ok := e.start(args)
+	if !ok {
+		return 2
 	}
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		r = f
+	defer e.stop()
+	if len(pos) != 1 {
+		fmt.Fprintln(stderr, "armci-bench compose: want one spec file (- for stdin)")
+		return 2
 	}
-	raw, err := io.ReadAll(r)
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "armci-bench compose: %v\n", err)
+		return 1
+	}
+
+	var raw []byte
+	var err error
+	if pos[0] == "-" {
+		raw, err = io.ReadAll(os.Stdin)
+	} else {
+		raw, err = os.ReadFile(pos[0])
+	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var env struct {
 		Compose json.RawMessage `json:"compose"`
@@ -199,48 +326,21 @@ func runCompose(ctx context.Context, path string, csv bool) {
 	}
 	sp, err := scenario.Parse(bytes.NewReader(raw))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	runCtx, eng := bench.Harness()
-	res, err := scenario.Run(runCtx, eng, sp)
+	res, err := scenario.Run(e.ctx, e.eng, sp)
+	if e.interrupted() {
+		return 130
+	}
 	if err != nil {
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "armci-bench: interrupted")
-			os.Exit(130)
-		}
-		fatal(err)
+		return fail(err)
 	}
 	format := "text"
-	if csv {
+	if *csv {
 		format = "csv"
 	}
-	if err := res.Render(os.Stdout, format); err != nil {
-		fatal(err)
+	if err := res.Render(stdout, format); err != nil {
+		return fail(err)
 	}
-}
-
-// writeObs dumps the registry's trace and metrics to the requested files.
-func writeObs(reg *obs.Registry, tracePath, metricsPath string) {
-	if reg == nil {
-		return
-	}
-	emit := func(path string, write func(*os.File) error) {
-		f, err := os.Create(path)
-		if err == nil {
-			err = write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "armci-bench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if tracePath != "" {
-		emit(tracePath, func(f *os.File) error { return reg.WriteChromeTrace(f) })
-	}
-	if metricsPath != "" {
-		emit(metricsPath, func(f *os.File) error { return reg.WriteMetrics(f) })
-	}
+	return e.finish()
 }

@@ -1,24 +1,12 @@
-// Command report runs a reduced-scale version of every experiment and
-// emits a self-contained markdown report with paper-vs-measured rows and
-// PASS/FAIL shape checks — the quickest way to audit the reproduction
-// end to end (about a minute of wall time).
-//
-// Full-scale numbers (Fig 7 at 2048 ranks, Fig 11 at 1024-4096) come from
-// cmd/armci-bench and cmd/scf instead.
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"runtime"
+	"io"
 
 	"repro/internal/bench"
 	"repro/internal/network"
 	"repro/internal/nwchem"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -29,31 +17,19 @@ type check struct {
 	pass     bool
 }
 
-func main() {
-	tracePath := flag.String("trace", "", "write Chrome trace_event JSON (Perfetto) to this file")
-	metricsPath := flag.String("metrics", "", "write the metrics dump to this file")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"sweep worker count (1 = serial); output is byte-identical at any value")
-	shards := flag.Int("shards", 0,
-		"lane workers inside each simulation (0 = serial engine, -1 = legacy "+
-			"single-queue engine); output is byte-identical at any value")
-	laneGroup := flag.Int("lane-group", 0,
-		"lanes per worker dispatch chunk (0 = auto); byte-identical at any value")
-	flag.Parse()
-
-	bench.SetParallel(*parallel)
-	bench.SetShards(*shards)
-	bench.SetLaneGroup(*laneGroup)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	bench.SetContext(ctx)
-
-	var reg *obs.Registry
-	if *tracePath != "" || *metricsPath != "" {
-		reg = obs.New()
-		bench.SetObs(reg)
+// cmdReport runs a reduced-scale version of every experiment and emits a
+// self-contained markdown report with paper-vs-measured rows and
+// PASS/FAIL shape checks — the quickest way to audit the reproduction
+// end to end; it exits 1 on any FAIL row.
+// Full-scale numbers (Fig 7 at 2048 ranks, Fig 11 at 1024-4096) come
+// from `fig` and `scf` instead.
+func cmdReport(args []string, stdout, stderr io.Writer) int {
+	e := newEdge("report", stderr)
+	if _, ok := e.start(args); !ok {
+		return 2
 	}
+	defer e.stop()
+	ctx, eng := e.ctx, e.eng
 
 	var checks []check
 	add := func(name, paper, measured string, pass bool) {
@@ -61,7 +37,7 @@ func main() {
 	}
 
 	// --- Fig 3 ---
-	g := bench.Fig3([]int{16, 128, 256}, 10)
+	g := bench.Fig3(ctx, eng, []int{16, 128, 256}, 10)
 	get, put := g.Column("get_us"), g.Column("put_us")
 	add("Fig 3: get latency 16 B", "2.89 us",
 		fmt.Sprintf("%.2f us", get[0]), get[0] > 2.7 && get[0] < 3.1)
@@ -71,7 +47,7 @@ func main() {
 		fmt.Sprintf("get(128)=%.2f > get(256)=%.2f", get[1], get[2]), get[1] > get[2])
 
 	// --- Fig 4/6 ---
-	g = bench.Fig4([]int{1024, 2048, 4096, 1 << 20}, 16)
+	g = bench.Fig4(ctx, eng, []int{1024, 2048, 4096, 1 << 20}, 16)
 	bw := g.Column("put_MBs")
 	peak := network.DefaultParams().PeakPayloadBandwidth()
 	add("Fig 4: peak bandwidth", "1775 MB/s",
@@ -81,24 +57,24 @@ func main() {
 		bw[0]/peak < 0.5 && bw[2]/peak > 0.5)
 
 	// --- Fig 7 (reduced: 256 ranks) ---
-	g = bench.Fig7(256, 16, 3, 3)
+	g = bench.Fig7(ctx, eng, 256, 16, 3, 3)
 	lat, hops := g.Column("latency_us"), g.Column("hops")
 	perHop := hopSlope(hops, lat)
 	add("Fig 7: per-hop RTT delta", "70 ns (35/hop/dir)",
 		fmt.Sprintf("%.0f ns", perHop), perHop > 50 && perHop < 90)
 
 	// --- Fig 8 ---
-	g = bench.Fig8([]int{1024, 1 << 20}, 1<<20)
+	g = bench.Fig8(ctx, eng, []int{1024, 1 << 20}, 1<<20)
 	sg := g.Column("get_MBs")
 	add("Fig 8: strided tracks contiguous", "curve of Fig 4 at l0",
 		fmt.Sprintf("%.0f MB/s at 1KB chunks, %.0f at 1MB", sg[0], sg[1]),
 		sg[0] < 700 && sg[1] > 1700)
 
 	// --- Fig 9 ---
-	dIdle := bench.Fig9Point(16, false, false, 8)
-	atIdle := bench.Fig9Point(16, true, false, 8)
-	dComp := bench.Fig9Point(16, false, true, 8)
-	atComp := bench.Fig9Point(16, true, true, 8)
+	dIdle := bench.Fig9Point(ctx, eng, 16, 16, false, false, 8)
+	atIdle := bench.Fig9Point(ctx, eng, 16, 16, true, false, 8)
+	dComp := bench.Fig9Point(ctx, eng, 16, 16, false, true, 8)
+	atComp := bench.Fig9Point(ctx, eng, 16, 16, true, true, 8)
 	add("Fig 9: D ~ AT when idle", "comparable",
 		fmt.Sprintf("%.1f vs %.1f us", dIdle, atIdle), dIdle < 4*atIdle)
 	add("Fig 9: D collapses under compute", ">= t_compute/2",
@@ -109,8 +85,8 @@ func main() {
 	// --- Fig 11 (reduced: 32 ranks) ---
 	scfg := nwchem.Config{Mol: nwchem.NewMolecule([]int{8, 6, 6, 8, 6, 6}),
 		Iterations: 2, FlopRate: 2e7}
-	d := bench.SCFPoint(32, 16, false, scfg)
-	at := bench.SCFPoint(32, 16, true, scfg)
+	d := bench.SCFPoint(ctx, eng, 32, 16, false, scfg)
+	at := bench.SCFPoint(ctx, eng, 32, 16, true, scfg)
 	red := 100 * (1 - float64(at.WallTime)/float64(d.WallTime))
 	add("Fig 11: AT reduces SCF time", "up to 30% @4096",
 		fmt.Sprintf("%.0f%% @32 (counter %.1f -> %.1f ms)", red,
@@ -120,39 +96,37 @@ func main() {
 		fmt.Sprintf("%v", d.Energy == at.Energy), d.Energy == at.Energy)
 
 	// --- Eq 7/8 ---
-	g = bench.EqValidation([]int{16, 65536}, 8)
+	g = bench.EqValidation(ctx, eng, []int{16, 65536}, 8)
 	ratio := g.Column("ratio")
 	add("Eq 7/8: fallback pays extra o", "additive, amortizing",
 		fmt.Sprintf("ratio %.2f @16B -> %.2f @64KB", ratio[0], ratio[1]),
 		ratio[0] > 1.05 && ratio[1] < ratio[0])
 
 	// --- ablations ---
-	g = bench.AblationConsistency(30)
+	g = bench.AblationConsistency(ctx, eng, 30)
 	fences := g.Column("fences")
 	add("SIII.E: cs_mr kills false fences", "fences -> ~0",
 		fmt.Sprintf("%.0f -> %.0f", fences[0], fences[1]), fences[1] < fences[0]/10)
-	g = bench.AblationContexts(30)
+	g = bench.AblationContexts(ctx, eng, 30)
 	ctxLat := g.Column("main_get_us")
 	add("SIII.D: 2 contexts isolate main thread", "faster with rho=2",
 		fmt.Sprintf("%.1f -> %.1f us", ctxLat[0], ctxLat[1]), ctxLat[1] < ctxLat[0])
-	g = bench.AblationHardwareAMO([]int{8, 64}, 8)
+	g = bench.AblationHardwareAMO(ctx, eng, []int{8, 64}, 8)
 	sw, hw := g.Column("AT_software_us"), g.Column("hw_amo_us")
 	add("SIV.B.3: hardware AMOs flatten latency", "sublinear vs linear",
 		fmt.Sprintf("sw %.0f->%.0f us, hw %.0f->%.0f us", sw[0], sw[1], hw[0], hw[1]),
 		hw[1] < sw[1]/4)
 
 	// --- render ---
-	if ctx.Err() != nil {
+	if e.interrupted() {
 		// Interrupted sweeps leave zero-valued holes; the checks above
-		// would report nonsense, so say so and use the conventional
-		// SIGINT exit status instead.
-		fmt.Fprintln(os.Stderr, "report: interrupted")
-		os.Exit(130)
+		// would report nonsense.
+		return 130
 	}
-	fmt.Println("# Reproduction report (reduced scale)")
-	fmt.Println()
-	fmt.Println("| Check | Paper | Measured | Verdict |")
-	fmt.Println("|---|---|---|---|")
+	fmt.Fprintln(stdout, "# Reproduction report (reduced scale)")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "| Check | Paper | Measured | Verdict |")
+	fmt.Fprintln(stdout, "|---|---|---|---|")
 	failures := 0
 	for _, c := range checks {
 		verdict := "PASS"
@@ -160,35 +134,17 @@ func main() {
 			verdict = "**FAIL**"
 			failures++
 		}
-		fmt.Printf("| %s | %s | %s | %s |\n", c.name, c.paper, c.measured, verdict)
+		fmt.Fprintf(stdout, "| %s | %s | %s | %s |\n", c.name, c.paper, c.measured, verdict)
 	}
-	fmt.Printf("\n%d/%d checks passed\n", len(checks)-failures, len(checks))
+	fmt.Fprintf(stdout, "\n%d/%d checks passed\n", len(checks)-failures, len(checks))
 
-	if reg != nil {
-		emit := func(path string, write func(*os.File) error) {
-			f, err := os.Create(path)
-			if err == nil {
-				err = write(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "report: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *tracePath != "" {
-			emit(*tracePath, func(f *os.File) error { return reg.WriteChromeTrace(f) })
-		}
-		if *metricsPath != "" {
-			emit(*metricsPath, func(f *os.File) error { return reg.WriteMetrics(f) })
-		}
+	if code := e.finish(); code != 0 {
+		return code
 	}
-
 	if failures > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // hopSlope extracts the per-hop latency delta (ns) by comparing the min

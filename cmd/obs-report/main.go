@@ -1,19 +1,19 @@
 // Command obs-report renders the metrics dump produced by the -metrics
-// flag of cmd/armci-bench and cmd/report as a readable per-layer summary:
+// flag of cmd/armci-bench as a readable per-layer summary:
 // one table per layer (armci, pami, network, sim) with labeled series
 // aggregated under their base metric name, plus the top-N hottest torus
 // links by busy time with their utilization of the simulated run.
 //
 // Usage:
 //
-//	armci-bench -fig 5 -metrics results/metrics.txt
+//	armci-bench fig 5 -metrics results/metrics.txt
 //	obs-report -metrics results/metrics.txt -top 10
 //
 // With -follow, obs-report instead attaches to a live simd run's SSE
 // stream and renders each metric snapshot as it arrives — one line per
 // delivered sweep point, then the terminal result:
 //
-//	obs-report -follow http://127.0.0.1:8080/runs/<id>
+//	obs-report -follow http://127.0.0.1:8080/v1/runs/<id>
 //
 // With -serve, obs-report reads a simd /metrics endpoint (a URL, or a
 // saved Prometheus text file) and renders the serving-layer state: the
@@ -49,7 +49,7 @@ type metric struct {
 func main() {
 	path := flag.String("metrics", "results/metrics.txt", "metrics dump to read")
 	topN := flag.Int("top", 10, "how many hottest links to list")
-	followURL := flag.String("follow", "", "follow a live simd run instead: URL of /runs/<id>")
+	followURL := flag.String("follow", "", "follow a live simd run instead: URL of /v1/runs/<id>")
 	serveSrc := flag.String("serve", "", "render a simd /metrics exposition instead: URL or saved Prometheus text file")
 	flag.Parse()
 

@@ -94,6 +94,7 @@ type result struct {
 	BaselineAllocsOp float64 `json:"baseline_allocs_per_op,omitempty"`
 	Speedup          float64 `json:"speedup_vs_baseline,omitempty"`
 	Kind             string  `json:"kind"` // "micro" (one op) or "scenario" (one full simulation)
+	Note             string  `json:"note,omitempty"`
 }
 
 type report struct {
@@ -154,25 +155,25 @@ func scenario(name string, reps map[string]result, runs int, fn func()) {
 	reps[name] = r
 }
 
-// sweepScenario times a whole benchmark sweep twice — serial
-// (bench.SetParallel(1)) and parallel (SetParallel(0), i.e. GOMAXPROCS
-// workers) — and records the parallel wall clock with the serial one as
-// its baseline, so speedup_vs_baseline is the measured parallel-sweep
-// speedup on this machine. Every rendering must produce identical CSV
-// bytes; any divergence is a determinism violation and exits 1.
-func sweepScenario(name string, reps map[string]result, runs int, render func() *bench.Grid) {
+// sweepScenario times a whole benchmark sweep twice — on one sweep
+// worker and on as many as GOMAXPROCS allows — and records the parallel
+// wall clock with the serial one as its baseline, so
+// speedup_vs_baseline is the measured parallel-sweep speedup on this
+// machine. Every rendering must produce identical CSV bytes; any
+// divergence is a determinism violation and exits 1.
+func sweepScenario(name string, reps map[string]result, runs, shards int, render func(eng *sweep.Engine) *bench.Grid) {
 	if skip(name) {
 		return
 	}
 	measure := func(workers int) (cost, []byte) {
-		bench.SetParallel(workers)
+		eng := sweep.NewSharded(workers, shards, nil)
 		var buf bytes.Buffer
-		render().RenderCSV(&buf) // warm-up + reference bytes
+		render(eng).RenderCSV(&buf) // warm-up + reference bytes
 		ref := append([]byte(nil), buf.Bytes()...)
 		best := cost{d: 1<<63 - 1}
 		for i := 0; i < runs; i++ {
 			var g *bench.Grid
-			c := timed(func() { g = render() })
+			c := timed(func() { g = render(eng) })
 			buf.Reset()
 			g.RenderCSV(&buf)
 			if !bytes.Equal(buf.Bytes(), ref) {
@@ -207,25 +208,31 @@ func sweepScenario(name string, reps map[string]result, runs int, render func() 
 // measured intra-run scaling on this machine. The simulated latency must
 // be bit-identical at every shard count (shard count is an execution
 // knob, never a result knob); any divergence is a determinism violation
-// and exits 1. Shard counts here bypass the harness's core budget so the
-// rows measure the actual requested lane worker counts on any host.
+// and exits 1. Every config runs on its own sweep.NewSharded(1, N)
+// engine, the plan any other driver would build, so on a host with fewer
+// than N cores the row measures what CoreBudget resolved N to — recorded
+// in the row's note.
 // At this scale one run's heap is tens of GB, and allocator/page warmth
 // and GC pacing drift across successive runs would dwarf the effect
 // being measured if each config were timed in its own block — so after
 // a warm-up round over every config, the timed rounds interleave
 // (round-robin over configs), giving serial and sharded runs the same
 // heap history.
-func shardScaling(name string, reps map[string]result, runs, procs, opsEach int, shardCounts []int) {
+func shardScaling(ctx context.Context, name string, reps map[string]result, runs, procs, opsEach int, shardCounts []int) {
 	if skip(name) {
 		return
 	}
 	configs := append([]int{0}, shardCounts...)
-	run := func(shards int) float64 {
-		return bench.Fig9PointSharded(procs, 16, true, false, opsEach, shards)
+	engines := make([]*sweep.Engine, len(configs))
+	for i, s := range configs {
+		engines[i] = sweep.NewSharded(1, s, nil)
 	}
-	ref := run(configs[0]) // warm-up round + reference value
-	for _, s := range configs[1:] {
-		if v := run(s); v != ref {
+	run := func(i int) float64 {
+		return bench.Fig9Point(ctx, engines[i], procs, 16, true, false, opsEach)
+	}
+	ref := run(0) // warm-up round + reference value
+	for i, s := range configs[1:] {
+		if v := run(i + 1); v != ref {
 			fmt.Fprintf(os.Stderr,
 				"DETERMINISM VIOLATION: %s simulated latency differs between the serial engine and %d shards\n",
 				name, s)
@@ -236,7 +243,7 @@ func shardScaling(name string, reps map[string]result, runs, procs, opsEach int,
 	for round := 0; round < runs; round++ {
 		for i, s := range configs {
 			var v float64
-			c := timed(func() { v = run(s) })
+			c := timed(func() { v = run(i) })
 			if v != ref {
 				fmt.Fprintf(os.Stderr,
 					"DETERMINISM VIOLATION: %s latency changed between runs at %d shards\n",
@@ -254,7 +261,8 @@ func shardScaling(name string, reps map[string]result, runs, procs, opsEach int,
 		c := best[i+1]
 		ns := float64(c.d.Nanoseconds())
 		reps[fmt.Sprintf("%s_shards%d", name, s)] = result{NsPerOp: ns, AllocsPerOp: c.allocs, BytesPerOp: c.bytes,
-			BaselineNsPerOp: serNs, Speedup: serNs / ns, Kind: "scenario"}
+			BaselineNsPerOp: serNs, Speedup: serNs / ns, Kind: "scenario",
+			Note: fmt.Sprintf("ran on %d lane workers (GOMAXPROCS=%d)", engines[i+1].Shards(), runtime.GOMAXPROCS(0))}
 	}
 }
 
@@ -277,14 +285,17 @@ func main() {
 	merge := flag.Bool("merge", false, "merge this run's rows into an existing -out file instead of replacing it (rows not re-run keep their old values); lets -only refresh a subset of BENCH_sim.json")
 	smoke := flag.Bool("smoke", false, "micro benches only; exit 1 on alloc regression")
 	onlyPat := flag.String("only", "", "run only benches matching this regexp")
-	shards := flag.Int("shards", 0, "lane workers inside each harness simulation (0 = serial lane engine, -1 = legacy single-queue engine); output is byte-identical at any value")
-	laneGroup := flag.Int("lane-group", 0, "lanes per worker dispatch chunk (0 = auto from nodes/shards); output is byte-identical at any value")
+	shards := flag.Int("shards", 0, "lane workers inside each harness simulation (0 = one); output is byte-identical at any value")
 	big := flag.Bool("big", false, "also run the p=65536 shard-scaling scenario (slow)")
 	gateShards := flag.Bool("gate-shards", false,
 		"exit 1 if any fig9 shardsN row is >10% slower than its serial baseline while GOMAXPROCS >= N (the bench-shards CI gate)")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the selected benches")
 	memProf := flag.String("memprofile", "", "write an allocation profile of the selected benches")
 	flag.Parse()
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "simbench: -shards must be non-negative, got %d\n", *shards)
+		os.Exit(2)
+	}
 	if *onlyPat != "" {
 		only = regexp.MustCompile(*onlyPat)
 	}
@@ -313,17 +324,13 @@ func main() {
 		}()
 	}
 
-	// Same GC posture as the full-scale drivers (they get it through the
-	// sweep engine) so scenario wall clocks are comparable with theirs.
-	sweep.TuneGC()
-
 	// Ctrl-C stops scheduling new sweep points; a partial report is never
 	// written.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	bench.SetContext(ctx)
-	bench.SetShards(*shards)
-	bench.SetLaneGroup(*laneGroup)
+	// The engine the single-simulation rows run on (building it also sets
+	// the GC posture the full-scale drivers measure under).
+	eng := sweep.NewSharded(0, *shards, nil)
 	interrupted := func() {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "simbench: interrupted")
@@ -428,7 +435,7 @@ func main() {
 		// through the async progress thread (the wall-clock-bound case
 		// the paper's Fig 9 sweep regenerates).
 		scenario("fig9_p4096", reps, 3, func() {
-			bench.Fig9Point(4096, true, false, 2)
+			bench.Fig9Point(ctx, eng, 4096, 16, true, false, 2)
 		})
 
 		// Reduced SCF: the Fig 11 proxy at 256 ranks, one iteration.
@@ -441,13 +448,12 @@ func main() {
 		// Parallel sweep engine: whole-table wall clock at GOMAXPROCS
 		// workers against the serial baseline, with CSV byte-identity
 		// enforced at both worker counts.
-		sweepScenario("sweep_fig9", reps, 2, func() *bench.Grid {
-			return bench.Fig9([]int{2, 16, 64, 256}, 8)
+		sweepScenario("sweep_fig9", reps, 2, *shards, func(eng *sweep.Engine) *bench.Grid {
+			return bench.Fig9(ctx, eng, []int{2, 16, 64, 256}, 8)
 		})
-		sweepScenario("sweep_chaos", reps, 2, func() *bench.Grid {
-			return bench.Chaos([]int{8, 16, 32}, 10, 42)
+		sweepScenario("sweep_chaos", reps, 2, *shards, func(eng *sweep.Engine) *bench.Grid {
+			return bench.Chaos(ctx, eng, []int{8, 16, 32}, 10, 42)
 		})
-		bench.SetParallel(0) // leave the package at its default
 
 		interrupted()
 
@@ -455,9 +461,9 @@ func main() {
 		// fig9 simulation timed on the serial lane engine and on 2/4 lane
 		// workers, with bit-identical simulated latency enforced across all
 		// of them.
-		shardScaling("fig9_p16384", reps, 2, 16384, 2, []int{2, 4})
+		shardScaling(ctx, "fig9_p16384", reps, 2, 16384, 2, []int{2, 4})
 		if *big {
-			shardScaling("fig9_p65536", reps, 1, 65536, 2, []int{2, 4})
+			shardScaling(ctx, "fig9_p65536", reps, 1, 65536, 2, []int{2, 4})
 		}
 
 		interrupted()
@@ -600,7 +606,7 @@ func serveCache(reps map[string]result) {
 	const job = `{"scenario":"fig9","params":{"procs":[2,16,64],"ops_each":8}}`
 	post := func() ([]byte, string, time.Duration) {
 		t0 := time.Now()
-		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(job))
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(job))
 		if err != nil {
 			fatal(err)
 		}

@@ -11,9 +11,8 @@
 //	curl -N localhost:8080/v1/runs/<id>/events               # SSE live attach
 //	curl localhost:8080/metrics
 //
-// The HTTP surface is versioned under /v1/; the original unversioned
-// paths still work but answer with a Deprecation header pointing at
-// their /v1 successor (see DESIGN.md for the wire contract).
+// The job API is versioned under /v1/ (see DESIGN.md for the wire
+// contract); only the /healthz and /metrics probes are unversioned.
 //
 // -log enables structured request logging on stderr; -debug-addr starts
 // a second listener serving net/http/pprof (kept off the service port so
@@ -63,11 +62,8 @@ func main() {
 	cacheMB := flag.Int64("cache-mb", 64, "result cache budget, MiB")
 	sweepWorkers := flag.Int("sweep-workers", 0, "per-job sweep workers (0 = GOMAXPROCS/workers)")
 	shards := flag.Int("shards", 0,
-		"lane workers inside each simulation (execution knob only: never part "+
+		"lane workers inside each simulation (execution only: never part "+
 			"of a job's cache identity)")
-	laneGroup := flag.Int("lane-group", 0,
-		"lanes per worker dispatch chunk (0 = auto; execution knob only, "+
-			"never part of a job's cache identity)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 	logRequests := flag.Bool("log", false, "log one structured line per request to stderr")
 	debugAddr := flag.String("debug-addr", "", "listen address for net/http/pprof (empty = disabled)")
@@ -84,7 +80,6 @@ func main() {
 		CacheBytes:   *cacheMB << 20,
 		SweepWorkers: *sweepWorkers,
 		Shards:       *shards,
-		LaneGroup:    *laneGroup,
 		StoreDir:     *storeDir,
 		Self:         *self,
 		PeerTimeout:  *peerTimeout,

@@ -1,6 +1,6 @@
 // Command ssecat reconstructs a simd run artifact from its SSE event
 // stream and writes the bytes to stdout. It either submits a job
-// asynchronously (POST /runs) and follows the run it lands on, or
+// asynchronously (POST /v1/runs) and follows the run it lands on, or
 // attaches to an already-known run id — in both cases the server
 // replays the run's event log from the start, so a late attacher
 // reconstructs exactly the same bytes as one that watched live.
@@ -81,11 +81,11 @@ func main() {
 	}
 }
 
-// submit POSTs the job to /runs and returns the run id it was admitted
+// submit POSTs the job to /v1/runs and returns the run id it was admitted
 // (or deduplicated) under. 202 means a fresh or in-flight run, 200 a
 // cache hit whose log is replayable either way.
 func submit(client *http.Client, base, body string) (string, error) {
-	resp, err := client.Post(base+"/runs", "application/json", strings.NewReader(body))
+	resp, err := client.Post(base+"/v1/runs", "application/json", strings.NewReader(body))
 	if err != nil {
 		return "", fmt.Errorf("submit: %w", err)
 	}
@@ -106,7 +106,7 @@ func submit(client *http.Client, base, body string) (string, error) {
 // from its result chunks, verifying order, length, and digest against
 // the done event.
 func follow(client *http.Client, base, id string) ([]byte, error) {
-	stream, err := client.Get(base + "/runs/" + id + "/events")
+	stream, err := client.Get(base + "/v1/runs/" + id + "/events")
 	if err != nil {
 		return nil, fmt.Errorf("attach: %w", err)
 	}

@@ -8,17 +8,18 @@
 // The stencil itself lives in the pattern registry (internal/bench,
 // pattern "halo"); this driver is a thin client of the scenario DSL —
 // the same spec runs byte-identically here, under `armci-bench
-// -compose`, and through a simd server's POST /v1/compose.
+// compose`, and through a simd server's POST /v1/compose.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 )
 
 // spec mirrors the original standalone example: a 4x2 process grid of
@@ -47,8 +48,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "halo:", err)
 		os.Exit(1)
 	}
-	ctx, eng := bench.Harness()
-	res, err := scenario.Run(ctx, eng, sp)
+	res, err := scenario.Run(context.Background(), sweep.NewSharded(0, 0, nil), sp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "halo:", err)
 		os.Exit(1)

@@ -6,21 +6,21 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/armci"
+	"repro/internal/sim"
 )
 
 func main() {
 	const procs = 8
-	w := core.MustRun(core.AsyncThread(procs), func(p *core.Proc) {
-		rt, th := p.RT, p.Th
-
+	cfg := armci.Config{Procs: procs, ProcsPerNode: 16, AsyncThread: true}
+	w := armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
 		// Collective allocation: one 4 KB block per rank.
 		a := rt.Malloc(th, 4096)
 		counter := rt.Malloc(th, 8)
 
 		// Each rank writes a greeting into its right neighbor's block.
-		right := (p.Rank + 1) % p.Size
-		msg := fmt.Sprintf("hello from rank %d", p.Rank)
+		right := (rt.Rank + 1) % procs
+		msg := fmt.Sprintf("hello from rank %d", rt.Rank)
 		local := rt.LocalAlloc(th, 256)
 		rt.Space().CopyIn(local, []byte(msg))
 		rt.Put(th, local, a.At(right), len(msg))
@@ -29,7 +29,7 @@ func main() {
 
 		// Read the greeting our left neighbor left for us.
 		back := rt.LocalAlloc(th, 256)
-		rt.Get(th, a.At(p.Rank), back, 256)
+		rt.Get(th, a.At(rt.Rank), back, 256)
 		buf := make([]byte, 64)
 		rt.Space().CopyOut(back, buf)
 		n := 0
@@ -42,7 +42,7 @@ func main() {
 		rt.Barrier(th)
 
 		fmt.Printf("rank %d @ %6.2fus: got %q, ticket %d\n",
-			p.Rank, float64(p.Now())/1000, string(buf[:n]), ticket)
+			rt.Rank, float64(th.Now())/1000, string(buf[:n]), ticket)
 	})
 
 	fmt.Printf("\nsimulated partition: %v\n", w.M.Net.Torus())

@@ -7,17 +7,18 @@
 // The task pool itself lives in the pattern registry (internal/bench,
 // pattern "worksteal"); this driver is a thin client of the scenario
 // DSL — the same spec runs byte-identically here, under `armci-bench
-// -compose`, and through a simd server's POST /v1/compose.
+// compose`, and through a simd server's POST /v1/compose.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 )
 
 // spec mirrors the original standalone example: 256 skewed tasks over
@@ -46,8 +47,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "worksteal:", err)
 		os.Exit(1)
 	}
-	ctx, eng := bench.Harness()
-	res, err := scenario.Run(ctx, eng, sp)
+	res, err := scenario.Run(context.Background(), sweep.NewSharded(0, 0, nil), sp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "worksteal:", err)
 		os.Exit(1)

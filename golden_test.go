@@ -1,12 +1,14 @@
 package repro
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,9 +16,28 @@ import (
 	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files from the current code")
+
+var bg = context.Background()
+
+// plan builds the execution plan a driver would: sweep workers x lane
+// workers, resolved through sweep.CoreBudget. Tests that need more lane
+// workers than the host has cores call withProcs first.
+func plan(workers, shards int) *sweep.Engine { return sweep.NewSharded(workers, shards, nil) }
+
+// withProcs raises GOMAXPROCS to at least n for the test's duration, so
+// sweep.CoreBudget grants an n-lane-worker plan on any host (extra lane
+// workers just multiplex, which is exactly what -race needs to see).
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	if old := runtime.GOMAXPROCS(0); old < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
+}
 
 // determinismGolden pins the observable outputs of fixed-seed runs so that
 // engine rewrites (event-queue layout, route caching, ...) provably change
@@ -42,25 +63,30 @@ func goldenScenario() (events uint64, final sim.Time) {
 // shard-invariance and engine-equivalence tests sweep. The returned
 // world is finished; callers read its kernel and aggregates.
 func goldenScenarioSharded(shards int, reg *obs.Registry) *armci.World {
-	const procs = 24
-	cfg := armci.Config{
-		Procs: procs, ProcsPerNode: 4, AsyncThread: true,
+	return armci.MustRun(goldenConfig(shards, reg), goldenBody)
+}
+
+const goldenProcs = 24
+
+func goldenConfig(shards int, reg *obs.Registry) armci.Config {
+	return armci.Config{
+		Procs: goldenProcs, ProcsPerNode: 4, AsyncThread: true,
 		Seed: 7, Obs: reg, Shards: shards,
 	}
-	w := armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
-		a := rt.Malloc(th, 4096)
-		local := rt.LocalAlloc(th, 4096)
-		peer := (rt.Rank + 1) % procs
-		for i := 0; i < 4; i++ {
-			rt.Put(th, local, a.At(peer), 256)
-			rt.Get(th, a.At(peer), local, 512)
-			rt.FetchAdd(th, a.At(0), 1)
-			rt.Acc(th, local, a.At(peer).Add(512), 64, 2.0)
-		}
-		rt.Fence(th, peer)
-		rt.Barrier(th)
-	})
-	return w
+}
+
+func goldenBody(th *sim.Thread, rt *armci.Runtime) {
+	a := rt.Malloc(th, 4096)
+	local := rt.LocalAlloc(th, 4096)
+	peer := (rt.Rank + 1) % goldenProcs
+	for i := 0; i < 4; i++ {
+		rt.Put(th, local, a.At(peer), 256)
+		rt.Get(th, a.At(peer), local, 512)
+		rt.FetchAdd(th, a.At(0), 1)
+		rt.Acc(th, local, a.At(peer).Add(512), 64, 2.0)
+	}
+	rt.Fence(th, peer)
+	rt.Barrier(th)
 }
 
 func csvHash(g *bench.Grid) string {
@@ -75,8 +101,8 @@ func TestDeterminismGolden(t *testing.T) {
 	got := determinismGolden{
 		ScenarioEvents: events,
 		ScenarioFinal:  int64(final),
-		Fig3CSVSHA256:  csvHash(bench.Fig3([]int{16, 256, 4096}, 3)),
-		Fig9CSVSHA256:  csvHash(bench.Fig9([]int{8, 16}, 4)),
+		Fig3CSVSHA256:  csvHash(bench.Fig3(bg, plan(0, 0), []int{16, 256, 4096}, 3)),
+		Fig9CSVSHA256:  csvHash(bench.Fig9(bg, plan(0, 0), []int{8, 16}, 4)),
 	}
 
 	path := filepath.Join("testdata", "determinism_golden.json")

@@ -5,10 +5,10 @@ import (
 
 	"repro/internal/armci"
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/ga"
 	"repro/internal/mem"
 	"repro/internal/nwchem"
+	"repro/internal/sim"
 )
 
 // Medium-scale integration tests crossing every layer. The larger ones
@@ -16,22 +16,21 @@ import (
 
 func TestIntegrationAllToAllPuts(t *testing.T) {
 	const procs = 64
-	w, err := core.Run(core.AsyncThread(procs), func(p *core.Proc) {
-		rt, th := p.RT, p.Th
+	w, err := armci.Run(armci.Config{Procs: procs, ProcsPerNode: 16, AsyncThread: true}, func(th *sim.Thread, rt *armci.Runtime) {
 		a := rt.Malloc(th, procs*8)
 		local := rt.LocalAlloc(th, 8)
 		// Everyone writes its rank into slot[rank] of every peer.
-		rt.Space().SetInt64(local, int64(p.Rank))
+		rt.Space().SetInt64(local, int64(rt.Rank))
 		for r := 0; r < procs; r++ {
-			rt.Put(th, local, a.At(r).Add(p.Rank*8), 8)
+			rt.Put(th, local, a.At(r).Add(rt.Rank*8), 8)
 		}
 		rt.AllFence(th)
 		rt.Barrier(th)
 		// Validate our own slot vector.
 		for r := 0; r < procs; r++ {
-			got := rt.Space().GetInt64(a.At(p.Rank).Addr + mem.Addr(r*8))
+			got := rt.Space().GetInt64(a.At(rt.Rank).Addr + mem.Addr(r*8))
 			if got != int64(r) {
-				t.Errorf("rank %d slot %d = %d", p.Rank, r, got)
+				t.Errorf("rank %d slot %d = %d", rt.Rank, r, got)
 				return
 			}
 		}
@@ -51,8 +50,7 @@ func TestIntegrationCounterAtScale(t *testing.T) {
 	}
 	const procs = 512
 	total := int64(0)
-	_, err := core.Run(core.AsyncThread(procs), func(p *core.Proc) {
-		rt, th := p.RT, p.Th
+	_, err := armci.Run(armci.Config{Procs: procs, ProcsPerNode: 16, AsyncThread: true}, func(th *sim.Thread, rt *armci.Runtime) {
 		c := ga.NewCounter(th, rt)
 		mine := int64(0)
 		for {
@@ -99,7 +97,7 @@ func TestIntegrationFig7PaperScale(t *testing.T) {
 	}
 	// The real Fig 7 configuration: 2048 processes on 128 nodes. The odd
 	// stride samples every node residue class, including the antipode.
-	g := bench.Fig7(2048, 16, 2, 31)
+	g := bench.Fig7(bg, plan(0, 0), 2048, 16, 2, 31)
 	lat := g.Column("latency_us")
 	hops := g.Column("hops")
 	var minL, maxL = 1e9, 0.0

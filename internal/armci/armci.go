@@ -74,34 +74,12 @@ type Config struct {
 	TypedThreshold int
 	// Params overrides the machine model (nil uses the calibrated BG/Q).
 	Params *network.Params
-	// Shards controls the intra-run parallel kernel. The simulation is
-	// always partitioned into one lane per node (fixed by the topology,
-	// so simulated behavior is identical at every setting ≥ 0); Shards
-	// only sets how many worker goroutines execute lane windows:
-	//
-	//	 0  lane-partitioned engine, 1 worker (the default);
-	//	 N  lane-partitioned engine, min(N, nodes) workers;
-	//	-1  the legacy single-queue engine (no lanes), kept as an
-	//	    escape hatch and as the reference for equivalence tests.
-	//
-	// Worker count can never change a simulated byte — only wall-clock
-	// time. The legacy engine orders some concurrent events differently
-	// (see DESIGN.md), so -1 is not byte-identical to the laned engine.
+	// Shards is the number of worker goroutines that execute lane
+	// windows (0 and 1 both mean one; capped at the node count). The
+	// simulation is always partitioned into one lane per node, fixed by
+	// the topology, so worker count can never change a simulated byte —
+	// only wall-clock time. Negative values are rejected.
 	Shards int
-	// LaneGroup coarsens the lane engine's execution grain: runnable
-	// lanes are handed to worker goroutines in contiguous chunks of G
-	// lanes, amortizing per-window dispatch overhead at large node
-	// counts. Zero auto-tunes from (nodes, Shards) — a pure function of
-	// the two, so the choice is canonical and, like Shards itself, never
-	// enters content-addressed job keys. Horizons and boundary order stay
-	// per-lane regardless, so the grouping cannot change a simulated
-	// byte. Ignored by the legacy engine (Shards == -1).
-	LaneGroup int
-	// SerialBoundary forces window-boundary deposits to be inserted
-	// serially on the coordinator goroutine instead of staged and applied
-	// on the worker pool — the oracle path equivalence tests pin the
-	// parallel boundary against. Execution-only; no effect on results.
-	SerialBoundary bool
 	// Seed perturbs the deterministic jitter streams.
 	Seed uint64
 	// Fault, when non-nil, installs deterministic fault injection on the
@@ -164,17 +142,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Params == nil {
 		c.Params = network.DefaultParams()
 	}
-	if c.Shards < -1 {
-		return c, fmt.Errorf("armci: Config.Shards must be >= -1, got %d", c.Shards)
+	if c.Shards < 0 {
+		return c, fmt.Errorf("armci: Config.Shards must be non-negative, got %d", c.Shards)
 	}
-	if c.LaneGroup < 0 {
-		return c, fmt.Errorf("armci: Config.LaneGroup must be non-negative, got %d", c.LaneGroup)
-	}
-	if c.Shards >= 0 && c.Params != nil && c.Params.BarrierLatency < c.Params.Lookahead() {
-		// The lane engine's barrier deposits its release at max(arrival)+
-		// BarrierLatency; horizons only guarantee that time is in every
-		// lane's future when the latency is at least the lookahead.
-		return c, fmt.Errorf("armci: BarrierLatency (%d) below the network lookahead (%d); use Shards=-1 for the single-queue engine",
+	if c.Params.BarrierLatency < c.Params.Lookahead() {
+		// The barrier deposits its release at max(arrival)+BarrierLatency;
+		// lane horizons only guarantee that time is in every lane's future
+		// when the latency is at least the lookahead.
+		return c, fmt.Errorf("armci: Params.BarrierLatency (%d) must be at least the network lookahead (%d)",
 			c.Params.BarrierLatency, c.Params.Lookahead())
 	}
 	if c.Params.AdaptiveRouting {
@@ -238,9 +213,9 @@ type World struct {
 	Faults *fault.Injector
 
 	// Collective state. barCount/barMax are only ever touched from
-	// serial context (window-boundary appliers, or inline on a
-	// single-queue kernel); the exchange buffers are written at disjoint
-	// rank indexes with barriers separating writes from remote reads.
+	// serial context (window-boundary appliers); the exchange buffers are
+	// written at disjoint rank indexes with barriers separating writes
+	// from remote reads.
 	barCount int
 	barMax   sim.Time
 	xchF64   []float64
@@ -267,22 +242,15 @@ func NewWorld(k *sim.Kernel, cfg Config) (*World, error) {
 		k.SetObs(cfg.Obs)
 		m.SetObs(cfg.Obs)
 	}
-	if cfg.Shards >= 0 {
-		// One lane per node, fixed by the topology; Shards only picks the
-		// worker count, so results are invariant across shard settings.
-		workers := cfg.Shards
-		if workers < 1 {
-			workers = 1
-		}
-		k.ConfigureLanes(tor.Nodes(), workers, cfg.Params.Lookahead())
-		group := cfg.LaneGroup
-		if group == 0 {
-			group = AutoLaneGroup(tor.Nodes(), cfg.Shards)
-		}
-		k.SetLaneGroup(group)
-		k.SetSerialBoundary(cfg.SerialBoundary)
-		m.SetLanes(k.Lanes())
+	// One lane per node, fixed by the topology; Shards only picks the
+	// worker count, so results are invariant across shard settings.
+	workers := cfg.Shards
+	if workers < 1 {
+		workers = 1
 	}
+	k.ConfigureLanes(tor.Nodes(), workers, cfg.Params.Lookahead())
+	k.SetLaneGroup(AutoLaneGroup(tor.Nodes(), cfg.Shards))
+	m.SetLanes(k.Lanes())
 	w := &World{
 		K:        k,
 		M:        m,

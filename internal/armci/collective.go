@@ -50,10 +50,9 @@ func (a *Allocation) At(rank int) GlobalPtr {
 // engine, so remote requests are still serviced while blocked — exactly
 // what ARMCI_Barrier does and what the default-mode NWChem runs rely on.
 //
-// The rendezvous is engine-agnostic: each arrival is a deferred
-// operation, applied in canonical order at a window boundary on a
-// lane-partitioned kernel (inline on a single-queue one), and the
-// release is deposited into every rank's own lane. The arrival's
+// Each arrival is a deferred operation, applied in canonical order at a
+// window boundary, and the release is deposited into every rank's own
+// lane. The arrival's
 // minEffect (now + BarrierLatency) caps the arriving lane's window, and
 // BarrierLatency ≥ the network lookahead (enforced by withDefaults)
 // guarantees the release time is in every other lane's future.
@@ -66,9 +65,9 @@ func (rt *Runtime) Barrier(th *sim.Thread) {
 	rt.mainCtx.WaitCond(th, func() bool { return rt.barRelease > gen })
 }
 
-// barrierArrive runs in serial context (boundary applier, or inline on a
-// single-queue kernel). It accumulates the release time and, on the last
-// arrival, deposits one release event into each rank's lane.
+// barrierArrive runs in serial context (the boundary applier). It
+// accumulates the release time and, on the last arrival, deposits one
+// release event into each rank's lane.
 func (w *World) barrierArrive(eff sim.Time) {
 	if eff > w.barMax {
 		w.barMax = eff

@@ -161,6 +161,15 @@ func TestConfigValidation(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "Contexts") {
 		t.Fatalf("contexts error %q does not name the field", err)
 	}
+	// The single-queue engine's old spelling is gone: every world runs on
+	// lanes, and a negative worker count is an error, not a mode.
+	cfg = atCfg(2)
+	cfg.Shards = -1
+	if _, err := Run(cfg, func(th *sim.Thread, rt *Runtime) {}); err == nil {
+		t.Fatal("expected error for Shards=-1")
+	} else if !strings.Contains(err.Error(), "Shards") {
+		t.Fatalf("shards error %q does not name the field", err)
+	}
 }
 
 func TestSpaceModelEquations(t *testing.T) {
@@ -195,4 +204,18 @@ func TestSpaceModelEquations(t *testing.T) {
 	if rt.C.EndpointBytes != rt.C.EndpointsCreated*p.EndpointBytes {
 		t.Fatalf("endpoint bytes %d != created %d x α", rt.C.EndpointBytes, rt.C.EndpointsCreated)
 	}
+}
+
+func TestMustRunPanicsOnDeadlock(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	MustRun(atCfg(2), func(th *sim.Thread, rt *Runtime) {
+		rt.Barrier(th)
+		if rt.Rank == 0 {
+			rt.Barrier(th) // rank 1 never joins: deadlock
+		}
+	})
 }

@@ -25,7 +25,7 @@ import (
 //
 // Rank 0's main thread runs blocking gets (measured); rank 2 floods rank
 // 0 with large accumulates that the async thread must apply.
-func AblationContexts(opsEach int) *Grid {
+func AblationContexts(ctx context.Context, eng *sweep.Engine, opsEach int) *Grid {
 	g := &Grid{Title: "Ablation (SIII.D): async thread with 1 vs 2 PAMI contexts",
 		Header: []string{"contexts", "main_get_us", "lock_contended"}}
 	ctxCounts := []int{1, 2}
@@ -33,7 +33,7 @@ func AblationContexts(opsEach int) *Grid {
 		meanUS    float64
 		contended uint64
 	}
-	pts := mapN(len(ctxCounts), func(c *sweep.Ctx, i int) point {
+	pts := sweep.MapCtx(eng, ctx, len(ctxCounts), func(c *sweep.Ctx, i int) point {
 		return ablationContextsPoint(c, ctxCounts[i], opsEach)
 	})
 	for i, nCtx := range ctxCounts {
@@ -93,14 +93,7 @@ func ablationContextsPoint(c *sweep.Ctx, nCtx, opsEach int) (pt struct {
 // computing, comparing the async-thread software path against NIC-executed
 // fetch-and-add. The hardware path needs no async thread and its latency
 // stays far below the software path's linear-in-p growth.
-func AblationHardwareAMO(procCounts []int, opsEach int) *Grid {
-	ctx, eng := setup()
-	return hwAMOGrid(ctx, eng, procCounts, opsEach)
-}
-
-// hwAMOGrid is the engine-explicit core of AblationHardwareAMO, shared
-// with the scenario registry (its "amo" scenario).
-func hwAMOGrid(ctx context.Context, eng *sweep.Engine, procCounts []int, opsEach int) *Grid {
+func AblationHardwareAMO(ctx context.Context, eng *sweep.Engine, procCounts []int, opsEach int) *Grid {
 	g := &Grid{Title: "Ablation (SIV.B.3): software AMO (async thread) vs hardware NIC AMO",
 		Header: []string{"procs", "AT_software_us", "hw_amo_us"}}
 	// Two independent simulations per process count: even indices are the
@@ -156,12 +149,12 @@ func hardwareAMOPoint(c *sweep.Ctx, procs, opsEach int) float64 {
 // pack/unpack path (one packed message plus target-side unpack, needing
 // flow control and remote progress). The chunk list wins for all but
 // tall-skinny patches, which is why TypedThreshold defaults low.
-func AblationStridedProtocol(l0s []int, total int) *Grid {
+func AblationStridedProtocol(ctx context.Context, eng *sweep.Engine, l0s []int, total int) *Grid {
 	g := &Grid{Title: "Ablation (SIII.C.2): chunk-list RDMA vs pack/unpack for strided puts",
 		Header: []string{"l0_bytes", "chunks_us", "packed_us"}}
 	// Two independent simulations per chunk size: even indices force the
 	// chunk-list path, odd the packed path.
-	vals := mapN(2*len(l0s), func(c *sweep.Ctx, i int) float64 {
+	vals := sweep.MapCtx(eng, ctx, 2*len(l0s), func(c *sweep.Ctx, i int) float64 {
 		return stridedPoint(c, l0s[i/2], total, i%2 == 1)
 	})
 	for i, l0 := range l0s {
@@ -202,7 +195,7 @@ func stridedPoint(c *sweep.Ctx, l0, total int, forceTyped bool) float64 {
 // concurrent transfers funneling into one node (a hotspot) under
 // dimension-order routes versus adaptive minimal routes. Network layer
 // only — the ARMCI fence protocol requires deterministic ordering.
-func AblationRouting(flows, sizeKB int) *Grid {
+func AblationRouting(ctx context.Context, eng *sweep.Engine, flows, sizeKB int) *Grid {
 	g := &Grid{Title: "Ablation (SII.A): deterministic DOR vs adaptive routing (hotspot)",
 		Header: []string{"flows", "DOR_us", "adaptive_us"}}
 	makespan := func(adaptive bool, n int) float64 {
@@ -238,7 +231,7 @@ func AblationRouting(flows, sizeKB int) *Grid {
 	// Pure network-layer simulations (no ARMCI world, no registry); one
 	// sweep task per flow count measures both routing modes.
 	type point struct{ dor, adaptive float64 }
-	pts := mapN(len(flowCounts), func(c *sweep.Ctx, i int) point {
+	pts := sweep.MapCtx(eng, ctx, len(flowCounts), func(c *sweep.Ctx, i int) point {
 		return point{dor: makespan(false, flowCounts[i]), adaptive: makespan(true, flowCounts[i])}
 	})
 	for i, n := range flowCounts {
@@ -252,7 +245,7 @@ func AblationRouting(flows, sizeKB int) *Grid {
 // of A/B interleaved with accumulates to C) under naive per-target
 // conflict tracking versus per-memory-region tracking. Per-region must
 // eliminate the false-positive fences and run faster.
-func AblationConsistency(tiles int) *Grid {
+func AblationConsistency(ctx context.Context, eng *sweep.Engine, tiles int) *Grid {
 	g := &Grid{Title: "Ablation (SIII.E): naive cs_tgt vs per-region cs_mr tracking",
 		Header: []string{"mode", "time_ms", "fences", "avoided"}}
 	modes := []armci.ConsistencyMode{armci.ConsistencyNaive, armci.ConsistencyPerRegion}
@@ -260,7 +253,7 @@ func AblationConsistency(tiles int) *Grid {
 		elapsed         sim.Time
 		fences, avoided int64
 	}
-	pts := mapN(len(modes), func(c *sweep.Ctx, i int) point {
+	pts := sweep.MapCtx(eng, ctx, len(modes), func(c *sweep.Ctx, i int) point {
 		var pt point
 		cfg := c.Cfg(armci.Config{Procs: 2, ProcsPerNode: 1, AsyncThread: true, Consistency: modes[i]})
 		armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {

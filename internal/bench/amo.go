@@ -12,44 +12,15 @@ import (
 // 1..p-1 hammering a counter on rank 0 — the paper's load-balance-counter
 // micro-kernel — under one configuration:
 //
+//   - perNode: the processes-per-node placement (the figure uses 16; the
+//     ablations use 1/node to expose target-side serialization);
 //   - async=false: the default mode, where the counter is only serviced
 //     when rank 0's main thread calls the progress engine;
 //   - compute=true: rank 0 "computes" in ~300 us chunks between progress
 //     opportunities (t_compute in §IV.B.3).
-func Fig9Point(procs int, async, compute bool, opsEach int) float64 {
-	return one(func(c *sweep.Ctx) float64 {
-		return fig9Point(c, procs, 16, async, compute, opsEach)
-	})
-}
-
-// Fig9PointC is Fig9Point with an explicit processes-per-node placement
-// (the ablations use 1/node to expose target-side serialization).
-func Fig9PointC(procs, perNode int, async, compute bool, opsEach int) float64 {
-	return one(func(c *sweep.Ctx) float64 {
+func Fig9Point(ctx context.Context, eng *sweep.Engine, procs, perNode int, async, compute bool, opsEach int) float64 {
+	return one(ctx, eng, func(c *sweep.Ctx) float64 {
 		return fig9Point(c, procs, perNode, async, compute, opsEach)
-	})
-}
-
-// Fig9PointSharded is Fig9Point with an explicit lane worker count,
-// bypassing the harness's core budget: the simbench core-scaling rows
-// measure the actual requested shard counts whatever the host's core
-// count, and the invariance tests sweep shard counts on any machine.
-func Fig9PointSharded(procs, perNode int, async, compute bool, opsEach, shardCount int) float64 {
-	return Fig9PointTuned(procs, perNode, async, compute, opsEach, shardCount, 0, false)
-}
-
-// Fig9PointTuned is Fig9PointSharded with every lane-engine execution
-// knob explicit — lane grouping and the serial-boundary oracle — for the
-// shard × lane-group invariance matrix and the boundary equivalence
-// tests. All three knobs are execution-only; the result is identical at
-// every setting.
-func Fig9PointTuned(procs, perNode int, async, compute bool, opsEach, shardCount, laneGroup int, serialBoundary bool) float64 {
-	return one(func(c *sweep.Ctx) float64 {
-		forced := *c
-		forced.Shards = shardCount
-		forced.LaneGroup = laneGroup
-		forced.SerialBoundary = serialBoundary
-		return fig9Point(&forced, procs, perNode, async, compute, opsEach)
 	})
 }
 
@@ -108,14 +79,7 @@ var fig9Variants = []struct{ async, compute bool }{
 // All len(procCounts) x 4 sweep points are independent simulations and
 // fan out across the sweep workers; rows are keyed by configuration
 // index, so the table is identical at any worker count.
-func Fig9(procCounts []int, opsEach int) *Grid {
-	ctx, eng := setup()
-	return fig9Grid(ctx, eng, procCounts, opsEach)
-}
-
-// fig9Grid is the engine-explicit core of Fig9, shared with the scenario
-// registry (which hands every serving-layer job its own engine).
-func fig9Grid(ctx context.Context, eng *sweep.Engine, procCounts []int, opsEach int) *Grid {
+func Fig9(ctx context.Context, eng *sweep.Engine, procCounts []int, opsEach int) *Grid {
 	g := &Grid{Title: "Fig 9: fetch-and-add latency on a rank-0 counter",
 		Header: []string{"procs", "D_idle_us", "AT_idle_us", "D_compute_us", "AT_compute_us"}}
 	nv := len(fig9Variants)

@@ -1,15 +1,23 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/nwchem"
+	"repro/internal/sweep"
+)
+
+// The tests run one at a time on one engine, the way a driver does.
+var (
+	bg  = context.Background()
+	eng = sweep.NewSharded(0, 0, nil)
 )
 
 func TestFig3ShapeMatchesPaper(t *testing.T) {
 	sizes := []int{16, 64, 240, 256, 1024, 65536}
-	g := Fig3(sizes, 5)
+	g := Fig3(bg, eng, sizes, 5)
 	get := g.Column("get_us")
 	put := g.Column("put_us")
 
@@ -32,7 +40,7 @@ func TestFig3ShapeMatchesPaper(t *testing.T) {
 
 func TestFig4BandwidthShape(t *testing.T) {
 	sizes := []int{512, 2048, 16384, 262144, 1 << 20}
-	g := Fig4(sizes, 16)
+	g := Fig4(bg, eng, sizes, 16)
 	put := g.Column("put_MBs")
 	get := g.Column("get_MBs")
 	peak := put[len(put)-1]
@@ -51,7 +59,7 @@ func TestFig4BandwidthShape(t *testing.T) {
 
 func TestFig6EfficiencyShape(t *testing.T) {
 	sizes := []int{512, 1024, 2048, 4096, 32768, 1 << 20}
-	g := Fig6(sizes, 16)
+	g := Fig6(bg, eng, sizes, 16)
 	eff := g.Column("efficiency")
 	// N1/2 near 2KB: below 50% at 1KB, above at 4KB.
 	if eff[1] >= 0.5 {
@@ -71,7 +79,7 @@ func TestFig6EfficiencyShape(t *testing.T) {
 func TestFig7HopGradient(t *testing.T) {
 	// Scaled-down Fig 7: 128 procs, 8/node -> 16 nodes. The latency must
 	// be an affine function of hop count at ~35ns/hop/direction.
-	g := Fig7(128, 8, 4, 1)
+	g := Fig7(bg, eng, 128, 8, 4, 1)
 	hops := g.Column("hops")
 	lat := g.Column("latency_us")
 	// Group by hops, compare means of min and max hop groups.
@@ -109,7 +117,7 @@ func TestFig7HopGradient(t *testing.T) {
 }
 
 func TestFig8TracksContiguousCurve(t *testing.T) {
-	g := Fig8([]int{1024, 8192, 65536, 1 << 20}, 1<<20)
+	g := Fig8(bg, eng, []int{1024, 8192, 65536, 1 << 20}, 1<<20)
 	got := g.Column("get_MBs")
 	// Strided bandwidth rises with l0 and approaches the contiguous peak.
 	for i := 1; i < len(got); i++ {
@@ -124,10 +132,10 @@ func TestFig8TracksContiguousCurve(t *testing.T) {
 
 func TestFig9ShapeSmall(t *testing.T) {
 	// 16 procs: D~AT when idle; D >> AT when rank 0 computes.
-	dIdle := Fig9Point(16, false, false, 10)
-	atIdle := Fig9Point(16, true, false, 10)
-	dComp := Fig9Point(16, false, true, 10)
-	atComp := Fig9Point(16, true, true, 10)
+	dIdle := Fig9Point(bg, eng, 16, 16, false, false, 10)
+	atIdle := Fig9Point(bg, eng, 16, 16, true, false, 10)
+	dComp := Fig9Point(bg, eng, 16, 16, false, true, 10)
+	atComp := Fig9Point(bg, eng, 16, 16, true, true, 10)
 	if dIdle > 4*atIdle || atIdle > 4*dIdle {
 		t.Fatalf("idle D (%.1f) and AT (%.1f) should be comparable", dIdle, atIdle)
 	}
@@ -143,8 +151,8 @@ func TestFig9ShapeSmall(t *testing.T) {
 }
 
 func TestFig9LatencyGrowsWithP(t *testing.T) {
-	small := Fig9Point(4, true, false, 8)
-	large := Fig9Point(32, true, false, 8)
+	small := Fig9Point(bg, eng, 4, 16, true, false, 8)
+	large := Fig9Point(bg, eng, 32, 16, true, false, 8)
 	if large <= small {
 		t.Fatalf("AT latency should grow with p: %.1f @4 vs %.1f @32", small, large)
 	}
@@ -156,7 +164,7 @@ func TestFig11SmallScale(t *testing.T) {
 	// this tiny scale.
 	scfg := nwchem.Config{Mol: nwchem.NewMolecule([]int{8, 6, 6, 8, 6, 6}),
 		Iterations: 2, FlopRate: 2e7}
-	g := Fig11([]int{8}, scfg)
+	g := Fig11(bg, eng, []int{8}, 16, scfg)
 	d := g.Column("D_ms")[0]
 	at := g.Column("AT_ms")[0]
 	if at*1.05 >= d {
@@ -195,7 +203,7 @@ func TestTableIIMatchesPaper(t *testing.T) {
 }
 
 func TestEqValidationFallbackDominated(t *testing.T) {
-	g := EqValidation([]int{16, 1024, 65536}, 5)
+	g := EqValidation(bg, eng, []int{16, 1024, 65536}, 5)
 	ratio := g.Column("ratio")
 	for i, r := range ratio {
 		if r <= 1.0 {
@@ -209,7 +217,7 @@ func TestEqValidationFallbackDominated(t *testing.T) {
 }
 
 func TestAblationContexts(t *testing.T) {
-	g := AblationContexts(15)
+	g := AblationContexts(bg, eng, 15)
 	lat := g.Column("main_get_us")
 	if lat[1] >= lat[0] {
 		t.Fatalf("2 contexts (%.1fus) should beat 1 context (%.1fus)", lat[1], lat[0])
@@ -217,7 +225,7 @@ func TestAblationContexts(t *testing.T) {
 }
 
 func TestAblationConsistency(t *testing.T) {
-	g := AblationConsistency(20)
+	g := AblationConsistency(bg, eng, 20)
 	fences := g.Column("fences")
 	times := g.Column("time_ms")
 	if fences[1] >= fences[0] {
@@ -254,7 +262,7 @@ func TestPowersOfTwo(t *testing.T) {
 }
 
 func TestAblationHardwareAMO(t *testing.T) {
-	g := AblationHardwareAMO([]int{16, 64}, 8)
+	g := AblationHardwareAMO(bg, eng, []int{16, 64}, 8)
 	sw := g.Column("AT_software_us")
 	hw := g.Column("hw_amo_us")
 	for i := range sw {
@@ -272,7 +280,7 @@ func TestAblationHardwareAMO(t *testing.T) {
 }
 
 func TestAblationStridedProtocol(t *testing.T) {
-	g := AblationStridedProtocol([]int{64, 4096, 65536}, 1<<18)
+	g := AblationStridedProtocol(bg, eng, []int{64, 4096, 65536}, 1<<18)
 	chunks := g.Column("chunks_us")
 	packed := g.Column("packed_us")
 	// Tall-skinny (64 B chunks): pack/unpack wins (the reason the typed
@@ -288,7 +296,7 @@ func TestAblationStridedProtocol(t *testing.T) {
 }
 
 func TestAblationRouting(t *testing.T) {
-	g := AblationRouting(16, 64)
+	g := AblationRouting(bg, eng, 16, 64)
 	dor := g.Column("DOR_us")
 	ada := g.Column("adaptive_us")
 	for i := range dor {
@@ -304,7 +312,7 @@ func TestAblationRouting(t *testing.T) {
 }
 
 func TestFig5LatencyPerByteShape(t *testing.T) {
-	g := Fig5([]int{16, 4096, 65536}, 4)
+	g := Fig5(bg, eng, []int{16, 4096, 65536}, 4)
 	npb := g.Column("ns_per_byte")
 	// Monotonically decreasing toward the wire cost (~0.56 ns/B).
 	if !(npb[0] > npb[1] && npb[1] > npb[2]) {

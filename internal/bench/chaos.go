@@ -25,7 +25,7 @@ const chaosStart = 30 * sim.Millisecond
 // chaosHorizon bounds the probabilistic fault windows.
 const chaosHorizon = chaosStart + 20*sim.Millisecond
 
-// ChaosPlan is the scripted fault timeline of the -chaos profile:
+// ChaosPlan is the scripted fault timeline of the chaos profile:
 //
 //   - a transient full-network outage (every link down 150 us),
 //   - one dead-node window on node 0 — the node hosting the hammered
@@ -78,30 +78,9 @@ func (r ChaosResult) Clean() bool {
 // memory, and accumulate into a rank-0 sum — under the ChaosPlan fault
 // script, using the error-returning blocking API throughout. Same seed,
 // same result, byte for byte.
-func ChaosRun(procs, perNode, opsEach int, seed uint64) ChaosResult {
-	return one(func(c *sweep.Ctx) ChaosResult {
+func ChaosRun(ctx context.Context, eng *sweep.Engine, procs, perNode, opsEach int, seed uint64) ChaosResult {
+	return one(ctx, eng, func(c *sweep.Ctx) ChaosResult {
 		return chaosRun(c, procs, perNode, opsEach, seed)
-	})
-}
-
-// ChaosRunSharded is ChaosRun with an explicit lane worker count,
-// bypassing the harness's core budget: the invariance tests sweep shard
-// counts regardless of how many cores the host exposes (extra lane
-// workers just multiplex, which is exactly what -race needs to see).
-func ChaosRunSharded(procs, perNode, opsEach int, seed uint64, shardCount int) ChaosResult {
-	return ChaosRunTuned(procs, perNode, opsEach, seed, shardCount, 0, false)
-}
-
-// ChaosRunTuned is ChaosRunSharded with the remaining lane-engine
-// execution knobs explicit (lane grouping, serial-boundary oracle), for
-// the shard × lane-group invariance matrix over chaos workloads.
-func ChaosRunTuned(procs, perNode, opsEach int, seed uint64, shardCount, laneGroup int, serialBoundary bool) ChaosResult {
-	return one(func(c *sweep.Ctx) ChaosResult {
-		forced := *c
-		forced.Shards = shardCount
-		forced.LaneGroup = laneGroup
-		forced.SerialBoundary = serialBoundary
-		return chaosRun(&forced, procs, perNode, opsEach, seed)
 	})
 }
 
@@ -211,14 +190,7 @@ func float64bytes(v float64) []byte {
 // with the integrity verdict and the fault/recovery counters. Identical
 // seeds render identical bytes — the determinism smoke test depends on
 // this.
-func Chaos(procCounts []int, opsEach int, seed uint64) *Grid {
-	ctx, eng := setup()
-	return chaosGrid(ctx, eng, procCounts, opsEach, seed)
-}
-
-// chaosGrid is the engine-explicit core of Chaos, shared with the
-// scenario registry.
-func chaosGrid(ctx context.Context, eng *sweep.Engine, procCounts []int, opsEach int, seed uint64) *Grid {
+func Chaos(ctx context.Context, eng *sweep.Engine, procCounts []int, opsEach int, seed uint64) *Grid {
 	g := &Grid{Title: "Chaos: Fig 9 workload under scripted faults (seed " +
 		fmt.Sprint(seed) + ")",
 		Header: []string{"procs", "ops", "counter", "clean", "retries",

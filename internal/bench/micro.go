@@ -9,6 +9,13 @@ import (
 	"repro/internal/sweep"
 )
 
+// one runs a single simulation task through the sweep engine, so even
+// standalone figure runs get the per-run registry and the worker pool's
+// recycled arrays.
+func one[T any](ctx context.Context, eng *sweep.Engine, fn func(c *sweep.Ctx) T) T {
+	return sweep.MapCtx(eng, ctx, 1, func(c *sweep.Ctx, _ int) T { return fn(c) })[0]
+}
+
 // twoProcCfg is the Fig 3-6/8 setup: two processes on adjacent nodes.
 func twoProcCfg(c *sweep.Ctx) armci.Config {
 	return c.Cfg(armci.Config{Procs: 2, ProcsPerNode: 1, AsyncThread: true})
@@ -17,17 +24,8 @@ func twoProcCfg(c *sweep.Ctx) armci.Config {
 // Fig3 regenerates the contiguous latency figure: blocking get and put
 // latency versus message size between adjacent nodes. Paper headline:
 // get(16 B) = 2.89 us, put(16 B) = 2.7 us, with a dip at 256 B.
-func Fig3(sizes []int, iters int) *Grid {
-	ctx, eng := setup()
-	return fig3Grid(ctx, eng, sizes, iters)
-}
-
-// fig3Grid is the engine-explicit core of Fig3, shared with the scenario
-// registry.
-func fig3Grid(ctx context.Context, eng *sweep.Engine, sizes []int, iters int) *Grid {
-	return sweep.MapCtx(eng, ctx, 1, func(c *sweep.Ctx, _ int) *Grid {
-		return fig3(c, sizes, iters)
-	})[0]
+func Fig3(ctx context.Context, eng *sweep.Engine, sizes []int, iters int) *Grid {
+	return one(ctx, eng, func(c *sweep.Ctx) *Grid { return fig3(c, sizes, iters) })
 }
 
 // fig3 is one simulation: the size loop runs inside a single world so
@@ -79,8 +77,8 @@ func bwIters(m int) int {
 // Fig4 regenerates the bandwidth figure: streamed put and windowed get
 // bandwidth versus message size. Paper headline: peak 1775 MB/s; the get
 // round-trip overhead is visible until ~8 KB.
-func Fig4(sizes []int, window int) *Grid {
-	return one(func(c *sweep.Ctx) *Grid { return fig4(c, sizes, window) })
+func Fig4(ctx context.Context, eng *sweep.Engine, sizes []int, window int) *Grid {
+	return one(ctx, eng, func(c *sweep.Ctx) *Grid { return fig4(c, sizes, window) })
 }
 
 func fig4(c *sweep.Ctx, sizes []int, window int) *Grid {
@@ -143,8 +141,8 @@ func fig4(c *sweep.Ctx, sizes []int, window int) *Grid {
 
 // Fig5 regenerates the effective latency-per-byte figure (the message
 // aggregation inflection point; ~1 ns/byte beyond 4 KB).
-func Fig5(sizes []int, iters int) *Grid {
-	lat := Fig3(sizes, iters)
+func Fig5(ctx context.Context, eng *sweep.Engine, sizes []int, iters int) *Grid {
+	lat := Fig3(ctx, eng, sizes, iters)
 	g := &Grid{Title: "Fig 5: effective latency per byte (get)",
 		Header: []string{"bytes", "ns_per_byte"}}
 	getUS := lat.Column("get_us")
@@ -157,8 +155,8 @@ func Fig5(sizes []int, iters int) *Grid {
 // Fig6 regenerates the bandwidth-efficiency figure: achieved put
 // bandwidth over the 1.8 GB/s available peak, with the measured N1/2.
 // Paper: N1/2 = 2 KB, >= 90% beyond ~16 KB.
-func Fig6(sizes []int, window int) *Grid {
-	bw := Fig4(sizes, window)
+func Fig6(ctx context.Context, eng *sweep.Engine, sizes []int, window int) *Grid {
+	bw := Fig4(ctx, eng, sizes, window)
 	peak := network.DefaultParams().PeakPayloadBandwidth()
 	g := &Grid{Title: "Fig 6: bandwidth efficiency vs available peak",
 		Header: []string{"bytes", "efficiency"}}
@@ -179,8 +177,8 @@ func Fig6(sizes []int, window int) *Grid {
 // process (128 node = 2x2x4x4x2) partition: a pseudo-oscillatory curve
 // tracking torus hop distance under the ABCDET mapping, min 2.89 us,
 // +35 ns per hop per direction.
-func Fig7(procs, perNode, iters, rankStride int) *Grid {
-	return one(func(c *sweep.Ctx) *Grid { return fig7(c, procs, perNode, iters, rankStride) })
+func Fig7(ctx context.Context, eng *sweep.Engine, procs, perNode, iters, rankStride int) *Grid {
+	return one(ctx, eng, func(c *sweep.Ctx) *Grid { return fig7(c, procs, perNode, iters, rankStride) })
 }
 
 func fig7(c *sweep.Ctx, procs, perNode, iters, rankStride int) *Grid {
@@ -211,8 +209,8 @@ func fig7(c *sweep.Ctx, procs, perNode, iters, rankStride int) *Grid {
 // Fig8 regenerates the strided bandwidth figure: get/put bandwidth of a
 // fixed 1 MB patch as the contiguous chunk size l0 varies. The curve
 // should track Fig 4 evaluated at message size l0.
-func Fig8(l0s []int, total int) *Grid {
-	return one(func(c *sweep.Ctx) *Grid { return fig8(c, l0s, total) })
+func Fig8(ctx context.Context, eng *sweep.Engine, l0s []int, total int) *Grid {
+	return one(ctx, eng, func(c *sweep.Ctx) *Grid { return fig8(c, l0s, total) })
 }
 
 func fig8(c *sweep.Ctx, l0s []int, total int) *Grid {

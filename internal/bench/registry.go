@@ -162,7 +162,7 @@ var scenarios = map[string]*Scenario{
 			IntParam("iters", "repetitions per size", 5, 1, MaxIters),
 		},
 		run: func(ctx context.Context, eng *sweep.Engine, p Params) *Grid {
-			return fig3Grid(ctx, eng, p.Sizes, p.Iters)
+			return Fig3(ctx, eng, p.Sizes, p.Iters)
 		},
 	},
 	"amo": {
@@ -174,7 +174,7 @@ var scenarios = map[string]*Scenario{
 			IntParam("ops_each", "fetch-and-add ops per worker rank", 8, 1, MaxOpsEach),
 		},
 		run: func(ctx context.Context, eng *sweep.Engine, p Params) *Grid {
-			return hwAMOGrid(ctx, eng, p.Procs, p.OpsEach)
+			return AblationHardwareAMO(ctx, eng, p.Procs, p.OpsEach)
 		},
 	},
 	"fig9": {
@@ -186,7 +186,7 @@ var scenarios = map[string]*Scenario{
 			IntParam("ops_each", "fetch-and-add ops per worker rank", 8, 1, MaxOpsEach),
 		},
 		run: func(ctx context.Context, eng *sweep.Engine, p Params) *Grid {
-			return fig9Grid(ctx, eng, p.Procs, p.OpsEach)
+			return Fig9(ctx, eng, p.Procs, p.OpsEach)
 		},
 	},
 	"chaos": {
@@ -199,7 +199,7 @@ var scenarios = map[string]*Scenario{
 			UintParam("seed", "fault plan + jitter seed", 42),
 		},
 		run: func(ctx context.Context, eng *sweep.Engine, p Params) *Grid {
-			return chaosGrid(ctx, eng, p.Procs, p.OpsEach, p.Seed)
+			return Chaos(ctx, eng, p.Procs, p.OpsEach, p.Seed)
 		},
 	},
 	"scf": {
@@ -214,7 +214,7 @@ var scenarios = map[string]*Scenario{
 		run: func(ctx context.Context, eng *sweep.Engine, p Params) *Grid {
 			scfg := nwchem.Config{Mol: nwchem.NewMolecule([]int{8, 6, 6, 8, 6, 6}),
 				Iterations: p.Iters, FlopRate: 2e7}
-			return fig11Grid(ctx, eng, p.Procs, p.PerNode, scfg)
+			return Fig11(ctx, eng, p.Procs, p.PerNode, scfg)
 		},
 	},
 	"tableii": {

@@ -18,14 +18,7 @@ import (
 // Each (procs, mode) cell is one independent simulation fanned across
 // the sweep workers; rows are assembled by process-count index (even
 // slots Default, odd slots Async-Thread), never completion order.
-func Fig11(procCounts []int, scfg nwchem.Config) *Grid {
-	ctx, eng := setup()
-	return fig11Grid(ctx, eng, procCounts, 16, scfg)
-}
-
-// fig11Grid is the engine-explicit core of Fig11, shared with the
-// scenario registry.
-func fig11Grid(ctx context.Context, eng *sweep.Engine, procCounts []int, perNode int, scfg nwchem.Config) *Grid {
+func Fig11(ctx context.Context, eng *sweep.Engine, procCounts []int, perNode int, scfg nwchem.Config) *Grid {
 	g := &Grid{Title: "Fig 11: NWChem SCF proxy, Default (D) vs Async Thread (AT)",
 		Header: []string{"procs", "D_ms", "AT_ms", "reduction_pct",
 			"D_counter_ms", "AT_counter_ms", "D_get_ms", "AT_get_ms", "compute_ms"}}
@@ -55,8 +48,8 @@ func fig11Grid(ctx context.Context, eng *sweep.Engine, procCounts []int, perNode
 // SCFPoint runs one SCF experiment through the sweep-engine path (child
 // registry, worker pool), for drivers that need a single (procs, mode)
 // cell rather than the whole Fig 11 sweep.
-func SCFPoint(procs, perNode int, async bool, scfg nwchem.Config) nwchem.Result {
-	return one(func(c *sweep.Ctx) nwchem.Result {
+func SCFPoint(ctx context.Context, eng *sweep.Engine, procs, perNode int, async bool, scfg nwchem.Config) nwchem.Result {
+	return one(ctx, eng, func(c *sweep.Ctx) nwchem.Result {
 		return nwchem.Experiment(c.Cfg(armci.Config{
 			Procs: procs, ProcsPerNode: perNode, AsyncThread: async}), scfg)
 	})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/armci"
@@ -63,11 +64,11 @@ func TableII() *Grid {
 //
 // The two protocol variants are independent simulations and run as two
 // sweep tasks; columns are keyed by variant index.
-func EqValidation(sizes []int, iters int) *Grid {
+func EqValidation(ctx context.Context, eng *sweep.Engine, sizes []int, iters int) *Grid {
 	g := &Grid{Title: "Eq 7/8: RDMA get vs fallback get (measured, us)",
 		Header: []string{"bytes", "rdma_us", "fallback_us", "ratio"}}
 
-	cols := mapN(2, func(c *sweep.Ctx, i int) []float64 {
+	cols := sweep.MapCtx(eng, ctx, 2, func(c *sweep.Ctx, i int) []float64 {
 		if i == 0 {
 			return measureRDMA(c, sizes, iters)
 		}

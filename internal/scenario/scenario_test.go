@@ -246,7 +246,7 @@ func TestPromotedPatternsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), sweep.New(2, nil), sp)
+	res, err := Run(context.Background(), sweep.NewSharded(2, 0, nil), sp)
 	if err != nil {
 		t.Fatal(err)
 	}

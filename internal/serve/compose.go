@@ -101,8 +101,8 @@ func (c ComposeConfig) exec() func(ctx context.Context, eng *sweep.Engine) ([]by
 }
 
 // handleCompose is POST /v1/compose. Synchronous by default (the
-// artifact in the response body, as POST /run); `?async=1` switches to
-// submit semantics (202 + run record, as POST /runs) so composed runs
+// artifact in the response body, as POST /v1/run); `?async=1` switches to
+// submit semantics (202 + run record, as POST /v1/runs) so composed runs
 // are SSE live-attachable while executing.
 func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	noStore(w)

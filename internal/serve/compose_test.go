@@ -194,72 +194,41 @@ func TestRunStructuredErrors(t *testing.T) {
 	}
 }
 
-// The versioned surface: /v1 routes answer without deprecation marks;
-// unversioned aliases answer identically but carry Deprecation and a
-// successor Link.
-func TestV1AndDeprecatedAliases(t *testing.T) {
+// The job API exists only under /v1: the unversioned spellings it once
+// answered to are 404 for every method, while the infrastructure probes
+// (/healthz, /metrics) stay where load balancers and scrapers expect them.
+func TestUnversionedRoutesGone(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	post(t, ts, fastJob) // warm one artifact
+	info := submitAsync(t, ts, fastJob)
 
-	for _, path := range []string{"/scenarios", "/runs", "/healthz", "/metrics"} {
+	for _, rt := range []struct{ method, path string }{
+		{"POST", "/run"},
+		{"GET", "/scenarios"},
+		{"POST", "/runs"},
+		{"GET", "/runs"},
+		{"GET", "/runs/" + info.ID},
+		{"GET", "/runs/" + info.ID + "/events"},
+		{"POST", "/compose"},
+	} {
+		req, _ := http.NewRequest(rt.method, ts.URL+rt.path, strings.NewReader(fastJob))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", rt.method, rt.path, resp.StatusCode)
+		}
+	}
+	for _, path := range []string{"/healthz", "/metrics", "/v1/scenarios", "/v1/runs/" + info.ID} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		dep := resp.Header.Get("Deprecation")
-		link := resp.Header.Get("Link")
-		if path == "/healthz" || path == "/metrics" {
-			// Infrastructure probes are unversioned and not deprecated.
-			if dep != "" {
-				t.Errorf("GET %s: unexpected Deprecation %q", path, dep)
-			}
-			continue
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200", path, resp.StatusCode)
 		}
-		if dep != "true" {
-			t.Errorf("GET %s: Deprecation = %q, want true", path, dep)
-		}
-		if want := `</v1` + path + `>; rel="successor-version"`; link != want {
-			t.Errorf("GET %s: Link = %q, want %q", path, link, want)
-		}
-	}
-
-	// The /v1 forms serve the same payloads, without deprecation marks.
-	for _, path := range []string{"/scenarios", "/runs"} {
-		legacy, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var legacyBody bytes.Buffer
-		legacyBody.ReadFrom(legacy.Body)
-		legacy.Body.Close()
-
-		v1, err := http.Get(ts.URL + "/v1" + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v1Body bytes.Buffer
-		v1Body.ReadFrom(v1.Body)
-		v1.Body.Close()
-		if v1.Header.Get("Deprecation") != "" {
-			t.Errorf("GET /v1%s carries a Deprecation header", path)
-		}
-		if !bytes.Equal(legacyBody.Bytes(), v1Body.Bytes()) {
-			t.Errorf("GET %s and /v1%s disagree", path, path)
-		}
-	}
-
-	// POST /v1/run serves artifacts exactly like the legacy path.
-	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(fastJob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
-		t.Errorf("POST /v1/run: status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("POST /v1/run carries a Deprecation header")
 	}
 }
 

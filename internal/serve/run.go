@@ -21,7 +21,7 @@ package serve
 //
 // The `done` event is always the last entry; concatenating the decoded
 // `result` chunks yields the final artifact byte-for-byte (the cache and
-// the synchronous POST /run response serve the same bytes).
+// the synchronous POST /v1/run response serve the same bytes).
 
 import (
 	"bytes"
@@ -77,7 +77,7 @@ type Run struct {
 	key      string
 	scenario string
 	format   string
-	seq      uint64 // admission order, for stable /runs listing
+	seq      uint64 // admission order, for stable /v1/runs listing
 	created  time.Time
 
 	mu        sync.Mutex
@@ -260,7 +260,7 @@ func (run *Run) Watchers() int {
 	return run.watchers
 }
 
-// RunInfo is the JSON shape of GET /runs and GET /runs/{id}.
+// RunInfo is the JSON shape of GET /v1/runs and GET /v1/runs/{id}.
 type RunInfo struct {
 	ID       string   `json:"id"`
 	Scenario string   `json:"scenario"`

@@ -41,16 +41,11 @@ type Options struct {
 	// cores instead of oversubscribing them.
 	SweepWorkers int
 	// Shards is the intra-run lane worker count each engine applies to
-	// the simulations it executes (armci.Config.Shards; default 0, the
-	// single-worker lane engine). Execution-side only: shard count is
-	// not part of a job's identity, so it never changes which cache
-	// entry a config maps to nor the bytes that entry holds.
+	// the simulations it executes (armci.Config.Shards; default 0, one
+	// lane worker). Execution-side only: shard count is not part of a
+	// job's identity, so it never changes which cache entry a config
+	// maps to nor the bytes that entry holds.
 	Shards int
-	// LaneGroup is the lane-execution grain each engine applies
-	// (armci.Config.LaneGroup; default 0, the canonical auto choice).
-	// Execution-side only, exactly like Shards: never part of a job's
-	// identity or its cached bytes.
-	LaneGroup int
 	// JobTimeout aborts a single job's execution (default 2 minutes).
 	JobTimeout time.Duration
 	// RunHistory bounds retained run records, live plus finished
@@ -220,6 +215,14 @@ func New(opts Options) *Server {
 // says "starting" until done); with Peers set it participates in the
 // consistent-hash cluster.
 func NewServer(opts Options) (*Server, error) {
+	// The execution plan is checked here, once, so a bad value stops the
+	// daemon at start-up instead of failing every job it later accepts.
+	if opts.Shards < 0 {
+		return nil, fmt.Errorf("Options.Shards must be non-negative, got %d", opts.Shards)
+	}
+	if opts.SweepWorkers < 0 {
+		return nil, fmt.Errorf("Options.SweepWorkers must be non-negative, got %d", opts.SweepWorkers)
+	}
 	opts = opts.withDefaults()
 	base, stop := context.WithCancel(context.Background())
 	s := &Server{
@@ -237,9 +240,7 @@ func NewServer(opts Options) (*Server, error) {
 		started: time.Now(),
 	}
 	for i := 0; i < opts.Workers; i++ {
-		e := sweep.NewSharded(opts.SweepWorkers, opts.Shards, nil)
-		e.SetLaneGroup(opts.LaneGroup)
-		s.engines <- e
+		s.engines <- sweep.NewSharded(opts.SweepWorkers, opts.Shards, nil)
 	}
 	if opts.StoreDir != "" {
 		st, err := OpenStore(opts.StoreDir)
@@ -267,25 +268,14 @@ func NewServer(opts Options) (*Server, error) {
 		s.proxyClient = &http.Client{Timeout: opts.JobTimeout + 10*time.Second}
 	}
 	s.mux = http.NewServeMux()
-	// The job API mounts twice: canonically under /v1, and at the legacy
-	// unversioned paths with a Deprecation header pointing at the
-	// successor. Compose is /v1-only (it never had an unversioned life);
-	// /healthz and /metrics are infrastructure probes, not API, and stay
-	// unversioned.
-	for _, rt := range []struct {
-		method, path string
-		h            http.HandlerFunc
-	}{
-		{"POST", "/run", s.handleRun},
-		{"GET", "/scenarios", s.handleScenarios},
-		{"POST", "/runs", s.handleSubmit},
-		{"GET", "/runs", s.handleRuns},
-		{"GET", "/runs/{id}", s.handleRunGet},
-		{"GET", "/runs/{id}/events", s.handleRunEvents},
-	} {
-		s.mux.HandleFunc(rt.method+" /v1"+rt.path, rt.h)
-		s.mux.HandleFunc(rt.method+" "+rt.path, deprecated(rt.h))
-	}
+	// The job API lives under /v1; /healthz and /metrics are
+	// infrastructure probes, not API, and stay unversioned.
+	s.mux.HandleFunc("POST /v1/run", s.handleRun)
+	s.mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
+	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
+	s.mux.HandleFunc("GET /v1/runs", s.handleRuns)
+	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleRunGet)
+	s.mux.HandleFunc("GET /v1/runs/{id}/events", s.handleRunEvents)
 	s.mux.HandleFunc("POST /v1/compose", s.handleCompose)
 	// Result export: serves already-materialized artifacts (hot LRU or
 	// disk) to cluster peers; never triggers execution. Useful solo too —
@@ -294,17 +284,6 @@ func NewServer(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s, nil
-}
-
-// deprecated wraps a legacy unversioned route: responses carry a
-// Deprecation header (RFC 8594) and a Link to the /v1 successor, so
-// clients discover the versioned surface without breaking.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1`+r.URL.Path+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // Handler returns the HTTP handler to mount (wrapped in the request
@@ -466,7 +445,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, j job) {
 	}
 	access(r).setCache("miss")
 
-	// Create the record before launching so a GET /runs/{id} issued right
+	// Create the record before launching so a GET /v1/runs/{id} issued right
 	// after the 202 can never race a not-yet-registered run.
 	run := s.runs.begin(j.key, j.scenario, j.format)
 	s.flight.start(s.base, j.key, func(ctx context.Context) *jobResult {

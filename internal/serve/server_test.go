@@ -32,9 +32,9 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 
 func post(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /run: %v", err)
+		t.Fatalf("POST /v1/run: %v", err)
 	}
 	defer resp.Body.Close()
 	var buf bytes.Buffer
@@ -182,7 +182,7 @@ func TestDrain(t *testing.T) {
 
 func TestScenariosEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	resp, err := http.Get(ts.URL + "/scenarios")
+	resp, err := http.Get(ts.URL + "/v1/scenarios")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 // TestShardsNeverChangeCachedBytes is the serving-layer side of the
 // shard-invariance contract: Options.Shards is an execution knob, not
 // part of a job's identity, so servers running the same config on any
-// lane worker count — including the legacy single-queue engine — must
-// produce byte-identical artifacts and identical cache keys. GOMAXPROCS
+// lane worker count must produce byte-identical artifacts and identical
+// cache keys. GOMAXPROCS
 // is pinned to 4 so CoreBudget does not collapse the shard budget on a
 // small CI host.
 func TestShardsNeverChangeCachedBytes(t *testing.T) {
@@ -42,13 +42,27 @@ func TestShardsNeverChangeCachedBytes(t *testing.T) {
 	}
 
 	baseBody, baseKey := run(0)
-	for _, shards := range []int{2, 4, -1} {
+	for _, shards := range []int{2, 4} {
 		body, key := run(shards)
 		if !bytes.Equal(body, baseBody) {
 			t.Errorf("shards=%d: artifact bytes differ from shards=0", shards)
 		}
 		if key != baseKey {
 			t.Errorf("shards=%d: config hash %q differs from shards=0's %q (shards leaked into the cache key)", shards, key, baseKey)
+		}
+	}
+}
+
+// TestNewServerRejectsNegativeExecutionOptions: the execution plan is
+// validated once, at construction. (A server built with Shards: -2 used
+// to boot, report healthy, and then fail every job it accepted with a
+// 500 from deep inside armci.)
+func TestNewServerRejectsNegativeExecutionOptions(t *testing.T) {
+	for _, opts := range []Options{{Shards: -1}, {Shards: -2}, {SweepWorkers: -1}} {
+		s, err := NewServer(opts)
+		if err == nil {
+			s.Close()
+			t.Errorf("NewServer(%+v) succeeded, want an error", opts)
 		}
 	}
 }

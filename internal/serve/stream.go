@@ -28,10 +28,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleSubmit is POST /runs: async job submission. The response is
+// handleSubmit is POST /v1/runs: async job submission. The response is
 // immediate — 200 with the run ID when the artifact is already cached
 // (the registry synthesizes a replayable finished run), 202 otherwise —
-// and the client follows the run via GET /runs/{id} or the SSE stream.
+// and the client follows the run via GET /v1/runs/{id} or the SSE stream.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		unavailable(w)
@@ -54,7 +54,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.submitJob(w, r, j)
 }
 
-// handleRuns is GET /runs: every retained run, admission order.
+// handleRuns is GET /v1/runs: every retained run, admission order.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	infos := s.runs.list()
 	if infos == nil {
@@ -63,7 +63,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, infos)
 }
 
-// handleRunGet is GET /runs/{id}. A run evicted from the registry whose
+// handleRunGet is GET /v1/runs/{id}. A run evicted from the registry whose
 // artifact still sits in the result cache answers with a synthesized
 // done record (evicted=true) instead of a 404 — the artifact, which is
 // the run's identity, is still addressable.
@@ -85,7 +85,7 @@ func (s *Server) handleRunGet(w http.ResponseWriter, r *http.Request) {
 	notFound(w, "id", "no run record or cached artifact for this id")
 }
 
-// handleRunEvents is GET /runs/{id}/events: the SSE live-attach stream.
+// handleRunEvents is GET /v1/runs/{id}/events: the SSE live-attach stream.
 // Replay starts at log index 0 regardless of when the client attaches;
 // the run's determinism makes the replay exact. The stream ends after
 // the run's terminal `done` event, on client disconnect, or — when the

@@ -67,18 +67,18 @@ func parseSSE(t *testing.T, raw string) []sseEvent {
 	return evs
 }
 
-// submitAsync posts a job to POST /runs and returns the decoded run info.
+// submitAsync posts a job to POST /v1/runs and returns the decoded run info.
 func submitAsync(t *testing.T, ts *httptest.Server, job string) RunInfo {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(job))
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(job))
 	if err != nil {
-		t.Fatalf("POST /runs: %v", err)
+		t.Fatalf("POST /v1/runs: %v", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 		var buf bytes.Buffer
 		buf.ReadFrom(resp.Body)
-		t.Fatalf("POST /runs: status %d, body %s", resp.StatusCode, buf.String())
+		t.Fatalf("POST /v1/runs: status %d, body %s", resp.StatusCode, buf.String())
 	}
 	var info RunInfo
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
@@ -138,7 +138,7 @@ func streamScenario(t *testing.T, sweepWorkers int, job string) (string, []byte)
 	t.Helper()
 	_, ts := newTestServer(t, Options{SweepWorkers: sweepWorkers})
 	info := submitAsync(t, ts, job)
-	eventsURL := ts.URL + "/runs/" + info.ID + "/events"
+	eventsURL := ts.URL + "/v1/runs/" + info.ID + "/events"
 
 	live, liveEvs := readSSE(t, eventsURL) // attaches mid-run, follows to done
 	replay, _ := readSSE(t, eventsURL)     // attaches after done, replays the log
@@ -213,7 +213,7 @@ func TestLiveStreamEveryScenario(t *testing.T) {
 func TestLiveStreamSchema(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	info := submitAsync(t, ts, `{"scenario":"amo","params":{"procs":[2,4],"ops_each":2}}`)
-	_, evs := readSSE(t, ts.URL+"/runs/"+info.ID+"/events")
+	_, evs := readSSE(t, ts.URL+"/v1/runs/"+info.ID+"/events")
 
 	if evs[0].name != "hello" || evs[0].id != "0" {
 		t.Fatalf("first event %+v, want hello id 0", evs[0])
@@ -283,9 +283,9 @@ func TestLiveStreamSchema(t *testing.T) {
 func TestRunsListingAndGet(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	info := submitAsync(t, ts, fastJob)
-	readSSE(t, ts.URL+"/runs/"+info.ID+"/events") // wait for completion
+	readSSE(t, ts.URL+"/v1/runs/"+info.ID+"/events") // wait for completion
 
-	resp, err := http.Get(ts.URL + "/runs/" + info.ID)
+	resp, err := http.Get(ts.URL + "/v1/runs/" + info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestRunsListingAndGet(t *testing.T) {
 		t.Fatalf("progress counters: %d/%d", got.Points, got.Total)
 	}
 
-	resp, err = http.Get(ts.URL + "/runs")
+	resp, err = http.Get(ts.URL + "/v1/runs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,12 +307,12 @@ func TestRunsListingAndGet(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&list)
 	resp.Body.Close()
 	if len(list) != 1 || list[0].ID != info.ID {
-		t.Fatalf("/runs listing: %+v", list)
+		t.Fatalf("/v1/runs listing: %+v", list)
 	}
 
 	// Re-submitting the same config is a cache hit: 200, state done,
 	// no new execution.
-	resp2, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(fastJob))
+	resp2, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(fastJob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestRunsListingAndGet(t *testing.T) {
 		t.Fatalf("cached submit info: %+v", cached)
 	}
 
-	if resp3, err := http.Get(ts.URL + "/runs/no-such-run"); err != nil || resp3.StatusCode != http.StatusNotFound {
+	if resp3, err := http.Get(ts.URL + "/v1/runs/no-such-run"); err != nil || resp3.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown run: %v %v", resp3.StatusCode, err)
 	} else {
 		resp3.Body.Close()
@@ -340,13 +340,13 @@ func TestRunsListingAndGet(t *testing.T) {
 func TestRunEvictedButCached(t *testing.T) {
 	_, ts := newTestServer(t, Options{RunHistory: 1})
 	first := submitAsync(t, ts, fastJob)
-	_, firstEvs := readSSE(t, ts.URL+"/runs/"+first.ID+"/events")
+	_, firstEvs := readSSE(t, ts.URL+"/v1/runs/"+first.ID+"/events")
 	firstArtifact := resultBytes(t, firstEvs)
 
 	second := submitAsync(t, ts, `{"scenario":"micro","params":{"sizes":[128],"iters":1}}`)
-	readSSE(t, ts.URL+"/runs/"+second.ID+"/events")
+	readSSE(t, ts.URL+"/v1/runs/"+second.ID+"/events")
 
-	resp, err := http.Get(ts.URL + "/runs/" + first.ID)
+	resp, err := http.Get(ts.URL + "/v1/runs/" + first.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestRunEvictedButCached(t *testing.T) {
 		t.Fatalf("evicted-but-cached run info: %+v", got)
 	}
 
-	_, evs := readSSE(t, ts.URL+"/runs/"+first.ID+"/events")
+	_, evs := readSSE(t, ts.URL+"/v1/runs/"+first.ID+"/events")
 	if !bytes.Equal(resultBytes(t, evs), firstArtifact) {
 		t.Fatal("resurrected replay does not reproduce the artifact")
 	}
@@ -374,7 +374,7 @@ func TestDrainMidStream(t *testing.T) {
 	info := submitAsync(t, ts, fastJob)
 	done := make(chan string, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + "/runs/" + info.ID + "/events")
+		resp, err := http.Get(ts.URL + "/v1/runs/" + info.ID + "/events")
 		if err != nil {
 			done <- ""
 			return
@@ -411,7 +411,7 @@ func TestDisconnectDecrementsWatchers(t *testing.T) {
 
 	info := submitAsync(t, ts, fastJob)
 	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/runs/"+info.ID+"/events", nil)
+	req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/runs/"+info.ID+"/events", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +423,7 @@ func TestDisconnectDecrementsWatchers(t *testing.T) {
 	cancel()
 	waitFor(t, func() bool { return run.Watchers() == 0 })
 	s.engines <- eng // let the job finish so Cleanup is quick
-	readSSE(t, ts.URL+"/runs/"+info.ID+"/events")
+	readSSE(t, ts.URL+"/v1/runs/"+info.ID+"/events")
 }
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -445,9 +445,9 @@ func TestHeaderHygiene(t *testing.T) {
 
 	t.Run("allow on method mismatch", func(t *testing.T) {
 		for path, wantAllow := range map[string]string{
-			"/run":     "POST",
+			"/v1/run":  "POST",
 			"/metrics": "GET, HEAD",
-			"/runs":    "GET, HEAD, POST",
+			"/v1/runs": "GET, HEAD, POST",
 		} {
 			req, _ := http.NewRequest("DELETE", ts.URL+path, nil)
 			resp, err := http.DefaultClient.Do(req)
@@ -467,12 +467,12 @@ func TestHeaderHygiene(t *testing.T) {
 	t.Run("no-store and content types", func(t *testing.T) {
 		resp, _ := post(t, ts, fastJob)
 		if resp.Header.Get("Cache-Control") != "no-store" {
-			t.Error("POST /run response without Cache-Control: no-store")
+			t.Error("POST /v1/run response without Cache-Control: no-store")
 		}
 		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/csv") {
 			t.Errorf("artifact Content-Type = %q", ct)
 		}
-		for _, path := range []string{"/metrics", "/runs"} {
+		for _, path := range []string{"/metrics", "/v1/runs"} {
 			r, err := http.Get(ts.URL + path)
 			if err != nil {
 				t.Fatal(err)
@@ -499,7 +499,7 @@ func TestAccessLog(t *testing.T) {
 		t.Fatalf("%d log lines, want 2:\n%s", len(lines), logw.String())
 	}
 	for i, want := range []string{"cache=miss", "cache=hit"} {
-		for _, frag := range []string{"method=POST", "path=/run", "status=200", "scenario=micro", want, "latency="} {
+		for _, frag := range []string{"method=POST", "path=/v1/run", "status=200", "scenario=micro", want, "latency="} {
 			if !strings.Contains(lines[i], frag) {
 				t.Errorf("log line %d missing %q: %s", i, frag, lines[i])
 			}

@@ -16,15 +16,14 @@ func TestCoreBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	cases := []struct{ w, s, wantW, wantS int }{
-		{0, 0, 4, 0},   // defaults: every core becomes a sweep worker
-		{0, -1, 4, -1}, // legacy engine costs one core per run
-		{1, 4, 1, 4},   // fits exactly: one run on four lane workers
-		{4, 4, 4, 1},   // the thrash case: workers win, shards collapse
-		{2, 4, 2, 2},   // partial shrink to the quotient
-		{0, 4, 1, 4},   // auto workers leave room for the shard budget
-		{0, 2, 2, 2},   // balanced split
-		{8, 2, 8, 1},   // worker oversubscription honored, shards give way
-		{3, 2, 3, 1},   // integer shrink rounds the shard budget down
+		{0, 0, 4, 0}, // defaults: every core becomes a sweep worker
+		{1, 4, 1, 4}, // fits exactly: one run on four lane workers
+		{4, 4, 4, 1}, // the thrash case: workers win, shards collapse
+		{2, 4, 2, 2}, // partial shrink to the quotient
+		{0, 4, 1, 4}, // auto workers leave room for the shard budget
+		{0, 2, 2, 2}, // balanced split
+		{8, 2, 8, 1}, // worker oversubscription honored, shards give way
+		{3, 2, 3, 1}, // integer shrink rounds the shard budget down
 	}
 	for _, c := range cases {
 		w, s := CoreBudget(c.w, c.s)

@@ -62,17 +62,9 @@ type Ctx struct {
 	// tasks and Map calls.
 	Pool *armci.Pool
 	// Shards is the engine's per-run lane worker budget, forwarded to
-	// armci.Config.Shards (0 = default single-worker lane engine, -1 =
-	// the legacy single-queue engine). Purely an execution knob: shard
-	// count never changes a simulation's results.
+	// armci.Config.Shards. Purely an execution value: shard count never
+	// changes a simulation's results.
 	Shards int
-	// LaneGroup is the engine's lane-execution grain, forwarded to
-	// armci.Config.LaneGroup (0 = auto from nodes and Shards). Execution
-	// knob only — results are invariant across settings.
-	LaneGroup int
-	// SerialBoundary forwards armci.Config.SerialBoundary: the serial
-	// boundary-deposit oracle for equivalence testing. Execution only.
-	SerialBoundary bool
 }
 
 // Cfg attaches the run's registry, worker pool, and shard budget to a
@@ -81,8 +73,6 @@ func (c *Ctx) Cfg(cfg armci.Config) armci.Config {
 	cfg.Obs = c.Reg
 	cfg.Pool = c.Pool
 	cfg.Shards = c.Shards
-	cfg.LaneGroup = c.LaneGroup
-	cfg.SerialBoundary = c.SerialBoundary
 	return cfg
 }
 
@@ -94,8 +84,9 @@ func (c *Ctx) Cfg(cfg armci.Config) armci.Config {
 // runnable goroutines thrashing 4 cores).
 //
 // workers <= 0 asks for as many sweep workers as the shard budget
-// leaves; shards 0 (default lane engine, one worker) and -1 (legacy
-// single-queue engine) both cost one core and pass through unchanged.
+// leaves; shards 0 (one lane worker) costs one core and passes through
+// unchanged, as does a negative value, which armci.Config then refuses
+// (drivers reject it earlier, where they parse it).
 // An explicit worker count is always honored — sweep workers are cheap
 // goroutines, and byte-identity at any worker count is a tested
 // contract — so only the multiplied shard budget shrinks to fit.
@@ -124,27 +115,19 @@ func CoreBudget(workers, shards int) (int, int) {
 // cheap; build one per (worker count, parent registry) setting. Map calls
 // on one engine must not overlap.
 type Engine struct {
-	workers   int
-	shards    int
-	laneGroup int
-	serialBnd bool
-	parent    *obs.Registry
-	pools     []*armci.Pool
+	workers int
+	shards  int
+	parent  *obs.Registry
+	pools   []*armci.Pool
 }
 
-// New returns an engine running tasks on the given number of workers
-// (<= 0 selects GOMAXPROCS), recording into parent (which may be nil for
-// no observability). Construction fixes the process GC posture via
-// TuneGC.
-func New(workers int, parent *obs.Registry) *Engine {
-	return NewSharded(workers, 0, parent)
-}
-
-// NewSharded is New with an intra-run shard budget: every simulation the
-// engine runs executes on that many parallel lane workers
-// (armci.Config.Shards). The (workers, shards) pair is resolved through
+// NewSharded returns the execution plan every driver resolves once at
+// its edge: tasks fan across workers sweep workers (<= 0 selects as many
+// as GOMAXPROCS allows), every simulation executes on shards parallel
+// lane workers (armci.Config.Shards), and runs record into parent (nil
+// for no observability). The (workers, shards) pair is resolved through
 // CoreBudget, so the combined goroutine count never oversubscribes
-// GOMAXPROCS.
+// GOMAXPROCS. Construction fixes the process GC posture via TuneGC.
 func NewSharded(workers, shards int, parent *obs.Registry) *Engine {
 	TuneGC()
 	workers, shards = CoreBudget(workers, shards)
@@ -158,14 +141,6 @@ func (e *Engine) Workers() int { return e.workers }
 // Shards returns the per-run lane worker budget after CoreBudget
 // resolution.
 func (e *Engine) Shards() int { return e.shards }
-
-// SetLaneGroup sets the lane-execution grain forwarded to every run
-// (armci.Config.LaneGroup; 0 = auto). Call before Map.
-func (e *Engine) SetLaneGroup(g int) { e.laneGroup = g }
-
-// SetSerialBoundary forwards the serial boundary-deposit oracle flag to
-// every run. Call before Map.
-func (e *Engine) SetSerialBoundary(b bool) { e.serialBnd = b }
 
 func (e *Engine) pool(w int) *armci.Pool {
 	if e.pools[w] == nil {
@@ -227,7 +202,7 @@ func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(c *Ctx, i int)
 		workers = n
 	}
 	if workers <= 1 {
-		c := &Ctx{Pool: e.pool(0), Shards: e.shards, LaneGroup: e.laneGroup, SerialBoundary: e.serialBnd}
+		c := &Ctx{Pool: e.pool(0), Shards: e.shards}
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
 				return out
@@ -247,7 +222,7 @@ func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(c *Ctx, i int)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := &Ctx{Pool: e.pool(w), Shards: e.shards, LaneGroup: e.laneGroup, SerialBoundary: e.serialBnd}
+			c := &Ctx{Pool: e.pool(w), Shards: e.shards}
 			for ctx.Err() == nil {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {

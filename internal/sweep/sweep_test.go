@@ -14,7 +14,7 @@ import (
 )
 
 func TestMapSubmissionOrder(t *testing.T) {
-	e := New(4, nil)
+	e := NewSharded(4, 0, nil)
 	got := Map(e, 37, func(c *Ctx, i int) int { return i * i })
 	for i, v := range got {
 		if v != i*i {
@@ -62,7 +62,7 @@ func TestMapWorkerCountInvariance(t *testing.T) {
 	const n = 12
 	run := func(workers int) (string, string) {
 		parent := obs.New(obs.WithTrackCap(64))
-		vals := Map(New(workers, parent), n, sweepTask)
+		vals := Map(NewSharded(workers, 0, parent), n, sweepTask)
 		return fmt.Sprint(vals), registryDump(t, parent)
 	}
 	vals1, dump1 := run(1)
@@ -80,7 +80,7 @@ func TestMapWorkerCountInvariance(t *testing.T) {
 // TestMapPoolsPersist verifies cross-Map pool reuse: the second Map on
 // the same engine must find the workers' pools already warmed.
 func TestMapPoolsPersist(t *testing.T) {
-	e := New(2, nil)
+	e := NewSharded(2, 0, nil)
 	Map(e, 4, sweepTask)
 	p0 := e.pools[0]
 	if p0 == nil {
@@ -97,7 +97,7 @@ func TestMapPoolsPersist(t *testing.T) {
 // completed tasks still merge into the parent.
 func TestMapCtxCancellation(t *testing.T) {
 	parent := obs.New(obs.WithTrackCap(64))
-	e := New(1, parent) // serial: deterministic cut point
+	e := NewSharded(1, 0, parent) // serial: deterministic cut point
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
 	out := MapCtx(e, ctx, 10, func(c *Ctx, i int) int {
@@ -135,7 +135,7 @@ func TestMapCtxCancelledBeforeStart(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran int64
-		MapCtx(New(workers, nil), ctx, 8, func(c *Ctx, i int) int {
+		MapCtx(NewSharded(workers, 0, nil), ctx, 8, func(c *Ctx, i int) int {
 			atomic.AddInt64(&ran, 1)
 			return i
 		})
@@ -174,7 +174,7 @@ func TestMapEmitterOrderedDelivery(t *testing.T) {
 		parent := obs.New(obs.WithTrackCap(64))
 		em := &recordingEmitter{parent: parent}
 		ctx := WithEmitter(context.Background(), em)
-		MapCtx(New(workers, parent), ctx, n, sweepTask)
+		MapCtx(NewSharded(workers, 0, parent), ctx, n, sweepTask)
 		return em
 	}
 	ref := run(1)
@@ -208,7 +208,7 @@ func TestMapEmitterOrderedDelivery(t *testing.T) {
 // barrierMap is the pre-refactor reference implementation: run every
 // task, then merge all children behind a barrier in index order.
 func barrierMap(workers, n int, parent *obs.Registry, fn func(c *Ctx, i int) sim.Time) []sim.Time {
-	e := New(workers, nil)
+	e := NewSharded(workers, 0, nil)
 	out := make([]sim.Time, n)
 	regs := make([]*obs.Registry, n)
 	next := int64(-1)
@@ -254,7 +254,7 @@ func TestMapOrderedEmissionMatchesBarrier(t *testing.T) {
 		}
 
 		ip := obs.New(obs.WithTrackCap(64))
-		iv := Map(New(workers, ip), n, sweepTask)
+		iv := Map(NewSharded(workers, 0, ip), n, sweepTask)
 		if fmt.Sprint(iv) != fmt.Sprint(refVals) {
 			t.Fatalf("incremental results differ from barrier at workers=%d", workers)
 		}
@@ -269,7 +269,7 @@ func TestMapOrderedEmissionMatchesBarrier(t *testing.T) {
 func TestMapRegistryOverride(t *testing.T) {
 	engineParent := obs.New(obs.WithTrackCap(64))
 	runReg := obs.New(obs.WithTrackCap(64))
-	e := New(2, engineParent)
+	e := NewSharded(2, 0, engineParent)
 	ctx := WithRegistry(context.Background(), runReg)
 	MapCtx(e, ctx, 4, func(c *Ctx, i int) int {
 		c.Reg.Counter("test/points").Add(1)
@@ -289,7 +289,7 @@ func TestMapEmitterCancellation(t *testing.T) {
 	parent := obs.New(obs.WithTrackCap(64))
 	em := &recordingEmitter{parent: parent}
 	ctx, cancel := context.WithCancel(WithEmitter(context.Background(), em))
-	MapCtx(New(1, parent), ctx, 10, func(c *Ctx, i int) int {
+	MapCtx(NewSharded(1, 0, parent), ctx, 10, func(c *Ctx, i int) int {
 		if i == 2 {
 			cancel()
 		}
@@ -301,7 +301,7 @@ func TestMapEmitterCancellation(t *testing.T) {
 }
 
 func TestMapEmptyAndNilParent(t *testing.T) {
-	e := New(0, nil) // GOMAXPROCS default
+	e := NewSharded(0, 0, nil) // GOMAXPROCS default
 	if got := Map(e, 0, func(c *Ctx, i int) int { return 1 }); len(got) != 0 {
 		t.Fatal("n=0 should yield an empty slice")
 	}

@@ -2,50 +2,48 @@ package repro
 
 import (
 	"bytes"
-	"context"
-	"strings"
+	"fmt"
 	"testing"
 
 	"repro/internal/armci"
 	"repro/internal/bench"
 	"repro/internal/obs"
-	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
-// goldenScenarioTuned is goldenScenarioSharded with the remaining lane
-// execution knobs explicit: the lane-group grain and the serial-boundary
-// oracle. Like the shard count, neither may change a simulated byte.
-func goldenScenarioTuned(shards, laneGroup int, serialBoundary bool, reg *obs.Registry) *armci.World {
-	const procs = 24
-	cfg := armci.Config{
-		Procs: procs, ProcsPerNode: 4, AsyncThread: true,
-		Seed: 7, Obs: reg, Shards: shards,
-		LaneGroup: laneGroup, SerialBoundary: serialBoundary,
+// The lane-group grain and the serial-boundary oracle are not settings
+// of armci, sweep, bench or any binary: they live on the sim kernel. The
+// tests below reach them the only way left — they build the world on a
+// kernel of their own and set it between armci.NewWorld (which picks
+// AutoLaneGroup and the staged boundary) and Start.
+
+// runTuned runs body on a world whose kernel uses the given lane-group
+// grain and boundary path, and returns the finished world.
+func runTuned(t *testing.T, cfg armci.Config, laneGroup int, serialBoundary bool,
+	body func(th *sim.Thread, rt *armci.Runtime)) *armci.World {
+	t.Helper()
+	k := sim.NewKernel()
+	w, err := armci.NewWorld(k, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	w := armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
-		a := rt.Malloc(th, 4096)
-		local := rt.LocalAlloc(th, 4096)
-		peer := (rt.Rank + 1) % procs
-		for i := 0; i < 4; i++ {
-			rt.Put(th, local, a.At(peer), 256)
-			rt.Get(th, a.At(peer), local, 512)
-			rt.FetchAdd(th, a.At(0), 1)
-			rt.Acc(th, local, a.At(peer).Add(512), 64, 2.0)
-		}
-		rt.Fence(th, peer)
-		rt.Barrier(th)
-	})
+	k.SetLaneGroup(laneGroup)
+	k.SetSerialBoundary(serialBoundary)
+	w.Start(body)
+	if err := k.Run(); err != nil {
+		t.Fatalf("shards=%d group=%d serial=%v: %v", cfg.Shards, laneGroup, serialBoundary, err)
+	}
+	w.M.Net.FoldLaneStats()
 	return w
 }
 
-// tunedGoldenRun captures everything a lane execution knob could
-// conceivably perturb (the shardGoldenRun capture set).
+// tunedGoldenRun runs the golden scenario and captures everything a
+// lane execution setting could conceivably perturb (the shardGoldenRun
+// capture set).
 func tunedGoldenRun(t *testing.T, shards, laneGroup int, serialBoundary bool) (events uint64, final sim.Time, metrics, trace string) {
 	t.Helper()
 	reg := obs.New(obs.WithTrackCap(256))
-	w := goldenScenarioTuned(shards, laneGroup, serialBoundary, reg)
+	w := runTuned(t, goldenConfig(shards, reg), laneGroup, serialBoundary, goldenBody)
 	var mbuf, tbuf bytes.Buffer
 	if err := reg.WriteMetrics(&mbuf); err != nil {
 		t.Fatal(err)
@@ -56,14 +54,59 @@ func tunedGoldenRun(t *testing.T, shards, laneGroup int, serialBoundary bool) (e
 	return w.K.EventsFired(), w.K.Now(), mbuf.String(), tbuf.String()
 }
 
+// tunedChaosRun runs a chaos world — workers hammering a rank-0 counter
+// and a per-rank slot with the error-returning API, straddling
+// bench.ChaosPlan's outage and dead-node windows — and returns its whole
+// recovery story as one comparable string.
+func tunedChaosRun(t *testing.T, shards, laneGroup int, serialBoundary bool) string {
+	t.Helper()
+	const procs, opsEach = 8, 10
+	cfg := armci.Config{Procs: procs, ProcsPerNode: 4, AsyncThread: true,
+		Seed: 42, Fault: bench.ChaosPlan(42), Shards: shards}
+	var counter int64
+	opErrors := make([]int, procs) // per-rank slots: ranks run on parallel lanes
+	w := runTuned(t, cfg, laneGroup, serialBoundary, func(th *sim.Thread, rt *armci.Runtime) {
+		a := rt.Malloc(th, 8+procs*64)
+		if rt.Rank == 0 {
+			rt.Barrier(th)
+			counter = rt.Space().GetInt64(a.At(0).Addr)
+			return
+		}
+		local := rt.LocalAlloc(th, 64)
+		if d := bench.FaultEpoch - th.Now(); d > 0 {
+			th.Sleep(d) // align the op stream to the plan's fault windows
+		}
+		for i := 0; i < opsEach; i++ {
+			if _, err := rt.FetchAddErr(th, a.At(0), 1); err != nil {
+				opErrors[rt.Rank]++
+			}
+			if err := rt.PutErr(th, local, a.At(0).Add(8+rt.Rank*64), 64); err != nil {
+				opErrors[rt.Rank]++
+			}
+			th.Sleep(100 * sim.Microsecond)
+		}
+		rt.Barrier(th)
+	})
+	if want := int64((procs - 1) * opsEach); counter != want {
+		t.Errorf("shards=%d group=%d serial=%v: counter %d, want %d (lost or doubled fetch-adds)",
+			shards, laneGroup, serialBoundary, counter, want)
+	}
+	if w.Faults.Dropped == 0 {
+		t.Errorf("chaos world injected no drops; the matrix would prove nothing")
+	}
+	return fmt.Sprintf("events %d final %d counter %d errs %v stats %v dropped %d delayed %d duplicated %d",
+		w.K.EventsFired(), w.K.Now(), counter, opErrors, w.AggregateStatsSorted(),
+		w.Faults.Dropped, w.Faults.Delayed, w.Faults.Duplicated)
+}
+
 var laneMatrix = []struct{ shards, group int }{
 	{1, 1}, {1, 4}, {1, 16},
 	{2, 1}, {2, 4}, {2, 16},
 	{4, 1}, {4, 4}, {4, 16},
 }
 
-// TestShardLaneGroupMatrix is the full execution-knob invariance matrix
-// over the golden scenario: every {1,2,4} shard × {1,4,16} lane-group
+// TestShardLaneGroupMatrix is the full execution invariance matrix over
+// the golden scenario: every {1,2,4} shard × {1,4,16} lane-group
 // combination must reproduce the serial run's event count, final
 // virtual time, metrics bytes, and trace bytes exactly. The lane-group
 // grain only changes how runnable lanes are chunked onto workers —
@@ -86,114 +129,44 @@ func TestShardLaneGroupMatrix(t *testing.T) {
 	}
 }
 
-// TestFig9LaneGroupMatrix runs the same matrix over the paper's Fig. 9
-// fetch-and-add workload: the measured mean latency is a pure function
-// of the simulation, so it must be bit-equal at every setting.
-func TestFig9LaneGroupMatrix(t *testing.T) {
-	base := bench.Fig9PointTuned(16, 4, true, false, 4, 1, 1, false)
-	for _, mx := range laneMatrix {
-		got := bench.Fig9PointTuned(16, 4, true, false, 4, mx.shards, mx.group, false)
-		if got != base {
-			t.Errorf("fig9 shards=%d group=%d: latency %v, want %v",
-				mx.shards, mx.group, got, base)
-		}
-	}
-}
-
 // TestChaosLaneGroupMatrix extends the matrix to fault injection: the
 // recovery story (retries, timeouts, drops, recovered data) must be
 // identical at every shard × lane-group setting, because fault verdicts
 // are drawn in the serial boundary phase in canonical order.
 func TestChaosLaneGroupMatrix(t *testing.T) {
-	base := bench.ChaosRunTuned(8, 4, 10, 42, 1, 1, false)
-	if !base.Clean() {
-		t.Fatalf("chaos run corrupted data: %+v", base)
-	}
+	base := tunedChaosRun(t, 1, 1, false)
 	for _, mx := range laneMatrix {
-		r := bench.ChaosRunTuned(8, 4, 10, 42, mx.shards, mx.group, false)
-		if r != base {
-			t.Errorf("chaos shards=%d group=%d diverged:\n got %+v\nwant %+v",
-				mx.shards, mx.group, r, base)
-		}
-	}
-}
-
-// composedMatrixSpec is a two-phase composition (an example pattern plus
-// a faulted figure pattern) exercising the compose layer's whole
-// fan-out under the matrix.
-const composedMatrixSpec = `{"phases":[
-	{"pattern":"halo","params":{"tiles_x":2,"tiles_y":1,"tile_n":8,"iters":3},
-	 "topology":{"per_node":2},"engine":{"mode":"async"}},
-	{"pattern":"fetchadd","params":{"ops_each":3},
-	 "topology":{"procs":[4],"per_node":4},"engine":{"mode":"default"},
-	 "fault":{"seed":7,"events":[
-		{"kind":"link_down","start_us":30050,"dur_us":100},
-		{"kind":"delay","start_us":30000,"dur_us":2000,"prob":0.1,"delay_us":5}]}}
-]}`
-
-func renderComposedTuned(t *testing.T, shards, laneGroup int, serialBoundary bool) []byte {
-	t.Helper()
-	sp, err := scenario.Parse(strings.NewReader(composedMatrixSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sweep.NewSharded(1, shards, nil)
-	eng.SetLaneGroup(laneGroup)
-	eng.SetSerialBoundary(serialBoundary)
-	res, err := scenario.Run(context.Background(), eng, sp)
-	if err != nil {
-		t.Fatalf("composed run (shards=%d group=%d): %v", shards, laneGroup, err)
-	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf, "csv"); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestComposedLaneGroupMatrix runs the matrix over a composed
-// scenario-DSL spec, the path the serving layer caches under a content
-// address: rendered bytes must be identical at every setting.
-func TestComposedLaneGroupMatrix(t *testing.T) {
-	base := renderComposedTuned(t, 1, 1, false)
-	if len(base) == 0 {
-		t.Fatal("empty artifact")
-	}
-	for _, mx := range laneMatrix {
-		got := renderComposedTuned(t, mx.shards, mx.group, false)
-		if !bytes.Equal(base, got) {
-			t.Errorf("composed shards=%d group=%d: bytes differ", mx.shards, mx.group)
+		if got := tunedChaosRun(t, mx.shards, mx.group, false); got != base {
+			t.Errorf("chaos shards=%d group=%d diverged:\n got %s\nwant %s",
+				mx.shards, mx.group, got, base)
 		}
 	}
 }
 
 // TestBoundaryOracleEquivalence pins the staged parallel boundary
-// against the serial k-way-merge oracle (Config.SerialBoundary): both
+// against the serial k-way-merge oracle (Kernel.SetSerialBoundary): both
 // paths must produce identical events, final time, metrics, and trace
 // bytes — the serial path inserts each deposit directly in canonical
 // order, the parallel path stages per destination lane and inserts
 // concurrently, and per-lane staging order equals canonical order, so
 // the destination's seq tie-breaks cannot differ.
 func TestBoundaryOracleEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		eS, fS, mS, trS := tunedGoldenRun(t, shards, 1, true)
-		eP, fP, mP, trP := tunedGoldenRun(t, shards, 1, false)
+	for _, mx := range laneMatrix {
+		eS, fS, mS, trS := tunedGoldenRun(t, mx.shards, mx.group, true)
+		eP, fP, mP, trP := tunedGoldenRun(t, mx.shards, mx.group, false)
 		if eS != eP || fS != fP {
-			t.Errorf("shards=%d: oracle (%d, %d) vs parallel (%d, %d)", shards, eS, fS, eP, fP)
+			t.Errorf("shards=%d group=%d: oracle (%d, %d) vs parallel (%d, %d)",
+				mx.shards, mx.group, eS, fS, eP, fP)
 		}
 		if mS != mP {
-			t.Errorf("shards=%d: metrics bytes differ between boundary paths", shards)
+			t.Errorf("shards=%d group=%d: metrics bytes differ between boundary paths", mx.shards, mx.group)
 		}
 		if trS != trP {
-			t.Errorf("shards=%d: trace bytes differ between boundary paths", shards)
+			t.Errorf("shards=%d group=%d: trace bytes differ between boundary paths", mx.shards, mx.group)
 		}
-	}
-	oracle := bench.ChaosRunTuned(8, 4, 10, 42, 4, 1, true)
-	staged := bench.ChaosRunTuned(8, 4, 10, 42, 4, 1, false)
-	if oracle != staged {
-		t.Errorf("chaos boundary paths diverged:\noracle %+v\nstaged %+v", oracle, staged)
-	}
-	if composed := renderComposedTuned(t, 4, 4, true); !bytes.Equal(composed, renderComposedTuned(t, 4, 4, false)) {
-		t.Error("composed boundary paths render different bytes")
+		if oracle, staged := tunedChaosRun(t, mx.shards, mx.group, true), tunedChaosRun(t, mx.shards, mx.group, false); oracle != staged {
+			t.Errorf("shards=%d group=%d: chaos boundary paths diverged:\noracle %s\nstaged %s",
+				mx.shards, mx.group, oracle, staged)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/obs"
+	"repro/internal/sweep"
 )
 
 // TestConcurrentRuntimeIsolation is the isolation invariant behind the
@@ -50,15 +51,8 @@ func TestConcurrentRuntimeIsolation(t *testing.T) {
 func renderSweep(t *testing.T, workers int) (csv, metrics, trace string) {
 	t.Helper()
 	reg := obs.New()
-	bench.SetObs(reg)
-	bench.SetParallel(workers)
-	defer func() {
-		bench.SetObs(nil)
-		bench.SetParallel(0)
-	}()
-
 	var sb strings.Builder
-	bench.Fig9([]int{8, 16}, 4).RenderCSV(&sb)
+	bench.Fig9(bg, sweep.NewSharded(workers, 0, reg), []int{8, 16}, 4).RenderCSV(&sb)
 
 	var mbuf, tbuf bytes.Buffer
 	if err := reg.WriteMetrics(&mbuf); err != nil {
@@ -96,10 +90,8 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 // hidden cross-run state to leak.
 func TestSweepChaosWorkerCountInvariance(t *testing.T) {
 	render := func(workers int) string {
-		bench.SetParallel(workers)
-		defer bench.SetParallel(0)
 		var sb strings.Builder
-		bench.Chaos([]int{8, 16}, 6, 42).RenderCSV(&sb)
+		bench.Chaos(bg, plan(workers, 0), []int{8, 16}, 6, 42).RenderCSV(&sb)
 		return sb.String()
 	}
 	serial := render(1)

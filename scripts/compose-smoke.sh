@@ -10,7 +10,7 @@
 #   - the server must drain cleanly on SIGTERM.
 # Across servers, every artifact must be byte-identical: worker and
 # shard counts are execution knobs, never part of a job's identity.
-# Finally the same spec runs through `armci-bench -compose` offline and
+# Finally the same spec runs through `armci-bench compose` offline and
 # must reproduce the exact bytes the servers cached.
 set -eu
 
@@ -77,6 +77,6 @@ echo "compose determinism across workers x shards OK"
 
 # Offline reproduction: the CLI driver must emit the exact bytes the
 # servers cached for the same spec.
-"$BIN/armci-bench" -compose "$SPEC" -csv -parallel 4 -shards 4 > "$BIN/offline.csv"
+"$BIN/armci-bench" compose "$SPEC" -csv -parallel 4 -shards 4 > "$BIN/offline.csv"
 cmp "$REF" "$BIN/offline.csv"
 echo "compose smoke OK"

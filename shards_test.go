@@ -2,11 +2,16 @@ package repro
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -57,79 +62,175 @@ func TestShardCountInvariance(t *testing.T) {
 // itself are identical at every shard count, because fault verdicts are
 // drawn in the serial boundary phase in deterministic order.
 func TestShardChaosInvariance(t *testing.T) {
-	base := bench.ChaosRunSharded(8, 4, 10, 42, 0)
+	withProcs(t, 4)
+	base := bench.ChaosRun(bg, plan(1, 0), 8, 4, 10, 42)
 	if !base.Clean() {
 		t.Fatalf("chaos run corrupted data: %+v", base)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		r := bench.ChaosRunSharded(8, 4, 10, 42, shards)
+		r := bench.ChaosRun(bg, plan(1, shards), 8, 4, 10, 42)
 		if r != base {
 			t.Errorf("shards=%d chaos result diverged:\n got %+v\nwant %+v", shards, r, base)
 		}
 	}
 }
 
-// TestLegacyEngineEquivalence is the equivalence proof that accompanies
-// the golden re-pin of this PR: the legacy single-queue engine
-// (Shards=-1) and the lane engine (Shards>=0) interleave host-side
-// bookkeeping differently — so raw event counts and the exact final
-// virtual time moved and the goldens were re-pinned — but every
-// simulated outcome agrees: per-op stats aggregates, network traffic
-// totals, rendered figure bytes, and the chaos run's entire recovery
-// story.
-func TestLegacyEngineEquivalence(t *testing.T) {
-	legacy := goldenScenarioSharded(-1, obs.New(obs.WithTrackCap(256)))
-	laned := goldenScenarioSharded(0, obs.New(obs.WithTrackCap(256)))
-
-	ls, ns := legacy.AggregateStatsSorted(), laned.AggregateStatsSorted()
-	if len(ls) != len(ns) {
-		t.Fatalf("stat sets differ: legacy %d entries, laned %d", len(ls), len(ns))
-	}
-	for i := range ls {
-		if ls[i] != ns[i] {
-			t.Errorf("stat %q: legacy %d, laned %d", ls[i].Name, ls[i].Value, ns[i].Value)
+// TestShardFig9Invariance runs the paper's Fig. 9 fetch-and-add workload
+// at every shard count: the measured mean latency is a pure function of
+// the simulation, so it must be bit-equal.
+func TestShardFig9Invariance(t *testing.T) {
+	withProcs(t, 4)
+	base := bench.Fig9Point(bg, plan(1, 0), 16, 4, true, false, 4)
+	for _, shards := range []int{1, 2, 4} {
+		if got := bench.Fig9Point(bg, plan(1, shards), 16, 4, true, false, 4); got != base {
+			t.Errorf("fig9 shards=%d: latency %v, want %v", shards, got, base)
 		}
 	}
-	ln, nn := legacy.M.Net, laned.M.Net
-	if ln.Messages != nn.Messages || ln.Bytes != nn.Bytes ||
-		ln.RawBytes != nn.RawBytes || ln.HopsTotal != nn.HopsTotal {
-		t.Errorf("network totals differ: legacy {msgs %d bytes %d raw %d hops %d}, laned {msgs %d bytes %d raw %d hops %d}",
-			ln.Messages, ln.Bytes, ln.RawBytes, ln.HopsTotal,
-			nn.Messages, nn.Bytes, nn.RawBytes, nn.HopsTotal)
+}
+
+// composedShardSpec is a two-phase composition (an example pattern plus
+// a faulted figure pattern) exercising the compose layer's whole
+// fan-out.
+const composedShardSpec = `{"phases":[
+	{"pattern":"halo","params":{"tiles_x":2,"tiles_y":1,"tile_n":8,"iters":3},
+	 "topology":{"per_node":2},"engine":{"mode":"async"}},
+	{"pattern":"fetchadd","params":{"ops_each":3},
+	 "topology":{"procs":[4],"per_node":4},"engine":{"mode":"default"},
+	 "fault":{"seed":7,"events":[
+		{"kind":"link_down","start_us":30050,"dur_us":100},
+		{"kind":"delay","start_us":30000,"dur_us":2000,"prob":0.1,"delay_us":5}]}}
+]}`
+
+// TestShardComposedInvariance runs a composed scenario-DSL spec, the
+// path the serving layer caches under a content address, at every shard
+// count: rendered bytes must be identical.
+func TestShardComposedInvariance(t *testing.T) {
+	withProcs(t, 4)
+	sp, err := scenario.Parse(strings.NewReader(composedShardSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(shards int) []byte {
+		res, err := scenario.Run(bg, plan(1, shards), sp)
+		if err != nil {
+			t.Fatalf("composed run (shards=%d): %v", shards, err)
+		}
+		var buf bytes.Buffer
+		if err := res.Render(&buf, "csv"); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	base := render(0)
+	if len(base) == 0 {
+		t.Fatal("empty artifact")
+	}
+	for _, shards := range []int{1, 2, 4} {
+		if !bytes.Equal(base, render(shards)) {
+			t.Errorf("composed shards=%d: bytes differ", shards)
+		}
+	}
+}
+
+// legacyEngineFreeze is what the single-queue engine (armci.Config{Shards:
+// -1} until the commit that deleted it) produced for the fixtures below,
+// captured from that engine at the parent commit into
+// testdata/legacy_engine_freeze.json. It is data, not a golden to
+// re-pin: the engine that wrote it no longer exists.
+type legacyEngineFreeze struct {
+	GoldenStats map[string]int64 `json:"golden_stats"`
+	Network     struct {
+		Messages uint64 `json:"messages"`
+		Bytes    uint64 `json:"bytes"`
+		RawBytes uint64 `json:"raw_bytes"`
+		Hops     uint64 `json:"hops"`
+	} `json:"network"`
+	Fig3CSVSHA256 string `json:"fig3_csv_sha256"`
+	Fig9CSVSHA256 string `json:"fig9_csv_sha256"`
+	Chaos         frozenChaos `json:"chaos"`
+}
+
+// frozenChaos is the engine-independent part of a bench.ChaosResult.
+type frozenChaos struct {
+	Procs      int     `json:"procs"`
+	Ops        int64   `json:"ops"`
+	Counter    int64   `json:"counter"`
+	AccSum     float64 `json:"acc_sum"`
+	AccWant    float64 `json:"acc_want"`
+	BadBlocks  int     `json:"bad_blocks"`
+	OpErrors   int     `json:"op_errors"`
+	Retries    int64   `json:"retries"`
+	Timeouts   int64   `json:"timeouts"`
+	Recovered  int64   `json:"recovered"`
+	Dropped    uint64  `json:"dropped"`
+	Delayed    uint64  `json:"delayed"`
+	Duplicated uint64  `json:"duplicated"`
+}
+
+// TestLegacyEngineEquivalence holds the lane engine to the single-queue
+// engine it replaced. The two interleaved host-side bookkeeping
+// differently — raw event counts and the exact final virtual time
+// differ, which is why the determinism goldens were re-pinned when the
+// lane engine became the default — but every simulated outcome agreed
+// and must keep agreeing with the frozen capture: per-op stats
+// aggregates, network traffic totals, rendered figure bytes, and the
+// chaos run's recovery story.
+func TestLegacyEngineEquivalence(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy_engine_freeze.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want legacyEngineFreeze
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
 	}
 
-	// Figure bytes: the rendered CSVs must agree between engines (the
-	// simulated latencies are what the figures pin).
-	bench.SetShards(-1)
-	legacyFig3 := csvHash(bench.Fig3([]int{16, 256, 4096}, 3))
-	legacyFig9 := csvHash(bench.Fig9([]int{8, 16}, 4))
-	bench.SetShards(0)
-	if h := csvHash(bench.Fig3([]int{16, 256, 4096}, 3)); h != legacyFig3 {
-		t.Errorf("fig3 CSV differs between engines: legacy %s, laned %s", legacyFig3, h)
+	laned := goldenScenarioSharded(0, obs.New(obs.WithTrackCap(256)))
+	stats := laned.AggregateStatsSorted()
+	if len(stats) != len(want.GoldenStats) {
+		t.Errorf("stat sets differ: legacy %d entries, laned %d", len(want.GoldenStats), len(stats))
 	}
-	if h := csvHash(bench.Fig9([]int{8, 16}, 4)); h != legacyFig9 {
-		t.Errorf("fig9 CSV differs between engines: legacy %s, laned %s", legacyFig9, h)
+	for _, s := range stats {
+		if v, ok := want.GoldenStats[s.Name]; !ok || v != s.Value {
+			t.Errorf("stat %q: legacy %d (present %v), laned %d", s.Name, v, ok, s.Value)
+		}
+	}
+	n := laned.M.Net
+	if n.Messages != want.Network.Messages || n.Bytes != want.Network.Bytes ||
+		n.RawBytes != want.Network.RawBytes || n.HopsTotal != want.Network.Hops {
+		t.Errorf("network totals differ: legacy %+v, laned {msgs %d bytes %d raw %d hops %d}",
+			want.Network, n.Messages, n.Bytes, n.RawBytes, n.HopsTotal)
+	}
+
+	// Figure bytes: the simulated latencies are what the figures pin.
+	if h := csvHash(bench.Fig3(bg, plan(0, 0), []int{16, 256, 4096}, 3)); h != want.Fig3CSVSHA256 {
+		t.Errorf("fig3 CSV differs between engines: legacy %s, laned %s", want.Fig3CSVSHA256, h)
+	}
+	if h := csvHash(bench.Fig9(bg, plan(0, 0), []int{8, 16}, 4)); h != want.Fig9CSVSHA256 {
+		t.Errorf("fig9 CSV differs between engines: legacy %s, laned %s", want.Fig9CSVSHA256, h)
 	}
 
 	// Chaos: identical recovery outcome, event schedule aside. Beyond
-	// the event/time fields, DupsSeen is also schedule-dependent: the
-	// injector draws per-message verdicts in event order, so the two
-	// engines assign the same number of duplications to (possibly)
-	// different messages — a duplicate landing on an AM request is
-	// counted as suppressed, one landing on an idempotent put or a
-	// retired reply is silently absorbed. The integrity fields (Counter,
-	// AccSum, BadBlocks, OpErrors) and the fault totals must agree
-	// exactly.
-	cl := bench.ChaosRunSharded(8, 4, 10, 42, -1)
-	cn := bench.ChaosRunSharded(8, 4, 10, 42, 0)
-	if !cl.Clean() || !cn.Clean() {
-		t.Errorf("chaos run corrupted data: legacy %+v, laned %+v", cl, cn)
+	// the event/time fields, DupsSeen is also schedule-dependent and so
+	// not frozen: the injector draws per-message verdicts in event order,
+	// so the two engines assign the same number of duplications to
+	// (possibly) different messages — a duplicate landing on an AM
+	// request is counted as suppressed, one landing on an idempotent put
+	// or a retired reply is silently absorbed. The integrity fields
+	// (Counter, AccSum, BadBlocks, OpErrors) and the fault totals must
+	// agree exactly.
+	c := bench.ChaosRun(bg, plan(0, 0), 8, 4, 10, 42)
+	if !c.Clean() {
+		t.Errorf("chaos run corrupted data: %+v", c)
 	}
-	cl.EventsFired, cn.EventsFired = 0, 0
-	cl.FinalVirtual, cn.FinalVirtual = 0, 0
-	cl.DupsSeen, cn.DupsSeen = 0, 0
-	if cl != cn {
-		t.Errorf("chaos outcome differs between engines:\nlegacy %+v\n laned %+v", cl, cn)
+	got := frozenChaos{
+		Procs: c.Procs, Ops: c.Ops, Counter: c.Counter,
+		AccSum: c.AccSum, AccWant: c.AccWant, BadBlocks: c.BadBlocks, OpErrors: c.OpErrors,
+		Retries: c.Retries, Timeouts: c.Timeouts, Recovered: c.Recovered,
+		Dropped: c.Dropped, Delayed: c.Delayed, Duplicated: c.Duplicated,
+	}
+	if got != want.Chaos {
+		t.Errorf("chaos outcome differs between engines:\nlegacy %+v\n laned %+v", want.Chaos, got)
 	}
 }
 
@@ -140,8 +241,9 @@ func TestLegacyEngineEquivalence(t *testing.T) {
 // unsynchronized. (Modeled on parallel_test.go, which proves the same
 // for whole-world parallelism.)
 func TestShardedRunRace(t *testing.T) {
+	withProcs(t, 4)
 	wantE, wantF, _, _ := shardGoldenRun(t, 0)
-	wantChaos := bench.ChaosRunSharded(8, 4, 6, 42, 0)
+	wantChaos := bench.ChaosRun(bg, plan(1, 0), 8, 4, 6, 42)
 
 	var wg sync.WaitGroup
 	var e uint64
@@ -155,7 +257,7 @@ func TestShardedRunRace(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		chaos = bench.ChaosRunSharded(8, 4, 6, 42, 4)
+		chaos = bench.ChaosRun(bg, plan(1, 4), 8, 4, 6, 42)
 	}()
 	wg.Wait()
 
