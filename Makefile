@@ -100,10 +100,13 @@ figures:
 	$(GO) run ./cmd/armci-bench tables | tee results/tables.txt
 	$(GO) run ./cmd/armci-bench fig | tee results/microbench.txt
 
-# Fig 11 at paper scale (slow: ~10 min/point on one core).
+# Fig 11 at paper scale, one file per process count (about a minute for
+# all three on two cores).
 scf:
 	mkdir -p results
-	$(GO) run ./cmd/armci-bench scf -procs 1024,2048,4096 -iters 1 | tee results/fig11.txt
+	for p in 1024 2048 4096; do \
+		$(GO) run ./cmd/armci-bench scf -procs $$p -iters 1 | tee results/fig11_$$p.txt; \
+	done
 
 # One-minute reduced-scale audit of the whole reproduction, plus the
 # aggregated metrics dump (render with `go run ./cmd/obs-report`).

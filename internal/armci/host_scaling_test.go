@@ -7,9 +7,10 @@ import (
 	"repro/internal/sim"
 )
 
-// idleWorldBytes is the host memory a one-Malloc, no-traffic world of the
-// given size allocates over its whole life.
-func idleWorldBytes(t *testing.T, procs int) uint64 {
+// idleWorldAllocs is the host memory — bytes and heap objects — a
+// one-Malloc, no-traffic world of the given size allocates over its whole
+// life.
+func idleWorldAllocs(t *testing.T, procs int) (bytes, objects uint64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -21,7 +22,7 @@ func idleWorldBytes(t *testing.T, procs int) uint64 {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
 // TestIdleWorldBytesScaleWithRanks: bringing a world up and running one
@@ -30,8 +31,9 @@ func idleWorldBytes(t *testing.T, procs int) uint64 {
 // exchange, cache buckets or fence table — which doubling p multiplies by
 // about 4).
 func TestIdleWorldBytesScaleWithRanks(t *testing.T) {
-	idleWorldBytes(t, 64) // page in the code paths and the runtime's own pools
-	small, big := idleWorldBytes(t, 512), idleWorldBytes(t, 1024)
+	idleWorldAllocs(t, 64) // page in the code paths and the runtime's own pools
+	small, _ := idleWorldAllocs(t, 512)
+	big, _ := idleWorldAllocs(t, 1024)
 	if ratio := float64(big) / float64(small); ratio >= 2.5 {
 		t.Fatalf("idle world: %d B at p=512, %d B at p=1024 (%.2fx); want < 2.5x", small, big, ratio)
 	}
@@ -79,5 +81,24 @@ func TestAllFenceVisitsDirtyTargetsOnly(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIdleWorldObjectsPerRank bounds the heap objects one more rank of an
+// asynchronous-progress world costs — two simulated threads, a PAMI
+// client with two contexts, the ARMCI runtime and its share of one
+// Malloc: 88.5 measured. A coroutine per thread costs about nine objects
+// more than a goroutine and two channels did; the bound holds only
+// because a context's dispatch table is an array rather than a map and
+// the 14 protocol handlers are bound once per runtime, not per context
+// (with the map and per-context handlers the figure is 116.8; the
+// goroutine-and-channel threads with them read 98.5).
+func TestIdleWorldObjectsPerRank(t *testing.T) {
+	idleWorldAllocs(t, 64) // page in the code paths and the runtime's own pools
+	_, small := idleWorldAllocs(t, 512)
+	_, big := idleWorldAllocs(t, 1024)
+	if perRank := float64(big-small) / 512; perRank > 94 {
+		t.Fatalf("idle world: %d objects at p=512, %d at p=1024: %.1f per added rank, want <= 94",
+			small, big, perRank)
 	}
 }

@@ -65,23 +65,32 @@ func (rt *Runtime) amSeen(src int, id int64) bool {
 
 // installHandlers registers the ARMCI protocol handlers on every context
 // of this rank (requests arrive on the service context, replies on the
-// issuing context; registering everywhere keeps addressing simple).
+// issuing context; registering everywhere keeps addressing simple). The
+// method values are built once and shared by the contexts.
 func (rt *Runtime) installHandlers() {
+	handlers := [...]struct {
+		id int
+		h  pami.AMHandler
+	}{
+		{dRegionQ, rt.handleRegionQ},
+		{dRegionR, rt.handleRegionR},
+		{dGetReq, rt.handleGetReq},
+		{dGetRep, rt.handleGetRep},
+		{dPutReq, rt.handlePutReq},
+		{dAck, rt.handleAck},
+		{dAccReq, rt.handleAccReq},
+		{dPutSReq, rt.handlePutSReq},
+		{dGetSReq, rt.handleGetSReq},
+		{dGetSRep, rt.handleGetSRep},
+		{dAccSReq, rt.handleAccSReq},
+		{dLockReq, rt.handleLockReq},
+		{dLockRep, rt.handleLockRep},
+		{dUnlockReq, rt.handleUnlockReq},
+	}
 	for _, x := range rt.C.Contexts {
-		x.SetDispatch(dRegionQ, rt.handleRegionQ)
-		x.SetDispatch(dRegionR, rt.handleRegionR)
-		x.SetDispatch(dGetReq, rt.handleGetReq)
-		x.SetDispatch(dGetRep, rt.handleGetRep)
-		x.SetDispatch(dPutReq, rt.handlePutReq)
-		x.SetDispatch(dAck, rt.handleAck)
-		x.SetDispatch(dAccReq, rt.handleAccReq)
-		x.SetDispatch(dPutSReq, rt.handlePutSReq)
-		x.SetDispatch(dGetSReq, rt.handleGetSReq)
-		x.SetDispatch(dGetSRep, rt.handleGetSRep)
-		x.SetDispatch(dAccSReq, rt.handleAccSReq)
-		x.SetDispatch(dLockReq, rt.handleLockReq)
-		x.SetDispatch(dLockRep, rt.handleLockRep)
-		x.SetDispatch(dUnlockReq, rt.handleUnlockReq)
+		for _, e := range handlers {
+			x.SetDispatch(e.id, e.h)
+		}
 	}
 }
 

@@ -19,6 +19,10 @@ const (
 	// DispatchUserBase is the first dispatch id available to layers above
 	// PAMI (ARMCI claims several).
 	DispatchUserBase = 16
+
+	// DispatchLimit bounds dispatch ids: a context's handler table is a
+	// fixed array of this many slots, half reserved, half for users.
+	DispatchLimit = 2 * DispatchUserBase
 )
 
 // AMessage is a delivered active message. Hdr carries small scalars
@@ -62,8 +66,11 @@ func (x *Context) SendAM(th *sim.Thread, dst Endpoint, dispatch int, hdr []int64
 			cost: p.AMHandlerCost,
 			am:   true,
 			fn: func(th *sim.Thread) {
-				h, ok := tgt.dispatch[msg.Dispatch]
-				if !ok {
+				var h AMHandler
+				if id := msg.Dispatch; id >= 0 && id < DispatchLimit {
+					h = tgt.dispatch[id]
+				}
+				if h == nil {
 					panic(fmt.Sprintf("pami: rank %d ctx %d: no handler for dispatch %d",
 						dst.Rank, dst.Ctx, msg.Dispatch))
 				}

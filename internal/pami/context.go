@@ -27,7 +27,7 @@ type Context struct {
 
 	queue    []workItem
 	waiters  []*sim.Thread
-	dispatch map[int]AMHandler
+	dispatch [DispatchLimit]AMHandler
 	stopped  bool
 
 	// Statistics.
@@ -51,10 +51,9 @@ type Context struct {
 
 func newContext(c *Client, index int) *Context {
 	x := &Context{
-		Client:   c,
-		Index:    index,
-		Lock:     sim.NewMutex(c.M.K),
-		dispatch: make(map[int]AMHandler),
+		Client: c,
+		Index:  index,
+		Lock:   sim.NewMutex(c.M.K),
 	}
 	if r := c.Obs; r != nil {
 		x.obs = r
@@ -87,10 +86,16 @@ func (x *Context) noteAdvance() {
 	}
 }
 
-// SetDispatch installs the handler for a dispatch id. IDs below 16 are
-// reserved for PAMI-internal protocols.
+// SetDispatch installs the handler for a dispatch id in [0, DispatchLimit).
+// IDs below DispatchUserBase are reserved for PAMI-internal protocols.
 func (x *Context) SetDispatch(id int, h AMHandler) {
-	if _, dup := x.dispatch[id]; dup {
+	if id < 0 || id >= DispatchLimit {
+		panic(fmt.Sprintf("pami: dispatch id %d out of range [0,%d)", id, DispatchLimit))
+	}
+	if h == nil {
+		panic(fmt.Sprintf("pami: nil handler for dispatch id %d", id))
+	}
+	if x.dispatch[id] != nil {
 		panic(fmt.Sprintf("pami: duplicate dispatch id %d", id))
 	}
 	x.dispatch[id] = h

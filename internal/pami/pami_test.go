@@ -447,14 +447,19 @@ func TestAdvanceWithoutLockPanics(t *testing.T) {
 func TestDuplicateDispatchPanics(t *testing.T) {
 	r := newRig(t, 1, 1, 1)
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic")
-			}
-		}()
 		h := func(*sim.Thread, *Context, *AMessage) {}
 		c.Contexts[0].SetDispatch(DispatchUserBase, h)
-		c.Contexts[0].SetDispatch(DispatchUserBase, h)
+		for _, id := range []int{DispatchUserBase, -1, DispatchLimit} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("SetDispatch(%d): expected panic", id)
+					}
+				}()
+				c.Contexts[0].SetDispatch(id, h)
+			}()
+		}
+		c.Contexts[0].SetDispatch(DispatchLimit-1, h) // the last slot is usable
 	})
 	if err := r.k.Run(); err != nil {
 		t.Fatal(err)

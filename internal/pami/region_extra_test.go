@@ -1,6 +1,7 @@
 package pami
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -40,21 +41,28 @@ func TestDeregisterUnknownIsNoop(t *testing.T) {
 	}
 }
 
+// TestUnknownDispatchPanics: an active message for an id nobody
+// registered — inside the handler table or beyond it — fails the run on
+// the servicing thread, naming the target and the id.
 func TestUnknownDispatchPanics(t *testing.T) {
-	r := newRig(t, 2, 1, 1)
-	r.spawnAll(1, func(th *sim.Thread, c *Client) {
-		switch c.Rank {
-		case 1:
-			th.Sleep(sim.Millisecond)
-			c.Contexts[0].Progress(th) // dispatching id 99 must panic
-		case 0:
-			ep := c.CreateEndpoint(th, 1, 0)
-			c.Contexts[0].SendAM(th, ep, 99, nil, nil)
+	for _, id := range []int{DispatchUserBase + 3, 99} {
+		r := newRig(t, 2, 1, 1)
+		r.spawnAll(1, func(th *sim.Thread, c *Client) {
+			switch c.Rank {
+			case 1:
+				th.Sleep(sim.Millisecond)
+				c.Contexts[0].Progress(th) // dispatching id must panic
+			case 0:
+				ep := c.CreateEndpoint(th, 1, 0)
+				c.Contexts[0].SendAM(th, ep, id, nil, nil)
+			}
+		})
+		err := r.k.Run()
+		p, ok := err.(*sim.ThreadPanic)
+		want := fmt.Sprintf("pami: rank 1 ctx 0: no handler for dispatch %d", id)
+		if !ok || p.Thread != threadName("main", 1) || fmt.Sprint(p.Value) != want {
+			t.Fatalf("dispatch %d: got %v, want a panic %q on rank 1's thread", id, err, want)
 		}
-	})
-	err := r.k.Run()
-	if _, ok := err.(*sim.ThreadPanic); !ok {
-		t.Fatalf("want ThreadPanic, got %v", err)
 	}
 }
 

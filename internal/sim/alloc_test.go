@@ -66,30 +66,53 @@ func TestZeroDelayZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestThreadSwitchConstantAlloc asserts the closure-free thread path:
-// allocations for a spawn-sleep-finish lifecycle are a fixed overhead
-// (thread struct, channels, goroutine) independent of how many sleeps —
-// i.e. kernel-thread transfers — the thread performs. Before the typed
-// thread-target events, every Sleep/Yield/Wake allocated a closure.
-func TestThreadSwitchConstantAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	measure := func(sleeps int) float64 {
-		return testing.AllocsPerRun(10, func() {
-			k := NewKernel()
+// threadLifecycleAllocs is the allocation count of a fresh kernel that
+// spawns `threads` threads, each sleeping `sleeps` times, and runs them
+// to completion.
+func threadLifecycleAllocs(t *testing.T, threads, sleeps int) float64 {
+	return testing.AllocsPerRun(10, func() {
+		k := NewKernel()
+		for i := 0; i < threads; i++ {
 			k.Spawn("w", func(th *Thread) {
 				for i := 0; i < sleeps; i++ {
 					th.Sleep(1)
 				}
 			})
-			if err := k.Run(); err != nil {
-				t.Fatal(err)
-			}
-		})
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestThreadSwitchConstantAlloc asserts the closure-free thread path: a
+// Sleep round trip — schedule, switch out to the lane, switch back in —
+// allocates nothing, so a thread's allocations do not depend on how
+// many transfers it performs. Before the typed thread-target events,
+// every Sleep/Yield/Wake allocated a closure.
+func TestThreadSwitchConstantAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
 	}
-	small, large := measure(64), measure(2048)
-	if large > small+8 {
+	small, large := threadLifecycleAllocs(t, 1, 64), threadLifecycleAllocs(t, 1, 2048)
+	if large >= small+1 {
 		t.Fatalf("allocs grow with transfer count: %.1f at 64 sleeps vs %.1f at 2048", small, large)
+	}
+}
+
+// TestThreadSpawnAllocBound bounds the fixed cost of one thread — the
+// Thread, its body closure and what iter.Pull allocates for a coroutine:
+// 14 objects in all with go1.24 — so that a costlier coroutine in a future
+// toolchain fails here, by name, rather than as a few percent on a
+// benchmark that spawns two threads per rank.
+func TestThreadSpawnAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const extra = 256
+	perThread := (threadLifecycleAllocs(t, 1+extra, 1) - threadLifecycleAllocs(t, 1, 1)) / extra
+	t.Logf("%.2f allocs per spawn-run-finish thread", perThread)
+	if perThread > 16 {
+		t.Fatalf("%.2f allocs per spawn-run-finish thread, want <= 16", perThread)
 	}
 }

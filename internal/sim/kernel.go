@@ -63,7 +63,8 @@ type Kernel struct {
 func NewKernel() *Kernel {
 	k := &Kernel{}
 	k.Lane.k = k
-	k.Lane.yield = make(chan struct{})
+	// A single-lane run is one unbounded window of the base lane.
+	k.Lane.limit = timeInf
 	k.Lane.winCap = timeInf
 	return k
 }
@@ -139,70 +140,97 @@ func (d *DeadlockError) Error() string {
 
 // Run executes events until the queue drains. It returns nil when every
 // spawned thread has finished, a DeadlockError when threads remain blocked
-// with nothing scheduled, or a ThreadPanic if a thread panicked.
+// with nothing scheduled, or a ThreadPanic if a thread panicked. A run
+// that fails releases every unfinished thread: its body unwinds (deferred
+// calls run) and its coroutine is freed, so the kernel cannot be resumed.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sim: Run called reentrantly")
 	}
 	k.running = true
 	defer func() { k.running = false }()
+	var err error
 	if k.multi {
-		return k.runLanes()
+		err = k.runLanes()
+	} else {
+		err = k.runSingle()
 	}
-	for k.ring.n > 0 || len(k.heap) > 0 {
-		// Merge the two queues on (at, seq). On equal timestamps the heap
-		// entry was scheduled first (see queue.go), so it wins ties.
-		var e event
-		if k.ring.n == 0 || (len(k.heap) > 0 && k.heap[0].at <= k.ring.buf[k.ring.head].at) {
-			e = k.heapPop()
-		} else {
-			e = k.ring.pop()
+	if err != nil {
+		k.Lane.stopThreads()
+		for _, ln := range k.lanes {
+			ln.stopThreads()
 		}
-		if e.at < k.now {
-			panic("sim: time went backwards")
-		}
-		k.now = e.at
-		k.fired++
-		k.obsEvents.Add(1)
-		if e.t != nil {
-			k.transfer(e.t)
-		} else {
-			e.fn()
-		}
-		if k.failure != nil {
-			return k.failure
-		}
+	}
+	return err
+}
+
+// runSingle is the single-lane Run: the base lane's one unbounded window.
+func (k *Kernel) runSingle() error {
+	k.Lane.runWindow()
+	if k.failure != nil {
+		return k.failure
 	}
 	if k.obs != nil {
 		k.obs.Gauge("sim/final_ns").SetMax(k.now)
 	}
-	if k.live > 0 {
-		var blocked []string
-		for _, t := range k.threads {
+	return k.checkDeadlock(k.now)
+}
+
+// checkDeadlock returns a DeadlockError naming every unfinished thread,
+// or nil when all threads of all lanes have finished.
+func (k *Kernel) checkDeadlock(at Time) error {
+	var blocked []string
+	note := func(ln *Lane) {
+		if ln.live == 0 {
+			return
+		}
+		for _, t := range ln.threads {
 			if t.state != stateDone {
 				blocked = append(blocked, fmt.Sprintf("%s(%s)", t.Name, t.state))
 			}
 		}
-		sort.Strings(blocked)
-		return &DeadlockError{At: k.now, Blocked: blocked}
 	}
-	return nil
+	note(&k.Lane)
+	for _, ln := range k.lanes {
+		note(ln)
+	}
+	if blocked == nil {
+		return nil
+	}
+	sort.Strings(blocked)
+	return &DeadlockError{At: at, Blocked: blocked}
 }
 
-// transfer hands control from the lane's scheduling goroutine to thread t
-// and blocks until t yields back. It must only be called from the lane's
-// event loop.
+// transfer switches from the lane's event loop into thread t and returns
+// when t switches out or finishes. It must only be called from the
+// lane's event loop.
 func (ln *Lane) transfer(t *Thread) {
 	if t.state == stateDone {
 		return
 	}
 	t.state = stateRunning
 	ln.cur = t
-	t.resume <- struct{}{}
-	<-ln.yield
+	t.next()
 	ln.cur = nil
 	if t.panicked != nil && ln.failure == nil {
 		ln.failure = t.panicked
+	}
+}
+
+// stopThreads releases every unfinished thread of the lane after a
+// failed run. A switched-out thread unwinds through its spawn wrapper,
+// which does the end-of-thread accounting; a thread that never started
+// has no wrapper running, so its accounting is done here.
+func (ln *Lane) stopThreads() {
+	for _, t := range ln.threads {
+		if t.state == stateDone {
+			continue
+		}
+		t.stop()
+		if t.state != stateDone {
+			t.state = stateDone
+			ln.live--
+		}
 	}
 }
 

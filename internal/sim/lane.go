@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -156,7 +155,6 @@ type Lane struct {
 	seq     uint64
 	heap    eventHeap
 	ring    fifoRing
-	yield   chan struct{}
 	cur     *Thread
 	threads []*Thread
 	live    int
@@ -354,6 +352,8 @@ func (ln *Lane) popUpTo(limit Time) (e event, ok bool) {
 // runWindow executes the lane's events with time strictly below the
 // window limit (dynamically capped by Defer). It may run on any worker
 // goroutine; the lane is owned exclusively by its window for the round.
+// It is the engine's only event loop: a single-lane Run is one window of
+// the base lane with no limit.
 func (ln *Lane) runWindow() {
 	for {
 		limit := ln.limit
@@ -420,7 +420,7 @@ func (k *Kernel) ConfigureLanes(n, workers int, lookahead Time) {
 	k.laneGroup = 1
 	k.lanes = make([]*Lane, n)
 	for i := range k.lanes {
-		ln := &Lane{k: k, idx: i, yield: make(chan struct{}), winCap: timeInf}
+		ln := &Lane{k: k, idx: i, winCap: timeInf}
 		if sp := k.laneSpares; sp != nil && i < len(sp.heaps) {
 			if h := sp.heaps[i]; h != nil {
 				ln.heap = h[:0]
@@ -684,12 +684,10 @@ func (k *Kernel) runLanes() error {
 
 	// Termination: the final clock is the maximum over every lane.
 	final := k.Lane.now
-	liveCount := k.Lane.live
 	for _, ln := range k.lanes {
 		if ln.now > final {
 			final = ln.now
 		}
-		liveCount += ln.live
 	}
 	k.Lane.now = final
 	k.mergeLaneObs()
@@ -705,24 +703,7 @@ func (k *Kernel) runLanes() error {
 			k.obs.Gauge("sim/serial_permille").Set(int64(serial * 1000 / total))
 		}
 	}
-	if liveCount > 0 {
-		var blocked []string
-		for _, t := range k.Lane.threads {
-			if t.state != stateDone {
-				blocked = append(blocked, fmt.Sprintf("%s(%s)", t.Name, t.state))
-			}
-		}
-		for _, ln := range k.lanes {
-			for _, t := range ln.threads {
-				if t.state != stateDone {
-					blocked = append(blocked, fmt.Sprintf("%s(%s)", t.Name, t.state))
-				}
-			}
-		}
-		sort.Strings(blocked)
-		return &DeadlockError{At: final, Blocked: blocked}
-	}
-	return nil
+	return k.checkDeadlock(final)
 }
 
 // runBoundary applies every operation logged this round in the canonical

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -101,14 +103,23 @@ func TestLanesSelfDeferCap(t *testing.T) {
 }
 
 // TestLanesDeadlock verifies a blocked thread on a lane still surfaces
-// as a DeadlockError with its name.
+// as a DeadlockError with its name, and that the failed run leaves no
+// goroutine behind: neither the blocked threads' nor the lane workers'.
 func TestLanesDeadlock(t *testing.T) {
+	base := runtime.NumGoroutine()
 	k := NewKernel()
-	k.ConfigureLanes(2, 1, 5)
+	k.ConfigureLanes(2, 2, 5)
+	k.SpawnOn(k.Lanes()[0], "busy", func(th *Thread) {
+		th.Sleep(50)
+	})
 	k.SpawnOn(k.Lanes()[1], "stuck", func(th *Thread) {
+		th.Sleep(20)
 		th.Park()
 	})
 	err := k.Run()
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("%d goroutines after a deadlocked multi-lane run, %d before", n, base)
+	}
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("want DeadlockError, got %v", err)
@@ -142,4 +153,82 @@ func TestLanesCoordinatorEvents(t *testing.T) {
 	if k.Now() != 200 {
 		t.Fatalf("final time %d", k.Now())
 	}
+}
+
+// goroutineID names the calling goroutine, from its stack header
+// ("goroutine 42 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	return string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
+}
+
+// TestLaneThreadsResumedAcrossWorkers: a lane is run by whichever worker
+// claims it each window, so over a long run every thread's coroutine is
+// resumed from several goroutines (and OS threads). Threads that sleep,
+// park and wake each other through a thousand rounds must come out the
+// same as on one worker; under -race this is also the check that a
+// coroutine switch orders the lane's state between successive owners.
+func TestLaneThreadsResumedAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const (
+		lanes  = 8
+		pairs  = 4
+		rounds = 1000
+	)
+	run := func(workers int) (final Time, fired uint64, sum Time, migrated int) {
+		k := NewKernel()
+		k.ConfigureLanes(lanes, workers, 40)
+		sums := make([]Time, lanes)
+		owners := make([]map[string]bool, lanes)
+		for i, ln := range k.Lanes() {
+			owners[i] = map[string]bool{}
+			var watch func()
+			watch = func() { // an event callback runs on the window's owner
+				owners[i][goroutineID()] = true
+				if ln.live > 0 {
+					ln.At(97, watch)
+				}
+			}
+			ln.At(1, watch)
+			next := k.Lanes()[(i+1)%lanes]
+			for p := 0; p < pairs; p++ {
+				parker := k.SpawnOn(ln, fmt.Sprintf("parker%d.%d", i, p), func(th *Thread) {
+					for r := 0; r < rounds; r++ {
+						th.Park()
+						th.Sleep(Time(1 + (i+p+r)%3))
+						sums[i] += th.Now()
+					}
+				})
+				k.SpawnOn(ln, fmt.Sprintf("waker%d.%d", i, p), func(th *Thread) {
+					for r := 0; r < rounds; r++ {
+						th.Sleep(Time(2 + (i+2*p+r)%5))
+						k.Wake(parker)
+						if r%16 == 0 { // keep the lanes' horizons coupled
+							ln.DeferRemote(th.Now()+40, func(at Time) {
+								next.ScheduleAbs(at+40, func() { sums[next.idx] += next.Now() })
+							})
+						}
+						th.Yield()
+					}
+				})
+			}
+		}
+		if err := k.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range sums {
+			sum += sums[i]
+			if len(owners[i]) > 1 {
+				migrated++
+			}
+		}
+		return k.Now(), k.EventsFired(), sum, migrated
+	}
+	final1, fired1, sum1, _ := run(1)
+	final4, fired4, sum4, migrated := run(4)
+	if final4 != final1 || fired4 != fired1 || sum4 != sum1 {
+		t.Fatalf("4 workers: final %d events %d sum %d; 1 worker: final %d events %d sum %d",
+			final4, fired4, sum4, final1, fired1, sum1)
+	}
+	t.Logf("%d events; %d of %d lanes changed worker goroutine", fired4, migrated, lanes)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"iter"
 	"runtime/debug"
 
 	"repro/internal/obs"
@@ -41,11 +42,20 @@ func (s threadState) String() string {
 // synchronization. A thread is pinned to one lane for its whole life:
 // all of its scheduling stays lane-local, and cross-lane interaction
 // must go through Lane.Defer.
+//
+// A thread is an iter.Pull coroutine: the lane's event loop resumes it
+// with next, and the thread hands control back with yield. Both are
+// direct switches on the calling OS thread — no run queue, no wake-up of
+// an idle P. The runtime refuses a coroutine switch when the two sides
+// disagree about runtime.LockOSThread, and nothing in this module calls
+// it; a simulated thread's body must not either.
 type Thread struct {
 	k        *Kernel
 	ln       *Lane
 	Name     string
-	resume   chan struct{}
+	next     func() (struct{}, bool) // lane side: run the thread until it switches out or finishes
+	yield    func(struct{}) bool     // thread side: switch out; false once stop was called
+	stop     func()                  // lane side: unwind a blocked thread and free its coroutine
 	state    threadState
 	wakeBit  bool
 	panicked *ThreadPanic
@@ -69,21 +79,24 @@ func (k *Kernel) SpawnOn(ln *Lane, name string, fn func(*Thread)) *Thread {
 }
 
 func (k *Kernel) spawnOn(ln *Lane, name string, fn func(*Thread)) *Thread {
-	t := &Thread{k: k, ln: ln, Name: name, resume: make(chan struct{})}
+	t := &Thread{k: k, ln: ln, Name: name}
 	ln.threads = append(ln.threads, t)
 	ln.live++
-	go func() {
-		<-t.resume
+	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
 		defer func() {
+			// The panic must not leave the coroutine: Pull would re-raise
+			// it in the lane's event loop.
 			if r := recover(); r != nil {
-				t.panicked = &ThreadPanic{Thread: t.Name, Value: r, Stack: string(debug.Stack())}
+				if _, stopped := r.(threadStopped); !stopped {
+					t.panicked = &ThreadPanic{Thread: t.Name, Value: r, Stack: string(debug.Stack())}
+				}
 			}
 			t.state = stateDone
 			t.ln.live--
-			t.ln.yield <- struct{}{}
 		}()
 		fn(t)
-	}()
+	})
 	ln.scheduleThread(0, t)
 	// A spawn from outside any window (setup code, a coordinator event)
 	// may wake an idle lane; its horizon-tree leaf is stale until the
@@ -116,10 +129,15 @@ func (t *Thread) ObsTrack() obs.TrackKind { return t.track }
 // Now returns the current virtual time of the thread's lane.
 func (t *Thread) Now() Time { return t.ln.now }
 
+// threadStopped is the panic value that unwinds a switched-out thread
+// when a failed Run releases it; the spawn wrapper swallows it.
+type threadStopped struct{}
+
 // switchOut yields to the lane's event loop and blocks until resumed.
 func (t *Thread) switchOut() {
-	t.ln.yield <- struct{}{}
-	<-t.resume
+	if !t.yield(struct{}{}) {
+		panic(threadStopped{})
+	}
 }
 
 // Sleep advances this thread's virtual time by d. Other threads and events

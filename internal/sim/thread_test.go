@@ -1,0 +1,124 @@
+package sim
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// settledGoroutines returns the goroutine count once it has fallen to
+// base, or the count still standing after a grace period. Coroutines
+// released by Run are gone when it returns; lane workers exit shortly
+// after their start channel closes.
+func settledGoroutines(base int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFailedRunReleasesThreads: a run that ends in an error must not
+// leave its unfinished threads' goroutines behind — parked, sleeping
+// and never-started ones alike — and must run their deferred calls.
+func TestFailedRunReleasesThreads(t *testing.T) {
+	t.Run("deadlock", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		k := NewKernel()
+		unwound := 0
+		for i := 0; i < 64; i++ {
+			k.Spawn(fmt.Sprintf("stuck%d", i), func(th *Thread) {
+				defer func() { unwound++ }()
+				th.Sleep(Time(i + 1))
+				th.Park()
+			})
+		}
+		err := k.Run()
+		de, ok := err.(*DeadlockError)
+		if !ok || len(de.Blocked) != 64 {
+			t.Fatalf("want a 64-thread DeadlockError, got %v", err)
+		}
+		if unwound != 64 {
+			t.Errorf("%d of 64 blocked threads unwound", unwound)
+		}
+		if k.live != 0 {
+			t.Errorf("live = %d after release, want 0", k.live)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("%d goroutines after a deadlocked run, %d before", n, base)
+		}
+	})
+	t.Run("panic", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		k := NewKernel()
+		for i := 0; i < 8; i++ {
+			k.Spawn(fmt.Sprintf("sleeper%d", i), func(th *Thread) { th.Sleep(1000) })
+			k.Spawn(fmt.Sprintf("parker%d", i), func(th *Thread) { th.Park() })
+		}
+		k.Spawn("boom", func(th *Thread) {
+			th.Sleep(5)
+			// Spawned and scheduled, but the run fails before it starts.
+			k.Spawn("unborn", func(th *Thread) { t.Error("unborn thread ran") })
+			panic("kaboom")
+		})
+		err := k.Run()
+		p, ok := err.(*ThreadPanic)
+		if !ok || p.Thread != "boom" {
+			t.Fatalf("want boom's ThreadPanic, got %v", err)
+		}
+		for _, th := range k.threads {
+			if th.state != stateDone {
+				t.Errorf("thread %s left %s", th.Name, th.state)
+			}
+			if th.Name != "boom" && th.panicked != nil {
+				t.Errorf("released thread %s recorded a panic: %v", th.Name, th.panicked.Value)
+			}
+		}
+		if k.live != 0 {
+			t.Errorf("live = %d after release, want 0", k.live)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("%d goroutines after a panicked run, %d before", n, base)
+		}
+	})
+}
+
+// explodingBody is a named thread body so its frame can be found in the
+// recorded stack.
+func explodingBody(th *Thread, sleeps int) {
+	for i := 0; i < sleeps; i++ {
+		th.Sleep(3)
+	}
+	panic(fmt.Errorf("exploded after %d sleeps", sleeps))
+}
+
+// TestThreadPanicReport: a panic in a thread body — on its first run or
+// after it has switched out and back — surfaces from Run with the
+// thread's name, the panic value and a stack that shows the body.
+func TestThreadPanicReport(t *testing.T) {
+	for _, sleeps := range []int{0, 3} {
+		k := NewKernel()
+		k.Spawn("bystander", func(th *Thread) { th.Sleep(100) })
+		k.Spawn("victim", func(th *Thread) { explodingBody(th, sleeps) })
+		err := k.Run()
+		p, ok := err.(*ThreadPanic)
+		if !ok {
+			t.Fatalf("sleeps=%d: want ThreadPanic, got %v", sleeps, err)
+		}
+		want := fmt.Sprintf("exploded after %d sleeps", sleeps)
+		if p.Thread != "victim" || fmt.Sprint(p.Value) != want {
+			t.Errorf("sleeps=%d: panic = %q in %q, want %q in \"victim\"", sleeps, p.Value, p.Thread, want)
+		}
+		if !strings.Contains(p.Stack, "explodingBody") {
+			t.Errorf("sleeps=%d: stack does not show the body:\n%s", sleeps, p.Stack)
+		}
+		if !strings.Contains(p.Error(), want) {
+			t.Errorf("sleeps=%d: Error() = %q", sleeps, p.Error())
+		}
+	}
+}

@@ -1,5 +1,5 @@
-// Package sim implements a deterministic, coroutine-style discrete-event
-// simulation kernel. Simulated threads are goroutines that run one at a
+// Package sim implements a deterministic discrete-event simulation
+// kernel. Simulated threads are coroutines (iter.Pull) that run one at a
 // time under control of the kernel; virtual time only advances when every
 // thread is blocked. All scheduling is totally ordered by (time, sequence),
 // so a simulation with a fixed seed replays bit-identically.
