@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet check bench bench-smoke bench-shards race-sweep race-shards serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
+.PHONY: all test vet check bench bench-shards race-sweep race-shards serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
 
 all: vet test
 
@@ -18,10 +18,13 @@ test-short:
 
 # CI gate: vet plus the short suite under the race detector (the fault
 # package rides along in ./...; listed explicitly so a package-selection
-# change can't silently drop it from the -race run).
+# change can't silently drop it from the -race run). The zero-allocation
+# invariants skip under -race (its instrumentation allocates), so the last
+# line runs them plain.
 check:
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/fault/ ./...
+	$(GO) test -run ZeroAlloc ./internal/sim/ ./internal/network/
 
 # Engine wall-clock benchmarks (the cost of simulating): micro benches
 # plus the reduced Fig 9 p=4096 / SCF scenarios, written to
@@ -30,14 +33,6 @@ check:
 bench:
 	$(GO) run ./cmd/simbench -out BENCH_sim.json
 	$(GO) test -bench=. -benchmem -benchtime=1x .
-
-# CI gate for the engine: micro benches only; exits non-zero when a
-# zero-allocation invariant (kernel At/Run, network Send) regresses.
-# (That a figure or chaos sweep prints the same bytes at any -parallel /
-# -shards value is TestExecutionPlanNeverChangesBytes in cmd/armci-bench,
-# which `make check` runs.)
-bench-smoke:
-	$(GO) run ./cmd/simbench -smoke -out ''
 
 # Parallel-sweep race gate: concurrent whole-simulation isolation and
 # worker-count invariance under the race detector.

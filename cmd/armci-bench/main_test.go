@@ -38,11 +38,24 @@ func TestSubcommands(t *testing.T) {
 	if err := os.WriteFile(envelope, []byte(`{"compose":`+testSpec+`,"format":"csv"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
+	type testCase struct {
 		args []string
 		want []string // regexps stdout must match
 		slow bool     // skipped under -short (minutes under -race)
-	}{
+	}
+	// Every checked-in example spec runs, so none can rot: the phase
+	// header names the file's pattern.
+	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "*.json"))
+	if err != nil || len(examples) < 3 {
+		t.Fatalf("examples/*.json: %v (found %d)", err, len(examples))
+	}
+	var cases []testCase
+	for _, path := range examples {
+		pattern := strings.TrimSuffix(filepath.Base(path), ".json")
+		cases = append(cases, testCase{args: []string{"compose", path, "-csv"},
+			want: []string{`(?m)^# phase 0: ` + pattern + `$`}})
+	}
+	for _, tc := range append(cases, []testCase{
 		{args: []string{"fig", "-quick"}, want: []string{`Fig 3:`, `Fig 4:`, `Fig 5:`, `Fig 6:`, `Fig 7:`, `Fig 8:`, `Fig 9:`,
 			`Eq 7/8`, `SIII\.D`, `SIII\.E`, `SIII\.C\.2`, `SII\.A`, `SIV\.B\.3`}},
 		{args: []string{"fig", "5", "-quick", "-csv"}, want: []string{`(?m)^bytes,ns_per_byte$`}},
@@ -56,7 +69,7 @@ func TestSubcommands(t *testing.T) {
 		{args: []string{"tables"}, want: []string{`Table II`, `4096 procs: `}},
 		{args: []string{"tables", "-csv"}, want: []string{`(?m)^attribute,symbol,measured,paper$`}},
 		{args: []string{"torus", "-procs", "64", "-route", "37"}, want: []string{`partition: `, `route rank 0 .* -> rank 37`}},
-	} {
+	}...) {
 		if tc.slow && testing.Short() {
 			continue
 		}

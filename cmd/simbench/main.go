@@ -16,14 +16,11 @@
 //     on this machine), verifying CSV byte-identity along the way. The
 //     fig9_p16384_* rows time one large simulation on the serial lane
 //     engine versus 2/4 intra-run lane workers (-shards), verifying the
-//     simulated latency is bit-identical at every shard count. The
-//     serve_cache / compose_2phase / cluster_fill_* rows time the
-//     serving layer's answer tiers (hot LRU, disk-store restart, peer
-//     fill) against cold execution of the same job, byte-identity
-//     enforced throughout.
+//     simulated latency is bit-identical at every shard count.
 //
-// -smoke runs only the micro benches and fails (exit 1) when a
-// zero-allocation invariant regresses; CI runs it on every push.
+// The serving layer's answer tiers (hot LRU, disk, peer fill, proxy hop)
+// are the repo benchmark's serve_read_mix / serve_write_mix workloads,
+// not rows here.
 package main
 
 import (
@@ -32,10 +29,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/signal"
 	"regexp"
@@ -49,10 +42,8 @@ import (
 
 	"repro/internal/armci"
 	"repro/internal/bench"
-	"repro/internal/cluster"
 	"repro/internal/network"
 	"repro/internal/nwchem"
-	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topology"
@@ -283,7 +274,6 @@ var only *regexp.Regexp
 func main() {
 	out := flag.String("out", "BENCH_sim.json", "output JSON path (empty: stdout only)")
 	merge := flag.Bool("merge", false, "merge this run's rows into an existing -out file instead of replacing it (rows not re-run keep their old values); lets -only refresh a subset of BENCH_sim.json")
-	smoke := flag.Bool("smoke", false, "micro benches only; exit 1 on alloc regression")
 	onlyPat := flag.String("only", "", "run only benches matching this regexp")
 	shards := flag.Int("shards", 0, "lane workers inside each harness simulation (0 = one); output is byte-identical at any value")
 	big := flag.Bool("big", false, "also run the p=65536 shard-scaling scenario (slow)")
@@ -430,46 +420,39 @@ func main() {
 			})
 	})
 
-	if !*smoke {
-		// Fig 9 at paper scale: 4096 ranks hammering a rank-0 counter
-		// through the async progress thread (the wall-clock-bound case
-		// the paper's Fig 9 sweep regenerates).
-		scenario("fig9_p4096", reps, 3, func() {
-			bench.Fig9Point(ctx, eng, 4096, 16, true, false, 2)
-		})
+	// Fig 9 at paper scale: 4096 ranks hammering a rank-0 counter
+	// through the async progress thread (the wall-clock-bound case
+	// the paper's Fig 9 sweep regenerates).
+	scenario("fig9_p4096", reps, 3, func() {
+		bench.Fig9Point(ctx, eng, 4096, 16, true, false, 2)
+	})
 
-		// Reduced SCF: the Fig 11 proxy at 256 ranks, one iteration.
-		scfg := nwchem.Config{Mol: nwchem.NewMolecule([]int{8, 6, 6, 8, 6, 6}),
-			Iterations: 1, FlopRate: 2e7}
-		scenario("scf_reduced", reps, 3, func() {
-			nwchem.Experiment(armci.Config{Procs: 256, ProcsPerNode: 16, AsyncThread: true}, scfg)
-		})
+	// Reduced SCF: the Fig 11 proxy at 256 ranks, one iteration.
+	scfg := nwchem.Config{Mol: nwchem.NewMolecule([]int{8, 6, 6, 8, 6, 6}),
+		Iterations: 1, FlopRate: 2e7}
+	scenario("scf_reduced", reps, 3, func() {
+		nwchem.Experiment(armci.Config{Procs: 256, ProcsPerNode: 16, AsyncThread: true}, scfg)
+	})
 
-		// Parallel sweep engine: whole-table wall clock at GOMAXPROCS
-		// workers against the serial baseline, with CSV byte-identity
-		// enforced at both worker counts.
-		sweepScenario("sweep_fig9", reps, 2, *shards, func(eng *sweep.Engine) *bench.Grid {
-			return bench.Fig9(ctx, eng, []int{2, 16, 64, 256}, 8)
-		})
-		sweepScenario("sweep_chaos", reps, 2, *shards, func(eng *sweep.Engine) *bench.Grid {
-			return bench.Chaos(ctx, eng, []int{8, 16, 32}, 10, 42)
-		})
+	// Parallel sweep engine: whole-table wall clock at GOMAXPROCS
+	// workers against the serial baseline, with CSV byte-identity
+	// enforced at both worker counts.
+	sweepScenario("sweep_fig9", reps, 2, *shards, func(eng *sweep.Engine) *bench.Grid {
+		return bench.Fig9(ctx, eng, []int{2, 16, 64, 256}, 8)
+	})
+	sweepScenario("sweep_chaos", reps, 2, *shards, func(eng *sweep.Engine) *bench.Grid {
+		return bench.Chaos(ctx, eng, []int{8, 16, 32}, 10, 42)
+	})
 
-		interrupted()
+	interrupted()
 
-		// Intra-run lane scaling at the ROADMAP's target scale: the same
-		// fig9 simulation timed on the serial lane engine and on 2/4 lane
-		// workers, with bit-identical simulated latency enforced across all
-		// of them.
-		shardScaling(ctx, "fig9_p16384", reps, 2, 16384, 2, []int{2, 4})
-		if *big {
-			shardScaling(ctx, "fig9_p65536", reps, 1, 65536, 2, []int{2, 4})
-		}
-
-		interrupted()
-		serveCache(reps)
-		composeCache(reps)
-		clusterFill(reps)
+	// Intra-run lane scaling at the ROADMAP's target scale: the same
+	// fig9 simulation timed on the serial lane engine and on 2/4 lane
+	// workers, with bit-identical simulated latency enforced across all
+	// of them.
+	shardScaling(ctx, "fig9_p16384", reps, 2, 16384, 2, []int{2, 4})
+	if *big {
+		shardScaling(ctx, "fig9_p65536", reps, 1, 65536, 2, []int{2, 4})
 	}
 
 	interrupted()
@@ -564,306 +547,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *out)
-	}
-
-	if *smoke {
-		// The zero-allocation invariant: scheduling and network sends must
-		// not allocate in steady state (small slack for the benchmark
-		// fixture's own setup amortized over b.N).
-		bad := false
-		for _, n := range []string{"kernel_events", "kernel_events_zero_delay", "network_send"} {
-			if r, ok := reps[n]; !ok || r.AllocsPerOp > 0.5 {
-				fmt.Fprintf(os.Stderr, "ALLOC REGRESSION: %s allocs/op = %.2f (want ~0)\n", n, reps[n].AllocsPerOp)
-				bad = true
-			}
-		}
-		if bad {
-			os.Exit(1)
-		}
-		fmt.Println("smoke ok: zero-alloc invariants hold")
-	}
-}
-
-// serveCache measures the serving layer's reason to exist: the wall
-// clock of a cold fig9 job (full simulation sweep) against the cached
-// response for the same config, both through a real HTTP round trip to
-// an in-process internal/serve server. NsPerOp is the cached latency,
-// BaselineNsPerOp the cold one, so speedup_vs_baseline is the measured
-// cache win. The cached body must be byte-identical to the cold body;
-// a mismatch is a determinism violation and exits 1.
-func serveCache(reps map[string]result) {
-	const name = "serve_cache"
-	if skip(name) {
-		return
-	}
-	srv := serve.New(serve.Options{Workers: 1, SweepWorkers: runtime.GOMAXPROCS(0)})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Close()
-	}()
-
-	const job = `{"scenario":"fig9","params":{"procs":[2,16,64],"ops_each":8}}`
-	post := func() ([]byte, string, time.Duration) {
-		t0 := time.Now()
-		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(job))
-		if err != nil {
-			fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			fatal(fmt.Errorf("serve_cache: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body)))
-		}
-		return body, resp.Header.Get("X-Cache"), time.Since(t0)
-	}
-
-	coldBody, src, coldNs := post()
-	if src != "miss" {
-		fatal(fmt.Errorf("serve_cache: first request was a %q, want miss", src))
-	}
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < 20; i++ {
-		body, src, d := post()
-		if src != "hit" {
-			fatal(fmt.Errorf("serve_cache: repeat request was a %q, want hit", src))
-		}
-		if !bytes.Equal(body, coldBody) {
-			fmt.Fprintln(os.Stderr, "DETERMINISM VIOLATION: serve_cache cached body differs from cold body")
-			os.Exit(1)
-		}
-		if d < best {
-			best = d
-		}
-	}
-	reps[name] = result{
-		NsPerOp:         float64(best.Nanoseconds()),
-		BaselineNsPerOp: float64(coldNs.Nanoseconds()),
-		Speedup:         float64(coldNs) / float64(best),
-		Kind:            "scenario",
-	}
-}
-
-// composeCache is serveCache for the composition endpoint: a two-phase
-// spec (halo exchange + the Fig 9 fetch-and-add pattern) through POST
-// /v1/compose, cold versus cached, with byte-identity enforced. It
-// times the full composition path — spec canonicalization, both phase
-// simulations, artifact assembly — so the row tracks the cost of a
-// composed job relative to its cache hit.
-func composeCache(reps map[string]result) {
-	const name = "compose_2phase"
-	if skip(name) {
-		return
-	}
-	srv := serve.New(serve.Options{Workers: 1, SweepWorkers: runtime.GOMAXPROCS(0)})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Close()
-	}()
-
-	const job = `{"compose":{"phases":[
-		{"pattern":"halo","params":{"tiles_x":2,"tiles_y":2,"tile_n":16,"iters":5},
-		 "topology":{"per_node":4},"engine":{"mode":"async"}},
-		{"pattern":"fetchadd","params":{"ops_each":8},
-		 "topology":{"procs":[2,16],"per_node":16}}]}}`
-	post := func() ([]byte, string, time.Duration) {
-		t0 := time.Now()
-		resp, err := http.Post(ts.URL+"/v1/compose", "application/json", strings.NewReader(job))
-		if err != nil {
-			fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			fatal(fmt.Errorf("compose_2phase: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body)))
-		}
-		return body, resp.Header.Get("X-Cache"), time.Since(t0)
-	}
-
-	coldBody, src, coldNs := post()
-	if src != "miss" {
-		fatal(fmt.Errorf("compose_2phase: first request was a %q, want miss", src))
-	}
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < 20; i++ {
-		body, src, d := post()
-		if src != "hit" {
-			fatal(fmt.Errorf("compose_2phase: repeat request was a %q, want hit", src))
-		}
-		if !bytes.Equal(body, coldBody) {
-			fmt.Fprintln(os.Stderr, "DETERMINISM VIOLATION: compose_2phase cached body differs from cold body")
-			os.Exit(1)
-		}
-		if d < best {
-			best = d
-		}
-	}
-	reps[name] = result{
-		NsPerOp:         float64(best.Nanoseconds()),
-		BaselineNsPerOp: float64(coldNs.Nanoseconds()),
-		Speedup:         float64(coldNs) / float64(best),
-		Kind:            "scenario",
-	}
-}
-
-// clusterFill measures the two persistence tiers the cluster adds below
-// the hot LRU, each against the cold execution of the same fig9 job:
-//
-//   - cluster_fill_disk: a replica restarting over an existing store
-//     directory — a fresh server (empty LRU) per repetition, so every
-//     timed request is a verified disk load, never a masked LRU hit;
-//   - cluster_fill_peer: a replica pulling the artifact from a peer's
-//     /v1/results export — a fresh storeless server per repetition,
-//     posted with the cluster forward header set so routing is
-//     suppressed and the request must take the peer-fill path.
-//
-// Every body served from either tier must be byte-identical to the cold
-// body; a mismatch is a determinism violation and exits 1. NsPerOp is
-// the tier's best HTTP round trip, BaselineNsPerOp the cold one, so
-// speedup_vs_baseline is what the tier saves over re-executing.
-func clusterFill(reps map[string]result) {
-	if skip("cluster_fill_disk") && skip("cluster_fill_peer") {
-		return
-	}
-	const job = `{"scenario":"fig9","params":{"procs":[2,16],"ops_each":4}}`
-	const repsPerTier = 10
-
-	post := func(url string, hdr map[string]string) ([]byte, string, time.Duration) {
-		req, err := http.NewRequest(http.MethodPost, url+"/v1/run", strings.NewReader(job))
-		if err != nil {
-			fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		for k, v := range hdr {
-			req.Header.Set(k, v)
-		}
-		t0 := time.Now()
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			fatal(fmt.Errorf("cluster_fill: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body)))
-		}
-		return body, resp.Header.Get("X-Cache"), time.Since(t0)
-	}
-	mustTier := func(name, got, want string) {
-		if got != want {
-			fatal(fmt.Errorf("%s: request served from %q, want %q", name, got, want))
-		}
-	}
-	mustBytes := func(name string, got, want []byte) {
-		if !bytes.Equal(got, want) {
-			fmt.Fprintf(os.Stderr, "DETERMINISM VIOLATION: %s body differs from the cold body\n", name)
-			os.Exit(1)
-		}
-	}
-	newServer := func(opts serve.Options) *serve.Server {
-		opts.Workers = 1
-		opts.SweepWorkers = runtime.GOMAXPROCS(0)
-		srv, err := serve.NewServer(opts)
-		if err != nil {
-			fatal(err)
-		}
-		return srv
-	}
-
-	// The export peer: one long-lived replica on a real port whose hot
-	// LRU holds the artifact. Its cold run is the baseline both tiers are
-	// measured against.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	peerAddr := ln.Addr().String()
-	peerSrv := newServer(serve.Options{})
-	peerHTTP := &http.Server{Handler: peerSrv.Handler()}
-	go peerHTTP.Serve(ln)
-	defer func() {
-		peerHTTP.Close()
-		peerSrv.Close()
-	}()
-
-	coldBody, src, coldNs := post("http://"+peerAddr, nil)
-	mustTier("cluster_fill", src, "miss")
-
-	if !skip("cluster_fill_disk") {
-		dir, err := os.MkdirTemp("", "simbench-store-")
-		if err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(dir)
-
-		// Populate the store once, then time restarts over it.
-		seed := newServer(serve.Options{StoreDir: dir})
-		ts := httptest.NewServer(seed.Handler())
-		body, src, _ := post(ts.URL, nil)
-		mustTier("cluster_fill_disk seed", src, "miss")
-		mustBytes("cluster_fill_disk seed", body, coldBody)
-		ts.Close()
-		seed.Close()
-
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < repsPerTier; i++ {
-			srv := newServer(serve.Options{StoreDir: dir})
-			ts := httptest.NewServer(srv.Handler())
-			body, src, d := post(ts.URL, nil)
-			ts.Close()
-			srv.Close()
-			mustTier("cluster_fill_disk", src, "disk")
-			mustBytes("cluster_fill_disk", body, coldBody)
-			if d < best {
-				best = d
-			}
-		}
-		reps["cluster_fill_disk"] = result{
-			NsPerOp:         float64(best.Nanoseconds()),
-			BaselineNsPerOp: float64(coldNs.Nanoseconds()),
-			Speedup:         float64(coldNs) / float64(best),
-			Kind:            "scenario",
-		}
-	}
-
-	if !skip("cluster_fill_peer") {
-		// The fetcher's member name is never dialed (the forward header
-		// suppresses proxying and peer fill skips self), so a placeholder
-		// address keeps the ring valid without another listener.
-		const self = "127.0.0.1:1"
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < repsPerTier; i++ {
-			srv := newServer(serve.Options{
-				Self:        self,
-				Peers:       []string{peerAddr, self},
-				PeerTimeout: 5 * time.Second,
-			})
-			ts := httptest.NewServer(srv.Handler())
-			body, src, d := post(ts.URL, map[string]string{cluster.ForwardHeader: "bench"})
-			ts.Close()
-			srv.Close()
-			mustTier("cluster_fill_peer", src, "peer")
-			mustBytes("cluster_fill_peer", body, coldBody)
-			if d < best {
-				best = d
-			}
-		}
-		reps["cluster_fill_peer"] = result{
-			NsPerOp:         float64(best.Nanoseconds()),
-			BaselineNsPerOp: float64(coldNs.Nanoseconds()),
-			Speedup:         float64(coldNs) / float64(best),
-			Kind:            "scenario",
-		}
 	}
 }
 

@@ -112,35 +112,14 @@ func AblationHardwareAMO(ctx context.Context, eng *sweep.Engine, procCounts []in
 	return g
 }
 
+// hardwareAMOPoint is the hammer with NIC-executed fetch-and-add: rank 0
+// computes throughout and never needs to enter the progress engine.
 func hardwareAMOPoint(c *sweep.Ctx, procs, opsEach int) float64 {
 	params := network.DefaultParams()
 	params.HardwareAMO = true
-	cfg := c.Cfg(armci.Config{Procs: procs, ProcsPerNode: 1, Params: params})
-	// Completion signalling and latency collection follow fig9Point's
-	// lane-clean layout: a simulated done tally on rank 0 (NIC-executed
-	// here, so rank 0 needs no progress calls) and per-rank latency slots.
-	latSum := make([]sim.Time, procs)
-	armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
-		a := rt.Malloc(th, 16)
-		done := a.At(0).Add(8)
-		if rt.Rank == 0 {
-			for rt.Space().GetInt64(done.Addr) < int64(procs-1) {
-				th.Sleep(300 * sim.Microsecond) // computing; no progress needed
-			}
-			return
-		}
-		for i := 0; i < opsEach; i++ {
-			t0 := th.Now()
-			rt.FetchAdd(th, a.At(0), 1)
-			latSum[rt.Rank] += th.Now() - t0
-		}
-		rt.FetchAdd(th, done, 1)
-	})
-	var total sim.Time
-	for _, s := range latSum {
-		total += s
-	}
-	return sim.ToMicros(total) / float64((procs-1)*opsEach)
+	us, _ := hammer(c.Cfg(armci.Config{Procs: procs, ProcsPerNode: 1, Params: params}),
+		opsEach, true, false)
+	return us
 }
 
 // AblationStridedProtocol quantifies §III.C.2's protocol choice: a

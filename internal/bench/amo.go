@@ -8,31 +8,27 @@ import (
 	"repro/internal/sweep"
 )
 
-// Fig9Point measures the mean fetch-and-add latency observed by ranks
-// 1..p-1 hammering a counter on rank 0 — the paper's load-balance-counter
-// micro-kernel — under one configuration:
+// hammer is the fetch-and-add traffic shape, one simulation of it: ranks
+// 1..p-1 each issue opsEach fetch-and-adds on a rank-0 counter — the
+// paper's load-balance-counter micro-kernel — while rank 0 sleeps in
+// 300 us chunks (compute: t_compute in §IV.B.3) or 1 us ones, calling
+// the progress engine between them when poll is set (the default mode's
+// only service opportunity; the async thread and NIC-executed AMOs need
+// none). cfg carries everything else: placement, mode, seed, fault plan,
+// network parameters. It returns the mean latency the workers observed
+// and how many ops exhausted their retry budget (zero without faults).
 //
-//   - perNode: the processes-per-node placement (the figure uses 16; the
-//     ablations use 1/node to expose target-side serialization);
-//   - async=false: the default mode, where the counter is only serviced
-//     when rank 0's main thread calls the progress engine;
-//   - compute=true: rank 0 "computes" in ~300 us chunks between progress
-//     opportunities (t_compute in §IV.B.3).
-func Fig9Point(ctx context.Context, eng *sweep.Engine, procs, perNode int, async, compute bool, opsEach int) float64 {
-	return one(ctx, eng, func(c *sweep.Ctx) float64 {
-		return fig9Point(c, procs, perNode, async, compute, opsEach)
-	})
-}
-
-// fig9Point is one independent simulation: one (procs, placement, mode)
-// sweep point, safe to run concurrently with its siblings. Worker
-// completion is signalled through a second simulated counter on rank 0
-// (not host memory), and latencies accumulate into per-rank slots, so
-// the closure stays race-free and deterministic when the world's ranks
+// Worker completion is signalled through a second simulated counter on
+// rank 0 (not host memory), and each rank writes only its own slot, so
+// the body stays race-free and deterministic when the world's ranks
 // execute on parallel lanes (Config.Shards > 1).
-func fig9Point(c *sweep.Ctx, procs, perNode int, async, compute bool, opsEach int) float64 {
-	cfg := c.Cfg(armci.Config{Procs: procs, ProcsPerNode: perNode, AsyncThread: async})
-	latSum := make([]sim.Time, procs)
+func hammer(cfg armci.Config, opsEach int, compute, poll bool) (meanUS float64, errs int) {
+	procs := cfg.Procs
+	faulted := cfg.Fault != nil
+	slots := make([]struct {
+		lat  sim.Time
+		errs int
+	}, procs)
 	armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
 		// Rank-0 layout: the hammered counter, then the done tally.
 		a := rt.Malloc(th, 16)
@@ -44,24 +40,61 @@ func fig9Point(c *sweep.Ctx, procs, perNode int, async, compute bool, opsEach in
 				} else {
 					th.Sleep(sim.Microsecond)
 				}
-				if !async {
+				if poll {
 					rt.Progress(th)
 				}
 			}
 			return
 		}
+		alignToEpoch(th, faulted)
+		me := &slots[rt.Rank]
 		for i := 0; i < opsEach; i++ {
 			t0 := th.Now()
-			rt.FetchAdd(th, a.At(0), 1)
-			latSum[rt.Rank] += th.Now() - t0
+			if _, err := rt.FetchAddErr(th, a.At(0), 1); err != nil {
+				me.errs++
+			}
+			me.lat += th.Now() - t0
 		}
-		rt.FetchAdd(th, done, 1)
+		// The done tally must land even under faults or rank 0 spins
+		// until the job timeout: retry past exhausted budgets, which is
+		// safe because fault windows are bounded.
+		for {
+			if _, err := rt.FetchAddErr(th, done, 1); err == nil {
+				break
+			}
+			th.Sleep(sim.Millisecond)
+		}
 	})
 	var total sim.Time
-	for _, s := range latSum {
-		total += s
+	for _, s := range slots {
+		total += s.lat
+		errs += s.errs
 	}
-	return sim.ToMicros(total) / float64((procs-1)*opsEach)
+	return sim.ToMicros(total) / float64((procs-1)*opsEach), errs
+}
+
+// fig9Point is one (procs, placement, mode) cell of the figure: the
+// hammer with rank 0 polling the progress engine exactly when there is
+// no async thread to do it.
+func fig9Point(c *sweep.Ctx, procs, perNode int, async, compute bool, opsEach int) float64 {
+	us, _ := hammer(c.Cfg(armci.Config{Procs: procs, ProcsPerNode: perNode, AsyncThread: async}),
+		opsEach, compute, !async)
+	return us
+}
+
+// Fig9Point measures the mean fetch-and-add latency observed by ranks
+// 1..p-1 hammering a counter on rank 0 under one configuration:
+//
+//   - perNode: the processes-per-node placement (the figure uses 16; the
+//     ablations use 1/node to expose target-side serialization);
+//   - async=false: the default mode, where the counter is only serviced
+//     when rank 0's main thread calls the progress engine;
+//   - compute=true: rank 0 "computes" in ~300 us chunks between progress
+//     opportunities.
+func Fig9Point(ctx context.Context, eng *sweep.Engine, procs, perNode int, async, compute bool, opsEach int) float64 {
+	return one(ctx, eng, func(c *sweep.Ctx) float64 {
+		return fig9Point(c, procs, perNode, async, compute, opsEach)
+	})
 }
 
 // fig9Variants is the figure's column order: {default, async-thread} x

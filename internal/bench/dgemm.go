@@ -14,8 +14,8 @@ import (
 // Global Arrays (the paper's §III.E motivating workload), with a
 // consistency-mode axis — per-region conflict tracking (cs_mr) should
 // never fence on the read-only A/B and write-only C, while the naive
-// per-target scheme (cs_tgt) fences constantly. The promoted form of
-// examples/dgemm; the product is verified exactly against a serial
+// per-target scheme (cs_tgt) fences constantly. Its canned spec is
+// examples/dgemm.json; the product is verified exactly against a serial
 // reference (values are small integers).
 type DgemmSpec struct {
 	N, Tile     int // matrix and tile dimension; Tile must divide N

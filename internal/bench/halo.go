@@ -14,8 +14,8 @@ import (
 // HaloSpec parameterizes the halo pattern: a 2-D Jacobi stencil where
 // each rank owns a tile and pushes boundary rows/columns into its
 // neighbors' ghost regions with one-sided puts — contiguous rows ride
-// the RDMA fast path, strided columns the typed protocol (§III.C). The
-// promoted form of examples/halo.
+// the RDMA fast path, strided columns the typed protocol (§III.C). Its
+// canned spec is examples/halo.json.
 type HaloSpec struct {
 	TilesX, TilesY int // process grid; procs = TilesX*TilesY
 	TileN          int // interior cells per tile side

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/armci"
+	"repro/internal/mem"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -21,44 +22,36 @@ func twoProcCfg(c *sweep.Ctx) armci.Config {
 	return c.Cfg(armci.Config{Procs: 2, ProcsPerNode: 1, AsyncThread: true})
 }
 
-// Fig3 regenerates the contiguous latency figure: blocking get and put
-// latency versus message size between adjacent nodes. Paper headline:
-// get(16 B) = 2.89 us, put(16 B) = 2.7 us, with a dip at 256 B.
-func Fig3(ctx context.Context, eng *sweep.Engine, sizes []int, iters int) *Grid {
-	return one(ctx, eng, func(c *sweep.Ctx) *Grid { return fig3(c, sizes, iters) })
+// warmPair is the prologue the two-process get/put kernels share: one
+// remote buffer per direction and, on rank 0 — the only rank that
+// measures; ok is false on the other — a local buffer, with the region
+// and endpoint caches warmed by one small get and put.
+func warmPair(th *sim.Thread, rt *armci.Runtime, size int) (aGet, aPut *armci.Allocation, local mem.Addr, ok bool) {
+	aGet = rt.Malloc(th, size)
+	aPut = rt.Malloc(th, size)
+	if rt.Rank != 0 {
+		return aGet, aPut, 0, false
+	}
+	local = rt.LocalAlloc(th, size)
+	rt.Get(th, aGet.At(1), local, 16)
+	rt.Put(th, local, aPut.At(1), 16)
+	rt.Fence(th, 1)
+	return aGet, aPut, local, true
 }
 
-// fig3 is one simulation: the size loop runs inside a single world so
-// warmed caches carry across sizes, exactly as the paper measures.
-func fig3(c *sweep.Ctx, sizes []int, iters int) *Grid {
+// Fig3 regenerates the contiguous latency figure: blocking get and put
+// latency versus message size between adjacent nodes — one async-thread
+// ping simulation. Paper headline: get(16 B) = 2.89 us, put(16 B) =
+// 2.7 us, with a dip at 256 B.
+func Fig3(ctx context.Context, eng *sweep.Engine, sizes []int, iters int) *Grid {
 	g := &Grid{Title: "Fig 3: contiguous get/put latency (adjacent nodes)",
 		Header: []string{"bytes", "get_us", "put_us"}}
-	maxSize := sizes[len(sizes)-1]
-	armci.MustRun(twoProcCfg(c), func(th *sim.Thread, rt *armci.Runtime) {
-		aGet := rt.Malloc(th, maxSize)
-		aPut := rt.Malloc(th, maxSize)
-		if rt.Rank != 0 {
-			return
-		}
-		local := rt.LocalAlloc(th, maxSize)
-		rt.Get(th, aGet.At(1), local, 16) // warm region + endpoint caches
-		rt.Put(th, local, aPut.At(1), 16)
-		rt.Fence(th, 1)
-		for _, m := range sizes {
-			t0 := th.Now()
-			for i := 0; i < iters; i++ {
-				rt.Get(th, aGet.At(1), local, m)
-			}
-			getUS := sim.ToMicros(th.Now()-t0) / float64(iters)
-
-			t0 = th.Now()
-			for i := 0; i < iters; i++ {
-				rt.Put(th, local, aPut.At(1), m)
-			}
-			putUS := sim.ToMicros(th.Now()-t0) / float64(iters)
-			g.AddF(3, float64(m), getUS, putUS)
-		}
+	r := one(ctx, eng, func(c *sweep.Ctx) pingResult {
+		return pingRun(c, PingSpec{Sizes: sizes, Iters: iters}, true)
 	})
+	for si, getUS := range r.get { // empty when ctx was cancelled before the run
+		g.AddF(3, float64(sizes[si]), getUS, r.put[si])
+	}
 	return g
 }
 
@@ -86,15 +79,10 @@ func fig4(c *sweep.Ctx, sizes []int, window int) *Grid {
 		Header: []string{"bytes", "get_MBs", "put_MBs"}}
 	maxSize := sizes[len(sizes)-1]
 	armci.MustRun(twoProcCfg(c), func(th *sim.Thread, rt *armci.Runtime) {
-		aGet := rt.Malloc(th, maxSize)
-		aPut := rt.Malloc(th, maxSize)
-		if rt.Rank != 0 {
+		aGet, aPut, local, ok := warmPair(th, rt, maxSize)
+		if !ok {
 			return
 		}
-		local := rt.LocalAlloc(th, maxSize)
-		rt.Get(th, aGet.At(1), local, 16)
-		rt.Put(th, local, aPut.At(1), 16)
-		rt.Fence(th, 1)
 		for _, m := range sizes {
 			iters := bwIters(m)
 

@@ -10,6 +10,11 @@
 // plan is rebuilt fresh for every simulation (fault.Plan injectors are
 // stateful), and all remote ops go through the error-returning forms so
 // exhausted retry budgets surface as counted errors instead of panics.
+//
+// Each traffic shape has one rank body, shared with the figure that
+// measures the same shape: pingRun (Fig 3 and PingGrid) here, hammer
+// (Fig 9, the hardware-AMO ablation and FetchAddGrid) in amo.go. Titles
+// and headers stay with the callers.
 package bench
 
 import (
@@ -70,9 +75,55 @@ func (sp PingSpec) weight(si int) int {
 	return sp.Weights[si]
 }
 
-// PingGrid runs one two-process simulation per mode; the size loop runs
-// inside a single world so warmed caches carry across sizes, exactly as
-// Fig 3 measures.
+// pingResult is one ping simulation: mean get/put latency per size, plus
+// the ops that exhausted their retry budget (zero without faults).
+type pingResult struct {
+	get, put []float64
+	errs     int
+}
+
+// pingRun is the ping traffic shape, one simulation of it: two processes
+// on adjacent nodes, rank 0 timing blocking gets then puts at each size.
+// The size loop runs inside a single world so warmed caches carry across
+// sizes, exactly as Fig 3 measures. Only rank 0 issues ops, so it alone
+// writes the result.
+func pingRun(c *sweep.Ctx, sp PingSpec, async bool) pingResult {
+	cfg := c.Cfg(armci.Config{Procs: 2, ProcsPerNode: 1, AsyncThread: async, Seed: sp.Seed})
+	faulted := sp.Fault != nil
+	if faulted {
+		cfg.Fault = sp.Fault()
+	}
+	r := pingResult{get: make([]float64, len(sp.Sizes)), put: make([]float64, len(sp.Sizes))}
+	maxSize := sp.Sizes[len(sp.Sizes)-1]
+	armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
+		aGet, aPut, local, ok := warmPair(th, rt, maxSize)
+		if !ok {
+			return
+		}
+		alignToEpoch(th, faulted)
+		for si, m := range sp.Sizes {
+			iters := sp.Iters * sp.weight(si)
+			t0 := th.Now()
+			for i := 0; i < iters; i++ {
+				if err := rt.GetErr(th, aGet.At(1), local, m); err != nil {
+					r.errs++
+				}
+			}
+			r.get[si] = sim.ToMicros(th.Now()-t0) / float64(iters)
+
+			t0 = th.Now()
+			for i := 0; i < iters; i++ {
+				if err := rt.PutErr(th, local, aPut.At(1), m); err != nil {
+					r.errs++
+				}
+			}
+			r.put[si] = sim.ToMicros(th.Now()-t0) / float64(iters)
+		}
+	})
+	return r
+}
+
+// PingGrid runs one ping simulation per mode.
 func PingGrid(ctx context.Context, eng *sweep.Engine, sp PingSpec) *Grid {
 	g := &Grid{Title: "ping: contiguous get/put latency (adjacent nodes)",
 		Header: []string{"bytes"}}
@@ -80,52 +131,8 @@ func PingGrid(ctx context.Context, eng *sweep.Engine, sp PingSpec) *Grid {
 		m := ModeName(async)
 		g.Header = append(g.Header, m+"_get_us", m+"_put_us")
 	}
-	type modeRes struct {
-		get, put []float64
-		errs     int
-	}
-	res := sweep.MapCtx(eng, ctx, len(sp.Modes), func(c *sweep.Ctx, mi int) modeRes {
-		cfg := c.Cfg(armci.Config{Procs: 2, ProcsPerNode: 1, AsyncThread: sp.Modes[mi],
-			Seed: sp.Seed})
-		faulted := sp.Fault != nil
-		if faulted {
-			cfg.Fault = sp.Fault()
-		}
-		r := modeRes{get: make([]float64, len(sp.Sizes)), put: make([]float64, len(sp.Sizes))}
-		opErrs := make([]int, 2) // per-rank slots; only rank 0 issues ops
-		maxSize := sp.Sizes[len(sp.Sizes)-1]
-		armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
-			aGet := rt.Malloc(th, maxSize)
-			aPut := rt.Malloc(th, maxSize)
-			if rt.Rank != 0 {
-				return
-			}
-			local := rt.LocalAlloc(th, maxSize)
-			rt.Get(th, aGet.At(1), local, 16) // warm region + endpoint caches
-			rt.Put(th, local, aPut.At(1), 16)
-			rt.Fence(th, 1)
-			alignToEpoch(th, faulted)
-			for si, m := range sp.Sizes {
-				iters := sp.Iters * sp.weight(si)
-				t0 := th.Now()
-				for i := 0; i < iters; i++ {
-					if err := rt.GetErr(th, aGet.At(1), local, m); err != nil {
-						opErrs[rt.Rank]++
-					}
-				}
-				r.get[si] = sim.ToMicros(th.Now()-t0) / float64(iters)
-
-				t0 = th.Now()
-				for i := 0; i < iters; i++ {
-					if err := rt.PutErr(th, local, aPut.At(1), m); err != nil {
-						opErrs[rt.Rank]++
-					}
-				}
-				r.put[si] = sim.ToMicros(th.Now()-t0) / float64(iters)
-			}
-		})
-		r.errs = opErrs[0] + opErrs[1]
-		return r
+	res := sweep.MapCtx(eng, ctx, len(sp.Modes), func(c *sweep.Ctx, mi int) pingResult {
+		return pingRun(c, sp, sp.Modes[mi])
 	})
 	for si, m := range sp.Sizes {
 		row := []float64{float64(m)}
@@ -191,57 +198,14 @@ func FetchAddGrid(ctx context.Context, eng *sweep.Engine, sp FetchAddSpec) *Grid
 	}
 	nm := len(sp.Modes)
 	cells := sweep.MapCtx(eng, ctx, len(sp.Procs)*nm, func(c *sweep.Ctx, i int) cell {
-		procs, async := sp.Procs[i/nm], sp.Modes[i%nm]
-		cfg := c.Cfg(armci.Config{Procs: procs, ProcsPerNode: sp.PerNode,
+		async := sp.Modes[i%nm]
+		cfg := c.Cfg(armci.Config{Procs: sp.Procs[i/nm], ProcsPerNode: sp.PerNode,
 			AsyncThread: async, Seed: sp.Seed})
-		faulted := sp.Fault != nil
-		if faulted {
+		if sp.Fault != nil {
 			cfg.Fault = sp.Fault()
 		}
-		latSum := make([]sim.Time, procs)
-		opErrs := make([]int, procs)
-		armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
-			// Rank-0 layout: the hammered counter, then the done tally.
-			a := rt.Malloc(th, 16)
-			done := a.At(0).Add(8)
-			if rt.Rank == 0 {
-				for rt.Space().GetInt64(done.Addr) < int64(procs-1) {
-					if sp.Compute {
-						th.Sleep(300 * sim.Microsecond)
-					} else {
-						th.Sleep(sim.Microsecond)
-					}
-					if !async {
-						rt.Progress(th)
-					}
-				}
-				return
-			}
-			alignToEpoch(th, faulted)
-			for i := 0; i < sp.OpsEach; i++ {
-				t0 := th.Now()
-				if _, err := rt.FetchAddErr(th, a.At(0), 1); err != nil {
-					opErrs[rt.Rank]++
-				}
-				latSum[rt.Rank] += th.Now() - t0
-			}
-			// The done tally must land even under faults or rank 0 spins
-			// until the job timeout: retry past exhausted budgets, which is
-			// safe because fault windows are bounded.
-			for {
-				if _, err := rt.FetchAddErr(th, done, 1); err == nil {
-					break
-				}
-				th.Sleep(sim.Millisecond)
-			}
-		})
-		var total sim.Time
-		var errs int
-		for r := 0; r < procs; r++ {
-			total += latSum[r]
-			errs += opErrs[r]
-		}
-		return cell{us: sim.ToMicros(total) / float64((procs-1)*sp.OpsEach), errs: errs}
+		us, errs := hammer(cfg, sp.OpsEach, sp.Compute, !async)
+		return cell{us, errs}
 	})
 	for pi, p := range sp.Procs {
 		row := []string{fmt.Sprint(p)}

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Universal wire bounds: the hard ceilings one job may request from the
@@ -51,8 +53,8 @@ type ParamSpec struct {
 type Schema []ParamSpec
 
 // IntParam declares a bounded integer parameter. A submitted zero means
-// "unset" and resolves to the default, mirroring the legacy flat-Params
-// convention.
+// "unset" and resolves to the default — the {"scenario":…} wire's
+// convention, which already-cached keys depend on.
 func IntParam(name, doc string, def int, min, max int64) ParamSpec {
 	return ParamSpec{Name: name, Kind: KindInt, Doc: doc, Default: def, Min: min, Max: max}
 }
@@ -162,14 +164,21 @@ func (ps ParamSpec) defaultValue() any {
 	panic("bench: unknown param kind " + string(ps.Kind))
 }
 
+// asInt reads an integer out of a decoded JSON value. A json.Number (the
+// decoder kept the literal: the {"scenario":…} wire) must be spelled as
+// an integer; a float64 (the compose wire) must be integral and below
+// 2^53, where it still names exactly one integer.
 func asInt(v any) (int, bool) {
 	switch n := v.(type) {
 	case int:
 		return n, true
 	case int64:
 		return int(n), true
+	case json.Number:
+		i, err := strconv.ParseInt(string(n), 10, 64)
+		return int(i), err == nil
 	case float64:
-		if n != math.Trunc(n) || math.Abs(n) > 1<<53 {
+		if n != math.Trunc(n) || math.Abs(n) >= 1<<53 {
 			return 0, false
 		}
 		return int(n), true
@@ -194,22 +203,26 @@ func (ps ParamSpec) coerce(raw any, present bool) (any, error) {
 		}
 		return n, nil
 	case KindUint:
-		switch n := raw.(type) {
+		var n uint64
+		var ok bool
+		switch r := raw.(type) {
 		case uint64:
-			if n == 0 {
-				return ps.defaultValue(), nil
-			}
-			return n, nil
+			n, ok = r, true
+		case json.Number:
+			// All 64 bits: a seed runs and hashes as the integer submitted.
+			u, err := strconv.ParseUint(string(r), 10, 64)
+			n, ok = u, err == nil
 		default:
-			i, ok := asInt(raw)
-			if !ok || i < 0 {
-				return nil, &ParamError{Param: ps.Name, Hint: "must be a non-negative integer"}
-			}
-			if i == 0 {
-				return ps.defaultValue(), nil
-			}
-			return uint64(i), nil
+			i, isInt := asInt(raw)
+			n, ok = uint64(i), isInt && i >= 0
 		}
+		if !ok {
+			return nil, &ParamError{Param: ps.Name, Hint: "must be a non-negative integer"}
+		}
+		if n == 0 {
+			return ps.defaultValue(), nil
+		}
+		return n, nil
 	case KindBool:
 		b, ok := raw.(bool)
 		if !ok {

@@ -1,6 +1,8 @@
 // Package bench is the experiment harness: one entry point per table and
-// figure of the paper's evaluation section, each returning a renderable
-// grid with the same rows/series the paper reports. The package holds no
+// figure of the paper's evaluation section plus the composition
+// patterns' grid runners, each returning a renderable grid, and the
+// parameter Schema the scenario registry (internal/scenario) declares
+// its entries with. The package holds no registry and no
 // state: every entry point that simulates takes the caller's context and
 // *sweep.Engine. A grid assembled under a cancelled context is partial —
 // check ctx.Err() before rendering or caching it.

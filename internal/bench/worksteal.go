@@ -12,8 +12,8 @@ import (
 
 // WorkStealSpec parameterizes the worksteal pattern: a pool of unequal
 // tasks handed out by fetch-and-add on a rank-0 counter (the NWChem
-// load-balance idiom of §III.D). The promoted form of
-// examples/worksteal.
+// load-balance idiom of §III.D). Its canned spec is
+// examples/worksteal.json.
 type WorkStealSpec struct {
 	Procs   []int
 	PerNode int

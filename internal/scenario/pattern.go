@@ -6,12 +6,16 @@ import (
 
 	"repro/internal/armci"
 	"repro/internal/bench"
+	"repro/internal/nwchem"
 	"repro/internal/sweep"
 )
 
 // Axes declares which orthogonal spec axes a pattern consumes. Setting
 // an axis the pattern does not consume is a validation error — a
 // dropped axis would alias two different-looking specs onto one hash.
+// A pattern that consumes none is a named scenario: its parameters are
+// the whole experiment, which is what lets POST /v1/run address it by
+// name alone.
 type Axes struct {
 	Sizes       bool `json:"sizes"`
 	Procs       bool `json:"procs"`
@@ -42,11 +46,87 @@ type pattern struct {
 	run func(ctx context.Context, eng *sweep.Engine, ph *PhaseSpec) *bench.Grid
 }
 
-// patterns is the composition registry. The five entries cover the
-// paper's traffic shapes: the Fig 3 ping and Fig 9 fetch-and-add
-// micro-kernels plus the three promoted examples (halo exchange,
-// work-stealing, dgemm).
+// patterns is the registry — the one map from a name to a runner. Six
+// entries are the named scenarios (no axes; sized for interactive
+// latency, not paper scale — paper-scale sweeps stay the CLI drivers'
+// job); five are the composable traffic patterns: the Fig 3 ping and
+// Fig 9 fetch-and-add micro-kernels plus the three promoted examples
+// (halo exchange, work-stealing, dgemm). Every runner is a pure function
+// of its canonical phase — same phase, byte-identical grid — which is
+// the property the serving layer's result cache banks on.
 var patterns = map[string]*pattern{
+	"micro": {
+		Name: "micro",
+		Doc:  "Fig 3 contiguous get/put latency between adjacent nodes (sizes, iters)",
+		Schema: bench.Schema{
+			bench.ListParam("sizes", "message-size sweep, bytes",
+				[]int{16, 256, 4096, 65536}, bench.MinSize, bench.MaxSize, bench.MaxSizePoints),
+			bench.IntParam("iters", "repetitions per size", 5, 1, bench.MaxIters),
+		},
+		run: func(ctx context.Context, eng *sweep.Engine, ph *PhaseSpec) *bench.Grid {
+			return bench.Fig3(ctx, eng, ph.Params.Ints("sizes"), ph.Params.Int("iters"))
+		},
+	},
+	"amo": {
+		Name: "amo",
+		Doc:  "SIV.B.3 ablation: software AMO vs hardware NIC fetch-and-add (procs, ops_each)",
+		Schema: bench.Schema{
+			bench.ListParam("procs", "process-count sweep",
+				[]int{2, 8, 32}, bench.MinProcs, bench.MaxProcs, bench.MaxSweepPoints),
+			bench.IntParam("ops_each", "fetch-and-add ops per worker rank", 8, 1, bench.MaxOpsEach),
+		},
+		run: func(ctx context.Context, eng *sweep.Engine, ph *PhaseSpec) *bench.Grid {
+			return bench.AblationHardwareAMO(ctx, eng, ph.Params.Ints("procs"), ph.Params.Int("ops_each"))
+		},
+	},
+	"fig9": {
+		Name: "fig9",
+		Doc:  "Fig 9 fetch-and-add latency, {default, async-thread} x {idle, computing} (procs, ops_each)",
+		Schema: bench.Schema{
+			bench.ListParam("procs", "process-count sweep",
+				[]int{2, 16, 64}, bench.MinProcs, bench.MaxProcs, bench.MaxSweepPoints),
+			bench.IntParam("ops_each", "fetch-and-add ops per worker rank", 8, 1, bench.MaxOpsEach),
+		},
+		run: func(ctx context.Context, eng *sweep.Engine, ph *PhaseSpec) *bench.Grid {
+			return bench.Fig9(ctx, eng, ph.Params.Ints("procs"), ph.Params.Int("ops_each"))
+		},
+	},
+	"chaos": {
+		Name: "chaos",
+		Doc:  "Fig 9 workload under the scripted fault plan, recovery counters included (procs, ops_each, seed)",
+		Schema: bench.Schema{
+			bench.ListParam("procs", "process-count sweep",
+				[]int{8, 16}, bench.MinProcs, bench.MaxProcs, bench.MaxSweepPoints),
+			bench.IntParam("ops_each", "fetch-and-add ops per worker rank", 10, 1, bench.MaxOpsEach),
+			bench.UintParam("seed", "fault plan + jitter seed", 42),
+		},
+		run: func(ctx context.Context, eng *sweep.Engine, ph *PhaseSpec) *bench.Grid {
+			return bench.Chaos(ctx, eng, ph.Params.Ints("procs"), ph.Params.Int("ops_each"), ph.Params.Uint("seed"))
+		},
+	},
+	"scf": {
+		Name: "scf",
+		Doc:  "Fig 11 NWChem SCF proxy at reduced scale, Default vs Async Thread (procs, per_node, iters)",
+		Schema: bench.Schema{
+			bench.ListParam("procs", "process-count sweep",
+				[]int{16, 32}, bench.MinProcs, bench.MaxProcs, bench.MaxSweepPoints),
+			bench.IntParam("per_node", "ranks per node", 16, 1, bench.MaxPerNode),
+			bench.IntParam("iters", "SCF cycles", 1, 1, bench.MaxIters),
+		},
+		run: func(ctx context.Context, eng *sweep.Engine, ph *PhaseSpec) *bench.Grid {
+			scfg := nwchem.Config{Mol: nwchem.NewMolecule([]int{8, 6, 6, 8, 6, 6}),
+				Iterations: ph.Params.Int("iters"), FlopRate: 2e7}
+			return bench.Fig11(ctx, eng, ph.Params.Ints("procs"), ph.Params.Int("per_node"), scfg)
+		},
+	},
+	"tableii": {
+		Name:   "tableii",
+		Doc:    "Table II empirical PAMI time/space attribute values (no parameters)",
+		Schema: bench.Schema{},
+		run: func(ctx context.Context, eng *sweep.Engine, ph *PhaseSpec) *bench.Grid {
+			return bench.TableII()
+		},
+	},
 	"ping": {
 		Name: "ping",
 		Doc:  "Fig 3-style contiguous get/put latency between two adjacent nodes",
@@ -198,15 +278,28 @@ type Info struct {
 	Axes   Axes         `json:"axes"`
 }
 
-// Patterns lists every registered composition pattern, sorted by name.
+// Named reports whether the pattern is a named scenario: it consumes no
+// axes, so its name and parameters are the whole experiment.
+func (i Info) Named() bool { return i.Axes == Axes{} }
+
+func (p *pattern) info() Info {
+	return Info{Name: p.Name, Doc: p.Doc, Params: p.Schema, Axes: p.Axes}
+}
+
+// Lookup describes one registered pattern by name.
+func Lookup(name string) (Info, bool) {
+	p, ok := patterns[name]
+	if !ok {
+		return Info{}, false
+	}
+	return p.info(), true
+}
+
+// Patterns lists every registered pattern, sorted by name.
 func Patterns() []Info {
 	out := make([]Info, 0, len(patterns))
 	for _, p := range patterns {
-		schema := p.Schema
-		if schema == nil {
-			schema = bench.Schema{}
-		}
-		out = append(out, Info{Name: p.Name, Doc: p.Doc, Params: schema, Axes: p.Axes})
+		out = append(out, p.info())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -122,6 +122,13 @@ func TestCanonValidationTable(t *testing.T) {
 			"phases[0].sizes.points"},
 		{"fault on faultless pattern", `{"phases":[{"pattern":"halo","fault":{"events":[{"kind":"link_down","start_us":0,"dur_us":1}]}}]}`,
 			"phases[0].fault"},
+		{"axis on a named scenario", `{"phases":[{"pattern":"fig9","topology":{"per_node":4}}]}`,
+			"phases[0].topology"},
+		{"undeclared param on a named scenario", `{"phases":[{"pattern":"micro","params":{"procs":[4]}}]}`,
+			"phases[0].params.procs"},
+		// 2^53+1 reaches Canon as the float64 2^53: refused, not rounded.
+		{"seed past float64 precision", `{"phases":[{"pattern":"chaos","params":{"seed":9007199254740993}}]}`,
+			"phases[0].params.seed"},
 		{"empty fault", `{"phases":[{"pattern":"ping","fault":{"events":[]}}]}`,
 			"phases[0].fault.events"},
 		{"bad fault kind", `{"phases":[{"pattern":"ping","fault":{"events":[{"kind":"meteor","start_us":0,"dur_us":1}]}}]}`,
@@ -262,5 +269,19 @@ func TestPromotedPatternsRun(t *testing.T) {
 	}
 	if strings.Contains(out, "NO") {
 		t.Errorf("dgemm verification failed:\n%s", out)
+	}
+}
+
+// Parse reads one JSON value: whatever follows it other than whitespace
+// is an error, not a silently dropped tail.
+func TestParseRejectsTrailingData(t *testing.T) {
+	const spec = `{"phases":[{"pattern":"tableii"}]}`
+	for _, tail := range []string{`{"phases":[]}`, ` x`, `]]]`, "\n}"} {
+		if _, err := Parse(strings.NewReader(spec + tail)); !errors.Is(err, ErrTrailingData) {
+			t.Errorf("%q after the spec: want ErrTrailingData, got %v", tail, err)
+		}
+	}
+	if _, err := Parse(strings.NewReader(spec + " \n\t\r\n")); err != nil {
+		t.Errorf("trailing whitespace refused: %v", err)
 	}
 }

@@ -1,14 +1,17 @@
-// Package scenario is the declarative composition layer over the
-// simulation harness: a spec is a JSON document listing phases, each
-// composing orthogonal axes — a traffic pattern (ping, fetchadd, halo,
-// worksteal, dgemm), a message-size distribution, a topology, an
-// engine/consistency mode, and an optional fault plan. Specs normalize
-// to a canonical form (defaults filled, axes sorted, unknown or unused
-// fields rejected) before hashing, so a composed scenario slots into
-// the serving layer's content-addressed cache exactly like a legacy
-// flat-Params job: two spellings of the same experiment collide onto
-// one key, and the rendered result is byte-identical at any
-// sweep-worker or lane-shard count.
+// Package scenario is the scenario registry and the declarative
+// composition layer over the simulation harness. A pattern is a named,
+// schema-described runner; a spec is a JSON document listing phases,
+// each naming a pattern and composing the orthogonal axes that pattern
+// consumes — a message-size distribution, a topology, an
+// engine/consistency mode, and an optional fault plan. The traffic
+// patterns (ping, fetchadd, halo, worksteal, dgemm) consume axes; the
+// named scenarios (micro, amo, fig9, chaos, scf, tableii) consume none
+// and are fully described by their parameters. Specs normalize to a
+// canonical form (defaults filled, axes sorted, unknown or unused fields
+// rejected) before hashing, so every job slots into the serving layer's
+// content-addressed cache the same way: two spellings of the same
+// experiment collide onto one key, and the rendered result is
+// byte-identical at any sweep-worker or lane-shard count.
 package scenario
 
 import (
@@ -125,13 +128,34 @@ type FaultEventSpec struct {
 	DelayUS int64   `json:"delay_us,omitempty"` // delay
 }
 
-// Parse decodes a JSON spec strictly: unknown fields are rejected, so a
-// typo cannot alias two semantically different specs onto one hash.
-func Parse(r io.Reader) (Spec, error) {
+// ErrTrailingData is Decode's refusal of a body that carries anything but
+// whitespace after its one JSON value.
+var ErrTrailingData = errors.New("trailing data after the JSON value")
+
+// Decode reads exactly one JSON value from r into v, strictly: unknown
+// fields are rejected, so a typo cannot alias two semantically different
+// submissions onto one hash, and so is anything but whitespace after the
+// value — a second object or stray bytes must not ride along under the
+// first one's key. Every wire decoder (Parse here, the serving layer's
+// two envelopes) goes through it.
+func Decode(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	// At the clean end of input Token returns io.EOF without allocating
+	// (whitespace after a sub-512-byte value costs one buffer growth).
+	if _, err := dec.Token(); err != io.EOF {
+		return ErrTrailingData
+	}
+	return nil
+}
+
+// Parse decodes a JSON spec (see Decode for the strictness rules).
+func Parse(r io.Reader) (Spec, error) {
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := Decode(r, &s); err != nil {
 		return s, fmt.Errorf("bad scenario spec: %w", err)
 	}
 	return s, nil

@@ -7,51 +7,45 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/bench"
 )
 
 // Two spellings of the same experiment — different JSON field order,
 // defaults omitted vs spelled out — must hash to the same key, and a
 // genuinely different experiment must not.
 func TestHashCanonicalization(t *testing.T) {
-	parse := func(s string) JobConfig {
+	parse := func(s string) job {
 		t.Helper()
-		c, err := ParseJobConfig(strings.NewReader(s))
+		j, err := parseJob(strings.NewReader(s), new(JobConfig))
 		if err != nil {
 			t.Fatalf("parse %s: %v", s, err)
 		}
-		c, _, err = c.Normalize()
-		if err != nil {
-			t.Fatalf("normalize %s: %v", s, err)
-		}
-		return c
+		return j
 	}
 
 	bare := parse(`{"scenario":"micro"}`)
 	spelled := parse(`{"params":{"iters":5,"sizes":[16,256,4096,65536]},"format":"csv","scenario":"micro"}`)
-	if bare.Hash() != spelled.Hash() {
+	if bare.key != spelled.key {
 		t.Errorf("defaults-omitted and defaults-spelled-out configs hash differently:\n %s\n %s",
-			bare.Hash(), spelled.Hash())
+			bare.key, spelled.key)
 	}
 
 	reordered := parse(`{"format":"csv","scenario":"micro","params":{"sizes":[16,256,4096,65536],"iters":5}}`)
-	if bare.Hash() != reordered.Hash() {
+	if bare.key != reordered.key {
 		t.Errorf("field order changed the hash")
 	}
 
 	different := parse(`{"scenario":"micro","params":{"iters":6}}`)
-	if bare.Hash() == different.Hash() {
+	if bare.key == different.key {
 		t.Errorf("different iters collided onto one hash")
 	}
 	otherFormat := parse(`{"scenario":"micro","format":"json"}`)
-	if bare.Hash() == otherFormat.Hash() {
+	if bare.key == otherFormat.key {
 		t.Errorf("different formats collided onto one hash")
 	}
 }
 
 func TestParseRejectsUnknownFields(t *testing.T) {
-	_, err := ParseJobConfig(strings.NewReader(`{"scenario":"micro","scenaario_typo":1}`))
+	_, err := parseJob(strings.NewReader(`{"scenario":"micro","scenaario_typo":1}`), new(JobConfig))
 	if err == nil {
 		t.Fatal("unknown field accepted")
 	}
@@ -279,10 +273,12 @@ func TestNormalizeErrors(t *testing.T) {
 		cfg  JobConfig
 	}{
 		{"unknown scenario", JobConfig{Scenario: "nope"}},
+		{"traffic pattern by name", JobConfig{Scenario: "ping"}},
 		{"unknown format", JobConfig{Scenario: "micro", Format: "xml"}},
-		{"out-of-range params", JobConfig{Scenario: "amo", Params: bench.Params{Procs: []int{100000}}}},
+		{"out-of-range params", JobConfig{Scenario: "amo", Params: wireParams{"procs": []int{100000}}}},
+		{"undeclared param", JobConfig{Scenario: "micro", Params: wireParams{"procs": []int{4}}}},
 	} {
-		if _, _, err := tc.cfg.Normalize(); err == nil {
+		if _, err := newJob(&tc.cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

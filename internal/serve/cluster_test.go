@@ -76,16 +76,12 @@ func jobOwnedBy(t *testing.T, nodes []*node, want *node) (body, key string) {
 	ring := nodes[0].srv.ring
 	for iters := 1; iters <= 200; iters++ {
 		body = fmt.Sprintf(`{"scenario":"micro","params":{"sizes":[64],"iters":%d}}`, iters)
-		cfg, err := ParseJobConfig(strings.NewReader(body))
+		j, err := parseJob(strings.NewReader(body), new(JobConfig))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg, _, err = cfg.Normalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ring.Owner(cfg.Hash()) == want.addr {
-			return body, cfg.Hash()
+		if ring.Owner(j.key) == want.addr {
+			return body, j.key
 		}
 	}
 	t.Fatal("no micro config hashed onto the wanted owner in 200 tries")

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// legacyHashes are the canonical config hashes of the six flat-Params
+// legacyHashes are the canonical config hashes of the six named
 // scenarios' default submissions, captured on the pre-schema registry.
-// The typed-registry redesign must keep every one byte-identical: these
+// Every registry redesign since must keep each one byte-identical: these
 // keys are the identities of cached artifacts, and a silent shift would
 // orphan every previously cached result (and break the "two spellings,
 // one key" contract clients rely on).
@@ -22,16 +22,12 @@ var legacyHashes = map[string]string{
 
 func TestLegacyHashPins(t *testing.T) {
 	for name, want := range legacyHashes {
-		cfg, err := ParseJobConfig(strings.NewReader(`{"scenario":"` + name + `"}`))
+		j, err := parseJob(strings.NewReader(`{"scenario":"`+name+`"}`), new(JobConfig))
 		if err != nil {
-			t.Fatalf("%s: parse: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		cfg, _, err = cfg.Normalize()
-		if err != nil {
-			t.Fatalf("%s: normalize: %v", name, err)
-		}
-		if got := cfg.Hash(); got != want {
-			t.Errorf("%s: hash moved: got %s want %s", name, got, want)
+		if j.key != want {
+			t.Errorf("%s: hash moved: got %s want %s", name, j.key, want)
 		}
 	}
 }
@@ -41,15 +37,11 @@ func TestLegacyHashPins(t *testing.T) {
 // the bare scenario name.
 func TestLegacyHashSpelledOut(t *testing.T) {
 	body := `{"scenario":"fig9","format":"csv","params":{"procs":[2,16,64],"ops_each":8}}`
-	cfg, err := ParseJobConfig(strings.NewReader(body))
+	j, err := parseJob(strings.NewReader(body), new(JobConfig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, _, err = cfg.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.Hash(); got != legacyHashes["fig9"] {
-		t.Errorf("spelled-out fig9 hash = %s, want %s", got, legacyHashes["fig9"])
+	if j.key != legacyHashes["fig9"] {
+		t.Errorf("spelled-out fig9 hash = %s, want %s", j.key, legacyHashes["fig9"])
 	}
 }

@@ -232,7 +232,7 @@ func TestUnversionedRoutesGone(t *testing.T) {
 	}
 }
 
-// GET /v1/scenarios is the self-describing catalog: every fixed scenario
+// GET /v1/scenarios is the self-describing catalog: every named scenario
 // with its parameter schema and defaults, every composition pattern with
 // its schema and axes.
 func TestScenariosCatalog(t *testing.T) {

@@ -25,82 +25,207 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/bench"
+	"repro/internal/scenario"
+	"repro/internal/sweep"
 )
 
-// JobConfig is the submitted job: a scenario name from the bench
-// registry, the artifact format, and the scenario parameters. The
-// zero-valued fields of Params are filled from the scenario defaults
-// during normalization, so `{"scenario":"micro"}` and the same request
-// with every default spelled out are the same job.
+// A submission arrives in one of two envelopes. Both name patterns from
+// the one registry (internal/scenario) and both reduce, in newJob, to
+// the same thing: a label, a format, a canonical spec to execute, and
+// the canonical bytes whose SHA-256 is the job's identity. The leading
+// JSON key ("scenario" vs "compose") keeps their hash spaces disjoint.
+type envelope interface {
+	// normalize canonicalizes the envelope in place — defaults spelled
+	// out, format resolved — and returns the job it describes, still
+	// without its key and body (newJob derives both from the envelope).
+	normalize() (job, error)
+}
+
+// JobConfig is the {"scenario": name} envelope of POST /v1/run and POST
+// /v1/runs: the wire and hash shape of a named scenario (a registry
+// pattern that consumes no axes) with its parameters. What it guarantees
+// is the key and the bytes: the canonical encoding — scenario, format,
+// then the resolved parameters in the flat order below — is the one the
+// pinned hashes were taken over, and the artifact is the bare grid.
 type JobConfig struct {
-	Scenario string       `json:"scenario"`
-	Format   string       `json:"format,omitempty"` // csv (default) | text | json
-	Params   bench.Params `json:"params,omitempty"`
+	Scenario string     `json:"scenario"`
+	Format   string     `json:"format,omitempty"` // csv (default) | text | json
+	Params   wireParams `json:"params"`
 }
 
-// ParseJobConfig decodes a JSON job submission strictly: unknown fields
-// are rejected rather than silently dropped, so a typo cannot alias two
-// semantically different configs onto one hash.
-func ParseJobConfig(r io.Reader) (JobConfig, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var c JobConfig
-	if err := dec.Decode(&c); err != nil {
-		return c, fmt.Errorf("bad job config: %w", err)
+// wireParams is a named scenario's parameter object. Submitted in any
+// key order, it marshals in wireOrder (encoding/json would sort a map's
+// keys), so a resolved set encodes to the bytes every cached key covers.
+type wireParams bench.Values
+
+var wireOrder = [...]string{"procs", "per_node", "ops_each", "iters", "sizes", "seed"}
+
+func (p wireParams) MarshalJSON() ([]byte, error) {
+	buf := []byte{'{'}
+	for _, name := range wireOrder {
+		v, ok := p[name]
+		if !ok {
+			continue
+		}
+		val, err := json.Marshal(v)
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) > 1 {
+			buf = append(buf, ',')
+		}
+		buf = append(strconv.AppendQuote(buf, name), ':')
+		buf = append(buf, val...)
 	}
-	return c, nil
+	return append(buf, '}'), nil
 }
 
-// Normalize resolves the scenario, canonicalizes the format, and
-// default-fills + validates the params. The returned config is the
-// canonical form used for hashing.
-func (c JobConfig) Normalize() (JobConfig, *bench.Scenario, error) {
-	sc, ok := bench.LookupScenario(c.Scenario)
-	if !ok {
-		return c, nil, fmt.Errorf("unknown scenario %q", c.Scenario)
+// UnmarshalJSON keeps every number as the literal submitted
+// (json.Number) instead of a float64, as the typed struct this wire used
+// to decode into did: all 64 bits of a seed reach the hash and the run,
+// and 5.0 or 1e1 is not an integer here.
+func (p *wireParams) UnmarshalJSON(data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var m map[string]any
+	if err := dec.Decode(&m); err != nil {
+		return err
 	}
-	switch c.Format {
-	case "":
-		c.Format = "csv"
-	case "csv", "text", "json":
-	default:
-		return c, nil, fmt.Errorf("unknown format %q (want csv, text, or json)", c.Format)
-	}
-	c.Params = sc.Normalize(c.Params)
-	if err := sc.Validate(c.Params); err != nil {
-		return c, nil, err
-	}
-	return c, sc, nil
+	*p = m
+	return nil
 }
 
-// Hash content-addresses a normalized config: the SHA-256 of its
-// canonical JSON encoding. encoding/json emits struct fields in
-// declaration order, the decode step already erased any field-order or
-// whitespace variation in the submission, and Normalize erased the
-// explicit-defaults-vs-omitted distinction — so two requests for the
-// same experiment always collide onto one key, and two different
-// experiments never do.
-func (c JobConfig) Hash() string {
-	sum := sha256.Sum256(c.Canonical())
-	return hex.EncodeToString(sum[:])
-}
-
-// Canonical returns the canonical JSON encoding of a normalized config —
-// the exact bytes the hash covers. A clustered replica re-submits these
-// bytes when proxying a non-owned job to the key's ring owner, so the
-// owner parses, normalizes, and hashes to the identical key.
-func (c JobConfig) Canonical() []byte {
-	b, err := json.Marshal(c)
+func (c *JobConfig) normalize() (job, error) {
+	info, ok := scenario.Lookup(c.Scenario)
+	if !ok || !info.Named() {
+		return job{}, fmt.Errorf("unknown scenario %q", c.Scenario)
+	}
+	var err error
+	if c.Format, err = canonFormat(c.Format); err != nil {
+		return job{}, err
+	}
+	vals, err := info.Params.Resolve(bench.Values(c.Params))
 	if err != nil {
-		// A JobConfig of strings/ints/slices cannot fail to marshal.
+		return job{}, err
+	}
+	c.Params = wireParams(vals)
+	spec := scenario.Spec{Phases: []scenario.PhaseSpec{{Pattern: c.Scenario, Params: vals}}}
+	return job{scenario: c.Scenario, format: c.Format, spec: spec, bare: true}, nil
+}
+
+// composeLabel is the scenario label composed jobs run under: one shared
+// per-scenario concurrency slot, one metrics family, one name in the run
+// registry.
+const composeLabel = "compose"
+
+// ComposeConfig is the {"compose": spec} envelope of POST /v1/compose: a
+// composed multi-phase spec plus the artifact format. Canonicalization
+// before hashing is what makes composition cacheable — two spellings of
+// the same experiment (defaults omitted vs spelled out, axes reordered)
+// collapse onto one canonical form, one hash, one cache entry.
+type ComposeConfig struct {
+	Compose scenario.Spec `json:"compose"`
+	Format  string        `json:"format,omitempty"` // csv (default) | text | json
+}
+
+func (c *ComposeConfig) normalize() (job, error) {
+	canon, err := c.Compose.Canon()
+	if err != nil {
+		return job{}, err
+	}
+	c.Compose = canon
+	if c.Format, err = canonFormat(c.Format); err != nil {
+		return job{}, err
+	}
+	return job{scenario: composeLabel, format: c.Format, spec: canon}, nil
+}
+
+// canonFormat is the one place an artifact format is validated.
+func canonFormat(f string) (string, error) {
+	switch f {
+	case "":
+		return "csv", nil
+	case "csv", "text", "json":
+		return f, nil
+	}
+	return "", fmt.Errorf("unknown format %q (want csv, text, or json)", f)
+}
+
+// job is one executable unit behind the cache/singleflight/registry
+// machinery. scenario is the label used for metrics, the per-scenario
+// concurrency cap, and the run registry ("compose" for composed jobs);
+// key is the config's content address; spec is what exec runs; bare
+// selects the {"scenario":…} artifact, the phase's grid with no phase
+// header.
+type job struct {
+	scenario string
+	format   string
+	key      string
+	body     []byte // canonical envelope JSON — what a proxy re-submits
+	spec     scenario.Spec
+	bare     bool
+}
+
+// parseJob decodes r into env strictly (see scenario.Decode) and builds
+// the job.
+func parseJob(r io.Reader, env envelope) (job, error) {
+	if err := scenario.Decode(r, env); err != nil {
+		return job{}, fmt.Errorf("bad job config: %w", err)
+	}
+	return newJob(env)
+}
+
+// newJob is the one constructor: it normalizes a decoded envelope and
+// content-addresses it. The key is the SHA-256 of the canonical JSON
+// encoding: the decode step already erased any field-order or whitespace
+// variation in the submission and normalize erased the
+// explicit-defaults-vs-omitted distinction, so two requests for the same
+// experiment always collide onto one key, and two different experiments
+// never do. A clustered replica re-submits the same bytes when proxying
+// to the key's ring owner, which therefore derives the identical key.
+func newJob(env envelope) (job, error) {
+	j, err := env.normalize()
+	if err != nil {
+		return job{}, err
+	}
+	j.body, err = json.Marshal(env)
+	if err != nil {
+		// Strings, ints and slices cannot fail to marshal.
 		panic("serve: marshal canonical config: " + err.Error())
 	}
-	return b
+	sum := sha256.Sum256(j.body)
+	j.key = hex.EncodeToString(sum[:])
+	return j, nil
+}
+
+// exec is the one executor: run the spec's phases on a pooled engine and
+// render the artifact. A named scenario's artifact is its bare grid —
+// the bytes its key has always addressed — a composed one carries the
+// per-phase separators.
+func (j job) exec(ctx context.Context, eng *sweep.Engine) ([]byte, error) {
+	res, err := scenario.Run(ctx, eng, j.spec)
+	if err != nil {
+		// An invalid spec never gets here (newJob canonicalized it), so
+		// this is ctx's error: the sweep was cut short and the partial
+		// result must never be rendered, served, or cached.
+		return nil, err
+	}
+	if j.bare {
+		return renderArtifact(res.Phases[0].Grid, j.format)
+	}
+	var buf bytes.Buffer
+	if err := res.Render(&buf, j.format); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

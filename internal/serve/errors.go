@@ -9,8 +9,9 @@ package serve
 // fields instead of scraping prose. The field locator uses the request
 // body's own path syntax (`params.iters`, `phases[1].fault.events[0]`),
 // pointing at exactly the input to change. Validation layers return
-// typed errors (bench.ParamError, scenario.SpecError) and the adapter
-// here maps them; untyped errors carry a message only.
+// typed errors (bench.ParamError, scenario.SpecError,
+// scenario.ErrTrailingData) and the adapter here maps them; untyped
+// errors carry a message only.
 //
 // /healthz stays plain text: it is a load-balancer probe, not part of
 // the JSON API.
@@ -54,6 +55,9 @@ func errorFrom(err error) apiError {
 	var se *scenario.SpecError
 	if errors.As(err, &se) {
 		return apiError{Error: err.Error(), Field: "compose." + se.Field, Hint: se.Hint}
+	}
+	if errors.Is(err, scenario.ErrTrailingData) {
+		return apiError{Error: err.Error(), Field: "body", Hint: "send exactly one JSON value"}
 	}
 	return apiError{Error: err.Error()}
 }

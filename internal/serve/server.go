@@ -131,37 +131,6 @@ type jobResult struct {
 	src        string // non-empty overrides the X-Cache source ("peer")
 }
 
-// job is one executable unit behind the cache/singleflight/registry
-// machinery, shared by the fixed-scenario and composed paths. scenario
-// is the label used for metrics, the per-scenario concurrency cap, and
-// the run registry ("compose" for composed jobs); key is the config's
-// content address; exec runs the work on a pooled engine and returns the
-// rendered artifact.
-type job struct {
-	scenario string
-	format   string
-	key      string
-	body     []byte // canonical config JSON — what a proxy re-submits
-	exec     func(ctx context.Context, eng *sweep.Engine) ([]byte, error)
-}
-
-// legacyExec returns the executor for a normalized fixed-scenario
-// config: run the sweep, render in the requested format.
-func legacyExec(sc *bench.Scenario, cfg JobConfig) func(ctx context.Context, eng *sweep.Engine) ([]byte, error) {
-	return func(ctx context.Context, eng *sweep.Engine) ([]byte, error) {
-		g, err := sc.Run(ctx, eng, cfg.Params)
-		if err != nil {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			// The sweep was cut short; the grid is partial and must never
-			// be rendered, served, or cached.
-			return nil, ctx.Err()
-		}
-		return renderArtifact(g, cfg.Format)
-	}
-}
-
 // Server executes simulation jobs behind a result cache and admission
 // control. Build with New, mount Handler on an http.Server, call Drain
 // then Close on shutdown.
@@ -356,26 +325,42 @@ func (s *Server) syncCacheGauges() {
 
 // --- handlers ---
 
+// The three POST handlers differ only in which envelope they decode and
+// whether the job is served synchronously (the artifact in the response
+// body) or submitted (202 + run record, SSE live-attachable while it
+// executes). POST /v1/compose picks with `?async=1`.
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	s.handleJob(w, r, new(JobConfig), false)
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	s.handleJob(w, r, new(JobConfig), true)
+}
+
+func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
+	async := r.URL.Query().Get("async")
+	s.handleJob(w, r, new(ComposeConfig), async != "" && async != "0" && async != "false")
+}
+
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, env envelope, async bool) {
 	noStore(w)
 	if s.draining.Load() {
 		unavailable(w)
 		return
 	}
-	cfg, err := ParseJobConfig(http.MaxBytesReader(w, r.Body, 1<<20))
+	j, err := parseJob(http.MaxBytesReader(w, r.Body, 1<<20), env)
 	if err != nil {
 		badRequest(w, err)
 		return
 	}
-	cfg, sc, err := cfg.Normalize()
-	if err != nil {
-		badRequest(w, err)
+	access(r).setScenario(j.scenario)
+	if async {
+		s.count("serve/submits{scenario="+j.scenario+"}", 1)
+		s.submitJob(w, r, j)
 		return
 	}
-	j := job{scenario: sc.Name, format: cfg.Format, key: cfg.Hash(),
-		body: cfg.Canonical(), exec: legacyExec(sc, cfg)}
-	s.count("serve/requests{scenario="+sc.Name+"}", 1)
-	access(r).setScenario(sc.Name)
+	s.count("serve/requests{scenario="+j.scenario+"}", 1)
 	s.serveJob(w, r, j)
 }
 
@@ -477,39 +462,41 @@ func contentTypeFor(format string) string {
 	}[format]
 }
 
-// handleScenarios is GET /v1/scenarios: the self-describing catalog.
-// Fixed scenarios (kind "scenario", runnable via POST /v1/run) carry
-// their wire parameter schema and resolved defaults; composition
-// patterns (kind "pattern", usable as POST /v1/compose phases) carry
-// their schema and the orthogonal axes they consume. Clients build
-// submissions from this listing instead of hard-coding names and
-// parameter sets.
+// handleScenarios is GET /v1/scenarios: the registry, self-described.
+// Named scenarios — patterns with no axes, runnable by name via POST
+// /v1/run — come first as kind "scenario" with their resolved defaults;
+// the traffic patterns (kind "pattern", usable as POST /v1/compose
+// phases, as the named scenarios also are) follow with the orthogonal
+// axes they consume. Clients build submissions from this listing instead
+// of hard-coding names and parameter sets.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	type entry struct {
 		Name     string         `json:"name"`
 		Kind     string         `json:"kind"` // scenario | pattern
 		Doc      string         `json:"doc"`
 		Params   bench.Schema   `json:"params"`
-		Defaults *bench.Params  `json:"defaults,omitempty"` // scenarios only
+		Defaults *wireParams    `json:"defaults,omitempty"` // scenarios only
 		Axes     *scenario.Axes `json:"axes,omitempty"`     // patterns only
 	}
-	var out []entry
-	for _, sc := range bench.Scenarios() {
-		schema := sc.Schema
-		if schema == nil {
-			schema = bench.Schema{}
-		}
-		defaults := sc.Normalize(bench.Params{})
-		out = append(out, entry{Name: sc.Name, Kind: "scenario", Doc: sc.Doc,
-			Params: schema, Defaults: &defaults})
-	}
 	pats := scenario.Patterns()
+	var named, composable []entry
 	for i := range pats {
-		out = append(out, entry{Name: pats[i].Name, Kind: "pattern", Doc: pats[i].Doc,
-			Params: pats[i].Params, Axes: &pats[i].Axes})
+		p := &pats[i]
+		e := entry{Name: p.Name, Doc: p.Doc, Params: p.Params}
+		if !p.Named() {
+			e.Kind, e.Axes = "pattern", &p.Axes
+			composable = append(composable, e)
+			continue
+		}
+		defaults, err := p.Params.Resolve(nil)
+		if err != nil {
+			panic("serve: scenario " + p.Name + " rejects its own defaults: " + err.Error())
+		}
+		e.Kind, e.Defaults = "scenario", (*wireParams)(&defaults)
+		named = append(named, e)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
+	json.NewEncoder(w).Encode(append(named, composable...))
 }
 
 // handleHealthz answers readiness probes. Both not-ready conditions are

@@ -28,32 +28,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleSubmit is POST /v1/runs: async job submission. The response is
-// immediate — 200 with the run ID when the artifact is already cached
-// (the registry synthesizes a replayable finished run), 202 otherwise —
-// and the client follows the run via GET /v1/runs/{id} or the SSE stream.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		unavailable(w)
-		return
-	}
-	cfg, err := ParseJobConfig(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	cfg, sc, err := cfg.Normalize()
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	j := job{scenario: sc.Name, format: cfg.Format, key: cfg.Hash(),
-		body: cfg.Canonical(), exec: legacyExec(sc, cfg)}
-	s.count("serve/submits{scenario="+sc.Name+"}", 1)
-	access(r).setScenario(sc.Name)
-	s.submitJob(w, r, j)
-}
-
 // handleRuns is GET /v1/runs: every retained run, admission order.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	infos := s.runs.list()

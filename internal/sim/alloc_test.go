@@ -3,9 +3,10 @@ package sim
 import "testing"
 
 // The zero-allocation invariant (see queue.go): steady-state scheduling
-// must not allocate. These tests are the regression gate behind `make
-// bench-smoke`; if a change reintroduces per-event allocation (a
-// pointer-boxed heap, a closure per wake-up), they fail.
+// must not allocate. These tests are the regression gate (`go test ./...`
+// runs them; they skip under -race, which allocates); if a change
+// reintroduces per-event allocation (a pointer-boxed heap, a closure per
+// wake-up), they fail.
 
 // TestAtRunZeroAlloc drives timed events (value-heap path) through a
 // warmed kernel and asserts At+Run allocate nothing.
