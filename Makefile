@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet check bench bench-shards race-sweep race-shards serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
+.PHONY: all test test-short vet check bench bench-shards race-sweep race-shards serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
 
 all: vet test
 
@@ -24,7 +24,7 @@ test-short:
 check:
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/fault/ ./...
-	$(GO) test -run ZeroAlloc ./internal/sim/ ./internal/network/
+	$(GO) test -run Alloc ./internal/sim/ ./internal/network/
 
 # Engine wall-clock benchmarks (the cost of simulating): micro benches
 # plus the reduced Fig 9 p=4096 / SCF scenarios, written to
@@ -34,20 +34,21 @@ bench:
 	$(GO) run ./cmd/simbench -out BENCH_sim.json
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Parallel-sweep race gate: concurrent whole-simulation isolation and
-# worker-count invariance under the race detector.
+# Parallel-sweep race gate: concurrent whole-simulation isolation,
+# worker-count invariance and overlapping Map calls on one engine under
+# the race detector.
 race-sweep:
 	$(GO) test -race -run 'TestSweep|TestConcurrent' .
 
-# Intra-run shard race gate: the lane pool, parallel boundary (staged
-# deposit apply), and cross-lane deposit path under the race detector —
-# the shard invariance tests (golden scenario, fig9, chaos, composed),
-# the shard x lane-group matrix and the serial-boundary oracle
-# equivalence on test-owned kernels, the frozen legacy-engine
-# equivalence, and two sharded worlds running concurrently — plus the
-# sim package's own lane engine and horizon-tree tests.
+# Intra-run shard race gate: the lane pool, the boundary and the
+# cross-lane deposit path under the race detector — the shard invariance
+# tests (golden scenario, fig9, chaos, composed, and the 64-lane world
+# whose derived dispatch grain exceeds one, fault-free and under chaos),
+# the frozen legacy-engine equivalence, and two sharded worlds running
+# concurrently — plus the sim package's own lane engine (grain x worker
+# matrix included) and horizon-tree tests.
 race-shards:
-	$(GO) test -race -run 'TestShard|TestLegacyEngine|TestChaosLaneGroup|TestBoundaryOracle' .
+	$(GO) test -race -run 'TestShard|TestLegacyEngine' .
 	$(GO) test -race -run 'TestLane|TestHorizon|TestPopUpTo|TestMarkDirty' ./internal/sim/
 
 # Shard scaling gate: times the fig9 p=16384 scenario serial vs sharded

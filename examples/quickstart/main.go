@@ -46,8 +46,9 @@ func main() {
 	})
 
 	fmt.Printf("\nsimulated partition: %v\n", w.M.Net.Torus())
+	traffic := w.M.Net.Totals()
 	fmt.Printf("network traffic: %d messages, %d payload bytes\n",
-		w.M.Net.Messages, w.M.Net.Bytes)
+		traffic.Messages, traffic.Bytes)
 	st := w.Runtimes[0].Stats
 	fmt.Printf("rank 0 protocol counters: put.rdma=%d get.rdma=%d rmw=%d fence=%d\n",
 		st.Get("put.rdma"), st.Get("get.rdma"), st.Get("rmw"), st.Get("fence"))

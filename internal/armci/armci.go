@@ -95,12 +95,6 @@ type Config struct {
 	// metrics, ARMCI op counts/latencies — into the given registry. Nil
 	// costs one pointer check per instrumentation point.
 	Obs *obs.Registry
-	// Pool, when non-nil, recycles host-side backing arrays (the kernel's
-	// event heap/ring) across runs.
-	// Simulated behavior is identical with or without it; only the
-	// process's allocation profile changes. A Pool must not be shared by
-	// concurrent runs — sweep workers each own one.
-	Pool *Pool
 }
 
 // withDefaults validates the configuration and fills in mode defaults.
@@ -175,30 +169,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// AutoLaneGroup picks the default lane-execution grain for a topology:
-// enough lanes per dispatch chunk that each worker claims roughly eight
-// chunks per full round (load-balance granularity versus per-chunk
-// handoff cost), clamped to [1, 64]. A pure function of (nodes, shards)
-// — never of GOMAXPROCS or any other host property — so the choice is
-// canonical across machines and stays out of content-addressed job keys.
-func AutoLaneGroup(nodes, shards int) int {
-	workers := shards
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > nodes {
-		workers = nodes
-	}
-	g := nodes / (workers * 8)
-	if g < 1 {
-		g = 1
-	}
-	if g > 64 {
-		g = 64
-	}
-	return g
-}
-
 // World is one simulated job: the machine plus every rank's runtime.
 type World struct {
 	K   *sim.Kernel
@@ -236,21 +206,14 @@ func NewWorld(k *sim.Kernel, cfg Config) (*World, error) {
 		return nil, err
 	}
 	tor := topology.ForProcs(cfg.Procs, cfg.ProcsPerNode)
-	m := pami.NewMachine(k, tor, cfg.Params)
-	m.SeedBase = cfg.Seed
 	if cfg.Obs != nil {
 		k.SetObs(cfg.Obs)
-		m.SetObs(cfg.Obs)
 	}
 	// One lane per node, fixed by the topology; Shards only picks the
 	// worker count, so results are invariant across shard settings.
-	workers := cfg.Shards
-	if workers < 1 {
-		workers = 1
-	}
-	k.ConfigureLanes(tor.Nodes(), workers, cfg.Params.Lookahead())
-	k.SetLaneGroup(AutoLaneGroup(tor.Nodes(), cfg.Shards))
-	m.SetLanes(k.Lanes())
+	k.ConfigureLanes(tor.Nodes(), cfg.Shards, cfg.Params.Lookahead())
+	m := pami.NewMachine(k, tor, cfg.Params)
+	m.SeedBase = cfg.Seed
 	w := &World{
 		K:        k,
 		M:        m,
@@ -280,7 +243,7 @@ func (w *World) Start(body func(th *sim.Thread, rt *Runtime)) {
 	tor := w.M.Net.Torus()
 	for rank := 0; rank < w.Cfg.Procs; rank++ {
 		rank := rank
-		ln := w.M.LaneFor(tor.NodeOf(rank))
+		ln := w.K.LaneOf(tor.NodeOf(rank))
 		t := w.K.SpawnOn(ln, fmt.Sprintf("rank-%04d", rank), func(th *sim.Thread) {
 			rt := newRuntime(w, th, rank)
 			w.Runtimes[rank] = rt
@@ -294,25 +257,15 @@ func (w *World) Start(body func(th *sim.Thread, rt *Runtime)) {
 
 // Run builds a world, runs body on every rank, and drives the simulation
 // to completion. Invalid configurations return an error before any
-// simulation work happens. A configured Pool is consulted for recycled
-// backing arrays up front and harvested again after a clean completion.
+// simulation work happens.
 func Run(cfg Config, body func(th *sim.Thread, rt *Runtime)) (*World, error) {
-	k := cfg.Pool.kernel()
+	k := sim.NewKernel()
 	w, err := NewWorld(k, cfg)
 	if err != nil {
-		cfg.Pool.putKernel(k) // unused; hand the arrays straight back
 		return nil, err
 	}
 	w.Start(body)
-	err = k.Run()
-	w.M.Net.FoldLaneStats()
-	if err != nil {
-		return w, err
-	}
-	// The world's results stay readable — aggregate stats, fault counters,
-	// the kernel's clock and event count — after its queue arrays go back.
-	w.Cfg.Pool.putKernel(k)
-	return w, nil
+	return w, k.Run()
 }
 
 // MustRun is Run that fails loudly; experiment harnesses use it.

@@ -11,8 +11,8 @@ import (
 )
 
 // one runs a single simulation task through the sweep engine, so even
-// standalone figure runs get the per-run registry and the worker pool's
-// recycled arrays.
+// standalone figure runs get the per-run registry and the engine's shard
+// budget.
 func one[T any](ctx context.Context, eng *sweep.Engine, fn func(c *sweep.Ctx) T) T {
 	return sweep.MapCtx(eng, ctx, 1, func(c *sweep.Ctx, _ int) T { return fn(c) })[0]
 }

@@ -46,7 +46,7 @@ func Fig11(ctx context.Context, eng *sweep.Engine, procCounts []int, perNode int
 }
 
 // SCFPoint runs one SCF experiment through the sweep-engine path (child
-// registry, worker pool), for drivers that need a single (procs, mode)
+// registry, shard budget), for drivers that need a single (procs, mode)
 // cell rather than the whole Fig 11 sweep.
 func SCFPoint(ctx context.Context, eng *sweep.Engine, procs, perNode int, async bool, scfg nwchem.Config) nwchem.Result {
 	return one(ctx, eng, func(c *sweep.Ctx) nwchem.Result {

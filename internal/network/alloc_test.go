@@ -26,8 +26,9 @@ func sendCycle(t *testing.T, k *sim.Kernel, nw *Network, n int) {
 	}
 }
 
-func newAllocFixture() (*sim.Kernel, *Network) {
+func newAllocFixture(reg *obs.Registry) (*sim.Kernel, *Network) {
 	k := sim.NewKernel()
+	k.SetObs(reg)
 	tor := topology.New([topology.NumDims]int{2, 2, 2, 2, 2}, 1)
 	return k, New(k, tor, DefaultParams())
 }
@@ -36,7 +37,7 @@ func TestSendZeroAllocObsOff(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	k, nw := newAllocFixture()
+	k, nw := newAllocFixture(nil)
 	sendCycle(t, k, nw, 4096) // warm route cache + kernel heap
 	avg := testing.AllocsPerRun(50, func() {
 		sendCycle(t, k, nw, 256)
@@ -46,13 +47,50 @@ func TestSendZeroAllocObsOff(t *testing.T) {
 	}
 }
 
+// TestSendAllocPartitionedObsOff is the twin on a kernel partitioned one
+// lane per node, where a cross-node send is logged for the window
+// boundary: the logged closure is the path's one allocation per send,
+// and each Run builds its lane executor and start channel. The pin is
+// what the deferred path cost before the two paths became one; it must
+// not rise. Sends are issued from inside the source lane, through
+// closures built once outside the measured region.
+func TestSendAllocPartitionedObsOff(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	k := sim.NewKernel()
+	tor := topology.New([topology.NumDims]int{2, 2, 2, 2, 2}, 1)
+	p := DefaultParams()
+	k.ConfigureLanes(tor.Nodes(), 1, p.Lookahead())
+	nw := New(k, tor, p)
+	fn := func() {}
+	const sends = 256
+	senders := make([]func(), sends)
+	for i := range senders {
+		src, dst := i%32, (i*7+3)%32
+		senders[i] = func() { nw.Send(src, dst, 512, Data, fn) }
+	}
+	cycle := func() {
+		for i, send := range senders {
+			k.LaneOf(i%32).At(1, send)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle() // warm route cache, lane heaps and deferred logs
+	}
+	if avg := testing.AllocsPerRun(50, cycle); avg > sends+2 {
+		t.Fatalf("Send (partitioned, obs off): %.2f allocs per %d-send cycle, want <= %d", avg, sends, sends+2)
+	}
+}
+
 func TestSendConstantAllocObsOn(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	k, nw := newAllocFixture()
-	reg := obs.New(obs.WithTrackCap(64))
-	nw.SetObs(reg)
+	k, nw := newAllocFixture(obs.New(obs.WithTrackCap(64)))
 	// Warm-up: touch every (src, dst) pair and fill every link track's
 	// trace ring to capacity so eviction (not growth) is steady state.
 	sendCycle(t, k, nw, 16384)

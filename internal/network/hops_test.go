@@ -25,7 +25,7 @@ func TestHopAccountingUnified(t *testing.T) {
 		if !done {
 			t.Fatal("message not delivered")
 		}
-		return nw.HopsTotal
+		return nw.Totals().Hops
 	}
 
 	// Remote: node 0 -> node 7 is 3 hops on a 2x2x2 partition.

@@ -1,31 +1,31 @@
 package network
 
-import (
-	"repro/internal/obs"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
-// Lane-partitioned operation. With SetLanes installed, each node's
-// traffic originates in that node's sim.Lane, and the network splits
-// every injection into one of two paths:
+// Lanes. Each node's traffic originates in the sim.Lane the kernel gives
+// that node, and every injection takes one of two paths:
 //
 //   - Fault-free same-node loopback: handled entirely inline in the
 //     source lane. The loopback path touches no shared state — it skips
 //     the injection MU (the MU local-copy path), traverses no links, and
 //     its hop count is the fixed local-router equivalent — so it can run
-//     inside a parallel lane window. Stats go to per-lane counters
-//     (laneNetStats) folded into the shared totals after the run.
+//     inside a parallel lane window. Its counts go to the lane's private
+//     tally (laneNetStats), which Totals adds to the shared one.
 //
 //   - Everything else (cross-node, or any send under fault injection):
-//     logged as a deferred operation via Lane.Defer/DeferRemote and
-//     applied at the window boundary, where the coordinator goroutine
-//     replays the exact legacy MU/link/fault logic at the time the send
-//     was issued and deposits the completion(s) into the destination
-//     lane(s) with ScheduleAbs. Shared state — nicFree, linkFree, the
-//     fault injector's RNG and counters, the parent observability
-//     registry — is only ever touched on this serial path, in the
-//     boundary's canonical (time, lane, log index) order, so results are
-//     identical at every worker count.
+//     handed to Lane.Defer/DeferRemote, whose applier books the MU, the
+//     links and the fault verdict at the time the send was issued and
+//     deposits the completion(s) into the destination lane(s) with
+//     ScheduleAbs. Shared state — nicFree, linkFree, the fault
+//     injector's RNG and counters, the parent observability registry —
+//     is only ever touched on this serial path. On a partitioned kernel
+//     the applier runs at the window boundary on the coordinator
+//     goroutine, in the boundary's canonical (time, lane, log index)
+//     order, so results are identical at every worker count. On an
+//     unpartitioned kernel every node shares the one lane, nothing runs
+//     beside it, and "deferred" means applied immediately: the same
+//     booking, at the same time, with no log in between (send checks
+//     Lane.Windowed first so it does not even build the closure).
 //
 // Lower bounds (the Defer minEffect contract): a Send's earliest effect
 // anywhere is now + NicMsgOverhead + RouterFixed + HopLatency +
@@ -43,161 +43,35 @@ import (
 // *previous* window before lanes run the next one, so link reservations
 // from different rounds are booked in round order, not global time
 // order. Within a round the canonical order is total and deterministic;
-// across rounds the booking order can differ from a serial replay's.
-// This never violates causality (arrivals still respect every booked
-// reservation) and is fully deterministic, but it is why the laned
-// engine pins its own golden rather than reusing the single-queue one.
+// across rounds the booking order can differ from an unpartitioned
+// kernel's, which books in global time order. This never violates
+// causality (arrivals still respect every booked reservation) and is
+// fully deterministic.
 
 // laneNetStats is one lane's private slice of the network counters,
 // written only from inside that lane's windows.
 type laneNetStats struct {
-	messages, bytes, rawBytes, hops uint64
-
-	cMsgs, cBytes, cRawBytes, cHops *obs.Counter
-	msgBytes                        *obs.Histogram
+	t Traffic
+	c trafficObs // handles in the lane's own registry
 }
 
-// SetLanes switches the network into lane-partitioned mode; lanes must
-// hold one lane per torus node, in node order (the kernel's lanes when
-// the simulation shards by node). Call after SetObs — per-lane counter
-// handles are derived from each lane's child registry — and before any
-// traffic.
-func (nw *Network) SetLanes(lanes []*sim.Lane) {
-	if len(lanes) != nw.torus.Nodes() {
-		panic("network: SetLanes needs exactly one lane per node")
-	}
-	nw.lanes = lanes
-	nw.laneNet = make([]laneNetStats, len(lanes))
-	for i, ln := range lanes {
-		r := ln.Obs()
-		if r == nil {
-			continue
-		}
-		s := &nw.laneNet[i]
-		s.cMsgs = r.Counter("network/messages")
-		s.cBytes = r.Counter("network/payload_bytes")
-		s.cRawBytes = r.Counter("network/raw_bytes")
-		s.cHops = r.Counter("network/hops")
-		s.msgBytes = r.Histogram("network/msg.bytes", obs.ExpBounds(16, 4, 12))
-	}
+// noteLaneSend is noteSend against the sending lane's private counters.
+func (nw *Network) noteLaneSend(src *sim.Lane, payload, hops int) {
+	s := &nw.laneNet[src.Index()]
+	s.t.note(&s.c, payload, nw.params.RawBytes(payload), hops)
 }
 
-// Lanes returns the installed node lanes (nil in single-queue mode).
-func (nw *Network) Lanes() []*sim.Lane { return nw.lanes }
-
-// FoldLaneStats folds the per-lane counters accumulated by inline
-// loopbacks into the shared public totals (Messages, Bytes, RawBytes,
-// HopsTotal). Call once after the kernel has run; it is idempotent.
-func (nw *Network) FoldLaneStats() {
+// Totals returns the traffic carried so far: the serial path's tally
+// plus every lane's inline loopbacks. Read it from serial context —
+// after the kernel has run, or from a coordinator event.
+func (nw *Network) Totals() Traffic {
+	t := nw.shared
 	for i := range nw.laneNet {
-		s := &nw.laneNet[i]
-		nw.Messages += s.messages
-		nw.Bytes += s.bytes
-		nw.RawBytes += s.rawBytes
-		nw.HopsTotal += s.hops
-		s.messages, s.bytes, s.rawBytes, s.hops = 0, 0, 0, 0
+		l := &nw.laneNet[i].t
+		t.Messages += l.Messages
+		t.Bytes += l.Bytes
+		t.RawBytes += l.RawBytes
+		t.Hops += l.Hops
 	}
-}
-
-// noteLaneSend is noteSend against one lane's private counters.
-func (nw *Network) noteLaneSend(node, payload, hops int) {
-	s := &nw.laneNet[node]
-	raw := uint64(nw.params.RawBytes(payload))
-	s.messages++
-	s.bytes += uint64(payload)
-	s.rawBytes += raw
-	s.hops += uint64(hops)
-	if nw.obs != nil {
-		s.cMsgs.Add(1)
-		s.cBytes.Add(int64(payload))
-		s.cRawBytes.Add(int64(raw))
-		s.cHops.Add(int64(hops))
-		s.msgBytes.Observe(int64(payload))
-	}
-}
-
-// sendLaned is the lane-partitioned Send/SendWithLocal. It must be
-// called from within srcNode's lane (the node's rank threads, or a
-// completion previously deposited into it).
-func (nw *Network) sendLaned(srcNode, dstNode, payload int, kind MsgKind, deliver, local func()) {
-	p := nw.params
-	src := nw.lanes[srcNode]
-	now := src.Now()
-	ser := p.SerTime(payload)
-
-	if nw.flt == nil && srcNode == dstNode {
-		// Inline loopback: same path costs as the legacy loopback branch
-		// of Send (skip the MU FIFO, one local-router hop), no shared
-		// state touched.
-		head := now + p.NicMsgOverhead + p.RouterFixed
-		if kind == Data && payload > 0 && payload < p.UnalignedThreshold {
-			head += p.UnalignedPenalty
-		}
-		arrival := head + p.HopLatency + ser
-		nw.noteLaneSend(srcNode, payload, 1)
-		src.At(arrival-now, deliver)
-		if local != nil {
-			src.At(arrival-now, local)
-		}
-		return
-	}
-
-	minEffect := now + p.NicMsgOverhead + p.RouterFixed + p.HopLatency + ser
-	apply := func(at sim.Time) {
-		if nw.flt != nil {
-			nw.sendFaultyAt(at, srcNode, dstNode, payload, kind, deliver, local)
-			return
-		}
-		arrival, hops := nw.transit(at, srcNode, dstNode, payload, kind)
-		nw.noteSend(payload, hops)
-		nw.depositLaned(arrival, srcNode, dstNode, deliver, local)
-	}
-	if local == nil && srcNode != dstNode {
-		// Effects land only in the destination lane: the relaxed cap.
-		src.DeferRemote(minEffect, apply)
-	} else {
-		// A local completion (or a faulty loopback) can land back in this
-		// very lane at minEffect, so the window must stop there.
-		src.Defer(minEffect, apply)
-	}
-}
-
-// depositLaned schedules a boundary-applied message's completions into
-// the destination (and, for SendWithLocal, source) lanes.
-func (nw *Network) depositLaned(arrival sim.Time, srcNode, dstNode int, deliver, local func()) {
-	nw.lanes[dstNode].ScheduleAbs(arrival, deliver)
-	if local != nil {
-		nw.lanes[srcNode].ScheduleAbs(arrival, local)
-	}
-}
-
-// nicLaned is the lane-partitioned SendNIC: same split as sendLaned,
-// with the MU-overhead-free bound.
-func (nw *Network) nicLaned(srcNode, dstNode, payload int, fn func()) {
-	p := nw.params
-	src := nw.lanes[srcNode]
-	now := src.Now()
-	ser := p.SerTime(payload)
-
-	if nw.flt == nil && srcNode == dstNode {
-		arrival := now + p.RouterFixed + p.HopLatency + ser
-		nw.noteLaneSend(srcNode, payload, 1)
-		src.At(arrival-now, fn)
-		return
-	}
-
-	minEffect := now + p.RouterFixed + p.HopLatency + ser
-	apply := func(at sim.Time) {
-		arrival, hops, ok := nw.nicTransit(at, srcNode, dstNode, payload)
-		if !ok {
-			return
-		}
-		nw.noteSend(payload, hops)
-		nw.lanes[dstNode].ScheduleAbs(arrival, fn)
-	}
-	if srcNode != dstNode {
-		src.DeferRemote(minEffect, apply)
-	} else {
-		src.Defer(minEffect, apply)
-	}
+	return t
 }

@@ -22,11 +22,17 @@ const (
 
 // Network simulates the 5-D torus plus each node's messaging unit. All
 // methods must be called from simulation context (a thread or an event
-// callback); the network schedules downstream events on the kernel.
+// callback); the network schedules downstream events on the sending and
+// receiving nodes' lanes.
 type Network struct {
-	k      *sim.Kernel
 	torus  *topology.Torus
 	params *Params
+
+	// lanes[n] is the simulation lane that owns node n, as the kernel
+	// reports it: the node's own lane on a kernel partitioned one lane
+	// per node, the kernel's one scheduler otherwise. See lanes.go.
+	lanes   []*sim.Lane
+	laneNet []laneNetStats // indexed by Lane.Index
 
 	// nicFree[n] is the time node n's injection MU becomes available.
 	nicFree []sim.Time
@@ -37,33 +43,63 @@ type Network struct {
 	// healthy hot path pays exactly one nil check.
 	flt *fault.Injector
 
-	// lanes, when non-nil, switches the network into lane-partitioned
-	// mode: one sim.Lane per node, fault-free same-node loopbacks handled
-	// inline in the source lane, and everything else logged as a deferred
-	// operation applied at the window boundary. See lanes.go.
-	lanes   []*sim.Lane
-	laneNet []laneNetStats
-
-	// Stats. HopsTotal counts a loopback (same-node) transfer as one hop
-	// — the local MU traversal it pays in the latency model — for both
-	// Send and SendNIC, so `network/hops` is consistent across all
-	// injection paths.
-	Messages   uint64
-	Bytes      uint64
-	RawBytes   uint64
-	HopsTotal  uint64
-	NicStalled uint64 // messages that waited for the injection MU
+	// shared counts the messages booked on the serial path; inline
+	// loopbacks count into laneNet. Totals sums both.
+	shared Traffic
+	// NicStalled counts messages that waited for the injection MU.
+	NicStalled uint64
 
 	// Observability (all nil when disabled; hot paths pay one nil check).
-	obs       *obs.Registry
-	links     []linkObs      // per-link handles, created on first use
-	qdelay    *obs.Histogram // per-traversal link queueing delay
-	msgBytes  *obs.Histogram // payload size distribution
-	cMsgs     *obs.Counter
-	cBytes    *obs.Counter
-	cRawBytes *obs.Counter
-	cHops     *obs.Counter
-	cStalled  *obs.Counter
+	obs      *obs.Registry
+	links    []linkObs      // per-link handles, created on first use
+	qdelay   *obs.Histogram // per-traversal link queueing delay
+	cStalled *obs.Counter
+	sharedC  trafficObs
+}
+
+// Traffic is a tally of carried messages. Hops counts a loopback
+// (same-node) transfer as one hop — the local MU traversal it pays in
+// the latency model — for both Send and SendNIC, so `network/hops` is
+// consistent across all injection paths.
+type Traffic struct {
+	Messages, Bytes, RawBytes, Hops uint64
+}
+
+// trafficObs is the observability twin of Traffic: the same tally as
+// registry counters plus the payload size distribution. The zero value
+// (observability off) is a no-op.
+type trafficObs struct {
+	msgs, bytes, rawBytes, hops *obs.Counter
+	msgBytes                    *obs.Histogram
+}
+
+func newTrafficObs(r *obs.Registry) trafficObs {
+	if r == nil {
+		return trafficObs{}
+	}
+	return trafficObs{
+		msgs:     r.Counter("network/messages"),
+		bytes:    r.Counter("network/payload_bytes"),
+		rawBytes: r.Counter("network/raw_bytes"),
+		hops:     r.Counter("network/hops"),
+		msgBytes: r.Histogram("network/msg.bytes", obs.ExpBounds(16, 4, 12)),
+	}
+}
+
+// note records one message of payload bytes (raw on the wire) over hops
+// links into a tally and its registry twin.
+func (t *Traffic) note(c *trafficObs, payload, raw, hops int) {
+	t.Messages++
+	t.Bytes += uint64(payload)
+	t.RawBytes += uint64(raw)
+	t.Hops += uint64(hops)
+	if c.msgs != nil {
+		c.msgs.Add(1)
+		c.bytes.Add(int64(payload))
+		c.rawBytes.Add(int64(raw))
+		c.hops.Add(int64(hops))
+		c.msgBytes.Observe(int64(payload))
+	}
 }
 
 // linkObs holds one link's observability handles: the busy-time counter
@@ -74,36 +110,39 @@ type linkObs struct {
 	track string
 }
 
-// New builds a network for the given torus partition.
+// New builds a network for the given torus partition on kernel k, which
+// must already be set up: the network takes each node's lane and the
+// observability registry (per-link busy time and queueing delay,
+// message/byte/hop counters, one trace track per traversed torus link)
+// from it, so Kernel.SetObs and ConfigureLanes come first. A partitioned
+// kernel must have exactly one lane per node.
 func New(k *sim.Kernel, t *topology.Torus, p *Params) *Network {
-	return &Network{
-		k:        k,
+	if n := len(k.Lanes()); n != 0 && n != t.Nodes() {
+		panic("network: a partitioned kernel needs exactly one lane per node")
+	}
+	nw := &Network{
 		torus:    t,
 		params:   p,
+		lanes:    make([]*sim.Lane, t.Nodes()),
+		laneNet:  make([]laneNetStats, max(1, len(k.Lanes()))),
 		nicFree:  make([]sim.Time, t.Nodes()),
 		linkFree: make([]sim.Time, t.NumLinks()),
 	}
-}
-
-// SetObs installs the observability registry: per-link busy time and
-// queueing delay, message/byte/hop counters, and one trace track per
-// traversed torus link. A nil registry disables instrumentation.
-func (nw *Network) SetObs(r *obs.Registry) {
-	nw.obs = r
-	if r == nil {
-		nw.links = nil
-		nw.qdelay, nw.msgBytes = nil, nil
-		nw.cMsgs, nw.cBytes, nw.cRawBytes, nw.cHops, nw.cStalled = nil, nil, nil, nil, nil
-		return
+	for i := range nw.lanes {
+		nw.lanes[i] = k.LaneOf(i)
 	}
-	nw.links = make([]linkObs, nw.torus.NumLinks())
-	nw.qdelay = r.Histogram("network/link.qdelay_ns", obs.DefaultLatencyBounds)
-	nw.msgBytes = r.Histogram("network/msg.bytes", obs.ExpBounds(16, 4, 12))
-	nw.cMsgs = r.Counter("network/messages")
-	nw.cBytes = r.Counter("network/payload_bytes")
-	nw.cRawBytes = r.Counter("network/raw_bytes")
-	nw.cHops = r.Counter("network/hops")
-	nw.cStalled = r.Counter("network/nic.stalled")
+	for i := range nw.laneNet {
+		// lanes[i] is the lane with index i on either kind of kernel.
+		nw.laneNet[i].c = newTrafficObs(nw.lanes[i].Obs())
+	}
+	if r := k.Obs(); r != nil {
+		nw.obs = r
+		nw.links = make([]linkObs, t.NumLinks())
+		nw.qdelay = r.Histogram("network/link.qdelay_ns", obs.DefaultLatencyBounds)
+		nw.cStalled = r.Counter("network/nic.stalled")
+		nw.sharedC = newTrafficObs(r)
+	}
+	return nw
 }
 
 // SetFault installs a fault injector; every subsequent Send/SendNIC
@@ -143,19 +182,9 @@ func (nw *Network) reserveLink(id int, head, ser sim.Time) sim.Time {
 }
 
 // noteSend records the per-message counters for a payload that traversed
-// hops links.
+// hops links on the serial path.
 func (nw *Network) noteSend(payload, hops int) {
-	nw.Messages++
-	nw.Bytes += uint64(payload)
-	nw.RawBytes += uint64(nw.params.RawBytes(payload))
-	nw.HopsTotal += uint64(hops)
-	if nw.obs != nil {
-		nw.cMsgs.Add(1)
-		nw.cBytes.Add(int64(payload))
-		nw.cRawBytes.Add(int64(nw.params.RawBytes(payload)))
-		nw.cHops.Add(int64(hops))
-		nw.msgBytes.Observe(int64(payload))
-	}
+	nw.shared.note(&nw.sharedC, payload, nw.params.RawBytes(payload), hops)
 }
 
 // Torus returns the partition geometry.
@@ -175,18 +204,7 @@ func (nw *Network) Params() *Params { return nw.params }
 // one hop, matching the observation that ARMCI on BG/Q routes intra-node
 // transfers through the torus injection path.
 func (nw *Network) Send(srcNode, dstNode, payload int, kind MsgKind, fn func()) {
-	if nw.lanes != nil {
-		nw.sendLaned(srcNode, dstNode, payload, kind, fn, nil)
-		return
-	}
-	now := nw.k.Now()
-	if nw.flt != nil {
-		nw.sendFaultyAt(now, srcNode, dstNode, payload, kind, fn, nil)
-		return
-	}
-	arrival, hops := nw.transit(now, srcNode, dstNode, payload, kind)
-	nw.noteSend(payload, hops)
-	nw.k.At(arrival-now, fn)
+	nw.send(srcNode, dstNode, payload, kind, fn, nil)
 }
 
 // SendWithLocal is Send with a second completion: deliver fires at the
@@ -194,40 +212,86 @@ func (nw *Network) Send(srcNode, dstNode, payload int, kind MsgKind, fn func()) 
 // the same instant (the initiator-side completion of an acknowledged
 // operation whose protocol piggybacks both on one traversal). Under
 // faults the two share the message's fate — a drop fires neither, a
-// duplicate fires both per surviving copy. The split callback exists for
-// the lane-partitioned engine, where the two completions land in
-// different lanes; single-queue kernels run them back to back.
+// duplicate fires both per surviving copy. They are two deposits, not
+// one event, because they land in different nodes' lanes; where both
+// nodes share a lane, deliver still runs first and nothing scheduled by
+// it can come between the two.
 func (nw *Network) SendWithLocal(srcNode, dstNode, payload int, kind MsgKind, deliver, local func()) {
-	if nw.lanes != nil {
-		nw.sendLaned(srcNode, dstNode, payload, kind, deliver, local)
-		return
-	}
-	now := nw.k.Now()
-	if nw.flt != nil {
-		nw.sendFaultyAt(now, srcNode, dstNode, payload, kind, deliver, local)
-		return
-	}
-	arrival, hops := nw.transit(now, srcNode, dstNode, payload, kind)
-	nw.noteSend(payload, hops)
-	nw.schedule(now, arrival, deliver, local)
+	nw.send(srcNode, dstNode, payload, kind, deliver, local)
 }
 
-// schedule fires the single-queue completions for a message arriving at
-// arrival (legacy path only; the laned path deposits into lanes).
-func (nw *Network) schedule(now, arrival sim.Time, deliver, local func()) {
-	if local == nil {
-		nw.k.At(arrival-now, deliver)
+// send is the body of Send and SendWithLocal (local nil for the former).
+// It must be called from within srcNode's lane: the node's threads, or a
+// completion previously deposited into it.
+func (nw *Network) send(srcNode, dstNode, payload int, kind MsgKind, deliver, local func()) {
+	p := nw.params
+	src := nw.lanes[srcNode]
+	now := src.Now()
+
+	if nw.flt == nil && srcNode == dstNode {
+		// Inline loopback: skip the MU FIFO, one local-router hop, no
+		// shared state touched.
+		head := now + p.NicMsgOverhead + p.RouterFixed
+		if kind == Data && payload > 0 && payload < p.UnalignedThreshold {
+			head += p.UnalignedPenalty
+		}
+		arrival := head + p.HopLatency + p.SerTime(payload)
+		nw.noteLaneSend(src, payload, 1)
+		src.At(arrival-now, deliver)
+		if local != nil {
+			src.At(arrival-now, local)
+		}
 		return
 	}
-	nw.k.At(arrival-now, func() { deliver(); local() })
+
+	if !src.Windowed() {
+		// Nothing to defer around: book the message now, and skip building
+		// a closure that Defer would only call on the spot.
+		nw.applySend(now, srcNode, dstNode, payload, kind, deliver, local)
+		return
+	}
+	minEffect := now + p.NicMsgOverhead + p.RouterFixed + p.HopLatency + p.SerTime(payload)
+	apply := func(at sim.Time) {
+		nw.applySend(at, srcNode, dstNode, payload, kind, deliver, local)
+	}
+	if local == nil && srcNode != dstNode {
+		// Effects land only in the destination lane: the relaxed cap.
+		src.DeferRemote(minEffect, apply)
+	} else {
+		// A local completion (or a faulty loopback) can land back in this
+		// very lane at minEffect, so the window must stop there.
+		src.Defer(minEffect, apply)
+	}
+}
+
+// applySend is the serial half of send: it books the MU and the route
+// for a message injected at time at — consulting the fault injector when
+// one is installed — and deposits the completions of every copy that
+// arrives into the destination's (and, for SendWithLocal, the source's)
+// lane.
+func (nw *Network) applySend(at sim.Time, srcNode, dstNode, payload int, kind MsgKind, deliver, local func()) {
+	if nw.flt != nil {
+		nw.sendFaultyAt(at, srcNode, dstNode, payload, kind, deliver, local)
+		return
+	}
+	arrival, hops := nw.transit(at, srcNode, dstNode, payload, kind)
+	nw.noteSend(payload, hops)
+	nw.deposit(arrival, srcNode, dstNode, deliver, local)
+}
+
+// deposit schedules an arrived message's completions.
+func (nw *Network) deposit(arrival sim.Time, srcNode, dstNode int, deliver, local func()) {
+	nw.lanes[dstNode].ScheduleAbs(arrival, deliver)
+	if local != nil {
+		nw.lanes[srcNode].ScheduleAbs(arrival, local)
+	}
 }
 
 // transit books the injection MU and the route for one fault-free
-// message injected at time now and returns its (tail arrival, hops).
-// Shared by the legacy single-queue path (now = the kernel clock) and
-// the lane boundary appliers (now = the lane time the send was logged
-// at); the shared state it touches — nicFree, linkFree, link
-// observability — is mutated serially in both cases.
+// message injected at time now (the lane time the send was issued at)
+// and returns its (tail arrival, hops). The shared state it touches —
+// nicFree, linkFree, link observability — is only ever mutated on the
+// serial path.
 func (nw *Network) transit(now sim.Time, srcNode, dstNode, payload int, kind MsgKind) (sim.Time, int) {
 	p := nw.params
 	ser := p.SerTime(payload)
@@ -269,7 +333,7 @@ func (nw *Network) transit(now sim.Time, srcNode, dstNode, payload int, kind Msg
 	return head + ser, hops
 }
 
-// sendFaultyAt is Send with the installed injector consulted at every
+// sendFaultyAt is applySend with the installed injector consulted at every
 // stage: the message verdict (dead endpoints, probabilistic delay and
 // duplication) at injection, and per-link state (outage, degradation) at
 // each traversal. A dropped message vanishes — no completion is ever
@@ -297,11 +361,7 @@ func (nw *Network) sendFaultyAt(now sim.Time, srcNode, dstNode, payload int, kin
 			continue
 		}
 		nw.noteSend(payload, hops)
-		if nw.lanes != nil {
-			nw.depositLaned(arrival, srcNode, dstNode, deliver, local)
-		} else {
-			nw.schedule(now, arrival, deliver, local)
-		}
+		nw.deposit(arrival, srcNode, dstNode, deliver, local)
 	}
 }
 
@@ -357,19 +417,41 @@ func (nw *Network) transitFaulty(now sim.Time, srcNode, dstNode, payload int, ki
 // SendNIC injects a NIC-generated response (e.g. a hardware-AMO reply):
 // it is produced inside the messaging unit's atomics engine and bypasses
 // the injection FIFO, so responses do not serialize behind regular
-// traffic. Link reservation along the route still applies.
+// traffic. Link reservation along the route still applies. The split is
+// send's, with the MU-overhead-free bound.
 func (nw *Network) SendNIC(srcNode, dstNode, payload int, fn func()) {
-	if nw.lanes != nil {
-		nw.nicLaned(srcNode, dstNode, payload, fn)
+	p := nw.params
+	src := nw.lanes[srcNode]
+	now := src.Now()
+
+	if nw.flt == nil && srcNode == dstNode {
+		arrival := now + p.RouterFixed + p.HopLatency + p.SerTime(payload)
+		nw.noteLaneSend(src, payload, 1)
+		src.At(arrival-now, fn)
 		return
 	}
-	now := nw.k.Now()
-	arrival, hops, ok := nw.nicTransit(now, srcNode, dstNode, payload)
+
+	if !src.Windowed() {
+		nw.applyNIC(now, srcNode, dstNode, payload, fn)
+		return
+	}
+	minEffect := now + p.RouterFixed + p.HopLatency + p.SerTime(payload)
+	apply := func(at sim.Time) { nw.applyNIC(at, srcNode, dstNode, payload, fn) }
+	if srcNode != dstNode {
+		src.DeferRemote(minEffect, apply)
+	} else {
+		src.Defer(minEffect, apply)
+	}
+}
+
+// applyNIC is the serial half of SendNIC.
+func (nw *Network) applyNIC(at sim.Time, srcNode, dstNode, payload int, fn func()) {
+	arrival, hops, ok := nw.nicTransit(at, srcNode, dstNode, payload)
 	if !ok {
 		return
 	}
 	nw.noteSend(payload, hops)
-	nw.k.At(arrival-now, fn)
+	nw.lanes[dstNode].ScheduleAbs(arrival, fn)
 }
 
 // nicTransit books the route for one NIC-generated response injected at

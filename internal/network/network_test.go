@@ -174,13 +174,14 @@ func TestStatsAccumulate(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if nw.Messages != 1 || nw.Bytes != 1000 {
-		t.Fatalf("messages=%d bytes=%d", nw.Messages, nw.Bytes)
+	tot := nw.Totals()
+	if tot.Messages != 1 || tot.Bytes != 1000 {
+		t.Fatalf("messages=%d bytes=%d", tot.Messages, tot.Bytes)
 	}
-	if nw.RawBytes <= nw.Bytes {
+	if tot.RawBytes <= tot.Bytes {
 		t.Fatal("raw bytes must exceed payload")
 	}
-	if nw.HopsTotal == 0 {
+	if tot.Hops == 0 {
 		t.Fatal("hops not counted")
 	}
 }

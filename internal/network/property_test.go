@@ -82,8 +82,8 @@ func TestDeliveryConservation(t *testing.T) {
 		if delivered != msgs {
 			t.Fatalf("adaptive=%v: delivered %d of %d", adaptive, delivered, msgs)
 		}
-		if nw.Messages != msgs {
-			t.Fatalf("adaptive=%v: counted %d messages", adaptive, nw.Messages)
+		if got := nw.Totals().Messages; got != msgs {
+			t.Fatalf("adaptive=%v: counted %d messages", adaptive, got)
 		}
 	}
 }

@@ -32,20 +32,15 @@ type Machine struct {
 	// SeedBase perturbs every client's jitter stream; runs with different
 	// seeds explore different (still deterministic) timing interleavings.
 	SeedBase uint64
-	// Obs, when non-nil, receives progress-engine metrics and trace spans
-	// from every context created on this machine. Set via SetObs before
-	// clients are created.
-	Obs     *obs.Registry
-	spaces  []*mem.Space
-	clients []*Client
-
-	// lanes, when non-nil, holds the node-indexed simulation lanes of a
-	// lane-partitioned kernel; clients created afterwards pin their
-	// scheduling and instrumentation to their node's lane.
-	lanes []*sim.Lane
+	spaces   []*mem.Space
+	clients  []*Client
 }
 
-// NewMachine builds a machine for every rank of the torus partition.
+// NewMachine builds a machine for every rank of the torus partition on
+// kernel k. Lanes and observability are the kernel's: set them up first
+// (Kernel.SetObs, then ConfigureLanes); the machine, its network and
+// every client ask the kernel for a node's lane and record into that
+// lane's registry.
 func NewMachine(k *sim.Kernel, torus *topology.Torus, p *network.Params) *Machine {
 	n := torus.Procs()
 	m := &Machine{
@@ -60,33 +55,6 @@ func NewMachine(k *sim.Kernel, torus *topology.Torus, p *network.Params) *Machin
 	}
 	return m
 }
-
-// SetObs installs the observability registry on the machine and its
-// network. Call before creating clients so contexts pick it up.
-func (m *Machine) SetObs(r *obs.Registry) {
-	m.Obs = r
-	m.Net.SetObs(r)
-}
-
-// SetLanes installs the node-indexed lanes of a lane-partitioned kernel
-// on the machine and its network. Call after SetObs and before clients
-// are created.
-func (m *Machine) SetLanes(lanes []*sim.Lane) {
-	m.lanes = lanes
-	m.Net.SetLanes(lanes)
-}
-
-// laneFor returns the simulation lane owning a node: the node's lane in
-// lane-partitioned mode, the kernel's base lane otherwise. Never nil.
-func (m *Machine) laneFor(node int) *sim.Lane {
-	if m.lanes != nil {
-		return m.lanes[node]
-	}
-	return m.K.MainLane()
-}
-
-// LaneFor exposes laneFor to the layers above (thread placement).
-func (m *Machine) LaneFor(node int) *sim.Lane { return m.laneFor(node) }
 
 // Procs returns the number of ranks.
 func (m *Machine) Procs() int { return m.Net.Torus().Procs() }
@@ -122,12 +90,10 @@ type Client struct {
 	Space *mem.Space
 	RNG   *sim.RNG
 
-	// Ln is the simulation lane this client's node belongs to (the
-	// kernel's base lane on an unpartitioned kernel); all of the client's
-	// local scheduling — ack delays, MU turnaround, progress timers —
-	// goes through it. Obs is the registry the client's contexts record
-	// into: the lane's child registry when partitioned, else the
-	// machine's.
+	// Ln is the simulation lane this client's node belongs to; all of the
+	// client's local scheduling — ack delays, MU turnaround, progress
+	// timers — goes through it. Obs is the lane's registry (nil when
+	// observability is off), which the client's contexts record into.
 	Ln  *sim.Lane
 	Obs *obs.Registry
 
@@ -176,12 +142,8 @@ func (m *Machine) NewClient(th *sim.Thread, rank int) *Client {
 		RNG:     sim.NewRNG(m.SeedBase ^ (uint64(rank)*0x9e37 + 1)),
 		rmwPend: make(map[uint64]*rmwPending),
 	}
-	c.Ln = m.laneFor(c.Node)
-	if m.lanes != nil {
-		c.Obs = c.Ln.Obs()
-	} else {
-		c.Obs = m.Obs
-	}
+	c.Ln = m.K.LaneOf(c.Node)
+	c.Obs = c.Ln.Obs()
 	th.Sleep(c.jit(m.P.ClientCreateTime))
 	m.clients[rank] = c
 	return c

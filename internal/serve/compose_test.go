@@ -300,3 +300,41 @@ func TestScenariosCatalog(t *testing.T) {
 		t.Errorf("fetchadd axes wrong: %v", list[i].Axes)
 	}
 }
+
+// A wire-valid job whose simulation panics (here: a node dead for the
+// whole run, so a get exhausts its retry budget) must cost its caller a
+// 500 and nothing else — also when the job's sweep fans across more than
+// one worker, where the panic is raised on a sweep goroutine and has to
+// be carried back to the job's own recover.
+func TestPanickingJobOnParallelSweepIsA500(t *testing.T) {
+	const doomed = `{"compose":{"phases":[{"pattern":"ping","engine":{"mode":"both"},
+		"fault":{"seed":7,"events":[{"kind":"node_down","node":1,"start_us":0,"dur_us":900000}]}}]}}`
+	s, ts := newTestServer(t, Options{Workers: 1, SweepWorkers: 2})
+
+	resp, body := postCompose(t, ts, doomed)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("doomed compose: status %d, want 500; body %s", resp.StatusCode, body)
+	}
+	var e apiError
+	if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "panicked") {
+		t.Errorf("doomed compose: body %s, want a structured {error} naming the panic (%v)", body, err)
+	}
+	s.regMu.Lock()
+	panicked := s.reg.Counter("serve/jobs.panicked").Value()
+	s.regMu.Unlock()
+	if panicked != 1 {
+		t.Errorf("serve/jobs.panicked = %d, want 1", panicked)
+	}
+
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("GET /healthz after the panic: %v", err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the panic: status %d", health.StatusCode)
+	}
+	if next, nextBody := postCompose(t, ts, fastCompose); next.StatusCode != http.StatusOK {
+		t.Errorf("job after the panic: status %d, body %s", next.StatusCode, nextBody)
+	}
+}

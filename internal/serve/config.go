@@ -1,6 +1,6 @@
 // Package serve is the simulation-as-a-service layer: a long-running
-// daemon that accepts benchmark/sweep jobs over HTTP, executes them on a
-// bounded worker pool layered over sweep.Engine, and returns the
+// daemon that accepts benchmark/sweep jobs over HTTP, executes them in a
+// bounded number of slots over one sweep.Engine, and returns the
 // deterministic CSV/JSON artifacts.
 //
 // The load-bearing observation is that every simulation in this
@@ -208,7 +208,7 @@ func newJob(env envelope) (job, error) {
 	return j, nil
 }
 
-// exec is the one executor: run the spec's phases on a pooled engine and
+// exec is the one executor: run the spec's phases on the server's engine and
 // render the artifact. A named scenario's artifact is its bare grid —
 // the bytes its key has always addressed — a composed one carries the
 // per-phase separators.

@@ -24,9 +24,7 @@ import (
 // defaults.
 type Options struct {
 	// Workers bounds the number of jobs executing simulations at once
-	// (default 2). Each worker owns one persistent sweep.Engine, so
-	// event-queue and region-cache backing arrays recycle across the
-	// jobs that worker executes.
+	// (default 2).
 	Workers int
 	// PerScenario bounds concurrently running jobs per scenario name
 	// (default 1), so one hot scenario cannot monopolize every worker.
@@ -40,7 +38,7 @@ type Options struct {
 	// GOMAXPROCS/Workers, at least 1), so concurrent jobs share the host
 	// cores instead of oversubscribing them.
 	SweepWorkers int
-	// Shards is the intra-run lane worker count each engine applies to
+	// Shards is the intra-run lane worker count the engine applies to
 	// the simulations it executes (armci.Config.Shards; default 0, one
 	// lane worker). Execution-side only: shard count is not part of a
 	// job's identity, so it never changes which cache entry a config
@@ -147,8 +145,9 @@ type Server struct {
 	proxyClient *http.Client    // owner-forwarding client
 	starting    atomic.Bool     // true until the startup store scan ends
 
-	engines chan *sweep.Engine // free list, capacity Workers
-	queue   chan struct{}      // jobs in system, capacity QueueDepth
+	engine *sweep.Engine // the one execution plan, shared by every job
+	slots  chan struct{} // jobs executing, capacity Workers
+	queue  chan struct{} // jobs in system, capacity QueueDepth
 
 	scenMu  sync.Mutex
 	scenSem map[string]chan struct{}
@@ -178,11 +177,11 @@ func New(opts Options) *Server {
 	return s
 }
 
-// NewServer builds a Server. The returned server is ready; it owns
-// Workers pre-built sweep engines and an empty hot cache. With StoreDir
-// set it also owns the disk tier (scanned in the background — /healthz
-// says "starting" until done); with Peers set it participates in the
-// consistent-hash cluster.
+// NewServer builds a Server. The returned server is ready; it owns one
+// sweep engine, Workers execution slots and an empty hot cache. With
+// StoreDir set it also owns the disk tier (scanned in the background —
+// /healthz says "starting" until done); with Peers set it participates
+// in the consistent-hash cluster.
 func NewServer(opts Options) (*Server, error) {
 	// The execution plan is checked here, once, so a bad value stops the
 	// daemon at start-up instead of failing every job it later accepts.
@@ -199,7 +198,8 @@ func NewServer(opts Options) (*Server, error) {
 		cache:   NewCache(opts.CacheBytes),
 		flight:  newFlightGroup(),
 		runs:    newRunRegistry(opts.RunHistory),
-		engines: make(chan *sweep.Engine, opts.Workers),
+		engine:  sweep.NewSharded(opts.SweepWorkers, opts.Shards, nil),
+		slots:   make(chan struct{}, opts.Workers),
 		queue:   make(chan struct{}, opts.QueueDepth),
 		scenSem: make(map[string]chan struct{}),
 		reg:     obs.New(),
@@ -207,9 +207,6 @@ func NewServer(opts Options) (*Server, error) {
 		stop:    stop,
 		drainCh: make(chan struct{}),
 		started: time.Now(),
-	}
-	for i := 0; i < opts.Workers; i++ {
-		s.engines <- sweep.NewSharded(opts.SweepWorkers, opts.Shards, nil)
 	}
 	if opts.StoreDir != "" {
 		st, err := OpenStore(opts.StoreDir)
@@ -546,7 +543,7 @@ func (s *Server) scenarioSem(name string) chan struct{} {
 	return sem
 }
 
-// runJob is one job execution: admission, engine acquisition, the
+// runJob is one job execution: admission, an execution slot, the
 // simulation sweep (streamed into the run's event log point by point),
 // rendering, and cache fill. It runs in the flight leader's goroutine;
 // ctx is the collapsed run context (cancelled when every waiter is gone,
@@ -586,7 +583,7 @@ func (s *Server) runJob(ctx context.Context, j job) (res *jobResult) {
 		s.noteQueueDepth()
 	}()
 
-	// Per-scenario cap, then a worker's engine. Both waits abort if every
+	// Per-scenario cap, then an execution slot. Both waits abort if every
 	// client interested in this run has gone away.
 	sem := s.scenarioSem(j.scenario)
 	select {
@@ -596,17 +593,16 @@ func (s *Server) runJob(ctx context.Context, j job) (res *jobResult) {
 	}
 	defer func() { <-sem }()
 
-	var eng *sweep.Engine
 	select {
-	case eng = <-s.engines:
+	case s.slots <- struct{}{}:
 	case <-ctx.Done():
 		return cancelResult(ctx)
 	}
-	defer func() { s.engines <- eng }()
+	defer func() { <-s.slots }()
 	run.setRunning()
 
 	// Per-run observability: the sweep's children merge into a private
-	// registry (the pooled engine has no parent of its own), and each
+	// registry (the shared engine has no parent of its own), and each
 	// in-order point delivery appends point/metrics/trace events to the
 	// run's log. Everything streamed is a pure function of the delivery
 	// sequence, so the log is byte-identical at any SweepWorkers setting.
@@ -617,7 +613,7 @@ func (s *Server) runJob(ctx context.Context, j job) (res *jobResult) {
 	runCtx = sweep.WithEmitter(runCtx, newRunEmitter(run, runReg, s.opts.TraceBudget))
 
 	t0 := time.Now()
-	body, err := j.exec(runCtx, eng)
+	body, err := j.exec(runCtx, s.engine)
 	if runCtx.Err() != nil {
 		// The work was cut short; any partial artifact must never be
 		// served or cached.

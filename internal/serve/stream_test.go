@@ -367,9 +367,9 @@ func TestRunEvictedButCached(t *testing.T) {
 // a terminal drain event and a clean close when the server drains.
 func TestDrainMidStream(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
-	// Starve the job of an engine so the stream stays open.
-	eng := <-s.engines
-	defer func() { s.engines <- eng }()
+	// Starve the job of an execution slot so the stream stays open.
+	s.slots <- struct{}{}
+	defer func() { <-s.slots }()
 
 	info := submitAsync(t, ts, fastJob)
 	done := make(chan string, 1)
@@ -407,7 +407,7 @@ func TestDrainMidStream(t *testing.T) {
 // its watcher slot.
 func TestDisconnectDecrementsWatchers(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
-	eng := <-s.engines // keep the run queued so the stream stays open
+	s.slots <- struct{}{} // keep the run queued so the stream stays open
 
 	info := submitAsync(t, ts, fastJob)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -422,7 +422,7 @@ func TestDisconnectDecrementsWatchers(t *testing.T) {
 	waitFor(t, func() bool { return run.Watchers() == 1 })
 	cancel()
 	waitFor(t, func() bool { return run.Watchers() == 0 })
-	s.engines <- eng // let the job finish so Cleanup is quick
+	<-s.slots // let the job finish so Cleanup is quick
 	readSSE(t, ts.URL+"/v1/runs/"+info.ID+"/events")
 }
 

@@ -170,21 +170,21 @@ func TestPopUpTo(t *testing.T) {
 }
 
 // TestLaneGroupInvariance reruns the ping-pong workload across the
-// grouping grain (including groups larger than the lane count): the
-// grain chunks worker dispatch only, so results must be identical.
+// dispatch grain (including grains larger than the lane count), set on
+// the unexported field ConfigureLanes derives: the grain chunks worker
+// dispatch only, so results must be identical.
 func TestLaneGroupInvariance(t *testing.T) {
 	type res struct {
 		final Time
 		fired uint64
 		sum   Time
 	}
-	run := func(lanes, workers, group int, serial bool) res {
+	run := func(lanes, workers, group int) res {
 		t.Helper()
 		const latency = Time(100)
 		k := NewKernel()
 		k.ConfigureLanes(lanes, workers, latency)
-		k.SetLaneGroup(group)
-		k.SetSerialBoundary(serial)
+		k.laneGroup = group
 		sums := make([]Time, lanes)
 		for i := 0; i < lanes; i++ {
 			ln := k.Lanes()[i]
@@ -218,14 +218,12 @@ func TestLaneGroupInvariance(t *testing.T) {
 		return res{k.Now(), k.EventsFired(), sum}
 	}
 	for _, lanes := range []int{1, 4, 9} {
-		base := run(lanes, 1, 1, true)
+		base := run(lanes, 1, 1)
 		for _, workers := range []int{1, 2, 4} {
 			for _, group := range []int{1, 2, 16} {
-				for _, serial := range []bool{false, true} {
-					if got := run(lanes, workers, group, serial); got != base {
-						t.Fatalf("lanes=%d workers=%d group=%d serial=%v: got %+v, want %+v",
-							lanes, workers, group, serial, got, base)
-					}
+				if got := run(lanes, workers, group); got != base {
+					t.Fatalf("lanes=%d workers=%d group=%d: got %+v, want %+v",
+						lanes, workers, group, got, base)
 				}
 			}
 		}

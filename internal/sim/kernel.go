@@ -27,18 +27,16 @@ type Kernel struct {
 	Lane // base lane: the whole scheduler single-lane, the coordinator queue multi-lane
 
 	// Multi-lane state (zero for classic single-lane kernels).
-	multi          bool
-	workers        int
-	lookahead      Time
-	laneGroup      int  // execution grain: lanes per worker dispatch chunk
-	serialBoundary bool // oracle mode: apply boundary deposits serially
-	lanes          []*Lane
-	laneSpares     *laneSpareSet
-	exec           *laneExec
-	inWindow       atomic.Bool
-	inBoundary     bool
-	laneInserted   bool
-	lanesMerged    bool
+	multi        bool
+	workers      int
+	lookahead    Time
+	laneGroup    int // dispatch grain: lanes per worker chunk, derived in ConfigureLanes
+	lanes        []*Lane
+	exec         *laneExec
+	inWindow     atomic.Bool
+	inBoundary   bool
+	laneInserted bool
+	lanesMerged  bool
 
 	// Horizon tree (horizon.go): tournament min-tree over lane
 	// next-event times, refreshed only for dirty lanes each round.
@@ -47,10 +45,9 @@ type Kernel struct {
 	dirty     []*Lane
 
 	// Round scratch, reused across rounds without reallocation.
-	runnable    []*Lane    // lanes selected to run the current window
-	deferLanes  []*Lane    // lanes holding deferred boundary operations
-	stagedLanes []*Lane    // lanes holding staged boundary deposits
-	merge       []mergeEnt // k-way merge heap over deferred-log heads
+	runnable   []*Lane    // lanes selected to run the current window
+	deferLanes []*Lane    // lanes holding deferred boundary operations
+	merge      []mergeEnt // k-way merge heap over deferred-log heads
 
 	// Round-level observability (nil handles are no-ops).
 	boundaryOps    uint64
@@ -233,9 +230,3 @@ func (ln *Lane) stopThreads() {
 		}
 	}
 }
-
-// Current returns the thread currently executing, or nil when the kernel
-// itself (an event callback) is running. Meaningful only on a
-// single-lane kernel; with lanes, each lane tracks its own current
-// thread.
-func (k *Kernel) Current() *Thread { return k.Lane.cur }

@@ -186,23 +186,6 @@ func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
 	_ = k.Run()
 }
 
-func TestTryLock(t *testing.T) {
-	k := NewKernel()
-	m := NewMutex(k)
-	k.Spawn("a", func(th *Thread) {
-		if !m.TryLock(th) {
-			t.Error("first TryLock failed")
-		}
-		if m.TryLock(th) {
-			t.Error("second TryLock succeeded")
-		}
-		m.Unlock(th)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCompletion(t *testing.T) {
 	k := NewKernel()
 	c := NewCompletion(k)
@@ -260,34 +243,6 @@ func TestWaitGroup(t *testing.T) {
 	}
 	if released != 30 {
 		t.Fatalf("released at %d, want 30", released)
-	}
-}
-
-func TestBarrierSynchronizesGenerations(t *testing.T) {
-	k := NewKernel()
-	const n = 4
-	b := NewBarrier(k, n)
-	releases := make([][]Time, n)
-	for i := 0; i < n; i++ {
-		idx := i
-		k.Spawn(fmt.Sprintf("p%d", i), func(th *Thread) {
-			for round := 0; round < 3; round++ {
-				th.Sleep(Time((idx + 1) * 10)) // staggered arrivals
-				b.Arrive(th)
-				releases[idx] = append(releases[idx], th.Now())
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		for i := 1; i < n; i++ {
-			if releases[i][round] != releases[0][round] {
-				t.Fatalf("round %d: participant %d released at %d, p0 at %d",
-					round, i, releases[i][round], releases[0][round])
-			}
-		}
 	}
 }
 

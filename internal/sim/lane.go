@@ -63,19 +63,14 @@ import (
 //     (time, log index) order, because lane time is monotone within a
 //     window — which replays the identical canonical order in
 //     O(N log k) with no comparator closure;
-//   - a bucketed boundary: appliers run serially (they touch shared
-//     link/MU/fault state in canonical order) but their ScheduleAbs
-//     deposits are *staged* per destination lane and inserted by the
-//     worker pool in parallel — sound because deposits into disjoint
-//     lanes touch disjoint heap/seq state (they commute), while each
-//     single lane receives its deposits in exactly the canonical order
-//     the serial path used, so its seq tie-breaks are unchanged;
 //   - lane grouping: runnable lanes are dispatched to workers in
-//     contiguous chunks of Kernel.SetLaneGroup lanes, amortizing the
-//     per-window handoff at large lane counts.
+//     contiguous chunks (the grain ConfigureLanes derives from the lane
+//     and worker counts), amortizing the per-window handoff at large
+//     lane counts.
 //
-// SetSerialBoundary(true) keeps the fully serial k-way-merge path (the
-// oracle the staged path is pinned byte-identical against).
+// The boundary itself is serial: appliers touch shared link/MU/fault
+// state in canonical order and insert their ScheduleAbs deposits
+// directly, so each destination lane's seq tie-breaks follow that order.
 
 const timeInf = Time(math.MaxInt64)
 
@@ -85,13 +80,6 @@ type deferredOp struct {
 	at        Time // lane time when logged
 	minEffect Time // lower bound on the operation's earliest effect, anywhere
 	fn        func(at Time)
-}
-
-// stagedOp is one boundary deposit awaiting insertion into its
-// destination lane's queue.
-type stagedOp struct {
-	at Time
-	fn func()
 }
 
 // mergeEnt is one lane's cursor in the boundary k-way merge: the head of
@@ -171,7 +159,6 @@ type Lane struct {
 	dirtyQ   bool // queued for a horizon-tree leaf refresh
 	inMerge  bool // registered on the coordinator's boundary merge list
 	deferred []deferredOp
-	staged   []stagedOp // boundary deposits awaiting parallel insertion
 }
 
 // Index returns the lane's index within its kernel (0 for the base lane
@@ -213,14 +200,9 @@ func (ln *Lane) At(delay Time, fn func()) {
 // insertion used by deferred-operation appliers to deposit an effect
 // (a message arrival, a barrier release) into a destination lane. at
 // must not be in the lane's past; the horizon protocol guarantees that,
-// and a violation means a lookahead bound was broken.
-//
-// During a boundary the deposit is staged on the destination lane and
-// inserted by the apply phase, which the worker pool runs in parallel
-// over disjoint destination lanes; per-lane staging order equals the
-// canonical application order, so the destination's seq assignment —
-// every timestamp tie-break — is identical to a direct serial
-// insertion (which SetSerialBoundary forces, as the oracle).
+// and a violation means a lookahead bound was broken. Appliers run in
+// canonical order on one goroutine, so the destination's seq assignment
+// — every timestamp tie-break — follows that order.
 func (ln *Lane) ScheduleAbs(at Time, fn func()) {
 	k := ln.k
 	if k.inWindow.Load() {
@@ -230,30 +212,10 @@ func (ln *Lane) ScheduleAbs(at Time, fn func()) {
 		panic(fmt.Sprintf("sim: cross-lane event at %s is in lane %d's past (now %s): lookahead bound violated",
 			FormatTime(at), ln.idx, FormatTime(ln.now)))
 	}
-	if k.inBoundary && !k.serialBoundary && ln != &k.Lane {
-		if len(ln.staged) == 0 {
-			k.stagedLanes = append(k.stagedLanes, ln)
-		}
-		ln.staged = append(ln.staged, stagedOp{at: at, fn: fn})
-		return
-	}
 	ln.seq++
 	ln.heapPush(event{at: at, seq: ln.seq, fn: fn})
 	k.laneInserted = true
 	k.markDirty(ln)
-}
-
-// applyStaged inserts the lane's staged boundary deposits, in staging
-// (canonical) order. Runs on any worker goroutine: it touches only this
-// lane's queue and seq counter.
-func (ln *Lane) applyStaged() {
-	for i := range ln.staged {
-		s := &ln.staged[i]
-		ln.seq++
-		ln.heapPush(event{at: s.at, seq: ln.seq, fn: s.fn})
-		*s = stagedOp{} // release the closure to the GC
-	}
-	ln.staged = ln.staged[:0]
 }
 
 // logDeferred appends one operation to the lane's boundary log. Logs
@@ -268,6 +230,14 @@ func (ln *Lane) logDeferred(op deferredOp) {
 	ln.deferred = append(ln.deferred, op)
 }
 
+// Windowed reports whether the lane executes in conservative windows
+// beside other lanes, so its cross-lane operations have to wait for the
+// boundary. It is false on an unpartitioned kernel and on a partitioned
+// kernel's coordinator queue: both already run serially, and Defer and
+// DeferRemote apply immediately there. Callers that would build a
+// closure only to have it applied on the spot can ask first.
+func (ln *Lane) Windowed() bool { return ln != &ln.k.Lane }
+
 // Defer logs a cross-lane operation for application at the next window
 // boundary. minEffect must lower-bound the earliest time the operation
 // takes effect anywhere, including this lane itself (a barrier release,
@@ -275,12 +245,11 @@ func (ln *Lane) logDeferred(op deferredOp) {
 // effect can still be deposited into this lane's future. fn runs on the
 // coordinator goroutine, in canonical (time, lane, log index) order
 // against all other lanes' logged operations, receiving the lane time
-// at which the operation was issued. On a single-lane kernel (or from a
-// coordinator event, which already runs serially between rounds) fn
+// at which the operation was issued. On a lane that is not Windowed, fn
 // applies immediately — there is no concurrency to defer around — which
 // keeps callers engine-agnostic.
 func (ln *Lane) Defer(minEffect Time, fn func(at Time)) {
-	if !ln.k.multi || ln == &ln.k.Lane {
+	if !ln.Windowed() {
 		fn(ln.now)
 		return
 	}
@@ -302,7 +271,7 @@ func (ln *Lane) Defer(minEffect Time, fn func(at Time)) {
 // minEffect+Δ. minEffect must additionally be ≥ now+Δ — that is the
 // lookahead contract every other lane's horizon already assumes.
 func (ln *Lane) DeferRemote(minEffect Time, fn func(at Time)) {
-	if !ln.k.multi || ln == &ln.k.Lane {
+	if !ln.Windowed() {
 		fn(ln.now)
 		return
 	}
@@ -417,93 +386,63 @@ func (k *Kernel) ConfigureLanes(n, workers int, lookahead Time) {
 	k.multi = true
 	k.workers = workers
 	k.lookahead = lookahead
-	k.laneGroup = 1
+	// Dispatch grain: enough lanes per chunk that each worker claims
+	// roughly eight chunks per full round (load-balance granularity
+	// against per-chunk handoff cost), clamped to [1, 64]. A function of
+	// (lanes, workers) alone, and execution-only: horizons and boundary
+	// order are per-lane, so the grain cannot change a simulated byte.
+	k.laneGroup = min(max(n/(workers*8), 1), 64)
 	k.lanes = make([]*Lane, n)
 	for i := range k.lanes {
 		ln := &Lane{k: k, idx: i, winCap: timeInf}
-		if sp := k.laneSpares; sp != nil && i < len(sp.heaps) {
-			if h := sp.heaps[i]; h != nil {
-				ln.heap = h[:0]
-			}
-			if r := sp.rings[i]; r != nil {
-				ln.ring.buf = r
-			}
-		}
 		if k.obs != nil {
 			ln.obs = k.obs.NewChild()
 			ln.obsEvents = ln.obs.Counter("sim/events")
 		}
 		k.lanes[i] = ln
 	}
-	k.laneSpares = nil
 	if k.obs != nil {
 		// Round-level observability, recorded by the coordinator into the
 		// parent registry. All values derive from simulated state alone
 		// (the round structure is a function of lane state, never of the
-		// worker count or grouping), so the exported bytes stay identical
-		// at every shard × lane-group setting.
+		// worker count or grain), so the exported bytes stay identical at
+		// every shard setting.
 		k.obsRounds = k.obs.Counter("sim/rounds")
 		k.obsBoundaryOps = k.obs.Counter("sim/boundary_ops")
 		k.obsWindowWidth = k.obs.Histogram("sim/window_width_ns", obs.ExpBounds(16, 4, 12))
 	}
 }
 
-// SetLaneGroup sets the execution grain of the lane engine: runnable
-// lanes are dispatched to worker goroutines in contiguous chunks of g
-// lanes, amortizing per-window scheduling overhead (one pool handoff
-// and one atomic fetch per chunk instead of per lane) at large lane
-// counts. Horizon and boundary semantics are per-lane regardless, so
-// the grouping — like the worker count — can never change a simulated
-// byte. g < 1 selects 1. Call before Run.
-func (k *Kernel) SetLaneGroup(g int) {
-	if g < 1 {
-		g = 1
-	}
-	k.laneGroup = g
-}
-
-// LaneGroup returns the configured execution grain.
-func (k *Kernel) LaneGroup() int { return k.laneGroup }
-
-// SetSerialBoundary forces boundary deposits to insert directly into
-// destination lanes on the coordinator goroutine, in canonical order —
-// the serial k-way-merge oracle the staged parallel path is pinned
-// byte-identical against. Execution-only debug knob; call before Run.
-func (k *Kernel) SetSerialBoundary(b bool) { k.serialBoundary = b }
-
-// Lanes returns the kernel's lanes, or nil for a single-lane kernel.
+// Lanes returns the kernel's lanes, or nil for an unpartitioned kernel.
 func (k *Kernel) Lanes() []*Lane { return k.lanes }
 
-// MainLane returns the kernel's base lane: the whole scheduler in
-// single-lane mode, the coordinator queue in multi-lane mode. Layers
-// that hold a *Lane handle per component use it as the single-mode
-// default so their scheduling code is engine-agnostic.
-func (k *Kernel) MainLane() *Lane { return &k.Lane }
+// LaneOf returns the lane that owns member i of whatever the kernel was
+// partitioned by (the network partitions by node): lane i of a
+// partitioned kernel, the base lane — the whole scheduler — of an
+// unpartitioned one. Layers hold the handle it returns and schedule
+// through it, which is what keeps their code engine-agnostic.
+func (k *Kernel) LaneOf(i int) *Lane {
+	if k.multi {
+		return k.lanes[i]
+	}
+	return &k.Lane
+}
 
-// Multi reports whether the kernel was partitioned with ConfigureLanes.
-func (k *Kernel) Multi() bool { return k.multi }
-
-// Lookahead returns the configured cross-lane lookahead (0 when the
-// kernel is single-lane).
-func (k *Kernel) Lookahead() Time { return k.lookahead }
-
-// laneExec is the persistent worker pool executing lane phases: window
-// execution and staged-deposit application. The coordinator
-// participates as the last worker, so one configured worker means fully
-// inline execution with no cross-goroutine handoff. Tasks are claimed
-// in contiguous chunks of `group` lanes.
+// laneExec is the persistent worker pool executing lane windows. The
+// coordinator participates as the last worker, so one configured worker
+// means fully inline execution with no cross-goroutine handoff. Lanes
+// are claimed in contiguous chunks of `group`.
 type laneExec struct {
 	start chan struct{}
 	wg    sync.WaitGroup
 	next  atomic.Int32
 	tasks []*Lane
-	group int32
-	apply bool // false: runWindow, true: applyStaged
+	group int
 }
 
 func (k *Kernel) execWorkers() *laneExec {
 	if k.exec == nil {
-		x := &laneExec{start: make(chan struct{})}
+		x := &laneExec{start: make(chan struct{}), group: k.laneGroup}
 		k.exec = x
 		for w := 0; w < k.workers-1; w++ {
 			go func() {
@@ -518,58 +457,31 @@ func (k *Kernel) execWorkers() *laneExec {
 }
 
 func (x *laneExec) drain() {
-	g := int(x.group)
 	for {
-		lo := (int(x.next.Add(1)) - 1) * g
+		lo := (int(x.next.Add(1)) - 1) * x.group
 		if lo >= len(x.tasks) {
 			return
 		}
-		hi := lo + g
-		if hi > len(x.tasks) {
-			hi = len(x.tasks)
-		}
-		if x.apply {
-			for _, ln := range x.tasks[lo:hi] {
-				ln.applyStaged()
-			}
-		} else {
-			for _, ln := range x.tasks[lo:hi] {
-				ln.runWindow()
-			}
+		for _, ln := range x.tasks[lo:min(lo+x.group, len(x.tasks))] {
+			ln.runWindow()
 		}
 	}
 }
 
-// runPhase executes one parallel phase — lane windows (apply=false) or
-// staged deposit application (apply=true) — over tasks, dispatched in
-// lane-group chunks. A single chunk, or a single-worker kernel, runs
-// inline: no handoff, no atomics.
-func (k *Kernel) runPhase(x *laneExec, tasks []*Lane, apply bool) {
-	if len(tasks) == 0 {
-		return
-	}
-	g := k.laneGroup
-	chunks := (len(tasks) + g - 1) / g
-	if chunks == 1 || k.workers == 1 {
-		if apply {
-			for _, ln := range tasks {
-				ln.applyStaged()
-			}
-		} else {
-			for _, ln := range tasks {
-				ln.runWindow()
-			}
+// runWindows executes one round's lane windows, dispatched in chunks of
+// the grain. A single chunk, or a single-worker kernel, runs inline: no
+// handoff, no atomics.
+func (k *Kernel) runWindows(x *laneExec, tasks []*Lane) {
+	chunks := (len(tasks) + x.group - 1) / x.group
+	if chunks <= 1 || k.workers == 1 {
+		for _, ln := range tasks {
+			ln.runWindow()
 		}
 		return
 	}
 	x.tasks = tasks
-	x.group = int32(g)
-	x.apply = apply
 	x.next.Store(0)
-	w := k.workers - 1
-	if w > chunks-1 {
-		w = chunks - 1
-	}
+	w := min(k.workers, chunks) - 1
 	x.wg.Add(w)
 	for i := 0; i < w; i++ {
 		x.start <- struct{}{}
@@ -653,7 +565,7 @@ func (k *Kernel) runLanes() error {
 
 		// Execute the round.
 		k.inWindow.Store(true)
-		k.runPhase(x, runnable, false)
+		k.runWindows(x, runnable)
 		k.inWindow.Store(false)
 
 		for _, ln := range runnable {
@@ -678,7 +590,7 @@ func (k *Kernel) runLanes() error {
 			k.markDirty(ln)
 		}
 
-		k.runBoundary(x, runnable)
+		k.runBoundary(runnable)
 	}
 	k.runnable = runnable[:0]
 
@@ -707,9 +619,8 @@ func (k *Kernel) runLanes() error {
 }
 
 // runBoundary applies every operation logged this round in the canonical
-// (time, lane index, log index) order, then inserts the staged deposits
-// into their destination lanes on the worker pool.
-func (k *Kernel) runBoundary(x *laneExec, runnable []*Lane) {
+// (time, lane index, log index) order.
+func (k *Kernel) runBoundary(runnable []*Lane) {
 	// Collect the lanes holding deferred operations: window lanes from
 	// the runnable set, serial-context logs from deferLanes.
 	for _, ln := range runnable {
@@ -737,9 +648,9 @@ func (k *Kernel) runBoundary(x *laneExec, runnable []*Lane) {
 	k.boundaryOps += uint64(ops)
 	k.obsBoundaryOps.Add(int64(ops))
 
-	// Serial phase: the operations' shared-state halves (link and MU
-	// booking, fault verdicts, traffic totals) run on this goroutine in
-	// canonical order; their ScheduleAbs deposits stage per destination.
+	// The operations run on this goroutine in canonical order: shared
+	// state (link and MU booking, fault verdicts, traffic totals) first,
+	// then their ScheduleAbs deposits straight into the destination lanes.
 	k.inBoundary = true
 	for len(h) > 0 {
 		ln := h[0].ln
@@ -755,6 +666,7 @@ func (k *Kernel) runBoundary(x *laneExec, runnable []*Lane) {
 			mergeSiftDown(h, 0)
 		}
 	}
+	k.inBoundary = false
 	k.merge = h[:0]
 
 	for _, ln := range k.deferLanes {
@@ -765,19 +677,6 @@ func (k *Kernel) runBoundary(x *laneExec, runnable []*Lane) {
 		ln.inMerge = false
 	}
 	k.deferLanes = k.deferLanes[:0]
-
-	// Parallel phase: deposits to disjoint destination lanes commute —
-	// each touches only its lane's heap and seq counter — so the worker
-	// pool inserts them concurrently; within one lane the staged order
-	// is the canonical order, preserving every seq tie-break.
-	if len(k.stagedLanes) > 0 {
-		k.runPhase(x, k.stagedLanes, true)
-		for _, ln := range k.stagedLanes {
-			k.markDirty(ln)
-		}
-		k.stagedLanes = k.stagedLanes[:0]
-	}
-	k.inBoundary = false
 }
 
 // mergeLaneObs folds every lane's child registry into the parent, in

@@ -135,8 +135,8 @@ func TestLanesCoordinatorEvents(t *testing.T) {
 	k := NewKernel()
 	k.ConfigureLanes(2, 2, 10)
 	var coordTimes []Time
-	k.At(55, func() { coordTimes = append(coordTimes, k.MainLane().Now()) })
-	k.At(5, func() { coordTimes = append(coordTimes, k.MainLane().Now()) })
+	k.At(55, func() { coordTimes = append(coordTimes, k.Now()) })
+	k.At(5, func() { coordTimes = append(coordTimes, k.Now()) })
 	for i := 0; i < 2; i++ {
 		k.SpawnOn(k.Lanes()[i], fmt.Sprintf("w%d", i), func(th *Thread) {
 			for j := 0; j < 20; j++ {

@@ -2,35 +2,22 @@ package sim
 
 import "repro/internal/obs"
 
-// Cond is a virtual-time condition variable. As with sync.Cond, waiters
-// must re-check their predicate in a loop: Broadcast wakes everything and
-// direct Wakes can cause spurious returns.
-type Cond struct {
+// cond is the parked-thread list behind Completion and WaitGroup. As
+// with sync.Cond, waiters must re-check their predicate in a loop:
+// broadcast wakes everything and direct Wakes can cause spurious returns.
+type cond struct {
 	k       *Kernel
 	waiters []*Thread
 }
 
-// NewCond returns a condition variable bound to k.
-func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
-
-// Wait parks t until Signal or Broadcast.
-func (c *Cond) Wait(t *Thread) {
+// wait parks t until the next broadcast.
+func (c *cond) wait(t *Thread) {
 	c.waiters = append(c.waiters, t)
 	t.Park()
 }
 
-// Signal wakes the longest-waiting thread, if any.
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	t := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.k.Wake(t)
-}
-
-// Broadcast wakes every waiting thread.
-func (c *Cond) Broadcast() {
+// broadcast wakes every waiting thread.
+func (c *cond) broadcast() {
 	for _, t := range c.waiters {
 		c.k.Wake(t)
 	}
@@ -92,20 +79,6 @@ func (m *Mutex) Lock(t *Thread) {
 	}
 }
 
-// TryLock acquires the mutex if it is free, returning whether it did.
-func (m *Mutex) TryLock(t *Thread) bool {
-	if m.owner != nil {
-		return false
-	}
-	m.Acquired++
-	m.owner = t
-	if m.waitHist != nil {
-		m.waitHist.Observe(0)
-		m.acquiredAt = t.Now()
-	}
-	return true
-}
-
 // Unlock releases the mutex, handing it to the longest waiter if any.
 func (m *Mutex) Unlock(t *Thread) {
 	if m.owner != t {
@@ -136,7 +109,7 @@ func (m *Mutex) Held(t *Thread) bool { return m.owner == t }
 type Completion struct {
 	k    *Kernel
 	done bool
-	cond Cond
+	cond cond
 }
 
 // NewCompletion returns an unfinished completion bound to k.
@@ -156,7 +129,7 @@ func (c *Completion) Finish() {
 		panic("sim: completion finished twice")
 	}
 	c.done = true
-	c.cond.Broadcast()
+	c.cond.broadcast()
 }
 
 // FinishOnce releases all waiters if the completion is still pending and
@@ -170,13 +143,13 @@ func (c *Completion) FinishOnce() {
 		return
 	}
 	c.done = true
-	c.cond.Broadcast()
+	c.cond.broadcast()
 }
 
 // Wait blocks t until Finish is called. Returns immediately if already done.
 func (c *Completion) Wait(t *Thread) {
 	for !c.done {
-		c.cond.Wait(t)
+		c.cond.wait(t)
 	}
 }
 
@@ -195,7 +168,7 @@ func (c *Completion) AddWaiter(t *Thread) {
 type WaitGroup struct {
 	k     *Kernel
 	count int
-	cond  Cond
+	cond  cond
 }
 
 // NewWaitGroup returns a WaitGroup bound to k.
@@ -212,7 +185,7 @@ func (w *WaitGroup) Add(delta int) {
 		panic("sim: negative WaitGroup counter")
 	}
 	if w.count == 0 {
-		w.cond.Broadcast()
+		w.cond.broadcast()
 	}
 }
 
@@ -222,47 +195,6 @@ func (w *WaitGroup) Done() { w.Add(-1) }
 // Wait blocks t until the counter reaches zero.
 func (w *WaitGroup) Wait(t *Thread) {
 	for w.count != 0 {
-		w.cond.Wait(t)
-	}
-}
-
-// Barrier synchronizes a fixed set of n participants repeatedly.
-type Barrier struct {
-	k     *Kernel
-	n     int
-	count int
-	gen   uint64
-	cond  Cond
-	// Latency is added to each participant's arrival, modeling the cost of
-	// the hardware collective network (BG/Q has a dedicated barrier network).
-	Latency Time
-}
-
-// NewBarrier returns a reusable barrier for n participants.
-func NewBarrier(k *Kernel, n int) *Barrier {
-	if n <= 0 {
-		panic("sim: barrier size must be positive")
-	}
-	b := &Barrier{k: k, n: n}
-	b.cond.k = k
-	return b
-}
-
-// Arrive blocks t until all n participants have arrived, then releases the
-// generation together.
-func (b *Barrier) Arrive(t *Thread) {
-	if b.Latency > 0 {
-		t.Sleep(b.Latency)
-	}
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		return
-	}
-	gen := b.gen
-	for b.gen == gen {
-		b.cond.Wait(t)
+		w.cond.wait(t)
 	}
 }

@@ -5,74 +5,6 @@ import (
 	"testing"
 )
 
-func TestCondSignalWakesOneInOrder(t *testing.T) {
-	k := NewKernel()
-	c := NewCond(k)
-	var woke []string
-	for _, name := range []string{"a", "b"} {
-		name := name
-		delay := Time(10)
-		if name == "b" {
-			delay = 20
-		}
-		k.Spawn(name, func(th *Thread) {
-			th.Sleep(delay)
-			c.Wait(th)
-			woke = append(woke, name)
-		})
-	}
-	k.Spawn("signaler", func(th *Thread) {
-		th.Sleep(100)
-		c.Signal() // wakes a (longest waiting)
-		th.Sleep(10)
-		c.Signal() // then b
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(woke, "") != "ab" {
-		t.Fatalf("wake order %v", woke)
-	}
-}
-
-func TestCondSignalEmptyIsNoop(t *testing.T) {
-	k := NewKernel()
-	c := NewCond(k)
-	c.Signal()
-	c.Broadcast()
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrierLatencyCharged(t *testing.T) {
-	k := NewKernel()
-	b := NewBarrier(k, 2)
-	b.Latency = 500
-	var released Time
-	for i := 0; i < 2; i++ {
-		k.Spawn("p", func(th *Thread) {
-			b.Arrive(th)
-			released = th.Now()
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if released != 500 {
-		t.Fatalf("released at %d, want 500", released)
-	}
-}
-
-func TestBarrierSizeValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBarrier(NewKernel(), 0)
-}
-
 func TestWaitGroupNegativePanics(t *testing.T) {
 	k := NewKernel()
 	wg := NewWaitGroup(k)
@@ -110,23 +42,6 @@ func TestErrorStrings(t *testing.T) {
 	p := &ThreadPanic{Thread: "t", Value: "boom", Stack: "st"}
 	if !strings.Contains(p.Error(), "boom") || !strings.Contains(p.Error(), `"t"`) {
 		t.Fatalf("%q", p.Error())
-	}
-}
-
-func TestKernelCurrent(t *testing.T) {
-	k := NewKernel()
-	if k.Current() != nil {
-		t.Fatal("current outside run")
-	}
-	var inside *Thread
-	th := k.Spawn("me", func(t2 *Thread) {
-		inside = k.Current()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if inside != th {
-		t.Fatal("Current did not report the running thread")
 	}
 }
 

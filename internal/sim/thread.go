@@ -73,7 +73,7 @@ func (k *Kernel) Spawn(name string, fn func(*Thread)) *Thread {
 }
 
 // SpawnOn creates a thread pinned to lane ln, beginning at the lane's
-// current time. On a single-lane kernel, pass MainLane().
+// current time. LaneOf names the right lane on either kind of kernel.
 func (k *Kernel) SpawnOn(ln *Lane, name string, fn func(*Thread)) *Thread {
 	return k.spawnOn(ln, name, fn)
 }

@@ -31,14 +31,14 @@ type registryCtxKey struct{}
 
 // WithEmitter returns a context that delivers every sweep point run
 // under it to em, in submission-index order. The emitter is per-run
-// state: attach a fresh one per job, not per engine (engines are pooled
-// and outlive jobs).
+// state: attach a fresh one per job, not per engine (an engine is shared
+// and outlives jobs).
 func WithEmitter(ctx context.Context, em Emitter) context.Context {
 	return context.WithValue(ctx, emitterCtxKey{}, em)
 }
 
 // WithRegistry returns a context that overrides the engine's parent
-// registry for sweeps run under it. This is how a pooled engine (built
+// registry for sweeps run under it. This is how a shared engine (built
 // once with a nil parent) executes one job with per-run observability:
 // children are created from — and merged back into — reg instead of the
 // engine's parent.

@@ -21,9 +21,6 @@
 //   - results: Map writes each run's result into its submission slot, so
 //     callers assemble tables keyed by configuration index, never by
 //     completion order.
-//   - allocation reuse: each worker owns an armci.Pool that persists
-//     across Map calls, recycling event-queue backing arrays between
-//     the sweep points that worker executes.
 //   - GC policy: the process-global GOGC knob is set exactly once, here,
 //     instead of per run in each driver.
 package sweep
@@ -50,28 +47,24 @@ func TuneGC() {
 	gcOnce.Do(func() { debug.SetGCPercent(200) })
 }
 
-// Ctx is what a sweep task runs with: the run's isolated registry, the
-// executing worker's recycling pool, and the engine's intra-run shard
-// budget. Attach all of them to a simulation through Cfg.
+// Ctx is what a sweep task runs with: the run's isolated registry and
+// the engine's intra-run shard budget. Attach both to a simulation
+// through Cfg.
 type Ctx struct {
 	// Reg is this run's private registry (nil when the engine has no
 	// parent registry). It must not outlive the task: the engine merges
 	// and discards it.
 	Reg *obs.Registry
-	// Pool belongs to the worker executing the task and persists across
-	// tasks and Map calls.
-	Pool *armci.Pool
 	// Shards is the engine's per-run lane worker budget, forwarded to
 	// armci.Config.Shards. Purely an execution value: shard count never
 	// changes a simulation's results.
 	Shards int
 }
 
-// Cfg attaches the run's registry, worker pool, and shard budget to a
-// configuration — the one-liner every harness builds its Config through.
+// Cfg attaches the run's registry and shard budget to a configuration —
+// the one-liner every harness builds its Config through.
 func (c *Ctx) Cfg(cfg armci.Config) armci.Config {
 	cfg.Obs = c.Reg
-	cfg.Pool = c.Pool
 	cfg.Shards = c.Shards
 	return cfg
 }
@@ -111,14 +104,15 @@ func CoreBudget(workers, shards int) (int, int) {
 	return workers, shards
 }
 
-// Engine schedules sweep tasks over a fixed worker count. An Engine is
-// cheap; build one per (worker count, parent registry) setting. Map calls
-// on one engine must not overlap.
+// Engine schedules sweep tasks over a fixed worker count. It is an
+// immutable (workers, shards, parent registry) triple, so Map calls on
+// one engine may overlap — provided they do not merge into the same
+// registry (a registry is single-threaded): overlapping callers use a nil
+// parent or give each call its own with WithRegistry.
 type Engine struct {
 	workers int
 	shards  int
 	parent  *obs.Registry
-	pools   []*armci.Pool
 }
 
 // NewSharded returns the execution plan every driver resolves once at
@@ -131,8 +125,7 @@ type Engine struct {
 func NewSharded(workers, shards int, parent *obs.Registry) *Engine {
 	TuneGC()
 	workers, shards = CoreBudget(workers, shards)
-	return &Engine{workers: workers, shards: shards, parent: parent,
-		pools: make([]*armci.Pool, workers)}
+	return &Engine{workers: workers, shards: shards, parent: parent}
 }
 
 // Workers returns the configured worker count.
@@ -141,13 +134,6 @@ func (e *Engine) Workers() int { return e.workers }
 // Shards returns the per-run lane worker budget after CoreBudget
 // resolution.
 func (e *Engine) Shards() int { return e.shards }
-
-func (e *Engine) pool(w int) *armci.Pool {
-	if e.pools[w] == nil {
-		e.pools[w] = armci.NewPool()
-	}
-	return e.pools[w]
-}
 
 // Map runs fn for every index in [0, n), fanning the calls across the
 // engine's workers, and returns the results in index order. fn must be
@@ -169,6 +155,12 @@ func Map[T any](e *Engine, n int, fn func(c *Ctx, i int) T) []T {
 // ctx.Err() afterwards and treat the output as partial (never render or
 // cache a grid assembled from a cancelled sweep). A nil ctx means no
 // cancellation.
+//
+// A task that panics fails the whole sweep the way it would on one
+// worker: no further task starts, running ones finish, every index below
+// the lowest panicking one is delivered, nothing at or past it is, and
+// that task's panic value is re-raised on the caller's goroutine — where
+// the caller's own recover can see it.
 //
 // Result delivery is ordered incremental emission, not a barrier:
 // workers publish completed points as they finish, and the caller's
@@ -202,7 +194,7 @@ func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(c *Ctx, i int)
 		workers = n
 	}
 	if workers <= 1 {
-		c := &Ctx{Pool: e.pool(0), Shards: e.shards}
+		c := &Ctx{Shards: e.shards}
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
 				return out
@@ -218,22 +210,35 @@ func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(c *Ctx, i int)
 	next := int64(-1)
 	donec := make(chan int, n)
 	var wg sync.WaitGroup
+	// A task that panics stops the hand-out of further indexes. Indexes
+	// are handed out in order and started tasks always finish, so the
+	// lowest panicking index is the one a serial sweep would have died on.
+	panics := make([]any, n) // what task i's panic carried, nil if it returned
+	var stopped atomic.Bool
+	run := func(c *Ctx, i int) {
+		defer func() {
+			if panics[i] = recover(); panics[i] != nil {
+				stopped.Store(true)
+			}
+		}()
+		out[i] = fn(c, i)
+		donec <- i
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			c := &Ctx{Pool: e.pool(w), Shards: e.shards}
-			for ctx.Err() == nil {
+			c := &Ctx{Shards: e.shards}
+			for ctx.Err() == nil && !stopped.Load() {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
 					return
 				}
 				c.Reg = parent.NewChild()
 				regs[i] = c.Reg
-				out[i] = fn(c, i)
-				donec <- i
+				run(c, i)
 			}
-		}(w)
+		}()
 	}
 	go func() {
 		wg.Wait()
@@ -249,6 +254,14 @@ func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(c *Ctx, i int)
 		for delivered < n && ready[delivered] {
 			deliver(delivered, regs[delivered])
 			delivered++
+		}
+	}
+	for _, p := range panics {
+		if p != nil {
+			// Every index below this one has been delivered, nothing at or
+			// past it has: where the serial path stands when fn panics
+			// under it. Fail the same way, on the caller's goroutine.
+			panic(p)
 		}
 	}
 	// A cancelled sweep leaves holes (tasks that never started) that stall

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/armci"
 	"repro/internal/obs"
@@ -77,18 +79,51 @@ func TestMapWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestMapPoolsPersist verifies cross-Map pool reuse: the second Map on
-// the same engine must find the workers' pools already warmed.
-func TestMapPoolsPersist(t *testing.T) {
-	e := NewSharded(2, 0, nil)
-	Map(e, 4, sweepTask)
-	p0 := e.pools[0]
-	if p0 == nil {
-		t.Fatal("worker 0 never built its pool")
-	}
-	Map(e, 4, sweepTask)
-	if e.pools[0] != p0 {
-		t.Fatal("pool not reused across Map calls")
+// TestMapPanicSurfacesOnCaller: a task that panics must not die on a
+// sweep worker's goroutine, where no caller can recover it. On one worker
+// and on three the sweep fails the same way: the caller recovers the
+// task's own panic value, every index below the failed one was delivered
+// and nothing at or past it, and no worker goroutine is left behind.
+func TestMapPanicSurfacesOnCaller(t *testing.T) {
+	boom := fmt.Errorf("task 1 fell over")
+	started := make(chan struct{})
+	for _, workers := range []int{1, 3} {
+		base := runtime.NumGoroutine()
+		parent := obs.New()
+		em := &recordingEmitter{parent: parent}
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			MapCtx(NewSharded(workers, 0, parent), WithEmitter(context.Background(), em), 8,
+				func(c *Ctx, i int) int {
+					c.Reg.Counter("test/ran").Add(1)
+					switch {
+					case i == 1:
+						if workers > 1 {
+							<-started // fail while a later index is mid-task
+						}
+						panic(boom)
+					case i == 2 && workers > 1:
+						started <- struct{}{}
+					}
+					return i
+				})
+		}()
+		if got != boom {
+			t.Fatalf("workers=%d: caller recovered %v, want the task's own value %v", workers, got, boom)
+		}
+		if fmt.Sprint(em.order) != "[0]" {
+			t.Errorf("workers=%d: delivered %v, want only index 0", workers, em.order)
+		}
+		if n := parent.Counter("test/ran").Value(); n != 1 {
+			t.Errorf("workers=%d: %d children merged, want 1", workers, n)
+		}
+		for i := 0; runtime.NumGoroutine() > base && i < 200; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("workers=%d: %d goroutines after the failed sweep, %d before", workers, n, base)
+		}
 	}
 }
 
@@ -208,16 +243,15 @@ func TestMapEmitterOrderedDelivery(t *testing.T) {
 // barrierMap is the pre-refactor reference implementation: run every
 // task, then merge all children behind a barrier in index order.
 func barrierMap(workers, n int, parent *obs.Registry, fn func(c *Ctx, i int) sim.Time) []sim.Time {
-	e := NewSharded(workers, 0, nil)
 	out := make([]sim.Time, n)
 	regs := make([]*obs.Registry, n)
 	next := int64(-1)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			c := &Ctx{Pool: e.pool(w)}
+			c := &Ctx{}
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
@@ -227,7 +261,7 @@ func barrierMap(workers, n int, parent *obs.Registry, fn func(c *Ctx, i int) sim
 				regs[i] = c.Reg
 				out[i] = fn(c, i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	for _, reg := range regs {
@@ -265,7 +299,7 @@ func TestMapOrderedEmissionMatchesBarrier(t *testing.T) {
 }
 
 // TestMapRegistryOverride: WithRegistry redirects a sweep's children to
-// a per-run registry, leaving the pooled engine's parent untouched.
+// a per-run registry, leaving the shared engine's parent untouched.
 func TestMapRegistryOverride(t *testing.T) {
 	engineParent := obs.New(obs.WithTrackCap(64))
 	runReg := obs.New(obs.WithTrackCap(64))

@@ -101,3 +101,36 @@ func TestSweepChaosWorkerCountInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepOverlappingMaps: an engine holds no per-call state, so sweeps
+// may overlap on one — which is how the serving layer runs concurrent
+// jobs. Two Fig 9 sweeps running at once on a shared two-worker engine,
+// each recording into its own registry, must render what a lone sweep
+// does; under -race this is the proof the engine shares nothing between
+// calls.
+func TestSweepOverlappingMaps(t *testing.T) {
+	eng := sweep.NewSharded(2, 0, nil)
+	render := func() (csv, metrics string) {
+		reg := obs.New()
+		var sb strings.Builder
+		bench.Fig9(sweep.WithRegistry(bg, reg), eng, []int{8, 16}, 4).RenderCSV(&sb)
+		var mbuf bytes.Buffer
+		if err := reg.WriteMetrics(&mbuf); err != nil {
+			t.Error(err)
+		}
+		return sb.String(), mbuf.String()
+	}
+	wantCSV, wantMetrics := render()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if csv, metrics := render(); csv != wantCSV || metrics != wantMetrics {
+				t.Errorf("overlapping sweep %d diverged from a lone one:\n%s\nvs\n%s", i, csv, wantCSV)
+			}
+		}()
+	}
+	wg.Wait()
+}

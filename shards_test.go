@@ -3,12 +3,14 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/armci"
 	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -84,6 +86,118 @@ func TestShardFig9Invariance(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		if got := bench.Fig9Point(bg, plan(1, shards), 16, 4, true, false, 4); got != base {
 			t.Errorf("fig9 shards=%d: latency %v, want %v", shards, got, base)
+		}
+	}
+}
+
+// The lane dispatch grain is derived inside the kernel from (lanes,
+// workers), so the only way to run a grain above one through the whole
+// stack is a world wide enough to get one: 64 ranks at one per node is
+// 64 lanes, which ConfigureLanes chunks by 4 at two lane workers and by
+// 2 at four. (internal/sim's TestLaneGroupInvariance sweeps the grain
+// itself, in-package.)
+const wideProcs = 64
+
+func wideConfig(shards int) armci.Config {
+	return armci.Config{Procs: wideProcs, ProcsPerNode: 1, AsyncThread: true, Seed: 42, Shards: shards}
+}
+
+// TestShardWideWorldInvariance runs the golden traffic mix on the wide
+// world: events, final time, metrics bytes and trace bytes must be
+// identical at every lane worker count, and with them at every grain.
+func TestShardWideWorldInvariance(t *testing.T) {
+	withProcs(t, 4)
+	run := func(shards int) (uint64, sim.Time, string, string) {
+		reg := obs.New(obs.WithTrackCap(256))
+		cfg := wideConfig(shards)
+		cfg.Obs = reg
+		w := armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
+			a := rt.Malloc(th, 4096)
+			local := rt.LocalAlloc(th, 4096)
+			peer := (rt.Rank + 1) % wideProcs
+			for i := 0; i < 3; i++ {
+				rt.Put(th, local, a.At(peer), 256)
+				rt.Get(th, a.At(peer), local, 512)
+				rt.FetchAdd(th, a.At(0), 1)
+				rt.Acc(th, local, a.At(peer).Add(512), 64, 2.0)
+			}
+			rt.Fence(th, peer)
+			rt.Barrier(th)
+		})
+		var mbuf, tbuf bytes.Buffer
+		if err := reg.WriteMetrics(&mbuf); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.WriteChromeTrace(&tbuf); err != nil {
+			t.Fatal(err)
+		}
+		return w.K.EventsFired(), w.K.Now(), mbuf.String(), tbuf.String()
+	}
+	e0, f0, m0, tr0 := run(0)
+	for _, shards := range []int{1, 2, 4} {
+		e, f, m, tr := run(shards)
+		if e != e0 || f != f0 {
+			t.Errorf("shards=%d diverged: events/final (%d, %d), want (%d, %d)", shards, e, f, e0, f0)
+		}
+		if m != m0 {
+			t.Errorf("shards=%d: metrics bytes differ", shards)
+		}
+		if tr != tr0 {
+			t.Errorf("shards=%d: trace bytes differ", shards)
+		}
+	}
+}
+
+// TestShardWideWorldChaosInvariance is the same world under
+// bench.ChaosPlan: workers hammer a rank-0 counter and a per-rank slot
+// with the error-returning API, straddling the plan's outage and
+// dead-node windows, and the whole recovery story (retries, timeouts,
+// drops, recovered data) must be identical at every lane worker count,
+// because fault verdicts are drawn in the boundary's canonical order.
+func TestShardWideWorldChaosInvariance(t *testing.T) {
+	withProcs(t, 4)
+	const opsEach = 6
+	run := func(shards int) string {
+		cfg := wideConfig(shards)
+		cfg.Fault = bench.ChaosPlan(42)
+		var counter int64
+		opErrors := make([]int, wideProcs) // per-rank slots: ranks run on parallel lanes
+		w := armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
+			a := rt.Malloc(th, 8+wideProcs*64)
+			if rt.Rank == 0 {
+				rt.Barrier(th)
+				counter = rt.Space().GetInt64(a.At(0).Addr)
+				return
+			}
+			local := rt.LocalAlloc(th, 64)
+			if d := bench.FaultEpoch - th.Now(); d > 0 {
+				th.Sleep(d) // align the op stream to the plan's fault windows
+			}
+			for i := 0; i < opsEach; i++ {
+				if _, err := rt.FetchAddErr(th, a.At(0), 1); err != nil {
+					opErrors[rt.Rank]++
+				}
+				if err := rt.PutErr(th, local, a.At(0).Add(8+rt.Rank*64), 64); err != nil {
+					opErrors[rt.Rank]++
+				}
+				th.Sleep(100 * sim.Microsecond)
+			}
+			rt.Barrier(th)
+		})
+		if want := int64((wideProcs - 1) * opsEach); counter != want {
+			t.Errorf("shards=%d: counter %d, want %d (lost or doubled fetch-adds)", shards, counter, want)
+		}
+		if w.Faults.Dropped == 0 {
+			t.Errorf("chaos world injected no drops; the comparison would prove nothing")
+		}
+		return fmt.Sprintf("events %d final %d counter %d errs %v stats %v dropped %d delayed %d duplicated %d",
+			w.K.EventsFired(), w.K.Now(), counter, opErrors, w.AggregateStatsSorted(),
+			w.Faults.Dropped, w.Faults.Delayed, w.Faults.Duplicated)
+	}
+	base := run(0)
+	for _, shards := range []int{1, 2, 4} {
+		if got := run(shards); got != base {
+			t.Errorf("chaos shards=%d diverged:\n got %s\nwant %s", shards, got, base)
 		}
 	}
 }
@@ -195,11 +309,10 @@ func TestLegacyEngineEquivalence(t *testing.T) {
 			t.Errorf("stat %q: legacy %d (present %v), laned %d", s.Name, v, ok, s.Value)
 		}
 	}
-	n := laned.M.Net
+	n := laned.M.Net.Totals()
 	if n.Messages != want.Network.Messages || n.Bytes != want.Network.Bytes ||
-		n.RawBytes != want.Network.RawBytes || n.HopsTotal != want.Network.Hops {
-		t.Errorf("network totals differ: legacy %+v, laned {msgs %d bytes %d raw %d hops %d}",
-			want.Network, n.Messages, n.Bytes, n.RawBytes, n.HopsTotal)
+		n.RawBytes != want.Network.RawBytes || n.Hops != want.Network.Hops {
+		t.Errorf("network totals differ: legacy %+v, laned %+v", want.Network, n)
 	}
 
 	// Figure bytes: the simulated latencies are what the figures pin.
