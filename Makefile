@@ -18,13 +18,15 @@ test-short:
 
 # CI gate: vet plus the short suite under the race detector (the fault
 # package rides along in ./...; listed explicitly so a package-selection
-# change can't silently drop it from the -race run). The zero-allocation
-# invariants skip under -race (its instrumentation allocates), so the last
-# line runs them plain.
+# change can't silently drop it from the -race run). vet is also what
+# keeps slab-resident state (sim.NoCopy) from being copied. The
+# zero-allocation invariants skip under -race (its instrumentation
+# allocates), so the last line runs them and the objects-per-rank budgets
+# on plain allocation counts, -v so the CI log shows what was measured.
 check:
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/fault/ ./...
-	$(GO) test -run Alloc ./internal/sim/ ./internal/network/
+	$(GO) test -v -run 'Alloc|ObjectsPerRank' ./internal/sim/ ./internal/network/ ./internal/pami/ ./internal/armci/ ./internal/bench/
 
 # Engine wall-clock benchmarks (the cost of simulating): micro benches
 # plus the reduced Fig 9 p=4096 / SCF scenarios, written to
@@ -45,10 +47,11 @@ race-sweep:
 # tests (golden scenario, fig9, chaos, composed, and the 64-lane world
 # whose derived dispatch grain exceeds one, fault-free and under chaos),
 # the frozen legacy-engine equivalence, and two sharded worlds running
-# concurrently — plus the sim package's own lane engine (grain x worker
-# matrix included) and horizon-tree tests.
+# concurrently — plus ARMCI's world-wide handler table serving every
+# rank's contexts from parallel lanes, and the sim package's own lane
+# engine (grain x worker matrix included) and horizon-tree tests.
 race-shards:
-	$(GO) test -race -run 'TestShard|TestLegacyEngine' .
+	$(GO) test -race -run 'TestShard|TestLegacyEngine' . ./internal/armci/
 	$(GO) test -race -run 'TestLane|TestHorizon|TestPopUpTo|TestMarkDirty' ./internal/sim/
 
 # Shard scaling gate: times the fig9 p=16384 scenario serial vs sharded

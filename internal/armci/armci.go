@@ -170,13 +170,22 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // World is one simulated job: the machine plus every rank's runtime.
+// What is the same for every rank — the protocol handler table, the
+// thread bodies, the barrier's arrival operation — is built here once;
+// what a rank owns is its element of Runtimes.
 type World struct {
 	K   *sim.Kernel
 	M   *pami.Machine
 	Cfg Config
 
-	Runtimes []*Runtime
+	// Runtimes holds every rank's runtime by value; a rank's own main
+	// thread brings its element up (Start). Take &w.Runtimes[rank].
+	Runtimes []Runtime
 	svcIdx   int // context index remote-service AMs are addressed to
+
+	handlers  [len(protocol)]pami.AMHandler // protocol[i] bound to the dispatched-on rank's runtime
+	asyncBody func(*sim.Thread)             // body of every asynchronous progress thread
+	barArrive func(at sim.Time)             // barrierArrive, as the one value every Barrier defers
 
 	// Faults is the installed injector (nil outside chaos runs); chaos
 	// harnesses read its counters after Run.
@@ -212,18 +221,21 @@ func NewWorld(k *sim.Kernel, cfg Config) (*World, error) {
 	// One lane per node, fixed by the topology; Shards only picks the
 	// worker count, so results are invariant across shard settings.
 	k.ConfigureLanes(tor.Nodes(), cfg.Shards, cfg.Params.Lookahead())
-	m := pami.NewMachine(k, tor, cfg.Params)
+	m := pami.NewMachine(k, tor, cfg.Params, cfg.Contexts)
 	m.SeedBase = cfg.Seed
 	w := &World{
 		K:        k,
 		M:        m,
 		Cfg:      cfg,
-		Runtimes: make([]*Runtime, cfg.Procs),
+		Runtimes: make([]Runtime, cfg.Procs),
 		xchF64:   make([]float64, cfg.Procs),
 	}
 	if cfg.AsyncThread {
 		w.svcIdx = cfg.Contexts - 1
 	}
+	w.bindHandlers()
+	w.asyncBody = func(pt *sim.Thread) { w.Runtimes[pt.Index()].svcCtx.ProgressLoop(pt) }
+	w.barArrive = w.barrierArrive
 	if cfg.Fault != nil {
 		if err := cfg.Fault.Validate(tor.Nodes(), tor.NumLinks()); err != nil {
 			return nil, err
@@ -239,18 +251,17 @@ func (w *World) faulty() bool { return w.Faults != nil }
 
 // Start spawns one main thread per rank. Each creates its PAMI state,
 // synchronizes, runs body, then participates in a collective finalize.
+// The threads share one body and find their rank as their spawn index.
 func (w *World) Start(body func(th *sim.Thread, rt *Runtime)) {
 	tor := w.M.Net.Torus()
+	main := func(th *sim.Thread) {
+		rt := newRuntime(w, th, th.Index())
+		rt.Barrier(th) // all clients exist before any traffic
+		body(th, rt)
+		rt.finalize(th)
+	}
 	for rank := 0; rank < w.Cfg.Procs; rank++ {
-		rank := rank
-		ln := w.K.LaneOf(tor.NodeOf(rank))
-		t := w.K.SpawnOn(ln, fmt.Sprintf("rank-%04d", rank), func(th *sim.Thread) {
-			rt := newRuntime(w, th, rank)
-			w.Runtimes[rank] = rt
-			rt.Barrier(th) // all clients exist before any traffic
-			body(th, rt)
-			rt.finalize(th)
-		})
+		t := w.K.SpawnIndexed(w.K.LaneOf(tor.NodeOf(rank)), "rank", rank, main)
 		t.SetObsTrack(obs.TrackRank)
 	}
 }
@@ -284,11 +295,10 @@ func MustRun(cfg Config, body func(th *sim.Thread, rt *Runtime)) *World {
 // output will differ between identical runs.
 func (w *World) AggregateStats() map[string]int64 {
 	total := make(map[string]int64)
-	for _, rt := range w.Runtimes {
-		if rt == nil {
-			continue
-		}
-		for k, v := range rt.Stats.Snapshot() {
+	for i := range w.Runtimes {
+		// A rank that never came up (the run failed first) has counted
+		// nothing.
+		for k, v := range w.Runtimes[i].Stats.Snapshot() {
 			total[k] += v
 		}
 	}
@@ -332,14 +342,25 @@ func (rt *Runtime) noteWrites(rank, puts, ams int) {
 	}
 	if s == (rankState{}) {
 		delete(rt.dirty, rank)
-	} else {
-		rt.dirty[rank] = s
+		return
 	}
+	if rt.dirty == nil {
+		rt.dirty = make(map[int]rankState)
+	}
+	rt.dirty[rank] = s
 }
 
 // Runtime is one rank's ARMCI runtime: the public API surface of this
 // package. All methods must be called from that rank's own threads.
+//
+// A runtime lives in its world's Runtimes slice and owns, by value,
+// everything it has exactly one of (counters, jitter stream, region
+// cache); its maps are for state most ranks never have — a peer
+// addressed, a write outstanding, a request in flight, a mutex hosted —
+// and stay nil until first written, which reads and deletes of a nil map
+// already allow for. An idle rank costs what it uses.
 type Runtime struct {
+	_    sim.NoCopy
 	W    *World
 	Rank int
 	C    *pami.Client
@@ -364,23 +385,25 @@ type Runtime struct {
 	// Stats exposes protocol counters: get.rdma, get.fallback, put.rdma,
 	// put.am, acc, rmw, fence, conflict.avoided, regioncache.{hit,miss,
 	// evict}, strided.{chunks,typed}, ...
-	Stats *sim.Counters
+	Stats sim.Counters
 
+	main     *sim.Thread // the rank's main thread; its name is the trace track id
 	progress *sim.Thread
-	rng      *sim.RNG
+	rng      sim.RNG
 
 	// Barrier bookkeeping: barGen counts barriers this rank has entered,
 	// barRelease the releases delivered to it. Both are lane-local — the
-	// release event is deposited into this rank's own lane.
+	// release event is deposited into this rank's own lane, and is the
+	// same function every time.
 	barGen     uint64
 	barRelease uint64
+	release    func()
 
-	obsOps  *opObs // nil when Config.Obs is nil
-	trackID string // this rank's trace track id ("rank-NNNN")
+	obsOps *opObs // nil when Config.Obs is nil
 
 	// Recovery state, armed only on chaos runs (Config.Fault non-nil).
 	retry        *RetryPolicy     // resolved policy (never nil when faulty)
-	suspectUntil map[int]sim.Time // per-target rank: RDMA path suspect until this time
+	suspectUntil map[int]sim.Time // per-target rank: RDMA path suspect until this time; nil until one is
 	applied      map[amKey]bool   // target-side write-AM dedup, lazily allocated
 	ftObs        *ftObs           // retry/timeout/recovery instrumentation
 }
@@ -393,44 +416,40 @@ type amKey struct {
 	id  int64
 }
 
+// newRuntime brings rank's runtime up in its slot of w.Runtimes, on the
+// rank's own main thread.
 func newRuntime(w *World, th *sim.Thread, rank int) *Runtime {
 	c := w.M.NewClient(th, rank)
 	c.MaxRegions = w.Cfg.MaxRegions
 	c.CreateContexts(th, w.Cfg.Contexts)
 
-	rt := &Runtime{
-		W:       w,
-		Rank:    rank,
-		C:       c,
-		mainCtx: c.Contexts[0],
-		svcCtx:  c.Contexts[w.svcIdx],
-		eps:     make(map[int]pami.Endpoint),
-		svcEps:  make(map[int]pami.Endpoint),
-		regions: *newRegionCache(w.Cfg.RegionCacheCap, rank),
-		dirty:   make(map[int]rankState),
-		pend:    make(map[int64]*pendReq),
-		mutexes: make(map[int]*muState),
-		Stats:   sim.NewCounters(),
-		rng:     sim.NewRNG(w.Cfg.Seed ^ (uint64(rank)*0x5851f42d + 7)),
-		obsOps:  newOpObs(c.Obs),
-		trackID: fmt.Sprintf("rank-%04d", rank),
-	}
+	rt := &w.Runtimes[rank]
+	rt.W = w
+	rt.Rank = rank
+	rt.C = c
+	rt.mainCtx = &c.Contexts[0]
+	rt.svcCtx = &c.Contexts[w.svcIdx]
+	rt.regions = *newRegionCache(w.Cfg.RegionCacheCap, rank)
 	rt.cons = consistency{rt: rt, mode: w.Cfg.Consistency}
+	rt.main = th
+	rt.rng.Seed(w.Cfg.Seed ^ (uint64(rank)*0x5851f42d + 7))
+	rt.release = rt.barrierRelease // the one func a rank owns: every barrier schedules it
+	rt.obsOps = newOpObs(c.Obs)
 	if w.faulty() {
 		rt.retry = w.Cfg.Retry
 		if rt.retry == nil {
 			rt.retry = DefaultRetryPolicy()
 		}
-		rt.suspectUntil = make(map[int]sim.Time)
 		rt.ftObs = newFtObs(c.Obs)
 	}
-	rt.installHandlers()
+	for i := range c.Contexts {
+		for j := range w.handlers {
+			c.Contexts[i].SetDispatch(protocol[j].id, w.handlers[j])
+		}
+	}
 
 	if w.Cfg.AsyncThread {
-		svc := rt.svcCtx
-		rt.progress = w.K.SpawnOn(c.Ln, fmt.Sprintf("async-%04d", rank), func(pt *sim.Thread) {
-			svc.ProgressLoop(pt)
-		})
+		rt.progress = w.K.SpawnIndexed(c.Ln, "async", rank, w.asyncBody)
 		rt.progress.SetObsTrack(obs.TrackProgress)
 	}
 	return rt
@@ -457,6 +476,9 @@ func (rt *Runtime) epData(th *sim.Thread, rank int) pami.Endpoint {
 	ep, ok := rt.eps[rank]
 	if !ok {
 		ep = rt.C.CreateEndpoint(th, rank, 0)
+		if rt.eps == nil {
+			rt.eps = make(map[int]pami.Endpoint)
+		}
 		rt.eps[rank] = ep
 		rt.Stats.Inc("ep.created", 1)
 	}
@@ -468,6 +490,9 @@ func (rt *Runtime) epSvc(th *sim.Thread, rank int) pami.Endpoint {
 	ep, ok := rt.svcEps[rank]
 	if !ok {
 		ep = rt.C.CreateEndpoint(th, rank, rt.W.svcIdx)
+		if rt.svcEps == nil {
+			rt.svcEps = make(map[int]pami.Endpoint)
+		}
 		rt.svcEps[rank] = ep
 		rt.Stats.Inc("ep.created", 1)
 	}
@@ -503,7 +528,7 @@ func (rt *Runtime) faulty() bool { return rt.W.Faults != nil }
 // shim this used to feed is gone; obs is the one tracing API.
 func (rt *Runtime) tr(cat, what string, arg int64) {
 	if r := rt.C.Obs; r != nil {
-		r.InstantArg(obs.TrackRank, rt.trackID, what, cat, rt.C.Ln.Now(), arg)
+		r.InstantArg(obs.TrackRank, rt.main.Name(), what, cat, rt.C.Ln.Now(), arg)
 	}
 }
 
@@ -511,6 +536,9 @@ func (rt *Runtime) tr(cat, what string, arg int64) {
 func (rt *Runtime) newPend() (int64, *pendReq) {
 	rt.pendSeq++
 	p := &pendReq{}
+	if rt.pend == nil {
+		rt.pend = make(map[int64]*pendReq)
+	}
 	rt.pend[rt.pendSeq] = p
 	return rt.pendSeq, p
 }
@@ -524,7 +552,7 @@ func (rt *Runtime) finalize(th *sim.Thread) {
 	rt.AllFence(th)
 	rt.Barrier(th)
 	rt.publishStats(rt.C.Obs)
-	for _, x := range rt.C.Contexts {
-		x.StopProgressLoop()
+	for i := range rt.C.Contexts {
+		rt.C.Contexts[i].StopProgressLoop()
 	}
 }

@@ -47,7 +47,7 @@ func TestPutGetRoundTripRDMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt0 := w.Runtimes[0]
+	rt0 := &w.Runtimes[0]
 	if rt0.Stats.Get("put.rdma") != 1 || rt0.Stats.Get("get.rdma") != 1 {
 		t.Fatalf("expected RDMA path: put.rdma=%d get.rdma=%d put.am=%d get.fallback=%d",
 			rt0.Stats.Get("put.rdma"), rt0.Stats.Get("get.rdma"),
@@ -531,7 +531,7 @@ func TestEndpointCacheCreatesOncePerPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt0 := w.Runtimes[0]
+	rt0 := &w.Runtimes[0]
 	// One data endpoint per peer (region metadata arrived with Malloc's
 	// collective exchange, so no service endpoints were needed).
 	if got := rt0.Stats.Get("ep.created"); got != 2 {

@@ -52,7 +52,7 @@ type seedBlock struct {
 type regionCache struct {
 	cap, self int
 	blocks    []seedBlock            // in insertion order
-	touched   map[int][]cachedRegion // explicit buckets, by owner rank
+	touched   map[int][]cachedRegion // explicit buckets, by owner rank; nil until one exists
 	slab      []cachedRegion         // where new buckets are cut from
 	total     int
 	Hits      uint64
@@ -61,7 +61,7 @@ type regionCache struct {
 }
 
 func newRegionCache(capacity, self int) *regionCache {
-	return &regionCache{cap: capacity, self: self, touched: make(map[int][]cachedRegion)}
+	return &regionCache{cap: capacity, self: self}
 }
 
 // seeds reports whether b once seeded an entry for rank that no eviction
@@ -100,6 +100,9 @@ func (rc *regionCache) touch(rank int) []cachedRegion {
 		}
 	}
 	bkt = rc.slab[start:len(rc.slab):len(rc.slab)]
+	if rc.touched == nil {
+		rc.touched = make(map[int][]cachedRegion)
+	}
 	rc.touched[rank] = bkt
 	return bkt
 }
@@ -138,7 +141,8 @@ func (rc *regionCache) insert(rank int, base mem.Addr, size int) {
 	if rc.total >= rc.cap {
 		rc.evictLFU()
 	}
-	rc.touched[rank] = append(rc.touch(rank), cachedRegion{base: base, size: size, freq: 1})
+	bkt := rc.touch(rank) // first: it is what makes the map
+	rc.touched[rank] = append(bkt, cachedRegion{base: base, size: size, freq: 1})
 	rc.total++
 }
 

@@ -57,19 +57,18 @@ func (a *Allocation) At(rank int) GlobalPtr {
 // BarrierLatency ≥ the network lookahead (enforced by withDefaults)
 // guarantees the release time is in every other lane's future.
 func (rt *Runtime) Barrier(th *sim.Thread) {
-	w := rt.W
 	gen := rt.barGen
 	rt.barGen++
-	eff := th.Now() + w.Cfg.Params.BarrierLatency
-	th.Lane().Defer(eff, func(sim.Time) { w.barrierArrive(eff) })
+	th.Lane().Defer(th.Now()+rt.W.Cfg.Params.BarrierLatency, rt.W.barArrive)
 	rt.mainCtx.WaitCond(th, func() bool { return rt.barRelease > gen })
 }
 
-// barrierArrive runs in serial context (the boundary applier). It
-// accumulates the release time and, on the last arrival, deposits one
-// release event into each rank's lane.
-func (w *World) barrierArrive(eff sim.Time) {
-	if eff > w.barMax {
+// barrierArrive is one rank's arrival, issued at lane time at; it runs in
+// serial context (the boundary applier). It accumulates the release time
+// and, on the last arrival, deposits one release event into each rank's
+// lane.
+func (w *World) barrierArrive(at sim.Time) {
+	if eff := at + w.Cfg.Params.BarrierLatency; eff > w.barMax {
 		w.barMax = eff
 	}
 	w.barCount++
@@ -78,15 +77,18 @@ func (w *World) barrierArrive(eff sim.Time) {
 	}
 	release := w.barMax
 	w.barCount, w.barMax = 0, 0
-	for _, r := range w.Runtimes {
-		rt := r
-		rt.C.Ln.ScheduleAbs(release, func() {
-			rt.barRelease++
-			// Nudge the rank's contexts so parked waiters re-check.
-			for _, x := range rt.C.Contexts {
-				x.Nudge()
-			}
-		})
+	for i := range w.Runtimes {
+		rt := &w.Runtimes[i]
+		rt.C.Ln.ScheduleAbs(release, rt.release)
+	}
+}
+
+// barrierRelease is the release event in the rank's own lane.
+func (rt *Runtime) barrierRelease() {
+	rt.barRelease++
+	// Nudge the rank's contexts so parked waiters re-check.
+	for i := range rt.C.Contexts {
+		rt.C.Contexts[i].Nudge()
 	}
 }
 

@@ -76,8 +76,7 @@ func (rt *Runtime) NbPut(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) *
 		return &Handle{rt: rt, comps: []*sim.Completion{comp}}
 	}
 	// Fallback: AM carrying the payload; remote ack feeds the fence.
-	data := make([]byte, n)
-	rt.C.Space.CopyOut(local, data)
+	data := rt.C.Space.Clone(local, n)
 	id, p := rt.newPend()
 	p.counted = true
 	rt.noteWrites(dst.Rank, 0, 1)
@@ -171,8 +170,7 @@ func (rt *Runtime) NbAcc(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, s
 		panic("armci: accumulate length must be a multiple of 8")
 	}
 	rt.cons.noteWrite(dst.Rank, rt.allocKey(dst))
-	data := make([]byte, n)
-	rt.C.Space.CopyOut(local, data)
+	data := rt.C.Space.Clone(local, n)
 	id, p := rt.newPend()
 	comp := sim.NewCompletion(rt.W.K)
 	p.comp = comp

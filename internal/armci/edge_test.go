@@ -189,7 +189,7 @@ func TestSpaceModelEquations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := w.Runtimes[0]
+	rt := &w.Runtimes[0]
 	p := w.Cfg.Params
 	// Local registrations: sigma collective + tau local buffers, each
 	// gamma bytes of metadata.

@@ -87,18 +87,32 @@ func TestAllFenceVisitsDirtyTargetsOnly(t *testing.T) {
 // TestIdleWorldObjectsPerRank bounds the heap objects one more rank of an
 // asynchronous-progress world costs — two simulated threads, a PAMI
 // client with two contexts, the ARMCI runtime and its share of one
-// Malloc: 88.5 measured. A coroutine per thread costs about nine objects
-// more than a goroutine and two channels did; the bound holds only
-// because a context's dispatch table is an array rather than a map and
-// the 14 protocol handlers are bound once per runtime, not per context
-// (with the map and per-context handlers the figure is 116.8; the
-// goroutine-and-channel threads with them read 98.5).
+// Malloc: 36.4 measured (88.5 before bring-up stopped allocating what
+// every rank shares; the bound is the measurement plus 5 %). The budget,
+// per rank, from a rate-1 heap profile:
+//
+//	22.8  two coroutines: per thread iter.Pull 6, its yield 1, the body's
+//	      method value 1, and three or four one-byte flags Pull captures,
+//	      which MemStats counts and the profile folds into 16-byte blocks
+//	 1.3  runtime.malg: coroutine descriptors not recycled
+//	 5.0  the Malloc'd block: heap array 1, allocation table 2, region
+//	      registration 2 (pami.RegisterMemory)
+//	 2.0  ARMCI's view of it: rt.allocs 1, the region cache's seed block 1
+//	 2.0  each context's first parked waiter (Context.subscribe)
+//	 2.0  the runtime's release event func 1, its first counter 1
+//	 1.3  amortised lane arrays: thread chunks, event heap, deferred log
+//
+// Not one of them is the Runtime, the Client, a Context, a Space, a
+// Thread, a map nobody wrote to, a handler or a name: those are elements
+// of world-sized slices, or never made (DESIGN.md, "Built once per
+// world, instantiated per rank").
 func TestIdleWorldObjectsPerRank(t *testing.T) {
 	idleWorldAllocs(t, 64) // page in the code paths and the runtime's own pools
 	_, small := idleWorldAllocs(t, 512)
 	_, big := idleWorldAllocs(t, 1024)
-	if perRank := float64(big-small) / 512; perRank > 94 {
-		t.Fatalf("idle world: %d objects at p=512, %d at p=1024: %.1f per added rank, want <= 94",
-			small, big, perRank)
+	perRank := float64(big-small) / 512
+	t.Logf("idle world: %d objects at p=512, %d at p=1024: %.1f per added rank", small, big, perRank)
+	if perRank > 38.5 {
+		t.Fatalf("idle world: %.1f objects per added rank, want <= 38.5", perRank)
 	}
 }

@@ -16,8 +16,13 @@ import (
 // muState is owner-side state for one hosted mutex.
 type muState struct {
 	held  bool
-	queue []pami.Endpoint // reply addresses of blocked lockers
-	ids   []int64
+	queue sim.FIFO[lockWaiter]
+}
+
+// lockWaiter is one blocked locker: its reply address and request id.
+type lockWaiter struct {
+	ep pami.Endpoint
+	id int64
 }
 
 // nmutexes set by CreateMutexes; guards Lock/Unlock argument checks.
@@ -28,6 +33,9 @@ func (rt *Runtime) muOwner(idx int) int { return idx % rt.W.Cfg.Procs }
 func (rt *Runtime) CreateMutexes(th *sim.Thread, n int) {
 	for i := 0; i < n; i++ {
 		if rt.muOwner(i) == rt.Rank {
+			if rt.mutexes == nil {
+				rt.mutexes = make(map[int]*muState)
+			}
 			rt.mutexes[i] = &muState{}
 		}
 	}
@@ -77,8 +85,7 @@ func (rt *Runtime) handleLockReq(th *sim.Thread, x *pami.Context, msg *pami.AMes
 		x.SendAM(th, msg.Src, dLockRep, []int64{id}, nil)
 		return
 	}
-	m.queue = append(m.queue, msg.Src)
-	m.ids = append(m.ids, id)
+	m.queue.Push(lockWaiter{ep: msg.Src, id: id})
 }
 
 func (rt *Runtime) handleLockRep(_ *sim.Thread, _ *pami.Context, msg *pami.AMessage) {
@@ -97,11 +104,10 @@ func (rt *Runtime) handleUnlockReq(th *sim.Thread, x *pami.Context, msg *pami.AM
 	if !m.held {
 		panic(fmt.Sprintf("armci: unlock of free mutex %d", idx))
 	}
-	if len(m.queue) == 0 {
+	if m.queue.Len() == 0 {
 		m.held = false
 		return
 	}
-	next, id := m.queue[0], m.ids[0]
-	m.queue, m.ids = m.queue[1:], m.ids[1:]
-	x.SendAM(th, next, dLockRep, []int64{id}, nil)
+	next := m.queue.Pop()
+	x.SendAM(th, next.ep, dLockRep, []int64{next.id}, nil)
 }

@@ -84,7 +84,8 @@ func (rt *Runtime) publishStats(r *obs.Registry) {
 		r.Counter(fmt.Sprintf("armci/%s{rank=%d}", name, rt.Rank)).Add(v)
 	}
 	r.Counter(fmt.Sprintf("armci/regioncache.entries{rank=%d}", rt.Rank)).Add(int64(rt.regions.Len()))
-	for _, x := range rt.C.Contexts {
+	for i := range rt.C.Contexts {
+		x := &rt.C.Contexts[i]
 		lbl := fmt.Sprintf("{rank=%d,ctx=%d}", rt.Rank, x.Index)
 		r.Counter("pami/ctx.lock.acquired" + lbl).Add(int64(x.Lock.Acquired))
 		r.Counter("pami/ctx.lock.contended" + lbl).Add(int64(x.Lock.Contended))

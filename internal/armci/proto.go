@@ -63,33 +63,39 @@ func (rt *Runtime) amSeen(src int, id int64) bool {
 	return false
 }
 
-// installHandlers registers the ARMCI protocol handlers on every context
-// of this rank (requests arrive on the service context, replies on the
-// issuing context; registering everywhere keeps addressing simple). The
-// method values are built once and shared by the contexts.
-func (rt *Runtime) installHandlers() {
-	handlers := [...]struct {
-		id int
-		h  pami.AMHandler
-	}{
-		{dRegionQ, rt.handleRegionQ},
-		{dRegionR, rt.handleRegionR},
-		{dGetReq, rt.handleGetReq},
-		{dGetRep, rt.handleGetRep},
-		{dPutReq, rt.handlePutReq},
-		{dAck, rt.handleAck},
-		{dAccReq, rt.handleAccReq},
-		{dPutSReq, rt.handlePutSReq},
-		{dGetSReq, rt.handleGetSReq},
-		{dGetSRep, rt.handleGetSRep},
-		{dAccSReq, rt.handleAccSReq},
-		{dLockReq, rt.handleLockReq},
-		{dLockRep, rt.handleLockRep},
-		{dUnlockReq, rt.handleUnlockReq},
-	}
-	for _, x := range rt.C.Contexts {
-		for _, e := range handlers {
-			x.SetDispatch(e.id, e.h)
+// protocol is the ARMCI protocol: every dispatch id and the Runtime method
+// that serves it.
+var protocol = [...]struct {
+	id int
+	h  func(*Runtime, *sim.Thread, *pami.Context, *pami.AMessage)
+}{
+	{dRegionQ, (*Runtime).handleRegionQ},
+	{dRegionR, (*Runtime).handleRegionR},
+	{dGetReq, (*Runtime).handleGetReq},
+	{dGetRep, (*Runtime).handleGetRep},
+	{dPutReq, (*Runtime).handlePutReq},
+	{dAck, (*Runtime).handleAck},
+	{dAccReq, (*Runtime).handleAccReq},
+	{dPutSReq, (*Runtime).handlePutSReq},
+	{dGetSReq, (*Runtime).handleGetSReq},
+	{dGetSRep, (*Runtime).handleGetSRep},
+	{dAccSReq, (*Runtime).handleAccSReq},
+	{dLockReq, (*Runtime).handleLockReq},
+	{dLockRep, (*Runtime).handleLockRep},
+	{dUnlockReq, (*Runtime).handleUnlockReq},
+}
+
+// bindHandlers builds the world's handler table: one PAMI handler per
+// protocol entry, shared by every context of every rank (requests arrive
+// on the service context, replies on the issuing context; registering
+// everywhere keeps addressing simple). A handler finds the runtime it
+// serves through the context it was dispatched on — the context's client
+// rank is PAMI's dispatch cookie — so nothing is bound per rank.
+func (w *World) bindHandlers() {
+	for i, e := range protocol {
+		h := e.h
+		w.handlers[i] = func(th *sim.Thread, x *pami.Context, msg *pami.AMessage) {
+			h(&w.Runtimes[x.Client.Rank], th, x, msg)
 		}
 	}
 }
@@ -131,8 +137,7 @@ func (rt *Runtime) handleGetReq(th *sim.Thread, x *pami.Context, msg *pami.AMess
 	// Zero-copy reply: the data streams straight from the ARMCI heap, so
 	// the remote overhead is the constant o of Eq. 8 (handler dispatch +
 	// reply injection), not a per-byte copy.
-	data := make([]byte, n)
-	rt.C.Space.CopyOut(addr, data)
+	data := rt.C.Space.Clone(addr, n)
 	x.SendAM(th, msg.Src, dGetRep, []int64{id}, data)
 }
 

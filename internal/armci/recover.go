@@ -166,7 +166,7 @@ func (f *ftObs) recovered(d sim.Time) {
 
 // rdmaSuspect reports whether rank's RDMA path is inside a suspect window.
 func (rt *Runtime) rdmaSuspect(rank int) bool {
-	return rt.suspectUntil != nil && rt.C.Ln.Now() < rt.suspectUntil[rank]
+	return rt.C.Ln.Now() < rt.suspectUntil[rank]
 }
 
 // markSuspect degrades rank's RDMA path: cached region descriptors are
@@ -175,8 +175,11 @@ func (rt *Runtime) rdmaSuspect(rank int) bool {
 // route, or the target MU may be the casualty, and the AM path at least
 // re-resolves everything per attempt.
 func (rt *Runtime) markSuspect(rank int) {
-	if rt.suspectUntil == nil {
+	if !rt.faulty() {
 		return
+	}
+	if rt.suspectUntil == nil {
+		rt.suspectUntil = make(map[int]sim.Time)
 	}
 	rt.suspectUntil[rank] = rt.C.Ln.Now() + rt.retry.SuspectWindow
 	rt.regions.purgeRank(rank)
@@ -306,8 +309,7 @@ func (rt *Runtime) putFT(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) e
 		}
 		usedRdma = false
 		if data == nil {
-			data = make([]byte, n)
-			rt.C.Space.CopyOut(local, data)
+			data = rt.C.Space.Clone(local, n)
 		}
 		if amID < 0 {
 			var p *pendReq
@@ -373,8 +375,7 @@ func (rt *Runtime) getFT(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) e
 // accFT is the chaos-run blocking accumulate: always AM, exactly-once by
 // (initiator, pend id) dedup at the target.
 func (rt *Runtime) accFT(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, scale float64) error {
-	data := make([]byte, n)
-	rt.C.Space.CopyOut(local, data)
+	data := rt.C.Space.Clone(local, n)
 	comp := sim.NewCompletion(rt.W.K)
 	id, p := rt.newPend()
 	p.comp = comp

@@ -69,8 +69,8 @@ func ablationContextsPoint(c *sweep.Ctx, nCtx, opsEach int) (pt struct {
 				lat.AddTime(th.Now() - t0)
 			}
 			rt.FetchAdd(th, stop, 1)
-			for _, x := range rt.C.Contexts {
-				contended += x.Lock.Contended
+			for i := range rt.C.Contexts {
+				contended += rt.C.Contexts[i].Lock.Contended
 			}
 		case 2:
 			// Paced accumulate flood: ~80% duty cycle on rank 0's

@@ -142,9 +142,10 @@ func DgemmGrid(ctx context.Context, eng *sweep.Engine, sp DgemmSpec) *Grid {
 			}
 		}
 		res.timeUS = sim.ToMicros(wall)
-		for _, rt := range w.Runtimes {
-			res.fences += rt.Stats.Get("conflict.fence")
-			res.avoided += rt.Stats.Get("conflict.avoided")
+		for i := range w.Runtimes {
+			st := &w.Runtimes[i].Stats
+			res.fences += st.Get("conflict.fence")
+			res.avoided += st.Get("conflict.avoided")
 		}
 		return res
 	})

@@ -27,15 +27,17 @@ func (s *Space) SetFloat64(a Addr, v float64) {
 func (s *Space) ReadFloat64s(a Addr, dst []float64) {
 	b := s.Bytes(a, len(dst)*Float64Size)
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*Float64Size:]))
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[Float64Size:]
 	}
 }
 
 // WriteFloat64s encodes src into the heap starting at a.
 func (s *Space) WriteFloat64s(a Addr, src []float64) {
 	b := s.Bytes(a, len(src)*Float64Size)
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(b[i*Float64Size:], math.Float64bits(v))
+	for _, v := range src {
+		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
+		b = b[Float64Size:]
 	}
 }
 

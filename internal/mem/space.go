@@ -23,22 +23,19 @@ const alignment = 64
 
 type span struct{ off, size uint64 }
 
-// Space is a single process's simulated heap.
+// Space is a single process's simulated heap. The zero value is an empty
+// space, so a machine can hold its ranks' spaces in one slice; the heap's
+// reserved first alignment bytes (address 0 stays invalid) and the
+// allocation table come into being with the first Alloc.
 type Space struct {
-	buf    []byte
+	buf    []byte // nil until first touched; logically alignment zero bytes
 	free   []span // sorted by offset, coalesced, non-adjacent
 	allocs map[Addr]uint64
 	used   uint64
 }
 
 // NewSpace returns an empty address space.
-func NewSpace() *Space {
-	return &Space{
-		// Reserve the first alignment bytes so address 0 stays invalid.
-		buf:    make([]byte, alignment),
-		allocs: make(map[Addr]uint64),
-	}
-}
+func NewSpace() *Space { return new(Space) }
 
 func alignUp(n uint64) uint64 {
 	return (n + alignment - 1) &^ uint64(alignment-1)
@@ -68,15 +65,21 @@ func (s *Space) Alloc(n int) Addr {
 			return addr
 		}
 	}
-	// Grow the heap.
-	off := uint64(len(s.buf))
-	s.buf = append(s.buf, make([]byte, size)...)
+	// Grow the heap to off+size; from an untouched space that brings the
+	// reserved bytes with it, in the same array. (append, not make: it
+	// rounds the capacity up to the allocator's size class, which is
+	// often room for the next small block.)
+	off := uint64(s.Capacity())
+	s.buf = append(s.buf, make([]byte, off+size-uint64(len(s.buf)))...)
 	addr := Addr(off)
 	s.commit(addr, size)
 	return addr
 }
 
 func (s *Space) commit(a Addr, size uint64) {
+	if s.allocs == nil {
+		s.allocs = make(map[Addr]uint64)
+	}
 	s.allocs[a] = size
 	s.used += size
 	b := s.buf[a : uint64(a)+size]
@@ -123,6 +126,9 @@ func (s *Space) SizeOf(a Addr) int {
 // the heap. It remains valid until the next Alloc (which may grow the
 // backing array), so callers must not retain it across allocations.
 func (s *Space) Bytes(a Addr, n int) []byte {
+	if s.buf == nil {
+		s.buf = make([]byte, alignment) // the reserved bytes of a space nothing was allocated in
+	}
 	if n < 0 || uint64(a)+uint64(n) > uint64(len(s.buf)) || a == Nil && n > 0 {
 		panic(fmt.Sprintf("mem: bad range [%#x,+%d) in heap of %d", uint64(a), n, len(s.buf)))
 	}
@@ -134,6 +140,13 @@ func (s *Space) CopyOut(a Addr, dst []byte) {
 	copy(dst, s.Bytes(a, len(dst)))
 }
 
+// Clone returns a fresh copy of [a, a+n): what a network that must own
+// the bytes it carries takes. append onto nil copies into new memory
+// without the zero-fill that make followed by CopyOut pays first.
+func (s *Space) Clone(a Addr, n int) []byte {
+	return append([]byte(nil), s.Bytes(a, n)...)
+}
+
 // CopyIn copies src into the heap at address a.
 func (s *Space) CopyIn(a Addr, src []byte) {
 	copy(s.Bytes(a, len(src)), src)
@@ -142,8 +155,13 @@ func (s *Space) CopyIn(a Addr, src []byte) {
 // Used returns the number of allocated bytes.
 func (s *Space) Used() int { return int(s.used) }
 
-// Capacity returns the current heap size in bytes.
-func (s *Space) Capacity() int { return len(s.buf) }
+// Capacity returns the current heap size in bytes, reserved bytes included.
+func (s *Space) Capacity() int {
+	if s.buf == nil {
+		return alignment
+	}
+	return len(s.buf)
+}
 
 // LiveAllocs returns the number of outstanding allocations.
 func (s *Space) LiveAllocs() int { return len(s.allocs) }

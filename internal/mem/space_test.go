@@ -211,3 +211,44 @@ func TestInt64Accessors(t *testing.T) {
 		t.Fatal("int64 round trip failed")
 	}
 }
+
+// TestZeroSpace: a Space is usable as the zero value — pami.Machine holds
+// every rank's in one slice — and an untouched one is indistinguishable
+// from a used one that has nothing allocated: 64 reserved bytes, address
+// 0 never handed out, unknown addresses unknown.
+func TestZeroSpace(t *testing.T) {
+	spaces := make([]Space, 3)
+	s := &spaces[1]
+	if got := s.Capacity(); got != alignment {
+		t.Errorf("untouched Capacity = %d, want the %d reserved bytes", got, alignment)
+	}
+	if s.Used() != 0 || s.LiveAllocs() != 0 || s.SizeOf(alignment) != 0 {
+		t.Error("untouched space reports allocations")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Free on an untouched space did not panic")
+			}
+		}()
+		s.Free(alignment)
+	}()
+	if len(s.Bytes(Nil, 0)) != 0 || len(s.Bytes(8, 8)) != 8 {
+		t.Error("the reserved bytes of an untouched space are not viewable")
+	}
+
+	ref := NewSpace()
+	for i, n := range []int{0, 1, 100, 64, 4096} {
+		a, want := s.Alloc(n), ref.Alloc(n)
+		if a == Nil || a != want {
+			t.Fatalf("alloc %d (%d bytes) = %#x, NewSpace gives %#x", i, n, uint64(a), uint64(want))
+		}
+		if s.SizeOf(a) != ref.SizeOf(a) || s.Capacity() != ref.Capacity() {
+			t.Fatalf("alloc %d: SizeOf %d vs %d, Capacity %d vs %d",
+				i, s.SizeOf(a), ref.SizeOf(a), s.Capacity(), ref.Capacity())
+		}
+	}
+	if spaces[0].Capacity() != alignment || spaces[2].LiveAllocs() != 0 {
+		t.Error("allocating in one space touched its neighbours")
+	}
+}

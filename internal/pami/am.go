@@ -60,7 +60,7 @@ func (x *Context) SendAM(th *sim.Thread, dst Endpoint, dispatch int, hdr []int64
 		Hdr:      hdr,
 		Data:     data,
 	}
-	tgt := c.peer(dst.Rank).Contexts[dst.Ctx]
+	tgt := &c.peer(dst.Rank).Contexts[dst.Ctx]
 	c.M.Net.Send(c.Node, dst.Node, len(data)+amHeaderBytes, kind, func() {
 		tgt.post(workItem{
 			cost: p.AMHandlerCost,
@@ -126,6 +126,9 @@ func (x *Context) RmwBegin(result *int64, comp *sim.Completion) uint64 {
 	c := x.Client
 	id := c.rmwSeq
 	c.rmwSeq++
+	if c.rmwPend == nil {
+		c.rmwPend = make(map[uint64]*rmwPending)
+	}
 	c.rmwPend[id] = &rmwPending{result: result, comp: comp}
 	return id
 }

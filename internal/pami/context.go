@@ -23,9 +23,9 @@ type workItem struct {
 type Context struct {
 	Client *Client
 	Index  int
-	Lock   *sim.Mutex
+	Lock   sim.Mutex
 
-	queue    []workItem
+	queue    sim.FIFO[workItem]
 	waiters  []*sim.Thread
 	dispatch [DispatchLimit]AMHandler
 	stopped  bool
@@ -49,12 +49,11 @@ type Context struct {
 	lastAdvance sim.Time
 }
 
-func newContext(c *Client, index int) *Context {
-	x := &Context{
-		Client: c,
-		Index:  index,
-		Lock:   sim.NewMutex(c.M.K),
-	}
+// newContext brings up the client's index-th context in its slot.
+func newContext(c *Client, index int) {
+	x := &c.Contexts[index]
+	x.Client = c
+	x.Index = index
 	if r := c.Obs; r != nil {
 		x.obs = r
 		rc := fmt.Sprintf("{rank=%d,ctx=%d}", c.Rank, index)
@@ -69,7 +68,6 @@ func newContext(c *Client, index int) *Context {
 		x.lastAdvance = c.Ln.Now()
 	}
 	x.installBuiltinDispatch()
-	return x
 }
 
 // noteAdvance records one progress-engine pass: the advance counter and
@@ -105,7 +103,7 @@ func (x *Context) SetDispatch(id int, h AMHandler) {
 // context. Must be called from simulation context (events or threads).
 func (x *Context) post(it workItem) {
 	it.posted = x.Client.Ln.Now()
-	x.queue = append(x.queue, it)
+	x.queue.Push(it)
 	for _, t := range x.waiters {
 		x.Client.M.K.Wake(t)
 	}
@@ -124,7 +122,7 @@ func (x *Context) postCompletion(comp *sim.Completion) {
 }
 
 // Pending returns the number of queued work items.
-func (x *Context) Pending() int { return len(x.queue) }
+func (x *Context) Pending() int { return x.queue.Len() }
 
 // Advance drains the work queue, charging each item's cost to the calling
 // thread. The caller must hold the context lock; this is the PAMI progress
@@ -136,13 +134,13 @@ func (x *Context) Advance(th *sim.Thread) int {
 	x.noteAdvance()
 	start := th.Now()
 	n := 0
-	for len(x.queue) > 0 {
-		n += x.serve(th, len(x.queue))
+	for x.queue.Len() > 0 {
+		n += x.serve(th, x.queue.Len())
 	}
 	x.ItemsServed += uint64(n)
 	if x.obs != nil && n > 0 {
 		x.cItems.Add(int64(n))
-		x.obs.SpanArg(th.ObsTrack(), th.Name, "advance", "pami", start, th.Now(), int64(n))
+		x.obs.SpanArg(th.ObsTrack(), th.Name(), "advance", "pami", start, th.Now(), int64(n))
 	}
 	return n
 }
@@ -157,11 +155,11 @@ func (x *Context) Progress(th *sim.Thread) int {
 	x.Lock.Lock(th)
 	x.noteAdvance()
 	start := th.Now()
-	n := x.serve(th, len(x.queue))
+	n := x.serve(th, x.queue.Len())
 	x.ItemsServed += uint64(n)
 	if x.obs != nil && n > 0 {
 		x.cItems.Add(int64(n))
-		x.obs.SpanArg(th.ObsTrack(), th.Name, "advance", "pami", start, th.Now(), int64(n))
+		x.obs.SpanArg(th.ObsTrack(), th.Name(), "advance", "pami", start, th.Now(), int64(n))
 	}
 	x.Lock.Unlock(th)
 	return n
@@ -171,9 +169,8 @@ func (x *Context) Progress(th *sim.Thread) int {
 // owns the Advances/ItemsServed accounting.
 func (x *Context) serve(th *sim.Thread, max int) int {
 	n := 0
-	for len(x.queue) > 0 && n < max {
-		it := x.queue[0]
-		x.queue = x.queue[1:]
+	for x.queue.Len() > 0 && n < max {
+		it := x.queue.Pop()
 		if x.obs != nil {
 			wait := th.Now() - it.posted
 			x.hItemWait.Observe(wait)

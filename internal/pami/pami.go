@@ -24,7 +24,10 @@ import (
 
 // Machine ties the simulated processes together: one address space per
 // rank, the shared torus network, and the rank->client registry used to
-// deliver traffic.
+// deliver traffic. Everything a rank owns at this layer — its space, its
+// client, its contexts — is an element of a slice sized here, once, which
+// the rank's own thread initialises in place (NewClient, CreateContexts):
+// bring-up allocates per machine, not per rank.
 type Machine struct {
 	K   *sim.Kernel
 	Net *network.Network
@@ -32,28 +35,27 @@ type Machine struct {
 	// SeedBase perturbs every client's jitter stream; runs with different
 	// seeds explore different (still deterministic) timing interleavings.
 	SeedBase uint64
-	spaces   []*mem.Space
-	clients  []*Client
+	spaces   []mem.Space
+	clients  []Client
+	contexts []Context // the same number of consecutive slots for every rank
 }
 
 // NewMachine builds a machine for every rank of the torus partition on
-// kernel k. Lanes and observability are the kernel's: set them up first
+// kernel k, with room for ctxPerRank contexts on each (ρ in the paper).
+// Lanes and observability are the kernel's: set them up first
 // (Kernel.SetObs, then ConfigureLanes); the machine, its network and
 // every client ask the kernel for a node's lane and record into that
 // lane's registry.
-func NewMachine(k *sim.Kernel, torus *topology.Torus, p *network.Params) *Machine {
+func NewMachine(k *sim.Kernel, torus *topology.Torus, p *network.Params, ctxPerRank int) *Machine {
 	n := torus.Procs()
-	m := &Machine{
-		K:       k,
-		Net:     network.New(k, torus, p),
-		P:       p,
-		spaces:  make([]*mem.Space, n),
-		clients: make([]*Client, n),
+	return &Machine{
+		K:        k,
+		Net:      network.New(k, torus, p),
+		P:        p,
+		spaces:   make([]mem.Space, n),
+		clients:  make([]Client, n),
+		contexts: make([]Context, n*ctxPerRank),
 	}
-	for i := range m.spaces {
-		m.spaces[i] = mem.NewSpace()
-	}
-	return m
 }
 
 // Procs returns the number of ranks.
@@ -66,10 +68,15 @@ func (m *Machine) Procs() int { return m.Net.Torus().Procs() }
 func (m *Machine) faulty() bool { return m.Net.Fault() != nil }
 
 // Space returns rank's address space.
-func (m *Machine) Space(rank int) *mem.Space { return m.spaces[rank] }
+func (m *Machine) Space(rank int) *mem.Space { return &m.spaces[rank] }
 
 // Client returns rank's PAMI client, or nil before creation.
-func (m *Machine) Client(rank int) *Client { return m.clients[rank] }
+func (m *Machine) Client(rank int) *Client {
+	if c := &m.clients[rank]; c.created {
+		return c
+	}
+	return nil
+}
 
 // Endpoint addresses a (rank, context) pair, resolved to a node for
 // routing. PAMI endpoints are how every communication operation names its
@@ -82,13 +89,15 @@ type Endpoint struct {
 
 // Client is a process's PAMI communication client: it owns that process's
 // contexts, memory-region registry, and accounting. One client per rank,
-// as on the real machine.
+// as on the real machine. Clients and contexts live in their machine's
+// slices and are only ever handled by pointer.
 type Client struct {
+	_     sim.NoCopy
 	M     *Machine
 	Rank  int
 	Node  int
 	Space *mem.Space
-	RNG   *sim.RNG
+	RNG   sim.RNG
 
 	// Ln is the simulation lane this client's node belongs to; all of the
 	// client's local scheduling — ack delays, MU turnaround, progress
@@ -97,7 +106,10 @@ type Client struct {
 	Ln  *sim.Lane
 	Obs *obs.Registry
 
-	Contexts []*Context
+	// Contexts are the client's contexts, in creation order: a prefix of
+	// the rank's slots in the machine. Take &c.Contexts[i]; a copy of a
+	// Context is not a context.
+	Contexts []Context
 
 	// MaxRegions bounds how many memory regions the process may register;
 	// registration beyond it fails, exercising ARMCI's fallback protocols.
@@ -112,7 +124,9 @@ type Client struct {
 	ContextBytes     int
 
 	rmwSeq  uint64
-	rmwPend map[uint64]*rmwPending
+	rmwPend map[uint64]*rmwPending // nil until the first Rmw
+
+	created bool // NewClient has returned: peers may address this rank
 
 	// rmwApplied dedups read-modify-write requests under fault injection:
 	// target-side, keyed by (initiator rank, request id), it caches the
@@ -131,21 +145,21 @@ type rmwKey struct {
 // It must be called from the owning rank's thread before any
 // communication involving that rank.
 func (m *Machine) NewClient(th *sim.Thread, rank int) *Client {
-	if m.clients[rank] != nil {
+	c := &m.clients[rank]
+	if c.created {
 		panic(fmt.Sprintf("pami: client for rank %d already exists", rank))
 	}
-	c := &Client{
-		M:       m,
-		Rank:    rank,
-		Node:    m.Net.Torus().NodeOf(rank),
-		Space:   m.spaces[rank],
-		RNG:     sim.NewRNG(m.SeedBase ^ (uint64(rank)*0x9e37 + 1)),
-		rmwPend: make(map[uint64]*rmwPending),
-	}
+	c.M = m
+	c.Rank = rank
+	c.Node = m.Net.Torus().NodeOf(rank)
+	c.Space = &m.spaces[rank]
+	c.RNG.Seed(m.SeedBase ^ (uint64(rank)*0x9e37 + 1))
+	per := len(m.contexts) / len(m.clients)
+	c.Contexts = m.contexts[rank*per : rank*per : (rank+1)*per]
 	c.Ln = m.K.LaneOf(c.Node)
 	c.Obs = c.Ln.Obs()
 	th.Sleep(c.jit(m.P.ClientCreateTime))
-	m.clients[rank] = c
+	c.created = true
 	return c
 }
 
@@ -155,12 +169,18 @@ func (c *Client) jit(t sim.Time) sim.Time {
 }
 
 // CreateContexts creates n communication contexts, charging the measured
-// 3.8-4.3 ms creation cost for each (Table II).
+// 3.8-4.3 ms creation cost for each (Table II). A client cannot hold more
+// contexts than its machine was built with.
 func (c *Client) CreateContexts(th *sim.Thread, n int) {
+	if have := len(c.Contexts); have+n > cap(c.Contexts) {
+		panic(fmt.Sprintf("pami: rank %d: %d contexts requested, machine built for %d per rank",
+			c.Rank, have+n, cap(c.Contexts)))
+	}
 	for i := 0; i < n; i++ {
 		th.Sleep(c.jit(c.M.P.ContextCreateTime))
-		ctx := newContext(c, len(c.Contexts))
-		c.Contexts = append(c.Contexts, ctx)
+		index := len(c.Contexts)
+		c.Contexts = c.Contexts[:index+1]
+		newContext(c, index)
 		c.ContextBytes += c.M.P.ContextBytes
 	}
 }
@@ -178,8 +198,8 @@ func (c *Client) CreateEndpoint(th *sim.Thread, rank, ctxIdx int) Endpoint {
 // peer returns the client owning a rank; communication with a rank whose
 // client does not exist yet is a setup-ordering bug.
 func (c *Client) peer(rank int) *Client {
-	p := c.M.clients[rank]
-	if p == nil {
+	p := &c.M.clients[rank]
+	if !p.created {
 		panic(fmt.Sprintf("pami: rank %d has no client yet", rank))
 	}
 	return p

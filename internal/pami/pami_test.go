@@ -23,7 +23,7 @@ func newRig(t *testing.T, procs, perNode, nCtx int) *rig {
 	tor := topology.ForProcs(procs, perNode)
 	p := network.DefaultParams()
 	p.JitterFrac = 0 // exact timing assertions
-	m := NewMachine(k, tor, p)
+	m := NewMachine(k, tor, p, nCtx)
 	return &rig{k: k, m: m}
 }
 
@@ -238,7 +238,7 @@ func TestRmwSwapAndCompareSwap(t *testing.T) {
 		case 0:
 			th.Sleep(100 * sim.Microsecond)
 			ep := c.CreateEndpoint(th, 1, 0)
-			x := c.Contexts[0]
+			x := &c.Contexts[0]
 
 			var prev int64
 			comp := sim.NewCompletion(r.k)
@@ -289,7 +289,7 @@ func TestFlushOrdersAfterPut(t *testing.T) {
 			}
 			c.Space.CopyIn(local, buf)
 			ep := c.CreateEndpoint(th, 1, 0)
-			x := c.Contexts[0]
+			x := &c.Contexts[0]
 			putComp := sim.NewCompletion(r.k)
 			x.RdmaPut(th, ep, local, remote, n, putComp)
 			flushComp := sim.NewCompletion(r.k)
@@ -313,7 +313,7 @@ func TestSharedContextLockContentionWithProgressThread(t *testing.T) {
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
 		switch c.Rank {
 		case 1:
-			x := c.Contexts[0]
+			x := &c.Contexts[0]
 			// An async progress thread sharing the single context.
 			prog := r.k.Spawn("async-1", func(pt *sim.Thread) {
 				for !stop {
@@ -350,7 +350,7 @@ func TestSharedContextLockContentionWithProgressThread(t *testing.T) {
 	if err := r.k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	lock := r.m.Client(1).Contexts[0].Lock
+	lock := &r.m.Client(1).Contexts[0].Lock
 	if lock.Contended == 0 {
 		t.Fatal("expected lock contention between main and progress thread")
 	}
@@ -400,7 +400,7 @@ func TestCreationCostsMatchTableII(t *testing.T) {
 	tor := topology.ForProcs(1, 1)
 	p := network.DefaultParams()
 	p.JitterFrac = 0
-	m := NewMachine(k, tor, p)
+	m := NewMachine(k, tor, p, 1)
 	var ctxTime, epTime, regTime sim.Time
 	k.Spawn("r0", func(th *sim.Thread) {
 		c := m.NewClient(th, 0)
@@ -478,14 +478,14 @@ func TestIndependentContextsProgressIndependently(t *testing.T) {
 			})
 			// Main thread holds context 0's lock "forever" while an async
 			// thread advances context 1: the AM must still be served.
-			x1 := c.Contexts[1]
+			x1 := &c.Contexts[1]
 			r.k.Spawn("async", func(pt *sim.Thread) {
 				for pt.Now() < 3*sim.Millisecond {
 					x1.Progress(pt)
 					pt.Sleep(5 * sim.Microsecond)
 				}
 			})
-			x0 := c.Contexts[0]
+			x0 := &c.Contexts[0]
 			x0.Lock.Lock(th)
 			th.Sleep(2 * sim.Millisecond)
 			x0.Lock.Unlock(th)

@@ -111,7 +111,7 @@ func TestProgressLoopStops(t *testing.T) {
 	r := newRig(t, 1, 1, 1)
 	loopDone := false
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
-		x := c.Contexts[0]
+		x := &c.Contexts[0]
 		r.k.Spawn("loop", func(pt *sim.Thread) {
 			x.ProgressLoop(pt)
 			loopDone = true
@@ -131,7 +131,7 @@ func TestNudgeWakesWaiters(t *testing.T) {
 	r := newRig(t, 1, 1, 1)
 	flag := false
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
-		x := c.Contexts[0]
+		x := &c.Contexts[0]
 		r.k.Spawn("nudger", func(nt *sim.Thread) {
 			nt.Sleep(200 * sim.Microsecond)
 			flag = true
@@ -154,7 +154,7 @@ func TestProgressBoundedDoesNotChaseNewWork(t *testing.T) {
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
 		switch c.Rank {
 		case 1:
-			x := c.Contexts[0]
+			x := &c.Contexts[0]
 			x.SetDispatch(dispatchChain, func(*sim.Thread, *Context, *AMessage) {
 				served++
 			})
@@ -180,7 +180,7 @@ func TestHardwareAMOExecutesWithoutTargetProgress(t *testing.T) {
 	p.JitterFrac = 0
 	p.HardwareAMO = true
 	p.ClientCreateTime, p.ContextCreateTime = 0, 0
-	m := NewMachine(k, tor, p)
+	m := NewMachine(k, tor, p, 1)
 	var counter mem.Addr
 	var lat sim.Time
 	for rank := 0; rank < 2; rank++ {
@@ -234,7 +234,7 @@ func TestRdmaGetSetAndWaitAll(t *testing.T) {
 			th.Sleep(sim.Millisecond)
 			local := c.Space.Alloc(2048)
 			ep := c.CreateEndpoint(th, 1, 0)
-			x := c.Contexts[0]
+			x := &c.Contexts[0]
 			comp := sim.NewCompletion(r.k)
 			set := x.NewOpSet(comp)
 			for i := 0; i < 4; i++ {
@@ -267,7 +267,7 @@ func TestPeerWithoutClientPanics(t *testing.T) {
 	tor := topology.ForProcs(2, 1)
 	p := network.DefaultParams()
 	p.ClientCreateTime, p.ContextCreateTime = 0, 0
-	m := NewMachine(k, tor, p)
+	m := NewMachine(k, tor, p, 1)
 	k.Spawn("r0", func(th *sim.Thread) {
 		c := m.NewClient(th, 0)
 		c.CreateContexts(th, 1)

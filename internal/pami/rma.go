@@ -24,8 +24,7 @@ func (x *Context) RdmaPut(th *sim.Thread, dst Endpoint, local, remote mem.Addr, 
 
 	// Capture the payload now: after local completion the user may reuse
 	// the buffer, so the network must own a stable copy.
-	buf := make([]byte, n)
-	c.Space.CopyOut(local, buf)
+	buf := c.Space.Clone(local, n)
 
 	tgt := c.peer(dst.Rank).Space
 	if c.M.faulty() {
@@ -81,8 +80,7 @@ func (x *Context) RdmaGet(th *sim.Thread, dst Endpoint, local, remote mem.Addr, 
 		// The turnaround runs on the target's lane — that is where the
 		// delivery callback executes.
 		tc.Ln.At(p.MUTurnaround, func() {
-			buf := make([]byte, n)
-			src.CopyOut(remote, buf)
+			buf := src.Clone(remote, n)
 			net.Send(dst.Node, c.Node, n, network.Data, func() {
 				c.Space.CopyIn(local, buf)
 				x.postCompletion(comp)
@@ -98,8 +96,7 @@ func (x *Context) RdmaPutSet(th *sim.Thread, dst Endpoint, local, remote mem.Add
 	c := x.Client
 	p := c.M.P
 	th.Sleep(c.jit(p.CPUInject))
-	buf := make([]byte, n)
-	c.Space.CopyOut(local, buf)
+	buf := c.Space.Clone(local, n)
 	tgt := c.peer(dst.Rank).Space
 	set.add()
 	c.M.Net.Send(c.Node, dst.Node, n, network.Data, func() {
@@ -123,8 +120,7 @@ func (x *Context) RdmaGetSet(th *sim.Thread, dst Endpoint, local, remote mem.Add
 	set.add()
 	net.Send(c.Node, dst.Node, rmaControlBytes, network.Control, func() {
 		tc.Ln.At(p.MUTurnaround, func() {
-			buf := make([]byte, n)
-			src.CopyOut(remote, buf)
+			buf := src.Clone(remote, n)
 			net.Send(dst.Node, c.Node, n, network.Data, func() {
 				c.Space.CopyIn(local, buf)
 				set.done()

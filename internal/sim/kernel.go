@@ -183,7 +183,7 @@ func (k *Kernel) checkDeadlock(at Time) error {
 		}
 		for _, t := range ln.threads {
 			if t.state != stateDone {
-				blocked = append(blocked, fmt.Sprintf("%s(%s)", t.Name, t.state))
+				blocked = append(blocked, fmt.Sprintf("%s(%s)", t.Name(), t.state))
 			}
 		}
 	}

@@ -148,7 +148,7 @@ func TestThreadPanicSurfaces(t *testing.T) {
 
 func TestMutexFIFOAndContention(t *testing.T) {
 	k := NewKernel()
-	m := NewMutex(k)
+	m := new(Mutex)
 	var order []string
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("t%d", i)
@@ -174,7 +174,7 @@ func TestMutexFIFOAndContention(t *testing.T) {
 
 func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
 	k := NewKernel()
-	m := NewMutex(k)
+	m := new(Mutex)
 	k.Spawn("a", func(th *Thread) {
 		defer func() {
 			if recover() == nil {
@@ -251,7 +251,7 @@ func TestDeterministicReplay(t *testing.T) {
 		k := NewKernel()
 		rng := NewRNG(42)
 		var log strings.Builder
-		m := NewMutex(k)
+		m := new(Mutex)
 		for i := 0; i < 8; i++ {
 			name := fmt.Sprintf("p%d", i)
 			k.Spawn(name, func(th *Thread) {

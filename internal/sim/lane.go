@@ -145,6 +145,7 @@ type Lane struct {
 	ring    fifoRing
 	cur     *Thread
 	threads []*Thread
+	slab    []Thread // current chunk new threads are cut from (newThread)
 	live    int
 	fired   uint64
 	failure *ThreadPanic

@@ -4,16 +4,23 @@ import "math"
 
 // RNG is a splitmix64 generator: tiny, fast, and fully deterministic. Every
 // stochastic choice in the simulator draws from a seeded RNG so runs replay
-// exactly.
+// exactly. An RNG embedded in its owner is started with Seed.
 type RNG struct{ s uint64 }
 
-// NewRNG returns a generator with the given seed. Seed zero is remapped so
-// the generator never degenerates.
+// NewRNG returns a generator with the given seed.
 func NewRNG(seed uint64) *RNG {
+	r := new(RNG)
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts the generator from seed. Seed zero is remapped so the
+// generator never degenerates.
+func (r *RNG) Seed(seed uint64) {
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
-	return &RNG{s: seed}
+	r.s = seed
 }
 
 // Uint64 returns the next 64 random bits.

@@ -113,24 +113,52 @@ func (s *Series) String() string {
 
 // Counters is a named-counter bag used by the runtime layers to expose
 // protocol statistics (fences issued, cache hits, fallback activations...).
+// A runtime counts under a dozen names, all string literals, so the bag is
+// a short slice searched linearly — no map to build per rank, no hash per
+// increment. The zero value is an empty bag.
 type Counters struct {
-	m map[string]int64
+	c []counter
 }
 
-// NewCounters returns an empty counter bag.
-func NewCounters() *Counters { return &Counters{m: make(map[string]int64)} }
+type counter struct {
+	name string
+	v    int64
+}
 
-// Inc adds delta to the named counter.
-func (c *Counters) Inc(name string, delta int64) { c.m[name] += delta }
+func (c *Counters) find(name string) *counter {
+	for i := range c.c {
+		if c.c[i].name == name {
+			return &c.c[i]
+		}
+	}
+	return nil
+}
+
+// Inc adds delta to the named counter, creating it on first use.
+func (c *Counters) Inc(name string, delta int64) {
+	if p := c.find(name); p != nil {
+		p.v += delta
+		return
+	}
+	if c.c == nil {
+		c.c = make([]counter, 0, 8)
+	}
+	c.c = append(c.c, counter{name, delta})
+}
 
 // Get returns the named counter's value.
-func (c *Counters) Get(name string) int64 { return c.m[name] }
+func (c *Counters) Get(name string) int64 {
+	if p := c.find(name); p != nil {
+		return p.v
+	}
+	return 0
+}
 
 // Names returns the counter names in sorted order.
 func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
+	names := make([]string, 0, len(c.c))
+	for i := range c.c {
+		names = append(names, c.c[i].name)
 	}
 	sort.Strings(names)
 	return names
@@ -138,9 +166,9 @@ func (c *Counters) Names() []string {
 
 // Snapshot returns a copy of all counters.
 func (c *Counters) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
+	out := make(map[string]int64, len(c.c))
+	for i := range c.c {
+		out[c.c[i].name] = c.c[i].v
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -78,7 +80,7 @@ func TestSeriesBoundsProperty(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	c := NewCounters()
+	var c Counters
 	c.Inc("fences", 2)
 	c.Inc("fences", 3)
 	c.Inc("hits", 1)
@@ -93,6 +95,37 @@ func TestCounters(t *testing.T) {
 	c.Inc("fences", 1)
 	if snap["fences"] != 5 {
 		t.Fatal("snapshot not a copy")
+	}
+}
+
+// TestCountersMatchMap: the slice-backed bag reports what the map it
+// replaced would, over a random history — including names only ever
+// incremented by zero, which a map keeps too.
+func TestCountersMatchMap(t *testing.T) {
+	names := []string{"rmw", "fence", "get.rdma", "put.am", "ep.created", "malloc",
+		"regioncache.hit", "regioncache.miss", "strided.chunks", "conflict.avoided", "dup.am", "acc"}
+	rng := NewRNG(7)
+	var c Counters
+	ref := map[string]int64{}
+	for i := 0; i < 200; i++ {
+		name, delta := names[rng.Intn(len(names))], int64(rng.Intn(5))-1
+		c.Inc(name, delta)
+		ref[name] += delta
+		if probe := names[rng.Intn(len(names))]; c.Get(probe) != ref[probe] {
+			t.Fatalf("op %d: Get(%q) = %d, map has %d", i, probe, c.Get(probe), ref[probe])
+		}
+	}
+	if got := c.Snapshot(); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("Snapshot = %v, map = %v", got, ref)
+	}
+	got := c.Names()
+	if !sort.StringsAreSorted(got) || len(got) != len(ref) {
+		t.Fatalf("Names = %v: want the map's %d keys, sorted", got, len(ref))
+	}
+	for _, n := range got {
+		if _, ok := ref[n]; !ok {
+			t.Fatalf("Names has %q, the map does not", n)
+		}
 	}
 }
 

@@ -24,13 +24,64 @@ func (c *cond) broadcast() {
 	c.waiters = c.waiters[:0]
 }
 
+// FIFO is a first-in first-out queue over one slice and a head index.
+// Popping with q = q[1:] walks the capacity off the front, so a queue
+// that usually holds one item reallocates on every push and keeps what
+// it served reachable; Pop here clears the slot it vacates and rewinds to
+// the start of the array whenever the queue drains. The zero value is an
+// empty queue.
+type FIFO[T any] struct {
+	items []T
+	head  int
+}
+
+// Len returns the number of queued items.
+func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
+
+// Push appends v. A queue that never drains would otherwise grow by
+// everything it ever held: once at least half of a full array is served
+// slots, the live items slide to the front instead.
+func (q *FIFO[T]) Push(v T) {
+	if len(q.items) == cap(q.items) && q.head > 0 && 2*q.head >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v)
+}
+
+// Pop removes and returns the oldest item; the queue must not be empty.
+func (q *FIFO[T]) Pop() T {
+	var zero T
+	v := q.items[q.head]
+	q.items[q.head] = zero // what was served must not stay reachable
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
+}
+
+// NoCopy makes `go vet` (copylocks) flag any copy of a value that holds
+// one. State that lives inside its owner — a Mutex in a pami.Context, a
+// Context or a Runtime in a world-sized slice — must only ever be handled
+// by pointer, and `x := c.Contexts[0]` compiles; with this it does not
+// pass `make check`.
+type NoCopy struct{}
+
+// Lock and Unlock are what copylocks looks for; they do nothing.
+func (*NoCopy) Lock()   {}
+func (*NoCopy) Unlock() {}
+
 // Mutex is a FIFO virtual-time mutex. Lock order is fair: threads acquire
 // in arrival order, which keeps simulations deterministic and models a
-// ticket lock (the PAMI context locks on BG/Q are effectively fair).
+// ticket lock (the PAMI context locks on BG/Q are effectively fair). The
+// zero value is an unlocked mutex; it is meant to be embedded in what it
+// guards and must not be copied.
 type Mutex struct {
-	k     *Kernel
+	_     NoCopy
 	owner *Thread
-	queue []*Thread
+	queue FIFO[*Thread]
 	// Contended counts lock acquisitions that had to wait; useful for
 	// reasoning about context-lock contention experiments.
 	Contended uint64
@@ -42,9 +93,6 @@ type Mutex struct {
 	holdHist   *obs.Histogram
 	acquiredAt Time
 }
-
-// NewMutex returns an unlocked mutex bound to k.
-func NewMutex(k *Kernel) *Mutex { return &Mutex{k: k} }
 
 // Instrument records this mutex's lock wait and hold time distributions
 // into r as <name>.wait_ns<labels> and <name>.hold_ns<labels>; labels is
@@ -70,7 +118,7 @@ func (m *Mutex) Lock(t *Thread) {
 	}
 	m.Contended++
 	t0 := t.Now()
-	m.queue = append(m.queue, t)
+	m.queue.Push(t)
 	for m.owner != t {
 		t.Park()
 	}
@@ -87,17 +135,16 @@ func (m *Mutex) Unlock(t *Thread) {
 	if m.holdHist != nil {
 		m.holdHist.Observe(t.Now() - m.acquiredAt)
 	}
-	if len(m.queue) == 0 {
+	if m.queue.Len() == 0 {
 		m.owner = nil
 		return
 	}
-	next := m.queue[0]
-	m.queue = m.queue[1:]
+	next := m.queue.Pop()
 	m.owner = next
 	// Ownership transfers now; the waiter's hold time starts here even
 	// though it resumes via an event at the same virtual instant.
 	m.acquiredAt = t.Now()
-	m.k.Wake(next)
+	t.k.Wake(next)
 }
 
 // Held reports whether t currently owns the mutex.

@@ -47,7 +47,7 @@ func TestErrorStrings(t *testing.T) {
 
 func TestMutexHeld(t *testing.T) {
 	k := NewKernel()
-	m := NewMutex(k)
+	m := new(Mutex)
 	k.Spawn("a", func(th *Thread) {
 		if m.Held(th) {
 			t.Error("held before lock")
@@ -88,5 +88,51 @@ func TestNegativeSleepPanics(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFIFO: order is first-in first-out through drains, refills and the
+// slide a never-drained queue performs, and the array stops growing once
+// it fits the backlog.
+func TestFIFO(t *testing.T) {
+	var q FIFO[int]
+	next, want := 0, 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			q.Push(next)
+			next++
+		}
+	}
+	pop := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if got := q.Pop(); got != want {
+				t.Fatalf("popped %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	push(1)
+	pop(1) // drained: rewinds
+	push(3)
+	pop(3)
+	if c := cap(q.items); c > 4 {
+		t.Errorf("a queue that never held more than 3 has an array of %d", c)
+	}
+	// A backlog of 5 to 8 that never drains, for a long time.
+	push(8)
+	for i := 0; i < 1000; i++ {
+		pop(3)
+		push(3)
+		if q.Len() != 8 {
+			t.Fatalf("Len = %d, want 8", q.Len())
+		}
+	}
+	if c := cap(q.items); c > 32 {
+		t.Errorf("a backlog of 8 grew the array to %d", c)
+	}
+	pop(8)
+	if q.Len() != 0 || q.head != 0 {
+		t.Errorf("drained queue: Len %d head %d", q.Len(), q.head)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"iter"
 	"runtime/debug"
 
@@ -49,10 +50,21 @@ func (s threadState) String() string {
 // an idle P. The runtime refuses a coroutine switch when the two sides
 // disagree about runtime.LockOSThread, and nothing in this module calls
 // it; a simulated thread's body must not either.
+//
+// Threads live in their lane's slab (Lane.newThread) and are only ever
+// handled by pointer.
 type Thread struct {
-	k        *Kernel
-	ln       *Lane
-	Name     string
+	k  *Kernel
+	ln *Lane
+	// name is the thread's name — for an indexed thread (SpawnIndexed)
+	// only its prefix while prefixOnly is set: the first Name call formats
+	// and keeps "prefix-NNNN". A world of p ranks names 2p threads nobody
+	// reads unless a trace, a deadlock report or a panic asks.
+	name       string
+	prefixOnly bool
+	index      int // the spawner's index; -1 for a plainly named thread
+	fn         func(*Thread)
+
 	next     func() (struct{}, bool) // lane side: run the thread until it switches out or finishes
 	yield    func(struct{}) bool     // thread side: switch out; false once stop was called
 	stop     func()                  // lane side: unwind a blocked thread and free its coroutine
@@ -69,34 +81,33 @@ func (k *Kernel) Spawn(name string, fn func(*Thread)) *Thread {
 	if k.multi {
 		panic("sim: Spawn on a multi-lane kernel; use SpawnOn")
 	}
-	return k.spawnOn(&k.Lane, name, fn)
+	return k.spawnOn(&k.Lane, name, -1, fn)
 }
 
 // SpawnOn creates a thread pinned to lane ln, beginning at the lane's
 // current time. LaneOf names the right lane on either kind of kernel.
 func (k *Kernel) SpawnOn(ln *Lane, name string, fn func(*Thread)) *Thread {
-	return k.spawnOn(ln, name, fn)
+	return k.spawnOn(ln, name, -1, fn)
 }
 
-func (k *Kernel) spawnOn(ln *Lane, name string, fn func(*Thread)) *Thread {
-	t := &Thread{k: k, ln: ln, Name: name}
-	ln.threads = append(ln.threads, t)
+// SpawnIndexed is SpawnOn for one of many like threads — a world's rank
+// mains, its progress threads: the thread is named "prefix-NNNN" (index,
+// zero-padded to four digits), formatted only if something reads the
+// name, and carries index (Thread.Index), so one fn can serve every
+// index instead of one closure per thread capturing it. index must be
+// non-negative.
+func (k *Kernel) SpawnIndexed(ln *Lane, prefix string, index int, fn func(*Thread)) *Thread {
+	if index < 0 {
+		panic("sim: SpawnIndexed with a negative index")
+	}
+	return k.spawnOn(ln, prefix, index, fn)
+}
+
+func (k *Kernel) spawnOn(ln *Lane, name string, index int, fn func(*Thread)) *Thread {
+	t := ln.newThread()
+	*t = Thread{k: k, ln: ln, name: name, prefixOnly: index >= 0, index: index, fn: fn}
 	ln.live++
-	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
-		t.yield = yield
-		defer func() {
-			// The panic must not leave the coroutine: Pull would re-raise
-			// it in the lane's event loop.
-			if r := recover(); r != nil {
-				if _, stopped := r.(threadStopped); !stopped {
-					t.panicked = &ThreadPanic{Thread: t.Name, Value: r, Stack: string(debug.Stack())}
-				}
-			}
-			t.state = stateDone
-			t.ln.live--
-		}()
-		fn(t)
-	})
+	t.next, t.stop = iter.Pull(t.run)
 	ln.scheduleThread(0, t)
 	// A spawn from outside any window (setup code, a coordinator event)
 	// may wake an idle lane; its horizon-tree leaf is stale until the
@@ -109,6 +120,56 @@ func (k *Kernel) spawnOn(ln *Lane, name string, fn func(*Thread)) *Thread {
 	}
 	return t
 }
+
+// run is the thread's coroutine: the body, then the end-of-thread
+// accounting.
+func (t *Thread) run(yield func(struct{}) bool) {
+	t.yield = yield
+	defer func() {
+		// The panic must not leave the coroutine: Pull would re-raise
+		// it in the lane's event loop.
+		if r := recover(); r != nil {
+			if _, stopped := r.(threadStopped); !stopped {
+				t.panicked = &ThreadPanic{Thread: t.Name(), Value: r, Stack: string(debug.Stack())}
+			}
+		}
+		t.state = stateDone
+		t.ln.live--
+	}()
+	t.fn(t)
+}
+
+// threadChunkMax bounds a lane's thread slab chunks: a BG/Q node's 16
+// ranks with a progress thread each fill half of one.
+const threadChunkMax = 64
+
+// newThread cuts the next Thread from the lane's slab. A new chunk holds
+// twice the threads the lane has so far, between 2 and threadChunkMax; a
+// full chunk is left behind rather than grown, so a *Thread stays valid
+// for the life of the kernel.
+func (ln *Lane) newThread() *Thread {
+	if len(ln.slab) == cap(ln.slab) {
+		ln.slab = make([]Thread, 0, min(max(2*len(ln.threads), 2), threadChunkMax))
+	}
+	ln.slab = ln.slab[:len(ln.slab)+1]
+	t := &ln.slab[len(ln.slab)-1]
+	ln.threads = append(ln.threads, t)
+	return t
+}
+
+// Name returns the thread's name. An indexed thread's is formatted here,
+// on first use, and kept.
+func (t *Thread) Name() string {
+	if t.prefixOnly {
+		t.name = fmt.Sprintf("%s-%04d", t.name, t.index)
+		t.prefixOnly = false
+	}
+	return t.name
+}
+
+// Index returns the index the thread was spawned with (SpawnIndexed), or
+// -1 for a plainly named thread.
+func (t *Thread) Index() int { return t.index }
 
 // Kernel returns the kernel this thread belongs to.
 func (t *Thread) Kernel() *Kernel { return t.k }
@@ -155,7 +216,7 @@ func (t *Thread) Sleep(d Time) {
 	if ln.obs != nil {
 		// Sleep models busy computation (and timed waits); record it as
 		// the thread's "run" span on its timeline.
-		ln.obs.Span(t.track, t.Name, "run", ln.now, ln.now+d)
+		ln.obs.Span(t.track, t.Name(), "run", ln.now, ln.now+d)
 	}
 	ln.scheduleThread(d, t)
 	t.switchOut()
@@ -185,7 +246,7 @@ func (t *Thread) Park() {
 	t.state = stateParked
 	t.switchOut()
 	if t.ln.obs != nil {
-		t.ln.obs.Span(t.track, t.Name, "blocked", start, t.ln.now)
+		t.ln.obs.Span(t.track, t.Name(), "blocked", start, t.ln.now)
 	}
 }
 
@@ -198,7 +259,7 @@ func (k *Kernel) Wake(t *Thread) {
 	case stateParked:
 		t.state = stateReady
 		if t.ln.obs != nil {
-			t.ln.obs.Instant(t.track, t.Name, "wake", t.ln.now)
+			t.ln.obs.Instant(t.track, t.Name(), "wake", t.ln.now)
 		}
 		t.ln.scheduleThread(0, t)
 	case stateDone, stateReady:

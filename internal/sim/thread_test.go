@@ -73,10 +73,10 @@ func TestFailedRunReleasesThreads(t *testing.T) {
 		}
 		for _, th := range k.threads {
 			if th.state != stateDone {
-				t.Errorf("thread %s left %s", th.Name, th.state)
+				t.Errorf("thread %s left %s", th.Name(), th.state)
 			}
-			if th.Name != "boom" && th.panicked != nil {
-				t.Errorf("released thread %s recorded a panic: %v", th.Name, th.panicked.Value)
+			if th.Name() != "boom" && th.panicked != nil {
+				t.Errorf("released thread %s recorded a panic: %v", th.Name(), th.panicked.Value)
 			}
 		}
 		if k.live != 0 {
@@ -120,5 +120,67 @@ func TestThreadPanicReport(t *testing.T) {
 		if !strings.Contains(p.Error(), want) {
 			t.Errorf("sleeps=%d: Error() = %q", sleeps, p.Error())
 		}
+	}
+}
+
+// TestIndexedThreadNamedOnFirstRead: a SpawnIndexed thread is known as
+// "prefix-NNNN" wherever a name is read — a deadlock report, a
+// ThreadPanic — and carries its index to the body all of them share.
+func TestIndexedThreadNamedOnFirstRead(t *testing.T) {
+	k := NewKernel()
+	var seen []int
+	body := func(th *Thread) {
+		seen = append(seen, th.Index())
+		if th.Index() == 3 {
+			th.Park() // nobody wakes it
+		}
+	}
+	for i := 0; i < 5; i++ {
+		k.SpawnIndexed(&k.Lane, "rank", i, body)
+	}
+	de, ok := k.Run().(*DeadlockError)
+	if !ok || len(de.Blocked) != 1 || de.Blocked[0] != "rank-0003(parked)" {
+		t.Fatalf("want rank-0003(parked) blocked, got %v", de)
+	}
+	if fmt.Sprint(seen) != "[0 1 2 3 4]" {
+		t.Errorf("bodies saw indexes %v", seen)
+	}
+
+	k = NewKernel()
+	th := k.SpawnIndexed(&k.Lane, "rank", 3, func(*Thread) { panic("kaboom") })
+	if p, ok := k.Run().(*ThreadPanic); !ok || p.Thread != "rank-0003" {
+		t.Fatalf("want a ThreadPanic on rank-0003, got %v", p)
+	}
+	if th.Name() != "rank-0003" || th.Index() != 3 {
+		t.Errorf("after the name was read: Name %q Index %d", th.Name(), th.Index())
+	}
+	if plain := NewKernel().Spawn("solo", func(*Thread) {}); plain.Name() != "solo" || plain.Index() != -1 {
+		t.Errorf("plain thread: Name %q Index %d", plain.Name(), plain.Index())
+	}
+}
+
+// TestIndexedSpawnAllocsNoName: with nothing reading names (observability
+// off, no failure), an indexed thread costs exactly what a thread spawned
+// under a constant name costs — no fmt call, no name string.
+func TestIndexedSpawnAllocsNoName(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	body := func(th *Thread) { th.Sleep(1) }
+	run := func(spawn func(k *Kernel, i int)) float64 {
+		return testing.AllocsPerRun(10, func() {
+			k := NewKernel()
+			for i := 0; i < 64; i++ {
+				spawn(k, i)
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	unnamed := run(func(k *Kernel, _ int) { k.Spawn("w", body) })
+	indexed := run(func(k *Kernel, i int) { k.SpawnIndexed(&k.Lane, "rank", 1000+i, body) })
+	if indexed != unnamed {
+		t.Fatalf("64 indexed threads: %v allocations, 64 under a constant name: %v", indexed, unnamed)
 	}
 }
