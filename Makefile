@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test test-short vet check bench bench-shards race-sweep race-shards serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
+.PHONY: all test test-short vet check bench bench-shards race-sweep race-shards fuzz-smoke serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
 
 all: vet test
 
@@ -21,12 +21,13 @@ test-short:
 # change can't silently drop it from the -race run). vet is also what
 # keeps slab-resident state (sim.NoCopy) from being copied. The
 # zero-allocation invariants skip under -race (its instrumentation
-# allocates), so the last line runs them and the objects-per-rank budgets
-# on plain allocation counts, -v so the CI log shows what was measured.
+# allocates), so the last line runs them, the objects- and
+# switches-per-rank budgets and the event-size pin on plain counts, -v so
+# the CI log shows what was measured.
 check:
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/fault/ ./...
-	$(GO) test -v -run 'Alloc|ObjectsPerRank' ./internal/sim/ ./internal/network/ ./internal/pami/ ./internal/armci/ ./internal/bench/
+	$(GO) test -v -run 'Alloc|ObjectsPerRank|SwitchesPerRank|EventSize' ./internal/sim/ ./internal/network/ ./internal/pami/ ./internal/armci/ ./internal/bench/
 
 # Engine wall-clock benchmarks (the cost of simulating): micro benches
 # plus the reduced Fig 9 p=4096 / SCF scenarios, written to
@@ -49,10 +50,18 @@ race-sweep:
 # the frozen legacy-engine equivalence, and two sharded worlds running
 # concurrently — plus ARMCI's world-wide handler table serving every
 # rank's contexts from parallel lanes, and the sim package's own lane
-# engine (grain x worker matrix included) and horizon-tree tests.
+# engine (grain x worker matrix included), horizon-tree tests and the
+# lane-shortcut differential oracle (TestLaneShortcuts*, the fuzz
+# target's seeds), which runs every program at 2 and 4 workers.
 race-shards:
 	$(GO) test -race -run 'TestShard|TestLegacyEngine' . ./internal/armci/
-	$(GO) test -race -run 'TestLane|TestHorizon|TestPopUpTo|TestMarkDirty' ./internal/sim/
+	$(GO) test -race -run 'TestLane|FuzzLaneShortcuts|TestHorizon|TestPopUpTo|TestMarkDirty' ./internal/sim/
+
+# Ten seconds of generated programs through the lane-shortcut oracle
+# (internal/sim/shortcut_test.go): shortcuts on against shortcuts off, at
+# 1, 2 and 4 workers, everything observable compared.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzLaneShortcuts -fuzztime 10s ./internal/sim/
 
 # Shard scaling gate: times the fig9 p=16384 scenario serial vs sharded
 # (GOMAXPROCS logged), after asserting byte-identical results. On a

@@ -206,14 +206,18 @@ func BenchmarkKernelEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkThreadSwitch measures coroutine handoff cost.
+// BenchmarkThreadSwitch measures coroutine handoff cost: two threads
+// sleeping against each other, so every sleep has to switch (a lone
+// sleeper's wake-up is fired in place and never leaves the thread).
 func BenchmarkThreadSwitch(b *testing.B) {
 	k := sim.NewKernel()
-	k.Spawn("switcher", func(th *sim.Thread) {
-		for i := 0; i < b.N; i++ {
-			th.Sleep(1)
-		}
-	})
+	for i := 0; i < 2; i++ {
+		k.Spawn("switcher", func(th *sim.Thread) {
+			for n := i; n < b.N; n += 2 {
+				th.Sleep(1)
+			}
+		})
+	}
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)

@@ -366,10 +366,33 @@ func main() {
 		}
 	})
 
-	// Coroutine handoff: kernel -> thread -> kernel per op.
+	// Coroutine handoff: lane -> thread -> lane per op. Two threads sleep
+	// against each other, so every wake-up finds the other's due first and
+	// has to switch; a lone sleeper no longer leaves its thread at all (the
+	// next row).
 	micro("thread_switch", reps, func(b *testing.B) {
 		k := sim.NewKernel()
-		k.Spawn("switcher", func(th *sim.Thread) {
+		for i := 0; i < 2; i++ {
+			k.Spawn("switcher", func(th *sim.Thread) {
+				for n := i; n < b.N; n += 2 {
+					th.Sleep(1)
+				}
+			})
+		}
+		b.ResetTimer()
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if b.N > 2 && k.Switches() < uint64(b.N) {
+			b.Fatalf("%d sleeps made only %d switches: this row no longer times one", b.N, k.Switches())
+		}
+	})
+
+	// A sleep nothing interrupts: the lane's next event is the sleeper's own
+	// wake-up, which Sleep fires where it stands — no switch.
+	micro("sleep_uncontended", reps, func(b *testing.B) {
+		k := sim.NewKernel()
+		k.Spawn("sleeper", func(th *sim.Thread) {
 			for i := 0; i < b.N; i++ {
 				th.Sleep(1)
 			}

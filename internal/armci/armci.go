@@ -355,7 +355,7 @@ func (rt *Runtime) noteWrites(rank, puts, ams int) {
 //
 // A runtime lives in its world's Runtimes slice and owns, by value,
 // everything it has exactly one of (counters, jitter stream, region
-// cache); its maps are for state most ranks never have — a peer
+// cache); its maps are for state most ranks never have — a second peer
 // addressed, a write outstanding, a request in flight, a mutex hosted —
 // and stay nil until first written, which reads and deletes of a nil map
 // already allow for. An idle rank costs what it uses.
@@ -368,8 +368,8 @@ type Runtime struct {
 	mainCtx *pami.Context
 	svcCtx  *pami.Context
 
-	eps     map[int]pami.Endpoint // data endpoints (context 0)
-	svcEps  map[int]pami.Endpoint // service endpoints (svc context)
+	eps     epCache // data endpoints (context 0)
+	svcEps  epCache // service endpoints (svc context)
 	regions regionCache
 	cons    consistency
 	dirty   map[int]rankState // targets with outstanding writes, nothing else
@@ -470,37 +470,61 @@ func (rt *Runtime) LocalAlloc(th *sim.Thread, n int) mem.Addr {
 	return a
 }
 
-// epData returns (creating and caching on first use) the RDMA endpoint
-// for a rank. The cache is the paper's ζ-sized endpoint cache.
-func (rt *Runtime) epData(th *sim.Thread, rank int) pami.Endpoint {
-	ep, ok := rt.eps[rank]
+// epCache is the paper's ζ-sized endpoint cache for one context index:
+// the endpoints of the peers addressed so far. A rank that talks to one
+// peer — every worker hammering the counter's owner — keeps that endpoint
+// here, in its runtime; the map appears with the second peer, and a rank
+// that talks to everyone still finds each in O(1).
+type epCache struct {
+	first pami.Endpoint
+	n     int                   // endpoints cached, first included
+	more  map[int]pami.Endpoint // all but the first; nil until the second
+}
+
+func (c *epCache) get(rank int) (pami.Endpoint, bool) {
+	if c.n > 0 && c.first.Rank == rank {
+		return c.first, true
+	}
+	ep, ok := c.more[rank]
+	return ep, ok
+}
+
+func (c *epCache) put(ep pami.Endpoint) {
+	c.n++
+	if c.n == 1 {
+		c.first = ep
+		return
+	}
+	if c.more == nil {
+		c.more = make(map[int]pami.Endpoint)
+	}
+	c.more[ep.Rank] = ep
+}
+
+// endpoint returns (creating and caching on first use) the endpoint
+// addressing context ctx of a rank.
+func (rt *Runtime) endpoint(th *sim.Thread, c *epCache, rank, ctx int) pami.Endpoint {
+	ep, ok := c.get(rank)
 	if !ok {
-		ep = rt.C.CreateEndpoint(th, rank, 0)
-		if rt.eps == nil {
-			rt.eps = make(map[int]pami.Endpoint)
-		}
-		rt.eps[rank] = ep
+		ep = rt.C.CreateEndpoint(th, rank, ctx)
+		c.put(ep)
 		rt.Stats.Inc("ep.created", 1)
 	}
 	return ep
+}
+
+// epData returns the RDMA endpoint for a rank.
+func (rt *Runtime) epData(th *sim.Thread, rank int) pami.Endpoint {
+	return rt.endpoint(th, &rt.eps, rank, 0)
 }
 
 // epSvc returns the endpoint addressing a rank's remote-service context.
 func (rt *Runtime) epSvc(th *sim.Thread, rank int) pami.Endpoint {
-	ep, ok := rt.svcEps[rank]
-	if !ok {
-		ep = rt.C.CreateEndpoint(th, rank, rt.W.svcIdx)
-		if rt.svcEps == nil {
-			rt.svcEps = make(map[int]pami.Endpoint)
-		}
-		rt.svcEps[rank] = ep
-		rt.Stats.Inc("ep.created", 1)
-	}
-	return ep
+	return rt.endpoint(th, &rt.svcEps, rank, rt.W.svcIdx)
 }
 
 // Clique returns ζ, the number of distinct peers addressed so far.
-func (rt *Runtime) Clique() int { return len(rt.eps) + len(rt.svcEps) }
+func (rt *Runtime) Clique() int { return rt.eps.n + rt.svcEps.n }
 
 // Progress makes one explicit pass over this rank's progress engine —
 // what a default-mode application does between compute phases to service

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/pami"
 	"repro/internal/sim"
 )
 
@@ -539,6 +540,33 @@ func TestEndpointCacheCreatesOncePerPeer(t *testing.T) {
 	}
 	if rt0.Clique() != 2 {
 		t.Fatalf("clique = %d, want 2", rt0.Clique())
+	}
+}
+
+// TestEndpointCacheFirstPeerInline: one peer costs no map, and every
+// later peer is still found — the first among them.
+func TestEndpointCacheFirstPeerInline(t *testing.T) {
+	var c epCache
+	if _, ok := c.get(0); ok {
+		t.Fatal("empty cache answered for rank 0")
+	}
+	c.put(pami.Endpoint{Rank: 7, Ctx: 1, Node: 3})
+	if c.more != nil {
+		t.Fatal("one peer made the map")
+	}
+	if _, ok := c.get(0); ok {
+		t.Fatal("cache holding rank 7 answered for rank 0")
+	}
+	for r := 0; r < 5; r++ {
+		c.put(pami.Endpoint{Rank: r, Node: r})
+	}
+	for _, r := range []int{7, 0, 4} {
+		if ep, ok := c.get(r); !ok || ep.Rank != r {
+			t.Fatalf("get(%d) = %+v, %v", r, ep, ok)
+		}
+	}
+	if c.n != 6 || len(c.more) != 5 {
+		t.Fatalf("n = %d with %d in the map, want 6 and 5", c.n, len(c.more))
 	}
 }
 

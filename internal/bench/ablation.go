@@ -117,7 +117,7 @@ func AblationHardwareAMO(ctx context.Context, eng *sweep.Engine, procCounts []in
 func hardwareAMOPoint(c *sweep.Ctx, procs, opsEach int) float64 {
 	params := network.DefaultParams()
 	params.HardwareAMO = true
-	us, _ := hammer(c.Cfg(armci.Config{Procs: procs, ProcsPerNode: 1, Params: params}),
+	_, us, _ := hammer(c.Cfg(armci.Config{Procs: procs, ProcsPerNode: 1, Params: params}),
 		opsEach, true, false)
 	return us
 }

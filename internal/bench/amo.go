@@ -15,21 +15,22 @@ import (
 // the progress engine between them when poll is set (the default mode's
 // only service opportunity; the async thread and NIC-executed AMOs need
 // none). cfg carries everything else: placement, mode, seed, fault plan,
-// network parameters. It returns the mean latency the workers observed
-// and how many ops exhausted their retry budget (zero without faults).
+// network parameters. It returns the world it ran (for what the run cost:
+// events, switches), the mean latency the workers observed and how many
+// ops exhausted their retry budget (zero without faults).
 //
 // Worker completion is signalled through a second simulated counter on
 // rank 0 (not host memory), and each rank writes only its own slot, so
 // the body stays race-free and deterministic when the world's ranks
 // execute on parallel lanes (Config.Shards > 1).
-func hammer(cfg armci.Config, opsEach int, compute, poll bool) (meanUS float64, errs int) {
+func hammer(cfg armci.Config, opsEach int, compute, poll bool) (w *armci.World, meanUS float64, errs int) {
 	procs := cfg.Procs
 	faulted := cfg.Fault != nil
 	slots := make([]struct {
 		lat  sim.Time
 		errs int
 	}, procs)
-	armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
+	w = armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
 		// Rank-0 layout: the hammered counter, then the done tally.
 		a := rt.Malloc(th, 16)
 		done := a.At(0).Add(8)
@@ -70,14 +71,14 @@ func hammer(cfg armci.Config, opsEach int, compute, poll bool) (meanUS float64, 
 		total += s.lat
 		errs += s.errs
 	}
-	return sim.ToMicros(total) / float64((procs-1)*opsEach), errs
+	return w, sim.ToMicros(total) / float64((procs-1)*opsEach), errs
 }
 
 // fig9Point is one (procs, placement, mode) cell of the figure: the
 // hammer with rank 0 polling the progress engine exactly when there is
 // no async thread to do it.
 func fig9Point(c *sweep.Ctx, procs, perNode int, async, compute bool, opsEach int) float64 {
-	us, _ := hammer(c.Cfg(armci.Config{Procs: procs, ProcsPerNode: perNode, AsyncThread: async}),
+	_, us, _ := hammer(c.Cfg(armci.Config{Procs: procs, ProcsPerNode: perNode, AsyncThread: async}),
 		opsEach, compute, !async)
 	return us
 }

@@ -204,7 +204,7 @@ func FetchAddGrid(ctx context.Context, eng *sweep.Engine, sp FetchAddSpec) *Grid
 		if sp.Fault != nil {
 			cfg.Fault = sp.Fault()
 		}
-		us, errs := hammer(cfg, sp.OpsEach, sp.Compute, !async)
+		_, us, errs := hammer(cfg, sp.OpsEach, sp.Compute, !async)
 		return cell{us, errs}
 	})
 	for pi, p := range sp.Procs {

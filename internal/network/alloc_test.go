@@ -86,6 +86,49 @@ func TestSendAllocPartitionedObsOff(t *testing.T) {
 	}
 }
 
+// TestSendMsgPartitionedZeroAlloc: the one allocation of a partitioned
+// send is its record, so a caller that owns the record (pami's message in
+// flight embeds it) sends for nothing. Same cycle as above, same +2 for
+// each Run's executor.
+func TestSendMsgPartitionedZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	k := sim.NewKernel()
+	tor := topology.New([topology.NumDims]int{2, 2, 2, 2, 2}, 1)
+	p := DefaultParams()
+	k.ConfigureLanes(tor.Nodes(), 1, p.Lookahead())
+	nw := New(k, tor, p)
+	const sends = 256
+	delivered := 0
+	deliver := sim.Func(func() { delivered++ })
+	msgs := make([]Msg, sends)
+	senders := make([]func(), sends)
+	for i := range senders {
+		m := &msgs[i]
+		*m = Msg{Src: i % 32, Dst: (i*7 + 3) % 32, Payload: 512, Kind: Data, Deliver: deliver}
+		senders[i] = func() { nw.SendMsg(m) }
+	}
+	cycle := func() {
+		for i, send := range senders {
+			k.LaneOf(i%32).At(1, send)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	delivered = 0
+	if avg := testing.AllocsPerRun(50, cycle); avg > 2 {
+		t.Fatalf("SendMsg (partitioned, obs off): %.2f allocs per %d-send cycle, want <= 2", avg, sends)
+	}
+	if delivered != 51*sends { // AllocsPerRun runs the cycle once more to warm up
+		t.Fatalf("%d deliveries, want %d", delivered, 51*sends)
+	}
+}
+
 func TestSendConstantAllocObsOn(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

@@ -13,19 +13,20 @@ import "repro/internal/sim"
 //     tally (laneNetStats), which Totals adds to the shared one.
 //
 //   - Everything else (cross-node, or any send under fault injection):
-//     handed to Lane.Defer/DeferRemote, whose applier books the MU, the
-//     links and the fault verdict at the time the send was issued and
-//     deposits the completion(s) into the destination lane(s) with
-//     ScheduleAbs. Shared state — nicFree, linkFree, the fault
-//     injector's RNG and counters, the parent observability registry —
-//     is only ever touched on this serial path. On a partitioned kernel
+//     logged with Lane.DeferOp/DeferRemoteOp as the message's own Msg
+//     record, whose Apply books the MU, the links and the fault verdict
+//     at the time the send was issued and deposits the completion(s)
+//     into the destination lane(s) with ScheduleAbsAction. Shared
+//     state — nicFree, linkFree, the fault injector's RNG and counters,
+//     the parent observability registry — is only ever touched on this
+//     serial path. On a partitioned kernel
 //     the applier runs at the window boundary on the coordinator
 //     goroutine, in the boundary's canonical (time, lane, log index)
 //     order, so results are identical at every worker count. On an
 //     unpartitioned kernel every node shares the one lane, nothing runs
 //     beside it, and "deferred" means applied immediately: the same
-//     booking, at the same time, with no log in between (send checks
-//     Lane.Windowed first so it does not even build the closure).
+//     booking, at the same time, with no log in between (sendNow checks
+//     Lane.Windowed first, so Send does not even make the record).
 //
 // Lower bounds (the Defer minEffect contract): a Send's earliest effect
 // anywhere is now + NicMsgOverhead + RouterFixed + HopLatency +

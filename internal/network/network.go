@@ -193,6 +193,34 @@ func (nw *Network) Torus() *topology.Torus { return nw.torus }
 // Params returns the machine constants.
 func (nw *Network) Params() *Params { return nw.params }
 
+// Msg is one message in flight: everything the network needs from
+// injection to arrival. It is the record a send leaves in its lane's
+// boundary log (sim.Deferred: Apply books the MU and the route and deposits
+// the completions), so a layer whose own per-message state embeds a Msg
+// and hands it to SendMsg puts a message on the wire without the network
+// allocating anything.
+type Msg struct {
+	Src, Dst int // nodes
+	Payload  int // bytes
+	Kind     MsgKind
+	// Deliver fires in the destination node's lane when the message
+	// arrives (its tail). Local, when non-nil, fires in the source node's
+	// lane at the same instant: the initiator-side completion of an
+	// acknowledged operation whose protocol piggybacks both on one
+	// traversal. Under faults the two share the message's fate — a drop
+	// fires neither, a duplicate fires both per surviving copy. They are
+	// two deposits, not one event, because they land in different nodes'
+	// lanes; where both nodes share a lane, Deliver still runs first and
+	// nothing scheduled by it can come between the two.
+	Deliver, Local sim.Action
+
+	nw *Network // set when the message is logged for a boundary
+}
+
+// Apply is the message's boundary operation: the serial half of its send,
+// for a message injected at time at.
+func (m *Msg) Apply(at sim.Time) { m.nw.applySend(at, m) }
+
 // Send injects a message of payload bytes from srcNode to dstNode at the
 // current virtual time and schedules fn at the arrival (tail) time. The
 // model is virtual cut-through: the head advances one HopLatency per
@@ -204,86 +232,107 @@ func (nw *Network) Params() *Params { return nw.params }
 // one hop, matching the observation that ARMCI on BG/Q routes intra-node
 // transfers through the torus injection path.
 func (nw *Network) Send(srcNode, dstNode, payload int, kind MsgKind, fn func()) {
-	nw.send(srcNode, dstNode, payload, kind, fn, nil)
+	nw.send(Msg{Src: srcNode, Dst: dstNode, Payload: payload, Kind: kind, Deliver: sim.Func(fn)})
 }
 
-// SendWithLocal is Send with a second completion: deliver fires at the
-// destination when the message arrives, and local fires at the source at
-// the same instant (the initiator-side completion of an acknowledged
-// operation whose protocol piggybacks both on one traversal). Under
-// faults the two share the message's fate — a drop fires neither, a
-// duplicate fires both per surviving copy. They are two deposits, not
-// one event, because they land in different nodes' lanes; where both
-// nodes share a lane, deliver still runs first and nothing scheduled by
-// it can come between the two.
+// SendWithLocal is Send with a second completion, fired at the source
+// when deliver fires at the destination (Msg.Local).
 func (nw *Network) SendWithLocal(srcNode, dstNode, payload int, kind MsgKind, deliver, local func()) {
-	nw.send(srcNode, dstNode, payload, kind, deliver, local)
+	m := Msg{Src: srcNode, Dst: dstNode, Payload: payload, Kind: kind, Deliver: sim.Func(deliver)}
+	if local != nil {
+		m.Local = sim.Func(local)
+	}
+	nw.send(m)
 }
 
-// send is the body of Send and SendWithLocal (local nil for the former).
-// It must be called from within srcNode's lane: the node's threads, or a
-// completion previously deposited into it.
-func (nw *Network) send(srcNode, dstNode, payload int, kind MsgKind, deliver, local func()) {
+// send is the body of Send and SendWithLocal. Only a message that has to
+// wait for a window boundary needs a record that outlives the call, and
+// that one is made here, where the closure capturing the same fields used
+// to be.
+func (nw *Network) send(m Msg) {
+	if !nw.sendNow(&m) {
+		rec := m
+		nw.sendAtBoundary(&rec)
+	}
+}
+
+// SendMsg is Send for a message the caller owns: m must stay untouched
+// until its completions have fired, and the network keeps no copy. It must
+// be called from within m.Src's lane, like every send: the node's threads,
+// or a completion previously deposited into it.
+func (nw *Network) SendMsg(m *Msg) {
+	if !nw.sendNow(m) {
+		nw.sendAtBoundary(m)
+	}
+}
+
+// sendNow carries the message out on the spot when nothing has to be
+// deferred around, and reports whether it did: a fault-free loopback
+// touches no shared state, and a lane that is not windowed runs beside
+// nothing. It keeps no reference to m.
+func (nw *Network) sendNow(m *Msg) bool {
 	p := nw.params
-	src := nw.lanes[srcNode]
+	src := nw.lanes[m.Src]
 	now := src.Now()
 
-	if nw.flt == nil && srcNode == dstNode {
-		// Inline loopback: skip the MU FIFO, one local-router hop, no
-		// shared state touched.
+	if nw.flt == nil && m.Src == m.Dst {
+		// Inline loopback: skip the MU FIFO, one local-router hop.
 		head := now + p.NicMsgOverhead + p.RouterFixed
-		if kind == Data && payload > 0 && payload < p.UnalignedThreshold {
+		if m.Kind == Data && m.Payload > 0 && m.Payload < p.UnalignedThreshold {
 			head += p.UnalignedPenalty
 		}
-		arrival := head + p.HopLatency + p.SerTime(payload)
-		nw.noteLaneSend(src, payload, 1)
-		src.At(arrival-now, deliver)
-		if local != nil {
-			src.At(arrival-now, local)
+		arrival := head + p.HopLatency + p.SerTime(m.Payload)
+		nw.noteLaneSend(src, m.Payload, 1)
+		src.AtAction(arrival-now, m.Deliver)
+		if m.Local != nil {
+			src.AtAction(arrival-now, m.Local)
 		}
-		return
+		return true
 	}
-
 	if !src.Windowed() {
-		// Nothing to defer around: book the message now, and skip building
-		// a closure that Defer would only call on the spot.
-		nw.applySend(now, srcNode, dstNode, payload, kind, deliver, local)
-		return
+		nw.applySend(now, m)
+		return true
 	}
-	minEffect := now + p.NicMsgOverhead + p.RouterFixed + p.HopLatency + p.SerTime(payload)
-	apply := func(at sim.Time) {
-		nw.applySend(at, srcNode, dstNode, payload, kind, deliver, local)
-	}
-	if local == nil && srcNode != dstNode {
+	return false
+}
+
+// sendAtBoundary logs m, which must outlive the call, as its own deferred
+// operation in the source lane.
+func (nw *Network) sendAtBoundary(m *Msg) {
+	p := nw.params
+	src := nw.lanes[m.Src]
+	m.nw = nw
+	minEffect := src.Now() + p.NicMsgOverhead + p.RouterFixed + p.HopLatency + p.SerTime(m.Payload)
+	if m.Local == nil && m.Src != m.Dst {
 		// Effects land only in the destination lane: the relaxed cap.
-		src.DeferRemote(minEffect, apply)
+		src.DeferRemoteOp(minEffect, m)
 	} else {
 		// A local completion (or a faulty loopback) can land back in this
 		// very lane at minEffect, so the window must stop there.
-		src.Defer(minEffect, apply)
+		src.DeferOp(minEffect, m)
 	}
 }
 
-// applySend is the serial half of send: it books the MU and the route
+// applySend is the serial half of a send: it books the MU and the route
 // for a message injected at time at — consulting the fault injector when
 // one is installed — and deposits the completions of every copy that
-// arrives into the destination's (and, for SendWithLocal, the source's)
+// arrives into the destination's (and, with Msg.Local, the source's)
 // lane.
-func (nw *Network) applySend(at sim.Time, srcNode, dstNode, payload int, kind MsgKind, deliver, local func()) {
+func (nw *Network) applySend(at sim.Time, m *Msg) {
 	if nw.flt != nil {
-		nw.sendFaultyAt(at, srcNode, dstNode, payload, kind, deliver, local)
+		nw.sendFaultyAt(at, m)
 		return
 	}
-	arrival, hops := nw.transit(at, srcNode, dstNode, payload, kind)
-	nw.noteSend(payload, hops)
-	nw.deposit(arrival, srcNode, dstNode, deliver, local)
+	arrival, hops := nw.transit(at, m.Src, m.Dst, m.Payload, m.Kind)
+	nw.noteSend(m.Payload, hops)
+	nw.deposit(arrival, m)
 }
 
 // deposit schedules an arrived message's completions.
-func (nw *Network) deposit(arrival sim.Time, srcNode, dstNode int, deliver, local func()) {
-	nw.lanes[dstNode].ScheduleAbs(arrival, deliver)
-	if local != nil {
-		nw.lanes[srcNode].ScheduleAbs(arrival, local)
+func (nw *Network) deposit(arrival sim.Time, m *Msg) {
+	nw.lanes[m.Dst].ScheduleAbsAction(arrival, m.Deliver)
+	if m.Local != nil {
+		nw.lanes[m.Src].ScheduleAbsAction(arrival, m.Local)
 	}
 }
 
@@ -341,8 +390,8 @@ func (nw *Network) transit(now sim.Time, srcNode, dstNode, payload int, kind Msg
 // must detect. A duplicated message traverses twice, so the copy pays
 // its own link reservations and arrives later; deduplication is the
 // receiver's problem, as on a real at-least-once transport.
-func (nw *Network) sendFaultyAt(now sim.Time, srcNode, dstNode, payload int, kind MsgKind, deliver, local func()) {
-	v := nw.flt.MessageVerdict(srcNode, dstNode, now)
+func (nw *Network) sendFaultyAt(now sim.Time, m *Msg) {
+	v := nw.flt.MessageVerdict(m.Src, m.Dst, now)
 	if v.Drop {
 		nw.flt.CountDrop()
 		return
@@ -356,12 +405,12 @@ func (nw *Network) sendFaultyAt(now sim.Time, srcNode, dstNode, payload int, kin
 		nw.flt.CountDup()
 	}
 	for i := 0; i < copies; i++ {
-		arrival, hops, ok := nw.transitFaulty(now, srcNode, dstNode, payload, kind, v.Delay)
+		arrival, hops, ok := nw.transitFaulty(now, m.Src, m.Dst, m.Payload, m.Kind, v.Delay)
 		if !ok {
 			continue
 		}
-		nw.noteSend(payload, hops)
-		nw.deposit(arrival, srcNode, dstNode, deliver, local)
+		nw.noteSend(m.Payload, hops)
+		nw.deposit(arrival, m)
 	}
 }
 

@@ -40,46 +40,75 @@ type AMessage struct {
 // the real machine.
 type AMHandler func(th *sim.Thread, x *Context, msg *AMessage)
 
+// amHdrInline is the header length an active message carries without a
+// second allocation: every protocol header in the tree fits except the
+// typed strided ones, whose length grows with the stride levels.
+const amHdrInline = 6
+
+// amFlight is one active message from SendAM to its handler's return: a
+// single heap value in four roles. It is the network's record of the
+// message (the embedded Msg, logged at the window boundary), the arrival
+// event in the target's lane (Fire), the work item in the target
+// context's queue (serve), and the message the handler reads (msg). A
+// delivery duplicated under faults fires the same flight twice.
+type amFlight struct {
+	network.Msg
+	msg AMessage
+	tgt *Context
+	hdr [amHdrInline]int64
+}
+
+// Fire is the arrival: the message joins the target context's queue, to
+// be dispatched by whichever thread advances it next.
+func (f *amFlight) Fire() {
+	f.tgt.post(workItem{cost: f.tgt.Client.M.P.AMHandlerCost, am: true, w: f})
+}
+
+// serve dispatches the message to its handler.
+func (f *amFlight) serve(th *sim.Thread) {
+	x := f.tgt
+	var h AMHandler
+	if id := f.msg.Dispatch; id >= 0 && id < DispatchLimit {
+		h = x.dispatch[id]
+	}
+	if h == nil {
+		panic(fmt.Sprintf("pami: rank %d ctx %d: no handler for dispatch %d",
+			x.Client.Rank, x.Index, f.msg.Dispatch))
+	}
+	x.AMsServed++
+	x.cAMs.Add(1)
+	h(th, x, &f.msg)
+}
+
 // SendAM sends an active message to dst, to be dispatched on dst's
-// context by whichever thread advances it. The data slice is captured by
-// the network; callers may not mutate it afterwards. Local completion is
-// immediate in the ARMCI sense (the buffer is owned by the runtime once
-// captured), so no completion object is involved.
+// context by whichever thread advances it. hdr is copied and may be
+// reused at once; the data slice is captured by the network, and callers
+// may not mutate it afterwards. Local completion is immediate in the
+// ARMCI sense (the buffer is owned by the runtime once captured), so no
+// completion object is involved.
 func (x *Context) SendAM(th *sim.Thread, dst Endpoint, dispatch int, hdr []int64, data []byte) {
 	c := x.Client
-	p := c.M.P
-	th.Sleep(c.jit(p.CPUInject))
+	th.Sleep(c.jit(c.M.P.CPUInject))
 
-	kind := network.Control
+	f := &amFlight{
+		Msg: network.Msg{Src: c.Node, Dst: dst.Node, Payload: len(data) + amHeaderBytes, Kind: network.Control},
+		msg: AMessage{
+			Src:      Endpoint{Rank: c.Rank, Ctx: x.Index, Node: c.Node},
+			Dispatch: dispatch,
+			Data:     data,
+		},
+		tgt: &c.peer(dst.Rank).Contexts[dst.Ctx],
+	}
 	if len(data) > 0 {
-		kind = network.Data
+		f.Kind = network.Data
 	}
-	msg := &AMessage{
-		Src:      Endpoint{Rank: c.Rank, Ctx: x.Index, Node: c.Node},
-		Dispatch: dispatch,
-		Hdr:      hdr,
-		Data:     data,
+	if len(hdr) > amHdrInline {
+		f.msg.Hdr = append([]int64(nil), hdr...)
+	} else if len(hdr) > 0 {
+		f.msg.Hdr = f.hdr[:copy(f.hdr[:], hdr)]
 	}
-	tgt := &c.peer(dst.Rank).Contexts[dst.Ctx]
-	c.M.Net.Send(c.Node, dst.Node, len(data)+amHeaderBytes, kind, func() {
-		tgt.post(workItem{
-			cost: p.AMHandlerCost,
-			am:   true,
-			fn: func(th *sim.Thread) {
-				var h AMHandler
-				if id := msg.Dispatch; id >= 0 && id < DispatchLimit {
-					h = tgt.dispatch[id]
-				}
-				if h == nil {
-					panic(fmt.Sprintf("pami: rank %d ctx %d: no handler for dispatch %d",
-						dst.Rank, dst.Ctx, msg.Dispatch))
-				}
-				tgt.AMsServed++
-				tgt.cAMs.Add(1)
-				h(th, tgt, msg)
-			},
-		})
-	})
+	f.Deliver = f
+	c.M.Net.SendMsg(&f.Msg)
 }
 
 // RmwOp selects the read-modify-write operation.
@@ -96,7 +125,11 @@ const (
 	CompareSwap
 )
 
+// rmwPending is the initiator-side state of one read-modify-write in
+// flight. A client has at most one per blocked thread, so the table is a
+// slice searched linearly.
 type rmwPending struct {
+	id     uint64
 	result *int64
 	comp   *sim.Completion
 }
@@ -126,10 +159,7 @@ func (x *Context) RmwBegin(result *int64, comp *sim.Completion) uint64 {
 	c := x.Client
 	id := c.rmwSeq
 	c.rmwSeq++
-	if c.rmwPend == nil {
-		c.rmwPend = make(map[uint64]*rmwPending)
-	}
-	c.rmwPend[id] = &rmwPending{result: result, comp: comp}
+	c.rmwPend = append(c.rmwPend, rmwPending{id: id, result: result, comp: comp})
 	return id
 }
 
@@ -142,7 +172,23 @@ func (x *Context) RmwIssue(th *sim.Thread, dst Endpoint, id uint64, addr mem.Add
 
 // RmwCancel abandons an id whose retry budget is exhausted; a late reply
 // is then ignored by handleRmwRep.
-func (x *Context) RmwCancel(id uint64) { delete(x.Client.rmwPend, id) }
+func (x *Context) RmwCancel(id uint64) { x.Client.takeRmw(id) }
+
+// takeRmw removes and returns the pending state of request id; ok is false
+// when there is none (already completed, or cancelled).
+func (c *Client) takeRmw(id uint64) (pend rmwPending, ok bool) {
+	for i := range c.rmwPend {
+		if c.rmwPend[i].id == id {
+			pend = c.rmwPend[i]
+			last := len(c.rmwPend) - 1
+			c.rmwPend[i] = c.rmwPend[last]
+			c.rmwPend[last] = rmwPending{}
+			c.rmwPend = c.rmwPend[:last]
+			return pend, true
+		}
+	}
+	return rmwPending{}, false
+}
 
 // rmwHardware is the what-if path (Params.HardwareAMO): the target NIC
 // executes the operation at request arrival, exactly like an RDMA-get
@@ -229,14 +275,13 @@ func handleRmwReq(th *sim.Thread, x *Context, msg *AMessage) {
 func handleRmwRep(th *sim.Thread, x *Context, msg *AMessage) {
 	c := x.Client
 	id := uint64(msg.Hdr[0])
-	pend, ok := c.rmwPend[id]
+	pend, ok := c.takeRmw(id)
 	if !ok {
 		// Duplicate or post-cancel reply: the operation already completed
 		// (or was abandoned). Only possible under fault injection; without
 		// it every reply matches exactly one pending request.
 		return
 	}
-	delete(c.rmwPend, id)
 	if pend.result != nil {
 		*pend.result = msg.Hdr[1]
 	}

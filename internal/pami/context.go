@@ -7,15 +7,27 @@ import (
 	"repro/internal/sim"
 )
 
-// workItem is a unit of progress-engine work: a completion to retire or an
-// active message to dispatch. The advancing thread sleeps cost, then runs
-// fn while holding the context lock.
+// work is what a context's queue serves: an active message in flight
+// (*amFlight) or a completion to retire (*retire). Both are values that
+// exist anyway, so posting one allocates nothing.
+type work interface {
+	// serve runs on the thread advancing the context, with its lock held.
+	serve(th *sim.Thread)
+}
+
+// workItem is a unit of progress-engine work. The advancing thread sleeps
+// cost, then serves w while holding the context lock.
 type workItem struct {
 	cost   sim.Time
-	fn     func(th *sim.Thread)
+	w      work
 	posted sim.Time // enqueue time, for dispatch-latency accounting
 	am     bool     // true for active-message dispatches
 }
+
+// retire is a completion as the work item that retires it.
+type retire sim.Completion
+
+func (r *retire) serve(*sim.Thread) { (*sim.Completion)(r).FinishOnce() }
 
 // Context is a PAMI communication context: a progress point with its own
 // lock and work queue. Multiple contexts progress independently — the
@@ -115,10 +127,7 @@ func (x *Context) post(it workItem) {
 // overlapping its delayed original) can post the same completion twice,
 // and the second retirement is benign by design.
 func (x *Context) postCompletion(comp *sim.Completion) {
-	x.post(workItem{
-		cost: x.Client.M.P.CompletionOverhead,
-		fn:   func(*sim.Thread) { comp.FinishOnce() },
-	})
+	x.post(workItem{cost: x.Client.M.P.CompletionOverhead, w: (*retire)(comp)})
 }
 
 // Pending returns the number of queued work items.
@@ -184,7 +193,7 @@ func (x *Context) serve(th *sim.Thread, max int) int {
 		if it.cost > 0 {
 			th.Sleep(it.cost)
 		}
-		it.fn(th)
+		it.w.serve(th)
 		n++
 	}
 	return n
@@ -200,15 +209,22 @@ func (x *Context) subscribe(th *sim.Thread) {
 // context and parks (releasing the lock!) when there is nothing to do, so
 // other threads — notably an asynchronous progress thread sharing the
 // context — can take the lock in between.
+//
+// The thread registers with comp once per wait, not once per trip round
+// the loop: the registration lasts until Finish, and a second one would
+// only make Finish wake an already-woken thread.
 func (x *Context) WaitLocal(th *sim.Thread, comp *sim.Completion) {
 	x.Lock.Lock(th)
-	for {
+	for registered := false; ; {
 		x.Advance(th)
 		if comp.Done() {
 			break
 		}
 		x.subscribe(th)
-		comp.AddWaiter(th)
+		if !registered {
+			registered = true
+			comp.AddWaiter(th)
+		}
 		x.Lock.Unlock(th)
 		th.Park()
 		x.Lock.Lock(th)
@@ -224,7 +240,6 @@ func (x *Context) WaitLocal(th *sim.Thread, comp *sim.Completion) {
 // it is what pulls a stalled chaos run forward when a message was
 // dropped and nothing else would ever wake the waiter.
 func (x *Context) WaitLocalUntil(th *sim.Thread, comp *sim.Completion, deadline sim.Time) bool {
-	k := x.Client.M.K
 	ln := x.Client.Ln
 	armed := false
 	x.Lock.Lock(th)
@@ -238,12 +253,14 @@ func (x *Context) WaitLocalUntil(th *sim.Thread, comp *sim.Completion, deadline 
 			x.Lock.Unlock(th)
 			return false
 		}
-		if !armed {
-			armed = true
-			ln.At(deadline-th.Now(), func() { k.Wake(th) })
-		}
 		x.subscribe(th)
-		comp.AddWaiter(th)
+		if !armed {
+			// First park of this wait: arm the deadline and register with
+			// comp, once each (see WaitLocal).
+			armed = true
+			ln.AtAction(deadline-th.Now(), th.Waker())
+			comp.AddWaiter(th)
+		}
 		x.Lock.Unlock(th)
 		th.Park()
 		x.Lock.Lock(th)
@@ -254,7 +271,6 @@ func (x *Context) WaitLocalUntil(th *sim.Thread, comp *sim.Completion, deadline 
 // evaluated with the context lock held and must be cheap and
 // side-effect free. Returns whether pred held before the deadline.
 func (x *Context) WaitCondUntil(th *sim.Thread, pred func() bool, deadline sim.Time) bool {
-	k := x.Client.M.K
 	ln := x.Client.Ln
 	armed := false
 	x.Lock.Lock(th)
@@ -270,7 +286,7 @@ func (x *Context) WaitCondUntil(th *sim.Thread, pred func() bool, deadline sim.T
 		}
 		if !armed {
 			armed = true
-			ln.At(deadline-th.Now(), func() { k.Wake(th) })
+			ln.AtAction(deadline-th.Now(), th.Waker())
 		}
 		x.subscribe(th)
 		x.Lock.Unlock(th)
@@ -318,13 +334,9 @@ func (x *Context) ProgressLoop(th *sim.Thread) {
 		if x.stopped {
 			return
 		}
-		th.Park()
-		if x.stopped {
-			return
-		}
-		if p.ProgressWake > 0 {
-			th.Sleep(p.ProgressWake)
-		}
+		// Park until traffic arrives; if that wake does not find the loop
+		// stopped, pay the SMT wake-up before serving.
+		th.ParkThenSleep(p.ProgressWake, &x.stopped)
 	}
 }
 

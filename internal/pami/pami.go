@@ -124,7 +124,7 @@ type Client struct {
 	ContextBytes     int
 
 	rmwSeq  uint64
-	rmwPend map[uint64]*rmwPending // nil until the first Rmw
+	rmwPend []rmwPending // read-modify-writes in flight
 
 	created bool // NewClient has returned: peers may address this rank
 

@@ -178,6 +178,51 @@ func TestAMRequiresTargetProgress(t *testing.T) {
 	}
 }
 
+// TestSendAMCopiesHeader: the header travels inside the message's flight
+// value (inline up to amHdrInline words, a private slice beyond), so the
+// caller's slice is its own again when SendAM returns.
+func TestSendAMCopiesHeader(t *testing.T) {
+	r := newRig(t, 2, 1, 1)
+	const dispatchTest = DispatchUserBase
+	var got [][]int64
+	r.spawnAll(1, func(th *sim.Thread, c *Client) {
+		switch c.Rank {
+		case 1:
+			c.Contexts[0].SetDispatch(dispatchTest, func(th *sim.Thread, x *Context, msg *AMessage) {
+				got = append(got, msg.Hdr)
+			})
+			th.Sleep(sim.Millisecond)
+			c.Contexts[0].Progress(th)
+		case 0:
+			ep := c.CreateEndpoint(th, 1, 0)
+			hdr := make([]int64, amHdrInline+3)
+			for _, n := range []int{0, 2, amHdrInline, amHdrInline + 3} {
+				for i := range hdr {
+					hdr[i] = int64(100*n + i)
+				}
+				c.Contexts[0].SendAM(th, ep, dispatchTest, hdr[:n], nil)
+				clear(hdr)
+			}
+		}
+	})
+	if err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 4 {
+		t.Fatalf("%d messages handled, want 4", len(got))
+	}
+	for m, n := range []int{0, 2, amHdrInline, amHdrInline + 3} {
+		if len(got[m]) != n {
+			t.Fatalf("message %d: header of %d words, want %d", m, len(got[m]), n)
+		}
+		for i, v := range got[m] {
+			if v != int64(100*n+i) {
+				t.Fatalf("message %d: hdr[%d] = %d, want %d", m, i, v, 100*n+i)
+			}
+		}
+	}
+}
+
 func TestRmwFetchAddAtomicUnderContention(t *testing.T) {
 	const procs = 8
 	const opsEach = 20

@@ -147,6 +147,48 @@ func TestNudgeWakesWaiters(t *testing.T) {
 	}
 }
 
+// TestWaitLocalRegistersOncePerWait: a thread blocked in WaitLocal (or
+// WaitLocalUntil) is woken by every post and nudge on its context, goes
+// round its loop and parks again. It used to AddWaiter itself to the
+// completion on every trip, so a long wait left one entry per spurious
+// wake for Finish to walk. One registration lasts until Finish.
+func TestWaitLocalRegistersOncePerWait(t *testing.T) {
+	for _, timed := range []bool{false, true} {
+		r := newRig(t, 1, 1, 1)
+		const nudges = 100
+		done := sim.Time(-1)
+		r.spawnAll(1, func(th *sim.Thread, c *Client) {
+			x := &c.Contexts[0]
+			comp := sim.NewCompletion(r.k)
+			r.k.Spawn("nudger", func(nt *sim.Thread) {
+				for i := 0; i < nudges; i++ {
+					nt.Sleep(sim.Microsecond)
+					x.Nudge()
+				}
+				nt.Sleep(sim.Microsecond)
+				if n := comp.Waiting(); n != 1 {
+					t.Errorf("timed=%v: %d registrations after %d nudges, want 1", timed, n, nudges)
+				}
+				comp.Finish()
+			})
+			if timed {
+				if !x.WaitLocalUntil(th, comp, sim.Second) {
+					t.Error("WaitLocalUntil timed out")
+				}
+			} else {
+				x.WaitLocal(th, comp)
+			}
+			done = th.Now()
+		})
+		if err := r.k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := (nudges + 1) * sim.Microsecond; done != want {
+			t.Errorf("timed=%v: wait returned at %d, want %d (Finish's instant)", timed, done, want)
+		}
+	}
+}
+
 func TestProgressBoundedDoesNotChaseNewWork(t *testing.T) {
 	r := newRig(t, 2, 1, 1)
 	const dispatchChain = DispatchUserBase

@@ -8,31 +8,33 @@ import (
 	"repro/internal/sim"
 )
 
-// payload stands for what a served work item captured — an AM's data,
-// up to a megabyte on the fallback put path.
+// payload stands for what a served work item holds — an AM's data, up
+// to a megabyte on the fallback put path.
 type payload struct{ b [1 << 10]byte }
 
-// itemHolding returns a work item whose closure is the only reference to
-// a fresh payload; collected is closed when the collector frees it.
+func (p *payload) serve(*sim.Thread) { _ = p.b[0] }
+
+// itemHolding returns a work item that is the only reference to a fresh
+// payload; collected is closed when the collector frees it.
 func itemHolding(collected chan struct{}) workItem {
 	p := new(payload)
 	runtime.SetFinalizer(p, func(*payload) { close(collected) })
-	return workItem{fn: func(*sim.Thread) { _ = p.b[0] }}
+	return workItem{w: p}
 }
 
 // TestWorkQueueAllocFreeAndForgetful: a context's work queue usually
 // holds at most one item. Serving it must leave the queue's array in
 // place for the next post — popping with queue = queue[1:] walked the
 // capacity off the front, one allocation per post — and must drop the
-// served item, so that its closure and the payload it captured are
-// garbage while the context lives on.
+// served item, so that the payload it held is garbage while the context
+// lives on.
 func TestWorkQueueAllocFreeAndForgetful(t *testing.T) {
 	r := newRig(t, 1, 1, 1)
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
 		x := &c.Contexts[0]
-		fn := func(*sim.Thread) {}
+		w := new(payload)
 		cycle := func() {
-			x.post(workItem{fn: fn})
+			x.post(workItem{w: w})
 			if x.Progress(th) != 1 || x.Pending() != 0 {
 				t.Error("post then Progress did not serve exactly the posted item")
 			}

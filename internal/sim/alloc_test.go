@@ -90,12 +90,13 @@ func threadLifecycleAllocs(t *testing.T, threads, sleeps int) float64 {
 // Sleep round trip — schedule, switch out to the lane, switch back in —
 // allocates nothing, so a thread's allocations do not depend on how
 // many transfers it performs. Before the typed thread-target events,
-// every Sleep/Yield/Wake allocated a closure.
+// every Sleep/Yield/Wake allocated a closure. Two threads, so that each
+// sleep ends behind the other's and does switch.
 func TestThreadSwitchConstantAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	small, large := threadLifecycleAllocs(t, 1, 64), threadLifecycleAllocs(t, 1, 2048)
+	small, large := threadLifecycleAllocs(t, 2, 64), threadLifecycleAllocs(t, 2, 2048)
 	if large >= small+1 {
 		t.Fatalf("allocs grow with transfer count: %.1f at 64 sleeps vs %.1f at 2048", small, large)
 	}

@@ -37,7 +37,7 @@ func setHead(ln *Lane, at Time) {
 	ln.heap = ln.heap[:0]
 	if at != timeInf {
 		ln.seq++
-		ln.heapPush(event{at: at, seq: ln.seq, fn: func() {}})
+		ln.heapPush(event{at: at, seq: ln.seq, a: Func(func() {})})
 	}
 }
 
@@ -143,11 +143,11 @@ func TestPopUpTo(t *testing.T) {
 	// future event reaching its time) fires first only when it was
 	// scheduled first — replicate runWindow's merge exactly.
 	ln.seq++
-	ln.heapPush(event{at: 5, seq: ln.seq, fn: func() {}})
+	ln.heapPush(event{at: 5, seq: ln.seq, a: Func(func() {})})
 	ln.seq++
-	ln.ring.push(event{at: 5, seq: ln.seq, fn: func() {}})
+	ln.ring.push(event{at: 5, seq: ln.seq, a: Func(func() {})})
 	ln.seq++
-	ln.heapPush(event{at: 9, seq: ln.seq, fn: func() {}})
+	ln.heapPush(event{at: 9, seq: ln.seq, a: Func(func() {})})
 
 	if _, ok := ln.popUpTo(5); ok {
 		t.Fatal("popUpTo(5) returned an event at 5; limit is strict")

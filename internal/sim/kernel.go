@@ -15,8 +15,8 @@ import (
 // The queue is split between a value-based min-heap (future events) and a
 // FIFO ring (events at the current instant); see queue.go for the layout
 // and the ordering proof. Steady-state scheduling performs zero heap
-// allocations: both containers recycle their backing arrays, and thread
-// wake-ups carry a typed *Thread target instead of a closure.
+// allocations: both containers recycle their backing arrays, and a thread
+// wake-up is the thread itself as the event's Action, not a closure.
 //
 // A kernel is single-lane by default: the embedded base Lane is the whole
 // scheduler, and every legacy call (At, Spawn, Now) promotes to it
@@ -37,6 +37,10 @@ type Kernel struct {
 	inBoundary   bool
 	laneInserted bool
 	lanesMerged  bool
+	// noShortcuts makes every Sleep and every ParkThenSleep take the
+	// switching path. Written only by tests: the differential oracle runs
+	// each generated program both ways and compares everything observable.
+	noShortcuts bool
 
 	// Horizon tree (horizon.go): tournament min-tree over lane
 	// next-event times, refreshed only for dirty lanes each round.
@@ -86,6 +90,18 @@ func (k *Kernel) EventsFired() uint64 {
 	return n
 }
 
+// Switches returns the number of coroutine switches into simulated
+// threads so far, across every lane. It counts what the host paid, not
+// anything the simulated machine did, so it has no obs counter: the
+// registry's exported bytes describe the machine alone.
+func (k *Kernel) Switches() uint64 {
+	n := k.Lane.switches
+	for _, ln := range k.lanes {
+		n += ln.switches
+	}
+	return n
+}
+
 // Pending returns the number of scheduled, not-yet-fired events across
 // every lane.
 func (k *Kernel) Pending() int {
@@ -97,19 +113,10 @@ func (k *Kernel) Pending() int {
 }
 
 // scheduleThread schedules a control transfer to t at now+delay on this
-// lane. It is the closure-free twin of At for the scheduler's own traffic
-// (Spawn/Sleep/Yield/Wake), which dominates the event mix.
+// lane: At for the scheduler's own traffic (Spawn/Sleep/Yield/Wake), which
+// dominates the event mix.
 func (ln *Lane) scheduleThread(delay Time, t *Thread) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	ln.seq++
-	e := event{at: ln.now + delay, seq: ln.seq, t: t}
-	if delay == 0 {
-		ln.ring.push(e)
-	} else {
-		ln.heapPush(e)
-	}
+	ln.AtAction(delay, (*resume)(t))
 }
 
 // ThreadPanic is returned by Run when a simulated thread panicked.
@@ -198,15 +205,58 @@ func (k *Kernel) checkDeadlock(at Time) error {
 	return &DeadlockError{At: at, Blocked: blocked}
 }
 
+// resume is a thread as the Action that switches into it.
+type resume Thread
+
+func (r *resume) Fire() {
+	t := (*Thread)(r)
+	t.ln.transfer(t)
+}
+
+// fireInline fires, where the caller stands, an event this lane would
+// otherwise schedule for time at — if it is the very event the lane would
+// pop next: at lies inside the current window (runWindow's bound) and
+// strictly before everything queued — strictly, because a queued event
+// with the same timestamp was scheduled earlier and fires first. Firing
+// is runWindow's bookkeeping: the seq the event would have taken, the
+// clock, the counts. It reports whether it fired; if not, nothing changed
+// and the caller schedules the event as usual.
+func (ln *Lane) fireInline(at Time) bool {
+	if at >= min(ln.limit, ln.winCap) || at >= ln.nextTime() || ln.k.noShortcuts {
+		return false
+	}
+	ln.seq++
+	ln.now = at
+	ln.fired++
+	ln.obsEvents.Add(1)
+	return true
+}
+
 // transfer switches from the lane's event loop into thread t and returns
 // when t switches out or finishes. It must only be called from the
 // lane's event loop.
+//
+// A thread that parked in ParkThenSleep is not switched in to do what the
+// lane can do for it: the wake that fires here ends the park, and unless
+// the thread's cancel flag holds, the sleep starts — queued like any
+// other, or fired on the spot under fireInline's rule. Only when the sleep
+// is over (or was cancelled) does the thread run.
 func (ln *Lane) transfer(t *Thread) {
 	if t.state == stateDone {
 		return
 	}
+	if cancel := t.parkCancel; cancel != nil {
+		t.parkCancel = nil
+		if ln.obs != nil {
+			ln.obs.Span(t.track, t.Name(), "blocked", t.parkStart, ln.now)
+		}
+		if d := t.parkSleep; d > 0 && !*cancel && !t.sleepFor(d) {
+			return
+		}
+	}
 	t.state = stateRunning
 	ln.cur = t
+	ln.switches++
 	t.next()
 	ln.cur = nil
 	if t.panicked != nil && ln.failure == nil {

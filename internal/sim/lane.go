@@ -74,12 +74,24 @@ import (
 
 const timeInf = Time(math.MaxInt64)
 
+// Deferred is a cross-lane operation as the boundary applies it: Apply
+// receives the lane time at which the operation was issued. Like Action,
+// it lets a layer log a value it already owns — the network's message
+// record — where it would otherwise build a closure around it.
+type Deferred interface{ Apply(at Time) }
+
+// DeferredFunc is a func(at Time) as a Deferred.
+type DeferredFunc func(at Time)
+
+// Apply calls f.
+func (f DeferredFunc) Apply(at Time) { f(at) }
+
 // deferredOp is one logged cross-lane operation awaiting boundary
 // application.
 type deferredOp struct {
 	at        Time // lane time when logged
 	minEffect Time // lower bound on the operation's earliest effect, anywhere
-	fn        func(at Time)
+	op        Deferred
 }
 
 // mergeEnt is one lane's cursor in the boundary k-way merge: the head of
@@ -137,19 +149,20 @@ func mergeSiftDown(h []mergeEnt, i int) {
 // or event callbacks — while ScheduleAbs is the boundary-side insertion
 // used by deferred-operation appliers.
 type Lane struct {
-	k       *Kernel
-	idx     int
-	now     Time
-	seq     uint64
-	heap    eventHeap
-	ring    fifoRing
-	cur     *Thread
-	threads []*Thread
-	slab    []Thread // current chunk new threads are cut from (newThread)
-	live    int
-	fired   uint64
-	failure *ThreadPanic
-	running bool
+	k        *Kernel
+	idx      int
+	now      Time
+	seq      uint64
+	heap     eventHeap
+	ring     fifoRing
+	cur      *Thread
+	threads  []*Thread
+	slab     []Thread // current chunk new threads are cut from (newThread)
+	live     int
+	fired    uint64
+	switches uint64 // coroutine switches into threads (Kernel.Switches)
+	failure  *ThreadPanic
+	running  bool
 
 	obs       *obs.Registry
 	obsEvents *obs.Counter
@@ -181,7 +194,10 @@ func (ln *Lane) Obs() *obs.Registry { return ln.obs }
 // causality violations are always bugs in the caller. On a single-lane
 // kernel this is Kernel.At; on a multi-lane kernel the base lane is the
 // coordinator queue and must not be scheduled into from a lane window.
-func (ln *Lane) At(delay Time, fn func()) {
+func (ln *Lane) At(delay Time, fn func()) { ln.AtAction(delay, Func(fn)) }
+
+// AtAction is At for a value that is its own event.
+func (ln *Lane) AtAction(delay Time, a Action) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
@@ -189,7 +205,7 @@ func (ln *Lane) At(delay Time, fn func()) {
 		panic("sim: Kernel.At during a lane window; schedule on the owning lane")
 	}
 	ln.seq++
-	e := event{at: ln.now + delay, seq: ln.seq, fn: fn}
+	e := event{at: ln.now + delay, seq: ln.seq, a: a}
 	if delay == 0 {
 		ln.ring.push(e)
 	} else {
@@ -204,7 +220,10 @@ func (ln *Lane) At(delay Time, fn func()) {
 // and a violation means a lookahead bound was broken. Appliers run in
 // canonical order on one goroutine, so the destination's seq assignment
 // — every timestamp tie-break — follows that order.
-func (ln *Lane) ScheduleAbs(at Time, fn func()) {
+func (ln *Lane) ScheduleAbs(at Time, fn func()) { ln.ScheduleAbsAction(at, Func(fn)) }
+
+// ScheduleAbsAction is ScheduleAbs for a value that is its own event.
+func (ln *Lane) ScheduleAbsAction(at Time, a Action) {
 	k := ln.k
 	if k.inWindow.Load() {
 		panic("sim: ScheduleAbs during a lane window; log a Defer instead")
@@ -214,7 +233,7 @@ func (ln *Lane) ScheduleAbs(at Time, fn func()) {
 			FormatTime(at), ln.idx, FormatTime(ln.now)))
 	}
 	ln.seq++
-	ln.heapPush(event{at: at, seq: ln.seq, fn: fn})
+	ln.heapPush(event{at: at, seq: ln.seq, a: a})
 	k.laneInserted = true
 	k.markDirty(ln)
 }
@@ -249,9 +268,12 @@ func (ln *Lane) Windowed() bool { return ln != &ln.k.Lane }
 // at which the operation was issued. On a lane that is not Windowed, fn
 // applies immediately — there is no concurrency to defer around — which
 // keeps callers engine-agnostic.
-func (ln *Lane) Defer(minEffect Time, fn func(at Time)) {
+func (ln *Lane) Defer(minEffect Time, fn func(at Time)) { ln.DeferOp(minEffect, DeferredFunc(fn)) }
+
+// DeferOp is Defer for a value that is its own boundary operation.
+func (ln *Lane) DeferOp(minEffect Time, op Deferred) {
 	if !ln.Windowed() {
-		fn(ln.now)
+		op.Apply(ln.now)
 		return
 	}
 	if ln.k.inBoundary {
@@ -260,7 +282,7 @@ func (ln *Lane) Defer(minEffect Time, fn func(at Time)) {
 	if minEffect < ln.now {
 		panic("sim: Defer minEffect before now")
 	}
-	ln.logDeferred(deferredOp{at: ln.now, minEffect: minEffect, fn: fn})
+	ln.logDeferred(deferredOp{at: ln.now, minEffect: minEffect, op: op})
 	if minEffect < ln.winCap {
 		ln.winCap = minEffect
 	}
@@ -272,8 +294,14 @@ func (ln *Lane) Defer(minEffect Time, fn func(at Time)) {
 // minEffect+Δ. minEffect must additionally be ≥ now+Δ — that is the
 // lookahead contract every other lane's horizon already assumes.
 func (ln *Lane) DeferRemote(minEffect Time, fn func(at Time)) {
+	ln.DeferRemoteOp(minEffect, DeferredFunc(fn))
+}
+
+// DeferRemoteOp is DeferRemote for a value that is its own boundary
+// operation.
+func (ln *Lane) DeferRemoteOp(minEffect Time, op Deferred) {
 	if !ln.Windowed() {
-		fn(ln.now)
+		op.Apply(ln.now)
 		return
 	}
 	if ln.k.inBoundary {
@@ -282,7 +310,7 @@ func (ln *Lane) DeferRemote(minEffect Time, fn func(at Time)) {
 	if minEffect < ln.now+ln.k.lookahead {
 		panic("sim: DeferRemote minEffect inside the lookahead window")
 	}
-	ln.logDeferred(deferredOp{at: ln.now, minEffect: minEffect, fn: fn})
+	ln.logDeferred(deferredOp{at: ln.now, minEffect: minEffect, op: op})
 	if c := minEffect + ln.k.lookahead; c < ln.winCap {
 		ln.winCap = c
 	}
@@ -340,11 +368,7 @@ func (ln *Lane) runWindow() {
 		ln.now = e.at
 		ln.fired++
 		ln.obsEvents.Add(1)
-		if e.t != nil {
-			ln.transfer(e.t)
-		} else {
-			e.fn()
-		}
+		e.a.Fire()
 		if ln.failure != nil {
 			return
 		}
@@ -529,10 +553,10 @@ func (k *Kernel) runLanes() error {
 			co.now = e.at
 			co.fired++
 			co.obsEvents.Add(1)
-			if e.t != nil {
+			if _, thread := e.a.(*resume); thread {
 				panic("sim: thread scheduled on the coordinator of a multi-lane kernel")
 			}
-			e.fn()
+			e.a.Fire()
 		}
 		if k.laneInserted {
 			// A coordinator event (or a fresh spawn) inserted lane events;
@@ -656,7 +680,7 @@ func (k *Kernel) runBoundary(runnable []*Lane) {
 	for len(h) > 0 {
 		ln := h[0].ln
 		op := &ln.deferred[h[0].pos]
-		op.fn(op.at)
+		op.op.Apply(op.at)
 		if next := h[0].pos + 1; next < len(ln.deferred) {
 			h[0].pos = next
 			mergeSiftDown(h, 0)
@@ -672,7 +696,7 @@ func (k *Kernel) runBoundary(runnable []*Lane) {
 
 	for _, ln := range k.deferLanes {
 		for i := range ln.deferred {
-			ln.deferred[i] = deferredOp{} // release closures to the GC
+			ln.deferred[i] = deferredOp{} // release the operations to the GC
 		}
 		ln.deferred = ln.deferred[:0]
 		ln.inMerge = false

@@ -22,17 +22,29 @@ package sim
 // — so on timestamp ties the heap entry always fires first, and the
 // merge in Run needs no seq comparison.
 
+// Action is what an event does when it fires. An event holds one, and
+// nothing else: a thread to resume and a func() to call both arrive as an
+// Action (an unexported pointer conversion of the *Thread; Func), and so
+// does any value a layer already owns that knows what its arrival means —
+// a message in flight needs no closure to be scheduled. Converting a
+// pointer or a func to an Action allocates nothing.
+type Action interface{ Fire() }
+
+// Func is a func() as an Action.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // event is a scheduled occurrence. Events with equal times fire in the
 // order they were scheduled (seq), which makes the simulation
-// deterministic. Exactly one of fn / t is set: fn is an arbitrary
-// callback, t a thread to transfer control to. The typed thread target
-// exists so the scheduler's own hot path (Spawn/Sleep/Yield/Wake) never
-// allocates a closure per event.
+// deterministic. It is 32 bytes and has to stay so (TestEventSize): the
+// heap and the ring move events by value, and one more word turns each
+// move from four inline stores into a block copy.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
-	t   *Thread
+	a   Action
 }
 
 // before reports whether a fires ahead of b in the total event order.
@@ -86,7 +98,7 @@ func (ln *Lane) heapPop() event {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // release fn/thread references to the GC
+	h[n] = event{} // release the action to the GC
 	ln.heap = h[:n]
 	ln.heap.siftDown(0)
 	return top
@@ -122,7 +134,7 @@ func (r *fifoRing) grow() {
 
 func (r *fifoRing) pop() event {
 	e := r.buf[r.head]
-	r.buf[r.head] = event{} // release fn/thread references to the GC
+	r.buf[r.head] = event{} // release the action to the GC
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return e

@@ -5,23 +5,41 @@ import "repro/internal/obs"
 // cond is the parked-thread list behind Completion and WaitGroup. As
 // with sync.Cond, waiters must re-check their predicate in a loop:
 // broadcast wakes everything and direct Wakes can cause spurious returns.
+// Nearly every list holds one thread — the one that issued the operation
+// — so the first waiter is a field and only a second one makes a slice.
 type cond struct {
-	k       *Kernel
-	waiters []*Thread
+	k     *Kernel
+	first *Thread
+	more  []*Thread
+}
+
+// add registers t for the next broadcast.
+func (c *cond) add(t *Thread) {
+	if c.first == nil {
+		c.first = t
+		return
+	}
+	c.more = append(c.more, t)
 }
 
 // wait parks t until the next broadcast.
 func (c *cond) wait(t *Thread) {
-	c.waiters = append(c.waiters, t)
+	c.add(t)
 	t.Park()
 }
 
-// broadcast wakes every waiting thread.
+// broadcast wakes every waiting thread, in registration order.
 func (c *cond) broadcast() {
-	for _, t := range c.waiters {
-		c.k.Wake(t)
+	if c.first == nil {
+		return
 	}
-	c.waiters = c.waiters[:0]
+	c.k.Wake(c.first)
+	c.first = nil
+	for i, t := range c.more {
+		c.k.Wake(t)
+		c.more[i] = nil
+	}
+	c.more = c.more[:0]
 }
 
 // FIFO is a first-in first-out queue over one slice and a head index.
@@ -154,16 +172,13 @@ func (m *Mutex) Held(t *Thread) bool { return m.owner == t }
 // waiters. It is the unit of non-blocking operation tracking throughout
 // the communication stack.
 type Completion struct {
-	k    *Kernel
 	done bool
 	cond cond
 }
 
 // NewCompletion returns an unfinished completion bound to k.
 func NewCompletion(k *Kernel) *Completion {
-	c := &Completion{k: k}
-	c.cond.k = k
-	return c
+	return &Completion{cond: cond{k: k}}
 }
 
 // Done reports whether Finish has been called.
@@ -205,24 +220,30 @@ func (c *Completion) Wait(t *Thread) {
 // sources; spurious wakes are expected and must be handled by re-checking.
 func (c *Completion) AddWaiter(t *Thread) {
 	if c.done {
-		c.k.Wake(t)
+		c.cond.k.Wake(t)
 		return
 	}
-	c.cond.waiters = append(c.cond.waiters, t)
+	c.cond.add(t)
+}
+
+// Waiting returns how many registrations Finish would wake: threads in
+// Wait plus AddWaiter calls since the completion was made.
+func (c *Completion) Waiting() int {
+	if c.cond.first == nil {
+		return 0
+	}
+	return 1 + len(c.cond.more)
 }
 
 // WaitGroup counts outstanding work items in virtual time.
 type WaitGroup struct {
-	k     *Kernel
 	count int
 	cond  cond
 }
 
 // NewWaitGroup returns a WaitGroup bound to k.
 func NewWaitGroup(k *Kernel) *WaitGroup {
-	w := &WaitGroup{k: k}
-	w.cond.k = k
-	return w
+	return &WaitGroup{cond: cond{k: k}}
 }
 
 // Add adjusts the counter by delta; going negative panics.

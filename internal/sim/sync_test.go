@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -134,5 +135,37 @@ func TestFIFO(t *testing.T) {
 	pop(8)
 	if q.Len() != 0 || q.head != 0 {
 		t.Errorf("drained queue: Len %d head %d", q.Len(), q.head)
+	}
+}
+
+// TestCompletionWakesInRegistrationOrder: the first waiter lives in a
+// field and the rest in a slice, and Finish must not let that show — the
+// wake events it schedules are in registration order, which is the order
+// the waiters resume in.
+func TestCompletionWakesInRegistrationOrder(t *testing.T) {
+	k := NewKernel()
+	c := NewCompletion(k)
+	var order []int
+	for i := 0; i < 4; i++ {
+		k.Spawn("w", func(th *Thread) {
+			th.Sleep(Time(1 + i)) // register in index order
+			c.Wait(th)
+			order = append(order, i)
+		})
+	}
+	k.At(10, func() {
+		if n := c.Waiting(); n != 4 {
+			t.Errorf("%d waiters registered, want 4", n)
+		}
+		c.Finish()
+		if n := c.Waiting(); n != 0 {
+			t.Errorf("%d waiters left after Finish, want 0", n)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("waiters resumed in order %v, want %v", order, want)
 	}
 }

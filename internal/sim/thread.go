@@ -65,13 +65,19 @@ type Thread struct {
 	index      int // the spawner's index; -1 for a plainly named thread
 	fn         func(*Thread)
 
-	next     func() (struct{}, bool) // lane side: run the thread until it switches out or finishes
-	yield    func(struct{}) bool     // thread side: switch out; false once stop was called
-	stop     func()                  // lane side: unwind a blocked thread and free its coroutine
-	state    threadState
-	wakeBit  bool
-	panicked *ThreadPanic
-	track    obs.TrackKind
+	next    func() (struct{}, bool) // lane side: run the thread until it switches out or finishes
+	yield   func(struct{}) bool     // thread side: switch out; false once stop was called
+	stop    func()                  // lane side: unwind a blocked thread and free its coroutine
+	state   threadState
+	wakeBit bool
+	// A park the lane finishes (ParkThenSleep): when it began, the sleep to
+	// follow it, and the flag that calls the sleep off. parkCancel is
+	// non-nil exactly while such a park is pending.
+	parkStart  Time
+	parkSleep  Time
+	parkCancel *bool
+	panicked   *ThreadPanic
+	track      obs.TrackKind
 }
 
 // Spawn creates a thread that begins executing fn at the current virtual
@@ -204,6 +210,11 @@ func (t *Thread) switchOut() {
 // Sleep advances this thread's virtual time by d. Other threads and events
 // run in the meantime. Sleep models busy computation as well as idle
 // waiting; the simulation makes no distinction.
+//
+// A thread leaves the CPU only when something else has to run: if nothing
+// is due before the sleep ends, the lane would switch out of the thread,
+// pop its wake-up and switch straight back, so Sleep fires the wake-up
+// where it stands (Lane.fireInline) and returns.
 func (t *Thread) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
@@ -211,15 +222,30 @@ func (t *Thread) Sleep(d Time) {
 	if d == 0 {
 		return
 	}
-	t.state = stateSleeping
+	if !t.sleepFor(d) {
+		t.switchOut()
+	}
+}
+
+// sleepFor starts a sleep of d > 0 for t — called by t itself (Sleep) or by
+// its lane (transfer, finishing a ParkThenSleep) — and reports whether the
+// sleep is already over: its wake-up was the lane's next event and has
+// been fired and counted. Otherwise the wake-up is queued and t must be
+// off the CPU until it fires.
+func (t *Thread) sleepFor(d Time) (over bool) {
 	ln := t.ln
+	wake := ln.now + d
 	if ln.obs != nil {
 		// Sleep models busy computation (and timed waits); record it as
 		// the thread's "run" span on its timeline.
-		ln.obs.Span(t.track, t.Name(), "run", ln.now, ln.now+d)
+		ln.obs.Span(t.track, t.Name(), "run", ln.now, wake)
 	}
+	if ln.fireInline(wake) {
+		return true
+	}
+	t.state = stateSleeping
 	ln.scheduleThread(d, t)
-	t.switchOut()
+	return false
 }
 
 // Yield reschedules the thread at the current time behind already-pending
@@ -248,6 +274,48 @@ func (t *Thread) Park() {
 	if t.ln.obs != nil {
 		t.ln.obs.Span(t.track, t.Name(), "blocked", start, t.ln.now)
 	}
+}
+
+// ParkThenSleep is Park followed, unless *cancel holds when the wake
+// arrives, by Sleep(d) — the shape of a progress thread, which parks until
+// traffic arrives, gives up if it was stopped meanwhile, and otherwise pays
+// its wake-up latency before serving. As two calls the thread is switched
+// in at the wake only to start the sleep and switch out again; here the
+// lane does that (transfer): the thread resumes once, when the sleep is
+// over or was called off. Simulated time, event order and counts, and the
+// "blocked" and "run" spans are those of the two calls. cancel must not be
+// nil; the caller reads it again after the return to learn which it was.
+func (t *Thread) ParkThenSleep(d Time, cancel *bool) {
+	if d < 0 {
+		panic("sim: negative sleep")
+	}
+	if t.wakeBit || t.k.noShortcuts {
+		// The wake is already here, so there is no park for the lane to
+		// finish.
+		t.Park()
+		if !*cancel {
+			t.Sleep(d)
+		}
+		return
+	}
+	if t.ln.cur != t {
+		panic("sim: Park called from wrong context")
+	}
+	t.parkStart, t.parkSleep, t.parkCancel = t.ln.now, d, cancel
+	t.state = stateParked
+	t.switchOut()
+}
+
+// Waker returns the Action that wakes t: what a timed wait schedules for
+// its deadline, in t's lane.
+func (t *Thread) Waker() Action { return (*wakeup)(t) }
+
+// wakeup is a thread as the Action that wakes it.
+type wakeup Thread
+
+func (w *wakeup) Fire() {
+	t := (*Thread)(w)
+	t.k.Wake(t)
 }
 
 // Wake unparks thread t (or arms its wake bit if it is not parked). Safe to
