@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test test-short vet check bench bench-shards race-sweep race-shards fuzz-smoke serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
+.PHONY: all test test-short vet check bench bench-shards race-sweep race-shards fuzz-smoke figures report scf clean
 
 all: vet test
 
@@ -19,8 +19,11 @@ test-short:
 # CI gate: vet plus the short suite under the race detector (the fault
 # package rides along in ./...; listed explicitly so a package-selection
 # change can't silently drop it from the -race run). vet is also what
-# keeps slab-resident state (sim.NoCopy) from being copied. The
-# zero-allocation invariants skip under -race (its instrumentation
+# keeps slab-resident state (sim.NoCopy) from being copied. The suite
+# includes the serving gates: ./cmd/simd starts real simd processes, race
+# detector and all — load then SIGTERM, the 3-replica kill drill, the
+# restart over a survivor's store — and none of them skips under -short.
+# The zero-allocation invariants skip under -race (its instrumentation
 # allocates), so the last line runs them, the objects- and
 # switches-per-rank budgets and the event-size pin on plain counts, -v so
 # the CI log shows what was measured.
@@ -57,50 +60,26 @@ race-shards:
 	$(GO) test -race -run 'TestShard|TestLegacyEngine' . ./internal/armci/
 	$(GO) test -race -run 'TestLane|FuzzLaneShortcuts|TestHorizon|TestPopUpTo|TestMarkDirty' ./internal/sim/
 
-# Ten seconds of generated programs through the lane-shortcut oracle
-# (internal/sim/shortcut_test.go): shortcuts on against shortcuts off, at
-# 1, 2 and 4 workers, everything observable compared.
+# Ten seconds of generated input per fuzz target: programs through the
+# lane-shortcut oracle (internal/sim/shortcut_test.go: shortcuts on
+# against shortcuts off, at 1, 2 and 4 workers, everything observable
+# compared), then job bodies through the constructor the proxy hop relies
+# on (internal/serve/fuzz_test.go: a canonical body parses back to the
+# same key and bytes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLaneShortcuts -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzJobCanonIdempotent -fuzztime 10s ./internal/serve/
 
-# Shard scaling gate: times the fig9 p=16384 scenario serial vs sharded
-# (GOMAXPROCS logged), after asserting byte-identical results. On a
-# multi-core runner, fails if the sharded run is >10% slower than
-# serial; single-core hosts report and pass (lane workers can only add
-# overhead there, which is exactly what the run records).
+# Shard scaling gate: times the fig9 p=16384 scenario serial vs 2/4 lane
+# workers, after asserting the simulated latency is bit-identical at
+# every shard count. With -gate-shards, simbench exits 1 when a shardsN
+# row is >10% slower than serial on a host with GOMAXPROCS >= N; smaller
+# hosts report and pass (extra lane workers only multiplex there, which
+# is what the run records). The core count is echoed first and kept in
+# the report's note field.
 bench-shards:
-	sh scripts/bench-shards.sh
-
-# Serving-layer gate: start simd, drive it with simload (0 errors, cache
-# hits on the skewed phase, cached bytes identical to cold), then assert
-# SIGTERM drains gracefully.
-serve-smoke:
-	sh scripts/serve-smoke.sh
-
-# Live observability gate: a slow chaos sweep submitted asynchronously,
-# with two SSE clients attaching at different times — both must
-# reconstruct byte-identical artifacts (late attach replays the event
-# log); every cold simload key streamed with -attach must match its
-# synchronous bytes; SIGTERM must drain attached streams cleanly.
-live-smoke:
-	sh scripts/live-smoke.sh
-
-# Composition gate: a two-phase composed spec (halo + faulted fetchadd)
-# posted to fresh simd servers at every workers x shards combination in
-# {1,4} x {1,4} — cold vs cached bytes identical per server, artifacts
-# identical across all servers, and the offline `armci-bench compose`
-# render identical to what the servers cached.
-compose-smoke:
-	sh scripts/compose-smoke.sh
-
-# Cluster gate: a 3-replica simnet cluster under skewed simload with the
-# hot key's owner SIGKILLed mid-run — zero failed requests after
-# retries, every byte identical to a solo cold run, peer fills and
-# proxied jobs observed on the survivors — then a restart over a
-# survivor's store directory serving its keys from disk (disk_hits > 0)
-# byte-identical via /v1/results/{hash}.
-cluster-smoke:
-	sh scripts/cluster-smoke.sh
+	@echo "bench-shards: host cores (GOMAXPROCS default) = $${GOMAXPROCS:-$$(nproc 2>/dev/null || echo '?')}"
+	$(GO) run ./cmd/simbench -only '^fig9_p16384' -gate-shards -out ''
 
 # Regenerate every figure/table at full scale into results/.
 figures:

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/serve"
 )
 
 // drive runs the whole program in-process and returns what a shell
@@ -43,15 +46,15 @@ func TestSubcommands(t *testing.T) {
 		want []string // regexps stdout must match
 		slow bool     // skipped under -short (minutes under -race)
 	}
-	// Every checked-in example spec runs, so none can rot: the phase
-	// header names the file's pattern.
+	// Every checked-in example spec runs, so none can rot: the first phase
+	// header names the pattern the file is named for.
 	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "*.json"))
-	if err != nil || len(examples) < 3 {
+	if err != nil || len(examples) < 4 {
 		t.Fatalf("examples/*.json: %v (found %d)", err, len(examples))
 	}
 	var cases []testCase
 	for _, path := range examples {
-		pattern := strings.TrimSuffix(filepath.Base(path), ".json")
+		pattern, _, _ := strings.Cut(strings.TrimSuffix(filepath.Base(path), ".json"), "_")
 		cases = append(cases, testCase{args: []string{"compose", path, "-csv"},
 			want: []string{`(?m)^# phase 0: ` + pattern + `$`}})
 	}
@@ -89,10 +92,15 @@ func TestSubcommands(t *testing.T) {
 	}
 }
 
+// linkdownSpec is the composed example the serving tests also run: a
+// halo exchange, then fetch-and-add under a link_down plan.
+var linkdownSpec = filepath.Join("..", "..", "examples", "halo_fetchadd_linkdown.json")
+
 // TestExecutionPlanNeverChangesBytes is the CLI face of the determinism
 // contract: -parallel and -shards pick how a run executes, never what
-// it prints. GOMAXPROCS is raised to 4 for the duration so
-// sweep.CoreBudget grants four lane workers on any host.
+// it prints — and what `compose -csv` prints is, byte for byte, what a
+// simd serves for the same spec. GOMAXPROCS is raised to 4 for the
+// duration so sweep.CoreBudget grants four lane workers on any host.
 func TestExecutionPlanNeverChangesBytes(t *testing.T) {
 	if old := runtime.GOMAXPROCS(0); old < 4 {
 		runtime.GOMAXPROCS(4)
@@ -101,6 +109,7 @@ func TestExecutionPlanNeverChangesBytes(t *testing.T) {
 	for _, base := range [][]string{
 		{"fig", "9", "-quick", "-csv"},
 		{"chaos", "-quick"},
+		{"compose", linkdownSpec, "-csv"},
 	} {
 		with := func(extra ...string) string {
 			args := append(append([]string{}, base...), extra...)
@@ -113,11 +122,27 @@ func TestExecutionPlanNeverChangesBytes(t *testing.T) {
 		serial := with("-parallel", "1")
 		for _, plan := range [][]string{
 			{"-parallel", "4"}, {"-parallel", "1", "-shards", "1"}, {"-parallel", "1", "-shards", "4"},
+			{"-parallel", "4", "-shards", "4"},
 		} {
 			if got := with(plan...); got != serial {
 				t.Errorf("%v %v prints different bytes than -parallel 1:\n%s\nvs\n%s", base, plan, got, serial)
 			}
 		}
+	}
+
+	// The offline render is the served one.
+	_, offline, _ := drive(t, "compose", linkdownSpec, "-csv", "-parallel", "4", "-shards", "4")
+	spec, err := os.ReadFile(linkdownSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Options{})
+	defer srv.Close()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/compose",
+		strings.NewReader(`{"compose":`+string(spec)+`}`)))
+	if rec.Code != 200 || rec.Body.String() != offline {
+		t.Errorf("POST /v1/compose serves (status %d)\n%s\n`compose -csv` prints\n%s", rec.Code, rec.Body, offline)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"maps"
 	"net/http"
 
 	"repro/internal/cluster"
@@ -102,11 +103,9 @@ func (s *Server) proxyJob(w http.ResponseWriter, r *http.Request, j job, owner s
 	}
 	// Any other status — 200 artifact, 400 bad params, 429 owner queue
 	// full, 504 timeout — is the owner's authoritative answer; relay it.
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
+	// The owner's headers replace what this handler has set so far
+	// (Cache-Control), they are not added to it.
+	maps.Copy(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 	s.count("serve/proxied_jobs", 1)

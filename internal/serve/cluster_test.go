@@ -163,6 +163,21 @@ func TestClusterProxiesToOwner(t *testing.T) {
 	if n := metric(t, a, "serve_proxied_jobs"); n != 2 {
 		t.Errorf("serve_proxied_jobs on the non-owner = %d, want 2", n)
 	}
+	// Relayed, not decorated: through the non-owner the client sees the
+	// header names the owner sends, each once (this hop's own
+	// Cache-Control used to ride along as a second value).
+	direct, _ := postRun(t, b.url(), body, nil)
+	for name, vals := range resp2.Header {
+		if len(vals) != 1 {
+			t.Errorf("proxied response carries %s %q, want one value", name, vals)
+		}
+		if _, ok := direct.Header[name]; !ok {
+			t.Errorf("proxied response carries %s, the owner's own does not", name)
+		}
+	}
+	if len(resp2.Header) != len(direct.Header) {
+		t.Errorf("proxied response has headers %v, the owner's own %v", resp2.Header, direct.Header)
+	}
 	// The non-owner never materialized the artifact locally.
 	if n := metric(t, a, "serve_cache_hits"); n != 0 {
 		t.Errorf("non-owner serve_cache_hits = %d, want 0", n)

@@ -15,7 +15,8 @@
 //   - collapse concurrent identical submissions onto one execution
 //     (singleflight) and hand every waiter the same bytes, and
 //   - verify itself end to end: a cached response must equal a cold one
-//     byte for byte, which the serve-smoke gate asserts.
+//     byte for byte (TestRunColdThenCachedByteIdentical; under load and
+//     across processes, cmd/simd's tests).
 //
 // Admission control keeps the daemon predictable under overload: a
 // bounded job queue (429 + Retry-After when full), per-scenario

@@ -27,7 +27,7 @@ type wireFreeze struct {
 	ArtifactSHA256 map[string]map[string]string `json:"artifact_sha256"` // scenario → format → sha
 }
 
-func loadWireFreeze(t *testing.T) wireFreeze {
+func loadWireFreeze(t testing.TB) wireFreeze {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy_wire_freeze.json"))
 	if err != nil {

@@ -443,8 +443,8 @@ func (s *Server) writeArtifact(w http.ResponseWriter, j job, src string, body []
 	w.Header().Set("X-Scenario", j.scenario)
 	if s.ring != nil {
 		// Routing visibility: which replica the ring maps this key to and
-		// which one actually produced this response. simload's failover
-		// mode uses X-Owner to pick its kill target.
+		// which one actually produced this response. The cluster drill
+		// (cmd/simd's TestClusterDrill) picks its kill target by X-Owner.
 		w.Header().Set("X-Owner", s.ring.Owner(j.key))
 		w.Header().Set("X-Served-By", s.ring.Self())
 	}

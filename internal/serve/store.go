@@ -14,7 +14,8 @@ package serve
 //   - Writes are atomic (temp file in the same directory + rename), and
 //     the body lands before its sidecar — a crash mid-put leaves either
 //     nothing visible or an orphan body, never a readable-but-wrong
-//     entry.
+//     entry. The temp file of a writer killed before its rename is
+//     removed by the next process's Scan.
 //   - Reads verify: the body is re-hashed on every load and compared to
 //     the sidecar's declared SHA-256. Truncation, corruption, garbage
 //     sidecars, and orphaned halves are all quarantined (renamed with a
@@ -51,11 +52,24 @@ type StoreMeta struct {
 // atomic renames, and the counters sit behind a mutex.
 type Store struct {
 	dir string
+	// staleBefore is the open time less tempGrace: a temp file last
+	// written before it belongs to a writer that died with an earlier
+	// process, never to one of this store's own Puts.
+	staleBefore time.Time
 
 	mu          sync.Mutex
 	entries     int64
 	quarantined int64
 }
+
+// tempPrefix names writeAtomic's temp files.
+const tempPrefix = ".put-"
+
+// tempGrace keeps Scan off temp files written around the time the store
+// was opened. File times come from the kernel's coarse clock, which runs
+// behind time.Now (7 ms measured on the dev host), so a Put made right
+// after OpenStore can carry an mtime from just before it.
+const tempGrace = time.Second
 
 // OpenStore opens (creating if needed) a persistent result store rooted
 // at dir. The directory is not scanned here — call Scan (typically in
@@ -65,7 +79,7 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: open store: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, staleBefore: time.Now().Add(-tempGrace)}, nil
 }
 
 // Dir returns the store's root directory.
@@ -171,7 +185,7 @@ func (st *Store) Put(key string, body []byte, scenario, format string) error {
 // directory, so a concurrent reader sees either the old file or the
 // complete new one, never a partial write.
 func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".put-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), tempPrefix+"*")
 	if err != nil {
 		return err
 	}
@@ -216,6 +230,10 @@ func (st *Store) quarantine(key string) {
 // with well-formed names). It does not verify contents — verification is
 // lazy, on each Get — so startup cost is one directory walk, not a
 // re-hash of the whole store. Returns the entry count.
+//
+// The walk also removes the temp files of writers killed mid-Put — those
+// from before this store was opened only, because the scan runs in the
+// background while the server is already taking Puts of its own.
 func (st *Store) Scan() (int, error) {
 	n := 0
 	err := filepath.WalkDir(st.dir, func(path string, d fs.DirEntry, err error) error {
@@ -223,6 +241,12 @@ func (st *Store) Scan() (int, error) {
 			return err
 		}
 		name := d.Name()
+		if strings.HasPrefix(name, tempPrefix) {
+			if info, err := d.Info(); err == nil && info.ModTime().Before(st.staleBefore) {
+				os.Remove(path) // best effort: the next scan tries again
+			}
+			return nil
+		}
 		if !strings.HasSuffix(name, ".meta.json") {
 			return nil
 		}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func testKey(seed string) string {
@@ -62,7 +63,9 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // A fresh Store over an existing directory serves prior entries — the
-// restart-survival property — and Scan counts them.
+// restart-survival property — and Scan counts them. The scan also clears
+// the temp file of a writer killed between CreateTemp and Rename, and
+// only that: one as young as the store itself may be a Put in progress.
 func TestStoreSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	st1, _ := OpenStore(dir)
@@ -72,11 +75,28 @@ func TestStoreSurvivesReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	shard := filepath.Join(dir, testKey("a")[:2])
+	stale, fresh := filepath.Join(shard, tempPrefix+"stale"), filepath.Join(shard, tempPrefix+"fresh")
+	for _, p := range []string{stale, fresh} {
+		if err := os.WriteFile(p, []byte("half an arti"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hourAgo := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(stale, hourAgo, hourAgo); err != nil {
+		t.Fatal(err)
+	}
 
 	st2, _ := OpenStore(dir)
 	n, err := st2.Scan()
 	if err != nil || n != 3 {
 		t.Fatalf("scan of reopened store: n=%d err=%v, want 3", n, err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("a dead writer's temp file survived the scan: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("the scan removed a temp file no older than the store: %v", err)
 	}
 	got, _, ok := st2.Get(testKey("b"))
 	if !ok || !bytes.Equal(got, body) {

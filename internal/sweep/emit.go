@@ -21,7 +21,7 @@ import (
 // Because delivery order is submission order and each point's registry
 // content is deterministic, the full emission sequence is byte-for-byte
 // identical at any worker count — the property the serving layer's
-// live-attach replay and the live-smoke gate assert end to end.
+// live-attach replay and TestLiveStreamEveryScenario assert end to end.
 type Emitter interface {
 	PointDone(i, n int, reg *obs.Registry)
 }
