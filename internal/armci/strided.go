@@ -159,8 +159,8 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 		set := rt.mainCtx.NewOpSet(comp)
 		ep := rt.epData(th, dst.Rank)
 		forEachChunk(counts, localStrides, dstStrides, func(lOff, rOff int) {
-			rt.mainCtx.RdmaPutSet(th, ep, local+mem.Addr(lOff),
-				dst.Addr+mem.Addr(rOff), counts[0], set)
+			set.RdmaPut(th, ep, local+mem.Addr(lOff),
+				dst.Addr+mem.Addr(rOff), counts[0])
 		})
 		set.Arm()
 		rt.noteWrites(dst.Rank, 1, 0)
@@ -209,8 +209,8 @@ func (rt *Runtime) NbGetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
 		set := rt.mainCtx.NewOpSet(comp)
 		ep := rt.epData(th, src.Rank)
 		forEachChunk(counts, localStrides, srcStrides, func(lOff, rOff int) {
-			rt.mainCtx.RdmaGetSet(th, ep, local+mem.Addr(lOff),
-				src.Addr+mem.Addr(rOff), counts[0], set)
+			set.RdmaGet(th, ep, local+mem.Addr(lOff),
+				src.Addr+mem.Addr(rOff), counts[0])
 		})
 		set.Arm()
 		rt.Stats.Inc("strided.chunks", int64(numChunks(counts)))

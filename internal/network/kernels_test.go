@@ -75,7 +75,8 @@ func runSendSteps(t *testing.T, partitioned bool, plan *fault.Plan) arrivals {
 			case st.nic:
 				nw.SendNIC(st.src, st.dst, st.payload, deliver)
 			case st.withLocal:
-				nw.SendWithLocal(st.src, st.dst, st.payload, st.kind, deliver, local)
+				nw.SendMsg(&Msg{Src: st.src, Dst: st.dst, Payload: st.payload, Kind: st.kind,
+					Deliver: sim.Func(deliver), Local: sim.Func(local)})
 			default:
 				nw.Send(st.src, st.dst, st.payload, st.kind, deliver)
 			}
@@ -90,40 +91,69 @@ func runSendSteps(t *testing.T, partitioned bool, plan *fault.Plan) arrivals {
 
 func TestSendPathAgreesAcrossKernels(t *testing.T) {
 	nw := New(sim.NewKernel(), topology.New([topology.NumDims]int{2, 2, 2, 1, 1}, 1), DefaultParams())
-	plans := map[string]*fault.Plan{
-		"fault-free": nil,
+	const nicDelay = 7 * sim.Microsecond
+	plans := []struct {
+		name string
+		plan *fault.Plan
+	}{
+		{"fault-free", nil},
+		// An injector with nothing scripted: every message takes the walk
+		// that consults it, and must come out where the healthy one does.
+		{"armed, never fires", fault.NewPlan(9)},
 		// Step windows are [i*stepGap, (i+1)*stepGap) for step i-1. One
 		// duplicated and one delayed cross-node message, a dead source
 		// under the loopback, a degraded fabric under the acknowledged
-		// send, a dead destination under the NIC reply, and a coin-flip
-		// duplication over everything so the injector's draw order counts.
-		"faulted": fault.NewPlan(9).
+		// send, a dead destination under the NIC reply, a delayed and
+		// duplicated NIC loopback, and a coin-flip duplication over
+		// everything so the injector's draw order counts.
+		{"faulted", fault.NewPlan(9).
 			Duplicate(0, 1, stepGap, stepGap, 1).
 			Delay(3, 4, 2*stepGap, stepGap, 1, 7*sim.Microsecond).
 			NodeDown(2, 4*stepGap, stepGap).
 			LinkSlow(fault.Any, 5*stepGap, stepGap, 0.5).
 			NodeDown(0, 7*stepGap, stepGap).
-			Duplicate(fault.Any, fault.Any, 0, 10*stepGap, 0.5),
+			Delay(4, 4, 8*stepGap, stepGap, 1, nicDelay).
+			Duplicate(4, 4, 8*stepGap, stepGap, 1).
+			Duplicate(fault.Any, fault.Any, 0, 10*stepGap, 0.5)},
 	}
-	for name, plan := range plans {
-		bare := runSendSteps(t, false, plan)
-		part := runSendSteps(t, true, plan)
+	nicLat := func(st sendStep) sim.Time {
+		// A NIC-generated reply skips the injection MU.
+		return nw.OneWayLatency(st.src, st.dst, st.payload, Control) - nw.Params().NicMsgOverhead
+	}
+	var healthy arrivals
+	for _, tc := range plans {
+		name := tc.name
+		bare := runSendSteps(t, false, tc.plan)
+		part := runSendSteps(t, true, tc.plan)
 		if !reflect.DeepEqual(bare, part) {
 			t.Errorf("%s: kernels disagree:\n unpartitioned %+v\n   partitioned %+v", name, bare, part)
 		}
-		if plan != nil {
+		switch name {
+		case "armed, never fires":
+			if !reflect.DeepEqual(bare, healthy) {
+				t.Errorf("an injector that never fires moved a message:\n    armed %+v\n  healthy %+v", bare, healthy)
+			}
+			continue
+		case "faulted":
 			if len(bare.Deliver[0]) != 2 || len(bare.Deliver[3]) != 0 || len(bare.Deliver[6]) != 0 {
 				t.Errorf("%s: plan did not bite: %+v", name, bare.Deliver)
 			}
+			// A NIC reply gets the whole message verdict, delay and
+			// duplication included; the two copies of a loopback book
+			// nothing, so they arrive together.
+			at := 8*stepGap + nicLat(sendSteps[7]) + nicDelay
+			if d := bare.Deliver[7]; len(d) != 2 || d[0] != at || d[1] != at {
+				t.Errorf("%s: NIC loopback delivered at %v, want twice at %d", name, d, at)
+			}
 			continue
 		}
+		healthy = bare
 		var want Traffic
 		for i, st := range sendSteps {
 			issued := sim.Time(i+1) * stepGap
 			lat := nw.OneWayLatency(st.src, st.dst, st.payload, st.kind)
 			if st.nic {
-				// A NIC-generated reply skips the injection MU.
-				lat = nw.OneWayLatency(st.src, st.dst, st.payload, Control) - nw.Params().NicMsgOverhead
+				lat = nicLat(st)
 			}
 			if d := bare.Deliver[i]; len(d) != 1 || d[0] != issued+lat {
 				t.Errorf("%s: delivered at %v, want [%d]", st.name, d, issued+lat)

@@ -3,41 +3,39 @@ package network
 import "repro/internal/sim"
 
 // Lanes. Each node's traffic originates in the sim.Lane the kernel gives
-// that node, and every injection takes one of two paths:
+// that node. Every message is a Msg and takes one road: sendNow or
+// sendAtBoundary decides when its serial half runs, applySend takes the
+// fault verdict and deposits the completions, transit books the MU and the
+// route.
 //
-//   - Fault-free same-node loopback: handled entirely inline in the
-//     source lane. The loopback path touches no shared state — it skips
-//     the injection MU (the MU local-copy path), traverses no links, and
-//     its hop count is the fixed local-router equivalent — so it can run
-//     inside a parallel lane window. Its counts go to the lane's private
-//     tally (laneNetStats), which Totals adds to the shared one.
+//   - A fault-free same-node loopback is booked inline in the source
+//     lane, inside a parallel window: transit touches no shared state for
+//     it (no MU, no links, the fixed local-router hop), and its counts go
+//     to the lane's private tally (laneNetStats), which Totals adds to the
+//     shared one.
 //
-//   - Everything else (cross-node, or any send under fault injection):
-//     logged with Lane.DeferOp/DeferRemoteOp as the message's own Msg
-//     record, whose Apply books the MU, the links and the fault verdict
-//     at the time the send was issued and deposits the completion(s)
-//     into the destination lane(s) with ScheduleAbsAction. Shared
-//     state — nicFree, linkFree, the fault injector's RNG and counters,
-//     the parent observability registry — is only ever touched on this
-//     serial path. On a partitioned kernel
-//     the applier runs at the window boundary on the coordinator
-//     goroutine, in the boundary's canonical (time, lane, log index)
-//     order, so results are identical at every worker count. On an
-//     unpartitioned kernel every node shares the one lane, nothing runs
-//     beside it, and "deferred" means applied immediately: the same
-//     booking, at the same time, with no log in between (sendNow checks
+//   - Everything else (cross-node, or any send under fault injection)
+//     touches shared state — nicFree, linkFree, the injector's RNG and
+//     counters, the parent observability registry — and that happens only
+//     on the serial path. On a partitioned kernel the Msg is logged with
+//     Lane.DeferOp/DeferRemoteOp and applied at the window boundary on the
+//     coordinator goroutine, for the time the send was issued at, in the
+//     boundary's canonical (time, lane, log index) order, so results are
+//     identical at every worker count. On an unpartitioned kernel every
+//     node shares the one lane, nothing runs beside it, and the same
+//     booking happens immediately with no log in between (sendNow checks
 //     Lane.Windowed first, so Send does not even make the record).
 //
-// Lower bounds (the Defer minEffect contract): a Send's earliest effect
+// Lower bounds (the Defer minEffect contract): a message's earliest effect
 // anywhere is now + NicMsgOverhead + RouterFixed + HopLatency +
 // SerTime(payload) — MU queueing, the sub-cache-line penalty, link
 // queueing, degradation, and verdict delays only push completions later.
-// A SendNIC response skips the MU overhead, so its bound drops that
-// term; both bounds are ≥ now + Params.Lookahead(), which is what
-// DeferRemote requires. Per-pair FIFO survives the split: all sends of
-// one source node are logged by one lane in lane-time order, applied in
-// that order at the boundary, and the MU/link bookings are monotone, so
-// two messages between the same pair cannot reorder.
+// A NIC-generated response (Msg.NIC) skips the MU, so its bound drops the
+// NicMsgOverhead term; both bounds are ≥ now + Params.Lookahead(), which
+// is what DeferRemote requires. Per-pair FIFO survives the split: all
+// sends of one source node are logged by one lane in lane-time order,
+// applied in that order at the boundary, and the MU/link bookings are
+// monotone, so two messages between the same pair cannot reorder.
 //
 // One deliberate approximation, inherited from conservative parallel
 // discrete-event simulation: a boundary applies operations from the
@@ -56,7 +54,8 @@ type laneNetStats struct {
 	c trafficObs // handles in the lane's own registry
 }
 
-// noteLaneSend is noteSend against the sending lane's private counters.
+// noteLaneSend counts one inline loopback in the sending lane's private
+// counters.
 func (nw *Network) noteLaneSend(src *sim.Lane, payload, hops int) {
 	s := &nw.laneNet[src.Index()]
 	s.t.note(&s.c, payload, nw.params.RawBytes(payload), hops)

@@ -145,9 +145,10 @@ func New(k *sim.Kernel, t *topology.Torus, p *Params) *Network {
 	return nw
 }
 
-// SetFault installs a fault injector; every subsequent Send/SendNIC
-// consults it. Nil disables injection. Adaptive routing is not supported
-// under fault injection (the armci layer already refuses the combination;
+// SetFault installs a fault injector; every subsequent send consults it.
+// Nil disables injection. Adaptive routing is not supported under fault
+// injection: with an injector installed every message takes the
+// deterministic walk (the armci layer already refuses the combination;
 // network-layer adaptive studies run fault-free).
 func (nw *Network) SetFault(in *fault.Injector) { nw.flt = in }
 
@@ -158,9 +159,8 @@ func (nw *Network) Fault() *fault.Injector { return nw.flt }
 
 // reserveLink books one unidirectional link for ser starting no earlier
 // than head, queueing behind the current reservation, and returns the
-// (possibly delayed) head time. All three traversal paths (deterministic,
-// adaptive, NIC-generated) funnel through it so link accounting is
-// uniform.
+// (possibly delayed) head time. Both route walks (deterministic,
+// adaptive) funnel through it so link accounting is uniform.
 func (nw *Network) reserveLink(id int, head, ser sim.Time) sim.Time {
 	start := head
 	if nw.linkFree[id] > start {
@@ -181,12 +181,6 @@ func (nw *Network) reserveLink(id int, head, ser sim.Time) sim.Time {
 	return start
 }
 
-// noteSend records the per-message counters for a payload that traversed
-// hops links on the serial path.
-func (nw *Network) noteSend(payload, hops int) {
-	nw.shared.note(&nw.sharedC, payload, nw.params.RawBytes(payload), hops)
-}
-
 // Torus returns the partition geometry.
 func (nw *Network) Torus() *topology.Torus { return nw.torus }
 
@@ -203,6 +197,11 @@ type Msg struct {
 	Src, Dst int // nodes
 	Payload  int // bytes
 	Kind     MsgKind
+	// NIC marks a response produced inside the messaging unit's atomics
+	// engine (a hardware-AMO reply): it bypasses the injection FIFO, so it
+	// neither waits for nor occupies the MU and pays no NicMsgOverhead.
+	// Link reservation along the route still applies.
+	NIC bool
 	// Deliver fires in the destination node's lane when the message
 	// arrives (its tail). Local, when non-nil, fires in the source node's
 	// lane at the same instant: the initiator-side completion of an
@@ -235,20 +234,14 @@ func (nw *Network) Send(srcNode, dstNode, payload int, kind MsgKind, fn func()) 
 	nw.send(Msg{Src: srcNode, Dst: dstNode, Payload: payload, Kind: kind, Deliver: sim.Func(fn)})
 }
 
-// SendWithLocal is Send with a second completion, fired at the source
-// when deliver fires at the destination (Msg.Local).
-func (nw *Network) SendWithLocal(srcNode, dstNode, payload int, kind MsgKind, deliver, local func()) {
-	m := Msg{Src: srcNode, Dst: dstNode, Payload: payload, Kind: kind, Deliver: sim.Func(deliver)}
-	if local != nil {
-		m.Local = sim.Func(local)
-	}
-	nw.send(m)
+// SendNIC is Send for a NIC-generated control response (Msg.NIC).
+func (nw *Network) SendNIC(srcNode, dstNode, payload int, fn func()) {
+	nw.send(Msg{Src: srcNode, Dst: dstNode, Payload: payload, NIC: true, Deliver: sim.Func(fn)})
 }
 
-// send is the body of Send and SendWithLocal. Only a message that has to
-// wait for a window boundary needs a record that outlives the call, and
-// that one is made here, where the closure capturing the same fields used
-// to be.
+// send is the body of Send and SendNIC. Only a message that has to wait
+// for a window boundary needs a record that outlives the call, and that
+// one is made here.
 func (nw *Network) send(m Msg) {
 	if !nw.sendNow(&m) {
 		rec := m
@@ -268,21 +261,16 @@ func (nw *Network) SendMsg(m *Msg) {
 
 // sendNow carries the message out on the spot when nothing has to be
 // deferred around, and reports whether it did: a fault-free loopback
-// touches no shared state, and a lane that is not windowed runs beside
-// nothing. It keeps no reference to m.
+// touches no shared state (transit books neither MU nor links for it), and
+// a lane that is not windowed runs beside nothing. It keeps no reference
+// to m.
 func (nw *Network) sendNow(m *Msg) bool {
-	p := nw.params
 	src := nw.lanes[m.Src]
 	now := src.Now()
 
 	if nw.flt == nil && m.Src == m.Dst {
-		// Inline loopback: skip the MU FIFO, one local-router hop.
-		head := now + p.NicMsgOverhead + p.RouterFixed
-		if m.Kind == Data && m.Payload > 0 && m.Payload < p.UnalignedThreshold {
-			head += p.UnalignedPenalty
-		}
-		arrival := head + p.HopLatency + p.SerTime(m.Payload)
-		nw.noteLaneSend(src, m.Payload, 1)
+		arrival, hops, _ := nw.transit(now, m)
+		nw.noteLaneSend(src, m.Payload, hops)
 		src.AtAction(arrival-now, m.Deliver)
 		if m.Local != nil {
 			src.AtAction(arrival-now, m.Local)
@@ -296,13 +284,22 @@ func (nw *Network) sendNow(m *Msg) bool {
 	return false
 }
 
+// muOverhead is what a message pays to enter the network through the
+// injection FIFO; a NIC-generated response is already inside the MU.
+func (nw *Network) muOverhead(m *Msg) sim.Time {
+	if m.NIC {
+		return 0
+	}
+	return nw.params.NicMsgOverhead
+}
+
 // sendAtBoundary logs m, which must outlive the call, as its own deferred
 // operation in the source lane.
 func (nw *Network) sendAtBoundary(m *Msg) {
 	p := nw.params
 	src := nw.lanes[m.Src]
 	m.nw = nw
-	minEffect := src.Now() + p.NicMsgOverhead + p.RouterFixed + p.HopLatency + p.SerTime(m.Payload)
+	minEffect := src.Now() + nw.muOverhead(m) + p.RouterFixed + p.HopLatency + p.SerTime(m.Payload)
 	if m.Local == nil && m.Src != m.Dst {
 		// Effects land only in the destination lane: the relaxed cap.
 		src.DeferRemoteOp(minEffect, m)
@@ -313,225 +310,107 @@ func (nw *Network) sendAtBoundary(m *Msg) {
 	}
 }
 
-// applySend is the serial half of a send: it books the MU and the route
-// for a message injected at time at — consulting the fault injector when
-// one is installed — and deposits the completions of every copy that
-// arrives into the destination's (and, with Msg.Local, the source's)
-// lane.
+// applySend is the serial half of a send, for a message injected at time
+// at. With an injector installed it first takes the message verdict (dead
+// endpoints, probabilistic delay and duplication). A dropped message
+// vanishes — no completion is ever scheduled — which is exactly the
+// failure the upper layers' timeouts must detect. A duplicated message
+// traverses twice, so the copy pays its own MU and link reservations,
+// contends like a real retransmission and arrives later; deduplication is
+// the receiver's problem, as on a real at-least-once transport. Every copy
+// that arrives is counted and its completions deposited into the
+// destination's (and, with Msg.Local, the source's) lane.
 func (nw *Network) applySend(at sim.Time, m *Msg) {
+	copies := 1
 	if nw.flt != nil {
-		nw.sendFaultyAt(at, m)
-		return
+		v := nw.flt.MessageVerdict(m.Src, m.Dst, at)
+		if v.Drop {
+			nw.flt.CountDrop()
+			return
+		}
+		if v.Delay > 0 {
+			nw.flt.CountDelay()
+			at += v.Delay
+		}
+		if v.Duplicate {
+			copies = 2
+			nw.flt.CountDup()
+		}
 	}
-	arrival, hops := nw.transit(at, m.Src, m.Dst, m.Payload, m.Kind)
-	nw.noteSend(m.Payload, hops)
-	nw.deposit(arrival, m)
+	for ; copies > 0; copies-- {
+		arrival, hops, ok := nw.transit(at, m)
+		if !ok {
+			continue
+		}
+		nw.shared.note(&nw.sharedC, m.Payload, nw.params.RawBytes(m.Payload), hops)
+		nw.lanes[m.Dst].ScheduleAbsAction(arrival, m.Deliver)
+		if m.Local != nil {
+			nw.lanes[m.Src].ScheduleAbsAction(arrival, m.Local)
+		}
+	}
 }
 
-// deposit schedules an arrived message's completions.
-func (nw *Network) deposit(arrival sim.Time, m *Msg) {
-	nw.lanes[m.Dst].ScheduleAbsAction(arrival, m.Deliver)
-	if m.Local != nil {
-		nw.lanes[m.Src].ScheduleAbsAction(arrival, m.Local)
-	}
-}
-
-// transit books the injection MU and the route for one fault-free
-// message injected at time now (the lane time the send was issued at)
-// and returns its (tail arrival, hops). The shared state it touches —
-// nicFree, linkFree, link observability — is only ever mutated on the
-// serial path.
-func (nw *Network) transit(now sim.Time, srcNode, dstNode, payload int, kind MsgKind) (sim.Time, int) {
+// transit books the injection MU and the route for one copy of m whose
+// head reaches the MU at time now, and returns its (tail arrival, hops,
+// ok). The shared state it touches — nicFree, linkFree, link
+// observability, the injector — is only ever touched on the serial path;
+// a loopback touches none of it. Per-link fault state (outage,
+// degradation) is consulted only when an injector is installed; ok is
+// false when the head reached a dead link mid-route: the message is lost,
+// but links already traversed keep their reservations (the bytes really
+// crossed them).
+func (nw *Network) transit(now sim.Time, m *Msg) (sim.Time, int, bool) {
 	p := nw.params
-	ser := p.SerTime(payload)
+	ser := p.SerTime(m.Payload)
 
 	// Injection MU: per-message occupancy rate-limits streams. Loopback
 	// transfers use the MU's local-copy path and skip the injection FIFO,
 	// so a same-node RDMA-get reply does not queue behind its own request.
 	start := now
-	if srcNode != dstNode {
-		if nw.nicFree[srcNode] > start {
-			start = nw.nicFree[srcNode]
+	if m.Src != m.Dst && !m.NIC {
+		if nw.nicFree[m.Src] > start {
+			start = nw.nicFree[m.Src]
 			nw.NicStalled++
 			nw.cStalled.Add(1)
 		}
-		nw.nicFree[srcNode] = start + p.NicMsgOverhead + p.NicMsgGap + ser
+		nw.nicFree[m.Src] = start + p.NicMsgOverhead + p.NicMsgGap + ser
 	}
 
 	// Head traversal. The sub-cache-line penalty is charged before the
 	// route so that messages between a pair stay FIFO (fence correctness
 	// depends on per-pair ordering under deterministic routing).
-	head := start + p.NicMsgOverhead + p.RouterFixed
-	if kind == Data && payload > 0 && payload < p.UnalignedThreshold {
+	head := start + nw.muOverhead(m) + p.RouterFixed
+	if m.Kind == Data && m.Payload > 0 && m.Payload < p.UnalignedThreshold {
 		head += p.UnalignedPenalty
 	}
-	if p.AdaptiveRouting && srcNode != dstNode {
+	if p.AdaptiveRouting && nw.flt == nil && m.Src != m.Dst {
 		// Adaptive routes are minimal too, so the hop count is the same.
-		return nw.traverseAdaptive(srcNode, dstNode, head, ser), nw.torus.RouteHops(srcNode, dstNode)
+		return nw.traverseAdaptive(m.Src, m.Dst, head, ser), nw.torus.RouteHops(m.Src, m.Dst), true
 	}
-	route := nw.torus.Route(srcNode, dstNode) // cached, shared: read-only
+	route := nw.torus.Route(m.Src, m.Dst) // cached, shared: read-only; nil for a loopback
 	hops := len(route)
 	if hops == 0 {
 		// Loopback through the local router: one hop equivalent.
 		head += p.HopLatency
 		hops = 1
 	}
-	for _, l := range route {
-		head = nw.reserveLink(l.ID(), head, ser) + p.HopLatency
-	}
-	return head + ser, hops
-}
-
-// sendFaultyAt is applySend with the installed injector consulted at every
-// stage: the message verdict (dead endpoints, probabilistic delay and
-// duplication) at injection, and per-link state (outage, degradation) at
-// each traversal. A dropped message vanishes — no completion is ever
-// scheduled — which is exactly the failure the upper layers' timeouts
-// must detect. A duplicated message traverses twice, so the copy pays
-// its own link reservations and arrives later; deduplication is the
-// receiver's problem, as on a real at-least-once transport.
-func (nw *Network) sendFaultyAt(now sim.Time, m *Msg) {
-	v := nw.flt.MessageVerdict(m.Src, m.Dst, now)
-	if v.Drop {
-		nw.flt.CountDrop()
-		return
-	}
-	if v.Delay > 0 {
-		nw.flt.CountDelay()
-	}
-	copies := 1
-	if v.Duplicate {
-		copies = 2
-		nw.flt.CountDup()
-	}
-	for i := 0; i < copies; i++ {
-		arrival, hops, ok := nw.transitFaulty(now, m.Src, m.Dst, m.Payload, m.Kind, v.Delay)
-		if !ok {
-			continue
-		}
-		nw.noteSend(m.Payload, hops)
-		nw.deposit(arrival, m)
-	}
-}
-
-// transitFaulty runs one copy of a message through the MU and route,
-// applying link-level faults, and returns (tail arrival, hops, ok).
-// Each copy books the injection MU and every link separately, so
-// duplicates contend like real retransmissions. ok is false when the
-// head reached a dead link mid-route: the message is lost, but links
-// already traversed keep their reservations (the bytes really crossed
-// them).
-func (nw *Network) transitFaulty(now sim.Time, srcNode, dstNode, payload int, kind MsgKind, extra sim.Time) (sim.Time, int, bool) {
-	p := nw.params
-	ser := p.SerTime(payload)
-
-	start := now + extra
-	if srcNode != dstNode {
-		if nw.nicFree[srcNode] > start {
-			start = nw.nicFree[srcNode]
-			nw.NicStalled++
-			nw.cStalled.Add(1)
-		}
-		nw.nicFree[srcNode] = start + p.NicMsgOverhead + p.NicMsgGap + ser
-	}
-
-	head := start + p.NicMsgOverhead + p.RouterFixed
-	if kind == Data && payload > 0 && payload < p.UnalignedThreshold {
-		head += p.UnalignedPenalty
-	}
-	route := nw.torus.Route(srcNode, dstNode)
-	hops := len(route)
-	if hops == 0 {
-		head += p.HopLatency
-		hops = 1
-	}
 	tail := ser // the tail trails the head by the last link's effective serialization
 	for _, l := range route {
-		down, factor := nw.flt.LinkState(l.ID(), head)
-		if down {
-			nw.flt.CountDrop()
-			return 0, 0, false
-		}
-		serL := ser
-		if factor < 1 {
-			serL = sim.Time(float64(ser) / factor)
-			nw.flt.CountDegraded()
-		}
-		head = nw.reserveLink(l.ID(), head, serL) + p.HopLatency
-		tail = serL
-	}
-	return head + tail, hops, true
-}
-
-// SendNIC injects a NIC-generated response (e.g. a hardware-AMO reply):
-// it is produced inside the messaging unit's atomics engine and bypasses
-// the injection FIFO, so responses do not serialize behind regular
-// traffic. Link reservation along the route still applies. The split is
-// send's, with the MU-overhead-free bound.
-func (nw *Network) SendNIC(srcNode, dstNode, payload int, fn func()) {
-	p := nw.params
-	src := nw.lanes[srcNode]
-	now := src.Now()
-
-	if nw.flt == nil && srcNode == dstNode {
-		arrival := now + p.RouterFixed + p.HopLatency + p.SerTime(payload)
-		nw.noteLaneSend(src, payload, 1)
-		src.At(arrival-now, fn)
-		return
-	}
-
-	if !src.Windowed() {
-		nw.applyNIC(now, srcNode, dstNode, payload, fn)
-		return
-	}
-	minEffect := now + p.RouterFixed + p.HopLatency + p.SerTime(payload)
-	apply := func(at sim.Time) { nw.applyNIC(at, srcNode, dstNode, payload, fn) }
-	if srcNode != dstNode {
-		src.DeferRemote(minEffect, apply)
-	} else {
-		src.Defer(minEffect, apply)
-	}
-}
-
-// applyNIC is the serial half of SendNIC.
-func (nw *Network) applyNIC(at sim.Time, srcNode, dstNode, payload int, fn func()) {
-	arrival, hops, ok := nw.nicTransit(at, srcNode, dstNode, payload)
-	if !ok {
-		return
-	}
-	nw.noteSend(payload, hops)
-	nw.lanes[dstNode].ScheduleAbs(arrival, fn)
-}
-
-// nicTransit books the route for one NIC-generated response injected at
-// time now (no MU occupancy) and returns its (tail arrival, hops, ok);
-// ok is false when the fault injector dropped it.
-func (nw *Network) nicTransit(now sim.Time, srcNode, dstNode, payload int) (sim.Time, int, bool) {
-	p := nw.params
-	if nw.flt != nil {
-		if v := nw.flt.MessageVerdict(srcNode, dstNode, now); v.Drop {
-			nw.flt.CountDrop()
-			return 0, 0, false
-		}
-	}
-	ser := p.SerTime(payload)
-	head := now + p.RouterFixed
-	route := nw.torus.Route(srcNode, dstNode) // cached, shared: read-only
-	hops := len(route)
-	if hops == 0 {
-		head += p.HopLatency
-		hops = 1
-	}
-	for _, l := range route {
+		tail = ser
 		if nw.flt != nil {
-			if down, _ := nw.flt.LinkState(l.ID(), head); down {
+			down, factor := nw.flt.LinkState(l.ID(), head)
+			if down {
 				nw.flt.CountDrop()
 				return 0, 0, false
 			}
+			if factor < 1 {
+				tail = sim.Time(float64(ser) / factor)
+				nw.flt.CountDegraded()
+			}
 		}
-		head = nw.reserveLink(l.ID(), head, ser) + p.HopLatency
+		head = nw.reserveLink(l.ID(), head, tail) + p.HopLatency
 	}
-	return head + ser, hops, true
+	return head + tail, hops, true
 }
 
 // OneWayLatency predicts the uncontended arrival delay of a message; used

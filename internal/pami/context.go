@@ -2,6 +2,7 @@ package pami
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -116,10 +117,7 @@ func (x *Context) SetDispatch(id int, h AMHandler) {
 func (x *Context) post(it workItem) {
 	it.posted = x.Client.Ln.Now()
 	x.queue.Push(it)
-	for _, t := range x.waiters {
-		x.Client.M.K.Wake(t)
-	}
-	x.waiters = x.waiters[:0]
+	x.Nudge()
 }
 
 // postCompletion enqueues retirement of a local completion. FinishOnce,
@@ -140,18 +138,7 @@ func (x *Context) Advance(th *sim.Thread) int {
 	if !x.Lock.Held(th) {
 		panic("pami: Advance without holding the context lock")
 	}
-	x.noteAdvance()
-	start := th.Now()
-	n := 0
-	for x.queue.Len() > 0 {
-		n += x.serve(th, x.queue.Len())
-	}
-	x.ItemsServed += uint64(n)
-	if x.obs != nil && n > 0 {
-		x.cItems.Add(int64(n))
-		x.obs.SpanArg(th.ObsTrack(), th.Name(), "advance", "pami", start, th.Now(), int64(n))
-	}
-	return n
+	return x.serve(th, math.MaxInt)
 }
 
 // Progress makes one bounded pass over the progress engine: lock, serve
@@ -162,23 +149,19 @@ func (x *Context) Advance(th *sim.Thread) int {
 // starve without an asynchronous thread.
 func (x *Context) Progress(th *sim.Thread) int {
 	x.Lock.Lock(th)
-	x.noteAdvance()
-	start := th.Now()
 	n := x.serve(th, x.queue.Len())
-	x.ItemsServed += uint64(n)
-	if x.obs != nil && n > 0 {
-		x.cItems.Add(int64(n))
-		x.obs.SpanArg(th.ObsTrack(), th.Name(), "advance", "pami", start, th.Now(), int64(n))
-	}
 	x.Lock.Unlock(th)
 	return n
 }
 
-// serve runs at most max queued items; the caller holds the lock and
-// owns the Advances/ItemsServed accounting.
-func (x *Context) serve(th *sim.Thread, max int) int {
+// serve is one accounted pass of the progress engine over at most limit
+// queued items, work that arrives meanwhile included; the caller holds
+// the lock.
+func (x *Context) serve(th *sim.Thread, limit int) int {
+	x.noteAdvance()
+	start := th.Now()
 	n := 0
-	for x.queue.Len() > 0 && n < max {
+	for x.queue.Len() > 0 && n < limit {
 		it := x.queue.Pop()
 		if x.obs != nil {
 			wait := th.Now() - it.posted
@@ -196,6 +179,11 @@ func (x *Context) serve(th *sim.Thread, max int) int {
 		it.w.serve(th)
 		n++
 	}
+	x.ItemsServed += uint64(n)
+	if x.obs != nil && n > 0 {
+		x.cItems.Add(int64(n))
+		x.obs.SpanArg(th.ObsTrack(), th.Name(), "advance", "pami", start, th.Now(), int64(n))
+	}
 	return n
 }
 
@@ -204,62 +192,44 @@ func (x *Context) subscribe(th *sim.Thread) {
 	x.waiters = append(x.waiters, th)
 }
 
-// WaitLocal drives the progress engine until comp finishes. This is the
-// blocking-operation kernel: the calling thread repeatedly advances its
-// context and parks (releasing the lock!) when there is nothing to do, so
-// other threads — notably an asynchronous progress thread sharing the
-// context — can take the lock in between.
-//
-// The thread registers with comp once per wait, not once per trip round
-// the loop: the registration lasts until Finish, and a second one would
-// only make Finish wake an already-woken thread.
-func (x *Context) WaitLocal(th *sim.Thread, comp *sim.Completion) {
-	x.Lock.Lock(th)
-	for registered := false; ; {
-		x.Advance(th)
-		if comp.Done() {
-			break
-		}
-		x.subscribe(th)
-		if !registered {
-			registered = true
-			comp.AddWaiter(th)
-		}
-		x.Lock.Unlock(th)
-		th.Park()
-		x.Lock.Lock(th)
-	}
-	x.Lock.Unlock(th)
-}
+// noDeadline is the deadline of an untimed wait: the clock never gets
+// there, and no wake-up is armed for it.
+const noDeadline sim.Time = math.MaxInt64
 
-// WaitLocalUntil is WaitLocal with a virtual-time deadline: it drives the
-// progress engine until comp finishes (true) or the clock reaches
-// deadline (false). The deadline is enforced by arming a one-shot wake
-// event the first time the thread parks; the extra event is harmless if
-// the completion wins the race (wait loops tolerate spurious wakes), and
-// it is what pulls a stalled chaos run forward when a message was
-// dropped and nothing else would ever wake the waiter.
-func (x *Context) WaitLocalUntil(th *sim.Thread, comp *sim.Completion, deadline sim.Time) bool {
-	ln := x.Client.Ln
-	armed := false
+// wait is the blocking-operation kernel, the one loop behind every Wait
+// entry point: the calling thread repeatedly advances its context and
+// parks (releasing the lock!) when there is nothing to do, so other
+// threads — notably an asynchronous progress thread sharing the context —
+// can take the lock in between. It ends when comp is done or pred holds
+// (exactly one of the two is given; pred is evaluated with the context
+// lock held and must be cheap and side-effect free) and returns true, or
+// when the clock reaches deadline first and returns false. Every post and
+// nudge on the context wakes the thread, so the loop tolerates spurious
+// wakes: it goes round, finds nothing ended, and parks again.
+func (x *Context) wait(th *sim.Thread, comp *sim.Completion, pred func() bool, deadline sim.Time) bool {
 	x.Lock.Lock(th)
-	for {
+	for parked := false; ; parked = true {
 		x.Advance(th)
-		if comp.Done() {
+		ended := comp != nil && comp.Done() || pred != nil && pred()
+		if ended || th.Now() >= deadline {
 			x.Lock.Unlock(th)
-			return true
-		}
-		if th.Now() >= deadline {
-			x.Lock.Unlock(th)
-			return false
+			return ended
 		}
 		x.subscribe(th)
-		if !armed {
+		if !parked {
 			// First park of this wait: arm the deadline and register with
-			// comp, once each (see WaitLocal).
-			armed = true
-			ln.AtAction(deadline-th.Now(), th.Waker())
-			comp.AddWaiter(th)
+			// comp, once each, not once per trip round the loop. The
+			// registration lasts until Finish, and a second one would only
+			// make Finish wake an already-woken thread. The one-shot wake
+			// event is harmless if the wait ends first, and it is what
+			// pulls a stalled chaos run forward when a message was dropped
+			// and nothing else would ever wake the waiter.
+			if deadline != noDeadline {
+				x.Client.Ln.AtAction(deadline-th.Now(), th.Waker())
+			}
+			if comp != nil {
+				comp.AddWaiter(th)
+			}
 		}
 		x.Lock.Unlock(th)
 		th.Park()
@@ -267,32 +237,26 @@ func (x *Context) WaitLocalUntil(th *sim.Thread, comp *sim.Completion, deadline 
 	}
 }
 
-// WaitCondUntil is WaitCond with a virtual-time deadline; pred is
-// evaluated with the context lock held and must be cheap and
-// side-effect free. Returns whether pred held before the deadline.
+// WaitLocal drives the progress engine until comp finishes.
+func (x *Context) WaitLocal(th *sim.Thread, comp *sim.Completion) {
+	x.wait(th, comp, nil, noDeadline)
+}
+
+// WaitLocalUntil is WaitLocal with a virtual-time deadline: it reports
+// whether comp finished before the clock reached deadline.
+func (x *Context) WaitLocalUntil(th *sim.Thread, comp *sim.Completion, deadline sim.Time) bool {
+	return x.wait(th, comp, nil, deadline)
+}
+
+// WaitCond drives the progress engine until pred holds.
+func (x *Context) WaitCond(th *sim.Thread, pred func() bool) {
+	x.wait(th, nil, pred, noDeadline)
+}
+
+// WaitCondUntil is WaitCond with a virtual-time deadline: it reports
+// whether pred held before the clock reached deadline.
 func (x *Context) WaitCondUntil(th *sim.Thread, pred func() bool, deadline sim.Time) bool {
-	ln := x.Client.Ln
-	armed := false
-	x.Lock.Lock(th)
-	for {
-		x.Advance(th)
-		if pred() {
-			x.Lock.Unlock(th)
-			return true
-		}
-		if th.Now() >= deadline {
-			x.Lock.Unlock(th)
-			return false
-		}
-		if !armed {
-			armed = true
-			ln.AtAction(deadline-th.Now(), th.Waker())
-		}
-		x.subscribe(th)
-		x.Lock.Unlock(th)
-		th.Park()
-		x.Lock.Lock(th)
-	}
+	return x.wait(th, nil, pred, deadline)
 }
 
 // WaitAllLocal drives the progress engine until every completion in comps
@@ -301,23 +265,6 @@ func (x *Context) WaitAllLocal(th *sim.Thread, comps []*sim.Completion) {
 	for _, c := range comps {
 		x.WaitLocal(th, c)
 	}
-}
-
-// WaitCond drives the progress engine until pred holds. pred is evaluated
-// with the context lock held; it must be cheap and side-effect free.
-func (x *Context) WaitCond(th *sim.Thread, pred func() bool) {
-	x.Lock.Lock(th)
-	for {
-		x.Advance(th)
-		if pred() {
-			break
-		}
-		x.subscribe(th)
-		x.Lock.Unlock(th)
-		th.Park()
-		x.Lock.Lock(th)
-	}
-	x.Lock.Unlock(th)
 }
 
 // ProgressLoop runs th as an asynchronous progress thread for this
@@ -353,10 +300,7 @@ func (x *Context) Nudge() {
 // StopProgressLoop terminates ProgressLoop threads parked on this context.
 func (x *Context) StopProgressLoop() {
 	x.stopped = true
-	for _, t := range x.waiters {
-		x.Client.M.K.Wake(t)
-	}
-	x.waiters = x.waiters[:0]
+	x.Nudge()
 }
 
 // OpSet aggregates many chunk transfers into a single completion, like the
@@ -376,9 +320,6 @@ type OpSet struct {
 func (x *Context) NewOpSet(comp *sim.Completion) *OpSet {
 	return &OpSet{x: x, comp: comp}
 }
-
-// add registers one more outstanding chunk.
-func (s *OpSet) add() { s.remaining++ }
 
 // done retires one chunk; must be called from simulation context. After
 // the set has finished, further retirements are ignored: under fault

@@ -26,7 +26,7 @@ func TestOpSetAggregatesChunks(t *testing.T) {
 			set := c.Contexts[0].NewOpSet(comp)
 			for i := 0; i < 8; i++ {
 				off := mem.Addr(i * 512)
-				c.Contexts[0].RdmaPutSet(th, ep, local+off, remote+off, 512, set)
+				set.RdmaPut(th, ep, local+off, remote+off, 512)
 			}
 			if comp.Done() {
 				t.Error("completion fired before Arm")
@@ -281,7 +281,7 @@ func TestRdmaGetSetAndWaitAll(t *testing.T) {
 			set := x.NewOpSet(comp)
 			for i := 0; i < 4; i++ {
 				off := mem.Addr(i * 512)
-				x.RdmaGetSet(th, ep, off+local, remote+off, 512, set)
+				set.RdmaGet(th, ep, off+local, remote+off, 512)
 			}
 			set.Arm()
 			if x.Pending() < 0 {

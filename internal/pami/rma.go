@@ -9,6 +9,18 @@ import (
 // rmaControlBytes is the wire size of an RDMA request / flush descriptor.
 const rmaControlBytes = 32
 
+// landing is what an RMA flight ticks when its bytes land: a completion,
+// retired through the issuing context's progress engine (*retire), or one
+// chunk of an op set (*OpSet). Both are pointers the caller already holds,
+// so naming one costs a flight nothing.
+type landing interface {
+	landed(x *Context)
+}
+
+func (r *retire) landed(x *Context) { x.postCompletion((*sim.Completion)(r)) }
+
+func (s *OpSet) landed(*Context) { s.done() }
+
 // RdmaPut transfers n bytes from local memory to remote memory with no
 // remote CPU involvement: the bytes land at the target in pure network
 // time. localComp is retired through this context's progress engine once
@@ -18,6 +30,19 @@ const rmaControlBytes = 32
 // Both sides must be RDMA-capable (registered); enforcing that is the
 // caller's job — ARMCI consults its region caches before taking this path.
 func (x *Context) RdmaPut(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n int, localComp *sim.Completion) {
+	x.put(th, dst, local, remote, n, (*retire)(localComp))
+}
+
+// RdmaPut is Context.RdmaPut for one chunk of a multi-chunk transfer: the
+// chunk's local completion decrements the op set instead of posting its
+// own progress-engine item.
+func (s *OpSet) RdmaPut(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n int) {
+	s.remaining++
+	s.x.put(th, dst, local, remote, n, s)
+}
+
+// put is the one put flight; done is ticked at local completion.
+func (x *Context) put(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n int, done landing) {
 	c := x.Client
 	p := c.M.P
 	th.Sleep(c.jit(p.CPUInject))
@@ -27,39 +52,27 @@ func (x *Context) RdmaPut(th *sim.Thread, dst Endpoint, local, remote mem.Addr, 
 	buf := c.Space.Clone(local, n)
 
 	tgt := c.peer(dst.Rank).Space
+	deliver := func() { tgt.CopyIn(remote, buf) }
+	landed := func() { done.landed(x) }
 	if c.M.faulty() {
-		// Fault mode: completion is end-to-end, posted only when the bytes
+		// Fault mode: completion is end-to-end, ticked only when the bytes
 		// actually land. The MU's optimistic injection-complete ack would
 		// report success for a message the injector then drops; tying the
 		// completion to delivery is what lets a timed wait detect the loss
-		// and retry. RdmaPut is byte-idempotent, so the retry may overlap a
+		// and retry. A put is byte-idempotent, so the retry may overlap a
 		// delayed original harmlessly. The delivery (target memory) and the
 		// completion (initiator progress engine) live on different lanes,
 		// so they ride the message as a split completion pair.
-		if localComp == nil {
-			c.M.Net.Send(c.Node, dst.Node, n, network.Data, func() {
-				tgt.CopyIn(remote, buf)
-			})
-			return
-		}
-		c.M.Net.SendWithLocal(c.Node, dst.Node, n, network.Data, func() {
-			tgt.CopyIn(remote, buf)
-		}, func() {
-			x.postCompletion(localComp)
-		})
+		c.M.Net.SendMsg(&network.Msg{Src: c.Node, Dst: dst.Node, Payload: n, Kind: network.Data,
+			Deliver: sim.Func(deliver), Local: sim.Func(landed)})
 		return
 	}
-	c.M.Net.Send(c.Node, dst.Node, n, network.Data, func() {
-		tgt.CopyIn(remote, buf)
-	})
-
-	if localComp != nil {
-		ackDelay := p.NicMsgOverhead + p.SerTime(n) + p.PutAckFixed
-		if n > 0 && n < p.UnalignedThreshold {
-			ackDelay += p.UnalignedPenalty
-		}
-		c.Ln.At(ackDelay, func() { x.postCompletion(localComp) })
+	c.M.Net.Send(c.Node, dst.Node, n, network.Data, deliver)
+	ackDelay := p.NicMsgOverhead + p.SerTime(n) + p.PutAckFixed
+	if n > 0 && n < p.UnalignedThreshold {
+		ackDelay += p.UnalignedPenalty
 	}
+	c.Ln.At(ackDelay, landed)
 }
 
 // RdmaGet transfers n bytes from remote memory into local memory. The
@@ -67,73 +80,29 @@ func (x *Context) RdmaPut(th *sim.Thread, dst Endpoint, local, remote mem.Addr, 
 // involvement — the defining property of the RDMA fast path. comp is
 // retired through this context's progress engine when the data lands.
 func (x *Context) RdmaGet(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n int, comp *sim.Completion) {
-	c := x.Client
-	p := c.M.P
-	th.Sleep(c.jit(p.CPUInject))
-
-	tc := c.peer(dst.Rank)
-	src := tc.Space
-	net := c.M.Net
-	net.Send(c.Node, dst.Node, rmaControlBytes, network.Control, func() {
-		// Request arrived at the target MU; after the turnaround it
-		// streams the data back. The bytes are captured at stream time.
-		// The turnaround runs on the target's lane — that is where the
-		// delivery callback executes.
-		tc.Ln.At(p.MUTurnaround, func() {
-			buf := src.Clone(remote, n)
-			net.Send(dst.Node, c.Node, n, network.Data, func() {
-				c.Space.CopyIn(local, buf)
-				x.postCompletion(comp)
-			})
-		})
-	})
+	x.roundTrip(th, dst, local, remote, n, true, (*retire)(comp))
 }
 
-// RdmaPutSet is RdmaPut for one chunk of a multi-chunk transfer: the
-// chunk's local completion decrements the op set instead of posting its
-// own progress-engine item.
-func (x *Context) RdmaPutSet(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n int, set *OpSet) {
-	c := x.Client
-	p := c.M.P
-	th.Sleep(c.jit(p.CPUInject))
-	buf := c.Space.Clone(local, n)
-	tgt := c.peer(dst.Rank).Space
-	set.add()
-	c.M.Net.Send(c.Node, dst.Node, n, network.Data, func() {
-		tgt.CopyIn(remote, buf)
-	})
-	ackDelay := p.NicMsgOverhead + p.SerTime(n) + p.PutAckFixed
-	if n > 0 && n < p.UnalignedThreshold {
-		ackDelay += p.UnalignedPenalty
-	}
-	c.Ln.At(ackDelay, func() { set.done() })
-}
-
-// RdmaGetSet is RdmaGet for one chunk of a multi-chunk transfer.
-func (x *Context) RdmaGetSet(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n int, set *OpSet) {
-	c := x.Client
-	p := c.M.P
-	th.Sleep(c.jit(p.CPUInject))
-	tc := c.peer(dst.Rank)
-	src := tc.Space
-	net := c.M.Net
-	set.add()
-	net.Send(c.Node, dst.Node, rmaControlBytes, network.Control, func() {
-		tc.Ln.At(p.MUTurnaround, func() {
-			buf := src.Clone(remote, n)
-			net.Send(dst.Node, c.Node, n, network.Data, func() {
-				c.Space.CopyIn(local, buf)
-				set.done()
-			})
-		})
-	})
+// RdmaGet is Context.RdmaGet for one chunk of a multi-chunk transfer.
+func (s *OpSet) RdmaGet(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n int) {
+	s.remaining++
+	s.x.roundTrip(th, dst, local, remote, n, true, s)
 }
 
 // FlushRemote completes when every prior put/AM from this process to the
 // target rank is visible in its memory. It rides the deterministic
 // routing's per-pair FIFO ordering: a control message chases the earlier
-// traffic to the target MU and its ack returns. No target CPU is needed.
+// traffic to the target MU and its ack returns — a get's round trip
+// carrying nothing. No target CPU is needed.
 func (x *Context) FlushRemote(th *sim.Thread, dst Endpoint, comp *sim.Completion) {
+	x.roundTrip(th, dst, 0, 0, rmaControlBytes, false, (*retire)(comp))
+}
+
+// roundTrip is the one get flight: a control request to the target's
+// messaging unit, its turnaround, and a reply of n bytes that ticks done
+// when it arrives — n bytes of the target's memory at remote, copied to
+// local, when fetch is set; an n-byte control ack otherwise.
+func (x *Context) roundTrip(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n int, fetch bool, done landing) {
 	c := x.Client
 	p := c.M.P
 	th.Sleep(c.jit(p.CPUInject))
@@ -141,9 +110,19 @@ func (x *Context) FlushRemote(th *sim.Thread, dst Endpoint, comp *sim.Completion
 	tc := c.peer(dst.Rank)
 	net := c.M.Net
 	net.Send(c.Node, dst.Node, rmaControlBytes, network.Control, func() {
+		// Request arrived at the target MU; after the turnaround it
+		// streams the reply back. The bytes are captured at stream time.
+		// The turnaround runs on the target's lane — that is where the
+		// delivery callback executes.
 		tc.Ln.At(p.MUTurnaround, func() {
-			net.Send(dst.Node, c.Node, rmaControlBytes, network.Control, func() {
-				x.postCompletion(comp)
+			if !fetch {
+				net.Send(dst.Node, c.Node, n, network.Control, func() { done.landed(x) })
+				return
+			}
+			buf := tc.Space.Clone(remote, n)
+			net.Send(dst.Node, c.Node, n, network.Data, func() {
+				c.Space.CopyIn(local, buf)
+				done.landed(x)
 			})
 		})
 	})

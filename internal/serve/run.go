@@ -289,20 +289,37 @@ func (run *Run) Info() RunInfo {
 }
 
 // runKeyInfo is the id → config mapping that outlives run eviction, so
-// an evicted run whose artifact is still cached stays addressable.
+// an evicted run whose artifact is still cached stays addressable. seq is
+// the admission that wrote it last.
 type runKeyInfo struct {
 	key, scenario, format string
+	seq                   uint64
 }
+
+// runKeysPerRecord bounds that mapping at this many ids per run record the
+// registry may hold: it remembers the configs of the last
+// runKeysPerRecord*cap admissions and forgets older ones, oldest first. A
+// forgotten id answers 404 even while its artifact is cached; posting the
+// config again serves the artifact and names the run anew.
+const runKeysPerRecord = 16
 
 // runRegistry holds the live and recently finished runs, bounded to cap
 // records (finished runs evict FIFO; live runs are never evicted).
 type runRegistry struct {
-	mu    sync.Mutex
-	runs  map[string]*Run
-	order []*Run // admission order; exactly one entry per runs entry
-	keys  map[string]runKeyInfo
-	cap   int
-	seq   uint64
+	mu       sync.Mutex
+	runs     map[string]*Run
+	order    []*Run // admission order; exactly one entry per runs entry
+	keys     map[string]runKeyInfo
+	keyOrder []runKeyRef // one entry per admission, oldest first
+	cap      int
+	seq      uint64
+}
+
+// runKeyRef is one admission's claim on a keys entry: the entry goes when
+// the claim that wrote it last does.
+type runKeyRef struct {
+	id  string
+	seq uint64
 }
 
 func newRunRegistry(cap int) *runRegistry {
@@ -357,7 +374,15 @@ func (rr *runRegistry) installLocked(run *Run) *Run {
 	}
 	rr.runs[run.id] = run
 	rr.order = append(rr.order, run)
-	rr.keys[run.id] = runKeyInfo{key: run.key, scenario: run.scenario, format: run.format}
+	rr.keys[run.id] = runKeyInfo{key: run.key, scenario: run.scenario, format: run.format, seq: run.seq}
+	rr.keyOrder = append(rr.keyOrder, runKeyRef{run.id, run.seq})
+	for len(rr.keyOrder) > runKeysPerRecord*rr.cap {
+		old := rr.keyOrder[0]
+		rr.keyOrder = rr.keyOrder[1:]
+		if rr.keys[old.id].seq == old.seq {
+			delete(rr.keys, old.id)
+		}
+	}
 	for len(rr.runs) > rr.cap {
 		evicted := false
 		for i, r := range rr.order {

@@ -363,6 +363,49 @@ func TestRunEvictedButCached(t *testing.T) {
 	}
 }
 
+// TestRunKeysBounded: the id → config memory that keeps an evicted run
+// addressable is itself bounded, at runKeysPerRecord ids per registry
+// record, oldest first. Two admissions past the bound: the two oldest ids
+// are forgotten (404, though their artifacts are still in the LRU), the
+// oldest id inside the bound still resurrects from it.
+func TestRunKeysBounded(t *testing.T) {
+	s, ts := newTestServer(t, Options{RunHistory: 1})
+	const over = 2
+	var ids []string
+	for i := 0; i < runKeysPerRecord+over; i++ {
+		info := submitAsync(t, ts, fmt.Sprintf(`{"scenario":"micro","params":{"sizes":[%d],"iters":1}}`, 8*(i+1)))
+		readSSE(t, ts.URL+"/v1/runs/"+info.ID+"/events")
+		ids = append(ids, info.ID)
+	}
+	s.runs.mu.Lock()
+	kept, refs := len(s.runs.keys), len(s.runs.keyOrder)
+	s.runs.mu.Unlock()
+	if kept != runKeysPerRecord || refs != runKeysPerRecord {
+		t.Errorf("registry remembers %d ids through %d refs, want %d of each", kept, refs, runKeysPerRecord)
+	}
+	for i, id := range ids[:over+1] {
+		resp, err := http.Get(ts.URL + "/v1/runs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got RunInfo
+		json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if i < over {
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("id %d, past the bound: status %d, want 404", i, resp.StatusCode)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusOK || !got.Evicted || got.State != RunDone {
+			t.Errorf("id %d, the oldest inside the bound: status %d, %+v", i, resp.StatusCode, got)
+		}
+		if _, evs := readSSE(t, ts.URL+"/v1/runs/"+id+"/events"); len(resultBytes(t, evs)) != got.Bytes {
+			t.Errorf("id %d: resurrected replay does not carry the %d-byte artifact", i, got.Bytes)
+		}
+	}
+}
+
 // TestDrainMidStream: an SSE client attached to a still-queued run gets
 // a terminal drain event and a clean close when the server drains.
 func TestDrainMidStream(t *testing.T) {
