@@ -25,12 +25,14 @@ test-short:
 # restart over a survivor's store — and none of them skips under -short.
 # The zero-allocation invariants skip under -race (its instrumentation
 # allocates), so the last line runs them, the objects- and
-# switches-per-rank budgets and the event-size pin on plain counts, -v so
-# the CI log shows what was measured.
+# switches-per-rank budgets, the event-size pin and simd's hit-path
+# allocation budget (internal/serve: parse memo + LRU hit, parse memo +
+# verified disk load) on plain counts, -v so the CI log shows what was
+# measured.
 check:
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/fault/ ./...
-	$(GO) test -v -run 'Alloc|ObjectsPerRank|SwitchesPerRank|EventSize' ./internal/sim/ ./internal/network/ ./internal/pami/ ./internal/armci/ ./internal/bench/
+	$(GO) test -v -run 'Alloc|ObjectsPerRank|SwitchesPerRank|EventSize' ./internal/sim/ ./internal/network/ ./internal/pami/ ./internal/armci/ ./internal/bench/ ./internal/serve/
 
 # Engine wall-clock benchmarks (the cost of simulating): micro benches
 # plus the reduced Fig 9 p=4096 / SCF scenarios, written to
@@ -65,10 +67,12 @@ race-shards:
 # against shortcuts off, at 1, 2 and 4 workers, everything observable
 # compared), then job bodies through the constructor the proxy hop relies
 # on (internal/serve/fuzz_test.go: a canonical body parses back to the
-# same key and bytes).
+# same key and bytes), then bodies posted twice to a server whose parse
+# memo must answer the second post as the full parse answered the first.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLaneShortcuts -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzJobCanonIdempotent -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzParseMemoAgrees -fuzztime 10s ./internal/serve/
 
 # Shard scaling gate: times the fig9 p=16384 scenario serial vs 2/4 lane
 # workers, after asserting the simulated latency is bit-identical at

@@ -73,11 +73,16 @@ func (c *Cache) GetEntry(key string) (body []byte, scenario, format, sha string,
 // not stored at all (it would only evict everything else to then be
 // evicted itself). Re-putting an existing key replaces its body.
 func (c *Cache) Put(key string, body []byte, scenario, format string) {
+	c.putHashed(key, body, scenario, format, sha256Hex(body))
+}
+
+// putHashed is Put for a caller that already holds body's hex SHA-256 —
+// the disk tier verified it on load, a fill computed it for the sidecar —
+// so an artifact is hashed once per tier crossing, not once per tier.
+func (c *Cache) putHashed(key string, body []byte, scenario, format, sha string) {
 	if int64(len(body)) > c.budget {
 		return
 	}
-	sum := sha256.Sum256(body)
-	sha := hex.EncodeToString(sum[:])
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -106,6 +111,127 @@ func (c *Cache) Stats() (entries int, bytes int64, evictions int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items), c.used, c.evictions
+}
+
+// sha256Hex is the hex SHA-256 every tier declares an artifact under.
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// parseMemoBytes is the parse memo's whole budget, and parseMemoMaxEntry
+// the most one spelling may take of it: a body that large is parsed every
+// time it is posted sooner than it evicts a dozen ordinary ones. At the
+// sizes clients post (100–300 bytes, so 450–650 accounted) the budget
+// holds some 250 spellings. What the memo holds is live heap, and simd's
+// resident set follows its live heap three times over (the sweep engine
+// runs the process at GOGC=200): on the repo benchmark's serve_read_mix,
+// 1024 spellings under a Zipf stream, 128 KiB answers four posts in five
+// from the memo for 3–4 % of resident set, and 1 MiB answers all of them
+// for 7–9 % (EXPERIMENTS.md has the table).
+const (
+	parseMemoBytes    = 128 << 10
+	parseMemoMaxEntry = parseMemoBytes / 16
+)
+
+// memoEntryOverhead is what an entry costs beyond its bytes and strings:
+// the identity (96 bytes), the memoEntry and the list element (48 each,
+// by size class), and the entry's share of the map's slots at their usual
+// load (≈ 60).
+const memoEntryOverhead = 256
+
+// parseMemo remembers, for the exact bytes of a request body on one
+// route, the identity the full strict parse gave them, so a re-posted
+// body skips decode → canon → marshal → hash. It holds identities only:
+// whatever is not answered from the LRU or the disk tier parses again for
+// the canonical body and the spec. LRU-evicted under a byte budget that
+// counts the whole entry, not just its payload. Safe for concurrent use.
+//
+// Nothing but handleJob fills it, and only with what parseJob returned
+// for those same bytes: no body reaches an entry without having passed
+// the strict parse, and a re-spelled body is a different entry under the
+// same key.
+type parseMemo struct {
+	mu                      sync.Mutex
+	budget, maxEntry        int64
+	used                    int64
+	ll                      *list.List // front = most recently used
+	items                   map[memoKey]*list.Element
+	hits, misses, evictions int64
+}
+
+// memoKey is a body on a route: the same bytes posted to /v1/run and to
+// /v1/compose are two submissions with two answers.
+type memoKey struct {
+	kind envelopeKind
+	raw  string
+}
+
+type memoEntry struct {
+	memoKey
+	id   *identity
+	cost int64
+}
+
+func newParseMemo(budget, maxEntry int64) *parseMemo {
+	return &parseMemo{budget: budget, maxEntry: maxEntry,
+		ll: list.New(), items: make(map[memoKey]*list.Element)}
+}
+
+// get returns the identity memoised for raw on kind's route, marking it
+// most recently used, or nil. The lookup converts no bytes and allocates
+// nothing.
+func (m *parseMemo) get(kind envelopeKind, raw []byte) *identity {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.items[memoKey{kind, string(raw)}]
+	if !ok {
+		m.misses++
+		return nil
+	}
+	m.hits++
+	m.ll.MoveToFront(el)
+	return el.Value.(*memoEntry).id
+}
+
+// put memoises id — which the caller got from parseJob on exactly raw —
+// and evicts least-recently-used spellings until the budget holds again.
+// raw is copied. A spelling dearer than maxEntry is not kept, and one
+// already present (two requests raced through the parse) stays as it is.
+func (m *parseMemo) put(kind envelopeKind, raw []byte, id *identity) {
+	cost := int64(len(raw)+len(id.key)+len(id.scenario)+len(id.format)) + memoEntryOverhead
+	if cost > m.maxEntry {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.items[memoKey{kind, string(raw)}]; ok {
+		return
+	}
+	e := &memoEntry{memoKey: memoKey{kind, string(raw)}, id: id, cost: cost}
+	m.items[e.memoKey] = m.ll.PushFront(e)
+	m.used += cost
+	for m.used > m.budget {
+		back := m.ll.Back()
+		old := back.Value.(*memoEntry)
+		m.ll.Remove(back)
+		delete(m.items, old.memoKey)
+		m.used -= old.cost
+		m.evictions++
+	}
+}
+
+type memoStats struct {
+	hits, misses, evictions int64
+	entries                 int
+	bytes                   int64
+}
+
+func (m *parseMemo) stats() memoStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return memoStats{hits: m.hits, misses: m.misses, evictions: m.evictions,
+		entries: len(m.items), bytes: m.used}
 }
 
 // flightGroup collapses concurrent executions of the same config hash

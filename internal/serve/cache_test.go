@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -281,5 +286,200 @@ func TestNormalizeErrors(t *testing.T) {
 		if _, err := newJob(&tc.cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// serveBody posts body to path on h, in process.
+func serveBody(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec
+}
+
+// padded is fastJob re-spelled with n trailing spaces: one key, as many
+// distinct bodies as there are values of n.
+func padded(n int) []byte {
+	return append([]byte(fastJob), bytes.Repeat([]byte{' '}, n)...)
+}
+
+// peek is get for tests: no recency update, no hit or miss counted.
+func (m *parseMemo) peek(kind envelopeKind, raw []byte) *identity {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.items[memoKey{kind, string(raw)}]; ok {
+		return el.Value.(*memoEntry).id
+	}
+	return nil
+}
+
+// The parse memo at its bound, at the budget the daemon runs with:
+// distinct spellings of one job are posted until the budget is passed
+// several times over.
+func TestParseMemoBound(t *testing.T) {
+	s := New(Options{Workers: 1, SweepWorkers: 1})
+	defer s.Close()
+	h := s.Handler()
+
+	first := serveBody(h, "/v1/run", padded(0)) // cold: the only execution in this test
+	if first.Code != http.StatusOK {
+		t.Fatalf("cold post: %d %s", first.Code, first.Body)
+	}
+	key, artifact := first.Header().Get("X-Config-Hash"), first.Body.Bytes()
+	same := func(what string, rec *httptest.ResponseRecorder) {
+		t.Helper()
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Config-Hash") != key ||
+			rec.Header().Get("X-Cache") != "hit" || !bytes.Equal(rec.Body.Bytes(), artifact) {
+			t.Fatalf("%s: status %d hash %s X-Cache %q, want the first post's answer from the LRU",
+				what, rec.Code, rec.Header().Get("X-Config-Hash"), rec.Header().Get("X-Cache"))
+		}
+	}
+
+	// Spellings of half the largest entry: about 30 fit, 160 are posted.
+	const pad, posts = parseMemoMaxEntry / 2, 5 * parseMemoBytes / (parseMemoMaxEntry / 2)
+	for i := 1; i <= posts; i++ {
+		same("spelling", serveBody(h, "/v1/run", padded(pad+i)))
+		st := s.memo.stats()
+		if st.bytes > parseMemoBytes || int64(st.entries)*pad > parseMemoBytes {
+			t.Fatalf("after %d spellings: %d entries, %d bytes accounted, budget %d", i, st.entries, st.bytes, parseMemoBytes)
+		}
+	}
+	st := s.memo.stats()
+	if st.evictions == 0 || st.misses != posts+1 || st.hits != 0 {
+		t.Fatalf("after %d distinct spellings: %+v, want every one a miss and some evicted", posts, st)
+	}
+	if passed := int64(posts) * pad / parseMemoBytes; passed < 3 {
+		t.Fatalf("the budget was passed only %d times over", passed)
+	}
+
+	// Least recently used goes first: what is memoised is exactly the
+	// newest spellings, and the oldest parse again to the same answer.
+	for i := 1; i <= posts; i++ {
+		kept := s.memo.peek(scenarioEnvelope, padded(pad+i)) != nil
+		if want := i > posts-st.entries; kept != want {
+			t.Errorf("spelling %d of %d memoised: %v, with %d entries kept", i, posts, kept, st.entries)
+		}
+	}
+	same("newest spelling", serveBody(h, "/v1/run", padded(pad+posts)))
+	if got := s.memo.stats(); got.hits != 1 {
+		t.Errorf("the newest spelling was not answered from the memo: %+v", got)
+	}
+	for _, n := range []int{0, pad + 1} {
+		before := s.memo.stats()
+		same("evicted spelling", serveBody(h, "/v1/run", padded(n)))
+		same("evicted spelling, again", serveBody(h, "/v1/run", padded(n)))
+		if got := s.memo.stats(); got.misses != before.misses+1 || got.hits != before.hits+1 {
+			t.Errorf("evicted spelling %d: stats %+v → %+v, want one full parse, then one memo hit", n, before, got)
+		}
+	}
+
+	// A spelling dearer than one entry's share is answered and not kept.
+	before := s.memo.stats()
+	for i := 0; i < 2; i++ {
+		same("large spelling", serveBody(h, "/v1/run", padded(parseMemoMaxEntry)))
+	}
+	if got := s.memo.stats(); got.misses != before.misses+2 || got.entries != before.entries || got.bytes != before.bytes {
+		t.Errorf("a body past parseMemoMaxEntry: stats %+v → %+v, want two full parses and nothing kept", before, got)
+	}
+}
+
+// Only a body that passed the full strict parse is memoised, under the
+// route it passed on: a refused body is parsed every time it is posted,
+// and bytes memoised for one route are a first-seen body on the other.
+// (Moving memo.put above parseJob's error check breaks this test.)
+func TestParseMemoKeepsOnlyParsedBodies(t *testing.T) {
+	s := New(Options{Workers: 1, SweepWorkers: 1})
+	defer s.Close()
+	h := s.Handler()
+
+	for _, bad := range []string{
+		`{"scenario":"nope"}`,
+		`{"scenario":"micro","params":{"iters":-1}}`,
+		fastJob + "{}",
+		`{"scenario":"micro"`,
+	} {
+		_, perr := parseJob(strings.NewReader(bad), new(JobConfig))
+		if perr == nil {
+			t.Fatalf("%s parses", bad)
+		}
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(errorFrom(perr))
+		for i := 0; i < 2; i++ {
+			before := s.memo.stats()
+			rec := serveBody(h, "/v1/run", []byte(bad))
+			if rec.Code != http.StatusBadRequest || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+				t.Errorf("post %d of %s: %d %s, want 400 %s", i, bad, rec.Code, rec.Body, &want)
+			}
+			if got := s.memo.stats(); got.misses != before.misses+1 || got.hits != before.hits || got.entries != 0 {
+				t.Errorf("post %d of %s: stats %+v → %+v, want a full parse and nothing kept", i, bad, before, got)
+			}
+		}
+	}
+
+	for _, tc := range []struct{ body, right, wrong string }{
+		{fastJob, "/v1/run", "/v1/compose"},
+		{fastCompose, "/v1/compose", "/v1/run"},
+	} {
+		serveBody(h, tc.right, []byte(tc.body))
+		if rec := serveBody(h, tc.right, []byte(tc.body)); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("%s re-posted to %s: %d X-Cache %q", tc.body, tc.right, rec.Code, rec.Header().Get("X-Cache"))
+		}
+		hits := s.memo.stats().hits
+		rec := serveBody(h, tc.wrong, []byte(tc.body))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown field") {
+			t.Errorf("%s posted to %s after %s: %d %s, want the 400 a first-seen body gets", tc.body, tc.wrong, tc.right, rec.Code, rec.Body)
+		}
+		if got := s.memo.stats().hits; got != hits {
+			t.Errorf("%s posted to %s was answered from %s's memo entry", tc.body, tc.wrong, tc.right)
+		}
+	}
+}
+
+// One key in both spellings from 8 goroutines, against a memo that holds
+// one spelling at a time, so entries are evicted and refilled the whole
+// way through, with asynchronous submissions of the same bytes beside
+// them. Run under -race: what the memo shares between requests (the
+// identity, its header slices) is only ever read.
+func TestParseMemoConcurrentEviction(t *testing.T) {
+	s := New(Options{Workers: 1, SweepWorkers: 1, AccessLog: io.Discard})
+	defer s.Close()
+	h := s.Handler()
+	spellings := [][]byte{
+		[]byte(fastJob),
+		[]byte(`{"params":{"iters":1,"sizes":[64]},"format":"csv","scenario":"micro"}`),
+	}
+	s.memo = newParseMemo(int64(len(spellings[1]))+400, parseMemoMaxEntry)
+
+	first := serveBody(h, "/v1/run", spellings[0])
+	if first.Code != http.StatusOK {
+		t.Fatalf("cold post: %d %s", first.Code, first.Body)
+	}
+	const workers, rounds = 8, 100
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				rec := serveBody(h, "/v1/run", spellings[(g+i)%2])
+				if rec.Code != http.StatusOK || rec.Header().Get("X-Config-Hash") != first.Header().Get("X-Config-Hash") ||
+					rec.Header().Get("X-Scenario") != "micro" || !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) {
+					t.Errorf("goroutine %d post %d: %d %v", g, i, rec.Code, rec.Header())
+					return
+				}
+				if i%10 == 0 {
+					var info RunInfo
+					rec := serveBody(h, "/v1/runs", spellings[(g+i)%2])
+					if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || rec.Code != http.StatusOK || info.State != RunDone {
+						t.Errorf("goroutine %d async post %d: %d %s (%v)", g, i, rec.Code, rec.Body, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := s.memo.stats()
+	if posts := int64(1 + workers*rounds + workers*rounds/10); st.hits+st.misses != posts || st.evictions == 0 || st.entries != 1 {
+		t.Errorf("memo after %d posts: %+v, want every post counted, evictions, one entry", posts, st)
 	}
 }

@@ -22,8 +22,10 @@ import (
 
 // lookupLocal consults this replica's own tiers: the hot LRU first, the
 // disk store second. A disk hit is verified (store.Get re-hashes) and
-// promoted into the LRU. src is the X-Cache label: "hit" or "disk".
-func (s *Server) lookupLocal(j job) (body []byte, src string, ok bool) {
+// promoted into the LRU under the hash that load just checked — an
+// artifact is hashed once per tier crossing. src is the X-Cache label:
+// "hit" or "disk".
+func (s *Server) lookupLocal(j *identity) (body []byte, src string, ok bool) {
 	if body, ok := s.cache.Get(j.key); ok {
 		s.count("serve/cache.hits", 1)
 		return body, "hit", true
@@ -32,9 +34,9 @@ func (s *Server) lookupLocal(j job) (body []byte, src string, ok bool) {
 	if s.store == nil {
 		return nil, "", false
 	}
-	if body, _, ok := s.store.Get(j.key); ok {
+	if body, meta, ok := s.store.Get(j.key); ok {
 		s.count("serve/disk_hits", 1)
-		s.cache.Put(j.key, body, j.scenario, j.format)
+		s.cache.putHashed(j.key, body, j.scenario, j.format, meta.SHA256)
 		return body, "disk", true
 	}
 	s.count("serve/disk_misses", 1)
@@ -43,11 +45,12 @@ func (s *Server) lookupLocal(j job) (body []byte, src string, ok bool) {
 
 // fill records a freshly materialized artifact (cold execution or peer
 // fill) in every local tier: the hot LRU always, the disk store when
-// configured.
-func (s *Server) fill(j job, body []byte) {
-	s.cache.Put(j.key, body, j.scenario, j.format)
+// configured. sha is body's hex SHA-256, computed once by the caller (or
+// by the peer filler's verification) for both tiers.
+func (s *Server) fill(j *identity, body []byte, sha string) {
+	s.cache.putHashed(j.key, body, j.scenario, j.format, sha)
 	if s.store != nil {
-		if err := s.store.Put(j.key, body, j.scenario, j.format); err != nil {
+		if err := s.store.putHashed(j.key, body, j.scenario, j.format, sha); err != nil {
 			// Disk full / permissions: the job still succeeded, the LRU
 			// still serves it. Count it so an operator notices.
 			s.count("serve/store.put_errors", 1)
@@ -134,7 +137,7 @@ func (s *Server) peerFill(ctx context.Context, j job) *jobResult {
 			continue
 		}
 		s.count("serve/peer_fills", 1)
-		s.fill(j, res.Body)
+		s.fill(j.identity, res.Body, res.SHA256)
 		return &jobResult{status: http.StatusOK, body: res.Body, src: "peer"}
 	}
 	s.count("serve/peer_fill_misses", 1)
@@ -161,7 +164,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		if body, meta, ok := s.store.Get(key); ok {
 			s.count("serve/disk_hits", 1)
 			s.count("serve/result_exports", 1)
-			s.cache.Put(key, body, meta.Scenario, meta.Format)
+			s.cache.putHashed(key, body, meta.Scenario, meta.Format, meta.SHA256)
 			s.writeResult(w, r, body, meta.Scenario, meta.Format, meta.SHA256)
 			return
 		}

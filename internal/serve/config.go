@@ -28,8 +28,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -121,7 +119,7 @@ func (c *JobConfig) normalize() (job, error) {
 	}
 	c.Params = wireParams(vals)
 	spec := scenario.Spec{Phases: []scenario.PhaseSpec{{Pattern: c.Scenario, Params: vals}}}
-	return job{scenario: c.Scenario, format: c.Format, spec: spec, bare: true}, nil
+	return job{identity: &identity{scenario: c.Scenario, format: c.Format}, spec: spec, bare: true}, nil
 }
 
 // composeLabel is the scenario label composed jobs run under: one shared
@@ -148,7 +146,7 @@ func (c *ComposeConfig) normalize() (job, error) {
 	if c.Format, err = canonFormat(c.Format); err != nil {
 		return job{}, err
 	}
-	return job{scenario: composeLabel, format: c.Format, spec: canon}, nil
+	return job{identity: &identity{scenario: composeLabel, format: c.Format}, spec: canon}, nil
 }
 
 // canonFormat is the one place an artifact format is validated.
@@ -162,19 +160,51 @@ func canonFormat(f string) (string, error) {
 	return "", fmt.Errorf("unknown format %q (want csv, text, or json)", f)
 }
 
-// job is one executable unit behind the cache/singleflight/registry
-// machinery. scenario is the label used for metrics, the per-scenario
-// concurrency cap, and the run registry ("compose" for composed jobs);
-// key is the config's content address; spec is what exec runs; bare
-// selects the {"scenario":…} artifact, the phase's grid with no phase
-// header.
-type job struct {
-	scenario string
+// identity is what a job is to this replica's answer tiers: its content
+// address and the two labels an artifact is served under. An LRU or disk
+// hit needs nothing else, so it is all the parse memo keeps of a body.
+//
+// Immutable once newJob has built it: the memo hands one value to every
+// request that re-posts the same bytes, and every reply for the key puts
+// slices of hdr into its response header map as they are (capacity 1
+// each, so an append by anything downstream copies) — nobody assigns into
+// them.
+type identity struct {
+	key      string // the config's content address
+	scenario string // label for metrics, the per-scenario cap, the run registry ("compose" for composed jobs)
 	format   string
-	key      string
-	body     []byte // canonical envelope JSON — what a proxy re-submits
-	spec     scenario.Spec
-	bare     bool
+
+	// hdr backs the header values writeArtifact sets for this key —
+	// X-Config-Hash, X-Scenario, Content-Type — built once here instead
+	// of one slice per header per reply.
+	hdr [3]string
+}
+
+// job is one executable unit behind the cache/singleflight/registry
+// machinery: its identity, plus what only the paths that leave this
+// replica's answer tiers need — spec is what exec runs; bare selects the
+// {"scenario":…} artifact, the phase's grid with no phase header.
+type job struct {
+	*identity
+	body []byte // canonical envelope JSON — what a proxy re-submits
+	spec scenario.Spec
+	bare bool
+}
+
+// envelopeKind names the envelope a route decodes. It is part of a parse
+// memo key, so that it can be looked up before any envelope is allocated.
+type envelopeKind uint8
+
+const (
+	scenarioEnvelope envelopeKind = iota // POST /v1/run, POST /v1/runs
+	composeEnvelope                      // POST /v1/compose
+)
+
+func (k envelopeKind) new() envelope {
+	if k == composeEnvelope {
+		return new(ComposeConfig)
+	}
+	return new(JobConfig)
 }
 
 // parseJob decodes r into env strictly (see scenario.Decode) and builds
@@ -204,8 +234,8 @@ func newJob(env envelope) (job, error) {
 		// Strings, ints and slices cannot fail to marshal.
 		panic("serve: marshal canonical config: " + err.Error())
 	}
-	sum := sha256.Sum256(j.body)
-	j.key = hex.EncodeToString(sum[:])
+	j.key = sha256Hex(j.body)
+	j.hdr = [3]string{j.key, j.scenario, contentTypeFor(j.format)}
 	return j, nil
 }
 

@@ -67,6 +67,12 @@ func badRequest(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, errorFrom(err), 0)
 }
 
+// tooLarge answers a body past maxBodyBytes.
+func tooLarge(w http.ResponseWriter) {
+	writeError(w, http.StatusRequestEntityTooLarge,
+		apiError{Error: "request body too large", Field: "body", Hint: "at most 1 MiB"}, 0)
+}
+
 // unavailable answers the draining rejection.
 func unavailable(w http.ResponseWriter) {
 	writeError(w, http.StatusServiceUnavailable,

@@ -14,9 +14,11 @@ import (
 )
 
 // accessRecord collects what the handler learns about a request beyond
-// what the middleware can see: the resolved scenario, the cache
-// disposition, and how long the job sat queued before executing.
+// what the middleware can see: where the job's identity came from, the
+// resolved scenario, the cache disposition, and how long the job sat
+// queued before executing.
 type accessRecord struct {
+	parse     string // memo | full
 	scenario  string
 	cache     string // hit | miss | shared
 	queueWait time.Duration
@@ -30,6 +32,12 @@ type accessKey struct{}
 func access(r *http.Request) *accessRecord {
 	rec, _ := r.Context().Value(accessKey{}).(*accessRecord)
 	return rec
+}
+
+func (a *accessRecord) setParse(how string) {
+	if a != nil {
+		a.parse = how
+	}
 }
 
 func (a *accessRecord) setScenario(name string) {
@@ -81,9 +89,9 @@ func (sw *statusWriter) Flush() {
 // withAccessLog wraps next with the request logger. One line per
 // completed request:
 //
-//	method=POST path=/run status=200 scenario=micro cache=hit queue_wait=0s latency=1.2ms
+//	method=POST path=/v1/run status=200 parse=memo scenario=micro cache=hit queue_wait=0s latency=1.2ms
 //
-// scenario/cache/queue_wait appear only when the handler resolved them.
+// parse/scenario/cache/queue_wait appear only when the handler resolved them.
 func (s *Server) withAccessLog(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -95,6 +103,9 @@ func (s *Server) withAccessLog(next http.Handler) http.Handler {
 			status = http.StatusOK
 		}
 		line := fmt.Sprintf("method=%s path=%s status=%d", r.Method, r.URL.Path, status)
+		if rec.parse != "" {
+			line += " parse=" + rec.parse
+		}
 		if rec.scenario != "" {
 			line += " scenario=" + rec.scenario
 		}

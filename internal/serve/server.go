@@ -114,6 +114,9 @@ func (o Options) withDefaults() Options {
 // latency, short enough that a closed-loop client keeps the queue warm.
 const retryAfterSeconds = 1
 
+// maxBodyBytes bounds a job submission's body; past it the answer is 413.
+const maxBodyBytes = 1 << 20
+
 // wallLatencyBounds buckets wall-clock job latency: 1 ms to ~9 min in
 // powers of two. (The obs default bounds are virtual-time scaled and far
 // too fine for host wall clock.)
@@ -134,6 +137,7 @@ type jobResult struct {
 // then Close on shutdown.
 type Server struct {
 	opts   Options
+	memo   *parseMemo // raw body → identity, in front of parseJob
 	cache  *Cache
 	flight *flightGroup
 	runs   *runRegistry
@@ -195,6 +199,7 @@ func NewServer(opts Options) (*Server, error) {
 	base, stop := context.WithCancel(context.Background())
 	s := &Server{
 		opts:    opts,
+		memo:    newParseMemo(parseMemoBytes, parseMemoMaxEntry),
 		cache:   NewCache(opts.CacheBytes),
 		flight:  newFlightGroup(),
 		runs:    newRunRegistry(opts.RunHistory),
@@ -297,19 +302,49 @@ func (s *Server) noteQueueDepth() {
 	s.regMu.Unlock()
 }
 
+// series names one scenario label's metric series, concatenated once at
+// start-up instead of once per request.
+type series struct{ requests, submits, latency string }
+
+// seriesOf holds the series of every label a job can carry: the named
+// scenarios and composeLabel. Read-only after init.
+var seriesOf = func() map[string]*series {
+	m := make(map[string]*series)
+	add := func(label string) {
+		m[label] = &series{
+			requests: "serve/requests{scenario=" + label + "}",
+			submits:  "serve/submits{scenario=" + label + "}",
+			latency:  "serve/run.latency_ns{scenario=" + label + "}",
+		}
+	}
+	add(composeLabel)
+	for _, p := range scenario.Patterns() {
+		if p.Named() {
+			add(p.Name)
+		}
+	}
+	return m
+}()
+
 func (s *Server) observeLatency(scenario string, d time.Duration) {
 	s.regMu.Lock()
-	s.reg.Histogram("serve/run.latency_ns{scenario="+scenario+"}", wallLatencyBounds).
+	s.reg.Histogram(seriesOf[scenario].latency, wallLatencyBounds).
 		Observe(d.Nanoseconds())
 	s.regMu.Unlock()
 }
 
 func (s *Server) syncCacheGauges() {
 	entries, bytes, evictions := s.cache.Stats()
+	memo := s.memo.stats()
 	s.regMu.Lock()
 	s.reg.Gauge("serve/cache.entries").Set(int64(entries))
 	s.reg.Gauge("serve/cache.bytes").Set(bytes)
 	s.reg.Gauge("serve/cache.evictions").Set(evictions)
+	s.reg.Gauge("serve/parse_memo.hits").Set(memo.hits)
+	s.reg.Gauge("serve/parse_memo.misses").Set(memo.misses)
+	s.reg.Gauge("serve/parse_memo.entries").Set(int64(memo.entries))
+	s.reg.Gauge("serve/parse_memo.bytes").Set(memo.bytes)
+	s.reg.Gauge("serve/parse_memo.evictions").Set(memo.evictions)
 	s.regMu.Unlock()
 	if s.store != nil {
 		se, sq := s.store.Stats()
@@ -328,52 +363,98 @@ func (s *Server) syncCacheGauges() {
 // executes). POST /v1/compose picks with `?async=1`.
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.handleJob(w, r, new(JobConfig), false)
+	s.handleJob(w, r, scenarioEnvelope, false)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.handleJob(w, r, new(JobConfig), true)
+	s.handleJob(w, r, scenarioEnvelope, true)
 }
 
 func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
-	async := r.URL.Query().Get("async")
-	s.handleJob(w, r, new(ComposeConfig), async != "" && async != "0" && async != "false")
+	async := false
+	if r.URL.RawQuery != "" { // parsing a query allocates its map even when there is none
+		v := r.URL.Query().Get("async")
+		async = v != "" && v != "0" && v != "false"
+	}
+	s.handleJob(w, r, composeEnvelope, async)
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, env envelope, async bool) {
+// handleJob answers a submission. Lookup order: the parse memo for the
+// body's exact bytes — a hit is the job's identity with no decode, canon,
+// marshal or hash — else the full strict parse, whose identity the memo
+// keeps from then on; then this replica's answer tiers, hot LRU before
+// verified disk load. Only a job neither tier holds goes on to serveJob
+// or submitJob, and those need the canonical body and the spec: if the
+// memo supplied the identity the body is parsed now, which next to a
+// proxy hop or an execution (both ≥ 100 parses) is nothing.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind envelopeKind, async bool) {
 	noStore(w)
 	if s.draining.Load() {
 		unavailable(w)
 		return
 	}
-	j, err := parseJob(http.MaxBytesReader(w, r.Body, 1<<20), env)
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		badRequest(w, err)
+		// Never parsed, never memoised. A read cut short answers what
+		// scenario.Decode answered when it did the reading itself.
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			tooLarge(w)
+		} else {
+			badRequest(w, fmt.Errorf("bad job config: %w", err))
+		}
 		return
 	}
-	access(r).setScenario(j.scenario)
+	var j job
+	id := s.memo.get(kind, raw)
+	if id != nil {
+		access(r).setParse("memo")
+	} else {
+		access(r).setParse("full")
+		if j, err = parseJob(bytes.NewReader(raw), kind.new()); err != nil {
+			badRequest(w, err)
+			return
+		}
+		id = j.identity
+		s.memo.put(kind, raw, id)
+	}
+	access(r).setScenario(id.scenario)
 	if async {
-		s.count("serve/submits{scenario="+j.scenario+"}", 1)
-		s.submitJob(w, r, j)
+		s.count(seriesOf[id.scenario].submits, 1)
+	} else {
+		s.count(seriesOf[id.scenario].requests, 1)
+	}
+
+	if body, src, ok := s.lookupLocal(id); ok {
+		access(r).setCache(src)
+		if async {
+			run := s.runs.cached(id.key, id.scenario, id.format, body)
+			writeJSON(w, http.StatusOK, run.Info())
+		} else {
+			s.writeArtifact(w, id, src, body)
+		}
 		return
 	}
-	s.count("serve/requests{scenario="+j.scenario+"}", 1)
-	s.serveJob(w, r, j)
+
+	if j.identity == nil {
+		if j, err = parseJob(bytes.NewReader(raw), kind.new()); err != nil {
+			panic("serve: memoised body no longer parses: " + err.Error())
+		}
+	}
+	if async {
+		s.submitJob(w, r, j)
+	} else {
+		s.serveJob(w, r, j)
+	}
 }
 
-// serveJob is the synchronous artifact path shared by POST /v1/run and
-// POST /v1/compose. Lookup order: hot LRU, then the disk tier, then —
-// when clustered and this replica does not own the key — a proxy to the
-// ring owner; only after all of those does the job reach singleflight
-// and (behind a last peer cache-fill probe) cold execution.
+// serveJob is the synchronous path, shared by POST /v1/run and POST
+// /v1/compose, of a job this replica's own tiers do not hold: when
+// clustered and this replica does not own the key, a proxy to the ring
+// owner; only after that does the job reach singleflight and (behind a
+// last peer cache-fill probe) cold execution.
 func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, j job) {
-	if body, src, ok := s.lookupLocal(j); ok {
-		access(r).setCache(src)
-		s.writeArtifact(w, j, src, body)
-		return
-	}
-
-	// Not here. If another replica owns this key, hand the job over —
+	// If another replica owns this key, hand the job over —
 	// the owner is where the artifact accumulates (LRU + disk), so the
 	// cluster keeps one durable home per key instead of N cold copies.
 	// A dead or draining owner falls through to local execution.
@@ -408,23 +489,18 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, j job) {
 		jobError(w, res)
 		return
 	}
-	s.writeArtifact(w, j, src, res.body)
+	s.writeArtifact(w, j.identity, src, res.body)
 }
 
-// submitJob is the asynchronous path shared by POST /v1/runs and POST
-// /v1/compose?async=1: an immediate run record (200 when the artifact is
-// already cached — hot or disk tier, 202 otherwise), followed via GET
-// /v1/runs/{id} or SSE. Async submissions never proxy: the run record
-// (its ID, its SSE stream) lives where the client submitted, so handing
-// the job to another replica would orphan the follow-up URLs. Execution
-// still probes peers before going cold.
+// submitJob is the asynchronous path, shared by POST /v1/runs and POST
+// /v1/compose?async=1, of a job this replica's own tiers do not hold (one
+// they hold was answered 200 with a finished run record): an immediate
+// 202 run record, followed via GET /v1/runs/{id} or SSE. Async
+// submissions never proxy: the run record (its ID, its SSE stream) lives
+// where the client submitted, so handing the job to another replica would
+// orphan the follow-up URLs. Execution still probes peers before going
+// cold.
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, j job) {
-	if body, src, ok := s.lookupLocal(j); ok {
-		access(r).setCache(src)
-		run := s.runs.cached(j.key, j.scenario, j.format, body)
-		writeJSON(w, http.StatusOK, run.Info())
-		return
-	}
 	access(r).setCache("miss")
 
 	// Create the record before launching so a GET /v1/runs/{id} issued right
@@ -436,27 +512,34 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, j job) {
 	writeJSON(w, http.StatusAccepted, run.Info())
 }
 
-func (s *Server) writeArtifact(w http.ResponseWriter, j job, src string, body []byte) {
-	w.Header().Set("Content-Type", contentTypeFor(j.format))
-	w.Header().Set("X-Config-Hash", j.key)
-	w.Header().Set("X-Cache", src)
-	w.Header().Set("X-Scenario", j.scenario)
+// writeArtifact answers 200 with an artifact. The per-key header values
+// are the identity's own slices (see identity: shared, never mutated).
+func (s *Server) writeArtifact(w http.ResponseWriter, id *identity, src string, body []byte) {
+	h := w.Header()
+	h["X-Config-Hash"] = id.hdr[0:1:1]
+	h["X-Scenario"] = id.hdr[1:2:2]
+	h["Content-Type"] = id.hdr[2:3:3]
+	h["X-Cache"] = []string{src}
 	if s.ring != nil {
 		// Routing visibility: which replica the ring maps this key to and
 		// which one actually produced this response. The cluster drill
 		// (cmd/simd's TestClusterDrill) picks its kill target by X-Owner.
-		w.Header().Set("X-Owner", s.ring.Owner(j.key))
-		w.Header().Set("X-Served-By", s.ring.Self())
+		h.Set("X-Owner", s.ring.Owner(id.key))
+		h.Set("X-Served-By", s.ring.Self())
 	}
 	w.Write(body)
 }
 
 func contentTypeFor(format string) string {
-	return map[string]string{
-		"csv":  "text/csv; charset=utf-8",
-		"text": "text/plain; charset=utf-8",
-		"json": "application/json",
-	}[format]
+	switch format {
+	case "csv":
+		return "text/csv; charset=utf-8"
+	case "text":
+		return "text/plain; charset=utf-8"
+	case "json":
+		return "application/json"
+	}
+	return ""
 }
 
 // handleScenarios is GET /v1/scenarios: the registry, self-described.
@@ -623,7 +706,7 @@ func (s *Server) runJob(ctx context.Context, j job) (res *jobResult) {
 		return &jobResult{status: http.StatusBadRequest, errMsg: err.Error()}
 	}
 	s.observeLatency(j.scenario, time.Since(t0))
-	s.fill(j, body)
+	s.fill(j.identity, body, sha256Hex(body))
 	return &jobResult{status: http.StatusOK, body: body}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -229,6 +230,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		"serve_queue_depth ",
 		`serve_run_latency_ns_bucket{scenario="micro",le="+Inf"} 1`,
 		"serve_cache_entries 1",
+		// The parse memo: the first post parsed, the second did not.
+		"serve_parse_memo_hits 1",
+		"serve_parse_memo_misses 1",
+		"serve_parse_memo_entries 1",
+		"serve_parse_memo_bytes " + strconv.Itoa(len(fastJob)+64+len("micro")+len("csv")+memoEntryOverhead),
+		"serve_parse_memo_evictions 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q\n%s", want, text)
@@ -236,5 +243,109 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("metrics Content-Type = %q", ct)
+	}
+}
+
+// A body past the 1 MiB limit is a 413 that says what the limit is; one
+// exactly at it is read, parsed and answered (and, being dearer than one
+// memo entry's share, not memoised).
+func TestOversizeBodyIs413(t *testing.T) {
+	s := New(Options{Workers: 1, SweepWorkers: 1})
+	defer s.Close()
+	h := s.Handler()
+	pad := func(total int) []byte { return padded(total - len(fastJob)) }
+
+	for _, path := range []string{"/v1/run", "/v1/runs", "/v1/compose"} {
+		rec := serveBody(h, path, pad(maxBodyBytes+1))
+		const want = `{"error":"request body too large","field":"body","hint":"at most 1 MiB"}` + "\n"
+		if rec.Code != http.StatusRequestEntityTooLarge || rec.Body.String() != want {
+			t.Errorf("POST %s, 1 MiB + 1: %d %s, want 413 %s", path, rec.Code, rec.Body, want)
+		}
+	}
+	if rec := serveBody(h, "/v1/run", pad(maxBodyBytes)); rec.Code != http.StatusOK {
+		t.Errorf("POST /v1/run, exactly 1 MiB: %d %s", rec.Code, rec.Body)
+	}
+	if st := s.memo.stats(); st.entries != 0 || st.misses != 1 {
+		t.Errorf("memo after one readable 1 MiB body and three over-size ones: %+v, want one parse, nothing kept", st)
+	}
+}
+
+// pingCompose is a body of the repo benchmark's serve workloads (the
+// short spelling of a ping key), pingCompose2 a second key.
+const (
+	pingCompose  = `{"compose":{"phases":[{"pattern":"ping","params":{"iters":8},"sizes":{"kind":"fixed","bytes":1024}}]}}`
+	pingCompose2 = `{"compose":{"phases":[{"pattern":"ping","params":{"iters":8},"sizes":{"kind":"fixed","bytes":2048}}]}}`
+)
+
+// discardWriter is a ResponseWriter that keeps the status and the body's
+// length and drops the rest, so a handler's own allocations are all
+// AllocsPerRun sees.
+type discardWriter struct {
+	h         http.Header
+	status, n int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(b []byte) (int, error) { d.n = len(b); return len(b), nil }
+func (d *discardWriter) WriteHeader(code int)        { d.status = code }
+
+// replayBody is a request body that can be rewound between runs.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// What answering a re-posted body from this replica's own tiers costs the
+// heap, handler only (request construction and the response writer are
+// outside): the parse memo supplies the identity, so no envelope, spec,
+// canonical body or key is built. The second case alternates two keys
+// over an LRU that holds one, so every answer is a verified disk load
+// promoted into the LRU — hashed by the load and not again by the
+// promotion. Pinned at the measured counts, 4 and 32 (50 and 80 before
+// the memo): the first with the house 10 %, the second with a headroom
+// of one, because hashing the artifact again on promotion costs two.
+func TestHitPathAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		name   string
+		bodies [][]byte
+		src    string
+		budget float64
+	}{
+		{"LRU hit", [][]byte{[]byte(pingCompose)}, "hit", 4.4},
+		{"disk load", [][]byte{[]byte(pingCompose), []byte(pingCompose2)}, "disk", 33},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Options{Workers: 1, SweepWorkers: 1, StoreDir: t.TempDir()})
+			defer s.Close()
+			h := s.Handler()
+			body := &replayBody{}
+			req := httptest.NewRequest(http.MethodPost, "/v1/compose", body)
+			w := &discardWriter{h: make(http.Header)}
+			largest := 0
+			serve := func() {
+				for _, b := range tc.bodies {
+					body.Reset(b)
+					clear(w.h)
+					w.status = http.StatusOK
+					h.ServeHTTP(w, req)
+					if src := w.h.Get("X-Cache"); w.status != http.StatusOK || (largest > 0 && src != tc.src) {
+						t.Fatalf("status %d X-Cache %q, want 200 from %q", w.status, src, tc.src)
+					}
+				}
+			}
+			serve() // cold: executes and fills both tiers
+			largest = w.n
+			if len(tc.bodies) > 1 {
+				s.cache = NewCache(int64(largest)) // one artifact fits, never two
+				serve()
+			}
+			got := testing.AllocsPerRun(200, serve) / float64(len(tc.bodies))
+			t.Logf("%s: %.1f allocations per request (budget %.1f)", tc.name, got, tc.budget)
+			if got > tc.budget {
+				t.Errorf("%s: %.1f allocations per request, budget %.1f", tc.name, got, tc.budget)
+			}
+		})
 	}
 }

@@ -26,8 +26,6 @@ package serve
 //     bounded by the operator's disk.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io/fs"
@@ -135,8 +133,7 @@ func (st *Store) Get(key string) ([]byte, StoreMeta, bool) {
 		st.quarantine(key)
 		return nil, StoreMeta{}, false
 	}
-	sum := sha256.Sum256(body)
-	if hex.EncodeToString(sum[:]) != m.SHA256 {
+	if sha256Hex(body) != m.SHA256 {
 		st.quarantine(key)
 		return nil, StoreMeta{}, false
 	}
@@ -147,13 +144,18 @@ func (st *Store) Get(key string) ([]byte, StoreMeta, bool) {
 // no-op write of identical bytes (results are deterministic), so last
 // rename winning is harmless.
 func (st *Store) Put(key string, body []byte, scenario, format string) error {
+	return st.putHashed(key, body, scenario, format, sha256Hex(body))
+}
+
+// putHashed is Put for a caller that already holds body's hex SHA-256
+// (see Cache.putHashed).
+func (st *Store) putHashed(key string, body []byte, scenario, format, sha string) error {
 	if !validStoreKey(key) {
 		return fmt.Errorf("serve: store put: bad key %q", key)
 	}
-	sum := sha256.Sum256(body)
 	m := StoreMeta{
 		Key: key, Scenario: scenario, Format: format,
-		Bytes: len(body), SHA256: hex.EncodeToString(sum[:]),
+		Bytes: len(body), SHA256: sha,
 		CreatedUnix: time.Now().Unix(),
 	}
 	metaRaw, err := json.Marshal(m)

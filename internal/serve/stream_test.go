@@ -529,7 +529,8 @@ func TestHeaderHygiene(t *testing.T) {
 }
 
 // TestAccessLog: with a sink installed, each request emits one structured
-// line carrying scenario and cache disposition.
+// line carrying where the job's identity came from (the full parse, then
+// the parse memo), scenario and cache disposition.
 func TestAccessLog(t *testing.T) {
 	var buf bytes.Buffer
 	logw := &syncWriter{w: &buf}
@@ -541,8 +542,8 @@ func TestAccessLog(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("%d log lines, want 2:\n%s", len(lines), logw.String())
 	}
-	for i, want := range []string{"cache=miss", "cache=hit"} {
-		for _, frag := range []string{"method=POST", "path=/v1/run", "status=200", "scenario=micro", want, "latency="} {
+	for i, want := range []string{"parse=full scenario=micro cache=miss", "parse=memo scenario=micro cache=hit"} {
+		for _, frag := range []string{"method=POST", "path=/v1/run", "status=200", want, "latency="} {
 			if !strings.Contains(lines[i], frag) {
 				t.Errorf("log line %d missing %q: %s", i, frag, lines[i])
 			}
