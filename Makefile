@@ -105,5 +105,9 @@ report:
 	mkdir -p results
 	$(GO) run ./cmd/armci-bench report -metrics results/metrics.txt | tee results/report.md
 
+# Removes what building, testing and running leave behind and .gitignore
+# lists — nothing tracked: results/ holds committed artifacts (the
+# paper-scale Fig 11 runs, report.md, the README).
 clean:
-	rm -rf results
+	rm -rf results/metrics.txt benchmark/out armci-bench obs-report simbench simd
+	find . -name '*.test' -type f -delete

@@ -1,7 +1,9 @@
 package repro
 
 import (
+	"bytes"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -84,5 +86,37 @@ func TestDocsNameRealThings(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGofmt: formatting is a gate like any other, so it is a Go test —
+// every .go file in the tree is what go/format makes of it.
+func TestGofmt(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return fs.SkipDir // .git, the driver's .bench_build
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if want, err := format.Source(src); err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if !bytes.Equal(want, src) {
+			t.Errorf("%s is not gofmt-formatted (gofmt -d %s)", path, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -405,7 +405,7 @@ type Runtime struct {
 	retry        *RetryPolicy     // resolved policy (never nil when faulty)
 	suspectUntil map[int]sim.Time // per-target rank: RDMA path suspect until this time; nil until one is
 	applied      map[amKey]bool   // target-side write-AM dedup, lazily allocated
-	ftObs        *ftObs           // retry/timeout/recovery instrumentation
+	hRecovery    *obs.Histogram   // armci/ft.recovery_ns: first missed deadline -> eventual completion
 }
 
 // amKey identifies one write AM target-side for deduplication: the
@@ -440,7 +440,9 @@ func newRuntime(w *World, th *sim.Thread, rank int) *Runtime {
 		if rt.retry == nil {
 			rt.retry = DefaultRetryPolicy()
 		}
-		rt.ftObs = newFtObs(c.Obs)
+		if c.Obs != nil {
+			rt.hRecovery = c.Obs.Histogram("armci/ft.recovery_ns", obs.DefaultLatencyBounds)
+		}
 	}
 	for i := range c.Contexts {
 		for j := range w.handlers {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/mem"
+	"repro/internal/pami"
 	"repro/internal/sim"
 )
 
@@ -354,6 +355,10 @@ func (rc *regionCache) Len() int { return rc.total }
 // hit, or an active-message query to the owner (which needs the owner's
 // progress engine — region misses are not free at scale). ok=false means
 // the owner has no covering registration and the caller must fall back.
+// On a chaos run the query is itself a round trip that can be lost, so
+// the wait is bounded: two timed attempts, then unresolved — the caller
+// degrades to the AM data path, it never blocks an operation forever on
+// metadata.
 func (rt *Runtime) remoteRegionFor(th *sim.Thread, rank int, addr mem.Addr, n int) (ok bool) {
 	if rt.regions.lookup(rank, addr, n) {
 		rt.Stats.Inc("regioncache.hit", 1)
@@ -361,11 +366,22 @@ func (rt *Runtime) remoteRegionFor(th *sim.Thread, rank int, addr mem.Addr, n in
 	}
 	rt.Stats.Inc("regioncache.miss", 1)
 	id, p := rt.newPend()
-	rt.mainCtx.SendAM(th, rt.epSvc(th, rank), dRegionQ,
-		[]int64{id, int64(addr), int64(n)}, nil)
-	rt.mainCtx.WaitCond(th, func() bool { return p.done })
+	hdr := []int64{id, int64(addr), int64(n)}
+	for try := 0; try < 2 && !p.done; try++ {
+		if try > 0 {
+			rt.Stats.Inc("retry", 1)
+		}
+		rt.mainCtx.SendAM(th, rt.epSvc(th, rank), dRegionQ, hdr, nil)
+		deadline := pami.NoDeadline // a healthy run loses no message: the first wait ends the loop
+		if rt.faulty() {
+			deadline = th.Now() + rt.retry.Timeout
+		}
+		if !rt.mainCtx.WaitCondUntil(th, func() bool { return p.done }, deadline) {
+			rt.Stats.Inc("timeout", 1)
+		}
+	}
 	delete(rt.pend, id)
-	if !p.found {
+	if !p.found { // no covering registration, or no answer
 		rt.Stats.Inc("regioncache.unresolved", 1)
 		return false
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/pami"
 	"repro/internal/sim"
 )
 
@@ -56,30 +57,25 @@ func (c *consistency) regionStatus(key int) []uint8 {
 	return c.mr[key]
 }
 
+// status returns the per-rank vector that tracks structure key under the
+// active mode.
+func (c *consistency) status(key int) []uint8 {
+	if c.mode == ConsistencyNaive || key < 0 {
+		return c.targetStatus()
+	}
+	return c.regionStatus(key)
+}
+
 // noteWrite records an outstanding write (put or accumulate) to (rank,
 // structure key).
-func (c *consistency) noteWrite(rank, key int) {
-	if c.mode == ConsistencyNaive || key < 0 {
-		c.targetStatus()[rank] |= csWrite
-		return
-	}
-	c.regionStatus(key)[rank] |= csWrite
-}
+func (c *consistency) noteWrite(rank, key int) { c.status(key)[rank] |= csWrite }
 
-// noteRead records an outstanding read.
-func (c *consistency) noteRead(rank, key int) {
-	if c.mode == ConsistencyNaive || key < 0 {
-		c.targetStatus()[rank] |= csRead
-		return
-	}
-	c.regionStatus(key)[rank] |= csRead
-}
-
-// checkRead fences the target if the pending read conflicts with an
-// outstanding write under the active mode. It also counts reads that the
-// naive scheme would have fenced but the per-region scheme did not — the
-// quantity the §III.E ablation reports.
-func (c *consistency) checkRead(th *sim.Thread, rank, key int) {
+// read admits a get from (rank, structure key): it fences the target first
+// if the read conflicts with an outstanding write under the active mode,
+// then records the read. It also counts reads that the naive scheme would
+// have fenced but the per-region scheme did not — the quantity the §III.E
+// ablation reports.
+func (c *consistency) read(th *sim.Thread, rank, key int) {
 	conflict := c.tgt != nil && c.tgt[rank]&csWrite != 0
 	naiveWould := conflict
 	if c.mode == ConsistencyPerRegion {
@@ -99,11 +95,10 @@ func (c *consistency) checkRead(th *sim.Thread, rank, key int) {
 	if conflict {
 		c.rt.Stats.Inc("conflict.fence", 1)
 		c.rt.Fence(th, rank)
-		return
-	}
-	if naiveWould {
+	} else if naiveWould {
 		c.rt.Stats.Inc("conflict.avoided", 1)
 	}
+	c.status(key)[rank] |= csRead
 }
 
 // clearRank resets all status for a fenced target.
@@ -130,38 +125,17 @@ func (c *consistency) clearAll() {
 // remotely visible: RDMA puts are flushed with an ordered control
 // round-trip, and AM writes (fallback puts, accumulates) are awaited via
 // their acks. Clears the conflict status for the target (§III.E).
+//
+// On a chaos run the flush round-trip can itself be lost, so it is retried
+// under the policy like any operation, and the acks are awaited with a
+// bounded deadline. The blocking *Err operations are end-to-end there and
+// leave nothing for the fence to wait on — this mainly covers workloads
+// that mix Nb* writes with fault injection, which is best-effort: a lost
+// Nb write's ack never arrives and the fence panics.
 func (rt *Runtime) Fence(th *sim.Thread, rank int) {
-	if rt.faulty() {
-		rt.fenceFT(th, rank)
-		return
-	}
 	if n := rt.dirty[rank].unflushedPuts; n > 0 {
 		comp := sim.NewCompletion(rt.W.K)
-		rt.mainCtx.FlushRemote(th, rt.epData(th, rank), comp)
-		rt.mainCtx.WaitLocal(th, comp)
-		rt.noteWrites(rank, -n, 0)
-		rt.Stats.Inc("fence.flush", 1)
-	}
-	if rt.dirty[rank].unackedAMs > 0 {
-		rt.mainCtx.WaitCond(th, func() bool { return rt.dirty[rank].unackedAMs == 0 })
-		rt.Stats.Inc("fence.ack", 1)
-	}
-	rt.cons.clearRank(rank)
-	rt.Stats.Inc("fence", 1)
-	rt.tr("fence", "fence", int64(rank))
-}
-
-// fenceFT is the chaos-run fence. The flush round-trip can itself be
-// lost, so it is retried under the policy; outstanding AM acks (from
-// legacy non-blocking writes) are awaited with a bounded deadline. The
-// blocking *Err operations are end-to-end on chaos runs and leave
-// nothing for the fence to wait on — this path mainly covers workloads
-// that mix legacy Nb* writes with fault injection, which is best-effort:
-// a lost Nb write's ack never arrives and the fence panics.
-func (rt *Runtime) fenceFT(th *sim.Thread, rank int) {
-	if n := rt.dirty[rank].unflushedPuts; n > 0 {
-		comp := sim.NewCompletion(rt.W.K)
-		err := rt.retryLoop(th, "fence.flush", rank, 0, comp, func(int) {
+		err := rt.attempt(th, "fence.flush", rank, 0, comp, func() {
 			rt.mainCtx.FlushRemote(th, rt.epData(th, rank), comp)
 		}, nil)
 		if err != nil {
@@ -171,7 +145,10 @@ func (rt *Runtime) fenceFT(th *sim.Thread, rank int) {
 		rt.Stats.Inc("fence.flush", 1)
 	}
 	if rt.dirty[rank].unackedAMs > 0 {
-		deadline := th.Now() + rt.retry.Timeout*sim.Time(rt.retry.MaxAttempts)
+		deadline := pami.NoDeadline
+		if rt.faulty() {
+			deadline = th.Now() + rt.retry.Timeout*sim.Time(rt.retry.MaxAttempts)
+		}
 		if !rt.mainCtx.WaitCondUntil(th, func() bool { return rt.dirty[rank].unackedAMs == 0 }, deadline) {
 			panic(fmt.Sprintf("armci: fence to rank %d timed out awaiting %d AM acks; "+
 				"non-blocking writes are not fault-hardened — use the blocking *Err forms on chaos runs",

@@ -53,38 +53,102 @@ func (rt *Runtime) WaitAll(th *sim.Thread) {
 	rt.implicit = rt.implicit[:0]
 }
 
-// finishedCompletion returns an already-finished completion, used where
-// an operation is locally complete at issue time (AM sends capture the
-// buffer immediately).
-func (rt *Runtime) finishedCompletion() *sim.Completion {
-	c := sim.NewCompletion(rt.W.K)
-	c.Finish()
-	return c
+// xfer is one contiguous operation across every attempt made at it: a
+// healthy run issues it once, a chaos run re-issues the same value, so a
+// re-send repeats the first send's identity.
+type xfer struct {
+	comp *sim.Completion // the one completion all attempts share; finished with FinishOnce below
+	// id and data are the pend id and payload the first AM attempt
+	// captured (id 0: none yet), re-sent unchanged: the target dedups on
+	// (initiator, id), so an accumulate is applied once however many
+	// copies arrive.
+	id   int64
+	data []byte
+	rdma bool // the last attempt went by RDMA: its missed deadline turns the target suspect
+	// e2e marks a blocking operation on a chaos run. The caller waits
+	// until the bytes landed or were applied, so a timed wait detects
+	// their loss and nothing is left for a fence or a conflicting read to
+	// wait on: an end-to-end write books neither fence nor conflict state.
+	e2e bool
 }
 
-// NbPut starts a non-blocking contiguous put of n bytes from local memory
-// to dst. RDMA when both sides are registered; otherwise PAMI's default
-// (active-message) RMA path, which needs the target's progress engine.
-func (rt *Runtime) NbPut(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) *Handle {
-	rt.cons.noteWrite(dst.Rank, rt.allocKey(dst))
-	if rt.localRegionFor(th, local, n) && rt.remoteRegionFor(th, dst.Rank, dst.Addr, n) {
-		comp := sim.NewCompletion(rt.W.K)
-		rt.mainCtx.RdmaPut(th, rt.epData(th, dst.Rank), local, dst.Addr, n, comp)
-		rt.noteWrites(dst.Rank, 1, 0)
+func (rt *Runtime) newXfer(blocking bool) xfer {
+	return xfer{comp: sim.NewCompletion(rt.W.K), e2e: blocking && rt.faulty()}
+}
+
+// complete drives x through attempt. An end-to-end operation then drops
+// the pending request it may still have (budget exhausted, or an AM
+// attempt overtaken by a later RDMA one): a late reply finds nothing.
+func (rt *Runtime) complete(th *sim.Thread, op string, target, n int, x *xfer, issue func()) error {
+	err := rt.attempt(th, op, target, n, x.comp, issue, func() {
+		if x.rdma {
+			rt.markSuspect(target)
+		}
+	})
+	if x.e2e {
+		delete(rt.pend, x.id)
+	}
+	return err
+}
+
+// rdmaReady is §III.C.1's selection rule: RDMA when both memory regions
+// are at hand — [local, local+ln) registered here, [addr, addr+rn) at
+// rank resolved through the region cache — and rank is not inside a
+// suspect window; else the active-message fallback.
+func (rt *Runtime) rdmaReady(th *sim.Thread, local mem.Addr, ln, rank int, addr mem.Addr, rn int) bool {
+	return !rt.rdmaSuspect(rank) && rt.localRegionFor(th, local, ln) && rt.remoteRegionFor(th, rank, addr, rn)
+}
+
+// amWrite prepares x's first AM attempt at a write of n bytes to rank:
+// payload captured, pend id allocated (its ack finishes x) and, unless
+// the write is end to end, that ack booked for the next fence.
+func (rt *Runtime) amWrite(x *xfer, local mem.Addr, rank, n int) {
+	x.data = rt.C.Space.Clone(local, n)
+	var p *pendReq
+	x.id, p = rt.newPend()
+	p.comp = x.comp
+	if !x.e2e {
+		p.counted = true
+		rt.noteWrites(rank, 0, 1)
+	}
+}
+
+// issuePut makes one attempt at a contiguous put of n bytes from local
+// memory to dst. RDMA when rdmaReady; otherwise PAMI's default
+// (active-message) path, which needs the target's progress engine and
+// whose remote ack feeds the fence.
+func (rt *Runtime) issuePut(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalPtr, n int) {
+	if !x.e2e {
+		rt.cons.noteWrite(dst.Rank, rt.allocKey(dst))
+	}
+	if x.rdma = rt.rdmaReady(th, local, n, dst.Rank, dst.Addr, n); x.rdma {
+		// Under an injector RdmaPut's completion is end to end (posted at
+		// delivery), so a timed wait detects a dropped data message.
+		rt.mainCtx.RdmaPut(th, rt.epData(th, dst.Rank), local, dst.Addr, n, x.comp)
+		if !x.e2e {
+			rt.noteWrites(dst.Rank, 1, 0)
+		}
 		rt.Stats.Inc("put.rdma", 1)
 		rt.tr("rdma", "put.rdma", int64(n))
-		return &Handle{rt: rt, comps: []*sim.Completion{comp}}
+		return
 	}
-	// Fallback: AM carrying the payload; remote ack feeds the fence.
-	data := rt.C.Space.Clone(local, n)
-	id, p := rt.newPend()
-	p.counted = true
-	rt.noteWrites(dst.Rank, 0, 1)
-	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutReq,
-		[]int64{id, int64(dst.Addr)}, data)
+	if x.id == 0 {
+		rt.amWrite(x, local, dst.Rank, n)
+		if !x.e2e {
+			x.comp.Finish() // locally complete at issue: the AM owns a copy of the buffer
+		}
+	}
+	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutReq, []int64{x.id, int64(dst.Addr)}, x.data)
 	rt.Stats.Inc("put.am", 1)
 	rt.tr("am", "put.am", int64(n))
-	return &Handle{rt: rt, comps: []*sim.Completion{rt.finishedCompletion()}}
+}
+
+// NbPut starts a non-blocking contiguous put (protocol selection:
+// issuePut). The handle completes when the local buffer is reusable.
+func (rt *Runtime) NbPut(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) *Handle {
+	x := rt.newXfer(false)
+	rt.issuePut(th, &x, local, dst, n)
+	return &Handle{rt: rt, comps: []*sim.Completion{x.comp}}
 }
 
 // Put is the blocking contiguous put: it returns when the local buffer is
@@ -102,41 +166,44 @@ func (rt *Runtime) Put(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) {
 // RetryPolicy, and returns *OpError when the budget is exhausted.
 func (rt *Runtime) PutErr(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) error {
 	t0 := th.Now()
-	if rt.faulty() {
-		if err := rt.putFT(th, local, dst, n); err != nil {
-			return err
-		}
-	} else {
-		rt.NbPut(th, local, dst, n).Wait(th)
+	x := rt.newXfer(true)
+	if err := rt.complete(th, "put", dst.Rank, n, &x, func() { rt.issuePut(th, &x, local, dst, n) }); err != nil {
+		return err
 	}
 	rt.obsOp(opPut, n, th.Now()-t0)
 	return nil
+}
+
+// issueGet makes one attempt at a contiguous get of n bytes from src into
+// local memory: RDMA when rdmaReady, else the fallback, which is no
+// longer one-sided — the target must advance its progress engine to serve
+// it (the extra o of Eq. 8).
+func (rt *Runtime) issueGet(th *sim.Thread, x *xfer, src GlobalPtr, local mem.Addr, n int) {
+	if x.rdma = rt.rdmaReady(th, local, n, src.Rank, src.Addr, n); x.rdma {
+		rt.mainCtx.RdmaGet(th, rt.epData(th, src.Rank), local, src.Addr, n, x.comp)
+		rt.Stats.Inc("get.rdma", 1)
+		rt.tr("rdma", "get.rdma", int64(n))
+		return
+	}
+	if x.id == 0 {
+		var p *pendReq
+		x.id, p = rt.newPend()
+		p.comp = x.comp
+		p.localAddr = local
+	}
+	rt.mainCtx.SendAM(th, rt.epSvc(th, src.Rank), dGetReq, []int64{x.id, int64(src.Addr), int64(n)}, nil)
+	rt.Stats.Inc("get.fallback", 1)
+	rt.tr("am", "get.fallback", int64(n))
 }
 
 // NbGet starts a non-blocking contiguous get of n bytes from src into
 // local memory. A conflicting outstanding write to the same distributed
 // structure fences first (location consistency).
 func (rt *Runtime) NbGet(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) *Handle {
-	key := rt.allocKey(src)
-	rt.cons.checkRead(th, src.Rank, key)
-	rt.cons.noteRead(src.Rank, key)
-	comp := sim.NewCompletion(rt.W.K)
-	if rt.localRegionFor(th, local, n) && rt.remoteRegionFor(th, src.Rank, src.Addr, n) {
-		rt.mainCtx.RdmaGet(th, rt.epData(th, src.Rank), local, src.Addr, n, comp)
-		rt.Stats.Inc("get.rdma", 1)
-		rt.tr("rdma", "get.rdma", int64(n))
-		return &Handle{rt: rt, comps: []*sim.Completion{comp}}
-	}
-	// Fallback: the get is no longer one-sided — the target must advance
-	// its progress engine to serve it (the extra o of Eq. 8).
-	id, p := rt.newPend()
-	p.comp = comp
-	p.localAddr = local
-	rt.mainCtx.SendAM(th, rt.epSvc(th, src.Rank), dGetReq,
-		[]int64{id, int64(src.Addr), int64(n)}, nil)
-	rt.Stats.Inc("get.fallback", 1)
-	rt.tr("am", "get.fallback", int64(n))
-	return &Handle{rt: rt, comps: []*sim.Completion{comp}}
+	rt.cons.read(th, src.Rank, rt.allocKey(src))
+	x := rt.newXfer(false)
+	rt.issueGet(th, &x, src, local, n)
+	return &Handle{rt: rt, comps: []*sim.Completion{x.comp}}
 }
 
 // Get is the blocking contiguous get. On chaos runs an exhausted retry
@@ -150,37 +217,41 @@ func (rt *Runtime) Get(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) {
 // GetErr is the error-returning blocking get (see PutErr).
 func (rt *Runtime) GetErr(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) error {
 	t0 := th.Now()
-	if rt.faulty() {
-		if err := rt.getFT(th, src, local, n); err != nil {
-			return err
-		}
-	} else {
-		rt.NbGet(th, src, local, n).Wait(th)
+	rt.cons.read(th, src.Rank, rt.allocKey(src))
+	x := rt.newXfer(true)
+	if err := rt.complete(th, "get", src.Rank, n, &x, func() { rt.issueGet(th, &x, src, local, n) }); err != nil {
+		return err
 	}
 	rt.obsOp(opGet, n, th.Now()-t0)
 	return nil
 }
 
-// NbAcc starts a non-blocking accumulate: dst[i] += scale * local[i] over
-// n bytes of float64s. Accumulate is always an active-message protocol on
-// BG/Q (no hardware support), so it too relies on target-side progress.
-// The returned handle completes when the target acknowledges application.
+// issueAcc makes one attempt at an accumulate: dst[i] += scale * local[i]
+// over n bytes of float64s. Accumulate is always an active-message
+// protocol on BG/Q (no hardware support), so it relies on target-side
+// progress; x completes when the target acknowledges application.
+func (rt *Runtime) issueAcc(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalPtr, n int, scale float64) {
+	if x.id == 0 {
+		if !x.e2e {
+			rt.cons.noteWrite(dst.Rank, rt.allocKey(dst))
+		}
+		rt.amWrite(x, local, dst.Rank, n)
+	}
+	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dAccReq,
+		[]int64{x.id, int64(dst.Addr), int64(math.Float64bits(scale))}, x.data)
+	rt.Stats.Inc("acc", 1)
+	rt.tr("am", "acc", int64(n))
+}
+
+// NbAcc starts a non-blocking accumulate (issueAcc). The returned handle
+// completes when the target acknowledges application.
 func (rt *Runtime) NbAcc(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, scale float64) *Handle {
 	if n%mem.Float64Size != 0 {
 		panic("armci: accumulate length must be a multiple of 8")
 	}
-	rt.cons.noteWrite(dst.Rank, rt.allocKey(dst))
-	data := rt.C.Space.Clone(local, n)
-	id, p := rt.newPend()
-	comp := sim.NewCompletion(rt.W.K)
-	p.comp = comp
-	p.counted = true
-	rt.noteWrites(dst.Rank, 0, 1)
-	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dAccReq,
-		[]int64{id, int64(dst.Addr), int64(math.Float64bits(scale))}, data)
-	rt.Stats.Inc("acc", 1)
-	rt.tr("am", "acc", int64(n))
-	return &Handle{rt: rt, comps: []*sim.Completion{comp}}
+	x := rt.newXfer(false)
+	rt.issueAcc(th, &x, local, dst, n, scale)
+	return &Handle{rt: rt, comps: []*sim.Completion{x.comp}}
 }
 
 // Acc is the blocking accumulate. On chaos runs an exhausted retry
@@ -199,12 +270,9 @@ func (rt *Runtime) AccErr(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, 
 		return fmt.Errorf("armci: accumulate length %d not a multiple of 8", n)
 	}
 	t0 := th.Now()
-	if rt.faulty() {
-		if err := rt.accFT(th, local, dst, n, scale); err != nil {
-			return err
-		}
-	} else {
-		rt.NbAcc(th, local, dst, n, scale).Wait(th)
+	x := rt.newXfer(true)
+	if err := rt.complete(th, "acc", dst.Rank, n, &x, func() { rt.issueAcc(th, &x, local, dst, n, scale) }); err != nil {
+		return err
 	}
 	rt.obsOp(opAcc, n, th.Now()-t0)
 	return nil

@@ -2,18 +2,16 @@ package armci
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/mem"
-	"repro/internal/obs"
-	"repro/internal/pami"
 	"repro/internal/sim"
 )
 
 // This file is the recovery half of the fault-injection subsystem: the
-// retry policy, the generic timed-retry loop, and the fault-tolerant
-// variants of the blocking operations that the *Err API methods dispatch
-// to on chaos runs (Config.Fault != nil).
+// retry policy and attempt, the one loop every blocking operation waits
+// in. Chaos runs (Config.Fault != nil) have no protocols of their own: an
+// operation is issued by the same function either way (issuePut,
+// issueGet, issueAcc, RmwIssue, FlushRemote), and attempt calls it again
+// after a missed deadline.
 //
 // Recovery semantics, and their limits:
 //
@@ -22,17 +20,20 @@ import (
 //     data landed, an rmw once the reply arrived. They therefore leave no
 //     unflushed/unacked fence state behind.
 //   - Every logical operation keeps one identity across retries — the AM
-//     pend id or the PAMI rmw id is allocated once and re-sent — so the
-//     target can dedup at-least-once deliveries. Non-idempotent ops
+//     pend id (xfer.id) or the PAMI rmw id is allocated once and re-sent —
+//     so the target can dedup at-least-once deliveries. Non-idempotent ops
 //     (accumulate, rmw) are applied exactly once; puts and gets are
 //     byte-idempotent anyway.
 //   - An RDMA attempt that times out marks the target's RDMA path
 //     suspect: its region-cache entries are purged and operations degrade
 //     to the AM protocols until the suspect window expires (§III.C.1's
 //     fallback, reused as the graceful-degradation path).
-//   - Non-blocking (Nb*) and strided operations are NOT fault-hardened:
-//     their completions may simply never fire if a message is dropped.
-//     Chaos workloads must use the blocking *Err forms.
+//   - Non-blocking (Nb*) and strided operations are issued once and NOT
+//     fault-hardened: they share the bounded region query and the suspect
+//     check, but their completions may simply never fire if a data
+//     message is dropped. Chaos workloads must use the blocking *Err forms.
+
+// RetryPolicy is how a chaos run waits for and re-sends an operation.
 type RetryPolicy struct {
 	// MaxAttempts bounds sends per logical operation (first try included).
 	MaxAttempts int
@@ -111,60 +112,8 @@ func (e *OpError) Error() string {
 		e.Op, e.Target, e.Attempts, sim.FormatTime(e.Elapsed))
 }
 
-// ftObs caches the fault-tolerance instrumentation handles; nil when the
-// run has no registry, and every method is nil-safe.
-type ftObs struct {
-	cRetry     *obs.Counter
-	cTimeout   *obs.Counter
-	cExhausted *obs.Counter
-	cSuspect   *obs.Counter
-	hRecovery  *obs.Histogram // first timeout -> eventual completion
-}
-
-func newFtObs(r *obs.Registry) *ftObs {
-	if r == nil {
-		return nil
-	}
-	return &ftObs{
-		cRetry:     r.Counter("armci/ft.retries"),
-		cTimeout:   r.Counter("armci/ft.timeouts"),
-		cExhausted: r.Counter("armci/ft.exhausted"),
-		cSuspect:   r.Counter("armci/ft.suspect"),
-		hRecovery:  r.Histogram("armci/ft.recovery_ns", obs.DefaultLatencyBounds),
-	}
-}
-
-func (f *ftObs) retry() {
-	if f != nil {
-		f.cRetry.Add(1)
-	}
-}
-
-func (f *ftObs) timeout() {
-	if f != nil {
-		f.cTimeout.Add(1)
-	}
-}
-
-func (f *ftObs) exhausted() {
-	if f != nil {
-		f.cExhausted.Add(1)
-	}
-}
-
-func (f *ftObs) suspect() {
-	if f != nil {
-		f.cSuspect.Add(1)
-	}
-}
-
-func (f *ftObs) recovered(d sim.Time) {
-	if f != nil {
-		f.hRecovery.Observe(d)
-	}
-}
-
-// rdmaSuspect reports whether rank's RDMA path is inside a suspect window.
+// rdmaSuspect reports whether rank's RDMA path is inside a suspect window
+// (never, on a run that has not marked one: a nil map reads zero).
 func (rt *Runtime) rdmaSuspect(rank int) bool {
 	return rt.C.Ln.Now() < rt.suspectUntil[rank]
 }
@@ -175,30 +124,33 @@ func (rt *Runtime) rdmaSuspect(rank int) bool {
 // route, or the target MU may be the casualty, and the AM path at least
 // re-resolves everything per attempt.
 func (rt *Runtime) markSuspect(rank int) {
-	if !rt.faulty() {
-		return
-	}
 	if rt.suspectUntil == nil {
 		rt.suspectUntil = make(map[int]sim.Time)
 	}
 	rt.suspectUntil[rank] = rt.C.Ln.Now() + rt.retry.SuspectWindow
 	rt.regions.purgeRank(rank)
 	rt.Stats.Inc("rdma.suspect", 1)
-	rt.ftObs.suspect()
 	rt.tr("fault", "rdma.suspect", int64(rank))
 }
 
-// retryLoop drives one logical operation to completion: send, wait with a
-// deadline, back off exponentially (with deterministic jitter), resend.
-// comp must be the operation's single end-to-end completion, shared by
-// all attempts — layers below finish it with FinishOnce, so a retry
-// racing its delayed original is benign. send is invoked once per
-// attempt and must re-send the SAME operation identity (pend id / rmw
-// id) so the target can dedup. onTimeout, if non-nil, runs after each
-// missed deadline (suspect-marking hooks in there).
-func (rt *Runtime) retryLoop(th *sim.Thread, op string, target, payload int,
-	comp *sim.Completion, send func(attempt int), onTimeout func(attempt int)) error {
+// attempt drives one logical operation to completion. Without an injector
+// that is send, then wait. With one: send, wait with a deadline, back off
+// exponentially (with deterministic jitter), resend. comp must be the
+// operation's single end-to-end completion, shared by all attempts —
+// layers below finish it with FinishOnce, so a retry racing its delayed
+// original is benign. send is invoked once per attempt and must re-send
+// the SAME operation identity (pend id / rmw id) so the target can dedup.
+// onTimeout, if non-nil, runs after each missed deadline (suspect-marking
+// hooks in there). Neither function is kept: callers' closures stay on
+// their stacks.
+func (rt *Runtime) attempt(th *sim.Thread, op string, target, payload int,
+	comp *sim.Completion, send, onTimeout func()) error {
 
+	if !rt.faulty() {
+		send()
+		rt.mainCtx.WaitLocal(th, comp)
+		return nil
+	}
 	pol := rt.retry
 	start := th.Now()
 	backoff := pol.BackoffBase
@@ -216,10 +168,9 @@ func (rt *Runtime) retryLoop(th *sim.Thread, op string, target, payload int,
 				return nil
 			}
 			rt.Stats.Inc("retry", 1)
-			rt.ftObs.retry()
 			rt.tr("fault", op+".retry", int64(target))
 		}
-		send(attempt)
+		send()
 		deadline := th.Now() + pol.timeoutFor(payload)
 		if rt.mainCtx.WaitLocalUntil(th, comp, deadline) {
 			if firstLoss >= 0 {
@@ -231,14 +182,12 @@ func (rt *Runtime) retryLoop(th *sim.Thread, op string, target, payload int,
 			firstLoss = th.Now()
 		}
 		rt.Stats.Inc("timeout", 1)
-		rt.ftObs.timeout()
 		rt.tr("fault", op+".timeout", int64(target))
 		if onTimeout != nil {
-			onTimeout(attempt)
+			onTimeout()
 		}
 	}
 	rt.Stats.Inc("retry.exhausted", 1)
-	rt.ftObs.exhausted()
 	return &OpError{Op: op, Target: target, Attempts: pol.MaxAttempts, Elapsed: th.Now() - start}
 }
 
@@ -246,167 +195,5 @@ func (rt *Runtime) retryLoop(th *sim.Thread, op string, target, payload int,
 // missed deadline to eventual completion).
 func (rt *Runtime) noteRecovered(th *sim.Thread, firstLoss sim.Time) {
 	rt.Stats.Inc("recovered", 1)
-	rt.ftObs.recovered(th.Now() - firstLoss)
-}
-
-// remoteRegionForFT is remoteRegionFor with a bounded wait: the region
-// query is itself an AM round trip and can be lost. Two timed attempts,
-// then report unresolved — the caller degrades to the AM data path, it
-// never blocks an operation forever on metadata.
-func (rt *Runtime) remoteRegionForFT(th *sim.Thread, rank int, addr mem.Addr, n int) bool {
-	if rt.regions.lookup(rank, addr, n) {
-		rt.Stats.Inc("regioncache.hit", 1)
-		return true
-	}
-	rt.Stats.Inc("regioncache.miss", 1)
-	id, p := rt.newPend()
-	hdr := []int64{id, int64(addr), int64(n)}
-	for attempt := 0; attempt < 2; attempt++ {
-		if attempt > 0 {
-			rt.Stats.Inc("retry", 1)
-			rt.ftObs.retry()
-		}
-		rt.mainCtx.SendAM(th, rt.epSvc(th, rank), dRegionQ, hdr, nil)
-		if rt.mainCtx.WaitCondUntil(th, func() bool { return p.done },
-			th.Now()+rt.retry.Timeout) {
-			delete(rt.pend, id)
-			if !p.found {
-				rt.Stats.Inc("regioncache.unresolved", 1)
-				return false
-			}
-			before := rt.regions.Evicted
-			rt.regions.insert(rank, p.base, p.size)
-			if rt.regions.Evicted != before {
-				rt.Stats.Inc("regioncache.evict", int64(rt.regions.Evicted-before))
-			}
-			return true
-		}
-		rt.Stats.Inc("timeout", 1)
-		rt.ftObs.timeout()
-	}
-	delete(rt.pend, id)
-	rt.Stats.Inc("regioncache.unresolved", 1)
-	return false
-}
-
-// putFT is the chaos-run blocking put: end-to-end, retried, degrading
-// from RDMA to the AM protocol when the target is suspect.
-func (rt *Runtime) putFT(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) error {
-	comp := sim.NewCompletion(rt.W.K)
-	amID := int64(-1)
-	var data []byte
-	usedRdma := false
-	send := func(int) {
-		if !rt.rdmaSuspect(dst.Rank) &&
-			rt.localRegionFor(th, local, n) && rt.remoteRegionForFT(th, dst.Rank, dst.Addr, n) {
-			usedRdma = true
-			// Fault mode makes RdmaPut's completion end-to-end (posted at
-			// delivery), so this wait detects a dropped data message.
-			rt.mainCtx.RdmaPut(th, rt.epData(th, dst.Rank), local, dst.Addr, n, comp)
-			rt.Stats.Inc("put.rdma", 1)
-			rt.tr("rdma", "put.rdma", int64(n))
-			return
-		}
-		usedRdma = false
-		if data == nil {
-			data = rt.C.Space.Clone(local, n)
-		}
-		if amID < 0 {
-			var p *pendReq
-			amID, p = rt.newPend()
-			p.comp = comp
-		}
-		rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutReq,
-			[]int64{amID, int64(dst.Addr)}, data)
-		rt.Stats.Inc("put.am", 1)
-		rt.tr("am", "put.am", int64(n))
-	}
-	err := rt.retryLoop(th, "put", dst.Rank, n, comp, send, func(int) {
-		if usedRdma {
-			rt.markSuspect(dst.Rank)
-		}
-	})
-	if amID >= 0 {
-		delete(rt.pend, amID)
-	}
-	return err
-}
-
-// getFT is the chaos-run blocking get.
-func (rt *Runtime) getFT(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) error {
-	key := rt.allocKey(src)
-	rt.cons.checkRead(th, src.Rank, key)
-	rt.cons.noteRead(src.Rank, key)
-	comp := sim.NewCompletion(rt.W.K)
-	amID := int64(-1)
-	usedRdma := false
-	send := func(int) {
-		if !rt.rdmaSuspect(src.Rank) &&
-			rt.localRegionFor(th, local, n) && rt.remoteRegionForFT(th, src.Rank, src.Addr, n) {
-			usedRdma = true
-			rt.mainCtx.RdmaGet(th, rt.epData(th, src.Rank), local, src.Addr, n, comp)
-			rt.Stats.Inc("get.rdma", 1)
-			rt.tr("rdma", "get.rdma", int64(n))
-			return
-		}
-		usedRdma = false
-		if amID < 0 {
-			var p *pendReq
-			amID, p = rt.newPend()
-			p.comp = comp
-			p.localAddr = local
-		}
-		rt.mainCtx.SendAM(th, rt.epSvc(th, src.Rank), dGetReq,
-			[]int64{amID, int64(src.Addr), int64(n)}, nil)
-		rt.Stats.Inc("get.fallback", 1)
-		rt.tr("am", "get.fallback", int64(n))
-	}
-	err := rt.retryLoop(th, "get", src.Rank, n, comp, send, func(int) {
-		if usedRdma {
-			rt.markSuspect(src.Rank)
-		}
-	})
-	if amID >= 0 {
-		delete(rt.pend, amID)
-	}
-	return err
-}
-
-// accFT is the chaos-run blocking accumulate: always AM, exactly-once by
-// (initiator, pend id) dedup at the target.
-func (rt *Runtime) accFT(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, scale float64) error {
-	data := rt.C.Space.Clone(local, n)
-	comp := sim.NewCompletion(rt.W.K)
-	id, p := rt.newPend()
-	p.comp = comp
-	hdr := []int64{id, int64(dst.Addr), int64(math.Float64bits(scale))}
-	send := func(int) {
-		rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dAccReq, hdr, data)
-		rt.Stats.Inc("acc", 1)
-		rt.tr("am", "acc", int64(n))
-	}
-	err := rt.retryLoop(th, "acc", dst.Rank, n, comp, send, nil)
-	delete(rt.pend, id)
-	return err
-}
-
-// rmwFT is the chaos-run read-modify-write: one PAMI rmw id across all
-// attempts, deduped target-side, abandoned (late replies dropped) on
-// exhaustion.
-func (rt *Runtime) rmwFT(th *sim.Thread, dst GlobalPtr, op pami.RmwOp, operand, compare int64) (int64, error) {
-	t0 := th.Now()
-	var prev int64
-	comp := sim.NewCompletion(rt.W.K)
-	id := rt.mainCtx.RmwBegin(&prev, comp)
-	send := func(int) {
-		rt.mainCtx.RmwIssue(th, rt.epSvc(th, dst.Rank), id, dst.Addr, op, operand, compare)
-	}
-	if err := rt.retryLoop(th, "rmw", dst.Rank, 8, comp, send, nil); err != nil {
-		rt.mainCtx.RmwCancel(id)
-		return 0, err
-	}
-	rt.Stats.Inc("rmw", 1)
-	rt.tr("am", "rmw", int64(dst.Rank))
-	rt.obsOp(opRmw, 8, th.Now()-t0)
-	return prev, nil
+	rt.hRecovery.Observe(th.Now() - firstLoss)
 }

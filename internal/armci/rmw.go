@@ -12,18 +12,22 @@ import (
 // whenever it happens to enter ARMCI (§III.D). These are the primitives
 // behind NWChem's load-balance counters.
 
-// rmw performs one AMO and returns the prior value. On chaos runs it
-// dispatches to the retried, deduped path; the rmw id is stable across
-// retries so the target applies the operation exactly once.
+// rmw performs one AMO and returns the prior value. The PAMI rmw id is
+// allocated once and every attempt re-sends it, so on a chaos run the
+// target applies a retried operation exactly once; an exhausted budget
+// abandons the id, and a late reply finds nothing to complete.
 func (rt *Runtime) rmw(th *sim.Thread, dst GlobalPtr, op pami.RmwOp, operand, compare int64) (int64, error) {
-	if rt.faulty() {
-		return rt.rmwFT(th, dst, op, operand, compare)
-	}
 	var prev int64
 	t0 := th.Now()
 	comp := sim.NewCompletion(rt.W.K)
-	rt.mainCtx.Rmw(th, rt.epSvc(th, dst.Rank), dst.Addr, op, operand, compare, &prev, comp)
-	rt.mainCtx.WaitLocal(th, comp)
+	id := rt.mainCtx.RmwBegin(&prev, comp)
+	err := rt.attempt(th, "rmw", dst.Rank, 8, comp, func() {
+		rt.mainCtx.RmwIssue(th, rt.epSvc(th, dst.Rank), id, dst.Addr, op, operand, compare)
+	}, nil)
+	if err != nil {
+		rt.mainCtx.RmwCancel(id)
+		return 0, err
+	}
 	rt.Stats.Inc("rmw", 1)
 	rt.tr("am", "rmw", int64(dst.Rank))
 	rt.obsOp(opRmw, 8, th.Now()-t0)

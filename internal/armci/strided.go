@@ -151,11 +151,10 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 		return rt.NbPut(th, local, dst, counts[0])
 	}
 	rt.cons.noteWrite(dst.Rank, rt.allocKey(dst))
+	comp := sim.NewCompletion(rt.W.K)
 
-	if counts[0] >= rt.W.Cfg.TypedThreshold &&
-		rt.localRegionFor(th, local, patchExtent(localStrides, counts)) &&
-		rt.remoteRegionFor(th, dst.Rank, dst.Addr, patchExtent(dstStrides, counts)) {
-		comp := sim.NewCompletion(rt.W.K)
+	if counts[0] >= rt.W.Cfg.TypedThreshold && rt.rdmaReady(th, local, patchExtent(localStrides, counts),
+		dst.Rank, dst.Addr, patchExtent(dstStrides, counts)) {
 		set := rt.mainCtx.NewOpSet(comp)
 		ep := rt.epData(th, dst.Rank)
 		forEachChunk(counts, localStrides, dstStrides, func(lOff, rOff int) {
@@ -178,7 +177,8 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutSReq,
 		stridedHdr(id, dst.Addr, 0, dstStrides, counts), data)
 	rt.Stats.Inc("strided.typed", 1)
-	return &Handle{rt: rt, comps: []*sim.Completion{rt.finishedCompletion()}}
+	comp.Finish() // locally complete at issue: the AM owns the packed copy
+	return &Handle{rt: rt, comps: []*sim.Completion{comp}}
 }
 
 // PutS is the blocking strided put.
@@ -198,14 +198,11 @@ func (rt *Runtime) NbGetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
 	if numChunks(counts) == 1 {
 		return rt.NbGet(th, src, local, counts[0])
 	}
-	key := rt.allocKey(src)
-	rt.cons.checkRead(th, src.Rank, key)
-	rt.cons.noteRead(src.Rank, key)
+	rt.cons.read(th, src.Rank, rt.allocKey(src))
 	comp := sim.NewCompletion(rt.W.K)
 
-	if counts[0] >= rt.W.Cfg.TypedThreshold &&
-		rt.localRegionFor(th, local, patchExtent(localStrides, counts)) &&
-		rt.remoteRegionFor(th, src.Rank, src.Addr, patchExtent(srcStrides, counts)) {
+	if counts[0] >= rt.W.Cfg.TypedThreshold && rt.rdmaReady(th, local, patchExtent(localStrides, counts),
+		src.Rank, src.Addr, patchExtent(srcStrides, counts)) {
 		set := rt.mainCtx.NewOpSet(comp)
 		ep := rt.epData(th, src.Rank)
 		forEachChunk(counts, localStrides, srcStrides, func(lOff, rOff int) {

@@ -16,14 +16,9 @@ import (
 // chaosBlock is the per-worker pattern-block size for put/get verify.
 const chaosBlock = 256
 
-// chaosStart is the virtual time the measured workload begins: workers
-// sleep until this instant after setup so the scripted fault windows
-// land inside the op stream regardless of how long collective Malloc and
-// registration take (~9 ms at small scale, more with procs).
-const chaosStart = 30 * sim.Millisecond
-
-// chaosHorizon bounds the probabilistic fault windows.
-const chaosHorizon = chaosStart + 20*sim.Millisecond
+// chaosHorizon bounds the probabilistic fault windows; the scripted ones
+// are placed relative to FaultEpoch, where the workers' op stream begins.
+const chaosHorizon = FaultEpoch + 20*sim.Millisecond
 
 // ChaosPlan is the scripted fault timeline of the chaos profile:
 //
@@ -36,8 +31,8 @@ const chaosHorizon = chaosStart + 20*sim.Millisecond
 // duplicate suppression; the plan is deterministic given the seed.
 func ChaosPlan(seed uint64) *fault.Plan {
 	return fault.NewPlan(seed).
-		LinkDown(fault.Any, chaosStart+150*sim.Microsecond, 150*sim.Microsecond).
-		NodeDown(0, chaosStart+500*sim.Microsecond, 700*sim.Microsecond).
+		LinkDown(fault.Any, FaultEpoch+150*sim.Microsecond, 150*sim.Microsecond).
+		NodeDown(0, FaultEpoch+500*sim.Microsecond, 700*sim.Microsecond).
 		Delay(fault.Any, fault.Any, 0, chaosHorizon, 0.02, 5*sim.Microsecond).
 		Duplicate(fault.Any, fault.Any, 0, chaosHorizon, 0.02)
 }
@@ -123,10 +118,7 @@ func chaosRun(c *sweep.Ctx, procs, perNode, opsEach int, seed uint64) ChaosResul
 		scratch := rt.LocalAlloc(th, chaosBlock)
 		one := rt.LocalAlloc(th, 8)
 		rt.Space().CopyIn(one, float64bytes(1))
-		// Align every worker's op stream to the plan's fault windows.
-		if d := chaosStart - th.Now(); d > 0 {
-			th.Sleep(d)
-		}
+		alignToEpoch(th, true)
 		buf := make([]byte, chaosBlock)
 		for i := 0; i < opsEach; i++ {
 			if _, err := rt.FetchAddErr(th, counter, 1); err != nil {

@@ -30,8 +30,9 @@ import (
 // FaultEpoch is the virtual instant measured pattern loops begin when a
 // fault plan is attached: workers sleep until it after setup, so a
 // spec's fault windows land inside the op stream no matter how long
-// collective Malloc and registration take. Compose specs should place
-// their windows at or after this epoch.
+// collective Malloc and registration take (~9 ms at small scale, more
+// with procs). Compose specs should place their windows at or after this
+// epoch; ChaosPlan's are relative to it.
 const FaultEpoch = 30 * sim.Millisecond
 
 // ModeName is the column prefix of one engine mode: D for the default

@@ -78,7 +78,7 @@ func TestFillerNotFound(t *testing.T) {
 
 func TestFillerDeadPeerFailsFast(t *testing.T) {
 	t0 := time.Now()
-	_, err := NewFiller(500 * time.Millisecond).Fetch(context.Background(),
+	_, err := NewFiller(500*time.Millisecond).Fetch(context.Background(),
 		"127.0.0.1:1", strings.Repeat("ab", 32)) // port 1: nothing listens
 	if err == nil {
 		t.Fatal("fetch from dead peer succeeded")

@@ -141,20 +141,14 @@ type rmwPending struct {
 // asynchronous progress thread. The prior value is stored in *result and
 // comp is finished when the reply retires on this context.
 func (x *Context) Rmw(th *sim.Thread, dst Endpoint, addr mem.Addr, op RmwOp, operand, compare int64, result *int64, comp *sim.Completion) {
-	c := x.Client
-	if c.M.P.HardwareAMO {
-		x.rmwHardware(th, dst, addr, op, operand, compare, result, comp)
-		return
-	}
-	id := x.RmwBegin(result, comp)
-	x.RmwIssue(th, dst, id, addr, op, operand, compare)
+	x.RmwIssue(th, dst, x.RmwBegin(result, comp), addr, op, operand, compare)
 }
 
 // RmwBegin allocates a request id and registers the initiator-side state
-// for one logical read-modify-write. Retry protocols split Rmw into
-// Begin + Issue so a timed-out request can be re-Issued under the same
-// id: the target dedups on (initiator, id), which is what makes the
-// retry of a non-idempotent operation safe.
+// for one logical read-modify-write. Rmw is Begin + Issue so that a
+// timed-out request can be re-Issued under the same id: the target dedups
+// on (initiator, id), which is what makes the retry of a non-idempotent
+// operation safe.
 func (x *Context) RmwBegin(result *int64, comp *sim.Completion) uint64 {
 	c := x.Client
 	id := c.rmwSeq
@@ -164,8 +158,15 @@ func (x *Context) RmwBegin(result *int64, comp *sim.Completion) uint64 {
 }
 
 // RmwIssue sends (or, on retry, re-sends) the request for an id obtained
-// from RmwBegin.
+// from RmwBegin. With Params.HardwareAMO the NIC answers instead of a
+// reply message, so no handler will ever look the id up: the pending
+// entry is retired here and the flight carries its result and completion.
 func (x *Context) RmwIssue(th *sim.Thread, dst Endpoint, id uint64, addr mem.Addr, op RmwOp, operand, compare int64) {
+	if x.Client.M.P.HardwareAMO {
+		pend, _ := x.Client.takeRmw(id)
+		x.rmwHardware(th, dst, addr, op, operand, compare, pend.result, pend.comp)
+		return
+	}
 	x.SendAM(th, dst, dispatchRmwReq,
 		[]int64{int64(id), int64(addr), int64(op), operand, compare}, nil)
 }

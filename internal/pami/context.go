@@ -192,9 +192,9 @@ func (x *Context) subscribe(th *sim.Thread) {
 	x.waiters = append(x.waiters, th)
 }
 
-// noDeadline is the deadline of an untimed wait: the clock never gets
+// NoDeadline is the deadline of an untimed wait: the clock never gets
 // there, and no wake-up is armed for it.
-const noDeadline sim.Time = math.MaxInt64
+const NoDeadline sim.Time = math.MaxInt64
 
 // wait is the blocking-operation kernel, the one loop behind every Wait
 // entry point: the calling thread repeatedly advances its context and
@@ -224,7 +224,7 @@ func (x *Context) wait(th *sim.Thread, comp *sim.Completion, pred func() bool, d
 			// event is harmless if the wait ends first, and it is what
 			// pulls a stalled chaos run forward when a message was dropped
 			// and nothing else would ever wake the waiter.
-			if deadline != noDeadline {
+			if deadline != NoDeadline {
 				x.Client.Ln.AtAction(deadline-th.Now(), th.Waker())
 			}
 			if comp != nil {
@@ -239,7 +239,7 @@ func (x *Context) wait(th *sim.Thread, comp *sim.Completion, pred func() bool, d
 
 // WaitLocal drives the progress engine until comp finishes.
 func (x *Context) WaitLocal(th *sim.Thread, comp *sim.Completion) {
-	x.wait(th, comp, nil, noDeadline)
+	x.wait(th, comp, nil, NoDeadline)
 }
 
 // WaitLocalUntil is WaitLocal with a virtual-time deadline: it reports
@@ -250,7 +250,7 @@ func (x *Context) WaitLocalUntil(th *sim.Thread, comp *sim.Completion, deadline 
 
 // WaitCond drives the progress engine until pred holds.
 func (x *Context) WaitCond(th *sim.Thread, pred func() bool) {
-	x.wait(th, nil, pred, noDeadline)
+	x.wait(th, nil, pred, NoDeadline)
 }
 
 // WaitCondUntil is WaitCond with a virtual-time deadline: it reports

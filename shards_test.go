@@ -259,8 +259,8 @@ type legacyEngineFreeze struct {
 		RawBytes uint64 `json:"raw_bytes"`
 		Hops     uint64 `json:"hops"`
 	} `json:"network"`
-	Fig3CSVSHA256 string `json:"fig3_csv_sha256"`
-	Fig9CSVSHA256 string `json:"fig9_csv_sha256"`
+	Fig3CSVSHA256 string      `json:"fig3_csv_sha256"`
+	Fig9CSVSHA256 string      `json:"fig9_csv_sha256"`
 	Chaos         frozenChaos `json:"chaos"`
 }
 
