@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test test-short vet check bench bench-shards race-sweep race-shards fuzz-smoke figures report scf clean
+.PHONY: all test test-short vet check bench bench-shards fuzz-smoke figures report scf clean
 
 all: vet test
 
@@ -19,7 +19,16 @@ test-short:
 # CI gate: vet plus the short suite under the race detector (the fault
 # package rides along in ./...; listed explicitly so a package-selection
 # change can't silently drop it from the -race run). vet is also what
-# keeps slab-resident state (sim.NoCopy) from being copied. The suite
+# keeps slab-resident state (sim.NoCopy) from being copied. The suite is
+# the race gate for both layers of parallelism, nothing else re-runs it:
+# whole simulations running concurrently, worker-count invariance and
+# overlapping Map calls on one engine (root TestSweep*, TestConcurrent*);
+# the lane pool, the boundary and the cross-lane deposit path (root
+# TestShard* and TestLegacyEngine*, internal/armci's world-wide handler
+# table serving every rank's contexts from parallel lanes, internal/sim's
+# lane engine with its grain x worker matrix, the horizon tree, and the
+# lane-shortcut differential oracle — TestLaneShortcuts* and the fuzz
+# target's seeds — which runs every program at 2 and 4 workers). It also
 # includes the serving gates: ./cmd/simd starts real simd processes, race
 # detector and all — load then SIGTERM, the 3-replica kill drill, the
 # restart over a survivor's store — and none of them skips under -short.
@@ -34,33 +43,20 @@ check:
 	$(GO) test -short -race ./internal/fault/ ./...
 	$(GO) test -v -run 'Alloc|ObjectsPerRank|SwitchesPerRank|EventSize' ./internal/sim/ ./internal/network/ ./internal/pami/ ./internal/armci/ ./internal/bench/ ./internal/serve/
 
-# Engine wall-clock benchmarks (the cost of simulating): micro benches
-# plus the reduced Fig 9 p=4096 / SCF scenarios, written to
-# BENCH_sim.json — the committed baseline every perf PR is compared
-# against. The second line runs the per-figure paper benches.
+# What the host pays to simulate, as the Go benchmarks at the foot of
+# bench_test.go. First line: the per-event / switch / message / operation
+# rows at the default benchtime. Second line: everything that runs whole
+# simulations per op — the engine rows (Fig 9 at p = 4096, the reduced
+# SCF, two figure sweeps on 1 and on GOMAXPROCS sweep workers) and the
+# per-figure paper benches — at a fixed 3 iterations (go test runs one
+# more first and discards it, which warms route caches and the heap).
+# ns/op is this host's; allocs/op travels. To compare two commits:
+# -count 10 on each and benchstat; -bench is the row filter and
+# -cpuprofile/-memprofile are go test's own.
 bench:
-	$(GO) run ./cmd/simbench -out BENCH_sim.json
-	$(GO) test -bench=. -benchmem -benchtime=1x .
-
-# Parallel-sweep race gate: concurrent whole-simulation isolation,
-# worker-count invariance and overlapping Map calls on one engine under
-# the race detector.
-race-sweep:
-	$(GO) test -race -run 'TestSweep|TestConcurrent' .
-
-# Intra-run shard race gate: the lane pool, the boundary and the
-# cross-lane deposit path under the race detector — the shard invariance
-# tests (golden scenario, fig9, chaos, composed, and the 64-lane world
-# whose derived dispatch grain exceeds one, fault-free and under chaos),
-# the frozen legacy-engine equivalence, and two sharded worlds running
-# concurrently — plus ARMCI's world-wide handler table serving every
-# rank's contexts from parallel lanes, and the sim package's own lane
-# engine (grain x worker matrix included), horizon-tree tests and the
-# lane-shortcut differential oracle (TestLaneShortcuts*, the fuzz
-# target's seeds), which runs every program at 2 and 4 workers.
-race-shards:
-	$(GO) test -race -run 'TestShard|TestLegacyEngine' . ./internal/armci/
-	$(GO) test -race -run 'TestLane|FuzzLaneShortcuts|TestHorizon|TestPopUpTo|TestMarkDirty' ./internal/sim/
+	@echo "bench: nproc=$$(nproc 2>/dev/null || echo '?') GOMAXPROCS=$${GOMAXPROCS:-unset} $$($(GO) version)"
+	$(GO) test -run '^$$' -bench 'KernelEvents|ThreadSwitch|SleepUncontended|NetworkSend|SimulatedGetRate' -benchmem .
+	$(GO) test -run '^$$' -bench . -skip 'KernelEvents|ThreadSwitch|SleepUncontended|NetworkSend|SimulatedGetRate|Fig9Shards' -benchtime 3x -benchmem .
 
 # Ten seconds of generated input per fuzz target: programs through the
 # lane-shortcut oracle (internal/sim/shortcut_test.go: shortcuts on
@@ -74,16 +70,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJobCanonIdempotent -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzParseMemoAgrees -fuzztime 10s ./internal/serve/
 
-# Shard scaling gate: times the fig9 p=16384 scenario serial vs 2/4 lane
-# workers, after asserting the simulated latency is bit-identical at
-# every shard count. With -gate-shards, simbench exits 1 when a shardsN
-# row is >10% slower than serial on a host with GOMAXPROCS >= N; smaller
-# hosts report and pass (extra lane workers only multiplex there, which
-# is what the run records). The core count is echoed first and kept in
-# the report's note field.
+# Shard scaling: the fig9 p = 16384 simulation on 1, 2 and 4 lane workers
+# (BenchmarkFig9Shards, which fails if the simulated latency differs
+# between them). Each row's lane-workers column is what CoreBudget
+# resolved the shard count to on this host: on fewer cores than N extra
+# lane workers would only multiplex, so shards=N runs on fewer and says
+# nothing about N. Without `-bench ...p=16384` (and without -short) the
+# benchmark goes on to p = 65536.
 bench-shards:
-	@echo "bench-shards: host cores (GOMAXPROCS default) = $${GOMAXPROCS:-$$(nproc 2>/dev/null || echo '?')}"
-	$(GO) run ./cmd/simbench -only '^fig9_p16384' -gate-shards -out ''
+	@echo "bench-shards: nproc=$$(nproc 2>/dev/null || echo '?') GOMAXPROCS=$${GOMAXPROCS:-unset} $$($(GO) version)"
+	$(GO) test -run '^$$' -bench 'Fig9Shards/p=16384' -benchtime 2x -benchmem .
 
 # Regenerate every figure/table at full scale into results/.
 figures:
@@ -109,5 +105,5 @@ report:
 # lists — nothing tracked: results/ holds committed artifacts (the
 # paper-scale Fig 11 runs, report.md, the README).
 clean:
-	rm -rf results/metrics.txt benchmark/out armci-bench obs-report simbench simd
+	rm -rf results/metrics.txt benchmark/out armci-bench obs-report simd
 	find . -name '*.test' -type f -delete

@@ -1,10 +1,12 @@
 // One benchmark per table/figure of the paper's evaluation section. Each
 // runs a (scaled-down) simulation per iteration and reports the paper's
 // headline metric via b.ReportMetric; `armci-bench fig` and `armci-bench
-// scf` regenerate the full-scale series.
+// scf` regenerate the full-scale series. Below them, what the host pays to
+// simulate at all (`make bench`, `make bench-shards`).
 package repro
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/armci"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/nwchem"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 )
 
@@ -185,30 +188,40 @@ func BenchmarkAblationConsistency(b *testing.B) {
 	b.ReportMetric(perRegion, "cs_mr_fences")
 }
 
-// --- engine micro-benchmarks: the cost of simulating, not the simulated
-// cost. Useful for knowing how far the harness scales. ---
+// --- the cost of simulating, not the simulated cost: per event, switch,
+// message and operation (ns/op means something only at the default
+// benchtime), then per whole simulation (one op each; run them at a fixed
+// -benchtime Nx). allocs/op is the machine-independent column. ---
 
-// BenchmarkKernelEvents measures raw event throughput of the DES kernel.
-func BenchmarkKernelEvents(b *testing.B) {
+// tickChain is one event scheduling the next, delay ns apart, b.N times.
+func tickChain(b *testing.B, delay sim.Time) {
 	k := sim.NewKernel()
 	n := 0
 	var tick func()
 	tick = func() {
 		n++
 		if n < b.N {
-			k.At(1, tick)
+			k.At(delay, tick)
 		}
 	}
-	k.At(1, tick)
+	k.At(delay, tick)
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}
 }
 
+// BenchmarkKernelEvents measures raw event throughput of the DES kernel.
+func BenchmarkKernelEvents(b *testing.B) { tickChain(b, 1) }
+
+// BenchmarkKernelEventsZeroDelay is the same chain at delay 0: the
+// Spawn/Wake/Yield fast path.
+func BenchmarkKernelEventsZeroDelay(b *testing.B) { tickChain(b, 0) }
+
 // BenchmarkThreadSwitch measures coroutine handoff cost: two threads
 // sleeping against each other, so every sleep has to switch (a lone
-// sleeper's wake-up is fired in place and never leaves the thread).
+// sleeper's wake-up is fired in place and never leaves the thread — the
+// next benchmark).
 func BenchmarkThreadSwitch(b *testing.B) {
 	k := sim.NewKernel()
 	for i := 0; i < 2; i++ {
@@ -222,9 +235,28 @@ func BenchmarkThreadSwitch(b *testing.B) {
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}
+	if b.N > 2 && k.Switches() < uint64(b.N) {
+		b.Fatalf("%d sleeps made only %d switches: this benchmark no longer times one", b.N, k.Switches())
+	}
 }
 
-// BenchmarkNetworkSend measures the network model's message rate.
+// BenchmarkSleepUncontended is a sleep nothing interrupts: the lane's next
+// event is the sleeper's own wake-up, which Sleep fires where it stands.
+func BenchmarkSleepUncontended(b *testing.B) {
+	k := sim.NewKernel()
+	k.Spawn("sleeper", func(th *sim.Thread) {
+		for i := 0; i < b.N; i++ {
+			th.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkNetworkSend measures the network model's message rate across a
+// 128-node torus, observability off.
 func BenchmarkNetworkSend(b *testing.B) {
 	k := sim.NewKernel()
 	tor := topology.New([topology.NumDims]int{2, 2, 4, 4, 2}, 1)
@@ -232,8 +264,9 @@ func BenchmarkNetworkSend(b *testing.B) {
 	k.Spawn("src", func(th *sim.Thread) {
 		wg := sim.NewWaitGroup(k)
 		wg.Add(b.N)
+		done := wg.Done
 		for i := 0; i < b.N; i++ {
-			nw.Send(i%128, (i*7)%128, 512, network.Data, wg.Done)
+			nw.Send(i%128, (i*7)%128, 512, network.Data, done)
 			if i%64 == 0 {
 				th.Sleep(1)
 			}
@@ -247,7 +280,7 @@ func BenchmarkNetworkSend(b *testing.B) {
 }
 
 // BenchmarkSimulatedGetRate measures how many full ARMCI blocking gets
-// the harness simulates per wall second.
+// (2 ranks, async thread) the harness simulates per wall second.
 func BenchmarkSimulatedGetRate(b *testing.B) {
 	armci.MustRun(armci.Config{Procs: 2, ProcsPerNode: 1, AsyncThread: true},
 		func(th *sim.Thread, rt *armci.Runtime) {
@@ -262,4 +295,82 @@ func BenchmarkSimulatedGetRate(b *testing.B) {
 				rt.Get(th, a.At(1), local, 64)
 			}
 		})
+}
+
+// BenchmarkFig9P4096 is one whole simulation per op: Fig 9 at paper scale,
+// 4096 ranks hammering a rank-0 counter through the async progress thread.
+func BenchmarkFig9P4096(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		bench.Fig9Point(bg, benchEng, 4096, 16, true, false, 2)
+	}
+}
+
+// BenchmarkSCFReduced is the Fig 11 proxy at 256 ranks, one iteration.
+func BenchmarkSCFReduced(b *testing.B) {
+	scfg := nwchem.Config{Mol: nwchem.NewMolecule([]int{8, 6, 6, 8, 6, 6}),
+		Iterations: 1, FlopRate: 2e7}
+	for i := 0; i < b.N; i++ {
+		nwchem.Experiment(armci.Config{Procs: 256, ProcsPerNode: 16, AsyncThread: true}, scfg)
+	}
+}
+
+// benchSweep times one whole figure sweep per op on one sweep worker and
+// on as many as GOMAXPROCS allows; the ratio of the two rows is the
+// parallel-sweep speed-up on this host (TestSweep*WorkerCountInvariance
+// hold the bytes equal).
+func benchSweep(b *testing.B, render func(eng *sweep.Engine) *bench.Grid) {
+	for _, w := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=max", 0}} {
+		b.Run(w.name, func(b *testing.B) {
+			eng := plan(w.workers, 0)
+			for i := 0; i < b.N; i++ {
+				render(eng)
+			}
+			b.ReportMetric(float64(eng.Workers()), "sweep-workers")
+		})
+	}
+}
+
+func BenchmarkSweepFig9(b *testing.B) {
+	benchSweep(b, func(eng *sweep.Engine) *bench.Grid {
+		return bench.Fig9(bg, eng, []int{2, 16, 64, 256}, 8)
+	})
+}
+
+func BenchmarkSweepChaos(b *testing.B) {
+	benchSweep(b, func(eng *sweep.Engine) *bench.Grid {
+		return bench.Chaos(bg, eng, []int{8, 16, 32}, 10, 42)
+	})
+}
+
+// BenchmarkFig9Shards is intra-run lane scaling: the same fig9 simulation
+// per op on 1, 2 and 4 lane workers (`make bench-shards`). The shard count
+// is an execution knob, never a result knob, so a simulated latency that
+// differs between two of them fails the benchmark. CoreBudget resolves N
+// lower on a host with fewer cores — lane-workers is what the row ran on,
+// and a shards=N row says nothing about scaling unless it reads N.
+func BenchmarkFig9Shards(b *testing.B) {
+	for _, procs := range []int{16384, 65536} {
+		if procs > 16384 && testing.Short() {
+			continue
+		}
+		var ref float64 // the first latency simulated at this p
+		for _, shards := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("p=%d/shards=%d", procs, shards), func(b *testing.B) {
+				eng := plan(1, shards)
+				for i := 0; i < b.N; i++ {
+					v := bench.Fig9Point(bg, eng, procs, 16, true, false, 2)
+					if ref == 0 {
+						ref = v
+					}
+					if v != ref {
+						b.Fatalf("simulated latency %v us at %d shards, %v us before: shard count changed a result", v, shards, ref)
+					}
+				}
+				b.ReportMetric(float64(eng.Shards()), "lane-workers")
+			})
+		}
+	}
 }

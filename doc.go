@@ -8,5 +8,5 @@
 // See README.md for a tour, DESIGN.md for the system inventory and the
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
 // The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation section.
+// the paper's evaluation section, and time the simulator itself.
 package repro

@@ -1,12 +1,15 @@
 package obs
 
-import "sort"
+import (
+	"sort"
+	"strconv"
+)
 
 // TraceStreamer converts a sequence of registries — typically the
 // per-point child registries a sweep delivers in submission order —
-// into an incremental Chrome trace_event stream. Each Emit call returns
-// single-line JSON objects (the same encoding WriteChromeTrace uses)
-// for every record retained in reg, preceded by process_name /
+// into an incremental Chrome trace_event stream; Registry.WriteChromeTrace
+// is one Emit wrapped as a document. Each Emit call returns single-line
+// JSON objects for every record retained in reg, preceded by process_name /
 // thread_name metadata lines the first time a track kind or track
 // appears. pid/tid assignment is stable across calls: a track keeps its
 // tid for the streamer's lifetime, so a client concatenating
@@ -34,7 +37,7 @@ func NewTraceStreamer() *TraceStreamer {
 	return &TraceStreamer{tids: make(map[trackKey]int)}
 }
 
-// pid mirrors WriteChromeTrace's kind → process assignment.
+// streamPid is the kind → process assignment.
 func streamPid(k TrackKind) int { return int(k) + 1 }
 
 // Emit returns the trace_event lines for every record retained in reg,
@@ -95,29 +98,6 @@ func (ts *TraceStreamer) Emit(reg *Registry) []string {
 
 // chromeMetaLine encodes a process_name/thread_name metadata event.
 func chromeMetaLine(pid, tid int, kind, name string) string {
-	return `{"ph":"M","pid":` + itoa(pid) + `,"tid":` + itoa(tid) +
+	return `{"ph":"M","pid":` + strconv.Itoa(pid) + `,"tid":` + strconv.Itoa(tid) +
 		`,"name":` + jstr(kind) + `,"args":{"name":` + jstr(name) + `}}`
-}
-
-// itoa avoids pulling fmt into the hot path for two small ints.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

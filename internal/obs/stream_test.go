@@ -156,30 +156,18 @@ func TestTraceStreamerDeterministicAndStable(t *testing.T) {
 }
 
 func TestTraceStreamerMatchesWriteChromeTrace(t *testing.T) {
-	// For a single registry, the streamer's event lines (excluding "M"
-	// metadata) must be exactly WriteChromeTrace's event lines: same
-	// encoding, same pid/tid assignment, same global sort.
+	// A trace file is one registry's stream and nothing else: every line a
+	// fresh streamer emits, metadata included, in that order, as the
+	// traceEvents array.
 	reg := populated()
 	var buf bytes.Buffer
 	if err := reg.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var fromWriter []string
-	for _, line := range strings.Split(buf.String(), "\n") {
-		line = strings.TrimSuffix(strings.TrimSpace(line), ",")
-		if strings.HasPrefix(line, `{"ph":"X"`) || strings.HasPrefix(line, `{"ph":"i"`) {
-			fromWriter = append(fromWriter, line)
-		}
-	}
-	var fromStream []string
-	for _, line := range NewTraceStreamer().Emit(reg) {
-		if !strings.HasPrefix(line, `{"ph":"M"`) {
-			fromStream = append(fromStream, line)
-		}
-	}
-	if strings.Join(fromWriter, "\n") != strings.Join(fromStream, "\n") {
-		t.Fatalf("streamer events diverge from WriteChromeTrace:\nwriter:\n%s\nstream:\n%s",
-			strings.Join(fromWriter, "\n"), strings.Join(fromStream, "\n"))
+	want := "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n" +
+		strings.Join(NewTraceStreamer().Emit(reg), ",\n") + "\n]}\n"
+	if buf.String() != want {
+		t.Fatalf("WriteChromeTrace diverges from the streamer:\nwriter:\n%s\nstream:\n%s", buf.String(), want)
 	}
 	if NewTraceStreamer().Emit(nil) != nil {
 		t.Fatal("nil registry should stream nothing")

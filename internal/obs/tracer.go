@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -187,101 +188,27 @@ func jstr(s string) string {
 }
 
 // WriteChromeTrace exports every retained trace record as Chrome
-// trace_event JSON (the format Perfetto and chrome://tracing load). Each
+// trace_event JSON (the format Perfetto and chrome://tracing load): the
+// lines a fresh TraceStreamer emits for r, wrapped as one document. Each
 // TrackKind becomes a process, each track a named thread; durations are
 // "X" complete events and instants "i" events, with virtual time mapped
 // to microseconds at nanosecond resolution. Output is deterministic:
 // tracks are sorted by (kind, id) and events by (time, insertion order).
 func (r *Registry) WriteChromeTrace(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[]}\n")
-		return err
-	}
-
-	// Stable (kind, id) -> (pid, tid) assignment.
-	keys := make([]trackKey, 0, len(r.tracks))
-	for key := range r.tracks {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].kind != keys[j].kind {
-			return keys[i].kind < keys[j].kind
+	bw := bufio.NewWriter(w)
+	bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
+	for i, line := range NewTraceStreamer().Emit(r) {
+		if i > 0 {
+			bw.WriteString(",\n")
 		}
-		return keys[i].id < keys[j].id
-	})
-	tids := make(map[trackKey]int, len(keys))
-	kindSeen := make([]bool, numTrackKinds)
-	next := make([]int, numTrackKinds)
-	for _, key := range keys {
-		tids[key] = next[key.kind]
-		next[key.kind]++
-		kindSeen[key.kind] = true
+		bw.WriteString(line)
 	}
-	pid := func(k TrackKind) int { return int(k) + 1 }
-
-	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(line string) error {
-		if !first {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err := io.WriteString(w, line)
-		return err
-	}
-
-	// Metadata: name each process (track kind) and thread (track).
-	for k := TrackKind(0); k < numTrackKinds; k++ {
-		if !kindSeen[k] {
-			continue
-		}
-		if err := emit(fmt.Sprintf(
-			`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}`,
-			pid(k), jstr(k.String()))); err != nil {
-			return err
-		}
-	}
-	for _, key := range keys {
-		if err := emit(fmt.Sprintf(
-			`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-			pid(key.kind), tids[key], jstr(key.id))); err != nil {
-			return err
-		}
-	}
-
-	// Events across every track, globally time-ordered.
-	type flatEvent struct {
-		rec      spanRec
-		pid, tid int
-	}
-	var evs []flatEvent
-	for _, key := range keys {
-		for _, rec := range r.tracks[key].ring {
-			evs = append(evs, flatEvent{rec: rec, pid: pid(key.kind), tid: tids[key]})
-		}
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].rec.start != evs[j].rec.start {
-			return evs[i].rec.start < evs[j].rec.start
-		}
-		return evs[i].rec.seq < evs[j].rec.seq
-	})
-	for _, e := range evs {
-		if err := emit(chromeEventLine(e.rec, e.pid, e.tid)); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	bw.WriteString("\n]}\n")
+	return bw.Flush()
 }
 
 // chromeEventLine encodes one retained record as a single-line Chrome
-// trace_event JSON object (shared by WriteChromeTrace and the streaming
-// TraceStreamer).
+// trace_event JSON object.
 func chromeEventLine(rec spanRec, pid, tid int) string {
 	var line string
 	// ts/dur are microseconds; %d.%03d keeps exact ns resolution

@@ -21,16 +21,21 @@ type Cache struct {
 	evictions int64
 }
 
-// cacheEntry carries the artifact plus the metadata the cluster export
-// endpoint (GET /v1/results/{hash}) needs to serve it to a peer: the
-// scenario/format labels and the body's SHA-256, computed once at Put so
+// artifact is one materialized result as a local tier holds it: the bytes
+// plus what the cluster export endpoint (GET /v1/results/{hash}) declares
+// with them — the scenario/format labels and the body's SHA-256, carried
+// from tier to tier so an artifact is hashed once per tier crossing and
 // exports never re-hash on the serving side.
-type cacheEntry struct {
-	key      string
+type artifact struct {
 	body     []byte
 	scenario string
 	format   string
 	sha      string // hex SHA-256 of body
+}
+
+type cacheEntry struct {
+	key string
+	artifact
 }
 
 // NewCache builds a cache bounded to budget bytes of artifact payload
@@ -40,32 +45,16 @@ func NewCache(budget int64) *Cache {
 }
 
 // Get returns the artifact stored under key, marking it most recently
-// used. The returned slice is shared — callers must treat it as
-// immutable.
-func (c *Cache) Get(key string) ([]byte, bool) {
+// used. The returned body is shared — callers must treat it as immutable.
+func (c *Cache) Get(key string) (artifact, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return artifact{}, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
-}
-
-// GetEntry returns the artifact and its export metadata, marking the
-// entry most recently used. The /v1/results/{hash} endpoint uses this to
-// serve peers straight from the hot tier.
-func (c *Cache) GetEntry(key string) (body []byte, scenario, format, sha string, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, found := c.items[key]
-	if !found {
-		return nil, "", "", "", false
-	}
-	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.body, e.scenario, e.format, e.sha, true
+	return el.Value.(*cacheEntry).artifact, true
 }
 
 // Put stores body under key and evicts least-recently-used entries until
@@ -73,27 +62,25 @@ func (c *Cache) GetEntry(key string) (body []byte, scenario, format, sha string,
 // not stored at all (it would only evict everything else to then be
 // evicted itself). Re-putting an existing key replaces its body.
 func (c *Cache) Put(key string, body []byte, scenario, format string) {
-	c.putHashed(key, body, scenario, format, sha256Hex(body))
+	c.put(key, artifact{body, scenario, format, sha256Hex(body)})
 }
 
-// putHashed is Put for a caller that already holds body's hex SHA-256 —
-// the disk tier verified it on load, a fill computed it for the sidecar —
-// so an artifact is hashed once per tier crossing, not once per tier.
-func (c *Cache) putHashed(key string, body []byte, scenario, format, sha string) {
-	if int64(len(body)) > c.budget {
+// put is Put for a caller that already holds the body's hash — the disk
+// tier verified it on load, a fill computed it for the sidecar.
+func (c *Cache) put(key string, a artifact) {
+	if int64(len(a.body)) > c.budget {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*cacheEntry)
-		c.used += int64(len(body)) - int64(len(e.body))
-		e.body, e.scenario, e.format, e.sha = body, scenario, format, sha
+		c.used += int64(len(a.body)) - int64(len(e.body))
+		e.artifact = a
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{
-			key: key, body: body, scenario: scenario, format: format, sha: sha})
-		c.used += int64(len(body))
+		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, artifact: a})
+		c.used += int64(len(a.body))
 	}
 	for c.used > c.budget {
 		back := c.ll.Back()

@@ -6,8 +6,8 @@ package serve
 //	hot LRU  →  disk store  →  proxy to ring owner  →  peer fill  →  cold
 //
 // Everything here degrades to a no-op on an unclustered, storeless
-// server: lookupLocal is then exactly the old LRU probe, proxyTarget
-// never fires, peerFill returns nil.
+// server: lookupLocal is then exactly an LRU probe, proxyTarget never
+// fires, peerFill returns nil.
 
 import (
 	"bytes"
@@ -20,27 +20,26 @@ import (
 	"repro/internal/cluster"
 )
 
-// lookupLocal consults this replica's own tiers: the hot LRU first, the
-// disk store second. A disk hit is verified (store.Get re-hashes) and
-// promoted into the LRU under the hash that load just checked — an
-// artifact is hashed once per tier crossing. src is the X-Cache label:
-// "hit" or "disk".
-func (s *Server) lookupLocal(j *identity) (body []byte, src string, ok bool) {
-	if body, ok := s.cache.Get(j.key); ok {
-		s.count("serve/cache.hits", 1)
-		return body, "hit", true
+// lookupLocal is the one walk of this replica's own tiers, for every
+// handler that answers from them (job submissions, the export endpoint, a
+// run whose record was evicted): the hot LRU first, the disk store second.
+// A disk hit is verified (store.Get re-hashes), counted, and promoted into
+// the LRU under the hash that load just checked. src is where the artifact
+// was found — "hit" or "disk", the X-Cache label — or "" when neither tier
+// holds it. What a miss or an LRU hit counts for is the caller's to say.
+func (s *Server) lookupLocal(key string) (a artifact, src string) {
+	if a, ok := s.cache.Get(key); ok {
+		return a, "hit"
 	}
-	s.count("serve/cache.misses", 1)
-	if s.store == nil {
-		return nil, "", false
+	if s.store != nil {
+		if body, meta, ok := s.store.Get(key); ok {
+			s.count("serve/disk_hits", 1)
+			a = artifact{body, meta.Scenario, meta.Format, meta.SHA256}
+			s.cache.put(key, a)
+			return a, "disk"
+		}
 	}
-	if body, meta, ok := s.store.Get(j.key); ok {
-		s.count("serve/disk_hits", 1)
-		s.cache.putHashed(j.key, body, j.scenario, j.format, meta.SHA256)
-		return body, "disk", true
-	}
-	s.count("serve/disk_misses", 1)
-	return nil, "", false
+	return artifact{}, ""
 }
 
 // fill records a freshly materialized artifact (cold execution or peer
@@ -48,7 +47,7 @@ func (s *Server) lookupLocal(j *identity) (body []byte, src string, ok bool) {
 // configured. sha is body's hex SHA-256, computed once by the caller (or
 // by the peer filler's verification) for both tiers.
 func (s *Server) fill(j *identity, body []byte, sha string) {
-	s.cache.putHashed(j.key, body, j.scenario, j.format, sha)
+	s.cache.put(j.key, artifact{body, j.scenario, j.format, sha})
 	if s.store != nil {
 		if err := s.store.putHashed(j.key, body, j.scenario, j.format, sha); err != nil {
 			// Disk full / permissions: the job still succeeded, the LRU
@@ -145,38 +144,26 @@ func (s *Server) peerFill(ctx context.Context, j job) *jobResult {
 }
 
 // handleResult is GET /v1/results/{hash}: the artifact export endpoint
-// peers fill from. It serves only already-materialized bytes — hot LRU
-// first, then the disk tier — and never triggers execution, so a fill
-// probe is cheap and cannot recurse. The response declares the
-// artifact's SHA-256 for the fetching side to verify.
+// peers fill from. It serves only already-materialized bytes — whatever
+// lookupLocal finds — and never triggers execution, so a fill probe is
+// cheap and cannot recurse. The response declares the artifact's SHA-256
+// for the fetching side to verify.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("hash")
 	if !validStoreKey(key) {
 		notFound(w, "hash", "not a config hash (64 lowercase hex chars)")
 		return
 	}
-	if body, scenario, format, sha, ok := s.cache.GetEntry(key); ok {
-		s.count("serve/result_exports", 1)
-		s.writeResult(w, r, body, scenario, format, sha)
+	a, src := s.lookupLocal(key)
+	if src == "" {
+		notFound(w, "hash", "no materialized artifact for this hash")
 		return
 	}
-	if s.store != nil {
-		if body, meta, ok := s.store.Get(key); ok {
-			s.count("serve/disk_hits", 1)
-			s.count("serve/result_exports", 1)
-			s.cache.putHashed(key, body, meta.Scenario, meta.Format, meta.SHA256)
-			s.writeResult(w, r, body, meta.Scenario, meta.Format, meta.SHA256)
-			return
-		}
-	}
-	notFound(w, "hash", "no materialized artifact for this hash")
-}
-
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, body []byte, scenario, format, sha string) {
-	w.Header().Set("Content-Type", contentTypeFor(format))
-	w.Header().Set(cluster.SHAHeader, sha)
-	w.Header().Set(cluster.ScenarioHeader, scenario)
-	w.Header().Set(cluster.FormatHeader, format)
-	w.Header().Set("X-Config-Hash", r.PathValue("hash"))
-	w.Write(body)
+	s.count("serve/result_exports", 1)
+	w.Header().Set("Content-Type", contentTypeFor(a.format))
+	w.Header().Set(cluster.SHAHeader, a.sha)
+	w.Header().Set(cluster.ScenarioHeader, a.scenario)
+	w.Header().Set(cluster.FormatHeader, a.format)
+	w.Header().Set("X-Config-Hash", key)
+	w.Write(a.body)
 }

@@ -44,15 +44,9 @@ type Options struct {
 	// job's identity, so it never changes which cache entry a config
 	// maps to nor the bytes that entry holds.
 	Shards int
-	// JobTimeout aborts a single job's execution (default 2 minutes).
-	JobTimeout time.Duration
 	// RunHistory bounds retained run records, live plus finished
 	// (default 64). Finished runs evict FIFO; live runs never evict.
 	RunHistory int
-	// TraceBudget caps trace-event lines admitted into one run's event
-	// log (default 4096); past it, explicit dropped events record the
-	// truncation.
-	TraceBudget int
 	// AccessLog, when non-nil, receives one structured logfmt line per
 	// request. nil (the default) disables request logging entirely.
 	AccessLog io.Writer
@@ -74,7 +68,7 @@ type Options struct {
 	// artifact (byte-verified peer cache-fill) before executing.
 	Peers []string
 	// PeerTimeout bounds one peer fill attempt, dial included (default
-	// 2s). Proxied job submissions use JobTimeout-scaled limits instead.
+	// 2s). Proxied job submissions are bounded by jobTimeout instead.
 	PeerTimeout time.Duration
 }
 
@@ -97,14 +91,8 @@ func (o Options) withDefaults() Options {
 			o.SweepWorkers = 1
 		}
 	}
-	if o.JobTimeout <= 0 {
-		o.JobTimeout = 2 * time.Minute
-	}
 	if o.RunHistory <= 0 {
 		o.RunHistory = 64
-	}
-	if o.TraceBudget <= 0 {
-		o.TraceBudget = 4096
 	}
 	return o
 }
@@ -116,6 +104,13 @@ const retryAfterSeconds = 1
 
 // maxBodyBytes bounds a job submission's body; past it the answer is 413.
 const maxBodyBytes = 1 << 20
+
+// jobTimeout aborts a single job's execution: 504, nothing cached.
+const jobTimeout = 2 * time.Minute
+
+// traceBudget caps the trace-event lines admitted into one run's event
+// log; past it, explicit dropped events record the truncation.
+const traceBudget = 4096
 
 // wallLatencyBounds buckets wall-clock job latency: 1 ms to ~9 min in
 // powers of two. (The obs default bounds are virtual-time scaled and far
@@ -236,7 +231,7 @@ func NewServer(opts Options) (*Server, error) {
 		s.filler = cluster.NewFiller(opts.PeerTimeout)
 		// A proxied job runs to completion on the owner, so the forwarding
 		// client must outlive the job budget, not the fill budget.
-		s.proxyClient = &http.Client{Timeout: opts.JobTimeout + 10*time.Second}
+		s.proxyClient = &http.Client{Timeout: jobTimeout + 10*time.Second}
 	}
 	s.mux = http.NewServeMux()
 	// The job API lives under /v1; /healthz and /metrics are
@@ -282,8 +277,8 @@ func (s *Server) Drain() {
 // shut down (or timed out doing so).
 func (s *Server) Close() { s.stop() }
 
-// Registry exposes the server's metrics registry for embedding callers
-// (tests, simbench). Serialize access with the server via /metrics only.
+// Registry exposes the server's metrics registry for embedding callers.
+// Serialize access with the server via /metrics only.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // --- metrics helpers (obs is single-threaded; all writes under regMu) ---
@@ -425,13 +420,22 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind envelope
 		s.count(seriesOf[id.scenario].requests, 1)
 	}
 
-	if body, src, ok := s.lookupLocal(id); ok {
+	a, src := s.lookupLocal(id.key)
+	if src == "hit" {
+		s.count("serve/cache.hits", 1)
+	} else {
+		s.count("serve/cache.misses", 1)
+		if src == "" && s.store != nil {
+			s.count("serve/disk_misses", 1)
+		}
+	}
+	if src != "" {
 		access(r).setCache(src)
 		if async {
-			run := s.runs.cached(id.key, id.scenario, id.format, body)
+			run := s.runs.cached(id.key, id.scenario, id.format, a.body)
 			writeJSON(w, http.StatusOK, run.Info())
 		} else {
-			s.writeArtifact(w, id, src, body)
+			s.writeArtifact(w, id, src, a.body)
 		}
 		return
 	}
@@ -690,10 +694,10 @@ func (s *Server) runJob(ctx context.Context, j job) (res *jobResult) {
 	// run's log. Everything streamed is a pure function of the delivery
 	// sequence, so the log is byte-identical at any SweepWorkers setting.
 	runReg := obs.New(obs.WithTrackCap(runTrackCap))
-	runCtx, cancel := context.WithTimeout(ctx, s.opts.JobTimeout)
+	runCtx, cancel := context.WithTimeout(ctx, jobTimeout)
 	defer cancel()
 	runCtx = sweep.WithRegistry(runCtx, runReg)
-	runCtx = sweep.WithEmitter(runCtx, newRunEmitter(run, runReg, s.opts.TraceBudget))
+	runCtx = sweep.WithEmitter(runCtx, newRunEmitter(run, runReg, traceBudget))
 
 	t0 := time.Now()
 	body, err := j.exec(runCtx, s.engine)
@@ -711,7 +715,7 @@ func (s *Server) runJob(ctx context.Context, j job) (res *jobResult) {
 }
 
 // runTrackCap bounds each per-run trace track's ring. Service jobs keep
-// a shallow window (the event log's TraceBudget is the real bound);
+// a shallow window (the event log's traceBudget is the real bound);
 // paper-scale tracing stays the CLI drivers' business.
 const runTrackCap = 64
 

@@ -38,25 +38,35 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRunGet is GET /v1/runs/{id}. A run evicted from the registry whose
-// artifact still sits in the result cache answers with a synthesized
-// done record (evicted=true) instead of a 404 — the artifact, which is
-// the run's identity, is still addressable.
+// artifact a local tier still holds answers with a synthesized done record
+// (evicted=true) instead of a 404 — the artifact, which is the run's
+// identity, is still addressable.
 func (s *Server) handleRunGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if run := s.runs.get(id); run != nil {
 		writeJSON(w, http.StatusOK, run.Info())
 		return
 	}
-	if info, ok := s.runs.keyFor(id); ok {
-		if body, ok := s.cache.Get(info.key); ok {
-			writeJSON(w, http.StatusOK, RunInfo{
-				ID: id, Scenario: info.scenario, Format: info.format,
-				State: RunDone, Bytes: len(body), Evicted: true,
-			})
-			return
-		}
+	if info, a, ok := s.evictedRun(id); ok {
+		writeJSON(w, http.StatusOK, RunInfo{
+			ID: id, Scenario: info.scenario, Format: info.format,
+			State: RunDone, Bytes: len(a.body), Evicted: true,
+		})
+		return
 	}
 	notFound(w, "id", "no run record or cached artifact for this id")
+}
+
+// evictedRun finds what is left of a run the registry no longer holds: the
+// config its id named, if still remembered, and that config's artifact, if
+// the LRU or the disk store still has it.
+func (s *Server) evictedRun(id string) (runKeyInfo, artifact, bool) {
+	info, ok := s.runs.keyFor(id)
+	if !ok {
+		return info, artifact{}, false
+	}
+	a, src := s.lookupLocal(info.key)
+	return info, a, src != ""
 }
 
 // handleRunEvents is GET /v1/runs/{id}/events: the SSE live-attach stream.
@@ -70,11 +80,9 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	run := s.runs.get(id)
 	if run == nil {
-		// Evicted but cached: resurrect a replayable finished record.
-		if info, ok := s.runs.keyFor(id); ok {
-			if body, ok := s.cache.Get(info.key); ok {
-				run = s.runs.cached(info.key, info.scenario, info.format, body)
-			}
+		// Evicted but materialized: resurrect a replayable finished record.
+		if info, a, ok := s.evictedRun(id); ok {
+			run = s.runs.cached(info.key, info.scenario, info.format, a.body)
 		}
 	}
 	if run == nil {

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 type sseEvent struct {
@@ -337,8 +339,16 @@ func TestRunsListingAndGet(t *testing.T) {
 // run's record is evicted by the next job — but its artifact is still
 // cached, so GET /runs/{id} answers with a synthesized record and the
 // event stream resurrects a replay whose bytes match the artifact.
-func TestRunEvictedButCached(t *testing.T) {
-	_, ts := newTestServer(t, Options{RunHistory: 1})
+func TestRunEvictedButCached(t *testing.T) { testRunEvicted(t, Options{RunHistory: 1}) }
+
+// TestRunEvictedButOnDisk: the same, with an LRU too small to hold either
+// artifact — the disk store is the tier that still has the evicted run's.
+func TestRunEvictedButOnDisk(t *testing.T) {
+	testRunEvicted(t, Options{RunHistory: 1, CacheBytes: 64, StoreDir: t.TempDir()})
+}
+
+func testRunEvicted(t *testing.T, opts Options) {
+	_, ts := newTestServer(t, opts)
 	first := submitAsync(t, ts, fastJob)
 	_, firstEvs := readSSE(t, ts.URL+"/v1/runs/"+first.ID+"/events")
 	firstArtifact := resultBytes(t, firstEvs)
@@ -354,7 +364,7 @@ func TestRunEvictedButCached(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&got)
 	resp.Body.Close()
 	if !got.Evicted || got.State != RunDone || got.Bytes != len(firstArtifact) {
-		t.Fatalf("evicted-but-cached run info: %+v", got)
+		t.Fatalf("evicted run info: %+v", got)
 	}
 
 	_, evs := readSSE(t, ts.URL+"/v1/runs/"+first.ID+"/events")
@@ -594,4 +604,65 @@ func (sw *syncWriter) String() string {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	return sw.w.String()
+}
+
+// TestTraceBudgetDropsAreExplicit: a run's event log admits trace lines up
+// to its budget and says how many it withheld — in the point that crosses
+// the budget, beside the lines that still fit, and in every point after.
+func TestTraceBudgetDropsAreExplicit(t *testing.T) {
+	child := obs.New()
+	child.Span(obs.TrackRank, "rank0", "get", 10, 30)
+	child.Span(obs.TrackRank, "rank0", "put", 40, 60)
+	child.Span(obs.TrackRank, "rank0", "acc", 70, 90)
+	all := obs.NewTraceStreamer().Emit(child) // process_name, thread_name, 3 spans
+
+	run := newRun("id", "key", "micro", "csv", 1)
+	em := newRunEmitter(run, obs.New(), 3)
+	em.PointDone(0, 2, child)
+	em.PointDone(1, 2, child)
+
+	var got []string
+	for _, ev := range run.log {
+		if ev.Name == "trace" || ev.Name == "dropped" {
+			got = append(got, ev.Name+" "+ev.Data)
+		}
+	}
+	want := []string{
+		"trace [" + strings.Join(all[:3], ",") + "]",
+		`dropped {"events":2}`,
+		`dropped {"events":3}`, // the track is named by now: 3 spans, no metadata
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("event log past a trace budget of 3:\n%s\nwant:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestExpiredJobIs504: a job stopped by its deadline is a failed run whose
+// done event carries 504; one stopped because everybody left is cancelled,
+// 503 with a Retry-After. Neither result carries an artifact to cache.
+func TestExpiredJobIs504(t *testing.T) {
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	abandoned, leave := context.WithCancel(context.Background())
+	leave()
+	for _, tc := range []struct {
+		ctx        context.Context
+		state      RunState
+		done       string
+		retryAfter int
+	}{
+		{expired, RunFailed, `{"status":"failed","code":504,"error":"job timed out"}`, 0},
+		{abandoned, RunCancelled, `{"status":"cancelled","code":503,"error":"job cancelled"}`, retryAfterSeconds},
+	} {
+		res := cancelResult(tc.ctx)
+		run := newRun("id", "key", "micro", "csv", 1)
+		st := run.finish(res)
+		last := run.log[len(run.log)-1]
+		if st != tc.state || last.Name != "done" || last.Data != tc.done ||
+			res.retryAfter != tc.retryAfter || res.body != nil {
+			t.Errorf("%v: state %s, last event %s %s, result %+v; want %s, done %s",
+				tc.ctx.Err(), st, last.Name, last.Data, res, tc.state, tc.done)
+		}
+	}
 }

@@ -259,10 +259,7 @@ func checkShortcuts(t testing.TB, p *scProgram) (with, without uint64) {
 // TestLaneShortcutsDifferential runs the oracle over a block of seeds.
 // Any one program may offer the shortcuts nothing; the block must.
 func TestLaneShortcutsDifferential(t *testing.T) {
-	seeds := uint64(400)
-	if testing.Short() {
-		seeds = 100
-	}
+	const seeds = 400
 	var with, without uint64
 	for seed := uint64(1); seed <= seeds; seed++ {
 		p := genProgram(seed)
