@@ -34,14 +34,15 @@ test-short:
 # restart over a survivor's store — and none of them skips under -short.
 # The zero-allocation invariants skip under -race (its instrumentation
 # allocates), so the last line runs them, the objects- and
-# switches-per-rank budgets, the event-size pin and simd's hit-path
+# switches-per-rank budgets, the event-size pin, the RDMA flight and
+# payload-pool budgets (internal/pami, internal/mem) and simd's hit-path
 # allocation budget (internal/serve: parse memo + LRU hit, parse memo +
 # verified disk load) on plain counts, -v so the CI log shows what was
 # measured.
 check:
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/fault/ ./...
-	$(GO) test -v -run 'Alloc|ObjectsPerRank|SwitchesPerRank|EventSize' ./internal/sim/ ./internal/network/ ./internal/pami/ ./internal/armci/ ./internal/bench/ ./internal/serve/
+	$(GO) test -v -run 'Alloc|ObjectsPerRank|SwitchesPerRank|EventSize' ./internal/mem/ ./internal/sim/ ./internal/network/ ./internal/pami/ ./internal/armci/ ./internal/bench/ ./internal/serve/
 
 # What the host pays to simulate, as the Go benchmarks at the foot of
 # bench_test.go. First line: the per-event / switch / message / operation
@@ -64,11 +65,14 @@ bench:
 # compared), then job bodies through the constructor the proxy hop relies
 # on (internal/serve/fuzz_test.go: a canonical body parses back to the
 # same key and bytes), then bodies posted twice to a server whose parse
-# memo must answer the second post as the full parse answered the first.
+# memo must answer the second post as the full parse answered the first,
+# then arbitrary body and sidecar bytes on disk, which the store must serve
+# only when the sidecar vouches for them and quarantine otherwise.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLaneShortcuts -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzJobCanonIdempotent -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzParseMemoAgrees -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzStoreGet -fuzztime 10s ./internal/serve/
 
 # Shard scaling: the fig9 p = 16384 simulation on 1, 2 and 4 lane workers
 # (BenchmarkFig9Shards, which fails if the simulated latency differs

@@ -21,6 +21,57 @@ func (r *retire) landed(x *Context) { x.postCompletion((*sim.Completion)(r)) }
 
 func (s *OpSet) landed(*Context) { s.done() }
 
+// rdmaPayload is the bytes an RDMA flight owns: captured from one space when
+// the model says the network reads them, copied into another when they
+// land. That is two copies, and two is the floor — the source may be
+// reused once the put completes locally, the target may be rewritten
+// after a get's turnaround, so the network cannot carry a view of either.
+// On a healthy run every message is delivered exactly once, so the
+// landing hands a Borrowed buffer back right after its CopyIn; under an
+// injector a delivery can fire twice or never, and the captured bytes
+// are a Clone left to the garbage collector.
+type rdmaPayload struct {
+	buf     []byte
+	recycle bool
+}
+
+func (p *rdmaPayload) capture(x *Context, s *mem.Space, a mem.Addr, n int) {
+	if x.Client.M.faulty() {
+		p.buf = s.Clone(a, n)
+		return
+	}
+	p.buf, p.recycle = s.Borrow(a, n), true
+}
+
+func (p *rdmaPayload) land(s *mem.Space, a mem.Addr) {
+	s.CopyIn(a, p.buf)
+	if p.recycle {
+		mem.Return(p.buf)
+	}
+}
+
+// putFlight is one RDMA put from injection to local completion: a single
+// heap value in three roles, as amFlight is for an active message. It is
+// the network's record of the message (the embedded Msg), the arrival in
+// the target's lane (Fire: the bytes land) and the local completion
+// (putAck), and it owns the bytes it captured at injection.
+type putFlight struct {
+	network.Msg
+	x      *Context
+	done   landing
+	tgt    *mem.Space
+	remote mem.Addr
+	rdmaPayload
+}
+
+// Fire is the arrival: the bytes land at the target.
+func (f *putFlight) Fire() { f.land(f.tgt, f.remote) }
+
+// putAck is the flight as its local completion.
+type putAck putFlight
+
+func (a *putAck) Fire() { a.done.landed(a.x) }
+
 // RdmaPut transfers n bytes from local memory to remote memory with no
 // remote CPU involvement: the bytes land at the target in pure network
 // time. localComp is retired through this context's progress engine once
@@ -41,19 +92,23 @@ func (s *OpSet) RdmaPut(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n 
 	s.x.put(th, dst, local, remote, n, s)
 }
 
-// put is the one put flight; done is ticked at local completion.
+// put issues the one put flight; done is ticked at local completion.
 func (x *Context) put(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n int, done landing) {
 	c := x.Client
 	p := c.M.P
 	th.Sleep(c.jit(p.CPUInject))
 
+	f := &putFlight{
+		Msg:    network.Msg{Src: c.Node, Dst: dst.Node, Payload: n, Kind: network.Data},
+		x:      x,
+		done:   done,
+		tgt:    c.peer(dst.Rank).Space,
+		remote: remote,
+	}
+	f.Deliver = f
 	// Capture the payload now: after local completion the user may reuse
 	// the buffer, so the network must own a stable copy.
-	buf := c.Space.Clone(local, n)
-
-	tgt := c.peer(dst.Rank).Space
-	deliver := func() { tgt.CopyIn(remote, buf) }
-	landed := func() { done.landed(x) }
+	f.capture(x, c.Space, local, n)
 	if c.M.faulty() {
 		// Fault mode: completion is end-to-end, ticked only when the bytes
 		// actually land. The MU's optimistic injection-complete ack would
@@ -63,16 +118,67 @@ func (x *Context) put(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n in
 		// delayed original harmlessly. The delivery (target memory) and the
 		// completion (initiator progress engine) live on different lanes,
 		// so they ride the message as a split completion pair.
-		c.M.Net.SendMsg(&network.Msg{Src: c.Node, Dst: dst.Node, Payload: n, Kind: network.Data,
-			Deliver: sim.Func(deliver), Local: sim.Func(landed)})
+		f.Local = (*putAck)(f)
+		c.M.Net.SendMsg(&f.Msg)
 		return
 	}
-	c.M.Net.Send(c.Node, dst.Node, n, network.Data, deliver)
+	c.M.Net.SendMsg(&f.Msg)
 	ackDelay := p.NicMsgOverhead + p.SerTime(n) + p.PutAckFixed
 	if n > 0 && n < p.UnalignedThreshold {
 		ackDelay += p.UnalignedPenalty
 	}
-	c.Ln.At(ackDelay, landed)
+	c.Ln.AtAction(ackDelay, (*putAck)(f))
+}
+
+// getFlight is one RDMA get or remote flush from issue to landing: the
+// request and its reply are both its messages, and it is the request's
+// arrival at the target's messaging unit (Fire), the turnaround (getTurn)
+// and the reply's landing (getLand). A get owns the bytes it captured at
+// stream time.
+type getFlight struct {
+	req, rep      network.Msg
+	x             *Context
+	done          landing
+	tc            *Client
+	local, remote mem.Addr
+	fetch         bool
+	rdmaPayload
+}
+
+// Fire is the request's arrival at the target MU; after the turnaround
+// the MU streams the reply back. The turnaround runs on the target's lane,
+// where the delivery executes.
+func (f *getFlight) Fire() { f.tc.Ln.AtAction(f.tc.M.P.MUTurnaround, (*getTurn)(f)) }
+
+// getTurn is the flight as its turnaround.
+type getTurn getFlight
+
+func (t *getTurn) Fire() {
+	f := (*getFlight)(t)
+	if f.rep.Deliver != nil {
+		// The reply has gone already: a request duplicated under faults
+		// turns around twice, and each turnaround streams its own reply
+		// with its own bytes, as two separate flights would.
+		dup := *f
+		f = &dup
+	}
+	if f.fetch {
+		// The bytes are captured at stream time.
+		f.capture(f.x, f.tc.Space, f.remote, f.rep.Payload)
+	}
+	f.rep.Deliver = (*getLand)(f)
+	f.tc.M.Net.SendMsg(&f.rep)
+}
+
+// getLand is the flight as its reply's landing.
+type getLand getFlight
+
+func (l *getLand) Fire() {
+	f := (*getFlight)(l)
+	if f.fetch {
+		f.land(f.x.Client.Space, f.local)
+	}
+	f.done.landed(f.x)
 }
 
 // RdmaGet transfers n bytes from remote memory into local memory. The
@@ -98,32 +204,27 @@ func (x *Context) FlushRemote(th *sim.Thread, dst Endpoint, comp *sim.Completion
 	x.roundTrip(th, dst, 0, 0, rmaControlBytes, false, (*retire)(comp))
 }
 
-// roundTrip is the one get flight: a control request to the target's
+// roundTrip issues the one get flight: a control request to the target's
 // messaging unit, its turnaround, and a reply of n bytes that ticks done
 // when it arrives — n bytes of the target's memory at remote, copied to
 // local, when fetch is set; an n-byte control ack otherwise.
 func (x *Context) roundTrip(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n int, fetch bool, done landing) {
 	c := x.Client
-	p := c.M.P
-	th.Sleep(c.jit(p.CPUInject))
+	th.Sleep(c.jit(c.M.P.CPUInject))
 
-	tc := c.peer(dst.Rank)
-	net := c.M.Net
-	net.Send(c.Node, dst.Node, rmaControlBytes, network.Control, func() {
-		// Request arrived at the target MU; after the turnaround it
-		// streams the reply back. The bytes are captured at stream time.
-		// The turnaround runs on the target's lane — that is where the
-		// delivery callback executes.
-		tc.Ln.At(p.MUTurnaround, func() {
-			if !fetch {
-				net.Send(dst.Node, c.Node, n, network.Control, func() { done.landed(x) })
-				return
-			}
-			buf := tc.Space.Clone(remote, n)
-			net.Send(dst.Node, c.Node, n, network.Data, func() {
-				c.Space.CopyIn(local, buf)
-				done.landed(x)
-			})
-		})
-	})
+	f := &getFlight{
+		req:    network.Msg{Src: c.Node, Dst: dst.Node, Payload: rmaControlBytes, Kind: network.Control},
+		rep:    network.Msg{Src: dst.Node, Dst: c.Node, Payload: n, Kind: network.Control},
+		x:      x,
+		done:   done,
+		tc:     c.peer(dst.Rank),
+		local:  local,
+		remote: remote,
+		fetch:  fetch,
+	}
+	if fetch {
+		f.rep.Kind = network.Data
+	}
+	f.req.Deliver = f
+	c.M.Net.SendMsg(&f.req)
 }

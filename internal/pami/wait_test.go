@@ -193,24 +193,25 @@ func TestWaitLocalAllocFree(t *testing.T) {
 }
 
 // TestRdmaFlightAllocBound pins what one RMA flight costs the host, issue
-// to retired completion, whichever landing it ticks: the network's copy of
-// the bytes, the delivery and the local-completion closure for a put; the
-// request, turnaround and reply closures (and the bytes) for a get or a
-// flush; one OpSet more for a chunk. The counts are the parent's, where
-// each of the five had its own function.
+// to retired completion, whichever landing it ticks: the flight value and
+// the payload it owns (512 bytes, under mem.PoolMin, so a fresh copy) for
+// a put or a get; the flight alone for a flush; one OpSet more for a
+// chunk. A payload of mem.PoolMin or more is recycled, so a 64 KiB put or
+// get in steady state is the flight alone.
 func TestRdmaFlightAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
+	const big = 64 << 10
 	r := newRig(t, 2, 1, 1)
 	var remote mem.Addr
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
 		if c.Rank == 1 {
-			remote = c.Space.Alloc(512)
+			remote = c.Space.Alloc(big)
 			return
 		}
 		th.Sleep(sim.Millisecond)
-		local := c.Space.Alloc(512)
+		local := c.Space.Alloc(big)
 		ep := c.CreateEndpoint(th, 1, 0)
 		x := &c.Contexts[0]
 		chunk := func(comp *sim.Completion, issue func(*OpSet)) {
@@ -223,15 +224,17 @@ func TestRdmaFlightAllocBound(t *testing.T) {
 			bound float64
 			issue func(comp *sim.Completion)
 		}{
-			{"put", 3, func(comp *sim.Completion) { x.RdmaPut(th, ep, local, remote, 512, comp) }},
-			{"get", 4, func(comp *sim.Completion) { x.RdmaGet(th, ep, local, remote, 512, comp) }},
-			{"flush", 3, func(comp *sim.Completion) { x.FlushRemote(th, ep, comp) }},
-			{"put chunk", 4, func(comp *sim.Completion) {
+			{"put", 2, func(comp *sim.Completion) { x.RdmaPut(th, ep, local, remote, 512, comp) }},
+			{"get", 2, func(comp *sim.Completion) { x.RdmaGet(th, ep, local, remote, 512, comp) }},
+			{"flush", 1, func(comp *sim.Completion) { x.FlushRemote(th, ep, comp) }},
+			{"put chunk", 3, func(comp *sim.Completion) {
 				chunk(comp, func(set *OpSet) { set.RdmaPut(th, ep, local, remote, 512) })
 			}},
-			{"get chunk", 5, func(comp *sim.Completion) {
+			{"get chunk", 3, func(comp *sim.Completion) {
 				chunk(comp, func(set *OpSet) { set.RdmaGet(th, ep, local, remote, 512) })
 			}},
+			{"put 64 KiB", 1, func(comp *sim.Completion) { x.RdmaPut(th, ep, local, remote, big, comp) }},
+			{"get 64 KiB", 1, func(comp *sim.Completion) { x.RdmaGet(th, ep, local, remote, big, comp) }},
 		} {
 			next := oneShots(r.k)
 			cycle := func() {

@@ -277,10 +277,6 @@ func (s *Server) Drain() {
 // shut down (or timed out doing so).
 func (s *Server) Close() { s.stop() }
 
-// Registry exposes the server's metrics registry for embedding callers.
-// Serialize access with the server via /metrics only.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // --- metrics helpers (obs is single-threaded; all writes under regMu) ---
 
 func (s *Server) count(name string, d int64) {
