@@ -1,8 +1,6 @@
-// One benchmark per table/figure of the paper's evaluation section. Each
-// runs a (scaled-down) simulation per iteration and reports the paper's
-// headline metric via b.ReportMetric; `armci-bench fig` and `armci-bench
-// scf` regenerate the full-scale series. Below them, what the host pays to
-// simulate at all (`make bench`, `make bench-shards`).
+// What simulating costs the host: the paper's figure runs, then the
+// kernel, network and engine rows below them (`make bench`, `make
+// bench-shards`). The figures' verdict is TestPaperClaims, not these.
 package repro
 
 import (
@@ -11,7 +9,6 @@ import (
 
 	"repro/internal/armci"
 	"repro/internal/bench"
-	"repro/internal/loggp"
 	"repro/internal/network"
 	"repro/internal/nwchem"
 	"repro/internal/sim"
@@ -23,169 +20,17 @@ import (
 // stay warm across iterations.
 var benchEng = plan(0, 0)
 
-// BenchmarkTableII measures the PAMI object-creation costs (α β γ δ and
-// context creation) that Table II reports.
-func BenchmarkTableII(b *testing.B) {
-	var g *bench.Grid
-	for i := 0; i < b.N; i++ {
-		g = bench.TableII()
-	}
-	b.ReportMetric(float64(len(g.Rows)), "attributes")
-}
-
-// BenchmarkFig3Latency reports the adjacent-node 16-byte get and put
-// latencies (paper: 2.89 us and 2.7 us).
-func BenchmarkFig3Latency(b *testing.B) {
-	var get, put float64
-	for i := 0; i < b.N; i++ {
-		g := bench.Fig3(bg, benchEng, []int{16}, 10)
-		get, put = g.Column("get_us")[0], g.Column("put_us")[0]
-	}
-	b.ReportMetric(get*1000, "get16B_ns")
-	b.ReportMetric(put*1000, "put16B_ns")
-}
-
-// BenchmarkFig4Bandwidth reports the 1 MB streamed put bandwidth
-// (paper: 1775 MB/s peak).
-func BenchmarkFig4Bandwidth(b *testing.B) {
-	var peak float64
-	for i := 0; i < b.N; i++ {
-		g := bench.Fig4(bg, benchEng, []int{1 << 20}, 16)
-		peak = g.Column("put_MBs")[0]
-	}
-	b.ReportMetric(peak, "peak_MB/s")
-}
-
-// BenchmarkFig5LatencyPerByte reports the 4 KB effective latency per byte
-// (paper: ~1 ns/byte beyond 4 KB).
-func BenchmarkFig5LatencyPerByte(b *testing.B) {
-	var v float64
-	for i := 0; i < b.N; i++ {
-		g := bench.Fig5(bg, benchEng, []int{4096}, 10)
-		v = g.Column("ns_per_byte")[0]
-	}
-	b.ReportMetric(v, "ns/byte@4KB")
-}
-
-// BenchmarkFig6NHalf reports the measured N1/2 (paper: 2 KB).
-func BenchmarkFig6NHalf(b *testing.B) {
-	var nHalf float64
-	for i := 0; i < b.N; i++ {
-		g := bench.Fig6(bg, benchEng, []int{1024, 2048, 4096}, 16)
-		eff := g.Column("efficiency")
-		nHalf = 4096
-		for j, m := range []float64{1024, 2048, 4096} {
-			if eff[j] >= 0.5 {
-				nHalf = m
-				break
+// BenchmarkPaperClaims simulates the run set at quick scale, one
+// sub-benchmark per run (bench.RunNames; a derived figure includes the run
+// it derives from).
+func BenchmarkPaperClaims(b *testing.B) {
+	for _, name := range bench.RunNames {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bench.NewRunSet(bg, benchEng, bench.Quick).Grid(name)
 			}
-		}
+		})
 	}
-	b.ReportMetric(nHalf, "Nhalf_bytes")
-}
-
-// BenchmarkFig7RankSweep reports the per-hop latency gradient on a
-// scaled-down partition (paper: 35 ns/hop/direction).
-func BenchmarkFig7RankSweep(b *testing.B) {
-	var rows int
-	for i := 0; i < b.N; i++ {
-		g := bench.Fig7(bg, benchEng, 128, 8, 2, 4)
-		rows = len(g.Rows)
-	}
-	b.ReportMetric(float64(rows), "ranks_measured")
-}
-
-// BenchmarkFig8Strided reports strided get bandwidth at l0 = 8 KB over a
-// 1 MB patch (the Fig 8 mid-curve point).
-func BenchmarkFig8Strided(b *testing.B) {
-	var bw float64
-	for i := 0; i < b.N; i++ {
-		g := bench.Fig8(bg, benchEng, []int{8192}, 1<<20)
-		bw = g.Column("get_MBs")[0]
-	}
-	b.ReportMetric(bw, "MB/s@l0=8K")
-}
-
-// BenchmarkFig9Rmw reports the four Fig 9 configurations at 16 processes:
-// D/AT x idle/computing rank 0.
-func BenchmarkFig9Rmw(b *testing.B) {
-	var dIdle, atIdle, dComp, atComp float64
-	for i := 0; i < b.N; i++ {
-		dIdle = bench.Fig9Point(bg, benchEng, 16, 16, false, false, 8)
-		atIdle = bench.Fig9Point(bg, benchEng, 16, 16, true, false, 8)
-		dComp = bench.Fig9Point(bg, benchEng, 16, 16, false, true, 8)
-		atComp = bench.Fig9Point(bg, benchEng, 16, 16, true, true, 8)
-	}
-	b.ReportMetric(dIdle, "D_idle_us")
-	b.ReportMetric(atIdle, "AT_idle_us")
-	b.ReportMetric(dComp, "D_compute_us")
-	b.ReportMetric(atComp, "AT_compute_us")
-}
-
-// BenchmarkFig11SCF reports the Default-vs-AsyncThread reduction of the
-// SCF proxy at benchmark scale (paper: up to 30% at 4096 processes; the
-// full-scale run is `armci-bench scf`).
-func BenchmarkFig11SCF(b *testing.B) {
-	scfg := nwchem.Config{Mol: nwchem.NewMolecule([]int{8, 6, 6, 8, 6, 6}),
-		Iterations: 2, FlopRate: 2e7}
-	var red float64
-	for i := 0; i < b.N; i++ {
-		d := nwchem.Experiment(armci.Config{Procs: 16, ProcsPerNode: 16}, scfg)
-		at := nwchem.Experiment(armci.Config{Procs: 16, ProcsPerNode: 16, AsyncThread: true}, scfg)
-		red = 100 * (1 - float64(at.WallTime)/float64(d.WallTime))
-	}
-	b.ReportMetric(red, "AT_reduction_pct")
-}
-
-// BenchmarkEq7Eq8Fallback reports the measured RDMA-vs-fallback gap at
-// 16 bytes (Eq 7 vs Eq 8: one extra remote o).
-func BenchmarkEq7Eq8Fallback(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		g := bench.EqValidation(bg, benchEng, []int{16}, 10)
-		ratio = g.Column("ratio")[0]
-	}
-	b.ReportMetric(ratio, "fallback/rdma")
-}
-
-// BenchmarkEq9StridedModel reports the analytic-vs-simulated strided time
-// agreement at l0 = 1 KB over 1 MB (Eq 9).
-func BenchmarkEq9StridedModel(b *testing.B) {
-	m := loggp.FromParams(network.DefaultParams(), 1)
-	var modelUS, simUS float64
-	for i := 0; i < b.N; i++ {
-		g := bench.Fig8(bg, benchEng, []int{1024}, 1<<20)
-		simUS = float64(1<<20) / g.Column("get_MBs")[0] / 1000 * 1000
-		modelUS = m.TStrided(1<<20, 1024) / 1000
-	}
-	b.ReportMetric(modelUS, "model_us")
-	b.ReportMetric(simUS, "sim_us")
-}
-
-// BenchmarkAblationContexts reports §III.D's 1-vs-2 context main-thread
-// latency penalty.
-func BenchmarkAblationContexts(b *testing.B) {
-	var one, two float64
-	for i := 0; i < b.N; i++ {
-		g := bench.AblationContexts(bg, benchEng, 50)
-		lat := g.Column("main_get_us")
-		one, two = lat[0], lat[1]
-	}
-	b.ReportMetric(one, "rho1_us")
-	b.ReportMetric(two, "rho2_us")
-}
-
-// BenchmarkAblationConsistency reports §III.E's naive-vs-per-region fence
-// counts on the dgemm pattern.
-func BenchmarkAblationConsistency(b *testing.B) {
-	var naive, perRegion float64
-	for i := 0; i < b.N; i++ {
-		g := bench.AblationConsistency(bg, benchEng, 50)
-		f := g.Column("fences")
-		naive, perRegion = f[0], f[1]
-	}
-	b.ReportMetric(naive, "naive_fences")
-	b.ReportMetric(perRegion, "cs_mr_fences")
 }
 
 // --- the cost of simulating, not the simulated cost: per event, switch,

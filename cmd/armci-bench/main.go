@@ -1,14 +1,14 @@
 // Command armci-bench is the offline driver for every experiment in the
 // reproduction: the paper's figures and tables, the chaos profile, the
-// scenario-composition DSL, and the reduced-scale audit.
+// scenario-composition DSL, and the verdict on the paper's claims.
 //
 // Usage:
 //
-//	armci-bench fig                  # Figs 3-9 + Eq 7/8 + ablations, default scale
+//	armci-bench fig                  # Figs 3-9 + Eq 7/8 + ablations, paper scale
 //	armci-bench fig 9 -quick -csv    # one figure, reduced process counts, CSV
 //	armci-bench chaos [-seed 7]      # Fig 9 workload under scripted faults
 //	armci-bench compose spec.json    # run a scenario-composition spec ("-" reads stdin)
-//	armci-bench report               # reduced-scale audit: every claim, PASS/FAIL
+//	armci-bench report               # the verdict: every claim at paper scale
 //	armci-bench scf -quick           # Fig 11 (NWChem SCF proxy)
 //	armci-bench tables               # Table II + partition factorizations
 //	armci-bench torus -procs 2048    # topology explorer
@@ -30,6 +30,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
@@ -191,8 +192,16 @@ func (e *edge) finish() int {
 	return 0
 }
 
+// scale is the run set a -quick flag selects.
+func scale(quick bool) bench.Scale {
+	if quick {
+		return bench.Quick
+	}
+	return bench.Paper
+}
+
 // cmdFig regenerates the communication figures (Figs 3-9), the Eq 7/8
-// model validation and the §III.D/§III.E ablations.
+// model validation and the ablations: bench.Figures, in that order.
 func cmdFig(args []string, stdout, stderr io.Writer) int {
 	e := newEdge("fig", stderr)
 	csv := e.fs.Bool("csv", false, "emit CSV instead of text tables")
@@ -203,57 +212,17 @@ func cmdFig(args []string, stdout, stderr io.Writer) int {
 	}
 	defer e.stop()
 
-	sizes := bench.PowersOfTwo(4, 20) // 16 B .. 1 MB, the paper's range
-	iters := 20
-	fig7Procs, fig7PerNode, fig7Stride := 2048, 16, 1
-	fig9Procs := []int{2, 16, 64, 256, 1024, 4096}
-	hwProcs := []int{2, 8, 32, 128, 512}
-	if *quick {
-		sizes = bench.PowersOfTwo(4, 17)
-		iters = 5
-		fig7Procs, fig7PerNode, fig7Stride = 256, 16, 4
-		fig9Procs = []int{2, 16, 64, 256}
-		hwProcs = []int{2, 8, 32, 128}
-	}
-	ctx, eng := e.ctx, e.eng
-	figs := []struct {
-		name string
-		run  func() *bench.Grid
-	}{
-		{"3", func() *bench.Grid { return bench.Fig3(ctx, eng, sizes, iters) }},
-		{"4", func() *bench.Grid { return bench.Fig4(ctx, eng, sizes, 16) }},
-		{"5", func() *bench.Grid { return bench.Fig5(ctx, eng, sizes, iters) }},
-		{"6", func() *bench.Grid { return bench.Fig6(ctx, eng, sizes, 16) }},
-		{"7", func() *bench.Grid { return bench.Fig7(ctx, eng, fig7Procs, fig7PerNode, 4, fig7Stride) }},
-		{"8", func() *bench.Grid { return bench.Fig8(ctx, eng, bench.PowersOfTwo(8, 20), 1<<20) }},
-		{"9", func() *bench.Grid { return bench.Fig9(ctx, eng, fig9Procs, 10) }},
-		{"eq", func() *bench.Grid {
-			return bench.EqValidation(ctx, eng, []int{16, 256, 4096, 65536, 1 << 20}, iters)
-		}},
-		{"ctx", func() *bench.Grid { return bench.AblationContexts(ctx, eng, 100) }},
-		{"cons", func() *bench.Grid { return bench.AblationConsistency(ctx, eng, 100) }},
-		{"strided", func() *bench.Grid {
-			return bench.AblationStridedProtocol(ctx, eng, bench.PowersOfTwo(5, 17), 1<<20)
-		}},
-		{"route", func() *bench.Grid { return bench.AblationRouting(ctx, eng, 32, 64) }},
-		{"hw", func() *bench.Grid { return bench.AblationHardwareAMO(ctx, eng, hwProcs, 10) }},
-	}
-
+	names := bench.Figures
 	if len(pos) == 1 && pos[0] != "all" {
-		all := figs
-		figs = nil
-		for _, f := range all {
-			if f.name == pos[0] {
-				figs = append(figs, f)
-			}
-		}
+		names = []string{pos[0]}
 	}
-	if len(figs) == 0 || len(pos) > 1 {
-		fmt.Fprintf(stderr, "armci-bench fig: want one of 3,4,5,6,7,8,9,eq,ctx,cons,strided,route,hw or all, got %q\n", pos)
+	if len(pos) > 1 || !slices.Contains(bench.Figures, names[0]) {
+		fmt.Fprintf(stderr, "armci-bench fig: want one of %s or all, got %q\n", strings.Join(bench.Figures, ","), pos)
 		return 2
 	}
-	for _, f := range figs {
-		g := f.run()
+	runs := bench.NewRunSet(e.ctx, e.eng, scale(*quick))
+	for _, name := range names {
+		g := runs.Grid(name)
 		if e.interrupted() {
 			return 130
 		}

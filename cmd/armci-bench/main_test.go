@@ -8,9 +8,11 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/serve"
 )
 
@@ -31,7 +33,8 @@ const testSpec = `{"phases":[
 ]}`
 
 // TestSubcommands drives every subcommand at reduced size: exit 0,
-// nothing on stderr, and the output each is for on stdout.
+// nothing on stderr, and the output each is for on stdout. `report` has
+// no reduced size; TestReport drives it at the quick scale.
 func TestSubcommands(t *testing.T) {
 	spec := filepath.Join(t.TempDir(), "spec.json")
 	if err := os.WriteFile(spec, []byte(testSpec), 0o644); err != nil {
@@ -66,7 +69,6 @@ func TestSubcommands(t *testing.T) {
 		{args: []string{"chaos", "-quick", "-seed", "7"}, want: []string{`seed 7`, `(?m)^\s*16\s.*\byes\b`}},
 		{args: []string{"compose", spec, "-csv"}, want: []string{`halo`, `fetchadd`}},
 		{args: []string{"compose", "-csv", envelope}, want: []string{`halo`, `fetchadd`}},
-		{args: []string{"report"}, want: []string{`(?m)^16/16 checks passed$`}},
 		{args: []string{"scf", "-procs", "8,16", "-iters", "1", "-csv"}, slow: true, // 14 706 tasks per cycle
 			want: []string{`(?m)^procs,D_ms,AT_ms,`, `(?m)^16\.00,`}},
 		{args: []string{"tables"}, want: []string{`Table II`, `4096 procs: `}},
@@ -89,6 +91,25 @@ func TestSubcommands(t *testing.T) {
 		if strings.Contains(stdout, "FAIL") {
 			t.Errorf("%v: a check failed:\n%s", tc.args, stdout)
 		}
+	}
+}
+
+// TestReport drives `report` on the quick-scale run set with one claim
+// added that cannot pass: that row is the one failure, and the exit is 1.
+// What it prints at the paper's scale is results/report.md, which root
+// TestResultsFresh holds to the tree.
+func TestReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("root TestPaperClaims judges the quick scale under -short")
+	}
+	defer func(claims []bench.Claim) { bench.Claims = claims }(bench.Claims)
+	bench.Claims = append(slices.Clip(bench.Claims), bench.Claim{Fig: "test", What: "an empty band",
+		Band: [2]float64{1, 0}, Measure: func(*bench.RunSet) float64 { return 0 }})
+	var out, errb bytes.Buffer
+	code := report(bench.Quick, []string{"-parallel", "1"}, &out, &errb)
+	verdict := regexp.MustCompile(`(?m)^\| test: an empty band \|.*\*\*FAIL\*\* \|$[\s\S]*^\d+ claims: \d+ pass, 1 fail; known deviations: 0$`)
+	if code != 1 || errb.Len() != 0 || !verdict.Match(out.Bytes()) {
+		t.Errorf("exit %d, stderr %q, stdout\n%s\nwant exit 1 and the added row as the one failure", code, &errb, &out)
 	}
 }
 

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/bench"
-	"repro/internal/topology"
 )
 
 // cmdTables regenerates Table II (the empirical PAMI time/space
@@ -19,10 +17,6 @@ func cmdTables(args []string, stdout, stderr io.Writer) int {
 	}
 
 	render(stdout, bench.TableII(), *csv, false)
-	fmt.Fprintln(stdout, "== partition factorizations (ABCDE x T) ==")
-	for _, p := range []int{2, 64, 256, 1024, 2048, 4096} {
-		tor := topology.ForProcs(p, 16)
-		fmt.Fprintf(stdout, "%5d procs: %v  (max %d hops)\n", p, tor, tor.MaxHops())
-	}
+	bench.Partitions(stdout)
 	return 0
 }

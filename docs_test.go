@@ -89,6 +89,28 @@ func TestDocsNameRealThings(t *testing.T) {
 	}
 }
 
+// docCeilings is a ratchet on the prose every reader starts from: a doc
+// may shrink below its ceiling, not grow past it. Lower a ceiling when a
+// doc shrinks; raising one means editing it here beside a one-line reason.
+var docCeilings = map[string]int64{
+	"README.md":      14403, // its size once the claims table replaced the headline numbers
+	"DESIGN.md":      93006, // ditto, the per-experiment index
+	"EXPERIMENTS.md": 89970, // ditto, the figure tables
+}
+
+func TestDocsByteBudget(t *testing.T) {
+	for doc, ceiling := range docCeilings {
+		fi, err := os.Stat(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > ceiling {
+			t.Errorf("%s is %d bytes, over its ceiling of %d: shrink it, or raise the ceiling in docCeilings with a one-line reason",
+				doc, fi.Size(), ceiling)
+		}
+	}
+}
+
 // TestGofmt: formatting is a gate like any other, so it is a Go test —
 // every .go file in the tree is what go/format makes of it.
 func TestGofmt(t *testing.T) {

@@ -127,34 +127,33 @@ func fig4(c *sweep.Ctx, sizes []int, window int) *Grid {
 	return g
 }
 
-// Fig5 regenerates the effective latency-per-byte figure (the message
-// aggregation inflection point; ~1 ns/byte beyond 4 KB).
-func Fig5(ctx context.Context, eng *sweep.Engine, sizes []int, iters int) *Grid {
-	lat := Fig3(ctx, eng, sizes, iters)
+// Fig5 derives the effective latency-per-byte figure (the message
+// aggregation inflection point; ~1 ns/byte beyond 4 KB) from a Fig 3
+// grid.
+func Fig5(fig3 *Grid) *Grid {
 	g := &Grid{Title: "Fig 5: effective latency per byte (get)",
 		Header: []string{"bytes", "ns_per_byte"}}
-	getUS := lat.Column("get_us")
-	for i, m := range sizes {
-		g.AddF(3, float64(m), getUS[i]*1000/float64(m))
+	getUS := fig3.Column("get_us")
+	for i, m := range fig3.Column("bytes") {
+		g.AddF(3, m, getUS[i]*1000/m)
 	}
 	return g
 }
 
-// Fig6 regenerates the bandwidth-efficiency figure: achieved put
-// bandwidth over the 1.8 GB/s available peak, with the measured N1/2.
-// Paper: N1/2 = 2 KB, >= 90% beyond ~16 KB.
-func Fig6(ctx context.Context, eng *sweep.Engine, sizes []int, window int) *Grid {
-	bw := Fig4(ctx, eng, sizes, window)
+// Fig6 derives the bandwidth-efficiency figure from a Fig 4 grid:
+// achieved put bandwidth over the 1.8 GB/s available peak, with the
+// measured N1/2. Paper: N1/2 = 2 KB, >= 90% beyond ~16 KB.
+func Fig6(fig4 *Grid) *Grid {
 	peak := network.DefaultParams().PeakPayloadBandwidth()
 	g := &Grid{Title: "Fig 6: bandwidth efficiency vs available peak",
 		Header: []string{"bytes", "efficiency"}}
-	put := bw.Column("put_MBs")
+	put := fig4.Column("put_MBs")
 	nHalf := -1
-	for i, m := range sizes {
+	for i, m := range fig4.Column("bytes") {
 		eff := put[i] / peak
-		g.AddF(3, float64(m), eff)
+		g.AddF(3, m, eff)
 		if nHalf < 0 && eff >= 0.5 {
-			nHalf = m
+			nHalf = int(m)
 		}
 	}
 	g.Note("available peak = %.0f MB/s; measured N1/2 ~ %d bytes (paper: 2 KB)", peak, nHalf)

@@ -44,13 +44,3 @@ func Fig11(ctx context.Context, eng *sweep.Engine, procCounts []int, perNode int
 	}
 	return g
 }
-
-// SCFPoint runs one SCF experiment through the sweep-engine path (child
-// registry, shard budget), for drivers that need a single (procs, mode)
-// cell rather than the whole Fig 11 sweep.
-func SCFPoint(ctx context.Context, eng *sweep.Engine, procs, perNode int, async bool, scfg nwchem.Config) nwchem.Result {
-	return one(ctx, eng, func(c *sweep.Ctx) nwchem.Result {
-		return nwchem.Experiment(c.Cfg(armci.Config{
-			Procs: procs, ProcsPerNode: perNode, AsyncThread: async}), scfg)
-	})
-}

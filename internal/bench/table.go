@@ -1,8 +1,10 @@
 // Package bench is the experiment harness: one entry point per table and
 // figure of the paper's evaluation section plus the composition
-// patterns' grid runners, each returning a renderable grid, and the
-// parameter Schema the scenario registry (internal/scenario) declares
-// its entries with. The package holds no registry and no
+// patterns' grid runners, each returning a renderable grid; the run set
+// those figures make at the paper's scale and a quick one, and the
+// claims table judged on it; and the parameter Schema the scenario
+// registry (internal/scenario) declares its entries with. The package
+// holds no registry and no
 // state: every entry point that simulates takes the caller's context and
 // *sweep.Engine. A grid assembled under a cancelled context is partial —
 // check ctx.Err() before rendering or caching it.
@@ -12,6 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 )
 
@@ -109,23 +113,41 @@ func (g *Grid) RenderJSON(w io.Writer) error {
 
 // Column extracts a numeric column by header name (for assertions).
 func (g *Grid) Column(name string) []float64 {
-	idx := -1
-	for i, h := range g.Header {
-		if h == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		panic("bench: no column " + name)
-	}
+	idx := g.index(name)
 	out := make([]float64, 0, len(g.Rows))
 	for _, row := range g.Rows {
-		var v float64
-		fmt.Sscanf(row[idx], "%f", &v)
-		out = append(out, v)
+		out = append(out, number(row[idx]))
 	}
 	return out
+}
+
+// At reads column name of the first row whose first cell is key, as text
+// or as the same number ("16" finds the row "16.000"); NaN when no row is.
+func (g *Grid) At(key, name string) float64 {
+	idx := g.index(name)
+	k, err := strconv.ParseFloat(key, 64)
+	for _, row := range g.Rows {
+		if row[0] == key || err == nil && number(row[0]) == k {
+			return number(row[idx])
+		}
+	}
+	return math.NaN()
+}
+
+func (g *Grid) index(name string) int {
+	for i, h := range g.Header {
+		if h == name {
+			return i
+		}
+	}
+	panic("bench: no column " + name)
+}
+
+// number reads the leading number of a cell ("43.0 us" is 43).
+func number(cell string) float64 {
+	var v float64
+	fmt.Sscanf(cell, "%f", &v)
+	return v
 }
 
 // f3 formats a float with three decimals; i64 formats an integer cell.

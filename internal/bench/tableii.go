@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"repro/internal/armci"
 	"repro/internal/network"
@@ -55,6 +56,16 @@ func TableII() *Grid {
 	g.Add("active global structures", "sigma", "1-7", "1-7")
 	g.Add("local comm buffers", "tau", "1-3", "1-3")
 	return g
+}
+
+// Partitions prints the Eq 10 partition geometry of each process count
+// the experiments run at (`armci-bench tables` prints it under Table II).
+func Partitions(w io.Writer) {
+	fmt.Fprintln(w, "== partition factorizations (ABCDE x T) ==")
+	for _, p := range []int{2, 64, 256, 1024, 2048, 4096} {
+		tor := topology.ForProcs(p, 16)
+		fmt.Fprintf(w, "%5d procs: %v  (max %d hops)\n", p, tor, tor.MaxHops())
+	}
 }
 
 // EqValidation compares the simulator against the paper's analytic models
