@@ -68,12 +68,18 @@ bench:
 # same key and bytes), then bodies posted twice to a server whose parse
 # memo must answer the second post as the full parse answered the first,
 # then arbitrary body and sidecar bytes on disk, which the store must serve
-# only when the sidecar vouches for them and quarantine otherwise.
+# only when the sidecar vouches for them and quarantine otherwise, then
+# peer-fill answers (body, declared sha, status, a cut connection), which
+# the filler must accept exactly when every byte arrived and matches, then
+# strided descriptors of 0-8 levels, whose wire header must round-trip and
+# whose pack/unpack must equal a per-element copy.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLaneShortcuts -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzJobCanonIdempotent -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzParseMemoAgrees -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzStoreGet -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzFillVerify -fuzztime 10s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzStridedPatch -fuzztime 10s ./internal/armci/
 
 # Shard scaling: the fig9 p = 16384 simulation on 1, 2 and 4 lane workers
 # (BenchmarkFig9Shards, which fails if the simulated latency differs

@@ -2,8 +2,10 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -69,7 +71,38 @@ func TestResultsFresh(t *testing.T) {
 		var want bytes.Buffer
 		f.write(&want)
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("%s is stale: `%s` regenerates it", f.path, f.target)
+			t.Errorf("%s is stale at %s: `%s` regenerates it", f.path, firstDiff(got, want.Bytes()), f.target)
+		}
+	}
+}
+
+// firstDiff names the first line where a committed file and what the
+// tree prints part, quoting both sides; a side that has ended reads as
+// "(end of file)".
+func firstDiff(committed, printed []byte) string {
+	a := strings.SplitAfter(string(committed), "\n")
+	b := strings.SplitAfter(string(printed), "\n")
+	line := func(l []string, i int) string {
+		if i < len(l) && l[i] != "" {
+			return strconv.Quote(l[i])
+		}
+		return "(end of file)"
+	}
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return fmt.Sprintf("line %d: committed %s, tree prints %s", i+1, line(a, i), line(b, i))
+}
+
+func TestFirstDiffNamesTheLine(t *testing.T) {
+	for _, tc := range []struct{ committed, printed, want string }{
+		{"a\nb\nc\n", "a\nB\nc\n", `line 2: committed "b\n", tree prints "B\n"`},
+		{"a\n", "a\nb\n", `line 2: committed (end of file), tree prints "b\n"`},
+		{"a\nb", "a\nb\n", `line 2: committed "b", tree prints "b\n"`},
+	} {
+		if got := firstDiff([]byte(tc.committed), []byte(tc.printed)); got != tc.want {
+			t.Errorf("firstDiff(%q, %q) = %s, want %s", tc.committed, tc.printed, got, tc.want)
 		}
 	}
 }

@@ -378,6 +378,7 @@ type Runtime struct {
 
 	pendSeq  int64
 	pend     map[int64]*pendReq
+	pendFree []*pendReq // retired slots; lane-local like pend, so unsynchronised
 	implicit []*sim.Completion
 
 	mutexes map[int]*muState
@@ -558,15 +559,38 @@ func (rt *Runtime) tr(cat, what string, arg int64) {
 	}
 }
 
-// newPend allocates a pending-request slot.
+// newPend takes a pending-request slot under the next id: a retired one
+// when there is one, so a rank in steady state allocates none.
 func (rt *Runtime) newPend() (int64, *pendReq) {
 	rt.pendSeq++
-	p := &pendReq{}
+	var p *pendReq
+	if n := len(rt.pendFree); n > 0 {
+		p = rt.pendFree[n-1]
+		rt.pendFree = rt.pendFree[:n-1]
+	} else {
+		p = &pendReq{}
+	}
 	if rt.pend == nil {
 		rt.pend = make(map[int64]*pendReq)
 	}
 	rt.pend[rt.pendSeq] = p
 	return rt.pendSeq, p
+}
+
+// dropPend retires request id and returns a copy of its state; ok is
+// false when id is not pending (already retired, or never taken). The
+// slot goes back to the free list for the next newPend, so a caller reads
+// what it still needs from the copy, never from a *pendReq it held.
+func (rt *Runtime) dropPend(id int64) (p pendReq, ok bool) {
+	slot, ok := rt.pend[id]
+	if !ok {
+		return pendReq{}, false
+	}
+	delete(rt.pend, id)
+	p = *slot
+	*slot = pendReq{}
+	rt.pendFree = append(rt.pendFree, slot)
+	return p, true
 }
 
 // finalize drains outstanding work and synchronizes before teardown.

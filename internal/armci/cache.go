@@ -380,13 +380,13 @@ func (rt *Runtime) remoteRegionFor(th *sim.Thread, rank int, addr mem.Addr, n in
 			rt.Stats.Inc("timeout", 1)
 		}
 	}
-	delete(rt.pend, id)
-	if !p.found { // no covering registration, or no answer
+	q, _ := rt.dropPend(id)
+	if !q.found { // no covering registration, or no answer
 		rt.Stats.Inc("regioncache.unresolved", 1)
 		return false
 	}
 	before := rt.regions.Evicted
-	rt.regions.insert(rank, p.base, p.size)
+	rt.regions.insert(rank, q.base, q.size)
 	if rt.regions.Evicted != before {
 		rt.Stats.Inc("regioncache.evict", int64(rt.regions.Evicted-before))
 	}

@@ -15,6 +15,21 @@ import (
 type Handle struct {
 	rt    *Runtime
 	comps []*sim.Completion
+	// comp is the completion of a single operation, held in the handle;
+	// comps is then one[:], pointing at it. A vector operation's handle
+	// leaves both unused and lists its segments' completions in comps.
+	comp sim.Completion
+	one  [1]*sim.Completion
+}
+
+// newHandle returns the handle of one operation, whose completion is
+// h.comp: one heap object where a handle, its completion and a one-element
+// slice were three.
+func (rt *Runtime) newHandle() *Handle {
+	h := &Handle{rt: rt, comp: sim.MakeCompletion(rt.W.K)}
+	h.one[0] = &h.comp
+	h.comps = h.one[:]
+	return h
 }
 
 // Wait blocks until the operation completes locally.
@@ -72,8 +87,10 @@ type xfer struct {
 	e2e bool
 }
 
-func (rt *Runtime) newXfer(blocking bool) xfer {
-	return xfer{comp: sim.NewCompletion(rt.W.K), e2e: blocking && rt.faulty()}
+// blockingXfer is a blocking operation's xfer; a non-blocking one is
+// xfer{comp: &h.comp}, completed through its Handle.
+func (rt *Runtime) blockingXfer() xfer {
+	return xfer{comp: sim.NewCompletion(rt.W.K), e2e: rt.faulty()}
 }
 
 // complete drives x through attempt. An end-to-end operation then drops
@@ -86,7 +103,7 @@ func (rt *Runtime) complete(th *sim.Thread, op string, target, n int, x *xfer, i
 		}
 	})
 	if x.e2e {
-		delete(rt.pend, x.id)
+		rt.dropPend(x.id)
 	}
 	return err
 }
@@ -146,9 +163,10 @@ func (rt *Runtime) issuePut(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 // NbPut starts a non-blocking contiguous put (protocol selection:
 // issuePut). The handle completes when the local buffer is reusable.
 func (rt *Runtime) NbPut(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) *Handle {
-	x := rt.newXfer(false)
+	h := rt.newHandle()
+	x := xfer{comp: &h.comp}
 	rt.issuePut(th, &x, local, dst, n)
-	return &Handle{rt: rt, comps: []*sim.Completion{x.comp}}
+	return h
 }
 
 // Put is the blocking contiguous put: it returns when the local buffer is
@@ -166,7 +184,7 @@ func (rt *Runtime) Put(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) {
 // RetryPolicy, and returns *OpError when the budget is exhausted.
 func (rt *Runtime) PutErr(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) error {
 	t0 := th.Now()
-	x := rt.newXfer(true)
+	x := rt.blockingXfer()
 	if err := rt.complete(th, "put", dst.Rank, n, &x, func() { rt.issuePut(th, &x, local, dst, n) }); err != nil {
 		return err
 	}
@@ -201,9 +219,10 @@ func (rt *Runtime) issueGet(th *sim.Thread, x *xfer, src GlobalPtr, local mem.Ad
 // structure fences first (location consistency).
 func (rt *Runtime) NbGet(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) *Handle {
 	rt.cons.read(th, src.Rank, rt.allocKey(src))
-	x := rt.newXfer(false)
+	h := rt.newHandle()
+	x := xfer{comp: &h.comp}
 	rt.issueGet(th, &x, src, local, n)
-	return &Handle{rt: rt, comps: []*sim.Completion{x.comp}}
+	return h
 }
 
 // Get is the blocking contiguous get. On chaos runs an exhausted retry
@@ -218,7 +237,7 @@ func (rt *Runtime) Get(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) {
 func (rt *Runtime) GetErr(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) error {
 	t0 := th.Now()
 	rt.cons.read(th, src.Rank, rt.allocKey(src))
-	x := rt.newXfer(true)
+	x := rt.blockingXfer()
 	if err := rt.complete(th, "get", src.Rank, n, &x, func() { rt.issueGet(th, &x, src, local, n) }); err != nil {
 		return err
 	}
@@ -249,9 +268,10 @@ func (rt *Runtime) NbAcc(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, s
 	if n%mem.Float64Size != 0 {
 		panic("armci: accumulate length must be a multiple of 8")
 	}
-	x := rt.newXfer(false)
+	h := rt.newHandle()
+	x := xfer{comp: &h.comp}
 	rt.issueAcc(th, &x, local, dst, n, scale)
-	return &Handle{rt: rt, comps: []*sim.Completion{x.comp}}
+	return h
 }
 
 // Acc is the blocking accumulate. On chaos runs an exhausted retry
@@ -270,7 +290,7 @@ func (rt *Runtime) AccErr(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, 
 		return fmt.Errorf("armci: accumulate length %d not a multiple of 8", n)
 	}
 	t0 := th.Now()
-	x := rt.newXfer(true)
+	x := rt.blockingXfer()
 	if err := rt.complete(th, "acc", dst.Rank, n, &x, func() { rt.issueAcc(th, &x, local, dst, n, scale) }); err != nil {
 		return err
 	}

@@ -89,12 +89,10 @@ func (rt *Runtime) handleLockReq(th *sim.Thread, x *pami.Context, msg *pami.AMes
 }
 
 func (rt *Runtime) handleLockRep(_ *sim.Thread, _ *pami.Context, msg *pami.AMessage) {
-	id := msg.Hdr[0]
-	p, ok := rt.pend[id]
+	p, ok := rt.dropPend(msg.Hdr[0])
 	if !ok {
 		return // duplicate grant (fault mode only)
 	}
-	delete(rt.pend, id)
 	p.comp.FinishOnce()
 }
 

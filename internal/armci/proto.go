@@ -34,9 +34,9 @@ type pendReq struct {
 	// (unackedAMs) at issue; only those decrement it on ack. Fault-mode
 	// end-to-end operations leave it false.
 	counted bool
-	// strided reply layout
-	strides []int
-	counts  []int
+	// layout is a typed strided get's local side, which its reply is
+	// unpacked into.
+	layout patchLayout
 	// region query result
 	done  bool
 	found bool
@@ -142,13 +142,11 @@ func (rt *Runtime) handleGetReq(th *sim.Thread, x *pami.Context, msg *pami.AMess
 }
 
 func (rt *Runtime) handleGetRep(th *sim.Thread, _ *pami.Context, msg *pami.AMessage) {
-	id := msg.Hdr[0]
-	p, ok := rt.pend[id]
+	p, ok := rt.dropPend(msg.Hdr[0])
 	if !ok {
 		return // duplicate reply to a retried get (fault mode only)
 	}
 	rt.C.Space.CopyIn(p.localAddr, msg.Data)
-	delete(rt.pend, id)
 	p.comp.FinishOnce()
 }
 
@@ -167,15 +165,13 @@ func (rt *Runtime) handlePutReq(th *sim.Thread, x *pami.Context, msg *pami.AMess
 // accounting toward the acking rank and completes the pending handle if
 // the protocol exposed one.
 func (rt *Runtime) handleAck(_ *sim.Thread, _ *pami.Context, msg *pami.AMessage) {
-	id := msg.Hdr[0]
-	p, ok := rt.pend[id]
+	p, ok := rt.dropPend(msg.Hdr[0])
 	if !ok {
 		return // duplicate ack (fault mode only)
 	}
 	if p.comp != nil {
 		p.comp.FinishOnce()
 	}
-	delete(rt.pend, id)
 	if p.counted {
 		rt.noteWrites(msg.Src.Rank, 0, -1)
 	}

@@ -456,7 +456,9 @@ func TestRetryPolicyValidate(t *testing.T) {
 // to escape on the way from the API to the wait shows up here as +1,
 // where the benchmark's allocs_per_op bound would take 3 % to notice.
 // A Get or a Put is its completion, PAMI's one flight value and the
-// payload the flight owns (a 64-byte Clone: under mem.PoolMin).
+// payload the flight owns (a 64-byte Clone: under mem.PoolMin). An Acc is
+// its completion, the captured payload, the request flight and the ack
+// flight: its pending-request slot is a recycled one.
 func TestBlockingOpAllocBudget(t *testing.T) {
 	const n = 64
 	_, err := Run(Config{Procs: 2, ProcsPerNode: 1, AsyncThread: true}, func(th *sim.Thread, rt *Runtime) {
@@ -472,7 +474,7 @@ func TestBlockingOpAllocBudget(t *testing.T) {
 		}{
 			{"Get", 3, func() { rt.Get(th, a.At(1), local, n) }},
 			{"Put", 3, func() { rt.Put(th, local, a.At(1), n) }},
-			{"Acc", 5, func() { rt.Acc(th, local, a.At(1), n, 1) }},
+			{"Acc", 4, func() { rt.Acc(th, local, a.At(1), n, 1) }},
 			{"FetchAdd", 4, func() { rt.FetchAdd(th, a.At(1), 1) }},
 		} {
 			tc.op() // warm-up: endpoints, route cache, pend map, work queues

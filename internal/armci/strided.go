@@ -16,6 +16,37 @@ import (
 // level above the first). A 2-D patch of R rows of C bytes in a matrix
 // with leading dimension L is {counts: [C, R], strides: [L]}.
 
+// maxStrideLevels bounds a descriptor's stride levels, as
+// ARMCI_MAX_STRIDE_LEVEL does. A descriptor then fits fixed arrays: the
+// chunk index, the wire header and a pending get's reply layout are
+// values on a stack or inside their owner, never slices of their own.
+const maxStrideLevels = 8
+
+// stridedHdrMax is the longest typed strided header: id, address, extra
+// word and count length, then up to maxStrideLevels+1 counts and
+// maxStrideLevels strides.
+const stridedHdrMax = 4 + 2*maxStrideLevels + 1
+
+// patchLayout is one side of a strided descriptor by value.
+type patchLayout struct {
+	levels  int // stride levels: len(strides), len(counts)-1
+	strides [maxStrideLevels]int
+	counts  [maxStrideLevels + 1]int
+}
+
+// layoutOf copies a validated descriptor into a layout.
+func layoutOf(strides, counts []int) patchLayout {
+	l := patchLayout{levels: len(strides)}
+	copy(l.strides[:], strides)
+	copy(l.counts[:], counts)
+	return l
+}
+
+// slices returns the layout in the form the patch helpers take.
+func (l *patchLayout) slices() (strides, counts []int) {
+	return l.strides[:l.levels], l.counts[:l.levels+1]
+}
+
 // validateStrided panics on malformed descriptors: a malformed patch is
 // always a caller bug.
 func validateStrided(name string, strides []int, counts []int) {
@@ -24,6 +55,10 @@ func validateStrided(name string, strides []int, counts []int) {
 	}
 	if len(strides) != len(counts)-1 {
 		panic(fmt.Sprintf("armci: %s: %d strides for %d counts", name, len(strides), len(counts)))
+	}
+	if len(strides) > maxStrideLevels {
+		panic(fmt.Sprintf("armci: %s: %d stride levels, more than ARMCI_MAX_STRIDE_LEVEL (%d)",
+			name, len(strides), maxStrideLevels))
 	}
 	for _, c := range counts {
 		if c <= 0 {
@@ -68,7 +103,7 @@ func forEachChunk(counts []int, aStr, bStr []int, fn func(aOff, bOff int)) {
 		fn(0, 0)
 		return
 	}
-	idx := make([]int, n)
+	var idx [maxStrideLevels]int
 	for {
 		aOff, bOff := 0, 0
 		for j := 0; j < n; j++ {
@@ -109,10 +144,11 @@ func unpackPatch(s *mem.Space, base mem.Addr, strides []int, counts []int, data 
 	})
 }
 
-// stridedHdr encodes the wire metadata of a typed strided operation.
-func stridedHdr(id int64, addr mem.Addr, extra int64, strides []int, counts []int) []int64 {
-	hdr := make([]int64, 0, 4+len(counts)+len(strides))
-	hdr = append(hdr, id, int64(addr), extra, int64(len(counts)))
+// stridedHdr encodes the wire metadata of a typed strided operation into
+// buf, the caller's array, and returns the part it filled: SendAM copies
+// the header into the flight, so buf can live on the caller's stack.
+func stridedHdr(buf *[stridedHdrMax]int64, id int64, addr mem.Addr, extra int64, strides []int, counts []int) []int64 {
+	hdr := append(buf[:0], id, int64(addr), extra, int64(len(counts)))
 	for _, c := range counts {
 		hdr = append(hdr, int64(c))
 	}
@@ -123,16 +159,15 @@ func stridedHdr(id int64, addr mem.Addr, extra int64, strides []int, counts []in
 }
 
 // decodeStridedHdr is the inverse of stridedHdr.
-func decodeStridedHdr(hdr []int64) (id int64, addr mem.Addr, extra int64, strides []int, counts []int) {
+func decodeStridedHdr(hdr []int64) (id int64, addr mem.Addr, extra int64, l patchLayout) {
 	id, addr, extra = hdr[0], mem.Addr(hdr[1]), hdr[2]
 	n := int(hdr[3])
-	counts = make([]int, n)
-	for i := range counts {
-		counts[i] = int(hdr[4+i])
+	l.levels = n - 1
+	for i := 0; i < n; i++ {
+		l.counts[i] = int(hdr[4+i])
 	}
-	strides = make([]int, n-1)
-	for i := range strides {
-		strides[i] = int(hdr[4+n+i])
+	for i := 0; i < n-1; i++ {
+		l.strides[i] = int(hdr[4+n+i])
 	}
 	return
 }
@@ -151,11 +186,11 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 		return rt.NbPut(th, local, dst, counts[0])
 	}
 	rt.cons.noteWrite(dst.Rank, rt.allocKey(dst))
-	comp := sim.NewCompletion(rt.W.K)
+	h := rt.newHandle()
 
 	if counts[0] >= rt.W.Cfg.TypedThreshold && rt.rdmaReady(th, local, patchExtent(localStrides, counts),
 		dst.Rank, dst.Addr, patchExtent(dstStrides, counts)) {
-		set := rt.mainCtx.NewOpSet(comp)
+		set := rt.mainCtx.NewOpSet(&h.comp)
 		ep := rt.epData(th, dst.Rank)
 		forEachChunk(counts, localStrides, dstStrides, func(lOff, rOff int) {
 			set.RdmaPut(th, ep, local+mem.Addr(lOff),
@@ -164,7 +199,7 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 		set.Arm()
 		rt.noteWrites(dst.Rank, 1, 0)
 		rt.Stats.Inc("strided.chunks", int64(numChunks(counts)))
-		return &Handle{rt: rt, comps: []*sim.Completion{comp}}
+		return h
 	}
 
 	// Typed/packed path.
@@ -174,11 +209,12 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 	id, p := rt.newPend()
 	p.counted = true
 	rt.noteWrites(dst.Rank, 0, 1)
+	var hdr [stridedHdrMax]int64
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutSReq,
-		stridedHdr(id, dst.Addr, 0, dstStrides, counts), data)
+		stridedHdr(&hdr, id, dst.Addr, 0, dstStrides, counts), data)
 	rt.Stats.Inc("strided.typed", 1)
-	comp.Finish() // locally complete at issue: the AM owns the packed copy
-	return &Handle{rt: rt, comps: []*sim.Completion{comp}}
+	h.comp.Finish() // locally complete at issue: the AM owns the packed copy
+	return h
 }
 
 // PutS is the blocking strided put.
@@ -199,11 +235,11 @@ func (rt *Runtime) NbGetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
 		return rt.NbGet(th, src, local, counts[0])
 	}
 	rt.cons.read(th, src.Rank, rt.allocKey(src))
-	comp := sim.NewCompletion(rt.W.K)
+	h := rt.newHandle()
 
 	if counts[0] >= rt.W.Cfg.TypedThreshold && rt.rdmaReady(th, local, patchExtent(localStrides, counts),
 		src.Rank, src.Addr, patchExtent(srcStrides, counts)) {
-		set := rt.mainCtx.NewOpSet(comp)
+		set := rt.mainCtx.NewOpSet(&h.comp)
 		ep := rt.epData(th, src.Rank)
 		forEachChunk(counts, localStrides, srcStrides, func(lOff, rOff int) {
 			set.RdmaGet(th, ep, local+mem.Addr(lOff),
@@ -211,19 +247,20 @@ func (rt *Runtime) NbGetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
 		})
 		set.Arm()
 		rt.Stats.Inc("strided.chunks", int64(numChunks(counts)))
-		return &Handle{rt: rt, comps: []*sim.Completion{comp}}
+		return h
 	}
 
-	// Typed path: the target packs and replies; we unpack on receipt.
+	// Typed path: the target packs and replies; we unpack on receipt, by
+	// a copy of the local layout (the caller's slices are not kept).
 	id, p := rt.newPend()
-	p.comp = comp
+	p.comp = &h.comp
 	p.localAddr = local
-	p.strides = localStrides
-	p.counts = counts
+	p.layout = layoutOf(localStrides, counts)
+	var hdr [stridedHdrMax]int64
 	rt.mainCtx.SendAM(th, rt.epSvc(th, src.Rank), dGetSReq,
-		stridedHdr(id, src.Addr, 0, srcStrides, counts), nil)
+		stridedHdr(&hdr, id, src.Addr, 0, srcStrides, counts), nil)
 	rt.Stats.Inc("strided.typed", 1)
-	return &Handle{rt: rt, comps: []*sim.Completion{comp}}
+	return h
 }
 
 // GetS is the blocking strided get.
@@ -250,14 +287,15 @@ func (rt *Runtime) NbAccS(th *sim.Thread, local mem.Addr, localStrides []int,
 	rt.copyCost(th, m)
 	data := packPatch(rt.C.Space, local, localStrides, counts)
 	id, p := rt.newPend()
-	comp := sim.NewCompletion(rt.W.K)
-	p.comp = comp
+	h := rt.newHandle()
+	p.comp = &h.comp
 	p.counted = true
 	rt.noteWrites(dst.Rank, 0, 1)
+	var hdr [stridedHdrMax]int64
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dAccSReq,
-		stridedHdr(id, dst.Addr, int64(math.Float64bits(scale)), dstStrides, counts), data)
+		stridedHdr(&hdr, id, dst.Addr, int64(math.Float64bits(scale)), dstStrides, counts), data)
 	rt.Stats.Inc("acc.strided", 1)
-	return &Handle{rt: rt, comps: []*sim.Completion{comp}}
+	return h
 }
 
 // AccS is the blocking strided accumulate.
@@ -271,36 +309,37 @@ func (rt *Runtime) AccS(th *sim.Thread, local mem.Addr, localStrides []int,
 // --- strided protocol handlers ---
 
 func (rt *Runtime) handlePutSReq(th *sim.Thread, x *pami.Context, msg *pami.AMessage) {
-	id, addr, _, strides, counts := decodeStridedHdr(msg.Hdr)
+	id, addr, _, l := decodeStridedHdr(msg.Hdr)
 	if !rt.amSeen(msg.Src.Rank, id) {
 		rt.copyCost(th, len(msg.Data))
+		strides, counts := l.slices()
 		unpackPatch(rt.C.Space, addr, strides, counts, msg.Data)
 	}
 	x.SendAM(th, msg.Src, dAck, []int64{id}, nil)
 }
 
 func (rt *Runtime) handleGetSReq(th *sim.Thread, x *pami.Context, msg *pami.AMessage) {
-	id, addr, _, strides, counts := decodeStridedHdr(msg.Hdr)
-	m := patchBytes(counts)
-	rt.copyCost(th, m)
+	id, addr, _, l := decodeStridedHdr(msg.Hdr)
+	strides, counts := l.slices()
+	rt.copyCost(th, patchBytes(counts))
 	data := packPatch(rt.C.Space, addr, strides, counts)
 	x.SendAM(th, msg.Src, dGetSRep, []int64{id}, data)
 }
 
 func (rt *Runtime) handleGetSRep(th *sim.Thread, _ *pami.Context, msg *pami.AMessage) {
-	id := msg.Hdr[0]
-	p, ok := rt.pend[id]
+	p, ok := rt.dropPend(msg.Hdr[0])
 	if !ok {
 		return // duplicate reply (fault mode only)
 	}
 	rt.copyCost(th, len(msg.Data))
-	unpackPatch(rt.C.Space, p.localAddr, p.strides, p.counts, msg.Data)
-	delete(rt.pend, id)
+	strides, counts := p.layout.slices()
+	unpackPatch(rt.C.Space, p.localAddr, strides, counts, msg.Data)
 	p.comp.FinishOnce()
 }
 
 func (rt *Runtime) handleAccSReq(th *sim.Thread, x *pami.Context, msg *pami.AMessage) {
-	id, addr, scaleBits, strides, counts := decodeStridedHdr(msg.Hdr)
+	id, addr, scaleBits, l := decodeStridedHdr(msg.Hdr)
+	strides, counts := l.slices()
 	scale := math.Float64frombits(uint64(scaleBits))
 	if !rt.amSeen(msg.Src.Rank, id) {
 		t := sim.Time(rt.W.Cfg.Params.AccByteCost * float64(len(msg.Data)))

@@ -1,6 +1,9 @@
 package armci
 
 import (
+	"bytes"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -136,6 +139,121 @@ func TestStridedRandomRoundTripsThroughNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStridedOpAllocBudget pins the heap objects one strided operation
+// costs the host in steady state, set up like TestBlockingOpAllocBudget.
+// A 3 × 3 float64 patch has 24-byte chunks, under TypedThreshold, so it
+// takes the typed/packed path: its Handle (completion inside), the packed
+// payload, the request flight and the reply or ack flight — descriptor,
+// header, chunk index and pending-request slot cost nothing. The put
+// fences so that its ack lands inside the operation. A patch of 64-byte
+// chunks is a list of RDMA puts: the Handle, the OpSet, and per chunk a
+// flight and its payload.
+func TestStridedOpAllocBudget(t *testing.T) {
+	const ld = 8 * mem.Float64Size // the remote block's leading dimension
+	_, err := Run(Config{Procs: 2, ProcsPerNode: 1, AsyncThread: true}, func(th *sim.Thread, rt *Runtime) {
+		a := rt.Malloc(th, 8*ld)
+		if rt.Rank != 0 {
+			return
+		}
+		local := rt.LocalAlloc(th, 8*ld)
+		str := []int{ld}
+		tile := []int{3 * mem.Float64Size, 3}
+		rows := []int{8 * mem.Float64Size, 3}
+		for _, tc := range []struct {
+			name string
+			want float64
+			op   func()
+		}{
+			{"GetS", 4, func() { rt.NbGetS(th, a.At(1), str, local, str, tile).Wait(th) }},
+			{"AccS", 4, func() { rt.NbAccS(th, local, str, a.At(1), str, tile, 1).Wait(th) }},
+			{"PutS", 4, func() { rt.NbPutS(th, local, str, a.At(1), str, tile).Wait(th); rt.Fence(th, 1) }},
+			{"PutS/rdma", 8, func() { rt.NbPutS(th, local, str, a.At(1), str, rows).Wait(th) }},
+		} {
+			tc.op() // warm-up: endpoints, region descriptors, pend map and free list
+			got := testing.AllocsPerRun(100, tc.op)
+			t.Logf("%s: %v heap objects per strided call", tc.name, got)
+			if got != tc.want {
+				t.Errorf("%s: %v heap objects per strided call, want %v", tc.name, got, tc.want)
+			}
+		}
+		if rt.Stats.Get("strided.typed") == 0 || rt.Stats.Get("strided.chunks") == 0 {
+			t.Errorf("typed %d, chunk-listed %d: both paths must have run",
+				rt.Stats.Get("strided.typed"), rt.Stats.Get("strided.chunks"))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzStridedPatch generates descriptors of 0–maxStrideLevels levels
+// whose strides are no shorter than the chunk. The wire header must
+// decode to the same descriptor, packing then unpacking into a second
+// Space must equal a naive byte-by-byte copy of every chunk, and the same
+// descriptor padded to one level past the limit must be refused by name.
+func FuzzStridedPatch(f *testing.F) {
+	f.Add(uint8(1), uint8(23), uint64(0x2), int64(7), uint64(4096), int64(0)) // a 3 × 3 float64 tile
+	f.Add(uint8(0), uint8(5), uint64(0), int64(1), uint64(64), int64(-1))
+	f.Add(uint8(3), uint8(7), uint64(7<<26|3<<21|5<<16|0b01_10_01), int64(3), uint64(8), int64(2)) // counts 2, 3, 2
+	f.Add(uint8(8), uint8(3), uint64(0x5555), int64(1<<40), uint64(1<<32), int64(1<<62))           // 8 levels of 2, overlapping
+	f.Fuzz(func(t *testing.T, levels, chunk uint8, shape uint64, id int64, addr uint64, extra int64) {
+		n := int(levels) % (maxStrideLevels + 1)
+		counts := []int{int(chunk)%16 + 1}
+		var strides []int
+		for i := 0; i < n; i++ {
+			counts = append(counts, int(shape>>(2*i)&3)%3+1)
+			strides = append(strides, counts[0]+int(shape>>(16+5*i)&31))
+		}
+		validateStrided("fuzz", strides, counts)
+
+		var buf [stridedHdrMax]int64
+		gotID, gotAddr, gotExtra, l := decodeStridedHdr(stridedHdr(&buf, id, mem.Addr(addr), extra, strides, counts))
+		gotStrides, gotCounts := l.slices()
+		if gotID != id || gotAddr != mem.Addr(addr) || gotExtra != extra ||
+			!slices.Equal(gotStrides, strides) || !slices.Equal(gotCounts, counts) {
+			t.Fatalf("header round trip: (%d %d %d %v %v), want (%d %d %d %v %v)",
+				gotID, gotAddr, gotExtra, gotStrides, gotCounts, id, addr, extra, strides, counts)
+		}
+
+		ext := patchExtent(strides, counts)
+		src, dst := mem.NewSpace(), mem.NewSpace()
+		a, b := src.Alloc(ext), dst.Alloc(ext)
+		src.CopyIn(a, pattern(ext, chunk))
+		data := packPatch(src, a, strides, counts)
+		if len(data) != patchBytes(counts) {
+			t.Fatalf("packed %d bytes, want %d", len(data), patchBytes(counts))
+		}
+		unpackPatch(dst, b, strides, counts, data)
+		want, from := make([]byte, ext), src.Bytes(a, ext)
+		for k := 0; k < numChunks(counts); k++ {
+			off, r := 0, k
+			for i, s := range strides { // first level fastest, as forEachChunk
+				off += r % counts[i+1] * s
+				r /= counts[i+1]
+			}
+			for j := off; j < off+counts[0]; j++ {
+				want[j] = from[j]
+			}
+		}
+		if got := dst.Bytes(b, ext); !bytes.Equal(got, want) {
+			t.Fatalf("counts %v strides %v: unpacked patch differs from a per-element copy", counts, strides)
+		}
+
+		for len(strides) <= maxStrideLevels {
+			counts = append(counts, 1)
+			strides = append(strides, counts[0])
+		}
+		msg := func() (msg any) {
+			defer func() { msg = recover() }()
+			validateStrided("fuzz", strides, counts)
+			return nil
+		}()
+		if s, _ := msg.(string); !strings.Contains(s, "ARMCI_MAX_STRIDE_LEVEL (8)") {
+			t.Fatalf("%d stride levels: panic %v, want one naming the limit", len(strides), msg)
+		}
+	})
 }
 
 func TestStridedValidation(t *testing.T) {

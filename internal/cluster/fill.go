@@ -54,6 +54,7 @@ type Result struct {
 // Filler fetches results from peers. Safe for concurrent use.
 type Filler struct {
 	client *http.Client
+	limit  int // largest body accepted: maxFillBytes
 }
 
 // NewFiller builds a fill client. timeout bounds one whole fill attempt
@@ -70,7 +71,7 @@ func NewFiller(timeout time.Duration) *Filler {
 			DialContext:         (&net.Dialer{Timeout: timeout}).DialContext,
 			MaxIdleConnsPerHost: 4,
 		},
-	}}
+	}, limit: maxFillBytes}
 }
 
 // Fetch pulls key from peer and verifies the bytes. Returns ErrNotFound
@@ -93,12 +94,12 @@ func (f *Filler) Fetch(ctx context.Context, peer, key string) (Result, error) {
 	case resp.StatusCode != http.StatusOK:
 		return Result{}, fmt.Errorf("cluster: peer %s answered HTTP %d for %s", peer, resp.StatusCode, key)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxFillBytes+1))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(f.limit)+1))
 	if err != nil {
 		return Result{}, fmt.Errorf("cluster: fill transfer from %s: %w", peer, err)
 	}
-	if len(body) > maxFillBytes {
-		return Result{}, fmt.Errorf("cluster: fill from %s exceeds %d bytes", peer, maxFillBytes)
+	if len(body) > f.limit {
+		return Result{}, fmt.Errorf("cluster: fill from %s exceeds %d bytes", peer, f.limit)
 	}
 	sum := sha256.Sum256(body)
 	sha := hex.EncodeToString(sum[:])

@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -74,6 +77,89 @@ func TestFillerNotFound(t *testing.T) {
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
+}
+
+// FuzzFillVerify drives Fetch against a peer whose answer the input
+// makes: body, declared sha ("=" declares the body's own sha256, "" none
+// at all, anything else is sent verbatim), status, and a cut that, short
+// of the body, closes the connection after that many bytes of a response
+// framed for all of them. The filler's limit is lowered to 64 bytes so an
+// oversize body is a few bytes long. A fill must succeed exactly when the
+// status is 200, every byte arrived, the declared sha matches and the body
+// is within the limit, and then return those bytes; a 404 is ErrNotFound;
+// anything else is an error that is not ErrNotFound.
+func FuzzFillVerify(f *testing.F) {
+	const limit = 64
+	statuses := []int{http.StatusOK, http.StatusNotFound, http.StatusInternalServerError, http.StatusPartialContent}
+	type answer struct {
+		body     []byte
+		declared string
+		status   int
+		cut      int
+	}
+	var (
+		mu  sync.Mutex
+		cur answer
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		a := cur
+		mu.Unlock()
+		if a.declared != "" {
+			w.Header().Set(SHAHeader, a.declared)
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(a.body)))
+		w.WriteHeader(a.status)
+		w.Write(a.body[:min(a.cut, len(a.body))])
+	}))
+	f.Cleanup(ts.Close)
+	peer := strings.TrimPrefix(ts.URL, "http://")
+	filler := NewFiller(time.Second)
+	filler.limit = limit
+
+	body := []byte("procs,latency\n2,42\n")
+	f.Add(body, "=", uint8(0), uint16(len(body)))                // a matching body
+	f.Add(body, "=", uint8(0), uint16(5))                        // a truncated body
+	f.Add(body, strings.Repeat("0f", 32), uint8(0), uint16(100)) // a wrong sha
+	f.Add(body, "", uint8(0), uint16(100))                       // a missing header
+	f.Add([]byte("nope"), "", uint8(1), uint16(100))             // a 404
+	f.Add(make([]byte, limit+1), "=", uint8(0), uint16(limit+1)) // one byte over the limit
+	f.Fuzz(func(t *testing.T, body []byte, sha string, status uint8, cut uint16) {
+		if strings.ContainsFunc(sha, func(r rune) bool { return r <= ' ' || r > '~' }) {
+			t.Skip("a header value is sent as visible ASCII; HTTP respells blanks and controls")
+		}
+		sum := sha256.Sum256(body)
+		want := hex.EncodeToString(sum[:])
+		a := answer{body: body, declared: sha, status: statuses[int(status)%len(statuses)], cut: int(cut)}
+		if sha == "=" {
+			a.declared = want
+		}
+		mu.Lock()
+		cur = a
+		mu.Unlock()
+
+		res, err := filler.Fetch(context.Background(), peer, strings.Repeat("ab", 32))
+		accept := a.status == http.StatusOK && a.cut >= len(body) &&
+			a.declared == want && len(body) <= limit
+		switch {
+		case accept:
+			if err != nil {
+				t.Fatalf("verified fill refused: %v", err)
+			}
+			if !bytes.Equal(res.Body, body) || res.SHA256 != want {
+				t.Fatalf("fill returned %q (sha %s), want %q (sha %s)", res.Body, res.SHA256, body, want)
+			}
+		case a.status == http.StatusNotFound:
+			if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("404: err = %v, want ErrNotFound", err)
+			}
+		case err == nil:
+			t.Fatalf("unverifiable fill accepted: status %d, %d of %d bytes, declared %q",
+				a.status, min(a.cut, len(body)), len(body), a.declared)
+		case errors.Is(err, ErrNotFound):
+			t.Fatalf("status %d refused as ErrNotFound: %v", a.status, err)
+		}
+	})
 }
 
 func TestFillerDeadPeerFailsFast(t *testing.T) {

@@ -41,9 +41,11 @@ type AMessage struct {
 type AMHandler func(th *sim.Thread, x *Context, msg *AMessage)
 
 // amHdrInline is the header length an active message carries without a
-// second allocation: every protocol header in the tree fits except the
-// typed strided ones, whose length grows with the stride levels.
-const amHdrInline = 6
+// second allocation: every fixed protocol header in the tree fits, and so
+// does a typed strided one of two levels — a 2-D patch, 4 + 2 + 1 words —
+// while deeper descriptors take a private slice. At 7 words the flight is
+// 224 bytes, still one size class (TestAMFlightSizeClass).
+const amHdrInline = 7
 
 // amFlight is one active message from SendAM to its handler's return: a
 // single heap value in four roles. It is the network's record of the

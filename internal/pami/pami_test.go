@@ -2,6 +2,7 @@ package pami
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/network"
@@ -220,6 +221,14 @@ func TestSendAMCopiesHeader(t *testing.T) {
 				t.Fatalf("message %d: hdr[%d] = %d, want %d", m, i, v, 100*n+i)
 			}
 		}
+	}
+}
+
+// TestAMFlightSizeClass pins what the inline header costs: one more word
+// must not move every active message into the next malloc size class.
+func TestAMFlightSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(amFlight{}); n > 224 {
+		t.Fatalf("amFlight is %d bytes, past the 224-byte size class", n)
 	}
 }
 

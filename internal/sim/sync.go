@@ -181,6 +181,13 @@ func NewCompletion(k *Kernel) *Completion {
 	return &Completion{cond: cond{k: k}}
 }
 
+// MakeCompletion returns an unfinished completion bound to k, by value,
+// for an owner that holds it inline (an operation handle) instead of as a
+// heap object of its own. Copy it only before first use.
+func MakeCompletion(k *Kernel) Completion {
+	return Completion{cond: cond{k: k}}
+}
+
 // Done reports whether Finish has been called.
 func (c *Completion) Done() bool { return c.done }
 
