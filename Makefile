@@ -72,7 +72,9 @@ bench:
 # peer-fill answers (body, declared sha, status, a cut connection), which
 # the filler must accept exactly when every byte arrived and matches, then
 # strided descriptors of 0-8 levels, whose wire header must round-trip and
-# whose pack/unpack must equal a per-element copy.
+# whose pack/unpack must equal a per-element copy, then Prometheus text,
+# which obs-report must parse without a panic and which, written from a
+# registry, must parse back to what the registry recorded.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLaneShortcuts -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzJobCanonIdempotent -fuzztime 10s ./internal/serve/
@@ -80,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStoreGet -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzFillVerify -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzStridedPatch -fuzztime 10s ./internal/armci/
+	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime 10s ./cmd/obs-report/
 
 # Shard scaling: the fig9 p = 16384 simulation on 1, 2 and 4 lane workers
 # (BenchmarkFig9Shards, which fails if the simulated latency differs

@@ -17,7 +17,7 @@
 // one place (edge): -parallel N (sweep workers) and -shards N (lane
 // workers inside each simulation) pick the execution plan — output is
 // byte-identical at any value of either — and -trace/-metrics capture a
-// Perfetto-loadable timeline and a metrics dump of the run.
+// Perfetto-loadable timeline and the run's metrics as Prometheus text.
 package main
 
 import (
@@ -115,7 +115,7 @@ func newEdge(name string, stderr io.Writer) *edge {
 		shards: fs.Int("shards", 0,
 			"lane workers inside each simulation (0 = one); output is byte-identical at any value"),
 		tracePath:   fs.String("trace", "", "write Chrome trace_event JSON (Perfetto) to this file"),
-		metricsPath: fs.String("metrics", "", "write the metrics dump to this file"),
+		metricsPath: fs.String("metrics", "", "write the metrics (Prometheus text) to this file"),
 	}
 }
 
@@ -186,7 +186,7 @@ func (e *edge) finish() int {
 		}
 		return err == nil
 	}
-	if e.reg != nil && !(dump(*e.tracePath, e.reg.WriteChromeTrace) && dump(*e.metricsPath, e.reg.WriteMetrics)) {
+	if e.reg != nil && !(dump(*e.tracePath, e.reg.WriteChromeTrace) && dump(*e.metricsPath, e.reg.WritePrometheus)) {
 		return 1
 	}
 	return 0

@@ -168,7 +168,8 @@ func TestExecutionPlanNeverChangesBytes(t *testing.T) {
 }
 
 // TestObsCapture: -trace/-metrics write a Perfetto-loadable trace and a
-// metrics dump, byte-identical from run to run and across plans.
+// Prometheus text exposition, byte-identical from run to run and across
+// plans.
 func TestObsCapture(t *testing.T) {
 	capture := func(extra ...string) (trace, metrics []byte) {
 		dir := t.TempDir()
@@ -188,8 +189,8 @@ func TestObsCapture(t *testing.T) {
 		return trace, metrics
 	}
 	t1, m1 := capture()
-	if !json.Valid(t1) || len(m1) == 0 {
-		t.Fatalf("trace valid JSON: %v; metrics %d bytes", json.Valid(t1), len(m1))
+	if !json.Valid(t1) || !bytes.HasPrefix(m1, []byte("# TYPE ")) {
+		t.Fatalf("trace valid JSON: %v; metrics start %.40q", json.Valid(t1), m1)
 	}
 	t2, m2 := capture("-parallel", "1", "-shards", "2")
 	if !bytes.Equal(t1, t2) || !bytes.Equal(m1, m2) {

@@ -1,27 +1,23 @@
-// Command obs-report renders the metrics dump produced by the -metrics
-// flag of cmd/armci-bench as a readable per-layer summary:
-// one table per layer (armci, pami, network, sim) with labeled series
-// aggregated under their base metric name, plus the top-N hottest torus
-// links by busy time with their utilization of the simulated run.
+// Command obs-report renders a registry's Prometheus text exposition —
+// the file cmd/armci-bench writes with -metrics, or a live simd /metrics
+// endpoint — as one readable report: a table per layer (armci, pami,
+// network, sim, serve, ...) with each family's series aggregated, then the
+// sections whose families are present: the lane engine's Amdahl profile,
+// the top-N hottest torus links with their utilization of the simulated
+// run, and the cluster's response-source breakdown (hot LRU, disk store,
+// a peer's copy, proxied to the ring owner, executed cold).
 //
 // Usage:
 //
 //	armci-bench fig 5 -metrics results/metrics.txt
 //	obs-report -metrics results/metrics.txt -top 10
+//	obs-report -metrics http://127.0.0.1:8081/metrics   # or just 127.0.0.1:8081
 //
 // With -follow, obs-report instead attaches to a live simd run's SSE
 // stream and renders each metric snapshot as it arrives — one line per
 // delivered sweep point, then the terminal result:
 //
 //	obs-report -follow http://127.0.0.1:8080/v1/runs/<id>
-//
-// With -serve, obs-report reads a simd /metrics endpoint (a URL, or a
-// saved Prometheus text file) and renders the serving-layer state: the
-// request/cache counters plus a cluster section — where results were
-// served from (hot LRU, disk store, a peer's copy, proxied to the ring
-// owner, executed cold) and the persistent store's health:
-//
-//	obs-report -serve http://127.0.0.1:8081/metrics
 package main
 
 import (
@@ -29,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -36,134 +33,214 @@ import (
 	"strings"
 )
 
-// metric is one aggregated base-name series: counters sum across labeled
-// series, gauges keep the max, histograms merge count and sum.
-type metric struct {
-	kind   string // "counter", "gauge", "hist"
-	series int
-	value  int64  // counter sum or gauge max
-	count  uint64 // hist observations
-	sum    int64  // hist total
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole program behind main: parse args, render, and return
+// the process exit status (0 ok, 1 unreadable input, 2 bad usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("obs-report", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	src := fs.String("metrics", "results/metrics.txt", "Prometheus text to render: a file, a URL, or a simd host:port")
+	topN := fs.Int("top", 10, "how many hottest links to list")
+	followURL := fs.String("follow", "", "follow a live simd run instead: URL of /v1/runs/<id>")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	var err error
+	if *followURL != "" {
+		err = follow(stdout, *followURL, *topN)
+	} else {
+		err = report(stdout, *src, *topN)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "obs-report: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
-func main() {
-	path := flag.String("metrics", "results/metrics.txt", "metrics dump to read")
-	topN := flag.Int("top", 10, "how many hottest links to list")
-	followURL := flag.String("follow", "", "follow a live simd run instead: URL of /v1/runs/<id>")
-	serveSrc := flag.String("serve", "", "render a simd /metrics exposition instead: URL or saved Prometheus text file")
-	flag.Parse()
-
-	if *followURL != "" {
-		if err := follow(*followURL, *topN); err != nil {
-			fmt.Fprintf(os.Stderr, "obs-report: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serveSrc != "" {
-		if err := serveReport(*serveSrc); err != nil {
-			fmt.Fprintf(os.Stderr, "obs-report: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	f, err := os.Open(*path)
+// report renders the exposition at src.
+func report(w io.Writer, src string, topN int) error {
+	text, err := readExposition(src)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "obs-report: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	defer f.Close()
+	fams, err := parseExposition(text)
+	if err != nil {
+		return fmt.Errorf("%s: %w", src, err)
+	}
+	fmt.Fprintf(w, "# Observability report (%s)\n", src)
+	renderLayers(w, fams)
+	renderLaneEngine(w, fams)
+	renderLinks(w, fams, topN)
+	renderCluster(w, fams)
+	return nil
+}
 
-	agg := map[string]*metric{} // base name -> aggregate
-	linkBusy := map[int]int64{} // link id -> busy ns
-	var finalNS int64
+// renderLayers prints one table per layer — the family name's prefix up to
+// its first underscore — with every family of it: a counter's sum over
+// its series, a gauge's max, a histogram's count and mean.
+func renderLayers(w io.Writer, fams exposition) {
+	layers := map[string][]string{}
+	for name := range fams {
+		layer, _, _ := strings.Cut(name, "_")
+		layers[layer] = append(layers[layer], name)
+	}
+	names := make([]string, 0, len(layers))
+	for l := range layers {
+		names = append(names, l)
+	}
+	sort.Strings(names)
 
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		kind, name, rest, ok := splitLine(sc.Text())
-		if !ok {
-			continue
-		}
-		base := name
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			base = name[:i]
-		}
-		m := agg[base]
-		if m == nil {
-			m = &metric{kind: kind}
-			agg[base] = m
-		}
-		m.series++
-		switch kind {
-		case "counter", "gauge":
-			v, _ := strconv.ParseInt(rest, 10, 64)
-			if kind == "counter" {
-				m.value += v
-			} else if m.series == 1 || v > m.value {
-				m.value = v
+	for _, layer := range names {
+		fmt.Fprintf(w, "\n## %s\n\n", layer)
+		fmt.Fprintln(w, "| metric | kind | series | value |")
+		fmt.Fprintln(w, "|---|---|---:|---|")
+		members := layers[layer]
+		sort.Strings(members)
+		for _, name := range members {
+			f := fams[name]
+			var val string
+			switch n := f.count(); {
+			case f.kind == "gauge":
+				val = fmt.Sprintf("max %d", f.value())
+			case f.kind != "histogram":
+				val = strconv.FormatInt(f.value(), 10)
+			case n == 0:
+				val = "count 0"
+			case strings.HasSuffix(name, "_ns"):
+				val = fmt.Sprintf("count %d, mean %.2f us", n, float64(f.value())/float64(n)/1000)
+			default:
+				val = fmt.Sprintf("count %d, mean %.1f", n, float64(f.value())/float64(n))
 			}
-		case "hist":
-			for _, field := range strings.Fields(rest) {
-				if c, found := strings.CutPrefix(field, "count="); found {
-					n, _ := strconv.ParseUint(c, 10, 64)
-					m.count += n
-				} else if s, found := strings.CutPrefix(field, "sum="); found {
-					v, _ := strconv.ParseInt(s, 10, 64)
-					m.sum += v
-				}
-			}
-		}
-		if name == "sim/final_ns" {
-			finalNS, _ = strconv.ParseInt(rest, 10, 64)
-		}
-		if strings.HasPrefix(name, "network/link.busy_ns{link=") {
-			id, perr := strconv.Atoi(strings.TrimSuffix(name[len("network/link.busy_ns{link="):], "}"))
-			v, _ := strconv.ParseInt(rest, 10, 64)
-			if perr == nil {
-				linkBusy[id] += v
-			}
+			fmt.Fprintf(w, "| %s | %s | %d | %s |\n", name, f.kind, len(f.series), val)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "obs-report: %v\n", err)
-		os.Exit(1)
-	}
-
-	renderLayers(agg)
-	renderLaneEngine(agg)
-	renderLinks(linkBusy, finalNS, *topN)
 }
 
 // renderLaneEngine summarizes the lane engine's round-level telemetry —
 // the Amdahl profile of intra-run parallelism: how many window rounds
 // ran, how much cross-lane work each round carried, how wide the
 // realized windows were, and what fraction of scheduling work was bound
-// to the serial coordinator. Absent metrics (single-queue engine, old
-// dumps) skip the section.
-func renderLaneEngine(agg map[string]*metric) {
-	rounds := agg["sim/rounds"]
-	if rounds == nil || rounds.value == 0 {
+// to the serial coordinator. Without rounds the section is skipped.
+func renderLaneEngine(w io.Writer, fams exposition) {
+	rounds := fams.value("sim_rounds")
+	if rounds == 0 {
 		return
 	}
-	fmt.Println("\n## lane engine (Amdahl profile)")
-	fmt.Println()
-	fmt.Printf("rounds: %d\n", rounds.value)
-	if ops := agg["sim/boundary_ops"]; ops != nil {
-		fmt.Printf("boundary ops: %d (%.2f per round)\n",
-			ops.value, float64(ops.value)/float64(rounds.value))
+	fmt.Fprintln(w, "\n## lane engine (Amdahl profile)")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "rounds: %d\n", rounds)
+	if f := fams["sim_boundary_ops"]; f != nil {
+		fmt.Fprintf(w, "boundary ops: %d (%.2f per round)\n", f.value(), float64(f.value())/float64(rounds))
 	}
-	if ev := agg["sim/events"]; ev != nil {
-		fmt.Printf("events per round: %.2f\n", float64(ev.value)/float64(rounds.value))
+	if f := fams["sim_events"]; f != nil {
+		fmt.Fprintf(w, "events per round: %.2f\n", float64(f.value())/float64(rounds))
 	}
-	if w := agg["sim/window_width_ns"]; w != nil && w.count > 0 {
-		fmt.Printf("realized window width: mean %.2f us over %d windows\n",
-			float64(w.sum)/float64(w.count)/1000, w.count)
+	if f := fams["sim_window_width_ns"]; f != nil && f.count() > 0 {
+		fmt.Fprintf(w, "realized window width: mean %.2f us over %d windows\n",
+			float64(f.value())/float64(f.count())/1000, f.count())
 	}
-	if sf := agg["sim/serial_permille"]; sf != nil {
-		fmt.Printf("serial fraction: %.1f%% of scheduling work bound to the coordinator\n",
-			float64(sf.value)/10)
+	if f := fams["sim_serial_permille"]; f != nil {
+		fmt.Fprintf(w, "serial fraction: %.1f%% of scheduling work bound to the coordinator\n",
+			float64(f.value())/10)
+	}
+}
+
+// renderLinks lists the topN torus links by busy time, each with its
+// utilization of the simulated run (sim_final_ns).
+func renderLinks(w io.Writer, fams exposition, topN int) {
+	f := fams["network_link_busy_ns"]
+	if f == nil {
+		return
+	}
+	type lb struct {
+		id   int
+		busy int64
+	}
+	var links []lb
+	for _, s := range f.series {
+		if id, err := strconv.Atoi(s.labels["link"]); err == nil {
+			links = append(links, lb{id, s.value})
+		}
+	}
+	sort.Slice(links, func(i, j int) bool {
+		if links[i].busy != links[j].busy {
+			return links[i].busy > links[j].busy
+		}
+		return links[i].id < links[j].id
+	})
+	topN = max(0, min(topN, len(links)))
+	finalNS := fams.value("sim_final_ns")
+	fmt.Fprintf(w, "\n## hottest links (top %d of %d active)\n\n", topN, len(links))
+	fmt.Fprintln(w, "| link | busy_us | utilization |")
+	fmt.Fprintln(w, "|---:|---:|---:|")
+	for _, l := range links[:topN] {
+		util := "n/a"
+		if finalNS > 0 {
+			util = fmt.Sprintf("%.2f%%", 100*float64(l.busy)/float64(finalNS))
+		}
+		fmt.Fprintf(w, "| %d | %.1f | %s |\n", l.id, float64(l.busy)/1000, util)
+	}
+}
+
+// renderCluster prints, for a simd exposition (any serve_ family), where
+// responses came from and the store and ring health counters. The source
+// tiers are disjoint by construction of serveJob's routing order (LRU ->
+// disk -> proxy -> shared flight -> peer fill -> cold run), so
+// percentages are of their sum.
+func renderCluster(w io.Writer, fams exposition) {
+	served := false
+	for name := range fams {
+		served = served || strings.HasPrefix(name, "serve_")
+	}
+	if !served {
+		return
+	}
+	get := fams.value
+	hot := get("serve_cache_hits")
+	disk := get("serve_disk_hits")
+	peer := get("serve_peer_fills")
+	proxied := get("serve_proxied_jobs")
+	shared := get("serve_flight_shared")
+	// Every cold execution missed every local tier and was neither proxied
+	// away nor answered by a peer or a shared in-flight run. A replica
+	// without a store counts no disk misses: its LRU misses went on.
+	missed := get("serve_disk_misses")
+	if fams["serve_store_entries"] == nil {
+		missed = get("serve_cache_misses")
+	}
+	cold := max(0, missed-proxied-peer-shared)
+	total := hot + disk + peer + proxied + shared + cold
+
+	fmt.Fprintln(w, "\n## cluster")
+	fmt.Fprintln(w)
+	if total == 0 {
+		fmt.Fprintln(w, "no jobs served yet")
+	} else {
+		pct := func(v int64) string {
+			return fmt.Sprintf("%.1f%%", 100*float64(v)/float64(total))
+		}
+		fmt.Fprintln(w, "| response source | jobs | share |")
+		fmt.Fprintln(w, "|---|---:|---:|")
+		for _, row := range []struct {
+			what string
+			n    int64
+		}{
+			{"hot LRU hit", hot}, {"disk store hit", disk}, {"filled from peer", peer},
+			{"proxied to ring owner", proxied}, {"shared in-flight run", shared}, {"executed cold", cold},
+		} {
+			fmt.Fprintf(w, "| %s | %d | %s |\n", row.what, row.n, pct(row.n))
+		}
+		fmt.Fprintf(w, "\nanswered without executing: %s of %d jobs\n", pct(total-cold), total)
+	}
+	fmt.Fprintf(w, "store: %d entries, %d quarantined, %d put errors, %d exports served\n",
+		get("serve_store_entries"), get("serve_store_quarantined"),
+		get("serve_store_put_errors"), get("serve_result_exports"))
+	if get("serve_proxy_errors")+get("serve_peer_fill_errors")+get("serve_peer_fill_misses") > 0 {
+		fmt.Fprintf(w, "ring: %d proxy errors (fell through to local), %d peer-fill errors, %d peer-fill misses\n",
+			get("serve_proxy_errors"), get("serve_peer_fill_errors"), get("serve_peer_fill_misses"))
 	}
 }
 
@@ -171,7 +248,7 @@ func renderLaneEngine(agg map[string]*metric) {
 // metric snapshots live: a header from the hello event, one line per
 // delivered sweep point (progress plus the top counters by value from
 // that point's snapshot), and the run's terminal status.
-func follow(runURL string, topN int) error {
+func follow(w io.Writer, runURL string, topN int) error {
 	resp, err := http.Get(strings.TrimSuffix(runURL, "/") + "/events")
 	if err != nil {
 		return err
@@ -198,11 +275,11 @@ func follow(runURL string, topN int) error {
 				if err := json.Unmarshal([]byte(data), &h); err != nil {
 					return fmt.Errorf("hello: %w", err)
 				}
-				fmt.Printf("run %s  scenario=%s format=%s\n", h.ID, h.Scenario, h.Format)
+				fmt.Fprintf(w, "run %s  scenario=%s format=%s\n", h.ID, h.Scenario, h.Format)
 			case "state":
 				var st struct{ State string }
 				json.Unmarshal([]byte(data), &st)
-				fmt.Printf("state %s\n", st.State)
+				fmt.Fprintf(w, "state %s\n", st.State)
 			case "point":
 				json.Unmarshal([]byte(data), &point)
 			case "metrics":
@@ -214,18 +291,18 @@ func follow(runURL string, topN int) error {
 				if err := json.Unmarshal([]byte(data), &snap); err != nil {
 					return fmt.Errorf("metrics snapshot: %w", err)
 				}
-				fmt.Printf("point %d/%d  %d counters, %d gauges, %d histograms",
+				fmt.Fprintf(w, "point %d/%d  %d counters, %d gauges, %d histograms",
 					point.I+1, point.N, len(snap.Counters), len(snap.Gauges), len(snap.Histograms))
 				for _, kv := range topCounters(snap.Counters, topN) {
-					fmt.Printf("  %s=%d", kv.name, kv.value)
+					fmt.Fprintf(w, "  %s=%d", kv.name, kv.value)
 				}
-				fmt.Println()
+				fmt.Fprintln(w)
 			case "dropped":
-				fmt.Printf("trace budget exhausted: %s\n", data)
+				fmt.Fprintf(w, "trace budget exhausted: %s\n", data)
 			case "done":
-				fmt.Printf("done %s\n", data)
+				fmt.Fprintf(w, "done %s\n", data)
 			case "drain":
-				fmt.Println("server draining; stream closed")
+				fmt.Fprintln(w, "server draining; stream closed")
 			}
 		}
 	}
@@ -250,105 +327,5 @@ func topCounters(counters map[string]int64, n int) []counterKV {
 		}
 		return out[i].name < out[j].name
 	})
-	if n < 0 {
-		n = 0
-	}
-	if n > len(out) {
-		n = len(out)
-	}
-	return out[:n]
-}
-
-// splitLine parses "kind name rest..." from one metrics line; lines that
-// do not start with a known metric kind are skipped.
-func splitLine(line string) (kind, name, rest string, ok bool) {
-	parts := strings.SplitN(strings.TrimSpace(line), " ", 3)
-	if len(parts) != 3 {
-		return "", "", "", false
-	}
-	switch parts[0] {
-	case "counter", "gauge", "hist":
-		return parts[0], parts[1], parts[2], true
-	}
-	return "", "", "", false
-}
-
-func renderLayers(agg map[string]*metric) {
-	layers := map[string][]string{}
-	for base := range agg {
-		layer := base
-		if i := strings.IndexByte(base, '/'); i >= 0 {
-			layer = base[:i]
-		}
-		layers[layer] = append(layers[layer], base)
-	}
-	var names []string
-	for l := range layers {
-		names = append(names, l)
-	}
-	sort.Strings(names)
-
-	fmt.Println("# Observability report")
-	for _, layer := range names {
-		fmt.Printf("\n## %s\n\n", layer)
-		fmt.Println("| metric | kind | series | value |")
-		fmt.Println("|---|---|---:|---|")
-		bases := layers[layer]
-		sort.Strings(bases)
-		for _, base := range bases {
-			m := agg[base]
-			var val string
-			switch m.kind {
-			case "counter":
-				val = fmt.Sprintf("%d", m.value)
-			case "gauge":
-				val = fmt.Sprintf("max %d", m.value)
-			case "hist":
-				if m.count == 0 {
-					val = "count 0"
-				} else if mean := float64(m.sum) / float64(m.count); strings.HasSuffix(base, "_ns") {
-					val = fmt.Sprintf("count %d, mean %.2f us", m.count, mean/1000)
-				} else {
-					val = fmt.Sprintf("count %d, mean %.1f", m.count, mean)
-				}
-			}
-			fmt.Printf("| %s | %s | %d | %s |\n", base, m.kind, m.series, val)
-		}
-	}
-}
-
-func renderLinks(linkBusy map[int]int64, finalNS int64, topN int) {
-	if len(linkBusy) == 0 {
-		return
-	}
-	type lb struct {
-		id   int
-		busy int64
-	}
-	var links []lb
-	for id, busy := range linkBusy {
-		links = append(links, lb{id, busy})
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].busy != links[j].busy {
-			return links[i].busy > links[j].busy
-		}
-		return links[i].id < links[j].id
-	})
-	if topN < 0 {
-		topN = 0
-	}
-	if topN > len(links) {
-		topN = len(links)
-	}
-	fmt.Printf("\n## hottest links (top %d of %d active)\n\n", topN, len(links))
-	fmt.Println("| link | busy_us | utilization |")
-	fmt.Println("|---:|---:|---:|")
-	for _, l := range links[:topN] {
-		util := "n/a"
-		if finalNS > 0 {
-			util = fmt.Sprintf("%.2f%%", 100*float64(l.busy)/float64(finalNS))
-		}
-		fmt.Printf("| %d | %.1f | %s |\n", l.id, float64(l.busy)/1000, util)
-	}
+	return out[:max(0, min(n, len(out)))]
 }

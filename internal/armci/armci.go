@@ -87,14 +87,15 @@ type Config struct {
 	// degradation) throughout the stack. Nil models the paper's perfectly
 	// reliable torus at zero overhead beyond one nil check per send.
 	Fault *fault.Plan
-	// Retry overrides the recovery policy used when Fault is set; nil
-	// picks DefaultRetryPolicy(). Ignored without a fault plan.
-	Retry *RetryPolicy
 	// Obs, when non-nil, instruments every layer of the stack — sim
 	// thread timelines, network link utilization, PAMI progress-engine
 	// metrics, ARMCI op counts/latencies — into the given registry. Nil
 	// costs one pointer check per instrumentation point.
 	Obs *obs.Registry
+
+	// retry replaces defaultRetryPolicy on a chaos run; tests shorten the
+	// budget with it.
+	retry *retryPolicy
 }
 
 // withDefaults validates the configuration and fills in mode defaults.
@@ -152,19 +153,10 @@ func (c Config) withDefaults() (Config, error) {
 		// per-pair FIFO (the paper's footnote 1).
 		return c, fmt.Errorf("armci: AdaptiveRouting breaks fence ordering; network-layer studies only")
 	}
-	if c.Fault != nil {
-		if c.Params.HardwareAMO {
-			// The what-if NIC atomics path has no sequence numbers to dedup
-			// on; combining it with at-least-once delivery would corrupt.
-			return c, fmt.Errorf("armci: fault injection is not supported with Params.HardwareAMO")
-		}
-		if c.Retry != nil {
-			if err := c.Retry.validate(); err != nil {
-				return c, err
-			}
-		}
-	} else if c.Retry != nil {
-		return c, fmt.Errorf("armci: Config.Retry set without Config.Fault; retry policies only apply to chaos runs")
+	if c.Fault != nil && c.Params.HardwareAMO {
+		// The what-if NIC atomics path has no sequence numbers to dedup
+		// on; combining it with at-least-once delivery would corrupt.
+		return c, fmt.Errorf("armci: fault injection is not supported with Params.HardwareAMO")
 	}
 	return c, nil
 }
@@ -403,7 +395,7 @@ type Runtime struct {
 	obsOps *opObs // nil when Config.Obs is nil
 
 	// Recovery state, armed only on chaos runs (Config.Fault non-nil).
-	retry        *RetryPolicy     // resolved policy (never nil when faulty)
+	retry        *retryPolicy     // resolved policy (never nil when faulty)
 	suspectUntil map[int]sim.Time // per-target rank: RDMA path suspect until this time; nil until one is
 	applied      map[amKey]bool   // target-side write-AM dedup, lazily allocated
 	hRecovery    *obs.Histogram   // armci/ft.recovery_ns: first missed deadline -> eventual completion
@@ -437,9 +429,9 @@ func newRuntime(w *World, th *sim.Thread, rank int) *Runtime {
 	rt.release = rt.barrierRelease // the one func a rank owns: every barrier schedules it
 	rt.obsOps = newOpObs(c.Obs)
 	if w.faulty() {
-		rt.retry = w.Cfg.Retry
+		rt.retry = w.Cfg.retry
 		if rt.retry == nil {
-			rt.retry = DefaultRetryPolicy()
+			rt.retry = defaultRetryPolicy()
 		}
 		if c.Obs != nil {
 			rt.hRecovery = c.Obs.Histogram("armci/ft.recovery_ns", obs.DefaultLatencyBounds)

@@ -181,7 +181,7 @@ func (rt *Runtime) Put(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) {
 // PutErr is the error-returning blocking put. Without fault injection it
 // cannot fail and behaves exactly like Put; on chaos runs it is
 // end-to-end (remotely applied on return), retried under the configured
-// RetryPolicy, and returns *OpError when the budget is exhausted.
+// retryPolicy, and returns *OpError when the budget is exhausted.
 func (rt *Runtime) PutErr(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) error {
 	t0 := th.Now()
 	x := rt.blockingXfer()

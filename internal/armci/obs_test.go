@@ -34,7 +34,7 @@ func obsRun(t *testing.T) (traceOut, metricsOut []byte) {
 	if err := reg.WriteChromeTrace(&tb); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.WriteMetrics(&mb); err != nil {
+	if err := reg.WritePrometheus(&mb); err != nil {
 		t.Fatal(err)
 	}
 	return tb.Bytes(), mb.Bytes()
@@ -69,24 +69,27 @@ func TestObsMetricsCoverAllLayers(t *testing.T) {
 	_, m := obsRun(t)
 	out := string(m)
 	for _, want := range []string{
-		"counter armci/op.count{op=get,size=le4K} 1",
-		"counter armci/op.count{op=rmw,size=le256} 1",
-		"hist armci/op.latency_ns{op=put}",
-		"counter pami/ctx.advances{rank=0,ctx=0}",
-		"hist pami/am.dispatch_ns{ctx=0}",
-		"gauge pami/ctx.starve_max_ns{rank=1,ctx=0}",
-		"hist pami/ctx.lock.wait_ns{ctx=0}",
-		"counter network/messages",
-		"hist network/link.qdelay_ns",
-		"counter sim/events",
-		"gauge sim/final_ns",
+		"# TYPE armci_op_count counter\n",
+		`armci_op_count{op="get",size="le4K"} 1`,
+		`armci_op_count{op="rmw",size="le256"} 1`,
+		"# TYPE armci_op_latency_ns histogram\n",
+		`armci_op_latency_ns_count{op="put"}`,
+		`pami_ctx_advances{ctx="0",rank="0"}`,
+		`pami_am_dispatch_ns_count{ctx="0"}`,
+		"# TYPE pami_ctx_starve_max_ns gauge\n",
+		`pami_ctx_starve_max_ns{ctx="0",rank="1"}`,
+		`pami_ctx_lock_wait_ns_count{ctx="0"}`,
+		"# TYPE network_messages counter\n",
+		"# TYPE network_link_qdelay_ns histogram\n",
+		"# TYPE sim_events counter\n",
+		"# TYPE sim_final_ns gauge\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, out)
 		}
 	}
 	// The AM dispatch histogram actually saw the acc/rmw traffic.
-	if !strings.Contains(out, "counter armci/acc{rank=0} 1") {
+	if !strings.Contains(out, `armci_acc{rank="0"} 1`) {
 		t.Fatalf("acc not counted:\n%s", out)
 	}
 }

@@ -33,8 +33,8 @@ import (
 //     check, but their completions may simply never fire if a data
 //     message is dropped. Chaos workloads must use the blocking *Err forms.
 
-// RetryPolicy is how a chaos run waits for and re-sends an operation.
-type RetryPolicy struct {
+// retryPolicy is how a chaos run waits for and re-sends an operation.
+type retryPolicy struct {
 	// MaxAttempts bounds sends per logical operation (first try included).
 	MaxAttempts int
 	// Timeout is the base per-attempt completion deadline for
@@ -57,12 +57,12 @@ type RetryPolicy struct {
 	SuspectWindow sim.Time
 }
 
-// DefaultRetryPolicy returns the calibrated chaos-run policy. The total
+// defaultRetryPolicy returns the calibrated chaos-run policy. The total
 // retry budget (sum of timeouts and capped backoffs, ~4 ms for control
 // ops) is what a fault plan's dead windows must stay under for the
 // workload to ride through them.
-func DefaultRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{
+func defaultRetryPolicy() *retryPolicy {
+	return &retryPolicy{
 		MaxAttempts:    8,
 		Timeout:        60 * sim.Microsecond,
 		TimeoutPerByte: 1.5,
@@ -73,26 +73,8 @@ func DefaultRetryPolicy() *RetryPolicy {
 	}
 }
 
-func (p *RetryPolicy) validate() error {
-	switch {
-	case p.MaxAttempts < 1:
-		return fmt.Errorf("armci: RetryPolicy.MaxAttempts must be >= 1, got %d", p.MaxAttempts)
-	case p.Timeout <= 0:
-		return fmt.Errorf("armci: RetryPolicy.Timeout must be positive, got %d", p.Timeout)
-	case p.TimeoutPerByte < 0:
-		return fmt.Errorf("armci: RetryPolicy.TimeoutPerByte must be non-negative, got %g", p.TimeoutPerByte)
-	case p.BackoffBase < 0 || p.BackoffCap < p.BackoffBase:
-		return fmt.Errorf("armci: RetryPolicy backoff range [%d,%d] invalid", p.BackoffBase, p.BackoffCap)
-	case p.BackoffJitter < 0 || p.BackoffJitter >= 1:
-		return fmt.Errorf("armci: RetryPolicy.BackoffJitter must be in [0,1), got %g", p.BackoffJitter)
-	case p.SuspectWindow < 0:
-		return fmt.Errorf("armci: RetryPolicy.SuspectWindow must be non-negative, got %d", p.SuspectWindow)
-	}
-	return nil
-}
-
 // timeoutFor returns the per-attempt deadline for a payload of n bytes.
-func (p *RetryPolicy) timeoutFor(n int) sim.Time {
+func (p *retryPolicy) timeoutFor(n int) sim.Time {
 	return p.Timeout + sim.Time(p.TimeoutPerByte*float64(n))
 }
 

@@ -36,8 +36,8 @@ func ftLinks() (to1, to0 int) {
 
 // shortBudget is the default policy with two attempts, so an exhaustion
 // row ends in a quarter of a millisecond.
-func shortBudget() *RetryPolicy {
-	p := DefaultRetryPolicy()
+func shortBudget() *retryPolicy {
+	p := defaultRetryPolicy()
 	p.MaxAttempts = 2
 	return p
 }
@@ -232,7 +232,7 @@ func TestFenceUnderFaults(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := ftCfg(tc.plan)
-			cfg.Retry = shortBudget()
+			cfg.retry = shortBudget()
 			fenced := false
 			_, err := Run(cfg, func(th *sim.Thread, rt *Runtime) {
 				a := rt.Malloc(th, ftBytes)
@@ -307,7 +307,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		for _, tc := range ftBlocking {
 			t.Run(plan.name+"/"+tc.op, func(t *testing.T) {
 				cfg := ftCfg(plan.p())
-				cfg.Retry = shortBudget()
+				cfg.retry = shortBudget()
 				_, err := ftWorld(t, cfg, func(th *sim.Thread, rt *Runtime, local mem.Addr, remote GlobalPtr) {
 					rt.W.M.Space(1).SetInt64(remote.Addr, 0)
 					rt.Space().SetFloat64(local, 1)
@@ -410,42 +410,6 @@ func TestDelayedOriginalEndsTheBackoff(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRetryPolicyValidate: one row per rejected field, and a policy
-// without a plan to apply it to.
-func TestRetryPolicyValidate(t *testing.T) {
-	plan := fault.NewPlan(1)
-	for _, tc := range []struct {
-		field string
-		set   func(*RetryPolicy)
-	}{
-		{"MaxAttempts", func(p *RetryPolicy) { p.MaxAttempts = 0 }},
-		{"Timeout", func(p *RetryPolicy) { p.Timeout = 0 }},
-		{"TimeoutPerByte", func(p *RetryPolicy) { p.TimeoutPerByte = -1 }},
-		{"backoff", func(p *RetryPolicy) { p.BackoffBase = -1 }},
-		{"backoff", func(p *RetryPolicy) { p.BackoffCap = p.BackoffBase - 1 }},
-		{"BackoffJitter", func(p *RetryPolicy) { p.BackoffJitter = 1 }},
-		{"BackoffJitter", func(p *RetryPolicy) { p.BackoffJitter = -0.1 }},
-		{"SuspectWindow", func(p *RetryPolicy) { p.SuspectWindow = -1 }},
-	} {
-		p := DefaultRetryPolicy()
-		tc.set(p)
-		cfg := ftCfg(plan)
-		cfg.Retry = p
-		if _, err := NewWorld(sim.NewKernel(), cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("policy %+v: error %v, want one naming %s", *p, err, tc.field)
-		}
-	}
-	cfg := ftCfg(plan)
-	cfg.Retry = DefaultRetryPolicy()
-	if _, err := NewWorld(sim.NewKernel(), cfg); err != nil {
-		t.Errorf("default policy rejected: %v", err)
-	}
-	cfg.Fault = nil
-	if _, err := NewWorld(sim.NewKernel(), cfg); err == nil || !strings.Contains(err.Error(), "without Config.Fault") {
-		t.Errorf("Retry without Fault: error %v", err)
 	}
 }
 

@@ -46,7 +46,7 @@ func (rt *Runtime) FetchAdd(th *sim.Thread, dst GlobalPtr, delta int64) int64 {
 }
 
 // FetchAddErr is the error-returning fetch-and-add: on chaos runs it is
-// retried under the configured RetryPolicy and applied exactly once.
+// retried under the configured retryPolicy and applied exactly once.
 func (rt *Runtime) FetchAddErr(th *sim.Thread, dst GlobalPtr, delta int64) (int64, error) {
 	return rt.rmw(th, dst, pami.FetchAdd, delta, 0)
 }

@@ -9,7 +9,7 @@ import (
 func dumpAll(t *testing.T, r *Registry) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := r.WriteMetrics(&buf); err != nil {
+	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.WriteChromeTrace(&buf); err != nil {

@@ -1,11 +1,5 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
-
 // Counter is a monotonically growing sum. The nil handle is a no-op.
 type Counter struct {
 	v int64
@@ -158,40 +152,4 @@ func (h *Histogram) Buckets() (bounds []Time, counts []uint64) {
 		return nil, nil
 	}
 	return append([]Time(nil), h.bounds...), append([]uint64(nil), h.counts...)
-}
-
-// WriteMetrics dumps every metric as one line of text, sorted by kind
-// then name, in a stable machine-readable format:
-//
-//	counter <name> <value>
-//	gauge <name> <value>
-//	hist <name> count=<n> sum=<s> le<bound>=<count>... overflow=<count>
-//
-// cmd/obs-report consumes this format.
-func (r *Registry) WriteMetrics(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	var lines []string
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("counter %s %d", name, c.v))
-	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s %d", name, g.v))
-	}
-	for name, h := range r.hists {
-		line := fmt.Sprintf("hist %s count=%d sum=%d", name, h.n, h.sum)
-		for i, b := range h.bounds {
-			line += fmt.Sprintf(" le%d=%d", b, h.counts[i])
-		}
-		line += fmt.Sprintf(" overflow=%d", h.counts[len(h.bounds)])
-		lines = append(lines, line)
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -26,7 +26,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Fatal("nil histogram accumulated")
 	}
 	var sb strings.Builder
-	if err := r.WriteMetrics(&sb); err != nil {
+	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if sb.Len() != 0 {
@@ -132,27 +132,5 @@ func TestExpBounds(t *testing.T) {
 		if b[i] != want[i] {
 			t.Fatalf("bounds = %v, want %v", b, want)
 		}
-	}
-}
-
-func TestWriteMetricsFormatAndOrder(t *testing.T) {
-	r := New()
-	r.Counter("b/second").Add(2)
-	r.Counter("a/first").Add(1)
-	r.Gauge("a/g").Set(7)
-	h := r.Histogram("a/h", []Time{10, 100})
-	h.Observe(5)
-	h.Observe(101)
-
-	var sb strings.Builder
-	if err := r.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "counter a/first 1\n" +
-		"counter b/second 2\n" +
-		"gauge a/g 7\n" +
-		"hist a/h count=2 sum=106 le10=1 le100=0 overflow=1\n"
-	if sb.String() != want {
-		t.Fatalf("metrics dump:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }

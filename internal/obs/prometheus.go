@@ -22,9 +22,10 @@ import (
 //
 // Output is deterministic: families sort by name, series sort by label
 // set within a family, and a # TYPE line precedes each family exactly
-// once. Like WriteMetrics, the method does not lock anything — callers
-// serving a concurrent scrape endpoint must serialize access to the
-// registry themselves.
+// once. This is the registry's one text exposition: simd's /metrics serves
+// it, armci-bench -metrics writes it, cmd/obs-report reads both. The
+// method does not lock anything — callers serving a concurrent scrape
+// endpoint must serialize access to the registry themselves.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil

@@ -207,17 +207,7 @@ func (x *Context) rmwHardware(th *sim.Thread, dst Endpoint, addr mem.Addr, op Rm
 		// NIC-side execute after the MU turnaround; atomicity comes from
 		// the event serialization at the target NIC (the target's lane).
 		tgt.Ln.At(p.MUTurnaround+p.RmwCost, func() {
-			old := tgt.Space.GetInt64(addr)
-			switch op {
-			case FetchAdd:
-				tgt.Space.SetInt64(addr, old+operand)
-			case Swap:
-				tgt.Space.SetInt64(addr, operand)
-			case CompareSwap:
-				if old == compare {
-					tgt.Space.SetInt64(addr, operand)
-				}
-			}
+			old := applyRmw(tgt.Space, addr, op, operand, compare)
 			net.SendNIC(dst.Node, c.Node, rmaControlBytes, func() {
 				if result != nil {
 					*result = old
@@ -226,6 +216,26 @@ func (x *Context) rmwHardware(th *sim.Thread, dst Endpoint, addr mem.Addr, op Rm
 			})
 		})
 	})
+}
+
+// applyRmw performs op on the int64 at addr and returns the prior value:
+// the one read-modify-write both the target's handler and the what-if
+// NIC execute.
+func applyRmw(s *mem.Space, addr mem.Addr, op RmwOp, operand, compare int64) int64 {
+	old := s.GetInt64(addr)
+	switch op {
+	case FetchAdd:
+		s.SetInt64(addr, old+operand)
+	case Swap:
+		s.SetInt64(addr, operand)
+	case CompareSwap:
+		if old == compare {
+			s.SetInt64(addr, operand)
+		}
+	default:
+		panic(fmt.Sprintf("pami: unknown rmw op %d", op))
+	}
+	return old
 }
 
 // installBuiltinDispatch wires the PAMI-internal protocols on a new
@@ -253,19 +263,7 @@ func handleRmwReq(th *sim.Thread, x *Context, msg *AMessage) {
 		}
 	}
 
-	old := c.Space.GetInt64(addr)
-	switch op {
-	case FetchAdd:
-		c.Space.SetInt64(addr, old+operand)
-	case Swap:
-		c.Space.SetInt64(addr, operand)
-	case CompareSwap:
-		if old == compare {
-			c.Space.SetInt64(addr, operand)
-		}
-	default:
-		panic(fmt.Sprintf("pami: unknown rmw op %d", op))
-	}
+	old := applyRmw(c.Space, addr, op, operand, compare)
 	if faulty {
 		if c.rmwApplied == nil {
 			c.rmwApplied = make(map[rmwKey]int64)

@@ -206,7 +206,7 @@ func (p *scProgram) run(t testing.TB, workers int, noShortcuts bool) scResult {
 	if err := reg.WriteChromeTrace(&tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.WriteMetrics(&me); err != nil {
+	if err := reg.WritePrometheus(&me); err != nil {
 		t.Fatal(err)
 	}
 	res.trace, res.metrics = tr.Bytes(), me.Bytes()

@@ -48,7 +48,7 @@ func sweepTask(c *Ctx, i int) sim.Time {
 func registryDump(t *testing.T, r *obs.Registry) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := r.WriteMetrics(&buf); err != nil {
+	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -195,7 +195,7 @@ func (em *recordingEmitter) PointDone(i, n int, reg *obs.Registry) {
 	em.ns = append(em.ns, n)
 	em.childs = append(em.childs, reg != nil)
 	var buf bytes.Buffer
-	em.parent.WriteMetrics(&buf)
+	em.parent.WritePrometheus(&buf)
 	em.dumps = append(em.dumps, buf.String())
 }
 

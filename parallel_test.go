@@ -55,7 +55,7 @@ func renderSweep(t *testing.T, workers int) (csv, metrics, trace string) {
 	bench.Fig9(bg, sweep.NewSharded(workers, 0, reg), []int{8, 16}, 4).RenderCSV(&sb)
 
 	var mbuf, tbuf bytes.Buffer
-	if err := reg.WriteMetrics(&mbuf); err != nil {
+	if err := reg.WritePrometheus(&mbuf); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.WriteChromeTrace(&tbuf); err != nil {
@@ -115,7 +115,7 @@ func TestSweepOverlappingMaps(t *testing.T) {
 		var sb strings.Builder
 		bench.Fig9(sweep.WithRegistry(bg, reg), eng, []int{8, 16}, 4).RenderCSV(&sb)
 		var mbuf bytes.Buffer
-		if err := reg.WriteMetrics(&mbuf); err != nil {
+		if err := reg.WritePrometheus(&mbuf); err != nil {
 			t.Error(err)
 		}
 		return sb.String(), mbuf.String()

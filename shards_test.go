@@ -26,7 +26,7 @@ func shardGoldenRun(t *testing.T, shards int) (events uint64, final sim.Time, me
 	reg := obs.New(obs.WithTrackCap(256))
 	w := goldenScenarioSharded(shards, reg)
 	var mbuf, tbuf bytes.Buffer
-	if err := reg.WriteMetrics(&mbuf); err != nil {
+	if err := reg.WritePrometheus(&mbuf); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.WriteChromeTrace(&tbuf); err != nil {
@@ -125,7 +125,7 @@ func TestShardWideWorldInvariance(t *testing.T) {
 			rt.Barrier(th)
 		})
 		var mbuf, tbuf bytes.Buffer
-		if err := reg.WriteMetrics(&mbuf); err != nil {
+		if err := reg.WritePrometheus(&mbuf); err != nil {
 			t.Fatal(err)
 		}
 		if err := reg.WriteChromeTrace(&tbuf); err != nil {
