@@ -177,6 +177,7 @@ type World struct {
 
 	handlers  [len(protocol)]pami.AMHandler // protocol[i] bound to the dispatched-on rank's runtime
 	asyncBody func(*sim.Thread)             // body of every asynchronous progress thread
+	asyncIdle func(*sim.Thread) bool        // its idle pass, run by the lane (pami.Context.SetIdlePass)
 	barArrive func(at sim.Time)             // barrierArrive, as the one value every Barrier defers
 
 	// Faults is the installed injector (nil outside chaos runs); chaos
@@ -227,6 +228,7 @@ func NewWorld(k *sim.Kernel, cfg Config) (*World, error) {
 	}
 	w.bindHandlers()
 	w.asyncBody = func(pt *sim.Thread) { w.Runtimes[pt.Index()].svcCtx.ProgressLoop(pt) }
+	w.asyncIdle = func(pt *sim.Thread) bool { return w.Runtimes[pt.Index()].svcCtx.IdlePass(pt) }
 	w.barArrive = w.barrierArrive
 	if cfg.Fault != nil {
 		if err := cfg.Fault.Validate(tor.Nodes(), tor.NumLinks()); err != nil {
@@ -446,6 +448,7 @@ func newRuntime(w *World, th *sim.Thread, rank int) *Runtime {
 	if w.Cfg.AsyncThread {
 		rt.progress = w.K.SpawnIndexed(c.Ln, "async", rank, w.asyncBody)
 		rt.progress.SetObsTrack(obs.TrackProgress)
+		rt.svcCtx.SetIdlePass(rt.progress, w.asyncIdle)
 	}
 	return rt
 }

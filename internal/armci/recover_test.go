@@ -422,7 +422,9 @@ func TestDelayedOriginalEndsTheBackoff(t *testing.T) {
 // A Get or a Put is its completion, PAMI's one flight value and the
 // payload the flight owns (a 64-byte Clone: under mem.PoolMin). An Acc is
 // its completion, the captured payload, the request flight and the ack
-// flight: its pending-request slot is a recycled one.
+// flight: its pending-request slot is a recycled one. A FetchAdd is its
+// request and reply flights: the completion and the prior value live in
+// PAMI's recycled rmw slot.
 func TestBlockingOpAllocBudget(t *testing.T) {
 	const n = 64
 	_, err := Run(Config{Procs: 2, ProcsPerNode: 1, AsyncThread: true}, func(th *sim.Thread, rt *Runtime) {
@@ -439,7 +441,7 @@ func TestBlockingOpAllocBudget(t *testing.T) {
 			{"Get", 3, func() { rt.Get(th, a.At(1), local, n) }},
 			{"Put", 3, func() { rt.Put(th, local, a.At(1), n) }},
 			{"Acc", 4, func() { rt.Acc(th, local, a.At(1), n, 1) }},
-			{"FetchAdd", 4, func() { rt.FetchAdd(th, a.At(1), 1) }},
+			{"FetchAdd", 2, func() { rt.FetchAdd(th, a.At(1), 1) }},
 		} {
 			tc.op() // warm-up: endpoints, route cache, pend map, work queues
 			got := testing.AllocsPerRun(100, tc.op)

@@ -15,17 +15,16 @@ import (
 // rmw performs one AMO and returns the prior value. The PAMI rmw id is
 // allocated once and every attempt re-sends it, so on a chaos run the
 // target applies a retried operation exactly once; an exhausted budget
-// abandons the id, and a late reply finds nothing to complete.
+// abandons the id, and a late reply finds nothing to complete. The
+// completion and the prior value live in PAMI's recycled pending slot.
 func (rt *Runtime) rmw(th *sim.Thread, dst GlobalPtr, op pami.RmwOp, operand, compare int64) (int64, error) {
-	var prev int64
 	t0 := th.Now()
-	comp := sim.NewCompletion(rt.W.K)
-	id := rt.mainCtx.RmwBegin(&prev, comp)
+	id, comp := rt.mainCtx.RmwBegin()
 	err := rt.attempt(th, "rmw", dst.Rank, 8, comp, func() {
 		rt.mainCtx.RmwIssue(th, rt.epSvc(th, dst.Rank), id, dst.Addr, op, operand, compare)
 	}, nil)
+	prev := rt.mainCtx.RmwEnd(id)
 	if err != nil {
-		rt.mainCtx.RmwCancel(id)
 		return 0, err
 	}
 	rt.Stats.Inc("rmw", 1)

@@ -24,8 +24,10 @@ func hammerCost(procs int) (objects, switches uint64) {
 // TestFig9ObjectsPerRank is the ROADMAP's per-rank budget on the workload
 // it names: one more rank of a fig9 world — bring-up, one collective
 // Malloc, three fetch-and-add round trips served by rank 0's progress
-// thread, finalize — costs at most 60 heap objects (100 until a message
-// in flight became one value and per-operation state left its maps). The
+// thread, finalize — costs at most 35.5 heap objects, the measured 33.8
+// plus 5 % (60 while every progress thread was a coroutine and an rmw's
+// completion and result word were heap objects; 100 until a message in
+// flight became one value and per-operation state left its maps). The
 // per-source budget is DESIGN.md's per-rank object table;
 // TestIdleWorldObjectsPerRank (internal/armci) bounds the part that is
 // bring-up alone.
@@ -35,25 +37,26 @@ func TestFig9ObjectsPerRank(t *testing.T) {
 	big, _ := hammerCost(1024)
 	perRank := float64(big-small) / 512
 	t.Logf("fig9: %d objects at p=512, %d at p=1024: %.1f per added rank", small, big, perRank)
-	if perRank > 60 {
-		t.Fatalf("fig9: %.1f objects per added rank, want <= 60", perRank)
+	if perRank > 35.5 {
+		t.Fatalf("fig9: %.1f objects per added rank, want <= 35.5", perRank)
 	}
 }
 
 // TestFig9SwitchesPerRank bounds the other host cost of a rank on the same
 // workload: how often the lane leaves its event loop for a coroutine. A
 // thread is switched in to run, not to be told that nothing happened —
-// a sleep nothing interrupts ends where it began (Thread.Sleep), and a
+// a sleep nothing interrupts ends where it began (Thread.Sleep), a
 // progress thread's wake-up latency is started by its lane
-// (Thread.ParkThenSleep) — which took one more rank from 36.0 switches to
-// under 29. The count is a function of the simulated schedule alone, so
-// the bound is exact at any worker count.
+// (Thread.ParkThenSleep), and a progress thread with nothing to serve is
+// served by its lane (Thread.SetIdlePass) — which took one more rank from
+// 36.0 switches to 28.0, then 23.0. The count is a function of the
+// simulated schedule alone, so the bound is exact at any worker count.
 func TestFig9SwitchesPerRank(t *testing.T) {
 	_, small := hammerCost(512)
 	_, big := hammerCost(1024)
 	perRank := float64(big-small) / 512
 	t.Logf("fig9: %d switches at p=512, %d at p=1024: %.1f per added rank", small, big, perRank)
-	if perRank > 29 {
-		t.Fatalf("fig9: %.1f switches per added rank, want <= 29", perRank)
+	if perRank > 24 {
+		t.Fatalf("fig9: %.1f switches per added rank, want <= 24", perRank)
 	}
 }

@@ -127,77 +127,100 @@ const (
 	CompareSwap
 )
 
-// rmwPending is the initiator-side state of one read-modify-write in
-// flight. A client has at most one per blocked thread, so the table is a
-// slice searched linearly.
+// rmwPending is the initiator-side state of one read-modify-write, from
+// RmwBegin to RmwEnd. It owns what the caller waits on and reads — the
+// completion the reply finishes and the prior value the reply carries — and
+// a client recycles its slots, so a blocking rmw allocates neither. A
+// client has at most one per blocked thread, so the table is a slice
+// searched linearly.
 type rmwPending struct {
 	id     uint64
-	result *int64
-	comp   *sim.Completion
+	result int64
+	comp   sim.Completion
 }
 
-// Rmw performs an atomic read-modify-write on an int64 in dst's memory.
-// BG/Q's network offers no generic atomics, so this is an active-message
-// protocol: it only completes once some thread at the target advances the
-// addressed context — the hardware limitation that motivates the paper's
-// asynchronous progress thread. The prior value is stored in *result and
-// comp is finished when the reply retires on this context.
-func (x *Context) Rmw(th *sim.Thread, dst Endpoint, addr mem.Addr, op RmwOp, operand, compare int64, result *int64, comp *sim.Completion) {
-	x.RmwIssue(th, dst, x.RmwBegin(result, comp), addr, op, operand, compare)
+// Rmw performs an atomic read-modify-write on an int64 in dst's memory
+// and returns the prior value, blocking th until the reply retires on this
+// context. BG/Q's network offers no generic atomics, so this is an
+// active-message protocol: it only completes once some thread at the
+// target advances the addressed context — the hardware limitation that
+// motivates the paper's asynchronous progress thread.
+func (x *Context) Rmw(th *sim.Thread, dst Endpoint, addr mem.Addr, op RmwOp, operand, compare int64) int64 {
+	id, comp := x.RmwBegin()
+	x.RmwIssue(th, dst, id, addr, op, operand, compare)
+	x.WaitLocal(th, comp)
+	return x.RmwEnd(id)
 }
 
-// RmwBegin allocates a request id and registers the initiator-side state
-// for one logical read-modify-write. Rmw is Begin + Issue so that a
-// timed-out request can be re-Issued under the same id: the target dedups
-// on (initiator, id), which is what makes the retry of a non-idempotent
+// RmwBegin allocates a request id and the initiator-side state for one
+// logical read-modify-write, and returns the id and the completion its
+// reply finishes. Rmw is Begin + Issue + wait + End so that a timed-out
+// request can be re-Issued under the same id: the target dedups on
+// (initiator, id), which is what makes the retry of a non-idempotent
 // operation safe.
-func (x *Context) RmwBegin(result *int64, comp *sim.Completion) uint64 {
+func (x *Context) RmwBegin() (uint64, *sim.Completion) {
 	c := x.Client
-	id := c.rmwSeq
+	var p *rmwPending
+	if n := len(c.rmwFree); n > 0 {
+		p = c.rmwFree[n-1]
+		c.rmwFree = c.rmwFree[:n-1]
+	} else {
+		p = new(rmwPending)
+	}
+	*p = rmwPending{id: c.rmwSeq, comp: sim.MakeCompletion(c.M.K)}
 	c.rmwSeq++
-	c.rmwPend = append(c.rmwPend, rmwPending{id: id, result: result, comp: comp})
-	return id
+	c.rmwPend = append(c.rmwPend, p)
+	return p.id, &p.comp
 }
 
 // RmwIssue sends (or, on retry, re-sends) the request for an id obtained
 // from RmwBegin. With Params.HardwareAMO the NIC answers instead of a
-// reply message, so no handler will ever look the id up: the pending
-// entry is retired here and the flight carries its result and completion.
+// reply message, and the flight carries the pending slot.
 func (x *Context) RmwIssue(th *sim.Thread, dst Endpoint, id uint64, addr mem.Addr, op RmwOp, operand, compare int64) {
-	if x.Client.M.P.HardwareAMO {
-		pend, _ := x.Client.takeRmw(id)
-		x.rmwHardware(th, dst, addr, op, operand, compare, pend.result, pend.comp)
+	if c := x.Client; c.M.P.HardwareAMO {
+		x.rmwHardware(th, dst, addr, op, operand, compare, c.rmwPend[c.rmwFind(id)])
 		return
 	}
 	x.SendAM(th, dst, dispatchRmwReq,
 		[]int64{int64(id), int64(addr), int64(op), operand, compare}, nil)
 }
 
-// RmwCancel abandons an id whose retry budget is exhausted; a late reply
-// is then ignored by handleRmwRep.
-func (x *Context) RmwCancel(id uint64) { x.Client.takeRmw(id) }
+// RmwEnd retires id — answered, or abandoned when its retry budget is
+// exhausted — and returns the prior value its reply carried (zero if none
+// came). The slot, completion included, is recycled: a reply arriving
+// later finds nothing to complete, and the completion RmwBegin returned
+// must not be used again.
+func (x *Context) RmwEnd(id uint64) int64 {
+	c := x.Client
+	i := c.rmwFind(id)
+	if i < 0 {
+		panic(fmt.Sprintf("pami: rank %d: RmwEnd of rmw %d, which is not pending", c.Rank, id))
+	}
+	p := c.rmwPend[i]
+	last := len(c.rmwPend) - 1
+	c.rmwPend[i] = c.rmwPend[last]
+	c.rmwPend[last] = nil
+	c.rmwPend = c.rmwPend[:last]
+	c.rmwFree = append(c.rmwFree, p)
+	return p.result
+}
 
-// takeRmw removes and returns the pending state of request id; ok is false
-// when there is none (already completed, or cancelled).
-func (c *Client) takeRmw(id uint64) (pend rmwPending, ok bool) {
-	for i := range c.rmwPend {
-		if c.rmwPend[i].id == id {
-			pend = c.rmwPend[i]
-			last := len(c.rmwPend) - 1
-			c.rmwPend[i] = c.rmwPend[last]
-			c.rmwPend[last] = rmwPending{}
-			c.rmwPend = c.rmwPend[:last]
-			return pend, true
+// rmwFind returns the index of request id in the pending table, or -1
+// when it is not pending (retired, or never begun).
+func (c *Client) rmwFind(id uint64) int {
+	for i, p := range c.rmwPend {
+		if p.id == id {
+			return i
 		}
 	}
-	return rmwPending{}, false
+	return -1
 }
 
 // rmwHardware is the what-if path (Params.HardwareAMO): the target NIC
 // executes the operation at request arrival, exactly like an RDMA-get
 // turnaround — no target CPU, no progress engine, no starvation. This is
 // the Cray Gemini behaviour the paper contrasts against (§IV.B.3).
-func (x *Context) rmwHardware(th *sim.Thread, dst Endpoint, addr mem.Addr, op RmwOp, operand, compare int64, result *int64, comp *sim.Completion) {
+func (x *Context) rmwHardware(th *sim.Thread, dst Endpoint, addr mem.Addr, op RmwOp, operand, compare int64, pend *rmwPending) {
 	c := x.Client
 	p := c.M.P
 	th.Sleep(c.jit(p.CPUInject))
@@ -209,10 +232,8 @@ func (x *Context) rmwHardware(th *sim.Thread, dst Endpoint, addr mem.Addr, op Rm
 		tgt.Ln.At(p.MUTurnaround+p.RmwCost, func() {
 			old := applyRmw(tgt.Space, addr, op, operand, compare)
 			net.SendNIC(dst.Node, c.Node, rmaControlBytes, func() {
-				if result != nil {
-					*result = old
-				}
-				x.postCompletion(comp)
+				pend.result = old
+				x.postCompletion(&pend.comp)
 			})
 		})
 	})
@@ -276,15 +297,16 @@ func handleRmwReq(th *sim.Thread, x *Context, msg *AMessage) {
 func handleRmwRep(th *sim.Thread, x *Context, msg *AMessage) {
 	c := x.Client
 	id := uint64(msg.Hdr[0])
-	pend, ok := c.takeRmw(id)
-	if !ok {
-		// Duplicate or post-cancel reply: the operation already completed
-		// (or was abandoned). Only possible under fault injection; without
-		// it every reply matches exactly one pending request.
+	i := c.rmwFind(id)
+	if i < 0 {
+		// Reply to an abandoned operation, or a duplicate arriving after
+		// RmwEnd. Only possible under fault injection; without it every
+		// reply matches exactly one pending request.
 		return
 	}
-	if pend.result != nil {
-		*pend.result = msg.Hdr[1]
-	}
+	// A duplicate reply before RmwEnd carries the same value: the target
+	// answers it from its dedup cache.
+	pend := c.rmwPend[i]
+	pend.result = msg.Hdr[1]
 	pend.comp.FinishOnce()
 }

@@ -38,7 +38,11 @@ type Context struct {
 	Index  int
 	Lock   sim.Mutex
 
-	queue    sim.FIFO[workItem]
+	queue sim.FIFO[workItem]
+	// The threads the next post or nudge wakes (subscribe). Nearly always
+	// one — the progress thread, or a main thread in wait — so the first
+	// is a field and only a second one makes a slice, as in sim's cond.
+	waiter   *sim.Thread
 	waiters  []*sim.Thread
 	dispatch [DispatchLimit]AMHandler
 	stopped  bool
@@ -189,6 +193,10 @@ func (x *Context) serve(th *sim.Thread, limit int) int {
 
 // subscribe registers th to be woken on the next post without parking.
 func (x *Context) subscribe(th *sim.Thread) {
+	if x.waiter == nil {
+		x.waiter = th
+		return
+	}
 	x.waiters = append(x.waiters, th)
 }
 
@@ -287,12 +295,43 @@ func (x *Context) ProgressLoop(th *sim.Thread) {
 	}
 }
 
+// SetIdlePass gives th, spawned to run ProgressLoop on x, the idle pass its
+// lane runs instead of switching in while th has nothing to serve
+// (sim.Thread.SetIdlePass). pass must be x.IdlePass(th); a world installs
+// one function value that finds the context from the thread.
+func (x *Context) SetIdlePass(th *sim.Thread, pass func(*sim.Thread) bool) {
+	th.SetIdlePass(pass, x.Client.M.P.ProgressWake, &x.stopped)
+}
+
+// IdlePass is one trip round ProgressLoop's loop, made by th's lane: the
+// same Lock, Advance of an empty queue, subscribe and Unlock, so the
+// advance counts, the starvation gauge and the lock's count and histograms
+// move as the thread's own trip would move them. It declines, doing
+// nothing, when the trip could block or sleep: the lock is held, or work
+// is queued.
+func (x *Context) IdlePass(th *sim.Thread) bool {
+	if x.queue.Len() > 0 || !x.Lock.TryLock(th) {
+		return false
+	}
+	x.Advance(th)
+	x.subscribe(th)
+	x.Lock.Unlock(th)
+	return true
+}
+
 // Nudge wakes every thread parked on this context without posting work.
 // Collective operations use it so blocked peers re-check predicates that
 // changed outside the work queue.
 func (x *Context) Nudge() {
-	for _, t := range x.waiters {
-		x.Client.M.K.Wake(t)
+	if x.waiter == nil {
+		return
+	}
+	k := x.Client.M.K
+	k.Wake(x.waiter)
+	x.waiter = nil
+	for i, t := range x.waiters {
+		k.Wake(t)
+		x.waiters[i] = nil
 	}
 	x.waiters = x.waiters[:0]
 }

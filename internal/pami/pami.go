@@ -124,7 +124,8 @@ type Client struct {
 	ContextBytes     int
 
 	rmwSeq  uint64
-	rmwPend []rmwPending // read-modify-writes in flight
+	rmwPend []*rmwPending // read-modify-writes begun and not yet ended
+	rmwFree []*rmwPending // ended slots, for the next RmwBegin
 
 	created bool // NewClient has returned: peers may address this rank
 

@@ -251,11 +251,7 @@ func TestRmwFetchAddAtomicUnderContention(t *testing.T) {
 		th.Sleep(sim.Millisecond)
 		ep := c.CreateEndpoint(th, 0, 0)
 		for i := 0; i < opsEach; i++ {
-			var prev int64
-			comp := sim.NewCompletion(r.k)
-			c.Contexts[0].Rmw(th, ep, counter, FetchAdd, 1, 0, &prev, comp)
-			c.Contexts[0].WaitLocal(th, comp)
-			sums[c.Rank] += prev
+			sums[c.Rank] += c.Contexts[0].Rmw(th, ep, counter, FetchAdd, 1, 0)
 		}
 	})
 	if err := r.k.Run(); err != nil {
@@ -294,24 +290,17 @@ func TestRmwSwapAndCompareSwap(t *testing.T) {
 			ep := c.CreateEndpoint(th, 1, 0)
 			x := &c.Contexts[0]
 
-			var prev int64
-			comp := sim.NewCompletion(r.k)
-			x.Rmw(th, ep, addr, Swap, 200, 0, &prev, comp)
-			x.WaitLocal(th, comp)
+			prev := x.Rmw(th, ep, addr, Swap, 200, 0)
 			if prev != 100 {
 				t.Errorf("swap prev = %d, want 100", prev)
 			}
 
-			comp = sim.NewCompletion(r.k)
-			x.Rmw(th, ep, addr, CompareSwap, 300, 999, &prev, comp) // mismatch
-			x.WaitLocal(th, comp)
+			prev = x.Rmw(th, ep, addr, CompareSwap, 300, 999) // mismatch
 			if prev != 200 {
 				t.Errorf("cas prev = %d, want 200", prev)
 			}
 
-			comp = sim.NewCompletion(r.k)
-			x.Rmw(th, ep, addr, CompareSwap, 300, 200, &prev, comp) // match
-			x.WaitLocal(th, comp)
+			prev = x.Rmw(th, ep, addr, CompareSwap, 300, 200) // match
 			if prev != 200 {
 				t.Errorf("cas prev = %d, want 200", prev)
 			}
@@ -392,12 +381,9 @@ func TestSharedContextLockContentionWithProgressThread(t *testing.T) {
 		case 0:
 			th.Sleep(100 * sim.Microsecond)
 			ep := c.CreateEndpoint(th, 1, 0)
-			var prev int64
 			addrOnPeer := r.m.Space(1).Alloc(8) // counter hosted at rank 1
 			for i := 0; i < 50; i++ {
-				comp := sim.NewCompletion(r.k)
-				c.Contexts[0].Rmw(th, ep, addrOnPeer, FetchAdd, 1, 0, &prev, comp)
-				c.Contexts[0].WaitLocal(th, comp)
+				c.Contexts[0].Rmw(th, ep, addrOnPeer, FetchAdd, 1, 0)
 			}
 		}
 	})

@@ -242,11 +242,8 @@ func TestHardwareAMOExecutesWithoutTargetProgress(t *testing.T) {
 			th.Sleep(sim.Millisecond)
 			ep := c.CreateEndpoint(th, 1, 0)
 			for i := 0; i < 5; i++ {
-				var prev int64
-				comp := sim.NewCompletion(k)
 				t0 := th.Now()
-				c.Contexts[0].Rmw(th, ep, counter, FetchAdd, 1, 0, &prev, comp)
-				c.Contexts[0].WaitLocal(th, comp)
+				prev := c.Contexts[0].Rmw(th, ep, counter, FetchAdd, 1, 0)
 				lat = th.Now() - t0
 				if prev != int64(i) {
 					t.Errorf("prev = %d, want %d", prev, i)

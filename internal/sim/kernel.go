@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -37,9 +38,10 @@ type Kernel struct {
 	inBoundary   bool
 	laneInserted bool
 	lanesMerged  bool
-	// noShortcuts makes every Sleep and every ParkThenSleep take the
-	// switching path. Written only by tests: the differential oracle runs
-	// each generated program both ways and compares everything observable.
+	// noShortcuts makes every Sleep, every ParkThenSleep and every idle
+	// pass take the switching path. Written only by tests: the
+	// differential oracle runs each generated program both ways and
+	// compares everything observable.
 	noShortcuts bool
 
 	// Horizon tree (horizon.go): tournament min-tree over lane
@@ -241,6 +243,9 @@ func (ln *Lane) fireInline(at Time) bool {
 // the thread's cancel flag holds, the sleep starts — queued like any
 // other, or fired on the spot under fireInline's rule. Only when the sleep
 // is over (or was cancelled) does the thread run.
+//
+// A thread with no coroutine yet is made one here, unless its idle pass
+// (SetIdlePass) stands in for the switch-in.
 func (ln *Lane) transfer(t *Thread) {
 	if t.state == stateDone {
 		return
@@ -254,6 +259,12 @@ func (ln *Lane) transfer(t *Thread) {
 			return
 		}
 	}
+	if t.next == nil {
+		if t.idle != nil && !ln.k.noShortcuts && ln.runIdle(t) {
+			return
+		}
+		t.next, t.stop = iter.Pull(t.run)
+	}
 	t.state = stateRunning
 	ln.cur = t
 	ln.switches++
@@ -264,16 +275,42 @@ func (ln *Lane) transfer(t *Thread) {
 	}
 }
 
+// runIdle stands in for switching into t, which has an idle pass and no
+// coroutine, and reports whether it did. At this point the switched-in
+// body would be at the top of its loop: with the cancel flag set it
+// returns, so the thread ends here; otherwise the pass runs, and if it
+// did the work, the lane parks the thread as the body's ParkThenSleep
+// would. A set wake bit would make that park return at once, so the pass
+// is not offered then.
+func (ln *Lane) runIdle(t *Thread) bool {
+	if *t.idleCancel {
+		t.state = stateDone
+		ln.live--
+		return true
+	}
+	if t.wakeBit {
+		return false
+	}
+	if !t.idle(t) {
+		return false
+	}
+	t.parkStart, t.parkSleep, t.parkCancel = ln.now, t.idleSleep, t.idleCancel
+	t.state = stateParked
+	return true
+}
+
 // stopThreads releases every unfinished thread of the lane after a
 // failed run. A switched-out thread unwinds through its spawn wrapper,
-// which does the end-of-thread accounting; a thread that never started
-// has no wrapper running, so its accounting is done here.
+// which does the end-of-thread accounting; a thread that never ran has no
+// coroutine and no wrapper, so its accounting is done here.
 func (ln *Lane) stopThreads() {
 	for _, t := range ln.threads {
 		if t.state == stateDone {
 			continue
 		}
-		t.stop()
+		if t.stop != nil {
+			t.stop()
+		}
 		if t.state != stateDone {
 			t.state = stateDone
 			ln.live--

@@ -10,12 +10,14 @@ import (
 	"repro/internal/obs"
 )
 
-// The lane acts for a thread in two places — Sleep fires its own wake-up
-// when that is the lane's next event, and transfer starts the sleep of a
-// ParkThenSleep — and both must be invisible: same event order, same
+// The lane acts for a thread in three places — Sleep fires its own wake-up
+// when that is the lane's next event, transfer starts the sleep of a
+// ParkThenSleep, and transfer runs a coroutine-less poller's idle pass
+// (SetIdlePass) — and all must be invisible: same event order, same
 // counts, same spans, fewer switches. The oracle is the kernel itself with
-// noShortcuts set, which sends every Sleep and every ParkThenSleep the
-// long way round. One seed makes one program and one verdict.
+// noShortcuts set, which sends every Sleep, every ParkThenSleep and every
+// idle pass the long way round. One seed makes one program and one
+// verdict.
 
 // TestEventSize pins the event at four words. The heap and the ring move
 // events by value; at 32 bytes the compiler does that with four inline
@@ -38,7 +40,10 @@ const (
 	scStop                  // d from now: set peer's cancel flag and wake it (StopProgressLoop's shape)
 	scResume                // clear the thread's own cancel flag
 	scAt                    // At(d, an event that logs)
-	scSend                  // a deferred operation whose effect arrives in lane `lane`, logs there and wakes its thread `peer`
+	scSend                  // a deferred operation whose effect arrives in lane `lane`, logs there and wakes its thread `peer` (and, d2 == 1, posts to that lane's poller)
+	scPost                  // post one item to the lane's poller and nudge it
+	scLock                  // hold the lane's poller lock for d
+	scPollWake              // Wake the lane's poller directly: its wake bit, unless it is parked
 	scOps
 )
 
@@ -54,12 +59,17 @@ type scProgram struct {
 	partitioned bool // false: every "lane" shares an unpartitioned kernel's one scheduler
 	lookahead   Time
 	scripts     [][][]scStep
+	// poll is, per lane, the wake-up sleep of the lane's poller, or -1 for
+	// none (a missing entry is none). A poller is spawned after the lane's
+	// threads and stopped by whichever of them finishes last.
+	poll []Time
 }
 
 // genProgram builds seed's program: 1–4 lanes of 1–3 threads running 4–16
-// steps each. Delays are tiny (0–4) and the lookahead is 1–5, so sleeps
-// routinely end exactly on a queued event's timestamp or on the window
-// bound — the two edges the shortcut rules are about.
+// steps each, and a poller on about half the lanes. Delays are tiny (0–4)
+// and the lookahead is 1–5, so sleeps routinely end exactly on a queued
+// event's timestamp or on the window bound — the two edges the shortcut
+// rules are about.
 func genProgram(seed uint64) scProgram {
 	rng := NewRNG(seed)
 	lanes := 1 + rng.Intn(4)
@@ -67,6 +77,13 @@ func genProgram(seed uint64) scProgram {
 		partitioned: lanes > 1 || rng.Intn(2) == 0,
 		lookahead:   Time(1 + rng.Intn(5)),
 		scripts:     make([][][]scStep, lanes),
+		poll:        make([]Time, lanes),
+	}
+	for i := range p.poll {
+		p.poll[i] = -1
+		if rng.Intn(2) == 0 {
+			p.poll[i] = Time(rng.Intn(4))
+		}
 	}
 	threads := make([]int, lanes)
 	for i := range threads {
@@ -118,6 +135,65 @@ type scResult struct {
 	switches uint64
 }
 
+// scPoller is a lane's poller: ProgressLoop's shape over a queue of
+// items, a lock and a one-thread subscription.
+type scPoller struct {
+	th         *Thread
+	cancel     bool
+	queue      int
+	subscribed bool
+	mu         Mutex
+	passes     *obs.Counter
+	log        func(step int)
+}
+
+// nudge wakes the poller if it subscribed.
+func (pl *scPoller) nudge(k *Kernel) {
+	if pl.subscribed {
+		pl.subscribed = false
+		k.Wake(pl.th)
+	}
+}
+
+// note is the pass's own work, made with the lock held: what a progress
+// thread's Advance of an empty queue and subscribe do.
+func (pl *scPoller) note() {
+	pl.log(0)
+	pl.passes.Add(1)
+	pl.subscribed = true
+}
+
+// body is the poller thread: SetIdlePass's loop.
+func (pl *scPoller) body(wake Time) func(*Thread) {
+	return func(th *Thread) {
+		for !pl.cancel {
+			pl.mu.Lock(th)
+			for pl.queue > 0 {
+				pl.queue--
+				th.Sleep(1)
+				pl.log(1)
+			}
+			pl.note()
+			pl.mu.Unlock(th)
+			if pl.cancel {
+				return
+			}
+			th.ParkThenSleep(wake, &pl.cancel)
+		}
+	}
+}
+
+// pass is the body's pass made by the lane, declining where the body would
+// sleep or block.
+func (pl *scPoller) pass(th *Thread) bool {
+	if pl.queue > 0 || !pl.mu.TryLock(th) {
+		return false
+	}
+	pl.note()
+	pl.mu.Unlock(th)
+	return true
+}
+
 // run executes the program on a fresh kernel.
 func (p *scProgram) run(t testing.TB, workers int, noShortcuts bool) scResult {
 	t.Helper()
@@ -133,18 +209,42 @@ func (p *scProgram) run(t testing.TB, workers int, noShortcuts bool) scResult {
 	res := scResult{logs: make([][]scEntry, lanes)}
 	threads := make([][]*Thread, lanes)
 	cancels := make([][]bool, lanes)
+	polls := make([]*scPoller, lanes)
+	post := func(i int) {
+		if pl := polls[i]; pl != nil {
+			pl.queue++
+			pl.nudge(k)
+		}
+	}
 	id := 0
 	for i := range p.scripts {
 		i, ln := i, k.LaneOf(i)
 		log := func(who, step int) {
 			res.logs[i] = append(res.logs[i], scEntry{who, step, ln.Now()})
 		}
+		if i < len(p.poll) && p.poll[i] >= 0 {
+			pid := -1000 - i
+			pl := &scPoller{passes: ln.Obs().Counter(fmt.Sprintf("poll/passes{lane=%d}", i))}
+			pl.log = func(step int) { log(pid, step) }
+			pl.mu.Instrument(ln.Obs(), "poll/lock", fmt.Sprintf("{lane=%d}", i))
+			polls[i] = pl
+		}
+		remaining := len(p.scripts[i])
 		threads[i] = make([]*Thread, len(p.scripts[i]))
 		cancels[i] = make([]bool, len(p.scripts[i]))
 		for j, script := range p.scripts[i] {
 			j, me := j, id
 			id++
 			threads[i][j] = k.SpawnOn(ln, fmt.Sprintf("t%d.%d", i, j), func(th *Thread) {
+				pl := polls[i]
+				defer func() {
+					// The last of the lane's threads stops its poller, as a
+					// rank's finalize stops its progress thread.
+					if remaining--; remaining == 0 && pl != nil {
+						pl.cancel = true
+						pl.nudge(k)
+					}
+				}()
 				for s, st := range script {
 					switch st.op {
 					case scSleep:
@@ -173,6 +273,9 @@ func (p *scProgram) run(t testing.TB, workers int, noShortcuts bool) scResult {
 						arrive := func() {
 							res.logs[dl] = append(res.logs[dl], scEntry{-1 - me, s, dst.Now()})
 							k.Wake(threads[dl][peer])
+							if st.d2 == 1 {
+								post(dl)
+							}
 						}
 						// The effect lands `delay` after issue: at least the
 						// lookahead away in another lane, at least 1 in this one.
@@ -189,10 +292,26 @@ func (p *scProgram) run(t testing.TB, workers int, noShortcuts bool) scResult {
 						} else {
 							ln.Defer(th.Now()+delay, apply)
 						}
+					case scPost:
+						post(i)
+					case scLock:
+						if pl != nil {
+							pl.mu.Lock(th)
+							th.Sleep(st.d)
+							pl.mu.Unlock(th)
+						}
+					case scPollWake:
+						if pl != nil {
+							k.Wake(pl.th)
+						}
 					}
 					log(me, s)
 				}
 			})
+		}
+		if pl := polls[i]; pl != nil {
+			pl.th = k.SpawnOn(ln, fmt.Sprintf("p%d", i), pl.body(p.poll[i]))
+			pl.th.SetIdlePass(pl.pass, p.poll[i], &pl.cancel)
 		}
 	}
 	if err := k.Run(); err != nil {
@@ -373,6 +492,42 @@ func TestLaneShortcutCases(t *testing.T) {
 				{{op: scStop, d: 2, peer: 0}},
 			}}},
 			with: 3, without: 3,
+		},
+		{
+			// The lane's one thread finishes, and so stops the poller, before
+			// the poller's start event fires: it ends without a coroutine.
+			name: "poller stopped before it ever ran",
+			p: scProgram{lookahead: 1, scripts: [][][]scStep{one(
+				scStep{op: scSleep})}, poll: []Time{2}},
+			with: 1, without: 2,
+		},
+		{
+			// The poller's first pass finds nothing and is the lane's; the
+			// post at 3 is its first work, so the pass after the wake-up
+			// declines and the body runs from the top to serve it.
+			name: "poller first has work mid-run",
+			p: scProgram{lookahead: 1, scripts: [][][]scStep{one(
+				scStep{op: scSleep, d: 3}, scStep{op: scPost}, scStep{op: scSleep, d: 5})}, poll: []Time{2}},
+			with: 5, without: 8,
+		},
+		{
+			// Woken before it ever ran, the poller has its wake bit set: its
+			// park would return at once, so the lane does not take the pass.
+			name: "poller with its wake bit set on entry",
+			p: scProgram{lookahead: 1, scripts: [][][]scStep{one(
+				scStep{op: scPollWake}, scStep{op: scSleep, d: 4})}, poll: []Time{2}},
+			with: 4, without: 5,
+		},
+		{
+			// The poller parks without a coroutine, then is woken while thread
+			// 0 holds its lock: the pass cannot take the lock, so the body runs
+			// and queues for it.
+			name: "poller with a contended lock",
+			p: scProgram{lookahead: 1, scripts: [][][]scStep{{
+				{{op: scSleep, d: 1}, {op: scLock, d: 4}},
+				{{op: scSleep, d: 2}, {op: scPollWake}},
+			}}, poll: []Time{0}},
+			with: 7, without: 8,
 		},
 	}
 	for _, c := range cases {

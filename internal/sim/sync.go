@@ -123,17 +123,27 @@ func (m *Mutex) Instrument(r *obs.Registry, name, labels string) {
 	m.holdHist = r.Histogram(name+".hold_ns"+labels, obs.DefaultLatencyBounds)
 }
 
+// TryLock acquires the mutex if it is free, counted and timed as Lock's
+// uncontended path, and reports whether it did. It never blocks.
+func (m *Mutex) TryLock(t *Thread) bool {
+	if m.owner != nil {
+		return false
+	}
+	m.Acquired++
+	m.owner = t
+	if m.waitHist != nil {
+		m.waitHist.Observe(0)
+		m.acquiredAt = t.Now()
+	}
+	return true
+}
+
 // Lock acquires the mutex, blocking in FIFO order.
 func (m *Mutex) Lock(t *Thread) {
-	m.Acquired++
-	if m.owner == nil {
-		m.owner = t
-		if m.waitHist != nil {
-			m.waitHist.Observe(0)
-			m.acquiredAt = t.Now()
-		}
+	if m.TryLock(t) {
 		return
 	}
+	m.Acquired++
 	m.Contended++
 	t0 := t.Now()
 	m.queue.Push(t)

@@ -2,13 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"iter"
 	"runtime/debug"
 
 	"repro/internal/obs"
 )
 
-type threadState int
+type threadState uint8
 
 const (
 	stateNew threadState = iota
@@ -49,7 +48,9 @@ func (s threadState) String() string {
 // direct switches on the calling OS thread — no run queue, no wake-up of
 // an idle P. The runtime refuses a coroutine switch when the two sides
 // disagree about runtime.LockOSThread, and nothing in this module calls
-// it; a simulated thread's body must not either.
+// it; a simulated thread's body must not either. The coroutine is made at
+// the thread's first switch-in, so a thread that never runs — or whose
+// lane runs its idle passes for it (SetIdlePass) — never has a stack.
 //
 // Threads live in their lane's slab (Lane.newThread) and are only ever
 // handled by pointer.
@@ -62,22 +63,28 @@ type Thread struct {
 	// reads unless a trace, a deadlock report or a panic asks.
 	name       string
 	prefixOnly bool
+	state      threadState
+	wakeBit    bool
+	track      obs.TrackKind
 	index      int // the spawner's index; -1 for a plainly named thread
 	fn         func(*Thread)
 
-	next    func() (struct{}, bool) // lane side: run the thread until it switches out or finishes
-	yield   func(struct{}) bool     // thread side: switch out; false once stop was called
-	stop    func()                  // lane side: unwind a blocked thread and free its coroutine
-	state   threadState
-	wakeBit bool
+	next  func() (struct{}, bool) // lane side: run the thread until it switches out or finishes; nil until first switch-in
+	yield func(struct{}) bool     // thread side: switch out; false once stop was called
+	stop  func()                  // lane side: unwind a blocked thread and free its coroutine
 	// A park the lane finishes (ParkThenSleep): when it began, the sleep to
 	// follow it, and the flag that calls the sleep off. parkCancel is
 	// non-nil exactly while such a park is pending.
 	parkStart  Time
 	parkSleep  Time
 	parkCancel *bool
+	// The idle pass (SetIdlePass): the lane runs idle in place of a
+	// switch-in while the thread has no coroutine, then parks it in
+	// ParkThenSleep(idleSleep, idleCancel).
+	idle       func(*Thread) bool
+	idleSleep  Time
+	idleCancel *bool
 	panicked   *ThreadPanic
-	track      obs.TrackKind
 }
 
 // Spawn creates a thread that begins executing fn at the current virtual
@@ -113,7 +120,6 @@ func (k *Kernel) spawnOn(ln *Lane, name string, index int, fn func(*Thread)) *Th
 	t := ln.newThread()
 	*t = Thread{k: k, ln: ln, name: name, prefixOnly: index >= 0, index: index, fn: fn}
 	ln.live++
-	t.next, t.stop = iter.Pull(t.run)
 	ln.scheduleThread(0, t)
 	// A spawn from outside any window (setup code, a coordinator event)
 	// may wake an idle lane; its horizon-tree leaf is stale until the
@@ -189,6 +195,37 @@ func (t *Thread) Lane() *Lane { return t.ln }
 // the thread first runs; the ARMCI runtime uses TrackRank for main
 // threads and TrackProgress for asynchronous progress threads.
 func (t *Thread) SetObsTrack(kind obs.TrackKind) { t.track = kind }
+
+// SetIdlePass lets the lane serve a polling thread without switching into
+// it while it has nothing to do. The thread's body must be the loop
+//
+//	for !*cancel {
+//		pass's work, blocking where pass would decline
+//		if *cancel {
+//			return
+//		}
+//		th.ParkThenSleep(d, cancel)
+//	}
+//
+// and pass must be that work done from the lane: it either does all of it
+// without blocking, sleeping or waking the thread, and returns true, or
+// does nothing and returns false. Until the thread first has a coroutine,
+// each time the lane would switch in it ends the thread if *cancel holds,
+// else runs pass and, when pass ran, parks the thread in ParkThenSleep(d,
+// cancel) itself. Only a declined pass makes the coroutine, and the body
+// starts from the top, where the thread would have been anyway. Event
+// order and counts, spans and the pass's own side effects are those of
+// the switched-in thread; only Kernel.Switches falls. The spawner sets it
+// before the thread first runs, like SetObsTrack.
+func (t *Thread) SetIdlePass(pass func(*Thread) bool, d Time, cancel *bool) {
+	if t.next != nil {
+		panic("sim: SetIdlePass on a thread that has run")
+	}
+	if d < 0 {
+		panic("sim: negative sleep")
+	}
+	t.idle, t.idleSleep, t.idleCancel = pass, d, cancel
+}
 
 // ObsTrack returns the thread's trace track kind.
 func (t *Thread) ObsTrack() obs.TrackKind { return t.track }

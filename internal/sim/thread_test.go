@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,9 +24,21 @@ func settledGoroutines(base int) int {
 	}
 }
 
+// idlePollers spawns n polling threads whose lane makes every pass for
+// them (SetIdlePass), so they park without ever having a coroutine; the
+// body fails the test if it is ever switched in. Nothing stops them.
+func idlePollers(t *testing.T, k *Kernel, n int) {
+	var never bool
+	for i := 0; i < n; i++ {
+		th := k.SpawnIndexed(&k.Lane, "async", i, func(*Thread) { t.Error("an idle poller was switched in") })
+		th.SetIdlePass(func(*Thread) bool { return true }, 5, &never)
+	}
+}
+
 // TestFailedRunReleasesThreads: a run that ends in an error must not
-// leave its unfinished threads' goroutines behind — parked, sleeping
-// and never-started ones alike — and must run their deferred calls.
+// leave its unfinished threads' goroutines behind — parked, sleeping,
+// never-started and coroutine-less ones alike — and must run their
+// deferred calls.
 func TestFailedRunReleasesThreads(t *testing.T) {
 	t.Run("deadlock", func(t *testing.T) {
 		base := runtime.NumGoroutine()
@@ -38,10 +51,14 @@ func TestFailedRunReleasesThreads(t *testing.T) {
 				th.Park()
 			})
 		}
+		idlePollers(t, k, 4)
 		err := k.Run()
 		de, ok := err.(*DeadlockError)
-		if !ok || len(de.Blocked) != 64 {
-			t.Fatalf("want a 64-thread DeadlockError, got %v", err)
+		if !ok || len(de.Blocked) != 68 {
+			t.Fatalf("want a 68-thread DeadlockError, got %v", err)
+		}
+		if !slices.Contains(de.Blocked, "async-0003(parked)") {
+			t.Errorf("the report does not name the lazily parked poller: %v", de.Blocked)
 		}
 		if unwound != 64 {
 			t.Errorf("%d of 64 blocked threads unwound", unwound)
@@ -60,6 +77,7 @@ func TestFailedRunReleasesThreads(t *testing.T) {
 			k.Spawn(fmt.Sprintf("sleeper%d", i), func(th *Thread) { th.Sleep(1000) })
 			k.Spawn(fmt.Sprintf("parker%d", i), func(th *Thread) { th.Park() })
 		}
+		idlePollers(t, k, 4)
 		k.Spawn("boom", func(th *Thread) {
 			th.Sleep(5)
 			// Spawned and scheduled, but the run fails before it starts.
