@@ -4,10 +4,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/armci"
 	"repro/internal/bench"
+	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // chaosGolden pins the observable outputs of a fixed-seed chaos run:
@@ -89,5 +93,85 @@ func TestChaosRepeatable(t *testing.T) {
 	bench.Chaos(bg, plan(0, 0), []int{8}, 5, 9).Render(&b)
 	if a.String() != b.String() {
 		t.Fatalf("chaos grid bytes diverge:\n%s\nvs\n%s", a.String(), b.String())
+	}
+}
+
+// TestChaosCountsAreTheFields: on a traced chaos run each exported counter
+// is the field its layer counts in, read by the registry — one count, not
+// a copy kept beside it.
+func TestChaosCountsAreTheFields(t *testing.T) {
+	const procs, opsEach = 16, 10
+	reg := obs.New(obs.WithTrackCap(256))
+	cfg := armci.Config{Procs: procs, ProcsPerNode: 4, AsyncThread: true, Seed: 42,
+		Fault: bench.ChaosPlan(42), Obs: reg}
+	w, err := armci.Run(cfg, func(th *sim.Thread, rt *armci.Runtime) {
+		a := rt.Malloc(th, 16+procs*64)
+		if rt.Rank == 0 {
+			rt.Barrier(th)
+			return
+		}
+		local := rt.LocalAlloc(th, 64)
+		slot := a.At(0).Add(16 + rt.Rank*64)
+		if d := bench.FaultEpoch - th.Now(); d > 0 {
+			th.Sleep(d) // align the op stream to the plan's fault windows
+		}
+		for i := 0; i < opsEach; i++ {
+			rt.FetchAddErr(th, a.At(0), 1)
+			rt.PutErr(th, local, slot, 64)
+			rt.GetErr(th, slot, local, 64)
+			rt.AccErr(th, local, a.At(0).Add(8), 8, 1.0)
+			th.Sleep(100 * sim.Microsecond)
+		}
+		rt.Barrier(th)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	// Each family's samples summed, labels dropped.
+	sums := map[string]int64{}
+	for _, line := range strings.Split(text.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		v, err := strconv.ParseInt(line[i+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		name, _, _ := strings.Cut(line[:i], "{")
+		sums[name] += v
+	}
+
+	tot := w.M.Net.Totals()
+	var advances uint64
+	for i := range w.Runtimes {
+		for j := range w.Runtimes[i].C.Contexts {
+			advances += w.Runtimes[i].C.Contexts[j].Advances
+		}
+	}
+	agg := w.AggregateStats()
+	if w.Faults.Dropped == 0 || w.Faults.Duplicated == 0 || agg.Get("retry") == 0 {
+		t.Fatalf("dropped %d, duplicated %d, retried %d: the run must exercise every fault count",
+			w.Faults.Dropped, w.Faults.Duplicated, agg.Get("retry"))
+	}
+	for _, c := range []struct {
+		family string
+		field  int64
+	}{
+		{"sim_events", int64(w.K.EventsFired())},
+		{"network_messages", int64(tot.Messages)},
+		{"network_hops", int64(tot.Hops)},
+		{"fault_msg_dropped", int64(w.Faults.Dropped)},
+		{"fault_msg_duplicated", int64(w.Faults.Duplicated)},
+		{"pami_ctx_advances", int64(advances)},
+		{"armci_retry", agg.Get("retry")},
+	} {
+		if sums[c.family] != c.field {
+			t.Errorf("%s = %d, its field holds %d", c.family, sums[c.family], c.field)
+		}
 	}
 }

@@ -143,7 +143,9 @@ var fuzzFamilies = []struct{ raw, prom, kind string }{
 // FuzzParseExposition: parseExposition reads untrusted bytes (a file, any
 // URL), so arbitrary input must parse or fail, never panic. The same input
 // also drives a registry — four bytes per sample plus up to seven label
-// bytes — whose WritePrometheus text must parse back to what was recorded:
+// bytes; a share of the counters are fields read through Registry.Attach,
+// the rest Add — whose WritePrometheus text must parse back to what was
+// recorded:
 // every series by its label value, and per family the counter sum, the
 // gauge max, the histogram count and sum.
 func FuzzParseExposition(f *testing.F) {
@@ -151,6 +153,7 @@ func FuzzParseExposition(f *testing.F) {
 	f.Add([]byte("# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 9\nh_count 2\nx{a=\"\\\"\",} 1.5 17\n"))
 	f.Add([]byte{0, 0x83, 5, 0, 'a', ',', '"', 2, 0xc1, 0xff, 0xff, 4, 0x81, 7, 0, 0xff})
 	f.Add([]byte{3, 0x81, 5, 0, 'a', 3, 0xc1, 9, 0, 'b', 3, 0, 0xfd, 0xff, 1, 0, 2, 0})
+	f.Add([]byte{0, 0xc2, 9, 0, 'x', 'y', 1, 0x40, 3, 1, 0, 0x42, 7, 0, 'x', 'y'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parseExposition(data) // an error or a parse; never a panic
 
@@ -171,7 +174,13 @@ func FuzzParseExposition(f *testing.F) {
 			}
 			switch fam.kind {
 			case "counter":
-				reg.Counter(raw).Add(v)
+				if data[1]&0x40 != 0 {
+					p := new(uint64)
+					*p = uint64(binary.LittleEndian.Uint16(data[2:4]))
+					reg.Attach(raw, p)
+				} else {
+					reg.Counter(raw).Add(v)
+				}
 			case "gauge":
 				if data[1]&0x40 != 0 {
 					reg.Gauge(raw).SetMax(v)

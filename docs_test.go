@@ -94,8 +94,8 @@ func TestDocsNameRealThings(t *testing.T) {
 // doc shrinks; raising one means editing it here beside a one-line reason.
 var docCeilings = map[string]int64{
 	"README.md":      14403, // its size once the claims table replaced the headline numbers
-	"DESIGN.md":      92772, // its size once the idle-pass rule paid for itself in history cut
-	"EXPERIMENTS.md": 87030, // its size once the idle-pass A/B replaced older per-run lists
+	"DESIGN.md":      92460, // its size once attached counters paid for themselves in history cut
+	"EXPERIMENTS.md": 85263, // its size once a per-run list became a pointer to history
 }
 
 func TestDocsByteBudget(t *testing.T) {

@@ -38,8 +38,8 @@ func TestIntegrationAllToAllPuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := w.AggregateStats()
-	if agg["put.rdma"] != procs*procs {
-		t.Fatalf("put.rdma = %d, want %d", agg["put.rdma"], procs*procs)
+	if agg.Get("put.rdma") != procs*procs {
+		t.Fatalf("put.rdma = %d, want %d", agg.Get("put.rdma"), procs*procs)
 	}
 }
 

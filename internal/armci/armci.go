@@ -17,7 +17,6 @@ package armci
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/fault"
@@ -283,38 +282,17 @@ func MustRun(cfg Config, body func(th *sim.Thread, rt *Runtime)) *World {
 }
 
 // AggregateStats sums every rank's protocol counters; experiment
-// harnesses report these next to the timing results. Map iteration order
-// is randomized by the runtime — any harness printing these must go
-// through AggregateStatsSorted (or sort the keys itself) or its text
-// output will differ between identical runs.
-func (w *World) AggregateStats() map[string]int64 {
-	total := make(map[string]int64)
+// harnesses report these next to the timing results.
+func (w *World) AggregateStats() Stats {
+	var total Stats
 	for i := range w.Runtimes {
 		// A rank that never came up (the run failed first) has counted
 		// nothing.
-		for k, v := range w.Runtimes[i].Stats.Snapshot() {
-			total[k] += v
+		for st, v := range w.Runtimes[i].Stats {
+			total[st] += v
 		}
 	}
 	return total
-}
-
-// Stat is one aggregated counter.
-type Stat struct {
-	Name  string
-	Value int64
-}
-
-// AggregateStatsSorted returns the aggregate counters in ascending name
-// order — the deterministic form for any text output.
-func (w *World) AggregateStatsSorted() []Stat {
-	agg := w.AggregateStats()
-	out := make([]Stat, 0, len(agg))
-	for k, v := range agg {
-		out = append(out, Stat{Name: k, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // rankState is per-target bookkeeping for fences.
@@ -380,7 +358,7 @@ type Runtime struct {
 	// Stats exposes protocol counters: get.rdma, get.fallback, put.rdma,
 	// put.am, acc, rmw, fence, conflict.avoided, regioncache.{hit,miss,
 	// evict}, strided.{chunks,typed}, ...
-	Stats sim.Counters
+	Stats Stats
 
 	main     *sim.Thread // the rank's main thread; its name is the trace track id
 	progress *sim.Thread
@@ -506,7 +484,7 @@ func (rt *Runtime) endpoint(th *sim.Thread, c *epCache, rank, ctx int) pami.Endp
 	if !ok {
 		ep = rt.C.CreateEndpoint(th, rank, ctx)
 		c.put(ep)
-		rt.Stats.Inc("ep.created", 1)
+		rt.Stats[statEpCreated]++
 	}
 	return ep
 }

@@ -626,7 +626,8 @@ func TestAsyncThreadBeatsDefaultUnderCompute(t *testing.T) {
 	// fetch-and-add latency. The async thread must win by a wide margin.
 	measure := func(async bool) float64 {
 		cfg := Config{Procs: 2, ProcsPerNode: 2, AsyncThread: async}
-		lat := sim.NewSeries(false)
+		var sumUS float64
+		n := 0
 		_, err := Run(cfg, func(th *sim.Thread, rt *Runtime) {
 			a := rt.Malloc(th, 8)
 			switch rt.Rank {
@@ -641,14 +642,15 @@ func TestAsyncThreadBeatsDefaultUnderCompute(t *testing.T) {
 				for i := 0; i < 25; i++ {
 					t0 := th.Now()
 					rt.FetchAdd(th, a.At(0), 1)
-					lat.AddTime(th.Now() - t0)
+					sumUS += sim.ToMicros(th.Now() - t0)
+					n++
 				}
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return lat.Mean()
+		return sumUS / float64(n)
 	}
 	d := measure(false)
 	at := measure(true)

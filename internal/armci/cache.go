@@ -361,15 +361,15 @@ func (rc *regionCache) Len() int { return rc.total }
 // metadata.
 func (rt *Runtime) remoteRegionFor(th *sim.Thread, rank int, addr mem.Addr, n int) (ok bool) {
 	if rt.regions.lookup(rank, addr, n) {
-		rt.Stats.Inc("regioncache.hit", 1)
+		rt.Stats[statRegionHit]++
 		return true
 	}
-	rt.Stats.Inc("regioncache.miss", 1)
+	rt.Stats[statRegionMiss]++
 	id, p := rt.newPend()
 	hdr := []int64{id, int64(addr), int64(n)}
 	for try := 0; try < 2 && !p.done; try++ {
 		if try > 0 {
-			rt.Stats.Inc("retry", 1)
+			rt.Stats[statRetry]++
 		}
 		rt.mainCtx.SendAM(th, rt.epSvc(th, rank), dRegionQ, hdr, nil)
 		deadline := pami.NoDeadline // a healthy run loses no message: the first wait ends the loop
@@ -377,18 +377,18 @@ func (rt *Runtime) remoteRegionFor(th *sim.Thread, rank int, addr mem.Addr, n in
 			deadline = th.Now() + rt.retry.Timeout
 		}
 		if !rt.mainCtx.WaitCondUntil(th, func() bool { return p.done }, deadline) {
-			rt.Stats.Inc("timeout", 1)
+			rt.Stats[statTimeout]++
 		}
 	}
 	q, _ := rt.dropPend(id)
 	if !q.found { // no covering registration, or no answer
-		rt.Stats.Inc("regioncache.unresolved", 1)
+		rt.Stats[statRegionUnresolved]++
 		return false
 	}
 	before := rt.regions.Evicted
 	rt.regions.insert(rank, q.base, q.size)
 	if rt.regions.Evicted != before {
-		rt.Stats.Inc("regioncache.evict", int64(rt.regions.Evicted-before))
+		rt.Stats[statRegionEvict] += int64(rt.regions.Evicted - before)
 	}
 	return true
 }

@@ -131,7 +131,7 @@ func (rt *Runtime) MallocErr(th *sim.Thread, bytes int) (*Allocation, error) {
 	// The exchange is never reused, so nothing needs protecting; the second
 	// traversal stays as part of the collective's modelled cost.
 	rt.Barrier(th)
-	rt.Stats.Inc("malloc", 1)
+	rt.Stats[statMalloc]++
 	return a, nil
 }
 

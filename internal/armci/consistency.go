@@ -93,10 +93,10 @@ func (c *consistency) read(th *sim.Thread, rank, key int) {
 		}
 	}
 	if conflict {
-		c.rt.Stats.Inc("conflict.fence", 1)
+		c.rt.Stats[statConflictFence]++
 		c.rt.Fence(th, rank)
 	} else if naiveWould {
-		c.rt.Stats.Inc("conflict.avoided", 1)
+		c.rt.Stats[statConflictAvoided]++
 	}
 	c.status(key)[rank] |= csRead
 }
@@ -142,7 +142,7 @@ func (rt *Runtime) Fence(th *sim.Thread, rank int) {
 			panic(fmt.Sprintf("armci: fence flush to rank %d exhausted retries: %v", rank, err))
 		}
 		rt.noteWrites(rank, -n, 0)
-		rt.Stats.Inc("fence.flush", 1)
+		rt.Stats[statFenceFlush]++
 	}
 	if rt.dirty[rank].unackedAMs > 0 {
 		deadline := pami.NoDeadline
@@ -154,10 +154,10 @@ func (rt *Runtime) Fence(th *sim.Thread, rank int) {
 				"non-blocking writes are not fault-hardened — use the blocking *Err forms on chaos runs",
 				rank, rt.dirty[rank].unackedAMs))
 		}
-		rt.Stats.Inc("fence.ack", 1)
+		rt.Stats[statFenceAck]++
 	}
 	rt.cons.clearRank(rank)
-	rt.Stats.Inc("fence", 1)
+	rt.Stats[statFence]++
 	rt.tr("fence", "fence", int64(rank))
 }
 
@@ -179,5 +179,5 @@ func (rt *Runtime) AllFence(th *sim.Thread) {
 		}
 	}
 	rt.cons.clearAll()
-	rt.Stats.Inc("allfence", 1)
+	rt.Stats[statAllFence]++
 }

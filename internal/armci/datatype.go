@@ -145,7 +145,7 @@ func (rt *Runtime) issuePut(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 		if !x.e2e {
 			rt.noteWrites(dst.Rank, 1, 0)
 		}
-		rt.Stats.Inc("put.rdma", 1)
+		rt.Stats[statPutRdma]++
 		rt.tr("rdma", "put.rdma", int64(n))
 		return
 	}
@@ -156,7 +156,7 @@ func (rt *Runtime) issuePut(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 		}
 	}
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutReq, []int64{x.id, int64(dst.Addr)}, x.data)
-	rt.Stats.Inc("put.am", 1)
+	rt.Stats[statPutAM]++
 	rt.tr("am", "put.am", int64(n))
 }
 
@@ -199,7 +199,7 @@ func (rt *Runtime) PutErr(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) 
 func (rt *Runtime) issueGet(th *sim.Thread, x *xfer, src GlobalPtr, local mem.Addr, n int) {
 	if x.rdma = rt.rdmaReady(th, local, n, src.Rank, src.Addr, n); x.rdma {
 		rt.mainCtx.RdmaGet(th, rt.epData(th, src.Rank), local, src.Addr, n, x.comp)
-		rt.Stats.Inc("get.rdma", 1)
+		rt.Stats[statGetRdma]++
 		rt.tr("rdma", "get.rdma", int64(n))
 		return
 	}
@@ -210,7 +210,7 @@ func (rt *Runtime) issueGet(th *sim.Thread, x *xfer, src GlobalPtr, local mem.Ad
 		p.localAddr = local
 	}
 	rt.mainCtx.SendAM(th, rt.epSvc(th, src.Rank), dGetReq, []int64{x.id, int64(src.Addr), int64(n)}, nil)
-	rt.Stats.Inc("get.fallback", 1)
+	rt.Stats[statGetFallback]++
 	rt.tr("am", "get.fallback", int64(n))
 }
 
@@ -258,7 +258,7 @@ func (rt *Runtime) issueAcc(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 	}
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dAccReq,
 		[]int64{x.id, int64(dst.Addr), int64(math.Float64bits(scale))}, x.data)
-	rt.Stats.Inc("acc", 1)
+	rt.Stats[statAcc]++
 	rt.tr("am", "acc", int64(n))
 }
 

@@ -84,7 +84,7 @@ func TestShardHandlersServeTheAddressedRank(t *testing.T) {
 			st := &w.Runtimes[i].Stats
 			if st.Get("get.fallback") != 3 || st.Get("put.am") != 3 || st.Get("rmw") != 3 {
 				t.Errorf("shards %d: rank %d counted %v, want 3 each of get.fallback, put.am, rmw",
-					shards, i, st.Snapshot())
+					shards, i, *st)
 			}
 		}
 		if shards == 1 {

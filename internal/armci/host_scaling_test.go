@@ -87,9 +87,10 @@ func TestAllFenceVisitsDirtyTargetsOnly(t *testing.T) {
 // TestIdleWorldObjectsPerRank bounds the heap objects one more rank of an
 // asynchronous-progress world costs — two simulated threads, a PAMI
 // client with two contexts, the ARMCI runtime and its share of one
-// Malloc: 22.6 measured (36.4 while the progress thread, which never has
-// work here, was a coroutine too; 88.5 before bring-up stopped allocating
-// what every rank shares; the bound is the measurement plus 5 %). The
+// Malloc: 21.6 measured (22.6 while its protocol counters were a bag with
+// a slice of its own; 36.4 while the progress thread, which never has work
+// here, was a coroutine too; 88.5 before bring-up stopped allocating what
+// every rank shares; the bound is the measurement plus 5 %). The
 // budget, per rank, from a rate-1 heap profile:
 //
 //	11.4  the main thread's coroutine: iter.Pull 6, its yield 1, the
@@ -101,7 +102,8 @@ func TestAllFenceVisitsDirtyTargetsOnly(t *testing.T) {
 //	 5.0  the Malloc'd block: heap array 1, allocation table 2, region
 //	      registration 2 (pami.RegisterMemory)
 //	 2.0  ARMCI's view of it: rt.allocs 1, the region cache's seed block 1
-//	 2.0  the runtime's release event func 1, its first counter 1
+//	 1.0  the runtime's release event func; its protocol counters are
+//	      a fixed array in the Runtime
 //	 1.3  amortised lane arrays: thread chunks, event heap, deferred log
 //
 // Not one of them is the Runtime, the Client, a Context, a Space, a
@@ -114,7 +116,7 @@ func TestIdleWorldObjectsPerRank(t *testing.T) {
 	_, big := idleWorldAllocs(t, 1024)
 	perRank := float64(big-small) / 512
 	t.Logf("idle world: %d objects at p=512, %d at p=1024: %.1f per added rank", small, big, perRank)
-	if perRank > 23.8 {
-		t.Fatalf("idle world: %.1f objects per added rank, want <= 23.8", perRank)
+	if perRank > 22.7 {
+		t.Fatalf("idle world: %.1f objects per added rank, want <= 22.7", perRank)
 	}
 }

@@ -63,7 +63,7 @@ func (rt *Runtime) Lock(th *sim.Thread, idx int) {
 	rt.mainCtx.SendAM(th, rt.epSvc(th, rt.muOwner(idx)), dLockReq,
 		[]int64{id, int64(idx)}, nil)
 	rt.mainCtx.WaitLocal(th, comp)
-	rt.Stats.Inc("mutex.lock", 1)
+	rt.Stats[statMutexLock]++
 }
 
 // Unlock releases global mutex idx; the owner grants it to the oldest
@@ -71,7 +71,7 @@ func (rt *Runtime) Lock(th *sim.Thread, idx int) {
 func (rt *Runtime) Unlock(th *sim.Thread, idx int) {
 	rt.mainCtx.SendAM(th, rt.epSvc(th, rt.muOwner(idx)), dUnlockReq,
 		[]int64{int64(idx)}, nil)
-	rt.Stats.Inc("mutex.unlock", 1)
+	rt.Stats[statMutexUnlock]++
 }
 
 func (rt *Runtime) handleLockReq(th *sim.Thread, x *pami.Context, msg *pami.AMessage) {

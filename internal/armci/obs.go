@@ -39,6 +39,66 @@ func sizeClass(n int) int {
 
 var sizeClassNames = [...]string{"le256", "le4K", "le64K", "gt64K"}
 
+// stat enumerates a runtime's protocol counters.
+type stat int
+
+const (
+	statAcc stat = iota
+	statAccStrided
+	statAllFence
+	statConflictAvoided
+	statConflictFence
+	statDupAM
+	statEpCreated
+	statFence
+	statFenceAck
+	statFenceFlush
+	statGetFallback
+	statGetRdma
+	statMalloc
+	statMutexLock
+	statMutexUnlock
+	statPutAM
+	statPutRdma
+	statRdmaSuspect
+	statRecovered
+	statRegionEvict
+	statRegionHit
+	statRegionMiss
+	statRegionUnresolved
+	statRetry
+	statRetryExhausted
+	statRmw
+	statStridedChunks
+	statStridedTyped
+	statTimeout
+	statVector
+	numStats
+)
+
+var statNames = [numStats]string{"acc", "acc.strided", "allfence", "conflict.avoided",
+	"conflict.fence", "dup.am", "ep.created", "fence", "fence.ack", "fence.flush",
+	"get.fallback", "get.rdma", "malloc", "mutex.lock", "mutex.unlock", "put.am",
+	"put.rdma", "rdma.suspect", "recovered", "regioncache.evict", "regioncache.hit",
+	"regioncache.miss", "regioncache.unresolved", "retry", "retry.exhausted", "rmw",
+	"strided.chunks", "strided.typed", "timeout", "vector"}
+
+// Stats is one rank's protocol counters, indexed by stat. Every increment
+// is positive, so a counter is nonzero exactly when some operation counted
+// into it.
+type Stats [numStats]int64
+
+// Get returns the counter named name ("get.rdma", "fence", ...), 0 for a
+// name that is none of them.
+func (s Stats) Get(name string) int64 {
+	for st, n := range statNames {
+		if n == name {
+			return s[st]
+		}
+	}
+	return 0
+}
+
 // opObs caches the registry handles for blocking-operation counts and
 // latency. The handles are global (registry-deduplicated), so every
 // runtime shares them; only handle creation pays for name formatting.
@@ -72,16 +132,18 @@ func (rt *Runtime) obsOp(op opKind, n int, d sim.Time) {
 	o.lat[op].Observe(d)
 }
 
-// publishStats exports this rank's ad-hoc protocol counters (the Stats
-// bag, the region cache, and the PAMI context counters it fronts) into
-// the registry so cmd/obs-report sees them; called once at finalize, so
-// the hot path pays nothing.
+// publishStats exports this rank's protocol counters (the nonzero Stats,
+// the region cache, and the PAMI context lock counts it fronts) into the
+// registry so cmd/obs-report sees them; called once at finalize, so the
+// hot path pays nothing.
 func (rt *Runtime) publishStats(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	for name, v := range rt.Stats.Snapshot() {
-		r.Counter(fmt.Sprintf("armci/%s{rank=%d}", name, rt.Rank)).Add(v)
+	for st, v := range rt.Stats {
+		if v != 0 {
+			r.Counter(fmt.Sprintf("armci/%s{rank=%d}", statNames[st], rt.Rank)).Add(v)
+		}
 	}
 	r.Counter(fmt.Sprintf("armci/regioncache.entries{rank=%d}", rt.Rank)).Add(int64(rt.regions.Len()))
 	for i := range rt.C.Contexts {

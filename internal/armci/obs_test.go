@@ -106,3 +106,25 @@ func TestRunWithoutRegistryStillWorks(t *testing.T) {
 		rt.FetchAdd(th, a.At(1), 1)
 	})
 }
+
+// TestStatNames: the protocol counters' names are distinct, and Get finds
+// each counter by its name and nothing under any other.
+func TestStatNames(t *testing.T) {
+	var s Stats
+	seen := map[string]bool{}
+	for st, name := range statNames {
+		if seen[name] {
+			t.Fatalf("%q names two counters", name)
+		}
+		seen[name] = true
+		s[st] = int64(st + 1)
+	}
+	for st, name := range statNames {
+		if got := s.Get(name); got != int64(st+1) {
+			t.Errorf("Get(%q) = %d, want %d", name, got, st+1)
+		}
+	}
+	if got := s.Get("no.such.counter"); got != 0 {
+		t.Errorf("Get of an unknown name = %d, want 0", got)
+	}
+}

@@ -53,7 +53,7 @@ func (rt *Runtime) amSeen(src int, id int64) bool {
 	}
 	key := amKey{src: src, id: id}
 	if rt.applied[key] {
-		rt.Stats.Inc("dup.am", 1)
+		rt.Stats[statDupAM]++
 		return true
 	}
 	if rt.applied == nil {

@@ -218,11 +218,11 @@ func TestAggregateStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := w.AggregateStats()
-	if agg["rmw"] != 3 {
-		t.Fatalf("aggregate rmw = %d, want 3", agg["rmw"])
+	if agg.Get("rmw") != 3 {
+		t.Fatalf("aggregate rmw = %d, want 3", agg.Get("rmw"))
 	}
-	if agg["malloc"] != 3 {
-		t.Fatalf("aggregate malloc = %d, want 3", agg["malloc"])
+	if agg.Get("malloc") != 3 {
+		t.Fatalf("aggregate malloc = %d, want 3", agg.Get("malloc"))
 	}
 }
 

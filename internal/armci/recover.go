@@ -111,7 +111,7 @@ func (rt *Runtime) markSuspect(rank int) {
 	}
 	rt.suspectUntil[rank] = rt.C.Ln.Now() + rt.retry.SuspectWindow
 	rt.regions.purgeRank(rank)
-	rt.Stats.Inc("rdma.suspect", 1)
+	rt.Stats[statRdmaSuspect]++
 	rt.tr("fault", "rdma.suspect", int64(rank))
 }
 
@@ -149,7 +149,7 @@ func (rt *Runtime) attempt(th *sim.Thread, op string, target, payload int,
 				rt.noteRecovered(th, firstLoss)
 				return nil
 			}
-			rt.Stats.Inc("retry", 1)
+			rt.Stats[statRetry]++
 			rt.tr("fault", op+".retry", int64(target))
 		}
 		send()
@@ -163,19 +163,19 @@ func (rt *Runtime) attempt(th *sim.Thread, op string, target, payload int,
 		if firstLoss < 0 {
 			firstLoss = th.Now()
 		}
-		rt.Stats.Inc("timeout", 1)
+		rt.Stats[statTimeout]++
 		rt.tr("fault", op+".timeout", int64(target))
 		if onTimeout != nil {
 			onTimeout()
 		}
 	}
-	rt.Stats.Inc("retry.exhausted", 1)
+	rt.Stats[statRetryExhausted]++
 	return &OpError{Op: op, Target: target, Attempts: pol.MaxAttempts, Elapsed: th.Now() - start}
 }
 
 // noteRecovered records a successful recovery and its latency (first
 // missed deadline to eventual completion).
 func (rt *Runtime) noteRecovered(th *sim.Thread, firstLoss sim.Time) {
-	rt.Stats.Inc("recovered", 1)
+	rt.Stats[statRecovered]++
 	rt.hRecovery.Observe(th.Now() - firstLoss)
 }

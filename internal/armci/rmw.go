@@ -27,7 +27,7 @@ func (rt *Runtime) rmw(th *sim.Thread, dst GlobalPtr, op pami.RmwOp, operand, co
 	if err != nil {
 		return 0, err
 	}
-	rt.Stats.Inc("rmw", 1)
+	rt.Stats[statRmw]++
 	rt.tr("am", "rmw", int64(dst.Rank))
 	rt.obsOp(opRmw, 8, th.Now()-t0)
 	return prev, nil

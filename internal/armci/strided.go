@@ -198,7 +198,7 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 		})
 		set.Arm()
 		rt.noteWrites(dst.Rank, 1, 0)
-		rt.Stats.Inc("strided.chunks", int64(numChunks(counts)))
+		rt.Stats[statStridedChunks] += int64(numChunks(counts))
 		return h
 	}
 
@@ -212,7 +212,7 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 	var hdr [stridedHdrMax]int64
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutSReq,
 		stridedHdr(&hdr, id, dst.Addr, 0, dstStrides, counts), data)
-	rt.Stats.Inc("strided.typed", 1)
+	rt.Stats[statStridedTyped]++
 	h.comp.Finish() // locally complete at issue: the AM owns the packed copy
 	return h
 }
@@ -246,7 +246,7 @@ func (rt *Runtime) NbGetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
 				src.Addr+mem.Addr(rOff), counts[0])
 		})
 		set.Arm()
-		rt.Stats.Inc("strided.chunks", int64(numChunks(counts)))
+		rt.Stats[statStridedChunks] += int64(numChunks(counts))
 		return h
 	}
 
@@ -259,7 +259,7 @@ func (rt *Runtime) NbGetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
 	var hdr [stridedHdrMax]int64
 	rt.mainCtx.SendAM(th, rt.epSvc(th, src.Rank), dGetSReq,
 		stridedHdr(&hdr, id, src.Addr, 0, srcStrides, counts), nil)
-	rt.Stats.Inc("strided.typed", 1)
+	rt.Stats[statStridedTyped]++
 	return h
 }
 
@@ -294,7 +294,7 @@ func (rt *Runtime) NbAccS(th *sim.Thread, local mem.Addr, localStrides []int,
 	var hdr [stridedHdrMax]int64
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dAccSReq,
 		stridedHdr(&hdr, id, dst.Addr, int64(math.Float64bits(scale)), dstStrides, counts), data)
-	rt.Stats.Inc("acc.strided", 1)
+	rt.Stats[statAccStrided]++
 	return h
 }
 
@@ -374,7 +374,7 @@ func (rt *Runtime) NbPutV(th *sim.Thread, rank int, segs []VecSeg) *Handle {
 		h := rt.NbPut(th, s.Local, GlobalPtr{Rank: rank, Addr: s.Remote}, s.N)
 		comps = append(comps, h.comps...)
 	}
-	rt.Stats.Inc("vector", 1)
+	rt.Stats[statVector]++
 	return &Handle{rt: rt, comps: comps}
 }
 
@@ -385,6 +385,6 @@ func (rt *Runtime) NbGetV(th *sim.Thread, rank int, segs []VecSeg) *Handle {
 		h := rt.NbGet(th, GlobalPtr{Rank: rank, Addr: s.Remote}, s.Local, s.N)
 		comps = append(comps, h.comps...)
 	}
-	rt.Stats.Inc("vector", 1)
+	rt.Stats[statVector]++
 	return &Handle{rt: rt, comps: comps}
 }

@@ -29,11 +29,7 @@ func AblationContexts(ctx context.Context, eng *sweep.Engine, opsEach int) *Grid
 	g := &Grid{Title: "Ablation (SIII.D): async thread with 1 vs 2 PAMI contexts",
 		Header: []string{"contexts", "main_get_us", "lock_contended"}}
 	ctxCounts := []int{1, 2}
-	type point struct {
-		meanUS    float64
-		contended uint64
-	}
-	pts := sweep.MapCtx(eng, ctx, len(ctxCounts), func(c *sweep.Ctx, i int) point {
+	pts := sweep.MapCtx(eng, ctx, len(ctxCounts), func(c *sweep.Ctx, i int) contextsPoint {
 		return ablationContextsPoint(c, ctxCounts[i], opsEach)
 	})
 	for i, nCtx := range ctxCounts {
@@ -43,14 +39,18 @@ func AblationContexts(ctx context.Context, eng *sweep.Engine, opsEach int) *Grid
 	return g
 }
 
-func ablationContextsPoint(c *sweep.Ctx, nCtx, opsEach int) (pt struct {
+// contextsPoint is one AblationContexts run: rank 0's mean blocking-get
+// latency and its contexts' contended lock acquisitions.
+type contextsPoint struct {
 	meanUS    float64
 	contended uint64
-}) {
+}
+
+func ablationContextsPoint(c *sweep.Ctx, nCtx, opsEach int) (pt contextsPoint) {
 	const accBytes = 64 * 1024 // ~16 us of target-side apply time each
 	cfg := c.Cfg(armci.Config{Procs: 3, ProcsPerNode: 1, AsyncThread: true, Contexts: nCtx})
-	lat := sim.NewSeries(false)
-	var contended uint64
+	var sumUS float64 // rank 0's get latencies, in microseconds
+	gets := 0
 	armci.MustRun(cfg, func(th *sim.Thread, rt *armci.Runtime) {
 		a := rt.Malloc(th, accBytes)
 		b := rt.Malloc(th, 4096)
@@ -66,11 +66,12 @@ func ablationContextsPoint(c *sweep.Ctx, nCtx, opsEach int) (pt struct {
 			for i := 0; i < opsEach; i++ {
 				t0 := th.Now()
 				rt.Get(th, b.At(1), local, 1024)
-				lat.AddTime(th.Now() - t0)
+				sumUS += sim.ToMicros(th.Now() - t0)
+				gets++
 			}
 			rt.FetchAdd(th, stop, 1)
 			for i := range rt.C.Contexts {
-				contended += rt.C.Contexts[i].Lock.Contended
+				pt.contended += rt.C.Contexts[i].Lock.Contended
 			}
 		case 2:
 			// Paced accumulate flood: ~80% duty cycle on rank 0's
@@ -82,8 +83,9 @@ func ablationContextsPoint(c *sweep.Ctx, nCtx, opsEach int) (pt struct {
 			}
 		}
 	})
-	pt.meanUS = lat.Mean()
-	pt.contended = contended
+	if gets > 0 {
+		pt.meanUS = sumUS / float64(gets)
+	}
 	return pt
 }
 

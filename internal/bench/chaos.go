@@ -150,18 +150,11 @@ func chaosRun(c *sweep.Ctx, procs, perNode, opsEach int, seed uint64) ChaosResul
 		res.BadBlocks += badBlocks[r]
 	}
 
-	for _, s := range w.AggregateStatsSorted() {
-		switch s.Name {
-		case "retry":
-			res.Retries = s.Value
-		case "timeout":
-			res.Timeouts = s.Value
-		case "recovered":
-			res.Recovered = s.Value
-		case "dup.am":
-			res.DupsSeen = s.Value
-		}
-	}
+	agg := w.AggregateStats()
+	res.Retries = agg.Get("retry")
+	res.Timeouts = agg.Get("timeout")
+	res.Recovered = agg.Get("recovered")
+	res.DupsSeen = agg.Get("dup.am")
 	res.Dropped = w.Faults.Dropped
 	res.Delayed = w.Faults.Delayed
 	res.Duplicated = w.Faults.Duplicated

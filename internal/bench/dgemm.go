@@ -142,11 +142,8 @@ func DgemmGrid(ctx context.Context, eng *sweep.Engine, sp DgemmSpec) *Grid {
 			}
 		}
 		res.timeUS = sim.ToMicros(wall)
-		for i := range w.Runtimes {
-			st := &w.Runtimes[i].Stats
-			res.fences += st.Get("conflict.fence")
-			res.avoided += st.Get("conflict.avoided")
-		}
+		agg := w.AggregateStats()
+		res.fences, res.avoided = agg.Get("conflict.fence"), agg.Get("conflict.avoided")
 		return res
 	})
 	for pi, p := range sp.Procs {

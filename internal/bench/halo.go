@@ -141,8 +141,8 @@ func HaloGrid(ctx context.Context, eng *sweep.Engine, sp HaloSpec) *Grid {
 		agg := w.AggregateStats()
 		return haloResult{
 			residual:     residuals[sp.Iters-1],
-			rdmaPuts:     agg["put.rdma"],
-			typedStrided: agg["strided.typed"],
+			rdmaPuts:     agg.Get("put.rdma"),
+			typedStrided: agg.Get("strided.typed"),
 			timeUS:       sim.ToMicros(w.K.Now()),
 		}
 	})

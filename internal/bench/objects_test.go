@@ -24,8 +24,9 @@ func hammerCost(procs int) (objects, switches uint64) {
 // TestFig9ObjectsPerRank is the ROADMAP's per-rank budget on the workload
 // it names: one more rank of a fig9 world — bring-up, one collective
 // Malloc, three fetch-and-add round trips served by rank 0's progress
-// thread, finalize — costs at most 35.5 heap objects, the measured 33.8
-// plus 5 % (60 while every progress thread was a coroutine and an rmw's
+// thread, finalize — costs at most 34.4 heap objects, the measured 32.7
+// plus 5 % (35.5 while a rank's protocol counters were a bag with a slice
+// of its own; 60 while every progress thread was a coroutine and an rmw's
 // completion and result word were heap objects; 100 until a message in
 // flight became one value and per-operation state left its maps). The
 // per-source budget is DESIGN.md's per-rank object table;
@@ -37,8 +38,8 @@ func TestFig9ObjectsPerRank(t *testing.T) {
 	big, _ := hammerCost(1024)
 	perRank := float64(big-small) / 512
 	t.Logf("fig9: %d objects at p=512, %d at p=1024: %.1f per added rank", small, big, perRank)
-	if perRank > 35.5 {
-		t.Fatalf("fig9: %.1f objects per added rank, want <= 35.5", perRank)
+	if perRank > 34.4 {
+		t.Fatalf("fig9: %.1f objects per added rank, want <= 34.4", perRank)
 	}
 }
 

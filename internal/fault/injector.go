@@ -14,20 +14,18 @@ type Injector struct {
 	plan *Plan
 	rng  *sim.RNG
 
-	// Raw counters, always maintained (chaos harnesses assert on them).
+	// Counters, counted where a fault bites (the network increments the
+	// first four), so they reflect injected faults, not merely scripted
+	// ones. Chaos harnesses assert on them; a registry reads them as
+	// fault/msg.{dropped,delayed,duplicated}, fault/link.degraded and
+	// fault/windows.
 	Dropped    uint64 // messages discarded (node dead or link down)
 	Delayed    uint64 // messages given extra latency
 	Duplicated uint64 // messages delivered twice
 	Degraded   uint64 // link traversals served at reduced bandwidth
 	Windows    uint64 // fault windows opened so far
 
-	// Observability (nil handles are no-ops).
-	reg     *obs.Registry
-	cDrop   *obs.Counter
-	cDelay  *obs.Counter
-	cDup    *obs.Counter
-	cSlow   *obs.Counter
-	cWindow *obs.Counter
+	reg *obs.Registry // nil when observability is off
 }
 
 // Verdict is the injector's ruling on one message send.
@@ -50,13 +48,11 @@ func NewInjector(k *sim.Kernel, plan *Plan, seed uint64, r *obs.Registry) *Injec
 		rng:  sim.NewRNG(plan.Seed ^ (seed*0x9e3779b97f4a7c15 + 0xfa17)),
 		reg:  r,
 	}
-	if r != nil {
-		in.cDrop = r.Counter("fault/msg.dropped")
-		in.cDelay = r.Counter("fault/msg.delayed")
-		in.cDup = r.Counter("fault/msg.duplicated")
-		in.cSlow = r.Counter("fault/link.degraded")
-		in.cWindow = r.Counter("fault/windows")
-	}
+	r.Attach("fault/msg.dropped", &in.Dropped)
+	r.Attach("fault/msg.delayed", &in.Delayed)
+	r.Attach("fault/msg.duplicated", &in.Duplicated)
+	r.Attach("fault/link.degraded", &in.Degraded)
+	r.Attach("fault/windows", &in.Windows)
 	now := k.Now()
 	for i := range plan.Events {
 		e := plan.Events[i]
@@ -66,7 +62,6 @@ func NewInjector(k *sim.Kernel, plan *Plan, seed uint64, r *obs.Registry) *Injec
 		}
 		k.At(start, func() {
 			in.Windows++
-			in.cWindow.Add(1)
 			if in.reg != nil {
 				in.reg.SpanArg(obs.TrackOther, "faults", e.Kind.String(), "fault",
 					e.Start, e.End, int64(i))
@@ -154,32 +149,4 @@ func (in *Injector) MessageVerdict(srcNode, dstNode int, t sim.Time) Verdict {
 		}
 	}
 	return v
-}
-
-// CountDrop, CountDelay, CountDup, and CountDegraded record enforcement;
-// the network calls them at the point a fault actually bites so counters
-// reflect injected faults, not merely scripted ones.
-
-// CountDrop records one discarded message.
-func (in *Injector) CountDrop() {
-	in.Dropped++
-	in.cDrop.Add(1)
-}
-
-// CountDelay records one delayed message.
-func (in *Injector) CountDelay() {
-	in.Delayed++
-	in.cDelay.Add(1)
-}
-
-// CountDup records one duplicated delivery.
-func (in *Injector) CountDup() {
-	in.Duplicated++
-	in.cDup.Add(1)
-}
-
-// CountDegraded records one link traversal at reduced bandwidth.
-func (in *Injector) CountDegraded() {
-	in.Degraded++
-	in.cSlow.Add(1)
 }

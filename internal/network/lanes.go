@@ -1,6 +1,9 @@
 package network
 
-import "repro/internal/sim"
+import (
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
 
 // Lanes. Each node's traffic originates in the sim.Lane the kernel gives
 // that node. Every message is a Msg and takes one road: sendNow or
@@ -50,15 +53,15 @@ import "repro/internal/sim"
 // laneNetStats is one lane's private slice of the network counters,
 // written only from inside that lane's windows.
 type laneNetStats struct {
-	t Traffic
-	c trafficObs // handles in the lane's own registry
+	t     Traffic        // attached to the lane's own registry
+	sizes *obs.Histogram // network/msg.bytes in the lane's own registry
 }
 
 // noteLaneSend counts one inline loopback in the sending lane's private
 // counters.
 func (nw *Network) noteLaneSend(src *sim.Lane, payload, hops int) {
 	s := &nw.laneNet[src.Index()]
-	s.t.note(&s.c, payload, nw.params.RawBytes(payload), hops)
+	s.t.note(s.sizes, payload, nw.params.RawBytes(payload), hops)
 }
 
 // Totals returns the traffic carried so far: the serial path's tally

@@ -50,11 +50,10 @@ type Network struct {
 	NicStalled uint64
 
 	// Observability (all nil when disabled; hot paths pay one nil check).
-	obs      *obs.Registry
-	links    []linkObs      // per-link handles, created on first use
-	qdelay   *obs.Histogram // per-traversal link queueing delay
-	cStalled *obs.Counter
-	sharedC  trafficObs
+	obs         *obs.Registry
+	links       []linkObs      // per-link handles, created on first use
+	qdelay      *obs.Histogram // per-traversal link queueing delay
+	sharedBytes *obs.Histogram // payload sizes booked on the serial path
 }
 
 // Traffic is a tally of carried messages. Hops counts a loopback
@@ -65,41 +64,25 @@ type Traffic struct {
 	Messages, Bytes, RawBytes, Hops uint64
 }
 
-// trafficObs is the observability twin of Traffic: the same tally as
-// registry counters plus the payload size distribution. The zero value
-// (observability off) is a no-op.
-type trafficObs struct {
-	msgs, bytes, rawBytes, hops *obs.Counter
-	msgBytes                    *obs.Histogram
-}
-
-func newTrafficObs(r *obs.Registry) trafficObs {
-	if r == nil {
-		return trafficObs{}
-	}
-	return trafficObs{
-		msgs:     r.Counter("network/messages"),
-		bytes:    r.Counter("network/payload_bytes"),
-		rawBytes: r.Counter("network/raw_bytes"),
-		hops:     r.Counter("network/hops"),
-		msgBytes: r.Histogram("network/msg.bytes", obs.ExpBounds(16, 4, 12)),
-	}
+// observe attaches the tally's fields to r as the network's message
+// counters and returns the payload-size histogram kept beside them (nil
+// when r is nil).
+func (t *Traffic) observe(r *obs.Registry) *obs.Histogram {
+	r.Attach("network/messages", &t.Messages)
+	r.Attach("network/payload_bytes", &t.Bytes)
+	r.Attach("network/raw_bytes", &t.RawBytes)
+	r.Attach("network/hops", &t.Hops)
+	return r.Histogram("network/msg.bytes", obs.ExpBounds(16, 4, 12))
 }
 
 // note records one message of payload bytes (raw on the wire) over hops
-// links into a tally and its registry twin.
-func (t *Traffic) note(c *trafficObs, payload, raw, hops int) {
+// links into the tally and its size into sizes.
+func (t *Traffic) note(sizes *obs.Histogram, payload, raw, hops int) {
 	t.Messages++
 	t.Bytes += uint64(payload)
 	t.RawBytes += uint64(raw)
 	t.Hops += uint64(hops)
-	if c.msgs != nil {
-		c.msgs.Add(1)
-		c.bytes.Add(int64(payload))
-		c.rawBytes.Add(int64(raw))
-		c.hops.Add(int64(hops))
-		c.msgBytes.Observe(int64(payload))
-	}
+	sizes.Observe(int64(payload))
 }
 
 // linkObs holds one link's observability handles: the busy-time counter
@@ -133,14 +116,15 @@ func New(k *sim.Kernel, t *topology.Torus, p *Params) *Network {
 	}
 	for i := range nw.laneNet {
 		// lanes[i] is the lane with index i on either kind of kernel.
-		nw.laneNet[i].c = newTrafficObs(nw.lanes[i].Obs())
+		s := &nw.laneNet[i]
+		s.sizes = s.t.observe(nw.lanes[i].Obs())
 	}
 	if r := k.Obs(); r != nil {
 		nw.obs = r
 		nw.links = make([]linkObs, t.NumLinks())
 		nw.qdelay = r.Histogram("network/link.qdelay_ns", obs.DefaultLatencyBounds)
-		nw.cStalled = r.Counter("network/nic.stalled")
-		nw.sharedC = newTrafficObs(r)
+		r.Attach("network/nic.stalled", &nw.NicStalled)
+		nw.sharedBytes = nw.shared.observe(r)
 	}
 	return nw
 }
@@ -325,16 +309,16 @@ func (nw *Network) applySend(at sim.Time, m *Msg) {
 	if nw.flt != nil {
 		v := nw.flt.MessageVerdict(m.Src, m.Dst, at)
 		if v.Drop {
-			nw.flt.CountDrop()
+			nw.flt.Dropped++
 			return
 		}
 		if v.Delay > 0 {
-			nw.flt.CountDelay()
+			nw.flt.Delayed++
 			at += v.Delay
 		}
 		if v.Duplicate {
 			copies = 2
-			nw.flt.CountDup()
+			nw.flt.Duplicated++
 		}
 	}
 	for ; copies > 0; copies-- {
@@ -342,7 +326,7 @@ func (nw *Network) applySend(at sim.Time, m *Msg) {
 		if !ok {
 			continue
 		}
-		nw.shared.note(&nw.sharedC, m.Payload, nw.params.RawBytes(m.Payload), hops)
+		nw.shared.note(nw.sharedBytes, m.Payload, nw.params.RawBytes(m.Payload), hops)
 		nw.lanes[m.Dst].ScheduleAbsAction(arrival, m.Deliver)
 		if m.Local != nil {
 			nw.lanes[m.Src].ScheduleAbsAction(arrival, m.Local)
@@ -371,7 +355,6 @@ func (nw *Network) transit(now sim.Time, m *Msg) (sim.Time, int, bool) {
 		if nw.nicFree[m.Src] > start {
 			start = nw.nicFree[m.Src]
 			nw.NicStalled++
-			nw.cStalled.Add(1)
 		}
 		nw.nicFree[m.Src] = start + p.NicMsgOverhead + p.NicMsgGap + ser
 	}
@@ -400,12 +383,12 @@ func (nw *Network) transit(now sim.Time, m *Msg) (sim.Time, int, bool) {
 		if nw.flt != nil {
 			down, factor := nw.flt.LinkState(l.ID(), head)
 			if down {
-				nw.flt.CountDrop()
+				nw.flt.Dropped++
 				return 0, 0, false
 			}
 			if factor < 1 {
 				tail = sim.Time(float64(ser) / factor)
-				nw.flt.CountDegraded()
+				nw.flt.Degraded++
 			}
 		}
 		head = nw.reserveLink(l.ID(), head, tail) + p.HopLatency

@@ -18,7 +18,8 @@ func (r *Registry) NewChild() *Registry {
 // the state a single shared registry would have accumulated had the runs
 // recorded into it serially:
 //
-//   - counters add;
+//   - counters add; an attached field is read at Merge time, so r keeps
+//     that sample, not the field;
 //   - gauges replay their last write style: SetMax-style gauges combine
 //     as a running maximum, Set-style gauges as last-writer-wins (the
 //     later Merge call, i.e. the later run, wins);
@@ -39,7 +40,7 @@ func (r *Registry) Merge(other *Registry) {
 		panic("obs: Merge between registries with different track capacities")
 	}
 	for name, c := range other.counters {
-		r.Counter(name).Add(c.v)
+		r.Counter(name).Add(c.Value())
 	}
 	for name, g := range other.gauges {
 		if !g.set {

@@ -1,8 +1,13 @@
 package obs
 
-// Counter is a monotonically growing sum. The nil handle is a no-op.
+// Counter is a monotonically growing sum: what Add gave it plus the
+// current value of every field attached to it (Registry.Attach). Nearly
+// every attached counter reads one field, so the first is a field and only
+// a second one makes a slice. The nil handle is a no-op.
 type Counter struct {
-	v int64
+	v     int64
+	first *uint64
+	more  []*uint64
 }
 
 // Add increments the counter by delta.
@@ -13,12 +18,20 @@ func (c *Counter) Add(delta int64) {
 	c.v += delta
 }
 
-// Value returns the accumulated sum (0 on a nil handle).
+// Value returns the accumulated sum, attached fields read now (0 on a nil
+// handle).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	v := c.v
+	if c.first != nil {
+		v += int64(*c.first)
+		for _, p := range c.more {
+			v += int64(*p)
+		}
+	}
+	return v
 }
 
 // Gauge is a last-or-max value. The nil handle is a no-op.

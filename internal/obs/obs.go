@@ -12,7 +12,8 @@
 //   - Metric names follow layer/name{label=value,...}, e.g.
 //     "network/link.busy_ns{link=42}" or "pami/ctx.advances{rank=3,ctx=1}".
 //     The registry treats the full string as the key; callers cache the
-//     returned handle so name formatting happens once, at setup time.
+//     returned handle, or attach a field that already holds the count,
+//     so name formatting happens once, at setup time.
 //   - The registry is single-threaded by design: the simulation kernel
 //     serializes all simulated threads, so no locking is needed (or
 //     provided). The coroutine handoff channels give the race detector
@@ -85,6 +86,25 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
+}
+
+// Attach makes the field at p a source of the named counter: every export
+// and Merge reads its value at that moment, added to whatever Add and the
+// counter's other sources contribute. A layer keeps its one count in its
+// own field and the registry samples it, instead of counting twice.
+// The registry keeps what p points into reachable for as long as the
+// registry lives; every production path records into a sweep child that is
+// merged into its parent and then dropped. No-op on a nil registry.
+func (r *Registry) Attach(name string, p *uint64) {
+	if r == nil {
+		return
+	}
+	c := r.Counter(name)
+	if c.first == nil {
+		c.first = p
+		return
+	}
+	c.more = append(c.more, p)
 }
 
 // Gauge returns (creating if needed) the named gauge. Returns nil on a

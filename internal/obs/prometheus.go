@@ -53,7 +53,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for name, c := range r.counters {
 		f, labels := get(name, "counter")
 		f.series = append(f.series, series{labels: labels,
-			lines: []string{fmt.Sprintf("%s%s %d", f.name, labels, c.v)}})
+			lines: []string{fmt.Sprintf("%s%s %d", f.name, labels, c.Value())}})
 	}
 	for name, g := range r.gauges {
 		f, labels := get(name, "gauge")

@@ -36,7 +36,7 @@ func (r *Registry) SnapshotJSON(w io.Writer) error {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(&b, "%s:%d", jstr(name), r.counters[name].v)
+			fmt.Fprintf(&b, "%s:%d", jstr(name), r.counters[name].Value())
 		}
 	}
 	b.WriteString(`},"gauges":{`)

@@ -78,7 +78,6 @@ func (f *amFlight) serve(th *sim.Thread) {
 			x.Client.Rank, x.Index, f.msg.Dispatch))
 	}
 	x.AMsServed++
-	x.cAMs.Add(1)
 	h(th, x, &f.msg)
 }
 

@@ -47,7 +47,7 @@ type Context struct {
 	dispatch [DispatchLimit]AMHandler
 	stopped  bool
 
-	// Statistics.
+	// Statistics, attached as pami/ctx.{advances,items_served,ams_served}.
 	Advances    uint64
 	ItemsServed uint64
 	AMsServed   uint64
@@ -57,9 +57,6 @@ type Context struct {
 	// keyed per (rank, ctx); the latency histograms aggregate across
 	// ranks per context index to bound cardinality at scale.
 	obs         *obs.Registry
-	cAdvances   *obs.Counter
-	cItems      *obs.Counter
-	cAMs        *obs.Counter
 	hItemWait   *obs.Histogram
 	hAMDispatch *obs.Histogram
 	gStarve     *obs.Gauge
@@ -74,9 +71,9 @@ func newContext(c *Client, index int) {
 	if r := c.Obs; r != nil {
 		x.obs = r
 		rc := fmt.Sprintf("{rank=%d,ctx=%d}", c.Rank, index)
-		x.cAdvances = r.Counter("pami/ctx.advances" + rc)
-		x.cItems = r.Counter("pami/ctx.items_served" + rc)
-		x.cAMs = r.Counter("pami/ctx.ams_served" + rc)
+		r.Attach("pami/ctx.advances"+rc, &x.Advances)
+		r.Attach("pami/ctx.items_served"+rc, &x.ItemsServed)
+		r.Attach("pami/ctx.ams_served"+rc, &x.AMsServed)
 		x.gStarve = r.Gauge("pami/ctx.starve_max_ns" + rc)
 		xc := fmt.Sprintf("{ctx=%d}", index)
 		x.hItemWait = r.Histogram("pami/ctx.item_wait_ns"+xc, obs.DefaultLatencyBounds)
@@ -95,7 +92,6 @@ func (x *Context) noteAdvance() {
 	x.Advances++
 	if x.obs != nil {
 		now := x.Client.Ln.Now()
-		x.cAdvances.Add(1)
 		x.gStarve.SetMax(now - x.lastAdvance)
 		x.lastAdvance = now
 	}
@@ -185,7 +181,6 @@ func (x *Context) serve(th *sim.Thread, limit int) int {
 	}
 	x.ItemsServed += uint64(n)
 	if x.obs != nil && n > 0 {
-		x.cItems.Add(int64(n))
 		x.obs.SpanArg(th.ObsTrack(), th.Name(), "advance", "pami", start, th.Now(), int64(n))
 	}
 	return n

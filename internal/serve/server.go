@@ -44,9 +44,6 @@ type Options struct {
 	// job's identity, so it never changes which cache entry a config
 	// maps to nor the bytes that entry holds.
 	Shards int
-	// RunHistory bounds retained run records, live plus finished
-	// (default 64). Finished runs evict FIFO; live runs never evict.
-	RunHistory int
 	// AccessLog, when non-nil, receives one structured logfmt line per
 	// request. nil (the default) disables request logging entirely.
 	AccessLog io.Writer
@@ -70,6 +67,11 @@ type Options struct {
 	// PeerTimeout bounds one peer fill attempt, dial included (default
 	// 2s). Proxied job submissions are bounded by jobTimeout instead.
 	PeerTimeout time.Duration
+
+	// runHistory bounds retained run records, live plus finished
+	// (default 64). Finished runs evict FIFO; live runs never evict.
+	// Tests lower it to drive eviction.
+	runHistory int
 }
 
 func (o Options) withDefaults() Options {
@@ -91,8 +93,8 @@ func (o Options) withDefaults() Options {
 			o.SweepWorkers = 1
 		}
 	}
-	if o.RunHistory <= 0 {
-		o.RunHistory = 64
+	if o.runHistory <= 0 {
+		o.runHistory = 64
 	}
 	return o
 }
@@ -197,7 +199,7 @@ func NewServer(opts Options) (*Server, error) {
 		memo:    newParseMemo(parseMemoBytes, parseMemoMaxEntry),
 		cache:   NewCache(opts.CacheBytes),
 		flight:  newFlightGroup(),
-		runs:    newRunRegistry(opts.RunHistory),
+		runs:    newRunRegistry(opts.runHistory),
 		engine:  sweep.NewSharded(opts.SweepWorkers, opts.Shards, nil),
 		slots:   make(chan struct{}, opts.Workers),
 		queue:   make(chan struct{}, opts.QueueDepth),

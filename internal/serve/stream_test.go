@@ -339,12 +339,12 @@ func TestRunsListingAndGet(t *testing.T) {
 // run's record is evicted by the next job — but its artifact is still
 // cached, so GET /runs/{id} answers with a synthesized record and the
 // event stream resurrects a replay whose bytes match the artifact.
-func TestRunEvictedButCached(t *testing.T) { testRunEvicted(t, Options{RunHistory: 1}) }
+func TestRunEvictedButCached(t *testing.T) { testRunEvicted(t, Options{runHistory: 1}) }
 
 // TestRunEvictedButOnDisk: the same, with an LRU too small to hold either
 // artifact — the disk store is the tier that still has the evicted run's.
 func TestRunEvictedButOnDisk(t *testing.T) {
-	testRunEvicted(t, Options{RunHistory: 1, CacheBytes: 64, StoreDir: t.TempDir()})
+	testRunEvicted(t, Options{runHistory: 1, CacheBytes: 64, StoreDir: t.TempDir()})
 }
 
 func testRunEvicted(t *testing.T, opts Options) {
@@ -379,7 +379,7 @@ func testRunEvicted(t *testing.T, opts Options) {
 // are forgotten (404, though their artifacts are still in the LRU), the
 // oldest id inside the bound still resurrects from it.
 func TestRunKeysBounded(t *testing.T) {
-	s, ts := newTestServer(t, Options{RunHistory: 1})
+	s, ts := newTestServer(t, Options{runHistory: 1})
 	const over = 2
 	var ids []string
 	for i := 0; i < runKeysPerRecord+over; i++ {

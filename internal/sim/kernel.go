@@ -55,11 +55,10 @@ type Kernel struct {
 	deferLanes []*Lane    // lanes holding deferred boundary operations
 	merge      []mergeEnt // k-way merge heap over deferred-log heads
 
-	// Round-level observability (nil handles are no-ops).
+	// Round-level counts, attached as sim/rounds and sim/boundary_ops.
+	rounds         uint64
 	boundaryOps    uint64
-	obsRounds      *obs.Counter
-	obsBoundaryOps *obs.Counter
-	obsWindowWidth *obs.Histogram
+	obsWindowWidth *obs.Histogram // nil handle is a no-op
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -72,13 +71,13 @@ func NewKernel() *Kernel {
 	return k
 }
 
-// SetObs installs the observability registry. All kernel, thread, and
-// mutex instrumentation is a no-op until this is called; nil uninstalls.
-// With lanes, SetObs must precede ConfigureLanes so each lane can derive
-// its child registry.
+// SetObs installs the observability registry, once, before anything runs.
+// All kernel, thread, and mutex instrumentation is a no-op until this is
+// called. With lanes, SetObs must precede ConfigureLanes so each lane can
+// derive its child registry.
 func (k *Kernel) SetObs(r *obs.Registry) {
 	k.Lane.obs = r
-	k.Lane.obsEvents = r.Counter("sim/events") // nil when r is nil
+	r.Attach("sim/events", &k.Lane.fired)
 }
 
 // EventsFired returns the number of events executed so far across every
@@ -230,7 +229,6 @@ func (ln *Lane) fireInline(at Time) bool {
 	ln.seq++
 	ln.now = at
 	ln.fired++
-	ln.obsEvents.Add(1)
 	return true
 }
 

@@ -159,13 +159,12 @@ type Lane struct {
 	threads  []*Thread
 	slab     []Thread // current chunk new threads are cut from (newThread)
 	live     int
-	fired    uint64
+	fired    uint64 // attached as sim/events
 	switches uint64 // coroutine switches into threads (Kernel.Switches)
 	failure  *ThreadPanic
 	running  bool
 
-	obs       *obs.Registry
-	obsEvents *obs.Counter
+	obs *obs.Registry
 
 	// Window state (multi-lane mode).
 	limit    Time // exclusive horizon of the current window
@@ -367,7 +366,6 @@ func (ln *Lane) runWindow() {
 		}
 		ln.now = e.at
 		ln.fired++
-		ln.obsEvents.Add(1)
 		e.a.Fire()
 		if ln.failure != nil {
 			return
@@ -420,10 +418,8 @@ func (k *Kernel) ConfigureLanes(n, workers int, lookahead Time) {
 	k.lanes = make([]*Lane, n)
 	for i := range k.lanes {
 		ln := &Lane{k: k, idx: i, winCap: timeInf}
-		if k.obs != nil {
-			ln.obs = k.obs.NewChild()
-			ln.obsEvents = ln.obs.Counter("sim/events")
-		}
+		ln.obs = k.obs.NewChild()
+		ln.obs.Attach("sim/events", &ln.fired)
 		k.lanes[i] = ln
 	}
 	if k.obs != nil {
@@ -432,8 +428,8 @@ func (k *Kernel) ConfigureLanes(n, workers int, lookahead Time) {
 		// (the round structure is a function of lane state, never of the
 		// worker count or grain), so the exported bytes stay identical at
 		// every shard setting.
-		k.obsRounds = k.obs.Counter("sim/rounds")
-		k.obsBoundaryOps = k.obs.Counter("sim/boundary_ops")
+		k.obs.Attach("sim/rounds", &k.rounds)
+		k.obs.Attach("sim/boundary_ops", &k.boundaryOps)
 		k.obsWindowWidth = k.obs.Histogram("sim/window_width_ns", obs.ExpBounds(16, 4, 12))
 	}
 }
@@ -552,7 +548,6 @@ func (k *Kernel) runLanes() error {
 			}
 			co.now = e.at
 			co.fired++
-			co.obsEvents.Add(1)
 			if _, thread := e.a.(*resume); thread {
 				panic("sim: thread scheduled on the coordinator of a multi-lane kernel")
 			}
@@ -586,7 +581,7 @@ func (k *Kernel) runLanes() error {
 			}
 			ln.winCap = timeInf
 		}
-		k.obsRounds.Add(1)
+		k.rounds++
 
 		// Execute the round.
 		k.inWindow.Store(true)
@@ -671,7 +666,6 @@ func (k *Kernel) runBoundary(runnable []*Lane) {
 		mergeSiftUp(h, len(h)-1)
 	}
 	k.boundaryOps += uint64(ops)
-	k.obsBoundaryOps.Add(int64(ops))
 
 	// The operations run on this goroutine in canonical order: shared
 	// state (link and MU booking, fault verdicts, traffic totals) first,
