@@ -20,21 +20,23 @@ var (
 )
 
 // TestPaperClaims is the reproduction's audit: every row of bench.Claims,
-// one subtest each, at quick scale under -short and at the paper's scale
-// otherwise (about half a minute on two cores, most of it Fig 11). A row
-// fails outside its band; a row marked as a known deviation fails inside
-// it.
+// judged once per scale, one subtest each. The quick scale always runs, as
+// quick/<id>; the paper's scale runs without -short (about half a minute
+// on two cores, most of it Fig 11) and keeps the bare <id>. A row fails
+// outside its band; a row marked as a known deviation fails inside it.
 func TestPaperClaims(t *testing.T) {
-	r := paperRuns
-	if testing.Short() {
-		r = quickRuns
+	judge := func(t *testing.T, r *bench.RunSet) {
+		for _, v := range bench.Evaluate(r) {
+			t.Run(v.ID, func(t *testing.T) {
+				if !v.OK() {
+					t.Errorf("%s scale: %s", r.Scale.Name, strings.Join(v.Cells(), " | "))
+				}
+			})
+		}
 	}
-	for _, v := range bench.Evaluate(r) {
-		t.Run(v.ID, func(t *testing.T) {
-			if !v.OK() {
-				t.Errorf("%s scale: %s", r.Scale.Name, strings.Join(v.Cells(), " | "))
-			}
-		})
+	t.Run("quick", func(t *testing.T) { judge(t, quickRuns) })
+	if !testing.Short() {
+		judge(t, paperRuns)
 	}
 }
 

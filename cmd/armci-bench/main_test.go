@@ -94,13 +94,35 @@ func TestSubcommands(t *testing.T) {
 	}
 }
 
+// TestTorusTable pins `torus -procs 2048` byte for byte. Its latency column
+// is computed from network.Params; at the defaults the base is the 2878 ns
+// of a 16 B get to an adjacent node.
+func TestTorusTable(t *testing.T) {
+	const want = `partition: 2x2x4x4x2 (c=16, 2048 procs)
+dimensions ABCDE: [2 2 4 4 2], diameter 7 hops
+
+hops  nodes  est. get latency (16B)
+   0      1  2.88 us  #
+   1      7  2.88 us  ###
+   2     21  2.95 us  #######
+   3     35  3.02 us  ###########
+   4     35  3.09 us  ###########
+   5     21  3.16 us  #######
+   6      7  3.23 us  ###
+   7      1  3.30 us  #
+`
+	if code, stdout, stderr := drive(t, "torus", "-procs", "2048"); code != 0 || stderr != "" || stdout != want {
+		t.Errorf("exit %d, stderr %q, stdout\n%s\nwant\n%s", code, stderr, stdout, want)
+	}
+}
+
 // TestReport drives `report` on the quick-scale run set with one claim
 // added that cannot pass: that row is the one failure, and the exit is 1.
 // What it prints at the paper's scale is results/report.md, which root
 // TestResultsFresh holds to the tree.
 func TestReport(t *testing.T) {
 	if testing.Short() {
-		t.Skip("root TestPaperClaims judges the quick scale under -short")
+		t.Skip("root TestPaperClaims/quick judges the quick scale")
 	}
 	defer func(claims []bench.Claim) { bench.Claims = claims }(bench.Claims)
 	bench.Claims = append(slices.Clip(bench.Claims), bench.Claim{Fig: "test", What: "an empty band",

@@ -38,6 +38,9 @@ func cmdTorus(args []string, stdout, stderr io.Writer) int {
 		hist[tor.Hops(0, n)]++
 	}
 	p := network.DefaultParams()
+	// A 16 B get to an adjacent node, the sum Params' doc comment spells out.
+	base := p.CPUInject + 2*(p.NicMsgOverhead+p.RouterFixed+p.HopLatency) + p.SerTime(32) + p.SerTime(16) +
+		p.MUTurnaround + p.UnalignedPenalty + p.CompletionOverhead
 	fmt.Fprintln(stdout, "\nhops  nodes  est. get latency (16B)")
 	for h, count := range hist {
 		if count == 0 {
@@ -47,7 +50,7 @@ func cmdTorus(args []string, stdout, stderr io.Writer) int {
 		if eff == 0 {
 			eff = 1
 		}
-		lat := 2878 + (eff-1)*2*int(p.HopLatency) // calibrated base + per-hop RTT
+		lat := int(base) + (eff-1)*2*int(p.HopLatency) // adjacent get + per-hop RTT
 		fmt.Fprintf(stdout, "%4d  %5d  %.2f us  %s\n", h, count, float64(lat)/1000,
 			strings.Repeat("#", count*40/tor.Nodes()+1))
 	}

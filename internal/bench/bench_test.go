@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -17,54 +16,6 @@ var (
 	bg  = context.Background()
 	eng = sweep.NewSharded(0, 0, nil)
 )
-
-// quick is the run set the per-figure tests judge: each figure is
-// simulated once for all of them.
-var quick = NewRunSet(bg, eng, Quick)
-
-// judge runs, as subtests, the quick-scale verdicts of the claims whose
-// IDs start with one of prefixes. The bands are the claims table's; a
-// test here only picks its rows. Under -short root TestPaperClaims judges
-// the quick scale, so these skip; without it TestPaperClaims judges the
-// paper scale and these are the quick scale's verdict.
-func judge(t *testing.T, prefixes ...string) {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("judged by root TestPaperClaims under -short")
-	}
-	n := 0
-	for _, v := range Evaluate(quick) {
-		if !slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(v.ID, p) }) {
-			continue
-		}
-		n++
-		t.Run(v.ID, func(t *testing.T) {
-			if !v.OK() {
-				t.Error(strings.Join(v.Cells(), " | "))
-			}
-		})
-	}
-	if n == 0 {
-		t.Fatalf("no quick-scale claim matches %q", prefixes)
-	}
-}
-
-func TestTableIIMatchesPaper(t *testing.T)           { judge(t, "table2/") }
-func TestFig3ShapeMatchesPaper(t *testing.T)         { judge(t, "fig3/") }
-func TestFig4BandwidthShape(t *testing.T)            { judge(t, "fig4/") }
-func TestFig5LatencyPerByteShape(t *testing.T)       { judge(t, "fig5/") }
-func TestFig6EfficiencyShape(t *testing.T)           { judge(t, "fig6/") }
-func TestFig7HopGradient(t *testing.T)               { judge(t, "fig7/") }
-func TestFig8TracksContiguousCurve(t *testing.T)     { judge(t, "fig8/", "eq9/") }
-func TestFig9ShapeSmall(t *testing.T)                { judge(t, "fig9/idle", "fig9/compute", "fig9/immune") }
-func TestFig9LatencyGrowsWithP(t *testing.T)         { judge(t, "fig9/linear") }
-func TestFig11SmallScale(t *testing.T)               { judge(t, "fig11/") }
-func TestEqValidationFallbackDominated(t *testing.T) { judge(t, "eq7/", "eq8/") }
-func TestAblationContexts(t *testing.T)              { judge(t, "ctx/") }
-func TestAblationConsistency(t *testing.T)           { judge(t, "cons/") }
-func TestAblationStridedProtocol(t *testing.T)       { judge(t, "strided/") }
-func TestAblationRouting(t *testing.T)               { judge(t, "route/") }
-func TestAblationHardwareAMO(t *testing.T)           { judge(t, "hw/") }
 
 func TestGridRendering(t *testing.T) {
 	g := &Grid{Title: "t", Header: []string{"a", "b"}}

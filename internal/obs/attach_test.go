@@ -2,6 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -82,6 +86,61 @@ func TestAttachMergeSamples(t *testing.T) {
 	}
 	if v := child.Counter("sim/events").Value(); v != 100 {
 		t.Fatalf("child = %d, want the field's 100", v)
+	}
+}
+
+// TestAttachConcurrentBumps: a field bumped with atomic.AddUint64 by many
+// goroutines while another exports under a lock, as a server's counts are
+// scraped. Race-free under -race, and the final exposition holds every
+// bump.
+func TestAttachConcurrentBumps(t *testing.T) {
+	const workers, k = 8, 2000
+	var (
+		mu      sync.Mutex
+		n       uint64
+		bumpers sync.WaitGroup
+	)
+	r := New()
+	r.Attach("serve/cache.hits", &n)
+	done, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			mu.Lock()
+			err := r.WritePrometheus(io.Discard)
+			mu.Unlock()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		bumpers.Add(1)
+		go func() {
+			defer bumpers.Done()
+			for i := 0; i < k; i++ {
+				atomic.AddUint64(&n, 1)
+			}
+		}()
+	}
+	bumpers.Wait()
+	close(done)
+	<-scraped
+	var buf bytes.Buffer
+	mu.Lock()
+	err := r.WritePrometheus(&buf)
+	mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("# TYPE serve_cache_hits counter\nserve_cache_hits %d\n", workers*k); buf.String() != want {
+		t.Fatalf("exposition %q, want %q", buf.String(), want)
 	}
 }
 

@@ -1,5 +1,7 @@
 package obs
 
+import "sync/atomic"
+
 // Counter is a monotonically growing sum: what Add gave it plus the
 // current value of every field attached to it (Registry.Attach). Nearly
 // every attached counter reads one field, so the first is a field and only
@@ -26,9 +28,9 @@ func (c *Counter) Value() int64 {
 	}
 	v := c.v
 	if c.first != nil {
-		v += int64(*c.first)
+		v += int64(atomic.LoadUint64(c.first))
 		for _, p := range c.more {
-			v += int64(*p)
+			v += int64(atomic.LoadUint64(p))
 		}
 	}
 	return v

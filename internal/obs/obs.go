@@ -92,6 +92,8 @@ func (r *Registry) Counter(name string) *Counter {
 // and Merge reads its value at that moment, added to whatever Add and the
 // counter's other sources contribute. A layer keeps its one count in its
 // own field and the registry samples it, instead of counting twice.
+// Exports read the field with atomic.LoadUint64, so it must be 64-bit
+// aligned, and a writer racing an export bumps it with atomic.AddUint64.
 // The registry keeps what p points into reachable for as long as the
 // registry lives; every production path records into a sweep child that is
 // merged into its parent and then dropped. No-op on a nil registry.

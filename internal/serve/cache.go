@@ -6,20 +6,77 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
-// Cache is the content-addressed result cache: canonical-config-hash →
-// rendered artifact bytes, LRU-evicted under a byte-size budget.
-// Because results are deterministic, entries never go stale — eviction
-// exists only to bound memory. Safe for concurrent use.
-type Cache struct {
-	mu        sync.Mutex
-	budget    int64
-	used      int64
-	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
-	evictions int64
+// lru is the one budgeted least-recently-used map, under the result
+// cache, the parse memo and the run registry's id memory: each entry is
+// charged a cost, one dearer than max is not stored, and the least
+// recently used go until the charged total fits the budget again.
+// Callers hold mu (the run registry, its own lock) around touch and add,
+// and index items themselves, so the memo's lookup converts no bytes.
+// evictions is read without a lock, so it moves atomically.
+type lru[K comparable, V any] struct {
+	evictions         uint64 // first: attached to the registry, so 64-bit aligned
+	mu                sync.Mutex
+	budget, max, used int64
+	ll                list.List // front = most recently used; values are *lruEntry
+	items             map[K]*list.Element
 }
+
+type lruEntry[K comparable, V any] struct {
+	key  K
+	val  V
+	cost int64
+}
+
+// touch marks el most recently used and returns its value.
+func (l *lru[K, V]) touch(el *list.Element) V {
+	l.ll.MoveToFront(el)
+	return el.Value.(*lruEntry[K, V]).val
+}
+
+// add stores v under k at cost, replacing what k held, then evicts from
+// the least recently used end until the budget holds. An entry dearer
+// than max is refused and k keeps what it held.
+func (l *lru[K, V]) add(k K, v V, cost int64) {
+	if cost > l.max {
+		return
+	}
+	if el, ok := l.items[k]; ok {
+		l.used -= el.Value.(*lruEntry[K, V]).cost
+		l.ll.Remove(el)
+	} else if l.items == nil {
+		l.items = make(map[K]*list.Element)
+	}
+	l.items[k] = l.ll.PushFront(&lruEntry[K, V]{k, v, cost})
+	l.used += cost
+	for l.used > l.budget {
+		back := l.ll.Back()
+		e := back.Value.(*lruEntry[K, V])
+		l.ll.Remove(back)
+		delete(l.items, e.key)
+		l.used -= e.cost
+		atomic.AddUint64(&l.evictions, 1)
+	}
+}
+
+// setGauges sets reg's prefix.entries and prefix.bytes to what l holds.
+func (l *lru[K, V]) setGauges(reg *obs.Registry, prefix string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	reg.Gauge(prefix + ".entries").Set(int64(len(l.items)))
+	reg.Gauge(prefix + ".bytes").Set(l.used)
+}
+
+// Cache is the content-addressed result cache: canonical-config-hash →
+// rendered artifact bytes, LRU-evicted under a byte-size budget that
+// charges each entry its body's length. Because results are
+// deterministic, entries never go stale — eviction exists only to bound
+// memory. Safe for concurrent use.
+type Cache struct{ lru[string, artifact] }
 
 // artifact is one materialized result as a local tier holds it: the bytes
 // plus what the cluster export endpoint (GET /v1/results/{hash}) declares
@@ -33,15 +90,10 @@ type artifact struct {
 	sha      string // hex SHA-256 of body
 }
 
-type cacheEntry struct {
-	key string
-	artifact
-}
-
 // NewCache builds a cache bounded to budget bytes of artifact payload
 // (bookkeeping overhead is not counted).
 func NewCache(budget int64) *Cache {
-	return &Cache{budget: budget, ll: list.New(), items: make(map[string]*list.Element)}
+	return &Cache{lru[string, artifact]{budget: budget, max: budget}}
 }
 
 // Get returns the artifact stored under key, marking it most recently
@@ -49,12 +101,10 @@ func NewCache(budget int64) *Cache {
 func (c *Cache) Get(key string) (artifact, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return artifact{}, false
+	if el, ok := c.items[key]; ok {
+		return c.touch(el), true
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).artifact, true
+	return artifact{}, false
 }
 
 // Put stores body under key and evicts least-recently-used entries until
@@ -68,36 +118,9 @@ func (c *Cache) Put(key string, body []byte, scenario, format string) {
 // put is Put for a caller that already holds the body's hash — the disk
 // tier verified it on load, a fill computed it for the sidecar.
 func (c *Cache) put(key string, a artifact) {
-	if int64(len(a.body)) > c.budget {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*cacheEntry)
-		c.used += int64(len(a.body)) - int64(len(e.body))
-		e.artifact = a
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, artifact: a})
-		c.used += int64(len(a.body))
-	}
-	for c.used > c.budget {
-		back := c.ll.Back()
-		e := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.items, e.key)
-		c.used -= int64(len(e.body))
-		c.evictions++
-	}
-}
-
-// Stats returns the entry count, payload bytes, and cumulative eviction
-// count.
-func (c *Cache) Stats() (entries int, bytes int64, evictions int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items), c.used, c.evictions
+	c.add(key, a, int64(len(a.body)))
 }
 
 // sha256Hex is the hex SHA-256 every tier declares an artifact under.
@@ -122,7 +145,7 @@ const (
 )
 
 // memoEntryOverhead is what an entry costs beyond its bytes and strings:
-// the identity (96 bytes), the memoEntry and the list element (48 each,
+// the identity (96 bytes), the lruEntry and the list element (48 each,
 // by size class), and the entry's share of the map's slots at their usual
 // load (≈ 60).
 const memoEntryOverhead = 256
@@ -139,12 +162,8 @@ const memoEntryOverhead = 256
 // the strict parse, and a re-spelled body is a different entry under the
 // same key.
 type parseMemo struct {
-	mu                      sync.Mutex
-	budget, maxEntry        int64
-	used                    int64
-	ll                      *list.List // front = most recently used
-	items                   map[memoKey]*list.Element
-	hits, misses, evictions int64
+	hits, misses uint64 // first: attached to the registry, so 64-bit aligned
+	lru[memoKey, *identity]
 }
 
 // memoKey is a body on a route: the same bytes posted to /v1/run and to
@@ -152,17 +171,6 @@ type parseMemo struct {
 type memoKey struct {
 	kind envelopeKind
 	raw  string
-}
-
-type memoEntry struct {
-	memoKey
-	id   *identity
-	cost int64
-}
-
-func newParseMemo(budget, maxEntry int64) *parseMemo {
-	return &parseMemo{budget: budget, maxEntry: maxEntry,
-		ll: list.New(), items: make(map[memoKey]*list.Element)}
 }
 
 // get returns the identity memoised for raw on kind's route, marking it
@@ -173,52 +181,24 @@ func (m *parseMemo) get(kind envelopeKind, raw []byte) *identity {
 	defer m.mu.Unlock()
 	el, ok := m.items[memoKey{kind, string(raw)}]
 	if !ok {
-		m.misses++
+		atomic.AddUint64(&m.misses, 1)
 		return nil
 	}
-	m.hits++
-	m.ll.MoveToFront(el)
-	return el.Value.(*memoEntry).id
+	atomic.AddUint64(&m.hits, 1)
+	return m.touch(el)
 }
 
 // put memoises id — which the caller got from parseJob on exactly raw —
 // and evicts least-recently-used spellings until the budget holds again.
-// raw is copied. A spelling dearer than maxEntry is not kept, and one
+// raw is copied. A spelling dearer than the lru's max is not kept, and one
 // already present (two requests raced through the parse) stays as it is.
 func (m *parseMemo) put(kind envelopeKind, raw []byte, id *identity) {
 	cost := int64(len(raw)+len(id.key)+len(id.scenario)+len(id.format)) + memoEntryOverhead
-	if cost > m.maxEntry {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.items[memoKey{kind, string(raw)}]; ok {
-		return
+	if _, ok := m.items[memoKey{kind, string(raw)}]; !ok {
+		m.add(memoKey{kind, string(raw)}, id, cost)
 	}
-	e := &memoEntry{memoKey: memoKey{kind, string(raw)}, id: id, cost: cost}
-	m.items[e.memoKey] = m.ll.PushFront(e)
-	m.used += cost
-	for m.used > m.budget {
-		back := m.ll.Back()
-		old := back.Value.(*memoEntry)
-		m.ll.Remove(back)
-		delete(m.items, old.memoKey)
-		m.used -= old.cost
-		m.evictions++
-	}
-}
-
-type memoStats struct {
-	hits, misses, evictions int64
-	entries                 int
-	bytes                   int64
-}
-
-func (m *parseMemo) stats() memoStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return memoStats{hits: m.hits, misses: m.misses, evictions: m.evictions,
-		entries: len(m.items), bytes: m.used}
 }
 
 // flightGroup collapses concurrent executions of the same config hash

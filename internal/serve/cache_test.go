@@ -62,7 +62,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 	c.Put("a", body(40), "micro", "csv")
 	c.Put("b", body(40), "micro", "csv")
-	if entries, used, _ := c.Stats(); entries != 2 || used != 80 {
+	if entries, used := c.size(); entries != 2 || used != 80 {
 		t.Fatalf("after two puts: entries=%d used=%d", entries, used)
 	}
 
@@ -80,14 +80,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, ok := c.Get("c"); !ok {
 		t.Error("c (just inserted) was evicted")
 	}
-	entries, used, evictions := c.Stats()
-	if entries != 2 || used != 80 || evictions != 1 {
+	entries, used := c.size()
+	if evictions := atomic.LoadUint64(&c.evictions); entries != 2 || used != 80 || evictions != 1 {
 		t.Errorf("after eviction: entries=%d used=%d evictions=%d, want 2/80/1", entries, used, evictions)
 	}
 
 	// Replacing a key adjusts the budget rather than double-counting.
 	c.Put("a", body(60), "micro", "csv") // used 40+60 = 100, fits exactly
-	if entries, used, _ := c.Stats(); entries != 2 || used != 100 {
+	if entries, used := c.size(); entries != 2 || used != 100 {
 		t.Errorf("after replace: entries=%d used=%d, want 2/100", entries, used)
 	}
 
@@ -96,7 +96,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, ok := c.Get("huge"); ok {
 		t.Error("over-budget body was stored")
 	}
-	if entries, _, _ := c.Stats(); entries != 2 {
+	if entries, _ := c.size(); entries != 2 {
 		t.Errorf("over-budget put disturbed the cache: entries=%d", entries)
 	}
 }
@@ -307,9 +307,30 @@ func (m *parseMemo) peek(kind envelopeKind, raw []byte) *identity {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if el, ok := m.items[memoKey{kind, string(raw)}]; ok {
-		return el.Value.(*memoEntry).id
+		return el.Value.(*lruEntry[memoKey, *identity]).val
 	}
 	return nil
+}
+
+// size returns l's entry count and charged total.
+func (l *lru[K, V]) size() (entries int, used int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.items), l.used
+}
+
+// memoCounts is what the memo's fields hold at one moment: its three
+// counts and the two gauges a scrape reads.
+type memoCounts struct {
+	hits, misses, evictions uint64
+	entries                 int
+	bytes                   int64
+}
+
+func memoFields(m *parseMemo) memoCounts {
+	entries, bytes := m.size()
+	return memoCounts{atomic.LoadUint64(&m.hits), atomic.LoadUint64(&m.misses),
+		atomic.LoadUint64(&m.evictions), entries, bytes}
 }
 
 // The parse memo at its bound, at the budget the daemon runs with:
@@ -338,12 +359,12 @@ func TestParseMemoBound(t *testing.T) {
 	const pad, posts = parseMemoMaxEntry / 2, 5 * parseMemoBytes / (parseMemoMaxEntry / 2)
 	for i := 1; i <= posts; i++ {
 		same("spelling", serveBody(h, "/v1/run", padded(pad+i)))
-		st := s.memo.stats()
+		st := memoFields(s.memo)
 		if st.bytes > parseMemoBytes || int64(st.entries)*pad > parseMemoBytes {
 			t.Fatalf("after %d spellings: %d entries, %d bytes accounted, budget %d", i, st.entries, st.bytes, parseMemoBytes)
 		}
 	}
-	st := s.memo.stats()
+	st := memoFields(s.memo)
 	if st.evictions == 0 || st.misses != posts+1 || st.hits != 0 {
 		t.Fatalf("after %d distinct spellings: %+v, want every one a miss and some evicted", posts, st)
 	}
@@ -360,24 +381,24 @@ func TestParseMemoBound(t *testing.T) {
 		}
 	}
 	same("newest spelling", serveBody(h, "/v1/run", padded(pad+posts)))
-	if got := s.memo.stats(); got.hits != 1 {
+	if got := memoFields(s.memo); got.hits != 1 {
 		t.Errorf("the newest spelling was not answered from the memo: %+v", got)
 	}
 	for _, n := range []int{0, pad + 1} {
-		before := s.memo.stats()
+		before := memoFields(s.memo)
 		same("evicted spelling", serveBody(h, "/v1/run", padded(n)))
 		same("evicted spelling, again", serveBody(h, "/v1/run", padded(n)))
-		if got := s.memo.stats(); got.misses != before.misses+1 || got.hits != before.hits+1 {
+		if got := memoFields(s.memo); got.misses != before.misses+1 || got.hits != before.hits+1 {
 			t.Errorf("evicted spelling %d: stats %+v → %+v, want one full parse, then one memo hit", n, before, got)
 		}
 	}
 
 	// A spelling dearer than one entry's share is answered and not kept.
-	before := s.memo.stats()
+	before := memoFields(s.memo)
 	for i := 0; i < 2; i++ {
 		same("large spelling", serveBody(h, "/v1/run", padded(parseMemoMaxEntry)))
 	}
-	if got := s.memo.stats(); got.misses != before.misses+2 || got.entries != before.entries || got.bytes != before.bytes {
+	if got := memoFields(s.memo); got.misses != before.misses+2 || got.entries != before.entries || got.bytes != before.bytes {
 		t.Errorf("a body past parseMemoMaxEntry: stats %+v → %+v, want two full parses and nothing kept", before, got)
 	}
 }
@@ -404,12 +425,12 @@ func TestParseMemoKeepsOnlyParsedBodies(t *testing.T) {
 		var want bytes.Buffer
 		json.NewEncoder(&want).Encode(errorFrom(perr))
 		for i := 0; i < 2; i++ {
-			before := s.memo.stats()
+			before := memoFields(s.memo)
 			rec := serveBody(h, "/v1/run", []byte(bad))
 			if rec.Code != http.StatusBadRequest || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
 				t.Errorf("post %d of %s: %d %s, want 400 %s", i, bad, rec.Code, rec.Body, &want)
 			}
-			if got := s.memo.stats(); got.misses != before.misses+1 || got.hits != before.hits || got.entries != 0 {
+			if got := memoFields(s.memo); got.misses != before.misses+1 || got.hits != before.hits || got.entries != 0 {
 				t.Errorf("post %d of %s: stats %+v → %+v, want a full parse and nothing kept", i, bad, before, got)
 			}
 		}
@@ -423,12 +444,12 @@ func TestParseMemoKeepsOnlyParsedBodies(t *testing.T) {
 		if rec := serveBody(h, tc.right, []byte(tc.body)); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" {
 			t.Fatalf("%s re-posted to %s: %d X-Cache %q", tc.body, tc.right, rec.Code, rec.Header().Get("X-Cache"))
 		}
-		hits := s.memo.stats().hits
+		hits := memoFields(s.memo).hits
 		rec := serveBody(h, tc.wrong, []byte(tc.body))
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown field") {
 			t.Errorf("%s posted to %s after %s: %d %s, want the 400 a first-seen body gets", tc.body, tc.wrong, tc.right, rec.Code, rec.Body)
 		}
-		if got := s.memo.stats().hits; got != hits {
+		if got := memoFields(s.memo).hits; got != hits {
 			t.Errorf("%s posted to %s was answered from %s's memo entry", tc.body, tc.wrong, tc.right)
 		}
 	}
@@ -447,7 +468,7 @@ func TestParseMemoConcurrentEviction(t *testing.T) {
 		[]byte(fastJob),
 		[]byte(`{"params":{"iters":1,"sizes":[64]},"format":"csv","scenario":"micro"}`),
 	}
-	s.memo = newParseMemo(int64(len(spellings[1]))+400, parseMemoMaxEntry)
+	s.memo = &parseMemo{lru: lru[memoKey, *identity]{budget: int64(len(spellings[1])) + 400, max: parseMemoMaxEntry}}
 
 	first := serveBody(h, "/v1/run", spellings[0])
 	if first.Code != http.StatusOK {
@@ -478,8 +499,8 @@ func TestParseMemoConcurrentEviction(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := s.memo.stats()
-	if posts := int64(1 + workers*rounds + workers*rounds/10); st.hits+st.misses != posts || st.evictions == 0 || st.entries != 1 {
+	st := memoFields(s.memo)
+	if posts := uint64(1 + workers*rounds + workers*rounds/10); st.hits+st.misses != posts || st.evictions == 0 || st.entries != 1 {
 		t.Errorf("memo after %d posts: %+v, want every post counted, evictions, one entry", posts, st)
 	}
 }

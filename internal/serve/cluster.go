@@ -16,6 +16,7 @@ import (
 	"io"
 	"maps"
 	"net/http"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 )
@@ -33,7 +34,7 @@ func (s *Server) lookupLocal(key string) (a artifact, src string) {
 	}
 	if s.store != nil {
 		if body, meta, ok := s.store.Get(key); ok {
-			s.count("serve/disk_hits", 1)
+			atomic.AddUint64(&s.diskHits, 1)
 			a = artifact{body, meta.Scenario, meta.Format, meta.SHA256}
 			s.cache.put(key, a)
 			return a, "disk"
@@ -52,7 +53,7 @@ func (s *Server) fill(j *identity, body []byte, sha string) {
 		if err := s.store.putHashed(j.key, body, j.scenario, j.format, sha); err != nil {
 			// Disk full / permissions: the job still succeeded, the LRU
 			// still serves it. Count it so an operator notices.
-			s.count("serve/store.put_errors", 1)
+			atomic.AddUint64(&s.putErrors, 1)
 		}
 	}
 }
@@ -94,12 +95,12 @@ func (s *Server) proxyJob(w http.ResponseWriter, r *http.Request, j job, owner s
 	req.Header.Set(cluster.ForwardHeader, s.ring.Self())
 	resp, err := s.proxyClient.Do(req)
 	if err != nil {
-		s.count("serve/proxy_errors", 1)
+		atomic.AddUint64(&s.proxyErrors, 1)
 		return false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable {
-		s.count("serve/proxy_errors", 1)
+		atomic.AddUint64(&s.proxyErrors, 1)
 		io.Copy(io.Discard, resp.Body)
 		return false
 	}
@@ -110,7 +111,7 @@ func (s *Server) proxyJob(w http.ResponseWriter, r *http.Request, j job, owner s
 	maps.Copy(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-	s.count("serve/proxied_jobs", 1)
+	atomic.AddUint64(&s.proxied, 1)
 	access(r).setCache("proxied")
 	return true
 }
@@ -131,15 +132,15 @@ func (s *Server) peerFill(ctx context.Context, j job) *jobResult {
 		res, err := s.filler.Fetch(ctx, m, j.key)
 		if err != nil {
 			if !errors.Is(err, cluster.ErrNotFound) {
-				s.count("serve/peer_fill_errors", 1)
+				atomic.AddUint64(&s.fillErrors, 1)
 			}
 			continue
 		}
-		s.count("serve/peer_fills", 1)
+		atomic.AddUint64(&s.fills, 1)
 		s.fill(j.identity, res.Body, res.SHA256)
 		return &jobResult{status: http.StatusOK, body: res.Body, src: "peer"}
 	}
-	s.count("serve/peer_fill_misses", 1)
+	atomic.AddUint64(&s.fillMisses, 1)
 	return nil
 }
 
@@ -159,7 +160,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		notFound(w, "hash", "no materialized artifact for this hash")
 		return
 	}
-	s.count("serve/result_exports", 1)
+	atomic.AddUint64(&s.exports, 1)
 	w.Header().Set("Content-Type", contentTypeFor(a.format))
 	w.Header().Set(cluster.SHAHeader, a.sha)
 	w.Header().Set(cluster.ScenarioHeader, a.scenario)

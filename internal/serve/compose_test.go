@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -319,10 +320,7 @@ func TestPanickingJobOnParallelSweepIsA500(t *testing.T) {
 	if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "panicked") {
 		t.Errorf("doomed compose: body %s, want a structured {error} naming the panic (%v)", body, err)
 	}
-	s.regMu.Lock()
-	panicked := s.reg.Counter("serve/jobs.panicked").Value()
-	s.regMu.Unlock()
-	if panicked != 1 {
+	if panicked := atomic.LoadUint64(&s.panicked); panicked != 1 {
 		t.Errorf("serve/jobs.panicked = %d, want 1", panicked)
 	}
 

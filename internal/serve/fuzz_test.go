@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 )
 
@@ -124,7 +125,7 @@ func FuzzStoreGet(f *testing.F) {
 		vouched := json.Unmarshal(meta, &m) == nil && m.Key == key && m.Bytes == len(body) && m.SHA256 == sha
 
 		got, gotMeta, ok := st.Get(key)
-		_, quarantined := st.Stats()
+		quarantined := atomic.LoadUint64(&st.quarantined)
 		if ok != vouched {
 			t.Fatalf("Get ok=%v for body %q under sidecar %q (vouched for: %v)", ok, body, meta, vouched)
 		}
@@ -202,7 +203,7 @@ func FuzzParseMemoAgrees(f *testing.F) {
 				}
 			}
 			check("first post", serveBody(h, path, body))
-			hits := s.memo.stats().hits
+			hits := memoFields(s.memo).hits
 			check("second post", serveBody(h, path, body))
 			id := s.memo.peek(kind, body)
 			if perr != nil {
@@ -211,7 +212,7 @@ func FuzzParseMemoAgrees(f *testing.F) {
 				}
 				continue
 			}
-			if fits := int64(len(body)) <= parseMemoMaxEntry-512; fits && (id == nil || s.memo.stats().hits != hits+1) {
+			if fits := int64(len(body)) <= parseMemoMaxEntry-512; fits && (id == nil || memoFields(s.memo).hits != hits+1) {
 				t.Fatalf("%q: second post to %s was not answered from the memo", body, path)
 			}
 			if bytes.Equal(j.body, body) {

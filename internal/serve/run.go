@@ -77,7 +77,6 @@ type Run struct {
 	key      string
 	scenario string
 	format   string
-	seq      uint64 // admission order, for stable /v1/runs listing
 	created  time.Time
 
 	mu        sync.Mutex
@@ -94,12 +93,12 @@ type Run struct {
 	queueWait time.Duration // wall time from admission to execution; logs only
 }
 
-func newRun(id, key, scenario, format string, seq uint64) *Run {
+func newRun(id, key, scenario, format string) *Run {
 	run := &Run{
 		id: id, key: key, scenario: scenario, format: format,
-		seq: seq, created: time.Now(),
-		state:  RunQueued,
-		notify: make(chan struct{}),
+		created: time.Now(),
+		state:   RunQueued,
+		notify:  make(chan struct{}),
 	}
 	run.append("hello", fmt.Sprintf(`{"id":%s,"key":%s,"scenario":%s,"format":%s}`,
 		jsonStr(id), jsonStr(key), jsonStr(scenario), jsonStr(format)))
@@ -289,41 +288,29 @@ func (run *Run) Info() RunInfo {
 }
 
 // runKeyInfo is the id → config mapping that outlives run eviction, so
-// an evicted run whose artifact is still cached stays addressable. seq is
-// the admission that wrote it last.
-type runKeyInfo struct {
-	key, scenario, format string
-	seq                   uint64
-}
+// an evicted run whose artifact is still cached stays addressable.
+type runKeyInfo struct{ key, scenario, format string }
 
 // runKeysPerRecord bounds that mapping at this many ids per run record the
-// registry may hold: it remembers the configs of the last
-// runKeysPerRecord*cap admissions and forgets older ones, oldest first. A
-// forgotten id answers 404 even while its artifact is cached; posting the
-// config again serves the artifact and names the run anew.
+// registry may hold: it remembers the runKeysPerRecord*cap ids most
+// recently admitted or looked up and forgets the rest, least recent
+// first. A forgotten id answers 404 even while its artifact is cached;
+// posting the config again serves the artifact and names the run anew.
 const runKeysPerRecord = 16
 
 // runRegistry holds the live and recently finished runs, bounded to cap
 // records (finished runs evict FIFO; live runs are never evicted).
 type runRegistry struct {
-	mu       sync.Mutex
-	runs     map[string]*Run
-	order    []*Run // admission order; exactly one entry per runs entry
-	keys     map[string]runKeyInfo
-	keyOrder []runKeyRef // one entry per admission, oldest first
-	cap      int
-	seq      uint64
-}
-
-// runKeyRef is one admission's claim on a keys entry: the entry goes when
-// the claim that wrote it last does.
-type runKeyRef struct {
-	id  string
-	seq uint64
+	mu    sync.Mutex
+	runs  map[string]*Run
+	order []*Run                  // admission order; exactly one entry per runs entry
+	keys  lru[string, runKeyInfo] // each id costs 1; mu, not keys.mu, serializes it
+	cap   int
 }
 
 func newRunRegistry(cap int) *runRegistry {
-	return &runRegistry{runs: make(map[string]*Run), keys: make(map[string]runKeyInfo), cap: cap}
+	return &runRegistry{runs: make(map[string]*Run), cap: cap,
+		keys: lru[string, runKeyInfo]{budget: int64(runKeysPerRecord * cap), max: 1}}
 }
 
 // begin returns the run record for key, creating it (state queued) if
@@ -336,7 +323,7 @@ func (rr *runRegistry) begin(key, scenario, format string) *Run {
 	if run, ok := rr.runs[id]; ok && !run.isFinished() {
 		return run
 	}
-	return rr.installLocked(newRun(id, key, scenario, format, rr.nextSeq()))
+	return rr.installLocked(newRun(id, key, scenario, format))
 }
 
 // cached returns the run record for key, synthesizing a finished record
@@ -353,14 +340,9 @@ func (rr *runRegistry) cached(key, scenario, format string, body []byte) *Run {
 	if run, ok := rr.runs[id]; ok {
 		return run
 	}
-	run := newRun(id, key, scenario, format, rr.nextSeq())
+	run := newRun(id, key, scenario, format)
 	run.finishWith(RunDone, http.StatusOK, "", body, true)
 	return rr.installLocked(run)
-}
-
-func (rr *runRegistry) nextSeq() uint64 {
-	rr.seq++
-	return rr.seq
 }
 
 func (rr *runRegistry) installLocked(run *Run) *Run {
@@ -374,15 +356,7 @@ func (rr *runRegistry) installLocked(run *Run) *Run {
 	}
 	rr.runs[run.id] = run
 	rr.order = append(rr.order, run)
-	rr.keys[run.id] = runKeyInfo{key: run.key, scenario: run.scenario, format: run.format, seq: run.seq}
-	rr.keyOrder = append(rr.keyOrder, runKeyRef{run.id, run.seq})
-	for len(rr.keyOrder) > runKeysPerRecord*rr.cap {
-		old := rr.keyOrder[0]
-		rr.keyOrder = rr.keyOrder[1:]
-		if rr.keys[old.id].seq == old.seq {
-			delete(rr.keys, old.id)
-		}
-	}
+	rr.keys.add(run.id, runKeyInfo{run.key, run.scenario, run.format}, 1)
 	for len(rr.runs) > rr.cap {
 		evicted := false
 		for i, r := range rr.order {
@@ -411,8 +385,10 @@ func (rr *runRegistry) get(id string) *Run {
 func (rr *runRegistry) keyFor(id string) (runKeyInfo, bool) {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
-	info, ok := rr.keys[id]
-	return info, ok
+	if el, ok := rr.keys.items[id]; ok {
+		return rr.keys.touch(el), true
+	}
+	return runKeyInfo{}, false
 }
 
 // list snapshots every retained run in admission order.

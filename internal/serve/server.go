@@ -133,11 +133,21 @@ type jobResult struct {
 // control. Build with New, mount Handler on an http.Server, call Drain
 // then Close on shutdown.
 type Server struct {
+	// The server's own tallies, one field per counter it exposes, bumped
+	// with atomic.AddUint64 and attached once, by attachCounts. First in
+	// the struct, so 64-bit aligned.
+	cacheHits, cacheMisses, diskHits, diskMisses                   uint64
+	abandoned, flightShared, panicked, rejects, exports, putErrors uint64
+	proxyErrors, proxied, fillErrors, fills, fillMisses            uint64
+
 	opts   Options
 	memo   *parseMemo // raw body → identity, in front of parseJob
 	cache  *Cache
 	flight *flightGroup
 	runs   *runRegistry
+
+	labels   map[string]*label    // every label a job can carry; read-only after NewServer
+	finished map[RunState]*uint64 // runs.finished, one slot per terminal state
 
 	// Cluster + persistence plane; all nil/false when unconfigured.
 	store       *Store          // disk tier under the LRU
@@ -150,11 +160,10 @@ type Server struct {
 	slots  chan struct{} // jobs executing, capacity Workers
 	queue  chan struct{} // jobs in system, capacity QueueDepth
 
-	scenMu  sync.Mutex
-	scenSem map[string]chan struct{}
-
 	// The obs registry is single-threaded by design; regMu serializes
-	// every server-side metric write and the /metrics exposition.
+	// what the server writes into it (latency histograms, queue-depth
+	// gauges, the gauges set at scrape) and the /metrics exposition.
+	// Counts are attached fields and take no lock.
 	regMu sync.Mutex
 	reg   *obs.Registry
 
@@ -196,14 +205,13 @@ func NewServer(opts Options) (*Server, error) {
 	base, stop := context.WithCancel(context.Background())
 	s := &Server{
 		opts:    opts,
-		memo:    newParseMemo(parseMemoBytes, parseMemoMaxEntry),
+		memo:    &parseMemo{lru: lru[memoKey, *identity]{budget: parseMemoBytes, max: parseMemoMaxEntry}},
 		cache:   NewCache(opts.CacheBytes),
 		flight:  newFlightGroup(),
 		runs:    newRunRegistry(opts.runHistory),
 		engine:  sweep.NewSharded(opts.SweepWorkers, opts.Shards, nil),
 		slots:   make(chan struct{}, opts.Workers),
 		queue:   make(chan struct{}, opts.QueueDepth),
-		scenSem: make(map[string]chan struct{}),
 		reg:     obs.New(),
 		base:    base,
 		stop:    stop,
@@ -235,6 +243,7 @@ func NewServer(opts Options) (*Server, error) {
 		// client must outlive the job budget, not the fill budget.
 		s.proxyClient = &http.Client{Timeout: jobTimeout + 10*time.Second}
 	}
+	s.attachCounts()
 	s.mux = http.NewServeMux()
 	// The job API lives under /v1; /healthz and /metrics are
 	// infrastructure probes, not API, and stay unversioned.
@@ -279,12 +288,63 @@ func (s *Server) Drain() {
 // shut down (or timed out doing so).
 func (s *Server) Close() { s.stop() }
 
-// --- metrics helpers (obs is single-threaded; all writes under regMu) ---
+// --- metrics ---
 
-func (s *Server) count(name string, d int64) {
-	s.regMu.Lock()
-	s.reg.Counter(name).Add(d)
-	s.regMu.Unlock()
+// label is what the server keeps per scenario label: its counts and its
+// PerScenario concurrency cap.
+type label struct {
+	requests, submits uint64 // first: attached to the registry, so 64-bit aligned
+	sem               chan struct{}
+}
+
+// attachCounts builds the per-label and per-state slots and attaches every
+// count the server, its cache, its memo and its store keep: the store's
+// only with a store, the ring's only with peers.
+func (s *Server) attachCounts() {
+	fields := map[string]*uint64{
+		"serve/cache.hits":           &s.cacheHits,
+		"serve/cache.misses":         &s.cacheMisses,
+		"serve/cache.evictions":      &s.cache.evictions,
+		"serve/parse_memo.hits":      &s.memo.hits,
+		"serve/parse_memo.misses":    &s.memo.misses,
+		"serve/parse_memo.evictions": &s.memo.evictions,
+		"serve/requests.abandoned":   &s.abandoned,
+		"serve/flight.shared":        &s.flightShared,
+		"serve/jobs.panicked":        &s.panicked,
+		"serve/admission.rejects":    &s.rejects,
+		"serve/result_exports":       &s.exports,
+	}
+	s.finished = map[RunState]*uint64{RunDone: new(uint64), RunFailed: new(uint64), RunCancelled: new(uint64)}
+	for st, p := range s.finished {
+		fields["serve/runs.finished{state="+string(st)+"}"] = p
+	}
+	s.labels = map[string]*label{composeLabel: {}}
+	for _, p := range scenario.Patterns() {
+		if p.Named() {
+			s.labels[p.Name] = &label{}
+		}
+	}
+	for name, l := range s.labels {
+		l.sem = make(chan struct{}, s.opts.PerScenario)
+		fields["serve/requests{scenario="+name+"}"] = &l.requests
+		fields["serve/submits{scenario="+name+"}"] = &l.submits
+	}
+	if s.store != nil {
+		fields["serve/disk_hits"] = &s.diskHits
+		fields["serve/disk_misses"] = &s.diskMisses
+		fields["serve/store.put_errors"] = &s.putErrors
+		fields["serve/store.quarantined"] = &s.store.quarantined
+	}
+	if s.ring != nil {
+		fields["serve/proxy_errors"] = &s.proxyErrors
+		fields["serve/proxied_jobs"] = &s.proxied
+		fields["serve/peer_fill_errors"] = &s.fillErrors
+		fields["serve/peer_fills"] = &s.fills
+		fields["serve/peer_fill_misses"] = &s.fillMisses
+	}
+	for name, p := range fields {
+		s.reg.Attach(name, p)
+	}
 }
 
 func (s *Server) noteQueueDepth() {
@@ -295,57 +355,11 @@ func (s *Server) noteQueueDepth() {
 	s.regMu.Unlock()
 }
 
-// series names one scenario label's metric series, concatenated once at
-// start-up instead of once per request.
-type series struct{ requests, submits, latency string }
-
-// seriesOf holds the series of every label a job can carry: the named
-// scenarios and composeLabel. Read-only after init.
-var seriesOf = func() map[string]*series {
-	m := make(map[string]*series)
-	add := func(label string) {
-		m[label] = &series{
-			requests: "serve/requests{scenario=" + label + "}",
-			submits:  "serve/submits{scenario=" + label + "}",
-			latency:  "serve/run.latency_ns{scenario=" + label + "}",
-		}
-	}
-	add(composeLabel)
-	for _, p := range scenario.Patterns() {
-		if p.Named() {
-			add(p.Name)
-		}
-	}
-	return m
-}()
-
 func (s *Server) observeLatency(scenario string, d time.Duration) {
 	s.regMu.Lock()
-	s.reg.Histogram(seriesOf[scenario].latency, wallLatencyBounds).
+	s.reg.Histogram("serve/run.latency_ns{scenario="+scenario+"}", wallLatencyBounds).
 		Observe(d.Nanoseconds())
 	s.regMu.Unlock()
-}
-
-func (s *Server) syncCacheGauges() {
-	entries, bytes, evictions := s.cache.Stats()
-	memo := s.memo.stats()
-	s.regMu.Lock()
-	s.reg.Gauge("serve/cache.entries").Set(int64(entries))
-	s.reg.Gauge("serve/cache.bytes").Set(bytes)
-	s.reg.Gauge("serve/cache.evictions").Set(evictions)
-	s.reg.Gauge("serve/parse_memo.hits").Set(memo.hits)
-	s.reg.Gauge("serve/parse_memo.misses").Set(memo.misses)
-	s.reg.Gauge("serve/parse_memo.entries").Set(int64(memo.entries))
-	s.reg.Gauge("serve/parse_memo.bytes").Set(memo.bytes)
-	s.reg.Gauge("serve/parse_memo.evictions").Set(memo.evictions)
-	s.regMu.Unlock()
-	if s.store != nil {
-		se, sq := s.store.Stats()
-		s.regMu.Lock()
-		s.reg.Gauge("serve/store.entries").Set(se)
-		s.reg.Gauge("serve/store.quarantined").Set(sq)
-		s.regMu.Unlock()
-	}
 }
 
 // --- handlers ---
@@ -413,18 +427,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind envelope
 	}
 	access(r).setScenario(id.scenario)
 	if async {
-		s.count(seriesOf[id.scenario].submits, 1)
+		atomic.AddUint64(&s.labels[id.scenario].submits, 1)
 	} else {
-		s.count(seriesOf[id.scenario].requests, 1)
+		atomic.AddUint64(&s.labels[id.scenario].requests, 1)
 	}
 
 	a, src := s.lookupLocal(id.key)
 	if src == "hit" {
-		s.count("serve/cache.hits", 1)
+		atomic.AddUint64(&s.cacheHits, 1)
 	} else {
-		s.count("serve/cache.misses", 1)
+		atomic.AddUint64(&s.cacheMisses, 1)
 		if src == "" && s.store != nil {
-			s.count("serve/disk_misses", 1)
+			atomic.AddUint64(&s.diskMisses, 1)
 		}
 	}
 	if src != "" {
@@ -472,13 +486,13 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, j job) {
 	if err != nil {
 		// The client abandoned the request; the connection is gone, so
 		// there is nobody to write to.
-		s.count("serve/requests.abandoned", 1)
+		atomic.AddUint64(&s.abandoned, 1)
 		return
 	}
 	src := "miss"
 	if shared {
 		src = "shared"
-		s.count("serve/flight.shared", 1)
+		atomic.AddUint64(&s.flightShared, 1)
 	}
 	if res.src != "" {
 		src = res.src // satisfied by a peer fill, not an execution
@@ -600,10 +614,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleMetrics sets the gauges that are read, not counted — what the
+// cache, the memo and the store hold now — and writes the exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.syncCacheGauges()
 	var buf bytes.Buffer
 	s.regMu.Lock()
+	s.cache.setGauges(s.reg, "serve/cache")
+	s.memo.setGauges(s.reg, "serve/parse_memo")
+	if s.store != nil {
+		s.reg.Gauge("serve/store.entries").Set(s.store.entries.Load())
+	}
 	err := s.reg.WritePrometheus(&buf)
 	s.regMu.Unlock()
 	if err != nil {
@@ -617,17 +637,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // --- execution ---
 
-func (s *Server) scenarioSem(name string) chan struct{} {
-	s.scenMu.Lock()
-	defer s.scenMu.Unlock()
-	sem, ok := s.scenSem[name]
-	if !ok {
-		sem = make(chan struct{}, s.opts.PerScenario)
-		s.scenSem[name] = sem
-	}
-	return sem
-}
-
 // runJob is one job execution: admission, an execution slot, the
 // simulation sweep (streamed into the run's event log point by point),
 // rendering, and cache fill. It runs in the flight leader's goroutine;
@@ -637,12 +646,11 @@ func (s *Server) runJob(ctx context.Context, j job) (res *jobResult) {
 	run := s.runs.begin(j.key, j.scenario, j.format)
 	defer func() {
 		if p := recover(); p != nil {
-			s.count("serve/jobs.panicked", 1)
+			atomic.AddUint64(&s.panicked, 1)
 			res = &jobResult{status: http.StatusInternalServerError,
 				errMsg: fmt.Sprintf("scenario %s panicked: %v", j.scenario, p)}
 		}
-		st := run.finish(res)
-		s.count("serve/runs.finished{state="+string(st)+"}", 1)
+		atomic.AddUint64(s.finished[run.finish(res)], 1)
 	}()
 
 	// Last exit before paying for execution: another replica may already
@@ -658,7 +666,7 @@ func (s *Server) runJob(ctx context.Context, j job) (res *jobResult) {
 	select {
 	case s.queue <- struct{}{}:
 	default:
-		s.count("serve/admission.rejects", 1)
+		atomic.AddUint64(&s.rejects, 1)
 		return &jobResult{status: http.StatusTooManyRequests,
 			errMsg: "job queue full", retryAfter: retryAfterSeconds}
 	}
@@ -670,7 +678,7 @@ func (s *Server) runJob(ctx context.Context, j job) (res *jobResult) {
 
 	// Per-scenario cap, then an execution slot. Both waits abort if every
 	// client interested in this run has gone away.
-	sem := s.scenarioSem(j.scenario)
+	sem := s.labels[j.scenario].sem
 	select {
 	case sem <- struct{}{}:
 	case <-ctx.Done():

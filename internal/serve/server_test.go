@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -148,10 +149,7 @@ func TestQueueFullRejects(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	s.regMu.Lock()
-	rejects := s.reg.Counter("serve/admission.rejects").Value()
-	s.regMu.Unlock()
-	if rejects != 1 {
+	if rejects := atomic.LoadUint64(&s.rejects); rejects != 1 {
 		t.Errorf("admission.rejects = %d, want 1", rejects)
 	}
 }
@@ -208,21 +206,30 @@ func TestScenariosEndpoint(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	_, ts := newTestServer(t, Options{StoreDir: t.TempDir()})
+	scrape := func() (*http.Response, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp, buf.String()
+	}
+
+	// A count is an attached field: its series is there, at 0, before
+	// anything has been counted.
+	if _, text := scrape(); !strings.Contains(text, "\nserve_admission_rejects 0\n") {
+		t.Errorf("/metrics before any request lacks serve_admission_rejects 0\n%s", text)
+	}
 
 	// One miss, one hit, so the counters are nonzero.
 	post(t, ts, fastJob)
 	post(t, ts, fastJob)
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	text := buf.String()
-
+	resp, text := scrape()
 	for _, want := range []string{
 		"serve_cache_hits 1",
 		"serve_cache_misses 1",
@@ -236,6 +243,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		"serve_parse_memo_entries 1",
 		"serve_parse_memo_bytes " + strconv.Itoa(len(fastJob)+64+len("micro")+len("csv")+memoEntryOverhead),
 		"serve_parse_memo_evictions 0",
+		// The five counts that are their owners' fields, no longer gauges
+		// copied from them at every scrape.
+		"# TYPE serve_cache_evictions counter",
+		"# TYPE serve_parse_memo_hits counter",
+		"# TYPE serve_parse_memo_misses counter",
+		"# TYPE serve_parse_memo_evictions counter",
+		"# TYPE serve_store_quarantined counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q\n%s", want, text)
@@ -265,7 +279,7 @@ func TestOversizeBodyIs413(t *testing.T) {
 	if rec := serveBody(h, "/v1/run", pad(maxBodyBytes)); rec.Code != http.StatusOK {
 		t.Errorf("POST /v1/run, exactly 1 MiB: %d %s", rec.Code, rec.Body)
 	}
-	if st := s.memo.stats(); st.entries != 0 || st.misses != 1 {
+	if st := memoFields(s.memo); st.entries != 0 || st.misses != 1 {
 		t.Errorf("memo after one readable 1 MiB body and three over-size ones: %+v, want one parse, nothing kept", st)
 	}
 }

@@ -32,7 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -47,17 +47,15 @@ type StoreMeta struct {
 }
 
 // Store is the disk tier. Safe for concurrent use: file operations are
-// atomic renames, and the counters sit behind a mutex.
+// atomic renames, and the two counts move atomically.
 type Store struct {
-	dir string
+	quarantined uint64       // first: attached to the registry, so 64-bit aligned
+	entries     atomic.Int64 // Scan's count plus later Puts of new keys
+	dir         string
 	// staleBefore is the open time less tempGrace: a temp file last
 	// written before it belongs to a writer that died with an earlier
 	// process, never to one of this store's own Puts.
 	staleBefore time.Time
-
-	mu          sync.Mutex
-	entries     int64
-	quarantined int64
 }
 
 // tempPrefix names writeAtomic's temp files.
@@ -148,7 +146,7 @@ func (st *Store) Put(key string, body []byte, scenario, format string) error {
 }
 
 // putHashed is Put for a caller that already holds body's hex SHA-256
-// (see Cache.putHashed).
+// (see Cache.put).
 func (st *Store) putHashed(key string, body []byte, scenario, format, sha string) error {
 	if !validStoreKey(key) {
 		return fmt.Errorf("serve: store put: bad key %q", key)
@@ -176,9 +174,7 @@ func (st *Store) putHashed(key string, body []byte, scenario, format, sha string
 		return err
 	}
 	if statErr != nil { // no prior sidecar: the key is new
-		st.mu.Lock()
-		st.entries++
-		st.mu.Unlock()
+		st.entries.Add(1)
 	}
 	return nil
 }
@@ -222,9 +218,7 @@ func (st *Store) quarantine(key string) {
 		}
 	}
 	if moved {
-		st.mu.Lock()
-		st.quarantined++
-		st.mu.Unlock()
+		atomic.AddUint64(&st.quarantined, 1)
 	}
 }
 
@@ -261,16 +255,6 @@ func (st *Store) Scan() (int, error) {
 		}
 		return nil
 	})
-	st.mu.Lock()
-	st.entries = int64(n)
-	st.mu.Unlock()
+	st.entries.Store(int64(n))
 	return n, err
-}
-
-// Stats returns the known entry count (Scan plus subsequent Puts) and
-// the cumulative quarantine count.
-func (st *Store) Stats() (entries, quarantined int64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.entries, st.quarantined
 }

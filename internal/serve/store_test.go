@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -102,7 +103,7 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	if !ok || !bytes.Equal(got, body) {
 		t.Fatalf("reopened store missed a prior entry: ok=%v", ok)
 	}
-	if entries, _ := st2.Stats(); entries != 3 {
+	if entries := st2.entries.Load(); entries != 3 {
 		t.Errorf("entries = %d, want 3", entries)
 	}
 }
@@ -124,7 +125,7 @@ func corruptCase(t *testing.T, damage func(bodyPath, metaPath string)) {
 	if body, _, ok := st.Get(key); ok {
 		t.Fatalf("damaged entry served: %q", body)
 	}
-	if _, q := st.Stats(); q != 1 {
+	if q := atomic.LoadUint64(&st.quarantined); q != 1 {
 		t.Errorf("quarantined = %d, want 1", q)
 	}
 	// The damaged entry is out of the namespace (a future Get is a plain

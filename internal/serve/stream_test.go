@@ -388,10 +388,10 @@ func TestRunKeysBounded(t *testing.T) {
 		ids = append(ids, info.ID)
 	}
 	s.runs.mu.Lock()
-	kept, refs := len(s.runs.keys), len(s.runs.keyOrder)
+	kept, refs := s.runs.keys.size()
 	s.runs.mu.Unlock()
 	if kept != runKeysPerRecord || refs != runKeysPerRecord {
-		t.Errorf("registry remembers %d ids through %d refs, want %d of each", kept, refs, runKeysPerRecord)
+		t.Errorf("registry remembers %d ids at a cost of %d, want %d of each", kept, refs, runKeysPerRecord)
 	}
 	for i, id := range ids[:over+1] {
 		resp, err := http.Get(ts.URL + "/v1/runs/" + id)
@@ -616,7 +616,7 @@ func TestTraceBudgetDropsAreExplicit(t *testing.T) {
 	child.Span(obs.TrackRank, "rank0", "acc", 70, 90)
 	all := obs.NewTraceStreamer().Emit(child) // process_name, thread_name, 3 spans
 
-	run := newRun("id", "key", "micro", "csv", 1)
+	run := newRun("id", "key", "micro", "csv")
 	em := newRunEmitter(run, obs.New(), 3)
 	em.PointDone(0, 2, child)
 	em.PointDone(1, 2, child)
@@ -656,7 +656,7 @@ func TestExpiredJobIs504(t *testing.T) {
 		{abandoned, RunCancelled, `{"status":"cancelled","code":503,"error":"job cancelled"}`, retryAfterSeconds},
 	} {
 		res := cancelResult(tc.ctx)
-		run := newRun("id", "key", "micro", "csv", 1)
+		run := newRun("id", "key", "micro", "csv")
 		st := run.finish(res)
 		last := run.log[len(run.log)-1]
 		if st != tc.state || last.Name != "done" || last.Data != tc.done ||

@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is a splitmix64 generator: tiny, fast, and fully deterministic. Every
 // stochastic choice in the simulator draws from a seeded RNG so runs replay
 // exactly. An RNG embedded in its owner is started with Seed.
@@ -54,27 +52,4 @@ func (r *RNG) Jitter(base Time, frac float64) Time {
 	}
 	f := 1 + frac*(2*r.Float64()-1)
 	return Time(float64(base) * f)
-}
-
-// Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Fork derives an independent child generator; handy for giving each
-// simulated process its own stream without cross-coupling.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
 }

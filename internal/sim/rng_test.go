@@ -62,41 +62,3 @@ func TestJitterZeroFrac(t *testing.T) {
 		t.Fatal("zero-frac jitter must be identity")
 	}
 }
-
-func TestExpPositive(t *testing.T) {
-	r := NewRNG(9)
-	sum := 0.0
-	for i := 0; i < 10000; i++ {
-		v := r.Exp(5)
-		if v < 0 {
-			t.Fatal("negative exponential draw")
-		}
-		sum += v
-	}
-	mean := sum / 10000
-	if mean < 4 || mean > 6 {
-		t.Fatalf("mean %.2f far from 5", mean)
-	}
-}
-
-func TestForkIndependence(t *testing.T) {
-	r := NewRNG(21)
-	c1 := r.Fork()
-	c2 := r.Fork()
-	if c1.Uint64() == c2.Uint64() {
-		t.Fatal("forked streams identical")
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(33)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("not a permutation: %v", xs)
-	}
-}
