@@ -11,11 +11,18 @@ import (
 
 // fmaFree lists the symbols (go tool objdump -s patterns) whose products
 // reach a simulated time, an artifact byte or a rendered number and are
-// held to explicit rounding. It is the halo for now; ROADMAP item 12 grows
-// it to every repro/ symbol, with a short list of exceptions.
+// held to explicit rounding: the halo, and every symbol of the packages
+// that set a simulated time or write a simulated byte — sim's jitter is
+// inlined into each pami cost and into armci's retry back-off, and mem's
+// accumulate writes GA bytes. ROADMAP item 12 grows it to every repro/
+// symbol, with a short list of exceptions.
 var fmaFree = []string{
 	`^repro/internal/bench\.HaloGrid(\.|$)`,
 	`^repro/internal/bench\.\(\*haloRun\)\.`,
+	`^repro/internal/sim\.`,
+	`^repro/internal/mem\.`,
+	`^repro/internal/pami\.`,
+	`^repro/internal/armci\.`,
 }
 
 // fusedOp is an arm64 fused multiply-add or -subtract, in either width.

@@ -117,10 +117,12 @@ func (rt *Runtime) rdmaReady(th *sim.Thread, local mem.Addr, ln, rank int, addr 
 }
 
 // amWrite prepares x's first AM attempt at a write of n bytes to rank:
-// payload captured, pend id allocated (its ack finishes x) and, unless
+// payload borrowed (pami recycles it after the one delivery of a healthy
+// run; a chaos run's is never recycled, so a retry may re-send it), pend
+// id allocated (its ack finishes x) and, unless
 // the write is end to end, that ack booked for the next fence.
 func (rt *Runtime) amWrite(x *xfer, local mem.Addr, rank, n int) {
-	x.data = rt.C.Space.Clone(local, n)
+	x.data = rt.C.Space.Borrow(local, n)
 	var p *pendReq
 	x.id, p = rt.newPend()
 	p.comp = x.comp

@@ -419,12 +419,12 @@ func TestDelayedOriginalEndsTheBackoff(t *testing.T) {
 // counts repeat exactly, so there is no headroom: a closure that starts
 // to escape on the way from the API to the wait shows up here as +1,
 // where the benchmark's allocs_per_op bound would take 3 % to notice.
-// A Get or a Put is its completion, PAMI's one flight value and the
-// payload the flight owns (a 64-byte Clone: under mem.PoolMin). An Acc is
-// its completion, the captured payload, the request flight and the ack
-// flight: its pending-request slot is a recycled one. A FetchAdd is its
-// request and reply flights: the completion and the prior value live in
-// PAMI's recycled rmw slot.
+// Every message record and payload but a put flight is recycled on a
+// healthy run: a Get or an Acc is its completion, a Put its completion and
+// its put flight (whose arrival and local completion fire in two lanes),
+// and a FetchAdd nothing — the completion and the prior value live in
+// PAMI's recycled rmw slot, the pending-request slot of the others in
+// ARMCI's.
 func TestBlockingOpAllocBudget(t *testing.T) {
 	const n = 64
 	_, err := Run(Config{Procs: 2, ProcsPerNode: 1, AsyncThread: true}, func(th *sim.Thread, rt *Runtime) {
@@ -438,10 +438,10 @@ func TestBlockingOpAllocBudget(t *testing.T) {
 			want float64
 			op   func()
 		}{
-			{"Get", 3, func() { rt.Get(th, a.At(1), local, n) }},
-			{"Put", 3, func() { rt.Put(th, local, a.At(1), n) }},
-			{"Acc", 4, func() { rt.Acc(th, local, a.At(1), n, 1) }},
-			{"FetchAdd", 2, func() { rt.FetchAdd(th, a.At(1), 1) }},
+			{"Get", 1, func() { rt.Get(th, a.At(1), local, n) }},
+			{"Put", 2, func() { rt.Put(th, local, a.At(1), n) }},
+			{"Acc", 1, func() { rt.Acc(th, local, a.At(1), n, 1) }},
+			{"FetchAdd", 0, func() { rt.FetchAdd(th, a.At(1), 1) }},
 		} {
 			tc.op() // warm-up: endpoints, route cache, pend map, work queues
 			got := testing.AllocsPerRun(100, tc.op)

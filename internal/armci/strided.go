@@ -126,11 +126,13 @@ func forEachChunk(counts []int, aStr, bStr []int, fn func(aOff, bOff int)) {
 	}
 }
 
-// packPatch serializes a strided patch into a contiguous buffer.
+// packPatch serializes a strided patch into a contiguous mem.Buf: an AM
+// payload, which pami hands back to the pool once its handler has run.
 func packPatch(s *mem.Space, base mem.Addr, strides []int, counts []int) []byte {
-	out := make([]byte, 0, patchBytes(counts))
+	out := mem.Buf(patchBytes(counts))
+	pos := 0
 	forEachChunk(counts, strides, strides, func(off, _ int) {
-		out = append(out, s.Bytes(base+mem.Addr(off), counts[0])...)
+		pos += copy(out[pos:], s.Bytes(base+mem.Addr(off), counts[0]))
 	})
 	return out
 }

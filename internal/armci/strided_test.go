@@ -144,12 +144,12 @@ func TestStridedRandomRoundTripsThroughNetwork(t *testing.T) {
 // TestStridedOpAllocBudget pins the heap objects one strided operation
 // costs the host in steady state, set up like TestBlockingOpAllocBudget.
 // A 3 × 3 float64 patch has 24-byte chunks, under TypedThreshold, so it
-// takes the typed/packed path: its Handle (completion inside), the packed
-// payload, the request flight and the reply or ack flight — descriptor,
-// header, chunk index and pending-request slot cost nothing. The put
-// fences so that its ack lands inside the operation. A patch of 64-byte
-// chunks is a list of RDMA puts: the Handle, the OpSet, and per chunk a
-// flight and its payload.
+// takes the typed/packed path: its Handle (completion inside) and nothing
+// else — descriptor, header, chunk index and pending-request slot are on
+// the stack or recycled, and so are the packed payload and both flights.
+// The put fences so that its ack lands inside the operation. A patch of
+// 64-byte chunks is a list of RDMA puts: the Handle, the OpSet and a put
+// flight per chunk.
 func TestStridedOpAllocBudget(t *testing.T) {
 	const ld = 8 * mem.Float64Size // the remote block's leading dimension
 	_, err := Run(Config{Procs: 2, ProcsPerNode: 1, AsyncThread: true}, func(th *sim.Thread, rt *Runtime) {
@@ -166,10 +166,10 @@ func TestStridedOpAllocBudget(t *testing.T) {
 			want float64
 			op   func()
 		}{
-			{"GetS", 4, func() { rt.NbGetS(th, a.At(1), str, local, str, tile).Wait(th) }},
-			{"AccS", 4, func() { rt.NbAccS(th, local, str, a.At(1), str, tile, 1).Wait(th) }},
-			{"PutS", 4, func() { rt.NbPutS(th, local, str, a.At(1), str, tile).Wait(th); rt.Fence(th, 1) }},
-			{"PutS/rdma", 8, func() { rt.NbPutS(th, local, str, a.At(1), str, rows).Wait(th) }},
+			{"GetS", 1, func() { rt.NbGetS(th, a.At(1), str, local, str, tile).Wait(th) }},
+			{"AccS", 1, func() { rt.NbAccS(th, local, str, a.At(1), str, tile, 1).Wait(th) }},
+			{"PutS", 1, func() { rt.NbPutS(th, local, str, a.At(1), str, tile).Wait(th); rt.Fence(th, 1) }},
+			{"PutS/rdma", 5, func() { rt.NbPutS(th, local, str, a.At(1), str, rows).Wait(th) }},
 		} {
 			tc.op() // warm-up: endpoints, region descriptors, pend map and free list
 			got := testing.AllocsPerRun(100, tc.op)

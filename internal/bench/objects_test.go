@@ -24,22 +24,25 @@ func hammerCost(procs int) (objects, switches uint64) {
 // TestFig9ObjectsPerRank is the ROADMAP's per-rank budget on the workload
 // it names: one more rank of a fig9 world — bring-up, one collective
 // Malloc, three fetch-and-add round trips served by rank 0's progress
-// thread, finalize — costs at most 34.4 heap objects, the measured 32.7
-// plus 5 % (35.5 while a rank's protocol counters were a bag with a slice
-// of its own; 60 while every progress thread was a coroutine and an rmw's
-// completion and result word were heap objects; 100 until a message in
-// flight became one value and per-operation state left its maps). The
-// per-source budget is DESIGN.md's per-rank object table;
-// TestIdleWorldObjectsPerRank (internal/armci) bounds the part that is
-// bring-up alone.
+// thread, finalize — costs at most 28.4 heap objects, the measured 27.0
+// plus 5 % (34.4 until a healthy run recycled its active messages; 35.5
+// while a rank's protocol counters were a bag with a slice of its own; 60
+// while every progress thread was a coroutine and an rmw's completion and
+// result word were heap objects; 100 until a message in flight became one
+// value and per-operation state left its maps). The per-source budget is
+// DESIGN.md's per-rank object table; TestIdleWorldObjectsPerRank
+// (internal/armci) bounds the part that is bring-up alone.
 func TestFig9ObjectsPerRank(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of the recycled flights under the race detector")
+	}
 	hammerCost(64) // page in the code paths and the runtime's own pools
 	small, _ := hammerCost(512)
 	big, _ := hammerCost(1024)
 	perRank := float64(big-small) / 512
 	t.Logf("fig9: %d objects at p=512, %d at p=1024: %.1f per added rank", small, big, perRank)
-	if perRank > 34.4 {
-		t.Fatalf("fig9: %.1f objects per added rank, want <= 34.4", perRank)
+	if perRank > 28.4 {
+		t.Fatalf("fig9: %.1f objects per added rank, want <= 28.4", perRank)
 	}
 }
 

@@ -80,7 +80,7 @@ func AddFloat64s(dst []byte, src []byte, scale float64) {
 		return
 	}
 	for i, add := range s {
-		d[i] = d[i] + scale*add
+		d[i] = d[i] + float64(scale*add)
 	}
 }
 
@@ -107,7 +107,7 @@ func addFloat64s(dst []byte, src []byte, scale float64) {
 		off := i * Float64Size
 		cur := math.Float64frombits(binary.LittleEndian.Uint64(dst[off:]))
 		add := math.Float64frombits(binary.LittleEndian.Uint64(src[off:]))
-		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(cur+scale*add))
+		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(cur+float64(scale*add)))
 	}
 }
 

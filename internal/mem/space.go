@@ -140,16 +140,6 @@ func (s *Space) CopyOut(a Addr, dst []byte) {
 	copy(dst, s.Bytes(a, len(dst)))
 }
 
-// Clone returns a fresh copy of [a, a+n), owned by the caller for as long
-// as anything references it: the payload of an active message (a
-// duplicate can re-run its handler) and of any RDMA flight on a chaos run
-// (its delivery can fire twice or never). A healthy RDMA flight Borrows
-// instead. append onto nil copies into new memory without the zero-fill
-// that make followed by CopyOut pays first.
-func (s *Space) Clone(a Addr, n int) []byte {
-	return append([]byte(nil), s.Bytes(a, n)...)
-}
-
 // CopyIn copies src into the heap at address a.
 func (s *Space) CopyIn(a Addr, src []byte) {
 	copy(s.Bytes(a, len(src)), src)

@@ -2,6 +2,7 @@ package pami
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/network"
@@ -37,7 +38,9 @@ type AMessage struct {
 // AMHandler processes an active message. It runs on whichever thread
 // advances the target context, with the context lock held — replies sent
 // from the handler therefore occupy the progress engine, exactly as on
-// the real machine.
+// the real machine. A handler must not keep msg, msg.Hdr or msg.Data
+// after it returns: on a healthy run the message and its payload are
+// reused for the next send (copy what must outlive the call).
 type AMHandler func(th *sim.Thread, x *Context, msg *AMessage)
 
 // amHdrInline is the header length an active message carries without a
@@ -52,7 +55,8 @@ const amHdrInline = 7
 // message (the embedded Msg, logged at the window boundary), the arrival
 // event in the target's lane (Fire), the work item in the target
 // context's queue (serve), and the message the handler reads (msg). A
-// delivery duplicated under faults fires the same flight twice.
+// delivery duplicated under faults fires the same flight twice, so only a
+// healthy run recycles flights, through amFlights.
 type amFlight struct {
 	network.Msg
 	msg AMessage
@@ -79,19 +83,36 @@ func (f *amFlight) serve(th *sim.Thread) {
 	}
 	x.AMsServed++
 	h(th, x, &f.msg)
+	if !x.Client.M.faulty() {
+		// Delivered exactly once and handled: nothing reads the flight or
+		// its payload any more (AMHandler).
+		mem.Return(f.msg.Data)
+		*f = amFlight{}
+		amFlights.Put(f)
+	}
 }
+
+// amFlights holds the flights healthy runs have served. A sync.Pool, not
+// a free list per context or per node: it is safe for parallel lane
+// workers and for simulations run side by side, and it empties on GC, so
+// what it keeps does not grow with the world.
+var amFlights = sync.Pool{New: func() any { return new(amFlight) }}
 
 // SendAM sends an active message to dst, to be dispatched on dst's
 // context by whichever thread advances it. hdr is copied and may be
 // reused at once; the data slice is captured by the network, and callers
-// may not mutate it afterwards. Local completion is immediate in the
-// ARMCI sense (the buffer is owned by the runtime once captured), so no
-// completion object is involved.
+// may not touch it afterwards: once the handler has run, pami hands it to
+// mem.Return for reuse, so it should be a mem.Buf or a Space.Borrow (any
+// other buffer the caller owns outright is safe too, never a view into a
+// Space). Local completion is immediate in the ARMCI sense (the buffer is
+// owned by the runtime once captured), so no completion object is
+// involved.
 func (x *Context) SendAM(th *sim.Thread, dst Endpoint, dispatch int, hdr []int64, data []byte) {
 	c := x.Client
 	th.Sleep(c.jit(c.M.P.CPUInject))
 
-	f := &amFlight{
+	f := amFlights.Get().(*amFlight)
+	*f = amFlight{
 		Msg: network.Msg{Src: c.Node, Dst: dst.Node, Payload: len(data) + amHeaderBytes, Kind: network.Control},
 		msg: AMessage{
 			Src:      Endpoint{Rank: c.Rank, Ctx: x.Index, Node: c.Node},

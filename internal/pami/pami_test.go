@@ -1,6 +1,7 @@
 package pami
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -181,7 +182,8 @@ func TestAMRequiresTargetProgress(t *testing.T) {
 
 // TestSendAMCopiesHeader: the header travels inside the message's flight
 // value (inline up to amHdrInline words, a private slice beyond), so the
-// caller's slice is its own again when SendAM returns.
+// caller's slice is its own again when SendAM returns. The handler copies
+// what it keeps: the flight is reused once it returns (AMHandler).
 func TestSendAMCopiesHeader(t *testing.T) {
 	r := newRig(t, 2, 1, 1)
 	const dispatchTest = DispatchUserBase
@@ -190,7 +192,7 @@ func TestSendAMCopiesHeader(t *testing.T) {
 		switch c.Rank {
 		case 1:
 			c.Contexts[0].SetDispatch(dispatchTest, func(th *sim.Thread, x *Context, msg *AMessage) {
-				got = append(got, msg.Hdr)
+				got = append(got, slices.Clone(msg.Hdr))
 			})
 			th.Sleep(sim.Millisecond)
 			c.Contexts[0].Progress(th)

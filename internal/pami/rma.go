@@ -1,6 +1,8 @@
 package pami
 
 import (
+	"sync"
+
 	"repro/internal/mem"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -26,21 +28,17 @@ func (s *OpSet) landed(*Context) { s.done() }
 // land. That is two copies, and two is the floor — the source may be
 // reused once the put completes locally, the target may be rewritten
 // after a get's turnaround, so the network cannot carry a view of either.
-// On a healthy run every message is delivered exactly once, so the
-// landing hands a Borrowed buffer back right after its CopyIn; under an
-// injector a delivery can fire twice or never, and the captured bytes
-// are a Clone left to the garbage collector.
+// The captured bytes are a Borrowed buffer. On a healthy run every message
+// is delivered exactly once, so the landing hands it back right after its
+// CopyIn; under an injector a delivery can fire twice or never, and the
+// buffer is left to the garbage collector.
 type rdmaPayload struct {
 	buf     []byte
 	recycle bool
 }
 
 func (p *rdmaPayload) capture(x *Context, s *mem.Space, a mem.Addr, n int) {
-	if x.Client.M.faulty() {
-		p.buf = s.Clone(a, n)
-		return
-	}
-	p.buf, p.recycle = s.Borrow(a, n), true
+	p.buf, p.recycle = s.Borrow(a, n), !x.Client.M.faulty()
 }
 
 func (p *rdmaPayload) land(s *mem.Space, a mem.Addr) {
@@ -134,7 +132,7 @@ func (x *Context) put(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n in
 // request and its reply are both its messages, and it is the request's
 // arrival at the target's messaging unit (Fire), the turnaround (getTurn)
 // and the reply's landing (getLand). A get owns the bytes it captured at
-// stream time.
+// stream time. A healthy run recycles it (getFlights) once it has landed.
 type getFlight struct {
 	req, rep      network.Msg
 	x             *Context
@@ -179,7 +177,16 @@ func (l *getLand) Fire() {
 		f.land(f.x.Client.Space, f.local)
 	}
 	f.done.landed(f.x)
+	if !f.x.Client.M.faulty() {
+		// The landing is the flight's last event when every message is
+		// delivered exactly once.
+		*f = getFlight{}
+		getFlights.Put(f)
+	}
 }
+
+// getFlights holds landed get flights, as amFlights holds served AMs.
+var getFlights = sync.Pool{New: func() any { return new(getFlight) }}
 
 // RdmaGet transfers n bytes from remote memory into local memory. The
 // target messaging unit turns the request around without any target CPU
@@ -212,7 +219,8 @@ func (x *Context) roundTrip(th *sim.Thread, dst Endpoint, local, remote mem.Addr
 	c := x.Client
 	th.Sleep(c.jit(c.M.P.CPUInject))
 
-	f := &getFlight{
+	f := getFlights.Get().(*getFlight)
+	*f = getFlight{
 		req:    network.Msg{Src: c.Node, Dst: dst.Node, Payload: rmaControlBytes, Kind: network.Control},
 		rep:    network.Msg{Src: dst.Node, Dst: c.Node, Payload: n, Kind: network.Control},
 		x:      x,

@@ -30,9 +30,11 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform value in [0,1).
+// Float64 returns a uniform value in [0,1). The outer conversion, like
+// Jitter's, rounds the result where it is written, so an inlining caller's
+// arithmetic cannot fuse with it: the same draw on any CPU.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform value in [0,n). n must be positive.
@@ -50,6 +52,6 @@ func (r *RNG) Jitter(base Time, frac float64) Time {
 	if frac <= 0 {
 		return base
 	}
-	f := 1 + frac*(2*r.Float64()-1)
+	f := 1 + float64(frac*(float64(2*r.Float64())-1))
 	return Time(float64(base) * f)
 }
