@@ -9,21 +9,11 @@ import (
 	"testing"
 )
 
-// fmaFree lists the symbols (go tool objdump -s patterns) whose products
-// reach a simulated time, an artifact byte or a rendered number and are
-// held to explicit rounding: the halo, and every symbol of the packages
-// that set a simulated time or write a simulated byte — sim's jitter is
-// inlined into each pami cost and into armci's retry back-off, and mem's
-// accumulate writes GA bytes. ROADMAP item 12 grows it to every repro/
-// symbol, with a short list of exceptions.
-var fmaFree = []string{
-	`^repro/internal/bench\.HaloGrid(\.|$)`,
-	`^repro/internal/bench\.\(\*haloRun\)\.`,
-	`^repro/internal/sim\.`,
-	`^repro/internal/mem\.`,
-	`^repro/internal/pami\.`,
-	`^repro/internal/armci\.`,
-}
+// fmaFree lists the symbols (go tool objdump -s patterns) held to
+// explicit rounding: every repro/ symbol, with no exception. A product
+// reaches a simulated time, an artifact byte or a rendered number from
+// most packages, and a rule with no exceptions needs no list of reasons.
+var fmaFree = []string{`^repro/`}
 
 // fusedOp is an arm64 fused multiply-add or -subtract, in either width.
 var fusedOp = regexp.MustCompile(`\tFN?M(?:ADD|SUB)[DS]\s`)

@@ -348,10 +348,16 @@ type Runtime struct {
 	allocs  []*Allocation
 	mallocs int // collective Mallocs entered: the exchange generation
 
+	// Pending AM requests, found by id: pend[id & (len(pend)-1)], a power
+	// of two long, with pendN of its entries taken. Ids are the monotone
+	// pendSeq, so the ids outstanding at once are a window of it, and a
+	// table longer than the window never collides; a collision doubles it.
 	pendSeq  int64
-	pend     map[int64]*pendReq
-	pendFree []*pendReq // retired slots; lane-local like pend, so unsynchronised
-	implicit []*sim.Completion
+	pend     []*pendReq
+	pendN    int
+	pendFree []*pendReq // retired requests; lane-local like pend, so unsynchronised
+	slotFree []*opSlot  // released operation slots (releaseSlot)
+	implicit []Handle   // Track'ed handles, for WaitAll
 
 	mutexes map[int]*muState
 
@@ -536,6 +542,13 @@ func (rt *Runtime) tr(cat, what string, arg int64) {
 // when there is one, so a rank in steady state allocates none.
 func (rt *Runtime) newPend() (int64, *pendReq) {
 	rt.pendSeq++
+	id := rt.pendSeq
+	if rt.pend == nil {
+		rt.pend = make([]*pendReq, 4)
+	}
+	for rt.pend[rt.pendIndex(id)] != nil {
+		rt.growPend()
+	}
 	var p *pendReq
 	if n := len(rt.pendFree); n > 0 {
 		p = rt.pendFree[n-1]
@@ -543,11 +556,48 @@ func (rt *Runtime) newPend() (int64, *pendReq) {
 	} else {
 		p = &pendReq{}
 	}
-	if rt.pend == nil {
-		rt.pend = make(map[int64]*pendReq)
+	p.id = id
+	rt.pend[rt.pendIndex(id)] = p
+	rt.pendN++
+	return id, p
+}
+
+func (rt *Runtime) pendIndex(id int64) int { return int(id) & (len(rt.pend) - 1) }
+
+// growPend doubles the pending table until every outstanding request has
+// an index of its own.
+func (rt *Runtime) growPend() {
+	old := rt.pend
+	for size := 2 * len(old); ; size *= 2 {
+		rt.pend = make([]*pendReq, size)
+		fits := true
+		for _, p := range old {
+			if p == nil {
+				continue
+			}
+			if i := rt.pendIndex(p.id); rt.pend[i] == nil {
+				rt.pend[i] = p
+			} else {
+				fits = false
+				break
+			}
+		}
+		if fits {
+			return
+		}
 	}
-	rt.pend[rt.pendSeq] = p
-	return rt.pendSeq, p
+}
+
+// findPend returns pending request id, or nil when it is not pending
+// (already retired, or never taken).
+func (rt *Runtime) findPend(id int64) *pendReq {
+	if len(rt.pend) == 0 {
+		return nil
+	}
+	if p := rt.pend[rt.pendIndex(id)]; p != nil && p.id == id {
+		return p
+	}
+	return nil
 }
 
 // dropPend retires request id and returns a copy of its state; ok is
@@ -555,11 +605,12 @@ func (rt *Runtime) newPend() (int64, *pendReq) {
 // slot goes back to the free list for the next newPend, so a caller reads
 // what it still needs from the copy, never from a *pendReq it held.
 func (rt *Runtime) dropPend(id int64) (p pendReq, ok bool) {
-	slot, ok := rt.pend[id]
-	if !ok {
+	slot := rt.findPend(id)
+	if slot == nil {
 		return pendReq{}, false
 	}
-	delete(rt.pend, id)
+	rt.pend[rt.pendIndex(id)] = nil
+	rt.pendN--
 	p = *slot
 	*slot = pendReq{}
 	rt.pendFree = append(rt.pendFree, slot)

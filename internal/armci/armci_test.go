@@ -703,9 +703,9 @@ func TestWaitAllAndHandleDone(t *testing.T) {
 		if !h.Done() {
 			t.Error("handle not done after Wait")
 		}
-		// Implicit-handle tracking via track/WaitAll.
+		// Implicit-handle tracking via Track/WaitAll.
 		h2 := rt.NbPut(th, local, a.At(1), 4096)
-		rt.track(h2.comps[0])
+		rt.Track(h2)
 		rt.WaitAll(th)
 		if !h2.Done() {
 			t.Error("WaitAll left an operation pending")

@@ -134,13 +134,14 @@ func (c *consistency) clearAll() {
 // Nb write's ack never arrives and the fence panics.
 func (rt *Runtime) Fence(th *sim.Thread, rank int) {
 	if n := rt.dirty[rank].unflushedPuts; n > 0 {
-		comp := sim.NewCompletion(rt.W.K)
-		err := rt.attempt(th, "fence.flush", rank, 0, comp, func() {
-			rt.mainCtx.FlushRemote(th, rt.epData(th, rank), comp)
+		s := rt.takeSlot()
+		err := rt.attempt(th, "fence.flush", rank, 0, &s.comp, func() {
+			rt.mainCtx.FlushRemote(th, rt.epData(th, rank), &s.comp)
 		}, nil)
 		if err != nil {
 			panic(fmt.Sprintf("armci: fence flush to rank %d exhausted retries: %v", rank, err))
 		}
+		rt.releaseSlot(s)
 		rt.noteWrites(rank, -n, 0)
 		rt.Stats[statFenceFlush]++
 	}

@@ -5,66 +5,137 @@ import (
 	"math"
 
 	"repro/internal/mem"
+	"repro/internal/pami"
 	"repro/internal/sim"
 )
 
-// Handle tracks a non-blocking operation (explicit-handle semantics).
-// Wait drives the progress engine until the operation's local completion:
-// for gets the data has landed, for puts and accumulates the local buffer
-// is reusable.
-type Handle struct {
-	rt    *Runtime
-	comps []*sim.Completion
-	// comp is the completion of a single operation, held in the handle;
-	// comps is then one[:], pointing at it. A vector operation's handle
-	// leaves both unused and lists its segments' completions in comps.
+// opSlot is the host record of one operation: the completion it ends
+// with, the op set of a chunk-listed RDMA transfer, and a vector
+// operation's completion list. Slots come from a per-runtime free list and
+// go back when the operation is over (releaseSlot), so a rank in steady
+// state allocates none; gen counts how often a slot has been released,
+// which is what tells a Handle to a finished operation from one to the
+// slot's current operation.
+type opSlot struct {
+	rt   *Runtime
+	gen  uint64
 	comp sim.Completion
-	one  [1]*sim.Completion
+	set  pami.OpSet
+	// comps lists a vector operation's segment completions (nil for any
+	// other). A vector slot is never released: its segments' slots are
+	// not, so the list stays valid for as long as a Handle can read it.
+	comps []*sim.Completion
 }
 
-// newHandle returns the handle of one operation, whose completion is
-// h.comp: one heap object where a handle, its completion and a one-element
-// slice were three.
-func (rt *Runtime) newHandle() *Handle {
-	h := &Handle{rt: rt, comp: sim.MakeCompletion(rt.W.K)}
-	h.one[0] = &h.comp
-	h.comps = h.one[:]
-	return h
+// takeSlot returns a slot for a new operation, its completion unfinished:
+// a released one when there is one.
+func (rt *Runtime) takeSlot() *opSlot {
+	var s *opSlot
+	if n := len(rt.slotFree); n > 0 {
+		s = rt.slotFree[n-1]
+		rt.slotFree = rt.slotFree[:n-1]
+	} else {
+		s = &opSlot{rt: rt}
+	}
+	s.comp = sim.MakeCompletion(rt.W.K)
+	return s
 }
 
-// Wait blocks until the operation completes locally.
-func (h *Handle) Wait(th *sim.Thread) {
-	h.rt.mainCtx.WaitAllLocal(th, h.comps)
+// releaseSlot ends the operation in s, whose completion has finished and
+// is referenced by nothing but Handles. The generation moves on, so every
+// Handle to the operation reads it as done without touching the slot's
+// next occupant. Under an injector nothing is recycled: a duplicated or
+// late delivery may still finish the completion. Under the race detector
+// the slot is retired instead of reused, so such a reference on a healthy
+// run panics (sim.Completion.Retire) rather than finishing the next
+// operation early.
+func (rt *Runtime) releaseSlot(s *opSlot) {
+	if rt.faulty() {
+		return
+	}
+	s.gen++
+	if raceEnabled {
+		s.comp.Retire()
+		return
+	}
+	rt.slotFree = append(rt.slotFree, s)
+}
+
+// Handle tracks a non-blocking operation (explicit-handle semantics). It
+// is a value — the operation's slot and the slot's generation at issue —
+// and may be copied freely. Wait drives the progress engine until the
+// operation's local completion: for gets the data has landed, for puts and
+// accumulates the local buffer is reusable. On a healthy run the first
+// Wait releases the slot for the next operation; from then on every copy
+// of the Handle reads as done. The zero Handle is done.
+type Handle struct {
+	s   *opSlot
+	gen uint64
+}
+
+// newHandle takes a slot for one operation and returns its Handle.
+func (rt *Runtime) newHandle() Handle {
+	s := rt.takeSlot()
+	return Handle{s: s, gen: s.gen}
+}
+
+// live returns h's slot while it still holds h's operation, nil once the
+// operation is over.
+func (h Handle) live() *opSlot {
+	if h.s == nil || h.s.gen != h.gen {
+		return nil
+	}
+	return h.s
+}
+
+// Wait blocks until the operation completes locally, then releases its
+// slot (a vector operation's is kept). Waiting on a finished operation
+// returns at once.
+func (h Handle) Wait(th *sim.Thread) {
+	s := h.live()
+	if s == nil {
+		return
+	}
+	if s.comps != nil {
+		s.rt.mainCtx.WaitAllLocal(th, s.comps)
+		return
+	}
+	s.rt.mainCtx.WaitLocal(th, &s.comp)
+	if h.live() != nil { // another thread's Wait on a copy may have released it
+		s.rt.releaseSlot(s)
+	}
 }
 
 // Done reports whether the operation has already completed.
-func (h *Handle) Done() bool {
-	for _, c := range h.comps {
-		if !c.Done() {
-			return false
-		}
+func (h Handle) Done() bool {
+	s := h.live()
+	if s == nil {
+		return true
 	}
-	return true
+	if s.comps != nil {
+		for _, c := range s.comps {
+			if !c.Done() {
+				return false
+			}
+		}
+		return true
+	}
+	return s.comp.Done()
 }
 
-// track registers a completion on an implicit-handle operation so WaitAll
-// can find it.
-func (rt *Runtime) track(c *sim.Completion) {
-	rt.implicit = append(rt.implicit, c)
-}
-
-// Track converts an explicit handle into an implicit one: its completions
-// are adopted by the runtime and retired by the next WaitAll.
-func (rt *Runtime) Track(h *Handle) {
-	rt.implicit = append(rt.implicit, h.comps...)
+// Track converts an explicit handle into an implicit one: the runtime
+// keeps it, and the next WaitAll waits for it and releases its slot.
+func (rt *Runtime) Track(h Handle) {
+	rt.implicit = append(rt.implicit, h)
 }
 
 // WaitAll completes every outstanding implicit-handle operation
 // (ARMCI_WaitAll).
 func (rt *Runtime) WaitAll(th *sim.Thread) {
-	for _, c := range rt.implicit {
-		rt.mainCtx.WaitLocal(th, c)
+	for _, h := range rt.implicit {
+		h.Wait(th)
 	}
+	clear(rt.implicit)
 	rt.implicit = rt.implicit[:0]
 }
 
@@ -72,7 +143,7 @@ func (rt *Runtime) WaitAll(th *sim.Thread) {
 // healthy run issues it once, a chaos run re-issues the same value, so a
 // re-send repeats the first send's identity.
 type xfer struct {
-	comp *sim.Completion // the one completion all attempts share; finished with FinishOnce below
+	s *opSlot // its slot: s.comp is the one completion all attempts share, finished with FinishOnce below
 	// id and data are the pend id and payload the first AM attempt
 	// captured (id 0: none yet), re-sent unchanged: the target dedups on
 	// (initiator, id), so an accumulate is applied once however many
@@ -87,17 +158,19 @@ type xfer struct {
 	e2e bool
 }
 
-// blockingXfer is a blocking operation's xfer; a non-blocking one is
-// xfer{comp: &h.comp}, completed through its Handle.
+// blockingXfer is a blocking operation's xfer, in a slot complete
+// releases; a non-blocking one is xfer{s: h.s}, completed through its
+// Handle.
 func (rt *Runtime) blockingXfer() xfer {
-	return xfer{comp: sim.NewCompletion(rt.W.K), e2e: rt.faulty()}
+	return xfer{s: rt.takeSlot(), e2e: rt.faulty()}
 }
 
 // complete drives x through attempt. An end-to-end operation then drops
 // the pending request it may still have (budget exhausted, or an AM
 // attempt overtaken by a later RDMA one): a late reply finds nothing.
+// The operation is over, so its slot goes back.
 func (rt *Runtime) complete(th *sim.Thread, op string, target, n int, x *xfer, issue func()) error {
-	err := rt.attempt(th, op, target, n, x.comp, issue, func() {
+	err := rt.attempt(th, op, target, n, &x.s.comp, issue, func() {
 		if x.rdma {
 			rt.markSuspect(target)
 		}
@@ -105,6 +178,7 @@ func (rt *Runtime) complete(th *sim.Thread, op string, target, n int, x *xfer, i
 	if x.e2e {
 		rt.dropPend(x.id)
 	}
+	rt.releaseSlot(x.s)
 	return err
 }
 
@@ -119,13 +193,17 @@ func (rt *Runtime) rdmaReady(th *sim.Thread, local mem.Addr, ln, rank int, addr 
 // amWrite prepares x's first AM attempt at a write of n bytes to rank:
 // payload borrowed (pami recycles it after the one delivery of a healthy
 // run; a chaos run's is never recycled, so a retry may re-send it), pend
-// id allocated (its ack finishes x) and, unless
-// the write is end to end, that ack booked for the next fence.
-func (rt *Runtime) amWrite(x *xfer, local mem.Addr, rank, n int) {
+// id allocated and, unless the write is end to end, its ack booked for the
+// next fence. The ack finishes x when acked is set; a put that completes
+// at issue leaves it unset, so the pend slot never holds a completion its
+// operation no longer owns.
+func (rt *Runtime) amWrite(x *xfer, local mem.Addr, rank, n int, acked bool) {
 	x.data = rt.C.Space.Borrow(local, n)
 	var p *pendReq
 	x.id, p = rt.newPend()
-	p.comp = x.comp
+	if acked {
+		p.comp = &x.s.comp
+	}
 	if !x.e2e {
 		p.counted = true
 		rt.noteWrites(rank, 0, 1)
@@ -143,7 +221,7 @@ func (rt *Runtime) issuePut(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 	if x.rdma = rt.rdmaReady(th, local, n, dst.Rank, dst.Addr, n); x.rdma {
 		// Under an injector RdmaPut's completion is end to end (posted at
 		// delivery), so a timed wait detects a dropped data message.
-		rt.mainCtx.RdmaPut(th, rt.epData(th, dst.Rank), local, dst.Addr, n, x.comp)
+		rt.mainCtx.RdmaPut(th, rt.epData(th, dst.Rank), local, dst.Addr, n, &x.s.comp)
 		if !x.e2e {
 			rt.noteWrites(dst.Rank, 1, 0)
 		}
@@ -152,9 +230,11 @@ func (rt *Runtime) issuePut(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 		return
 	}
 	if x.id == 0 {
-		rt.amWrite(x, local, dst.Rank, n)
+		// An end-to-end put completes at its ack; any other is locally
+		// complete at issue, since the AM owns a copy of the buffer.
+		rt.amWrite(x, local, dst.Rank, n, x.e2e)
 		if !x.e2e {
-			x.comp.Finish() // locally complete at issue: the AM owns a copy of the buffer
+			x.s.comp.Finish()
 		}
 	}
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutReq, []int64{x.id, int64(dst.Addr)}, x.data)
@@ -164,9 +244,9 @@ func (rt *Runtime) issuePut(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 
 // NbPut starts a non-blocking contiguous put (protocol selection:
 // issuePut). The handle completes when the local buffer is reusable.
-func (rt *Runtime) NbPut(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) *Handle {
+func (rt *Runtime) NbPut(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) Handle {
 	h := rt.newHandle()
-	x := xfer{comp: &h.comp}
+	x := xfer{s: h.s}
 	rt.issuePut(th, &x, local, dst, n)
 	return h
 }
@@ -200,7 +280,7 @@ func (rt *Runtime) PutErr(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) 
 // it (the extra o of Eq. 8).
 func (rt *Runtime) issueGet(th *sim.Thread, x *xfer, src GlobalPtr, local mem.Addr, n int) {
 	if x.rdma = rt.rdmaReady(th, local, n, src.Rank, src.Addr, n); x.rdma {
-		rt.mainCtx.RdmaGet(th, rt.epData(th, src.Rank), local, src.Addr, n, x.comp)
+		rt.mainCtx.RdmaGet(th, rt.epData(th, src.Rank), local, src.Addr, n, &x.s.comp)
 		rt.Stats[statGetRdma]++
 		rt.tr("rdma", "get.rdma", int64(n))
 		return
@@ -208,7 +288,7 @@ func (rt *Runtime) issueGet(th *sim.Thread, x *xfer, src GlobalPtr, local mem.Ad
 	if x.id == 0 {
 		var p *pendReq
 		x.id, p = rt.newPend()
-		p.comp = x.comp
+		p.comp = &x.s.comp
 		p.localAddr = local
 	}
 	rt.mainCtx.SendAM(th, rt.epSvc(th, src.Rank), dGetReq, []int64{x.id, int64(src.Addr), int64(n)}, nil)
@@ -219,10 +299,10 @@ func (rt *Runtime) issueGet(th *sim.Thread, x *xfer, src GlobalPtr, local mem.Ad
 // NbGet starts a non-blocking contiguous get of n bytes from src into
 // local memory. A conflicting outstanding write to the same distributed
 // structure fences first (location consistency).
-func (rt *Runtime) NbGet(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) *Handle {
+func (rt *Runtime) NbGet(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) Handle {
 	rt.cons.read(th, src.Rank, rt.allocKey(src))
 	h := rt.newHandle()
-	x := xfer{comp: &h.comp}
+	x := xfer{s: h.s}
 	rt.issueGet(th, &x, src, local, n)
 	return h
 }
@@ -256,7 +336,7 @@ func (rt *Runtime) issueAcc(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 		if !x.e2e {
 			rt.cons.noteWrite(dst.Rank, rt.allocKey(dst))
 		}
-		rt.amWrite(x, local, dst.Rank, n)
+		rt.amWrite(x, local, dst.Rank, n, true)
 	}
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dAccReq,
 		[]int64{x.id, int64(dst.Addr), int64(math.Float64bits(scale))}, x.data)
@@ -266,12 +346,12 @@ func (rt *Runtime) issueAcc(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 
 // NbAcc starts a non-blocking accumulate (issueAcc). The returned handle
 // completes when the target acknowledges application.
-func (rt *Runtime) NbAcc(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, scale float64) *Handle {
+func (rt *Runtime) NbAcc(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, scale float64) Handle {
 	if n%mem.Float64Size != 0 {
 		panic("armci: accumulate length must be a multiple of 8")
 	}
 	h := rt.newHandle()
-	x := xfer{comp: &h.comp}
+	x := xfer{s: h.s}
 	rt.issueAcc(th, &x, local, dst, n, scale)
 	return h
 }

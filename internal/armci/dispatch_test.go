@@ -71,9 +71,9 @@ func TestShardHandlersServeTheAddressedRank(t *testing.T) {
 			if got := sp.GetInt64(count.At(me).Addr); got != 3 {
 				t.Errorf("shards %d: rank %d counted %d fetch-and-adds, want 3", shards, me, got)
 			}
-			if len(rt.pend) != 0 || len(rt.dirty) != 0 {
+			if rt.pendN != 0 || len(rt.dirty) != 0 {
 				t.Errorf("shards %d: rank %d left %d requests pending, %d targets dirty",
-					shards, me, len(rt.pend), len(rt.dirty))
+					shards, me, rt.pendN, len(rt.dirty))
 			}
 			rt.DestroyMutexes(th)
 		})

@@ -58,11 +58,12 @@ func (rt *Runtime) DestroyMutexes(th *sim.Thread) {
 // engine) until the owner grants it.
 func (rt *Runtime) Lock(th *sim.Thread, idx int) {
 	id, p := rt.newPend()
-	comp := sim.NewCompletion(rt.W.K)
-	p.comp = comp
+	s := rt.takeSlot()
+	p.comp = &s.comp
 	rt.mainCtx.SendAM(th, rt.epSvc(th, rt.muOwner(idx)), dLockReq,
 		[]int64{id, int64(idx)}, nil)
-	rt.mainCtx.WaitLocal(th, comp)
+	rt.mainCtx.WaitLocal(th, &s.comp)
+	rt.releaseSlot(s)
 	rt.Stats[statMutexLock]++
 }
 

@@ -28,6 +28,9 @@ const (
 
 // pendReq is the initiator-side state of an in-flight AM protocol.
 type pendReq struct {
+	id int64 // its key in Runtime.pend
+	// comp is the completion the reply or ack finishes, when the
+	// operation is still waiting for one; nil when it completed at issue.
 	comp      *sim.Completion
 	localAddr mem.Addr
 	// counted marks requests that incremented the fence accounting
@@ -120,8 +123,8 @@ func (rt *Runtime) handleRegionQ(th *sim.Thread, x *pami.Context, msg *pami.AMes
 }
 
 func (rt *Runtime) handleRegionR(th *sim.Thread, _ *pami.Context, msg *pami.AMessage) {
-	p, ok := rt.pend[msg.Hdr[0]]
-	if !ok {
+	p := rt.findPend(msg.Hdr[0])
+	if p == nil {
 		return // duplicate or abandoned query (fault mode only)
 	}
 	p.found = msg.Hdr[1] != 0

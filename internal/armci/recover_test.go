@@ -166,8 +166,8 @@ func TestRdmaLossDegradesToAM(t *testing.T) {
 					op.rdma: 2, op.am: 1, "timeout": 1, "rdma.suspect": 1,
 					"regioncache.miss": misses + 1,
 				})
-				if len(rt.pend) != 0 {
-					t.Errorf("%d requests left pending", len(rt.pend))
+				if rt.pendN != 0 {
+					t.Errorf("%d requests left pending", rt.pendN)
 				}
 			})
 			if err != nil {
@@ -200,8 +200,8 @@ func TestLostRegionQueryFallsBackToAM(t *testing.T) {
 					"regioncache.miss": 1, "regioncache.unresolved": 1, "timeout": 2, "retry": 1,
 					op.rdma: 0, op.am: 1, "rdma.suspect": 0,
 				})
-				if len(rt.pend) != 0 {
-					t.Errorf("%d requests left pending", len(rt.pend))
+				if rt.pendN != 0 {
+					t.Errorf("%d requests left pending", rt.pendN)
 				}
 			})
 			if err != nil {
@@ -322,9 +322,9 @@ func TestRetryBudgetExhausted(t *testing.T) {
 					}
 					wantStats(t, rt, map[string]int64{"retry.exhausted": 1, "timeout": 2, "retry": 1, "recovered": 0})
 					settled := func(when string) {
-						if len(rt.pend) != 0 || rmwTableLen(rt) != 0 {
+						if rt.pendN != 0 || rmwTableLen(rt) != 0 {
 							t.Errorf("%s: %d pending requests, %d pending rmws, want none",
-								when, len(rt.pend), rmwTableLen(rt))
+								when, rt.pendN, rmwTableLen(rt))
 						}
 					}
 					settled("on return")
@@ -419,13 +419,16 @@ func TestDelayedOriginalEndsTheBackoff(t *testing.T) {
 // counts repeat exactly, so there is no headroom: a closure that starts
 // to escape on the way from the API to the wait shows up here as +1,
 // where the benchmark's allocs_per_op bound would take 3 % to notice.
-// Every message record and payload but a put flight is recycled on a
-// healthy run: a Get or an Acc is its completion, a Put its completion and
-// its put flight (whose arrival and local completion fire in two lanes),
-// and a FetchAdd nothing — the completion and the prior value live in
-// PAMI's recycled rmw slot, the pending-request slot of the others in
-// ARMCI's.
+// Every record is recycled on a healthy run, so each costs nothing: the
+// completion of a Get, Put or Acc lives in an operation slot the call
+// borrows and returns, its pending request in ARMCI's recycled table, its
+// messages, payloads and flights in pami's pools, and a FetchAdd's
+// completion and prior value in PAMI's recycled rmw slot. Under the race
+// detector slots are retired, not reused, so the test skips.
 func TestBlockingOpAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("operation slots are retired, not reused, under the race detector")
+	}
 	const n = 64
 	_, err := Run(Config{Procs: 2, ProcsPerNode: 1, AsyncThread: true}, func(th *sim.Thread, rt *Runtime) {
 		a := rt.Malloc(th, n)
@@ -438,12 +441,12 @@ func TestBlockingOpAllocBudget(t *testing.T) {
 			want float64
 			op   func()
 		}{
-			{"Get", 1, func() { rt.Get(th, a.At(1), local, n) }},
-			{"Put", 2, func() { rt.Put(th, local, a.At(1), n) }},
-			{"Acc", 1, func() { rt.Acc(th, local, a.At(1), n, 1) }},
+			{"Get", 0, func() { rt.Get(th, a.At(1), local, n) }},
+			{"Put", 0, func() { rt.Put(th, local, a.At(1), n) }},
+			{"Acc", 0, func() { rt.Acc(th, local, a.At(1), n, 1) }},
 			{"FetchAdd", 0, func() { rt.FetchAdd(th, a.At(1), 1) }},
 		} {
-			tc.op() // warm-up: endpoints, route cache, pend map, work queues
+			tc.op() // warm-up: endpoints, route cache, pend table, slot free list, work queues
 			got := testing.AllocsPerRun(100, tc.op)
 			t.Logf("%s: %v heap objects per blocking call", tc.name, got)
 			if got != tc.want {

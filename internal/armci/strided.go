@@ -180,7 +180,7 @@ func decodeStridedHdr(hdr []int64) (id int64, addr mem.Addr, extra int64, l patc
 // (tall-skinny) chunks use the typed/packed path, as does any patch whose
 // memory regions are unavailable.
 func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
-	dst GlobalPtr, dstStrides []int, counts []int) *Handle {
+	dst GlobalPtr, dstStrides []int, counts []int) Handle {
 
 	validateStrided("PutS", localStrides, counts)
 	validateStrided("PutS", dstStrides, counts)
@@ -192,7 +192,8 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 
 	if counts[0] >= rt.W.Cfg.TypedThreshold && rt.rdmaReady(th, local, patchExtent(localStrides, counts),
 		dst.Rank, dst.Addr, patchExtent(dstStrides, counts)) {
-		set := rt.mainCtx.NewOpSet(&h.comp)
+		set := &h.s.set
+		rt.mainCtx.InitOpSet(set, &h.s.comp)
 		ep := rt.epData(th, dst.Rank)
 		forEachChunk(counts, localStrides, dstStrides, func(lOff, rOff int) {
 			set.RdmaPut(th, ep, local+mem.Addr(lOff),
@@ -215,7 +216,7 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutSReq,
 		stridedHdr(&hdr, id, dst.Addr, 0, dstStrides, counts), data)
 	rt.Stats[statStridedTyped]++
-	h.comp.Finish() // locally complete at issue: the AM owns the packed copy
+	h.s.comp.Finish() // locally complete at issue: the AM owns the packed copy
 	return h
 }
 
@@ -229,7 +230,7 @@ func (rt *Runtime) PutS(th *sim.Thread, local mem.Addr, localStrides []int,
 
 // NbGetS starts a non-blocking strided get (protocol selection as NbPutS).
 func (rt *Runtime) NbGetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
-	local mem.Addr, localStrides []int, counts []int) *Handle {
+	local mem.Addr, localStrides []int, counts []int) Handle {
 
 	validateStrided("GetS", srcStrides, counts)
 	validateStrided("GetS", localStrides, counts)
@@ -241,7 +242,8 @@ func (rt *Runtime) NbGetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
 
 	if counts[0] >= rt.W.Cfg.TypedThreshold && rt.rdmaReady(th, local, patchExtent(localStrides, counts),
 		src.Rank, src.Addr, patchExtent(srcStrides, counts)) {
-		set := rt.mainCtx.NewOpSet(&h.comp)
+		set := &h.s.set
+		rt.mainCtx.InitOpSet(set, &h.s.comp)
 		ep := rt.epData(th, src.Rank)
 		forEachChunk(counts, localStrides, srcStrides, func(lOff, rOff int) {
 			set.RdmaGet(th, ep, local+mem.Addr(lOff),
@@ -255,7 +257,7 @@ func (rt *Runtime) NbGetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
 	// Typed path: the target packs and replies; we unpack on receipt, by
 	// a copy of the local layout (the caller's slices are not kept).
 	id, p := rt.newPend()
-	p.comp = &h.comp
+	p.comp = &h.s.comp
 	p.localAddr = local
 	p.layout = layoutOf(localStrides, counts)
 	var hdr [stridedHdrMax]int64
@@ -277,7 +279,7 @@ func (rt *Runtime) GetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
 // message whose handler applies dst += scale*src chunk by chunk at the
 // target. Completion means remotely applied (acknowledged).
 func (rt *Runtime) NbAccS(th *sim.Thread, local mem.Addr, localStrides []int,
-	dst GlobalPtr, dstStrides []int, counts []int, scale float64) *Handle {
+	dst GlobalPtr, dstStrides []int, counts []int, scale float64) Handle {
 
 	validateStrided("AccS", localStrides, counts)
 	validateStrided("AccS", dstStrides, counts)
@@ -290,7 +292,7 @@ func (rt *Runtime) NbAccS(th *sim.Thread, local mem.Addr, localStrides []int,
 	data := packPatch(rt.C.Space, local, localStrides, counts)
 	id, p := rt.newPend()
 	h := rt.newHandle()
-	p.comp = &h.comp
+	p.comp = &h.s.comp
 	p.counted = true
 	rt.noteWrites(dst.Rank, 0, 1)
 	var hdr [stridedHdrMax]int64
@@ -370,23 +372,29 @@ type VecSeg struct {
 // NbPutV puts every segment to rank; segments are issued as independent
 // non-blocking contiguous transfers (ARMCI's vector interface trades the
 // strided descriptor's compactness for full generality).
-func (rt *Runtime) NbPutV(th *sim.Thread, rank int, segs []VecSeg) *Handle {
+func (rt *Runtime) NbPutV(th *sim.Thread, rank int, segs []VecSeg) Handle {
 	comps := make([]*sim.Completion, 0, len(segs))
 	for _, s := range segs {
 		h := rt.NbPut(th, s.Local, GlobalPtr{Rank: rank, Addr: s.Remote}, s.N)
-		comps = append(comps, h.comps...)
+		comps = append(comps, &h.s.comp)
 	}
-	rt.Stats[statVector]++
-	return &Handle{rt: rt, comps: comps}
+	return rt.vectorHandle(comps)
 }
 
 // NbGetV gets every segment from rank.
-func (rt *Runtime) NbGetV(th *sim.Thread, rank int, segs []VecSeg) *Handle {
+func (rt *Runtime) NbGetV(th *sim.Thread, rank int, segs []VecSeg) Handle {
 	comps := make([]*sim.Completion, 0, len(segs))
 	for _, s := range segs {
 		h := rt.NbGet(th, GlobalPtr{Rank: rank, Addr: s.Remote}, s.Local, s.N)
-		comps = append(comps, h.comps...)
+		comps = append(comps, &h.s.comp)
 	}
+	return rt.vectorHandle(comps)
+}
+
+// vectorHandle is the Handle of a vector operation whose segments ended
+// in comps. Neither its slot nor the segments' are ever released: the
+// segments were never Waited on their own, and the list points into them.
+func (rt *Runtime) vectorHandle(comps []*sim.Completion) Handle {
 	rt.Stats[statVector]++
-	return &Handle{rt: rt, comps: comps}
+	return Handle{s: &opSlot{rt: rt, comps: comps}}
 }

@@ -142,15 +142,19 @@ func TestStridedRandomRoundTripsThroughNetwork(t *testing.T) {
 }
 
 // TestStridedOpAllocBudget pins the heap objects one strided operation
-// costs the host in steady state, set up like TestBlockingOpAllocBudget.
-// A 3 × 3 float64 patch has 24-byte chunks, under TypedThreshold, so it
-// takes the typed/packed path: its Handle (completion inside) and nothing
-// else — descriptor, header, chunk index and pending-request slot are on
-// the stack or recycled, and so are the packed payload and both flights.
-// The put fences so that its ack lands inside the operation. A patch of
-// 64-byte chunks is a list of RDMA puts: the Handle, the OpSet and a put
-// flight per chunk.
+// costs the host in steady state, set up like TestBlockingOpAllocBudget:
+// none. A 3 × 3 float64 patch has 24-byte chunks, under TypedThreshold, so
+// it takes the typed/packed path: descriptor, header and chunk index are
+// on the stack; the Handle is a value whose slot, holding the completion,
+// goes back at Wait; the pending request, the packed payload and both
+// flights are recycled. The put fences so that its ack lands inside the
+// operation. A patch of 64-byte chunks is a list of RDMA puts: the OpSet
+// lives in the slot and every put flight goes back to its pool. Skipped
+// under the race detector, which retires slots instead of reusing them.
 func TestStridedOpAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("operation slots are retired, not reused, under the race detector")
+	}
 	const ld = 8 * mem.Float64Size // the remote block's leading dimension
 	_, err := Run(Config{Procs: 2, ProcsPerNode: 1, AsyncThread: true}, func(th *sim.Thread, rt *Runtime) {
 		a := rt.Malloc(th, 8*ld)
@@ -166,12 +170,12 @@ func TestStridedOpAllocBudget(t *testing.T) {
 			want float64
 			op   func()
 		}{
-			{"GetS", 1, func() { rt.NbGetS(th, a.At(1), str, local, str, tile).Wait(th) }},
-			{"AccS", 1, func() { rt.NbAccS(th, local, str, a.At(1), str, tile, 1).Wait(th) }},
-			{"PutS", 1, func() { rt.NbPutS(th, local, str, a.At(1), str, tile).Wait(th); rt.Fence(th, 1) }},
-			{"PutS/rdma", 5, func() { rt.NbPutS(th, local, str, a.At(1), str, rows).Wait(th) }},
+			{"GetS", 0, func() { rt.NbGetS(th, a.At(1), str, local, str, tile).Wait(th) }},
+			{"AccS", 0, func() { rt.NbAccS(th, local, str, a.At(1), str, tile, 1).Wait(th) }},
+			{"PutS", 0, func() { rt.NbPutS(th, local, str, a.At(1), str, tile).Wait(th); rt.Fence(th, 1) }},
+			{"PutS/rdma", 0, func() { rt.NbPutS(th, local, str, a.At(1), str, rows).Wait(th) }},
 		} {
-			tc.op() // warm-up: endpoints, region descriptors, pend map and free list
+			tc.op() // warm-up: endpoints, region descriptors, pend table and free lists
 			got := testing.AllocsPerRun(100, tc.op)
 			t.Logf("%s: %v heap objects per strided call", tc.name, got)
 			if got != tc.want {

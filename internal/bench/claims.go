@@ -328,10 +328,10 @@ func shellSlope(g *Grid) float64 {
 	var sx, sy, sxx, sxy float64
 	for _, h := range slices.Sorted(maps.Keys(sum)) { // a fixed order: the report prints the result
 		y := sum[h] / n[h]
-		sx, sy, sxx, sxy = sx+h, sy+y, sxx+h*h, sxy+h*y
+		sx, sy, sxx, sxy = sx+h, sy+y, sxx+float64(h*h), sxy+float64(h*y)
 	}
 	k := float64(len(sum))
-	return (k*sxy - sx*sy) / (k*sxx - sx*sx)
+	return (float64(k*sxy) - float64(sx*sy)) / (float64(k*sxx) - float64(sx*sx))
 }
 
 // modelError is the worst relative distance, in percent, between an Eq

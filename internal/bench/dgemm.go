@@ -107,7 +107,7 @@ func DgemmGrid(ctx context.Context, eng *sweep.Engine, sp DgemmSpec) *Grid {
 						for j := 0; j < sp.Tile; j++ {
 							s := 0.0
 							for kk := 0; kk < sp.Tile; kk++ {
-								s += at[i*sp.Tile+kk] * bt[kk*sp.Tile+j]
+								s += float64(at[i*sp.Tile+kk] * bt[kk*sp.Tile+j])
 							}
 							acc[i*sp.Tile+j] += s
 						}
@@ -124,7 +124,7 @@ func DgemmGrid(ctx context.Context, eng *sweep.Engine, sp DgemmSpec) *Grid {
 					for c := 0; c < sp.N; c++ {
 						want := 0.0
 						for k := 0; k < sp.N; k++ {
-							want += dgemmAVal(r, k) * dgemmBVal(k, c)
+							want += float64(dgemmAVal(r, k) * dgemmBVal(k, c))
 						}
 						if got[r*sp.N+c] != want {
 							bad[0]++

@@ -88,7 +88,7 @@ func fig4(c *sweep.Ctx, sizes []int, window int) *Grid {
 
 			// Windowed non-blocking gets.
 			t0 := th.Now()
-			handles := make([]*armci.Handle, 0, window)
+			handles := make([]armci.Handle, 0, window)
 			for i := 0; i < iters; i++ {
 				handles = append(handles, rt.NbGet(th, aGet.At(1), local, m))
 				if len(handles) == window {

@@ -151,8 +151,8 @@ func PingGrid(ctx context.Context, eng *sweep.Engine, sp PingSpec) *Grid {
 		for mi, async := range sp.Modes {
 			var wg, wp float64
 			for si := range sp.Sizes {
-				wg += res[mi].get[si] * float64(sp.weight(si))
-				wp += res[mi].put[si] * float64(sp.weight(si))
+				wg += float64(res[mi].get[si] * float64(sp.weight(si)))
+				wp += float64(res[mi].put[si] * float64(sp.weight(si)))
 			}
 			g.Note("%s weighted mean: get %.3f us, put %.3f us",
 				ModeName(async), wg/wsum, wp/wsum)

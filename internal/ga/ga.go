@@ -39,6 +39,10 @@ type Array struct {
 
 	scratch     mem.Addr
 	scratchSize int
+	// handles is Get's, Put's and Acc's list of the pieces' handles,
+	// filled and emptied by each call, so a call in steady state
+	// allocates none.
+	handles []armci.Handle
 }
 
 // Create collectively builds a rows x cols distributed array. Every rank
@@ -163,16 +167,13 @@ func (a *Array) Get(th *sim.Thread, r0, c0, r1, c1 int) []float64 {
 	rows, cols := r1-r0, c1-c0
 	buf := a.ensureScratch(th, rows*cols*mem.Float64Size)
 
-	handles := make([]*armci.Handle, 0, 4)
 	a.forEachOwnedPiece(r0, c0, r1, c1, func(rank, pr0, pc0, pr1, pc1, rOff int) {
 		lOff, lStr, rStr, counts := a.stridedArgs(r0, c0, pr0, pc0, pr1, pc1, cols)
 		src := a.alloc.At(rank).Add(rOff * mem.Float64Size)
-		handles = append(handles,
+		a.handles = append(a.handles,
 			a.rt.NbGetS(th, src, rStr, buf+mem.Addr(lOff), lStr, counts))
 	})
-	for _, h := range handles {
-		h.Wait(th)
-	}
+	a.waitHandles(th)
 	out := make([]float64, rows*cols)
 	a.rt.Space().ReadFloat64s(buf, out)
 	return out
@@ -188,16 +189,13 @@ func (a *Array) Put(th *sim.Thread, r0, c0, r1, c1 int, vals []float64) {
 	buf := a.ensureScratch(th, rows*cols*mem.Float64Size)
 	a.rt.Space().WriteFloat64s(buf, vals)
 
-	handles := make([]*armci.Handle, 0, 4)
 	a.forEachOwnedPiece(r0, c0, r1, c1, func(rank, pr0, pc0, pr1, pc1, rOff int) {
 		lOff, lStr, rStr, counts := a.stridedArgs(r0, c0, pr0, pc0, pr1, pc1, cols)
 		dst := a.alloc.At(rank).Add(rOff * mem.Float64Size)
-		handles = append(handles,
+		a.handles = append(a.handles,
 			a.rt.NbPutS(th, buf+mem.Addr(lOff), lStr, dst, rStr, counts))
 	})
-	for _, h := range handles {
-		h.Wait(th)
-	}
+	a.waitHandles(th)
 }
 
 // Acc accumulates scale*vals into the patch (atomic per element at each
@@ -211,16 +209,22 @@ func (a *Array) Acc(th *sim.Thread, r0, c0, r1, c1 int, vals []float64, scale fl
 	buf := a.ensureScratch(th, rows*cols*mem.Float64Size)
 	a.rt.Space().WriteFloat64s(buf, vals)
 
-	handles := make([]*armci.Handle, 0, 4)
 	a.forEachOwnedPiece(r0, c0, r1, c1, func(rank, pr0, pc0, pr1, pc1, rOff int) {
 		lOff, lStr, rStr, counts := a.stridedArgs(r0, c0, pr0, pc0, pr1, pc1, cols)
 		dst := a.alloc.At(rank).Add(rOff * mem.Float64Size)
-		handles = append(handles,
+		a.handles = append(a.handles,
 			a.rt.NbAccS(th, buf+mem.Addr(lOff), lStr, dst, rStr, counts, scale))
 	})
-	for _, h := range handles {
+	a.waitHandles(th)
+}
+
+// waitHandles waits for every handle Get, Put or Acc collected and
+// empties the list for the next call.
+func (a *Array) waitHandles(th *sim.Thread) {
+	for _, h := range a.handles {
 		h.Wait(th)
 	}
+	a.handles = a.handles[:0]
 }
 
 // Fill sets every element this rank owns to v (collective; callers should

@@ -246,3 +246,43 @@ func TestInvalidPatchPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGetAllocBudget pins the heap objects a patch transfer costs the host
+// in steady state: a 4-rank array, a patch with a piece at every owner.
+// Get allocates the slice it returns and nothing else, Put and Acc
+// nothing: the pieces' handles go into the Array's own list, which keeps
+// its capacity between calls, and every operation's slot, flight and
+// payload is recycled.
+func TestGetAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates, and operation slots are retired under it")
+	}
+	const rows, cols = 16, 16
+	_, err := armci.Run(atCfg(4), func(th *sim.Thread, rt *armci.Runtime) {
+		a := Create(th, rt, "A", rows, cols)
+		if rt.Rank == 0 {
+			vals := make([]float64, 6*6)
+			for _, tc := range []struct {
+				name string
+				want float64
+				op   func()
+			}{
+				{"Get", 1, func() { a.Get(th, 5, 5, 11, 11) }},
+				{"Put", 0, func() { a.Put(th, 5, 5, 11, 11, vals) }},
+				{"Acc", 0, func() { a.Acc(th, 5, 5, 11, 11, vals, 1) }},
+			} {
+				tc.op() // warm-up: endpoints, region descriptors, scratch, handle list
+				got := testing.AllocsPerRun(50, tc.op)
+				t.Logf("%s: %v heap objects per call", tc.name, got)
+				if got != tc.want {
+					t.Errorf("%s: %v heap objects per call, want %v", tc.name, got, tc.want)
+				}
+			}
+		}
+		a.Sync(th)
+		a.Destroy(th)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -45,7 +45,7 @@ func FromParams(p *network.Params, hops int) Model {
 
 // TRdma is Eq. 7: the RDMA get/put latency, o + L + (m-1)G.
 func (m Model) TRdma(bytes int) float64 {
-	return m.O + m.L + float64(bytes-1)*m.G
+	return m.O + m.L + float64(float64(bytes-1)*m.G)
 }
 
 // TFallback is Eq. 8: the active-message fallback latency, which pays an
@@ -59,11 +59,11 @@ func (m Model) TFallback(bytes int) float64 {
 // dominates for tall-skinny patches.
 func (m Model) TStrided(bytes, l0 int) float64 {
 	chunks := float64(bytes) / float64(l0)
-	per := m.PerMsg + float64(l0)*m.G
+	per := m.PerMsg + float64(float64(l0)*m.G)
 	if o := m.O; o > per {
 		per = o
 	}
-	return chunks*per + m.L
+	return float64(chunks*per) + m.L
 }
 
 // StreamBandwidth predicts pipelined bandwidth in MB/s for message size m.

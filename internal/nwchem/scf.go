@@ -196,7 +196,7 @@ func (sh *scfShared) localEnergy(rt *armci.Runtime, d, f *ga.Array) float64 {
 	fv, _ := f.OwnData()
 	e := 0.0
 	for i := range dv {
-		e += dv[i] * fv[i]
+		e += float64(dv[i] * fv[i])
 	}
 	return e
 }

@@ -340,7 +340,8 @@ func (x *Context) StopProgressLoop() {
 // OpSet aggregates many chunk transfers into a single completion, like the
 // messaging unit's hardware completion counters: individual chunk arrivals
 // cost no CPU, and one completion retires through the progress engine when
-// the last chunk lands.
+// the last chunk lands. It lives in storage its caller owns (InitOpSet),
+// so a transfer's set costs no heap object of its own.
 type OpSet struct {
 	x         *Context
 	remaining int
@@ -349,10 +350,12 @@ type OpSet struct {
 	comp      *sim.Completion
 }
 
-// NewOpSet returns an op set whose completion fires after Arm has been
-// called and every added chunk has finished.
-func (x *Context) NewOpSet(comp *sim.Completion) *OpSet {
-	return &OpSet{x: x, comp: comp}
+// InitOpSet sets s up, in place, as an empty op set on x whose completion
+// comp fires after Arm has been called and every added chunk has
+// finished. s must not be in use: every chunk of a previous transfer has
+// landed.
+func (x *Context) InitOpSet(s *OpSet, comp *sim.Completion) {
+	*s = OpSet{x: x, comp: comp}
 }
 
 // done retires one chunk; must be called from simulation context. After

@@ -23,7 +23,8 @@ func TestOpSetAggregatesChunks(t *testing.T) {
 			c.Space.CopyIn(local, pattern4k())
 			ep := c.CreateEndpoint(th, 1, 0)
 			comp := sim.NewCompletion(r.k)
-			set := c.Contexts[0].NewOpSet(comp)
+			set := new(OpSet)
+			c.Contexts[0].InitOpSet(set, comp)
 			for i := 0; i < 8; i++ {
 				off := mem.Addr(i * 512)
 				set.RdmaPut(th, ep, local+off, remote+off, 512)
@@ -66,7 +67,8 @@ func TestOpSetArmWithNoChunksFiresImmediately(t *testing.T) {
 	r := newRig(t, 1, 1, 1)
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
 		comp := sim.NewCompletion(r.k)
-		set := c.Contexts[0].NewOpSet(comp)
+		set := new(OpSet)
+		c.Contexts[0].InitOpSet(set, comp)
 		set.Arm()
 		c.Contexts[0].WaitLocal(th, comp)
 		if !comp.Done() {
@@ -275,7 +277,8 @@ func TestRdmaGetSetAndWaitAll(t *testing.T) {
 			ep := c.CreateEndpoint(th, 1, 0)
 			x := &c.Contexts[0]
 			comp := sim.NewCompletion(r.k)
-			set := x.NewOpSet(comp)
+			set := new(OpSet)
+			x.InitOpSet(set, comp)
 			for i := 0; i < 4; i++ {
 				off := mem.Addr(i * 512)
 				set.RdmaGet(th, ep, off+local, remote+off, 512)

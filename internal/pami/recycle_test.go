@@ -2,6 +2,7 @@ package pami
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -68,7 +69,11 @@ func TestKeptPayloadIsPoisoned(t *testing.T) {
 // kept still holds them once the run is over (a payload recycled after the
 // first copy would carry the second message's bytes, or Poison). Two gets
 // from one size class: each request turns around twice and each reply
-// lands twice, on a flight no later get has taken over.
+// lands twice, on a flight no later get has taken over. Two puts: each
+// arrives and completes twice, and the second put's completion waits for
+// its own bytes (a first flight recycled after its first copy would hand
+// its second arrival and completion to the second put, finishing it before
+// its bytes landed, or fire on a reset flight).
 func TestNoRecyclingUnderDuplication(t *testing.T) {
 	plan := fault.NewPlan(1).Duplicate(fault.Any, fault.Any, 0, sim.Second, 1)
 	payloads := [][]byte{pattern(1, 40), pattern(2, 40)}
@@ -108,5 +113,22 @@ func TestNoRecyclingUnderDuplication(t *testing.T) {
 	// Two requests, each turned around twice, and their four replies.
 	if got := m.Net.Fault().Duplicated; got != 6 {
 		t.Errorf("%d messages duplicated, want 6", got)
+	}
+
+	m = runPair(t, plan, 2*n, nil, func(th *sim.Thread, x *Context, ep Endpoint, remote mem.Addr) {
+		s, tgt := x.Client.Space, x.Client.M.Space(1)
+		local := s.Alloc(2 * n)
+		for i := 0; i < 2; i++ {
+			off := mem.Addr(i * n)
+			s.CopyIn(local+off, pattern(byte(5+i), n))
+			done := sim.NewCompletion(x.Client.M.K)
+			x.RdmaPut(th, ep, local+off, remote+off, n, done)
+			x.WaitLocal(th, done)
+			expectBytes(t, fmt.Sprintf("put %d at its completion", i), tgt, remote+off, pattern(byte(5+i), n))
+		}
+		th.Sleep(sim.Millisecond)
+	})
+	if got := m.Net.Fault().Duplicated; got != 2 {
+		t.Errorf("%d puts duplicated, want 2", got)
 	}
 }

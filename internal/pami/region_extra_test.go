@@ -106,7 +106,8 @@ func TestOpSetOverCompletionPanics(t *testing.T) {
 	r := newRig(t, 1, 1, 1)
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
 		comp := sim.NewCompletion(r.k)
-		set := c.Contexts[0].NewOpSet(comp)
+		set := new(OpSet)
+		c.Contexts[0].InitOpSet(set, comp)
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic")

@@ -2,6 +2,7 @@ package pami
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/network"
@@ -52,23 +53,50 @@ func (p *rdmaPayload) land(s *mem.Space, a mem.Addr) {
 // heap value in three roles, as amFlight is for an active message. It is
 // the network's record of the message (the embedded Msg), the arrival in
 // the target's lane (Fire: the bytes land) and the local completion
-// (putAck), and it owns the bytes it captured at injection.
+// (putAck), and it owns the bytes it captured at injection. A healthy run
+// recycles it (putFlights) once both have fired.
 type putFlight struct {
 	network.Msg
 	x      *Context
 	done   landing
 	tgt    *mem.Space
 	remote mem.Addr
+	// refs counts the arrival and the local completion still to fire on a
+	// healthy run (2 at issue). They fire in two lanes, which can run on
+	// two workers in one round, so each decrements atomically and the one
+	// that reaches 0 recycles the flight. A chaos run leaves it 0: a
+	// delivery can fire twice or never, and the flight is left to the GC.
+	refs atomic.Int32
 	rdmaPayload
 }
 
 // Fire is the arrival: the bytes land at the target.
-func (f *putFlight) Fire() { f.land(f.tgt, f.remote) }
+func (f *putFlight) Fire() {
+	f.land(f.tgt, f.remote)
+	f.release()
+}
 
 // putAck is the flight as its local completion.
 type putAck putFlight
 
-func (a *putAck) Fire() { a.done.landed(a.x) }
+func (a *putAck) Fire() {
+	a.done.landed(a.x)
+	(*putFlight)(a).release()
+}
+
+// release drops one of a healthy flight's two references; the last one
+// resets the flight and puts it back. recycle, set at issue and read-only
+// until then, says whether the flight is counted at all.
+func (f *putFlight) release() {
+	if f.recycle && f.refs.Add(-1) == 0 {
+		*f = putFlight{}
+		putFlights.Put(f)
+	}
+}
+
+// putFlights holds put flights whose arrival and local completion have
+// both fired, as getFlights holds landed gets.
+var putFlights = sync.Pool{New: func() any { return new(putFlight) }}
 
 // RdmaPut transfers n bytes from local memory to remote memory with no
 // remote CPU involvement: the bytes land at the target in pure network
@@ -96,7 +124,8 @@ func (x *Context) put(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n in
 	p := c.M.P
 	th.Sleep(c.jit(p.CPUInject))
 
-	f := &putFlight{
+	f := putFlights.Get().(*putFlight)
+	*f = putFlight{
 		Msg:    network.Msg{Src: c.Node, Dst: dst.Node, Payload: n, Kind: network.Data},
 		x:      x,
 		done:   done,
@@ -107,6 +136,9 @@ func (x *Context) put(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n in
 	// Capture the payload now: after local completion the user may reuse
 	// the buffer, so the network must own a stable copy.
 	f.capture(x, c.Space, local, n)
+	if f.recycle {
+		f.refs.Store(2)
+	}
 	if c.M.faulty() {
 		// Fault mode: completion is end-to-end, ticked only when the bytes
 		// actually land. The MU's optimistic injection-complete ack would

@@ -138,7 +138,8 @@ func TestRdmaPayloadOwnership(t *testing.T) {
 				s.CopyIn(local+mem.Addr(i*n), pattern(byte(10+i), n))
 			}
 			done := sim.NewCompletion(x.Client.M.K)
-			set := x.NewOpSet(done)
+			set := new(OpSet)
+			x.InitOpSet(set, done)
 			for i := 0; i < chunks; i++ {
 				set.RdmaPut(th, ep, local+mem.Addr(i*n), remote+mem.Addr(i*n), n)
 			}

@@ -113,7 +113,8 @@ func TestOpSetDroppedChunkStaysPending(t *testing.T) {
 			local := c.Space.Alloc(chunks * 512)
 			ep := c.CreateEndpoint(th, 1, 0)
 			x := &c.Contexts[0]
-			set := x.NewOpSet(comp)
+			set := new(OpSet)
+			x.InitOpSet(set, comp)
 			for i := 0; i < chunks; i++ {
 				if i == dropped {
 					th.Sleep(dropAt - r.m.P.CPUInject - th.Now())
@@ -193,11 +194,12 @@ func TestWaitLocalAllocFree(t *testing.T) {
 }
 
 // TestRdmaFlightAllocBound pins what one RMA flight costs the host, issue
-// to retired completion, whichever landing it ticks. Payloads of every
-// size are recycled, and so is a get flight once it lands: a put is its
-// flight (its arrival and its local completion fire in two lanes, neither
-// knowing whether the other has), a get or a flush is nothing, and a chunk
-// adds its OpSet.
+// to retired completion, whichever landing it ticks: nothing. Payloads of
+// every size are recycled, a get flight once it lands, a put flight once
+// both its arrival and its local completion have fired (they fire in two
+// lanes, and the second recycles it), and a chunk's OpSet lives in storage
+// the caller owns — here one set reused, as an armci operation slot
+// reuses its own.
 func TestRdmaFlightAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -214,9 +216,10 @@ func TestRdmaFlightAllocBound(t *testing.T) {
 		local := c.Space.Alloc(big)
 		ep := c.CreateEndpoint(th, 1, 0)
 		x := &c.Contexts[0]
+		var set OpSet // the caller's storage, as an operation slot holds it
 		chunk := func(comp *sim.Completion, issue func(*OpSet)) {
-			set := x.NewOpSet(comp)
-			issue(set)
+			x.InitOpSet(&set, comp)
+			issue(&set)
 			set.Arm()
 		}
 		for _, tc := range []struct {
@@ -224,16 +227,16 @@ func TestRdmaFlightAllocBound(t *testing.T) {
 			bound float64
 			issue func(comp *sim.Completion)
 		}{
-			{"put", 1, func(comp *sim.Completion) { x.RdmaPut(th, ep, local, remote, 512, comp) }},
+			{"put", 0, func(comp *sim.Completion) { x.RdmaPut(th, ep, local, remote, 512, comp) }},
 			{"get", 0, func(comp *sim.Completion) { x.RdmaGet(th, ep, local, remote, 512, comp) }},
 			{"flush", 0, func(comp *sim.Completion) { x.FlushRemote(th, ep, comp) }},
-			{"put chunk", 2, func(comp *sim.Completion) {
+			{"put chunk", 0, func(comp *sim.Completion) {
 				chunk(comp, func(set *OpSet) { set.RdmaPut(th, ep, local, remote, 512) })
 			}},
-			{"get chunk", 1, func(comp *sim.Completion) {
+			{"get chunk", 0, func(comp *sim.Completion) {
 				chunk(comp, func(set *OpSet) { set.RdmaGet(th, ep, local, remote, 512) })
 			}},
-			{"put 64 KiB", 1, func(comp *sim.Completion) { x.RdmaPut(th, ep, local, remote, big, comp) }},
+			{"put 64 KiB", 0, func(comp *sim.Completion) { x.RdmaPut(th, ep, local, remote, big, comp) }},
 			{"get 64 KiB", 0, func(comp *sim.Completion) { x.RdmaGet(th, ep, local, remote, big, comp) }},
 		} {
 			next := oneShots(r.k)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -220,6 +221,32 @@ func TestCompletionDoubleFinishPanics(t *testing.T) {
 		}
 	}()
 	c.Finish()
+}
+
+// TestRetiredCompletionPanics: once its owner retires a completion, a
+// late Finish or FinishOnce — a reference that outlived the operation —
+// panics instead of passing unnoticed, and the struct has not grown.
+func TestRetiredCompletionPanics(t *testing.T) {
+	if n := unsafe.Sizeof(Completion{}); n != 48 {
+		t.Errorf("Completion is %d bytes, want 48: the retired mark must fit the padding after done", n)
+	}
+	for _, finish := range []struct {
+		name string
+		f    func(*Completion)
+	}{{"Finish", (*Completion).Finish}, {"FinishOnce", (*Completion).FinishOnce}} {
+		t.Run(finish.name, func(t *testing.T) {
+			c := NewCompletion(NewKernel())
+			c.Finish()
+			c.FinishOnce() // a live duplicate stays benign
+			c.Retire()
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "retired") {
+					t.Fatalf("%s on a retired completion: recovered %v, want the retired panic", finish.name, r)
+				}
+			}()
+			finish.f(c)
+		})
+	}
 }
 
 func TestWaitGroup(t *testing.T) {

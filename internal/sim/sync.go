@@ -183,7 +183,10 @@ func (m *Mutex) Held(t *Thread) bool { return m.owner == t }
 // the communication stack.
 type Completion struct {
 	done bool
-	cond cond
+	// retired marks a completion its owner has released for good (Retire):
+	// finishing it again is a reference that outlived the operation.
+	retired bool
+	cond    cond
 }
 
 // NewCompletion returns an unfinished completion bound to k.
@@ -205,6 +208,7 @@ func (c *Completion) Done() bool { return c.done }
 // is always a protocol bug.
 func (c *Completion) Finish() {
 	if c.done {
+		c.checkLive()
 		panic("sim: completion finished twice")
 	}
 	c.done = true
@@ -219,10 +223,26 @@ func (c *Completion) Finish() {
 // be unique should keep using Finish.
 func (c *Completion) FinishOnce() {
 	if c.done {
+		c.checkLive()
 		return
 	}
 	c.done = true
 	c.cond.broadcast()
+}
+
+// Retire marks a finished completion as released by its owner. An owner
+// that recycles completions retires one instead of reusing it when it
+// wants stale references caught: a Finish or FinishOnce that reaches a
+// retired completion panics, where on a reused one it would have finished
+// the next operation early.
+func (c *Completion) Retire() { c.retired = true }
+
+// checkLive panics on a retired completion; only a finished completion
+// can be retired, so the check rides the already-done branch.
+func (c *Completion) checkLive() {
+	if c.retired {
+		panic("sim: retired completion finished: a reference outlived its operation")
+	}
 }
 
 // Wait blocks t until Finish is called. Returns immediately if already done.
