@@ -94,9 +94,9 @@ func TestDocsNameRealThings(t *testing.T) {
 // doc shrinks; raising one means editing it here beside a one-line reason.
 var docCeilings = map[string]int64{
 	"README.md":      14396, // its size once the claims test judged both scales
-	"DESIGN.md":      92262, // its size once recycled operation slots were described
-	"EXPERIMENTS.md": 84620, // its size once the operation-slot section paid for itself by condensing an older one
-	"CHANGES.md":     34837, // its size once the older entries became a line each and the operation-slot entry was added
+	"DESIGN.md":      91388, // its size once the two per-rank object tables became one
+	"EXPERIMENTS.md": 84572, // its size once the bring-up section paid for itself by condensing two older ones
+	"CHANGES.md":     23714, // its size once more older entries became a line each and the bring-up entry was added
 }
 
 func TestDocsByteBudget(t *testing.T) {

@@ -345,8 +345,11 @@ type Runtime struct {
 	regions regionCache
 	cons    consistency
 	dirty   map[int]rankState // targets with outstanding writes, nothing else
-	allocs  []*Allocation
-	mallocs int // collective Mallocs entered: the exchange generation
+	// The live collective allocations; the list starts on allocArr
+	// (MallocErr), so a rank's first Malloc costs no list.
+	allocs   []*Allocation
+	allocArr [1]*Allocation
+	mallocs  int // collective Mallocs entered: the exchange generation
 
 	// Pending AM requests, found by id: pend[id & (len(pend)-1)], a power
 	// of two long, with pendN of its entries taken. Ids are the monotone
@@ -373,10 +376,9 @@ type Runtime struct {
 	// Barrier bookkeeping: barGen counts barriers this rank has entered,
 	// barRelease the releases delivered to it. Both are lane-local — the
 	// release event is deposited into this rank's own lane, and is the
-	// same function every time.
+	// runtime itself as a sim.Action (barrierRelease).
 	barGen     uint64
 	barRelease uint64
-	release    func()
 
 	obsOps *opObs // nil when Config.Obs is nil
 
@@ -412,7 +414,6 @@ func newRuntime(w *World, th *sim.Thread, rank int) *Runtime {
 	rt.cons = consistency{rt: rt, mode: w.Cfg.Consistency}
 	rt.main = th
 	rt.rng.Seed(w.Cfg.Seed ^ (uint64(rank)*0x5851f42d + 7))
-	rt.release = rt.barrierRelease // the one func a rank owns: every barrier schedules it
 	rt.obsOps = newOpObs(c.Obs)
 	if w.faulty() {
 		rt.retry = w.Cfg.retry

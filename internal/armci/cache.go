@@ -52,13 +52,15 @@ type seedBlock struct {
 // allocator guarantees; purgeExchange relies on it.
 type regionCache struct {
 	cap, self int
-	blocks    []seedBlock            // in insertion order
+	blocks    []seedBlock            // in insertion order; starts on blockArr (insertExchange)
+	blockArr  [1]seedBlock           // a runtime copies its cache in, so set up lazily
 	touched   map[int][]cachedRegion // explicit buckets, by owner rank; nil until one exists
 	slab      []cachedRegion         // where new buckets are cut from
 	total     int
 	Hits      uint64
 	Misses    uint64
 	Evicted   uint64
+	heads     int // steps of the last over-capacity exchange's replay (replayEvicting)
 }
 
 func newRegionCache(capacity, self int) *regionCache {
@@ -157,7 +159,7 @@ func (rc *regionCache) minSeed() (least *seedBlock, rank int) {
 			continue
 		}
 		for !rc.implies(b, b.next) { // live > 0: there is one to stop at
-			b.next++
+			b.next = b.a.nthReg(b.a.regBefore(b.next + 1)) // the next registered rank
 		}
 		if r := b.next; least == nil || r < rank || r == rank && b.a.addrs[r] < least.a.addrs[r] {
 			least, rank = b, r
@@ -215,31 +217,56 @@ func (rc *regionCache) insertExchange(a *Allocation) {
 			nb.live--
 		}
 	}
+	if rc.blocks == nil {
+		rc.blocks = rc.blockArr[:0]
+	}
 	rc.blocks = append(rc.blocks, nb)
+}
+
+// peersBefore returns how many ranks below r (0 <= r <= p) have an entry
+// in a's exchange: registered, and not the cache's own.
+func (rc *regionCache) peersBefore(a *Allocation, r int) int {
+	n := a.regBefore(r)
+	if a.reg[rc.self] && rc.self < r {
+		n--
+	}
+	return n
+}
+
+// nthPeer returns the rank of the k-th entry, counting from 0, in a's
+// exchange.
+func (rc *regionCache) nthPeer(a *Allocation, k int) int {
+	if a.reg[rc.self] && k >= a.regBefore(rc.self) {
+		k++
+	}
+	return a.nthReg(k)
 }
 
 // replayEvicting is the over-capacity exchange: it leaves exactly the
 // victims and survivors of calling insert per registered peer in rank
-// order, without a scan of the explicit buckets per insert (with one, an
-// exchange costs O(p·cap) per rank and world set-up grows as p³). Freqs do
-// not change during the replay and every incoming entry has freq 1, so
-// from the second insert on every victim is a freq-1 entry, and those
-// leave in ascending (rank, base) from three kinds of sorted source: the
-// explicit freq-1 entries (sorted once, here), each older block's cursor,
-// and the new block's own cursor over the ranks inserted so far. Evicted
+// order, without visiting each peer. Freqs do not change during the
+// replay and every incoming entry has freq 1, so from the second insert
+// on every victim is the least (rank, base) freq-1 entry present. Those
+// come from two heads: the incoming entries that survive so far, a window
+// [lo, hi) of the peers in rank order; and the least older entry, from the
+// explicit freq-1 entries (sorted once, here) and each older block's
+// cursor. Each insert after the cache fills moves hi up by one and takes
+// one victim, so a run of victims from the window slides the whole window
+// up to the older head in one jump — rank arithmetic over the registered
+// ranks (Allocation.regBefore) — and only a victim from the older entries,
+// of which there are at most cap, costs a step of its own. Evicted
 // explicit entries are marked with size -1 and compacted afterwards. On
 // return nb.next and nb.live describe the new block's survivors, touched
-// ranks included.
+// ranks included, and rc.heads counts the steps taken.
 func (rc *regionCache) replayEvicting(nb *seedBlock) {
 	type ref struct {
 		rank, slot int
 		base       mem.Addr
 	}
-	const ( // where a victim comes from
+	const ( // where the older head comes from
 		none = iota
 		explicit
 		older
-		incoming
 	)
 	var once []ref
 	for rank, bkt := range rc.touched {
@@ -259,52 +286,63 @@ func (rc *regionCache) replayEvicting(nb *seedBlock) {
 		}
 		return p.slot < q.slot
 	})
+	a, n := nb.a, nb.live
+	p := len(a.addrs)
+	// The inserts that still fit take no victim.
+	lo, hi := 0, min(n, rc.cap-rc.total)
+	rc.total += hi
 	marked := false
-	a := nb.a
-	for r := range a.addrs {
-		if r == rc.self || !a.reg[r] {
-			continue
+	rc.heads = 0
+	for hi < n {
+		rc.heads++
+		// The older head: the least (rank, base) among the sources; on a
+		// full tie the explicit entry, then the older block, sits in the
+		// lower slot. Rank p stands for "none".
+		src, v := none, ref{rank: p}
+		if len(once) > 0 {
+			src, v = explicit, once[0]
 		}
-		if rc.total >= rc.cap {
-			// The victim is the least (rank, base) head among the sources;
-			// on a full tie the explicit entry, then the older block, sits
-			// in the lower slot. Rank len(a.addrs) stands for "none yet".
-			src, v := none, ref{rank: len(a.addrs)}
-			if len(once) > 0 {
-				src, v = explicit, once[0]
+		old, oRank := rc.minSeed()
+		if old != nil && (oRank < v.rank || oRank == v.rank && old.a.addrs[oRank] < v.base) {
+			src, v = older, ref{rank: oRank, base: old.a.addrs[oRank]}
+		}
+		if lo < hi {
+			// Window entries strictly below the older head go first, one
+			// per insert.
+			below := rc.peersBefore(a, v.rank)
+			if v.rank < p && v.rank != rc.self && a.reg[v.rank] && a.addrs[v.rank] < v.base {
+				below++
 			}
-			old, oRank := rc.minSeed()
-			if old != nil && (oRank < v.rank || oRank == v.rank && old.a.addrs[oRank] < v.base) {
-				src, v = older, ref{rank: oRank, base: old.a.addrs[oRank]}
+			k := max(0, min(below-lo, n-hi))
+			lo += k
+			hi += k
+			rc.Evicted += uint64(k)
+			if hi == n {
+				break
 			}
-			for nb.next < r && (nb.next == rc.self || !a.reg[nb.next]) {
-				nb.next++
-			}
-			if nb.next < r && (nb.next < v.rank || nb.next == v.rank && a.addrs[nb.next] < v.base) {
-				src = incoming
-			}
-			switch src {
-			case explicit:
-				rc.touched[v.rank][v.slot].size = -1
-				once = once[1:]
-				marked = true
-			case older:
-				old.next = oRank + 1
-				old.live--
-			case incoming:
-				nb.next++
-				nb.live--
-			case none:
-				// Only before the first insert, so nothing is marked yet:
-				// every cached entry has freq > 1.
-				rc.evictLFU()
-				rc.total++
-				continue
-			}
-			rc.total--
+		}
+		switch src {
+		case explicit:
+			rc.touched[v.rank][v.slot].size = -1
+			once = once[1:]
+			marked = true
+		case older:
+			old.next = oRank + 1
+			old.live--
+		case none:
+			// Only before the first insert, so nothing is marked yet:
+			// every cached entry has freq > 1.
+			rc.evictLFU()
+			rc.total++
+		}
+		if src != none {
 			rc.Evicted++
 		}
-		rc.total++
+		hi++
+	}
+	nb.live = n - lo
+	if lo > 0 {
+		nb.next = rc.nthPeer(a, lo)
 	}
 	if !marked {
 		return

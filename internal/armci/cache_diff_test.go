@@ -253,13 +253,17 @@ func TestRegionCacheMatchesDense(t *testing.T) {
 	const procs = 24
 	const maxLive = 4
 	regimes := []struct {
-		name string
-		cap  int
+		name       string
+		procs, cap int
 	}{
-		{"roomy", 10 * procs * maxLive}, // nothing is ever evicted
-		{"one-exchange", procs - 1},     // the first exchange fits exactly
-		{"tight", 9},                    // every exchange replays evictions
-		{"single", 1},
+		{"roomy", procs, 10 * procs * maxLive}, // nothing is ever evicted
+		{"one-exchange", procs, procs - 1},     // the first exchange fits exactly
+		{"tight", procs, 9},                    // every exchange replays evictions
+		{"single", procs, 1},
+		// Every exchange is several times the cap, so the replay's window
+		// slides over long runs of peers; exchanges with unregistered
+		// ranks (what MaxRegions leaves) take the prefix-count path.
+		{"wide", 160, 24},
 	}
 	ops := 12000
 	if testing.Short() {
@@ -269,7 +273,7 @@ func TestRegionCacheMatchesDense(t *testing.T) {
 		reg := reg
 		t.Run(reg.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
-				w := newDiffWorld(t, seed*7919+int64(reg.cap), procs, reg.cap)
+				w := newDiffWorld(t, seed*7919+int64(reg.cap), reg.procs, reg.cap)
 				for i := 0; i < ops/4; i++ {
 					op := fmt.Sprintf("seed %d op %d %s", seed, i, w.step(maxLive))
 					w.compare(op)

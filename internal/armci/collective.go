@@ -2,6 +2,8 @@ package armci
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/mem"
@@ -37,11 +39,51 @@ type Allocation struct {
 	addrs []mem.Addr   // every rank's block
 	reg   []bool       // whether that rank's registration succeeded
 	nreg  atomic.Int64 // how many did
+
+	// before[r] counts the registered ranks below r, for rank arithmetic
+	// over the registered ones when some rank failed to register. The
+	// first region cache that needs it builds it, after the exchange.
+	beforeOnce sync.Once
+	before     []int32
 }
 
 // At returns the block on the given rank.
 func (a *Allocation) At(rank int) GlobalPtr {
 	return GlobalPtr{Rank: rank, Addr: a.addrs[rank]}
+}
+
+// allRegistered reports whether every rank's registration succeeded, so
+// that rank r is the r-th registered one.
+func (a *Allocation) allRegistered() bool { return int(a.nreg.Load()) == len(a.reg) }
+
+func (a *Allocation) countRegistered() {
+	a.before = make([]int32, len(a.reg)+1)
+	for r, ok := range a.reg {
+		a.before[r+1] = a.before[r]
+		if ok {
+			a.before[r+1]++
+		}
+	}
+}
+
+// regBefore returns how many ranks below r (0 <= r <= p) registered.
+func (a *Allocation) regBefore(r int) int {
+	if a.allRegistered() {
+		return r
+	}
+	a.beforeOnce.Do(a.countRegistered)
+	return int(a.before[r])
+}
+
+// nthReg returns the k-th registered rank, counting from 0, or p when
+// fewer than k+1 registered.
+func (a *Allocation) nthReg(k int) int {
+	p := len(a.reg)
+	if a.allRegistered() {
+		return min(k, p)
+	}
+	a.beforeOnce.Do(a.countRegistered)
+	return sort.Search(p, func(r int) bool { return int(a.before[r+1]) > k })
 }
 
 // Barrier synchronizes all ranks over the hardware combining network:
@@ -79,12 +121,16 @@ func (w *World) barrierArrive(at sim.Time) {
 	w.barCount, w.barMax = 0, 0
 	for i := range w.Runtimes {
 		rt := &w.Runtimes[i]
-		rt.C.Ln.ScheduleAbs(release, rt.release)
+		rt.C.Ln.ScheduleAbsAction(release, (*barrierRelease)(rt))
 	}
 }
 
-// barrierRelease is the release event in the rank's own lane.
-func (rt *Runtime) barrierRelease() {
+// barrierRelease is a runtime as the release event in the rank's own
+// lane: the conversion allocates nothing, as sim.Thread.Waker's does not.
+type barrierRelease Runtime
+
+func (r *barrierRelease) Fire() {
+	rt := (*Runtime)(r)
 	rt.barRelease++
 	// Nudge the rank's contexts so parked waiters re-check.
 	for i := range rt.C.Contexts {
@@ -127,6 +173,9 @@ func (rt *Runtime) MallocErr(th *sim.Thread, bytes int) (*Allocation, error) {
 	}
 	rt.Barrier(th)
 	rt.regions.insertExchange(a)
+	if rt.allocs == nil {
+		rt.allocs = rt.allocArr[:0]
+	}
 	rt.allocs = append(rt.allocs, a)
 	// The exchange is never reused, so nothing needs protecting; the second
 	// traversal stays as part of the collective's modelled cost.

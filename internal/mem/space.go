@@ -7,6 +7,8 @@ package mem
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/sim"
 )
 
 // Addr is an offset into a process's address space. Address 0 is reserved
@@ -25,12 +27,18 @@ type span struct{ off, size uint64 }
 
 // Space is a single process's simulated heap. The zero value is an empty
 // space, so a machine can hold its ranks' spaces in one slice; the heap's
-// reserved first alignment bytes (address 0 stays invalid) and the
-// allocation table come into being with the first Alloc.
+// reserved first alignment bytes (address 0 stays invalid) come into
+// being with the first Alloc. A space holds few blocks — the paper's σ
+// global structures plus τ local buffers — so the allocation table is a
+// sorted slice searched by bisection, and its first two entries live in
+// the Space: a rank's first blocks cost no table of their own. A copy
+// would share that table, so a Space is only ever handled by pointer.
 type Space struct {
+	_      sim.NoCopy
 	buf    []byte // nil until first touched; logically alignment zero bytes
 	free   []span // sorted by offset, coalesced, non-adjacent
-	allocs map[Addr]uint64
+	allocs []span // live blocks, sorted by offset; starts on first
+	first  [2]span
 	used   uint64
 }
 
@@ -78,9 +86,12 @@ func (s *Space) Alloc(n int) Addr {
 
 func (s *Space) commit(a Addr, size uint64) {
 	if s.allocs == nil {
-		s.allocs = make(map[Addr]uint64)
+		s.allocs = s.first[:0]
 	}
-	s.allocs[a] = size
+	i := s.find(a)
+	s.allocs = append(s.allocs, span{})
+	copy(s.allocs[i+1:], s.allocs[i:])
+	s.allocs[i] = span{off: uint64(a), size: size}
 	s.used += size
 	b := s.buf[a : uint64(a)+size]
 	for i := range b {
@@ -91,13 +102,19 @@ func (s *Space) commit(a Addr, size uint64) {
 // Free releases a previously allocated block. Freeing an unknown address
 // panics: it is always a bug in the caller.
 func (s *Space) Free(a Addr) {
-	size, ok := s.allocs[a]
-	if !ok {
+	i := s.find(a)
+	if i == len(s.allocs) || s.allocs[i].off != uint64(a) {
 		panic(fmt.Sprintf("mem: free of unallocated address %#x", uint64(a)))
 	}
-	delete(s.allocs, a)
+	size := s.allocs[i].size
+	s.allocs = append(s.allocs[:i], s.allocs[i+1:]...)
 	s.used -= size
 	s.insertFree(span{off: uint64(a), size: size})
+}
+
+// find returns the index of the first live block at or above a.
+func (s *Space) find(a Addr) int {
+	return sort.Search(len(s.allocs), func(i int) bool { return s.allocs[i].off >= uint64(a) })
 }
 
 // insertFree adds a span to the free list, keeping it sorted and coalesced.
@@ -119,7 +136,10 @@ func (s *Space) insertFree(sp span) {
 
 // SizeOf returns the allocated size of the block at a, or 0 if unknown.
 func (s *Space) SizeOf(a Addr) int {
-	return int(s.allocs[a])
+	if i := s.find(a); i < len(s.allocs) && s.allocs[i].off == uint64(a) {
+		return int(s.allocs[i].size)
+	}
+	return 0
 }
 
 // Bytes returns a live view of [a, a+n). The view must lie entirely within

@@ -152,7 +152,7 @@ const (
 // completion the reply finishes and the prior value the reply carries — and
 // a client recycles its slots, so a blocking rmw allocates neither. A
 // client has at most one per blocked thread, so the table is a slice
-// searched linearly.
+// searched linearly; its first slot is a Client field.
 type rmwPending struct {
 	id     uint64
 	result int64

@@ -38,12 +38,14 @@ type Context struct {
 	Index  int
 	Lock   sim.Mutex
 
-	queue sim.FIFO[workItem]
-	// The threads the next post or nudge wakes (subscribe). Nearly always
-	// one — the progress thread, or a main thread in wait — so the first
-	// is a field and only a second one makes a slice, as in sim's cond.
-	waiter   *sim.Thread
+	// The work queue, and the threads the next post or nudge wakes
+	// (subscribe). Each nearly always holds one or two — a reply, the
+	// progress thread and a main thread in wait — so both start on arrays
+	// in the context (newContext) and only a busier context grows one.
+	queue    sim.FIFO[workItem]
+	queueArr [1]workItem
 	waiters  []*sim.Thread
+	waitArr  [2]*sim.Thread
 	dispatch [DispatchLimit]AMHandler
 	stopped  bool
 
@@ -68,6 +70,8 @@ func newContext(c *Client, index int) {
 	x := &c.Contexts[index]
 	x.Client = c
 	x.Index = index
+	x.queue.StartOn(x.queueArr[:])
+	x.waiters = x.waitArr[:0]
 	if r := c.Obs; r != nil {
 		x.obs = r
 		rc := fmt.Sprintf("{rank=%d,ctx=%d}", c.Rank, index)
@@ -188,10 +192,6 @@ func (x *Context) serve(th *sim.Thread, limit int) int {
 
 // subscribe registers th to be woken on the next post without parking.
 func (x *Context) subscribe(th *sim.Thread) {
-	if x.waiter == nil {
-		x.waiter = th
-		return
-	}
 	x.waiters = append(x.waiters, th)
 }
 
@@ -318,12 +318,10 @@ func (x *Context) IdlePass(th *sim.Thread) bool {
 // Collective operations use it so blocked peers re-check predicates that
 // changed outside the work queue.
 func (x *Context) Nudge() {
-	if x.waiter == nil {
+	if len(x.waiters) == 0 {
 		return
 	}
 	k := x.Client.M.K
-	k.Wake(x.waiter)
-	x.waiter = nil
 	for i, t := range x.waiters {
 		k.Wake(t)
 		x.waiters[i] = nil

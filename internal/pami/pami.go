@@ -115,7 +115,14 @@ type Client struct {
 	// registration beyond it fails, exercising ARMCI's fallback protocols.
 	// Zero means unlimited.
 	MaxRegions int
-	regions    []*MemRegion
+	// The registry. A process's first two registrations — most ranks make
+	// no more — are regionFirst, and the registry starts on regionArr; a
+	// field is never handed out twice, so a deregistered region's pointer
+	// never names a later one.
+	regions     []*MemRegion
+	regionArr   [2]*MemRegion
+	regionFirst [2]MemRegion
+	regionsMade int
 
 	// Accounting for the Table II space model.
 	EndpointsCreated int
@@ -123,9 +130,15 @@ type Client struct {
 	RegionBytes      int
 	ContextBytes     int
 
-	rmwSeq  uint64
-	rmwPend []*rmwPending // read-modify-writes begun and not yet ended
-	rmwFree []*rmwPending // ended slots, for the next RmwBegin
+	// Read-modify-writes begun and not yet ended, and ended slots for the
+	// next RmwBegin. A rank rarely has more than one outstanding, so the
+	// first slot and both tables' first entries are fields (NewClient).
+	rmwSeq     uint64
+	rmwPend    []*rmwPending
+	rmwFree    []*rmwPending
+	rmwFirst   rmwPending
+	rmwPendArr [1]*rmwPending
+	rmwFreeArr [1]*rmwPending
 
 	created bool // NewClient has returned: peers may address this rank
 
@@ -159,6 +172,9 @@ func (m *Machine) NewClient(th *sim.Thread, rank int) *Client {
 	c.Contexts = m.contexts[rank*per : rank*per : (rank+1)*per]
 	c.Ln = m.K.LaneOf(c.Node)
 	c.Obs = c.Ln.Obs()
+	c.regions = c.regionArr[:0]
+	c.rmwPend = c.rmwPendArr[:0]
+	c.rmwFree = append(c.rmwFreeArr[:0], &c.rmwFirst)
 	th.Sleep(c.jit(m.P.ClientCreateTime))
 	c.created = true
 	return c

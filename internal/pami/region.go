@@ -28,7 +28,14 @@ func (c *Client) RegisterMemory(th *sim.Thread, addr mem.Addr, size int) *MemReg
 		return nil
 	}
 	th.Sleep(c.jit(c.M.P.MemRegionCreateTime))
-	r := &MemRegion{Rank: c.Rank, Base: addr, Size: size}
+	var r *MemRegion
+	if c.regionsMade < len(c.regionFirst) {
+		r = &c.regionFirst[c.regionsMade]
+	} else {
+		r = new(MemRegion)
+	}
+	c.regionsMade++
+	*r = MemRegion{Rank: c.Rank, Base: addr, Size: size}
 	c.regions = append(c.regions, r)
 	c.RegionBytes += c.M.P.MemRegionBytes
 	return r

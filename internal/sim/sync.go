@@ -53,6 +53,12 @@ type FIFO[T any] struct {
 	head  int
 }
 
+// StartOn makes an empty queue hold its first len(buf) items in buf, an
+// array its owner keeps inline, so a queue that rarely holds more costs
+// no array of its own; past that it grows on the heap as usual. The owner
+// must not move or be copied afterwards.
+func (q *FIFO[T]) StartOn(buf []T) { q.items, q.head = buf[:0], 0 }
+
 // Len returns the number of queued items.
 func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
 
@@ -82,9 +88,9 @@ func (q *FIFO[T]) Pop() T {
 
 // NoCopy makes `go vet` (copylocks) flag any copy of a value that holds
 // one. State that lives inside its owner — a Mutex in a pami.Context, a
-// Context or a Runtime in a world-sized slice — must only ever be handled
-// by pointer, and `x := c.Contexts[0]` compiles; with this it does not
-// pass `make check`.
+// Context, a Runtime or a mem.Space in a world-sized slice — must only
+// ever be handled by pointer, and `x := c.Contexts[0]` compiles; with this
+// it does not pass `make check`.
 type NoCopy struct{}
 
 // Lock and Unlock are what copylocks looks for; they do nothing.
