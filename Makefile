@@ -36,14 +36,16 @@ test-short:
 # allocates), so the last line runs them, the objects- and
 # switches-per-rank budgets, the region-cache replay budget of a
 # 16384-rank world (skipped under -short), the event-size pin, the RDMA
-# flight and payload-pool budgets (internal/pami, internal/mem) and simd's hit-path
-# allocation budget (internal/serve: parse memo + LRU hit, parse memo +
-# verified disk load) on plain counts, -v so the CI log shows what was
+# flight and payload-pool budgets (internal/pami, internal/mem), the
+# merge budget (internal/obs: per track, never per record) and simd's
+# hit-path and point-delivery allocation budgets (internal/serve: parse
+# memo + LRU hit, parse memo + verified disk load, a point's trace at 64
+# and at 2048 records) on plain counts, -v so the CI log shows what was
 # measured.
 check:
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/fault/ ./...
-	$(GO) test -v -run 'Alloc|ObjectsPerRank|SwitchesPerRank|ReplayHeads|EventSize' ./internal/mem/ ./internal/sim/ ./internal/network/ ./internal/pami/ ./internal/armci/ ./internal/bench/ ./internal/serve/
+	$(GO) test -v -run 'Alloc|ObjectsPerRank|SwitchesPerRank|ReplayHeads|EventSize' ./internal/mem/ ./internal/sim/ ./internal/network/ ./internal/pami/ ./internal/armci/ ./internal/bench/ ./internal/obs/ ./internal/serve/
 
 # What the host pays to simulate, as the Go benchmarks at the foot of
 # bench_test.go. First line: the per-event / switch / message / operation
@@ -77,7 +79,9 @@ bench:
 # which obs-report must parse without a panic and which, written from a
 # registry, must parse back to what the registry recorded, then
 # Alloc/Free/SizeOf sequences on one address space, held to a map of the
-# live blocks (no overlap, sizes, Used, a bad Free panics).
+# live blocks (no overlap, sizes, Used, a bad Free panics), then trace
+# records and metadata lines of any times, names and categories, whose
+# encoding must equal the fmt and json.Marshal formatter's byte for byte.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLaneShortcuts -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzJobCanonIdempotent -fuzztime 10s ./internal/serve/
@@ -87,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStridedPatch -fuzztime 10s ./internal/armci/
 	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime 10s ./cmd/obs-report/
 	$(GO) test -run '^$$' -fuzz FuzzSpaceAllocFree -fuzztime 10s ./internal/mem/
+	$(GO) test -run '^$$' -fuzz FuzzTraceLine -fuzztime 10s ./internal/obs/
 
 # Shard scaling: the fig9 p = 16384 simulation on 1, 2 and 4 lane workers
 # (BenchmarkFig9Shards, which fails if the simulated latency differs

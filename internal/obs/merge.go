@@ -1,6 +1,6 @@
 package obs
 
-import "sort"
+import "slices"
 
 // NewChild returns an empty registry configured like r (same trace track
 // capacity), for a run that records in isolation and is later folded back
@@ -25,10 +25,13 @@ func (r *Registry) NewChild() *Registry {
 //     later Merge call, i.e. the later run, wins);
 //   - histograms with identical bounds combine bucket-wise (differing
 //     bounds for the same name are a programming error and panic);
-//   - trace records are replayed through the normal recording path in
-//     their original order, so ring eviction and sequence numbering end
-//     up exactly as a serial recording would have left them. Track
-//     totals account for records other had already evicted.
+//   - each of other's tracks appends its retained records, oldest first,
+//     to r's track of the same key, evicting as recording would. Eviction
+//     depends only on a track's own order, so every ring ends up as a
+//     serial recording would have left it. Sequence numbers are offset by
+//     r's count of records, so every cross-track order the exporters'
+//     (start, seq) tie-breaks consult is the serial one too. Track totals
+//     include the records other had already evicted.
 //
 // other is left untouched and both registries must share a track
 // capacity. Merge into or from a nil registry is a no-op.
@@ -73,29 +76,22 @@ func (r *Registry) Merge(other *Registry) {
 		mine.n += h.n
 	}
 
-	// Replay other's retained trace records in recording order (their seq
-	// order, across all tracks). record() reassigns r's own sequence
-	// numbers, preserving the relative order — which is all the exporters'
-	// tie-breaks ever consult.
-	type keyedRec struct {
-		key trackKey
-		rec spanRec
-	}
-	var recs []keyedRec
 	for key, t := range other.tracks {
-		for _, rec := range t.ring {
-			recs = append(recs, keyedRec{key: key, rec: rec})
+		dst := r.tracks[key]
+		if dst == nil {
+			dst = &track{}
+			r.tracks[key] = dst
 		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].rec.seq < recs[j].rec.seq })
-	for _, kr := range recs {
-		r.record(kr.key.kind, kr.key.id, kr.rec)
-	}
-	for key, t := range other.tracks {
-		if evicted := t.total - uint64(len(t.ring)); evicted > 0 {
-			// The replay above created r.tracks[key]: a track with evictions
-			// necessarily has a full (non-empty) ring.
-			r.tracks[key].total += evicted
+		if room := r.trackCap - len(dst.ring); room > 0 {
+			dst.ring = slices.Grow(dst.ring, min(room, len(t.ring)))
 		}
+		for _, part := range [2][]spanRec{t.ring[t.head:], t.ring[:t.head]} {
+			for _, rec := range part {
+				rec.seq += r.seq
+				dst.push(rec, r.trackCap)
+			}
+		}
+		dst.total += t.total
 	}
+	r.seq += other.seq
 }

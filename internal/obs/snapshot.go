@@ -1,10 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // SnapshotJSON writes the registry's full metric state as one compact
@@ -24,58 +23,74 @@ import (
 // the registry across goroutines serialize access themselves. A nil
 // registry writes an empty (but valid) snapshot.
 func (r *Registry) SnapshotJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString(`{"counters":{`)
-	if r != nil {
-		names := make([]string, 0, len(r.counters))
-		for name := range r.counters {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for i, name := range names {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%s:%d", jstr(name), r.counters[name].Value())
-		}
+	// A bytes.Buffer or bufio.Writer lends its spare capacity, so a caller
+	// that reuses one pays for no copy here.
+	var b []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		b = ab.AvailableBuffer()
 	}
-	b.WriteString(`},"gauges":{`)
-	if r != nil {
-		names := make([]string, 0, len(r.gauges))
-		for name := range r.gauges {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for i, name := range names {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%s:%d", jstr(name), r.gauges[name].v)
-		}
-	}
-	b.WriteString(`},"histograms":{`)
-	if r != nil {
-		names := make([]string, 0, len(r.hists))
-		for name := range r.hists {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for i, name := range names {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			h := r.hists[name]
-			fmt.Fprintf(&b, `%s:{"count":%d,"sum":%d,"buckets":[`, jstr(name), h.n, h.sum)
-			for j, bound := range h.bounds {
-				if j > 0 {
-					b.WriteByte(',')
-				}
-				fmt.Fprintf(&b, "[%d,%d]", bound, h.counts[j])
-			}
-			fmt.Fprintf(&b, `],"overflow":%d}`, h.counts[len(h.bounds)])
-		}
-	}
-	b.WriteString("}}")
-	_, err := io.WriteString(w, b.String())
+	b = r.appendSnapshotJSON(b)
+	_, err := w.Write(b)
 	return err
+}
+
+func (r *Registry) appendSnapshotJSON(b []byte) []byte {
+	if r == nil {
+		return append(b, `{"counters":{},"gauges":{},"histograms":{}}`...)
+	}
+	b = append(b, `{"counters":{`...)
+	names := sortedKeys(nil, r.counters)
+	for i, name := range names {
+		b = appendKey(b, i, name)
+		b = strconv.AppendInt(b, r.counters[name].Value(), 10)
+	}
+	b = append(b, `},"gauges":{`...)
+	names = sortedKeys(names, r.gauges)
+	for i, name := range names {
+		b = appendKey(b, i, name)
+		b = strconv.AppendInt(b, r.gauges[name].v, 10)
+	}
+	b = append(b, `},"histograms":{`...)
+	names = sortedKeys(names, r.hists)
+	for i, name := range names {
+		h := r.hists[name]
+		b = appendKey(b, i, name)
+		b = append(b, `{"count":`...)
+		b = strconv.AppendUint(b, h.n, 10)
+		b = append(b, `,"sum":`...)
+		b = strconv.AppendInt(b, h.sum, 10)
+		b = append(b, `,"buckets":[`...)
+		for j, bound := range h.bounds {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '[')
+			b = strconv.AppendInt(b, bound, 10)
+			b = append(b, ',')
+			b = strconv.AppendUint(b, h.counts[j], 10)
+			b = append(b, ']')
+		}
+		b = append(b, `],"overflow":`...)
+		b = strconv.AppendUint(b, h.counts[len(h.bounds)], 10)
+		b = append(b, '}')
+	}
+	return append(b, "}}"...)
+}
+
+// sortedKeys refills names with m's keys, sorted.
+func sortedKeys[V any](names []string, m map[string]V) []string {
+	names = names[:0]
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// appendKey appends the i-th member name of a JSON object, with its colon.
+func appendKey(b []byte, i int, name string) []byte {
+	if i > 0 {
+		b = append(b, ',')
+	}
+	return append(appendJSONString(b, name), ':')
 }

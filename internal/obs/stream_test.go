@@ -3,9 +3,20 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
+
+// emitLines is one unlimited Emit, split into its lines (a line never
+// holds a raw newline: JSON escapes it).
+func emitLines(ts *TraceStreamer, reg *Registry) []string {
+	b, _, _ := ts.Emit(nil, reg, "\n", math.MaxInt)
+	if len(b) == 0 {
+		return nil
+	}
+	return strings.Split(string(b), "\n")
+}
 
 func populated() *Registry {
 	r := New(WithTrackCap(8))
@@ -102,7 +113,7 @@ func TestTraceStreamerDeterministicAndStable(t *testing.T) {
 		ts := NewTraceStreamer()
 		var all []string
 		for _, r := range mkRegs() {
-			all = append(all, ts.Emit(r)...)
+			all = append(all, emitLines(ts, r)...)
 		}
 		return all
 	}
@@ -165,14 +176,14 @@ func TestTraceStreamerMatchesWriteChromeTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n" +
-		strings.Join(NewTraceStreamer().Emit(reg), ",\n") + "\n]}\n"
+		strings.Join(emitLines(NewTraceStreamer(), reg), ",\n") + "\n]}\n"
 	if buf.String() != want {
 		t.Fatalf("WriteChromeTrace diverges from the streamer:\nwriter:\n%s\nstream:\n%s", buf.String(), want)
 	}
-	if NewTraceStreamer().Emit(nil) != nil {
+	if emitLines(NewTraceStreamer(), nil) != nil {
 		t.Fatal("nil registry should stream nothing")
 	}
-	if NewTraceStreamer().Emit(New()) != nil {
+	if emitLines(NewTraceStreamer(), New()) != nil {
 		t.Fatal("trace-empty registry should stream nothing")
 	}
 }

@@ -1,11 +1,13 @@
 package obs
 
 import (
-	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
 )
 
 // TrackKind classifies trace tracks. In the Chrome trace_event export
@@ -74,13 +76,19 @@ func (r *Registry) record(kind TrackKind, id string, rec spanRec) {
 		t = &track{}
 		r.tracks[key] = t
 	}
-	if len(t.ring) < r.trackCap {
+	t.push(rec, r.trackCap)
+	t.total++
+}
+
+// push adds rec as the track's newest record, evicting the oldest once the
+// ring holds capacity records.
+func (t *track) push(rec spanRec, capacity int) {
+	if len(t.ring) < capacity {
 		t.ring = append(t.ring, rec)
 	} else {
 		t.ring[t.head] = rec
-		t.head = (t.head + 1) % r.trackCap
+		t.head = (t.head + 1) % capacity
 	}
-	t.total++
 }
 
 // Span records a duration [start, end] on the given track. No-op on a
@@ -154,12 +162,7 @@ func (r *Registry) Events(kind TrackKind, match func(Event) bool) []Event {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].seq < out[j].seq
-	})
+	slices.SortFunc(out, func(a, b Event) int { return cmpTimeSeq(a.Start, a.seq, b.Start, b.seq) })
 	return out
 }
 
@@ -178,13 +181,14 @@ func (r *Registry) EventsTotal(kind TrackKind) uint64 {
 	return n
 }
 
-// jstr renders s as a JSON string literal.
-func jstr(s string) string {
-	b, err := json.Marshal(s)
-	if err != nil {
-		panic(err) // strings always marshal
+// cmpTimeSeq orders trace records by start time, then record order: the
+// order every exporter emits them in. seq is unique within a registry, so
+// the order is total.
+func cmpTimeSeq(startA Time, seqA uint64, startB Time, seqB uint64) int {
+	if c := cmp.Compare(startA, startB); c != 0 {
+		return c
 	}
-	return string(b)
+	return cmp.Compare(seqA, seqB)
 }
 
 // WriteChromeTrace exports every retained trace record as Chrome
@@ -195,39 +199,74 @@ func jstr(s string) string {
 // to microseconds at nanosecond resolution. Output is deterministic:
 // tracks are sorted by (kind, id) and events by (time, insertion order).
 func (r *Registry) WriteChromeTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
-	for i, line := range NewTraceStreamer().Emit(r) {
-		if i > 0 {
-			bw.WriteString(",\n")
-		}
-		bw.WriteString(line)
-	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
+	b := []byte("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
+	b, _, _ = NewTraceStreamer().Emit(b, r, ",\n", math.MaxInt)
+	b = append(b, "\n]}\n"...)
+	_, err := w.Write(b)
+	return err
 }
 
-// chromeEventLine encodes one retained record as a single-line Chrome
+// appendEventLine appends one retained record as a single-line Chrome
 // trace_event JSON object.
-func chromeEventLine(rec spanRec, pid, tid int) string {
-	var line string
-	// ts/dur are microseconds; %d.%03d keeps exact ns resolution
-	// without float formatting.
-	ts := fmt.Sprintf("%d.%03d", rec.start/1000, rec.start%1000)
-	switch rec.phase {
-	case 'X':
-		dur := rec.end - rec.start
-		line = fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%d.%03d,"name":%s`,
-			pid, tid, ts, dur/1000, dur%1000, jstr(rec.name))
-	default:
-		line = fmt.Sprintf(`{"ph":"i","pid":%d,"tid":%d,"ts":%s,"s":"t","name":%s`,
-			pid, tid, ts, jstr(rec.name))
+func appendEventLine(b []byte, rec spanRec, pid, tid int) []byte {
+	if rec.phase == 'X' {
+		b = append(b, `{"ph":"X","pid":`...)
+	} else {
+		b = append(b, `{"ph":"i","pid":`...)
 	}
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	b = append(b, `,"ts":`...)
+	b = appendMicros(b, rec.start)
+	if rec.phase == 'X' {
+		b = append(b, `,"dur":`...)
+		b = appendMicros(b, rec.end-rec.start)
+	} else {
+		b = append(b, `,"s":"t"`...)
+	}
+	b = append(b, `,"name":`...)
+	b = appendJSONString(b, rec.name)
 	if rec.cat != "" {
-		line += fmt.Sprintf(`,"cat":%s`, jstr(rec.cat))
+		b = append(b, `,"cat":`...)
+		b = appendJSONString(b, rec.cat)
 	}
 	if rec.hasArg {
-		line += fmt.Sprintf(`,"args":{"arg":%d}`, rec.arg)
+		b = append(b, `,"args":{"arg":`...)
+		b = strconv.AppendInt(b, rec.arg, 10)
+		b = append(b, '}')
 	}
-	return line + "}"
+	return append(b, '}')
+}
+
+// appendMicros appends ns as microseconds in %d.%03d form, which keeps
+// exact nanosecond resolution without float formatting. Times are never
+// negative; a negative remainder takes fmt so the bytes stay %d.%03d's.
+func appendMicros(b []byte, ns Time) []byte {
+	us, rem := ns/1000, ns%1000
+	if rem < 0 {
+		return fmt.Appendf(b, "%d.%03d", us, rem)
+	}
+	b = strconv.AppendInt(b, us, 10)
+	return append(b, '.', byte('0'+rem/100), byte('0'+rem/10%10), byte('0'+rem%10))
+}
+
+// appendJSONString appends s as a JSON string literal, exactly as
+// json.Marshal writes it. Names and track ids are printable ASCII with
+// nothing to escape, so they go between quotes verbatim; anything else
+// (control bytes, non-ASCII, quotes, backslashes and json.Marshal's HTML
+// escapes of <, > and &) takes json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, err := json.Marshal(s)
+			if err != nil {
+				panic(err) // strings always marshal
+			}
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

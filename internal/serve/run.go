@@ -15,7 +15,7 @@ package serve
 //	point   {"i":I,"n":N}            one sweep point delivered, in index order
 //	metrics SnapshotJSON of the run registry's merged prefix after point I
 //	trace   [trace_event,...]        the point's retained trace records
-//	dropped {"events":K}             trace budget exhausted; K records withheld
+//	dropped {"events":K}             trace budget exhausted; K lines counted, not formatted
 //	result  {"i":I,"data":"base64"}  the rendered artifact, 8 KiB chunks
 //	done    {"status":..,"bytes":..,"sha256":..} or {"status":..,"code":..,"error":..}
 //
@@ -31,7 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -417,6 +417,11 @@ type runEmitter struct {
 	reg    *obs.Registry // the per-run parent registry (merged prefix state)
 	ts     *obs.TraceStreamer
 	budget int // trace event lines still allowed into the log
+
+	// Scratch reused by every point: the metrics snapshot and the trace
+	// event are built here and copied once into the log's string.
+	snap  bytes.Buffer
+	trace []byte
 }
 
 func newRunEmitter(run *Run, reg *obs.Registry, traceBudget int) *runEmitter {
@@ -425,19 +430,16 @@ func newRunEmitter(run *Run, reg *obs.Registry, traceBudget int) *runEmitter {
 
 func (em *runEmitter) PointDone(i, n int, child *obs.Registry) {
 	em.run.notePoint(i, n)
-	var buf bytes.Buffer
-	em.reg.SnapshotJSON(&buf)
-	em.run.append("metrics", buf.String())
-	lines := em.ts.Emit(child)
-	kept := lines
-	if len(kept) > em.budget {
-		kept = kept[:em.budget]
+	em.snap.Reset()
+	em.reg.SnapshotJSON(&em.snap)
+	em.run.append("metrics", em.snap.String())
+	b, kept, total := em.ts.Emit(append(em.trace[:0], '['), child, ",", em.budget)
+	em.trace = append(b, ']')
+	em.budget -= kept
+	if kept > 0 {
+		em.run.append("trace", string(em.trace))
 	}
-	em.budget -= len(kept)
-	if len(kept) > 0 {
-		em.run.append("trace", "["+strings.Join(kept, ",")+"]")
-	}
-	if dropped := len(lines) - len(kept); dropped > 0 {
-		em.run.append("dropped", fmt.Sprintf(`{"events":%d}`, dropped))
+	if dropped := total - kept; dropped > 0 {
+		em.run.append("dropped", `{"events":`+strconv.Itoa(dropped)+`}`)
 	}
 }

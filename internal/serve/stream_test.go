@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -614,7 +615,8 @@ func TestTraceBudgetDropsAreExplicit(t *testing.T) {
 	child.Span(obs.TrackRank, "rank0", "get", 10, 30)
 	child.Span(obs.TrackRank, "rank0", "put", 40, 60)
 	child.Span(obs.TrackRank, "rank0", "acc", 70, 90)
-	all := obs.NewTraceStreamer().Emit(child) // process_name, thread_name, 3 spans
+	lines, _, _ := obs.NewTraceStreamer().Emit(nil, child, "\n", math.MaxInt)
+	all := strings.Split(string(lines), "\n") // process_name, thread_name, 3 spans
 
 	run := newRun("id", "key", "micro", "csv")
 	em := newRunEmitter(run, obs.New(), 3)
