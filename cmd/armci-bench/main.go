@@ -136,8 +136,12 @@ func (e *edge) start(args []string) (pos []string, ok bool) {
 	// Ctrl-C stops scheduling new sweep points; in-flight simulations
 	// finish, partial grids are never rendered, and the process exits 130.
 	e.ctx, e.stop = signal.NotifyContext(context.Background(), os.Interrupt)
-	if *e.tracePath != "" || *e.metricsPath != "" {
+	// A metrics-only run keeps no trace: its registry records no span.
+	switch {
+	case *e.tracePath != "":
 		e.reg = obs.New()
+	case *e.metricsPath != "":
+		e.reg = obs.New(obs.WithTrackCap(0))
 	}
 	e.eng = sweep.NewSharded(*e.parallel, *e.shards, e.reg)
 	return pos, true

@@ -191,7 +191,7 @@ func TestExecutionPlanNeverChangesBytes(t *testing.T) {
 
 // TestObsCapture: -trace/-metrics write a Perfetto-loadable trace and a
 // Prometheus text exposition, byte-identical from run to run and across
-// plans.
+// plans; -metrics alone, which records no span, writes the same metrics.
 func TestObsCapture(t *testing.T) {
 	capture := func(extra ...string) (trace, metrics []byte) {
 		dir := t.TempDir()
@@ -217,6 +217,24 @@ func TestObsCapture(t *testing.T) {
 	t2, m2 := capture("-parallel", "1", "-shards", "2")
 	if !bytes.Equal(t1, t2) || !bytes.Equal(m1, m2) {
 		t.Error("obs capture differs between runs")
+	}
+	for _, cmd := range [][]string{{"fig", "5", "-quick"}, {"chaos", "-quick", "-shards", "3"}} {
+		withTrace := filepath.Join(t.TempDir(), "m.txt")
+		alone := filepath.Join(t.TempDir(), "m.txt")
+		for _, args := range [][]string{
+			append(slices.Clone(cmd), "-metrics", withTrace, "-trace", filepath.Join(t.TempDir(), "t.json")),
+			append(slices.Clone(cmd), "-metrics", alone),
+		} {
+			if code, _, stderr := drive(t, args...); code != 0 {
+				t.Fatalf("%v: exit %d, stderr %q", args, code, stderr)
+			}
+		}
+		a, errA := os.ReadFile(withTrace)
+		b, errB := os.ReadFile(alone)
+		if errA != nil || errB != nil || len(a) == 0 || !bytes.Equal(a, b) {
+			t.Errorf("%v: -metrics alone wrote %d bytes, with -trace %d (%v, %v); want the same bytes",
+				cmd, len(b), len(a), errA, errB)
+		}
 	}
 	if code, _, stderr := drive(t, "chaos", "-quick", "-metrics", filepath.Join(t.TempDir(), "no", "such", "dir")); code != 1 || stderr == "" {
 		t.Errorf("unwritable -metrics path: exit %d, stderr %q, want 1 and a message", code, stderr)

@@ -94,9 +94,9 @@ func TestDocsNameRealThings(t *testing.T) {
 // doc shrinks; raising one means editing it here beside a one-line reason.
 var docCeilings = map[string]int64{
 	"README.md":      14396, // its size once the claims test judged both scales
-	"DESIGN.md":      91346, // its size once the merge paragraph described the ring append
-	"EXPERIMENTS.md": 84560, // its size once the served-trace section paid for itself by condensing an older one
-	"CHANGES.md":     19549, // its size once PRs 30–31 became a line each and the served-trace entry was added
+	"DESIGN.md":      91287, // its size once the observability bullets paid for themselves by condensing the coroutine paragraph
+	"EXPERIMENTS.md": 84191, // its size once the observing-a-run section paid for itself by condensing two older ones
+	"CHANGES.md":     19517, // its size once two older entries became a line each and the observing-a-run entry was added
 }
 
 func TestDocsByteBudget(t *testing.T) {

@@ -197,6 +197,10 @@ type World struct {
 	xchMu  sync.Mutex
 	xch    *Allocation
 	xchGen int
+
+	// opObs holds each lane's metric handles (laneOpObs), indexed by lane;
+	// nil when Config.Obs is.
+	opObs []opObs
 }
 
 // NewWorld builds the machine and empty runtime slots, returning an error
@@ -224,6 +228,9 @@ func NewWorld(k *sim.Kernel, cfg Config) (*World, error) {
 	}
 	if cfg.AsyncThread {
 		w.svcIdx = cfg.Contexts - 1
+	}
+	if cfg.Obs != nil {
+		w.opObs = make([]opObs, max(1, len(k.Lanes())))
 	}
 	w.bindHandlers()
 	w.asyncBody = func(pt *sim.Thread) { w.Runtimes[pt.Index()].svcCtx.ProgressLoop(pt) }
@@ -380,13 +387,12 @@ type Runtime struct {
 	barGen     uint64
 	barRelease uint64
 
-	obsOps *opObs // nil when Config.Obs is nil
+	obsOps *opObs // this rank's lane's handles; nil when Config.Obs is nil
 
 	// Recovery state, armed only on chaos runs (Config.Fault non-nil).
 	retry        *retryPolicy     // resolved policy (never nil when faulty)
 	suspectUntil map[int]sim.Time // per-target rank: RDMA path suspect until this time; nil until one is
 	applied      map[amKey]bool   // target-side write-AM dedup, lazily allocated
-	hRecovery    *obs.Histogram   // armci/ft.recovery_ns: first missed deadline -> eventual completion
 }
 
 // amKey identifies one write AM target-side for deduplication: the
@@ -414,14 +420,11 @@ func newRuntime(w *World, th *sim.Thread, rank int) *Runtime {
 	rt.cons = consistency{rt: rt, mode: w.Cfg.Consistency}
 	rt.main = th
 	rt.rng.Seed(w.Cfg.Seed ^ (uint64(rank)*0x5851f42d + 7))
-	rt.obsOps = newOpObs(c.Obs)
+	rt.obsOps = w.laneOpObs(c.Ln)
 	if w.faulty() {
 		rt.retry = w.Cfg.retry
 		if rt.retry == nil {
 			rt.retry = defaultRetryPolicy()
-		}
-		if c.Obs != nil {
-			rt.hRecovery = c.Obs.Histogram("armci/ft.recovery_ns", obs.DefaultLatencyBounds)
 		}
 	}
 	for i := range c.Contexts {
@@ -534,9 +537,7 @@ func (rt *Runtime) faulty() bool { return rt.W.Faults != nil }
 // up with the thread/link timelines in Perfetto. The legacy trace.Recorder
 // shim this used to feed is gone; obs is the one tracing API.
 func (rt *Runtime) tr(cat, what string, arg int64) {
-	if r := rt.C.Obs; r != nil {
-		r.InstantArg(obs.TrackRank, rt.main.Name(), what, cat, rt.C.Ln.Now(), arg)
-	}
+	rt.main.Trace().InstantArg(what, cat, rt.C.Ln.Now(), arg)
 }
 
 // newPend takes a pending-request slot under the next id: a retired one

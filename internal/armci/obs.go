@@ -1,7 +1,7 @@
 package armci
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -99,25 +99,48 @@ func (s Stats) Get(name string) int64 {
 	return 0
 }
 
-// opObs caches the registry handles for blocking-operation counts and
-// latency. The handles are global (registry-deduplicated), so every
-// runtime shares them; only handle creation pays for name formatting.
+// The names of the blocking-operation metrics, formatted once per process.
+var opCountNames, opLatencyNames = func() (cnt [numOps][len(sizeClassNames)]string, lat [numOps]string) {
+	for op, opName := range opNames {
+		for sc, scName := range sizeClassNames {
+			cnt[op][sc] = "armci/op.count{op=" + opName + ",size=" + scName + "}"
+		}
+		lat[op] = "armci/op.latency_ns{op=" + opName + "}"
+	}
+	return cnt, lat
+}()
+
+// opObs holds one lane's handles for blocking-operation counts and
+// latency, and on a chaos run for armci/ft.recovery_ns. Every rank on a
+// lane records into the lane's registry, so the handles are the same
+// objects for all of them: a world keeps one opObs per lane
+// (World.laneOpObs), made when the lane's first rank comes up.
 type opObs struct {
-	cnt [numOps][len(sizeClassNames)]*obs.Counter
-	lat [numOps]*obs.Histogram
+	cnt      [numOps][len(sizeClassNames)]*obs.Counter
+	lat      [numOps]*obs.Histogram
+	recovery *obs.Histogram // nil outside chaos runs
 }
 
-func newOpObs(r *obs.Registry) *opObs {
-	if r == nil {
+// laneOpObs returns lane ln's handles, making them on the first call; nil
+// when the world records no metrics. Only ln's threads touch its slot, so
+// it needs no lock.
+func (w *World) laneOpObs(ln *sim.Lane) *opObs {
+	if w.opObs == nil {
 		return nil
 	}
-	o := &opObs{}
-	for op := opKind(0); op < numOps; op++ {
-		for sc, scName := range sizeClassNames {
-			o.cnt[op][sc] = r.Counter(fmt.Sprintf("armci/op.count{op=%s,size=%s}", opNames[op], scName))
+	o := &w.opObs[ln.Index()]
+	if o.lat[0] != nil {
+		return o
+	}
+	r := ln.Obs()
+	for op := range o.cnt {
+		for sc := range o.cnt[op] {
+			o.cnt[op][sc] = r.Counter(opCountNames[op][sc])
 		}
-		o.lat[op] = r.Histogram(fmt.Sprintf("armci/op.latency_ns{op=%s}", opNames[op]),
-			obs.DefaultLatencyBounds)
+		o.lat[op] = r.Histogram(opLatencyNames[op], obs.DefaultLatencyBounds)
+	}
+	if w.faulty() {
+		o.recovery = r.Histogram("armci/ft.recovery_ns", obs.DefaultLatencyBounds)
 	}
 	return o
 }
@@ -132,6 +155,14 @@ func (rt *Runtime) obsOp(op opKind, n int, d sim.Time) {
 	o.lat[op].Observe(d)
 }
 
+// obsRecovery records one recovery's latency, first missed deadline to
+// eventual completion.
+func (rt *Runtime) obsRecovery(d sim.Time) {
+	if o := rt.obsOps; o != nil {
+		o.recovery.Observe(d)
+	}
+}
+
 // publishStats exports this rank's protocol counters (the nonzero Stats,
 // the region cache, and the PAMI context lock counts it fronts) into the
 // registry so cmd/obs-report sees them; called once at finalize, so the
@@ -140,16 +171,17 @@ func (rt *Runtime) publishStats(r *obs.Registry) {
 	if r == nil {
 		return
 	}
+	var b [24]byte
+	rank := string(append(strconv.AppendInt(append(b[:0], "{rank="...), int64(rt.Rank), 10), '}'))
 	for st, v := range rt.Stats {
 		if v != 0 {
-			r.Counter(fmt.Sprintf("armci/%s{rank=%d}", statNames[st], rt.Rank)).Add(v)
+			r.Counter("armci/" + statNames[st] + rank).Add(v)
 		}
 	}
-	r.Counter(fmt.Sprintf("armci/regioncache.entries{rank=%d}", rt.Rank)).Add(int64(rt.regions.Len()))
+	r.Counter("armci/regioncache.entries" + rank).Add(int64(rt.regions.Len()))
 	for i := range rt.C.Contexts {
 		x := &rt.C.Contexts[i]
-		lbl := fmt.Sprintf("{rank=%d,ctx=%d}", rt.Rank, x.Index)
-		r.Counter("pami/ctx.lock.acquired" + lbl).Add(int64(x.Lock.Acquired))
-		r.Counter("pami/ctx.lock.contended" + lbl).Add(int64(x.Lock.Contended))
+		r.Counter("pami/ctx.lock.acquired" + x.ObsLabel()).Add(int64(x.Lock.Acquired))
+		r.Counter("pami/ctx.lock.contended" + x.ObsLabel()).Add(int64(x.Lock.Contended))
 	}
 }

@@ -177,5 +177,5 @@ func (rt *Runtime) attempt(th *sim.Thread, op string, target, payload int,
 // missed deadline to eventual completion).
 func (rt *Runtime) noteRecovered(th *sim.Thread, firstLoss sim.Time) {
 	rt.Stats[statRecovered]++
-	rt.hRecovery.Observe(th.Now() - firstLoss)
+	rt.obsRecovery(th.Now() - firstLoss)
 }

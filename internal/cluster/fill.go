@@ -88,10 +88,14 @@ func (f *Filler) Fetch(ctx context.Context, peer, key string) (Result, error) {
 		return Result{}, err
 	}
 	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNotFound:
-		return Result{}, ErrNotFound
-	case resp.StatusCode != http.StatusOK:
+	if resp.StatusCode != http.StatusOK {
+		// Read the short refusal to its end so the connection goes back to
+		// the pool: closed unread, it is torn down, and every executed key
+		// probes its ring successors, so the next probe would dial again.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+		if resp.StatusCode == http.StatusNotFound {
+			return Result{}, ErrNotFound
+		}
 		return Result{}, fmt.Errorf("cluster: peer %s answered HTTP %d for %s", peer, resp.StatusCode, key)
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(f.limit)+1))

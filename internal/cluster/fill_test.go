@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -171,5 +172,38 @@ func TestFillerDeadPeerFailsFast(t *testing.T) {
 	}
 	if d := time.Since(t0); d > 5*time.Second {
 		t.Errorf("dead-peer fetch took %v, want fast failure", d)
+	}
+}
+
+// A miss must leave its connection reusable: twenty 404 probes of one
+// peer dial once. Closing an unread refusal tears the connection down,
+// which made every probe a new dial.
+func TestFillerMissReusesConnection(t *testing.T) {
+	var mu sync.Mutex
+	dials := 0
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.NotFound(w, r)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			mu.Lock()
+			dials++
+			mu.Unlock()
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	peer := strings.TrimPrefix(ts.URL, "http://")
+
+	f := NewFiller(time.Second)
+	for i := 0; i < 20; i++ {
+		if _, err := f.Fetch(context.Background(), peer, strings.Repeat("cd", 32)); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("probe %d: err = %v, want ErrNotFound", i, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if dials != 1 {
+		t.Errorf("20 misses opened %d connections, want 1", dials)
 	}
 }

@@ -24,8 +24,6 @@ type Injector struct {
 	Duplicated uint64 // messages delivered twice
 	Degraded   uint64 // link traversals served at reduced bandwidth
 	Windows    uint64 // fault windows opened so far
-
-	reg *obs.Registry // nil when observability is off
 }
 
 // Verdict is the injector's ruling on one message send.
@@ -46,13 +44,13 @@ func NewInjector(k *sim.Kernel, plan *Plan, seed uint64, r *obs.Registry) *Injec
 		k:    k,
 		plan: plan,
 		rng:  sim.NewRNG(plan.Seed ^ (seed*0x9e3779b97f4a7c15 + 0xfa17)),
-		reg:  r,
 	}
 	r.Attach("fault/msg.dropped", &in.Dropped)
 	r.Attach("fault/msg.delayed", &in.Delayed)
 	r.Attach("fault/msg.duplicated", &in.Duplicated)
 	r.Attach("fault/link.degraded", &in.Degraded)
 	r.Attach("fault/windows", &in.Windows)
+	trace := r.Track(obs.TrackOther, "faults") // nil when r keeps no trace
 	now := k.Now()
 	for i := range plan.Events {
 		e := plan.Events[i]
@@ -62,19 +60,15 @@ func NewInjector(k *sim.Kernel, plan *Plan, seed uint64, r *obs.Registry) *Injec
 		}
 		k.At(start, func() {
 			in.Windows++
-			if in.reg != nil {
-				in.reg.SpanArg(obs.TrackOther, "faults", e.Kind.String(), "fault",
-					e.Start, e.End, int64(i))
-			}
+			trace.SpanArg(e.Kind.String(), "fault", e.Start, e.End, int64(i))
 		})
 		end := e.End - now
 		if end < 0 {
 			end = 0
 		}
 		k.At(end, func() {
-			if in.reg != nil {
-				in.reg.InstantArg(obs.TrackOther, "faults", e.Kind.String()+".end", "fault",
-					in.k.Now(), int64(i))
+			if trace != nil {
+				trace.InstantArg(e.Kind.String()+".end", "fault", in.k.Now(), int64(i))
 			}
 		})
 	}

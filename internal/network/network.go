@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -86,11 +87,12 @@ func (t *Traffic) note(sizes *obs.Histogram, payload, raw, hops int) {
 }
 
 // linkObs holds one link's observability handles: the busy-time counter
-// and the pre-rendered trace track id. Both are formatted once, on the
-// link's first reservation, so traced steady-state sends never Sprintf.
+// and the trace track (nil when the registry keeps no trace). Both are
+// resolved once, on the link's first reservation, so steady-state sends
+// format no name and look up no track.
 type linkObs struct {
 	busy  *obs.Counter
-	track string
+	trace *obs.Track
 }
 
 // New builds a network for the given torus partition on kernel k, which
@@ -155,14 +157,21 @@ func (nw *Network) reserveLink(id int, head, ser sim.Time) sim.Time {
 		nw.qdelay.Observe(start - head)
 		l := &nw.links[id]
 		if l.busy == nil {
-			l.busy = nw.obs.Counter(fmt.Sprintf("network/link.busy_ns{link=%d}", id))
-			l.track = fmt.Sprintf("link-%06d", id)
+			nw.resolveLink(l, id)
 		}
 		l.busy.Add(ser)
-		nw.obs.SpanArg(obs.TrackLink, l.track, "xfer", "net",
-			start, start+ser, ser)
+		l.trace.SpanArg("xfer", "net", start, start+ser, ser)
 	}
 	return start
+}
+
+// resolveLink makes link id's handles at its first reservation.
+func (nw *Network) resolveLink(l *linkObs, id int) {
+	name := strconv.AppendInt([]byte("network/link.busy_ns{link="), int64(id), 10)
+	l.busy = nw.obs.Counter(string(append(name, '}')))
+	if nw.obs.Tracing() {
+		l.trace = nw.obs.Track(obs.TrackLink, fmt.Sprintf("link-%06d", id))
+	}
 }
 
 // Torus returns the partition geometry.

@@ -3,9 +3,10 @@ package obs
 import "slices"
 
 // NewChild returns an empty registry configured like r (same trace track
-// capacity), for a run that records in isolation and is later folded back
-// with Merge. Returns nil on a nil receiver, so a disabled parent yields
-// disabled children for free.
+// capacity, so a metrics-only parent has metrics-only children), for a
+// run that records in isolation and is later folded back with Merge.
+// Returns nil on a nil receiver, so a disabled parent yields disabled
+// children for free.
 func (r *Registry) NewChild() *Registry {
 	if r == nil {
 		return nil
@@ -34,7 +35,8 @@ func (r *Registry) NewChild() *Registry {
 //     include the records other had already evicted.
 //
 // other is left untouched and both registries must share a track
-// capacity. Merge into or from a nil registry is a no-op.
+// capacity; two that keep no trace (capacity 0) merge their metrics only.
+// Merge into or from a nil registry is a no-op.
 func (r *Registry) Merge(other *Registry) {
 	if r == nil || other == nil {
 		return
@@ -77,9 +79,12 @@ func (r *Registry) Merge(other *Registry) {
 	}
 
 	for key, t := range other.tracks {
+		if t.total == 0 {
+			continue // resolved, never recorded on: not in the trace
+		}
 		dst := r.tracks[key]
 		if dst == nil {
-			dst = &track{}
+			dst = &Track{reg: r}
 			r.tracks[key] = dst
 		}
 		if room := r.trackCap - len(dst.ring); room > 0 {

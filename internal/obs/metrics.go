@@ -83,7 +83,10 @@ type Histogram struct {
 }
 
 // NewHistogram builds a histogram with the given inclusive upper bounds,
-// which must be strictly increasing and non-empty.
+// which must be strictly increasing and non-empty. The histogram keeps
+// the caller's slice, not a copy, so histograms registered with one
+// bounds value (DefaultLatencyBounds, Merge's copies of a child's) share
+// it: bounds must not be modified after registration.
 func NewHistogram(bounds []Time) *Histogram {
 	if len(bounds) == 0 {
 		panic("obs: histogram needs at least one bucket bound")
@@ -93,8 +96,7 @@ func NewHistogram(bounds []Time) *Histogram {
 			panic("obs: histogram bounds must be strictly increasing")
 		}
 	}
-	b := append([]Time(nil), bounds...)
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
 // ExpBounds returns n exponentially spaced bounds starting at first and

@@ -8,12 +8,15 @@
 //   - Everything hangs off an injectable *Registry. A nil Registry (and
 //     the nil handles it yields) is a safe no-op, so instrumented code
 //     pays one pointer check and zero allocations when observability is
-//     off.
+//     off. A registry made WithTrackCap(0) keeps metrics and no trace: its
+//     Track handles are nil, so a metrics-only run pays for no span.
 //   - Metric names follow layer/name{label=value,...}, e.g.
 //     "network/link.busy_ns{link=42}" or "pami/ctx.advances{rank=3,ctx=1}".
 //     The registry treats the full string as the key; callers cache the
 //     returned handle, or attach a field that already holds the count,
-//     so name formatting happens once, at setup time.
+//     so name formatting happens once, at setup time. Trace tracks work
+//     the same way: a recorder resolves its Track once and records on
+//     the handle.
 //   - The registry is single-threaded by design: the simulation kernel
 //     serializes all simulated threads, so no locking is needed (or
 //     provided). The coroutine handoff channels give the race detector
@@ -39,7 +42,7 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
-	tracks   map[trackKey]*track
+	tracks   map[trackKey]*Track // nil when trackCap is 0
 	trackCap int
 	seq      uint64
 }
@@ -48,10 +51,13 @@ type Registry struct {
 type Option func(*Registry)
 
 // WithTrackCap bounds each trace track's ring buffer to n events (default
-// DefaultTrackCap). Long simulations keep the most recent window.
+// DefaultTrackCap). Long simulations keep the most recent window. n = 0
+// makes a metrics-only registry: it keeps no trace, so every span and
+// instant recorded into it is dropped before it costs a track, and its
+// children (NewChild) keep none either.
 func WithTrackCap(n int) Option {
-	if n <= 0 {
-		panic("obs: non-positive track capacity")
+	if n < 0 {
+		panic("obs: negative track capacity")
 	}
 	return func(r *Registry) { r.trackCap = n }
 }
@@ -65,11 +71,13 @@ func New(opts ...Option) *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		tracks:   make(map[trackKey]*track),
 		trackCap: DefaultTrackCap,
 	}
 	for _, o := range opts {
 		o(r)
+	}
+	if r.trackCap > 0 {
+		r.tracks = make(map[trackKey]*Track)
 	}
 	return r
 }

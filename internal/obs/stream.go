@@ -68,6 +68,9 @@ func (ts *TraceStreamer) Emit(buf []byte, reg *Registry, sep string, limit int) 
 	keys := make([]trackKey, 0, len(reg.tracks))
 	records := 0
 	for key, t := range reg.tracks {
+		if t.total == 0 {
+			continue // resolved, never recorded on: not in the trace
+		}
 		keys = append(keys, key)
 		records += len(t.ring)
 	}

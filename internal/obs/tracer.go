@@ -59,30 +59,65 @@ type spanRec struct {
 	seq        uint64
 }
 
-// track is a fixed-capacity ring of records, keeping the most recent
-// window per (kind, id).
-type track struct {
+// Track is one trace track: a fixed-capacity ring of records keeping the
+// most recent window for one (kind, id). A recorder that records on one
+// track many times resolves it once (Registry.Track) and keeps the handle,
+// so a record costs no lookup and no id formatting. The nil handle, which
+// a registry that keeps no trace returns, is a no-op.
+//
+// A track enters the exports with its first record: one resolved and
+// never recorded on is not there.
+type Track struct {
+	reg   *Registry
 	ring  []spanRec
 	head  int
 	total uint64
 }
 
-func (r *Registry) record(kind TrackKind, id string, rec spanRec) {
-	rec.seq = r.seq
-	r.seq++
+// Tracing reports whether r keeps a trace: false on a nil registry and
+// on one made with WithTrackCap(0).
+func (r *Registry) Tracing() bool { return r != nil && r.trackCap > 0 }
+
+// Track returns the handle of the (kind, id) track, creating the track if
+// needed. It returns nil on a nil registry or one that keeps no trace.
+func (r *Registry) Track(kind TrackKind, id string) *Track {
+	if !r.Tracing() {
+		return nil
+	}
 	key := trackKey{kind, id}
 	t, ok := r.tracks[key]
 	if !ok {
-		t = &track{}
+		t = &Track{reg: r}
 		r.tracks[key] = t
 	}
+	return t
+}
+
+func (r *Registry) record(kind TrackKind, id string, rec spanRec) {
+	r.Track(kind, id).record(rec)
+}
+
+// record stamps rec with the registry's next sequence number and adds it
+// as the track's newest record. No-op on a nil handle. It stays out of
+// line: inlined through Span into a hot recording site (a thread's
+// Sleep), its record and ring append would cost that site's untraced
+// path a larger frame, measurably (BenchmarkSleepUncontended).
+//
+//go:noinline
+func (t *Track) record(rec spanRec) {
+	if t == nil {
+		return
+	}
+	r := t.reg
+	rec.seq = r.seq
+	r.seq++
 	t.push(rec, r.trackCap)
 	t.total++
 }
 
 // push adds rec as the track's newest record, evicting the oldest once the
 // ring holds capacity records.
-func (t *track) push(rec spanRec, capacity int) {
+func (t *Track) push(rec spanRec, capacity int) {
 	if len(t.ring) < capacity {
 		t.ring = append(t.ring, rec)
 	} else {
@@ -91,39 +126,59 @@ func (t *track) push(rec spanRec, capacity int) {
 	}
 }
 
-// Span records a duration [start, end] on the given track. No-op on a
-// nil registry.
-func (r *Registry) Span(kind TrackKind, id, name string, start, end Time) {
-	if r == nil {
+// Span records a duration [start, end] on the track.
+func (t *Track) Span(name string, start, end Time) {
+	if t == nil {
 		return
 	}
-	r.record(kind, id, spanRec{start: start, end: end, name: name, phase: 'X'})
+	t.record(spanRec{start: start, end: end, name: name, phase: 'X'})
 }
 
 // SpanArg is Span with a category string and a scalar argument (payload
 // bytes, item counts) attached.
-func (r *Registry) SpanArg(kind TrackKind, id, name, cat string, start, end Time, arg int64) {
-	if r == nil {
+func (t *Track) SpanArg(name, cat string, start, end Time, arg int64) {
+	if t == nil {
 		return
 	}
-	r.record(kind, id, spanRec{start: start, end: end, name: name, cat: cat, arg: arg, hasArg: true, phase: 'X'})
+	t.record(spanRec{start: start, end: end, name: name, cat: cat, arg: arg, hasArg: true, phase: 'X'})
 }
 
-// Instant records a point event on the given track. No-op on a nil
-// registry.
-func (r *Registry) Instant(kind TrackKind, id, name string, at Time) {
-	if r == nil {
+// Instant records a point event on the track.
+func (t *Track) Instant(name string, at Time) {
+	if t == nil {
 		return
 	}
-	r.record(kind, id, spanRec{start: at, end: at, name: name, phase: 'i'})
+	t.record(spanRec{start: at, end: at, name: name, phase: 'i'})
+}
+
+// InstantArg is Instant with a category string and scalar argument.
+func (t *Track) InstantArg(name, cat string, at Time, arg int64) {
+	if t == nil {
+		return
+	}
+	t.record(spanRec{start: at, end: at, name: name, cat: cat, arg: arg, hasArg: true, phase: 'i'})
+}
+
+// Span records a duration [start, end] on the (kind, id) track: Track
+// then Span, for a one-off record. No-op on a registry that keeps no
+// trace.
+func (r *Registry) Span(kind TrackKind, id, name string, start, end Time) {
+	r.Track(kind, id).Span(name, start, end)
+}
+
+// SpanArg is Span with a category string and a scalar argument attached.
+func (r *Registry) SpanArg(kind TrackKind, id, name, cat string, start, end Time, arg int64) {
+	r.Track(kind, id).SpanArg(name, cat, start, end, arg)
+}
+
+// Instant records a point event on the (kind, id) track.
+func (r *Registry) Instant(kind TrackKind, id, name string, at Time) {
+	r.Track(kind, id).Instant(name, at)
 }
 
 // InstantArg is Instant with a category string and scalar argument.
 func (r *Registry) InstantArg(kind TrackKind, id, name, cat string, at Time, arg int64) {
-	if r == nil {
-		return
-	}
-	r.record(kind, id, spanRec{start: at, end: at, name: name, cat: cat, arg: arg, hasArg: true, phase: 'i'})
+	r.Track(kind, id).InstantArg(name, cat, at, arg)
 }
 
 // Event is one retained trace record, as returned by Events.

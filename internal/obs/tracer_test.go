@@ -149,3 +149,94 @@ func TestChromeTraceMicrosecondFormatting(t *testing.T) {
 		}
 	}
 }
+
+// A registry made WithTrackCap(0) keeps metrics and no trace: it records
+// no span and makes no track, its children inherit that, two of them
+// merge, and its metrics export as a tracing registry's do.
+func TestMetricsOnlyRegistry(t *testing.T) {
+	record := func(r *Registry, v int64) {
+		r.Counter("c").Add(v)
+		r.Histogram("h", DefaultLatencyBounds).Observe(v)
+		r.Span(TrackRank, "0", "run", 0, 10)
+		r.SpanArg(TrackLink, "l", "xfer", "net", 0, 10, v)
+		r.Instant(TrackRank, "0", "wake", 5)
+		r.InstantArg(TrackOther, "faults", "x", "fault", 5, v)
+		r.Track(TrackProgress, "p").Span("advance", 1, 2)
+	}
+	metricsOnly, tracing := New(WithTrackCap(0)), New()
+	for _, parent := range []*Registry{metricsOnly, tracing} {
+		a, b := parent.NewChild(), parent.NewChild()
+		record(a, 1)
+		record(b, 2)
+		a.Merge(b)
+		parent.Merge(a)
+		record(parent, 3)
+	}
+	for _, r := range []*Registry{metricsOnly, metricsOnly.NewChild()} {
+		if r.Tracing() || r.Track(TrackRank, "0") != nil {
+			t.Fatal("a metrics-only registry or its child keeps a trace")
+		}
+	}
+	if len(metricsOnly.tracks) != 0 || metricsOnly.seq != 0 || metricsOnly.EventsTotal(TrackRank) != 0 {
+		t.Fatalf("metrics-only registry holds %d tracks, seq %d", len(metricsOnly.tracks), metricsOnly.seq)
+	}
+	if got := metricsOnly.Counter("c").Value(); got != 6 {
+		t.Errorf("merged counter = %d, want 6", got)
+	}
+	var empty, trace, m1, m2, s1, s2 strings.Builder
+	(*Registry)(nil).WriteChromeTrace(&empty)
+	metricsOnly.WriteChromeTrace(&trace)
+	if trace.String() != empty.String() {
+		t.Errorf("metrics-only trace %q, want the empty document", trace.String())
+	}
+	metricsOnly.WritePrometheus(&m1)
+	tracing.WritePrometheus(&m2)
+	metricsOnly.SnapshotJSON(&s1)
+	tracing.SnapshotJSON(&s2)
+	if m1.String() != m2.String() || s1.String() != s2.String() {
+		t.Error("metrics-only exports differ from the tracing registry's")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("WithTrackCap(-1) did not panic")
+		}
+	}()
+	WithTrackCap(-1)
+}
+
+// A Track handle records what the registry's own methods record, and a
+// track resolved but never recorded on is in no export and no merge.
+func TestTrackHandleMatchesRegistry(t *testing.T) {
+	byName, byHandle := New(WithTrackCap(4)), New(WithTrackCap(4))
+	byHandle.Track(TrackRank, "idle")
+	rank, link := byHandle.Track(TrackRank, "0"), byHandle.Track(TrackLink, "l")
+	for i := Time(0); i < 6; i++ {
+		byName.Span(TrackRank, "0", "run", i, i+3)
+		byName.SpanArg(TrackLink, "l", "xfer", "net", i, i+1, int64(i))
+		byName.Instant(TrackRank, "0", "wake", i)
+		byName.InstantArg(TrackRank, "0", "tr", "am", i, int64(i))
+		rank.Span("run", i, i+3)
+		link.SpanArg("xfer", "net", i, i+1, int64(i))
+		rank.Instant("wake", i)
+		rank.InstantArg("tr", "am", i, int64(i))
+	}
+	merged := New(WithTrackCap(4))
+	merged.Merge(byHandle)
+	var want strings.Builder
+	byName.WriteChromeTrace(&want)
+	for name, r := range map[string]*Registry{"handle": byHandle, "merged": merged} {
+		var got strings.Builder
+		r.WriteChromeTrace(&got)
+		if got.String() != want.String() {
+			t.Errorf("%s trace\n got %s\nwant %s", name, got.String(), want.String())
+		}
+	}
+	if _, ok := merged.tracks[trackKey{TrackRank, "idle"}]; ok {
+		t.Error("Merge copied a track nothing was recorded on")
+	}
+	var nilTrack *Track
+	nilTrack.Span("run", 0, 1)
+	nilTrack.SpanArg("run", "c", 0, 1, 1)
+	nilTrack.Instant("x", 0)
+	nilTrack.InstantArg("x", "c", 0, 1)
+}

@@ -3,6 +3,7 @@ package pami
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -56,13 +57,34 @@ type Context struct {
 
 	// Observability handles (nil when the machine has no registry; every
 	// use is nil-safe or guarded). Counters and the starvation gauge are
-	// keyed per (rank, ctx); the latency histograms aggregate across
-	// ranks per context index to bound cardinality at scale.
-	obs         *obs.Registry
-	hItemWait   *obs.Histogram
-	hAMDispatch *obs.Histogram
+	// keyed per (rank, ctx), under ObsLabel; the latency histograms
+	// aggregate across ranks per context index to bound cardinality at
+	// scale, so every rank on a lane shares them (Machine.laneCtxHists).
+	hists       *ctxHists
 	gStarve     *obs.Gauge
 	lastAdvance sim.Time
+	label       string
+}
+
+// ctxHists is one (lane, context index)'s latency histograms.
+type ctxHists struct {
+	itemWait, amDispatch, lockWait, lockHold *obs.Histogram
+}
+
+// laneCtxHists returns the histograms of context index on lane ln, making
+// them on the first call. Only ln's threads touch its slots, so they need
+// no lock.
+func (m *Machine) laneCtxHists(ln *sim.Lane, index int) *ctxHists {
+	h := &m.ctxHists[ln.Index()*(len(m.contexts)/len(m.clients))+index]
+	if h.itemWait == nil {
+		r := ln.Obs()
+		xc := "{ctx=" + strconv.Itoa(index) + "}"
+		h.itemWait = r.Histogram("pami/ctx.item_wait_ns"+xc, obs.DefaultLatencyBounds)
+		h.amDispatch = r.Histogram("pami/am.dispatch_ns"+xc, obs.DefaultLatencyBounds)
+		h.lockWait = r.Histogram("pami/ctx.lock.wait_ns"+xc, obs.DefaultLatencyBounds)
+		h.lockHold = r.Histogram("pami/ctx.lock.hold_ns"+xc, obs.DefaultLatencyBounds)
+	}
+	return h
 }
 
 // newContext brings up the client's index-th context in its slot.
@@ -73,20 +95,24 @@ func newContext(c *Client, index int) {
 	x.queue.StartOn(x.queueArr[:])
 	x.waiters = x.waitArr[:0]
 	if r := c.Obs; r != nil {
-		x.obs = r
-		rc := fmt.Sprintf("{rank=%d,ctx=%d}", c.Rank, index)
-		r.Attach("pami/ctx.advances"+rc, &x.Advances)
-		r.Attach("pami/ctx.items_served"+rc, &x.ItemsServed)
-		r.Attach("pami/ctx.ams_served"+rc, &x.AMsServed)
-		x.gStarve = r.Gauge("pami/ctx.starve_max_ns" + rc)
-		xc := fmt.Sprintf("{ctx=%d}", index)
-		x.hItemWait = r.Histogram("pami/ctx.item_wait_ns"+xc, obs.DefaultLatencyBounds)
-		x.hAMDispatch = r.Histogram("pami/am.dispatch_ns"+xc, obs.DefaultLatencyBounds)
-		x.Lock.Instrument(r, "pami/ctx.lock", xc)
+		var b [32]byte
+		lbl := strconv.AppendInt(append(b[:0], "{rank="...), int64(c.Rank), 10)
+		lbl = strconv.AppendInt(append(lbl, ",ctx="...), int64(index), 10)
+		x.label = string(append(lbl, '}'))
+		r.Attach("pami/ctx.advances"+x.label, &x.Advances)
+		r.Attach("pami/ctx.items_served"+x.label, &x.ItemsServed)
+		r.Attach("pami/ctx.ams_served"+x.label, &x.AMsServed)
+		x.gStarve = r.Gauge("pami/ctx.starve_max_ns" + x.label)
+		x.hists = c.M.laneCtxHists(c.Ln, index)
+		x.Lock.Instrument(x.hists.lockWait, x.hists.lockHold)
 		x.lastAdvance = c.Ln.Now()
 	}
 	x.installBuiltinDispatch()
 }
+
+// ObsLabel returns the context's "{rank=R,ctx=C}" metric label, made once
+// when the context came up; empty when the machine has no registry.
+func (x *Context) ObsLabel() string { return x.label }
 
 // noteAdvance records one progress-engine pass: the advance counter and
 // the starvation gauge (the longest virtual-time gap this context ever
@@ -94,7 +120,7 @@ func newContext(c *Client, index int) {
 // thread is starving remote AMOs).
 func (x *Context) noteAdvance() {
 	x.Advances++
-	if x.obs != nil {
+	if x.hists != nil {
 		now := x.Client.Ln.Now()
 		x.gStarve.SetMax(now - x.lastAdvance)
 		x.lastAdvance = now
@@ -167,14 +193,14 @@ func (x *Context) serve(th *sim.Thread, limit int) int {
 	n := 0
 	for x.queue.Len() > 0 && n < limit {
 		it := x.queue.Pop()
-		if x.obs != nil {
+		if x.hists != nil {
 			wait := th.Now() - it.posted
-			x.hItemWait.Observe(wait)
+			x.hists.itemWait.Observe(wait)
 			if it.am {
 				// Dispatch latency: arrival at the target context to the
 				// handler actually running — the queueing cost a starved
 				// progress engine inflicts on AMs and AMOs.
-				x.hAMDispatch.Observe(wait)
+				x.hists.amDispatch.Observe(wait)
 			}
 		}
 		if it.cost > 0 {
@@ -184,8 +210,8 @@ func (x *Context) serve(th *sim.Thread, limit int) int {
 		n++
 	}
 	x.ItemsServed += uint64(n)
-	if x.obs != nil && n > 0 {
-		x.obs.SpanArg(th.ObsTrack(), th.Name(), "advance", "pami", start, th.Now(), int64(n))
+	if n > 0 {
+		th.Trace().SpanArg("advance", "pami", start, th.Now(), int64(n))
 	}
 	return n
 }

@@ -37,7 +37,8 @@ type Machine struct {
 	SeedBase uint64
 	spaces   []mem.Space
 	clients  []Client
-	contexts []Context // the same number of consecutive slots for every rank
+	contexts []Context  // the same number of consecutive slots for every rank
+	ctxHists []ctxHists // per (lane, context index): laneCtxHists; nil without a registry
 }
 
 // NewMachine builds a machine for every rank of the torus partition on
@@ -48,7 +49,7 @@ type Machine struct {
 // lane's registry.
 func NewMachine(k *sim.Kernel, torus *topology.Torus, p *network.Params, ctxPerRank int) *Machine {
 	n := torus.Procs()
-	return &Machine{
+	m := &Machine{
 		K:        k,
 		Net:      network.New(k, torus, p),
 		P:        p,
@@ -56,6 +57,10 @@ func NewMachine(k *sim.Kernel, torus *topology.Torus, p *network.Params, ctxPerR
 		clients:  make([]Client, n),
 		contexts: make([]Context, n*ctxPerRank),
 	}
+	if k.Obs() != nil {
+		m.ctxHists = make([]ctxHists, max(1, len(k.Lanes()))*ctxPerRank)
+	}
+	return m
 }
 
 // Procs returns the number of ranks.

@@ -77,6 +77,7 @@ func NewKernel() *Kernel {
 // derive its child registry.
 func (k *Kernel) SetObs(r *obs.Registry) {
 	k.Lane.obs = r
+	k.Lane.tracing = r.Tracing()
 	r.Attach("sim/events", &k.Lane.fired)
 }
 
@@ -250,8 +251,8 @@ func (ln *Lane) transfer(t *Thread) {
 	}
 	if cancel := t.parkCancel; cancel != nil {
 		t.parkCancel = nil
-		if ln.obs != nil {
-			ln.obs.Span(t.track, t.Name(), "blocked", t.parkStart, ln.now)
+		if ln.tracing {
+			t.Trace().Span("blocked", t.parkStart, ln.now)
 		}
 		if d := t.parkSleep; d > 0 && !*cancel && !t.sleepFor(d) {
 			return

@@ -163,6 +163,7 @@ type Lane struct {
 	switches uint64 // coroutine switches into threads (Kernel.Switches)
 	failure  *ThreadPanic
 	running  bool
+	tracing  bool // obs keeps a trace (Registry.Tracing): the one check at a recording site
 
 	obs *obs.Registry
 
@@ -419,6 +420,7 @@ func (k *Kernel) ConfigureLanes(n, workers int, lookahead Time) {
 	for i := range k.lanes {
 		ln := &Lane{k: k, idx: i, winCap: timeInf}
 		ln.obs = k.obs.NewChild()
+		ln.tracing = ln.obs.Tracing()
 		ln.obs.Attach("sim/events", &ln.fired)
 		k.lanes[i] = ln
 	}

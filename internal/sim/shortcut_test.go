@@ -226,7 +226,9 @@ func (p *scProgram) run(t testing.TB, workers int, noShortcuts bool) scResult {
 			pid := -1000 - i
 			pl := &scPoller{passes: ln.Obs().Counter(fmt.Sprintf("poll/passes{lane=%d}", i))}
 			pl.log = func(step int) { log(pid, step) }
-			pl.mu.Instrument(ln.Obs(), "poll/lock", fmt.Sprintf("{lane=%d}", i))
+			lbl := fmt.Sprintf("{lane=%d}", i)
+			pl.mu.Instrument(ln.Obs().Histogram("poll/lock.wait_ns"+lbl, obs.DefaultLatencyBounds),
+				ln.Obs().Histogram("poll/lock.hold_ns"+lbl, obs.DefaultLatencyBounds))
 			polls[i] = pl
 		}
 		remaining := len(p.scripts[i])

@@ -118,15 +118,12 @@ type Mutex struct {
 	acquiredAt Time
 }
 
-// Instrument records this mutex's lock wait and hold time distributions
-// into r as <name>.wait_ns<labels> and <name>.hold_ns<labels>; labels is
-// either empty or a "{k=v,...}" suffix. A nil registry is a no-op.
-func (m *Mutex) Instrument(r *obs.Registry, name, labels string) {
-	if r == nil {
-		return
-	}
-	m.waitHist = r.Histogram(name+".wait_ns"+labels, obs.DefaultLatencyBounds)
-	m.holdHist = r.Histogram(name+".hold_ns"+labels, obs.DefaultLatencyBounds)
+// Instrument records this mutex's lock wait time (Lock entry to
+// acquisition) and hold time (acquisition to Unlock) into the given
+// histograms, which a caller may share among many mutexes; nil handles
+// record nothing.
+func (m *Mutex) Instrument(wait, hold *obs.Histogram) {
+	m.waitHist, m.holdHist = wait, hold
 }
 
 // TryLock acquires the mutex if it is free, counted and timed as Lock's

@@ -66,7 +66,8 @@ type Thread struct {
 	state      threadState
 	wakeBit    bool
 	track      obs.TrackKind
-	index      int // the spawner's index; -1 for a plainly named thread
+	trace      *obs.Track // this thread's track in its lane's registry; nil until the first record
+	index      int        // the spawner's index; -1 for a plainly named thread
 	fn         func(*Thread)
 
 	next  func() (struct{}, bool) // lane side: run the thread until it switches out or finishes; nil until first switch-in
@@ -227,8 +228,21 @@ func (t *Thread) SetIdlePass(pass func(*Thread) bool, d Time, cancel *bool) {
 	t.idle, t.idleSleep, t.idleCancel = pass, d, cancel
 }
 
-// ObsTrack returns the thread's trace track kind.
-func (t *Thread) ObsTrack() obs.TrackKind { return t.track }
+// Trace returns the thread's trace track — the kind SetObsTrack gave it,
+// id Name — in its lane's registry: resolved at the first record and
+// kept, so later records pay no lookup. It is nil while the lane keeps no
+// trace (no registry, or a metrics-only one), and then the thread's name
+// is never formatted for it. Records on the nil handle are no-ops.
+func (t *Thread) Trace() *obs.Track {
+	if t.trace == nil && t.ln.tracing {
+		t.resolveTrace()
+	}
+	return t.trace
+}
+
+// resolveTrace is Trace's first record on a tracing lane, out of line so
+// Trace inlines into every recording site.
+func (t *Thread) resolveTrace() { t.trace = t.ln.obs.Track(t.track, t.Name()) }
 
 // Now returns the current virtual time of the thread's lane.
 func (t *Thread) Now() Time { return t.ln.now }
@@ -272,10 +286,10 @@ func (t *Thread) Sleep(d Time) {
 func (t *Thread) sleepFor(d Time) (over bool) {
 	ln := t.ln
 	wake := ln.now + d
-	if ln.obs != nil {
+	if ln.tracing {
 		// Sleep models busy computation (and timed waits); record it as
 		// the thread's "run" span on its timeline.
-		ln.obs.Span(t.track, t.Name(), "run", ln.now, wake)
+		t.Trace().Span("run", ln.now, wake)
 	}
 	if ln.fireInline(wake) {
 		return true
@@ -308,8 +322,8 @@ func (t *Thread) Park() {
 	start := t.ln.now
 	t.state = stateParked
 	t.switchOut()
-	if t.ln.obs != nil {
-		t.ln.obs.Span(t.track, t.Name(), "blocked", start, t.ln.now)
+	if t.ln.tracing {
+		t.Trace().Span("blocked", start, t.ln.now)
 	}
 }
 
@@ -363,8 +377,8 @@ func (k *Kernel) Wake(t *Thread) {
 	switch t.state {
 	case stateParked:
 		t.state = stateReady
-		if t.ln.obs != nil {
-			t.ln.obs.Instant(t.track, t.Name(), "wake", t.ln.now)
+		if t.ln.tracing {
+			t.Trace().Instant("wake", t.ln.now)
 		}
 		t.ln.scheduleThread(0, t)
 	case stateDone, stateReady:

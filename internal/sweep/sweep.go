@@ -253,6 +253,9 @@ func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(c *Ctx, i int)
 		ready[i] = true
 		for delivered < n && ready[delivered] {
 			deliver(delivered, regs[delivered])
+			// Merged, the registry is garbage: its attached fields are its
+			// world's, which it would keep alive until the sweep returns.
+			regs[delivered] = nil
 			delivered++
 		}
 	}

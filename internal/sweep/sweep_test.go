@@ -347,3 +347,43 @@ func TestMapEmptyAndNilParent(t *testing.T) {
 		return sweepTask(c, i)
 	})
 }
+
+// deliveredEmitter closes first when point 0 has been delivered.
+type deliveredEmitter struct{ first chan struct{} }
+
+func (em deliveredEmitter) PointDone(i, _ int, _ *obs.Registry) {
+	if i == 0 {
+		close(em.first)
+	}
+}
+
+// TestMapReleasesDeliveredRegistries: once merged, a point's registry is
+// garbage before the sweep returns. A registry holds the fields attached
+// to it, which belong to the point's world; kept to the end of the sweep,
+// every world of a grid stayed alive at once.
+func TestMapReleasesDeliveredRegistries(t *testing.T) {
+	freed := make(chan struct{})
+	em := deliveredEmitter{first: make(chan struct{})}
+	ctx := WithEmitter(context.Background(), em)
+	MapCtx(NewSharded(2, 0, obs.New()), ctx, 3, func(c *Ctx, i int) int {
+		switch i {
+		case 0:
+			// Past the tiny allocator, whose blocks may never be finalized.
+			world := new([8]uint64)
+			runtime.SetFinalizer(world, func(*[8]uint64) { close(freed) })
+			c.Reg.Attach("test/world", &world[0])
+		case 2:
+			<-em.first
+			for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+				runtime.GC()
+				select {
+				case <-freed:
+					return i
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			t.Error("point 0's registry outlived its delivery")
+		}
+		return i
+	})
+}
