@@ -32,6 +32,9 @@ test-short:
 # includes the serving gates: ./cmd/simd starts real simd processes, race
 # detector and all — load then SIGTERM, the 3-replica kill drill, the
 # restart over a survivor's store — and none of them skips under -short.
+# Under -race a registry passed to obs Merge is retired, so the suite also
+# shows that no layer records into a lane or point registry after it was
+# merged.
 # The zero-allocation invariants skip under -race (its instrumentation
 # allocates), so the last line runs them, the objects- and
 # switches-per-rank budgets, the region-cache replay budget of a
@@ -81,7 +84,11 @@ bench:
 # Alloc/Free/SizeOf sequences on one address space, held to a map of the
 # live blocks (no overlap, sizes, Used, a bad Free panics), then trace
 # records and metadata lines of any times, names and categories, whose
-# encoding must equal the fmt and json.Marshal formatter's byte for byte.
+# encoding must equal the fmt and json.Marshal formatter's byte for byte,
+# then operation sequences on registries (counters, attached fields,
+# gauges, histograms, family members, track records) split across one to
+# four children merged in order, whose exports must equal the same
+# sequence recorded into one registry.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLaneShortcuts -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzJobCanonIdempotent -fuzztime 10s ./internal/serve/
@@ -92,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime 10s ./cmd/obs-report/
 	$(GO) test -run '^$$' -fuzz FuzzSpaceAllocFree -fuzztime 10s ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzTraceLine -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzMergeMatchesSerial -fuzztime 10s ./internal/obs/
 
 # Shard scaling: the fig9 p = 16384 simulation on 1, 2 and 4 lane workers
 # (BenchmarkFig9Shards, which fails if the simulated latency differs

@@ -1,8 +1,6 @@
 package armci
 
 import (
-	"strconv"
-
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -163,25 +161,37 @@ func (rt *Runtime) obsRecovery(d sim.Time) {
 	}
 }
 
+// statFamilies are the protocol counters' family names, "armci/<stat>".
+var statFamilies = func() (names [numStats]string) {
+	for st, n := range statNames {
+		names[st] = "armci/" + n
+	}
+	return names
+}()
+
 // publishStats exports this rank's protocol counters (the nonzero Stats,
 // the region cache, and the PAMI context lock counts it fronts) into the
 // registry so cmd/obs-report sees them; called once at finalize, so the
-// hot path pays nothing.
+// hot path pays nothing. Each is the rank's member of a family, so
+// publishing formats no name.
 func (rt *Runtime) publishStats(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	var b [24]byte
-	rank := string(append(strconv.AppendInt(append(b[:0], "{rank="...), int64(rt.Rank), 10), '}'))
+	add := func(f *obs.CounterFamily, v int64, labels ...int) {
+		f.Add(f.Member(labels...), v)
+	}
 	for st, v := range rt.Stats {
 		if v != 0 {
-			r.Counter("armci/" + statNames[st] + rank).Add(v)
+			add(r.CounterFamily(statFamilies[st], "rank"), v, rt.Rank)
 		}
 	}
-	r.Counter("armci/regioncache.entries" + rank).Add(int64(rt.regions.Len()))
+	add(r.CounterFamily("armci/regioncache.entries", "rank"), int64(rt.regions.Len()), rt.Rank)
+	acquired := r.CounterFamily("pami/ctx.lock.acquired", "rank", "ctx")
+	contended := r.CounterFamily("pami/ctx.lock.contended", "rank", "ctx")
 	for i := range rt.C.Contexts {
 		x := &rt.C.Contexts[i]
-		r.Counter("pami/ctx.lock.acquired" + x.ObsLabel()).Add(int64(x.Lock.Acquired))
-		r.Counter("pami/ctx.lock.contended" + x.ObsLabel()).Add(int64(x.Lock.Contended))
+		add(acquired, int64(x.Lock.Acquired), rt.Rank, i)
+		add(contended, int64(x.Lock.Contended), rt.Rank, i)
 	}
 }

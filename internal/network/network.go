@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -86,12 +85,14 @@ func (t *Traffic) note(sizes *obs.Histogram, payload, raw, hops int) {
 	sizes.Observe(int64(payload))
 }
 
-// linkObs holds one link's observability handles: the busy-time counter
-// and the trace track (nil when the registry keeps no trace). Both are
-// resolved once, on the link's first reservation, so steady-state sends
-// format no name and look up no track.
+// linkObs holds one link's observability: its busy time, attached as the
+// link's member of network/link.busy_ns, and its trace track (nil when
+// the registry keeps no trace). Both are made on the link's first
+// reservation, so a link that never carried traffic has no series and
+// steady-state sends look up nothing.
 type linkObs struct {
-	busy  *obs.Counter
+	busy  uint64
+	made  bool
 	trace *obs.Track
 }
 
@@ -156,10 +157,10 @@ func (nw *Network) reserveLink(id int, head, ser sim.Time) sim.Time {
 	if nw.obs != nil {
 		nw.qdelay.Observe(start - head)
 		l := &nw.links[id]
-		if l.busy == nil {
+		if !l.made {
 			nw.resolveLink(l, id)
 		}
-		l.busy.Add(ser)
+		l.busy += uint64(ser)
 		l.trace.SpanArg("xfer", "net", start, start+ser, ser)
 	}
 	return start
@@ -167,8 +168,9 @@ func (nw *Network) reserveLink(id int, head, ser sim.Time) sim.Time {
 
 // resolveLink makes link id's handles at its first reservation.
 func (nw *Network) resolveLink(l *linkObs, id int) {
-	name := strconv.AppendInt([]byte("network/link.busy_ns{link="), int64(id), 10)
-	l.busy = nw.obs.Counter(string(append(name, '}')))
+	l.made = true
+	busy := nw.obs.CounterFamily("network/link.busy_ns", "link")
+	busy.Attach(busy.Member(id), &l.busy)
 	if nw.obs.Tracing() {
 		l.trace = nw.obs.Track(obs.TrackLink, fmt.Sprintf("link-%06d", id))
 	}

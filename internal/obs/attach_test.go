@@ -72,8 +72,9 @@ func TestAttachSourcesSum(t *testing.T) {
 	}
 }
 
-// TestAttachMergeSamples: Merge copies the value a field has at that
-// moment; the parent does not follow the field afterwards.
+// TestAttachMergeSamples: Merge takes the value a field has at that
+// moment and drops the field, so the parent does not follow it afterwards
+// (nor keep what it points into alive), and the child is retired.
 func TestAttachMergeSamples(t *testing.T) {
 	parent := New()
 	child := parent.NewChild()
@@ -84,8 +85,11 @@ func TestAttachMergeSamples(t *testing.T) {
 	if v := parent.Counter("sim/events").Value(); v != 4 {
 		t.Fatalf("parent = %d after the field moved, want the merge-time 4", v)
 	}
-	if v := child.Counter("sim/events").Value(); v != 100 {
-		t.Fatalf("child = %d, want the field's 100", v)
+	if c := parent.counters["sim/events"]; c.first != nil || c.more != nil {
+		t.Fatal("the parent's counter still reads the child's field")
+	}
+	if !child.retired {
+		t.Fatal("the merged child is not retired")
 	}
 }
 

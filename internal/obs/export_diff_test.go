@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,7 +14,7 @@ import (
 	"testing"
 )
 
-// The exporters and Merge are held to the fmt formatter and the
+// The exporters and Merge are held to the fmt formatters and the
 // sort-and-replay merge they replaced, kept here as the definitions.
 
 // fmtJSONString is the reference string encoding: json.Marshal.
@@ -262,4 +264,206 @@ func TestMergeAllocBudget(t *testing.T) {
 		t.Errorf("merge allocations %.0f (16 a track) and %.0f (1024 a track); want equal and at most %.0f",
 			small, large, budget)
 	}
+}
+
+// fmtWritePrometheus is the reference exposition: the fmt formatter
+// WritePrometheus replaced, over named handles.
+func fmtWritePrometheus(r *Registry, w io.Writer) error {
+	type series struct {
+		labels string
+		lines  []string
+	}
+	type family struct {
+		name   string
+		kind   string
+		series []series
+	}
+	fams := map[string]*family{}
+	get := func(raw, kind string) (*family, string) {
+		base, labels := fmtSplitPromName(raw)
+		f, ok := fams[base]
+		if !ok {
+			f = &family{name: base, kind: kind}
+			fams[base] = f
+		}
+		return f, labels
+	}
+	for name, c := range r.counters {
+		f, labels := get(name, "counter")
+		f.series = append(f.series, series{labels: labels,
+			lines: []string{fmt.Sprintf("%s%s %d", f.name, labels, c.Value())}})
+	}
+	for name, g := range r.gauges {
+		f, labels := get(name, "gauge")
+		f.series = append(f.series, series{labels: labels,
+			lines: []string{fmt.Sprintf("%s%s %d", f.name, labels, g.v)}})
+	}
+	for name, h := range r.hists {
+		f, labels := get(name, "histogram")
+		s := series{labels: labels}
+		var cum uint64
+		for i, b := range h.bounds {
+			cum += h.counts[i]
+			s.lines = append(s.lines, fmt.Sprintf("%s_bucket%s %d",
+				f.name, fmtPromAddLabel(labels, "le", fmt.Sprint(b)), cum))
+		}
+		cum += h.counts[len(h.bounds)]
+		s.lines = append(s.lines,
+			fmt.Sprintf("%s_bucket%s %d", f.name, fmtPromAddLabel(labels, "le", "+Inf"), cum),
+			fmt.Sprintf("%s_sum%s %d", f.name, labels, h.sum),
+			fmt.Sprintf("%s_count%s %d", f.name, labels, h.n))
+		f.series = append(f.series, s)
+	}
+	names := make([]string, 0, len(fams))
+	for n := range fams {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		f := fams[n]
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
+			return err
+		}
+		for _, s := range f.series {
+			for _, l := range s.lines {
+				if _, err := fmt.Fprintln(w, l); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+func fmtSplitPromName(raw string) (base, labels string) {
+	base = raw
+	if i := strings.IndexByte(raw, '{'); i >= 0 {
+		base = raw[:i]
+		inner := strings.TrimSuffix(raw[i+1:], "}")
+		var parts []string
+		for _, kv := range strings.Split(inner, ",") {
+			k, v, ok := strings.Cut(kv, "=")
+			if !ok {
+				k, v = "label", kv
+			}
+			parts = append(parts, fmt.Sprintf("%s=%q", fmtSanitizePromName(k), v))
+		}
+		sort.Strings(parts)
+		labels = "{" + strings.Join(parts, ",") + "}"
+	}
+	return fmtSanitizePromName(base), labels
+}
+
+func fmtPromAddLabel(labels, k, v string) string {
+	kv := fmt.Sprintf("%s=%q", k, v)
+	if labels == "" {
+		return "{" + kv + "}"
+	}
+	return strings.TrimSuffix(labels, "}") + "," + kv + "}"
+}
+
+func fmtSanitizePromName(s string) string {
+	var b strings.Builder
+	for i, c := range s {
+		ok := c == '_' || c == ':' ||
+			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+			(c >= '0' && c <= '9' && i > 0)
+		if !ok {
+			c = '_'
+		}
+		b.WriteRune(c)
+	}
+	return b.String()
+}
+
+// TestWritePrometheusMatchesFmt: over registries of random names — label
+// blocks with and without values, unsorted keys, empty braces, quotes,
+// backslashes, newlines, non-ASCII and invalid UTF-8, leading digits, base
+// names shared across kinds — the exposition is the fmt formatter's, byte
+// for byte. Names whose series the text format cannot tell apart are left
+// out: the formatter ordered those by map iteration.
+func TestWritePrometheusMatchesFmt(t *testing.T) {
+	frags := []string{"a", "b/c", ".", "x_y", "9", "é", "\xff", `"`, `\`, "\n", "{", "}", ",", "=",
+		"{k=v}", "{rank=1,ctx=0}", "{ctx=10}", "{ctx=2}", "{}", "{le}", "{z=1,a=2,m=3}", "{k=\"q\"}"}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := New()
+		seen := map[string]bool{}
+		for i := rng.Intn(40); i >= 0; i-- {
+			var raw string
+			for j := 1 + rng.Intn(4); j > 0; j-- {
+				raw += frags[rng.Intn(len(frags))]
+			}
+			base, labels := fmtSplitPromName(raw)
+			if seen[base+labels] {
+				continue
+			}
+			seen[base+labels] = true
+			v := rng.Int63n(2000) - 1000
+			switch rng.Intn(4) {
+			case 0:
+				r.Counter(raw).Add(v)
+			case 1:
+				r.Gauge(raw).Set(v)
+			case 2:
+				r.Gauge(raw).SetMax(v)
+			default:
+				h := r.Histogram(raw, []Time{-5, 0, 10, 1 << 40})
+				for k := rng.Intn(4); k > 0; k-- {
+					h.Observe(rng.Int63n(100) - 20)
+				}
+			}
+		}
+		var want bytes.Buffer
+		if err := fmtWritePrometheus(r, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got := promText(t, r); got != want.String() {
+			t.Fatalf("seed %d: exposition\n%s\nwant the fmt formatter's\n%s", seed, got, want.String())
+		}
+	}
+
+	// An exposition larger than one write, into writers that lend their
+	// buffer and one that does not.
+	r := New()
+	for i := 0; i < 3000; i++ {
+		r.Histogram(fmt.Sprintf("big/h%d{rank=%d}", i%64, i), DefaultLatencyBounds).Observe(int64(i))
+	}
+	var want bytes.Buffer
+	if err := fmtWritePrometheus(r, &want); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() < 1<<20 {
+		t.Fatalf("the large exposition is %d bytes, want several writes' worth", want.Len())
+	}
+	if got := promText(t, r); got != want.String() {
+		t.Fatal("a large exposition differs from the fmt formatter's")
+	}
+}
+
+// promText renders r's exposition three ways — into a bytes.Buffer with
+// room to lend, a bufio.Writer and a writer that lends no buffer — and
+// fails unless they agree.
+func promText(t *testing.T, r *Registry) string {
+	t.Helper()
+	var direct, buffered, plain bytes.Buffer
+	direct.Grow(4 << 20) // lends more than one write's worth
+	if err := r.WritePrometheus(&direct); err != nil {
+		t.Fatal(err)
+	}
+	bw := bufio.NewWriterSize(&buffered, 4096)
+	if err := r.WritePrometheus(bw); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WritePrometheus(struct{ io.Writer }{&plain}); err != nil {
+		t.Fatal(err)
+	}
+	if direct.String() != buffered.String() || direct.String() != plain.String() {
+		t.Fatal("the exposition depends on the writer it is written to")
+	}
+	return direct.String()
 }

@@ -36,6 +36,12 @@ func (c *Counter) Value() int64 {
 	return v
 }
 
+// sample folds the attached fields' current values into the counter and
+// drops them, so the counter no longer keeps what they point into alive.
+func (c *Counter) sample() {
+	c.v, c.first, c.more = c.Value(), nil, nil
+}
+
 // Gauge is a last-or-max value. The nil handle is a no-op.
 type Gauge struct {
 	v     int64
@@ -63,6 +69,15 @@ func (g *Gauge) SetMax(v int64) {
 	}
 }
 
+// merge replays other's last write into g, as Registry.Merge documents.
+func (g *Gauge) merge(other *Gauge) {
+	if other.isMax {
+		g.SetMax(other.v)
+	} else {
+		g.Set(other.v)
+	}
+}
+
 // Value returns the gauge value (0 on a nil or never-set handle).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -85,9 +100,15 @@ type Histogram struct {
 // NewHistogram builds a histogram with the given inclusive upper bounds,
 // which must be strictly increasing and non-empty. The histogram keeps
 // the caller's slice, not a copy, so histograms registered with one
-// bounds value (DefaultLatencyBounds, Merge's copies of a child's) share
-// it: bounds must not be modified after registration.
+// bounds value (DefaultLatencyBounds, say) share it: bounds must not be
+// modified after registration.
 func NewHistogram(bounds []Time) *Histogram {
+	checkBounds(bounds)
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+}
+
+// checkBounds panics unless bounds is non-empty and strictly increasing.
+func checkBounds(bounds []Time) {
 	if len(bounds) == 0 {
 		panic("obs: histogram needs at least one bucket bound")
 	}
@@ -96,7 +117,6 @@ func NewHistogram(bounds []Time) *Histogram {
 			panic("obs: histogram bounds must be strictly increasing")
 		}
 	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
 // ExpBounds returns n exponentially spaced bounds starting at first and
@@ -169,4 +189,42 @@ func (h *Histogram) Buckets() (bounds []Time, counts []uint64) {
 		return nil, nil
 	}
 	return append([]Time(nil), h.bounds...), append([]uint64(nil), h.counts...)
+}
+
+// store hands out a registry's handles and bucket arrays from chunks, so
+// the handles a layer makes together (a lane's 28 operation counters and
+// 7 latency histograms) cost a few allocations instead of one each.
+type store struct {
+	counters chunk[Counter]
+	gauges   chunk[Gauge]
+	hists    chunk[Histogram]
+	counts   chunk[uint64]
+	cfams    chunk[CounterFamily]
+	gfams    chunk[GaugeFamily]
+	members  chunk[member]
+}
+
+func (s *store) counter() *Counter      { return &s.counters.take(1, 16)[0] }
+func (s *store) gauge() *Gauge          { return &s.gauges.take(1, 4)[0] }
+func (s *store) histogram() *Histogram  { return &s.hists.take(1, 8)[0] }
+func (s *store) buckets(n int) []uint64 { return s.counts.take(n, 128) }
+
+// chunk hands out zeroed values of T from slices that grow with what it
+// has handed out: each new slice is as long as everything before it, and
+// at least least long. A value keeps its whole slice reachable, so the
+// storage a chunk pins is at most about twice what it has handed out.
+type chunk[T any] struct {
+	free []T
+	made int
+}
+
+// take returns the next n values, their capacity capped at n.
+func (c *chunk[T]) take(n, least int) []T {
+	if len(c.free) < n {
+		c.free = make([]T, max(n, least, c.made))
+	}
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	c.made += n
+	return s
 }

@@ -1,7 +1,8 @@
 // Package obs is the process-wide observability layer for the simulation
-// stack: a metrics registry (counters, gauges, fixed-bucket histograms)
-// plus a structured span/event tracer that exports Chrome trace_event
-// JSON loadable in Perfetto.
+// stack: a metrics registry (counters, gauges, fixed-bucket histograms,
+// and label-indexed families of per-rank counters and gauges) plus a
+// structured span/event tracer that exports Chrome trace_event JSON
+// loadable in Perfetto.
 //
 // Design rules:
 //
@@ -11,16 +12,34 @@
 //     off. A registry made WithTrackCap(0) keeps metrics and no trace: its
 //     Track handles are nil, so a metrics-only run pays for no span.
 //   - Metric names follow layer/name{label=value,...}, e.g.
-//     "network/link.busy_ns{link=42}" or "pami/ctx.advances{rank=3,ctx=1}".
-//     The registry treats the full string as the key; callers cache the
-//     returned handle, or attach a field that already holds the count,
-//     so name formatting happens once, at setup time. Trace tracks work
-//     the same way: a recorder resolves its Track once and records on
-//     the handle.
-//   - The registry is single-threaded by design: the simulation kernel
-//     serializes all simulated threads, so no locking is needed (or
-//     provided). The coroutine handoff channels give the race detector
-//     the happens-before edges it wants.
+//     "armci/op.latency_ns{op=get}". The registry treats the full string
+//     as the key; callers cache the returned handle, or attach a field
+//     that already holds the count, so name formatting happens once, at
+//     setup time. Trace tracks work the same way: a recorder resolves its
+//     Track once and records on the handle.
+//   - A series per rank, context or link is a member of a family, made
+//     once per registry with its label names, e.g.
+//     CounterFamily("pami/ctx.advances", "rank", "ctx"). A member is its
+//     integer label values: it has no name string, no map entry and no
+//     handle object. Its full name, "pami/ctx.advances{rank=3,ctx=1}", is
+//     formatted by the exporters alone, which place it where that string
+//     would sort. A family and a plain name must not spell the same series.
+//   - Handles are values in the registry's own storage: counters, gauges,
+//     histograms and bucket arrays are carved from chunks that grow with
+//     what the registry has made, so the handles a layer makes together
+//     cost a few allocations, and a registry holds at most about twice
+//     the handle storage it uses.
+//   - A registry's metrics exist once for the life of a run. Merge
+//     consumes the child it is given: what the parent lacks moves into it
+//     as the same object, and the child is retired (race builds check it;
+//     its trace stays readable).
+//   - The registry is single-threaded by design and takes no lock. What
+//     orders one goroutine's use of it before another's is the
+//     simulation's own hand-off: a simulated thread is an iter.Pull
+//     coroutine, whose switches the race detector sees as
+//     synchronisation, and a lane's registry passes between the lane
+//     pool's workers through the pool's start channel and WaitGroup,
+//     which the coordinator waits on before it merges.
 //   - All exports are deterministic: iteration is always over sorted
 //     keys, trace events carry a monotone sequence number, and no wall
 //     clock is ever consulted. Two identical simulation runs produce
@@ -38,13 +57,20 @@ type Time = int64
 // not usable; call New. A nil *Registry is a valid no-op sink: every
 // method checks the receiver.
 type Registry struct {
+	// Each map is made on its first entry (put), so a registry pays only
+	// for the kinds of handle it holds.
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	cfams    map[string]*CounterFamily
+	gfams    map[string]*GaugeFamily
 
-	tracks   map[trackKey]*Track // nil when trackCap is 0
+	tracks   map[trackKey]*Track // stays nil when trackCap is 0
 	trackCap int
 	seq      uint64
+
+	store   store
+	retired bool // passed to Merge
 }
 
 // Option configures a Registry.
@@ -67,19 +93,29 @@ const DefaultTrackCap = 8192
 
 // New returns an empty registry.
 func New(opts ...Option) *Registry {
-	r := &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		trackCap: DefaultTrackCap,
-	}
+	r := &Registry{trackCap: DefaultTrackCap}
 	for _, o := range opts {
 		o(r)
 	}
-	if r.trackCap > 0 {
-		r.tracks = make(map[trackKey]*Track)
-	}
 	return r
+}
+
+// put sets (*m)[k] = v, making the map on its first entry.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
+}
+
+// checkLive panics, in race builds, on a registry already passed to
+// Merge: what a layer records there after the merge is lost, and a handle
+// made there may be one the parent now owns. Counter, Attach, Gauge,
+// Histogram, Track and the family methods that add members check it.
+func (r *Registry) checkLive() {
+	if raceEnabled && r.retired {
+		panic("obs: registry used after it was merged")
+	}
 }
 
 // Counter returns (creating if needed) the named counter. Returns nil on
@@ -88,23 +124,25 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
+	r.checkLive()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+		c = r.store.counter()
+		put(&r.counters, name, c)
 	}
 	return c
 }
 
 // Attach makes the field at p a source of the named counter: every export
-// and Merge reads its value at that moment, added to whatever Add and the
-// counter's other sources contribute. A layer keeps its one count in its
-// own field and the registry samples it, instead of counting twice.
-// Exports read the field with atomic.LoadUint64, so it must be 64-bit
-// aligned, and a writer racing an export bumps it with atomic.AddUint64.
-// The registry keeps what p points into reachable for as long as the
-// registry lives; every production path records into a sweep child that is
-// merged into its parent and then dropped. No-op on a nil registry.
+// reads its value at that moment, added to whatever Add and the counter's
+// other sources contribute, and Merge samples it into the parent. A layer
+// keeps its one count in its own field and the registry samples it,
+// instead of counting twice. Exports read the field with
+// atomic.LoadUint64, so it must be 64-bit aligned, and a writer racing an
+// export bumps it with atomic.AddUint64. The registry keeps what p points
+// into reachable until it is merged, which drops the field; every
+// production path records into a sweep child that is merged into its
+// parent. No-op on a nil registry.
 func (r *Registry) Attach(name string, p *uint64) {
 	if r == nil {
 		return
@@ -123,10 +161,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
+	r.checkLive()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+		g = r.store.gauge()
+		put(&r.gauges, name, g)
 	}
 	return g
 }
@@ -138,10 +177,13 @@ func (r *Registry) Histogram(name string, bounds []Time) *Histogram {
 	if r == nil {
 		return nil
 	}
+	r.checkLive()
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogram(bounds)
-		r.hists[name] = h
+		checkBounds(bounds)
+		h = r.store.histogram()
+		h.bounds, h.counts = bounds, r.store.buckets(len(bounds)+1)
+		put(&r.hists, name, h)
 	}
 	return h
 }

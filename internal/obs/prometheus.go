@@ -1,9 +1,11 @@
 package obs
 
 import (
-	"fmt"
+	"bytes"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -15,7 +17,8 @@ import (
 //   - the base name is sanitized into a Prometheus metric name:
 //     "serve/cache.hits" becomes "serve_cache_hits";
 //   - the {label=value,...} suffix becomes a Prometheus label set with
-//     quoted, escaped values;
+//     quoted, escaped values; a family member's labels are its family's
+//     label names and its values, as its full name would spell them;
 //   - counters and gauges map directly; histograms expose the standard
 //     cumulative _bucket{le="..."} series (the registry's inclusive
 //     upper bounds are already le semantics) plus _sum and _count.
@@ -30,112 +33,254 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	type series struct {
-		labels string // rendered {k="v",...} or ""
-		lines  []string
-	}
-	type family struct {
-		name   string
-		kind   string // counter | gauge | histogram
-		series []series
-	}
-	fams := map[string]*family{}
-	get := func(raw, kind string) (*family, string) {
-		base, labels := splitPromName(raw)
-		f, ok := fams[base]
-		if !ok {
-			f = &family{name: base, kind: kind}
-			fams[base] = f
+	// Every series' base name and label block go into one buffer, which
+	// becomes one string; the series then sort by (base, labels). A family
+	// member's name is formatted here and nowhere else.
+	var names []byte
+	all := make([]promSeries, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	plain := func(raw string, kind promKind) promSeries {
+		base, inner, labeled := strings.Cut(raw, "{")
+		s := promSeries{kind: kind, base: len(names)}
+		names = appendPromName(names, base)
+		s.baseEnd, s.labels = len(names), len(names)
+		if labeled {
+			names = appendPromLabels(names, strings.TrimSuffix(inner, "}"))
 		}
-		return f, labels
+		s.end = len(names)
+		return s
 	}
-
-	for name, c := range r.counters {
-		f, labels := get(name, "counter")
-		f.series = append(f.series, series{labels: labels,
-			lines: []string{fmt.Sprintf("%s%s %d", f.name, labels, c.Value())}})
+	for raw, c := range r.counters {
+		s := plain(raw, promCounter)
+		s.c = c
+		all = append(all, s)
 	}
-	for name, g := range r.gauges {
-		f, labels := get(name, "gauge")
-		f.series = append(f.series, series{labels: labels,
-			lines: []string{fmt.Sprintf("%s%s %d", f.name, labels, g.v)}})
+	for raw, g := range r.gauges {
+		s := plain(raw, promGauge)
+		s.g = g
+		all = append(all, s)
 	}
-	for name, h := range r.hists {
-		f, labels := get(name, "histogram")
-		s := series{labels: labels}
-		var cum uint64
-		for i, b := range h.bounds {
-			cum += h.counts[i]
-			s.lines = append(s.lines, fmt.Sprintf("%s_bucket%s %d",
-				f.name, promAddLabel(labels, "le", fmt.Sprint(b)), cum))
-		}
-		cum += h.counts[len(h.bounds)]
-		s.lines = append(s.lines,
-			fmt.Sprintf("%s_bucket%s %d", f.name, promAddLabel(labels, "le", "+Inf"), cum),
-			fmt.Sprintf("%s_sum%s %d", f.name, labels, h.sum),
-			fmt.Sprintf("%s_count%s %d", f.name, labels, h.n))
-		f.series = append(f.series, s)
+	for raw, h := range r.hists {
+		s := plain(raw, promHistogram)
+		s.h = h
+		all = append(all, s)
 	}
-
-	names := make([]string, 0, len(fams))
-	for n := range fams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		f := fams[n]
-		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-			return err
-		}
-		for _, s := range f.series {
-			for _, l := range s.lines {
-				if _, err := fmt.Fprintln(w, l); err != nil {
-					return err
+	members := func(f *family, kind promKind) {
+		base := len(names)
+		names = appendPromName(names, f.name)
+		baseEnd := len(names)
+		order := promKeyOrder(f.labelNames())
+		for i := range f.members {
+			m := &f.members[i]
+			s := promSeries{kind: kind, m: m, base: base, baseEnd: baseEnd, labels: len(names)}
+			names = append(names, '{')
+			for j, k := range order {
+				if j > 0 {
+					names = append(names, ',')
 				}
+				names = appendPromName(names, f.keys[k])
+				names = append(names, `="`...)
+				names = strconv.AppendInt(names, m.labels[k], 10)
+				names = append(names, '"')
+			}
+			names = append(names, '}')
+			s.end = len(names)
+			all = append(all, s)
+		}
+	}
+	for _, f := range r.cfams {
+		members(&f.family, promCounter)
+	}
+	for _, f := range r.gfams {
+		members(&f.family, promGauge)
+	}
+	text := string(names)
+	for i := range all {
+		s := &all[i]
+		s.baseName, s.labelSet = text[s.base:s.baseEnd], text[s.labels:s.end]
+	}
+	slices.SortFunc(all, func(a, b promSeries) int {
+		if c := strings.Compare(a.baseName, b.baseName); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.labelSet, b.labelSet); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.kind, b.kind)
+	})
+
+	// A writer that lends its spare capacity (bytes.Buffer, bufio.Writer)
+	// is asked again after every write: what it lent holds what it took.
+	var out []byte
+	lender, lends := w.(interface{ AvailableBuffer() []byte })
+	if lends {
+		out = lender.AvailableBuffer()
+	}
+	for lo := 0; lo < len(all); {
+		// A family is the run of series with one base name; its type is
+		// the first kind among them, counters before gauges before
+		// histograms.
+		hi, kind := lo+1, all[lo].kind
+		for ; hi < len(all) && all[hi].baseName == all[lo].baseName; hi++ {
+			kind = min(kind, all[hi].kind)
+		}
+		out = append(out, "# TYPE "...)
+		out = append(out, all[lo].baseName...)
+		out = append(out, ' ')
+		out = append(out, promKindNames[kind]...)
+		out = append(out, '\n')
+		for i := lo; i < hi; i++ {
+			out = all[i].appendLines(out)
+		}
+		lo = hi
+		if len(out) >= 64<<10 || lo == len(all) {
+			if _, err := w.Write(out); err != nil {
+				return err
+			}
+			if out = out[:0]; lends {
+				out = lender.AvailableBuffer()
 			}
 		}
 	}
 	return nil
 }
 
-// splitPromName splits a registry metric name into a sanitized Prometheus
-// family name and a rendered label block ("" when unlabeled).
-func splitPromName(raw string) (base, labels string) {
-	base = raw
-	if i := strings.IndexByte(raw, '{'); i >= 0 {
-		base = raw[:i]
-		inner := strings.TrimSuffix(raw[i+1:], "}")
-		var parts []string
-		for _, kv := range strings.Split(inner, ",") {
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				k, v = "label", kv
-			}
-			// %q escapes exactly the character set the text format
-			// requires in label values (backslash, quote, newline).
-			parts = append(parts, fmt.Sprintf("%s=%q", sanitizePromName(k), v))
+type promKind int8
+
+const (
+	promCounter promKind = iota
+	promGauge
+	promHistogram
+)
+
+var promKindNames = [...]string{"counter", "gauge", "histogram"}
+
+// promSeries is one exposed series: a named handle or a family member.
+// While the exposition is assembled its names are offsets into one
+// buffer: the base name at [base, baseEnd), the label block at
+// [labels, end). A member's base is its family's, written once.
+type promSeries struct {
+	kind                       promKind
+	base, baseEnd, labels, end int
+	baseName, labelSet         string
+	c                          *Counter
+	g                          *Gauge
+	h                          *Histogram
+	m                          *member
+}
+
+// appendLines appends the series' sample lines.
+func (s *promSeries) appendLines(b []byte) []byte {
+	switch {
+	case s.h != nil:
+		h := s.h
+		var cum uint64
+		for i, bound := range h.bounds {
+			cum += h.counts[i]
+			b = s.appendBucket(b, bound, false, cum)
 		}
-		sort.Strings(parts)
-		labels = "{" + strings.Join(parts, ",") + "}"
+		cum += h.counts[len(h.bounds)]
+		b = s.appendBucket(b, 0, true, cum)
+		b = s.appendSample(b, "_sum", h.sum)
+		return s.appendSample(b, "_count", int64(h.n))
+	case s.c != nil:
+		return s.appendSample(b, "", s.c.Value())
+	case s.g != nil:
+		return s.appendSample(b, "", s.g.v)
+	case s.kind == promCounter:
+		return s.appendSample(b, "", s.m.value())
+	default:
+		return s.appendSample(b, "", s.m.v)
 	}
-	return sanitizePromName(base), labels
 }
 
-// promAddLabel inserts one extra label into an already rendered block.
-func promAddLabel(labels, k, v string) string {
-	kv := fmt.Sprintf("%s=%q", k, v)
-	if labels == "" {
-		return "{" + kv + "}"
-	}
-	return strings.TrimSuffix(labels, "}") + "," + kv + "}"
+// appendSample appends "base<suffix><labels> v".
+func (s *promSeries) appendSample(b []byte, suffix string, v int64) []byte {
+	b = append(b, s.baseName...)
+	b = append(b, suffix...)
+	b = append(b, s.labelSet...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, v, 10)
+	return append(b, '\n')
 }
 
-// sanitizePromName maps an arbitrary registry name fragment onto the
-// Prometheus identifier alphabet [a-zA-Z0-9_:].
-func sanitizePromName(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
+// appendBucket appends one cumulative histogram bucket line, its le label
+// (the bound, or +Inf) last in the block.
+func (s *promSeries) appendBucket(b []byte, le int64, inf bool, cum uint64) []byte {
+	b = append(b, s.baseName...)
+	b = append(b, "_bucket"...)
+	if s.labelSet == "" {
+		b = append(b, '{')
+	} else {
+		b = append(b, s.labelSet[:len(s.labelSet)-1]...)
+		b = append(b, ',')
+	}
+	b = append(b, `le="`...)
+	if inf {
+		b = append(b, "+Inf"...)
+	} else {
+		b = strconv.AppendInt(b, le, 10)
+	}
+	b = append(b, `"} `...)
+	b = strconv.AppendUint(b, cum, 10)
+	return append(b, '\n')
+}
+
+// appendPromLabels appends the Prometheus label block of a registry
+// name's {k=v,...} suffix (inner is what the braces hold): keys
+// sanitized, values quoted as %q quotes them, which escapes exactly what
+// the text format requires (backslash, quote, newline), and the k="v"
+// parts sorted. A part without '=' is the value of a key named "label".
+func appendPromLabels(b []byte, inner string) []byte {
+	// Render the parts past the end of b, sort their spans, and write the
+	// block in their order after them; then move it down to where it
+	// belongs.
+	start := len(b)
+	spans := make([][2]int, 0, 8)
+	for more := true; more; {
+		var kv string
+		kv, inner, more = strings.Cut(inner, ",")
+		k, v, ok := strings.Cut(kv, "=")
+		if !ok {
+			k, v = "label", kv
+		}
+		from := len(b)
+		b = appendPromName(b, k)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, v)
+		spans = append(spans, [2]int{from, len(b)})
+	}
+	slices.SortFunc(spans, func(x, y [2]int) int { return bytes.Compare(b[x[0]:x[1]], b[y[0]:y[1]]) })
+	block := len(b)
+	b = append(b, '{')
+	for i, sp := range spans {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, b[sp[0]:sp[1]]...)
+	}
+	b = append(b, '}')
+	return b[:start+copy(b[start:], b[block:])]
+}
+
+// promKeyOrder returns the order in which a family's label names appear
+// in its Prometheus label blocks: sorted as the k="v" parts they start,
+// which is the order of k followed by '=' (no sanitized name holds one).
+func promKeyOrder(keys []string) []int {
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(x, y int) int {
+		return bytes.Compare(
+			append(appendPromName(nil, keys[x]), '='),
+			append(appendPromName(nil, keys[y]), '='))
+	})
+	return order
+}
+
+// appendPromName appends s mapped onto the Prometheus identifier alphabet
+// [a-zA-Z0-9_:], one '_' for each other rune (and for a leading digit).
+func appendPromName(b []byte, s string) []byte {
 	for i, c := range s {
 		ok := c == '_' || c == ':' ||
 			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -143,7 +288,7 @@ func sanitizePromName(s string) string {
 		if !ok {
 			c = '_'
 		}
-		b.WriteRune(c)
+		b = append(b, byte(c))
 	}
-	return b.String()
+	return b
 }

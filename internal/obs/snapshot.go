@@ -4,6 +4,7 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // SnapshotJSON writes the registry's full metric state as one compact
@@ -38,21 +39,35 @@ func (r *Registry) appendSnapshotJSON(b []byte) []byte {
 	if r == nil {
 		return append(b, `{"counters":{},"gauges":{},"histograms":{}}`...)
 	}
-	b = append(b, `{"counters":{`...)
-	names := sortedKeys(nil, r.counters)
-	for i, name := range names {
-		b = appendKey(b, i, name)
-		b = strconv.AppendInt(b, r.counters[name].Value(), 10)
+	vals := make([]namedValue, 0, max(len(r.counters), len(r.gauges)))
+	for name, c := range r.counters {
+		vals = append(vals, namedValue{name: name, v: c.Value()})
 	}
-	b = append(b, `},"gauges":{`...)
-	names = sortedKeys(names, r.gauges)
-	for i, name := range names {
-		b = appendKey(b, i, name)
-		b = strconv.AppendInt(b, r.gauges[name].v, 10)
+	size := 0
+	for _, f := range r.cfams {
+		size += f.nameBytes()
 	}
+	names := make([]byte, 0, size)
+	for _, f := range r.cfams {
+		vals, names = f.appendValues(vals, names, (*member).value)
+	}
+	b = appendSorted(append(b, `{"counters":{`...), vals, names)
+
+	size = 0
+	for _, f := range r.gfams {
+		size += f.nameBytes()
+	}
+	vals, names = vals[:0], slices.Grow(names[:0], size)
+	for name, g := range r.gauges {
+		vals = append(vals, namedValue{name: name, v: g.v})
+	}
+	for _, f := range r.gfams {
+		vals, names = f.appendValues(vals, names, func(m *member) int64 { return m.v })
+	}
+	b = appendSorted(append(b, `},"gauges":{`...), vals, names)
+
 	b = append(b, `},"histograms":{`...)
-	names = sortedKeys(names, r.hists)
-	for i, name := range names {
+	for i, name := range sortedKeys(nil, r.hists) {
 		h := r.hists[name]
 		b = appendKey(b, i, name)
 		b = append(b, `{"count":`...)
@@ -75,6 +90,67 @@ func (r *Registry) appendSnapshotJSON(b []byte) []byte {
 		b = append(b, '}')
 	}
 	return append(b, "}}"...)
+}
+
+// namedValue is one counter or gauge of a snapshot under its full
+// registry name. A family member's name is formatted into the snapshot's
+// name buffer, ending at end, and named from it once all are there.
+type namedValue struct {
+	name string
+	v    int64
+	end  int
+}
+
+// nameBytes bounds the bytes the members' full names take.
+func (f *family) nameBytes() int {
+	n := len(f.name) + 2 + f.nkeys*21 // braces; per label '=' or ',' and 20 digits
+	for _, k := range f.labelNames() {
+		n += len(k)
+	}
+	return n * len(f.members)
+}
+
+// appendValues appends each member's value, read by value, and its full
+// name to names: "name{k1=v1,k2=v2}", the string a named handle of the
+// same series would carry.
+func (f *family) appendValues(vals []namedValue, names []byte, value func(*member) int64) ([]namedValue, []byte) {
+	for i := range f.members {
+		m := &f.members[i]
+		names = append(names, f.name...)
+		for j, k := range f.labelNames() {
+			if j == 0 {
+				names = append(names, '{')
+			} else {
+				names = append(names, ',')
+			}
+			names = append(names, k...)
+			names = append(names, '=')
+			names = strconv.AppendInt(names, m.labels[j], 10)
+		}
+		names = append(names, '}')
+		vals = append(vals, namedValue{v: value(m), end: len(names)})
+	}
+	return vals, names
+}
+
+// appendSorted appends vals as the members of a JSON object, sorted by
+// name; family members' names are cut from names (family.appendValues)
+// first.
+func appendSorted(b []byte, vals []namedValue, names []byte) []byte {
+	if len(names) > 0 {
+		text, at := string(names), 0
+		for i := range vals {
+			if v := &vals[i]; v.end > 0 {
+				v.name, at = text[at:v.end], v.end
+			}
+		}
+	}
+	slices.SortFunc(vals, func(a, b namedValue) int { return strings.Compare(a.name, b.name) })
+	for i, v := range vals {
+		b = appendKey(b, i, v.name)
+		b = strconv.AppendInt(b, v.v, 10)
+	}
+	return b
 }
 
 // sortedKeys refills names with m's keys, sorted.

@@ -84,11 +84,12 @@ func (r *Registry) Track(kind TrackKind, id string) *Track {
 	if !r.Tracing() {
 		return nil
 	}
+	r.checkLive()
 	key := trackKey{kind, id}
 	t, ok := r.tracks[key]
 	if !ok {
 		t = &Track{reg: r}
-		r.tracks[key] = t
+		put(&r.tracks, key, t)
 	}
 	return t
 }

@@ -57,13 +57,13 @@ type Context struct {
 
 	// Observability handles (nil when the machine has no registry; every
 	// use is nil-safe or guarded). Counters and the starvation gauge are
-	// keyed per (rank, ctx), under ObsLabel; the latency histograms
+	// members of per-(rank, ctx) families; the latency histograms
 	// aggregate across ranks per context index to bound cardinality at
 	// scale, so every rank on a lane shares them (Machine.laneCtxHists).
 	hists       *ctxHists
-	gStarve     *obs.Gauge
+	starve      *obs.GaugeFamily
+	starveAt    int // this context's member of starve
 	lastAdvance sim.Time
-	label       string
 }
 
 // ctxHists is one (lane, context index)'s latency histograms.
@@ -78,13 +78,30 @@ func (m *Machine) laneCtxHists(ln *sim.Lane, index int) *ctxHists {
 	h := &m.ctxHists[ln.Index()*(len(m.contexts)/len(m.clients))+index]
 	if h.itemWait == nil {
 		r := ln.Obs()
-		xc := "{ctx=" + strconv.Itoa(index) + "}"
-		h.itemWait = r.Histogram("pami/ctx.item_wait_ns"+xc, obs.DefaultLatencyBounds)
-		h.amDispatch = r.Histogram("pami/am.dispatch_ns"+xc, obs.DefaultLatencyBounds)
-		h.lockWait = r.Histogram("pami/ctx.lock.wait_ns"+xc, obs.DefaultLatencyBounds)
-		h.lockHold = r.Histogram("pami/ctx.lock.hold_ns"+xc, obs.DefaultLatencyBounds)
+		names := ctxHistNames(index)
+		h.itemWait = r.Histogram(names[0], obs.DefaultLatencyBounds)
+		h.amDispatch = r.Histogram(names[1], obs.DefaultLatencyBounds)
+		h.lockWait = r.Histogram(names[2], obs.DefaultLatencyBounds)
+		h.lockHold = r.Histogram(names[3], obs.DefaultLatencyBounds)
 	}
 	return h
+}
+
+// ctxHistNames returns the names of context index's four histograms,
+// formatted once per process for the indices a rank can have.
+func ctxHistNames(index int) [4]string {
+	if index < len(ctxHistNameTable) {
+		return ctxHistNameTable[index]
+	}
+	return formatCtxHistNames(index)
+}
+
+var ctxHistNameTable = [...][4]string{formatCtxHistNames(0), formatCtxHistNames(1)}
+
+func formatCtxHistNames(index int) [4]string {
+	xc := "{ctx=" + strconv.Itoa(index) + "}"
+	return [4]string{"pami/ctx.item_wait_ns" + xc, "pami/am.dispatch_ns" + xc,
+		"pami/ctx.lock.wait_ns" + xc, "pami/ctx.lock.hold_ns" + xc}
 }
 
 // newContext brings up the client's index-th context in its slot.
@@ -95,24 +112,21 @@ func newContext(c *Client, index int) {
 	x.queue.StartOn(x.queueArr[:])
 	x.waiters = x.waitArr[:0]
 	if r := c.Obs; r != nil {
-		var b [32]byte
-		lbl := strconv.AppendInt(append(b[:0], "{rank="...), int64(c.Rank), 10)
-		lbl = strconv.AppendInt(append(lbl, ",ctx="...), int64(index), 10)
-		x.label = string(append(lbl, '}'))
-		r.Attach("pami/ctx.advances"+x.label, &x.Advances)
-		r.Attach("pami/ctx.items_served"+x.label, &x.ItemsServed)
-		r.Attach("pami/ctx.ams_served"+x.label, &x.AMsServed)
-		x.gStarve = r.Gauge("pami/ctx.starve_max_ns" + x.label)
+		attach := func(name string, p *uint64) {
+			f := r.CounterFamily(name, "rank", "ctx")
+			f.Attach(f.Member(c.Rank, index), p)
+		}
+		attach("pami/ctx.advances", &x.Advances)
+		attach("pami/ctx.items_served", &x.ItemsServed)
+		attach("pami/ctx.ams_served", &x.AMsServed)
+		x.starve = r.GaugeFamily("pami/ctx.starve_max_ns", "rank", "ctx")
+		x.starveAt = x.starve.Member(c.Rank, index)
 		x.hists = c.M.laneCtxHists(c.Ln, index)
 		x.Lock.Instrument(x.hists.lockWait, x.hists.lockHold)
 		x.lastAdvance = c.Ln.Now()
 	}
 	x.installBuiltinDispatch()
 }
-
-// ObsLabel returns the context's "{rank=R,ctx=C}" metric label, made once
-// when the context came up; empty when the machine has no registry.
-func (x *Context) ObsLabel() string { return x.label }
 
 // noteAdvance records one progress-engine pass: the advance counter and
 // the starvation gauge (the longest virtual-time gap this context ever
@@ -122,7 +136,7 @@ func (x *Context) noteAdvance() {
 	x.Advances++
 	if x.hists != nil {
 		now := x.Client.Ln.Now()
-		x.gStarve.SetMax(now - x.lastAdvance)
+		x.starve.SetMax(x.starveAt, now-x.lastAdvance)
 		x.lastAdvance = now
 	}
 }

@@ -15,8 +15,10 @@ import (
 // points 0..i, at any worker count.
 //
 // reg is point i's child registry (nil when the run has no parent
-// registry). It is read-only and must not be retained past the call:
-// the engine discards it afterwards.
+// registry), already consumed by the merge: its metrics live in the
+// parent now, its trace is still there to read (TraceStreamer.Emit).
+// It must not be recorded into or retained past the call: the engine
+// discards it afterwards.
 //
 // Because delivery order is submission order and each point's registry
 // content is deterministic, the full emission sequence is byte-for-byte
