@@ -37,7 +37,11 @@ test-short:
 # merged.
 # The zero-allocation invariants skip under -race (its instrumentation
 # allocates), so the last line runs them, the objects- and
-# switches-per-rank budgets, the region-cache replay budget of a
+# switches-per-rank budgets (each objects budget and the thread-spawn one
+# cold, from an empty carrier pool, and warm, from a primed one:
+# TestThreadSpawnWarmAllocBound, TestFig9WarmObjectsPerRank,
+# TestFig9MetricsWarmObjectsPerRank, TestIdleWorldWarmObjectsPerRank),
+# the region-cache replay budget of a
 # 16384-rank world (skipped under -short), the event-size pin, the RDMA
 # flight and payload-pool budgets (internal/pami, internal/mem), the
 # merge budget (internal/obs: per track, never per record) and simd's

@@ -509,8 +509,24 @@ func (rt *Runtime) epSvc(th *sim.Thread, rank int) pami.Endpoint {
 	return rt.endpoint(th, &rt.svcEps, rank, rt.W.svcIdx)
 }
 
-// Clique returns ζ, the number of distinct peers addressed so far.
-func (rt *Runtime) Clique() int { return rt.eps.n + rt.svcEps.n }
+// Clique returns ζ, the number of distinct peers addressed so far: a peer
+// reached through both caches — a get and a fetch-and-add to one rank —
+// counts once.
+func (rt *Runtime) Clique() int {
+	n := rt.eps.n
+	if rt.svcEps.n == 0 {
+		return n
+	}
+	if _, ok := rt.eps.get(rt.svcEps.first.Rank); !ok {
+		n++
+	}
+	for rank := range rt.svcEps.more {
+		if _, ok := rt.eps.get(rank); !ok {
+			n++
+		}
+	}
+	return n
+}
 
 // Progress makes one explicit pass over this rank's progress engine —
 // what a default-mode application does between compute phases to service

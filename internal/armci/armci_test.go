@@ -543,6 +543,30 @@ func TestEndpointCacheCreatesOncePerPeer(t *testing.T) {
 	}
 }
 
+// TestCliqueCountsDistinctPeers: ζ is the number of ranks talked to. A
+// get goes through the data endpoint and a fetch-and-add through the
+// service endpoint; against one peer that is one rank, with the
+// asynchronous thread and without it.
+func TestCliqueCountsDistinctPeers(t *testing.T) {
+	for _, async := range []bool{true, false} {
+		w, err := Run(Config{Procs: 2, ProcsPerNode: 4, AsyncThread: async}, func(th *sim.Thread, rt *Runtime) {
+			a := rt.Malloc(th, 256)
+			if rt.Rank == 0 {
+				local := rt.LocalAlloc(th, 256)
+				rt.Get(th, a.At(1), local, 32)
+				rt.FetchAdd(th, a.At(1), 1)
+			}
+			rt.Barrier(th)
+		})
+		if err != nil {
+			t.Fatalf("async=%v: %v", async, err)
+		}
+		if got := w.Runtimes[0].Clique(); got != 1 {
+			t.Errorf("async=%v: clique = %d after a get and a fetch-and-add to one peer, want 1", async, got)
+		}
+	}
+}
+
 // TestEndpointCacheFirstPeerInline: one peer costs no map, and every
 // later peer is still found — the first among them.
 func TestEndpointCacheFirstPeerInline(t *testing.T) {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"iter"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -147,8 +146,11 @@ func (d *DeadlockError) Error() string {
 // Run executes events until the queue drains. It returns nil when every
 // spawned thread has finished, a DeadlockError when threads remain blocked
 // with nothing scheduled, or a ThreadPanic if a thread panicked. A run
-// that fails releases every unfinished thread: its body unwinds (deferred
-// calls run) and its coroutine is freed, so the kernel cannot be resumed.
+// that succeeds hands its lanes' idle carriers to the process's pool for
+// the next run to take. A run that fails releases every unfinished
+// thread — its body unwinds (deferred calls run) — and stops every
+// carrier the kernel holds, pooling none, so the kernel cannot be resumed
+// and no goroutine of it is left.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sim: Run called reentrantly")
@@ -166,8 +168,13 @@ func (k *Kernel) Run() error {
 		for _, ln := range k.lanes {
 			ln.stopThreads()
 		}
+		return err
 	}
-	return err
+	k.Lane.poolCarriers()
+	for _, ln := range k.lanes {
+		ln.poolCarriers()
+	}
+	return nil
 }
 
 // runSingle is the single-lane Run: the base lane's one unbounded window.
@@ -243,8 +250,9 @@ func (ln *Lane) fireInline(at Time) bool {
 // other, or fired on the spot under fireInline's rule. Only when the sleep
 // is over (or was cancelled) does the thread run.
 //
-// A thread with no coroutine yet is made one here, unless its idle pass
-// (SetIdlePass) stands in for the switch-in.
+// A thread with no carrier yet takes one here (takeCarrier), unless its
+// idle pass (SetIdlePass) stands in for the switch-in; a thread that
+// finishes gives its carrier back to the lane's idle list.
 func (ln *Lane) transfer(t *Thread) {
 	if t.state == stateDone {
 		return
@@ -258,24 +266,29 @@ func (ln *Lane) transfer(t *Thread) {
 			return
 		}
 	}
-	if t.next == nil {
+	c := t.c
+	if c == nil {
 		if t.idle != nil && !ln.k.noShortcuts && ln.runIdle(t) {
 			return
 		}
-		t.next, t.stop = iter.Pull(t.run)
+		c = ln.takeCarrier()
+		c.t, t.c = t, c
 	}
 	t.state = stateRunning
 	ln.cur = t
 	ln.switches++
-	t.next()
+	c.next()
 	ln.cur = nil
+	if t.state == stateDone {
+		t.c, c.idle, ln.idle = nil, ln.idle, c
+	}
 	if t.panicked != nil && ln.failure == nil {
 		ln.failure = t.panicked
 	}
 }
 
 // runIdle stands in for switching into t, which has an idle pass and no
-// coroutine, and reports whether it did. At this point the switched-in
+// carrier, and reports whether it did. At this point the switched-in
 // body would be at the top of its loop: with the cancel flag set it
 // returns, so the thread ends here; otherwise the pass runs, and if it
 // did the work, the lane parks the thread as the body's ParkThenSleep
@@ -299,20 +312,24 @@ func (ln *Lane) runIdle(t *Thread) bool {
 }
 
 // stopThreads releases every unfinished thread of the lane after a
-// failed run. A switched-out thread unwinds through its spawn wrapper,
+// failed run, and stops every carrier the lane holds. Stopping a
+// switched-out thread's carrier unwinds the body through Thread.run,
 // which does the end-of-thread accounting; a thread that never ran has no
-// coroutine and no wrapper, so its accounting is done here.
+// carrier, so its accounting is done here.
 func (ln *Lane) stopThreads() {
 	for _, t := range ln.threads {
 		if t.state == stateDone {
 			continue
 		}
-		if t.stop != nil {
-			t.stop()
+		if c := t.c; c != nil {
+			c.stop()
+			t.c = nil
 		}
 		if t.state != stateDone {
 			t.state = stateDone
 			ln.live--
 		}
 	}
+	stopCarriers(ln.idle)
+	ln.idle = nil
 }

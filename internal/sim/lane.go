@@ -149,21 +149,23 @@ func mergeSiftDown(h []mergeEnt, i int) {
 // or event callbacks — while ScheduleAbs is the boundary-side insertion
 // used by deferred-operation appliers.
 type Lane struct {
-	k        *Kernel
-	idx      int
-	now      Time
-	seq      uint64
-	heap     eventHeap
-	ring     fifoRing
-	cur      *Thread
-	threads  []*Thread
-	slab     []Thread // current chunk new threads are cut from (newThread)
-	live     int
-	fired    uint64 // attached as sim/events
-	switches uint64 // coroutine switches into threads (Kernel.Switches)
-	failure  *ThreadPanic
-	running  bool
-	tracing  bool // obs keeps a trace (Registry.Tracing): the one check at a recording site
+	k           *Kernel
+	idx         int
+	now         Time
+	seq         uint64
+	heap        eventHeap
+	ring        fifoRing
+	cur         *Thread
+	threads     []*Thread
+	slab        []Thread  // current chunk new threads are cut from (newThread)
+	idle        *carrier  // idle carriers for the lane's next threads, listed through carrier.idle
+	carrierSlab []carrier // current chunk new carriers are cut from (takeCarrier)
+	live        int
+	fired       uint64 // attached as sim/events
+	switches    uint64 // coroutine switches into threads (Kernel.Switches)
+	failure     *ThreadPanic
+	running     bool
+	tracing     bool // obs keeps a trace (Registry.Tracing): the one check at a recording site
 
 	obs *obs.Registry
 

@@ -162,6 +162,82 @@ func goroutineID() string {
 	return string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
 }
 
+// relayResult is what laneRelay observed: the final time, the events
+// fired, a sum over the threads' wake-up times, and per lane the
+// goroutines its event callbacks ran on.
+type relayResult struct {
+	final  Time
+	fired  uint64
+	sum    Time
+	owners []map[string]bool
+}
+
+// laneRelay runs eight lanes of four parker/waker thread pairs each on
+// `workers` workers: threads that sleep, park and wake each other for
+// `rounds` rounds, with a remote deposit now and then to keep the lanes'
+// horizons coupled.
+func laneRelay(t *testing.T, workers, rounds int) relayResult {
+	t.Helper()
+	const (
+		lanes = 8
+		pairs = 4
+	)
+	k := NewKernel()
+	k.ConfigureLanes(lanes, workers, 40)
+	sums := make([]Time, lanes)
+	res := relayResult{owners: make([]map[string]bool, lanes)}
+	for i, ln := range k.Lanes() {
+		res.owners[i] = map[string]bool{}
+		var watch func()
+		watch = func() { // an event callback runs on the window's owner
+			res.owners[i][goroutineID()] = true
+			if ln.live > 0 {
+				ln.At(97, watch)
+			}
+		}
+		ln.At(1, watch)
+		next := k.Lanes()[(i+1)%lanes]
+		for p := 0; p < pairs; p++ {
+			parker := k.SpawnOn(ln, fmt.Sprintf("parker%d.%d", i, p), func(th *Thread) {
+				for r := 0; r < rounds; r++ {
+					th.Park()
+					th.Sleep(Time(1 + (i+p+r)%3))
+					sums[i] += th.Now()
+				}
+			})
+			k.SpawnOn(ln, fmt.Sprintf("waker%d.%d", i, p), func(th *Thread) {
+				for r := 0; r < rounds; r++ {
+					th.Sleep(Time(2 + (i+2*p+r)%5))
+					k.Wake(parker)
+					if r%16 == 0 { // keep the lanes' horizons coupled
+						ln.DeferRemote(th.Now()+40, func(at Time) {
+							next.ScheduleAbs(at+40, func() { sums[next.idx] += next.Now() })
+						})
+					}
+					th.Yield()
+				}
+			})
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	for _, s := range sums {
+		res.sum += s
+	}
+	res.final, res.fired = k.Now(), k.EventsFired()
+	return res
+}
+
+// sameRelay fails the test unless two relays came out the same.
+func sameRelay(t *testing.T, got, want relayResult) {
+	t.Helper()
+	if got.final != want.final || got.fired != want.fired || got.sum != want.sum {
+		t.Fatalf("final %d events %d sum %d, want final %d events %d sum %d",
+			got.final, got.fired, got.sum, want.final, want.fired, want.sum)
+	}
+}
+
 // TestLaneThreadsResumedAcrossWorkers: a lane is run by whichever worker
 // claims it each window, so over a long run every thread's coroutine is
 // resumed from several goroutines (and OS threads). Threads that sleep,
@@ -170,65 +246,14 @@ func goroutineID() string {
 // coroutine switch orders the lane's state between successive owners.
 func TestLaneThreadsResumedAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const (
-		lanes  = 8
-		pairs  = 4
-		rounds = 1000
-	)
-	run := func(workers int) (final Time, fired uint64, sum Time, migrated int) {
-		k := NewKernel()
-		k.ConfigureLanes(lanes, workers, 40)
-		sums := make([]Time, lanes)
-		owners := make([]map[string]bool, lanes)
-		for i, ln := range k.Lanes() {
-			owners[i] = map[string]bool{}
-			var watch func()
-			watch = func() { // an event callback runs on the window's owner
-				owners[i][goroutineID()] = true
-				if ln.live > 0 {
-					ln.At(97, watch)
-				}
-			}
-			ln.At(1, watch)
-			next := k.Lanes()[(i+1)%lanes]
-			for p := 0; p < pairs; p++ {
-				parker := k.SpawnOn(ln, fmt.Sprintf("parker%d.%d", i, p), func(th *Thread) {
-					for r := 0; r < rounds; r++ {
-						th.Park()
-						th.Sleep(Time(1 + (i+p+r)%3))
-						sums[i] += th.Now()
-					}
-				})
-				k.SpawnOn(ln, fmt.Sprintf("waker%d.%d", i, p), func(th *Thread) {
-					for r := 0; r < rounds; r++ {
-						th.Sleep(Time(2 + (i+2*p+r)%5))
-						k.Wake(parker)
-						if r%16 == 0 { // keep the lanes' horizons coupled
-							ln.DeferRemote(th.Now()+40, func(at Time) {
-								next.ScheduleAbs(at+40, func() { sums[next.idx] += next.Now() })
-							})
-						}
-						th.Yield()
-					}
-				})
-			}
+	one := laneRelay(t, 1, 1000)
+	four := laneRelay(t, 4, 1000)
+	sameRelay(t, four, one)
+	migrated := 0
+	for _, o := range four.owners {
+		if len(o) > 1 {
+			migrated++
 		}
-		if err := k.Run(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range sums {
-			sum += sums[i]
-			if len(owners[i]) > 1 {
-				migrated++
-			}
-		}
-		return k.Now(), k.EventsFired(), sum, migrated
 	}
-	final1, fired1, sum1, _ := run(1)
-	final4, fired4, sum4, migrated := run(4)
-	if final4 != final1 || fired4 != fired1 || sum4 != sum1 {
-		t.Fatalf("4 workers: final %d events %d sum %d; 1 worker: final %d events %d sum %d",
-			final4, fired4, sum4, final1, fired1, sum1)
-	}
-	t.Logf("%d events; %d of %d lanes changed worker goroutine", fired4, migrated, lanes)
+	t.Logf("%d events; %d of %d lanes changed worker goroutine", four.fired, migrated, len(four.owners))
 }

@@ -43,14 +43,16 @@ func (s threadState) String() string {
 // all of its scheduling stays lane-local, and cross-lane interaction
 // must go through Lane.Defer.
 //
-// A thread is an iter.Pull coroutine: the lane's event loop resumes it
-// with next, and the thread hands control back with yield. Both are
-// direct switches on the calling OS thread — no run queue, no wake-up of
-// an idle P. The runtime refuses a coroutine switch when the two sides
-// disagree about runtime.LockOSThread, and nothing in this module calls
-// it; a simulated thread's body must not either. The coroutine is made at
-// the thread's first switch-in, so a thread that never runs — or whose
-// lane runs its idle passes for it (SetIdlePass) — never has a stack.
+// A thread runs on a carrier, an iter.Pull coroutine (carrier.go): the
+// lane's event loop resumes it with next, and the thread hands control
+// back with yield. Both are direct switches on the calling OS thread — no
+// run queue, no wake-up of an idle P. The runtime refuses a coroutine
+// switch when the two sides disagree about runtime.LockOSThread, and
+// nothing in this module calls it; a simulated thread's body must not
+// either. The lane hands the thread a carrier at its first switch-in and
+// takes it back when the body returns, so a thread that never runs — or
+// whose lane runs its idle passes for it (SetIdlePass) — never holds one,
+// and a finished thread holds none either.
 //
 // Threads live in their lane's slab (Lane.newThread) and are only ever
 // handled by pointer.
@@ -70,9 +72,7 @@ type Thread struct {
 	index      int        // the spawner's index; -1 for a plainly named thread
 	fn         func(*Thread)
 
-	next  func() (struct{}, bool) // lane side: run the thread until it switches out or finishes; nil until first switch-in
-	yield func(struct{}) bool     // thread side: switch out; false once stop was called
-	stop  func()                  // lane side: unwind a blocked thread and free its coroutine
+	c *carrier // the coroutine the thread runs on; nil before its first switch-in and once it has finished
 	// A park the lane finishes (ParkThenSleep): when it began, the sleep to
 	// follow it, and the flag that calls the sleep off. parkCancel is
 	// non-nil exactly while such a park is pending.
@@ -80,7 +80,7 @@ type Thread struct {
 	parkSleep  Time
 	parkCancel *bool
 	// The idle pass (SetIdlePass): the lane runs idle in place of a
-	// switch-in while the thread has no coroutine, then parks it in
+	// switch-in while the thread has no carrier, then parks it in
 	// ParkThenSleep(idleSleep, idleCancel).
 	idle       func(*Thread) bool
 	idleSleep  Time
@@ -134,13 +134,13 @@ func (k *Kernel) spawnOn(ln *Lane, name string, index int, fn func(*Thread)) *Th
 	return t
 }
 
-// run is the thread's coroutine: the body, then the end-of-thread
-// accounting.
-func (t *Thread) run(yield func(struct{}) bool) {
-	t.yield = yield
+// run is the thread's life on its carrier: the body, then the
+// end-of-thread accounting. It returns to the carrier, which then drops
+// the thread and goes idle.
+func (t *Thread) run() {
 	defer func() {
-		// The panic must not leave the coroutine: Pull would re-raise
-		// it in the lane's event loop.
+		// The panic must not leave the carrier: Pull would re-raise it
+		// in the lane's event loop.
 		if r := recover(); r != nil {
 			if _, stopped := r.(threadStopped); !stopped {
 				t.panicked = &ThreadPanic{Thread: t.Name(), Value: r, Stack: string(debug.Stack())}
@@ -210,16 +210,16 @@ func (t *Thread) SetObsTrack(kind obs.TrackKind) { t.track = kind }
 //
 // and pass must be that work done from the lane: it either does all of it
 // without blocking, sleeping or waking the thread, and returns true, or
-// does nothing and returns false. Until the thread first has a coroutine,
+// does nothing and returns false. Until the thread first has a carrier,
 // each time the lane would switch in it ends the thread if *cancel holds,
 // else runs pass and, when pass ran, parks the thread in ParkThenSleep(d,
-// cancel) itself. Only a declined pass makes the coroutine, and the body
+// cancel) itself. Only a declined pass takes a carrier, and the body
 // starts from the top, where the thread would have been anyway. Event
 // order and counts, spans and the pass's own side effects are those of
 // the switched-in thread; only Kernel.Switches falls. The spawner sets it
 // before the thread first runs, like SetObsTrack.
 func (t *Thread) SetIdlePass(pass func(*Thread) bool, d Time, cancel *bool) {
-	if t.next != nil {
+	if t.c != nil || t.state == stateDone {
 		panic("sim: SetIdlePass on a thread that has run")
 	}
 	if d < 0 {
@@ -248,12 +248,12 @@ func (t *Thread) resolveTrace() { t.trace = t.ln.obs.Track(t.track, t.Name()) }
 func (t *Thread) Now() Time { return t.ln.now }
 
 // threadStopped is the panic value that unwinds a switched-out thread
-// when a failed Run releases it; the spawn wrapper swallows it.
+// when a failed Run stops its carrier; Thread.run swallows it.
 type threadStopped struct{}
 
 // switchOut yields to the lane's event loop and blocks until resumed.
 func (t *Thread) switchOut() {
-	if !t.yield(struct{}{}) {
+	if !t.c.yield(struct{}{}) {
 		panic(threadStopped{})
 	}
 }
