@@ -45,10 +45,11 @@ test-short:
 # 16384-rank world (skipped under -short), the event-size pin, the RDMA
 # flight and payload-pool budgets (internal/pami, internal/mem), the
 # merge budget (internal/obs: per track, never per record) and simd's
-# hit-path and point-delivery allocation budgets (internal/serve: parse
-# memo + LRU hit, parse memo + verified disk load, a point's trace at 64
-# and at 2048 records) on plain counts, -v so the CI log shows what was
-# measured.
+# hit-path, cold-write and point-delivery allocation budgets
+# (internal/serve: parse memo + LRU hit, parse memo + verified disk load,
+# TestColdWriteAllocBudget's synchronous cold job onto a store, a point's
+# trace at 64 and at 2048 records) on plain counts, -v so the CI log shows
+# what was measured.
 check:
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/fault/ ./...
@@ -77,8 +78,8 @@ bench:
 # on (internal/serve/fuzz_test.go: a canonical body parses back to the
 # same key and bytes), then bodies posted twice to a server whose parse
 # memo must answer the second post as the full parse answered the first,
-# then arbitrary body and sidecar bytes on disk, which the store must serve
-# only when the sidecar vouches for them and quarantine otherwise, then
+# then arbitrary entry bytes on disk, which the store must serve only when
+# the entry's header line vouches for them and quarantine otherwise, then
 # peer-fill answers (body, declared sha, status, a cut connection), which
 # the filler must accept exactly when every byte arrived and matches, then
 # strided descriptors of 0-8 levels, whose wire header must round-trip and

@@ -710,7 +710,7 @@ func TestClusterDrill(t *testing.T) {
 	var store string
 	var held []string
 	for i, p := range ring {
-		metas, _ := filepath.Glob(filepath.Join(stores[i], "*", "*.meta.json"))
+		metas, _ := filepath.Glob(filepath.Join(stores[i], "*", "*.entry"))
 		if p != victim && len(metas) > len(held) {
 			store, held = stores[i], metas
 		}
@@ -729,7 +729,7 @@ func TestClusterDrill(t *testing.T) {
 	again := start(t, "-addr", anyPort, "-store-dir", store, "-sweep-workers", "4", "-shards", "4")
 	inStore := map[string]bool{}
 	for _, m := range held {
-		inStore[strings.TrimSuffix(filepath.Base(m), ".meta.json")] = true
+		inStore[strings.TrimSuffix(filepath.Base(m), ".entry")] = true
 	}
 	served := 0
 	for hash, artifact := range byHash {

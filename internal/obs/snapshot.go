@@ -168,5 +168,5 @@ func appendKey(b []byte, i int, name string) []byte {
 	if i > 0 {
 		b = append(b, ',')
 	}
-	return append(appendJSONString(b, name), ':')
+	return append(AppendJSONString(b, name), ':')
 }

@@ -144,8 +144,8 @@ func appendMetaLine(b []byte, pid, tid int, kind, name string) []byte {
 	b = append(b, `,"tid":`...)
 	b = strconv.AppendInt(b, int64(tid), 10)
 	b = append(b, `,"name":`...)
-	b = appendJSONString(b, kind)
+	b = AppendJSONString(b, kind)
 	b = append(b, `,"args":{"name":`...)
-	b = appendJSONString(b, name)
+	b = AppendJSONString(b, name)
 	return append(b, "}}"...)
 }

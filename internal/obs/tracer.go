@@ -282,10 +282,10 @@ func appendEventLine(b []byte, rec spanRec, pid, tid int) []byte {
 		b = append(b, `,"s":"t"`...)
 	}
 	b = append(b, `,"name":`...)
-	b = appendJSONString(b, rec.name)
+	b = AppendJSONString(b, rec.name)
 	if rec.cat != "" {
 		b = append(b, `,"cat":`...)
-		b = appendJSONString(b, rec.cat)
+		b = AppendJSONString(b, rec.cat)
 	}
 	if rec.hasArg {
 		b = append(b, `,"args":{"arg":`...)
@@ -307,12 +307,13 @@ func appendMicros(b []byte, ns Time) []byte {
 	return append(b, '.', byte('0'+rem/100), byte('0'+rem/10%10), byte('0'+rem%10))
 }
 
-// appendJSONString appends s as a JSON string literal, exactly as
-// json.Marshal writes it. Names and track ids are printable ASCII with
-// nothing to escape, so they go between quotes verbatim; anything else
+// AppendJSONString appends s as a JSON string literal, exactly as
+// json.Marshal writes it (serve's run-log events use it too). Names and
+// track ids are printable ASCII with nothing to escape, so they go
+// between quotes verbatim; anything else
 // (control bytes, non-ASCII, quotes, backslashes and json.Marshal's HTML
 // escapes of <, > and &) takes json.Marshal.
-func appendJSONString(b []byte, s string) []byte {
+func AppendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			q, err := json.Marshal(s)

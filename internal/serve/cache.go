@@ -116,7 +116,7 @@ func (c *Cache) Put(key string, body []byte, scenario, format string) {
 }
 
 // put is Put for a caller that already holds the body's hash — the disk
-// tier verified it on load, a fill computed it for the sidecar.
+// tier verified it on load, a fill computed it for the entry's header.
 func (c *Cache) put(key string, a artifact) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

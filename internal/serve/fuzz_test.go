@@ -74,19 +74,20 @@ func FuzzJobCanonIdempotent(f *testing.F) {
 }
 
 // FuzzStoreGet holds the disk tier's read to its one promise: bytes on
-// disk are served only when their sidecar vouches for them. Any body and
-// sidecar bytes are written under a valid key, as a damaged disk, a bad
-// restore or another process could leave them. Get must not panic; it
-// answers ok exactly when the sidecar is JSON naming this key, the body's
-// length and the body's SHA-256 — and then answers those bytes, untouched
-// on disk — and otherwise both halves are moved aside as .bad and the
-// quarantine count goes up by one. Seeds: every frozen wire body with the
-// sidecar Put would write, and damaged versions of a few.
+// disk are served only when their header vouches for them. Any entry
+// bytes are written under a valid key, as a damaged disk, a bad restore
+// or another process could leave them. Get must not panic; it answers ok
+// exactly when the bytes before the first newline are JSON naming this
+// key, the length of the bytes after it and their SHA-256 — and then
+// answers those bytes, the file untouched on disk — and otherwise the
+// file is moved aside as .bad and the quarantine count goes up by one.
+// Seeds: every frozen wire body under the header Put would write, and
+// damaged versions of a few.
 func FuzzStoreGet(f *testing.F) {
 	key := testKey("fuzz")
-	sidecar := func(body []byte) []byte {
+	header := func(body []byte, n int) []byte {
 		m, err := json.Marshal(StoreMeta{Key: key, Scenario: "micro", Format: "csv",
-			Bytes: len(body), SHA256: sha256Hex(body), CreatedUnix: 1})
+			Bytes: n, SHA256: sha256Hex(body), CreatedUnix: 1})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -94,64 +95,62 @@ func FuzzStoreGet(f *testing.F) {
 	}
 	for i, row := range loadWireFreeze(f).Rows {
 		body := []byte(row.Body)
-		f.Add(body, sidecar(body))
+		h := header(body, len(body))
+		f.Add(entry(h, body))
 		if i%20 == 0 {
 			flipped := bytes.Clone(body)
 			flipped[0] ^= 1
-			f.Add(flipped, sidecar(body))                                                     // same length, other bytes
-			f.Add(body[:len(body)/2], sidecar(body))                                          // truncated
-			f.Add(body, bytes.Replace(sidecar(body), []byte(key[:8]), []byte("deadbeef"), 1)) // another key
-			f.Add(body, sidecar(body)[1:])                                                    // not JSON
+			f.Add(entry(h, flipped))                                                     // same length, other bytes
+			f.Add(entry(h, body[:len(body)/2]))                                          // truncated
+			f.Add(entry(bytes.Replace(h, []byte(key[:8]), []byte("deadbeef"), 1), body)) // another key
+			f.Add(entry(h[1:], body))                                                    // not JSON
+			f.Add(entry(header(body, len(body)+1), body))                                // wrong length, right sha
+			f.Add(body)                                                                  // the artifact alone
 		}
 	}
 
-	f.Fuzz(func(t *testing.T, body, meta []byte) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
 		st, err := OpenStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		bodyPath, metaPath := st.paths(key)
-		if err := os.MkdirAll(filepath.Dir(bodyPath), 0o755); err != nil {
+		path := st.path(key)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for path, data := range map[string][]byte{bodyPath: body, metaPath: meta} {
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
 		var m StoreMeta
+		head, body, found := bytes.Cut(raw, []byte("\n"))
 		sum := sha256.Sum256(body)
 		sha := hex.EncodeToString(sum[:])
-		vouched := json.Unmarshal(meta, &m) == nil && m.Key == key && m.Bytes == len(body) && m.SHA256 == sha
+		vouched := found && json.Unmarshal(head, &m) == nil && m.Key == key && m.Bytes == len(body) && m.SHA256 == sha
 
 		got, gotMeta, ok := st.Get(key)
 		quarantined := atomic.LoadUint64(&st.quarantined)
 		if ok != vouched {
-			t.Fatalf("Get ok=%v for body %q under sidecar %q (vouched for: %v)", ok, body, meta, vouched)
+			t.Fatalf("Get ok=%v for entry %q (vouched for: %v)", ok, raw, vouched)
 		}
-		onDisk := map[string][]byte{bodyPath: body, metaPath: meta}
+		onDisk := path
 		if ok {
 			if !bytes.Equal(got, body) || gotMeta.Key != key || gotMeta.Bytes != len(body) || gotMeta.SHA256 != sha {
-				t.Fatalf("served %q with %+v for body %q", got, gotMeta, body)
+				t.Fatalf("served %q with %+v for entry %q", got, gotMeta, raw)
 			}
 			if quarantined != 0 {
 				t.Fatalf("a served entry counted %d quarantines", quarantined)
 			}
 		} else {
 			if got != nil || quarantined != 1 {
-				t.Fatalf("refused entry: body %q served, %d quarantines, want none and 1", got, quarantined)
+				t.Fatalf("refused entry: %q served, %d quarantines, want none and 1", got, quarantined)
 			}
-			onDisk = map[string][]byte{bodyPath + ".bad": body, metaPath + ".bad": meta}
-			for _, path := range []string{bodyPath, metaPath} {
-				if _, err := os.Stat(path); !os.IsNotExist(err) {
-					t.Fatalf("refused entry: %s still in place (%v)", filepath.Base(path), err)
-				}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("refused entry still in place (%v)", err)
 			}
+			onDisk = path + ".bad"
 		}
-		for path, want := range onDisk {
-			if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, want) {
-				t.Fatalf("%s: %q, %v; want the bytes written", filepath.Base(path), data, err)
-			}
+		if data, err := os.ReadFile(onDisk); err != nil || !bytes.Equal(data, raw) {
+			t.Fatalf("%s: %q, %v; want the bytes written", filepath.Base(onDisk), data, err)
 		}
 	})
 }

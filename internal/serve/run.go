@@ -3,10 +3,10 @@ package serve
 // run.go is the observability side of the service: one Run record per
 // job execution, holding a deterministic append-only event log that SSE
 // clients replay from the start. Because every simulation is a pure
-// function of its config, the log for a given config is itself
-// deterministic (same events, same bytes, at any sweep worker count), so
-// "late attach" is trivial: replaying the log from index 0 reconstructs
-// exactly what a from-the-beginning subscriber saw.
+// function of its config, the log for a given config and submission kind
+// is itself deterministic (same events, same bytes, at any sweep worker
+// count), so "late attach" is trivial: replaying the log from index 0
+// reconstructs exactly what a from-the-beginning subscriber saw.
 //
 // Event log schema (event name → single-line JSON payload):
 //
@@ -19,6 +19,11 @@ package serve
 //	result  {"i":I,"data":"base64"}  the rendered artifact, 8 KiB chunks
 //	done    {"status":..,"bytes":..,"sha256":..} or {"status":..,"code":..,"error":..}
 //
+// metrics, trace and dropped exist only in the log of an execution an
+// asynchronous submission started (runEmitter). A synchronous request
+// asks for the artifact, not for its making, so its execution keeps no
+// registry and its log carries the points alone (Run.PointDone).
+//
 // The `done` event is always the last entry; concatenating the decoded
 // `result` chunks yields the final artifact byte-for-byte (the cache and
 // the synchronous POST /v1/run response serve the same bytes).
@@ -28,8 +33,6 @@ import (
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -100,22 +103,16 @@ func newRun(id, key, scenario, format string) *Run {
 		state:   RunQueued,
 		notify:  make(chan struct{}),
 	}
-	run.append("hello", fmt.Sprintf(`{"id":%s,"key":%s,"scenario":%s,"format":%s}`,
-		jsonStr(id), jsonStr(key), jsonStr(scenario), jsonStr(format)))
+	b := obs.AppendJSONString(append(make([]byte, 0, 160), `{"id":`...), id)
+	b = obs.AppendJSONString(append(b, `,"key":`...), key)
+	b = obs.AppendJSONString(append(b, `,"scenario":`...), scenario)
+	b = obs.AppendJSONString(append(b, `,"format":`...), format)
+	run.append("hello", string(append(b, '}')))
 	run.append("state", stateJSON(RunQueued))
 	return run
 }
 
-func stateJSON(st RunState) string { return `{"state":` + jsonStr(string(st)) + `}` }
-
-// jsonStr renders s as a JSON string literal.
-func jsonStr(s string) string {
-	b, err := json.Marshal(s)
-	if err != nil {
-		panic(err) // strings always marshal
-	}
-	return string(b)
-}
+func stateJSON(st RunState) string { return `{"state":"` + string(st) + `"}` }
 
 // append adds one event to the log and wakes every subscriber. The log
 // is append-only: indices, once assigned, never change, which is what
@@ -140,14 +137,18 @@ func (run *Run) setRunning() {
 	run.mu.Unlock()
 }
 
-// notePoint records one delivered sweep point. The emitter calls this in
-// submission-index order, so points is always i+1.
-func (run *Run) notePoint(i, n int) {
+// PointDone records one delivered sweep point, which makes a Run the
+// sweep.Emitter of an execution nobody asked to observe: the point event
+// and nothing else. The engine calls it in submission-index order, so
+// points is always i+1.
+func (run *Run) PointDone(i, n int, _ *obs.Registry) {
+	b := strconv.AppendInt(append(make([]byte, 0, 32), `{"i":`...), int64(i), 10)
+	b = strconv.AppendInt(append(b, `,"n":`...), int64(n), 10)
+	data := string(append(b, '}'))
 	run.mu.Lock()
 	run.points = i + 1
 	run.total = n
-	run.log = append(run.log, Event{ID: len(run.log),
-		Name: "point", Data: fmt.Sprintf(`{"i":%d,"n":%d}`, i, n)})
+	run.log = append(run.log, Event{ID: len(run.log), Name: "point", Data: data})
 	close(run.notify)
 	run.notify = make(chan struct{})
 	run.mu.Unlock()
@@ -188,24 +189,29 @@ func (run *Run) finishWith(st RunState, code int, errMsg string, body []byte, ca
 	}
 	run.state = st
 	emit("state", stateJSON(st))
+	// Every payload is built in b, which the log copies into its string.
+	var b []byte
 	if st == RunDone {
 		sum := sha256.Sum256(body)
 		run.bytes, run.sha = len(body), hex.EncodeToString(sum[:])
+		b = make([]byte, 0, base64.StdEncoding.EncodedLen(min(len(body), resultChunkBytes))+32)
 		for i := 0; i*resultChunkBytes < len(body) || (i == 0 && len(body) == 0); i++ {
-			end := (i + 1) * resultChunkBytes
-			if end > len(body) {
-				end = len(body)
-			}
-			chunk := base64.StdEncoding.EncodeToString(body[i*resultChunkBytes : end])
-			emit("result", fmt.Sprintf(`{"i":%d,"data":"%s"}`, i, chunk))
+			end := min((i+1)*resultChunkBytes, len(body))
+			b = strconv.AppendInt(append(b[:0], `{"i":`...), int64(i), 10)
+			b = append(b, `,"data":"`...)
+			b = base64.StdEncoding.AppendEncode(b, body[i*resultChunkBytes:end])
+			emit("result", string(append(b, `"}`...)))
 		}
-		emit("done", fmt.Sprintf(`{"status":"done","bytes":%d,"sha256":"%s","cached":%t}`,
-			run.bytes, run.sha, cached))
+		b = strconv.AppendInt(append(b[:0], `{"status":"done","bytes":`...), int64(run.bytes), 10)
+		b = append(append(b, `,"sha256":"`...), run.sha...)
+		b = strconv.AppendBool(append(b, `","cached":`...), cached)
 	} else {
 		run.errMsg = errMsg
-		emit("done", fmt.Sprintf(`{"status":%s,"code":%d,"error":%s}`,
-			jsonStr(string(st)), code, jsonStr(errMsg)))
+		b = append(append(b, `{"status":"`...), st...)
+		b = strconv.AppendInt(append(b, `","code":`...), int64(code), 10)
+		b = obs.AppendJSONString(append(b, `,"error":`...), errMsg)
 	}
+	emit("done", string(append(b, '}')))
 	run.finished = true
 	close(run.notify)
 	run.notify = make(chan struct{})
@@ -429,7 +435,7 @@ func newRunEmitter(run *Run, reg *obs.Registry, traceBudget int) *runEmitter {
 }
 
 func (em *runEmitter) PointDone(i, n int, child *obs.Registry) {
-	em.run.notePoint(i, n)
+	em.run.PointDone(i, n, nil)
 	em.snap.Reset()
 	em.reg.SnapshotJSON(&em.snap)
 	em.run.append("metrics", em.snap.String())

@@ -12,41 +12,75 @@ import (
 	"repro/internal/obs"
 )
 
-// TestRunLogPinned pins the served bytes of two runs' whole event logs,
-// SSE framing included: a single-point fetchadd, and a three-point one
-// whose trace lines cross traceBudget, so its log carries dropped events.
-// The constants were taken before the trace exporters stopped using fmt;
-// any change to how a log is formatted, trimmed or ordered moves them.
+// TestRunLogPinned pins the served bytes of three runs' whole event logs,
+// SSE framing included: two an asynchronous submission started — a
+// single-point fetchadd, and a three-point one whose trace lines cross
+// traceBudget, so its log carries dropped events — and the three-point
+// one again, started by a synchronous request, whose log carries its
+// points and no observation. The asynchronous constants were taken
+// before the trace exporters stopped using fmt; any change to how a log
+// is formatted, trimmed or ordered moves them.
 func TestRunLogPinned(t *testing.T) {
+	const threePoints = `{"compose":{"phases":[{"pattern":"fetchadd","params":{"ops_each":2},"topology":{"procs":[64,128,256]}}]}}`
 	for _, tc := range []struct {
 		name, job, sha string
-		dropped        bool
+		async, dropped bool
 	}{
 		{"single point",
 			`{"compose":{"phases":[{"pattern":"fetchadd","params":{"ops_each":3},"topology":{"procs":[16],"per_node":4}}]}}`,
-			"512789f4a3eba77d91a5bdb53ba55387ebe4a7da2b9c2a98a4af84e003bb8305", false},
-		{"three points past the budget",
-			`{"compose":{"phases":[{"pattern":"fetchadd","params":{"ops_each":2},"topology":{"procs":[64,128,256]}}]}}`,
-			"a4be320dd79a1779f341b0edec660ac3add2bb9af6118f4eda8985dc20d5487a", true},
+			"512789f4a3eba77d91a5bdb53ba55387ebe4a7da2b9c2a98a4af84e003bb8305", true, false},
+		{"three points past the budget", threePoints,
+			"a4be320dd79a1779f341b0edec660ac3add2bb9af6118f4eda8985dc20d5487a", true, true},
+		{"synchronous", threePoints,
+			"af7cdc79cb2739e0fb35fe9fba9dc76de12e26af4457fc472a021e7629ea38f9", false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, ts := newTestServer(t, Options{})
-			resp, err := http.Post(ts.URL+"/v1/compose?async=1", "application/json", strings.NewReader(tc.job))
-			if err != nil {
-				t.Fatal(err)
+			var id string
+			if tc.async {
+				resp, err := http.Post(ts.URL+"/v1/compose?async=1", "application/json", strings.NewReader(tc.job))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var info RunInfo
+				json.NewDecoder(resp.Body).Decode(&info)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted || info.ID == "" {
+					t.Fatalf("async compose: status %d, info %+v", resp.StatusCode, info)
+				}
+				id = info.ID
+			} else {
+				resp, err := http.Post(ts.URL+"/v1/compose", "application/json", strings.NewReader(tc.job))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				hash := resp.Header.Get("X-Config-Hash")
+				if resp.StatusCode != http.StatusOK || len(hash) < runIDLen {
+					t.Fatalf("sync compose: status %d, X-Config-Hash %q", resp.StatusCode, hash)
+				}
+				id = hash[:runIDLen]
 			}
-			var info RunInfo
-			json.NewDecoder(resp.Body).Decode(&info)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusAccepted || info.ID == "" {
-				t.Fatalf("async compose: status %d, info %+v", resp.StatusCode, info)
-			}
-			raw, evs := readSSE(t, ts.URL+"/v1/runs/"+info.ID+"/events")
+			raw, evs := readSSE(t, ts.URL+"/v1/runs/"+id+"/events")
 			if last := evs[len(evs)-1]; last.name != "done" || !strings.Contains(last.data, `"status":"done"`) {
 				t.Fatalf("run ended with %s %s", last.name, last.data)
 			}
 			if got := strings.Contains(raw, "\nevent: dropped\n"); got != tc.dropped {
 				t.Fatalf("dropped events present = %v, want %v", got, tc.dropped)
+			}
+			if !tc.async {
+				points := 0
+				for _, ev := range evs {
+					switch ev.name {
+					case "point":
+						points++
+					case "metrics", "trace", "dropped":
+						t.Fatalf("a synchronous run's log carries a %s event: %s", ev.name, ev.data)
+					}
+				}
+				if points != 6 { // two points per procs value
+					t.Fatalf("a synchronous run's log carries %d point events, want 6", points)
+				}
 			}
 			sum := sha256.Sum256([]byte(raw))
 			if got := hex.EncodeToString(sum[:]); got != tc.sha {

@@ -481,7 +481,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, j job) {
 	}
 
 	res, shared, err := s.flight.do(r.Context(), s.base, j.key, func(ctx context.Context) *jobResult {
-		return s.runJob(ctx, j)
+		return s.runJob(ctx, j, false)
 	})
 	if err != nil {
 		// The client abandoned the request; the connection is gone, so
@@ -523,7 +523,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, j job) {
 	// after the 202 can never race a not-yet-registered run.
 	run := s.runs.begin(j.key, j.scenario, j.format)
 	s.flight.start(s.base, j.key, func(ctx context.Context) *jobResult {
-		return s.runJob(ctx, j)
+		return s.runJob(ctx, j, true)
 	})
 	writeJSON(w, http.StatusAccepted, run.Info())
 }
@@ -641,8 +641,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // simulation sweep (streamed into the run's event log point by point),
 // rendering, and cache fill. It runs in the flight leader's goroutine;
 // ctx is the collapsed run context (cancelled when every waiter is gone,
-// the job times out, or the server closes).
-func (s *Server) runJob(ctx context.Context, j job) (res *jobResult) {
+// the job times out, or the server closes). observe is set when an
+// asynchronous submission started the execution: only then does it record
+// per-point metrics and trace.
+func (s *Server) runJob(ctx context.Context, j job, observe bool) (res *jobResult) {
 	run := s.runs.begin(j.key, j.scenario, j.format)
 	defer func() {
 		if p := recover(); p != nil {
@@ -694,16 +696,22 @@ func (s *Server) runJob(ctx context.Context, j job) (res *jobResult) {
 	defer func() { <-s.slots }()
 	run.setRunning()
 
-	// Per-run observability: the sweep's children merge into a private
-	// registry (the shared engine has no parent of its own), and each
-	// in-order point delivery appends point/metrics/trace events to the
-	// run's log. Everything streamed is a pure function of the delivery
-	// sequence, so the log is byte-identical at any SweepWorkers setting.
-	runReg := obs.New(obs.WithTrackCap(runTrackCap))
+	// Per-run observability, for an execution asked to be observed: the
+	// sweep's children merge into a private registry (the shared engine
+	// has no parent of its own), and each in-order point delivery appends
+	// point/metrics/trace events to the run's log. Otherwise there is no
+	// registry and the run records its points alone. Everything streamed
+	// is a pure function of the delivery sequence, so the log is
+	// byte-identical at any SweepWorkers setting.
 	runCtx, cancel := context.WithTimeout(ctx, jobTimeout)
 	defer cancel()
-	runCtx = sweep.WithRegistry(runCtx, runReg)
-	runCtx = sweep.WithEmitter(runCtx, newRunEmitter(run, runReg, traceBudget))
+	var em sweep.Emitter = run
+	if observe {
+		runReg := obs.New(obs.WithTrackCap(runTrackCap))
+		runCtx = sweep.WithRegistry(runCtx, runReg)
+		em = newRunEmitter(run, runReg, traceBudget)
+	}
+	runCtx = sweep.WithEmitter(runCtx, em)
 
 	t0 := time.Now()
 	body, err := j.exec(runCtx, s.engine)

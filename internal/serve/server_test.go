@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -314,9 +315,9 @@ func (*replayBody) Close() error { return nil }
 // canonical body or key is built. The second case alternates two keys
 // over an LRU that holds one, so every answer is a verified disk load
 // promoted into the LRU — hashed by the load and not again by the
-// promotion. Pinned at the measured counts, 4 and 32 (50 and 80 before
-// the memo): the first with the house 10 %, the second with a headroom
-// of one, because hashing the artifact again on promotion costs two.
+// promotion. Pinned at the measured counts, 4 and 24 (50 and 80 before
+// the memo, 32 before an entry was one file): the first with the house
+// 10 %, the second with 5 %, a headroom of one.
 func TestHitPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -328,7 +329,7 @@ func TestHitPathAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"LRU hit", [][]byte{[]byte(pingCompose)}, "hit", 4.4},
-		{"disk load", [][]byte{[]byte(pingCompose), []byte(pingCompose2)}, "disk", 33},
+		{"disk load", [][]byte{[]byte(pingCompose), []byte(pingCompose2)}, "disk", 25.2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(Options{Workers: 1, SweepWorkers: 1, StoreDir: t.TempDir()})
@@ -361,5 +362,44 @@ func TestHitPathAllocBudget(t *testing.T) {
 				t.Errorf("%s: %.1f allocations per request, budget %.1f", tc.name, got, tc.budget)
 			}
 		})
+	}
+}
+
+// What a synchronous cold write costs the heap, handler and execution
+// together: a ping job no tier holds is parsed, executed, rendered, put
+// in the LRU and written through to the disk store, and the artifact is
+// answered. Every run posts a key of its own, so every run is cold.
+// Pinned at the measured count plus 5 %.
+func TestColdWriteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const runs, budget = 20, 278.2
+	bodies := make([][]byte, runs+2) // AllocsPerRun runs once more to warm up
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf(`{"compose":{"phases":[{"pattern":"ping","params":{"iters":8},"sizes":{"kind":"fixed","bytes":%d}}]}}`, 4096+8*i))
+	}
+	s := New(Options{Workers: 1, SweepWorkers: 1, StoreDir: t.TempDir()})
+	defer s.Close()
+	h := s.Handler()
+	body := &replayBody{}
+	req := httptest.NewRequest(http.MethodPost, "/v1/compose", body)
+	w := &discardWriter{h: make(http.Header)}
+	next := 0
+	serve := func() {
+		body.Reset(bodies[next])
+		next++
+		clear(w.h)
+		w.status = http.StatusOK
+		h.ServeHTTP(w, req)
+		if src := w.h.Get("X-Cache"); w.status != http.StatusOK || src != "miss" {
+			t.Fatalf("status %d X-Cache %q, want 200 from a cold execution", w.status, src)
+		}
+	}
+	serve() // fills the engine's pools, and outlasts the empty store's startup scan
+	got := testing.AllocsPerRun(runs, serve)
+	t.Logf("cold write: %.1f allocations per request (budget %.1f)", got, budget)
+	if got > budget {
+		t.Errorf("cold write: %.1f allocations per request, budget %.1f", got, budget)
 	}
 }

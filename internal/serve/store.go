@@ -3,29 +3,31 @@ package serve
 // store.go is the persistent tier under the in-memory LRU: a
 // content-addressed on-disk layout holding one rendered artifact per
 // config hash, so results survive restarts and can be exported to
-// cluster peers. Layout:
+// cluster peers. Each entry is one file:
 //
-//	<dir>/<hash[:2]>/<hash>.json       the artifact bytes, verbatim
-//	<dir>/<hash[:2]>/<hash>.meta.json  sidecar: scenario, format,
-//	                                   length, artifact SHA-256
+//	<dir>/<hash[:2]>/<hash>.entry   the StoreMeta JSON line (scenario,
+//	                                format, length, artifact SHA-256),
+//	                                then the artifact bytes, verbatim
 //
 // Invariants:
 //
-//   - Writes are atomic (temp file in the same directory + rename), and
-//     the body lands before its sidecar — a crash mid-put leaves either
-//     nothing visible or an orphan body, never a readable-but-wrong
+//   - Writes are atomic (temp file in the same directory + rename): a
+//     crash mid-put leaves nothing visible, never a readable-but-wrong
 //     entry. The temp file of a writer killed before its rename is
 //     removed by the next process's Scan.
-//   - Reads verify: the body is re-hashed on every load and compared to
-//     the sidecar's declared SHA-256. Truncation, corruption, garbage
-//     sidecars, and orphaned halves are all quarantined (renamed with a
+//   - Reads verify: the artifact is re-hashed on every load and compared
+//     to its header's declared SHA-256. Truncation, corruption and a
+//     garbage or mismatched header are all quarantined (renamed with a
 //     .bad suffix) and reported as a miss — a damaged entry is
 //     re-executed, never served.
 //   - Entries never go stale (results are pure functions of their key),
 //     so there is no expiry and no invalidation; the store only grows,
-//     bounded by the operator's disk.
+//     bounded by the operator's disk. For the same reason an older
+//     layout's files are not read at all: such a store reads as empty,
+//     and its keys are executed and stored again as they are asked for.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io/fs"
@@ -36,7 +38,7 @@ import (
 	"time"
 )
 
-// StoreMeta is the sidecar contents for one stored artifact.
+// StoreMeta is the header line of one stored entry.
 type StoreMeta struct {
 	Key         string `json:"key"`      // config hash; must match the filename
 	Scenario    string `json:"scenario"` // metrics / Content-Type material
@@ -58,7 +60,7 @@ type Store struct {
 	staleBefore time.Time
 }
 
-// tempPrefix names writeAtomic's temp files.
+// tempPrefix names Put's temp files.
 const tempPrefix = ".put-"
 
 // tempGrace keeps Scan off temp files written around the time the store
@@ -97,41 +99,29 @@ func validStoreKey(key string) bool {
 	return true
 }
 
-func (st *Store) paths(key string) (body, meta string) {
-	d := filepath.Join(st.dir, key[:2])
-	return filepath.Join(d, key+".json"), filepath.Join(d, key+".meta.json")
+// entrySuffix names a stored entry's file: <hash>.entry.
+const entrySuffix = ".entry"
+
+func (st *Store) path(key string) string {
+	return filepath.Join(st.dir, key[:2], key+entrySuffix)
 }
 
 // Get loads and verifies the artifact stored under key. A missing entry
-// is a plain miss; a damaged one (truncated body, hash mismatch, garbage
-// or mismatched sidecar, orphaned half) is quarantined and reported as a
-// miss — the caller re-executes, it never serves bad bytes.
+// is a plain miss; a damaged one (no header line, a garbage or
+// mismatched header, a truncated or altered artifact) is quarantined and
+// reported as a miss — the caller re-executes, it never serves bad bytes.
 func (st *Store) Get(key string) ([]byte, StoreMeta, bool) {
 	if !validStoreKey(key) {
 		return nil, StoreMeta{}, false
 	}
-	bodyPath, metaPath := st.paths(key)
-	metaRaw, metaErr := os.ReadFile(metaPath)
-	body, bodyErr := os.ReadFile(bodyPath)
-	switch {
-	case metaErr != nil && bodyErr != nil:
+	raw, err := os.ReadFile(st.path(key))
+	if err != nil {
 		return nil, StoreMeta{}, false // plain miss
-	case metaErr != nil || bodyErr != nil:
-		// Orphaned half (interrupted put or manual damage): clear it out
-		// of the namespace so a future put can land cleanly.
-		st.quarantine(key)
-		return nil, StoreMeta{}, false
 	}
 	var m StoreMeta
-	if err := json.Unmarshal(metaRaw, &m); err != nil || m.Key != key || m.SHA256 == "" {
-		st.quarantine(key)
-		return nil, StoreMeta{}, false
-	}
-	if len(body) != m.Bytes {
-		st.quarantine(key)
-		return nil, StoreMeta{}, false
-	}
-	if sha256Hex(body) != m.SHA256 {
+	header, body, ok := bytes.Cut(raw, []byte{'\n'})
+	if !ok || json.Unmarshal(header, &m) != nil || m.Key != key ||
+		len(body) != m.Bytes || sha256Hex(body) != m.SHA256 {
 		st.quarantine(key)
 		return nil, StoreMeta{}, false
 	}
@@ -146,86 +136,62 @@ func (st *Store) Put(key string, body []byte, scenario, format string) error {
 }
 
 // putHashed is Put for a caller that already holds body's hex SHA-256
-// (see Cache.put).
+// (see Cache.put). The entry is written with one temp file and one
+// rename, so a concurrent reader sees what was there before or the
+// complete entry, never a partial write.
 func (st *Store) putHashed(key string, body []byte, scenario, format, sha string) error {
 	if !validStoreKey(key) {
 		return fmt.Errorf("serve: store put: bad key %q", key)
 	}
-	m := StoreMeta{
+	header, err := json.Marshal(StoreMeta{
 		Key: key, Scenario: scenario, Format: format,
 		Bytes: len(body), SHA256: sha,
 		CreatedUnix: time.Now().Unix(),
-	}
-	metaRaw, err := json.Marshal(m)
+	})
 	if err != nil {
 		return err
 	}
-	bodyPath, metaPath := st.paths(key)
-	if err := os.MkdirAll(filepath.Dir(bodyPath), 0o755); err != nil {
+	path := st.path(key)
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	_, statErr := os.Stat(metaPath)
-	// Body first, sidecar second: a reader only trusts an entry once the
-	// sidecar is visible, and the sidecar only lands after the body did.
-	if err := writeAtomic(bodyPath, body); err != nil {
+	_, statErr := os.Stat(path)
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
+	if err != nil {
 		return err
 	}
-	if err := writeAtomic(metaPath, metaRaw); err != nil {
+	_, err = tmp.Write(append(append(header, '\n'), body...))
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return err
 	}
-	if statErr != nil { // no prior sidecar: the key is new
+	if statErr != nil { // no prior entry: the key is new
 		st.entries.Add(1)
 	}
 	return nil
 }
 
-// writeAtomic writes data to path via a temp file + rename in the same
-// directory, so a concurrent reader sees either the old file or the
-// complete new one, never a partial write.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), tempPrefix+"*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// quarantine renames both halves of a damaged entry with a .bad suffix
-// (keeping the evidence for a human) and counts it. Any half that fails
-// to rename is left behind; it will simply be quarantined again on the
-// next touch.
+// quarantine renames a damaged entry with a .bad suffix (keeping the
+// evidence for a human) and counts it. An entry that fails to rename is
+// left in place; it will simply be quarantined again on the next touch.
 func (st *Store) quarantine(key string) {
-	bodyPath, metaPath := st.paths(key)
-	moved := false
-	for _, p := range []string{bodyPath, metaPath} {
-		if _, err := os.Stat(p); err == nil {
-			if os.Rename(p, p+".bad") == nil {
-				moved = true
-			}
-		}
-	}
-	if moved {
+	p := st.path(key)
+	if os.Rename(p, p+".bad") == nil {
 		atomic.AddUint64(&st.quarantined, 1)
 	}
 }
 
-// Scan walks the store counting complete entries (body + sidecar pairs
-// with well-formed names). It does not verify contents — verification is
-// lazy, on each Get — so startup cost is one directory walk, not a
-// re-hash of the whole store. Returns the entry count.
+// Scan walks the store counting entries (files with well-formed names).
+// It does not verify contents — verification is lazy, on each Get — so
+// startup cost is one directory walk, not a re-hash of the whole store.
+// Returns the entry count.
 //
 // The walk also removes the temp files of writers killed mid-Put — those
 // from before this store was opened only, because the scan runs in the
@@ -243,14 +209,7 @@ func (st *Store) Scan() (int, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".meta.json") {
-			return nil
-		}
-		key := strings.TrimSuffix(name, ".meta.json")
-		if !validStoreKey(key) {
-			return nil
-		}
-		if _, err := os.Stat(strings.TrimSuffix(path, ".meta.json") + ".json"); err == nil {
+		if key, ok := strings.CutSuffix(name, entrySuffix); ok && validStoreKey(key) {
 			n++
 		}
 		return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,17 +50,16 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Errorf("meta sha = %s", meta.SHA256)
 	}
 
-	// Layout contract: <dir>/<hash[:2]>/<hash>.json plus the sidecar.
-	if _, err := os.Stat(filepath.Join(st.Dir(), key[:2], key+".json")); err != nil {
-		t.Errorf("artifact not at the content-addressed path: %v", err)
+	// Layout contract: one file, <dir>/<hash[:2]>/<hash>.entry, holding
+	// the header line and then the artifact verbatim — and nothing else
+	// in the directory, so no temp droppings.
+	files, _ := filepath.Glob(filepath.Join(st.Dir(), "*", "*"))
+	if want := filepath.Join(st.Dir(), key[:2], key+".entry"); len(files) != 1 || files[0] != want {
+		t.Fatalf("store holds %v, want exactly %s", files, want)
 	}
-	if _, err := os.Stat(filepath.Join(st.Dir(), key[:2], key+".meta.json")); err != nil {
-		t.Errorf("sidecar not at the content-addressed path: %v", err)
-	}
-	// No temp droppings.
-	matches, _ := filepath.Glob(filepath.Join(st.Dir(), "*", ".put-*"))
-	if len(matches) != 0 {
-		t.Errorf("temp files left behind: %v", matches)
+	raw, _ := os.ReadFile(files[0])
+	if header, rest, _ := bytes.Cut(raw, []byte("\n")); !bytes.Equal(rest, body) || !json.Valid(header) {
+		t.Errorf("entry file = %q, want a JSON header line, then the artifact", raw)
 	}
 }
 
@@ -108,19 +108,26 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	}
 }
 
-// corrupt damages one stored entry in the given way and returns the
-// store. Every variant must produce a miss, never bytes, and must move
-// the damaged files aside as .bad.
-func corruptCase(t *testing.T, damage func(bodyPath, metaPath string)) {
+// corruptCase damages one stored entry in the given way: damage gets
+// the entry's header line and artifact and returns the file's new bytes.
+// Every variant must produce a miss, never bytes, and must move the
+// damaged file aside as .bad.
+func corruptCase(t *testing.T, damage func(header, body []byte) []byte) {
 	t.Helper()
 	st := mustOpenStore(t)
 	key := testKey("victim")
 	if err := st.Put(key, []byte("the original, correct artifact"), "micro", "csv"); err != nil {
 		t.Fatal(err)
 	}
-	bodyPath := filepath.Join(st.Dir(), key[:2], key+".json")
-	metaPath := filepath.Join(st.Dir(), key[:2], key+".meta.json")
-	damage(bodyPath, metaPath)
+	path := filepath.Join(st.Dir(), key[:2], key+".entry")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, body, _ := bytes.Cut(raw, []byte("\n"))
+	if err := os.WriteFile(path, damage(header, body), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	if body, _, ok := st.Get(key); ok {
 		t.Fatalf("damaged entry served: %q", body)
@@ -133,12 +140,11 @@ func corruptCase(t *testing.T, damage func(bodyPath, metaPath string)) {
 	if _, _, ok := st.Get(key); ok {
 		t.Error("second get of a quarantined key hit")
 	}
-	bad, _ := filepath.Glob(filepath.Join(st.Dir(), key[:2], "*.bad"))
-	if len(bad) == 0 {
-		t.Error("no .bad quarantine files left behind")
+	if _, err := os.Stat(path + ".bad"); err != nil {
+		t.Errorf("no .bad quarantine file left behind: %v", err)
 	}
-	if _, err := os.Stat(metaPath); !os.IsNotExist(err) {
-		t.Errorf("sidecar still present after quarantine: %v", err)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("entry still present after quarantine: %v", err)
 	}
 	// The slot is reusable: a clean re-put serves again.
 	fresh := []byte("recomputed artifact")
@@ -150,48 +156,49 @@ func corruptCase(t *testing.T, damage func(bodyPath, metaPath string)) {
 	}
 }
 
+// entry joins a header line and an artifact the way Put does.
+func entry(header, body []byte) []byte {
+	return append(append(bytes.Clone(header), '\n'), body...)
+}
+
 func TestStoreQuarantinesTruncatedBody(t *testing.T) {
-	corruptCase(t, func(bodyPath, _ string) {
-		if err := os.Truncate(bodyPath, 5); err != nil {
-			t.Fatal(err)
-		}
-	})
+	corruptCase(t, func(header, body []byte) []byte { return entry(header, body[:5]) })
 }
 
 func TestStoreQuarantinesCorruptedBody(t *testing.T) {
-	corruptCase(t, func(bodyPath, _ string) {
-		raw, _ := os.ReadFile(bodyPath)
-		raw[0] ^= 0xff // same length, wrong bytes: only the re-hash catches it
-		if err := os.WriteFile(bodyPath, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	corruptCase(t, func(header, body []byte) []byte {
+		body[0] ^= 0xff // same length, wrong bytes: only the re-hash catches it
+		return entry(header, body)
 	})
 }
 
-func TestStoreQuarantinesGarbageSidecar(t *testing.T) {
-	corruptCase(t, func(_, metaPath string) {
-		if err := os.WriteFile(metaPath, []byte("{not json"), 0o644); err != nil {
+// A header that declares the wrong length while its SHA-256 is right:
+// only the length check catches it.
+func TestStoreQuarantinesMislabelledLength(t *testing.T) {
+	corruptCase(t, func(header, body []byte) []byte {
+		var m StoreMeta
+		if err := json.Unmarshal(header, &m); err != nil {
 			t.Fatal(err)
 		}
+		m.Bytes++
+		header, _ = json.Marshal(m)
+		return entry(header, body)
 	})
 }
 
-func TestStoreQuarantinesMismatchedSidecarKey(t *testing.T) {
-	corruptCase(t, func(_, metaPath string) {
-		raw, _ := os.ReadFile(metaPath)
-		swapped := bytes.Replace(raw, []byte(testKey("victim")[:8]), []byte("deadbeef"), 1)
-		if err := os.WriteFile(metaPath, swapped, 0o644); err != nil {
-			t.Fatal(err)
-		}
+func TestStoreQuarantinesGarbageHeader(t *testing.T) {
+	corruptCase(t, func(_, body []byte) []byte { return entry([]byte("{not json"), body) })
+}
+
+func TestStoreQuarantinesMismatchedHeaderKey(t *testing.T) {
+	corruptCase(t, func(header, body []byte) []byte {
+		return entry(bytes.Replace(header, []byte(testKey("victim")[:8]), []byte("deadbeef"), 1), body)
 	})
 }
 
-func TestStoreQuarantinesOrphanBody(t *testing.T) {
-	corruptCase(t, func(_, metaPath string) {
-		if err := os.Remove(metaPath); err != nil {
-			t.Fatal(err)
-		}
-	})
+// The artifact alone, with no header line.
+func TestStoreQuarantinesHeaderlessEntry(t *testing.T) {
+	corruptCase(t, func(_, body []byte) []byte { return body })
 }
 
 func TestStoreRejectsBadKeys(t *testing.T) {
@@ -214,17 +221,55 @@ func TestStoreScanSkipsJunk(t *testing.T) {
 	if err := st.Put(testKey("real"), []byte("x"), "micro", "csv"); err != nil {
 		t.Fatal(err)
 	}
-	// Junk that a scan must not count: stray files, bad names, orphans.
+	// Junk that a scan must not count: stray files, bad names, quarantine.
 	junk := filepath.Join(st.Dir(), "zz")
 	os.MkdirAll(junk, 0o755)
 	os.WriteFile(filepath.Join(junk, "README"), []byte("hi"), 0o644)
-	os.WriteFile(filepath.Join(junk, "nothex.meta.json"), []byte("{}"), 0o644)
-	orphan := testKey("orphan")
-	os.MkdirAll(filepath.Join(st.Dir(), orphan[:2]), 0o755)
-	os.WriteFile(filepath.Join(st.Dir(), orphan[:2], orphan+".meta.json"), []byte("{}"), 0o644)
+	os.WriteFile(filepath.Join(junk, "nothex.entry"), []byte("{}\n"), 0o644)
+	bad := testKey("bad")
+	os.MkdirAll(filepath.Join(st.Dir(), bad[:2]), 0o755)
+	os.WriteFile(filepath.Join(st.Dir(), bad[:2], bad+".entry.bad"), []byte("{}\n"), 0o644)
 
 	n, err := st.Scan()
 	if err != nil || n != 1 {
 		t.Fatalf("scan: n=%d err=%v, want 1", n, err)
+	}
+}
+
+// The two-file layout an older simd wrote — <hash>.json, the artifact,
+// beside <hash>.meta.json, its metadata — is not an entry: Scan does not
+// count it and Get does not serve it or quarantine it. A Put of the same
+// key lands beside it and serves.
+func TestStoreIgnoresTwoFileLayout(t *testing.T) {
+	st := mustOpenStore(t)
+	key, body := testKey("old layout"), []byte("an artifact from before")
+	meta, err := json.Marshal(StoreMeta{Key: key, Scenario: "micro", Format: "csv",
+		Bytes: len(body), SHA256: sha256Hex(body), CreatedUnix: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(st.Dir(), key[:2])
+	os.MkdirAll(dir, 0o755)
+	for name, data := range map[string][]byte{key + ".json": body, key + ".meta.json": meta} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := st.Scan(); err != nil || n != 0 {
+		t.Fatalf("scan of a two-file store: n=%d err=%v, want 0", n, err)
+	}
+	if got, _, ok := st.Get(key); ok || atomic.LoadUint64(&st.quarantined) != 0 {
+		t.Fatalf("two-file entry: served %q (ok=%v), %d quarantined; want a plain miss",
+			got, ok, atomic.LoadUint64(&st.quarantined))
+	}
+	fresh := []byte("recomputed artifact")
+	if err := st.Put(key, fresh, "micro", "csv"); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, ok := st.Get(key); !ok || !bytes.Equal(got, fresh) {
+		t.Errorf("put over a two-file entry: ok=%v body=%q", ok, got)
+	}
+	if n, _ := st.Scan(); n != 1 {
+		t.Errorf("scan after the put: n=%d, want 1", n)
 	}
 }
