@@ -40,7 +40,9 @@ test-short:
 # switches-per-rank budgets (each objects budget and the thread-spawn one
 # cold, from an empty carrier pool, and warm, from a primed one:
 # TestThreadSpawnWarmAllocBound, TestFig9WarmObjectsPerRank,
-# TestFig9MetricsWarmObjectsPerRank, TestIdleWorldWarmObjectsPerRank),
+# TestFig9MetricsWarmObjectsPerRank, TestIdleWorldWarmObjectsPerRank; a
+# metrics-only world's per-rank series cost no object,
+# TestFig9MetricsObjectsPerRank),
 # the region-cache replay budget of a
 # 16384-rank world (skipped under -short), the event-size pin, the RDMA
 # flight and payload-pool budgets (internal/pami, internal/mem), the
@@ -91,9 +93,10 @@ bench:
 # records and metadata lines of any times, names and categories, whose
 # encoding must equal the fmt and json.Marshal formatter's byte for byte,
 # then operation sequences on registries (counters, attached fields,
-# gauges, histograms, family members, track records) split across one to
-# four children merged in order, whose exports must equal the same
-# sequence recorded into one registry.
+# gauges, histograms, families read from slabs bumped until and after
+# their merge, track records) split across one to four children merged in
+# order, whose exports must equal the same sequence recorded into one
+# registry.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLaneShortcuts -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzJobCanonIdempotent -fuzztime 10s ./internal/serve/

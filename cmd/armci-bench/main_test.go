@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -238,6 +240,51 @@ func TestObsCapture(t *testing.T) {
 	}
 	if code, _, stderr := drive(t, "chaos", "-quick", "-metrics", filepath.Join(t.TempDir(), "no", "such", "dir")); code != 1 || stderr == "" {
 		t.Errorf("unwritable -metrics path: exit %d, stderr %q, want 1 and a message", code, stderr)
+	}
+}
+
+// TestObsPinned: the -metrics and -trace files of three runs keep their
+// sha256, so a change to how a layer exports its series or to the
+// exporters cannot move an exported byte unseen. A 3-shard chaos run
+// writes the same bytes as a serial one; GOMAXPROCS is raised to 3 for
+// the duration so sweep.CoreBudget grants three lane workers on any host.
+func TestObsPinned(t *testing.T) {
+	if old := runtime.GOMAXPROCS(0); old < 3 {
+		runtime.GOMAXPROCS(3)
+		defer runtime.GOMAXPROCS(old)
+	}
+	for _, pin := range []struct {
+		args           []string
+		metrics, trace string
+	}{
+		{[]string{"fig", "9", "-quick"},
+			"035d9e42d6ce82579a268d94da75cddee48add4cd8f05e6fe1f9114dcd7a7e8c",
+			"df89866fd217723e8da195ea3fd72da9251425dfbfc06c2304989ae342302936"},
+		{[]string{"chaos", "-quick"},
+			"8083a84be24ed7a26c19ecb5aac559a97c3f6ca9f55cd6b42d264c17607e6f23",
+			"55893f402be9d2b8c18082bc90631a72eb87c57a2f503f0471529f4fe29446a4"},
+		{[]string{"chaos", "-quick", "-shards", "3"},
+			"8083a84be24ed7a26c19ecb5aac559a97c3f6ca9f55cd6b42d264c17607e6f23",
+			"55893f402be9d2b8c18082bc90631a72eb87c57a2f503f0471529f4fe29446a4"},
+		{[]string{"compose", filepath.Join("..", "..", "examples", "halo.json")},
+			"597c243de13d78c3a040ea5572f46fd1c93fb834d7bb96270f63086e1bd19f9e",
+			"205a435ed9af86f443a97537e94cfd17e7f46fe3d948d3a9c2ceeb012b34b11d"},
+	} {
+		dir := t.TempDir()
+		mp, tp := filepath.Join(dir, "m.txt"), filepath.Join(dir, "t.json")
+		args := append(slices.Clone(pin.args), "-metrics", mp, "-trace", tp)
+		if code, _, stderr := drive(t, args...); code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", args, code, stderr)
+		}
+		for _, f := range []struct{ path, want string }{{mp, pin.metrics}, {tp, pin.trace}} {
+			b, err := os.ReadFile(f.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != f.want {
+				t.Errorf("%v: %s has sha256 %s, want %s", pin.args, filepath.Base(f.path), got, f.want)
+			}
+		}
 	}
 }
 

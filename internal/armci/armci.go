@@ -231,6 +231,7 @@ func NewWorld(k *sim.Kernel, cfg Config) (*World, error) {
 	}
 	if cfg.Obs != nil {
 		w.opObs = make([]opObs, max(1, len(k.Lanes())))
+		w.observe(cfg.Obs)
 	}
 	w.bindHandlers()
 	w.asyncBody = func(pt *sim.Thread) { w.Runtimes[pt.Index()].svcCtx.ProgressLoop(pt) }
@@ -643,7 +644,6 @@ func (rt *Runtime) finalize(th *sim.Thread) {
 	rt.WaitAll(th)
 	rt.AllFence(th)
 	rt.Barrier(th)
-	rt.publishStats(rt.C.Obs)
 	for i := range rt.C.Contexts {
 		rt.C.Contexts[i].StopProgressLoop()
 	}

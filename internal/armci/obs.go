@@ -161,6 +161,23 @@ func (rt *Runtime) obsRecovery(d sim.Time) {
 	}
 }
 
+// observe registers the ranks' families on r, read from the world's
+// runtime slab: each protocol counter of every rank that counted into it
+// (armci/<stat>), and the region cache of every rank that came up.
+func (w *World) observe(r *obs.Registry) {
+	rank := []string{"rank"}
+	for st, name := range statFamilies {
+		r.CounterFamily(name, rank, len(w.Runtimes), func(i int) (obs.Series, bool) {
+			v := w.Runtimes[i].Stats[st]
+			return obs.Series{Labels: [2]int32{int32(i)}, V: v}, v != 0
+		})
+	}
+	r.CounterFamily("armci/regioncache.entries", rank, len(w.Runtimes), func(i int) (obs.Series, bool) {
+		rt := &w.Runtimes[i]
+		return obs.Series{Labels: [2]int32{int32(i)}, V: int64(rt.regions.Len())}, rt.W != nil
+	})
+}
+
 // statFamilies are the protocol counters' family names, "armci/<stat>".
 var statFamilies = func() (names [numStats]string) {
 	for st, n := range statNames {
@@ -168,30 +185,3 @@ var statFamilies = func() (names [numStats]string) {
 	}
 	return names
 }()
-
-// publishStats exports this rank's protocol counters (the nonzero Stats,
-// the region cache, and the PAMI context lock counts it fronts) into the
-// registry so cmd/obs-report sees them; called once at finalize, so the
-// hot path pays nothing. Each is the rank's member of a family, so
-// publishing formats no name.
-func (rt *Runtime) publishStats(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	add := func(f *obs.CounterFamily, v int64, labels ...int) {
-		f.Add(f.Member(labels...), v)
-	}
-	for st, v := range rt.Stats {
-		if v != 0 {
-			add(r.CounterFamily(statFamilies[st], "rank"), v, rt.Rank)
-		}
-	}
-	add(r.CounterFamily("armci/regioncache.entries", "rank"), int64(rt.regions.Len()), rt.Rank)
-	acquired := r.CounterFamily("pami/ctx.lock.acquired", "rank", "ctx")
-	contended := r.CounterFamily("pami/ctx.lock.contended", "rank", "ctx")
-	for i := range rt.C.Contexts {
-		x := &rt.C.Contexts[i]
-		add(acquired, int64(x.Lock.Acquired), rt.Rank, i)
-		add(contended, int64(x.Lock.Contended), rt.Rank, i)
-	}
-}

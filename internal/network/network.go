@@ -85,11 +85,11 @@ func (t *Traffic) note(sizes *obs.Histogram, payload, raw, hops int) {
 	sizes.Observe(int64(payload))
 }
 
-// linkObs holds one link's observability: its busy time, attached as the
-// link's member of network/link.busy_ns, and its trace track (nil when
-// the registry keeps no trace). Both are made on the link's first
-// reservation, so a link that never carried traffic has no series and
-// steady-state sends look up nothing.
+// linkObs holds one link's observability: its busy time, exported as the
+// link's series of network/link.busy_ns once made, and its trace track
+// (nil when the registry keeps no trace). Both are made on the link's
+// first reservation, so a link that never carried traffic has no series
+// and steady-state sends look up nothing.
 type linkObs struct {
 	busy  uint64
 	made  bool
@@ -128,6 +128,10 @@ func New(k *sim.Kernel, t *topology.Torus, p *Params) *Network {
 		nw.qdelay = r.Histogram("network/link.qdelay_ns", obs.DefaultLatencyBounds)
 		r.Attach("network/nic.stalled", &nw.NicStalled)
 		nw.sharedBytes = nw.shared.observe(r)
+		r.CounterFamily("network/link.busy_ns", []string{"link"}, len(nw.links), func(i int) (obs.Series, bool) {
+			l := &nw.links[i]
+			return obs.Series{Labels: [2]int32{int32(i)}, V: int64(l.busy)}, l.made
+		})
 	}
 	return nw
 }
@@ -166,11 +170,10 @@ func (nw *Network) reserveLink(id int, head, ser sim.Time) sim.Time {
 	return start
 }
 
-// resolveLink makes link id's handles at its first reservation.
+// resolveLink makes link id's series and trace track at its first
+// reservation.
 func (nw *Network) resolveLink(l *linkObs, id int) {
 	l.made = true
-	busy := nw.obs.CounterFamily("network/link.busy_ns", "link")
-	busy.Attach(busy.Member(id), &l.busy)
 	if nw.obs.Tracing() {
 		l.trace = nw.obs.Track(obs.TrackLink, fmt.Sprintf("link-%06d", id))
 	}

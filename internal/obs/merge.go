@@ -31,10 +31,12 @@ func (r *Registry) NewChild() *Registry {
 //     is not carried;
 //   - histograms with identical bounds combine bucket-wise (differing
 //     bounds for the same name are a programming error and panic);
-//   - family members merge by label: a member r's family lacks is
-//     appended (the lane case, where every lane holds its own ranks), one
-//     both hold adds (counters) or keeps the maximum (gauges); two
-//     families of one name must have the same label names;
+//   - a family's slabs are read once, into a label-sorted list of
+//     series that r keeps, so the world they belong to can go; two
+//     lists join by label, a series both hold adding (counters) or
+//     keeping the maximum (gauges); a family with no series is not
+//     carried; two families of one name must have the same label names
+//     and kind;
 //   - each of other's tracks appends its retained records, oldest first,
 //     to r's track of the same key, evicting as recording would. Eviction
 //     depends only on a track's own order, so every ring ends up as a
@@ -78,12 +80,11 @@ func (r *Registry) Merge(other *Registry) {
 			mine.sum += h.sum
 			mine.n += h.n
 		})
-	fold(&r.cfams, &other.cfams,
-		func(f *CounterFamily) bool { f.sample(); f.reg = r; return true },
-		func(_ string, mine, f *CounterFamily) { f.sample(); mine.merge(f) })
-	fold(&r.gfams, &other.gfams,
-		func(f *GaugeFamily) bool { f.dropUnset(); f.reg = r; return true },
-		func(_ string, mine, f *GaugeFamily) { mine.merge(f) })
+	fold(&r.fams, &other.fams, (*family).sample,
+		func(_ string, mine, f *family) {
+			mine.check(f.labelNames(), f.gauge)
+			mine.sampled = mine.join(mine.sampled, f.series())
+		})
 
 	for key, t := range other.tracks {
 		if t.total == 0 {

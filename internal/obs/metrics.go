@@ -199,9 +199,7 @@ type store struct {
 	gauges   chunk[Gauge]
 	hists    chunk[Histogram]
 	counts   chunk[uint64]
-	cfams    chunk[CounterFamily]
-	gfams    chunk[GaugeFamily]
-	members  chunk[member]
+	fams     chunk[family]
 }
 
 func (s *store) counter() *Counter      { return &s.counters.take(1, 16)[0] }

@@ -1,6 +1,6 @@
 // Package obs is the process-wide observability layer for the simulation
 // stack: a metrics registry (counters, gauges, fixed-bucket histograms,
-// and label-indexed families of per-rank counters and gauges) plus a
+// and families of per-rank series read from the layers' slabs) plus a
 // structured span/event tracer that exports Chrome trace_event JSON
 // loadable in Perfetto.
 //
@@ -17,13 +17,15 @@
 //     that already holds the count, so name formatting happens once, at
 //     setup time. Trace tracks work the same way: a recorder resolves its
 //     Track once and records on the handle.
-//   - A series per rank, context or link is a member of a family, made
-//     once per registry with its label names, e.g.
-//     CounterFamily("pami/ctx.advances", "rank", "ctx"). A member is its
-//     integer label values: it has no name string, no map entry and no
-//     handle object. Its full name, "pami/ctx.advances{rank=3,ctx=1}", is
+//   - A series per rank, context or link is read from the slab of the
+//     layer that keeps it: the layer registers the family once per world,
+//     with its label names, the slab's length and an accessor that reads
+//     one series, e.g. CounterFamily("pami/ctx.advances", {"rank",
+//     "ctx"}, len(contexts), at). The registry keeps no copy and no name
+//     per series; its full name, "pami/ctx.advances{rank=3,ctx=1}", is
 //     formatted by the exporters alone, which place it where that string
-//     would sort. A family and a plain name must not spell the same series.
+//     would sort, and Merge reads the slab once into the parent. A family
+//     and a plain name must not spell the same series.
 //   - Handles are values in the registry's own storage: counters, gauges,
 //     histograms and bucket arrays are carved from chunks that grow with
 //     what the registry has made, so the handles a layer makes together
@@ -62,8 +64,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	cfams    map[string]*CounterFamily
-	gfams    map[string]*GaugeFamily
+	fams     map[string]*family
 
 	tracks   map[trackKey]*Track // stays nil when trackCap is 0
 	trackCap int
@@ -111,7 +112,7 @@ func put[K comparable, V any](m *map[K]V, k K, v V) {
 // checkLive panics, in race builds, on a registry already passed to
 // Merge: what a layer records there after the merge is lost, and a handle
 // made there may be one the parent now owns. Counter, Attach, Gauge,
-// Histogram, Track and the family methods that add members check it.
+// Histogram, Track and the family registrations check it.
 func (r *Registry) checkLive() {
 	if raceEnabled && r.retired {
 		panic("obs: registry used after it was merged")

@@ -17,7 +17,7 @@ import (
 //   - the base name is sanitized into a Prometheus metric name:
 //     "serve/cache.hits" becomes "serve_cache_hits";
 //   - the {label=value,...} suffix becomes a Prometheus label set with
-//     quoted, escaped values; a family member's labels are its family's
+//     quoted, escaped values; a family series' labels are its family's
 //     label names and its values, as its full name would spell them;
 //   - counters and gauges map directly; histograms expose the standard
 //     cumulative _bucket{le="..."} series (the registry's inclusive
@@ -35,7 +35,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	// Every series' base name and label block go into one buffer, which
 	// becomes one string; the series then sort by (base, labels). A family
-	// member's name is formatted here and nowhere else.
+	// series' name is formatted here and nowhere else.
 	var names []byte
 	all := make([]promSeries, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	plain := func(raw string, kind promKind) promSeries {
@@ -64,14 +64,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		s.h = h
 		all = append(all, s)
 	}
-	members := func(f *family, kind promKind) {
+	for _, f := range r.fams {
+		kind := promCounter
+		if f.gauge {
+			kind = promGauge
+		}
 		base := len(names)
 		names = appendPromName(names, f.name)
 		baseEnd := len(names)
 		order := promKeyOrder(f.labelNames())
-		for i := range f.members {
-			m := &f.members[i]
-			s := promSeries{kind: kind, m: m, base: base, baseEnd: baseEnd, labels: len(names)}
+		for _, m := range f.series() {
+			s := promSeries{kind: kind, v: m.V, base: base, baseEnd: baseEnd, labels: len(names)}
 			names = append(names, '{')
 			for j, k := range order {
 				if j > 0 {
@@ -79,19 +82,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				}
 				names = appendPromName(names, f.keys[k])
 				names = append(names, `="`...)
-				names = strconv.AppendInt(names, m.labels[k], 10)
+				names = strconv.AppendInt(names, int64(m.Labels[k]), 10)
 				names = append(names, '"')
 			}
 			names = append(names, '}')
 			s.end = len(names)
 			all = append(all, s)
 		}
-	}
-	for _, f := range r.cfams {
-		members(&f.family, promCounter)
-	}
-	for _, f := range r.gfams {
-		members(&f.family, promGauge)
 	}
 	text := string(names)
 	for i := range all {
@@ -154,10 +151,10 @@ const (
 
 var promKindNames = [...]string{"counter", "gauge", "histogram"}
 
-// promSeries is one exposed series: a named handle or a family member.
+// promSeries is one exposed series: a named handle or a family's series.
 // While the exposition is assembled its names are offsets into one
 // buffer: the base name at [base, baseEnd), the label block at
-// [labels, end). A member's base is its family's, written once.
+// [labels, end). A family series' base is its family's, written once.
 type promSeries struct {
 	kind                       promKind
 	base, baseEnd, labels, end int
@@ -165,7 +162,7 @@ type promSeries struct {
 	c                          *Counter
 	g                          *Gauge
 	h                          *Histogram
-	m                          *member
+	v                          int64 // a family series' value
 }
 
 // appendLines appends the series' sample lines.
@@ -186,10 +183,8 @@ func (s *promSeries) appendLines(b []byte) []byte {
 		return s.appendSample(b, "", s.c.Value())
 	case s.g != nil:
 		return s.appendSample(b, "", s.g.v)
-	case s.kind == promCounter:
-		return s.appendSample(b, "", s.m.value())
 	default:
-		return s.appendSample(b, "", s.m.v)
+		return s.appendSample(b, "", s.v)
 	}
 }
 

@@ -43,27 +43,14 @@ func (r *Registry) appendSnapshotJSON(b []byte) []byte {
 	for name, c := range r.counters {
 		vals = append(vals, namedValue{name: name, v: c.Value()})
 	}
-	size := 0
-	for _, f := range r.cfams {
-		size += f.nameBytes()
-	}
-	names := make([]byte, 0, size)
-	for _, f := range r.cfams {
-		vals, names = f.appendValues(vals, names, (*member).value)
-	}
+	vals, names := r.appendFamilies(vals, nil, false)
 	b = appendSorted(append(b, `{"counters":{`...), vals, names)
 
-	size = 0
-	for _, f := range r.gfams {
-		size += f.nameBytes()
-	}
-	vals, names = vals[:0], slices.Grow(names[:0], size)
+	vals = vals[:0]
 	for name, g := range r.gauges {
 		vals = append(vals, namedValue{name: name, v: g.v})
 	}
-	for _, f := range r.gfams {
-		vals, names = f.appendValues(vals, names, func(m *member) int64 { return m.v })
-	}
+	vals, names = r.appendFamilies(vals, names[:0], true)
 	b = appendSorted(append(b, `},"gauges":{`...), vals, names)
 
 	b = append(b, `},"histograms":{`...)
@@ -93,7 +80,7 @@ func (r *Registry) appendSnapshotJSON(b []byte) []byte {
 }
 
 // namedValue is one counter or gauge of a snapshot under its full
-// registry name. A family member's name is formatted into the snapshot's
+// registry name. A family series' name is formatted into the snapshot's
 // name buffer, ending at end, and named from it once all are there.
 type namedValue struct {
 	name string
@@ -101,41 +88,36 @@ type namedValue struct {
 	end  int
 }
 
-// nameBytes bounds the bytes the members' full names take.
-func (f *family) nameBytes() int {
-	n := len(f.name) + 2 + f.nkeys*21 // braces; per label '=' or ',' and 20 digits
-	for _, k := range f.labelNames() {
-		n += len(k)
-	}
-	return n * len(f.members)
-}
-
-// appendValues appends each member's value, read by value, and its full
-// name to names: "name{k1=v1,k2=v2}", the string a named handle of the
-// same series would carry.
-func (f *family) appendValues(vals []namedValue, names []byte, value func(*member) int64) ([]namedValue, []byte) {
-	for i := range f.members {
-		m := &f.members[i]
-		names = append(names, f.name...)
-		for j, k := range f.labelNames() {
-			if j == 0 {
-				names = append(names, '{')
-			} else {
-				names = append(names, ',')
-			}
-			names = append(names, k...)
-			names = append(names, '=')
-			names = strconv.AppendInt(names, m.labels[j], 10)
+// appendFamilies appends the series of every counter family, or every
+// gauge family, with their full names formatted into names:
+// "name{k1=v1,k2=v2}", the string a named handle of the same series would
+// carry.
+func (r *Registry) appendFamilies(vals []namedValue, names []byte, gauge bool) ([]namedValue, []byte) {
+	for _, f := range r.fams {
+		if f.gauge != gauge {
+			continue
 		}
-		names = append(names, '}')
-		vals = append(vals, namedValue{v: value(m), end: len(names)})
+		for _, m := range f.series() {
+			names = append(names, f.name...)
+			for j, k := range f.labelNames() {
+				if j == 0 {
+					names = append(names, '{')
+				} else {
+					names = append(names, ',')
+				}
+				names = append(names, k...)
+				names = append(names, '=')
+				names = strconv.AppendInt(names, int64(m.Labels[j]), 10)
+			}
+			names = append(names, '}')
+			vals = append(vals, namedValue{v: m.V, end: len(names)})
+		}
 	}
 	return vals, names
 }
 
 // appendSorted appends vals as the members of a JSON object, sorted by
-// name; family members' names are cut from names (family.appendValues)
-// first.
+// name; family series' names are cut from names (appendFamilies) first.
 func appendSorted(b []byte, vals []namedValue, names []byte) []byte {
 	if len(names) > 0 {
 		text, at := string(names), 0

@@ -50,19 +50,19 @@ type Context struct {
 	dispatch [DispatchLimit]AMHandler
 	stopped  bool
 
-	// Statistics, attached as pami/ctx.{advances,items_served,ams_served}.
+	// Statistics, exported as pami/ctx.{advances,items_served,ams_served}
+	// (Machine.observe). StarveMax is the longest virtual-time gap this
+	// context went without being advanced, kept only with a registry.
 	Advances    uint64
 	ItemsServed uint64
 	AMsServed   uint64
+	StarveMax   sim.Time
 
-	// Observability handles (nil when the machine has no registry; every
-	// use is nil-safe or guarded). Counters and the starvation gauge are
-	// members of per-(rank, ctx) families; the latency histograms
-	// aggregate across ranks per context index to bound cardinality at
-	// scale, so every rank on a lane shares them (Machine.laneCtxHists).
+	// Observability handles (nil when the machine has no registry). The
+	// latency histograms aggregate across ranks per context index to
+	// bound cardinality at scale, so every rank on a lane shares them
+	// (Machine.laneCtxHists).
 	hists       *ctxHists
-	starve      *obs.GaugeFamily
-	starveAt    int // this context's member of starve
 	lastAdvance sim.Time
 }
 
@@ -111,16 +111,7 @@ func newContext(c *Client, index int) {
 	x.Index = index
 	x.queue.StartOn(x.queueArr[:])
 	x.waiters = x.waitArr[:0]
-	if r := c.Obs; r != nil {
-		attach := func(name string, p *uint64) {
-			f := r.CounterFamily(name, "rank", "ctx")
-			f.Attach(f.Member(c.Rank, index), p)
-		}
-		attach("pami/ctx.advances", &x.Advances)
-		attach("pami/ctx.items_served", &x.ItemsServed)
-		attach("pami/ctx.ams_served", &x.AMsServed)
-		x.starve = r.GaugeFamily("pami/ctx.starve_max_ns", "rank", "ctx")
-		x.starveAt = x.starve.Member(c.Rank, index)
+	if c.Obs != nil {
 		x.hists = c.M.laneCtxHists(c.Ln, index)
 		x.Lock.Instrument(x.hists.lockWait, x.hists.lockHold)
 		x.lastAdvance = c.Ln.Now()
@@ -136,7 +127,7 @@ func (x *Context) noteAdvance() {
 	x.Advances++
 	if x.hists != nil {
 		now := x.Client.Ln.Now()
-		x.starve.SetMax(x.starveAt, now-x.lastAdvance)
+		x.StarveMax = max(x.StarveMax, now-x.lastAdvance)
 		x.lastAdvance = now
 	}
 }

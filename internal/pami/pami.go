@@ -57,10 +57,33 @@ func NewMachine(k *sim.Kernel, torus *topology.Torus, p *network.Params, ctxPerR
 		clients:  make([]Client, n),
 		contexts: make([]Context, n*ctxPerRank),
 	}
-	if k.Obs() != nil {
+	if r := k.Obs(); r != nil {
 		m.ctxHists = make([]ctxHists, max(1, len(k.Lanes()))*ctxPerRank)
+		m.observe(r, ctxPerRank)
 	}
 	return m
+}
+
+// observe registers the contexts' per-(rank, ctx) families on r, read
+// from the machine's context slab: the counts of every created context,
+// and the starvation gauge of every context advanced at least once.
+func (m *Machine) observe(r *obs.Registry, per int) {
+	names := []string{"rank", "ctx"}
+	family := func(name string, v func(x *Context) int64) {
+		r.CounterFamily(name, names, len(m.contexts), func(i int) (obs.Series, bool) {
+			x := &m.contexts[i]
+			return obs.Series{Labels: [2]int32{int32(i / per), int32(i % per)}, V: v(x)}, x.Client != nil
+		})
+	}
+	family("pami/ctx.advances", func(x *Context) int64 { return int64(x.Advances) })
+	family("pami/ctx.items_served", func(x *Context) int64 { return int64(x.ItemsServed) })
+	family("pami/ctx.ams_served", func(x *Context) int64 { return int64(x.AMsServed) })
+	family("pami/ctx.lock.acquired", func(x *Context) int64 { return int64(x.Lock.Acquired) })
+	family("pami/ctx.lock.contended", func(x *Context) int64 { return int64(x.Lock.Contended) })
+	r.GaugeFamily("pami/ctx.starve_max_ns", names, len(m.contexts), func(i int) (obs.Series, bool) {
+		x := &m.contexts[i]
+		return obs.Series{Labels: [2]int32{int32(i / per), int32(i % per)}, V: x.StarveMax}, x.Advances > 0
+	})
 }
 
 // Procs returns the number of ranks.
