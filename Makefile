@@ -46,7 +46,10 @@ test-short:
 # the region-cache replay budget of a
 # 16384-rank world (skipped under -short), the event-size pin, the RDMA
 # flight and payload-pool budgets (internal/pami, internal/mem), the
-# merge budget (internal/obs: per track, never per record) and simd's
+# patch budget (internal/ga: Get, Put, Acc, OwnData and Fill allocate
+# nothing in steady state), the SCF iteration budget (internal/nwchem:
+# iterations after the first contacts cost only the peers first met late),
+# the merge budget (internal/obs: per track, never per record) and simd's
 # hit-path, cold-write and point-delivery allocation budgets
 # (internal/serve: parse memo + LRU hit, parse memo + verified disk load,
 # TestColdWriteAllocBudget's synchronous cold job onto a store, a point's
@@ -55,7 +58,7 @@ test-short:
 check:
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/fault/ ./...
-	$(GO) test -v -run 'Alloc|ObjectsPerRank|SwitchesPerRank|ReplayHeads|EventSize' ./internal/mem/ ./internal/sim/ ./internal/network/ ./internal/pami/ ./internal/armci/ ./internal/bench/ ./internal/obs/ ./internal/serve/
+	$(GO) test -v -run 'Alloc|ObjectsPerRank|SwitchesPerRank|ReplayHeads|EventSize' ./internal/mem/ ./internal/sim/ ./internal/network/ ./internal/pami/ ./internal/armci/ ./internal/ga/ ./internal/nwchem/ ./internal/bench/ ./internal/obs/ ./internal/serve/
 
 # What the host pays to simulate, as the Go benchmarks at the foot of
 # bench_test.go. First line: the per-event / switch / message / operation

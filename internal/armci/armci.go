@@ -303,42 +303,17 @@ func (w *World) AggregateStats() Stats {
 	return total
 }
 
-// rankState is per-target bookkeeping for fences.
-type rankState struct {
-	unflushedPuts int // RDMA puts not yet known remote-visible
-	unackedAMs    int // AM writes (fallback put, acc) awaiting ack
-}
-
-// noteWrites records outstanding writes to rank in the fence table: puts
-// more unflushed RDMA puts, ams more unacked AM writes (negative when an
-// ack arrives). A target whose counts both return to zero leaves the
-// table, so the table is the ζ-bounded set AllFence has to visit.
-func (rt *Runtime) noteWrites(rank, puts, ams int) {
-	s := rt.dirty[rank]
-	s.unflushedPuts += puts
-	s.unackedAMs += ams
-	if s.unackedAMs < 0 {
-		panic("armci: ack underflow")
-	}
-	if s == (rankState{}) {
-		delete(rt.dirty, rank)
-		return
-	}
-	if rt.dirty == nil {
-		rt.dirty = make(map[int]rankState)
-	}
-	rt.dirty[rank] = s
-}
-
 // Runtime is one rank's ARMCI runtime: the public API surface of this
 // package. All methods must be called from that rank's own threads.
 //
 // A runtime lives in its world's Runtimes slice and owns, by value,
 // everything it has exactly one of (counters, jitter stream, region
-// cache); its maps are for state most ranks never have — a second peer
-// addressed, a write outstanding, a request in flight, a mutex hosted —
-// and stay nil until first written, which reads and deletes of a nil map
-// already allow for. An idle rank costs what it uses.
+// cache, the first record of its clique table). What grows with use is
+// sized by what the rank has done, never by p, and stays nil until first
+// needed: the clique table's further records (one per peer addressed,
+// holding endpoints, fence counts and consistency status), operation and
+// request slots (chunks of chunkLen), region-cache buckets, hosted
+// mutexes. An idle rank costs what it uses.
 type Runtime struct {
 	_    sim.NoCopy
 	W    *World
@@ -348,11 +323,8 @@ type Runtime struct {
 	mainCtx *pami.Context
 	svcCtx  *pami.Context
 
-	eps     epCache // data endpoints (context 0)
-	svcEps  epCache // service endpoints (svc context)
+	peers   clique // one record per peer addressed: endpoints, fence counts, consistency status
 	regions regionCache
-	cons    consistency
-	dirty   map[int]rankState // targets with outstanding writes, nothing else
 	// The live collective allocations; the list starts on allocArr
 	// (MallocErr), so a rank's first Malloc costs no list.
 	allocs   []*Allocation
@@ -360,15 +332,16 @@ type Runtime struct {
 	mallocs  int // collective Mallocs entered: the exchange generation
 
 	// Pending AM requests, found by id: pend[id & (len(pend)-1)], a power
-	// of two long, with pendN of its entries taken. Ids are the monotone
-	// pendSeq, so the ids outstanding at once are a window of it, and a
-	// table longer than the window never collides; a collision doubles it.
-	pendSeq  int64
-	pend     []*pendReq
-	pendN    int
-	pendFree []*pendReq // retired requests; lane-local like pend, so unsynchronised
-	slotFree []*opSlot  // released operation slots (releaseSlot)
-	implicit []Handle   // Track'ed handles, for WaitAll
+	// of two long. Ids are the monotone pendSeq, so the ids outstanding at
+	// once are a window of it, and a table longer than the window never
+	// collides; a collision doubles it.
+	pendSeq   int64
+	pend      []*pendReq
+	pendFree  *pendReq  // retired requests; lane-local like pend, so unsynchronised
+	pendChunk []pendReq // where new requests are cut from
+	slotFree  *opSlot   // released operation slots (releaseSlot)
+	slotChunk []opSlot  // where new slots are cut from
+	implicit  []Handle  // Track'ed handles, for WaitAll
 
 	mutexes map[int]*muState
 
@@ -418,7 +391,6 @@ func newRuntime(w *World, th *sim.Thread, rank int) *Runtime {
 	rt.mainCtx = &c.Contexts[0]
 	rt.svcCtx = &c.Contexts[w.svcIdx]
 	rt.regions = *newRegionCache(w.Cfg.RegionCacheCap, rank)
-	rt.cons = consistency{rt: rt, mode: w.Cfg.Consistency}
 	rt.main = th
 	rt.rng.Seed(w.Cfg.Seed ^ (uint64(rank)*0x5851f42d + 7))
 	rt.obsOps = w.laneOpObs(c.Ln)
@@ -457,78 +429,6 @@ func (rt *Runtime) LocalAlloc(th *sim.Thread, n int) mem.Addr {
 	return a
 }
 
-// epCache is the paper's ζ-sized endpoint cache for one context index:
-// the endpoints of the peers addressed so far. A rank that talks to one
-// peer — every worker hammering the counter's owner — keeps that endpoint
-// here, in its runtime; the map appears with the second peer, and a rank
-// that talks to everyone still finds each in O(1).
-type epCache struct {
-	first pami.Endpoint
-	n     int                   // endpoints cached, first included
-	more  map[int]pami.Endpoint // all but the first; nil until the second
-}
-
-func (c *epCache) get(rank int) (pami.Endpoint, bool) {
-	if c.n > 0 && c.first.Rank == rank {
-		return c.first, true
-	}
-	ep, ok := c.more[rank]
-	return ep, ok
-}
-
-func (c *epCache) put(ep pami.Endpoint) {
-	c.n++
-	if c.n == 1 {
-		c.first = ep
-		return
-	}
-	if c.more == nil {
-		c.more = make(map[int]pami.Endpoint)
-	}
-	c.more[ep.Rank] = ep
-}
-
-// endpoint returns (creating and caching on first use) the endpoint
-// addressing context ctx of a rank.
-func (rt *Runtime) endpoint(th *sim.Thread, c *epCache, rank, ctx int) pami.Endpoint {
-	ep, ok := c.get(rank)
-	if !ok {
-		ep = rt.C.CreateEndpoint(th, rank, ctx)
-		c.put(ep)
-		rt.Stats[statEpCreated]++
-	}
-	return ep
-}
-
-// epData returns the RDMA endpoint for a rank.
-func (rt *Runtime) epData(th *sim.Thread, rank int) pami.Endpoint {
-	return rt.endpoint(th, &rt.eps, rank, 0)
-}
-
-// epSvc returns the endpoint addressing a rank's remote-service context.
-func (rt *Runtime) epSvc(th *sim.Thread, rank int) pami.Endpoint {
-	return rt.endpoint(th, &rt.svcEps, rank, rt.W.svcIdx)
-}
-
-// Clique returns ζ, the number of distinct peers addressed so far: a peer
-// reached through both caches — a get and a fetch-and-add to one rank —
-// counts once.
-func (rt *Runtime) Clique() int {
-	n := rt.eps.n
-	if rt.svcEps.n == 0 {
-		return n
-	}
-	if _, ok := rt.eps.get(rt.svcEps.first.Rank); !ok {
-		n++
-	}
-	for rank := range rt.svcEps.more {
-		if _, ok := rt.eps.get(rank); !ok {
-			n++
-		}
-	}
-	return n
-}
-
 // Progress makes one explicit pass over this rank's progress engine —
 // what a default-mode application does between compute phases to service
 // remote AMOs and fallback requests. With an async thread it is rarely
@@ -558,26 +458,29 @@ func (rt *Runtime) tr(cat, what string, arg int64) {
 }
 
 // newPend takes a pending-request slot under the next id: a retired one
-// when there is one, so a rank in steady state allocates none.
+// when there is one, else the next of the current chunk, so a rank in
+// steady state allocates none.
 func (rt *Runtime) newPend() (int64, *pendReq) {
 	rt.pendSeq++
 	id := rt.pendSeq
 	if rt.pend == nil {
-		rt.pend = make([]*pendReq, 4)
+		rt.pend = make([]*pendReq, chunkLen)
 	}
 	for rt.pend[rt.pendIndex(id)] != nil {
 		rt.growPend()
 	}
-	var p *pendReq
-	if n := len(rt.pendFree); n > 0 {
-		p = rt.pendFree[n-1]
-		rt.pendFree = rt.pendFree[:n-1]
+	p := rt.pendFree
+	if p != nil {
+		rt.pendFree, p.next = p.next, nil
 	} else {
-		p = &pendReq{}
+		if len(rt.pendChunk) == 0 {
+			rt.pendChunk = make([]pendReq, chunkLen)
+		}
+		p = &rt.pendChunk[0]
+		rt.pendChunk = rt.pendChunk[1:]
 	}
 	p.id = id
 	rt.pend[rt.pendIndex(id)] = p
-	rt.pendN++
 	return id, p
 }
 
@@ -629,10 +532,9 @@ func (rt *Runtime) dropPend(id int64) (p pendReq, ok bool) {
 		return pendReq{}, false
 	}
 	rt.pend[rt.pendIndex(id)] = nil
-	rt.pendN--
 	p = *slot
-	*slot = pendReq{}
-	rt.pendFree = append(rt.pendFree, slot)
+	*slot = pendReq{next: rt.pendFree}
+	rt.pendFree = slot
 	return p, true
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/pami"
 	"repro/internal/sim"
 )
 
@@ -567,30 +566,93 @@ func TestCliqueCountsDistinctPeers(t *testing.T) {
 	}
 }
 
-// TestEndpointCacheFirstPeerInline: one peer costs no map, and every
-// later peer is still found — the first among them.
+// endpointCharge runs a two-rank world in which rank 0 gets from rank 1
+// and fetch-adds to it, and returns rank 0's endpoint count and ζ.
+func endpointCharge(t *testing.T, cfg Config) (created int64, clique int) {
+	t.Helper()
+	w, err := Run(cfg, func(th *sim.Thread, rt *Runtime) {
+		a := rt.Malloc(th, 256)
+		if rt.Rank == 0 {
+			local := rt.LocalAlloc(th, 256)
+			rt.Get(th, a.At(1), local, 32)
+			rt.FetchAdd(th, a.At(1), 1)
+		}
+		rt.Barrier(th)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Runtimes[0].Stats.Get("ep.created"), w.Runtimes[0].Clique()
+}
+
+// TestEndpointChargeDefaultMode pins what a D-mode rank (ρ = 1) pays for
+// one peer reached by a get and by a fetch-and-add: the data path and the
+// service path each create, and charge, the peer's context-0 endpoint, so
+// ep.created reads 2 while ζ reads 1. A model change that shares the one
+// endpoint between the paths (ROADMAP items 2 and 3) changes this on
+// purpose.
+func TestEndpointChargeDefaultMode(t *testing.T) {
+	created, clique := endpointCharge(t, Config{Procs: 2, ProcsPerNode: 4, AsyncThread: false})
+	if created != 2 || clique != 1 {
+		t.Fatalf("D mode: ep.created = %d, clique = %d; want 2 and 1", created, clique)
+	}
+}
+
+// TestEndpointChargeAsyncMode is the AT-mode counterpart (ρ = 2): the get
+// creates the peer's context-0 endpoint and the fetch-and-add its service
+// context's, two endpoints to one peer.
+func TestEndpointChargeAsyncMode(t *testing.T) {
+	created, clique := endpointCharge(t, Config{Procs: 2, ProcsPerNode: 4, AsyncThread: true})
+	if created != 2 || clique != 1 {
+		t.Fatalf("AT mode: ep.created = %d, clique = %d; want 2 and 1", created, clique)
+	}
+}
+
+// TestEndpointCacheFirstPeerInline: the clique table's first peer costs
+// no slice and no index, and every later peer is still found — the first
+// among them — at the position it was added, with its status row.
 func TestEndpointCacheFirstPeerInline(t *testing.T) {
-	var c epCache
-	if _, ok := c.get(0); ok {
-		t.Fatal("empty cache answered for rank 0")
+	var c clique
+	if c.find(0) >= 0 || c.size() != 0 {
+		t.Fatal("empty table answered for rank 0")
 	}
-	c.put(pami.Endpoint{Rank: 7, Ctx: 1, Node: 3})
-	if c.more != nil {
-		t.Fatal("one peer made the map")
+	if pos := c.record(7); pos != 0 {
+		t.Fatalf("first record at position %d, want 0", pos)
 	}
-	if _, ok := c.get(0); ok {
-		t.Fatal("cache holding rank 7 answered for rank 0")
+	if c.more != nil || c.index != nil || c.cs != nil {
+		t.Fatal("one peer allocated")
 	}
-	for r := 0; r < 5; r++ {
-		c.put(pami.Endpoint{Rank: r, Node: r})
+	if c.find(0) >= 0 {
+		t.Fatal("table holding rank 7 answered for rank 0")
 	}
-	for _, r := range []int{7, 0, 4} {
-		if ep, ok := c.get(r); !ok || ep.Rank != r {
-			t.Fatalf("get(%d) = %+v, %v", r, ep, ok)
+	*c.statusAt(0, 1, 3) |= csWrite // rank 7, column 1 of 3
+	// Ranks in a stride, as a process grid's column owners are, and more
+	// of them than the index starts with.
+	for r := 0; r < 4*chunkLen; r++ {
+		if pos := c.record(16 * r); pos != r+1 {
+			t.Fatalf("rank %d at position %d, want %d", 16*r, pos, r+1)
 		}
 	}
-	if c.n != 6 || len(c.more) != 5 {
-		t.Fatalf("n = %d with %d in the map, want 6 and 5", c.n, len(c.more))
+	for r := 0; r < 4*chunkLen; r++ {
+		if pos := c.find(16 * r); pos != r+1 || int(c.at(pos).rank) != 16*r {
+			t.Fatalf("find(%d) = %d", 16*r, pos)
+		}
+	}
+	if pos := c.find(7); pos != 0 || c.record(7) != 0 {
+		t.Fatalf("find(7) = %d after the table grew", pos)
+	}
+	if c.find(1) >= 0 {
+		t.Fatal("table answered for a rank never added")
+	}
+	if n := c.columns(); n != 3 || len(c.cs) != 3*c.size() {
+		t.Fatalf("%d status columns, %d bytes for %d records; want 3 columns", n, len(c.cs), c.size())
+	}
+	if c.row(0)[1] != csWrite || c.row(1)[1] != 0 {
+		t.Fatal("status rows moved as the table grew")
+	}
+	*c.statusAt(2, 4, 3) |= csRead // a column past the rows widens every row
+	if c.columns() != 5 || c.row(0)[1] != csWrite || c.row(2)[4] != csRead {
+		t.Fatalf("widened to %d columns, rows %v and %v", c.columns(), c.row(0), c.row(2))
 	}
 }
 

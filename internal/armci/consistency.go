@@ -14,111 +14,62 @@ const (
 	csWrite uint8 = 1 << 1
 )
 
-// consistency implements ARMCI's location consistency: a read (get) that
-// targets memory with an outstanding conflicting write (put/accumulate)
-// must fence first. Two granularities are supported:
+// Location consistency: a read (get) that targets memory with an
+// outstanding conflicting write (put/accumulate) must fence first. Two
+// granularities are supported, both kept in the clique table's status
+// rows:
 //
-//   - naive (cs_tgt): one status per target process — Θ(ζ) space, but any
-//     outstanding write to a process fences every read from it;
+//   - naive (cs_tgt): one status per target process, column 0 — Θ(ζ)
+//     space, but any outstanding write to a process fences every read
+//     from it;
 //   - per-region (cs_mr): an 8-bit status per (distributed structure,
-//     target) — Θ(σ·ζ) space, eliminating false positives between
-//     independent structures (the paper's dgemm example).
+//     target), column 1+key — Θ(σ·ζ) space, eliminating false positives
+//     between independent structures (the paper's dgemm example).
 //
 // Writes to memory outside any known allocation are tracked in the
 // per-target status in both modes (there is no region to key on).
-type consistency struct {
-	rt   *Runtime
-	mode ConsistencyMode
-	tgt  []uint8   // per-rank status (nil until first use)
-	mr   [][]uint8 // allocation id -> per-rank status (nil until first use)
+
+// status returns the status byte that tracks structure key at the peer
+// in position pos, under the active mode.
+func (rt *Runtime) status(pos, key int) *uint8 {
+	if rt.W.Cfg.Consistency == ConsistencyNaive || key < 0 {
+		return rt.peers.statusAt(pos, 0, 1)
+	}
+	return rt.peers.statusAt(pos, 1+key, 1+len(rt.allocs))
 }
 
-// targetStatus returns the per-rank status vector, allocated on the first
-// write or read that has no structure to key on (or any, in naive mode).
-func (c *consistency) targetStatus() []uint8 {
-	if c.tgt == nil {
-		c.tgt = make([]uint8, c.rt.W.Cfg.Procs)
-	}
-	return c.tgt
-}
-
-// regionStatus returns the per-rank status vector for an allocation key.
-// Keys are the small dense integers Malloc assigns, so the table is a
-// slice: every Fence clears one rank's bit across all σ structures, and
-// ranging a slice — unlike a map, whose iteration pays a randomized
-// start per range — keeps that sweep off the profile.
-func (c *consistency) regionStatus(key int) []uint8 {
-	for key >= len(c.mr) {
-		c.mr = append(c.mr, nil)
-	}
-	if c.mr[key] == nil {
-		c.mr[key] = make([]uint8, c.rt.W.Cfg.Procs)
-	}
-	return c.mr[key]
-}
-
-// status returns the per-rank vector that tracks structure key under the
-// active mode.
-func (c *consistency) status(key int) []uint8 {
-	if c.mode == ConsistencyNaive || key < 0 {
-		return c.targetStatus()
-	}
-	return c.regionStatus(key)
-}
-
-// noteWrite records an outstanding write (put or accumulate) to (rank,
+// markWrite records an outstanding write (put or accumulate) to (rank,
 // structure key).
-func (c *consistency) noteWrite(rank, key int) { c.status(key)[rank] |= csWrite }
+func (rt *Runtime) markWrite(rank, key int) {
+	*rt.status(rt.peers.record(rank), key) |= csWrite
+}
 
-// read admits a get from (rank, structure key): it fences the target first
-// if the read conflicts with an outstanding write under the active mode,
-// then records the read. It also counts reads that the naive scheme would
-// have fenced but the per-region scheme did not — the quantity the §III.E
-// ablation reports.
-func (c *consistency) read(th *sim.Thread, rank, key int) {
-	conflict := c.tgt != nil && c.tgt[rank]&csWrite != 0
-	naiveWould := conflict
-	if c.mode == ConsistencyPerRegion {
-		if !conflict && key >= 0 && key < len(c.mr) && c.mr[key] != nil {
-			conflict = c.mr[key][rank]&csWrite != 0
+// admitRead admits a get from (rank, structure key): it fences the target
+// first if the read conflicts with an outstanding write under the active
+// mode, then records the read. It also counts reads that the naive scheme
+// would have fenced but the per-region scheme did not — the quantity the
+// §III.E ablation reports.
+func (rt *Runtime) admitRead(th *sim.Thread, rank, key int) {
+	pos := rt.peers.record(rank)
+	row := rt.peers.row(pos)
+	conflict, naiveWould := false, false
+	if len(row) > 0 {
+		conflict = row[0]&csWrite != 0
+		if rt.W.Cfg.Consistency == ConsistencyPerRegion && key >= 0 && 1+key < len(row) {
+			conflict = conflict || row[1+key]&csWrite != 0
 		}
-		if !naiveWould {
-			// Would naive mode have fenced? Any outstanding write to rank.
-			for _, s := range c.mr {
-				if s != nil && s[rank]&csWrite != 0 {
-					naiveWould = true
-					break
-				}
-			}
+		// Would naive mode have fenced? Any outstanding write to rank.
+		for _, s := range row {
+			naiveWould = naiveWould || s&csWrite != 0
 		}
 	}
 	if conflict {
-		c.rt.Stats[statConflictFence]++
-		c.rt.Fence(th, rank)
+		rt.Stats[statConflictFence]++
+		rt.Fence(th, rank)
 	} else if naiveWould {
-		c.rt.Stats[statConflictAvoided]++
+		rt.Stats[statConflictAvoided]++
 	}
-	c.status(key)[rank] |= csRead
-}
-
-// clearRank resets all status for a fenced target.
-func (c *consistency) clearRank(rank int) {
-	if c.tgt != nil {
-		c.tgt[rank] = 0
-	}
-	for _, s := range c.mr {
-		if s != nil {
-			s[rank] = 0
-		}
-	}
-}
-
-// clearAll resets the status of every target.
-func (c *consistency) clearAll() {
-	clear(c.tgt)
-	for _, s := range c.mr {
-		clear(s)
-	}
+	*rt.status(pos, key) |= csRead
 }
 
 // Fence blocks until every outstanding write from this process to rank is
@@ -133,52 +84,60 @@ func (c *consistency) clearAll() {
 // that mix Nb* writes with fault injection, which is best-effort: a lost
 // Nb write's ack never arrives and the fence panics.
 func (rt *Runtime) Fence(th *sim.Thread, rank int) {
-	if n := rt.dirty[rank].unflushedPuts; n > 0 {
-		s := rt.takeSlot()
-		err := rt.attempt(th, "fence.flush", rank, 0, &s.comp, func() {
-			rt.mainCtx.FlushRemote(th, rt.epData(th, rank), &s.comp)
-		}, nil)
-		if err != nil {
-			panic(fmt.Sprintf("armci: fence flush to rank %d exhausted retries: %v", rank, err))
+	if pos := rt.peers.find(rank); pos >= 0 {
+		if n := int(rt.peers.at(pos).puts); n > 0 {
+			s := rt.takeSlot()
+			err := rt.attempt(th, "fence.flush", rank, 0, &s.comp, func() {
+				rt.mainCtx.FlushRemote(th, rt.epData(th, rank), &s.comp)
+			}, nil)
+			if err != nil {
+				panic(fmt.Sprintf("armci: fence flush to rank %d exhausted retries: %v", rank, err))
+			}
+			rt.releaseSlot(s)
+			rt.peers.addWrites(pos, -n, 0)
+			rt.Stats[statFenceFlush]++
 		}
-		rt.releaseSlot(s)
-		rt.noteWrites(rank, -n, 0)
-		rt.Stats[statFenceFlush]++
+		if rt.peers.at(pos).ams > 0 {
+			deadline := pami.NoDeadline
+			if rt.faulty() {
+				deadline = th.Now() + rt.retry.Timeout*sim.Time(rt.retry.MaxAttempts)
+			}
+			if !rt.mainCtx.WaitCondUntil(th, func() bool { return rt.peers.at(pos).ams == 0 }, deadline) {
+				panic(fmt.Sprintf("armci: fence to rank %d timed out awaiting %d AM acks; "+
+					"non-blocking writes are not fault-hardened — use the blocking *Err forms on chaos runs",
+					rank, rt.peers.at(pos).ams))
+			}
+			rt.Stats[statFenceAck]++
+		}
+		clear(rt.peers.row(pos))
 	}
-	if rt.dirty[rank].unackedAMs > 0 {
-		deadline := pami.NoDeadline
-		if rt.faulty() {
-			deadline = th.Now() + rt.retry.Timeout*sim.Time(rt.retry.MaxAttempts)
-		}
-		if !rt.mainCtx.WaitCondUntil(th, func() bool { return rt.dirty[rank].unackedAMs == 0 }, deadline) {
-			panic(fmt.Sprintf("armci: fence to rank %d timed out awaiting %d AM acks; "+
-				"non-blocking writes are not fault-hardened — use the blocking *Err forms on chaos runs",
-				rank, rt.dirty[rank].unackedAMs))
-		}
-		rt.Stats[statFenceAck]++
-	}
-	rt.cons.clearRank(rank)
 	rt.Stats[statFence]++
 	rt.tr("fence", "fence", int64(rank))
 }
 
 // AllFence fences every target with outstanding writes (ARMCI_AllFence),
 // in ascending rank order, and clears the conflict status of all targets.
-// Only this thread starts writes, so while it waits in a fence the fence
-// table can only lose targets (their last ack arrives): one taken from it
-// up front is fenced only if it is still there when its turn comes.
+// Only this thread starts writes, so while it waits in a fence the
+// targets can only lose writes (their last ack arrives): one taken from
+// the clique table up front is fenced only if it still has writes
+// outstanding when its turn comes. With none outstanding it visits no
+// record.
 func (rt *Runtime) AllFence(th *sim.Thread) {
-	var few [8]int // the usual clique fits, and stays off the heap
-	targets := few[:0]
-	for rank := range rt.dirty {
-		targets = append(targets, rank)
-	}
-	sort.Ints(targets)
-	for _, rank := range targets {
-		if _, outstanding := rt.dirty[rank]; outstanding {
-			rt.Fence(th, rank)
+	if rt.peers.dirty > 0 {
+		var few [8]int // the usual clique fits, and stays off the heap
+		targets := few[:0]
+		for pos := 0; pos < rt.peers.size(); pos++ {
+			if p := rt.peers.at(pos); p.puts != 0 || p.ams != 0 {
+				targets = append(targets, int(p.rank))
+			}
+		}
+		sort.Ints(targets)
+		for _, rank := range targets {
+			if p := rt.peers.at(rt.peers.find(rank)); p.puts != 0 || p.ams != 0 {
+				rt.Fence(th, rank)
+			}
 		}
 	}
-	rt.cons.clearAll()
+	clear(rt.peers.cs)
 	rt.Stats[statAllFence]++
 }

@@ -11,14 +11,16 @@ import (
 
 // opSlot is the host record of one operation: the completion it ends
 // with, the op set of a chunk-listed RDMA transfer, and a vector
-// operation's completion list. Slots come from a per-runtime free list and
-// go back when the operation is over (releaseSlot), so a rank in steady
-// state allocates none; gen counts how often a slot has been released,
-// which is what tells a Handle to a finished operation from one to the
-// slot's current operation.
+// operation's completion list. Slots are cut from per-runtime chunks of
+// chunkLen and go back, when the operation is over (releaseSlot), to a
+// free list linked through next, so a rank in steady state allocates none
+// and one that never operates allocates no chunk; gen counts how often a
+// slot has been released, which is what tells a Handle to a finished
+// operation from one to the slot's current operation.
 type opSlot struct {
 	rt   *Runtime
 	gen  uint64
+	next *opSlot // the free list's next slot, while this one is on it
 	comp sim.Completion
 	set  pami.OpSet
 	// comps lists a vector operation's segment completions (nil for any
@@ -27,15 +29,23 @@ type opSlot struct {
 	comps []*sim.Completion
 }
 
+// chunkLen is how many operation slots, or pending-request slots, a
+// runtime allocates at once.
+const chunkLen = 16
+
 // takeSlot returns a slot for a new operation, its completion unfinished:
-// a released one when there is one.
+// a released one when there is one, else the next of the current chunk.
 func (rt *Runtime) takeSlot() *opSlot {
-	var s *opSlot
-	if n := len(rt.slotFree); n > 0 {
-		s = rt.slotFree[n-1]
-		rt.slotFree = rt.slotFree[:n-1]
+	s := rt.slotFree
+	if s != nil {
+		rt.slotFree, s.next = s.next, nil
 	} else {
-		s = &opSlot{rt: rt}
+		if len(rt.slotChunk) == 0 {
+			rt.slotChunk = make([]opSlot, chunkLen)
+		}
+		s = &rt.slotChunk[0]
+		rt.slotChunk = rt.slotChunk[1:]
+		s.rt = rt
 	}
 	s.comp = sim.MakeCompletion(rt.W.K)
 	return s
@@ -58,7 +68,7 @@ func (rt *Runtime) releaseSlot(s *opSlot) {
 		s.comp.Retire()
 		return
 	}
-	rt.slotFree = append(rt.slotFree, s)
+	s.next, rt.slotFree = rt.slotFree, s
 }
 
 // Handle tracks a non-blocking operation (explicit-handle semantics). It
@@ -124,8 +134,12 @@ func (h Handle) Done() bool {
 }
 
 // Track converts an explicit handle into an implicit one: the runtime
-// keeps it, and the next WaitAll waits for it and releases its slot.
+// keeps it, and the next WaitAll waits for it and releases its slot. The
+// list keeps its capacity across WaitAlls and starts at chunkLen.
 func (rt *Runtime) Track(h Handle) {
+	if rt.implicit == nil {
+		rt.implicit = make([]Handle, 0, chunkLen)
+	}
 	rt.implicit = append(rt.implicit, h)
 }
 
@@ -216,7 +230,7 @@ func (rt *Runtime) amWrite(x *xfer, local mem.Addr, rank, n int, acked bool) {
 // whose remote ack feeds the fence.
 func (rt *Runtime) issuePut(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalPtr, n int) {
 	if !x.e2e {
-		rt.cons.noteWrite(dst.Rank, rt.allocKey(dst))
+		rt.markWrite(dst.Rank, rt.allocKey(dst))
 	}
 	if x.rdma = rt.rdmaReady(th, local, n, dst.Rank, dst.Addr, n); x.rdma {
 		// Under an injector RdmaPut's completion is end to end (posted at
@@ -300,7 +314,7 @@ func (rt *Runtime) issueGet(th *sim.Thread, x *xfer, src GlobalPtr, local mem.Ad
 // local memory. A conflicting outstanding write to the same distributed
 // structure fences first (location consistency).
 func (rt *Runtime) NbGet(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) Handle {
-	rt.cons.read(th, src.Rank, rt.allocKey(src))
+	rt.admitRead(th, src.Rank, rt.allocKey(src))
 	h := rt.newHandle()
 	x := xfer{s: h.s}
 	rt.issueGet(th, &x, src, local, n)
@@ -318,7 +332,7 @@ func (rt *Runtime) Get(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) {
 // GetErr is the error-returning blocking get (see PutErr).
 func (rt *Runtime) GetErr(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) error {
 	t0 := th.Now()
-	rt.cons.read(th, src.Rank, rt.allocKey(src))
+	rt.admitRead(th, src.Rank, rt.allocKey(src))
 	x := rt.blockingXfer()
 	if err := rt.complete(th, "get", src.Rank, n, &x, func() { rt.issueGet(th, &x, src, local, n) }); err != nil {
 		return err
@@ -334,7 +348,7 @@ func (rt *Runtime) GetErr(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) 
 func (rt *Runtime) issueAcc(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalPtr, n int, scale float64) {
 	if x.id == 0 {
 		if !x.e2e {
-			rt.cons.noteWrite(dst.Rank, rt.allocKey(dst))
+			rt.markWrite(dst.Rank, rt.allocKey(dst))
 		}
 		rt.amWrite(x, local, dst.Rank, n, true)
 	}

@@ -71,9 +71,9 @@ func TestShardHandlersServeTheAddressedRank(t *testing.T) {
 			if got := sp.GetInt64(count.At(me).Addr); got != 3 {
 				t.Errorf("shards %d: rank %d counted %d fetch-and-adds, want 3", shards, me, got)
 			}
-			if rt.pendN != 0 || len(rt.dirty) != 0 {
+			if pendingRequests(rt) != 0 || dirtyTargets(t, rt) != 0 {
 				t.Errorf("shards %d: rank %d left %d requests pending, %d targets dirty",
-					shards, me, rt.pendN, len(rt.dirty))
+					shards, me, pendingRequests(rt), dirtyTargets(t, rt))
 			}
 			rt.DestroyMutexes(th)
 		})

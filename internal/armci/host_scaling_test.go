@@ -2,7 +2,9 @@ package armci
 
 import (
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -44,41 +46,95 @@ func TestIdleWorldBytesScaleWithRanks(t *testing.T) {
 	}
 }
 
-// TestAllFenceVisitsDirtyTargetsOnly: the fence table holds the targets
-// with outstanding writes and nothing else, so an AllFence with nothing
-// outstanding has nothing to walk and allocates nothing, whatever p is;
-// with writes outstanding it fences exactly their targets.
+// dirtyTargets counts the clique-table records with writes outstanding,
+// the targets AllFence visits, and fails t when the table's own count
+// disagrees.
+func dirtyTargets(t *testing.T, rt *Runtime) int {
+	t.Helper()
+	n := 0
+	for pos := 0; pos < rt.peers.size(); pos++ {
+		if p := rt.peers.at(pos); p.puts != 0 || p.ams != 0 {
+			n++
+		}
+	}
+	if n != rt.peers.dirty {
+		t.Errorf("rank %d: %d records with writes outstanding, the table counts %d", rt.Rank, n, rt.peers.dirty)
+	}
+	return n
+}
+
+// pendingRequests counts the AM requests rt has in flight.
+func pendingRequests(rt *Runtime) int {
+	n := 0
+	for _, p := range rt.pend {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestAllFenceVisitsDirtyTargetsOnly: a rank's fence and consistency state
+// is its clique table, ζ records and never a p-sized vector. At p = 4096 a
+// rank that puts to and accumulates into 3 targets across 2 allocations
+// holds 3 records, a 2-column status row for each and no slice of length
+// p; AllFence fences exactly those targets, and with nothing outstanding
+// it has nothing to fence and allocates nothing.
 func TestAllFenceVisitsDirtyTargetsOnly(t *testing.T) {
-	const procs = 256
+	const procs = 4096
 	_, err := Run(Config{Procs: procs, ProcsPerNode: 16, AsyncThread: true}, func(th *sim.Thread, rt *Runtime) {
 		a := rt.Malloc(th, 1024)
+		b := rt.Malloc(th, 1024)
 		if rt.Rank == 0 {
 			idle := func(when string) {
-				if len(rt.dirty) != 0 {
-					t.Errorf("%s: fence table holds %d targets with nothing outstanding", when, len(rt.dirty))
+				if n := dirtyTargets(t, rt); n != 0 {
+					t.Errorf("%s: %d targets with writes outstanding, want none", when, n)
 				}
 				if n := testing.AllocsPerRun(20, func() { rt.AllFence(th) }); n != 0 {
 					t.Errorf("%s: idle AllFence allocates %v times", when, n)
 				}
 			}
 			idle("before traffic")
-			if rt.cons.tgt != nil || len(rt.cons.mr) != 0 {
-				t.Error("a world without traffic allocated per-rank consistency status")
+			if rt.peers.size() != 0 || rt.peers.cs != nil {
+				t.Error("a rank without traffic holds clique records or status")
 			}
 
 			local := rt.LocalAlloc(th, 1024)
-			targets := []int{200, 3, 77}
-			for _, r := range targets {
-				rt.NbPut(th, local, a.At(r), 256)
-				rt.NbAcc(th, local, a.At(r), 32, 1.0)
+			targets := []int{4000, 3, 77}
+			for i, r := range targets {
+				alloc := []*Allocation{a, b}[i%2]
+				rt.NbPut(th, local, alloc.At(r), 256)
+				rt.NbAcc(th, local, b.At(r), 32, 1.0)
 			}
-			if len(rt.dirty) != len(targets) {
-				t.Errorf("fence table holds %d targets after writes to %d", len(rt.dirty), len(targets))
+			if n := dirtyTargets(t, rt); n != len(targets) {
+				t.Errorf("%d targets with writes outstanding after writes to %d", n, len(targets))
+			}
+			if rt.peers.size() != len(targets) || len(rt.peers.more) != len(targets)-1 {
+				t.Errorf("clique table holds %d records (%d past the first), want %d",
+					rt.peers.size(), len(rt.peers.more), len(targets))
+			}
+			// A row per record: cs_tgt, then cs_mr for a and for b.
+			if n := rt.peers.columns(); n != 3 || len(rt.peers.cs) != 3*len(targets) {
+				t.Errorf("status holds %d bytes in %d columns, want a 3-column row per record", len(rt.peers.cs), n)
+			}
+			for i, r := range targets {
+				pos := rt.peers.find(r)
+				if pos != i || rt.peers.row(pos)[1+b.ID]&csWrite == 0 {
+					t.Errorf("target %d: position %d, status row %v", r, pos, rt.peers.row(max(pos, 0)))
+				}
+			}
+			if len(rt.peers.index) >= procs || cap(rt.peers.more) >= procs || cap(rt.peers.cs) >= procs {
+				t.Error("clique table grew a p-sized slice")
 			}
 			before := rt.Stats.Get("fence")
 			rt.AllFence(th)
 			if got := rt.Stats.Get("fence") - before; got != int64(len(targets)) {
 				t.Errorf("AllFence fenced %d targets, want %d", got, len(targets))
+			}
+			for pos := 0; pos < rt.peers.size(); pos++ {
+				if slices.ContainsFunc(rt.peers.row(pos), func(s uint8) bool { return s != 0 }) {
+					t.Errorf("AllFence left status at position %d", pos)
+				}
 			}
 			idle("after traffic")
 		}
@@ -86,6 +142,16 @@ func TestAllFenceVisitsDirtyTargetsOnly(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRuntimeSize: a runtime is an element of a world-sized slice, so
+// every byte it gains is p bytes of every world. The clique table took the
+// place of two endpoint caches, the fence map and the consistency vectors
+// without growing it: 800 B on a 64-bit build.
+func TestRuntimeSize(t *testing.T) {
+	if size := unsafe.Sizeof(Runtime{}); size > 800 {
+		t.Fatalf("Runtime is %d bytes, want <= 800", size)
 	}
 }
 

@@ -26,9 +26,12 @@ const (
 	dUnlockReq                                // mutex unlock
 )
 
-// pendReq is the initiator-side state of an in-flight AM protocol.
+// pendReq is the initiator-side state of an in-flight AM protocol. Like
+// operation slots, pending requests are cut from per-runtime chunks and
+// retired to a free list linked through next.
 type pendReq struct {
-	id int64 // its key in Runtime.pend
+	id   int64    // its key in Runtime.pend
+	next *pendReq // the free list's next request, while this one is on it
 	// comp is the completion the reply or ack finishes, when the
 	// operation is still waiting for one; nil when it completed at issue.
 	comp      *sim.Completion

@@ -76,12 +76,12 @@ func TestFenceAckAccounting(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			rt.NbAcc(th, local, a.At(1), 1024, 1.0)
 		}
-		if rt.dirty[1].unackedAMs == 0 {
+		if rt.peers.at(rt.peers.find(1)).ams == 0 {
 			t.Error("no outstanding acks after NbAcc burst")
 		}
 		rt.Fence(th, 1)
-		if rt.dirty[1].unackedAMs != 0 {
-			t.Errorf("fence left %d unacked AMs", rt.dirty[1].unackedAMs)
+		if ams := rt.peers.at(rt.peers.find(1)).ams; ams != 0 {
+			t.Errorf("fence left %d unacked AMs", ams)
 		}
 	})
 	if err != nil {

@@ -166,8 +166,8 @@ func TestRdmaLossDegradesToAM(t *testing.T) {
 					op.rdma: 2, op.am: 1, "timeout": 1, "rdma.suspect": 1,
 					"regioncache.miss": misses + 1,
 				})
-				if rt.pendN != 0 {
-					t.Errorf("%d requests left pending", rt.pendN)
+				if pendingRequests(rt) != 0 {
+					t.Errorf("%d requests left pending", pendingRequests(rt))
 				}
 			})
 			if err != nil {
@@ -200,8 +200,8 @@ func TestLostRegionQueryFallsBackToAM(t *testing.T) {
 					"regioncache.miss": 1, "regioncache.unresolved": 1, "timeout": 2, "retry": 1,
 					op.rdma: 0, op.am: 1, "rdma.suspect": 0,
 				})
-				if rt.pendN != 0 {
-					t.Errorf("%d requests left pending", rt.pendN)
+				if pendingRequests(rt) != 0 {
+					t.Errorf("%d requests left pending", pendingRequests(rt))
 				}
 			})
 			if err != nil {
@@ -250,8 +250,8 @@ func TestFenceUnderFaults(t *testing.T) {
 				rt.Fence(th, 1)
 				fenced = true
 				wantStats(t, rt, map[string]int64{"fence": 1, "fence.flush": 1, "retry": 1, "timeout": 1})
-				if len(rt.dirty) != 0 {
-					t.Errorf("fence left %d dirty targets", len(rt.dirty))
+				if n := dirtyTargets(t, rt); n != 0 {
+					t.Errorf("fence left %d dirty targets", n)
 				}
 			})
 			if tc.wantPanic == "" {
@@ -322,9 +322,9 @@ func TestRetryBudgetExhausted(t *testing.T) {
 					}
 					wantStats(t, rt, map[string]int64{"retry.exhausted": 1, "timeout": 2, "retry": 1, "recovered": 0})
 					settled := func(when string) {
-						if rt.pendN != 0 || rmwTableLen(rt) != 0 {
+						if pendingRequests(rt) != 0 || rmwTableLen(rt) != 0 {
 							t.Errorf("%s: %d pending requests, %d pending rmws, want none",
-								when, rt.pendN, rmwTableLen(rt))
+								when, pendingRequests(rt), rmwTableLen(rt))
 						}
 					}
 					settled("on return")

@@ -187,7 +187,7 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 	if numChunks(counts) == 1 {
 		return rt.NbPut(th, local, dst, counts[0])
 	}
-	rt.cons.noteWrite(dst.Rank, rt.allocKey(dst))
+	rt.markWrite(dst.Rank, rt.allocKey(dst))
 	h := rt.newHandle()
 
 	if counts[0] >= rt.W.Cfg.TypedThreshold && rt.rdmaReady(th, local, patchExtent(localStrides, counts),
@@ -237,7 +237,7 @@ func (rt *Runtime) NbGetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
 	if numChunks(counts) == 1 {
 		return rt.NbGet(th, src, local, counts[0])
 	}
-	rt.cons.read(th, src.Rank, rt.allocKey(src))
+	rt.admitRead(th, src.Rank, rt.allocKey(src))
 	h := rt.newHandle()
 
 	if counts[0] >= rt.W.Cfg.TypedThreshold && rt.rdmaReady(th, local, patchExtent(localStrides, counts),
@@ -286,7 +286,7 @@ func (rt *Runtime) NbAccS(th *sim.Thread, local mem.Addr, localStrides []int,
 	if counts[0]%mem.Float64Size != 0 {
 		panic("armci: AccS chunk size must be a multiple of 8")
 	}
-	rt.cons.noteWrite(dst.Rank, rt.allocKey(dst))
+	rt.markWrite(dst.Rank, rt.allocKey(dst))
 	m := patchBytes(counts)
 	rt.copyCost(th, m)
 	data := packPatch(rt.C.Space, local, localStrides, counts)

@@ -3,6 +3,14 @@
 // accumulate, a shared read-increment counter, and synchronization. It is
 // the programming model NWChem uses (§II.B), and the SCF proxy drives
 // ARMCI exclusively through it.
+//
+// Buffer ownership: the slices Array.Get and Array.OwnData return are
+// backed by buffers the Array owns, one per method, so a rank in steady
+// state allocates none. A result stays valid, and the caller may modify
+// it, until the next call of the same method on the same array; Get's
+// result and OwnData's never share memory. A caller that needs two Get
+// results of one array at once copies the first. Slices passed in (Put,
+// Acc, AccAsync, SetOwnData) are read during the call and not kept.
 package ga
 
 import (
@@ -41,8 +49,13 @@ type Array struct {
 	scratchSize int
 	// handles is Get's, Put's and Acc's list of the pieces' handles,
 	// filled and emptied by each call, so a call in steady state
-	// allocates none.
-	handles []armci.Handle
+	// allocates none. It starts on handleArr, which holds a patch that
+	// spans up to four owners in each dimension.
+	handles   []armci.Handle
+	handleArr [16]armci.Handle
+	// got and own back the slices Get and OwnData return (package
+	// comment); each grows to the largest result asked of it.
+	got, own []float64
 }
 
 // Create collectively builds a rows x cols distributed array. Every rank
@@ -62,6 +75,7 @@ func Create(th *sim.Thread, rt *armci.Runtime, name string, rows, cols int) *Arr
 		pr: pr, pc: pc,
 		br: br, bc: bc,
 	}
+	a.handles = a.handleArr[:0]
 	a.alloc = rt.Malloc(th, br*bc*mem.Float64Size)
 	return a
 }
@@ -160,8 +174,19 @@ func (a *Array) stridedArgs(r0, c0, pr0, pc0, pr1, pc1, patchCols int) (
 	return
 }
 
-// Get fetches the patch [r0,r1) x [c0,c1) into a row-major slice. The
-// transfer is one-sided: one strided ARMCI get per owning rank.
+// grow returns buf resliced to n elements, reallocated only when its
+// capacity is short, and then to at least twice it, so that patches of
+// mixed sizes settle after one or two calls.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n, max(n, 2*cap(buf)))
+	}
+	return buf[:n]
+}
+
+// Get fetches the patch [r0,r1) x [c0,c1) into a row-major slice, valid
+// until the next Get on this array (package comment). The transfer is
+// one-sided: one strided ARMCI get per owning rank.
 func (a *Array) Get(th *sim.Thread, r0, c0, r1, c1 int) []float64 {
 	a.checkPatch(r0, c0, r1, c1)
 	rows, cols := r1-r0, c1-c0
@@ -174,9 +199,9 @@ func (a *Array) Get(th *sim.Thread, r0, c0, r1, c1 int) []float64 {
 			a.rt.NbGetS(th, src, rStr, buf+mem.Addr(lOff), lStr, counts))
 	})
 	a.waitHandles(th)
-	out := make([]float64, rows*cols)
-	a.rt.Space().ReadFloat64s(buf, out)
-	return out
+	a.got = grow(a.got, rows*cols)
+	a.rt.Space().ReadFloat64s(buf, a.got)
+	return a.got
 }
 
 // Put stores a row-major slice into the patch.
@@ -235,13 +260,12 @@ func (a *Array) Fill(th *sim.Thread, v float64) {
 		return
 	}
 	base := a.alloc.At(a.rt.Rank).Addr
-	row := make([]float64, c1-c0)
-	for i := range row {
-		row[i] = v
-	}
+	sp := a.rt.Space()
 	for r := r0; r < r1; r++ {
-		off := ((r - r0) * a.bc) * mem.Float64Size
-		a.rt.Space().WriteFloat64s(base+mem.Addr(off), row)
+		row := base + mem.Addr((r-r0)*a.bc*mem.Float64Size)
+		for c := 0; c < c1-c0; c++ {
+			sp.SetFloat64(row+mem.Addr(c*mem.Float64Size), v)
+		}
 	}
 }
 
@@ -271,21 +295,22 @@ func (a *Array) AccAsync(th *sim.Thread, r0, c0, r1, c1 int, vals []float64, sca
 }
 
 // OwnData returns a copy of this rank's owned block in row-major logical
-// order, read directly from local memory with no communication. The
-// second return is false when the rank owns nothing.
+// order, read directly from local memory with no communication, valid
+// until the next OwnData on this array (package comment). The second
+// return is false when the rank owns nothing.
 func (a *Array) OwnData() ([]float64, bool) {
 	r0, c0, r1, c1, ok := a.OwnBlock()
 	if !ok {
 		return nil, false
 	}
 	rows, cols := r1-r0, c1-c0
-	out := make([]float64, rows*cols)
+	a.own = grow(a.own, rows*cols)
 	base := a.alloc.At(a.rt.Rank).Addr
 	for r := 0; r < rows; r++ {
 		a.rt.Space().ReadFloat64s(base+mem.Addr(r*a.bc*mem.Float64Size),
-			out[r*cols:(r+1)*cols])
+			a.own[r*cols:(r+1)*cols])
 	}
-	return out, true
+	return a.own, true
 }
 
 // SetOwnData overwrites this rank's owned block from a row-major slice,

@@ -249,10 +249,11 @@ func TestInvalidPatchPanics(t *testing.T) {
 
 // TestGetAllocBudget pins the heap objects a patch transfer costs the host
 // in steady state: a 4-rank array, a patch with a piece at every owner.
-// Get allocates the slice it returns and nothing else, Put and Acc
-// nothing: the pieces' handles go into the Array's own list, which keeps
-// its capacity between calls, and every operation's slot, flight and
-// payload is recycled.
+// Get, Put, Acc, OwnData and Fill allocate nothing: Get's and OwnData's
+// results are the Array's own buffers (the package comment's ownership
+// rule), Fill writes in place, the pieces' handles go
+// into the Array's own list, which keeps its capacity between calls, and
+// every operation's slot, flight and payload is recycled.
 func TestGetAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates, and operation slots are retired under it")
@@ -267,9 +268,11 @@ func TestGetAllocBudget(t *testing.T) {
 				want float64
 				op   func()
 			}{
-				{"Get", 1, func() { a.Get(th, 5, 5, 11, 11) }},
+				{"Get", 0, func() { a.Get(th, 5, 5, 11, 11) }},
 				{"Put", 0, func() { a.Put(th, 5, 5, 11, 11, vals) }},
 				{"Acc", 0, func() { a.Acc(th, 5, 5, 11, 11, vals, 1) }},
+				{"OwnData", 0, func() { a.OwnData() }},
+				{"Fill", 0, func() { a.Fill(th, 2) }},
 			} {
 				tc.op() // warm-up: endpoints, region descriptors, scratch, handle list
 				got := testing.AllocsPerRun(50, tc.op)

@@ -99,10 +99,15 @@ func Dgemm(th *sim.Thread, alpha float64, A, B *Array, beta float64, C *Array,
 	if ok {
 		rows, cols := r1-r0, c1-c0
 		acc := make([]float64, rows*cols)
+		var aCopy []float64 // A's panel, when B's Get would overwrite it (A == B)
 		for k0 := 0; k0 < A.Cols; k0 += kTile {
 			k1 := min(k0+kTile, A.Cols)
 			kw := k1 - k0
 			ap := A.Get(th, r0, k0, r1, k1) // rows x kw
+			if A == B {
+				aCopy = append(aCopy[:0], ap...)
+				ap = aCopy
+			}
 			bp := B.Get(th, k0, c0, k1, c1) // kw x cols
 			// Charge the block product's arithmetic to virtual time.
 			flops := 2 * float64(rows) * float64(cols) * float64(kw)

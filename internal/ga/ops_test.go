@@ -153,6 +153,39 @@ func TestDgemmMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestDgemmSquaresOneArray: C = A·A reads both panels from one array,
+// whose Get returns the same buffer each call, so the product must not be
+// A's panel times itself.
+func TestDgemmSquaresOneArray(t *testing.T) {
+	const n = 12
+	aF := func(r, c int) float64 { return float64((r*3 + c) % 5) }
+	_, err := armci.Run(atCfg(4), func(th *sim.Thread, rt *armci.Runtime) {
+		A := Create(th, rt, "A", n, n)
+		C := Create(th, rt, "C", n, n)
+		fillGlobal(A, aF)
+		A.Sync(th)
+		Dgemm(th, 1, A, A, 0, C, 4, 1e9)
+		if rt.Rank == 0 {
+			got := C.Get(th, 0, 0, n, n)
+			for r := 0; r < n; r++ {
+				for c := 0; c < n; c++ {
+					want := 0.0
+					for kk := 0; kk < n; kk++ {
+						want += aF(r, kk) * aF(kk, c)
+					}
+					if got[r*n+c] != want {
+						t.Fatalf("C(%d,%d) = %v want %v", r, c, got[r*n+c], want)
+					}
+				}
+			}
+		}
+		C.Sync(th)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDgemmChargesComputeTime(t *testing.T) {
 	var fast, slow sim.Time
 	run := func(rate float64) sim.Time {

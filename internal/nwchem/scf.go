@@ -107,6 +107,9 @@ func (sh *scfShared) run(th *sim.Thread, rt *armci.Runtime) {
 	density.Sync(th)
 
 	ntasks := mol.Tasks()
+	// The rank's one Fock patch buffer: AccAsync copies it out at issue,
+	// so each task refills it in place.
+	var patch []float64
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		fock.Fill(th, 0)
 		fock.Sync(th)
@@ -141,7 +144,11 @@ func (sh *scfShared) run(th *sim.Thread, rt *armci.Runtime) {
 			g := integral(i, j, k, l)
 			ir0, ir1 := mol.BlockBounds(i)
 			ic0, ic1 := mol.BlockBounds(j)
-			patch := make([]float64, (ir1-ir0)*(ic1-ic0))
+			if n := (ir1 - ir0) * (ic1 - ic0); cap(patch) < n {
+				patch = make([]float64, n)
+			} else {
+				patch = patch[:n]
+			}
 			for idx := range patch {
 				patch[idx] = s * g
 			}
