@@ -99,7 +99,10 @@ bench:
 # gauges, histograms, families read from slabs bumped until and after
 # their merge, track records) split across one to four children merged in
 # order, whose exports must equal the same sequence recorded into one
-# registry.
+# registry, then ARMCI histories (puts, gets, accumulates, fences,
+# AllFences, Mallocs, Frees and suspect windows in worlds of up to 64
+# ranks), whose driving rank's clique table must hold what a p-wide
+# reference holds after every step (internal/armci/clique_diff_test.go).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLaneShortcuts -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzJobCanonIdempotent -fuzztime 10s ./internal/serve/
@@ -111,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpaceAllocFree -fuzztime 10s ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzTraceLine -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzMergeMatchesSerial -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzCliqueMatchesDense -fuzztime 10s ./internal/armci/
 
 # Shard scaling: the fig9 p = 16384 simulation on 1, 2 and 4 lane workers
 # (BenchmarkFig9Shards, which fails if the simulated latency differs

@@ -94,7 +94,7 @@ func TestDocsNameRealThings(t *testing.T) {
 // doc shrinks; raising one means editing it here beside a one-line reason.
 var docCeilings = map[string]int64{
 	"README.md":      14396, // its size once the claims test judged both scales
-	"DESIGN.md":      91179, // its size once the clique table replaced the fence table and dense status vectors
+	"DESIGN.md":      91164, // its size once region-cache buckets and suspect windows moved into the clique table
 	"EXPERIMENTS.md": 76662, // its size once the clique-table section came in and two older sections shrank
 	"CHANGES.md":     10528, // its size once five older entries shrank and the clique-table entry and three findings were added
 }

@@ -311,9 +311,10 @@ func (w *World) AggregateStats() Stats {
 // cache, the first record of its clique table). What grows with use is
 // sized by what the rank has done, never by p, and stays nil until first
 // needed: the clique table's further records (one per peer addressed,
-// holding endpoints, fence counts and consistency status), operation and
-// request slots (chunks of chunkLen), region-cache buckets, hosted
-// mutexes. An idle rank costs what it uses.
+// holding all the rank keeps about that peer: endpoints, fence counts,
+// consistency status, region-cache bucket, RDMA suspect window), operation
+// and request slots (chunks of chunkLen), hosted mutexes. An idle rank
+// costs what it uses.
 type Runtime struct {
 	_    sim.NoCopy
 	W    *World
@@ -323,8 +324,8 @@ type Runtime struct {
 	mainCtx *pami.Context
 	svcCtx  *pami.Context
 
-	peers   clique // one record per peer addressed: endpoints, fence counts, consistency status
-	regions regionCache
+	peers   clique      // one record per peer addressed: the rank's only per-peer state
+	regions regionCache // the seed blocks and counts; buckets live in peers (cache)
 	// The live collective allocations; the list starts on allocArr
 	// (MallocErr), so a rank's first Malloc costs no list.
 	allocs   []*Allocation
@@ -364,9 +365,8 @@ type Runtime struct {
 	obsOps *opObs // this rank's lane's handles; nil when Config.Obs is nil
 
 	// Recovery state, armed only on chaos runs (Config.Fault non-nil).
-	retry        *retryPolicy     // resolved policy (never nil when faulty)
-	suspectUntil map[int]sim.Time // per-target rank: RDMA path suspect until this time; nil until one is
-	applied      map[amKey]bool   // target-side write-AM dedup, lazily allocated
+	retry   *retryPolicy   // resolved policy (never nil when faulty)
+	applied map[amKey]bool // target-side write-AM dedup, lazily allocated
 }
 
 // amKey identifies one write AM target-side for deduplication: the
@@ -390,7 +390,6 @@ func newRuntime(w *World, th *sim.Thread, rank int) *Runtime {
 	rt.C = c
 	rt.mainCtx = &c.Contexts[0]
 	rt.svcCtx = &c.Contexts[w.svcIdx]
-	rt.regions = *newRegionCache(w.Cfg.RegionCacheCap, rank)
 	rt.main = th
 	rt.rng.Seed(w.Cfg.Seed ^ (uint64(rank)*0x5851f42d + 7))
 	rt.obsOps = w.laneOpObs(c.Ln)

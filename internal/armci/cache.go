@@ -1,6 +1,7 @@
 package armci
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/mem"
@@ -36,11 +37,13 @@ type seedBlock struct {
 // Collective Malloc seeds one entry per peer on every rank, an O(p²)
 // population across the world, while a rank only ever uses the entries of
 // its clique. So a seeded entry is not stored: it is implied by its
-// allocation's seedBlock until its rank is first touched (hit, inserted into
-// after an AM miss, or purged), at which point that rank's entries are
-// written out, in insertion order, as an explicit bucket and stay explicit.
-// Host bytes per rank are O(σ + σ·touched) — Eq. 5's σ·ζ·γ — instead of
-// O(σ·p).
+// allocation's seedBlock until its rank is first touched (looked up,
+// inserted into after an AM miss, or purged), at which point that rank's
+// entries are written out, in insertion order, as an explicit bucket in
+// the rank's clique record (peer.bucket) and stay explicit. Host bytes per
+// rank are O(σ + σ·touched) — Eq. 5's σ·ζ·γ — instead of O(σ·p). A
+// touched rank always has a record already: the operation that touches
+// it made one.
 //
 // The contents, hit/miss/evict counts and victim order are exactly those
 // of a cache that stores every entry (cache_oracle_test.go keeps that one
@@ -51,82 +54,74 @@ type seedBlock struct {
 // Bases must be distinct among one rank's live allocations, which the
 // allocator guarantees; purgeExchange relies on it.
 type regionCache struct {
-	cap, self int
-	blocks    []seedBlock            // in insertion order; starts on blockArr (insertExchange)
-	blockArr  [1]seedBlock           // a runtime copies its cache in, so set up lazily
-	touched   map[int][]cachedRegion // explicit buckets, by owner rank; nil until one exists
-	slab      []cachedRegion         // where new buckets are cut from
-	total     int
-	Hits      uint64
-	Misses    uint64
-	Evicted   uint64
-	heads     int // steps of the last over-capacity exchange's replay (replayEvicting)
+	blocks   []seedBlock  // in insertion order; starts on blockArr (insertExchange)
+	blockArr [1]seedBlock // the zero cache is an empty one, so set up lazily
+	total    int
+	Hits     uint64
+	Misses   uint64
+	Evicted  uint64
+	heads    int // steps of the last over-capacity exchange's replay (replayEvicting)
 }
 
-func newRegionCache(capacity, self int) *regionCache {
-	return &regionCache{cap: capacity, self: self}
+// cacheView is a runtime's region cache bound, for one call, to what it
+// shares with the runtime: the clique that holds its buckets, the rank it
+// holds no entries for, and Config.RegionCacheCap.
+type cacheView struct {
+	*regionCache
+	peers     *clique
+	self, cap int
+}
+
+// cache returns rt's region cache bound to its clique.
+func (rt *Runtime) cache() cacheView {
+	return cacheView{&rt.regions, &rt.peers, rt.Rank, rt.W.Cfg.RegionCacheCap}
 }
 
 // seeds reports whether b once seeded an entry for rank that no eviction
 // has taken; the caller checks that rank has no explicit bucket.
-func (rc *regionCache) seeds(b *seedBlock, rank int) bool {
+func (rc cacheView) seeds(b *seedBlock, rank int) bool {
 	return rank >= b.next && rank != rc.self && b.a.reg[rank]
 }
 
-// implies reports whether b stands for an entry of rank.
-func (rc *regionCache) implies(b *seedBlock, rank int) bool {
+// implies reports whether b stands for an entry of rank: one b seeded,
+// and rank's record holds no bucket.
+func (rc cacheView) implies(b *seedBlock, rank int) bool {
 	if !rc.seeds(b, rank) {
 		return false
 	}
-	_, explicit := rc.touched[rank]
-	return !explicit
+	pos := rc.peers.find(rank)
+	return pos < 0 || rc.peers.at(pos).flags&peerBucket == 0
 }
 
-// touch returns rank's explicit bucket, first writing out the entries the
-// blocks imply for it. New buckets are cut from a shared slab, eight
-// ranks' worth at a time, with their capacity clipped so that a bucket
-// that later grows moves out instead of running into its neighbour:
-// widening the clique costs an allocation per eight peers, not per peer.
-func (rc *regionCache) touch(rank int) []cachedRegion {
-	bkt, ok := rc.touched[rank]
-	if ok {
-		return bkt
+// touch returns the record at position pos with its bucket, first writing
+// out the entries the blocks imply for the peer, into room for one per
+// block.
+func (rc cacheView) touch(pos int) *peer {
+	p := rc.peers.at(pos)
+	if p.flags&peerBucket != 0 {
+		return p
 	}
-	if n := len(rc.blocks); n > cap(rc.slab)-len(rc.slab) {
-		rc.slab = make([]cachedRegion, 0, 8*n)
-	}
-	start := len(rc.slab)
+	rank, bkt := int(p.rank), rc.peers.bucketRoom(nil, len(rc.blocks))
 	for i := range rc.blocks {
 		if b := &rc.blocks[i]; rc.seeds(b, rank) {
-			rc.slab = append(rc.slab, cachedRegion{base: b.a.addrs[rank], size: b.a.Bytes, freq: 1})
+			bkt = append(bkt, cachedRegion{base: b.a.addrs[rank], size: b.a.Bytes, freq: 1})
 			b.live--
 		}
 	}
-	bkt = rc.slab[start:len(rc.slab):len(rc.slab)]
-	if rc.touched == nil {
-		rc.touched = make(map[int][]cachedRegion)
-	}
-	rc.touched[rank] = bkt
-	return bkt
+	p.bucket = bkt
+	p.flags |= peerBucket
+	return p
 }
 
 func covers(base mem.Addr, size int, addr mem.Addr, n int) bool {
 	return addr >= base && uint64(addr)+uint64(n) <= uint64(base)+uint64(size)
 }
 
-// lookup reports whether a cached region covers [addr, addr+n) at rank,
-// bumping its use count for the LFU policy. Among overlapping regions the
-// earliest inserted one is bumped.
-func (rc *regionCache) lookup(rank int, addr mem.Addr, n int) bool {
-	bkt, ok := rc.touched[rank]
-	if !ok {
-		for i := range rc.blocks {
-			if b := &rc.blocks[i]; rc.seeds(b, rank) && covers(b.a.addrs[rank], b.a.Bytes, addr, n) {
-				bkt = rc.touch(rank)
-				break
-			}
-		}
-	}
+// lookup reports whether a cached region covers [addr, addr+n) at the peer
+// in position pos, bumping its use count for the LFU policy. Among
+// overlapping regions the earliest inserted one is bumped.
+func (rc cacheView) lookup(pos int, addr mem.Addr, n int) bool {
+	bkt := rc.touch(pos).bucket
 	for i := range bkt {
 		if r := &bkt[i]; covers(r.base, r.size, addr, n) {
 			r.freq++
@@ -138,21 +133,22 @@ func (rc *regionCache) lookup(rank int, addr mem.Addr, n int) bool {
 	return false
 }
 
-// insert adds an entry, evicting the least frequently used entry when at
-// capacity. Ties break deterministically on (rank, base).
-func (rc *regionCache) insert(rank int, base mem.Addr, size int) {
+// insert adds an entry for the peer at position pos, evicting the least
+// frequently used entry when at capacity. Ties break deterministically on
+// (rank, base).
+func (rc cacheView) insert(pos int, base mem.Addr, size int) {
 	if rc.total >= rc.cap {
 		rc.evictLFU()
 	}
-	bkt := rc.touch(rank) // first: it is what makes the map
-	rc.touched[rank] = append(bkt, cachedRegion{base: base, size: size, freq: 1})
+	p := rc.touch(pos)
+	p.bucket = append(rc.peers.bucketRoom(p.bucket, 1), cachedRegion{base: base, size: size, freq: 1})
 	rc.total++
 }
 
 // minSeed returns the block implying the least (rank, base) entry and that
 // rank, or nil when no block implies any. Earlier blocks win ties, as
 // earlier bucket slots do.
-func (rc *regionCache) minSeed() (least *seedBlock, rank int) {
+func (rc cacheView) minSeed() (least *seedBlock, rank int) {
 	for i := range rc.blocks {
 		b := &rc.blocks[i]
 		if b.live == 0 {
@@ -170,16 +166,19 @@ func (rc *regionCache) minSeed() (least *seedBlock, rank int) {
 
 // evictLFU removes the least frequently used entry, breaking ties on
 // (rank, base), then bucket position, so the victim is deterministic. It
-// scans the explicit buckets and one head per block; it runs only when the
+// scans the explicit buckets, in clique position order (a record with no
+// bucket has no entries), and one head per block; it runs only when the
 // cache is at capacity.
-func (rc *regionCache) evictLFU() {
-	vRank, vIdx := -1, -1
+func (rc cacheView) evictLFU() {
+	vRank, vPos, vIdx := -1, -1, -1
 	var v cachedRegion
-	for rank, bkt := range rc.touched {
-		for i := range bkt {
-			if r := &bkt[i]; vRank < 0 || r.freq < v.freq ||
+	for pos := 0; pos < rc.peers.size(); pos++ {
+		p := rc.peers.at(pos)
+		rank := int(p.rank)
+		for i := range p.bucket {
+			if r := &p.bucket[i]; vRank < 0 || r.freq < v.freq ||
 				r.freq == v.freq && (rank < vRank || rank == vRank && r.base < v.base) {
-				v, vRank, vIdx = *r, rank, i
+				v, vRank, vPos, vIdx = *r, rank, pos, i
 			}
 		}
 	}
@@ -189,8 +188,8 @@ func (rc *regionCache) evictLFU() {
 		b.next = rank + 1
 		b.live--
 	} else {
-		bkt := rc.touched[vRank]
-		rc.touched[vRank] = append(bkt[:vIdx], bkt[vIdx+1:]...)
+		p := rc.peers.at(vPos)
+		p.bucket = slices.Delete(p.bucket, vIdx, vIdx+1)
 	}
 	rc.total--
 	rc.Evicted++
@@ -200,7 +199,7 @@ func (rc *regionCache) evictLFU() {
 // Malloc's exchange: exactly insert(r, a.addrs[r], a.Bytes) for every r
 // with a.reg[r] && r != self, in rank order, at a cost of one block plus
 // one explicit entry per touched rank.
-func (rc *regionCache) insertExchange(a *Allocation) {
+func (rc cacheView) insertExchange(a *Allocation) {
 	n := int(a.nreg.Load())
 	if a.reg[rc.self] {
 		n--
@@ -211,9 +210,9 @@ func (rc *regionCache) insertExchange(a *Allocation) {
 	} else {
 		rc.total += n
 	}
-	for rank, bkt := range rc.touched {
-		if rc.seeds(&nb, rank) {
-			rc.touched[rank] = append(bkt, cachedRegion{base: a.addrs[rank], size: a.Bytes, freq: 1})
+	for pos := 0; pos < rc.peers.size(); pos++ {
+		if p := rc.peers.at(pos); p.flags&peerBucket != 0 && rc.seeds(&nb, int(p.rank)) {
+			p.bucket = append(rc.peers.bucketRoom(p.bucket, 1), cachedRegion{base: a.addrs[p.rank], size: a.Bytes, freq: 1})
 			nb.live--
 		}
 	}
@@ -225,7 +224,7 @@ func (rc *regionCache) insertExchange(a *Allocation) {
 
 // peersBefore returns how many ranks below r (0 <= r <= p) have an entry
 // in a's exchange: registered, and not the cache's own.
-func (rc *regionCache) peersBefore(a *Allocation, r int) int {
+func (rc cacheView) peersBefore(a *Allocation, r int) int {
 	n := a.regBefore(r)
 	if a.reg[rc.self] && rc.self < r {
 		n--
@@ -235,7 +234,7 @@ func (rc *regionCache) peersBefore(a *Allocation, r int) int {
 
 // nthPeer returns the rank of the k-th entry, counting from 0, in a's
 // exchange.
-func (rc *regionCache) nthPeer(a *Allocation, k int) int {
+func (rc cacheView) nthPeer(a *Allocation, k int) int {
 	if a.reg[rc.self] && k >= a.regBefore(rc.self) {
 		k++
 	}
@@ -258,10 +257,10 @@ func (rc *regionCache) nthPeer(a *Allocation, k int) int {
 // explicit entries are marked with size -1 and compacted afterwards. On
 // return nb.next and nb.live describe the new block's survivors, touched
 // ranks included, and rc.heads counts the steps taken.
-func (rc *regionCache) replayEvicting(nb *seedBlock) {
+func (rc cacheView) replayEvicting(nb *seedBlock) {
 	type ref struct {
-		rank, slot int
-		base       mem.Addr
+		rank, pos, slot int
+		base            mem.Addr
 	}
 	const ( // where the older head comes from
 		none = iota
@@ -269,10 +268,11 @@ func (rc *regionCache) replayEvicting(nb *seedBlock) {
 		older
 	)
 	var once []ref
-	for rank, bkt := range rc.touched {
-		for i := range bkt {
-			if bkt[i].freq == 1 {
-				once = append(once, ref{rank, i, bkt[i].base})
+	for pos := 0; pos < rc.peers.size(); pos++ {
+		p := rc.peers.at(pos)
+		for i, e := range p.bucket {
+			if e.freq == 1 {
+				once = append(once, ref{int(p.rank), pos, i, e.base})
 			}
 		}
 	}
@@ -323,7 +323,7 @@ func (rc *regionCache) replayEvicting(nb *seedBlock) {
 		}
 		switch src {
 		case explicit:
-			rc.touched[v.rank][v.slot].size = -1
+			rc.peers.at(v.pos).bucket[v.slot].size = -1
 			once = once[1:]
 			marked = true
 		case older:
@@ -347,58 +347,48 @@ func (rc *regionCache) replayEvicting(nb *seedBlock) {
 	if !marked {
 		return
 	}
-	for rank, bkt := range rc.touched {
-		keep := bkt[:0]
-		for _, e := range bkt {
-			if e.size >= 0 {
-				keep = append(keep, e)
-			}
-		}
-		rc.touched[rank] = keep
+	for pos := 0; pos < rc.peers.size(); pos++ {
+		p := rc.peers.at(pos)
+		p.bucket = slices.DeleteFunc(p.bucket, func(e cachedRegion) bool { return e.size < 0 })
 	}
 }
 
 // purgeExchange drops, for every rank r, the first entry based at
 // a.addrs[r]; used when an allocation is collectively freed.
-func (rc *regionCache) purgeExchange(a *Allocation) {
-	for i := range rc.blocks {
-		if rc.blocks[i].a == a {
-			rc.total -= rc.blocks[i].live
-			rc.blocks = append(rc.blocks[:i], rc.blocks[i+1:]...)
-			break
-		}
+func (rc cacheView) purgeExchange(a *Allocation) {
+	if i := slices.IndexFunc(rc.blocks, func(b seedBlock) bool { return b.a == a }); i >= 0 {
+		rc.total -= rc.blocks[i].live
+		rc.blocks = slices.Delete(rc.blocks, i, i+1)
 	}
-	for rank, bkt := range rc.touched {
-		for i := range bkt {
-			if bkt[i].base == a.addrs[rank] {
-				rc.touched[rank] = append(bkt[:i], bkt[i+1:]...)
-				rc.total--
-				break
-			}
+	for pos := 0; pos < rc.peers.size(); pos++ {
+		p := rc.peers.at(pos)
+		if i := slices.IndexFunc(p.bucket, func(e cachedRegion) bool { return e.base == a.addrs[p.rank] }); i >= 0 {
+			p.bucket = slices.Delete(p.bucket, i, i+1)
+			rc.total--
 		}
 	}
 }
 
-// purgeRank drops every entry owned by rank; used when the rank's RDMA
-// path turns suspect and all its cached descriptors must be re-resolved.
-func (rc *regionCache) purgeRank(rank int) {
-	rc.total -= len(rc.touch(rank))
-	rc.touched[rank] = nil
+// purgeRank drops every entry of the peer at position pos, which keeps
+// an empty bucket; used when the peer's RDMA path turns suspect and all its
+// cached descriptors must be re-resolved.
+func (rc cacheView) purgeRank(pos int) {
+	p := rc.touch(pos)
+	rc.total -= len(p.bucket)
+	p.bucket = p.bucket[:0]
 }
 
-// Len returns the number of cached entries.
-func (rc *regionCache) Len() int { return rc.total }
-
-// remoteRegionFor resolves RDMA metadata for [addr,addr+n) at rank: cache
-// hit, or an active-message query to the owner (which needs the owner's
-// progress engine — region misses are not free at scale). ok=false means
+// remoteRegionFor resolves RDMA metadata for [addr,addr+n) at the peer in
+// position pos: cache hit, or an active-message query to the owner (which
+// needs the owner's progress engine — region misses are not free at
+// scale). ok=false means
 // the owner has no covering registration and the caller must fall back.
 // On a chaos run the query is itself a round trip that can be lost, so
 // the wait is bounded: two timed attempts, then unresolved — the caller
 // degrades to the AM data path, it never blocks an operation forever on
 // metadata.
-func (rt *Runtime) remoteRegionFor(th *sim.Thread, rank int, addr mem.Addr, n int) (ok bool) {
-	if rt.regions.lookup(rank, addr, n) {
+func (rt *Runtime) remoteRegionFor(th *sim.Thread, pos int, addr mem.Addr, n int) (ok bool) {
+	if rt.cache().lookup(pos, addr, n) {
 		rt.Stats[statRegionHit]++
 		return true
 	}
@@ -409,7 +399,7 @@ func (rt *Runtime) remoteRegionFor(th *sim.Thread, rank int, addr mem.Addr, n in
 		if try > 0 {
 			rt.Stats[statRetry]++
 		}
-		rt.mainCtx.SendAM(th, rt.epSvc(th, rank), dRegionQ, hdr, nil)
+		rt.mainCtx.SendAM(th, rt.endpoint(th, pos, true), dRegionQ, hdr, nil)
 		deadline := pami.NoDeadline // a healthy run loses no message: the first wait ends the loop
 		if rt.faulty() {
 			deadline = th.Now() + rt.retry.Timeout
@@ -424,7 +414,7 @@ func (rt *Runtime) remoteRegionFor(th *sim.Thread, rank int, addr mem.Addr, n in
 		return false
 	}
 	before := rt.regions.Evicted
-	rt.regions.insert(rank, q.base, q.size)
+	rt.cache().insert(pos, q.base, q.size)
 	if rt.regions.Evicted != before {
 		rt.Stats[statRegionEvict] += int64(rt.regions.Evicted - before)
 	}

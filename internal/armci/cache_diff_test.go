@@ -20,12 +20,22 @@ func newExchange(addrs []mem.Addr, reg []bool, size int) *Allocation {
 	return a
 }
 
+// newTestCache is a region cache for rank self on a clique table of its
+// own, outside any world.
+func newTestCache(capacity, self int) cacheView {
+	return cacheView{&regionCache{}, &clique{}, self, capacity}
+}
+
+// at returns rank's clique position, adding a record as the operation
+// that reaches the cache for rank does first.
+func (rc cacheView) at(rank int) int { return rc.peers.record(rank) }
+
 // entries lists rank's cached regions in bucket order, implied ones
 // written out, without touching the rank.
-func (rc *regionCache) entries(rank int) []remoteRegion {
+func (rc cacheView) entries(rank int) []remoteRegion {
 	var out []remoteRegion
-	if bkt, ok := rc.touched[rank]; ok {
-		for _, e := range bkt {
+	if pos := rc.peers.find(rank); pos >= 0 && rc.peers.at(pos).flags&peerBucket != 0 {
+		for _, e := range rc.peers.at(pos).bucket {
 			out = append(out, remoteRegion{rank: rank, base: e.base, size: e.size, freq: e.freq})
 		}
 		return out
@@ -46,7 +56,7 @@ type diffWorld struct {
 	rng   *rand.Rand
 	procs int
 	self  int
-	rc    *regionCache
+	rc    cacheView
 	dense *denseCache
 	naive *denseCache
 
@@ -69,7 +79,7 @@ func newDiffWorld(t *testing.T, seed int64, procs, capacity int) *diffWorld {
 	self := rng.Intn(procs)
 	return &diffWorld{
 		t: t, rng: rng, procs: procs, self: self,
-		rc:    newRegionCache(capacity, self),
+		rc:    newTestCache(capacity, self),
 		dense: newDenseCache(capacity, procs),
 		naive: newDenseCache(capacity, procs),
 		slots: make([][]bool, procs),
@@ -150,7 +160,7 @@ func (w *diffWorld) lookup() string {
 	case 1: // spanning past the region's end, maybe into the next slot
 		addr, n = base+mem.Addr(size/2), size+w.rng.Intn(diffStride)
 	}
-	got := w.rc.lookup(rank, addr, n)
+	got := w.rc.lookup(w.rc.at(rank), addr, n)
 	if d, nv := w.dense.lookup(rank, addr, n), w.naive.lookup(rank, addr, n); got != d || got != nv {
 		w.t.Fatalf("lookup(%d, %#x, %#x) = %v, dense %v, naive %v", rank, uint64(addr), n, got, d, nv)
 	}
@@ -164,7 +174,7 @@ func (w *diffWorld) lookup() string {
 }
 
 func (w *diffWorld) insert(rank int, base mem.Addr, size int) {
-	w.rc.insert(rank, base, size)
+	w.rc.insert(w.rc.at(rank), base, size)
 	w.dense.insert(rank, base, size)
 	w.naive.insert(rank, base, size)
 }
@@ -183,7 +193,7 @@ func (w *diffWorld) insertOdd() string {
 
 func (w *diffWorld) purgeRank() string {
 	rank := w.rng.Intn(w.procs)
-	w.rc.purgeRank(rank)
+	w.rc.purgeRank(w.rc.at(rank))
 	w.dense.purgeRank(rank)
 	w.naive.purgeRank(rank)
 	return fmt.Sprintf("purgeRank(%d)", rank)
@@ -207,9 +217,9 @@ func (w *diffWorld) compare(op string) {
 	t := w.t
 	t.Helper()
 	for name, ref := range map[string]*denseCache{"dense": w.dense, "naive": w.naive} {
-		if w.rc.Len() != ref.Len() || w.rc.Hits != ref.Hits || w.rc.Misses != ref.Misses || w.rc.Evicted != ref.Evicted {
+		if w.rc.total != ref.Len() || w.rc.Hits != ref.Hits || w.rc.Misses != ref.Misses || w.rc.Evicted != ref.Evicted {
 			t.Fatalf("after %s: len/hits/misses/evicted = %d/%d/%d/%d, %s %d/%d/%d/%d", op,
-				w.rc.Len(), w.rc.Hits, w.rc.Misses, w.rc.Evicted,
+				w.rc.total, w.rc.Hits, w.rc.Misses, w.rc.Evicted,
 				name, ref.Len(), ref.Hits, ref.Misses, ref.Evicted)
 		}
 		for rank := 0; rank < w.procs; rank++ {

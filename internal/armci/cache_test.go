@@ -22,13 +22,13 @@ func TestFreePurgesRegionCache(t *testing.T) {
 			local := rt.LocalAlloc(th, n)
 			rt.Put(th, local, a.At(1), n)
 			rt.Fence(th, 1)
-			if !rt.regions.lookup(1, baseA, n) {
+			if !rt.cache().lookup(rt.peers.find(1), baseA, n) {
 				t.Error("descriptor for rank 1 not cached after put")
 			}
 		}
 		rt.Barrier(th)
 		rt.Free(th, a)
-		if rt.Rank == 0 && rt.regions.lookup(1, baseA, n) {
+		if rt.Rank == 0 && rt.cache().lookup(rt.peers.find(1), baseA, n) {
 			t.Error("stale descriptor for freed block survived Free")
 		}
 
@@ -78,14 +78,14 @@ func TestInsertExchangePartialRegistration(t *testing.T) {
 	}
 
 	x := newExchange(addrs, registered, 0x80)
-	rc := newRegionCache(64, 1)
+	rc := newTestCache(64, 1)
 	rc.insertExchange(x)
 	// Self (rank 1, unregistered anyway) and odd ranks must be absent.
-	if got, want := rc.Len(), 3; got != want { // ranks 0, 2, 4
+	if got, want := rc.total, 3; got != want { // ranks 0, 2, 4
 		t.Fatalf("cached entries = %d, want %d", got, want)
 	}
 	for r := 0; r < procs; r++ {
-		hit := rc.lookup(r, addrs[r], 0x80)
+		hit := rc.lookup(rc.at(r), addrs[r], 0x80)
 		want := registered[r] && r != 1
 		if hit != want {
 			t.Errorf("rank %d cached = %v, want %v", r, hit, want)
@@ -93,10 +93,10 @@ func TestInsertExchangePartialRegistration(t *testing.T) {
 	}
 
 	// Capacity forces insertExchange through the evicting replay.
-	small := newRegionCache(2, 1)
+	small := newTestCache(2, 1)
 	small.insertExchange(x)
-	if small.Len() != 2 {
-		t.Fatalf("capped cache entries = %d, want 2", small.Len())
+	if small.total != 2 {
+		t.Fatalf("capped cache entries = %d, want 2", small.total)
 	}
 	if small.Evicted == 0 {
 		t.Error("capped exchange evicted nothing")
@@ -104,13 +104,13 @@ func TestInsertExchangePartialRegistration(t *testing.T) {
 
 	// A pre-populated (explicit) bucket must survive an exchange and take
 	// its seeded entry explicitly.
-	pre := newRegionCache(64, 1)
-	pre.insert(2, 0x9000, 0x40)
+	pre := newTestCache(64, 1)
+	pre.insert(pre.at(2), 0x9000, 0x40)
 	pre.insertExchange(x)
-	if !pre.lookup(2, 0x9000, 0x40) {
+	if !pre.lookup(pre.at(2), 0x9000, 0x40) {
 		t.Error("pre-existing entry lost in exchange")
 	}
-	if !pre.lookup(2, addrs[2], 0x80) {
+	if !pre.lookup(pre.at(2), addrs[2], 0x80) {
 		t.Error("exchanged entry missing from pre-populated bucket")
 	}
 }

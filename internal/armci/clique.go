@@ -8,22 +8,25 @@ import (
 	"repro/internal/sim"
 )
 
-// peer is one record of a rank's clique table: what the rank keeps about
-// one peer it has addressed — the endpoints it created to the peer and
-// its writes to the peer not yet known complete (the fence counts). The
-// peer's consistency status is the record's row of clique.cs.
+// peer is one record of a rank's clique table: what the rank keeps about a
+// peer it has addressed — which endpoints exist, writes not yet known
+// complete (the fence counts), region-cache bucket and RDMA suspect
+// window. Its consistency status is the record's row of clique.cs.
 type peer struct {
-	data, svc pami.Endpoint // valid once flags has peerData, peerSvc
-	puts      int32         // RDMA puts not yet known remote-visible
-	ams       int32         // AM writes (fallback put, acc) awaiting ack
-	rank      int32
-	flags     uint8 // peerKnown, and which endpoints exist
+	bucket  []cachedRegion // explicit region-cache entries, once flags has peerBucket (regionCache)
+	suspect sim.Time       // RDMA path suspect until this time (chaos runs only)
+	puts    int32          // RDMA puts not yet known remote-visible
+	ams     int32          // AM writes (fallback put, acc) awaiting ack
+	rank    int32
+	node    int32 // the peer's node, once an endpoint exists: an endpoint is (rank, context, node)
+	flags   uint8 // peerKnown, and which endpoints and bucket exist
 }
 
 const (
-	peerKnown uint8 = 1 << iota // the record is in use
-	peerData                    // data endpoint (context 0) created
-	peerSvc                     // service endpoint created
+	peerKnown  uint8 = 1 << iota // the record is in use
+	peerData                     // data endpoint (context 0) created
+	peerSvc                      // service endpoint created
+	peerBucket                   // the peer's region-cache entries are bucket, even when it is empty
 )
 
 // clique is a rank's per-peer state, one record per peer in first-contact
@@ -40,12 +43,14 @@ const (
 // allocation key k — Eq. 5's σ·ζ, not σ·p. It is nil until a status is
 // first written, and from then on holds a row for every record, so the
 // column count is len(cs) over the record count. dirty counts the records
-// whose fence counts are not both zero.
+// whose fence counts are not both zero. slab is the room region-cache
+// buckets are cut from (bucketRoom).
 type clique struct {
 	first peer
 	more  []peer // positions 1.., nil until a second peer
 	index []indexEntry
 	cs    []uint8
+	slab  []cachedRegion
 	dirty int
 }
 
@@ -197,44 +202,42 @@ func (c *clique) addWrites(pos, puts, ams int) {
 	}
 }
 
-// endpoint returns (creating on first use) the endpoint addressing a
-// rank's data context (svc false: context 0) or its remote-service context.
-// The two are separate even when they name the same context (ρ = 1), and
-// each is created, and charged, once.
-func (rt *Runtime) endpoint(th *sim.Thread, rank int, svc bool) pami.Endpoint {
-	pos := rt.peers.record(rank)
+// bucketRoom returns bkt with room for n more entries: bkt itself when it
+// has it, else a copy in a cut of the slab that is the bucket's alone (its
+// capacity clipped). The slab is made eight cuts at a time: widening the
+// clique costs an allocation per eight buckets, never one per peer.
+func (c *clique) bucketRoom(bkt []cachedRegion, n int) []cachedRegion {
+	if cap(bkt)-len(bkt) >= n {
+		return bkt
+	}
+	size := len(bkt) + max(n, len(bkt))
+	if len(c.slab) < size {
+		c.slab = make([]cachedRegion, 8*size)
+	}
+	cut := append(c.slab[:0:size], bkt...)
+	c.slab = c.slab[size:]
+	return cut
+}
+
+// endpoint returns (creating on first use) the endpoint addressing the
+// data context (svc false: context 0) or the remote-service context of the
+// peer at position pos. The two are separate even when they name the same
+// context (ρ = 1), and each is created, and charged, once; the record
+// keeps which exist and the peer's node, not the endpoints.
+func (rt *Runtime) endpoint(th *sim.Thread, pos int, svc bool) pami.Endpoint {
 	p := rt.peers.at(pos)
-	switch {
-	case svc && p.flags&peerSvc != 0:
-		return p.svc
-	case !svc && p.flags&peerData != 0:
-		return p.data
-	}
-	ctx := 0
+	ctx, made := 0, peerData
 	if svc {
-		ctx = rt.W.svcIdx
+		ctx, made = rt.W.svcIdx, peerSvc
 	}
-	ep := rt.C.CreateEndpoint(th, rank, ctx) // sleeps: another of the rank's threads may add records
-	p = rt.peers.at(pos)
-	if svc {
-		p.svc = ep
-		p.flags |= peerSvc
-	} else {
-		p.data = ep
-		p.flags |= peerData
+	if p.flags&made == 0 {
+		ep := rt.C.CreateEndpoint(th, int(p.rank), ctx) // sleeps: another of the rank's threads may add records
+		p = rt.peers.at(pos)
+		p.node = int32(ep.Node)
+		p.flags |= made
+		rt.Stats[statEpCreated]++
 	}
-	rt.Stats[statEpCreated]++
-	return ep
-}
-
-// epData returns the RDMA endpoint for a rank.
-func (rt *Runtime) epData(th *sim.Thread, rank int) pami.Endpoint {
-	return rt.endpoint(th, rank, false)
-}
-
-// epSvc returns the endpoint addressing a rank's remote-service context.
-func (rt *Runtime) epSvc(th *sim.Thread, rank int) pami.Endpoint {
-	return rt.endpoint(th, rank, true)
+	return pami.Endpoint{Rank: int(p.rank), Ctx: ctx, Node: int(p.node)}
 }
 
 // Clique returns ζ, the number of distinct peers addressed so far: a peer
@@ -248,11 +251,4 @@ func (rt *Runtime) Clique() int {
 		}
 	}
 	return n
-}
-
-// noteWrites records outstanding writes to rank in its fence counts
-// (clique.addWrites); AllFence visits the records whose counts are not
-// both zero.
-func (rt *Runtime) noteWrites(rank, puts, ams int) {
-	rt.peers.addWrites(rt.peers.record(rank), puts, ams)
 }

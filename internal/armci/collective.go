@@ -172,7 +172,7 @@ func (rt *Runtime) MallocErr(th *sim.Thread, bytes int) (*Allocation, error) {
 		a.nreg.Add(1)
 	}
 	rt.Barrier(th)
-	rt.regions.insertExchange(a)
+	rt.cache().insertExchange(a)
 	if rt.allocs == nil {
 		rt.allocs = rt.allocArr[:0]
 	}
@@ -226,7 +226,7 @@ func (rt *Runtime) FreeErr(th *sim.Thread, a *Allocation) error {
 		return fmt.Errorf("armci: Free of unknown or already-freed allocation %d", a.ID)
 	}
 	rt.Barrier(th) // no rank may still be using the block
-	rt.regions.purgeExchange(a)
+	rt.cache().purgeExchange(a)
 	own := a.addrs[rt.Rank]
 	if reg := rt.C.FindRegion(own, a.Bytes); reg != nil {
 		rt.C.DeregisterMemory(reg)

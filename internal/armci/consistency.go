@@ -38,19 +38,19 @@ func (rt *Runtime) status(pos, key int) *uint8 {
 	return rt.peers.statusAt(pos, 1+key, 1+len(rt.allocs))
 }
 
-// markWrite records an outstanding write (put or accumulate) to (rank,
-// structure key).
-func (rt *Runtime) markWrite(rank, key int) {
-	*rt.status(rt.peers.record(rank), key) |= csWrite
+// markWrite records an outstanding write (put or accumulate) to (the peer
+// at position pos, structure key).
+func (rt *Runtime) markWrite(pos, key int) {
+	*rt.status(pos, key) |= csWrite
 }
 
 // admitRead admits a get from (rank, structure key): it fences the target
 // first if the read conflicts with an outstanding write under the active
-// mode, then records the read. It also counts reads that the naive scheme
-// would have fenced but the per-region scheme did not — the quantity the
-// §III.E ablation reports.
-func (rt *Runtime) admitRead(th *sim.Thread, rank, key int) {
-	pos := rt.peers.record(rank)
+// mode, then records the read, and returns rank's position. It also counts
+// reads that the naive scheme would have fenced but the per-region scheme
+// did not — the quantity the §III.E ablation reports.
+func (rt *Runtime) admitRead(th *sim.Thread, rank, key int) (pos int) {
+	pos = rt.peers.record(rank)
 	row := rt.peers.row(pos)
 	conflict, naiveWould := false, false
 	if len(row) > 0 {
@@ -65,11 +65,12 @@ func (rt *Runtime) admitRead(th *sim.Thread, rank, key int) {
 	}
 	if conflict {
 		rt.Stats[statConflictFence]++
-		rt.Fence(th, rank)
+		rt.fence(th, rank, pos)
 	} else if naiveWould {
 		rt.Stats[statConflictAvoided]++
 	}
 	*rt.status(pos, key) |= csRead
+	return pos
 }
 
 // Fence blocks until every outstanding write from this process to rank is
@@ -83,12 +84,15 @@ func (rt *Runtime) admitRead(th *sim.Thread, rank, key int) {
 // leave nothing for the fence to wait on — this mainly covers workloads
 // that mix Nb* writes with fault injection, which is best-effort: a lost
 // Nb write's ack never arrives and the fence panics.
-func (rt *Runtime) Fence(th *sim.Thread, rank int) {
-	if pos := rt.peers.find(rank); pos >= 0 {
+func (rt *Runtime) Fence(th *sim.Thread, rank int) { rt.fence(th, rank, rt.peers.find(rank)) }
+
+// fence is Fence to rank at position pos (-1: no record, nothing to wait for).
+func (rt *Runtime) fence(th *sim.Thread, rank, pos int) {
+	if pos >= 0 {
 		if n := int(rt.peers.at(pos).puts); n > 0 {
 			s := rt.takeSlot()
 			err := rt.attempt(th, "fence.flush", rank, 0, &s.comp, func() {
-				rt.mainCtx.FlushRemote(th, rt.epData(th, rank), &s.comp)
+				rt.mainCtx.FlushRemote(th, rt.endpoint(th, pos, false), &s.comp)
 			}, nil)
 			if err != nil {
 				panic(fmt.Sprintf("armci: fence flush to rank %d exhausted retries: %v", rank, err))

@@ -164,6 +164,7 @@ type xfer struct {
 	// copies arrive.
 	id   int64
 	data []byte
+	pos  int  // the target's clique position, found once per operation
 	rdma bool // the last attempt went by RDMA: its missed deadline turns the target suspect
 	// e2e marks a blocking operation on a chaos run. The caller waits
 	// until the bytes landed or were applied, so a timed wait detects
@@ -172,11 +173,11 @@ type xfer struct {
 	e2e bool
 }
 
-// blockingXfer is a blocking operation's xfer, in a slot complete
-// releases; a non-blocking one is xfer{s: h.s}, completed through its
-// Handle.
-func (rt *Runtime) blockingXfer() xfer {
-	return xfer{s: rt.takeSlot(), e2e: rt.faulty()}
+// blockingXfer is a blocking operation's xfer to the peer at position
+// pos, in a slot complete releases; a non-blocking one is xfer{s: h.s,
+// pos: pos}, completed through its Handle.
+func (rt *Runtime) blockingXfer(pos int) xfer {
+	return xfer{s: rt.takeSlot(), pos: pos, e2e: rt.faulty()}
 }
 
 // complete drives x through attempt. An end-to-end operation then drops
@@ -186,7 +187,7 @@ func (rt *Runtime) blockingXfer() xfer {
 func (rt *Runtime) complete(th *sim.Thread, op string, target, n int, x *xfer, issue func()) error {
 	err := rt.attempt(th, op, target, n, &x.s.comp, issue, func() {
 		if x.rdma {
-			rt.markSuspect(target)
+			rt.markSuspect(x.pos)
 		}
 	})
 	if x.e2e {
@@ -197,21 +198,21 @@ func (rt *Runtime) complete(th *sim.Thread, op string, target, n int, x *xfer, i
 }
 
 // rdmaReady is §III.C.1's selection rule: RDMA when both memory regions
-// are at hand — [local, local+ln) registered here, [addr, addr+rn) at
-// rank resolved through the region cache — and rank is not inside a
-// suspect window; else the active-message fallback.
-func (rt *Runtime) rdmaReady(th *sim.Thread, local mem.Addr, ln, rank int, addr mem.Addr, rn int) bool {
-	return !rt.rdmaSuspect(rank) && rt.localRegionFor(th, local, ln) && rt.remoteRegionFor(th, rank, addr, rn)
+// are at hand — [local, local+ln) registered here, [addr, addr+rn) at the
+// peer in position pos resolved through the region cache — and the peer is
+// not inside a suspect window; else the active-message fallback.
+func (rt *Runtime) rdmaReady(th *sim.Thread, local mem.Addr, ln, pos int, addr mem.Addr, rn int) bool {
+	return !rt.rdmaSuspect(pos) && rt.localRegionFor(th, local, ln) && rt.remoteRegionFor(th, pos, addr, rn)
 }
 
-// amWrite prepares x's first AM attempt at a write of n bytes to rank:
+// amWrite prepares x's first AM attempt at a write of n bytes to x's peer:
 // payload borrowed (pami recycles it after the one delivery of a healthy
 // run; a chaos run's is never recycled, so a retry may re-send it), pend
 // id allocated and, unless the write is end to end, its ack booked for the
 // next fence. The ack finishes x when acked is set; a put that completes
 // at issue leaves it unset, so the pend slot never holds a completion its
 // operation no longer owns.
-func (rt *Runtime) amWrite(x *xfer, local mem.Addr, rank, n int, acked bool) {
+func (rt *Runtime) amWrite(x *xfer, local mem.Addr, n int, acked bool) {
 	x.data = rt.C.Space.Borrow(local, n)
 	var p *pendReq
 	x.id, p = rt.newPend()
@@ -220,7 +221,7 @@ func (rt *Runtime) amWrite(x *xfer, local mem.Addr, rank, n int, acked bool) {
 	}
 	if !x.e2e {
 		p.counted = true
-		rt.noteWrites(rank, 0, 1)
+		rt.peers.addWrites(x.pos, 0, 1)
 	}
 }
 
@@ -230,14 +231,14 @@ func (rt *Runtime) amWrite(x *xfer, local mem.Addr, rank, n int, acked bool) {
 // whose remote ack feeds the fence.
 func (rt *Runtime) issuePut(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalPtr, n int) {
 	if !x.e2e {
-		rt.markWrite(dst.Rank, rt.allocKey(dst))
+		rt.markWrite(x.pos, rt.allocKey(dst))
 	}
-	if x.rdma = rt.rdmaReady(th, local, n, dst.Rank, dst.Addr, n); x.rdma {
+	if x.rdma = rt.rdmaReady(th, local, n, x.pos, dst.Addr, n); x.rdma {
 		// Under an injector RdmaPut's completion is end to end (posted at
 		// delivery), so a timed wait detects a dropped data message.
-		rt.mainCtx.RdmaPut(th, rt.epData(th, dst.Rank), local, dst.Addr, n, &x.s.comp)
+		rt.mainCtx.RdmaPut(th, rt.endpoint(th, x.pos, false), local, dst.Addr, n, &x.s.comp)
 		if !x.e2e {
-			rt.noteWrites(dst.Rank, 1, 0)
+			rt.peers.addWrites(x.pos, 1, 0)
 		}
 		rt.Stats[statPutRdma]++
 		rt.tr("rdma", "put.rdma", int64(n))
@@ -246,12 +247,12 @@ func (rt *Runtime) issuePut(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 	if x.id == 0 {
 		// An end-to-end put completes at its ack; any other is locally
 		// complete at issue, since the AM owns a copy of the buffer.
-		rt.amWrite(x, local, dst.Rank, n, x.e2e)
+		rt.amWrite(x, local, n, x.e2e)
 		if !x.e2e {
 			x.s.comp.Finish()
 		}
 	}
-	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutReq, []int64{x.id, int64(dst.Addr)}, x.data)
+	rt.mainCtx.SendAM(th, rt.endpoint(th, x.pos, true), dPutReq, []int64{x.id, int64(dst.Addr)}, x.data)
 	rt.Stats[statPutAM]++
 	rt.tr("am", "put.am", int64(n))
 }
@@ -260,7 +261,7 @@ func (rt *Runtime) issuePut(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 // issuePut). The handle completes when the local buffer is reusable.
 func (rt *Runtime) NbPut(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) Handle {
 	h := rt.newHandle()
-	x := xfer{s: h.s}
+	x := xfer{s: h.s, pos: rt.peers.record(dst.Rank)}
 	rt.issuePut(th, &x, local, dst, n)
 	return h
 }
@@ -280,7 +281,7 @@ func (rt *Runtime) Put(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) {
 // retryPolicy, and returns *OpError when the budget is exhausted.
 func (rt *Runtime) PutErr(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) error {
 	t0 := th.Now()
-	x := rt.blockingXfer()
+	x := rt.blockingXfer(rt.peers.record(dst.Rank))
 	if err := rt.complete(th, "put", dst.Rank, n, &x, func() { rt.issuePut(th, &x, local, dst, n) }); err != nil {
 		return err
 	}
@@ -293,8 +294,8 @@ func (rt *Runtime) PutErr(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) 
 // longer one-sided — the target must advance its progress engine to serve
 // it (the extra o of Eq. 8).
 func (rt *Runtime) issueGet(th *sim.Thread, x *xfer, src GlobalPtr, local mem.Addr, n int) {
-	if x.rdma = rt.rdmaReady(th, local, n, src.Rank, src.Addr, n); x.rdma {
-		rt.mainCtx.RdmaGet(th, rt.epData(th, src.Rank), local, src.Addr, n, &x.s.comp)
+	if x.rdma = rt.rdmaReady(th, local, n, x.pos, src.Addr, n); x.rdma {
+		rt.mainCtx.RdmaGet(th, rt.endpoint(th, x.pos, false), local, src.Addr, n, &x.s.comp)
 		rt.Stats[statGetRdma]++
 		rt.tr("rdma", "get.rdma", int64(n))
 		return
@@ -305,7 +306,7 @@ func (rt *Runtime) issueGet(th *sim.Thread, x *xfer, src GlobalPtr, local mem.Ad
 		p.comp = &x.s.comp
 		p.localAddr = local
 	}
-	rt.mainCtx.SendAM(th, rt.epSvc(th, src.Rank), dGetReq, []int64{x.id, int64(src.Addr), int64(n)}, nil)
+	rt.mainCtx.SendAM(th, rt.endpoint(th, x.pos, true), dGetReq, []int64{x.id, int64(src.Addr), int64(n)}, nil)
 	rt.Stats[statGetFallback]++
 	rt.tr("am", "get.fallback", int64(n))
 }
@@ -314,9 +315,9 @@ func (rt *Runtime) issueGet(th *sim.Thread, x *xfer, src GlobalPtr, local mem.Ad
 // local memory. A conflicting outstanding write to the same distributed
 // structure fences first (location consistency).
 func (rt *Runtime) NbGet(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) Handle {
-	rt.admitRead(th, src.Rank, rt.allocKey(src))
+	pos := rt.admitRead(th, src.Rank, rt.allocKey(src))
 	h := rt.newHandle()
-	x := xfer{s: h.s}
+	x := xfer{s: h.s, pos: pos}
 	rt.issueGet(th, &x, src, local, n)
 	return h
 }
@@ -332,8 +333,7 @@ func (rt *Runtime) Get(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) {
 // GetErr is the error-returning blocking get (see PutErr).
 func (rt *Runtime) GetErr(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) error {
 	t0 := th.Now()
-	rt.admitRead(th, src.Rank, rt.allocKey(src))
-	x := rt.blockingXfer()
+	x := rt.blockingXfer(rt.admitRead(th, src.Rank, rt.allocKey(src)))
 	if err := rt.complete(th, "get", src.Rank, n, &x, func() { rt.issueGet(th, &x, src, local, n) }); err != nil {
 		return err
 	}
@@ -348,11 +348,11 @@ func (rt *Runtime) GetErr(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) 
 func (rt *Runtime) issueAcc(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalPtr, n int, scale float64) {
 	if x.id == 0 {
 		if !x.e2e {
-			rt.markWrite(dst.Rank, rt.allocKey(dst))
+			rt.markWrite(x.pos, rt.allocKey(dst))
 		}
-		rt.amWrite(x, local, dst.Rank, n, true)
+		rt.amWrite(x, local, n, true)
 	}
-	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dAccReq,
+	rt.mainCtx.SendAM(th, rt.endpoint(th, x.pos, true), dAccReq,
 		[]int64{x.id, int64(dst.Addr), int64(math.Float64bits(scale))}, x.data)
 	rt.Stats[statAcc]++
 	rt.tr("am", "acc", int64(n))
@@ -365,7 +365,7 @@ func (rt *Runtime) NbAcc(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, s
 		panic("armci: accumulate length must be a multiple of 8")
 	}
 	h := rt.newHandle()
-	x := xfer{s: h.s}
+	x := xfer{s: h.s, pos: rt.peers.record(dst.Rank)}
 	rt.issueAcc(th, &x, local, dst, n, scale)
 	return h
 }
@@ -386,7 +386,7 @@ func (rt *Runtime) AccErr(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, 
 		return fmt.Errorf("armci: accumulate length %d not a multiple of 8", n)
 	}
 	t0 := th.Now()
-	x := rt.blockingXfer()
+	x := rt.blockingXfer(rt.peers.record(dst.Rank))
 	if err := rt.complete(th, "acc", dst.Rank, n, &x, func() { rt.issueAcc(th, &x, local, dst, n, scale) }); err != nil {
 		return err
 	}

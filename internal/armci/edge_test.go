@@ -197,7 +197,7 @@ func TestSpaceModelEquations(t *testing.T) {
 		t.Fatalf("local region bytes = %d, want (σ+τ)γ = %d", got, want)
 	}
 	// Remote cache: sigma entries per peer (σ·ζ·γ of Eq 5).
-	if got, want := rt.regions.Len(), sigma*(procs-1); got != want {
+	if got, want := rt.regions.total, sigma*(procs-1); got != want {
 		t.Fatalf("cached remote regions = %d, want σ·ζ = %d", got, want)
 	}
 	// Endpoint accounting matches α per created endpoint.

@@ -148,10 +148,12 @@ func TestAllFenceVisitsDirtyTargetsOnly(t *testing.T) {
 // TestRuntimeSize: a runtime is an element of a world-sized slice, so
 // every byte it gains is p bytes of every world. The clique table took the
 // place of two endpoint caches, the fence map and the consistency vectors
-// without growing it: 800 B on a 64-bit build.
+// without growing it (800 B); its first record, inline, then took the
+// region-cache buckets and the suspect window and kept a peer's node
+// instead of its two endpoints: 760 B on a 64-bit build.
 func TestRuntimeSize(t *testing.T) {
-	if size := unsafe.Sizeof(Runtime{}); size > 800 {
-		t.Fatalf("Runtime is %d bytes, want <= 800", size)
+	if size := unsafe.Sizeof(Runtime{}); size > 760 {
+		t.Fatalf("Runtime is %d bytes, want <= 760", size)
 	}
 }
 

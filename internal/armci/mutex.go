@@ -60,7 +60,7 @@ func (rt *Runtime) Lock(th *sim.Thread, idx int) {
 	id, p := rt.newPend()
 	s := rt.takeSlot()
 	p.comp = &s.comp
-	rt.mainCtx.SendAM(th, rt.epSvc(th, rt.muOwner(idx)), dLockReq,
+	rt.mainCtx.SendAM(th, rt.endpoint(th, rt.peers.record(rt.muOwner(idx)), true), dLockReq,
 		[]int64{id, int64(idx)}, nil)
 	rt.mainCtx.WaitLocal(th, &s.comp)
 	rt.releaseSlot(s)
@@ -70,7 +70,7 @@ func (rt *Runtime) Lock(th *sim.Thread, idx int) {
 // Unlock releases global mutex idx; the owner grants it to the oldest
 // waiter, if any.
 func (rt *Runtime) Unlock(th *sim.Thread, idx int) {
-	rt.mainCtx.SendAM(th, rt.epSvc(th, rt.muOwner(idx)), dUnlockReq,
+	rt.mainCtx.SendAM(th, rt.endpoint(th, rt.peers.record(rt.muOwner(idx)), true), dUnlockReq,
 		[]int64{int64(idx)}, nil)
 	rt.Stats[statMutexUnlock]++
 }

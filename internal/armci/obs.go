@@ -174,7 +174,7 @@ func (w *World) observe(r *obs.Registry) {
 	}
 	r.CounterFamily("armci/regioncache.entries", rank, len(w.Runtimes), func(i int) (obs.Series, bool) {
 		rt := &w.Runtimes[i]
-		return obs.Series{Labels: [2]int32{int32(i)}, V: int64(rt.regions.Len())}, rt.W != nil
+		return obs.Series{Labels: [2]int32{int32(i)}, V: int64(rt.regions.total)}, rt.W != nil
 	})
 }
 

@@ -179,7 +179,7 @@ func (rt *Runtime) handleAck(_ *sim.Thread, _ *pami.Context, msg *pami.AMessage)
 		p.comp.FinishOnce()
 	}
 	if p.counted {
-		rt.noteWrites(msg.Src.Rank, 0, -1)
+		rt.peers.addWrites(rt.peers.record(msg.Src.Rank), 0, -1)
 	}
 }
 

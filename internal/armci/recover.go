@@ -94,25 +94,23 @@ func (e *OpError) Error() string {
 		e.Op, e.Target, e.Attempts, sim.FormatTime(e.Elapsed))
 }
 
-// rdmaSuspect reports whether rank's RDMA path is inside a suspect window
-// (never, on a run that has not marked one: a nil map reads zero).
-func (rt *Runtime) rdmaSuspect(rank int) bool {
-	return rt.C.Ln.Now() < rt.suspectUntil[rank]
+// rdmaSuspect reports whether the RDMA path to the peer at position pos is
+// inside a suspect window (never before one is marked: records start at 0).
+func (rt *Runtime) rdmaSuspect(pos int) bool {
+	return rt.C.Ln.Now() < rt.peers.at(pos).suspect
 }
 
-// markSuspect degrades rank's RDMA path: cached region descriptors are
-// purged and operations fall back to the AM protocols until the window
-// expires. Called when an RDMA attempt times out — the descriptor, the
-// route, or the target MU may be the casualty, and the AM path at least
-// re-resolves everything per attempt.
-func (rt *Runtime) markSuspect(rank int) {
-	if rt.suspectUntil == nil {
-		rt.suspectUntil = make(map[int]sim.Time)
-	}
-	rt.suspectUntil[rank] = rt.C.Ln.Now() + rt.retry.SuspectWindow
-	rt.regions.purgeRank(rank)
+// markSuspect degrades the RDMA path to the peer at position pos: its
+// cached region descriptors are purged and operations fall back to the AM
+// protocols until the window expires. Called when an RDMA attempt times
+// out — the descriptor, the route, or the target MU may be the casualty,
+// and the AM path at least re-resolves everything per attempt.
+func (rt *Runtime) markSuspect(pos int) {
+	p := rt.peers.at(pos)
+	p.suspect = rt.C.Ln.Now() + rt.retry.SuspectWindow
+	rt.cache().purgeRank(pos)
 	rt.Stats[statRdmaSuspect]++
-	rt.tr("fault", "rdma.suspect", int64(rank))
+	rt.tr("fault", "rdma.suspect", int64(p.rank))
 }
 
 // attempt drives one logical operation to completion. Without an injector

@@ -150,10 +150,10 @@ func TestRdmaLossDegradesToAM(t *testing.T) {
 				wantStats(t, rt, map[string]int64{
 					op.rdma: 1, op.am: 1, "timeout": 1, "retry": 1, "recovered": 1, "rdma.suspect": 1,
 				})
-				if n := rt.regions.Len(); n != 0 {
+				if n := rt.regions.total; n != 0 {
 					t.Errorf("suspect rank still has %d cached region descriptors", n)
 				}
-				if !rt.rdmaSuspect(1) {
+				if !rt.rdmaSuspect(rt.peers.find(1)) {
 					t.Error("rank 1 is not suspect right after its RDMA attempt timed out")
 				}
 				misses := rt.Stats.Get("regioncache.miss")

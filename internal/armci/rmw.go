@@ -21,7 +21,7 @@ func (rt *Runtime) rmw(th *sim.Thread, dst GlobalPtr, op pami.RmwOp, operand, co
 	t0 := th.Now()
 	id, comp := rt.mainCtx.RmwBegin()
 	err := rt.attempt(th, "rmw", dst.Rank, 8, comp, func() {
-		rt.mainCtx.RmwIssue(th, rt.epSvc(th, dst.Rank), id, dst.Addr, op, operand, compare)
+		rt.mainCtx.RmwIssue(th, rt.endpoint(th, rt.peers.record(dst.Rank), true), id, dst.Addr, op, operand, compare)
 	}, nil)
 	prev := rt.mainCtx.RmwEnd(id)
 	if err != nil {

@@ -187,20 +187,21 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 	if numChunks(counts) == 1 {
 		return rt.NbPut(th, local, dst, counts[0])
 	}
-	rt.markWrite(dst.Rank, rt.allocKey(dst))
+	pos := rt.peers.record(dst.Rank)
+	rt.markWrite(pos, rt.allocKey(dst))
 	h := rt.newHandle()
 
 	if counts[0] >= rt.W.Cfg.TypedThreshold && rt.rdmaReady(th, local, patchExtent(localStrides, counts),
-		dst.Rank, dst.Addr, patchExtent(dstStrides, counts)) {
+		pos, dst.Addr, patchExtent(dstStrides, counts)) {
 		set := &h.s.set
 		rt.mainCtx.InitOpSet(set, &h.s.comp)
-		ep := rt.epData(th, dst.Rank)
+		ep := rt.endpoint(th, pos, false)
 		forEachChunk(counts, localStrides, dstStrides, func(lOff, rOff int) {
 			set.RdmaPut(th, ep, local+mem.Addr(lOff),
 				dst.Addr+mem.Addr(rOff), counts[0])
 		})
 		set.Arm()
-		rt.noteWrites(dst.Rank, 1, 0)
+		rt.peers.addWrites(pos, 1, 0)
 		rt.Stats[statStridedChunks] += int64(numChunks(counts))
 		return h
 	}
@@ -211,9 +212,9 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 	data := packPatch(rt.C.Space, local, localStrides, counts)
 	id, p := rt.newPend()
 	p.counted = true
-	rt.noteWrites(dst.Rank, 0, 1)
+	rt.peers.addWrites(pos, 0, 1)
 	var hdr [stridedHdrMax]int64
-	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dPutSReq,
+	rt.mainCtx.SendAM(th, rt.endpoint(th, pos, true), dPutSReq,
 		stridedHdr(&hdr, id, dst.Addr, 0, dstStrides, counts), data)
 	rt.Stats[statStridedTyped]++
 	h.s.comp.Finish() // locally complete at issue: the AM owns the packed copy
@@ -237,14 +238,14 @@ func (rt *Runtime) NbGetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
 	if numChunks(counts) == 1 {
 		return rt.NbGet(th, src, local, counts[0])
 	}
-	rt.admitRead(th, src.Rank, rt.allocKey(src))
+	pos := rt.admitRead(th, src.Rank, rt.allocKey(src))
 	h := rt.newHandle()
 
 	if counts[0] >= rt.W.Cfg.TypedThreshold && rt.rdmaReady(th, local, patchExtent(localStrides, counts),
-		src.Rank, src.Addr, patchExtent(srcStrides, counts)) {
+		pos, src.Addr, patchExtent(srcStrides, counts)) {
 		set := &h.s.set
 		rt.mainCtx.InitOpSet(set, &h.s.comp)
-		ep := rt.epData(th, src.Rank)
+		ep := rt.endpoint(th, pos, false)
 		forEachChunk(counts, localStrides, srcStrides, func(lOff, rOff int) {
 			set.RdmaGet(th, ep, local+mem.Addr(lOff),
 				src.Addr+mem.Addr(rOff), counts[0])
@@ -261,7 +262,7 @@ func (rt *Runtime) NbGetS(th *sim.Thread, src GlobalPtr, srcStrides []int,
 	p.localAddr = local
 	p.layout = layoutOf(localStrides, counts)
 	var hdr [stridedHdrMax]int64
-	rt.mainCtx.SendAM(th, rt.epSvc(th, src.Rank), dGetSReq,
+	rt.mainCtx.SendAM(th, rt.endpoint(th, pos, true), dGetSReq,
 		stridedHdr(&hdr, id, src.Addr, 0, srcStrides, counts), nil)
 	rt.Stats[statStridedTyped]++
 	return h
@@ -286,7 +287,8 @@ func (rt *Runtime) NbAccS(th *sim.Thread, local mem.Addr, localStrides []int,
 	if counts[0]%mem.Float64Size != 0 {
 		panic("armci: AccS chunk size must be a multiple of 8")
 	}
-	rt.markWrite(dst.Rank, rt.allocKey(dst))
+	pos := rt.peers.record(dst.Rank)
+	rt.markWrite(pos, rt.allocKey(dst))
 	m := patchBytes(counts)
 	rt.copyCost(th, m)
 	data := packPatch(rt.C.Space, local, localStrides, counts)
@@ -294,9 +296,9 @@ func (rt *Runtime) NbAccS(th *sim.Thread, local mem.Addr, localStrides []int,
 	h := rt.newHandle()
 	p.comp = &h.s.comp
 	p.counted = true
-	rt.noteWrites(dst.Rank, 0, 1)
+	rt.peers.addWrites(pos, 0, 1)
 	var hdr [stridedHdrMax]int64
-	rt.mainCtx.SendAM(th, rt.epSvc(th, dst.Rank), dAccSReq,
+	rt.mainCtx.SendAM(th, rt.endpoint(th, pos, true), dAccSReq,
 		stridedHdr(&hdr, id, dst.Addr, int64(math.Float64bits(scale)), dstStrides, counts), data)
 	rt.Stats[statAccStrided]++
 	return h
