@@ -38,8 +38,10 @@ test-short:
 # The zero-allocation invariants skip under -race (its instrumentation
 # allocates), so the last line runs them, the objects- and
 # switches-per-rank budgets (each objects budget and the thread-spawn one
-# cold, from an empty carrier pool, and warm, from a primed one:
-# TestThreadSpawnWarmAllocBound, TestFig9WarmObjectsPerRank,
+# cold, from an empty carrier pool, and warm, from a primed one and, for
+# the fig9 budgets, a primed engine shelf — the flights and payload buffers
+# earlier worlds of one sweep engine left there, where a cold world makes
+# its own: TestThreadSpawnWarmAllocBound, TestFig9WarmObjectsPerRank,
 # TestFig9MetricsWarmObjectsPerRank, TestIdleWorldWarmObjectsPerRank; a
 # metrics-only world's per-rank series cost no object,
 # TestFig9MetricsObjectsPerRank),
@@ -47,8 +49,10 @@ test-short:
 # 16384-rank world (skipped under -short), the event-size pin, the RDMA
 # flight and payload-pool budgets (internal/pami, internal/mem), the
 # patch budget (internal/ga: Get, Put, Acc, OwnData and Fill allocate
-# nothing in steady state), the SCF iteration budget (internal/nwchem:
-# iterations after the first contacts cost only the peers first met late),
+# nothing in steady state), the SCF iteration budget and GC independence
+# (internal/nwchem: iterations after the first contacts cost only the
+# peers first met late, and a warm run makes the same objects at GOGC 25,
+# 100, 400 and off),
 # the merge budget (internal/obs: per track, never per record) and simd's
 # hit-path, cold-write and point-delivery allocation budgets
 # (internal/serve: parse memo + LRU hit, parse memo + verified disk load,

@@ -94,9 +94,9 @@ func TestDocsNameRealThings(t *testing.T) {
 // doc shrinks; raising one means editing it here beside a one-line reason.
 var docCeilings = map[string]int64{
 	"README.md":      14396, // its size once the claims test judged both scales
-	"DESIGN.md":      91164, // its size once region-cache buckets and suspect windows moved into the clique table
-	"EXPERIMENTS.md": 76662, // its size once the clique-table section came in and two older sections shrank
-	"CHANGES.md":     10528, // its size once five older entries shrank and the clique-table entry and three findings were added
+	"DESIGN.md":      91148, // its size once the shelf rule replaced the process-wide pools
+	"EXPERIMENTS.md": 75665, // its size once the shelf section came in and the bring-up section shrank
+	"CHANGES.md":     10517, // its size once older entries shrank and the shelf entry and two findings were added
 }
 
 func TestDocsByteBudget(t *testing.T) {

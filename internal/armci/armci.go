@@ -91,6 +91,12 @@ type Config struct {
 	// metrics, ARMCI op counts/latencies — into the given registry. Nil
 	// costs one pointer check per instrumentation point.
 	Obs *obs.Registry
+	// Shelf, when non-nil, is what the world's lanes recycle flights and
+	// payload buffers through, kept for the worlds run after it
+	// (pami.Shelf); sweep.Ctx.Cfg attaches its worker's. Nil gives the
+	// world a private one. Purely an execution value: it never changes a
+	// simulated byte. A shelf serves one world at a time.
+	Shelf *pami.Shelf
 
 	// retry replaces defaultRetryPolicy on a chaos run; tests shorten the
 	// budget with it.
@@ -217,7 +223,7 @@ func NewWorld(k *sim.Kernel, cfg Config) (*World, error) {
 	// One lane per node, fixed by the topology; Shards only picks the
 	// worker count, so results are invariant across shard settings.
 	k.ConfigureLanes(tor.Nodes(), cfg.Shards, cfg.Params.Lookahead())
-	m := pami.NewMachine(k, tor, cfg.Params, cfg.Contexts)
+	m := pami.NewMachine(k, tor, cfg.Params, cfg.Contexts, cfg.Shelf)
 	m.SeedBase = cfg.Seed
 	w := &World{
 		K:        k,
@@ -277,7 +283,9 @@ func Run(cfg Config, body func(th *sim.Thread, rt *Runtime)) (*World, error) {
 		return nil, err
 	}
 	w.Start(body)
-	return w, k.Run()
+	err = k.Run()
+	w.M.Shelve()
+	return w, err
 }
 
 // MustRun is Run that fails loudly; experiment harnesses use it.

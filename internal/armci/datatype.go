@@ -213,7 +213,7 @@ func (rt *Runtime) rdmaReady(th *sim.Thread, local mem.Addr, ln, pos int, addr m
 // at issue leaves it unset, so the pend slot never holds a completion its
 // operation no longer owns.
 func (rt *Runtime) amWrite(x *xfer, local mem.Addr, n int, acked bool) {
-	x.data = rt.C.Space.Borrow(local, n)
+	x.data = rt.C.Bufs().Borrow(rt.C.Space, local, n)
 	var p *pendReq
 	x.id, p = rt.newPend()
 	if acked {

@@ -143,7 +143,7 @@ func (rt *Runtime) handleGetReq(th *sim.Thread, x *pami.Context, msg *pami.AMess
 	// Zero-copy reply: the data streams straight from the ARMCI heap, so
 	// the remote overhead is the constant o of Eq. 8 (handler dispatch +
 	// reply injection), not a per-byte copy.
-	data := rt.C.Space.Borrow(addr, n)
+	data := rt.C.Bufs().Borrow(rt.C.Space, addr, n)
 	x.SendAM(th, msg.Src, dGetRep, []int64{id}, data)
 }
 

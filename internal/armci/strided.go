@@ -126,10 +126,10 @@ func forEachChunk(counts []int, aStr, bStr []int, fn func(aOff, bOff int)) {
 	}
 }
 
-// packPatch serializes a strided patch into a contiguous mem.Buf: an AM
-// payload, which pami hands back to the pool once its handler has run.
-func packPatch(s *mem.Space, base mem.Addr, strides []int, counts []int) []byte {
-	out := mem.Buf(patchBytes(counts))
+// packPatch serializes a strided patch of s into a contiguous buffer from
+// bufs: an AM payload, which pami hands back once its handler has run.
+func packPatch(bufs *mem.Classes, s *mem.Space, base mem.Addr, strides []int, counts []int) []byte {
+	out := bufs.Buf(patchBytes(counts))
 	pos := 0
 	forEachChunk(counts, strides, strides, func(off, _ int) {
 		pos += copy(out[pos:], s.Bytes(base+mem.Addr(off), counts[0]))
@@ -209,7 +209,7 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 	// Typed/packed path.
 	m := patchBytes(counts)
 	rt.copyCost(th, m)
-	data := packPatch(rt.C.Space, local, localStrides, counts)
+	data := packPatch(rt.C.Bufs(), rt.C.Space, local, localStrides, counts)
 	id, p := rt.newPend()
 	p.counted = true
 	rt.peers.addWrites(pos, 0, 1)
@@ -291,7 +291,7 @@ func (rt *Runtime) NbAccS(th *sim.Thread, local mem.Addr, localStrides []int,
 	rt.markWrite(pos, rt.allocKey(dst))
 	m := patchBytes(counts)
 	rt.copyCost(th, m)
-	data := packPatch(rt.C.Space, local, localStrides, counts)
+	data := packPatch(rt.C.Bufs(), rt.C.Space, local, localStrides, counts)
 	id, p := rt.newPend()
 	h := rt.newHandle()
 	p.comp = &h.s.comp
@@ -328,7 +328,7 @@ func (rt *Runtime) handleGetSReq(th *sim.Thread, x *pami.Context, msg *pami.AMes
 	id, addr, _, l := decodeStridedHdr(msg.Hdr)
 	strides, counts := l.slices()
 	rt.copyCost(th, patchBytes(counts))
-	data := packPatch(rt.C.Space, addr, strides, counts)
+	data := packPatch(rt.C.Bufs(), rt.C.Space, addr, strides, counts)
 	x.SendAM(th, msg.Src, dGetSRep, []int64{id}, data)
 }
 

@@ -67,7 +67,7 @@ func TestPackUnpackRoundTripProperty(t *testing.T) {
 			dst := rt.Space().Alloc(extent)
 			rt.Space().CopyIn(src, pattern(extent, seed))
 
-			data := packPatch(rt.Space(), src, strides, counts)
+			data := packPatch(new(mem.Classes), rt.Space(), src, strides, counts)
 			if len(data) != patchBytes(counts) {
 				return false
 			}
@@ -225,7 +225,7 @@ func FuzzStridedPatch(f *testing.F) {
 		src, dst := mem.NewSpace(), mem.NewSpace()
 		a, b := src.Alloc(ext), dst.Alloc(ext)
 		src.CopyIn(a, pattern(ext, chunk))
-		data := packPatch(src, a, strides, counts)
+		data := packPatch(new(mem.Classes), src, a, strides, counts)
 		if len(data) != patchBytes(counts) {
 			t.Fatalf("packed %d bytes, want %d", len(data), patchBytes(counts))
 		}

@@ -2,12 +2,12 @@ package bench
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/armci"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // hammerCost runs one whole fig9 simulation — the hammer body,
@@ -15,18 +15,31 @@ import (
 // the amo_storm benchmark workload's world — and returns what it cost the
 // host: heap objects allocated, and coroutine switches into simulated
 // threads.
-// reg is the world's registry (Config.Obs), nil for none. A cold run
-// first empties the carrier pool, so that every thread that runs makes
-// its coroutine, as in a fresh process; a warm one takes the carriers
-// earlier runs pooled.
-func hammerCost(procs int, reg *obs.Registry, cold bool) (objects, switches uint64) {
-	if cold {
+// reg is the world's registry (Config.Obs), nil for none. A cold run (eng
+// nil) first empties the carrier pool, so that every thread that runs
+// makes its coroutine, as in a fresh process, and its world recycles
+// through a shelf of its own. A warm one runs through eng, as the
+// benchmark runs its worlds: it takes the carriers earlier runs pooled,
+// and the flights earlier runs left on the engine's shelf.
+func hammerCost(procs int, reg *obs.Registry, eng *sweep.Engine) (objects, switches uint64) {
+	if eng == nil {
 		sim.DrainCarrierPool()
 	}
+	cfg := armci.Config{Procs: procs, ProcsPerNode: 16, AsyncThread: true, Obs: reg}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	w, _, _ := hammer(armci.Config{Procs: procs, ProcsPerNode: 16, AsyncThread: true, Obs: reg}, 2, true, false)
+	var w *armci.World
+	if eng == nil {
+		w, _, _ = hammer(cfg, 2, true, false)
+	} else {
+		sweep.Map(eng, 1, func(c *sweep.Ctx, _ int) int {
+			cfg := c.Cfg(cfg)
+			cfg.Obs = reg // the registry the cold run records into, not a child merged away
+			w, _, _ = hammer(cfg, 2, true, false)
+			return 0
+		})
+	}
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs, w.K.Switches()
 }
@@ -46,7 +59,8 @@ func hammerCost(procs int, reg *obs.Registry, cold bool) (objects, switches uint
 //	     carrier's method value 1 (none warm: TestFig9WarmObjectsPerRank)
 //	1.0  the Malloc'd block's heap array
 //	0.6  runtime.malg: coroutine stacks not recycled (none warm)
-//	0.6  the amFlight pool: the requests in flight to rank 0 at once
+//	0.1  AM flights, cut 16 to a chunk, and each lane's list of them
+//	     (none warm: the engine's shelf holds them)
 //	1.6  amortised lane arrays, routes and per-world tables
 //
 // and ≈ 3 one-byte flags iter.Pull captures, which MemStats counts and the
@@ -55,12 +69,12 @@ func hammerCost(procs int, reg *obs.Registry, cold bool) (objects, switches uint
 // part that is bring-up alone.
 func TestFig9ObjectsPerRank(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops a share of the recycled flights under the race detector")
+		t.Skip("armci retires operation slots under the race detector instead of reusing them")
 	}
 	t.Cleanup(func() { sim.DrainCarrierPool() })
-	hammerCost(64, nil, true) // page in the code paths and the runtime's own pools
-	small, _ := hammerCost(512, nil, true)
-	big, _ := hammerCost(1024, nil, true)
+	hammerCost(64, nil, nil) // page in the code paths and the runtime's own pools
+	small, _ := hammerCost(512, nil, nil)
+	big, _ := hammerCost(1024, nil, nil)
 	perRank := float64(big-small) / 512
 	t.Logf("fig9: %d objects at p=512, %d at p=1024: %.1f per added rank, cold", small, big, perRank)
 	if perRank > 15.6 {
@@ -69,23 +83,23 @@ func TestFig9ObjectsPerRank(t *testing.T) {
 }
 
 // TestFig9WarmObjectsPerRank is TestFig9ObjectsPerRank in a warm process,
-// whose threads run on the carriers of earlier runs (sim's carrier pool,
-// primed here by a p = 1024 run; then the cold test's 64, 512, 1024):
-// no coroutine and no stack is made, so one more rank costs at most 2.9
-// objects, the measured 2.8 plus 5 %. The collector runs only where
-// hammerCost forces it: a background GC that lands in a run's bring-up
-// drops the AM flights the previous run pooled, and with a metrics
-// registry one did so in about one run in six, some 500 objects more.
+// whose worlds run through one engine, as the benchmark's do: their
+// threads run on the carriers of earlier runs (sim's carrier pool) and
+// their flights are the ones earlier runs left on the engine's shelf, both
+// primed here by a p = 1024 run; then the cold test's 64, 512, 1024. No
+// coroutine, no stack and no flight is made, so one more rank costs at
+// most 2.9 objects, the measured 2.8 plus 5 %. The collector may run when
+// it likes: nothing it empties is what a run recycles.
 func TestFig9WarmObjectsPerRank(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops a share of the recycled flights under the race detector")
+		t.Skip("armci retires operation slots under the race detector instead of reusing them")
 	}
 	t.Cleanup(func() { sim.DrainCarrierPool() })
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	hammerCost(1024, nil, false)
-	hammerCost(64, nil, false)
-	small, _ := hammerCost(512, nil, false)
-	big, _ := hammerCost(1024, nil, false)
+	eng := sweep.NewSharded(1, 0, nil)
+	hammerCost(1024, nil, eng)
+	hammerCost(64, nil, eng)
+	small, _ := hammerCost(512, nil, eng)
+	big, _ := hammerCost(1024, nil, eng)
 	perRank := float64(big-small) / 512
 	t.Logf("fig9: %d objects at p=512, %d at p=1024: %.1f per added rank, warm", small, big, perRank)
 	if perRank > 2.9 {
@@ -113,12 +127,12 @@ func TestFig9WarmObjectsPerRank(t *testing.T) {
 //	     maps
 func TestFig9MetricsObjectsPerRank(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops a share of the recycled flights under the race detector")
+		t.Skip("armci retires operation slots under the race detector instead of reusing them")
 	}
 	t.Cleanup(func() { sim.DrainCarrierPool() })
-	hammerCost(64, metrics(), true)
-	small, _ := hammerCost(512, metrics(), true)
-	big, _ := hammerCost(1024, metrics(), true)
+	hammerCost(64, metrics(), nil)
+	small, _ := hammerCost(512, metrics(), nil)
+	big, _ := hammerCost(1024, metrics(), nil)
 	perRank := float64(big-small) / 512
 	t.Logf("fig9 with metrics: %d objects at p=512, %d at p=1024: %.1f per added rank, cold", small, big, perRank)
 	if perRank > 17.3 {
@@ -135,14 +149,14 @@ func metrics() *obs.Registry { return obs.New(obs.WithTrackCap(0)) }
 // of members).
 func TestFig9MetricsWarmObjectsPerRank(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops a share of the recycled flights under the race detector")
+		t.Skip("armci retires operation slots under the race detector instead of reusing them")
 	}
 	t.Cleanup(func() { sim.DrainCarrierPool() })
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	hammerCost(1024, metrics(), false)
-	hammerCost(64, metrics(), false)
-	small, _ := hammerCost(512, metrics(), false)
-	big, _ := hammerCost(1024, metrics(), false)
+	eng := sweep.NewSharded(1, 0, nil)
+	hammerCost(1024, metrics(), eng)
+	hammerCost(64, metrics(), eng)
+	small, _ := hammerCost(512, metrics(), eng)
+	big, _ := hammerCost(1024, metrics(), eng)
 	perRank := float64(big-small) / 512
 	t.Logf("fig9 with metrics: %d objects at p=512, %d at p=1024: %.1f per added rank, warm", small, big, perRank)
 	if perRank > 4.5 {
@@ -160,8 +174,9 @@ func TestFig9MetricsWarmObjectsPerRank(t *testing.T) {
 // 36.0 switches to 28.0, then 23.0. The count is a function of the
 // simulated schedule alone, so the bound is exact at any worker count.
 func TestFig9SwitchesPerRank(t *testing.T) {
-	_, small := hammerCost(512, nil, false)
-	_, big := hammerCost(1024, nil, false)
+	eng := sweep.NewSharded(1, 0, nil)
+	_, small := hammerCost(512, nil, eng)
+	_, big := hammerCost(1024, nil, eng)
 	perRank := float64(big-small) / 512
 	t.Logf("fig9: %d switches at p=512, %d at p=1024: %.1f per added rank", small, big, perRank)
 	if perRank > 24 {

@@ -23,7 +23,7 @@ func TableII() *Grid {
 
 	k := sim.NewKernel()
 	p := network.DefaultParams()
-	m := pami.NewMachine(k, topology.ForProcs(2, 1), p, 1)
+	m := pami.NewMachine(k, topology.ForProcs(2, 1), p, 1, nil)
 	var ctxT, epT, regT sim.Time
 	var epB, regB, ctxB int
 	k.Spawn("probe", func(th *sim.Thread) {

@@ -47,6 +47,12 @@ type Array struct {
 
 	scratch     mem.Addr
 	scratchSize int
+	// stage holds AccAsync's values while it issues them, kept between
+	// calls and grown to the largest patch, as got and own are: the AM
+	// layer captures each piece's payload at issue, so the next call may
+	// overwrite it.
+	stage     mem.Addr
+	stageSize int
 	// handles is Get's, Put's and Acc's list of the pieces' handles,
 	// filled and emptied by each call, so a call in steady state
 	// allocates none. It starts on handleArr, which holds a patch that
@@ -279,19 +285,21 @@ func (a *Array) AccAsync(th *sim.Thread, r0, c0, r1, c1 int, vals []float64, sca
 	if len(vals) != rows*cols {
 		panic(fmt.Sprintf("ga: %s: Acc of %d values into %dx%d patch", a.Name, len(vals), rows, cols))
 	}
-	// A private staging buffer per call: the scratch buffer may be reused
-	// by the caller before the acc is acknowledged.
-	buf := a.rt.Space().Alloc(rows * cols * mem.Float64Size)
-	a.rt.Space().WriteFloat64s(buf, vals)
+	// Not the scratch buffer: the caller may reuse that before the acc is
+	// acknowledged.
+	if n := rows * cols * mem.Float64Size; a.stageSize < n {
+		if a.stage != mem.Nil {
+			a.rt.Space().Free(a.stage)
+		}
+		a.stage, a.stageSize = a.rt.Space().Alloc(n), n
+	}
+	a.rt.Space().WriteFloat64s(a.stage, vals)
 	a.forEachOwnedPiece(r0, c0, r1, c1, func(rank, pr0, pc0, pr1, pc1, rOff int) {
 		lOff, lStr, rStr, counts := a.stridedArgs(r0, c0, pr0, pc0, pr1, pc1, cols)
 		dst := a.alloc.At(rank).Add(rOff * mem.Float64Size)
-		h := a.rt.NbAccS(th, buf+mem.Addr(lOff), lStr, dst, rStr, counts, scale)
+		h := a.rt.NbAccS(th, a.stage+mem.Addr(lOff), lStr, dst, rStr, counts, scale)
 		a.rt.Track(h)
 	})
-	// The payload was captured by the AM layer at issue time; release the
-	// staging buffer immediately.
-	a.rt.Space().Free(buf)
 }
 
 // OwnData returns a copy of this rank's owned block in row-major logical

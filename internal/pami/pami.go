@@ -39,6 +39,8 @@ type Machine struct {
 	clients  []Client
 	contexts []Context  // the same number of consecutive slots for every rank
 	ctxHists []ctxHists // per (lane, context index): laneCtxHists; nil without a registry
+	shelf    *Shelf
+	holds    []hold // per lane: what it recycles, lent by shelf
 }
 
 // NewMachine builds a machine for every rank of the torus partition on
@@ -46,9 +48,14 @@ type Machine struct {
 // Lanes and observability are the kernel's: set them up first
 // (Kernel.SetObs, then ConfigureLanes); the machine, its network and
 // every client ask the kernel for a node's lane and record into that
-// lane's registry.
-func NewMachine(k *sim.Kernel, torus *topology.Torus, p *network.Params, ctxPerRank int) *Machine {
+// lane's registry. The machine's lanes recycle through shelf, which no
+// other machine may use until this one is shelved (Shelve); nil makes a
+// private one.
+func NewMachine(k *sim.Kernel, torus *topology.Torus, p *network.Params, ctxPerRank int, shelf *Shelf) *Machine {
 	n := torus.Procs()
+	if shelf == nil {
+		shelf = NewShelf()
+	}
 	m := &Machine{
 		K:        k,
 		Net:      network.New(k, torus, p),
@@ -56,6 +63,8 @@ func NewMachine(k *sim.Kernel, torus *topology.Torus, p *network.Params, ctxPerR
 		spaces:   make([]mem.Space, n),
 		clients:  make([]Client, n),
 		contexts: make([]Context, n*ctxPerRank),
+		shelf:    shelf,
+		holds:    shelf.lend(max(1, len(k.Lanes()))),
 	}
 	if r := k.Obs(); r != nil {
 		m.ctxHists = make([]ctxHists, max(1, len(k.Lanes()))*ctxPerRank)

@@ -25,7 +25,7 @@ func newRig(t *testing.T, procs, perNode, nCtx int) *rig {
 	tor := topology.ForProcs(procs, perNode)
 	p := network.DefaultParams()
 	p.JitterFrac = 0 // exact timing assertions
-	m := NewMachine(k, tor, p, nCtx)
+	m := NewMachine(k, tor, p, nCtx, nil)
 	return &rig{k: k, m: m}
 }
 
@@ -442,7 +442,7 @@ func TestCreationCostsMatchTableII(t *testing.T) {
 	tor := topology.ForProcs(1, 1)
 	p := network.DefaultParams()
 	p.JitterFrac = 0
-	m := NewMachine(k, tor, p, 1)
+	m := NewMachine(k, tor, p, 1, nil)
 	var ctxTime, epTime, regTime sim.Time
 	k.Spawn("r0", func(th *sim.Thread) {
 		c := m.NewClient(th, 0)

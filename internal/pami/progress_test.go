@@ -224,7 +224,7 @@ func TestHardwareAMOExecutesWithoutTargetProgress(t *testing.T) {
 	p.JitterFrac = 0
 	p.HardwareAMO = true
 	p.ClientCreateTime, p.ContextCreateTime = 0, 0
-	m := NewMachine(k, tor, p, 1)
+	m := NewMachine(k, tor, p, 1, nil)
 	var counter mem.Addr
 	var lat sim.Time
 	for rank := 0; rank < 2; rank++ {
@@ -309,7 +309,7 @@ func TestPeerWithoutClientPanics(t *testing.T) {
 	tor := topology.ForProcs(2, 1)
 	p := network.DefaultParams()
 	p.ClientCreateTime, p.ContextCreateTime = 0, 0
-	m := NewMachine(k, tor, p, 1)
+	m := NewMachine(k, tor, p, 1, nil)
 	k.Spawn("r0", func(th *sim.Thread) {
 		c := m.NewClient(th, 0)
 		c.CreateContexts(th, 1)

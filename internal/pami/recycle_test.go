@@ -30,15 +30,15 @@ func keptAM(t *testing.T, plan *fault.Plan, payloads [][]byte, handle func(i int
 		a := s.Alloc(len(payloads[0]))
 		for i, p := range payloads {
 			s.CopyIn(a, p)
-			x.SendAM(th, ep, dispatchKeep, []int64{int64(i)}, s.Borrow(a, len(p)))
+			x.SendAM(th, ep, dispatchKeep, []int64{int64(i)}, x.Client.Bufs().Borrow(s, a, len(p)))
 		}
 	})
 }
 
 // TestKeptPayloadIsPoisoned: a handler that keeps msg.Data and reads it
 // after a later delivery reads Poison under the race detector — the
-// payload went back to the pool when its handler returned — so a kept
-// payload anywhere in the tree fails `go test -race`. Without -race the
+// payload went back to its lane's classes when its handler returned — so
+// a kept payload anywhere in the tree fails `go test -race`. Without -race the
 // bytes are not poisoned, and the test has nothing to see.
 func TestKeptPayloadIsPoisoned(t *testing.T) {
 	if !raceEnabled {

@@ -1,7 +1,6 @@
 package pami
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mem"
@@ -29,23 +28,26 @@ func (s *OpSet) landed(*Context) { s.done() }
 // land. That is two copies, and two is the floor — the source may be
 // reused once the put completes locally, the target may be rewritten
 // after a get's turnaround, so the network cannot carry a view of either.
-// The captured bytes are a Borrowed buffer. On a healthy run every message
-// is delivered exactly once, so the landing hands it back right after its
-// CopyIn; under an injector a delivery can fire twice or never, and the
-// buffer is left to the garbage collector.
+// The captured bytes are borrowed from the capturing lane's classes. On a
+// healthy run every message is delivered exactly once, so the landing
+// hands them to the landing lane's right after its CopyIn; under an
+// injector a delivery can fire twice or never, and the buffer is left to
+// the garbage collector.
 type rdmaPayload struct {
 	buf     []byte
 	recycle bool
 }
 
-func (p *rdmaPayload) capture(x *Context, s *mem.Space, a mem.Addr, n int) {
-	p.buf, p.recycle = s.Borrow(a, n), !x.Client.M.faulty()
+// capture copies [a, a+n) of c's space, on c's lane.
+func (p *rdmaPayload) capture(c *Client, a mem.Addr, n int) {
+	p.buf, p.recycle = c.hold().bufs.Borrow(c.Space, a, n), !c.M.faulty()
 }
 
-func (p *rdmaPayload) land(s *mem.Space, a mem.Addr) {
-	s.CopyIn(a, p.buf)
+// land copies the bytes to a in c's space, on c's lane.
+func (p *rdmaPayload) land(c *Client, a mem.Addr) {
+	c.Space.CopyIn(a, p.buf)
 	if p.recycle {
-		mem.Return(p.buf)
+		c.hold().bufs.Return(p.buf)
 	}
 }
 
@@ -54,12 +56,13 @@ func (p *rdmaPayload) land(s *mem.Space, a mem.Addr) {
 // the network's record of the message (the embedded Msg), the arrival in
 // the target's lane (Fire: the bytes land) and the local completion
 // (putAck), and it owns the bytes it captured at injection. A healthy run
-// recycles it (putFlights) once both have fired.
+// recycles it once both have fired, on the lane of the one that fired
+// last.
 type putFlight struct {
 	network.Msg
 	x      *Context
 	done   landing
-	tgt    *mem.Space
+	tc     *Client
 	remote mem.Addr
 	// refs counts the arrival and the local completion still to fire on a
 	// healthy run (2 at issue). They fire in two lanes, which can run on
@@ -72,8 +75,8 @@ type putFlight struct {
 
 // Fire is the arrival: the bytes land at the target.
 func (f *putFlight) Fire() {
-	f.land(f.tgt, f.remote)
-	f.release()
+	f.land(f.tc, f.remote)
+	f.release(f.tc)
 }
 
 // putAck is the flight as its local completion.
@@ -81,22 +84,18 @@ type putAck putFlight
 
 func (a *putAck) Fire() {
 	a.done.landed(a.x)
-	(*putFlight)(a).release()
+	(*putFlight)(a).release(a.x.Client)
 }
 
-// release drops one of a healthy flight's two references; the last one
-// resets the flight and puts it back. recycle, set at issue and read-only
-// until then, says whether the flight is counted at all.
-func (f *putFlight) release() {
+// release drops one of a healthy flight's two references, on c's lane; the
+// last one resets the flight and puts it back there. recycle, set at issue
+// and read-only until then, says whether the flight is counted at all.
+func (f *putFlight) release(c *Client) {
 	if f.recycle && f.refs.Add(-1) == 0 {
 		*f = putFlight{}
-		putFlights.Put(f)
+		c.hold().put.Put(f)
 	}
 }
-
-// putFlights holds put flights whose arrival and local completion have
-// both fired, as getFlights holds landed gets.
-var putFlights = sync.Pool{New: func() any { return new(putFlight) }}
 
 // RdmaPut transfers n bytes from local memory to remote memory with no
 // remote CPU involvement: the bytes land at the target in pure network
@@ -124,18 +123,18 @@ func (x *Context) put(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n in
 	p := c.M.P
 	th.Sleep(c.jit(p.CPUInject))
 
-	f := putFlights.Get().(*putFlight)
+	f := c.hold().put.Get()
 	*f = putFlight{
 		Msg:    network.Msg{Src: c.Node, Dst: dst.Node, Payload: n, Kind: network.Data},
 		x:      x,
 		done:   done,
-		tgt:    c.peer(dst.Rank).Space,
+		tc:     c.peer(dst.Rank),
 		remote: remote,
 	}
 	f.Deliver = f
 	// Capture the payload now: after local completion the user may reuse
 	// the buffer, so the network must own a stable copy.
-	f.capture(x, c.Space, local, n)
+	f.capture(c, local, n)
 	if f.recycle {
 		f.refs.Store(2)
 	}
@@ -164,7 +163,8 @@ func (x *Context) put(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n in
 // request and its reply are both its messages, and it is the request's
 // arrival at the target's messaging unit (Fire), the turnaround (getTurn)
 // and the reply's landing (getLand). A get owns the bytes it captured at
-// stream time. A healthy run recycles it (getFlights) once it has landed.
+// stream time. A healthy run recycles it on its issuer's lane once it has
+// landed.
 type getFlight struct {
 	req, rep      network.Msg
 	x             *Context
@@ -194,7 +194,7 @@ func (t *getTurn) Fire() {
 	}
 	if f.fetch {
 		// The bytes are captured at stream time.
-		f.capture(f.x, f.tc.Space, f.remote, f.rep.Payload)
+		f.capture(f.tc, f.remote, f.rep.Payload)
 	}
 	f.rep.Deliver = (*getLand)(f)
 	f.tc.M.Net.SendMsg(&f.rep)
@@ -205,20 +205,18 @@ type getLand getFlight
 
 func (l *getLand) Fire() {
 	f := (*getFlight)(l)
+	c := f.x.Client
 	if f.fetch {
-		f.land(f.x.Client.Space, f.local)
+		f.land(c, f.local)
 	}
 	f.done.landed(f.x)
-	if !f.x.Client.M.faulty() {
+	if !c.M.faulty() {
 		// The landing is the flight's last event when every message is
 		// delivered exactly once.
 		*f = getFlight{}
-		getFlights.Put(f)
+		c.hold().get.Put(f)
 	}
 }
-
-// getFlights holds landed get flights, as amFlights holds served AMs.
-var getFlights = sync.Pool{New: func() any { return new(getFlight) }}
 
 // RdmaGet transfers n bytes from remote memory into local memory. The
 // target messaging unit turns the request around without any target CPU
@@ -251,7 +249,7 @@ func (x *Context) roundTrip(th *sim.Thread, dst Endpoint, local, remote mem.Addr
 	c := x.Client
 	th.Sleep(c.jit(c.M.P.CPUInject))
 
-	f := getFlights.Get().(*getFlight)
+	f := c.hold().get.Get()
 	*f = getFlight{
 		req:    network.Msg{Src: c.Node, Dst: dst.Node, Payload: rmaControlBytes, Kind: network.Control},
 		rep:    network.Msg{Src: dst.Node, Dst: c.Node, Payload: n, Kind: network.Control},

@@ -21,6 +21,11 @@
 //   - results: Map writes each run's result into its submission slot, so
 //     callers assemble tables keyed by configuration index, never by
 //     completion order.
+//   - recycling: each worker lends the worlds it runs a shelf of the
+//     engine's (pami.Shelf), which keeps the flights and payload buffers
+//     they recycle from one run to the next. The engine owns its shelves,
+//     so what a run allocates never depends on the GC, and nothing is
+//     recycled process-wide.
 //   - GC policy: the process-global GOGC knob is set exactly once, here,
 //     instead of per run in each driver.
 package sweep
@@ -34,6 +39,7 @@ import (
 
 	"repro/internal/armci"
 	"repro/internal/obs"
+	"repro/internal/pami"
 )
 
 var gcOnce sync.Once
@@ -47,9 +53,9 @@ func TuneGC() {
 	gcOnce.Do(func() { debug.SetGCPercent(200) })
 }
 
-// Ctx is what a sweep task runs with: the run's isolated registry and
-// the engine's intra-run shard budget. Attach both to a simulation
-// through Cfg.
+// Ctx is what a sweep task runs with: the run's isolated registry, the
+// engine's intra-run shard budget and its worker's shelf. Attach them to a
+// simulation through Cfg.
 type Ctx struct {
 	// Reg is this run's private registry (nil when the engine has no
 	// parent registry). It must not outlive the task: the engine merges
@@ -59,13 +65,17 @@ type Ctx struct {
 	// armci.Config.Shards. Purely an execution value: shard count never
 	// changes a simulation's results.
 	Shards int
+	// shelf is the worker's, lent for the task: the worlds it runs one
+	// after another recycle through it (armci.Config.Shelf).
+	shelf *pami.Shelf
 }
 
-// Cfg attaches the run's registry and shard budget to a configuration —
-// the one-liner every harness builds its Config through.
+// Cfg attaches the run's registry, shard budget and shelf to a
+// configuration — the one-liner every harness builds its Config through.
 func (c *Ctx) Cfg(cfg armci.Config) armci.Config {
 	cfg.Obs = c.Reg
 	cfg.Shards = c.Shards
+	cfg.Shelf = c.shelf
 	return cfg
 }
 
@@ -104,15 +114,39 @@ func CoreBudget(workers, shards int) (int, int) {
 	return workers, shards
 }
 
-// Engine schedules sweep tasks over a fixed worker count. It is an
-// immutable (workers, shards, parent registry) triple, so Map calls on
-// one engine may overlap — provided they do not merge into the same
-// registry (a registry is single-threaded): overlapping callers use a nil
-// parent or give each call its own with WithRegistry.
+// Engine schedules sweep tasks over a fixed worker count. Its (workers,
+// shards, parent registry) plan is fixed at construction; what changes is
+// its stash of shelves, one per task that has run at once, which a worker
+// takes when it starts and gives back when it is done. So Map calls on one
+// engine may overlap — provided they do not merge into the same registry
+// (a registry is single-threaded): overlapping callers use a nil parent
+// or give each call its own with WithRegistry.
 type Engine struct {
 	workers int
 	shards  int
 	parent  *obs.Registry
+
+	mu      sync.Mutex
+	shelves []*pami.Shelf // idle: no worker holds them
+}
+
+// takeShelf lends a worker an idle shelf, or a new one.
+func (e *Engine) takeShelf() *pami.Shelf {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.shelves); n > 0 {
+		s := e.shelves[n-1]
+		e.shelves = e.shelves[:n-1]
+		return s
+	}
+	return pami.NewShelf()
+}
+
+// giveShelf takes back a shelf its worker is done with.
+func (e *Engine) giveShelf(s *pami.Shelf) {
+	e.mu.Lock()
+	e.shelves = append(e.shelves, s)
+	e.mu.Unlock()
 }
 
 // NewSharded returns the execution plan every driver resolves once at
@@ -194,7 +228,8 @@ func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(c *Ctx, i int)
 		workers = n
 	}
 	if workers <= 1 {
-		c := &Ctx{Shards: e.shards}
+		c := &Ctx{Shards: e.shards, shelf: e.takeShelf()}
+		defer e.giveShelf(c.shelf)
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
 				return out
@@ -228,7 +263,8 @@ func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(c *Ctx, i int)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := &Ctx{Shards: e.shards}
+			c := &Ctx{Shards: e.shards, shelf: e.takeShelf()}
+			defer e.giveShelf(c.shelf)
 			for ctx.Err() == nil && !stopped.Load() {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
