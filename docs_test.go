@@ -94,9 +94,9 @@ func TestDocsNameRealThings(t *testing.T) {
 // doc shrinks; raising one means editing it here beside a one-line reason.
 var docCeilings = map[string]int64{
 	"README.md":      14396, // its size once the claims test judged both scales
-	"DESIGN.md":      91148, // its size once the shelf rule replaced the process-wide pools
-	"EXPERIMENTS.md": 75665, // its size once the shelf section came in and the bring-up section shrank
-	"CHANGES.md":     10517, // its size once older entries shrank and the shelf entry and two findings were added
+	"DESIGN.md":      91145, // its size once the shelf rule replaced the process-wide pools
+	"EXPERIMENTS.md": 75660, // its size once the shelf section came in and the bring-up section shrank
+	"CHANGES.md":     10506, // its size once older entries shrank and the shelf entry and two findings were added
 }
 
 func TestDocsByteBudget(t *testing.T) {

@@ -67,7 +67,7 @@ func TestPackUnpackRoundTripProperty(t *testing.T) {
 			dst := rt.Space().Alloc(extent)
 			rt.Space().CopyIn(src, pattern(extent, seed))
 
-			data := packPatch(new(mem.Classes), rt.Space(), src, strides, counts)
+			data := packPatch(rt.C.Bufs(), rt.Space(), src, strides, counts)
 			if len(data) != patchBytes(counts) {
 				return false
 			}
@@ -202,6 +202,10 @@ func FuzzStridedPatch(f *testing.F) {
 	f.Add(uint8(0), uint8(5), uint64(0), int64(1), uint64(64), int64(-1))
 	f.Add(uint8(3), uint8(7), uint64(7<<26|3<<21|5<<16|0b01_10_01), int64(3), uint64(8), int64(2)) // counts 2, 3, 2
 	f.Add(uint8(8), uint8(3), uint64(0x5555), int64(1<<40), uint64(1<<32), int64(1<<62))           // 8 levels of 2, overlapping
+	var stocks mem.Stocks
+	stocks.Init()
+	var bufs mem.Classes
+	bufs.Link(&stocks)
 	f.Fuzz(func(t *testing.T, levels, chunk uint8, shape uint64, id int64, addr uint64, extra int64) {
 		n := int(levels) % (maxStrideLevels + 1)
 		counts := []int{int(chunk)%16 + 1}
@@ -225,7 +229,7 @@ func FuzzStridedPatch(f *testing.F) {
 		src, dst := mem.NewSpace(), mem.NewSpace()
 		a, b := src.Alloc(ext), dst.Alloc(ext)
 		src.CopyIn(a, pattern(ext, chunk))
-		data := packPatch(new(mem.Classes), src, a, strides, counts)
+		data := packPatch(&bufs, src, a, strides, counts)
 		if len(data) != patchBytes(counts) {
 			t.Fatalf("packed %d bytes, want %d", len(data), patchBytes(counts))
 		}

@@ -54,7 +54,7 @@ func (s *Stock[T]) Drop() {
 
 // Reclaim makes every item s has cut free again, zeroed: the world that
 // used them has ended, so none is in use any more, not even one it never
-// gave back (a chaos run gives nothing back). Every lane's list must be
+// gave back (one still in flight when it stopped). Every lane's list must be
 // dropped first (Free.Drop): its items are among them.
 func (s *Stock[T]) Reclaim() {
 	s.items = s.items[:0]
@@ -66,10 +66,13 @@ func (s *Stock[T]) Reclaim() {
 	}
 }
 
-// Free is one lane's free list of *T. It takes no lock, because only its
-// lane's events use it: Get takes a batch from its stock when the list is
-// empty, and Put gives one back when the list holds two. A Free without a
-// stock is a plain list.
+// Cut returns how many items s has cut, all of which it keeps.
+func (s *Stock[T]) Cut() int { return len(s.chunks) * s.batch }
+
+// Free is one lane's free list of *T, linked to its stock (Link) before
+// use. It takes no lock, because only its lane's events use it: Get takes
+// a batch from its stock when the list is empty, and Put gives one back
+// when the list holds two.
 type Free[T any] struct {
 	items []*T
 	stock *Stock[T]
@@ -95,12 +98,10 @@ func (f *Free[T]) Get() *T {
 
 // Put hands p back for reuse.
 func (f *Free[T]) Put(p *T) {
-	if s := f.stock; s != nil {
-		if len(f.items) >= 2*s.batch {
-			f.give(s.batch)
-		} else if f.items == nil {
-			f.items = make([]*T, 0, 2*s.batch) // all the list will ever hold
-		}
+	if b := f.stock.batch; len(f.items) >= 2*b {
+		f.give(b)
+	} else if f.items == nil {
+		f.items = make([]*T, 0, 2*b) // all the list will ever hold
 	}
 	f.items = append(f.items, p)
 }
@@ -117,9 +118,6 @@ func (f *Free[T]) Flush() { f.give(len(f.items)) }
 // refill takes up to a batch from the stock and returns how many it took.
 func (f *Free[T]) refill() int {
 	s := f.stock
-	if s == nil {
-		return 0
-	}
 	s.mu.Lock()
 	if len(s.items) == 0 && s.cut {
 		c := make([]T, s.batch)
@@ -128,7 +126,7 @@ func (f *Free[T]) refill() int {
 			s.items = append(s.items, &c[i])
 		}
 	}
-	from := max(0, len(s.items)-max(1, s.batch))
+	from := max(0, len(s.items)-s.batch)
 	if f.items == nil && from < len(s.items) {
 		f.items = make([]*T, 0, 2*s.batch)
 	}
@@ -141,11 +139,10 @@ func (f *Free[T]) refill() int {
 
 // give moves the list's last n items to the stock.
 func (f *Free[T]) give(n int) {
-	s := f.stock
-	if s == nil || n == 0 {
+	if n == 0 {
 		return
 	}
-	from := len(f.items) - n
+	s, from := f.stock, len(f.items)-n
 	s.mu.Lock()
 	s.items = append(s.items, f.items[from:]...)
 	s.mu.Unlock()
@@ -155,8 +152,8 @@ func (f *Free[T]) give(n int) {
 
 // Classes is one lane's payload buffers, a free list per class, each
 // buffer held as a pointer to its first byte: a pointer to a list costs
-// one word where a slice header would take three. The zero value makes
-// every buffer and keeps what it is given.
+// one word where a slice header would take three. It is linked to a
+// world's Stocks (Link) before use.
 type Classes [poolClasses]Free[byte]
 
 // Stocks is the shared side of the Classes of every lane of a world.

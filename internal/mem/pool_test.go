@@ -12,7 +12,8 @@ import (
 // whichever buffer it lands in — a fresh one, or one a larger borrow of
 // the same class returned. Class 0 serves every length up to PoolMin.
 func TestBorrowCopies(t *testing.T) {
-	var c Classes
+	_, lanes := stocked(1)
+	c := &lanes[0]
 	s := NewSpace()
 	a := s.Alloc(64 << 10)
 	for _, n := range []int{0, 1, 63, 64, 65, 100, 32<<10 - 1, 32 << 10, 32<<10 + 1, 64 << 10} {
@@ -113,9 +114,9 @@ func TestStocksKeepSmallClasses(t *testing.T) {
 }
 
 // TestStockReclaim: when a world ends, every item its stock cut is free
-// again and zeroed, those the world never gave back included: a chaos run
-// gives nothing back, and neither loses the items it took nor keeps its
-// world alive through what they point to.
+// again and zeroed, those the world never gave back included: a world
+// stopped mid-run neither loses the items it took nor keeps itself alive
+// through what they point to.
 func TestStockReclaim(t *testing.T) {
 	type flight struct {
 		world *int
@@ -180,7 +181,8 @@ func TestBorrowReturnAllocFree(t *testing.T) {
 // wrote; otherwise Return leaves the bytes alone. A buffer whose capacity
 // is not a class is never pooled, and never poisoned.
 func TestReturnPoisons(t *testing.T) {
-	var c Classes
+	_, lanes := stocked(1)
+	c := &lanes[0]
 	b := c.Buf(40)
 	for i := range b {
 		b[i] = 7

@@ -106,7 +106,7 @@ func (x *Context) SendAM(th *sim.Thread, dst Endpoint, dispatch int, hdr []int64
 	c := x.Client
 	th.Sleep(c.jit(c.M.P.CPUInject))
 
-	f := c.hold().am.Get()
+	f := flight(c, &c.hold().am)
 	*f = amFlight{
 		Msg: network.Msg{Src: c.Node, Dst: dst.Node, Payload: len(data) + amHeaderBytes, Kind: network.Control},
 		msg: AMessage{

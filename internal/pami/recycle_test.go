@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/mem"
+	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // keptAM runs two ranks under plan (nil: healthy) and sends one active
@@ -130,5 +132,56 @@ func TestNoRecyclingUnderDuplication(t *testing.T) {
 	})
 	if got := m.Net.Fault().Duplicated; got != 2 {
 		t.Errorf("%d puts duplicated, want 2", got)
+	}
+}
+
+// TestChaosCutsNoFlight: a run under an injector gives no flight back, so
+// it makes each one with new and leaves the shelf's chunks, which the
+// shelf keeps as long as it lives, as they were. Were its flights cut from
+// the shelf, a chaos world would pin one per message it sent: here, three
+// times what the healthy world before it cut.
+func TestChaosCutsNoFlight(t *testing.T) {
+	shelf := NewShelf()
+	cut := func() [3]int { return [3]int{shelf.am.Cut(), shelf.put.Cut(), shelf.get.Cut()} }
+	world := func(plan *fault.Plan, rounds int) {
+		t.Helper()
+		k := sim.NewKernel()
+		r := &rig{k: k, m: NewMachine(k, topology.ForProcs(2, 1), network.DefaultParams(), 1, shelf)}
+		if plan != nil {
+			r.m.Net.SetFault(fault.NewInjector(k, plan, 1, nil))
+		}
+		const dispatchSink = DispatchUserBase
+		r.spawnAll(1, func(th *sim.Thread, c *Client) {
+			x, a := &c.Contexts[0], c.Space.Alloc(64) // the same address on both ranks
+			if c.Rank == 1 {
+				x.SetDispatch(dispatchSink, func(*sim.Thread, *Context, *AMessage) {})
+				th.Sleep(5 * sim.Millisecond)
+				x.Progress(th)
+				return
+			}
+			ep := c.CreateEndpoint(th, 1, 0)
+			for range rounds {
+				x.SendAM(th, ep, dispatchSink, nil, c.Bufs().Buf(8))
+				done := sim.NewCompletion(k)
+				x.RdmaPut(th, ep, a, a, 64, done)
+				x.WaitLocal(th, done)
+				done = sim.NewCompletion(k)
+				x.RdmaGet(th, ep, a, a, 64, done)
+				x.WaitLocal(th, done)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		r.m.Shelve()
+	}
+	world(nil, flightBatch)
+	primed := cut()
+	if primed[0] == 0 || primed[1] == 0 || primed[2] == 0 {
+		t.Fatalf("a healthy run cut %v AM, put and get flights, want some of each", primed)
+	}
+	world(fault.NewPlan(1).Duplicate(fault.Any, fault.Any, 0, sim.Second, 1), 3*flightBatch)
+	if got := cut(); got != primed {
+		t.Errorf("a chaos run left %v AM, put and get flights cut, want %v as before it", got, primed)
 	}
 }

@@ -123,7 +123,7 @@ func (x *Context) put(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n in
 	p := c.M.P
 	th.Sleep(c.jit(p.CPUInject))
 
-	f := c.hold().put.Get()
+	f := flight(c, &c.hold().put)
 	*f = putFlight{
 		Msg:    network.Msg{Src: c.Node, Dst: dst.Node, Payload: n, Kind: network.Data},
 		x:      x,
@@ -249,7 +249,7 @@ func (x *Context) roundTrip(th *sim.Thread, dst Endpoint, local, remote mem.Addr
 	c := x.Client
 	th.Sleep(c.jit(c.M.P.CPUInject))
 
-	f := c.hold().get.Get()
+	f := flight(c, &c.hold().get)
 	*f = getFlight{
 		req:    network.Msg{Src: c.Node, Dst: dst.Node, Payload: rmaControlBytes, Kind: network.Control},
 		rep:    network.Msg{Src: dst.Node, Dst: c.Node, Payload: n, Kind: network.Control},

@@ -16,9 +16,9 @@ const flightBatch = 16
 // its config and of the runs its owner ran before, never of GC history.
 // A machine built without a shelf makes a private one that dies with it.
 //
-// Only a healthy run gives anything back while it runs: under an injector
-// a delivery can fire twice or never. Its payloads go to the collector;
-// its flights are the shelf's again once it has ended (settle).
+// Only a healthy run recycles: under an injector a delivery can fire twice
+// or never, so such a run takes no flight from the shelf (flight) and
+// gives none of its payloads back; all of them go to the collector.
 type Shelf struct {
 	am   mem.Stock[amFlight]
 	put  mem.Stock[putFlight]
@@ -75,8 +75,8 @@ func (s *Shelf) lend(n int) []hold {
 }
 
 // settle ends the last world's use of the shelf. Every flight the shelf
-// has made is free again, those the world never gave back included: it
-// has ended. Every payload buffer a lane holds goes back to the stocks,
+// has made is free again, those still in flight when the world stopped
+// included: it has ended. Every payload buffer a lane holds goes back to the stocks,
 // which drop the classes above mem.KeepMax.
 func (s *Shelf) settle() {
 	for i := range s.lanes[:s.used] {
@@ -101,6 +101,16 @@ func (m *Machine) Shelve() {
 
 // hold returns what the client's lane holds.
 func (c *Client) hold() *hold { return &c.M.holds[c.Ln.Index()] }
+
+// flight returns a free flight from the client's list l. Under an injector
+// it makes a new one instead: such a run gives no flight back, and one cut
+// from the shelf's chunks would be kept as long as the shelf is.
+func flight[T any](c *Client, l *mem.Free[T]) *T {
+	if c.M.faulty() {
+		return new(T)
+	}
+	return l.Get()
+}
 
 // Bufs returns the payload classes of the client's lane: where the rank's
 // active-message payloads come from (Borrow, Buf). pami hands each back
