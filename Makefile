@@ -39,10 +39,13 @@ test-short:
 # allocates), so the last line runs them, the objects- and
 # switches-per-rank budgets (each objects budget and the thread-spawn one
 # cold, from an empty carrier pool, and warm, from a primed one and, for
-# the fig9 budgets, a primed engine shelf — the flights and payload buffers
-# earlier worlds of one sweep engine left there, where a cold world makes
-# its own: TestThreadSpawnWarmAllocBound, TestFig9WarmObjectsPerRank,
-# TestFig9MetricsWarmObjectsPerRank, TestIdleWorldWarmObjectsPerRank; a
+# the world budgets, a primed engine shelf — the flights, payload buffers,
+# rank heaps, lane arrays and torus earlier worlds of one sweep engine left
+# there, where a cold world makes its own: TestThreadSpawnWarmAllocBound,
+# TestFig9WarmObjectsPerRank, TestFig9MetricsWarmObjectsPerRank,
+# TestIdleWorldWarmObjectsPerRank; a second same-shape world grows no lane
+# array, TestSecondWorldLaneArraysAllocFree; a nil registry makes no
+# histogram bounds per lane, TestNilRegistryNewAllocsNoBounds; a
 # metrics-only world's per-rank series cost no object,
 # TestFig9MetricsObjectsPerRank),
 # the region-cache replay budget of a

@@ -25,7 +25,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pami"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // ConsistencyMode selects how conflicting memory accesses are tracked.
@@ -91,11 +90,13 @@ type Config struct {
 	// metrics, ARMCI op counts/latencies — into the given registry. Nil
 	// costs one pointer check per instrumentation point.
 	Obs *obs.Registry
-	// Shelf, when non-nil, is what the world's lanes recycle flights and
-	// payload buffers through, kept for the worlds run after it
-	// (pami.Shelf); sweep.Ctx.Cfg attaches its worker's. Nil gives the
-	// world a private one. Purely an execution value: it never changes a
-	// simulated byte. A shelf serves one world at a time.
+	// Shelf, when non-nil, is what the world's lanes recycle flights,
+	// payload buffers, rank heaps and lane arrays through, kept for the
+	// worlds run after it with its torus (pami.Shelf); sweep.Ctx.Cfg
+	// attaches its worker's. Nil gives the world a private one. Purely an
+	// execution value: it never changes a simulated byte. A shelf serves
+	// one world at a time, and a world's memory is valid until its
+	// Shelve, which Run makes as it returns.
 	Shelf *pami.Shelf
 
 	// retry replaces defaultRetryPolicy on a chaos run; tests shorten the
@@ -216,14 +217,18 @@ func NewWorld(k *sim.Kernel, cfg Config) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	tor := topology.ForProcs(cfg.Procs, cfg.ProcsPerNode)
+	shelf := cfg.Shelf
+	if shelf == nil {
+		shelf = pami.NewShelf()
+	}
+	tor := shelf.Torus(cfg.Procs, cfg.ProcsPerNode)
 	if cfg.Obs != nil {
 		k.SetObs(cfg.Obs)
 	}
 	// One lane per node, fixed by the topology; Shards only picks the
 	// worker count, so results are invariant across shard settings.
-	k.ConfigureLanes(tor.Nodes(), cfg.Shards, cfg.Params.Lookahead())
-	m := pami.NewMachine(k, tor, cfg.Params, cfg.Contexts, cfg.Shelf)
+	k.ConfigureLanes(tor.Nodes(), cfg.Shards, cfg.Params.Lookahead(), shelf.Arrays())
+	m := pami.NewMachine(k, tor, cfg.Params, cfg.Contexts, shelf)
 	m.SeedBase = cfg.Seed
 	w := &World{
 		K:        k,

@@ -1,0 +1,4 @@
+package armci
+
+// RaceEnabled is raceEnabled for the package's external tests.
+const RaceEnabled = raceEnabled

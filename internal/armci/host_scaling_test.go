@@ -200,27 +200,6 @@ func TestIdleWorldObjectsPerRank(t *testing.T) {
 	}
 }
 
-// TestIdleWorldWarmObjectsPerRank is TestIdleWorldObjectsPerRank in a warm
-// process, whose threads run on the carriers of earlier runs (sim's
-// carrier pool, primed here by a p = 1024 world; then the cold test's 64,
-// 512, 1024): at most 2.6 objects per added rank, the measured 2.5 plus
-// 5 %.
-func TestIdleWorldWarmObjectsPerRank(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates: a rank reads about one object more")
-	}
-	t.Cleanup(func() { sim.DrainCarrierPool() })
-	idleWorldAllocs(t, 1024, false)
-	idleWorldAllocs(t, 64, false)
-	_, small := idleWorldAllocs(t, 512, false)
-	_, big := idleWorldAllocs(t, 1024, false)
-	perRank := float64(big-small) / 512
-	t.Logf("idle world: %d objects at p=512, %d at p=1024: %.1f per added rank, warm", small, big, perRank)
-	if perRank > 2.6 {
-		t.Fatalf("idle world: %.1f objects per added rank, warm, want <= 2.6", perRank)
-	}
-}
-
 // TestExchangeReplayHeadsBudget: an exchange larger than the region
 // cache's capacity costs a rank O(cap + blocks) steps, not one per peer.
 // Every rank of a p = 16384 world (four times the default capacity) makes

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/armci"
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // serialJacobi is the halo's oracle: the same sweep on the assembled
@@ -70,11 +71,19 @@ func TestHaloMatchesSerialJacobi(t *testing.T) {
 				name := fmt.Sprintf("%dx%d/N%d/%s/workers%d", shape.x, shape.y, shape.n, ModeName(async), workers)
 				t.Run(name, func(t *testing.T) {
 					h := &haloRun{spec: sp, residuals: make([]float64, sp.Iters)}
-					w, err := armci.Run(armci.Config{Procs: shape.x * shape.y, ProcsPerNode: sp.PerNode,
-						AsyncThread: async, Shards: workers}, h.rank)
+					// armci.Run without its Shelve: the tiles are read from
+					// the ranks' memory, which is valid until then.
+					k := sim.NewKernel()
+					w, err := armci.NewWorld(k, armci.Config{Procs: shape.x * shape.y, ProcsPerNode: sp.PerNode,
+						AsyncThread: async, Shards: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
+					w.Start(h.rank)
+					if err := k.Run(); err != nil {
+						t.Fatal(err)
+					}
+					defer w.M.Shelve()
 					for it, want := range wantRes {
 						if got := h.residuals[it]; math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("iteration %d: residual %v, serial Jacobi %v", it, got, want)

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/armci"
@@ -48,7 +50,7 @@ func hammerCost(procs int, reg *obs.Registry, eng *sweep.Engine) (objects, switc
 // it names: one more rank of a fig9 world — bring-up, one collective
 // Malloc, three fetch-and-add round trips served by rank 0's progress
 // thread, finalize — costs a cold process at most 15.6 heap objects, the
-// measured 14.9 plus 5 % (28.4 while what a rank owns once — its first allocation-table
+// measured 14.9 plus 5 % (15.0 since a rank's heap is a class buffer; 28.4 while what a rank owns once — its first allocation-table
 // entries, rmw slot, regions, queued work item, second waiter, allocation
 // list and seed block — and its barrier release func were heap objects;
 // 34.4 until a healthy run recycled its active messages; 60 while every
@@ -57,11 +59,15 @@ func hammerCost(procs int, reg *obs.Registry, eng *sweep.Engine) (objects, switc
 //
 //	8.0  the main thread's carrier: iter.Pull 6, its yield 1, the
 //	     carrier's method value 1 (none warm: TestFig9WarmObjectsPerRank)
-//	1.0  the Malloc'd block's heap array
+//	1.0  the rank's heap, reserve and Malloc'd block in one class
+//	     buffer (none warm: the engine's shelf keeps it)
 //	0.6  runtime.malg: coroutine stacks not recycled (none warm)
 //	0.1  AM flights, cut 16 to a chunk, and each lane's list of them
 //	     (none warm: the engine's shelf holds them)
-//	1.6  amortised lane arrays, routes and per-world tables
+//	1.1  lane arrays: event heap, ring, boundary log, thread list (none
+//	     warm: the shelf keeps them, TestSecondWorldLaneArraysAllocFree)
+//	0.3  per lane: the Lane and its thread chunks
+//	0.1  routes (none warm at the same shape: the shelf keeps the torus)
 //
 // and ≈ 3 one-byte flags iter.Pull captures, which MemStats counts and the
 // profile folds into 16-byte blocks. DESIGN.md's per-rank object table is
@@ -84,12 +90,17 @@ func TestFig9ObjectsPerRank(t *testing.T) {
 
 // TestFig9WarmObjectsPerRank is TestFig9ObjectsPerRank in a warm process,
 // whose worlds run through one engine, as the benchmark's do: their
-// threads run on the carriers of earlier runs (sim's carrier pool) and
-// their flights are the ones earlier runs left on the engine's shelf, both
-// primed here by a p = 1024 run; then the cold test's 64, 512, 1024. No
-// coroutine, no stack and no flight is made, so one more rank costs at
-// most 2.9 objects, the measured 2.8 plus 5 %. The collector may run when
-// it likes: nothing it empties is what a run recycles.
+// threads run on the carriers of earlier runs (sim's carrier pool), and
+// their flights, their ranks' heaps, their lanes' arrays and, at the same
+// shape, their torus are the ones earlier runs left on the engine's
+// shelf, all primed here by a p = 1024 run; then the cold test's 64, 512,
+// 1024. No coroutine, stack, flight, heap or lane array is made, so one
+// more rank costs at most 0.47 objects, the measured 0.45 plus 5 % (2.8
+// while each world grew its own lane arrays and rank heaps): what is left
+// is mostly made per lane, one per 16 ranks — the Lane and its thread
+// chunks, which the world's runtimes still name after it has ended. The
+// collector may run when it likes: nothing it empties is what a run
+// recycles.
 func TestFig9WarmObjectsPerRank(t *testing.T) {
 	if raceEnabled {
 		t.Skip("armci retires operation slots under the race detector instead of reusing them")
@@ -101,9 +112,9 @@ func TestFig9WarmObjectsPerRank(t *testing.T) {
 	small, _ := hammerCost(512, nil, eng)
 	big, _ := hammerCost(1024, nil, eng)
 	perRank := float64(big-small) / 512
-	t.Logf("fig9: %d objects at p=512, %d at p=1024: %.1f per added rank, warm", small, big, perRank)
-	if perRank > 2.9 {
-		t.Fatalf("fig9: %.1f objects per added rank, warm, want <= 2.9", perRank)
+	t.Logf("fig9: %d objects at p=512, %d at p=1024: %.2f per added rank, warm", small, big, perRank)
+	if perRank > 0.47 {
+		t.Fatalf("fig9: %.2f objects per added rank, warm, want <= 0.47", perRank)
 	}
 }
 
@@ -144,9 +155,9 @@ func TestFig9MetricsObjectsPerRank(t *testing.T) {
 func metrics() *obs.Registry { return obs.New(obs.WithTrackCap(0)) }
 
 // TestFig9MetricsWarmObjectsPerRank is TestFig9MetricsObjectsPerRank in a
-// warm process, measured as TestFig9WarmObjectsPerRank is: at most 4.5
-// objects per added rank, the measured 4.3 plus 5 % (7.0 with families
-// of members).
+// warm process, measured as TestFig9WarmObjectsPerRank is: at most 2.11
+// objects per added rank, the measured 2.01 plus 5 % (4.3 while each world
+// grew its own lane arrays and rank heaps, 7.0 with families of members).
 func TestFig9MetricsWarmObjectsPerRank(t *testing.T) {
 	if raceEnabled {
 		t.Skip("armci retires operation slots under the race detector instead of reusing them")
@@ -158,9 +169,9 @@ func TestFig9MetricsWarmObjectsPerRank(t *testing.T) {
 	small, _ := hammerCost(512, metrics(), eng)
 	big, _ := hammerCost(1024, metrics(), eng)
 	perRank := float64(big-small) / 512
-	t.Logf("fig9 with metrics: %d objects at p=512, %d at p=1024: %.1f per added rank, warm", small, big, perRank)
-	if perRank > 4.5 {
-		t.Fatalf("fig9 with metrics: %.1f objects per added rank, warm, want <= 4.5", perRank)
+	t.Logf("fig9 with metrics: %d objects at p=512, %d at p=1024: %.2f per added rank, warm", small, big, perRank)
+	if perRank > 2.11 {
+		t.Fatalf("fig9 with metrics: %.2f objects per added rank, warm, want <= 2.11", perRank)
 	}
 }
 
@@ -182,4 +193,68 @@ func TestFig9SwitchesPerRank(t *testing.T) {
 	if perRank > 24 {
 		t.Fatalf("fig9: %.1f switches per added rank, want <= 24", perRank)
 	}
+}
+
+// TestSecondWorldLaneArraysAllocFree: the second of two same-shape fig9
+// worlds on one engine makes no lane array — no event heap, zero-delay
+// ring, boundary log or thread list grows — because the first left its
+// lanes' arrays on the engine's shelf (sim.LaneArrays). Counted from a
+// rate-1 heap profile by the function that grew the array.
+func TestSecondWorldLaneArraysAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("armci retires operation slots under the race detector instead of reusing them")
+	}
+	rate := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	t.Cleanup(func() { runtime.MemProfileRate = rate })
+	eng := sweep.NewSharded(1, 0, nil)
+	world := func() int64 {
+		before := laneArrayObjects()
+		hammerCost(512, nil, eng)
+		return laneArrayObjects() - before
+	}
+	first, second := world(), world()
+	t.Logf("fig9 p=512: %d lane-array objects on a fresh engine, %d on the same engine after it", first, second)
+	if first == 0 {
+		t.Fatal("the first world grew no lane array: the count sees nothing")
+	}
+	if second != 0 {
+		t.Fatalf("the second same-shape world made %d lane-array objects, want 0", second)
+	}
+}
+
+// laneArraySites are the functions that grow a lane's arrays: where an
+// allocation's innermost frame of this module is one of them, it is a
+// lane array (spawnOn's own is the thread list).
+var laneArraySites = []string{
+	"repro/internal/sim.(*Lane).heapPush",
+	"repro/internal/sim.(*fifoRing).grow",
+	"repro/internal/sim.(*Lane).logDeferred",
+	"repro/internal/sim.(*Kernel).spawnOn",
+}
+
+// laneArrayObjects is how many objects the heap profile holds that grew a
+// lane's arrays.
+func laneArrayObjects() int64 {
+	for range 3 {
+		runtime.GC() // the profile is published up to two cycles late
+	}
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var fr runtime.Frame
+			fr, more = frames.Next()
+			if strings.HasPrefix(fr.Function, "repro/") {
+				if slices.Contains(laneArraySites, fr.Function) {
+					total += r.AllocObjects
+				}
+				break
+			}
+		}
+	}
+	return total
 }

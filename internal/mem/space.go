@@ -33,17 +33,39 @@ type span struct{ off, size uint64 }
 // sorted slice searched by bisection, and its first two entries live in
 // the Space: a rank's first blocks cost no table of their own. A copy
 // would share that table, so a Space is only ever handled by pointer.
+//
+// Up to KeepMax the heap is a buffer of the space's classes (Link):
+// growing it hands the old buffer back, and Release hands back the last,
+// so the heaps of a world's ranks are made once for the worlds of one
+// owner.
 type Space struct {
 	_      sim.NoCopy
-	buf    []byte // nil until first touched; logically alignment zero bytes
-	free   []span // sorted by offset, coalesced, non-adjacent
-	allocs []span // live blocks, sorted by offset; starts on first
+	buf    []byte   // nil until first touched; logically alignment zero bytes
+	bufs   *Classes // where the heap comes from and goes back to; see classes
+	free   []span   // sorted by offset, coalesced, non-adjacent
+	allocs []span   // live blocks, sorted by offset; starts on first
 	first  [2]span
 	used   uint64
 }
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space { return new(Space) }
+
+// Link makes c the classes the space's heap comes from: those of the lane
+// the space's process runs on, since only that lane allocates in it.
+func (s *Space) Link(c *Classes) { s.bufs = c }
+
+// classes returns the classes the heap comes from. A space nothing linked
+// (NewSpace, a zero Space) gets classes of its own.
+func (s *Space) classes() *Classes {
+	if s.bufs == nil {
+		st := new(Stocks)
+		st.Init()
+		s.bufs = new(Classes)
+		s.bufs.Link(st)
+	}
+	return s.bufs
+}
 
 func alignUp(n uint64) uint64 {
 	return (n + alignment - 1) &^ uint64(alignment-1)
@@ -74,14 +96,55 @@ func (s *Space) Alloc(n int) Addr {
 		}
 	}
 	// Grow the heap to off+size; from an untouched space that brings the
-	// reserved bytes with it, in the same array. (append, not make: it
-	// rounds the capacity up to the allocator's size class, which is
-	// often room for the next small block.)
+	// reserved bytes with it, in the same array.
 	off := uint64(s.Capacity())
-	s.buf = append(s.buf, make([]byte, off+size-uint64(len(s.buf)))...)
+	s.grow(int(off + size))
 	addr := Addr(off)
 	s.commit(addr, size)
 	return addr
+}
+
+// grow extends the heap to n bytes. Within the buffer's capacity that is
+// a reslice; past it the heap moves to a buffer of the next class and the
+// old one goes back. The bytes a recycled buffer exposes beyond the old
+// heap are the new block's, which commit zeroes, and, on first touch, the
+// reserved ones, zeroed here. A heap past KeepMax, which no shelf keeps
+// beyond its world, is the collector's and grows as append grows it: a
+// class would round it up to a power of two and hold the buffer it
+// outgrew until the world ends.
+func (s *Space) grow(n int) {
+	old := s.buf
+	if n <= cap(old) {
+		s.buf = old[:n]
+		return
+	}
+	if n > KeepMax {
+		s.buf = append(old, make([]byte, n-len(old))...)
+	} else {
+		s.buf = s.classes().Buf(n)
+		if old == nil {
+			clear(s.buf[:alignment])
+		} else {
+			copy(s.buf, old)
+		}
+	}
+	s.handBack(old)
+}
+
+// Release hands the heap back to the space's classes: its process's world
+// has ended. Every view of it is void, and the space holds no bytes any
+// more, only its allocation table.
+func (s *Space) Release() {
+	s.handBack(s.buf)
+	s.buf = nil
+}
+
+// handBack returns a heap buffer to the space's classes, unless it is
+// past KeepMax and so the collector's.
+func (s *Space) handBack(b []byte) {
+	if b != nil && cap(b) <= KeepMax {
+		s.classes().Return(b)
+	}
 }
 
 func (s *Space) commit(a Addr, size uint64) {
@@ -143,8 +206,9 @@ func (s *Space) SizeOf(a Addr) int {
 }
 
 // Bytes returns a live view of [a, a+n). The view must lie entirely within
-// the heap. It remains valid until the next Alloc (which may grow the
-// backing array), so callers must not retain it across allocations.
+// the heap. It remains valid until the next Alloc (which may move the heap
+// and recycle the old buffer) or Release, so callers must not retain it
+// across either.
 func (s *Space) Bytes(a Addr, n int) []byte {
 	if s.buf == nil {
 		s.buf = make([]byte, alignment) // the reserved bytes of a space nothing was allocated in

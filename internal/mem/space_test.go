@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAllocBasics(t *testing.T) {
@@ -250,5 +251,54 @@ func TestZeroSpace(t *testing.T) {
 	}
 	if spaces[0].Capacity() != alignment || spaces[2].LiveAllocs() != 0 {
 		t.Error("allocating in one space touched its neighbours")
+	}
+}
+
+// TestSpaceHeapRecycles: a space's heap is a buffer of its classes. Growing
+// hands the old buffer back, Release hands back the last, and a space that
+// takes a recycled buffer reads zeros where the last owner wrote: in its
+// reserved bytes and in every block it allocates. Under -race the bytes a
+// released heap held read Poison through a view kept past Release. A heap
+// past KeepMax is the collector's: Release leaves its bytes alone.
+func TestSpaceHeapRecycles(t *testing.T) {
+	_, lanes := stocked(1)
+	var a, b Space
+	a.Link(&lanes[0])
+	b.Link(&lanes[0])
+
+	x := a.Alloc(100)
+	small := a.Bytes(x, 100)
+	y := a.Alloc(1000)                 // moves the heap: the first buffer goes back
+	heap := a.Bytes(1, a.Capacity()-1) // all but address 0, reserved bytes included
+	for i := range heap {
+		heap[i] = 0xAB
+	}
+	if raceEnabled && small[0] != Poison {
+		t.Errorf("the heap a space outgrew reads %#x, want Poison", small[0])
+	}
+	a.Release()
+	if raceEnabled && heap[len(heap)-1] != Poison {
+		t.Errorf("a released heap reads %#x, want Poison", heap[len(heap)-1])
+	}
+	if a.SizeOf(y) != 1024 || a.Used() != 128+1024 {
+		t.Errorf("Release changed the allocation table: SizeOf %d, Used %d", a.SizeOf(y), a.Used())
+	}
+
+	z := b.Alloc(1000) // the class a released
+	got := b.Bytes(1, b.Capacity()-1)
+	if unsafe.SliceData(got) != unsafe.SliceData(heap) {
+		t.Fatal("a space of the same classes did not take the released heap")
+	}
+	for i, v := range got {
+		if v != 0 {
+			t.Fatalf("byte %d of a recycled heap reads %#x, want 0 (block at %#x)", i, v, uint64(z))
+		}
+	}
+
+	big := b.Bytes(b.Alloc(KeepMax), KeepMax)
+	big[0] = 7
+	b.Release()
+	if big[0] != 7 {
+		t.Errorf("a released heap past KeepMax reads %#x: it went back to the classes", big[0])
 	}
 }

@@ -61,7 +61,7 @@ func TestSendAllocPartitionedObsOff(t *testing.T) {
 	k := sim.NewKernel()
 	tor := topology.New([topology.NumDims]int{2, 2, 2, 2, 2}, 1)
 	p := DefaultParams()
-	k.ConfigureLanes(tor.Nodes(), 1, p.Lookahead())
+	k.ConfigureLanes(tor.Nodes(), 1, p.Lookahead(), nil)
 	nw := New(k, tor, p)
 	fn := func() {}
 	const sends = 256
@@ -97,7 +97,7 @@ func TestSendMsgPartitionedZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
 	tor := topology.New([topology.NumDims]int{2, 2, 2, 2, 2}, 1)
 	p := DefaultParams()
-	k.ConfigureLanes(tor.Nodes(), 1, p.Lookahead())
+	k.ConfigureLanes(tor.Nodes(), 1, p.Lookahead(), nil)
 	nw := New(k, tor, p)
 	const sends = 256
 	delivered := 0
@@ -145,5 +145,27 @@ func TestSendConstantAllocObsOn(t *testing.T) {
 	// for at most one constant allocation per cycle, never per send.
 	if avg > 1 {
 		t.Fatalf("Send (obs on): %.2f allocs per 256-send cycle, want <= 1", avg)
+	}
+}
+
+// TestNilRegistryNewAllocsNoBounds: a network on a kernel with no registry
+// costs the same objects at 2 lanes as at 256 — its per-world arrays —
+// and nothing per lane: a lane's payload-size histogram is nil, and its
+// bounds are made once for the process, not once per lane.
+func TestNilRegistryNewAllocsNoBounds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	p := DefaultParams()
+	objects := func(dims [topology.NumDims]int) float64 {
+		tor := topology.New(dims, 1)
+		k := sim.NewKernel()
+		k.ConfigureLanes(tor.Nodes(), 1, p.Lookahead(), nil)
+		return testing.AllocsPerRun(20, func() { New(k, tor, p) })
+	}
+	few, many := objects([topology.NumDims]int{2, 1, 1, 1, 1}), objects([topology.NumDims]int{4, 4, 4, 4, 1})
+	t.Logf("network.New, nil registry: %.0f objects at 2 lanes, %.0f at 256", few, many)
+	if many != few {
+		t.Fatalf("network.New, nil registry: %.0f objects at 2 lanes, %.0f at 256: it allocates per lane", few, many)
 	}
 }

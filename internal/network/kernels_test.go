@@ -55,7 +55,7 @@ func runSendSteps(t *testing.T, partitioned bool, plan *fault.Plan) arrivals {
 	p := DefaultParams()
 	k := sim.NewKernel()
 	if partitioned {
-		k.ConfigureLanes(tor.Nodes(), 1, p.Lookahead())
+		k.ConfigureLanes(tor.Nodes(), 1, p.Lookahead(), nil)
 	}
 	nw := New(k, tor, p)
 	if plan != nil {

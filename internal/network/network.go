@@ -64,6 +64,11 @@ type Traffic struct {
 	Messages, Bytes, RawBytes, Hops uint64
 }
 
+// msgBytesBounds are network/msg.bytes's buckets, 16 B to 64 MiB: made
+// once, since histograms only read their bounds, and a nil registry
+// costs a lane nothing.
+var msgBytesBounds = obs.ExpBounds(16, 4, 12)
+
 // observe attaches the tally's fields to r as the network's message
 // counters and returns the payload-size histogram kept beside them (nil
 // when r is nil).
@@ -72,7 +77,7 @@ func (t *Traffic) observe(r *obs.Registry) *obs.Histogram {
 	r.Attach("network/payload_bytes", &t.Bytes)
 	r.Attach("network/raw_bytes", &t.RawBytes)
 	r.Attach("network/hops", &t.Hops)
-	return r.Histogram("network/msg.bytes", obs.ExpBounds(16, 4, 12))
+	return r.Histogram("network/msg.bytes", msgBytesBounds)
 }
 
 // note records one message of payload bytes (raw on the wire) over hops

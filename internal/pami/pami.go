@@ -66,6 +66,10 @@ func NewMachine(k *sim.Kernel, torus *topology.Torus, p *network.Params, ctxPerR
 		shelf:    shelf,
 		holds:    shelf.lend(max(1, len(k.Lanes()))),
 	}
+	for r := range m.spaces {
+		// Only the rank's own lane allocates in its space.
+		m.spaces[r].Link(&m.holds[k.LaneOf(torus.NodeOf(r)).Index()].bufs)
+	}
 	if r := k.Obs(); r != nil {
 		m.ctxHists = make([]ctxHists, max(1, len(k.Lanes()))*ctxPerRank)
 		m.observe(r, ctxPerRank)

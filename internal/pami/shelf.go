@@ -1,20 +1,27 @@
 package pami
 
-import "repro/internal/mem"
+import (
+	"repro/internal/mem"
+	"repro/internal/sim"
+	"repro/internal/topology"
+)
 
 // flightBatch is how many flights a lane takes from its shelf or gives
 // back at once.
 const flightBatch = 16
 
 // Shelf is what the worlds of one owner recycle, one world at a time:
-// active-message, put and get flights, and payload buffers. A world's
-// lanes hold the shelf's lists while it runs (hold); at its end, every
-// lane's lists go back to the shelf's stocks (Machine.Shelve), so the next
-// world starts on what this one made. The sweep engine keeps one shelf
-// per task it runs at once (armci.Config.Shelf), so recycling outlives a
-// world and a collection alike: a run's allocation count is a function of
-// its config and of the runs its owner ran before, never of GC history.
-// A machine built without a shelf makes a private one that dies with it.
+// active-message, put and get flights, payload buffers and the ranks'
+// heaps (mem.Space, whose buffers are payload classes), the lanes' arrays
+// (sim.LaneArrays) and the last world's torus. A world's lanes hold the
+// shelf's lists while it runs (hold); at its end, every lane's lists and
+// arrays and every rank's heap go back to the shelf (Machine.Shelve), so
+// the next world starts on what this one made. The sweep engine keeps one
+// shelf per task it runs at once (armci.Config.Shelf), so recycling
+// outlives a world and a collection alike: a run's allocation count is a
+// function of its config and of the runs its owner ran before, never of
+// GC history. A machine built without a shelf makes a private one that
+// dies with it.
 //
 // Only a healthy run recycles: under an injector a delivery can fire twice
 // or never, so such a run takes no flight from the shelf (flight) and
@@ -27,8 +34,10 @@ type Shelf struct {
 	// lanes are the lane holders, reused by every world lent the shelf: a
 	// world costs them nothing once one as wide has run. The last world
 	// lent it used the first used of them.
-	lanes []hold
-	used  int
+	lanes  []hold
+	used   int
+	arrays sim.LaneArrays
+	torus  *topology.Torus
 }
 
 // NewShelf returns an empty shelf.
@@ -74,10 +83,26 @@ func (s *Shelf) lend(n int) []hold {
 	return s.lanes[:n]
 }
 
+// Arrays returns the lane arrays a world's kernel is to start on
+// (sim.Kernel.ConfigureLanes); they come back with the rest at its end.
+func (s *Shelf) Arrays() *sim.LaneArrays { return &s.arrays }
+
+// Torus returns the torus for p processes at c per node: the last world's,
+// if it had that shape, else a new one the shelf keeps. A torus is
+// read-only but for its route cache, which only its world's serial
+// boundary writes, so worlds that run one after another share it.
+func (s *Shelf) Torus(p, c int) *topology.Torus {
+	if t := s.torus; t == nil || t.ProcsPerNode != c || t.Nodes() != (p+c-1)/c {
+		s.torus = topology.ForProcs(p, c)
+	}
+	return s.torus
+}
+
 // settle ends the last world's use of the shelf. Every flight the shelf
 // has made is free again, those still in flight when the world stopped
-// included: it has ended. Every payload buffer a lane holds goes back to the stocks,
-// which drop the classes above mem.KeepMax.
+// included: it has ended. Every payload buffer a lane holds goes back to
+// the stocks, which drop the classes above mem.KeepMax. (The lanes'
+// arrays come back at Shelve, or when the next kernel takes them.)
 func (s *Shelf) settle() {
 	for i := range s.lanes[:s.used] {
 		h := &s.lanes[i]
@@ -92,9 +117,14 @@ func (s *Shelf) settle() {
 	s.bufs.Trim()
 }
 
-// Shelve ends the machine's use of its shelf: every lane's lists go back
-// to it. The machine must not run again.
+// Shelve ends the machine's use of its shelf: every rank's heap and every
+// lane's lists and arrays go back to it. The machine must not run again,
+// and what its spaces held is gone.
 func (m *Machine) Shelve() {
+	for i := range m.spaces {
+		m.spaces[i].Release()
+	}
+	m.shelf.arrays.Reclaim()
 	m.shelf.settle()
 	m.holds = nil
 }

@@ -76,7 +76,7 @@ func TestFailedRunPoolsNothing(t *testing.T) {
 			k.Spawn("boom", func(th *Thread) { th.Sleep(5); panic("kaboom") })
 		}},
 		{"lanes-deadlock", func(k *Kernel) {
-			k.ConfigureLanes(2, 2, 5)
+			k.ConfigureLanes(2, 2, 5, nil)
 			for i := 0; i < 32; i++ {
 				k.SpawnOn(k.Lanes()[i%2], fmt.Sprintf("w%d", i), func(th *Thread) { th.Sleep(Time(10 + i)) })
 			}

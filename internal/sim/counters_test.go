@@ -59,7 +59,7 @@ func TestCounters(t *testing.T) {
 		reg := obs.New()
 		k := NewKernel()
 		k.SetObs(reg)
-		k.ConfigureLanes(2, 2, 10)
+		k.ConfigureLanes(2, 2, 10, nil)
 		for i, ln := range k.Lanes() {
 			ln, dst := ln, k.Lanes()[1-i]
 			k.SpawnOn(ln, fmt.Sprintf("w%d", i), func(th *Thread) {
@@ -100,7 +100,7 @@ func TestCountersMatchMap(t *testing.T) {
 				reg := obs.New()
 				k := NewKernel()
 				k.SetObs(reg)
-				k.ConfigureLanes(lanes, workers, latency)
+				k.ConfigureLanes(lanes, workers, latency, nil)
 				fired := make([]int64, lanes) // each lane's slot is written by its window's owner only
 				ref := map[string]int64{}     // written on the coordinator goroutine only
 				for i, ln := range k.Lanes() {

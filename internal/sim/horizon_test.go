@@ -29,7 +29,7 @@ func naiveMins(lanes []*Lane) (min1, min2 Time, argmin int) {
 // arbitrary queue states.
 func treeHarness(n int) *Kernel {
 	k := NewKernel()
-	k.ConfigureLanes(n, 1, 10)
+	k.ConfigureLanes(n, 1, 10, nil)
 	return k
 }
 
@@ -183,7 +183,7 @@ func TestLaneGroupInvariance(t *testing.T) {
 		t.Helper()
 		const latency = Time(100)
 		k := NewKernel()
-		k.ConfigureLanes(lanes, workers, latency)
+		k.ConfigureLanes(lanes, workers, latency, nil)
 		k.laneGroup = group
 		sums := make([]Time, lanes)
 		for i := 0; i < lanes; i++ {

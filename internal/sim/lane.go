@@ -387,7 +387,10 @@ func (ln *Lane) runWindow() {
 //
 // n must be ≥ 1; n == 1 still runs the windowed engine (with trivial
 // horizons), which keeps behavior identical across lane counts.
-func (k *Kernel) ConfigureLanes(n, workers int, lookahead Time) {
+//
+// The lanes start on the arrays kept in kept (nil for none), which they
+// hold until its Reclaim.
+func (k *Kernel) ConfigureLanes(n, workers int, lookahead Time, kept *LaneArrays) {
 	if k.running {
 		panic("sim: ConfigureLanes during Run")
 	}
@@ -425,6 +428,9 @@ func (k *Kernel) ConfigureLanes(n, workers int, lookahead Time) {
 		ln.tracing = ln.obs.Tracing()
 		ln.obs.Attach("sim/events", &ln.fired)
 		k.lanes[i] = ln
+	}
+	if kept != nil {
+		kept.lend(k)
 	}
 	if k.obs != nil {
 		// Round-level observability, recorded by the coordinator into the

@@ -17,7 +17,7 @@ func pingPong(t *testing.T, lanes, workers int, rounds int) (Time, uint64, Time)
 	const latency = Time(100)
 	k := NewKernel()
 	k.SetObs(obs.New())
-	k.ConfigureLanes(lanes, workers, latency)
+	k.ConfigureLanes(lanes, workers, latency, nil)
 
 	var recvSum Time
 	sums := make([]Time, lanes)
@@ -74,7 +74,7 @@ func TestLanesDeterministicAcrossWorkers(t *testing.T) {
 // deferred operation in its future.
 func TestLanesSelfDeferCap(t *testing.T) {
 	k := NewKernel()
-	k.ConfigureLanes(2, 2, 10)
+	k.ConfigureLanes(2, 2, 10, nil)
 	a, b := k.Lanes()[0], k.Lanes()[1]
 	hits := 0
 	k.SpawnOn(a, "a", func(th *Thread) {
@@ -108,7 +108,7 @@ func TestLanesSelfDeferCap(t *testing.T) {
 func TestLanesDeadlock(t *testing.T) {
 	base := runtime.NumGoroutine()
 	k := NewKernel()
-	k.ConfigureLanes(2, 2, 5)
+	k.ConfigureLanes(2, 2, 5, nil)
 	k.SpawnOn(k.Lanes()[0], "busy", func(th *Thread) {
 		th.Sleep(50)
 	})
@@ -133,7 +133,7 @@ func TestLanesDeadlock(t *testing.T) {
 // setup timers) interleave with lane execution at the right times.
 func TestLanesCoordinatorEvents(t *testing.T) {
 	k := NewKernel()
-	k.ConfigureLanes(2, 2, 10)
+	k.ConfigureLanes(2, 2, 10, nil)
 	var coordTimes []Time
 	k.At(55, func() { coordTimes = append(coordTimes, k.Now()) })
 	k.At(5, func() { coordTimes = append(coordTimes, k.Now()) })
@@ -183,7 +183,7 @@ func laneRelay(t *testing.T, workers, rounds int) relayResult {
 		pairs = 4
 	)
 	k := NewKernel()
-	k.ConfigureLanes(lanes, workers, 40)
+	k.ConfigureLanes(lanes, workers, 40, nil)
 	sums := make([]Time, lanes)
 	res := relayResult{owners: make([]map[string]bool, lanes)}
 	for i, ln := range k.Lanes() {

@@ -202,7 +202,7 @@ func (p *scProgram) run(t testing.TB, workers int, noShortcuts bool) scResult {
 	k.SetObs(reg)
 	lanes := len(p.scripts)
 	if p.partitioned {
-		k.ConfigureLanes(lanes, workers, p.lookahead)
+		k.ConfigureLanes(lanes, workers, p.lookahead, nil)
 	}
 	k.noShortcuts = noShortcuts
 

@@ -120,6 +120,7 @@ func (k *Kernel) SpawnIndexed(ln *Lane, prefix string, index int, fn func(*Threa
 func (k *Kernel) spawnOn(ln *Lane, name string, index int, fn func(*Thread)) *Thread {
 	t := ln.newThread()
 	*t = Thread{k: k, ln: ln, name: name, prefixOnly: index >= 0, index: index, fn: fn}
+	ln.threads = append(ln.threads, t)
 	ln.live++
 	ln.scheduleThread(0, t)
 	// A spawn from outside any window (setup code, a coordinator event)
@@ -165,9 +166,7 @@ func (ln *Lane) newThread() *Thread {
 		ln.slab = make([]Thread, 0, min(max(2*len(ln.threads), 2), threadChunkMax))
 	}
 	ln.slab = ln.slab[:len(ln.slab)+1]
-	t := &ln.slab[len(ln.slab)-1]
-	ln.threads = append(ln.threads, t)
-	return t
+	return &ln.slab[len(ln.slab)-1]
 }
 
 // Name returns the thread's name. An indexed thread's is formatted here,
