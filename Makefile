@@ -39,12 +39,15 @@ test-short:
 # allocates), so the last line runs them, the objects- and
 # switches-per-rank budgets (each objects budget and the thread-spawn one
 # cold, from an empty carrier pool, and warm, from a primed one and, for
-# the world budgets, a primed engine shelf — the flights, payload buffers,
-# rank heaps, lane arrays and torus earlier worlds of one sweep engine left
-# there, where a cold world makes its own: TestThreadSpawnWarmAllocBound,
-# TestFig9WarmObjectsPerRank, TestFig9MetricsWarmObjectsPerRank,
-# TestIdleWorldWarmObjectsPerRank; a second same-shape world grows no lane
-# array, TestSecondWorldLaneArraysAllocFree; a nil registry makes no
+# the world budgets, a primed engine shelf — the runtimes, clients,
+# contexts, spaces, lanes and threads, with the tables they grew, and the
+# flights, payload buffers, rank heaps, lane arrays and torus earlier
+# worlds of one sweep engine left there, where a cold world makes its own:
+# TestThreadSpawnWarmAllocBound, TestFig9WarmObjectsPerRank,
+# TestFig9MetricsWarmObjectsPerRank, TestIdleWorldWarmObjectsPerRank; a
+# second same-shape world grows no lane array, rank or lane slab, clique,
+# queue, pend or slot table, TestSecondWorldLaneArraysAllocFree and
+# TestSecondWorldRankSlabsAllocFree; a nil registry makes no
 # histogram bounds per lane, TestNilRegistryNewAllocsNoBounds; a
 # metrics-only world's per-rank series cost no object,
 # TestFig9MetricsObjectsPerRank),

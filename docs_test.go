@@ -94,8 +94,8 @@ func TestDocsNameRealThings(t *testing.T) {
 // doc shrinks; raising one means editing it here beside a one-line reason.
 var docCeilings = map[string]int64{
 	"README.md":      14396, // its size once the claims test judged both scales
-	"DESIGN.md":      91145, // its size once the shelf rule replaced the process-wide pools
-	"EXPERIMENTS.md": 75660, // its size once the shelf section came in and the bring-up section shrank
+	"DESIGN.md":      91086, // its size once the one lifetime rule replaced the shelf rule's and per-PR history left
+	"EXPERIMENTS.md": 74920, // its size once the rank-slab section came in and three older sections shrank
 	"CHANGES.md":     10506, // its size once older entries shrank and the shelf entry and two findings were added
 }
 

@@ -90,14 +90,15 @@ type Config struct {
 	// metrics, ARMCI op counts/latencies — into the given registry. Nil
 	// costs one pointer check per instrumentation point.
 	Obs *obs.Registry
-	// Shelf, when non-nil, is what the world's lanes recycle flights,
-	// payload buffers, rank heaps and lane arrays through, kept for the
-	// worlds run after it with its torus (pami.Shelf); sweep.Ctx.Cfg
-	// attaches its worker's. Nil gives the world a private one. Purely an
-	// execution value: it never changes a simulated byte. A shelf serves
-	// one world at a time, and a world's memory is valid until its
-	// Shelve, which Run makes as it returns.
-	Shelf *pami.Shelf
+	// Shelf, when non-nil, is what the world is built from and gives back
+	// when the next world is lent it: runtimes, clients, contexts, spaces,
+	// lanes and threads, flights, payload buffers, rank heaps and the
+	// torus (Shelf); sweep.Ctx.Cfg attaches its worker's. Nil gives the
+	// world a private one. Purely an execution value: it never changes a
+	// simulated byte. A shelf serves one world at a time, and everything
+	// reachable from a World stays readable until its shelf lends the next
+	// world.
+	Shelf *Shelf
 
 	// retry replaces defaultRetryPolicy on a chaos run; tests shorten the
 	// budget with it.
@@ -181,10 +182,10 @@ type World struct {
 	Runtimes []Runtime
 	svcIdx   int // context index remote-service AMs are addressed to
 
-	handlers  [len(protocol)]pami.AMHandler // protocol[i] bound to the dispatched-on rank's runtime
-	asyncBody func(*sim.Thread)             // body of every asynchronous progress thread
-	asyncIdle func(*sim.Thread) bool        // its idle pass, run by the lane (pami.Context.SetIdlePass)
-	barArrive func(at sim.Time)             // barrierArrive, as the one value every Barrier defers
+	handlers  [nProtocol]pami.AMHandler // protocol[i] bound to the dispatched-on rank's runtime
+	asyncBody func(*sim.Thread)         // body of every asynchronous progress thread
+	asyncIdle func(*sim.Thread) bool    // its idle pass, run by the lane (pami.Context.SetIdlePass)
+	barArrive func(at sim.Time)         // barrierArrive, as the one value every Barrier defers
 
 	// Faults is the installed injector (nil outside chaos runs); chaos
 	// harnesses read its counters after Run.
@@ -219,24 +220,24 @@ func NewWorld(k *sim.Kernel, cfg Config) (*World, error) {
 	}
 	shelf := cfg.Shelf
 	if shelf == nil {
-		shelf = pami.NewShelf()
+		shelf = NewShelf()
 	}
 	tor := shelf.Torus(cfg.Procs, cfg.ProcsPerNode)
+	if cfg.Fault != nil {
+		if err := cfg.Fault.Validate(tor.Nodes(), tor.NumLinks()); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Obs != nil {
 		k.SetObs(cfg.Obs)
 	}
+	w := &World{K: k, Cfg: cfg}
+	shelf.lend(w)
 	// One lane per node, fixed by the topology; Shards only picks the
 	// worker count, so results are invariant across shard settings.
-	k.ConfigureLanes(tor.Nodes(), cfg.Shards, cfg.Params.Lookahead(), shelf.Arrays())
-	m := pami.NewMachine(k, tor, cfg.Params, cfg.Contexts, shelf)
-	m.SeedBase = cfg.Seed
-	w := &World{
-		K:        k,
-		M:        m,
-		Cfg:      cfg,
-		Runtimes: make([]Runtime, cfg.Procs),
-		xchF64:   make([]float64, cfg.Procs),
-	}
+	k.ConfigureLanes(tor.Nodes(), cfg.Shards, cfg.Params.Lookahead(), shelf.Lanes())
+	w.M = pami.NewMachine(k, tor, cfg.Params, cfg.Contexts, shelf.Shelf)
+	w.M.SeedBase = cfg.Seed
 	if cfg.AsyncThread {
 		w.svcIdx = cfg.Contexts - 1
 	}
@@ -249,11 +250,8 @@ func NewWorld(k *sim.Kernel, cfg Config) (*World, error) {
 	w.asyncIdle = func(pt *sim.Thread) bool { return w.Runtimes[pt.Index()].svcCtx.IdlePass(pt) }
 	w.barArrive = w.barrierArrive
 	if cfg.Fault != nil {
-		if err := cfg.Fault.Validate(tor.Nodes(), tor.NumLinks()); err != nil {
-			return nil, err
-		}
 		w.Faults = fault.NewInjector(k, cfg.Fault, cfg.Seed, cfg.Obs)
-		m.Net.SetFault(w.Faults)
+		w.M.Net.SetFault(w.Faults)
 	}
 	return w, nil
 }
@@ -280,7 +278,8 @@ func (w *World) Start(body func(th *sim.Thread, rt *Runtime)) {
 
 // Run builds a world, runs body on every rank, and drives the simulation
 // to completion. Invalid configurations return an error before any
-// simulation work happens.
+// simulation work happens. The world stays readable until its shelf
+// (Config.Shelf) lends the next one.
 func Run(cfg Config, body func(th *sim.Thread, rt *Runtime)) (*World, error) {
 	k := sim.NewKernel()
 	w, err := NewWorld(k, cfg)
@@ -288,9 +287,7 @@ func Run(cfg Config, body func(th *sim.Thread, rt *Runtime)) (*World, error) {
 		return nil, err
 	}
 	w.Start(body)
-	err = k.Run()
-	w.M.Shelve()
-	return w, err
+	return w, k.Run()
 }
 
 // MustRun is Run that fails loudly; experiment harnesses use it.
@@ -327,7 +324,8 @@ func (w *World) AggregateStats() Stats {
 // holding all the rank keeps about that peer: endpoints, fence counts,
 // consistency status, region-cache bucket, RDMA suspect window), operation
 // and request slots (chunks of chunkLen), hosted mutexes. An idle rank
-// costs what it uses.
+// costs what it uses, and a rank of a world built on a shelf reuses the
+// room its element grew in the worlds before (Shelf, reset).
 type Runtime struct {
 	_    sim.NoCopy
 	W    *World

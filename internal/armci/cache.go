@@ -101,7 +101,7 @@ func (rc cacheView) touch(pos int) *peer {
 	if p.flags&peerBucket != 0 {
 		return p
 	}
-	rank, bkt := int(p.rank), rc.peers.bucketRoom(nil, len(rc.blocks))
+	rank, bkt := int(p.rank), rc.peers.bucketRoom(p.bucket[:0], len(rc.blocks)) // the room an earlier world's record here left
 	for i := range rc.blocks {
 		if b := &rc.blocks[i]; rc.seeds(b, rank) {
 			bkt = append(bkt, cachedRegion{base: b.a.addrs[rank], size: b.a.Bytes, freq: 1})

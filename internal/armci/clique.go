@@ -32,22 +32,25 @@ const (
 // clique is a rank's per-peer state, one record per peer in first-contact
 // order: ζ records, never p. The first record lives in the runtime itself,
 // so a rank that talks to one peer — every worker hammering the counter's
-// owner — allocates nothing for it; the rest live in more, found through
-// index, an open-addressed table of (rank, position) pairs, by one probe
+// owner — allocates nothing for it; the rest live in more, which grows
+// 2, 4, 8, 16 records and on by doubling, found through index, an
+// open-addressed table of (rank, position) pairs, by one probe
 // sequence that reads no record. Positions are stable; a *peer is valid
 // until the next record is added, so code that blocks between a lookup
 // and a write keeps the position, not the pointer.
 //
 // cs is the consistency status (§III.E), a row of columns bytes per
 // position: column 0 is the peer's cs_tgt, column 1+k its cs_mr for
-// allocation key k — Eq. 5's σ·ζ, not σ·p. It is nil until a status is
+// allocation key k — Eq. 5's σ·ζ, not σ·p. It is empty until a status is
 // first written, and from then on holds a row for every record, so the
 // column count is len(cs) over the record count. dirty counts the records
 // whose fence counts are not both zero. slab is the room region-cache
-// buckets are cut from (bucketRoom).
+// buckets are cut from (bucketRoom). A table outlives its world on the
+// shelf (reset): records, index, matrix and buckets keep their room, and
+// nothing the table does depends on it.
 type clique struct {
 	first peer
-	more  []peer // positions 1.., nil until a second peer
+	more  []peer // positions 1.., empty until a second peer
 	index []indexEntry
 	cs    []uint8
 	slab  []cachedRegion
@@ -88,7 +91,7 @@ func (c *clique) find(rank int) int {
 	if int(c.first.rank) == rank {
 		return 0
 	}
-	if c.index == nil {
+	if len(c.index) == 0 {
 		return -1
 	}
 	mask := len(c.index) - 1
@@ -109,23 +112,26 @@ func (c *clique) record(rank int) int {
 	if pos := c.find(rank); pos >= 0 {
 		return pos
 	}
-	rec := peer{rank: int32(rank), flags: peerKnown}
 	if c.first.flags == 0 {
-		c.first = rec // no record yet, so no status matrix either
+		// No record yet, so no status matrix either.
+		c.first = peer{bucket: c.first.bucket[:0], rank: int32(rank), flags: peerKnown}
 		return 0
 	}
 	cols := c.columns()
-	if c.more == nil {
-		c.more = make([]peer, 0, chunkLen)
+	if n := len(c.more); n < cap(c.more) {
+		// A record an earlier world left here keeps its bucket's room.
+		c.more = c.more[:n+1]
+		c.more[n] = peer{bucket: c.more[n].bucket[:0], rank: int32(rank), flags: peerKnown}
+	} else {
+		c.more = append(slices.Grow(c.more, max(2, n)), peer{rank: int32(rank), flags: peerKnown})
 	}
-	c.more = append(c.more, rec)
 	pos := len(c.more)
 	if 2*pos > len(c.index) {
-		c.reindex(max(2*chunkLen, 2*len(c.index)))
+		c.reindex(max(4, 2*len(c.index)))
 	} else {
 		c.place(pos)
 	}
-	if c.cs != nil && cap(c.cs) < len(c.cs)+cols {
+	if len(c.cs) > 0 && cap(c.cs) < len(c.cs)+cols {
 		// Room for a row per record more can hold: the matrix grows when
 		// the records do, not a row at a time.
 		c.cs = slices.Grow(c.cs, (1+cap(c.more))*cols-len(c.cs))
@@ -145,18 +151,39 @@ func (c *clique) place(pos int) {
 	c.index[i] = indexEntry{rank: rank, pos: int32(pos)}
 }
 
-// reindex rebuilds index with n slots, a power of two.
+// reindex rebuilds index with n slots, a power of two, in the room an
+// earlier world grew when there is enough of it: the table's size is the
+// records' alone, whatever room was kept.
 func (c *clique) reindex(n int) {
-	c.index = make([]indexEntry, n)
+	if n <= cap(c.index) {
+		c.index = c.index[:n]
+		clear(c.index)
+	} else {
+		c.index = make([]indexEntry, n)
+	}
 	for pos := 1; pos <= len(c.more); pos++ {
 		c.place(pos)
 	}
 }
 
+// reset empties the table for its rank's next world, keeping the room it
+// grew: each record it used is cleared but for its bucket's room, which
+// the next record at that position takes (record, cacheView.touch), and
+// the index and status matrix keep their arrays.
+func (c *clique) reset() {
+	for pos := c.size() - 1; pos >= 0; pos-- { // the first record last: it says how many there are
+		p := c.at(pos)
+		*p = peer{bucket: p.bucket[:0]}
+	}
+	clear(c.index)
+	clear(c.cs)
+	*c = clique{first: c.first, more: c.more[:0], index: c.index[:0], cs: c.cs[:0], slab: c.slab}
+}
+
 // columns returns the status columns: 1 + the allocation keys that have
 // a byte in every row, or 0 before the first status.
 func (c *clique) columns() int {
-	if c.cs == nil {
+	if len(c.cs) == 0 {
 		return 0
 	}
 	return len(c.cs) / c.size()
@@ -175,11 +202,22 @@ func (c *clique) statusAt(pos, col, width int) *uint8 {
 	n := c.columns()
 	if col >= n {
 		wide := max(col+1, width)
-		m := make([]uint8, c.size()*wide, (1+cap(c.more))*wide)
-		for i := 0; n > 0 && i < c.size(); i++ {
-			copy(m[i*wide:], c.cs[i*n:(i+1)*n])
+		if size := c.size() * wide; size > cap(c.cs) {
+			m := make([]uint8, size, (1+cap(c.more))*wide)
+			for i := 0; n > 0 && i < c.size(); i++ {
+				copy(m[i*wide:], c.cs[i*n:(i+1)*n])
+			}
+			c.cs = m
+		} else {
+			// Widen in the room there is, last row first: a row only
+			// moves up.
+			c.cs = c.cs[:size]
+			for i := c.size() - 1; i >= 0; i-- {
+				copy(c.cs[i*wide:], c.cs[i*n:(i+1)*n])
+				clear(c.cs[i*wide+n : (i+1)*wide])
+			}
 		}
-		c.cs, n = m, wide
+		n = wide
 	}
 	return &c.cs[pos*n+col]
 }

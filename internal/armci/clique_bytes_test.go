@@ -47,9 +47,11 @@ func cliqueHeapPerRank(t *testing.T, procs, zeta int) float64 {
 // its ζ next ranks, ζ ∈ {1, 8, 64}; the live heap per rank, fitted to
 // a + b·ζ by least squares, has the same a at p = 1024 and at p = 4096
 // (within 5 %), and b, the bytes per peer, stays within 114: the measured
-// 104 plus 10 % (179 while region-cache buckets were a map beside the
+// 107 plus 7 % (179 while region-cache buckets were a map beside the
 // clique table and a record kept two endpoints). The step from ζ = 1 to 8
-// is the first chunk of records (chunkLen), which a second peer pays for.
+// is the records past the first, in chunks of 2, 4 and 8, with their
+// index: at most 620 B, the measured 590 plus 5 % (1 328 while a second
+// peer paid for a first chunk of chunkLen records and a 32-slot index).
 // The p = 4096 row is ≈ 18 s of the test's ≈ 21 s on 2 cores, so -short
 // runs p = 1024 alone.
 func TestCliqueBytesPerPeer(t *testing.T) {
@@ -84,6 +86,9 @@ func TestCliqueBytesPerPeer(t *testing.T) {
 		t.Logf("p=%d: %.0f, %.0f, %.0f B per rank at ζ = 1, 8, 64: a = %.0f B, b = %.1f B per peer", p, y[0], y[1], y[2], a, b)
 		if b > 114 {
 			t.Errorf("p=%d: %.1f bytes per peer, want <= 114", p, b)
+		}
+		if step := y[1] - y[0]; step > 620 {
+			t.Errorf("p=%d: ζ = 1 to 8 adds %.0f B per rank, want <= 620", p, step)
 		}
 		if i == 0 {
 			a0 = a

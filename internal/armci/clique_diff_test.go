@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -251,6 +252,35 @@ func genCliqueSteps(rng *rand.Rand, procs, n int, chaos bool) []cliqueStep {
 
 var fenceInstant = regexp.MustCompile(`"name":"fence","cat":"fence","args":\{"arg":(-?\d+)\}`)
 
+// cliqueShelf is the shelf every history runs on, so that each one's
+// clique tables are the ones the history before it left, reset: records
+// past their length with their buckets' room, an index and a status
+// matrix larger than a fresh table's. What a table does — fence visits in
+// ascending rank among them — must not depend on what it kept. Before the
+// first history a world wider than any of them, whose every rank
+// addresses every peer, grows every table it will lend.
+var cliqueShelf sharedShelf
+
+type sharedShelf struct {
+	sync.Mutex
+	s *Shelf
+}
+
+func (c *sharedShelf) get() *Shelf {
+	if c.s == nil {
+		c.s = NewShelf()
+		const procs = 65
+		MustRun(Config{Procs: procs, ProcsPerNode: 4, AsyncThread: true, Shelf: c.s}, func(th *sim.Thread, rt *Runtime) {
+			a := rt.Malloc(th, 64)
+			for r := range procs {
+				rt.Put(th, a.At(rt.Rank).Addr, a.At(r), 8)
+			}
+			rt.AllFence(th)
+		})
+	}
+	return c.s
+}
+
 // runCliqueHistory drives one world through a generated history and
 // compares the driving rank against the reference after every step.
 func runCliqueHistory(t *testing.T, seed int64, procs int, chaos, naive bool, capacity int) {
@@ -258,7 +288,10 @@ func runCliqueHistory(t *testing.T, seed int64, procs int, chaos, naive bool, ca
 	steps := genCliqueSteps(rng, procs, 40+rng.Intn(80), chaos)
 	driver := rng.Intn(procs)
 	reg := obs.New(obs.WithTrackCap(1 << 16)) // room for every record of the driving rank
-	cfg := Config{Procs: procs, ProcsPerNode: 4, AsyncThread: true, RegionCacheCap: capacity, Obs: reg}
+	cliqueShelf.Lock()
+	defer cliqueShelf.Unlock()
+	cfg := Config{Procs: procs, ProcsPerNode: 4, AsyncThread: true, RegionCacheCap: capacity, Obs: reg,
+		Shelf: cliqueShelf.get()}
 	if naive {
 		cfg.Consistency = ConsistencyNaive
 	}
@@ -411,7 +444,9 @@ func cliqueStepOn(th *sim.Thread, rt *Runtime, m *denseClique, live *[]*Allocati
 // reference after every step: records, endpoint charges, fence counts,
 // the cs_tgt/cs_mr status and the verdicts read from it, region contents
 // and victim order, suspect windows; and, at the end, the fence visits in
-// the order they were made. The seeds run in the ordinary test suite.
+// the order they were made. Every history runs on the clique tables the
+// one before it left on a shared shelf (cliqueShelf). The seeds run in the
+// ordinary test suite.
 func FuzzCliqueMatchesDense(f *testing.F) {
 	f.Add(int64(1), uint8(6), false, false, uint8(0)) // p = 8
 	f.Add(int64(2), uint8(22), false, true, uint8(1))

@@ -24,6 +24,8 @@ const (
 	dLockReq                                  // mutex lock request
 	dLockRep                                  // mutex grant
 	dUnlockReq                                // mutex unlock
+
+	nProtocol = dUnlockReq + 1 - dRegionQ // the dispatch ids, one protocol entry each
 )
 
 // pendReq is the initiator-side state of an in-flight AM protocol. Like
@@ -71,7 +73,7 @@ func (rt *Runtime) amSeen(src int, id int64) bool {
 
 // protocol is the ARMCI protocol: every dispatch id and the Runtime method
 // that serves it.
-var protocol = [...]struct {
+var protocol = [nProtocol]struct {
 	id int
 	h  func(*Runtime, *sim.Thread, *pami.Context, *pami.AMessage)
 }{

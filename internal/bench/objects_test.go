@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/armci"
+	"repro/internal/nwchem"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -31,19 +32,21 @@ func hammerCost(procs int, reg *obs.Registry, eng *sweep.Engine) (objects, switc
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	var w *armci.World
 	if eng == nil {
-		w, _, _ = hammer(cfg, 2, true, false)
+		w, _, _ := hammer(cfg, 2, true, false)
+		switches = w.K.Switches()
 	} else {
-		sweep.Map(eng, 1, func(c *sweep.Ctx, _ int) int {
+		// The task reads its world: the engine gives it back as the task
+		// returns.
+		switches = sweep.Map(eng, 1, func(c *sweep.Ctx, _ int) uint64 {
 			cfg := c.Cfg(cfg)
 			cfg.Obs = reg // the registry the cold run records into, not a child merged away
-			w, _, _ = hammer(cfg, 2, true, false)
-			return 0
-		})
+			w, _, _ := hammer(cfg, 2, true, false)
+			return w.K.Switches()
+		})[0]
 	}
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, w.K.Switches()
+	return after.Mallocs - before.Mallocs, switches
 }
 
 // TestFig9ObjectsPerRank is the ROADMAP's per-rank budget on the workload
@@ -66,7 +69,8 @@ func hammerCost(procs int, reg *obs.Registry, eng *sweep.Engine) (objects, switc
 //	     (none warm: the engine's shelf holds them)
 //	1.1  lane arrays: event heap, ring, boundary log, thread list (none
 //	     warm: the shelf keeps them, TestSecondWorldLaneArraysAllocFree)
-//	0.3  per lane: the Lane and its thread chunks
+//	0.3  per lane: the Lane and its thread chunks (none warm: the
+//	     shelf keeps them, TestSecondWorldRankSlabsAllocFree)
 //	0.1  routes (none warm at the same shape: the shelf keeps the torus)
 //
 // and ≈ 3 one-byte flags iter.Pull captures, which MemStats counts and the
@@ -91,16 +95,17 @@ func TestFig9ObjectsPerRank(t *testing.T) {
 // TestFig9WarmObjectsPerRank is TestFig9ObjectsPerRank in a warm process,
 // whose worlds run through one engine, as the benchmark's do: their
 // threads run on the carriers of earlier runs (sim's carrier pool), and
-// their flights, their ranks' heaps, their lanes' arrays and, at the same
-// shape, their torus are the ones earlier runs left on the engine's
-// shelf, all primed here by a p = 1024 run; then the cold test's 64, 512,
-// 1024. No coroutine, stack, flight, heap or lane array is made, so one
-// more rank costs at most 0.47 objects, the measured 0.45 plus 5 % (2.8
-// while each world grew its own lane arrays and rank heaps): what is left
-// is mostly made per lane, one per 16 ranks — the Lane and its thread
-// chunks, which the world's runtimes still name after it has ended. The
-// collector may run when it likes: nothing it empties is what a run
-// recycles.
+// their runtimes, clients, contexts, spaces, lanes, threads, flights,
+// ranks' heaps and, at the same shape, their torus are the ones earlier
+// runs left on the engine's shelf, all primed here by a p = 1024 run;
+// then the cold test's 64, 512, 1024. No coroutine, stack, flight, heap,
+// rank or lane slab is made, so one more rank costs at most 0.144
+// objects, the measured 0.137 plus 5 % (0.45 while each world made its
+// Lanes and thread chunks, 2.8 while it also grew its own lane arrays and
+// rank heaps): what is left is the routes of a torus whose shape the
+// shelf did not keep (p = 1024 after p = 512), made as the world's
+// messages first take them. The collector may run when it likes: nothing
+// it empties is what a run recycles.
 func TestFig9WarmObjectsPerRank(t *testing.T) {
 	if raceEnabled {
 		t.Skip("armci retires operation slots under the race detector instead of reusing them")
@@ -112,9 +117,9 @@ func TestFig9WarmObjectsPerRank(t *testing.T) {
 	small, _ := hammerCost(512, nil, eng)
 	big, _ := hammerCost(1024, nil, eng)
 	perRank := float64(big-small) / 512
-	t.Logf("fig9: %d objects at p=512, %d at p=1024: %.2f per added rank, warm", small, big, perRank)
-	if perRank > 0.47 {
-		t.Fatalf("fig9: %.2f objects per added rank, warm, want <= 0.47", perRank)
+	t.Logf("fig9: %d objects at p=512, %d at p=1024: %.3f per added rank, warm", small, big, perRank)
+	if perRank > 0.144 {
+		t.Fatalf("fig9: %.3f objects per added rank, warm, want <= 0.144", perRank)
 	}
 }
 
@@ -198,7 +203,7 @@ func TestFig9SwitchesPerRank(t *testing.T) {
 // TestSecondWorldLaneArraysAllocFree: the second of two same-shape fig9
 // worlds on one engine makes no lane array — no event heap, zero-delay
 // ring, boundary log or thread list grows — because the first left its
-// lanes' arrays on the engine's shelf (sim.LaneArrays). Counted from a
+// lanes' arrays on the engine's shelf (sim.KeptLanes). Counted from a
 // rate-1 heap profile by the function that grew the array.
 func TestSecondWorldLaneArraysAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -209,9 +214,9 @@ func TestSecondWorldLaneArraysAllocFree(t *testing.T) {
 	t.Cleanup(func() { runtime.MemProfileRate = rate })
 	eng := sweep.NewSharded(1, 0, nil)
 	world := func() int64 {
-		before := laneArrayObjects()
+		before := siteObjects(laneArraySites)
 		hammerCost(512, nil, eng)
-		return laneArrayObjects() - before
+		return siteObjects(laneArraySites) - before
 	}
 	first, second := world(), world()
 	t.Logf("fig9 p=512: %d lane-array objects on a fresh engine, %d on the same engine after it", first, second)
@@ -233,9 +238,66 @@ var laneArraySites = []string{
 	"repro/internal/sim.(*Kernel).spawnOn",
 }
 
-// laneArrayObjects is how many objects the heap profile holds that grew a
-// lane's arrays.
-func laneArrayObjects() int64 {
+// TestSecondWorldRankSlabsAllocFree: the second of two same-shape SCF
+// worlds on one engine makes no rank or lane slab — no runtime, client,
+// context, space, lane or thread — and grows no table a rank grew in the
+// first: no clique record, index, status matrix or bucket, no progress
+// queue, no pending-request or operation slot, no region, allocation or
+// seed-block list, no heap table. The first world's were reset in place
+// on the engine's shelf as its task returned (armci.Shelf.GiveBack).
+// Counted from a rate-1 heap profile by the function that made the object.
+func TestSecondWorldRankSlabsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector a given-back world's slabs are poisoned, never reused")
+	}
+	rate := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	t.Cleanup(func() { runtime.MemProfileRate = rate })
+	eng := sweep.NewSharded(1, 0, nil)
+	world := func() int64 {
+		before := siteObjects(rankSlabSites)
+		sweep.Map(eng, 1, func(c *sweep.Ctx, _ int) nwchem.Result {
+			return nwchem.Experiment(c.Cfg(armci.Config{Procs: 64, ProcsPerNode: 16, AsyncThread: true}), Quick.SCF)
+		})
+		return siteObjects(rankSlabSites) - before
+	}
+	first, second := world(), world()
+	t.Logf("scf p=64: %d rank-slab objects on a fresh engine, %d on the same engine after it", first, second)
+	if first == 0 {
+		t.Fatal("the first world made no rank slab: the count sees nothing")
+	}
+	if second != 0 {
+		t.Fatalf("the second same-shape world made %d rank-slab objects, want 0", second)
+	}
+}
+
+// rankSlabSites are the functions that make a world's rank and lane slabs
+// and grow the tables a rank keeps (a generic function's name ends in
+// "[...]").
+var rankSlabSites = []string{
+	"repro/internal/armci.(*Shelf).lend",
+	"repro/internal/pami.slab[...]",
+	"repro/internal/sim.(*KeptLanes).take",
+	"repro/internal/sim.(*Lane).newThread",
+	"repro/internal/armci.(*clique).record",
+	"repro/internal/armci.(*clique).reindex",
+	"repro/internal/armci.(*clique).statusAt",
+	"repro/internal/armci.(*clique).bucketRoom",
+	"repro/internal/sim.(*FIFO[...]).Push",
+	"repro/internal/armci.(*Runtime).newPend",
+	"repro/internal/armci.(*Runtime).growPend",
+	"repro/internal/armci.(*Runtime).takeSlot",
+	"repro/internal/armci.(*Runtime).Track",
+	"repro/internal/armci.(*Runtime).MallocErr",
+	"repro/internal/armci.cacheView.insertExchange",
+	"repro/internal/pami.(*Client).RegisterMemory",
+	"repro/internal/mem.(*Space).commit",
+	"repro/internal/mem.(*Space).insertFree",
+}
+
+// siteObjects is how many objects the heap profile holds whose innermost
+// frame of this module is one of sites.
+func siteObjects(sites []string) int64 {
 	for range 3 {
 		runtime.GC() // the profile is published up to two cycles late
 	}
@@ -249,7 +311,7 @@ func laneArrayObjects() int64 {
 			var fr runtime.Frame
 			fr, more = frames.Next()
 			if strings.HasPrefix(fr.Function, "repro/") {
-				if slices.Contains(laneArraySites, fr.Function) {
+				if slices.Contains(sites, fr.Function) {
 					total += r.AllocObjects
 				}
 				break

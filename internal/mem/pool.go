@@ -21,7 +21,9 @@ const poolClasses = 21
 // KeepMax is the largest class a stock keeps once its world has ended
 // (Stocks.Trim): what outlives a world is small, so a long-lived owner
 // never pins a large buffer. Larger classes recycle within a world only.
-const KeepMax = 32 << 10
+// It is the largest payload a simd ping job moves (64 KiB), so a world
+// of those remakes no class.
+const KeepMax = 64 << 10
 
 // Poison is the byte Return fills a buffer with under the race detector
 // (raceEnabled), so that a reader which outlives the buffer's recycling

@@ -97,7 +97,7 @@ func TestBorrowConcurrent(t *testing.T) {
 func TestStocksKeepSmallClasses(t *testing.T) {
 	st, lanes := stocked(2)
 	s := NewSpace()
-	a := s.Alloc(64 << 10)
+	a := s.Alloc(2 * KeepMax)
 	small, large := lanes[0].Borrow(s, a, KeepMax), lanes[0].Borrow(s, a, KeepMax+1)
 	lanes[1].Return(small)
 	lanes[1].Return(large)

@@ -139,6 +139,14 @@ func (s *Space) Release() {
 	s.buf = nil
 }
 
+// Reset empties the space for its process's next world: the heap goes
+// back (Release) and the allocation and free tables keep only the room
+// they grew.
+func (s *Space) Reset() {
+	s.Release()
+	*s = Space{free: s.free[:0], allocs: s.allocs[:0]}
+}
+
 // handBack returns a heap buffer to the space's classes, unless it is
 // past KeepMax and so the collector's.
 func (s *Space) handBack(b []byte) {

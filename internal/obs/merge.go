@@ -109,6 +109,22 @@ func (r *Registry) Merge(other *Registry) {
 	r.seq += other.seq
 }
 
+// Sample reads into r what its layers hold for it — attached fields and
+// family slabs — as Merge reads what it moves: r reads no layer
+// afterwards, so their owner may reuse them, and its exports and merges
+// give the bytes they would have. A no-op on a nil registry.
+func (r *Registry) Sample() {
+	if r == nil {
+		return
+	}
+	for _, c := range r.counters {
+		c.sample()
+	}
+	for _, f := range r.fams {
+		f.sample()
+	}
+}
+
 // fold merges the entries of *src into *dst: one dst lacks moves, if move
 // (which readies it) says to carry it; one both hold is folded by add.
 // When dst holds nothing it takes src's map whole, leaving src dst's.

@@ -110,7 +110,9 @@ func newContext(c *Client, index int) {
 	x.Client = c
 	x.Index = index
 	x.queue.StartOn(x.queueArr[:])
-	x.waiters = x.waitArr[:0]
+	if x.waiters == nil {
+		x.waiters = x.waitArr[:0]
+	}
 	if c.Obs != nil {
 		x.hists = c.M.laneCtxHists(c.Ln, index)
 		x.Lock.Instrument(x.hists.lockWait, x.hists.lockHold)
@@ -118,6 +120,18 @@ func newContext(c *Client, index int) {
 	}
 	x.installBuiltinDispatch()
 }
+
+// reset empties the context, whose world has ended, for the next world,
+// in place: only the arrays its queue and waiter list grew survive.
+func (x *Context) reset() {
+	x.queue.Empty()
+	clear(x.waiters)
+	*x = Context{queue: x.queue, waiters: x.waiters[:0]}
+}
+
+// poison marks a context whose world has ended and which is not reused,
+// so that a reader that outlived the world fails (race builds only).
+func (x *Context) poison() { *x = Context{Index: -1} }
 
 // noteAdvance records one progress-engine pass: the advance counter and
 // the starvation gauge (the longest virtual-time gap this context ever

@@ -25,9 +25,9 @@ import (
 // Machine ties the simulated processes together: one address space per
 // rank, the shared torus network, and the rank->client registry used to
 // deliver traffic. Everything a rank owns at this layer — its space, its
-// client, its contexts — is an element of a slice sized here, once, which
+// client, its contexts — is an element of a slab its shelf lends, which
 // the rank's own thread initialises in place (NewClient, CreateContexts):
-// bring-up allocates per machine, not per rank.
+// bring-up allocates per machine at most, not per rank.
 type Machine struct {
 	K   *sim.Kernel
 	Net *network.Network
@@ -48,24 +48,21 @@ type Machine struct {
 // Lanes and observability are the kernel's: set them up first
 // (Kernel.SetObs, then ConfigureLanes); the machine, its network and
 // every client ask the kernel for a node's lane and record into that
-// lane's registry. The machine's lanes recycle through shelf, which no
-// other machine may use until this one is shelved (Shelve); nil makes a
-// private one.
+// lane's registry. The machine's ranks and lanes recycle through shelf,
+// which lends the next machine only once this one's world has ended; nil
+// makes a private one.
 func NewMachine(k *sim.Kernel, torus *topology.Torus, p *network.Params, ctxPerRank int, shelf *Shelf) *Machine {
 	n := torus.Procs()
 	if shelf == nil {
 		shelf = NewShelf()
 	}
 	m := &Machine{
-		K:        k,
-		Net:      network.New(k, torus, p),
-		P:        p,
-		spaces:   make([]mem.Space, n),
-		clients:  make([]Client, n),
-		contexts: make([]Context, n*ctxPerRank),
-		shelf:    shelf,
-		holds:    shelf.lend(max(1, len(k.Lanes()))),
+		K:     k,
+		Net:   network.New(k, torus, p),
+		P:     p,
+		shelf: shelf,
 	}
+	shelf.lend(m, max(1, len(k.Lanes())), n, n*ctxPerRank)
 	for r := range m.spaces {
 		// Only the rank's own lane allocates in its space.
 		m.spaces[r].Link(&m.holds[k.LaneOf(torus.NodeOf(r)).Index()].bufs)
@@ -158,12 +155,16 @@ type Client struct {
 	MaxRegions int
 	// The registry. A process's first two registrations — most ranks make
 	// no more — are regionFirst, and the registry starts on regionArr; a
-	// field is never handed out twice, so a deregistered region's pointer
-	// never names a later one.
+	// region is never handed out twice in a world, so a deregistered
+	// region's pointer never names a later one. Regions made past the
+	// first two are listed through MemRegion.next: made holds this world's,
+	// spare those of the client's earlier worlds, which the next
+	// registrations take (RegisterMemory).
 	regions     []*MemRegion
 	regionArr   [2]*MemRegion
 	regionFirst [2]MemRegion
 	regionsMade int
+	made, spare *MemRegion
 
 	// Accounting for the Table II space model.
 	EndpointsCreated int
@@ -213,13 +214,42 @@ func (m *Machine) NewClient(th *sim.Thread, rank int) *Client {
 	c.Contexts = m.contexts[rank*per : rank*per : (rank+1)*per]
 	c.Ln = m.K.LaneOf(c.Node)
 	c.Obs = c.Ln.Obs()
-	c.regions = c.regionArr[:0]
-	c.rmwPend = c.rmwPendArr[:0]
-	c.rmwFree = append(c.rmwFreeArr[:0], &c.rmwFirst)
+	if c.regions == nil {
+		c.regions = c.regionArr[:0]
+	}
+	if c.rmwPend == nil {
+		c.rmwPend, c.rmwFree = c.rmwPendArr[:0], c.rmwFreeArr[:0]
+	}
+	c.rmwFree = append(c.rmwFree, &c.rmwFirst)
 	th.Sleep(c.jit(m.P.ClientCreateTime))
 	c.created = true
 	return c
 }
+
+// reset empties the client, whose world has ended, for its rank's next
+// world, in place: only the room its tables grew survives, and the
+// regions it made, for the next world's registrations.
+func (c *Client) reset() {
+	spare := c.spare
+	for r := c.made; r != nil; {
+		next := r.next
+		*r = MemRegion{next: spare}
+		spare, r = r, next
+	}
+	clear(c.regions)
+	clear(c.rmwPend)
+	clear(c.rmwFree)
+	*c = Client{
+		regions: c.regions[:0],
+		spare:   spare,
+		rmwPend: c.rmwPend[:0],
+		rmwFree: c.rmwFree[:0],
+	}
+}
+
+// poison marks a client whose world has ended and which is not reused, so
+// that a reader that outlived the world fails (race builds only).
+func (c *Client) poison() { *c = Client{Rank: -1} }
 
 // jit perturbs a software cost by the configured jitter fraction.
 func (c *Client) jit(t sim.Time) sim.Time {

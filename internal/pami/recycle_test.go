@@ -173,7 +173,6 @@ func TestChaosCutsNoFlight(t *testing.T) {
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		r.m.Shelve()
 	}
 	world(nil, flightBatch)
 	primed := cut()

@@ -1,6 +1,8 @@
 package pami
 
 import (
+	"slices"
+
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -12,6 +14,7 @@ type MemRegion struct {
 	Rank int
 	Base mem.Addr
 	Size int
+	next *MemRegion // the client's next region made past its first two (Client.made, Client.spare)
 }
 
 // Contains reports whether [addr, addr+n) lies within the region.
@@ -29,13 +32,19 @@ func (c *Client) RegisterMemory(th *sim.Thread, addr mem.Addr, size int) *MemReg
 	}
 	th.Sleep(c.jit(c.M.P.MemRegionCreateTime))
 	var r *MemRegion
-	if c.regionsMade < len(c.regionFirst) {
+	switch {
+	case c.regionsMade < len(c.regionFirst):
 		r = &c.regionFirst[c.regionsMade]
-	} else {
+	case c.spare != nil:
+		r, c.spare = c.spare, c.spare.next
+	default:
 		r = new(MemRegion)
 	}
+	if c.regionsMade >= len(c.regionFirst) {
+		r.next, c.made = c.made, r
+	}
 	c.regionsMade++
-	*r = MemRegion{Rank: c.Rank, Base: addr, Size: size}
+	r.Rank, r.Base, r.Size = c.Rank, addr, size
 	c.regions = append(c.regions, r)
 	c.RegionBytes += c.M.P.MemRegionBytes
 	return r
@@ -46,7 +55,7 @@ func (c *Client) RegisterMemory(th *sim.Thread, addr mem.Addr, size int) *MemReg
 func (c *Client) DeregisterMemory(r *MemRegion) {
 	for i, reg := range c.regions {
 		if reg == r {
-			c.regions = append(c.regions[:i], c.regions[i+1:]...)
+			c.regions = slices.Delete(c.regions, i, i+1)
 			c.RegionBytes -= c.M.P.MemRegionBytes
 			return
 		}

@@ -12,20 +12,28 @@ const flightBatch = 16
 
 // Shelf is what the worlds of one owner recycle, one world at a time:
 // active-message, put and get flights, payload buffers and the ranks'
-// heaps (mem.Space, whose buffers are payload classes), the lanes' arrays
-// (sim.LaneArrays) and the last world's torus. A world's lanes hold the
-// shelf's lists while it runs (hold); at its end, every lane's lists and
-// arrays and every rank's heap go back to the shelf (Machine.Shelve), so
-// the next world starts on what this one made. The sweep engine keeps one
-// shelf per task it runs at once (armci.Config.Shelf), so recycling
-// outlives a world and a collection alike: a run's allocation count is a
-// function of its config and of the runs its owner ran before, never of
-// GC history. A machine built without a shelf makes a private one that
-// dies with it.
+// heaps (mem.Space, whose buffers are payload classes), the slabs of the
+// ranks' spaces, clients and contexts, the kernel's lanes with their
+// arrays and threads (sim.KeptLanes) and the last world's torus. A world's
+// lanes hold the shelf's lists while it runs (hold). Everything of a world
+// stays readable until the shelf lends the next world; then it is given
+// back (GiveBack): every rank's heap and every lane's lists go back to
+// the shelf, and every space, client and context the world used is reset
+// in place, so that only what it grew — a table's room, a queue's array —
+// survives, and the next world starts on what this one made. The sweep
+// engine keeps one shelf per task it runs at once (armci.Config.Shelf),
+// so recycling outlives a world and a collection alike: a run's
+// allocation count is a function of its config and of the runs its owner
+// ran before, never of GC history. A machine built without a shelf makes
+// a private one that dies with it.
 //
-// Only a healthy run recycles: under an injector a delivery can fire twice
-// or never, so such a run takes no flight from the shelf (flight) and
-// gives none of its payloads back; all of them go to the collector.
+// Only a healthy run recycles flights: under an injector a delivery can
+// fire twice or never, so such a run takes no flight from the shelf
+// (flight) and gives none of its payloads back; all of them go to the
+// collector. A world whose kernel did not finish (sim.Kernel.Finished)
+// gives no slab back: the next world makes its own. Under the race
+// detector the elements a world used are poisoned and dropped instead of
+// reset, so a read of a world after the next one was lent fails loudly.
 type Shelf struct {
 	am   mem.Stock[amFlight]
 	put  mem.Stock[putFlight]
@@ -34,10 +42,17 @@ type Shelf struct {
 	// lanes are the lane holders, reused by every world lent the shelf: a
 	// world costs them nothing once one as wide has run. The last world
 	// lent it used the first used of them.
-	lanes  []hold
-	used   int
-	arrays sim.LaneArrays
-	torus  *topology.Torus
+	lanes []hold
+	used  int
+	kept  sim.KeptLanes
+	torus *topology.Torus
+	// The rank slabs, each as long as the most ranks (contexts) a world
+	// lent the shelf had; the last machine lent it uses a prefix of each,
+	// and every element past that prefix is reset.
+	spaces   []mem.Space
+	clients  []Client
+	contexts []Context
+	m        *Machine // the last machine lent the shelf, until GiveBack
 }
 
 // NewShelf returns an empty shelf.
@@ -63,29 +78,84 @@ type hold struct {
 	bufs mem.Classes
 }
 
-// lend returns the holders of a world of n lanes. A world that ended
-// without Shelve left its lists on its lanes: they go back first.
-func (s *Shelf) lend(n int) []hold {
-	s.settle()
-	if n > len(s.lanes) {
-		lanes := make([]hold, n)
-		copy(lanes, s.lanes)
-		for i := len(s.lanes); i < n; i++ {
-			h := &lanes[i]
+// lend gives the last machine's world back and lends m its lanes'
+// holders, rank slabs and, of the shelf's lists, all it will recycle.
+func (s *Shelf) lend(m *Machine, lanes, procs, contexts int) {
+	s.GiveBack()
+	s.m = m
+	if lanes > len(s.lanes) {
+		hs := make([]hold, lanes)
+		copy(hs, s.lanes)
+		for i := len(s.lanes); i < lanes; i++ {
+			h := &hs[i]
 			h.am.Link(&s.am)
 			h.put.Link(&s.put)
 			h.get.Link(&s.get)
 			h.bufs.Link(&s.bufs)
 		}
-		s.lanes = lanes
+		s.lanes = hs
 	}
-	s.used = n
-	return s.lanes[:n]
+	s.used = lanes
+	m.holds = s.lanes[:lanes]
+	m.spaces = slab(&s.spaces, procs)
+	m.clients = slab(&s.clients, procs)
+	m.contexts = slab(&s.contexts, contexts)
 }
 
-// Arrays returns the lane arrays a world's kernel is to start on
-// (sim.Kernel.ConfigureLanes); they come back with the rest at its end.
-func (s *Shelf) Arrays() *sim.LaneArrays { return &s.arrays }
+// slab returns the first n elements of *kept, first replacing it with n
+// new ones when it is shorter: a slab is never grown in place, since its
+// elements point into themselves.
+func slab[T any](kept *[]T, n int) []T {
+	if n > len(*kept) {
+		*kept = make([]T, n)
+	}
+	return (*kept)[:n]
+}
+
+// GiveBack ends the last machine's world, as lending the next one does
+// first: every rank's heap goes back, then every space, client and
+// context the world used is reset, or, if its kernel did not finish,
+// dropped with its slab, and the lanes' lists go back (settle). The
+// kernel's lanes are given back by their own owner (sim.KeptLanes). A
+// no-op when no machine holds the shelf.
+func (s *Shelf) GiveBack() {
+	m := s.m
+	if m == nil {
+		return
+	}
+	s.m = nil
+	for i := range m.spaces {
+		m.spaces[i].Release()
+	}
+	switch {
+	case !m.K.Finished():
+		s.spaces, s.clients, s.contexts = nil, nil, nil
+	case raceEnabled:
+		for i := range m.clients {
+			m.clients[i].poison()
+		}
+		for i := range m.contexts {
+			m.contexts[i].poison()
+		}
+		s.spaces, s.clients, s.contexts = nil, nil, nil
+	default:
+		for i := range m.spaces {
+			m.spaces[i].Reset()
+		}
+		for i := range m.clients {
+			m.clients[i].reset()
+		}
+		for i := range m.contexts {
+			m.contexts[i].reset()
+		}
+	}
+	s.settle()
+}
+
+// Lanes returns the lanes a world's kernel is to run on
+// (sim.Kernel.ConfigureLanes); they go back when the next kernel takes
+// them.
+func (s *Shelf) Lanes() *sim.KeptLanes { return &s.kept }
 
 // Torus returns the torus for p processes at c per node: the last world's,
 // if it had that shape, else a new one the shelf keeps. A torus is
@@ -98,11 +168,10 @@ func (s *Shelf) Torus(p, c int) *topology.Torus {
 	return s.torus
 }
 
-// settle ends the last world's use of the shelf. Every flight the shelf
-// has made is free again, those still in flight when the world stopped
-// included: it has ended. Every payload buffer a lane holds goes back to
-// the stocks, which drop the classes above mem.KeepMax. (The lanes'
-// arrays come back at Shelve, or when the next kernel takes them.)
+// settle ends the last world's use of the shelf's lists. Every flight
+// the shelf has made is free again, those still in flight when the world
+// stopped included: it has ended. Every payload buffer a lane holds goes
+// back to the stocks, which drop the classes above mem.KeepMax.
 func (s *Shelf) settle() {
 	for i := range s.lanes[:s.used] {
 		h := &s.lanes[i]
@@ -115,18 +184,6 @@ func (s *Shelf) settle() {
 	s.put.Reclaim()
 	s.get.Reclaim()
 	s.bufs.Trim()
-}
-
-// Shelve ends the machine's use of its shelf: every rank's heap and every
-// lane's lists and arrays go back to it. The machine must not run again,
-// and what its spaces held is gone.
-func (m *Machine) Shelve() {
-	for i := range m.spaces {
-		m.spaces[i].Release()
-	}
-	m.shelf.arrays.Reclaim()
-	m.shelf.settle()
-	m.holds = nil
 }
 
 // hold returns what the client's lane holds.

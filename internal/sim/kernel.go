@@ -35,6 +35,7 @@ type Kernel struct {
 	exec         *laneExec
 	inWindow     atomic.Bool
 	inBoundary   bool
+	finished     bool // Run returned nil: every thread ran to its end
 	laneInserted bool
 	lanesMerged  bool
 	// noShortcuts makes every Sleep, every ParkThenSleep and every idle
@@ -174,8 +175,14 @@ func (k *Kernel) Run() error {
 	for _, ln := range k.lanes {
 		ln.poolCarriers()
 	}
+	k.finished = true
 	return nil
 }
+
+// Finished reports whether Run has returned nil: every thread of the
+// kernel ran to its end and no event is left. Only such a kernel's world
+// gives what it grew back to its owner (KeptLanes, pami.Shelf).
+func (k *Kernel) Finished() bool { return k.finished }
 
 // runSingle is the single-lane Run: the base lane's one unbounded window.
 func (k *Kernel) runSingle() error {

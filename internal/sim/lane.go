@@ -388,9 +388,9 @@ func (ln *Lane) runWindow() {
 // n must be ≥ 1; n == 1 still runs the windowed engine (with trivial
 // horizons), which keeps behavior identical across lane counts.
 //
-// The lanes start on the arrays kept in kept (nil for none), which they
-// hold until its Reclaim.
-func (k *Kernel) ConfigureLanes(n, workers int, lookahead Time, kept *LaneArrays) {
+// The lanes are those kept (nil for none) holds, reset, and new ones past
+// them; they stay the kernel's until kept lends them to the next kernel.
+func (k *Kernel) ConfigureLanes(n, workers int, lookahead Time, kept *KeptLanes) {
 	if k.running {
 		panic("sim: ConfigureLanes during Run")
 	}
@@ -421,16 +421,19 @@ func (k *Kernel) ConfigureLanes(n, workers int, lookahead Time, kept *LaneArrays
 	// (lanes, workers) alone, and execution-only: horizons and boundary
 	// order are per-lane, so the grain cannot change a simulated byte.
 	k.laneGroup = min(max(n/(workers*8), 1), 64)
-	k.lanes = make([]*Lane, n)
-	for i := range k.lanes {
-		ln := &Lane{k: k, idx: i, winCap: timeInf}
+	if kept != nil {
+		k.lanes = kept.take(k, n)
+	} else {
+		k.lanes = make([]*Lane, n)
+		for i := range k.lanes {
+			k.lanes[i] = new(Lane)
+		}
+	}
+	for i, ln := range k.lanes {
+		ln.k, ln.idx, ln.winCap = k, i, timeInf
 		ln.obs = k.obs.NewChild()
 		ln.tracing = ln.obs.Tracing()
 		ln.obs.Attach("sim/events", &ln.fired)
-		k.lanes[i] = ln
-	}
-	if kept != nil {
-		kept.lend(k)
 	}
 	if k.obs != nil {
 		// Round-level observability, recorded by the coordinator into the

@@ -42,36 +42,55 @@ func (c *cond) broadcast() {
 	c.more = c.more[:0]
 }
 
-// FIFO is a first-in first-out queue over one slice and a head index.
-// Popping with q = q[1:] walks the capacity off the front, so a queue
-// that usually holds one item reallocates on every push and keeps what
-// it served reachable; Pop here clears the slot it vacates and rewinds to
-// the start of the array whenever the queue drains. The zero value is an
-// empty queue.
+// FIFO is a first-in first-out queue on a ring: an array a power of two
+// long, a head index and a count. Pop clears the slot it vacates, so what
+// was served does not stay reachable, and the array grows, doubling, only
+// when every slot holds a queued item: how long it is depends on the most
+// items the queue ever held at once, never on the order they came and went
+// in, so an owner that keeps it across a reset (Empty) never grows it
+// again for the same traffic. The zero value is an empty queue.
 type FIFO[T any] struct {
-	items []T
+	items []T // the ring; nil or a power of two long
 	head  int
+	n     int
 }
 
 // StartOn makes an empty queue hold its first len(buf) items in buf, an
 // array its owner keeps inline, so a queue that rarely holds more costs
-// no array of its own; past that it grows on the heap as usual. The owner
-// must not move or be copied afterwards.
-func (q *FIFO[T]) StartOn(buf []T) { q.items, q.head = buf[:0], 0 }
+// no array of its own; past that it grows on the heap as usual. len(buf)
+// must be a power of two, and the owner must not move or be copied
+// afterwards. A queue that already has an array — one it grew before its
+// owner was reset (Empty) — keeps it.
+func (q *FIFO[T]) StartOn(buf []T) {
+	if q.items == nil {
+		q.items = buf
+	}
+}
+
+// Empty drops every queued item and keeps the array.
+func (q *FIFO[T]) Empty() {
+	for ; q.n > 0; q.n-- {
+		var zero T
+		q.items[q.head] = zero
+		q.head = (q.head + 1) & (len(q.items) - 1)
+	}
+	q.head = 0
+}
 
 // Len returns the number of queued items.
-func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
+func (q *FIFO[T]) Len() int { return q.n }
 
-// Push appends v. A queue that never drains would otherwise grow by
-// everything it ever held: once at least half of a full array is served
-// slots, the live items slide to the front instead.
+// Push appends v.
 func (q *FIFO[T]) Push(v T) {
-	if len(q.items) == cap(q.items) && q.head > 0 && 2*q.head >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items, q.head = q.items[:n], 0
+	if q.n == len(q.items) {
+		grown := make([]T, max(1, 2*len(q.items)))
+		for i := range q.n {
+			grown[i] = q.items[(q.head+i)&(len(q.items)-1)]
+		}
+		q.items, q.head = grown, 0
 	}
-	q.items = append(q.items, v)
+	q.items[(q.head+q.n)&(len(q.items)-1)] = v
+	q.n++
 }
 
 // Pop removes and returns the oldest item; the queue must not be empty.
@@ -79,10 +98,8 @@ func (q *FIFO[T]) Pop() T {
 	var zero T
 	v := q.items[q.head]
 	q.items[q.head] = zero // what was served must not stay reachable
-	q.head++
-	if q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
-	}
+	q.head = (q.head + 1) & (len(q.items) - 1)
+	q.n--
 	return v
 }
 

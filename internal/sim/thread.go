@@ -157,11 +157,18 @@ func (t *Thread) run() {
 // ranks with a progress thread each fill half of one.
 const threadChunkMax = 64
 
-// newThread cuts the next Thread from the lane's slab. A new chunk holds
-// twice the threads the lane has so far, between 2 and threadChunkMax; a
-// full chunk is left behind rather than grown, so a *Thread stays valid
-// for the life of the kernel.
+// newThread returns the Thread the lane's next spawn is: the one an
+// earlier world's spawn at this place in the lane's thread list used,
+// reset when that world was given back (KeptLanes), else the next of the
+// lane's slab. A new chunk holds twice the threads the lane has so far,
+// between 2 and threadChunkMax; a full chunk is left behind rather than
+// grown, so a *Thread stays valid until its world is given back.
 func (ln *Lane) newThread() *Thread {
+	if n := len(ln.threads); n < cap(ln.threads) {
+		if t := ln.threads[:n+1][n]; t != nil {
+			return t
+		}
+	}
 	if len(ln.slab) == cap(ln.slab) {
 		ln.slab = make([]Thread, 0, min(max(2*len(ln.threads), 2), threadChunkMax))
 	}

@@ -22,10 +22,13 @@
 //     callers assemble tables keyed by configuration index, never by
 //     completion order.
 //   - recycling: each worker lends the worlds it runs a shelf of the
-//     engine's (pami.Shelf), which keeps the flights and payload buffers
-//     they recycle from one run to the next. The engine owns its shelves,
-//     so what a run allocates never depends on the GC, and nothing is
-//     recycled process-wide.
+//     engine's (armci.Shelf), which keeps what they grew — rank and lane
+//     slabs, flights, payload buffers — from one run to the next. The
+//     engine owns its shelves, so what a run allocates never depends on
+//     the GC, and nothing is recycled process-wide. A task's last world
+//     is given back when the task returns (armci.Shelf.GiveBack), so an
+//     idle engine holds no world: a task must not hand a world, or
+//     anything reached through one, out of the task.
 //   - GC policy: the process-global GOGC knob is set exactly once, here,
 //     instead of per run in each driver.
 package sweep
@@ -39,7 +42,6 @@ import (
 
 	"repro/internal/armci"
 	"repro/internal/obs"
-	"repro/internal/pami"
 )
 
 var gcOnce sync.Once
@@ -67,7 +69,7 @@ type Ctx struct {
 	Shards int
 	// shelf is the worker's, lent for the task: the worlds it runs one
 	// after another recycle through it (armci.Config.Shelf).
-	shelf *pami.Shelf
+	shelf *armci.Shelf
 }
 
 // Cfg attaches the run's registry, shard budget and shelf to a
@@ -127,11 +129,11 @@ type Engine struct {
 	parent  *obs.Registry
 
 	mu      sync.Mutex
-	shelves []*pami.Shelf // idle: no worker holds them
+	shelves []*armci.Shelf // idle: no worker holds them
 }
 
 // takeShelf lends a worker an idle shelf, or a new one.
-func (e *Engine) takeShelf() *pami.Shelf {
+func (e *Engine) takeShelf() *armci.Shelf {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if n := len(e.shelves); n > 0 {
@@ -139,11 +141,11 @@ func (e *Engine) takeShelf() *pami.Shelf {
 		e.shelves = e.shelves[:n-1]
 		return s
 	}
-	return pami.NewShelf()
+	return armci.NewShelf()
 }
 
 // giveShelf takes back a shelf its worker is done with.
-func (e *Engine) giveShelf(s *pami.Shelf) {
+func (e *Engine) giveShelf(s *armci.Shelf) {
 	e.mu.Lock()
 	e.shelves = append(e.shelves, s)
 	e.mu.Unlock()
@@ -237,6 +239,7 @@ func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(c *Ctx, i int)
 			c.Reg = parent.NewChild()
 			out[i] = fn(c, i)
 			deliver(i, c.Reg)
+			c.shelf.GiveBack()
 		}
 		return out
 	}
@@ -257,6 +260,10 @@ func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(c *Ctx, i int)
 			}
 		}()
 		out[i] = fn(c, i)
+		// The registry reads its world's slabs until it is merged, which
+		// may come after the task's world is given back: it reads them
+		// now, before the merge can start.
+		c.Reg.Sample()
 		donec <- i
 	}
 	for w := 0; w < workers; w++ {
@@ -273,6 +280,7 @@ func MapCtx[T any](e *Engine, ctx context.Context, n int, fn func(c *Ctx, i int)
 				c.Reg = parent.NewChild()
 				regs[i] = c.Reg
 				run(c, i)
+				c.shelf.GiveBack()
 			}
 		}()
 	}
