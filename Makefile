@@ -34,7 +34,12 @@ test-short:
 # restart over a survivor's store — and none of them skips under -short.
 # Under -race a registry passed to obs Merge is retired, so the suite also
 # shows that no layer records into a lane or point registry after it was
-# merged.
+# merged. A chaos run recycles flights, payloads and operation slots as a
+# healthy one does, so the race run poisons and retires them under
+# duplicated, late and dropped messages too
+# (TestRecyclingUnderDuplicationPoisonsNothing,
+# TestSlotRecyclingUnderDuplication, the chaos worlds of
+# TestShelfReuseIsInvisible).
 # The zero-allocation invariants skip under -race (its instrumentation
 # allocates), so the last line runs them, the objects- and
 # switches-per-rank budgets (each objects budget and the thread-spawn one
@@ -47,7 +52,9 @@ test-short:
 # TestFig9MetricsWarmObjectsPerRank, TestIdleWorldWarmObjectsPerRank; a
 # second same-shape world grows no lane array, rank or lane slab, clique,
 # queue, pend or slot table, TestSecondWorldLaneArraysAllocFree and
-# TestSecondWorldRankSlabsAllocFree; a nil registry makes no
+# TestSecondWorldRankSlabsAllocFree; a second same-shape chaos world
+# makes a tenth of what it made before chaos runs recycled,
+# TestChaosSecondWorldAllocBudget; a nil registry makes no
 # histogram bounds per lane, TestNilRegistryNewAllocsNoBounds; a
 # metrics-only world's per-rank series cost no object,
 # TestFig9MetricsObjectsPerRank),

@@ -100,8 +100,8 @@ type Config struct {
 	// world.
 	Shelf *Shelf
 
-	// retry replaces defaultRetryPolicy on a chaos run; tests shorten the
-	// budget with it.
+	// retry replaces defaultRetry on a chaos run; tests shorten the budget
+	// with it.
 	retry *retryPolicy
 }
 
@@ -376,16 +376,8 @@ type Runtime struct {
 	obsOps *opObs // this rank's lane's handles; nil when Config.Obs is nil
 
 	// Recovery state, armed only on chaos runs (Config.Fault non-nil).
-	retry   *retryPolicy   // resolved policy (never nil when faulty)
-	applied map[amKey]bool // target-side write-AM dedup, lazily allocated
-}
-
-// amKey identifies one write AM target-side for deduplication: the
-// initiator allocates the id once per logical operation and re-sends it
-// on retry, so (initiator, id) names the operation, not the message.
-type amKey struct {
-	src int
-	id  int64
+	retry   *retryPolicy // nil on a healthy run
+	applied pami.Dedup   // target-side write-AM dedup by (initiator, pend id)
 }
 
 // newRuntime brings rank's runtime up in its slot of w.Runtimes, on the
@@ -407,7 +399,7 @@ func newRuntime(w *World, th *sim.Thread, rank int) *Runtime {
 	if w.faulty() {
 		rt.retry = w.Cfg.retry
 		if rt.retry == nil {
-			rt.retry = defaultRetryPolicy()
+			rt.retry = &defaultRetry
 		}
 	}
 	for i := range c.Contexts {
@@ -495,6 +487,18 @@ func (rt *Runtime) newPend() (int64, *pendReq) {
 }
 
 func (rt *Runtime) pendIndex(id int64) int { return int(id) & (len(rt.pend) - 1) }
+
+// pendMark is the lowest pend id the runtime still waits on (the next one
+// when none): the low-water mark a write AM carries for pami.Dedup.
+func (rt *Runtime) pendMark() int64 {
+	low := rt.pendSeq + 1
+	for _, p := range rt.pend {
+		if p != nil {
+			low = min(low, p.id)
+		}
+	}
+	return low
+}
 
 // growPend doubles the pending table until every outstanding request has
 // an index of its own.

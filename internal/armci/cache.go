@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/mem"
-	"repro/internal/pami"
 	"repro/internal/sim"
 )
 
@@ -400,11 +399,8 @@ func (rt *Runtime) remoteRegionFor(th *sim.Thread, pos int, addr mem.Addr, n int
 			rt.Stats[statRetry]++
 		}
 		rt.mainCtx.SendAM(th, rt.endpoint(th, pos, true), dRegionQ, hdr, nil)
-		deadline := pami.NoDeadline // a healthy run loses no message: the first wait ends the loop
-		if rt.faulty() {
-			deadline = th.Now() + rt.retry.Timeout
-		}
-		if !rt.mainCtx.WaitCondUntil(th, func() bool { return p.done }, deadline) {
+		// A healthy run loses no message: the first wait ends the loop.
+		if !rt.mainCtx.WaitCondUntil(th, func() bool { return p.done }, rt.deadline(th, false)) {
 			rt.Stats[statTimeout]++
 		}
 	}

@@ -298,7 +298,7 @@ func runCliqueHistory(t *testing.T, seed int64, procs int, chaos, naive bool, ca
 	if chaos {
 		cfg.Fault = fault.NewPlan(uint64(seed)) // no faults: suspect windows come from the history
 	}
-	m := newDenseClique(procs, 1+cliqueMaxLive, capacity, naive, chaos, defaultRetryPolicy().SuspectWindow)
+	m := newDenseClique(procs, 1+cliqueMaxLive, capacity, naive, chaos, defaultRetry.SuspectWindow)
 	failed := false
 	_, err := Run(cfg, func(th *sim.Thread, rt *Runtime) {
 		var live []*Allocation

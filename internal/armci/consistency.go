@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/pami"
 	"repro/internal/sim"
 )
 
@@ -91,7 +90,7 @@ func (rt *Runtime) fence(th *sim.Thread, rank, pos int) {
 	if pos >= 0 {
 		if n := int(rt.peers.at(pos).puts); n > 0 {
 			s := rt.takeSlot()
-			err := rt.attempt(th, "fence.flush", rank, 0, &s.comp, func() {
+			err := rt.attempt(th, flushOp, rank, 0, &s.comp, func() {
 				rt.mainCtx.FlushRemote(th, rt.endpoint(th, pos, false), &s.comp)
 			}, nil)
 			if err != nil {
@@ -102,11 +101,7 @@ func (rt *Runtime) fence(th *sim.Thread, rank, pos int) {
 			rt.Stats[statFenceFlush]++
 		}
 		if rt.peers.at(pos).ams > 0 {
-			deadline := pami.NoDeadline
-			if rt.faulty() {
-				deadline = th.Now() + rt.retry.Timeout*sim.Time(rt.retry.MaxAttempts)
-			}
-			if !rt.mainCtx.WaitCondUntil(th, func() bool { return rt.peers.at(pos).ams == 0 }, deadline) {
+			if !rt.mainCtx.WaitCondUntil(th, func() bool { return rt.peers.at(pos).ams == 0 }, rt.deadline(th, true)) {
 				panic(fmt.Sprintf("armci: fence to rank %d timed out awaiting %d AM acks; "+
 					"non-blocking writes are not fault-hardened — use the blocking *Err forms on chaos runs",
 					rank, rt.peers.at(pos).ams))

@@ -14,12 +14,11 @@ import (
 // operation's completion list. Slots are cut from per-runtime chunks of
 // chunkLen and go back, when the operation is over (releaseSlot), to a
 // free list linked through next, so a rank in steady state allocates none
-// and one that never operates allocates no chunk; gen counts how often a
-// slot has been released, which is what tells a Handle to a finished
-// operation from one to the slot's current operation.
+// and one that never operates allocates no chunk. Its completion's
+// generation counts its releases: what tells a Handle, or a late landing,
+// of a finished operation from one of the slot's current operation.
 type opSlot struct {
 	rt   *Runtime
-	gen  uint64
 	next *opSlot // the free list's next slot, while this one is on it
 	comp sim.Completion
 	set  pami.OpSet
@@ -47,25 +46,18 @@ func (rt *Runtime) takeSlot() *opSlot {
 		rt.slotChunk = rt.slotChunk[1:]
 		s.rt = rt
 	}
-	s.comp = sim.MakeCompletion(rt.W.K)
+	s.comp.Reuse(rt.W.K)
 	return s
 }
 
-// releaseSlot ends the operation in s, whose completion has finished and
-// is referenced by nothing but Handles. The generation moves on, so every
-// Handle to the operation reads it as done without touching the slot's
-// next occupant. Under an injector nothing is recycled: a duplicated or
-// late delivery may still finish the completion. Under the race detector
-// the slot is retired instead of reused, so such a reference on a healthy
-// run panics (sim.Completion.Retire) rather than finishing the next
-// operation early.
+// releaseSlot ends the operation in s. Retiring its completion moves the
+// generation on, so every Handle to the operation reads it as done, and a
+// late landing of a duplicated message, which pami tags with the
+// generation at issue, finishes nothing. Under the race detector the slot
+// is dropped instead of reused, so an untagged late finish panics.
 func (rt *Runtime) releaseSlot(s *opSlot) {
-	if rt.faulty() {
-		return
-	}
-	s.gen++
+	s.comp.Retire()
 	if raceEnabled {
-		s.comp.Retire()
 		return
 	}
 	s.next, rt.slotFree = rt.slotFree, s
@@ -75,24 +67,24 @@ func (rt *Runtime) releaseSlot(s *opSlot) {
 // is a value — the operation's slot and the slot's generation at issue —
 // and may be copied freely. Wait drives the progress engine until the
 // operation's local completion: for gets the data has landed, for puts and
-// accumulates the local buffer is reusable. On a healthy run the first
-// Wait releases the slot for the next operation; from then on every copy
-// of the Handle reads as done. The zero Handle is done.
+// accumulates the local buffer is reusable. The first Wait releases the
+// slot for the next operation; from then on every copy of the Handle
+// reads as done. The zero Handle is done.
 type Handle struct {
 	s   *opSlot
-	gen uint64
+	gen uint32
 }
 
 // newHandle takes a slot for one operation and returns its Handle.
 func (rt *Runtime) newHandle() Handle {
 	s := rt.takeSlot()
-	return Handle{s: s, gen: s.gen}
+	return Handle{s: s, gen: s.comp.Gen()}
 }
 
 // live returns h's slot while it still holds h's operation, nil once the
 // operation is over.
 func (h Handle) live() *opSlot {
-	if h.s == nil || h.s.gen != h.gen {
+	if h.s == nil || h.s.comp.Gen() != h.gen {
 		return nil
 	}
 	return h.s
@@ -161,7 +153,8 @@ type xfer struct {
 	// id and data are the pend id and payload the first AM attempt
 	// captured (id 0: none yet), re-sent unchanged: the target dedups on
 	// (initiator, id), so an accumulate is applied once however many
-	// copies arrive.
+	// copies arrive. An end-to-end write keeps data until complete and
+	// sends each attempt a copy (wire); any other sends data itself, once.
 	id   int64
 	data []byte
 	pos  int  // the target's clique position, found once per operation
@@ -182,9 +175,9 @@ func (rt *Runtime) blockingXfer(pos int) xfer {
 
 // complete drives x through attempt. An end-to-end operation then drops
 // the pending request it may still have (budget exhausted, or an AM
-// attempt overtaken by a later RDMA one): a late reply finds nothing.
-// The operation is over, so its slot goes back.
-func (rt *Runtime) complete(th *sim.Thread, op string, target, n int, x *xfer, issue func()) error {
+// attempt overtaken by a later RDMA one), so a late reply finds nothing,
+// and the payload it kept. The operation is over: its slot goes back.
+func (rt *Runtime) complete(th *sim.Thread, op *retried, target, n int, x *xfer, issue func()) error {
 	err := rt.attempt(th, op, target, n, &x.s.comp, issue, func() {
 		if x.rdma {
 			rt.markSuspect(x.pos)
@@ -192,9 +185,21 @@ func (rt *Runtime) complete(th *sim.Thread, op string, target, n int, x *xfer, i
 	})
 	if x.e2e {
 		rt.dropPend(x.id)
+		rt.C.Bufs().Return(x.data)
 	}
 	rt.releaseSlot(x.s)
 	return err
+}
+
+// wire returns the payload an AM attempt at x hands pami: x's own for a
+// write sent once, a copy for an end-to-end write, which may re-send it.
+func (rt *Runtime) wire(x *xfer) []byte {
+	if !x.e2e {
+		return x.data
+	}
+	b := rt.C.Bufs().Buf(len(x.data))
+	copy(b, x.data)
+	return b
 }
 
 // rdmaReady is §III.C.1's selection rule: RDMA when both memory regions
@@ -206,12 +211,10 @@ func (rt *Runtime) rdmaReady(th *sim.Thread, local mem.Addr, ln, pos int, addr m
 }
 
 // amWrite prepares x's first AM attempt at a write of n bytes to x's peer:
-// payload borrowed (pami recycles it after the one delivery of a healthy
-// run; a chaos run's is never recycled, so a retry may re-send it), pend
-// id allocated and, unless the write is end to end, its ack booked for the
-// next fence. The ack finishes x when acked is set; a put that completes
-// at issue leaves it unset, so the pend slot never holds a completion its
-// operation no longer owns.
+// payload borrowed (wire), pend id allocated and, unless the write is end
+// to end, its ack booked for the next fence. The ack finishes x when
+// acked is set; a put that completes at issue leaves it unset, so the pend
+// slot never holds a completion its operation no longer owns.
 func (rt *Runtime) amWrite(x *xfer, local mem.Addr, n int, acked bool) {
 	x.data = rt.C.Bufs().Borrow(rt.C.Space, local, n)
 	var p *pendReq
@@ -252,7 +255,7 @@ func (rt *Runtime) issuePut(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 			x.s.comp.Finish()
 		}
 	}
-	rt.mainCtx.SendAM(th, rt.endpoint(th, x.pos, true), dPutReq, []int64{x.id, int64(dst.Addr)}, x.data)
+	rt.mainCtx.SendAM(th, rt.endpoint(th, x.pos, true), dPutReq, []int64{x.id, int64(dst.Addr), rt.pendMark()}, rt.wire(x))
 	rt.Stats[statPutAM]++
 	rt.tr("am", "put.am", int64(n))
 }
@@ -282,7 +285,7 @@ func (rt *Runtime) Put(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) {
 func (rt *Runtime) PutErr(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int) error {
 	t0 := th.Now()
 	x := rt.blockingXfer(rt.peers.record(dst.Rank))
-	if err := rt.complete(th, "put", dst.Rank, n, &x, func() { rt.issuePut(th, &x, local, dst, n) }); err != nil {
+	if err := rt.complete(th, putOp, dst.Rank, n, &x, func() { rt.issuePut(th, &x, local, dst, n) }); err != nil {
 		return err
 	}
 	rt.obsOp(opPut, n, th.Now()-t0)
@@ -334,7 +337,7 @@ func (rt *Runtime) Get(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) {
 func (rt *Runtime) GetErr(th *sim.Thread, src GlobalPtr, local mem.Addr, n int) error {
 	t0 := th.Now()
 	x := rt.blockingXfer(rt.admitRead(th, src.Rank, rt.allocKey(src)))
-	if err := rt.complete(th, "get", src.Rank, n, &x, func() { rt.issueGet(th, &x, src, local, n) }); err != nil {
+	if err := rt.complete(th, getOp, src.Rank, n, &x, func() { rt.issueGet(th, &x, src, local, n) }); err != nil {
 		return err
 	}
 	rt.obsOp(opGet, n, th.Now()-t0)
@@ -353,7 +356,7 @@ func (rt *Runtime) issueAcc(th *sim.Thread, x *xfer, local mem.Addr, dst GlobalP
 		rt.amWrite(x, local, n, true)
 	}
 	rt.mainCtx.SendAM(th, rt.endpoint(th, x.pos, true), dAccReq,
-		[]int64{x.id, int64(dst.Addr), int64(math.Float64bits(scale))}, x.data)
+		[]int64{x.id, int64(dst.Addr), int64(math.Float64bits(scale)), rt.pendMark()}, rt.wire(x))
 	rt.Stats[statAcc]++
 	rt.tr("am", "acc", int64(n))
 }
@@ -387,7 +390,7 @@ func (rt *Runtime) AccErr(th *sim.Thread, local mem.Addr, dst GlobalPtr, n int, 
 	}
 	t0 := th.Now()
 	x := rt.blockingXfer(rt.peers.record(dst.Rank))
-	if err := rt.complete(th, "acc", dst.Rank, n, &x, func() { rt.issueAcc(th, &x, local, dst, n, scale) }); err != nil {
+	if err := rt.complete(th, accOp, dst.Rank, n, &x, func() { rt.issueAcc(th, &x, local, dst, n, scale) }); err != nil {
 		return err
 	}
 	rt.obsOp(opAcc, n, th.Now()-t0)

@@ -52,22 +52,19 @@ type pendReq struct {
 	size  int
 }
 
-// amSeen dedups at-least-once write AMs by (initiator rank, request id).
+// amSeen dedups at-least-once write AMs by (initiator rank, request id)
+// and the initiator's low-water mark (0: a strided write carries none).
 // Only armed on chaos runs — without fault injection every request
-// arrives exactly once and the map is never allocated.
-func (rt *Runtime) amSeen(src int, id int64) bool {
+// arrives exactly once and nothing is recorded.
+func (rt *Runtime) amSeen(src int, id, mark int64) bool {
 	if !rt.faulty() {
 		return false
 	}
-	key := amKey{src: src, id: id}
-	if rt.applied[key] {
+	if _, seen := rt.applied.Seen(src, id, mark); seen {
 		rt.Stats[statDupAM]++
 		return true
 	}
-	if rt.applied == nil {
-		rt.applied = make(map[amKey]bool)
-	}
-	rt.applied[key] = true
+	rt.applied.Record(src, id, 0)
 	return false
 }
 
@@ -160,7 +157,7 @@ func (rt *Runtime) handleGetRep(th *sim.Thread, _ *pami.Context, msg *pami.AMess
 
 func (rt *Runtime) handlePutReq(th *sim.Thread, x *pami.Context, msg *pami.AMessage) {
 	id, addr := msg.Hdr[0], mem.Addr(msg.Hdr[1])
-	if !rt.amSeen(msg.Src.Rank, id) {
+	if !rt.amSeen(msg.Src.Rank, id, msg.Hdr[2]) {
 		rt.copyCost(th, len(msg.Data))
 		rt.C.Space.CopyIn(addr, msg.Data)
 	}
@@ -191,7 +188,7 @@ func (rt *Runtime) handleAccReq(th *sim.Thread, x *pami.Context, msg *pami.AMess
 	id, addr := msg.Hdr[0], mem.Addr(msg.Hdr[1])
 	scale := math.Float64frombits(uint64(msg.Hdr[2]))
 	n := len(msg.Data)
-	if !rt.amSeen(msg.Src.Rank, id) {
+	if !rt.amSeen(msg.Src.Rank, id, msg.Hdr[3]) {
 		// Accumulate is not idempotent: a duplicated delivery must be
 		// absorbed here, not re-applied.
 		t := sim.Time(rt.W.Cfg.Params.AccByteCost * float64(n))

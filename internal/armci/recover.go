@@ -3,6 +3,7 @@ package armci
 import (
 	"fmt"
 
+	"repro/internal/pami"
 	"repro/internal/sim"
 )
 
@@ -57,26 +58,51 @@ type retryPolicy struct {
 	SuspectWindow sim.Time
 }
 
-// defaultRetryPolicy returns the calibrated chaos-run policy. The total
-// retry budget (sum of timeouts and capped backoffs, ~4 ms for control
-// ops) is what a fault plan's dead windows must stay under for the
-// workload to ride through them.
-func defaultRetryPolicy() *retryPolicy {
-	return &retryPolicy{
-		MaxAttempts:    8,
-		Timeout:        60 * sim.Microsecond,
-		TimeoutPerByte: 1.5,
-		BackoffBase:    25 * sim.Microsecond,
-		BackoffCap:     2 * sim.Millisecond,
-		BackoffJitter:  0.25,
-		SuspectWindow:  10 * sim.Millisecond,
-	}
+// defaultRetry is the calibrated chaos-run policy, shared read-only. The
+// total retry budget (sum of timeouts and capped backoffs, ~4 ms for
+// control ops) is what a fault plan's dead windows must stay under for
+// the workload to ride through them.
+var defaultRetry = retryPolicy{
+	MaxAttempts:    8,
+	Timeout:        60 * sim.Microsecond,
+	TimeoutPerByte: 1.5,
+	BackoffBase:    25 * sim.Microsecond,
+	BackoffCap:     2 * sim.Millisecond,
+	BackoffJitter:  0.25,
+	SuspectWindow:  10 * sim.Millisecond,
 }
 
 // timeoutFor returns the per-attempt deadline for a payload of n bytes.
 func (p *retryPolicy) timeoutFor(n int) sim.Time {
 	return p.Timeout + sim.Time(p.TimeoutPerByte*float64(n))
 }
+
+// deadline is when a bounded wait that starts now gives up: after one
+// attempt's timeout, or the whole budget's. A healthy run has no policy
+// and loses no message, so its waits have none.
+func (rt *Runtime) deadline(th *sim.Thread, budget bool) sim.Time {
+	p := rt.retry
+	if p == nil {
+		return pami.NoDeadline
+	}
+	if budget {
+		return th.Now() + p.Timeout*sim.Time(p.MaxAttempts)
+	}
+	return th.Now() + p.Timeout
+}
+
+// retried names a retried operation and its trace events, once per process.
+type retried struct{ op, retry, timeout string }
+
+func retriedOp(op string) *retried { return &retried{op, op + ".retry", op + ".timeout"} }
+
+var (
+	putOp   = retriedOp("put")
+	getOp   = retriedOp("get")
+	accOp   = retriedOp("acc")
+	rmwOp   = retriedOp("rmw")
+	flushOp = retriedOp("fence.flush")
+)
 
 // OpError reports a blocking operation whose retry budget was exhausted.
 // The simulation is still consistent: the operation may or may not have
@@ -123,7 +149,7 @@ func (rt *Runtime) markSuspect(pos int) {
 // onTimeout, if non-nil, runs after each missed deadline (suspect-marking
 // hooks in there). Neither function is kept: callers' closures stay on
 // their stacks.
-func (rt *Runtime) attempt(th *sim.Thread, op string, target, payload int,
+func (rt *Runtime) attempt(th *sim.Thread, op *retried, target, payload int,
 	comp *sim.Completion, send, onTimeout func()) error {
 
 	if !rt.faulty() {
@@ -148,7 +174,7 @@ func (rt *Runtime) attempt(th *sim.Thread, op string, target, payload int,
 				return nil
 			}
 			rt.Stats[statRetry]++
-			rt.tr("fault", op+".retry", int64(target))
+			rt.tr("fault", op.retry, int64(target))
 		}
 		send()
 		deadline := th.Now() + pol.timeoutFor(payload)
@@ -162,13 +188,13 @@ func (rt *Runtime) attempt(th *sim.Thread, op string, target, payload int,
 			firstLoss = th.Now()
 		}
 		rt.Stats[statTimeout]++
-		rt.tr("fault", op+".timeout", int64(target))
+		rt.tr("fault", op.timeout, int64(target))
 		if onTimeout != nil {
 			onTimeout()
 		}
 	}
 	rt.Stats[statRetryExhausted]++
-	return &OpError{Op: op, Target: target, Attempts: pol.MaxAttempts, Elapsed: th.Now() - start}
+	return &OpError{Op: op.op, Target: target, Attempts: pol.MaxAttempts, Elapsed: th.Now() - start}
 }
 
 // noteRecovered records a successful recovery and its latency (first

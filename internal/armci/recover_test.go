@@ -37,9 +37,9 @@ func ftLinks() (to1, to0 int) {
 // shortBudget is the default policy with two attempts, so an exhaustion
 // row ends in a quarter of a millisecond.
 func shortBudget() *retryPolicy {
-	p := defaultRetryPolicy()
+	p := defaultRetry
 	p.MaxAttempts = 2
-	return p
+	return &p
 }
 
 func sleepUntil(th *sim.Thread, at sim.Time) {
@@ -391,6 +391,62 @@ func TestExactlyOnceUnderDuplication(t *testing.T) {
 	}
 	if dups := w.Runtimes[1].Stats.Get("dup.am"); dups < rounds {
 		t.Errorf("target absorbed %d duplicate accumulates, want at least %d", dups, rounds)
+	}
+}
+
+// TestDedupBoundedByOutstanding: a target's dedup state is sized by what
+// its sources still have outstanding, never by the traffic they sent. In
+// a 16-rank world under a 2 % duplication plan, 15 ranks each make n
+// blocking accumulates and n blocking fetch-and-adds to rank 0, one at a
+// time, so each has at most one of each kind outstanding: rank 0 must end
+// holding at most two ids per source in either of its windows (the write
+// AMs' and the rmws'), having absorbed duplicates all along, and the sum
+// and the counter must come out exact. A table keyed by every id served
+// would hold n per source in each.
+func TestDedupBoundedByOutstanding(t *testing.T) {
+	const procs = 16
+	n := 4000
+	if raceEnabled {
+		n = 400 // the bound holds at any n; the race build is ten times slower
+	}
+	cfg := Config{Procs: procs, ProcsPerNode: 4, AsyncThread: true,
+		Fault: fault.NewPlan(1).Duplicate(fault.Any, fault.Any, 0, forGood, 0.02)}
+	var sum float64
+	var count int64
+	w, err := Run(cfg, func(th *sim.Thread, rt *Runtime) {
+		a := rt.Malloc(th, 16)
+		if rt.Rank != 0 {
+			one := rt.LocalAlloc(th, 8)
+			rt.Space().SetFloat64(one, 1)
+			for range n {
+				if err := rt.AccErr(th, one, a.At(0), 8, 1); err != nil {
+					t.Error(err)
+				}
+				if _, err := rt.FetchAddErr(th, a.At(0).Add(8), 1); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		rt.Barrier(th)
+		if rt.Rank == 0 {
+			sum, count = rt.Space().GetFloat64(a.At(0).Addr), rt.Space().GetInt64(a.At(0).Addr+8)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops := (procs - 1) * n; sum != float64(ops) || count != int64(ops) {
+		t.Errorf("sum %v counter %d after %d of each, want both exact", sum, count, ops)
+	}
+	rt := &w.Runtimes[0]
+	writes, rmws := rt.applied.Widest(), rt.C.RmwApplied().Widest()
+	t.Logf("n = %d: rank 0 holds at most %d write ids and %d rmw ids per source; %d duplicate writes absorbed",
+		n, writes, rmws, rt.Stats.Get("dup.am"))
+	if writes > 2 || rmws > 2 {
+		t.Errorf("rank 0 holds up to %d write and %d rmw ids for one source, want <= 2 each", writes, rmws)
+	}
+	if rt.Stats.Get("dup.am") == 0 {
+		t.Error("no duplicate write was absorbed: the test sees nothing")
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 func (rt *Runtime) rmw(th *sim.Thread, dst GlobalPtr, op pami.RmwOp, operand, compare int64) (int64, error) {
 	t0 := th.Now()
 	id, comp := rt.mainCtx.RmwBegin()
-	err := rt.attempt(th, "rmw", dst.Rank, 8, comp, func() {
+	err := rt.attempt(th, rmwOp, dst.Rank, 8, comp, func() {
 		rt.mainCtx.RmwIssue(th, rt.endpoint(th, rt.peers.record(dst.Rank), true), id, dst.Addr, op, operand, compare)
 	}, nil)
 	prev := rt.mainCtx.RmwEnd(id)

@@ -72,9 +72,10 @@ func (s *Shelf) GiveBack() {
 // world, in place. What survives is the room its tables grew — the clique
 // table's records, index, status matrix and bucket slab, the region
 // cache's block list, the allocation list, the pending-request table, the
-// implicit-handle list — and its free pending-request and operation slots,
-// each cleared. A slot still held by an operation when the world ended
-// (a vector operation's, one never waited on) is left to the collector.
+// implicit-handle list, the write dedup's windows — and its free
+// pending-request and operation slots, each cleared. A slot still held by
+// an operation when the world ended (a vector operation's, one never
+// waited on) is left to the collector.
 func (rt *Runtime) reset() {
 	rt.peers.reset()
 	clear(rt.regions.blocks)
@@ -92,6 +93,7 @@ func (rt *Runtime) reset() {
 		s.comp, s.set, s.comps = sim.Completion{}, pami.OpSet{}, nil
 	}
 	clear(rt.implicit)
+	rt.applied.Reset()
 	*rt = Runtime{
 		peers:     rt.peers,
 		regions:   regionCache{blocks: rt.regions.blocks[:0]},
@@ -102,5 +104,6 @@ func (rt *Runtime) reset() {
 		slotFree:  rt.slotFree,
 		slotChunk: rt.slotChunk,
 		implicit:  rt.implicit[:0],
+		applied:   rt.applied,
 	}
 }

@@ -1,6 +1,7 @@
 package armci
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/fault"
@@ -91,34 +92,49 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 	}
 }
 
-// TestNoSlotRecyclingUnderDuplication: with every message delivered twice,
-// no operation slot is released for reuse — a duplicated reply or ack may
-// still finish a completion after its operation is over. Blocking and
-// non-blocking operations, contiguous and strided, each get a slot of
-// their own, and a Handle to a finished operation still reads its own.
-func TestNoSlotRecyclingUnderDuplication(t *testing.T) {
+// TestSlotRecyclingUnderDuplication: with every message delivered twice,
+// operation slots are released and reused as on a healthy run, and a
+// duplicate that arrives after its operation is over finishes nothing.
+// Each round puts a pattern of its own, fences, and gets it back into a
+// buffer of its own through a non-blocking get, whose slot last served an
+// operation whose duplicate landings and acks may still be arriving: when
+// Wait returns, the get's own bytes must be there (a late landing that
+// finished the reused slot would return it early), and its Handle reads
+// as done. A strided get rides along. Under the race detector released
+// slots are retired instead of reused, so a late untagged finish panics.
+func TestSlotRecyclingUnderDuplication(t *testing.T) {
 	plan := fault.NewPlan(1).Duplicate(fault.Any, fault.Any, 0, sim.Second, 1)
-	_, err := ftWorld(t, ftCfg(plan), func(th *sim.Thread, rt *Runtime, local mem.Addr, remote GlobalPtr) {
+	w, err := ftWorld(t, ftCfg(plan), func(th *sim.Thread, rt *Runtime, local mem.Addr, remote GlobalPtr) {
+		const rounds = 8
+		back := rt.LocalAlloc(th, rounds*ftBytes)
 		seen := map[*opSlot]bool{}
-		for i := 0; i < 4; i++ {
-			h := rt.NbGet(th, remote, local, ftBytes)
-			h.Wait(th)
-			if seen[h.s] {
-				t.Fatalf("get %d reused a slot under an injector", i)
-			}
-			seen[h.s] = true
+		reused := false
+		for i := 0; i < rounds; i++ {
+			want := pattern(ftBytes, byte(20+i))
+			rt.Space().CopyIn(local, want)
 			rt.Put(th, local, remote, ftBytes)
 			rt.Fence(th, remote.Rank)
+			into := back + mem.Addr(i*ftBytes)
+			h := rt.NbGet(th, remote, into, ftBytes)
+			reused = reused || seen[h.s]
+			seen[h.s] = true
+			h.Wait(th)
+			if got := rt.Space().Bytes(into, ftBytes); !bytes.Equal(got, want) {
+				t.Fatalf("get %d returned before its own reply landed", i)
+			}
 			rt.NbGetS(th, remote, []int{64}, local, []int{64}, []int{64, 2}).Wait(th)
 			if !h.Done() {
 				t.Fatalf("get %d reads as pending after Wait", i)
 			}
 		}
-		if rt.slotFree != nil {
-			t.Error("a released slot is on the free list under an injector")
+		if reused == raceEnabled {
+			t.Errorf("a get reused a released slot under an injector: %v, want %v", reused, !raceEnabled)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := w.Faults.Duplicated; d == 0 {
+		t.Fatal("no message was duplicated: the test sees nothing")
 	}
 }

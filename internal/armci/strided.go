@@ -316,7 +316,7 @@ func (rt *Runtime) AccS(th *sim.Thread, local mem.Addr, localStrides []int,
 
 func (rt *Runtime) handlePutSReq(th *sim.Thread, x *pami.Context, msg *pami.AMessage) {
 	id, addr, _, l := decodeStridedHdr(msg.Hdr)
-	if !rt.amSeen(msg.Src.Rank, id) {
+	if !rt.amSeen(msg.Src.Rank, id, 0) {
 		rt.copyCost(th, len(msg.Data))
 		strides, counts := l.slices()
 		unpackPatch(rt.C.Space, addr, strides, counts, msg.Data)
@@ -347,7 +347,7 @@ func (rt *Runtime) handleAccSReq(th *sim.Thread, x *pami.Context, msg *pami.AMes
 	id, addr, scaleBits, l := decodeStridedHdr(msg.Hdr)
 	strides, counts := l.slices()
 	scale := math.Float64frombits(uint64(scaleBits))
-	if !rt.amSeen(msg.Src.Rank, id) {
+	if !rt.amSeen(msg.Src.Rank, id, 0) {
 		t := sim.Time(rt.W.Cfg.Params.AccByteCost * float64(len(msg.Data)))
 		if t > 0 {
 			th.Sleep(t)

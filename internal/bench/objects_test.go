@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 	"slices"
 	"strings"
@@ -225,6 +226,36 @@ func TestSecondWorldLaneArraysAllocFree(t *testing.T) {
 	}
 	if second != 0 {
 		t.Fatalf("the second same-shape world made %d lane-array objects, want 0", second)
+	}
+}
+
+// TestChaosSecondWorldAllocBudget: a chaos world lives by the healthy
+// world's lifetime rule — flights, payloads, operation and rmw slots go
+// back once their last event has fired, dedup windows hold only what is
+// outstanding and keep their room — so the second of two same-shape chaos
+// worlds on one engine (the chaos sweep's p = 32 point, 10 rounds a rank)
+// costs the host what its shelf does not keep: the world's handler table,
+// the injector, first sights of a payload class. It made 3 786 objects
+// when a chaos run recycled nothing; the bound is a tenth of that, which
+// leaves room for the objects the Go runtime itself makes during a GC,
+// which MemStats.Mallocs counts too.
+func TestChaosSecondWorldAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector slots are retired and slabs poisoned, never reused")
+	}
+	eng := sweep.NewSharded(1, 0, nil)
+	world := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ChaosRun(context.Background(), eng, 32, 4, 10, 42)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	first, second := world(), world()
+	t.Logf("chaos p=32: %d objects on a fresh engine, %d on the same engine after it", first, second)
+	if second > 378 {
+		t.Fatalf("the second same-shape chaos world made %d objects, want <= 378", second)
 	}
 }
 

@@ -22,14 +22,15 @@ import (
 // routes — and nothing of theirs may show. One engine runs, back to back,
 // big → small → big: a p = 256 SCF (ga get and accumulate), a fig9 hammer
 // at p = 1024 (active-message rmw), a p = 64 SCF (kept slabs four to
-// sixteen times too long), a p = 64 chaos hammer (which recycles no
-// flight or payload, on a shelf healthy runs stocked), a world that
-// deadlocks (which gives nothing back), a halo (RDMA and typed strided
-// puts) and the p = 256 SCF again; each result must be the bytes the same
-// point gives on a fresh engine, at one lane worker and at two. Under
-// -race every payload and heap handed back is poisoned and no slab is
-// reused, so a reader that outlives its world shows up here as changed
-// bytes.
+// sixteen times too long), a world that deadlocks (which gives nothing
+// back), a halo (RDMA and typed strided puts) and the p = 256 SCF again,
+// with chaos hammers of seeds 42, 7 and 99 between them — duplicated,
+// delayed and dropped messages on flights, payloads, slots and dedup
+// windows healthy runs stocked, and theirs left for the healthy runs
+// after; each result must be the bytes the same point gives on a fresh
+// engine, at one lane worker and at two. Under -race every payload and
+// heap handed back is poisoned and no slab is reused, so a reader that
+// outlives its world shows up here as changed bytes.
 //
 // Then a world's memory must be gone once its task has returned, which
 // gives it back to the task's shelf: its ranks' heap bytes read mem.Poison
@@ -46,18 +47,20 @@ func TestShelfReuseIsInvisible(t *testing.T) {
 	scf := func(procs int) func(eng *sweep.Engine) string {
 		return func(eng *sweep.Engine) string { return csv(Fig11(ctx, eng, []int{procs}, 16, Quick.SCF)) }
 	}
+	chaos := func(procs int, seed uint64) func(eng *sweep.Engine) string {
+		return func(eng *sweep.Engine) string { return fmt.Sprintf("%+v", ChaosRun(ctx, eng, procs, 4, 2, seed)) }
+	}
 	points := []struct {
 		name string
 		run  func(eng *sweep.Engine) string
 	}{
 		{"scf p=256", scf(256)},
+		{"chaos p=32 seed 42", chaos(32, 42)},
 		{"fig9 p=1024", func(eng *sweep.Engine) string {
 			return strconv.FormatFloat(Fig9Point(ctx, eng, 1024, 16, true, true, 2), 'g', -1, 64)
 		}},
 		{"scf p=64", scf(64)},
-		{"chaos p=64", func(eng *sweep.Engine) string {
-			return fmt.Sprintf("%+v", ChaosRun(ctx, eng, 64, 4, 2, 7))
-		}},
+		{"chaos p=64 seed 7", chaos(64, 7)},
 		{"deadlock", func(eng *sweep.Engine) string {
 			return sweep.Map(eng, 1, func(c *sweep.Ctx, _ int) string {
 				_, err := armci.Run(c.Cfg(armci.Config{Procs: 32, ProcsPerNode: 16, AsyncThread: true}),
@@ -74,6 +77,7 @@ func TestShelfReuseIsInvisible(t *testing.T) {
 			return csv(HaloGrid(ctx, eng, HaloSpec{TilesX: 4, TilesY: 4, TileN: 16, Iters: 3, PerNode: 4,
 				Modes: []bool{false, true}}))
 		}},
+		{"chaos p=32 seed 99", chaos(32, 99)},
 		{"scf p=256 again", scf(256)},
 	}
 	for _, shards := range []int{0, 2} {

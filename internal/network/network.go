@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -204,7 +205,8 @@ type Msg struct {
 	// engine (a hardware-AMO reply): it bypasses the injection FIFO, so it
 	// neither waits for nor occupies the MU and pays no NicMsgOverhead.
 	// Link reservation along the route still applies.
-	NIC bool
+	NIC  bool
+	refs int32 // events still to fire for the message (Hold, Release)
 	// Deliver fires in the destination node's lane when the message
 	// arrives (its tail). Local, when non-nil, fires in the source node's
 	// lane at the same instant: the initiator-side completion of an
@@ -222,6 +224,28 @@ type Msg struct {
 // Apply is the message's boundary operation: the serial half of its send,
 // for a message injected at time at.
 func (m *Msg) Apply(at sim.Time) { m.nw.applySend(at, m) }
+
+// Hold counts one more event for m that its sender fires itself (a local
+// completion it schedules), before that event can fire.
+func (m *Msg) Hold() { atomic.AddInt32(&m.refs, 1) }
+
+// Release drops one of m's events — one of its copies' Deliver or Local,
+// or one its sender held — as it fires, and reports whether it was the
+// last, after which m's owner may reuse it. A dropped copy fires nothing,
+// so a message that lost one is never released: its owner reclaims it
+// when the world ends.
+func (m *Msg) Release() bool { return atomic.AddInt32(&m.refs, -1) == 0 }
+
+// deliver trades the hold the network takes on m at the send for the
+// events of the copies it delivers, before any can fire.
+func (m *Msg) deliver(copies int) {
+	if m.Local != nil {
+		copies *= 2
+	}
+	if copies != 1 {
+		atomic.AddInt32(&m.refs, int32(copies-1))
+	}
+}
 
 // Send injects a message of payload bytes from srcNode to dstNode at the
 // current virtual time and schedules fn at the arrival (tail) time. The
@@ -268,10 +292,12 @@ func (nw *Network) SendMsg(m *Msg) {
 // a lane that is not windowed runs beside nothing. It keeps no reference
 // to m.
 func (nw *Network) sendNow(m *Msg) bool {
+	m.Hold()
 	src := nw.lanes[m.Src]
 	now := src.Now()
 
 	if nw.flt == nil && m.Src == m.Dst {
+		m.deliver(1)
 		arrival, hops, _ := nw.transit(now, m)
 		nw.noteLaneSend(src, m.Payload, hops)
 		src.AtAction(arrival-now, m.Deliver)
@@ -322,13 +348,15 @@ func (nw *Network) sendAtBoundary(m *Msg) {
 // contends like a real retransmission and arrives later; deduplication is
 // the receiver's problem, as on a real at-least-once transport. Every copy
 // that arrives is counted and its completions deposited into the
-// destination's (and, with Msg.Local, the source's) lane.
+// destination's (and, with Msg.Local, the source's) lane; then the message
+// learns how many copies it has (Msg.Release).
 func (nw *Network) applySend(at sim.Time, m *Msg) {
 	copies := 1
 	if nw.flt != nil {
 		v := nw.flt.MessageVerdict(m.Src, m.Dst, at)
 		if v.Drop {
 			nw.flt.Dropped++
+			m.deliver(0)
 			return
 		}
 		if v.Delay > 0 {
@@ -340,6 +368,7 @@ func (nw *Network) applySend(at sim.Time, m *Msg) {
 			nw.flt.Duplicated++
 		}
 	}
+	delivered := 0
 	for ; copies > 0; copies-- {
 		arrival, hops, ok := nw.transit(at, m)
 		if !ok {
@@ -350,7 +379,10 @@ func (nw *Network) applySend(at sim.Time, m *Msg) {
 		if m.Local != nil {
 			nw.lanes[m.Src].ScheduleAbsAction(arrival, m.Local)
 		}
+		delivered++
 	}
+	// Nothing scheduled fires before the serial half of the send returns.
+	m.deliver(delivered)
 }
 
 // transit books the injection MU and the route for one copy of m whose

@@ -38,8 +38,9 @@ type AMessage struct {
 // advances the target context, with the context lock held — replies sent
 // from the handler therefore occupy the progress engine, exactly as on
 // the real machine. A handler must not keep msg, msg.Hdr or msg.Data
-// after it returns: on a healthy run the message and its payload are
-// reused for the next send (copy what must outlive the call).
+// after it returns: once its last copy has been handled, the message and
+// its payload are reused for the next send (copy what must outlive the
+// call).
 type AMHandler func(th *sim.Thread, x *Context, msg *AMessage)
 
 // amHdrInline is the header length an active message carries without a
@@ -54,9 +55,9 @@ const amHdrInline = 7
 // message (the embedded Msg, logged at the window boundary), the arrival
 // event in the target's lane (Fire), the work item in the target
 // context's queue (serve), and the message the handler reads (msg). A
-// delivery duplicated under faults fires the same flight twice, so only a
-// healthy run recycles flights: the target's lane takes the served one
-// (hold).
+// delivery duplicated under faults fires the same flight twice; the
+// target's lane takes it back (hold), payload and all, once its last copy
+// has been served.
 type amFlight struct {
 	network.Msg
 	msg AMessage
@@ -71,7 +72,7 @@ func (f *amFlight) Fire() {
 }
 
 // serve dispatches the message to its handler.
-func (f *amFlight) serve(th *sim.Thread) {
+func (f *amFlight) serve(th *sim.Thread, _ uint32) {
 	x := f.tgt
 	var h AMHandler
 	if id := f.msg.Dispatch; id >= 0 && id < DispatchLimit {
@@ -83,9 +84,9 @@ func (f *amFlight) serve(th *sim.Thread) {
 	}
 	x.AMsServed++
 	h(th, x, &f.msg)
-	if !x.Client.M.faulty() {
-		// Delivered exactly once and handled: nothing reads the flight or
-		// its payload any more (AMHandler).
+	if f.Release() {
+		// Every copy handled: nothing reads the flight or its payload any
+		// more (AMHandler).
 		h := x.Client.hold()
 		h.bufs.Return(f.msg.Data)
 		*f = amFlight{}
@@ -106,7 +107,7 @@ func (x *Context) SendAM(th *sim.Thread, dst Endpoint, dispatch int, hdr []int64
 	c := x.Client
 	th.Sleep(c.jit(c.M.P.CPUInject))
 
-	f := flight(c, &c.hold().am)
+	f := c.hold().am.Get()
 	*f = amFlight{
 		Msg: network.Msg{Src: c.Node, Dst: dst.Node, Payload: len(data) + amHeaderBytes, Kind: network.Control},
 		msg: AMessage{
@@ -182,22 +183,35 @@ func (x *Context) RmwBegin() (uint64, *sim.Completion) {
 	} else {
 		p = new(rmwPending)
 	}
-	*p = rmwPending{id: c.rmwSeq, comp: sim.MakeCompletion(c.M.K)}
+	p.id, p.result = c.rmwSeq, 0
+	p.comp.Reuse(c.M.K)
 	c.rmwSeq++
 	c.rmwPend = append(c.rmwPend, p)
 	return p.id, &p.comp
 }
 
 // RmwIssue sends (or, on retry, re-sends) the request for an id obtained
-// from RmwBegin. With Params.HardwareAMO the NIC answers instead of a
-// reply message, and the flight carries the pending slot.
+// from RmwBegin, with the client's low-water mark for the target's Dedup.
+// With Params.HardwareAMO the NIC answers instead of a reply message, and
+// the flight carries the pending slot.
 func (x *Context) RmwIssue(th *sim.Thread, dst Endpoint, id uint64, addr mem.Addr, op RmwOp, operand, compare int64) {
-	if c := x.Client; c.M.P.HardwareAMO {
+	c := x.Client
+	if c.M.P.HardwareAMO {
 		x.rmwHardware(th, dst, addr, op, operand, compare, c.rmwPend[c.rmwFind(id)])
 		return
 	}
 	x.SendAM(th, dst, dispatchRmwReq,
-		[]int64{int64(id), int64(addr), int64(op), operand, compare}, nil)
+		[]int64{int64(id), int64(addr), int64(op), operand, compare, int64(c.rmwMark())}, nil)
+}
+
+// rmwMark is the lowest rmw id the client still waits on: the next id
+// when none is pending.
+func (c *Client) rmwMark() uint64 {
+	low := c.rmwSeq
+	for _, p := range c.rmwPend {
+		low = min(low, p.id)
+	}
+	return low
 }
 
 // RmwEnd retires id — answered, or abandoned when its retry budget is
@@ -288,12 +302,12 @@ func handleRmwReq(th *sim.Thread, x *Context, msg *AMessage) {
 	op, operand, compare := RmwOp(msg.Hdr[2]), msg.Hdr[3], msg.Hdr[4]
 
 	faulty := c.M.faulty()
-	key := rmwKey{src: msg.Src.Rank, id: uint64(id)}
 	if faulty {
 		// At-least-once delivery: a duplicated or retried request must not
-		// re-apply. Answer duplicates from the cached prior value so the
-		// initiator still gets its reply (the first one may have been lost).
-		if old, seen := c.rmwApplied[key]; seen {
+		// re-apply. Answer duplicates from the recorded prior value so the
+		// initiator still gets its reply (the first one may have been lost);
+		// one below the initiator's mark is answered too, and ignored there.
+		if old, seen := c.rmwApplied.Seen(msg.Src.Rank, id, msg.Hdr[5]); seen {
 			x.SendAM(th, msg.Src, dispatchRmwRep, []int64{id, old}, nil)
 			return
 		}
@@ -301,10 +315,7 @@ func handleRmwReq(th *sim.Thread, x *Context, msg *AMessage) {
 
 	old := applyRmw(c.Space, addr, op, operand, compare)
 	if faulty {
-		if c.rmwApplied == nil {
-			c.rmwApplied = make(map[rmwKey]int64)
-		}
-		c.rmwApplied[key] = old
+		c.rmwApplied.Record(msg.Src.Rank, id, old)
 	}
 	x.SendAM(th, msg.Src, dispatchRmwRep, []int64{id, old}, nil)
 }

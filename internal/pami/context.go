@@ -14,7 +14,7 @@ import (
 // exist anyway, so posting one allocates nothing.
 type work interface {
 	// serve runs on the thread advancing the context, with its lock held.
-	serve(th *sim.Thread)
+	serve(th *sim.Thread, gen uint32)
 }
 
 // workItem is a unit of progress-engine work. The advancing thread sleeps
@@ -24,12 +24,18 @@ type workItem struct {
 	w      work
 	posted sim.Time // enqueue time, for dispatch-latency accounting
 	am     bool     // true for active-message dispatches
+	gen    uint32   // a retirement's completion generation when posted
 }
 
-// retire is a completion as the work item that retires it.
+// retire is a completion as the work item that retires its operation of
+// generation gen: a late landing's finishes nothing (landing).
 type retire sim.Completion
 
-func (r *retire) serve(*sim.Thread) { (*sim.Completion)(r).FinishOnce() }
+func (r *retire) serve(_ *sim.Thread, gen uint32) {
+	if c := (*sim.Completion)(r); c.Gen() == gen {
+		c.FinishOnce()
+	}
+}
 
 // Context is a PAMI communication context: a progress point with its own
 // lock and work queue. Multiple contexts progress independently — the
@@ -173,8 +179,11 @@ func (x *Context) post(it workItem) {
 // not Finish: under fault injection a duplicated delivery (or a retry
 // overlapping its delayed original) can post the same completion twice,
 // and the second retirement is benign by design.
-func (x *Context) postCompletion(comp *sim.Completion) {
-	x.post(workItem{cost: x.Client.M.P.CompletionOverhead, w: (*retire)(comp)})
+func (x *Context) postCompletion(comp *sim.Completion) { x.postRetire(comp, comp.Gen()) }
+
+// postRetire enqueues retirement of comp's operation of generation gen.
+func (x *Context) postRetire(comp *sim.Completion, gen uint32) {
+	x.post(workItem{cost: x.Client.M.P.CompletionOverhead, w: (*retire)(comp), gen: gen})
 }
 
 // Pending returns the number of queued work items.
@@ -225,7 +234,7 @@ func (x *Context) serve(th *sim.Thread, limit int) int {
 		if it.cost > 0 {
 			th.Sleep(it.cost)
 		}
-		it.w.serve(th)
+		it.w.serve(th, it.gen)
 		n++
 	}
 	x.ItemsServed += uint64(n)

@@ -184,18 +184,16 @@ type Client struct {
 
 	created bool // NewClient has returned: peers may address this rank
 
-	// rmwApplied dedups read-modify-write requests under fault injection:
-	// target-side, keyed by (initiator rank, request id), it caches the
-	// prior value so a duplicated or retried request is answered from the
-	// cache instead of re-applied. Allocated lazily, only in fault mode.
-	rmwApplied map[rmwKey]int64
+	// rmwApplied dedups read-modify-write requests under fault injection,
+	// target-side: it keeps the prior value of each request an initiator
+	// may still re-send, so a duplicated or retried one is answered from
+	// it instead of re-applied. Only chaos runs fill it.
+	rmwApplied Dedup
 }
 
-// rmwKey identifies one rmw request target-side for deduplication.
-type rmwKey struct {
-	src int
-	id  uint64
-}
+// RmwApplied returns the client's memory of the read-modify-writes it
+// applied for its initiators.
+func (c *Client) RmwApplied() *Dedup { return &c.rmwApplied }
 
 // NewClient creates rank's client, charging the documented creation cost.
 // It must be called from the owning rank's thread before any
@@ -239,11 +237,15 @@ func (c *Client) reset() {
 	clear(c.regions)
 	clear(c.rmwPend)
 	clear(c.rmwFree)
+	c.rmwApplied.Reset()
+	c.rmwFirst.comp.Reuse(nil) // emptied, with the room a retried rmw grew its waiter list to
 	*c = Client{
-		regions: c.regions[:0],
-		spare:   spare,
-		rmwPend: c.rmwPend[:0],
-		rmwFree: c.rmwFree[:0],
+		regions:    c.regions[:0],
+		spare:      spare,
+		rmwPend:    c.rmwPend[:0],
+		rmwFree:    c.rmwFree[:0],
+		rmwFirst:   rmwPending{comp: c.rmwFirst.comp},
+		rmwApplied: c.rmwApplied,
 	}
 }
 

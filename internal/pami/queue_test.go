@@ -12,7 +12,7 @@ import (
 // to a megabyte on the fallback put path.
 type payload struct{ b [1 << 10]byte }
 
-func (p *payload) serve(*sim.Thread) { _ = p.b[0] }
+func (p *payload) serve(*sim.Thread, uint32) { _ = p.b[0] }
 
 // itemHolding returns a work item that is the only reference to a fresh
 // payload; collected is closed when the collector frees it.

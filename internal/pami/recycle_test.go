@@ -12,16 +12,15 @@ import (
 	"repro/internal/topology"
 )
 
-// keptAM runs two ranks under plan (nil: healthy) and sends one active
-// message per payload from rank 0 to rank 1, each a borrowed copy of its
-// pattern, header {i}. Rank 1 advances its context once, after every copy
-// has arrived. Its handler hands each delivery, as it is and without a
+// keptAM runs two ranks and sends one active message per payload from
+// rank 0 to rank 1, each a borrowed copy of its pattern, header {i}.
+// Rank 1 advances its context once, after every message has arrived. Its handler hands each delivery, as it is and without a
 // copy, to handle: the rule a real handler keeps (AMHandler) is what this
 // breaks on purpose.
-func keptAM(t *testing.T, plan *fault.Plan, payloads [][]byte, handle func(i int, data []byte)) {
+func keptAM(t *testing.T, payloads [][]byte, handle func(i int, data []byte)) {
 	t.Helper()
 	const dispatchKeep = DispatchUserBase
-	runPair(t, plan, 64, func(th *sim.Thread, c *Client, _ mem.Addr) {
+	runPair(t, nil, 64, func(th *sim.Thread, c *Client, _ mem.Addr) {
 		c.Contexts[0].SetDispatch(dispatchKeep, func(_ *sim.Thread, _ *Context, msg *AMessage) {
 			handle(int(msg.Hdr[0]), msg.Data)
 		})
@@ -48,7 +47,7 @@ func TestKeptPayloadIsPoisoned(t *testing.T) {
 	}
 	var kept []byte
 	seen := 0
-	keptAM(t, nil, [][]byte{pattern(1, 40), nil}, func(i int, data []byte) {
+	keptAM(t, [][]byte{pattern(1, 40), nil}, func(i int, data []byte) {
 		seen++
 		if i == 0 {
 			kept = data
@@ -65,82 +64,101 @@ func TestKeptPayloadIsPoisoned(t *testing.T) {
 	}
 }
 
-// TestNoRecyclingUnderDuplication: with every message delivered twice,
-// nothing is recycled. Two active messages of one size class: each copy of
-// each one hands its handler the bytes it was sent, and what the handler
-// kept still holds them once the run is over (a payload recycled after the
-// first copy would carry the second message's bytes, or Poison). Two gets
-// from one size class: each request turns around twice and each reply
-// lands twice, on a flight no later get has taken over. Two puts: each
-// arrives and completes twice, and the second put's completion waits for
-// its own bytes (a first flight recycled after its first copy would hand
-// its second arrival and completion to the second put, finishing it before
-// its bytes landed, or fire on a reset flight).
-func TestNoRecyclingUnderDuplication(t *testing.T) {
+// TestRecyclingUnderDuplicationPoisonsNothing: with every message
+// delivered twice, flights and payloads still recycle, each once its last
+// copy is done with it, and nothing reads one after that. The two ranks
+// share a node, so the lane's lists hand what one message freed to the
+// next. Active messages go out back to back while the target serves them
+// as they come: each copy of each must reach its handler with the bytes
+// it was sent (the handler reads them in the call and keeps nothing, per
+// AMHandler), though the flights and payloads serving them are reused all
+// along — a flight freed after its first copy would serve its second copy
+// another message's bytes, or, under the race detector, Poison. Gets and
+// puts of one size class follow, each on flights and payloads the one
+// before it freed: each request turns around twice and each reply lands
+// twice; each put arrives and completes twice, and its completion waits
+// for its own bytes. Two chunks of AM flights serve the 64 messages, one
+// chunk each the gets and puts.
+func TestRecyclingUnderDuplicationPoisonsNothing(t *testing.T) {
 	plan := fault.NewPlan(1).Duplicate(fault.Any, fault.Any, 0, sim.Second, 1)
-	payloads := [][]byte{pattern(1, 40), pattern(2, 40)}
-	var kept [][]byte
-	var from []int
-	keptAM(t, plan, payloads, func(i int, data []byte) {
-		if !bytes.Equal(data, payloads[i]) {
-			t.Errorf("message %d delivered with another message's bytes", i)
-		}
-		kept, from = append(kept, data), append(from, i)
-	})
-	if len(kept) != 4 {
-		t.Fatalf("%d deliveries, want 4", len(kept))
+	const msgs, n = 64, 512
+	payloads := make([][]byte, msgs)
+	for i := range payloads {
+		payloads[i] = pattern(byte(i), 40)
 	}
-	for j, data := range kept {
-		if !bytes.Equal(data, payloads[from[j]]) {
-			t.Errorf("delivery %d of message %d: its payload was reused", j, from[j])
+	delivered := make([]int, msgs)
+	r := newRig(t, 2, 2, 1)
+	r.m.Net.SetFault(fault.NewInjector(r.k, plan, 1, nil))
+	const dispatchCheck = DispatchUserBase
+	r.spawnAll(1, func(th *sim.Thread, c *Client) {
+		x, s := &c.Contexts[0], c.Space
+		a := s.Alloc(4 * n) // the same address on both ranks
+		if c.Rank == 1 {
+			x.SetDispatch(dispatchCheck, func(_ *sim.Thread, _ *Context, msg *AMessage) {
+				i := msg.Hdr[0]
+				if !bytes.Equal(msg.Data, payloads[i]) {
+					t.Errorf("a copy of message %d reached its handler with other bytes", i)
+				}
+				delivered[i]++
+			})
+			s.CopyIn(a, pattern(100, n))
+			s.CopyIn(a+n, pattern(101, n))
+			for th.Now() < 2*sim.Millisecond {
+				x.Progress(th)
+				th.Sleep(sim.Microsecond)
+			}
+			return
 		}
-	}
-
-	const n = 512
-	m := runPair(t, plan, 2*n, func(th *sim.Thread, c *Client, remote mem.Addr) {
-		c.Space.CopyIn(remote, pattern(3, n))
-		c.Space.CopyIn(remote+n, pattern(4, n))
-	}, func(th *sim.Thread, x *Context, ep Endpoint, remote mem.Addr) {
-		s := x.Client.Space
-		local := s.Alloc(2 * n)
+		ep := c.CreateEndpoint(th, 1, 0)
+		th.Sleep(sim.Millisecond - th.Now())
+		for i, p := range payloads {
+			s.CopyIn(a, p)
+			x.SendAM(th, ep, dispatchCheck, []int64{int64(i)}, c.Bufs().Borrow(s, a, len(p)))
+		}
 		for i := 0; i < 2; i++ {
-			done := sim.NewCompletion(x.Client.M.K)
-			x.RdmaGet(th, ep, local+mem.Addr(i*n), remote+mem.Addr(i*n), n, done)
+			done := sim.NewCompletion(r.k)
+			x.RdmaGet(th, ep, a+2*n+mem.Addr(i*n), a+mem.Addr(i*n), n, done)
 			x.WaitLocal(th, done)
+			expectBytes(t, fmt.Sprintf("get %d at its completion", i), s, a+2*n+mem.Addr(i*n), pattern(byte(100+i), n))
 		}
-		th.Sleep(sim.Millisecond)
-		expectBytes(t, "the first get", s, local, pattern(3, n))
-		expectBytes(t, "the second get", s, local+n, pattern(4, n))
-	})
-	// Two requests, each turned around twice, and their four replies.
-	if got := m.Net.Fault().Duplicated; got != 6 {
-		t.Errorf("%d messages duplicated, want 6", got)
-	}
-
-	m = runPair(t, plan, 2*n, nil, func(th *sim.Thread, x *Context, ep Endpoint, remote mem.Addr) {
-		s, tgt := x.Client.Space, x.Client.M.Space(1)
-		local := s.Alloc(2 * n)
 		for i := 0; i < 2; i++ {
 			off := mem.Addr(i * n)
-			s.CopyIn(local+off, pattern(byte(5+i), n))
-			done := sim.NewCompletion(x.Client.M.K)
-			x.RdmaPut(th, ep, local+off, remote+off, n, done)
+			s.CopyIn(a+off, pattern(byte(5+i), n))
+			done := sim.NewCompletion(r.k)
+			x.RdmaPut(th, ep, a+off, a+2*n+off, n, done)
 			x.WaitLocal(th, done)
-			expectBytes(t, fmt.Sprintf("put %d at its completion", i), tgt, remote+off, pattern(byte(5+i), n))
+			expectBytes(t, fmt.Sprintf("put %d at its completion", i), r.m.Space(1), a+2*n+off, pattern(byte(5+i), n))
 		}
-		th.Sleep(sim.Millisecond)
 	})
-	if got := m.Net.Fault().Duplicated; got != 2 {
-		t.Errorf("%d puts duplicated, want 2", got)
+	if err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range delivered {
+		if d != 2 {
+			t.Errorf("message %d: %d deliveries, want 2", i, d)
+		}
+	}
+	// Every message twice: the AMs, two get requests and their four
+	// replies, two puts.
+	if got, want := r.m.Net.Fault().Duplicated, uint64(msgs+6+2); got != want {
+		t.Errorf("%d messages duplicated, want %d", got, want)
+	}
+	sh := r.m.shelf
+	if cut := [3]int{sh.am.Cut(), sh.put.Cut(), sh.get.Cut()}; cut != [3]int{2 * flightBatch, flightBatch, flightBatch} {
+		t.Errorf("%v AM, put and get flights cut, want %v: flights are recycled", cut, [3]int{2 * flightBatch, flightBatch, flightBatch})
 	}
 }
 
-// TestChaosCutsNoFlight: a run under an injector gives no flight back, so
-// it makes each one with new and leaves the shelf's chunks, which the
-// shelf keeps as long as it lives, as they were. Were its flights cut from
-// the shelf, a chaos world would pin one per message it sent: here, three
-// times what the healthy world before it cut.
-func TestChaosCutsNoFlight(t *testing.T) {
+// TestChaosCutsPeakFlights: a world under an injector recycles its flights
+// as a healthy one does, so the flights its shelf cuts are bounded by the
+// most it had in flight at once plus the copies the network dropped —
+// each freed by its last copy, a dropped one at the world's end — never
+// by the messages it sent. After a healthy world primed the shelf, a
+// chaos world with every message duplicated and none dropped sends three
+// chunks' worth of each kind: the target serves no active message until
+// all have arrived, so they peak at all of them in flight, while puts and
+// gets go one at a time and reuse the chunk the healthy world cut.
+func TestChaosCutsPeakFlights(t *testing.T) {
 	shelf := NewShelf()
 	cut := func() [3]int { return [3]int{shelf.am.Cut(), shelf.put.Cut(), shelf.get.Cut()} }
 	world := func(plan *fault.Plan, rounds int) {
@@ -176,11 +194,12 @@ func TestChaosCutsNoFlight(t *testing.T) {
 	}
 	world(nil, flightBatch)
 	primed := cut()
-	if primed[0] == 0 || primed[1] == 0 || primed[2] == 0 {
-		t.Fatalf("a healthy run cut %v AM, put and get flights, want some of each", primed)
+	if primed != [3]int{flightBatch, flightBatch, flightBatch} {
+		t.Fatalf("a healthy run cut %v AM, put and get flights, want one chunk of each", primed)
 	}
-	world(fault.NewPlan(1).Duplicate(fault.Any, fault.Any, 0, sim.Second, 1), 3*flightBatch)
-	if got := cut(); got != primed {
-		t.Errorf("a chaos run left %v AM, put and get flights cut, want %v as before it", got, primed)
+	const rounds = 3 * flightBatch
+	world(fault.NewPlan(1).Duplicate(fault.Any, fault.Any, 0, sim.Second, 1), rounds)
+	if got, want := cut(), [3]int{rounds, flightBatch, flightBatch}; got != want {
+		t.Errorf("a chaos run left %v AM, put and get flights cut, want %v: its peak in flight", got, want)
 	}
 }

@@ -1,8 +1,6 @@
 package pami
 
 import (
-	"sync/atomic"
-
 	"repro/internal/mem"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -14,40 +12,24 @@ const rmaControlBytes = 32
 // landing is what an RMA flight ticks when its bytes land: a completion,
 // retired through the issuing context's progress engine (*retire), or one
 // chunk of an op set (*OpSet). Both are pointers the caller already holds,
-// so naming one costs a flight nothing.
+// so naming one costs a flight nothing. The flight keeps the generation of
+// the landing's completion at issue (sim.Completion.Gen), so a duplicate
+// that lands after its operation is over finishes nothing, though its
+// retirement still costs the progress engine what any does.
 type landing interface {
-	landed(x *Context)
+	gen() uint32
+	landed(x *Context, gen uint32)
 }
 
-func (r *retire) landed(x *Context) { x.postCompletion((*sim.Completion)(r)) }
+func (r *retire) gen() uint32 { return (*sim.Completion)(r).Gen() }
 
-func (s *OpSet) landed(*Context) { s.done() }
+func (r *retire) landed(x *Context, gen uint32) { x.postRetire((*sim.Completion)(r), gen) }
 
-// rdmaPayload is the bytes an RDMA flight owns: captured from one space when
-// the model says the network reads them, copied into another when they
-// land. That is two copies, and two is the floor — the source may be
-// reused once the put completes locally, the target may be rewritten
-// after a get's turnaround, so the network cannot carry a view of either.
-// The captured bytes are borrowed from the capturing lane's classes. On a
-// healthy run every message is delivered exactly once, so the landing
-// hands them to the landing lane's right after its CopyIn; under an
-// injector a delivery can fire twice or never, and the buffer is left to
-// the garbage collector.
-type rdmaPayload struct {
-	buf     []byte
-	recycle bool
-}
+func (s *OpSet) gen() uint32 { return s.comp.Gen() }
 
-// capture copies [a, a+n) of c's space, on c's lane.
-func (p *rdmaPayload) capture(c *Client, a mem.Addr, n int) {
-	p.buf, p.recycle = c.hold().bufs.Borrow(c.Space, a, n), !c.M.faulty()
-}
-
-// land copies the bytes to a in c's space, on c's lane.
-func (p *rdmaPayload) land(c *Client, a mem.Addr) {
-	c.Space.CopyIn(a, p.buf)
-	if p.recycle {
-		c.hold().bufs.Return(p.buf)
+func (s *OpSet) landed(_ *Context, gen uint32) {
+	if s.comp.Gen() == gen {
+		s.done()
 	}
 }
 
@@ -55,27 +37,26 @@ func (p *rdmaPayload) land(c *Client, a mem.Addr) {
 // heap value in three roles, as amFlight is for an active message. It is
 // the network's record of the message (the embedded Msg), the arrival in
 // the target's lane (Fire: the bytes land) and the local completion
-// (putAck), and it owns the bytes it captured at injection. A healthy run
-// recycles it once both have fired, on the lane of the one that fired
-// last.
+// (putAck). It owns buf, the bytes borrowed at injection: an RDMA flight
+// copies twice, and two is the floor, since the source may be reused once
+// the put completes locally and the target rewritten after a get's
+// turnaround. Its events — every copy's arrival, and the local completion,
+// which a healthy run schedules itself and a chaos run takes from every
+// copy (Msg.Local) — fire in two lanes; the last (Msg.Release) recycles
+// flight and bytes on its lane.
 type putFlight struct {
 	network.Msg
 	x      *Context
 	done   landing
+	gen    uint32 // done's generation at issue
 	tc     *Client
 	remote mem.Addr
-	// refs counts the arrival and the local completion still to fire on a
-	// healthy run (2 at issue). They fire in two lanes, which can run on
-	// two workers in one round, so each decrements atomically and the one
-	// that reaches 0 recycles the flight. A chaos run leaves it 0: a
-	// delivery can fire twice or never, and the flight is left to the GC.
-	refs atomic.Int32
-	rdmaPayload
+	buf    []byte
 }
 
 // Fire is the arrival: the bytes land at the target.
 func (f *putFlight) Fire() {
-	f.land(f.tc, f.remote)
+	f.tc.Space.CopyIn(f.remote, f.buf)
 	f.release(f.tc)
 }
 
@@ -83,15 +64,14 @@ func (f *putFlight) Fire() {
 type putAck putFlight
 
 func (a *putAck) Fire() {
-	a.done.landed(a.x)
+	a.done.landed(a.x, a.gen)
 	(*putFlight)(a).release(a.x.Client)
 }
 
-// release drops one of a healthy flight's two references, on c's lane; the
-// last one resets the flight and puts it back there. recycle, set at issue
-// and read-only until then, says whether the flight is counted at all.
+// release drops one of the flight's references, on c's lane.
 func (f *putFlight) release(c *Client) {
-	if f.recycle && f.refs.Add(-1) == 0 {
+	if f.Release() {
+		c.hold().bufs.Return(f.buf)
 		*f = putFlight{}
 		c.hold().put.Put(f)
 	}
@@ -123,21 +103,19 @@ func (x *Context) put(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n in
 	p := c.M.P
 	th.Sleep(c.jit(p.CPUInject))
 
-	f := flight(c, &c.hold().put)
+	f := c.hold().put.Get()
 	*f = putFlight{
 		Msg:    network.Msg{Src: c.Node, Dst: dst.Node, Payload: n, Kind: network.Data},
 		x:      x,
 		done:   done,
+		gen:    done.gen(),
 		tc:     c.peer(dst.Rank),
 		remote: remote,
 	}
 	f.Deliver = f
 	// Capture the payload now: after local completion the user may reuse
 	// the buffer, so the network must own a stable copy.
-	f.capture(c, local, n)
-	if f.recycle {
-		f.refs.Store(2)
-	}
+	f.buf = c.hold().bufs.Borrow(c.Space, local, n)
 	if c.M.faulty() {
 		// Fault mode: completion is end-to-end, ticked only when the bytes
 		// actually land. The MU's optimistic injection-complete ack would
@@ -151,6 +129,7 @@ func (x *Context) put(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n in
 		c.M.Net.SendMsg(&f.Msg)
 		return
 	}
+	f.Hold() // the ack below
 	c.M.Net.SendMsg(&f.Msg)
 	ackDelay := p.NicMsgOverhead + p.SerTime(n) + p.PutAckFixed
 	if n > 0 && n < p.UnalignedThreshold {
@@ -162,17 +141,19 @@ func (x *Context) put(th *sim.Thread, dst Endpoint, local, remote mem.Addr, n in
 // getFlight is one RDMA get or remote flush from issue to landing: the
 // request and its reply are both its messages, and it is the request's
 // arrival at the target's messaging unit (Fire), the turnaround (getTurn)
-// and the reply's landing (getLand). A get owns the bytes it captured at
-// stream time. A healthy run recycles it on its issuer's lane once it has
-// landed.
+// and the reply's landing (getLand). A get owns buf, the bytes captured at
+// stream time. The request holds the reply (rep.Hold) until its last copy
+// has turned around, so the reply's last release is the flight's last
+// event, and recycles it on its lane.
 type getFlight struct {
 	req, rep      network.Msg
 	x             *Context
 	done          landing
+	gen           uint32 // done's generation at issue
+	fetch         bool
 	tc            *Client
 	local, remote mem.Addr
-	fetch         bool
-	rdmaPayload
+	buf           []byte
 }
 
 // Fire is the request's arrival at the target MU; after the turnaround
@@ -185,19 +166,23 @@ type getTurn getFlight
 
 func (t *getTurn) Fire() {
 	f := (*getFlight)(t)
+	r := f
 	if f.rep.Deliver != nil {
 		// The reply has gone already: a request duplicated under faults
 		// turns around twice, and each turnaround streams its own reply
 		// with its own bytes, as two separate flights would.
-		dup := *f
-		f = &dup
+		r = f.tc.hold().get.Get()
+		*r = getFlight{rep: network.Msg{Src: f.rep.Src, Dst: f.rep.Dst, Payload: f.rep.Payload, Kind: f.rep.Kind},
+			x: f.x, done: f.done, gen: f.gen, fetch: f.fetch, tc: f.tc, local: f.local, remote: f.remote}
 	}
-	if f.fetch {
-		// The bytes are captured at stream time.
-		f.capture(f.tc, f.remote, f.rep.Payload)
+	if r.fetch {
+		r.buf = r.tc.hold().bufs.Borrow(r.tc.Space, r.remote, r.rep.Payload)
 	}
-	f.rep.Deliver = (*getLand)(f)
-	f.tc.M.Net.SendMsg(&f.rep)
+	r.rep.Deliver = (*getLand)(r)
+	r.tc.M.Net.SendMsg(&r.rep)
+	if f.req.Release() {
+		f.release(f.tc) // the request's hold on the reply
+	}
 }
 
 // getLand is the flight as its reply's landing.
@@ -207,12 +192,16 @@ func (l *getLand) Fire() {
 	f := (*getFlight)(l)
 	c := f.x.Client
 	if f.fetch {
-		f.land(c, f.local)
+		c.Space.CopyIn(f.local, f.buf)
 	}
-	f.done.landed(f.x)
-	if !c.M.faulty() {
-		// The landing is the flight's last event when every message is
-		// delivered exactly once.
+	f.done.landed(f.x, f.gen)
+	f.release(c)
+}
+
+// release drops one reference to the reply, on c's lane.
+func (f *getFlight) release(c *Client) {
+	if f.rep.Release() {
+		c.hold().bufs.Return(f.buf)
 		*f = getFlight{}
 		c.hold().get.Put(f)
 	}
@@ -249,20 +238,22 @@ func (x *Context) roundTrip(th *sim.Thread, dst Endpoint, local, remote mem.Addr
 	c := x.Client
 	th.Sleep(c.jit(c.M.P.CPUInject))
 
-	f := flight(c, &c.hold().get)
+	f := c.hold().get.Get()
 	*f = getFlight{
 		req:    network.Msg{Src: c.Node, Dst: dst.Node, Payload: rmaControlBytes, Kind: network.Control},
 		rep:    network.Msg{Src: dst.Node, Dst: c.Node, Payload: n, Kind: network.Control},
 		x:      x,
 		done:   done,
+		gen:    done.gen(),
+		fetch:  fetch,
 		tc:     c.peer(dst.Rank),
 		local:  local,
 		remote: remote,
-		fetch:  fetch,
 	}
 	if fetch {
 		f.rep.Kind = network.Data
 	}
 	f.req.Deliver = f
+	f.rep.Hold() // released by the request's last turnaround
 	c.M.Net.SendMsg(&f.req)
 }

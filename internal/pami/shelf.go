@@ -27,13 +27,14 @@ const flightBatch = 16
 // ran before, never of GC history. A machine built without a shelf makes
 // a private one that dies with it.
 //
-// Only a healthy run recycles flights: under an injector a delivery can
-// fire twice or never, so such a run takes no flight from the shelf
-// (flight) and gives none of its payloads back; all of them go to the
-// collector. A world whose kernel did not finish (sim.Kernel.Finished)
-// gives no slab back: the next world makes its own. Under the race
-// detector the elements a world used are poisoned and dropped instead of
-// reset, so a read of a world after the next one was lent fails loudly.
+// A flight and its payload go back after the flight's last event, chaos
+// or not: the network counts the copies of a message it delivers
+// (network.Msg.Release). One it dropped is never freed; settle reclaims it
+// with every flight the world left in flight. A world whose kernel did not
+// finish (sim.Kernel.Finished) gives no slab back: the next world makes
+// its own. Under the race detector the elements a world used are poisoned
+// and dropped instead of reset, so a read of a world after the next one
+// was lent fails loudly.
 type Shelf struct {
 	am   mem.Stock[amFlight]
 	put  mem.Stock[putFlight]
@@ -188,16 +189,6 @@ func (s *Shelf) settle() {
 
 // hold returns what the client's lane holds.
 func (c *Client) hold() *hold { return &c.M.holds[c.Ln.Index()] }
-
-// flight returns a free flight from the client's list l. Under an injector
-// it makes a new one instead: such a run gives no flight back, and one cut
-// from the shelf's chunks would be kept as long as the shelf is.
-func flight[T any](c *Client, l *mem.Free[T]) *T {
-	if c.M.faulty() {
-		return new(T)
-	}
-	return l.Get()
-}
 
 // Bufs returns the payload classes of the client's lane: where the rank's
 // active-message payloads come from (Borrow, Buf). pami hands each back

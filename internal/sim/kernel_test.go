@@ -249,6 +249,22 @@ func TestRetiredCompletionPanics(t *testing.T) {
 	}
 }
 
+// TestCompletionGenerationOutlivesReuse: retiring a completion moves its
+// generation on, and reusing it for the next operation keeps that
+// generation, so a reference made at the old one can tell it is stale.
+func TestCompletionGenerationOutlivesReuse(t *testing.T) {
+	k := NewKernel()
+	c := NewCompletion(k)
+	at := c.Gen()
+	c.Finish()
+	c.Retire()
+	c.Reuse(k)
+	if c.Done() || c.Gen() == at {
+		t.Fatalf("reused completion: done %v, generation %d (was %d), want pending at a new one", c.Done(), c.Gen(), at)
+	}
+	c.Finish() // live again: no retired panic
+}
+
 func TestWaitGroup(t *testing.T) {
 	k := NewKernel()
 	wg := NewWaitGroup(k)

@@ -203,10 +203,13 @@ func (m *Mutex) Held(t *Thread) bool { return m.owner == t }
 // the communication stack.
 type Completion struct {
 	done bool
-	// retired marks a completion its owner has released for good (Retire):
+	// retired marks a completion its owner has released (Retire):
 	// finishing it again is a reference that outlived the operation.
 	retired bool
-	cond    cond
+	// gen counts the operations the completion tracked before its current
+	// one (Retire moves it on), so a late reference can tell it is stale.
+	gen  uint32
+	cond cond
 }
 
 // NewCompletion returns an unfinished completion bound to k.
@@ -250,12 +253,27 @@ func (c *Completion) FinishOnce() {
 	c.cond.broadcast()
 }
 
-// Retire marks a finished completion as released by its owner. An owner
-// that recycles completions retires one instead of reusing it when it
-// wants stale references caught: a Finish or FinishOnce that reaches a
-// retired completion panics, where on a reused one it would have finished
-// the next operation early.
-func (c *Completion) Retire() { c.retired = true }
+// Gen returns the completion's generation: how often it was retired. A
+// reference that may outlive its operation (a duplicated delivery) keeps
+// the generation it was made at and finishes nothing once it differs.
+func (c *Completion) Gen() uint32 { return c.gen }
+
+// Retire ends the operation c tracked, for an owner that recycles
+// completions: its generation moves on, and a Finish or FinishOnce that
+// reaches a retired, finished completion panics, where on a reused one it
+// would have finished the next operation early.
+func (c *Completion) Retire() {
+	c.retired = true
+	c.gen++
+}
+
+// Reuse makes c, retired or never used, an unfinished completion bound to
+// k for its owner's next operation, in place; its generation stays, and
+// so does the room its waiter list grew (a retried wait registers again).
+func (c *Completion) Reuse(k *Kernel) {
+	clear(c.cond.more)
+	*c = Completion{gen: c.gen, cond: cond{k: k, more: c.cond.more[:0]}}
+}
 
 // checkLive panics on a retired completion; only a finished completion
 // can be retired, so the check rides the already-done branch.
