@@ -418,7 +418,7 @@ func TestLoadThenSIGTERMDrains(t *testing.T) {
 
 	// A quarter second of simulation, several under -race: in flight
 	// for as long as the rest of the test needs it to be.
-	const slow = `{"scenario":"fig9","params":{"procs":[64],"ops_each":250}}`
+	const slow = `{"scenario":"fig9","params":{"procs":[64],"ops_each":1000}}`
 	inflight := make(chan error, 1)
 	go func() {
 		resp, body, err := post(p.addr, job{"/v1/run", slow})

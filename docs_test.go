@@ -94,8 +94,8 @@ func TestDocsNameRealThings(t *testing.T) {
 // doc shrinks; raising one means editing it here beside a one-line reason.
 var docCeilings = map[string]int64{
 	"README.md":      14396, // its size once the claims test judged both scales
-	"DESIGN.md":      91086, // its size once the one lifetime rule replaced the shelf rule's and per-PR history left
-	"EXPERIMENTS.md": 74920, // its size once the rank-slab section came in and three older sections shrank
+	"DESIGN.md":      90790, // its size once the lane's two shortcut rules for progress threads became one
+	"EXPERIMENTS.md": 37473, // its size once the per-PR performance sections became one table
 	"CHANGES.md":     10506, // its size once older entries shrank and the shelf entry and two findings were added
 }
 

@@ -182,10 +182,7 @@ type World struct {
 	Runtimes []Runtime
 	svcIdx   int // context index remote-service AMs are addressed to
 
-	handlers  [nProtocol]pami.AMHandler // protocol[i] bound to the dispatched-on rank's runtime
-	asyncBody func(*sim.Thread)         // body of every asynchronous progress thread
-	asyncIdle func(*sim.Thread) bool    // its idle pass, run by the lane (pami.Context.SetIdlePass)
-	barArrive func(at sim.Time)         // barrierArrive, as the one value every Barrier defers
+	barArrive func(at sim.Time) // barrierArrive, as the one value every Barrier defers
 
 	// Faults is the installed injector (nil outside chaos runs); chaos
 	// harnesses read its counters after Run.
@@ -245,9 +242,6 @@ func NewWorld(k *sim.Kernel, cfg Config) (*World, error) {
 		w.opObs = make([]opObs, max(1, len(k.Lanes())))
 		w.observe(cfg.Obs)
 	}
-	w.bindHandlers()
-	w.asyncBody = func(pt *sim.Thread) { w.Runtimes[pt.Index()].svcCtx.ProgressLoop(pt) }
-	w.asyncIdle = func(pt *sim.Thread) bool { return w.Runtimes[pt.Index()].svcCtx.IdlePass(pt) }
 	w.barArrive = w.barrierArrive
 	if cfg.Fault != nil {
 		w.Faults = fault.NewInjector(k, cfg.Fault, cfg.Seed, cfg.Obs)
@@ -362,9 +356,8 @@ type Runtime struct {
 	// evict}, strided.{chunks,typed}, ...
 	Stats Stats
 
-	main     *sim.Thread // the rank's main thread; its name is the trace track id
-	progress *sim.Thread
-	rng      sim.RNG
+	main *sim.Thread // the rank's main thread; its name is the trace track id
+	rng  sim.RNG
 
 	// Barrier bookkeeping: barGen counts barriers this rank has entered,
 	// barRelease the releases delivered to it. Both are lane-local — the
@@ -402,16 +395,17 @@ func newRuntime(w *World, th *sim.Thread, rank int) *Runtime {
 			rt.retry = &defaultRetry
 		}
 	}
+	c.Cookie = rt
 	for i := range c.Contexts {
-		for j := range w.handlers {
-			c.Contexts[i].SetDispatch(protocol[j].id, w.handlers[j])
+		for j := range protocol {
+			c.Contexts[i].SetDispatch(protocol[j].id, &protocol[j].h)
 		}
 	}
 
 	if w.Cfg.AsyncThread {
-		rt.progress = w.K.SpawnIndexed(c.Ln, "async", rank, w.asyncBody)
-		rt.progress.SetObsTrack(obs.TrackProgress)
-		rt.svcCtx.SetIdlePass(rt.progress, w.asyncIdle)
+		// The progress thread never has a stack: its lane runs its loop
+		// (pami.Context.ProgressSteps).
+		w.K.SpawnSteps(c.Ln, "async", rank, rt.svcCtx.ProgressSteps()).SetObsTrack(obs.TrackProgress)
 	}
 	return rt
 }
@@ -541,15 +535,29 @@ func (rt *Runtime) findPend(id int64) *pendReq {
 // slot goes back to the free list for the next newPend, so a caller reads
 // what it still needs from the copy, never from a *pendReq it held.
 func (rt *Runtime) dropPend(id int64) (p pendReq, ok bool) {
-	slot := rt.findPend(id)
+	slot := rt.unlinkPend(id)
 	if slot == nil {
 		return pendReq{}, false
 	}
-	rt.pend[rt.pendIndex(id)] = nil
 	p = *slot
+	rt.freePend(slot)
+	return p, true
+}
+
+// unlinkPend retires request id and returns its slot, or nil when id is
+// not pending. The slot stays the caller's to read until freePend.
+func (rt *Runtime) unlinkPend(id int64) *pendReq {
+	slot := rt.findPend(id)
+	if slot != nil {
+		rt.pend[rt.pendIndex(id)] = nil
+	}
+	return slot
+}
+
+// freePend puts a slot unlinkPend returned on the free list.
+func (rt *Runtime) freePend(slot *pendReq) {
 	*slot = pendReq{next: rt.pendFree}
 	rt.pendFree = slot
-	return p, true
 }
 
 // finalize drains outstanding work and synchronizes before teardown.

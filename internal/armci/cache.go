@@ -377,6 +377,12 @@ func (rc cacheView) purgeRank(pos int) {
 	p.bucket = p.bucket[:0]
 }
 
+// regionAnswered is a pending region query as what its wait ends on: the
+// answer has come.
+type regionAnswered pendReq
+
+func (p *regionAnswered) Holds() bool { return p.done }
+
 // remoteRegionFor resolves RDMA metadata for [addr,addr+n) at the peer in
 // position pos: cache hit, or an active-message query to the owner (which
 // needs the owner's progress engine — region misses are not free at
@@ -400,7 +406,7 @@ func (rt *Runtime) remoteRegionFor(th *sim.Thread, pos int, addr mem.Addr, n int
 		}
 		rt.mainCtx.SendAM(th, rt.endpoint(th, pos, true), dRegionQ, hdr, nil)
 		// A healthy run loses no message: the first wait ends the loop.
-		if !rt.mainCtx.WaitCondUntil(th, func() bool { return p.done }, rt.deadline(th, false)) {
+		if !rt.mainCtx.WaitCondUntil(th, (*regionAnswered)(p), rt.deadline(th, false)) {
 			rt.Stats[statTimeout]++
 		}
 	}

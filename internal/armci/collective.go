@@ -99,11 +99,16 @@ func (a *Allocation) nthReg(k int) int {
 // BarrierLatency ≥ the network lookahead (enforced by withDefaults)
 // guarantees the release time is in every other lane's future.
 func (rt *Runtime) Barrier(th *sim.Thread) {
-	gen := rt.barGen
 	rt.barGen++
 	th.Lane().Defer(th.Now()+rt.W.Cfg.Params.BarrierLatency, rt.W.barArrive)
-	rt.mainCtx.WaitCond(th, func() bool { return rt.barRelease > gen })
+	rt.mainCtx.WaitCond(th, (*barrierReleased)(rt))
 }
+
+// barrierReleased is a runtime as what its Barrier waits for: the release
+// of every barrier it entered.
+type barrierReleased Runtime
+
+func (r *barrierReleased) Holds() bool { return r.barRelease >= r.barGen }
 
 // barrierArrive is one rank's arrival, issued at lane time at; it runs in
 // serial context (the boundary applier). It accumulates the release time

@@ -101,7 +101,7 @@ func (rt *Runtime) fence(th *sim.Thread, rank, pos int) {
 			rt.Stats[statFenceFlush]++
 		}
 		if rt.peers.at(pos).ams > 0 {
-			if !rt.mainCtx.WaitCondUntil(th, func() bool { return rt.peers.at(pos).ams == 0 }, rt.deadline(th, true)) {
+			if !rt.mainCtx.WaitCondUntil(th, (*acked)(rt.peers.at(pos)), rt.deadline(th, true)) {
 				panic(fmt.Sprintf("armci: fence to rank %d timed out awaiting %d AM acks; "+
 					"non-blocking writes are not fault-hardened — use the blocking *Err forms on chaos runs",
 					rank, rt.peers.at(pos).ams))
@@ -113,6 +113,13 @@ func (rt *Runtime) fence(th *sim.Thread, rank, pos int) {
 	rt.Stats[statFence]++
 	rt.tr("fence", "fence", int64(rank))
 }
+
+// acked is a peer's record as what a fence to it waits for: every AM
+// write acknowledged. The record stays where it is while its rank waits:
+// only the rank's own thread adds one, and an ack finds its peer's.
+type acked peer
+
+func (p *acked) Holds() bool { return p.ams == 0 }
 
 // AllFence fences every target with outstanding writes (ARMCI_AllFence),
 // in ascending rank order, and clears the conflict status of all targets.

@@ -170,8 +170,8 @@ func TestRuntimeSize(t *testing.T) {
 //	11.4  the main thread's carrier: iter.Pull 6, its yield 1, the
 //	      carrier's method value 1, and three or four one-byte flags Pull
 //	      captures, which MemStats counts and the profile folds into
-//	      16-byte blocks; the progress thread's lane makes its idle passes
-//	      (sim.Thread.SetIdlePass), so it never gets one
+//	      16-byte blocks; the progress thread's lane runs its steps
+//	      (sim.Kernel.SpawnSteps), so it never gets one
 //	 0.6  runtime.malg: coroutine descriptors not recycled
 //
 // (A warm process makes neither: TestIdleWorldWarmObjectsPerRank.)

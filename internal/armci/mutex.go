@@ -75,7 +75,7 @@ func (rt *Runtime) Unlock(th *sim.Thread, idx int) {
 	rt.Stats[statMutexUnlock]++
 }
 
-func (rt *Runtime) handleLockReq(th *sim.Thread, x *pami.Context, msg *pami.AMessage) {
+func (rt *Runtime) handleLockReq(_ *sim.Thread, x *pami.Context, msg *pami.AMessage) (sim.Time, bool) {
 	id, idx := msg.Hdr[0], int(msg.Hdr[1])
 	m, ok := rt.mutexes[idx]
 	if !ok {
@@ -83,21 +83,23 @@ func (rt *Runtime) handleLockReq(th *sim.Thread, x *pami.Context, msg *pami.AMes
 	}
 	if !m.held {
 		m.held = true
-		x.SendAM(th, msg.Src, dLockRep, []int64{id}, nil)
-		return
+		x.Reply(msg.Src, dLockRep, []int64{id}, nil)
+		return 0, false
 	}
 	m.queue.Push(lockWaiter{ep: msg.Src, id: id})
+	return 0, false
 }
 
-func (rt *Runtime) handleLockRep(_ *sim.Thread, _ *pami.Context, msg *pami.AMessage) {
+func (rt *Runtime) handleLockRep(_ *sim.Thread, _ *pami.Context, msg *pami.AMessage) (sim.Time, bool) {
 	p, ok := rt.dropPend(msg.Hdr[0])
 	if !ok {
-		return // duplicate grant (fault mode only)
+		return 0, false // duplicate grant (fault mode only)
 	}
 	p.comp.FinishOnce()
+	return 0, false
 }
 
-func (rt *Runtime) handleUnlockReq(th *sim.Thread, x *pami.Context, msg *pami.AMessage) {
+func (rt *Runtime) handleUnlockReq(_ *sim.Thread, x *pami.Context, msg *pami.AMessage) (sim.Time, bool) {
 	idx := int(msg.Hdr[0])
 	m := rt.mutexes[idx]
 	if !m.held {
@@ -105,8 +107,9 @@ func (rt *Runtime) handleUnlockReq(th *sim.Thread, x *pami.Context, msg *pami.AM
 	}
 	if m.queue.Len() == 0 {
 		m.held = false
-		return
+		return 0, false
 	}
 	next := m.queue.Pop()
-	x.SendAM(th, next.ep, dLockRep, []int64{next.id}, nil)
+	x.Reply(next.ep, dLockRep, []int64{next.id}, nil)
+	return 0, false
 }

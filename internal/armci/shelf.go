@@ -2,7 +2,6 @@ package armci
 
 import (
 	"repro/internal/pami"
-	"repro/internal/sim"
 )
 
 // Shelf is what the worlds of one owner are built from, one world at a
@@ -37,6 +36,11 @@ func (s *Shelf) lend(w *World) {
 	}
 	w.Runtimes, w.xchF64 = s.runtimes[:p], s.xch[:p]
 }
+
+// World returns the last world lent the shelf, nil once it was given
+// back: what a caller that had the world built for it (nwchem.Experiment)
+// reads it through.
+func (s *Shelf) World() *World { return s.w }
 
 // GiveBack ends the last world lent the shelf, as lending the next one
 // does first: its runtimes are reset and its part of the exchange buffer
@@ -73,7 +77,8 @@ func (s *Shelf) GiveBack() {
 // table's records, index, status matrix and bucket slab, the region
 // cache's block list, the allocation list, the pending-request table, the
 // implicit-handle list, the write dedup's windows — and its free
-// pending-request and operation slots, each cleared. A slot still held by
+// pending-request and operation slots, each cleared but for the room its
+// completion's waiter list grew. A slot still held by
 // an operation when the world ended (a vector operation's, one never
 // waited on) is left to the collector.
 func (rt *Runtime) reset() {
@@ -90,7 +95,8 @@ func (rt *Runtime) reset() {
 		}
 	}
 	for s := rt.slotFree; s != nil; s = s.next {
-		s.comp, s.set, s.comps = sim.Completion{}, pami.OpSet{}, nil
+		s.comp.Reset()
+		s.set, s.comps = pami.OpSet{}, nil
 	}
 	clear(rt.implicit)
 	rt.applied.Reset()

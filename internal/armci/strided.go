@@ -208,7 +208,7 @@ func (rt *Runtime) NbPutS(th *sim.Thread, local mem.Addr, localStrides []int,
 
 	// Typed/packed path.
 	m := patchBytes(counts)
-	rt.copyCost(th, m)
+	th.Sleep(rt.copyCost(m))
 	data := packPatch(rt.C.Bufs(), rt.C.Space, local, localStrides, counts)
 	id, p := rt.newPend()
 	p.counted = true
@@ -290,7 +290,7 @@ func (rt *Runtime) NbAccS(th *sim.Thread, local mem.Addr, localStrides []int,
 	pos := rt.peers.record(dst.Rank)
 	rt.markWrite(pos, rt.allocKey(dst))
 	m := patchBytes(counts)
-	rt.copyCost(th, m)
+	th.Sleep(rt.copyCost(m))
 	data := packPatch(rt.C.Bufs(), rt.C.Space, local, localStrides, counts)
 	id, p := rt.newPend()
 	h := rt.newHandle()
@@ -314,52 +314,72 @@ func (rt *Runtime) AccS(th *sim.Thread, local mem.Addr, localStrides []int,
 
 // --- strided protocol handlers ---
 
-func (rt *Runtime) handlePutSReq(th *sim.Thread, x *pami.Context, msg *pami.AMessage) {
-	id, addr, _, l := decodeStridedHdr(msg.Hdr)
-	if !rt.amSeen(msg.Src.Rank, id, 0) {
-		rt.copyCost(th, len(msg.Data))
-		strides, counts := l.slices()
-		unpackPatch(rt.C.Space, addr, strides, counts, msg.Data)
+func (rt *Runtime) dispatchPutSReq(_ *sim.Thread, x *pami.Context, msg *pami.AMessage) (sim.Time, bool) {
+	if rt.amSeen(msg.Src.Rank, msg.Hdr[0], 0) {
+		x.Reply(msg.Src, dAck, msg.Hdr[:1], nil)
+		return 0, false
 	}
-	x.SendAM(th, msg.Src, dAck, []int64{id}, nil)
+	return rt.copyCost(len(msg.Data)), true
 }
 
-func (rt *Runtime) handleGetSReq(th *sim.Thread, x *pami.Context, msg *pami.AMessage) {
-	id, addr, _, l := decodeStridedHdr(msg.Hdr)
+func (rt *Runtime) completePutSReq(_ *sim.Thread, x *pami.Context, msg *pami.AMessage) {
+	_, addr, _, l := decodeStridedHdr(msg.Hdr)
 	strides, counts := l.slices()
-	rt.copyCost(th, patchBytes(counts))
-	data := packPatch(rt.C.Bufs(), rt.C.Space, addr, strides, counts)
-	x.SendAM(th, msg.Src, dGetSRep, []int64{id}, data)
+	unpackPatch(rt.C.Space, addr, strides, counts, msg.Data)
+	x.Reply(msg.Src, dAck, msg.Hdr[:1], nil)
 }
 
-func (rt *Runtime) handleGetSRep(th *sim.Thread, _ *pami.Context, msg *pami.AMessage) {
-	p, ok := rt.dropPend(msg.Hdr[0])
-	if !ok {
-		return // duplicate reply (fault mode only)
+func (rt *Runtime) dispatchGetSReq(_ *sim.Thread, _ *pami.Context, msg *pami.AMessage) (sim.Time, bool) {
+	_, _, _, l := decodeStridedHdr(msg.Hdr)
+	_, counts := l.slices()
+	return rt.copyCost(patchBytes(counts)), true
+}
+
+func (rt *Runtime) completeGetSReq(_ *sim.Thread, x *pami.Context, msg *pami.AMessage) {
+	_, addr, _, l := decodeStridedHdr(msg.Hdr)
+	strides, counts := l.slices()
+	data := packPatch(rt.C.Bufs(), rt.C.Space, addr, strides, counts)
+	x.Reply(msg.Src, dGetSRep, msg.Hdr[:1], data)
+}
+
+// dispatchGetSRep takes the get off the pending table at dispatch, as
+// every reply does, and carries it to the unpack after the copy's charge.
+func (rt *Runtime) dispatchGetSRep(_ *sim.Thread, x *pami.Context, msg *pami.AMessage) (sim.Time, bool) {
+	p := rt.unlinkPend(msg.Hdr[0])
+	if p == nil {
+		return 0, false // duplicate reply (fault mode only)
 	}
-	rt.copyCost(th, len(msg.Data))
+	x.Carry(p)
+	return rt.copyCost(len(msg.Data)), true
+}
+
+func (rt *Runtime) completeGetSRep(_ *sim.Thread, x *pami.Context, msg *pami.AMessage) {
+	p := x.Carried().(*pendReq)
 	strides, counts := p.layout.slices()
 	unpackPatch(rt.C.Space, p.localAddr, strides, counts, msg.Data)
 	p.comp.FinishOnce()
+	rt.freePend(p)
 }
 
-func (rt *Runtime) handleAccSReq(th *sim.Thread, x *pami.Context, msg *pami.AMessage) {
-	id, addr, scaleBits, l := decodeStridedHdr(msg.Hdr)
+func (rt *Runtime) dispatchAccSReq(_ *sim.Thread, x *pami.Context, msg *pami.AMessage) (sim.Time, bool) {
+	if rt.amSeen(msg.Src.Rank, msg.Hdr[0], 0) {
+		x.Reply(msg.Src, dAck, msg.Hdr[:1], nil)
+		return 0, false
+	}
+	return rt.accCost(len(msg.Data)), true
+}
+
+func (rt *Runtime) completeAccSReq(_ *sim.Thread, x *pami.Context, msg *pami.AMessage) {
+	_, addr, scaleBits, l := decodeStridedHdr(msg.Hdr)
 	strides, counts := l.slices()
 	scale := math.Float64frombits(uint64(scaleBits))
-	if !rt.amSeen(msg.Src.Rank, id, 0) {
-		t := sim.Time(rt.W.Cfg.Params.AccByteCost * float64(len(msg.Data)))
-		if t > 0 {
-			th.Sleep(t)
-		}
-		pos := 0
-		forEachChunk(counts, strides, strides, func(off, _ int) {
-			mem.AddFloat64s(rt.C.Space.Bytes(addr+mem.Addr(off), counts[0]),
-				msg.Data[pos:pos+counts[0]], scale)
-			pos += counts[0]
-		})
-	}
-	x.SendAM(th, msg.Src, dAck, []int64{id}, nil)
+	pos := 0
+	forEachChunk(counts, strides, strides, func(off, _ int) {
+		mem.AddFloat64s(rt.C.Space.Bytes(addr+mem.Addr(off), counts[0]),
+			msg.Data[pos:pos+counts[0]], scale)
+		pos += counts[0]
+	})
+	x.Reply(msg.Src, dAck, msg.Hdr[:1], nil)
 }
 
 // --- generalized I/O vector interface ---

@@ -68,6 +68,10 @@ func (s *Stock[T]) Reclaim() {
 	}
 }
 
+// Chunks returns every chunk s has cut: what an owner reads to salvage
+// what its items hold before Reclaim zeroes them.
+func (s *Stock[T]) Chunks() [][]T { return s.chunks }
+
 // Cut returns how many items s has cut, all of which it keeps.
 func (s *Stock[T]) Cut() int { return len(s.chunks) * s.batch }
 

@@ -34,14 +34,24 @@ type AMessage struct {
 	Data     []byte
 }
 
-// AMHandler processes an active message. It runs on whichever thread
-// advances the target context, with the context lock held — replies sent
-// from the handler therefore occupy the progress engine, exactly as on
-// the real machine. A handler must not keep msg, msg.Hdr or msg.Data
-// after it returns: once its last copy has been handled, the message and
-// its payload are reused for the next send (copy what must outlive the
-// call).
-type AMHandler func(th *sim.Thread, x *Context, msg *AMessage)
+// AMHandler serves the active messages of one dispatch id, in the shape
+// every protocol handler has and the progress engine drives: Dispatch
+// runs when the message is dispatched and returns the CPU time the
+// handler charges (0 for none) and whether Complete follows; Complete
+// (nil when it never does) runs once that charge is paid. Either step may end in the handler's one
+// reply (Context.Reply), which the engine sends after the CPU injection
+// cost. Both run on whichever thread advances the target context, with
+// the context lock held — replies therefore occupy the progress engine,
+// exactly as on the real machine — and neither may block or sleep: the
+// lane may run them in the thread's place, th being its identity (its
+// clock, its trace). A handler must not keep msg, msg.Hdr or msg.Data
+// after its last step: once its last copy has been handled, the message
+// and its payload are reused for the next send (copy what must outlive
+// the call).
+type AMHandler struct {
+	Dispatch func(th *sim.Thread, x *Context, msg *AMessage) (charge sim.Time, more bool)
+	Complete func(th *sim.Thread, x *Context, msg *AMessage)
+}
 
 // amHdrInline is the header length an active message carries without a
 // second allocation: every fixed protocol header in the tree fits, and so
@@ -54,7 +64,7 @@ const amHdrInline = 7
 // single heap value in four roles. It is the network's record of the
 // message (the embedded Msg, logged at the window boundary), the arrival
 // event in the target's lane (Fire), the work item in the target
-// context's queue (serve), and the message the handler reads (msg). A
+// context's queue, and the message the handler reads (msg). A
 // delivery duplicated under faults fires the same flight twice; the
 // target's lane takes it back (hold), payload and all, once its last copy
 // has been served.
@@ -68,30 +78,7 @@ type amFlight struct {
 // Fire is the arrival: the message joins the target context's queue, to
 // be dispatched by whichever thread advances it next.
 func (f *amFlight) Fire() {
-	f.tgt.post(workItem{cost: f.tgt.Client.M.P.AMHandlerCost, am: true, w: f})
-}
-
-// serve dispatches the message to its handler.
-func (f *amFlight) serve(th *sim.Thread, _ uint32) {
-	x := f.tgt
-	var h AMHandler
-	if id := f.msg.Dispatch; id >= 0 && id < DispatchLimit {
-		h = x.dispatch[id]
-	}
-	if h == nil {
-		panic(fmt.Sprintf("pami: rank %d ctx %d: no handler for dispatch %d",
-			x.Client.Rank, x.Index, f.msg.Dispatch))
-	}
-	x.AMsServed++
-	h(th, x, &f.msg)
-	if f.Release() {
-		// Every copy handled: nothing reads the flight or its payload any
-		// more (AMHandler).
-		h := x.Client.hold()
-		h.bufs.Return(f.msg.Data)
-		*f = amFlight{}
-		h.am.Put(f)
-	}
+	f.tgt.post(workItem{cost: f.tgt.Client.M.P.AMHandlerCost, f: f})
 }
 
 // SendAM sends an active message to dst, to be dispatched on dst's
@@ -106,7 +93,13 @@ func (f *amFlight) serve(th *sim.Thread, _ uint32) {
 func (x *Context) SendAM(th *sim.Thread, dst Endpoint, dispatch int, hdr []int64, data []byte) {
 	c := x.Client
 	th.Sleep(c.jit(c.M.P.CPUInject))
+	c.M.Net.SendMsg(&x.flight(dst, dispatch, hdr, data).Msg)
+}
 
+// flight returns the active message SendAM puts on the wire, from the
+// lane's flights.
+func (x *Context) flight(dst Endpoint, dispatch int, hdr []int64, data []byte) *amFlight {
+	c := x.Client
 	f := c.hold().am.Get()
 	*f = amFlight{
 		Msg: network.Msg{Src: c.Node, Dst: dst.Node, Payload: len(data) + amHeaderBytes, Kind: network.Control},
@@ -126,7 +119,7 @@ func (x *Context) SendAM(th *sim.Thread, dst Endpoint, dispatch int, hdr []int64
 		f.msg.Hdr = f.hdr[:copy(f.hdr[:], hdr)]
 	}
 	f.Deliver = f
-	c.M.Net.SendMsg(&f.Msg)
+	return f
 }
 
 // RmwOp selects the read-modify-write operation.
@@ -291,13 +284,24 @@ func applyRmw(s *mem.Space, addr mem.Addr, op RmwOp, operand, compare int64) int
 // installBuiltinDispatch wires the PAMI-internal protocols on a new
 // context.
 func (x *Context) installBuiltinDispatch() {
-	x.SetDispatch(dispatchRmwReq, handleRmwReq)
-	x.SetDispatch(dispatchRmwRep, handleRmwRep)
+	x.SetDispatch(dispatchRmwReq, &rmwReq)
+	x.SetDispatch(dispatchRmwRep, &rmwRep)
 }
 
-func handleRmwReq(th *sim.Thread, x *Context, msg *AMessage) {
+// rmwReq is the target side of a read-modify-write: the CPU cost of the
+// operation, then the operation and its reply.
+var rmwReq = AMHandler{Dispatch: rmwApply, Complete: rmwAnswer}
+
+// rmwRep retires a read-modify-write at its initiator.
+var rmwRep = AMHandler{Dispatch: handleRmwRep}
+
+func rmwApply(_ *sim.Thread, x *Context, _ *AMessage) (sim.Time, bool) {
 	c := x.Client
-	th.Sleep(c.jit(c.M.P.RmwCost))
+	return c.jit(c.M.P.RmwCost), true
+}
+
+func rmwAnswer(_ *sim.Thread, x *Context, msg *AMessage) {
+	c := x.Client
 	id, addr := msg.Hdr[0], mem.Addr(msg.Hdr[1])
 	op, operand, compare := RmwOp(msg.Hdr[2]), msg.Hdr[3], msg.Hdr[4]
 
@@ -308,7 +312,7 @@ func handleRmwReq(th *sim.Thread, x *Context, msg *AMessage) {
 		// initiator still gets its reply (the first one may have been lost);
 		// one below the initiator's mark is answered too, and ignored there.
 		if old, seen := c.rmwApplied.Seen(msg.Src.Rank, id, msg.Hdr[5]); seen {
-			x.SendAM(th, msg.Src, dispatchRmwRep, []int64{id, old}, nil)
+			x.Reply(msg.Src, dispatchRmwRep, []int64{id, old}, nil)
 			return
 		}
 	}
@@ -317,10 +321,10 @@ func handleRmwReq(th *sim.Thread, x *Context, msg *AMessage) {
 	if faulty {
 		c.rmwApplied.Record(msg.Src.Rank, id, old)
 	}
-	x.SendAM(th, msg.Src, dispatchRmwRep, []int64{id, old}, nil)
+	x.Reply(msg.Src, dispatchRmwRep, []int64{id, old}, nil)
 }
 
-func handleRmwRep(th *sim.Thread, x *Context, msg *AMessage) {
+func handleRmwRep(_ *sim.Thread, x *Context, msg *AMessage) (sim.Time, bool) {
 	c := x.Client
 	id := uint64(msg.Hdr[0])
 	i := c.rmwFind(id)
@@ -328,11 +332,12 @@ func handleRmwRep(th *sim.Thread, x *Context, msg *AMessage) {
 		// Reply to an abandoned operation, or a duplicate arriving after
 		// RmwEnd. Only possible under fault injection; without it every
 		// reply matches exactly one pending request.
-		return
+		return 0, false
 	}
 	// A duplicate reply before RmwEnd carries the same value: the target
 	// answers it from its dedup cache.
 	pend := c.rmwPend[i]
 	pend.result = msg.Hdr[1]
 	pend.comp.FinishOnce()
+	return 0, false
 }

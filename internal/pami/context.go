@@ -9,34 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// work is what a context's queue serves: an active message in flight
-// (*amFlight) or a completion to retire (*retire). Both are values that
-// exist anyway, so posting one allocates nothing.
-type work interface {
-	// serve runs on the thread advancing the context, with its lock held.
-	serve(th *sim.Thread, gen uint32)
-}
-
-// workItem is a unit of progress-engine work. The advancing thread sleeps
-// cost, then serves w while holding the context lock.
-type workItem struct {
-	cost   sim.Time
-	w      work
-	posted sim.Time // enqueue time, for dispatch-latency accounting
-	am     bool     // true for active-message dispatches
-	gen    uint32   // a retirement's completion generation when posted
-}
-
-// retire is a completion as the work item that retires its operation of
-// generation gen: a late landing's finishes nothing (landing).
-type retire sim.Completion
-
-func (r *retire) serve(_ *sim.Thread, gen uint32) {
-	if c := (*sim.Completion)(r); c.Gen() == gen {
-		c.FinishOnce()
-	}
-}
-
 // Context is a PAMI communication context: a progress point with its own
 // lock and work queue. Multiple contexts progress independently — the
 // paper's fix for progress-thread lock starvation (§III.D).
@@ -53,8 +25,12 @@ type Context struct {
 	queueArr [1]workItem
 	waiters  []*sim.Thread
 	waitArr  [2]*sim.Thread
-	dispatch [DispatchLimit]AMHandler
+	dispatch [DispatchLimit]*AMHandler
 	stopped  bool
+
+	// The pass the lock holder is making through the progress engine
+	// (engine.go).
+	pass pass
 
 	// Statistics, exported as pami/ctx.{advances,items_served,ams_served}
 	// (Machine.observe). StarveMax is the longest virtual-time gap this
@@ -154,7 +130,7 @@ func (x *Context) noteAdvance() {
 
 // SetDispatch installs the handler for a dispatch id in [0, DispatchLimit).
 // IDs below DispatchUserBase are reserved for PAMI-internal protocols.
-func (x *Context) SetDispatch(id int, h AMHandler) {
+func (x *Context) SetDispatch(id int, h *AMHandler) {
 	if id < 0 || id >= DispatchLimit {
 		panic(fmt.Sprintf("pami: dispatch id %d out of range [0,%d)", id, DispatchLimit))
 	}
@@ -183,7 +159,7 @@ func (x *Context) postCompletion(comp *sim.Completion) { x.postRetire(comp, comp
 
 // postRetire enqueues retirement of comp's operation of generation gen.
 func (x *Context) postRetire(comp *sim.Completion, gen uint32) {
-	x.post(workItem{cost: x.Client.M.P.CompletionOverhead, w: (*retire)(comp), gen: gen})
+	x.post(workItem{cost: x.Client.M.P.CompletionOverhead, comp: comp, gen: gen})
 }
 
 // Pending returns the number of queued work items.
@@ -196,7 +172,11 @@ func (x *Context) Advance(th *sim.Thread) int {
 	if !x.Lock.Held(th) {
 		panic("pami: Advance without holding the context lock")
 	}
-	return x.serve(th, math.MaxInt)
+	c := x.cursor(opAdvance)
+	c.at = atServe
+	x.begin(maxItems)
+	n, _ := x.run(th, c)
+	return n
 }
 
 // Progress makes one bounded pass over the progress engine: lock, serve
@@ -206,42 +186,17 @@ func (x *Context) Advance(th *sim.Thread) int {
 // compute chunks returns to compute, which is exactly why remote AMOs
 // starve without an asynchronous thread.
 func (x *Context) Progress(th *sim.Thread) int {
-	x.Lock.Lock(th)
-	n := x.serve(th, x.queue.Len())
-	x.Lock.Unlock(th)
+	n, _ := x.run(th, x.cursor(opProgress))
 	return n
 }
 
-// serve is one accounted pass of the progress engine over at most limit
-// queued items, work that arrives meanwhile included; the caller holds
-// the lock.
-func (x *Context) serve(th *sim.Thread, limit int) int {
-	x.noteAdvance()
-	start := th.Now()
-	n := 0
-	for x.queue.Len() > 0 && n < limit {
-		it := x.queue.Pop()
-		if x.hists != nil {
-			wait := th.Now() - it.posted
-			x.hists.itemWait.Observe(wait)
-			if it.am {
-				// Dispatch latency: arrival at the target context to the
-				// handler actually running — the queueing cost a starved
-				// progress engine inflicts on AMs and AMOs.
-				x.hists.amDispatch.Observe(wait)
-			}
-		}
-		if it.cost > 0 {
-			th.Sleep(it.cost)
-		}
-		it.w.serve(th, it.gen)
-		n++
-	}
-	x.ItemsServed += uint64(n)
-	if n > 0 {
-		th.Trace().SpanArg("advance", "pami", start, th.Now(), int64(n))
-	}
-	return n
+// run drives c's steps for th (sim.Thread.RunSteps), frees it and
+// returns what its last pass served and whether its wait ended.
+func (x *Context) run(th *sim.Thread, c *cursor) (served int, ended bool) {
+	th.RunSteps(c)
+	served, ended = c.served, c.ended
+	c.release()
+	return served, ended
 }
 
 // subscribe registers th to be woken on the next post without parking.
@@ -253,45 +208,30 @@ func (x *Context) subscribe(th *sim.Thread) {
 // there, and no wake-up is armed for it.
 const NoDeadline sim.Time = math.MaxInt64
 
+// Cond is a condition a wait ends on (WaitCond): Holds is evaluated with
+// the context lock held, and must be cheap and side-effect free. The
+// waiting thread's lane may evaluate it in the thread's place, after the
+// caller's frame has switched out, so it is a value, not a closure over
+// that frame: a pointer the caller owns anyway, as a type whose method is
+// the condition, costs no allocation.
+type Cond interface{ Holds() bool }
+
 // wait is the blocking-operation kernel, the one loop behind every Wait
 // entry point: the calling thread repeatedly advances its context and
 // parks (releasing the lock!) when there is nothing to do, so other
 // threads — notably an asynchronous progress thread sharing the context —
-// can take the lock in between. It ends when comp is done or pred holds
-// (exactly one of the two is given; pred is evaluated with the context
-// lock held and must be cheap and side-effect free) and returns true, or
+// can take the lock in between. It ends when comp is done or cond holds
+// (exactly one of the two is given) and returns true, or
 // when the clock reaches deadline first and returns false. Every post and
 // nudge on the context wakes the thread, so the loop tolerates spurious
-// wakes: it goes round, finds nothing ended, and parks again.
-func (x *Context) wait(th *sim.Thread, comp *sim.Completion, pred func() bool, deadline sim.Time) bool {
-	x.Lock.Lock(th)
-	for parked := false; ; parked = true {
-		x.Advance(th)
-		ended := comp != nil && comp.Done() || pred != nil && pred()
-		if ended || th.Now() >= deadline {
-			x.Lock.Unlock(th)
-			return ended
-		}
-		x.subscribe(th)
-		if !parked {
-			// First park of this wait: arm the deadline and register with
-			// comp, once each, not once per trip round the loop. The
-			// registration lasts until Finish, and a second one would only
-			// make Finish wake an already-woken thread. The one-shot wake
-			// event is harmless if the wait ends first, and it is what
-			// pulls a stalled chaos run forward when a message was dropped
-			// and nothing else would ever wake the waiter.
-			if deadline != NoDeadline {
-				x.Client.Ln.AtAction(deadline-th.Now(), th.Waker())
-			}
-			if comp != nil {
-				comp.AddWaiter(th)
-			}
-		}
-		x.Lock.Unlock(th)
-		th.Park()
-		x.Lock.Lock(th)
-	}
+// wakes: it goes round, finds nothing ended, and parks again. Once the
+// thread first has to wait, its lane makes the trips for it (cursor.Step),
+// and it is switched back in once, when the wait ends.
+func (x *Context) wait(th *sim.Thread, comp *sim.Completion, cond Cond, deadline sim.Time) bool {
+	c := x.cursor(opWait)
+	c.comp, c.cond, c.deadline = comp, cond, deadline
+	_, ended := x.run(th, c)
+	return ended
 }
 
 // WaitLocal drives the progress engine until comp finishes.
@@ -305,15 +245,15 @@ func (x *Context) WaitLocalUntil(th *sim.Thread, comp *sim.Completion, deadline 
 	return x.wait(th, comp, nil, deadline)
 }
 
-// WaitCond drives the progress engine until pred holds.
-func (x *Context) WaitCond(th *sim.Thread, pred func() bool) {
-	x.wait(th, nil, pred, NoDeadline)
+// WaitCond drives the progress engine until cond holds.
+func (x *Context) WaitCond(th *sim.Thread, cond Cond) {
+	x.wait(th, nil, cond, NoDeadline)
 }
 
 // WaitCondUntil is WaitCond with a virtual-time deadline: it reports
-// whether pred held before the clock reached deadline.
-func (x *Context) WaitCondUntil(th *sim.Thread, pred func() bool, deadline sim.Time) bool {
-	return x.wait(th, nil, pred, deadline)
+// whether cond held before the clock reached deadline.
+func (x *Context) WaitCondUntil(th *sim.Thread, cond Cond, deadline sim.Time) bool {
+	return x.wait(th, nil, cond, deadline)
 }
 
 // WaitAllLocal drives the progress engine until every completion in comps
@@ -329,43 +269,19 @@ func (x *Context) WaitAllLocal(th *sim.Thread, comps []*sim.Completion) {
 // between, paying the SMT-wakeup cost on each dispatch. It returns after
 // StopProgressLoop. This is the paper's §III.D asynchronous thread.
 func (x *Context) ProgressLoop(th *sim.Thread) {
-	p := x.Client.M.P
-	for !x.stopped {
-		x.Lock.Lock(th)
-		x.Advance(th)
-		x.subscribe(th)
-		x.Lock.Unlock(th)
-		if x.stopped {
-			return
-		}
-		// Park until traffic arrives; if that wake does not find the loop
-		// stopped, pay the SMT wake-up before serving.
-		th.ParkThenSleep(p.ProgressWake, &x.stopped)
-	}
+	x.run(th, x.loop())
 }
 
-// SetIdlePass gives th, spawned to run ProgressLoop on x, the idle pass its
-// lane runs instead of switching in while th has nothing to serve
-// (sim.Thread.SetIdlePass). pass must be x.IdlePass(th); a world installs
-// one function value that finds the context from the thread.
-func (x *Context) SetIdlePass(th *sim.Thread, pass func(*sim.Thread) bool) {
-	th.SetIdlePass(pass, x.Client.M.P.ProgressWake, &x.stopped)
-}
+// ProgressSteps returns ProgressLoop as the body of a stepper thread
+// (sim.Kernel.SpawnSteps), which never has a stack: its lane runs every
+// trip. One thread runs it per context.
+func (x *Context) ProgressSteps() sim.Stepper { return x.loop() }
 
-// IdlePass is one trip round ProgressLoop's loop, made by th's lane: the
-// same Lock, Advance of an empty queue, subscribe and Unlock, so the
-// advance counts, the starvation gauge and the lock's count and histograms
-// move as the thread's own trip would move them. It declines, doing
-// nothing, when the trip could block or sleep: the lock is held, or work
-// is queued.
-func (x *Context) IdlePass(th *sim.Thread) bool {
-	if x.queue.Len() > 0 || !x.Lock.TryLock(th) {
-		return false
-	}
-	x.Advance(th)
-	x.subscribe(th)
-	x.Lock.Unlock(th)
-	return true
+// loop returns a cursor for ProgressLoop.
+func (x *Context) loop() *cursor {
+	c := x.cursor(opLoop)
+	c.at = atTop
+	return c
 }
 
 // Nudge wakes every thread parked on this context without posting work.

@@ -149,6 +149,15 @@ type Client struct {
 	// Context is not a context.
 	Contexts []Context
 
+	// The places of the client's threads in its contexts' progress engine
+	// (engine.go).
+	cursors [2]cursor
+
+	// Cookie is what the layer above keeps for the rank — ARMCI's runtime
+	// — and its handlers find through the context they serve (PAMI's
+	// dispatch cookie).
+	Cookie any
+
 	// MaxRegions bounds how many memory regions the process may register;
 	// registration beyond it fails, exercising ARMCI's fallback protocols.
 	// Zero means unlimited.

@@ -160,9 +160,9 @@ func TestAMRequiresTargetProgress(t *testing.T) {
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
 		switch c.Rank {
 		case 1:
-			c.Contexts[0].SetDispatch(dispatchTest, func(th *sim.Thread, x *Context, msg *AMessage) {
+			c.Contexts[0].SetDispatch(dispatchTest, oneStep(func(th *sim.Thread, x *Context, msg *AMessage) {
 				handledAt = th.Now()
-			})
+			}))
 			// Ignore the network for 5 ms, then advance once.
 			th.Sleep(5 * sim.Millisecond)
 			c.Contexts[0].Progress(th)
@@ -191,9 +191,9 @@ func TestSendAMCopiesHeader(t *testing.T) {
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
 		switch c.Rank {
 		case 1:
-			c.Contexts[0].SetDispatch(dispatchTest, func(th *sim.Thread, x *Context, msg *AMessage) {
+			c.Contexts[0].SetDispatch(dispatchTest, oneStep(func(th *sim.Thread, x *Context, msg *AMessage) {
 				got = append(got, slices.Clone(msg.Hdr))
-			})
+			}))
 			th.Sleep(sim.Millisecond)
 			c.Contexts[0].Progress(th)
 		case 0:
@@ -489,7 +489,7 @@ func TestAdvanceWithoutLockPanics(t *testing.T) {
 func TestDuplicateDispatchPanics(t *testing.T) {
 	r := newRig(t, 1, 1, 1)
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
-		h := func(*sim.Thread, *Context, *AMessage) {}
+		h := oneStep(func(*sim.Thread, *Context, *AMessage) {})
 		c.Contexts[0].SetDispatch(DispatchUserBase, h)
 		for _, id := range []int{DispatchUserBase, -1, DispatchLimit} {
 			func() {
@@ -515,9 +515,9 @@ func TestIndependentContextsProgressIndependently(t *testing.T) {
 	r.spawnAll(2, func(th *sim.Thread, c *Client) {
 		switch c.Rank {
 		case 1:
-			c.Contexts[1].SetDispatch(dispatchTest, func(th *sim.Thread, x *Context, msg *AMessage) {
+			c.Contexts[1].SetDispatch(dispatchTest, oneStep(func(th *sim.Thread, x *Context, msg *AMessage) {
 				servedOn1 = th.Now()
-			})
+			}))
 			// Main thread holds context 0's lock "forever" while an async
 			// thread advances context 1: the AM must still be served.
 			x1 := &c.Contexts[1]

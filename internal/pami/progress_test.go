@@ -87,12 +87,12 @@ func TestWaitCondServicesWhileWaiting(t *testing.T) {
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
 		switch c.Rank {
 		case 1:
-			c.Contexts[0].SetDispatch(dispatchPing, func(*sim.Thread, *Context, *AMessage) {
+			c.Contexts[0].SetDispatch(dispatchPing, oneStep(func(*sim.Thread, *Context, *AMessage) {
 				served++
-			})
+			}))
 			// Block in WaitCond until 3 pings arrive: the waiting thread
 			// itself must dispatch them.
-			c.Contexts[0].WaitCond(th, func() bool { return served >= 3 })
+			c.Contexts[0].WaitCond(th, condFunc(func() bool { return served >= 3 }))
 		case 0:
 			ep := c.CreateEndpoint(th, 1, 0)
 			for i := 0; i < 3; i++ {
@@ -139,7 +139,7 @@ func TestNudgeWakesWaiters(t *testing.T) {
 			flag = true
 			x.Nudge()
 		})
-		x.WaitCond(th, func() bool { return flag })
+		x.WaitCond(th, condFunc(func() bool { return flag }))
 		if th.Now() < 200*sim.Microsecond {
 			t.Error("woke before flag set")
 		}
@@ -199,9 +199,9 @@ func TestProgressBoundedDoesNotChaseNewWork(t *testing.T) {
 		switch c.Rank {
 		case 1:
 			x := &c.Contexts[0]
-			x.SetDispatch(dispatchChain, func(*sim.Thread, *Context, *AMessage) {
+			x.SetDispatch(dispatchChain, oneStep(func(*sim.Thread, *Context, *AMessage) {
 				served++
-			})
+			}))
 			th.Sleep(sim.Millisecond) // let two AMs queue
 			if got := x.Progress(th); got != 2 {
 				t.Errorf("bounded progress served %d, want the 2 queued", got)

@@ -8,18 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-// payload stands for what a served work item holds — an AM's data, up
-// to a megabyte on the fallback put path.
-type payload struct{ b [1 << 10]byte }
-
-func (p *payload) serve(*sim.Thread, uint32) { _ = p.b[0] }
-
 // itemHolding returns a work item that is the only reference to a fresh
-// payload; collected is closed when the collector frees it.
-func itemHolding(collected chan struct{}) workItem {
-	p := new(payload)
-	runtime.SetFinalizer(p, func(*payload) { close(collected) })
-	return workItem{w: p}
+// completion — what a served item holds, like an AM's data, up to a
+// megabyte on the fallback put path; collected is closed when the
+// collector frees it.
+func itemHolding(k *sim.Kernel, collected chan struct{}) workItem {
+	p := sim.NewCompletion(k)
+	runtime.SetFinalizer(p, func(*sim.Completion) { close(collected) })
+	return workItem{comp: p}
 }
 
 // TestWorkQueueAllocFreeAndForgetful: a context's work queue usually
@@ -32,9 +28,9 @@ func TestWorkQueueAllocFreeAndForgetful(t *testing.T) {
 	r := newRig(t, 1, 1, 1)
 	r.spawnAll(1, func(th *sim.Thread, c *Client) {
 		x := &c.Contexts[0]
-		w := new(payload)
+		w := sim.NewCompletion(r.k)
 		cycle := func() {
-			x.post(workItem{w: w})
+			x.post(workItem{comp: w})
 			if x.Progress(th) != 1 || x.Pending() != 0 {
 				t.Error("post then Progress did not serve exactly the posted item")
 			}
@@ -45,7 +41,7 @@ func TestWorkQueueAllocFreeAndForgetful(t *testing.T) {
 		}
 
 		collected := make(chan struct{})
-		x.post(itemHolding(collected))
+		x.post(itemHolding(r.k, collected))
 		x.Progress(th)
 		for i := 0; i < 100; i++ {
 			runtime.GC()

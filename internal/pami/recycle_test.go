@@ -21,9 +21,9 @@ func keptAM(t *testing.T, payloads [][]byte, handle func(i int, data []byte)) {
 	t.Helper()
 	const dispatchKeep = DispatchUserBase
 	runPair(t, nil, 64, func(th *sim.Thread, c *Client, _ mem.Addr) {
-		c.Contexts[0].SetDispatch(dispatchKeep, func(_ *sim.Thread, _ *Context, msg *AMessage) {
+		c.Contexts[0].SetDispatch(dispatchKeep, oneStep(func(_ *sim.Thread, _ *Context, msg *AMessage) {
 			handle(int(msg.Hdr[0]), msg.Data)
-		})
+		}))
 		th.Sleep(5 * sim.Millisecond)
 		c.Contexts[0].Progress(th)
 	}, func(th *sim.Thread, x *Context, ep Endpoint, _ mem.Addr) {
@@ -94,13 +94,13 @@ func TestRecyclingUnderDuplicationPoisonsNothing(t *testing.T) {
 		x, s := &c.Contexts[0], c.Space
 		a := s.Alloc(4 * n) // the same address on both ranks
 		if c.Rank == 1 {
-			x.SetDispatch(dispatchCheck, func(_ *sim.Thread, _ *Context, msg *AMessage) {
+			x.SetDispatch(dispatchCheck, oneStep(func(_ *sim.Thread, _ *Context, msg *AMessage) {
 				i := msg.Hdr[0]
 				if !bytes.Equal(msg.Data, payloads[i]) {
 					t.Errorf("a copy of message %d reached its handler with other bytes", i)
 				}
 				delivered[i]++
-			})
+			}))
 			s.CopyIn(a, pattern(100, n))
 			s.CopyIn(a+n, pattern(101, n))
 			for th.Now() < 2*sim.Millisecond {
@@ -172,7 +172,7 @@ func TestChaosCutsPeakFlights(t *testing.T) {
 		r.spawnAll(1, func(th *sim.Thread, c *Client) {
 			x, a := &c.Contexts[0], c.Space.Alloc(64) // the same address on both ranks
 			if c.Rank == 1 {
-				x.SetDispatch(dispatchSink, func(*sim.Thread, *Context, *AMessage) {})
+				x.SetDispatch(dispatchSink, oneStep(func(*sim.Thread, *Context, *AMessage) {}))
 				th.Sleep(5 * sim.Millisecond)
 				x.Progress(th)
 				return

@@ -21,6 +21,10 @@ type landing interface {
 	landed(x *Context, gen uint32)
 }
 
+// retire is a completion as the landing that retires it through the
+// progress engine.
+type retire sim.Completion
+
 func (r *retire) gen() uint32 { return (*sim.Completion)(r).Gen() }
 
 func (r *retire) landed(x *Context, gen uint32) { x.postRetire((*sim.Completion)(r), gen) }

@@ -172,14 +172,38 @@ func (s *Shelf) Torus(p, c int) *topology.Torus {
 // settle ends the last world's use of the shelf's lists. Every flight
 // the shelf has made is free again, those still in flight when the world
 // stopped included: it has ended. Every payload buffer a lane holds goes
-// back to the stocks, which drop the classes above mem.KeepMax.
+// back to the stocks, and so does every one a flight still held — one the
+// network dropped, or one in flight when the world stopped; the stocks
+// then drop the classes above mem.KeepMax.
 func (s *Shelf) settle() {
 	for i := range s.lanes[:s.used] {
 		h := &s.lanes[i]
 		h.am.Drop()
 		h.put.Drop()
 		h.get.Drop()
-		h.bufs.Flush()
+	}
+	if s.used > 0 {
+		// A free flight holds no payload, so what one holds was never
+		// given back.
+		bufs := &s.lanes[0].bufs
+		for _, c := range s.am.Chunks() {
+			for i := range c {
+				bufs.Return(c[i].msg.Data)
+			}
+		}
+		for _, c := range s.put.Chunks() {
+			for i := range c {
+				bufs.Return(c[i].buf)
+			}
+		}
+		for _, c := range s.get.Chunks() {
+			for i := range c {
+				bufs.Return(c[i].buf)
+			}
+		}
+	}
+	for i := range s.lanes[:s.used] {
+		s.lanes[i].bufs.Flush()
 	}
 	s.am.Reclaim()
 	s.put.Reclaim()

@@ -10,6 +10,20 @@ import (
 	"repro/internal/sim"
 )
 
+// oneStep is a test's handler: all its work at dispatch, no charge.
+func oneStep(f func(th *sim.Thread, x *Context, msg *AMessage)) *AMHandler {
+	return &AMHandler{Dispatch: func(th *sim.Thread, x *Context, msg *AMessage) (sim.Time, bool) {
+		f(th, x, msg)
+		return 0, false
+	}}
+}
+
+// condFunc is a func as a Cond, for tests, whose closures may cost an
+// allocation.
+type condFunc func() bool
+
+func (f condFunc) Holds() bool { return f() }
+
 // TestWaitLoop drives the one wait loop through its four entry points:
 // what ends it (a completion or a predicate) by whether it has a deadline
 // and which of the two comes first. A second thread nudges the context
@@ -57,9 +71,9 @@ func TestWaitLoop(t *testing.T) {
 			got := true
 			switch {
 			case tc.pred && tc.deadline == 0:
-				x.WaitCond(th, func() bool { return flag })
+				x.WaitCond(th, condFunc(func() bool { return flag }))
 			case tc.pred:
-				got = x.WaitCondUntil(th, func() bool { return flag }, tc.deadline)
+				got = x.WaitCondUntil(th, condFunc(func() bool { return flag }), tc.deadline)
 			case tc.deadline == 0:
 				x.WaitLocal(th, comp)
 			default:

@@ -27,12 +27,13 @@ type carrier struct {
 	stop  func()                  // lane side: unwind t, if any, and end the coroutine
 }
 
-// carrierPoolCap bounds the carriers kept between runs: a main and a
-// progress thread for each of the 4096 ranks the wire API admits. An idle
-// carrier is a parked goroutine — its stack, 2 KiB or more (4 KiB after a
-// Fig 9 world), and about 400 B of heap — so a full pool holds 20 MiB or
-// more; carriers past the cap are stopped.
-const carrierPoolCap = 8192
+// carrierPoolCap bounds the carriers kept between runs: a main thread for
+// each of the 4096 ranks the wire API admits — a progress thread never
+// has one (SpawnSteps). An idle carrier is a parked goroutine — its
+// stack, 2 KiB or more (4 KiB after a Fig 9 world), and about 400 B of
+// heap — so a full pool holds 10 MiB or more; carriers past the cap are
+// stopped.
+const carrierPoolCap = 4096
 
 // carrierChunk is how many carriers a lane cuts from one allocation.
 const carrierChunk = 32

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -38,10 +39,11 @@ type Kernel struct {
 	finished     bool // Run returned nil: every thread ran to its end
 	laneInserted bool
 	lanesMerged  bool
-	// noShortcuts makes every Sleep, every ParkThenSleep and every idle
-	// pass take the switching path. Written only by tests: the
-	// differential oracle runs each generated program both ways and
-	// compares everything observable.
+	// noShortcuts makes every Sleep and every step take the switching
+	// path: no wake-up fires inline, and the lane steps no thread — a
+	// stepper thread gets a carrier, and RunSteps runs every step on its
+	// thread's stack. Written only by tests: the differential oracle runs
+	// each generated program both ways and compares everything observable.
 	noShortcuts bool
 
 	// Horizon tree (horizon.go): tournament min-tree over lane
@@ -81,6 +83,14 @@ func (k *Kernel) SetObs(r *obs.Registry) {
 	r.Attach("sim/events", &k.Lane.fired)
 }
 
+// DisableShortcuts makes the kernel take every switch it would save:
+// every Sleep switches out, and every step (Stepper) runs on its thread's
+// own stack, a stepper thread on a carrier. Events, times, counts, spans
+// and every simulated byte stay what they are; only Switches rises. It is
+// the oracle side of a differential test and must precede Run; a
+// simulation never needs it.
+func (k *Kernel) DisableShortcuts() { k.noShortcuts = true }
+
 // EventsFired returns the number of events executed so far across every
 // lane; useful for gauging simulation cost and for replay-determinism
 // checks.
@@ -100,6 +110,25 @@ func (k *Kernel) Switches() uint64 {
 	n := k.Lane.switches
 	for _, ln := range k.lanes {
 		n += ln.switches
+	}
+	return n
+}
+
+// SwitchesInto returns the number of coroutine switches into the threads
+// of one trace track kind (Thread.SetObsTrack) so far, across every lane:
+// none into a stepper thread (SpawnSteps) its lane always steps.
+func (k *Kernel) SwitchesInto(kind obs.TrackKind) uint64 {
+	var n uint64
+	count := func(ln *Lane) {
+		for _, t := range ln.threads {
+			if t.track == kind {
+				n += t.switches
+			}
+		}
+	}
+	count(&k.Lane)
+	for _, ln := range k.lanes {
+		count(ln)
 	}
 	return n
 }
@@ -247,75 +276,75 @@ func (ln *Lane) fireInline(at Time) bool {
 	return true
 }
 
-// transfer switches from the lane's event loop into thread t and returns
-// when t switches out or finishes. It must only be called from the
-// lane's event loop.
+// transfer runs thread t from the lane's event loop, at the event that
+// resumes it, and returns when t is off the CPU again or finished. It
+// must only be called from the lane's event loop.
 //
-// A thread that parked in ParkThenSleep is not switched in to do what the
-// lane can do for it: the wake that fires here ends the park, and unless
-// the thread's cancel flag holds, the sleep starts — queued like any
-// other, or fired on the spot under fireInline's rule. Only when the sleep
-// is over (or was cancelled) does the thread run.
-//
-// A thread with no carrier yet takes one here (takeCarrier), unless its
-// idle pass (SetIdlePass) stands in for the switch-in; a thread that
-// finishes gives its carrier back to the lane's idle list.
+// A thread with steps (Stepper: a stepper thread's body, or what a thread
+// with a carrier waits on in RunSteps) is not switched into: the lane
+// calls the next step itself. Only when a carrier's steps are done is its
+// thread switched in, and a stepper thread whose steps are done ends
+// here. A thread with no carrier yet takes one here (takeCarrier); a
+// thread that finishes gives its carrier back to the lane's idle list.
 func (ln *Lane) transfer(t *Thread) {
 	if t.state == stateDone {
 		return
 	}
-	if cancel := t.parkCancel; cancel != nil {
-		t.parkCancel = nil
+	if t.blocked {
+		t.blocked = false
 		if ln.tracing {
-			t.Trace().Span("blocked", t.parkStart, ln.now)
+			t.Trace().Span("blocked", t.parkedAt, ln.now)
 		}
-		if d := t.parkSleep; d > 0 && !*cancel && !t.sleepFor(d) {
+	}
+	if s := t.steps; s != nil && !ln.k.noShortcuts {
+		t.state = stateRunning
+		ln.cur = t
+		done := ln.step(t, s)
+		ln.cur = nil
+		if !done || t.panicked != nil {
+			ln.noteFailure(t)
+			return
+		}
+		t.steps = nil
+		if t.c == nil {
+			t.state = stateDone
+			ln.live--
 			return
 		}
 	}
 	c := t.c
 	if c == nil {
-		if t.idle != nil && !ln.k.noShortcuts && ln.runIdle(t) {
-			return
-		}
 		c = ln.takeCarrier()
 		c.t, t.c = t, c
 	}
 	t.state = stateRunning
 	ln.cur = t
 	ln.switches++
+	t.switches++
 	c.next()
 	ln.cur = nil
 	if t.state == stateDone {
 		t.c, c.idle, ln.idle = nil, ln.idle, c
 	}
+	ln.noteFailure(t)
+}
+
+// step calls s's next step for t on the lane, where a panic is t's, as if
+// its body had raised it on its own stack.
+func (ln *Lane) step(t *Thread, s Stepper) (done bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.panicked = &ThreadPanic{Thread: t.Name(), Value: r, Stack: string(debug.Stack())}
+		}
+	}()
+	return s.Step(t)
+}
+
+// noteFailure makes t's panic, if it raised one, the lane's failure.
+func (ln *Lane) noteFailure(t *Thread) {
 	if t.panicked != nil && ln.failure == nil {
 		ln.failure = t.panicked
 	}
-}
-
-// runIdle stands in for switching into t, which has an idle pass and no
-// carrier, and reports whether it did. At this point the switched-in
-// body would be at the top of its loop: with the cancel flag set it
-// returns, so the thread ends here; otherwise the pass runs, and if it
-// did the work, the lane parks the thread as the body's ParkThenSleep
-// would. A set wake bit would make that park return at once, so the pass
-// is not offered then.
-func (ln *Lane) runIdle(t *Thread) bool {
-	if *t.idleCancel {
-		t.state = stateDone
-		ln.live--
-		return true
-	}
-	if t.wakeBit {
-		return false
-	}
-	if !t.idle(t) {
-		return false
-	}
-	t.parkStart, t.parkSleep, t.parkCancel = ln.now, t.idleSleep, t.idleCancel
-	t.state = stateParked
-	return true
 }
 
 // stopThreads releases every unfinished thread of the lane after a

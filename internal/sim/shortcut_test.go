@@ -10,14 +10,15 @@ import (
 	"repro/internal/obs"
 )
 
-// The lane acts for a thread in three places — Sleep fires its own wake-up
-// when that is the lane's next event, transfer starts the sleep of a
-// ParkThenSleep, and transfer runs a coroutine-less poller's idle pass
-// (SetIdlePass) — and all must be invisible: same event order, same
-// counts, same spans, fewer switches. The oracle is the kernel itself with
-// noShortcuts set, which sends every Sleep, every ParkThenSleep and every
-// idle pass the long way round. One seed makes one program and one
-// verdict.
+// The lane acts for a thread in two ways — Sleep fires its own wake-up
+// when that is the lane's next event, and the lane runs a thread's steps
+// (Stepper) where it would switch into it: a stepper thread's whole body
+// (SpawnSteps), and what a thread with a carrier waits on (RunSteps) — and
+// both must be invisible: same event order, same counts, same spans, fewer
+// switches. The oracle is the kernel itself with noShortcuts set, which
+// sends every Sleep the long way round and runs every step on its thread's
+// own stack, a stepper thread on a carrier of its own. One seed makes one
+// program and one verdict.
 
 // TestEventSize pins the event at four words. The heap and the ring move
 // events by value; at 32 bytes the compiler does that with four inline
@@ -35,7 +36,7 @@ type scOp uint8
 const (
 	scSleep     scOp = iota // Sleep(d)
 	scPark                  // arm the thread's own wake d from now, then Park
-	scParkSleep             // arm the own wake, then ParkThenSleep(d2, &cancel)
+	scParkSleep             // run parkSleep{d2, &cancel}'s steps: the own wake d from now, armed first or (with a poller, d > 0) after its lock
 	scWake                  // Wake(peer), a thread of the same lane
 	scStop                  // d from now: set peer's cancel flag and wake it (StopProgressLoop's shape)
 	scResume                // clear the thread's own cancel flag
@@ -135,8 +136,8 @@ type scResult struct {
 	switches uint64
 }
 
-// scPoller is a lane's poller: ProgressLoop's shape over a queue of
-// items, a lock and a one-thread subscription.
+// scPoller is a lane's poller: a stepper thread in ProgressLoop's shape
+// over a queue of items, a lock and a one-thread subscription.
 type scPoller struct {
 	th         *Thread
 	cancel     bool
@@ -145,7 +146,18 @@ type scPoller struct {
 	mu         Mutex
 	passes     *obs.Counter
 	log        func(step int)
+	wake       Time
+	at         uint8 // where Step picks up
 }
+
+// Where the poller's next step picks up.
+const (
+	plTop    uint8 = iota // the top of the loop
+	plLock                // taking the lock
+	plServe               // the next queued item, or the end of the pass
+	plServed              // an item's sleep is over
+	plParked              // the park after the pass is over
+)
 
 // nudge wakes the poller if it subscribed.
 func (pl *scPoller) nudge(k *Kernel) {
@@ -155,43 +167,95 @@ func (pl *scPoller) nudge(k *Kernel) {
 	}
 }
 
-// note is the pass's own work, made with the lock held: what a progress
-// thread's Advance of an empty queue and subscribe do.
-func (pl *scPoller) note() {
-	pl.log(0)
-	pl.passes.Add(1)
-	pl.subscribed = true
-}
-
-// body is the poller thread: SetIdlePass's loop.
-func (pl *scPoller) body(wake Time) func(*Thread) {
-	return func(th *Thread) {
-		for !pl.cancel {
-			pl.mu.Lock(th)
-			for pl.queue > 0 {
-				pl.queue--
-				th.Sleep(1)
-				pl.log(1)
+// Step is the poller's body:
+//
+//	for !cancel {
+//		lock; for queue > 0 { queue--; Sleep(1); log(1) }
+//		log(0); passes++; subscribe; unlock
+//		if cancel { return }
+//		Park; if !cancel { Sleep(wake) }
+//	}
+func (pl *scPoller) Step(th *Thread) bool {
+	for {
+		switch pl.at {
+		case plTop:
+			if pl.cancel {
+				return true
 			}
-			pl.note()
+			pl.at = plLock
+		case plLock:
+			if !pl.mu.LockStep(th) {
+				return false
+			}
+			pl.at = plServe
+		case plServe:
+			if pl.queue > 0 {
+				pl.queue--
+				pl.at = plServed
+				if !th.Charge(1) {
+					return false
+				}
+				continue
+			}
+			pl.log(0)
+			pl.passes.Add(1)
+			pl.subscribed = true
 			pl.mu.Unlock(th)
 			if pl.cancel {
-				return
+				return true
 			}
-			th.ParkThenSleep(wake, &pl.cancel)
+			pl.at = plParked
+			if !th.Await() {
+				return false
+			}
+		case plServed:
+			pl.log(1)
+			pl.at = plServe
+		case plParked:
+			if pl.cancel {
+				return true
+			}
+			pl.at = plTop
+			if !th.Charge(pl.wake) {
+				return false
+			}
 		}
 	}
 }
 
-// pass is the body's pass made by the lane, declining where the body would
-// sleep or block.
-func (pl *scPoller) pass(th *Thread) bool {
-	if pl.queue > 0 || !pl.mu.TryLock(th) {
-		return false
+// parkSleep is a thread with a carrier waiting through steps (RunSteps),
+// in a rank's wait's shape: take and drop mu (when there is one), arm its
+// own wake wakeIn from then (when positive), park, then, unless *cancel
+// holds at the wake, sleep d.
+type parkSleep struct {
+	d, wakeIn             Time
+	cancel                *bool
+	mu                    *Mutex
+	locked, parked, slept bool
+}
+
+func (p *parkSleep) Step(th *Thread) bool {
+	if p.mu != nil && !p.locked {
+		if !p.mu.LockStep(th) {
+			return false
+		}
+		p.locked = true
+		p.mu.Unlock(th)
 	}
-	pl.note()
-	pl.mu.Unlock(th)
-	return true
+	if !p.parked {
+		p.parked = true
+		if p.wakeIn > 0 {
+			th.Lane().AtAction(p.wakeIn, th.Waker())
+		}
+		if !th.Await() {
+			return false
+		}
+	}
+	if *p.cancel || p.slept {
+		return true
+	}
+	p.slept = true
+	return th.Charge(p.d)
 }
 
 // run executes the program on a fresh kernel.
@@ -224,7 +288,7 @@ func (p *scProgram) run(t testing.TB, workers int, noShortcuts bool) scResult {
 		}
 		if i < len(p.poll) && p.poll[i] >= 0 {
 			pid := -1000 - i
-			pl := &scPoller{passes: ln.Obs().Counter(fmt.Sprintf("poll/passes{lane=%d}", i))}
+			pl := &scPoller{passes: ln.Obs().Counter(fmt.Sprintf("poll/passes{lane=%d}", i)), wake: p.poll[i]}
 			pl.log = func(step int) { log(pid, step) }
 			lbl := fmt.Sprintf("{lane=%d}", i)
 			pl.mu.Instrument(ln.Obs().Histogram("poll/lock.wait_ns"+lbl, obs.DefaultLatencyBounds),
@@ -255,8 +319,13 @@ func (p *scProgram) run(t testing.TB, workers int, noShortcuts bool) scResult {
 						ln.AtAction(st.d, th.Waker())
 						th.Park()
 					case scParkSleep:
-						ln.AtAction(st.d, th.Waker())
-						th.ParkThenSleep(st.d2, &cancels[i][j])
+						ps := &parkSleep{d: st.d2, cancel: &cancels[i][j]}
+						if pl != nil && st.d > 0 {
+							ps.mu, ps.wakeIn = &pl.mu, st.d
+						} else {
+							ln.AtAction(st.d, th.Waker())
+						}
+						th.RunSteps(ps)
 					case scWake:
 						k.Wake(threads[i][st.peer])
 					case scStop:
@@ -312,8 +381,7 @@ func (p *scProgram) run(t testing.TB, workers int, noShortcuts bool) scResult {
 			})
 		}
 		if pl := polls[i]; pl != nil {
-			pl.th = k.SpawnOn(ln, fmt.Sprintf("p%d", i), pl.body(p.poll[i]))
-			pl.th.SetIdlePass(pl.pass, p.poll[i], &pl.cancel)
+			pl.th = k.SpawnSteps(ln, "p", i, pl)
 		}
 	}
 	if err := k.Run(); err != nil {
@@ -456,8 +524,8 @@ func TestLaneShortcutCases(t *testing.T) {
 			with: 3, without: 4,
 		},
 		{
-			// The progress-thread shape: the wake arrives, the sleep follows,
-			// the thread is resumed once for both.
+			// A wait in steps: the wake arrives, the sleep follows, and the
+			// thread is switched back in once, for both.
 			name: "park then sleep",
 			p: scProgram{lookahead: 1, scripts: [][][]scStep{{
 				{{op: scParkSleep, d: 2, d2: 3}},
@@ -504,32 +572,32 @@ func TestLaneShortcutCases(t *testing.T) {
 			with: 1, without: 2,
 		},
 		{
-			// The poller's first pass finds nothing and is the lane's; the
-			// post at 3 is its first work, so the pass after the wake-up
-			// declines and the body runs from the top to serve it.
+			// The poller's first pass finds nothing; the post at 3 is its first
+			// work, served after the wake-up with a sleep of its own. Every
+			// step is the lane's: only thread 0 is switched into.
 			name: "poller first has work mid-run",
 			p: scProgram{lookahead: 1, scripts: [][][]scStep{one(
 				scStep{op: scSleep, d: 3}, scStep{op: scPost}, scStep{op: scSleep, d: 5})}, poll: []Time{2}},
-			with: 5, without: 8,
+			with: 3, without: 8,
 		},
 		{
 			// Woken before it ever ran, the poller has its wake bit set: its
-			// park would return at once, so the lane does not take the pass.
+			// first park returns at once, and the step goes on to the wake-up.
 			name: "poller with its wake bit set on entry",
 			p: scProgram{lookahead: 1, scripts: [][][]scStep{one(
 				scStep{op: scPollWake}, scStep{op: scSleep, d: 4})}, poll: []Time{2}},
-			with: 4, without: 5,
+			with: 2, without: 5,
 		},
 		{
-			// The poller parks without a coroutine, then is woken while thread
-			// 0 holds its lock: the pass cannot take the lock, so the body runs
-			// and queues for it.
+			// The poller is woken while thread 0 holds its lock: its step
+			// queues for the lock and parks there, and Unlock's hand-over
+			// resumes the step, not a coroutine.
 			name: "poller with a contended lock",
 			p: scProgram{lookahead: 1, scripts: [][][]scStep{{
 				{{op: scSleep, d: 1}, {op: scLock, d: 4}},
 				{{op: scSleep, d: 2}, {op: scPollWake}},
 			}}, poll: []Time{0}},
-			with: 7, without: 8,
+			with: 5, without: 8,
 		},
 	}
 	for _, c := range cases {
@@ -543,8 +611,8 @@ func TestLaneShortcutCases(t *testing.T) {
 	}
 }
 
-// TestParkThenSleepCancelSeenAtWake pins what "at the wake" means: the
-// flag is read when the wake event fires. A stop that comes with the wake
+// TestParkThenSleepCancelSeenAtWake pins what "at the wake" means for a
+// wait in steps (parkSleep): the flag is read when the wake event fires. A stop that comes with the wake
 // calls the sleep off; one that comes during the sleep does not shorten
 // it, and the caller finds the flag set on return.
 func TestParkThenSleepCancelSeenAtWake(t *testing.T) {
@@ -560,7 +628,7 @@ func TestParkThenSleepCancelSeenAtWake(t *testing.T) {
 			var cancel bool
 			back := Time(-1)
 			th := k.Spawn("progress", func(th *Thread) {
-				th.ParkThenSleep(40, &cancel)
+				th.RunSteps(&parkSleep{d: 40, cancel: &cancel})
 				if !cancel {
 					t.Errorf("stop at %d: flag not set on return", c.stopAt)
 				}

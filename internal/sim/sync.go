@@ -122,7 +122,7 @@ func (*NoCopy) Unlock() {}
 type Mutex struct {
 	_     NoCopy
 	owner *Thread
-	queue FIFO[*Thread]
+	queue FIFO[lockWaiter]
 	// Contended counts lock acquisitions that had to wait; useful for
 	// reasoning about context-lock contention experiments.
 	Contended uint64
@@ -133,6 +133,12 @@ type Mutex struct {
 	waitHist   *obs.Histogram
 	holdHist   *obs.Histogram
 	acquiredAt Time
+}
+
+// lockWaiter is a thread in a mutex's queue, and when it joined it.
+type lockWaiter struct {
+	t     *Thread
+	since Time
 }
 
 // Instrument records this mutex's lock wait time (Lock entry to
@@ -160,18 +166,33 @@ func (m *Mutex) TryLock(t *Thread) bool {
 
 // Lock acquires the mutex, blocking in FIFO order.
 func (m *Mutex) Lock(t *Thread) {
-	if m.TryLock(t) {
-		return
+	for !m.LockStep(t) {
+		t.switchOut()
 	}
-	m.Acquired++
-	m.Contended++
-	t0 := t.Now()
-	m.queue.Push(t)
-	for m.owner != t {
-		t.Park()
-	}
-	if m.waitHist != nil {
-		m.waitHist.Observe(t.Now() - t0)
+}
+
+// LockStep is Lock for a step (Stepper): it reports whether t holds the
+// mutex; if not, t is parked in its queue, and the step must return and
+// call LockStep again when next called — as often as spurious wakes make
+// it, until Unlock has handed t the mutex.
+func (m *Mutex) LockStep(t *Thread) bool {
+	for {
+		switch {
+		case t.lockQ != m:
+			if m.TryLock(t) {
+				return true
+			}
+			m.Acquired++
+			m.Contended++
+			m.queue.Push(lockWaiter{t: t, since: t.Now()})
+			t.lockQ = m
+		case m.owner == t:
+			t.lockQ = nil
+			return true
+		}
+		if !t.Await() {
+			return false
+		}
 	}
 }
 
@@ -188,11 +209,14 @@ func (m *Mutex) Unlock(t *Thread) {
 		return
 	}
 	next := m.queue.Pop()
-	m.owner = next
-	// Ownership transfers now; the waiter's hold time starts here even
-	// though it resumes via an event at the same virtual instant.
+	m.owner = next.t
+	// Ownership transfers now; the waiter resumes via an event at this
+	// virtual instant, so its wait and its hold time end and start here.
 	m.acquiredAt = t.Now()
-	t.k.Wake(next)
+	if m.waitHist != nil {
+		m.waitHist.Observe(m.acquiredAt - next.since)
+	}
+	t.k.Wake(next.t)
 }
 
 // Held reports whether t currently owns the mutex.
@@ -273,6 +297,13 @@ func (c *Completion) Retire() {
 func (c *Completion) Reuse(k *Kernel) {
 	clear(c.cond.more)
 	*c = Completion{gen: c.gen, cond: cond{k: k, more: c.cond.more[:0]}}
+}
+
+// Reset empties c for its owner's next world, in place: a zero
+// completion but for the room its waiter list grew.
+func (c *Completion) Reset() {
+	clear(c.cond.more)
+	*c = Completion{cond: cond{more: c.cond.more[:0]}}
 }
 
 // checkLive panics on a retired completion; only a finished completion

@@ -50,9 +50,13 @@ func (s threadState) String() string {
 // switch when the two sides disagree about runtime.LockOSThread, and
 // nothing in this module calls it; a simulated thread's body must not
 // either. The lane hands the thread a carrier at its first switch-in and
-// takes it back when the body returns, so a thread that never runs — or
-// whose lane runs its idle passes for it (SetIdlePass) — never holds one,
-// and a finished thread holds none either.
+// takes it back when the body returns, so a thread that never runs holds
+// none, and a finished thread holds none either.
+//
+// A thread whose body is a Stepper (SpawnSteps) has no carrier at all:
+// where the lane would switch into it, it calls the body's next step. A
+// thread with a carrier hands its lane a Stepper for as long as it waits
+// (RunSteps), and is switched back in once, when the steps are done.
 //
 // Threads live in their lane's slab (Lane.newThread) and are only ever
 // handled by pointer.
@@ -73,19 +77,17 @@ type Thread struct {
 	fn         func(*Thread)
 
 	c *carrier // the coroutine the thread runs on; nil before its first switch-in and once it has finished
-	// A park the lane finishes (ParkThenSleep): when it began, the sleep to
-	// follow it, and the flag that calls the sleep off. parkCancel is
-	// non-nil exactly while such a park is pending.
-	parkStart  Time
-	parkSleep  Time
-	parkCancel *bool
-	// The idle pass (SetIdlePass): the lane runs idle in place of a
-	// switch-in while the thread has no carrier, then parks it in
-	// ParkThenSleep(idleSleep, idleCancel).
-	idle       func(*Thread) bool
-	idleSleep  Time
-	idleCancel *bool
-	panicked   *ThreadPanic
+	// steps is what the lane calls where it would switch in: a stepper
+	// thread's body (SpawnSteps), or what a thread with a carrier waits on
+	// (RunSteps); nil otherwise.
+	steps Stepper
+	// blocked is set while the thread is parked in Await, since parkedAt:
+	// the lane records the "blocked" span when it next resumes the thread.
+	blocked  bool
+	parkedAt Time
+	lockQ    *Mutex // the mutex whose queue holds the thread (Mutex.LockStep)
+	switches uint64 // coroutine switches into the thread (Kernel.SwitchesInto)
+	panicked *ThreadPanic
 }
 
 // Spawn creates a thread that begins executing fn at the current virtual
@@ -115,6 +117,29 @@ func (k *Kernel) SpawnIndexed(ln *Lane, prefix string, index int, fn func(*Threa
 		panic("sim: SpawnIndexed with a negative index")
 	}
 	return k.spawnOn(ln, prefix, index, fn)
+}
+
+// Stepper is a thread body its lane can run without a stack: a polling
+// loop or a wait, written as steps. Step runs on the lane's event loop
+// where a switch into the thread would have been (or on the thread's own
+// stack, RunSteps), as the thread: its clock, its trace, its locks. A step
+// never blocks. Where the body would block it calls Charge, Await or
+// Mutex.LockStep; each reports whether the step may go on now. When one
+// does not, the thread is off the CPU until its wake-up, and Step must
+// return false at once, to be called again then, picking up where it left
+// off. Step returns true when the body is done.
+type Stepper interface {
+	Step(t *Thread) (done bool)
+}
+
+// SpawnSteps is SpawnIndexed for a thread whose body is s: it never has a
+// carrier, and its lane calls s's steps where it would switch into it.
+// Event order and counts, spans, its name, track and state are those of a
+// thread whose body is RunSteps(s); only Kernel.Switches is lower.
+func (k *Kernel) SpawnSteps(ln *Lane, prefix string, index int, s Stepper) *Thread {
+	t := k.SpawnIndexed(ln, prefix, index, nil)
+	t.steps = s
+	return t
 }
 
 func (k *Kernel) spawnOn(ln *Lane, name string, index int, fn func(*Thread)) *Thread {
@@ -150,7 +175,26 @@ func (t *Thread) run() {
 		t.state = stateDone
 		t.ln.live--
 	}()
+	if t.fn == nil {
+		t.RunSteps(t.steps) // a stepper thread the lane does not step (noShortcuts)
+		return
+	}
 	t.fn(t)
+}
+
+// RunSteps runs s as t's own body until it is done. The steps run here,
+// on t's stack, for as long as each goes on; once one has to wait, t
+// switches out and its lane runs the rest of them, and t is switched back
+// in once, when s is done. Only t runs s: another thread must not step it.
+func (t *Thread) RunSteps(s Stepper) {
+	for !s.Step(t) {
+		if !t.k.noShortcuts {
+			t.steps = s
+			t.switchOut()
+			return
+		}
+		t.switchOut()
+	}
 }
 
 // threadChunkMax bounds a lane's thread slab chunks: a BG/Q node's 16
@@ -203,37 +247,6 @@ func (t *Thread) Lane() *Lane { return t.ln }
 // threads and TrackProgress for asynchronous progress threads.
 func (t *Thread) SetObsTrack(kind obs.TrackKind) { t.track = kind }
 
-// SetIdlePass lets the lane serve a polling thread without switching into
-// it while it has nothing to do. The thread's body must be the loop
-//
-//	for !*cancel {
-//		pass's work, blocking where pass would decline
-//		if *cancel {
-//			return
-//		}
-//		th.ParkThenSleep(d, cancel)
-//	}
-//
-// and pass must be that work done from the lane: it either does all of it
-// without blocking, sleeping or waking the thread, and returns true, or
-// does nothing and returns false. Until the thread first has a carrier,
-// each time the lane would switch in it ends the thread if *cancel holds,
-// else runs pass and, when pass ran, parks the thread in ParkThenSleep(d,
-// cancel) itself. Only a declined pass takes a carrier, and the body
-// starts from the top, where the thread would have been anyway. Event
-// order and counts, spans and the pass's own side effects are those of
-// the switched-in thread; only Kernel.Switches falls. The spawner sets it
-// before the thread first runs, like SetObsTrack.
-func (t *Thread) SetIdlePass(pass func(*Thread) bool, d Time, cancel *bool) {
-	if t.c != nil || t.state == stateDone {
-		panic("sim: SetIdlePass on a thread that has run")
-	}
-	if d < 0 {
-		panic("sim: negative sleep")
-	}
-	t.idle, t.idleSleep, t.idleCancel = pass, d, cancel
-}
-
 // Trace returns the thread's trace track — the kind SetObsTrack gave it,
 // id Name — in its lane's registry: resolved at the first record and
 // kept, so later records pay no lookup. It is nil while the lane keeps no
@@ -273,22 +286,26 @@ func (t *Thread) switchOut() {
 // pop its wake-up and switch straight back, so Sleep fires the wake-up
 // where it stands (Lane.fireInline) and returns.
 func (t *Thread) Sleep(d Time) {
-	if d < 0 {
-		panic("sim: negative sleep")
-	}
-	if d == 0 {
-		return
-	}
-	if !t.sleepFor(d) {
+	if !t.Charge(d) {
 		t.switchOut()
 	}
 }
 
-// sleepFor starts a sleep of d > 0 for t — called by t itself (Sleep) or by
-// its lane (transfer, finishing a ParkThenSleep) — and reports whether the
-// sleep is already over: its wake-up was the lane's next event and has
-// been fired and counted. Otherwise the wake-up is queued and t must be
-// off the CPU until it fires.
+// Charge is Sleep for a step (Stepper): it starts the sleep and reports
+// whether it is already over — d is 0, or the wake-up was the lane's next
+// event and has been fired where the step stands. If not, the step must
+// return, and is called again when the sleep ends.
+func (t *Thread) Charge(d Time) bool {
+	if d < 0 {
+		panic("sim: negative sleep")
+	}
+	return d == 0 || t.sleepFor(d)
+}
+
+// sleepFor starts a sleep of d > 0 for t and reports whether the sleep is
+// already over: its wake-up was the lane's next event and has been fired
+// and counted. Otherwise the wake-up is queued and t must be off the CPU
+// until it fires.
 func (t *Thread) sleepFor(d Time) (over bool) {
 	ln := t.ln
 	wake := ln.now + d
@@ -318,49 +335,26 @@ func (t *Thread) Yield() {
 // running or sleeping makes the next Park return immediately, and multiple
 // Wakes coalesce. Callers must therefore re-check their condition in a loop.
 func (t *Thread) Park() {
+	if !t.Await() {
+		t.switchOut()
+	}
+}
+
+// Await is Park for a step (Stepper): it reports whether a wake was
+// already pending, which it consumes; if not, the thread is parked, and
+// the step must return, to be called again after the Wake. The "blocked"
+// span is recorded as the thread resumes (Lane.transfer).
+func (t *Thread) Await() bool {
 	if t.ln.cur != t {
 		panic("sim: Park called from wrong context")
 	}
 	if t.wakeBit {
 		t.wakeBit = false
-		return
+		return true
 	}
-	start := t.ln.now
+	t.blocked, t.parkedAt = true, t.ln.now
 	t.state = stateParked
-	t.switchOut()
-	if t.ln.tracing {
-		t.Trace().Span("blocked", start, t.ln.now)
-	}
-}
-
-// ParkThenSleep is Park followed, unless *cancel holds when the wake
-// arrives, by Sleep(d) — the shape of a progress thread, which parks until
-// traffic arrives, gives up if it was stopped meanwhile, and otherwise pays
-// its wake-up latency before serving. As two calls the thread is switched
-// in at the wake only to start the sleep and switch out again; here the
-// lane does that (transfer): the thread resumes once, when the sleep is
-// over or was called off. Simulated time, event order and counts, and the
-// "blocked" and "run" spans are those of the two calls. cancel must not be
-// nil; the caller reads it again after the return to learn which it was.
-func (t *Thread) ParkThenSleep(d Time, cancel *bool) {
-	if d < 0 {
-		panic("sim: negative sleep")
-	}
-	if t.wakeBit || t.k.noShortcuts {
-		// The wake is already here, so there is no park for the lane to
-		// finish.
-		t.Park()
-		if !*cancel {
-			t.Sleep(d)
-		}
-		return
-	}
-	if t.ln.cur != t {
-		panic("sim: Park called from wrong context")
-	}
-	t.parkStart, t.parkSleep, t.parkCancel = t.ln.now, d, cancel
-	t.state = stateParked
-	t.switchOut()
+	return false
 }
 
 // Waker returns the Action that wakes t: what a timed wait schedules for

@@ -24,15 +24,21 @@ func settledGoroutines(base int) int {
 	}
 }
 
-// idlePollers spawns n polling threads whose lane makes every pass for
-// them (SetIdlePass), so they park without ever having a coroutine; the
-// body fails the test if it is ever switched in. Nothing stops them.
+// idlePollers spawns n stepper threads (SpawnSteps) that park for good at
+// their first step, so they never have a coroutine. Nothing stops them.
 func idlePollers(t *testing.T, k *Kernel, n int) {
-	var never bool
 	for i := 0; i < n; i++ {
-		th := k.SpawnIndexed(&k.Lane, "async", i, func(*Thread) { t.Error("an idle poller was switched in") })
-		th.SetIdlePass(func(*Thread) bool { return true }, 5, &never)
+		k.SpawnSteps(&k.Lane, "async", i, parkForever{})
 	}
+}
+
+// parkForever is a body that parks at every step and is never done.
+type parkForever struct{}
+
+func (parkForever) Step(th *Thread) bool {
+	for th.Await() {
+	}
+	return false
 }
 
 // TestFailedRunReleasesThreads: a run that ends in an error must not
